@@ -10,7 +10,9 @@ MAX fallback costs nothing extra.  Emits ``BENCH_seqset.json``.
 Knobs for quicker runs:
 
 * ``TAUPSM_SEQSET_SIZES=SMALL`` — skip the LARGE dataset (CI smoke);
-* ``TAUPSM_MAX_CONTEXT=30`` — drop the one-year contexts.
+* ``TAUPSM_MAX_CONTEXT=30`` — drop the one-year contexts;
+* ``TAUPSM_SEQSET_OUTPUT=PATH`` — write there, not over the committed
+  ``BENCH_seqset.json`` (CI smoke).
 """
 
 import json
@@ -24,7 +26,10 @@ from repro.taubench import get_query
 from repro.taubench.queries import QuerySpec
 from repro.temporal.stratum import SlicingStrategy
 
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_seqset.json"
+OUTPUT = Path(
+    os.environ.get("TAUPSM_SEQSET_OUTPUT")
+    or Path(__file__).resolve().parent.parent / "BENCH_seqset.json"
+)
 ROUNDS = 2  # report the best of N to damp scheduler noise
 
 SELECTION_QUERY = QuerySpec(

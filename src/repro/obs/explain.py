@@ -90,13 +90,15 @@ def describe_plan(plan: Any, depth: int = 0) -> list[str]:
     if isinstance(plan, planner.DeletePlan):
         return [pad + f"Delete {plan.table}"]
     if isinstance(plan, planner.IntervalJoin):
-        shape = []
-        if plan.residual_conjuncts:
-            shape.append(f"residual: {plan.residual_conjuncts} conjuncts")
-        if plan.distinct:
-            shape.append("distinct per period")
-        suffix = f" [{'; '.join(shape)}]" if shape else ""
-        lines = [pad + f"IntervalJoin ({len(plan.inputs)} inputs{suffix})"]
+        levels = "".join(
+            f" [hash: {' AND '.join(key)}]" if key else " [nested: no equi-key]"
+            for key in plan.keys
+        )
+        lines = [
+            pad + f"IntervalJoin ({len(plan.inputs)} inputs){levels}"
+            f" residual: {plan.residual_conjuncts}"
+            + (" [distinct per period]" if plan.distinct else "")
+        ]
         for aligned in plan.inputs:
             lines.extend(describe_plan(aligned, depth + 1))
         return lines
@@ -278,7 +280,7 @@ def _explain_sequenced(
     from repro.sqlengine.values import Date
     from repro.temporal import analysis
     from repro.temporal.constant_periods import compute_constant_periods
-    from repro.temporal.heuristic import choose_strategy, estimate_costs
+    from repro.temporal.heuristic import choose_by_cost, choose_strategy
     from repro.temporal.max_slicing import transform_query_max
     from repro.temporal.perst_slicing import PerstTransformer
     from repro.temporal.stratum import (
@@ -318,40 +320,13 @@ def _explain_sequenced(
             f" (rule {choice.rule}: {choice.reason})"
         )
     elif strategy is SlicingStrategy.COST:
-        from repro.temporal.heuristic import perst_applicable
-        from repro.temporal.seqset import seqset_applicable
-
-        applicable, why = perst_applicable(stmt, db, registry)
-        covered, _s_why = seqset_applicable(
-            stmt, db, registry, other_registry=other_registry
+        strategy, estimate, why = choose_by_cost(
+            stmt, db, registry, context, other_registry=other_registry
         )
-        if not applicable and not covered:
-            strategy = SlicingStrategy.MAX
+        if estimate is None:
             lines.append(f"strategy: max (cost model; PERST inapplicable: {why})")
         else:
-            estimate = estimate_costs(
-                stmt, db, registry, context, obs=db.obs,
-                include_seqset=covered,
-            )
-            candidates = [(estimate.max_cost, 0, SlicingStrategy.MAX)]
-            if applicable:
-                candidates.append(
-                    (estimate.perst_cost, 1, SlicingStrategy.PERST)
-                )
-            if covered and estimate.seqset_cost is not None:
-                candidates.append(
-                    (estimate.seqset_cost, 2, SlicingStrategy.SEQSET)
-                )
-            strategy = min(candidates)[2]
-            costs = (
-                f" max={estimate.max_cost:.4f} perst={estimate.perst_cost:.4f}"
-            )
-            if estimate.seqset_cost is not None:
-                costs += f" seqset={estimate.seqset_cost:.4f}"
-            lines.append(
-                f"strategy: {strategy.value}"
-                f" (cost model [{estimate.mode}]:{costs})"
-            )
+            lines.append(f"strategy: {strategy.value} ({estimate.describe()})")
     else:
         lines.append(f"strategy: {strategy.value} (requested)")
     tables = analysis.reachable_temporal_tables(stmt, db.catalog, registry)

@@ -267,19 +267,25 @@ class TemporalAlign:
 
 
 class IntervalJoin:
-    """SEQ-SET plan node: period-major nested-loop join of aligned
-    inputs (FROM order, candidate positions ascending — MAX's emission
-    order), with one compiled residual predicate per combination."""
+    """SEQ-SET plan node: interval hash join of aligned inputs.  Each
+    input after the first is hashed once on its equi-join key
+    (``keys[i]`` lists the ``a.col = b.col`` conjuncts binding input
+    ``i + 1`` to earlier inputs; empty = nested, every run under one
+    key), outer runs probe in ascending position and period ranges
+    intersect; output is period-major in FROM order — MAX's emission
+    order — with one compiled residual per matched combination."""
 
-    __slots__ = ("inputs", "residual_conjuncts", "distinct")
+    __slots__ = ("inputs", "keys", "residual_conjuncts", "distinct")
 
     def __init__(
         self,
         inputs: list,
+        keys: list,
         residual_conjuncts: int,
         distinct: bool,
     ) -> None:
         self.inputs = inputs
+        self.keys = keys
         self.residual_conjuncts = residual_conjuncts
         self.distinct = distinct
 

@@ -386,6 +386,10 @@ class TransactionManager:
         if self.write_set:
             self.mvcc.release_writes(self, committed=True)
         self.mvcc.unpin(self)
+        if self.wal is not None:
+            # the flush above may have crossed the automatic-checkpoint
+            # threshold; a checkpoint needs the transaction closed
+            self.wal.auto_checkpoint()
 
     def rollback(self) -> None:
         if not self.explicit:

@@ -337,13 +337,21 @@ class DurabilityManager:
         self.obs.inc("wal.bytes", len(data))
         self.obs.inc("wal.fsyncs", 1)
         self.obs.inc("wal.commits", 1)
+        self.auto_checkpoint()
+        for hook in self.on_commit:
+            hook()
+
+    def auto_checkpoint(self) -> None:
+        """Checkpoint once the WAL has outgrown ``auto_checkpoint_bytes``
+        — deferred while a transaction is open: an explicit COMMIT
+        flushes before it closes, and calls this again once it has."""
+        txn = self.db.txn
         if (
             self.auto_checkpoint_bytes is not None
+            and not (txn.explicit or txn.marks)
             and self._file.tell() >= self.auto_checkpoint_bytes
         ):
             self.checkpoint()
-        for hook in self.on_commit:
-            hook()
 
     def log_now(self, ordinal: int) -> None:
         """Record a CURRENT_DATE change; its own commit when idle."""

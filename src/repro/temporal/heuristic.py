@@ -109,24 +109,30 @@ def _choose_strategy(
     from repro.temporal.stratum import SlicingStrategy
 
     # Rule (s), ahead of the paper's rules: a routine-free covered shape
-    # never needs the per-period loop at all — one set-oriented pass
-    # beats both MAX and PERST, with the cost model recording by how
-    # much (measured unit costs when the registry has samples).
-    covered, _why = seqset_applicable(
+    # whose every join is a hash join never needs the per-period loop at
+    # all — one set-oriented pass beats both MAX and PERST, with the
+    # cost model recording by how much (measured unit costs when the
+    # registry has samples).  A key-less join level is a cross product
+    # under every strategy, so there the cost model decides.
+    plan, _why = seqset_applicable(
         stmt, db, registry, other_registry=other_registry
     )
-    if covered:
+    if plan is not None:
+        if not plan.keyed:
+            strategy, estimate, _why = choose_by_cost(
+                stmt, db, registry, context, other_registry=other_registry
+            )
+            return StrategyChoice(
+                strategy, "cost", "key-less join: " + estimate.describe()
+            )
         estimate = estimate_costs(
-            stmt, db, registry, context, obs=db.obs, include_seqset=True
+            stmt, db, registry, context, obs=db.obs, seqset_plan=plan
         )
         return StrategyChoice(
             SlicingStrategy.SEQSET,
             "s",
             "routine-free statement covered by the set-oriented plan"
-            f" (cost model [{estimate.mode}]:"
-            f" seqset={estimate.seqset_cost:.4f}"
-            f" max={estimate.max_cost:.4f}"
-            f" perst={estimate.perst_cost:.4f})",
+            f" ({estimate.describe()})",
         )
     applicable, why = perst_applicable(stmt, db, registry)
     if not applicable:
@@ -175,14 +181,53 @@ class CostEstimate:
     def prefers_perst(self) -> bool:
         return self.perst_cost < self.max_cost
 
+    def describe(self) -> str:
+        """The numbers as EXPLAIN and the rule rationale print them."""
+        text = f"cost model [{self.mode}]:"
+        if self.seqset_cost is not None:
+            text += f" seqset={self.seqset_cost:.4f}"
+        return text + f" max={self.max_cost:.4f} perst={self.perst_cost:.4f}"
+
+
+def choose_by_cost(
+    stmt: ast.Statement,
+    db: Database,
+    registry: TemporalRegistry,
+    context: Period,
+    other_registry: Optional[TemporalRegistry] = None,
+) -> tuple["SlicingStrategy", Optional[CostEstimate], str]:  # noqa: F821
+    """Cheapest applicable strategy under :func:`estimate_costs`
+    (measured unit costs when the registry has samples).  Returns the
+    strategy, the estimate — ``None`` when only MAX applies — and why
+    PERST is inapplicable, if it is."""
+    from repro.temporal.seqset import seqset_applicable
+    from repro.temporal.stratum import SlicingStrategy
+
+    applicable, why = perst_applicable(stmt, db, registry)
+    plan, _s_why = seqset_applicable(
+        stmt, db, registry, other_registry=other_registry
+    )
+    if not applicable and plan is None:
+        return SlicingStrategy.MAX, None, why
+    estimate = estimate_costs(
+        stmt, db, registry, context, obs=db.obs, seqset_plan=plan
+    )
+    candidates = [(estimate.max_cost, 0, SlicingStrategy.MAX)]
+    if applicable:
+        candidates.append((estimate.perst_cost, 1, SlicingStrategy.PERST))
+    if plan is not None:
+        candidates.append((estimate.seqset_cost, 2, SlicingStrategy.SEQSET))
+    return min(candidates)[2], estimate, why
+
 
 # Static per-unit costs (arbitrary units; only ratios matter).
 STATIC_PER_INVOCATION_ROW = 0.01
 STATIC_PERIOD_OVERHEAD = 0.05
 STATIC_PER_ROW = 0.02
 STATIC_CURSOR_PER_PERIOD_ROW = 0.002
-# SEQ-SET reads each row once through vectorized kernels (no per-row
-# interpreter work) and pays a small per-period emission step.
+# SEQ-SET touches each combination of its plan once (a row, for a single
+# table) through vectorized kernels and hash probes, and pays a small
+# per-period emission step.
 STATIC_SEQSET_PER_ROW = 0.004
 STATIC_SEQSET_PERIOD_OVERHEAD = 0.005
 # Arbitration bands between the two calibrations.  The timer means
@@ -206,13 +251,15 @@ def estimate_costs(
     context: Period,
     obs: Optional["MetricsRegistry"] = None,  # noqa: F821 - lazy type
     mode: str = "auto",
-    include_seqset: bool = False,
+    seqset_plan: Optional["SeqSetPlan"] = None,  # noqa: F821 - lazy type
 ) -> CostEstimate:
     """Predict relative MAX/PERST cost from data statistics.
 
     MAX's dominant term is (#constant periods × per-invocation work);
     PERST's is one pass over the data plus, when per-period cursors are
-    involved, (#constant periods × auxiliary-table traffic).
+    involved, (#constant periods × auxiliary-table traffic).  Given a
+    compiled ``seqset_plan``, SEQ-SET is priced over that plan's own
+    shape (:meth:`SeqSetPlan.combinations`) plus a per-period step.
 
     ``mode`` selects the calibration:
 
@@ -240,23 +287,22 @@ def estimate_costs(
     perst_cost = max(rows, 1) * STATIC_PER_ROW
     if cursors:
         perst_cost += periods * max(rows, 1) * STATIC_CURSOR_PER_PERIOD_ROW
-    static_seqset = (
-        max(rows, 1) * STATIC_SEQSET_PER_ROW
-        + periods * STATIC_SEQSET_PERIOD_OVERHEAD
-        if include_seqset
-        else None
-    )
 
     def seqset_term(chosen_mode: str) -> Optional[float]:
-        """SEQ-SET's unit cost: measured per-row mean when the chosen
-        calibration is measured and its timer has samples, else static."""
-        if static_seqset is None:
+        """SEQ-SET's cost over the plan's own shape: the measured
+        per-combination mean when the chosen calibration is measured
+        and its timer has samples, else the static constants."""
+        if seqset_plan is None:
             return None
+        combinations = max(seqset_plan.combinations(db), 1)
         if chosen_mode == "measured" and obs is not None:
             seqset_mean = obs.mean("stratum.seqset.row_seconds")
             if seqset_mean is not None and seqset_mean > 0.0:
-                return max(rows, 1) * seqset_mean
-        return static_seqset
+                return combinations * seqset_mean
+        return (
+            combinations * STATIC_SEQSET_PER_ROW
+            + periods * STATIC_SEQSET_PERIOD_OVERHEAD
+        )
 
     if mode == "static" or obs is None:
         return CostEstimate(

@@ -17,15 +17,27 @@ plan over the same constant-period grid:
   under MAX), and single-table conjuncts that have vectorized kernels
   are applied **once** over the candidate set instead of once per
   period.
-* **IntervalJoin** — the aligned inputs are combined period-major in
-  FROM order with candidate positions ascending, reproducing MAX's
-  nested-loop emission order byte for byte; multi-table conjuncts run as
-  one compiled residual predicate per combination.
+* **IntervalJoin** — an interval hash join over the aligned runs.  Each
+  candidate stays **one** ``(row, lo, hi)`` run on the period grid;
+  every ``a.col = b.col`` conjunct between two FROM sources is lifted
+  out of the WHERE clause into the later source's join key (composite
+  when several bind it), and that source's runs are hashed once per
+  execution under the same ``sort_key`` normalisation
+  ``Table.hash_index`` uses (NULL keys excluded).  Outer runs are walked
+  in ascending position, probed, and the period ranges intersected as
+  ``[max(lo), min(hi))``; a source with no equi-key is the same code
+  under the single key ``()``.  Conjuncts that are neither kernels nor
+  keys form one compiled residual, evaluated with the projection once
+  per matched combination — per period only when they read the ``cp``
+  binding (a point-transformed nested subquery).
 
-Rows are emitted per period (each aligned row is handled as one
-coalesced run of adjacent periods internally and expanded at emission),
-so results are row-identical to MAX, including DISTINCT (first
-occurrence per period) and column naming.
+Matched combinations are appended to per-period output lists that are
+concatenated period-major at the end, so rows come out in MAX's
+nested-loop order (period-major, FROM order, positions ascending) and
+results are row-identical to MAX, including DISTINCT (first occurrence
+per period) and column naming.  Work is O(candidates + matched
+combinations × periods each is alive) — the output size — where MAX
+pays one engine round-trip per period.
 
 Coverage is deliberately conservative: any statement shape outside the
 proven-identical fragment raises :class:`SeqSetUnsupportedError` at
@@ -53,7 +65,8 @@ from repro.sqlengine.exprcompile import (
     compile_expression,
 )
 from repro.sqlengine.planner import IntervalJoin, TemporalAlign
-from repro.sqlengine.values import Date, sort_key, truth
+from repro.sqlengine.storage import _column_kind
+from repro.sqlengine.values import Date, Null, sort_key, truth
 from repro.temporal import analysis
 from repro.temporal.errors import TemporalError
 from repro.temporal.period import Period
@@ -78,7 +91,7 @@ class _AlignedSource:
 
     __slots__ = (
         "name", "binding", "alias", "colmap", "temporal",
-        "begin_index", "end_index", "kernels",
+        "begin_index", "end_index", "kernels", "keys", "key_sql",
     )
 
     def __init__(self, name: str, binding: str) -> None:
@@ -90,6 +103,11 @@ class _AlignedSource:
         self.begin_index: Optional[int] = None
         self.end_index: Optional[int] = None
         self.kernels: list = []
+        # equi-join key parts binding this source to earlier FROM
+        # sources: (own column, earlier source index, its column), and
+        # the conjuncts they were lifted from (for EXPLAIN)
+        self.keys: list[tuple[int, int, int]] = []
+        self.key_sql: list[str] = []
 
 
 class SeqSetPlan:
@@ -98,7 +116,7 @@ class SeqSetPlan:
     __slots__ = (
         "select", "cp_alias", "sources", "residual_c", "residual_count",
         "projections", "columns", "distinct", "temporal_tables",
-        "needs_env", "root",
+        "reads_cp", "root",
     )
 
     def __init__(self) -> None:
@@ -111,8 +129,23 @@ class SeqSetPlan:
         self.columns: list[str] = []
         self.distinct = False
         self.temporal_tables: list[str] = []
-        self.needs_env = False
+        self.reads_cp = False
         self.root: Optional[IntervalJoin] = None
+
+    @property
+    def keyed(self) -> bool:
+        """Is every join level a hash join?"""
+        return all(source.keys for source in self.sources[1:])
+
+    def combinations(self, db: Database) -> int:
+        """Combinations the join touches, estimated from table sizes:
+        a keyed level adds its rows (one build, one probe each), a
+        key-less level multiplies."""
+        sizes = [len(db.catalog.get_table(s.name)) for s in self.sources]
+        total = sizes[0]
+        for source, size in zip(self.sources[1:], sizes[1:]):
+            total = total + size if source.keys else total * size
+        return total
 
 
 def _unsupported(reason: str) -> SeqSetUnsupportedError:
@@ -232,9 +265,22 @@ def compile_seqset(
     layout_with_cp = dict(layout)
     layout_with_cp[cp_alias] = CP_COLMAP
 
+    def slot_of(expr: ast.Expression) -> Optional[tuple[int, int]]:
+        """(source index, column index) when ``expr`` is a plain column
+        reference to one FROM source."""
+        for index, (source, table) in enumerate(zip(plan.sources, tables)):
+            column = executor._column_of(
+                expr, table, source.binding, select.from_items
+            )
+            if column is not None:
+                return index, column
+        return None
+
     # conjunct classification: a conjunct with a vectorized kernel on one
-    # source is applied once over that source's aligned candidates; the
-    # rest become one compiled residual predicate per emitted combination
+    # source is applied once over that source's aligned candidates; an
+    # equality between plain columns of two sources becomes a hash-join
+    # key part of the later one; the rest become one compiled residual
+    # predicate per matched combination
     residual: list[ast.Expression] = []
     for conjunct in _split_conjuncts(select.where):
         kernel = None
@@ -245,7 +291,9 @@ def compile_seqset(
             if kernel is not None:
                 source.kernels.append(kernel)
                 break
-        if kernel is None:
+        if kernel is None and not _lift_join_key(
+            conjunct, slot_of, plan.sources, tables
+        ):
             residual.append(conjunct)
     residual_expr = and_all(residual)
     if residual_expr is not None:
@@ -256,26 +304,25 @@ def compile_seqset(
             raise _unsupported("predicate outside the compiled fragment")
         plan.residual_count = len(residual)
 
+    evaluated = list(residual)
     for item in select.items:
-        slot = None
-        for index, (source, table) in enumerate(zip(plan.sources, tables)):
-            column = executor._column_of(
-                item.expr, table, source.binding, select.from_items
-            )
-            if column is not None:
-                slot = ("slot", index, column)
-                break
+        slot = slot_of(item.expr)
         if slot is not None:
-            plan.projections.append(slot)
+            plan.projections.append(("slot",) + slot)
         else:
             compiled = compile_expression(executor, item.expr, layout_with_cp)
             if compiled is None:
                 raise _unsupported("select item outside the compiled fragment")
             plan.projections.append(("closure", compiled, None))
-    plan.columns = executor._output_columns(select, Env())
-    plan.needs_env = plan.residual_c is not None or any(
-        kind == "closure" for kind, _, _ in plan.projections
+            evaluated.append(item.expr)
+    plan.reads_cp = any(
+        isinstance(node, ast.Name)
+        and node.qualifier is not None
+        and node.qualifier.lower() == cp_alias
+        for expr in evaluated
+        for node in ast.walk(expr)
     )
+    plan.columns = executor._output_columns(select, Env())
     plan.root = IntervalJoin(
         inputs=[
             TemporalAlign(
@@ -294,10 +341,32 @@ def compile_seqset(
             )
             for i, source in enumerate(plan.sources)
         ],
+        keys=[source.key_sql for source in plan.sources[1:]],
         residual_conjuncts=plan.residual_count,
         distinct=plan.distinct,
     )
     return plan
+
+
+def _lift_join_key(conjunct, slot_of, sources, tables) -> bool:
+    """Turn ``a.col = b.col`` (either orientation) between two FROM
+    sources into a key part of the later one.  Only column pairs whose
+    ``sort_key``s are equal exactly when the engine's ``=`` is true are
+    lifted — one value class on both sides (values are coerced to the
+    declared type on assignment), where ``=`` cannot raise; anything
+    else stays in the residual."""
+    if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="):
+        return False
+    left, right = slot_of(conjunct.left), slot_of(conjunct.right)
+    if left is None or right is None or left[0] == right[0]:
+        return False
+    kinds = {_column_kind(tables[i].columns[c].type) for i, c in (left, right)}
+    if not (kinds <= {"int", "float"} or kinds in ({"date"}, {"str"})):
+        return False
+    (outer, outer_column), (inner, inner_column) = sorted((left, right))
+    sources[inner].keys.append((inner_column, outer, outer_column))
+    sources[inner].key_sql.append(conjunct.to_sql())
+    return True
 
 
 def seqset_applicable(
@@ -305,14 +374,14 @@ def seqset_applicable(
     db: Database,
     registry: TemporalRegistry,
     other_registry: Optional[TemporalRegistry] = None,
-) -> tuple[bool, str]:
-    """Can SEQ-SET evaluate this statement?  (Mirrors
+) -> tuple[Optional[SeqSetPlan], str]:
+    """Can SEQ-SET evaluate this statement?  The compiled plan, or
+    ``None`` and the reason.  (Mirrors
     :func:`repro.temporal.heuristic.perst_applicable`.)"""
     try:
-        compile_seqset(db, registry, stmt, other_registry=other_registry)
+        return compile_seqset(db, registry, stmt, other_registry=other_registry), ""
     except SeqSetUnsupportedError as exc:
-        return False, str(exc)
-    return True, ""
+        return None, str(exc)
 
 
 def execute_seqset(
@@ -336,8 +405,7 @@ def execute_seqset(
     cp_row: list[Any] = [None, None]
     env.bindings[plan.cp_alias] = Binding(CP_COLMAP, cp_row)
 
-    row_lists: list[list] = []
-    bucket_lists: list[list[list[int]]] = []
+    run_lists: list[list[tuple]] = []
     bindings: list[Binding] = []
     for source in plan.sources:
         table = db.read_table(source.name)
@@ -367,7 +435,7 @@ def execute_seqset(
                     and row[end_index].ordinal >= context.begin + 1
                 ]
         else:
-            positions = list(range(len(rows)))
+            positions = range(len(rows))
         if source.kernels:
             if not resilience.allow_columnar(table):
                 raise SeqSetRuntimeFallback(
@@ -383,98 +451,113 @@ def execute_seqset(
                 )
             positions = filtered
         obs.inc("engine.rows_scanned", len(positions))
+        # one (row, lo, hi) run per candidate, positions ascending: the
+        # row is alive in periods [lo, hi)
         if source.temporal:
-            buckets: list[list[int]] = [[] for _ in range(period_count)]
-            begin_index, end_index = source.begin_index, source.end_index
+            runs = []
             for position in positions:
                 row = rows[position]
                 lo = bisect_left(period_begins, row[begin_index].ordinal)
                 hi = bisect_left(period_begins, row[end_index].ordinal)
-                for k in range(lo, hi):
-                    buckets[k].append(position)
+                if lo < hi:
+                    runs.append((row, lo, hi))
         else:
             # a non-temporal table is alive in every period (MAX cross
             # joins it with the cp table unconditioned)
-            buckets = [positions] * period_count
+            runs = [(rows[position], 0, period_count) for position in positions]
         binding = Binding(source.colmap, ())
         env.bindings[source.alias] = binding
-        row_lists.append(rows)
-        bucket_lists.append(buckets)
+        run_lists.append(runs)
         bindings.append(binding)
 
-    columns = plan.columns + ["begin_time", "end_time"]
-    out: list[list[Any]] = []
     projections = plan.projections
     residual_c = plan.residual_c
-    distinct = plan.distinct
     depth = len(plan.sources)
+    # build side: one dict per inner source and execution, keyed like
+    # Table.hash_index (sort_key normalisation, NULL keys excluded); a
+    # source without an equi-key hashes every run under the key ()
+    hashed: list[Optional[dict]] = [None]
+    for source, runs in zip(plan.sources[1:], run_lists[1:]):
+        own_columns = [column for column, _, _ in source.keys]
+        index: dict = {}
+        for run in runs:
+            values = [run[0][column] for column in own_columns]
+            if Null not in values:
+                index.setdefault(
+                    tuple([sort_key(v) for v in values]), []
+                ).append(run)
+        hashed.append(index)
+    probe_sides = [
+        [(bindings[outer], column) for _, outer, column in source.keys]
+        for source in plan.sources
+    ]
+    reads_cp = plan.reads_cp
+    # DISTINCT dedupes within a period only: under MAX the appended
+    # period columns make rows from different periods distinct
+    seen: Optional[set] = set() if plan.distinct else None
+    per_period: list[list] = [[] for _ in range(period_count)]
+    probes = matches = 0
 
-    # fast path: single table, fully-kernelized predicate, slot-only
-    # projection — pure index arithmetic, no Env in the loop
-    if (
-        depth == 1
-        and residual_c is None
-        and not distinct
-        and not plan.needs_env
-    ):
-        indexes = [column for _, _, column in projections]
-        rows = row_lists[0]
-        buckets = bucket_lists[0]
-        armed = resilience.armed
-        for k in range(period_count):
-            if armed:
-                resilience.check()
-            bucket = buckets[k]
-            if not bucket:
-                continue
-            begin, end = periods[k]
-            for position in bucket:
-                row = rows[position]
-                values = [row[i] for i in indexes]
-                values.append(begin)
-                values.append(end)
-                out.append(values)
-        return columns, out
-
-    def expand(level: int, seen: Optional[set], begin, end) -> None:
-        rows = row_lists[level]
-        binding = bindings[level]
-        bucket = bucket_lists[level][current_period[0]]
-        last = level == depth - 1
-        for position in bucket:
-            binding.row = rows[position]
-            if not last:
-                expand(level + 1, seen, begin, end)
-                continue
-            if residual_c is not None and not truth(residual_c(env)):
-                continue
-            values = []
-            for kind, a, b in projections:
-                if kind == "slot":
-                    values.append(bindings[a].row[b])
-                else:
-                    values.append(a(env))
+    def join(level: int, lo: int, hi: int) -> None:
+        """Extend the combination bound at levels < ``level``, alive in
+        periods [lo, hi), by every matching run of ``level``; emit it
+        at full depth."""
+        nonlocal probes, matches
+        if level < depth:
+            values = [
+                binding.row[column] for binding, column in probe_sides[level]
+            ]
+            if Null in values:
+                return
+            probes += 1
+            binding = bindings[level]
+            for row, run_lo, run_hi in hashed[level].get(
+                tuple([sort_key(v) for v in values]), ()
+            ):
+                if run_lo < lo:
+                    run_lo = lo
+                if run_hi > hi:
+                    run_hi = hi
+                if run_lo < run_hi:
+                    matches += 1
+                    binding.row = row
+                    join(level + 1, run_lo, run_hi)
+            return
+        # residual and projection are evaluated once for the whole run
+        # unless they read the cp binding
+        values = key = None
+        for k in range(lo, hi):
+            if reads_cp or values is None:
+                if reads_cp:
+                    cp_row[:] = periods[k]
+                if residual_c is not None and not truth(residual_c(env)):
+                    if reads_cp:
+                        continue
+                    return
+                values = [
+                    bindings[a].row[b] if kind == "slot" else a(env)
+                    for kind, a, b in projections
+                ]
+                if seen is not None:
+                    key = tuple([sort_key(v) for v in values])
             if seen is not None:
-                key = tuple(sort_key(v) for v in values)
-                if key in seen:
+                if (k, key) in seen:
                     continue
-                seen.add(key)
-            values.append(begin)
-            values.append(end)
-            out.append(values)
+                seen.add((k, key))
+            per_period[k].append(values + periods[k])
 
-    current_period = [0]
-    for k in range(period_count):
-        # watchdog: like MAX's loop, every period is a cancellation point
+    outer = bindings[0]
+    for row, lo, hi in run_lists[0]:
+        # watchdog: every outermost run is a cancellation point
         if resilience.armed:
             resilience.check()
-        if any(not bucket_lists[i][k] for i in range(depth)):
-            continue
-        begin, end = periods[k]
-        cp_row[0] = begin
-        cp_row[1] = end
-        current_period[0] = k
-        # DISTINCT dedupes within a period only: under MAX the appended
-        # period columns make rows from different periods distinct
-        expand(0, set() if distinct else None, begin, end)
-    return columns, out
+        outer.row = row
+        join(1, lo, hi)
+    obs.inc("stratum.seqset.join.probes", probes)
+    obs.inc("stratum.seqset.join.matches", matches)
+    obs.inc(
+        "stratum.seqset.join.keyless_levels",
+        sum(not source.keys for source in plan.sources[1:]),
+    )
+    columns = plan.columns + ["begin_time", "end_time"]
+    return columns, [row for rows in per_period for row in rows]

@@ -784,33 +784,16 @@ class TemporalStratum:
                 other_registry=other_registry,
             ).strategy
         elif strategy is SlicingStrategy.COST:
-            from repro.temporal.heuristic import estimate_costs, perst_applicable
-            from repro.temporal.seqset import seqset_applicable
+            from repro.temporal.heuristic import choose_by_cost
 
-            applicable, _why = perst_applicable(stmt, self.db, registry)
-            covered, _s_why = seqset_applicable(
-                stmt, self.db, registry, other_registry=other_registry
+            # measured unit costs when the registry has samples,
+            # static calibration otherwise
+            strategy, estimate, _why = choose_by_cost(
+                stmt, self.db, registry, context,
+                other_registry=other_registry,
             )
-            if not applicable and not covered:
-                strategy = SlicingStrategy.MAX
-            else:
-                # measured unit costs when the registry has samples,
-                # static calibration otherwise
-                estimate = estimate_costs(
-                    stmt, self.db, registry, context, obs=self.db.obs,
-                    include_seqset=covered,
-                )
+            if estimate is not None:
                 self.last_estimate = estimate
-                candidates = [(estimate.max_cost, 0, SlicingStrategy.MAX)]
-                if applicable:
-                    candidates.append(
-                        (estimate.perst_cost, 1, SlicingStrategy.PERST)
-                    )
-                if covered and estimate.seqset_cost is not None:
-                    candidates.append(
-                        (estimate.seqset_cost, 2, SlicingStrategy.SEQSET)
-                    )
-                strategy = min(candidates)[2]
         self.last_strategy = strategy
         if strategy is SlicingStrategy.SEQSET:
             outcome = self._execute_sequenced_seqset(stmt, context, registry)
@@ -920,9 +903,9 @@ class TemporalStratum:
         started = time.perf_counter()
         with tracer.span("stratum.max.loop", slices=slices):
             for row in list(cp.rows):
-                # watchdog: a MAX evaluation is thousands of routine
-                # calls (q2 = 2703 on DS1); every constant period is a
-                # cancellation point
+                # watchdog: a MAX evaluation is hundreds to thousands
+                # of routine calls (DS1-LARGE × 365 d: q2 = 159, q17b =
+                # 31 075); every constant period is a cancellation point
                 if resilience.armed:
                     resilience.check()
                 begin, end = row[0], row[1]
@@ -1010,10 +993,6 @@ class TemporalStratum:
                 self.db, plan.temporal_tables, registry, context, MAX_CP_TABLE
             )
             span.set(slices=slices)
-        data_rows = sum(
-            len(self.db.catalog.get_table(name))
-            for name in plan.temporal_tables
-        )
         started = time.perf_counter()
         try:
             with tracer.span("stratum.seqset.execute", slices=slices):
@@ -1023,10 +1002,11 @@ class TemporalStratum:
         except SeqSetRuntimeFallback as exc:
             self.last_fallback = str(exc)
             return NotImplemented
-        # per-row mean over the temporal data, the measured-cost model's
-        # SEQ-SET unit (one aligned pass, like PERST's single pass)
+        # mean per combination of the plan's shape (per row for a single
+        # table), the unit the measured-cost model prices SEQ-SET in —
+        # so a cross product's seconds do not inflate a selection's unit
         self.db.obs.timer("stratum.seqset.row_seconds").record(
-            time.perf_counter() - started, data_rows
+            time.perf_counter() - started, plan.combinations(self.db)
         )
         return TemporalResult(columns, rows)
 

@@ -20,15 +20,17 @@ Golden EXPLAIN snapshots pin the plan shape (``TemporalAlign`` /
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.sqlengine.values import Date
+from repro.sqlengine.values import Date, Null
 from repro.taubench import ALL_QUERIES
-from repro.temporal import SlicingStrategy
+from repro.temporal import SlicingStrategy, TemporalStratum
 
 from tests.conftest import GET_AUTHOR_NAME, make_bookstore
 from tests.integration.test_fuzz_sequenced import (
+    BASE,
     CONTEXT,
     FN_QUERY,
     QUERIES,
+    SPAN,
     build_stratum,
     versions,
 )
@@ -70,6 +72,125 @@ def test_random_histories_seqset_equals_max_raw(fact, dim, query_index):
     auto = raw(stratum.execute(sql, strategy=SlicingStrategy.AUTO))
     assert stratum.last_strategy is SlicingStrategy.SEQSET
     assert auto == reference
+
+
+# join versions: (key 0..3 — 3 is a NULL join key, value 0..3, begin
+# offset, duration); few keys and values so duplicates are the norm
+join_versions = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=SPAN - 1),
+        st.integers(min_value=1, max_value=SPAN),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def build_join_stratum(fact_rows, dim_rows):
+    """``fact`` ⋈ ``dim`` on a CHAR key (NULLs on both sides, blank
+    padding on one) and on INTEGER = FLOAT, plus a non-temporal
+    ``label`` table."""
+    stratum = TemporalStratum()
+    stratum.create_temporal_table(
+        "CREATE TABLE fact (entity CHAR(4), val INTEGER,"
+        " begin_time DATE, end_time DATE)"
+    )
+    stratum.create_temporal_table(
+        "CREATE TABLE dim (entity CHAR(8), weight FLOAT, tag CHAR(4),"
+        " begin_time DATE, end_time DATE)"
+    )
+    stratum.db.execute("CREATE TABLE label (val INTEGER, name CHAR(8))")
+    stratum.db.insert_rows(
+        "label", [[0, "zero"], [1, "one"], [1, "uno"], [Null, "none"]]
+    )
+    def load(table, versions, make_head):
+        for key, value, start, duration in versions:
+            end = min(start + duration, SPAN)
+            if start < end:
+                stratum.db.insert_rows(
+                    table,
+                    [make_head(key, value) + [Date(BASE + start), Date(BASE + end)]],
+                )
+
+    load("fact", fact_rows, lambda key, value: [
+        Null if key == 3 else f"e{key}", value,
+    ])
+    load("dim", dim_rows, lambda key, value: [
+        Null if key == 3 else f"e{key}   ", float(value), f"t{value}",
+    ])
+    return stratum
+
+
+# (query, every join level hash-keyed?)
+JOIN_QUERIES = [
+    # NULL keys on either side, duplicates, CHAR(4) = blank-padded CHAR(8)
+    ("SELECT f.entity, f.val, d.tag FROM fact f, dim d"
+     " WHERE f.entity = d.entity", True),
+    # flipped orientation
+    ("SELECT f.entity, d.tag FROM fact f, dim d WHERE d.entity = f.entity", True),
+    # INTEGER = FLOAT
+    ("SELECT f.entity, d.entity FROM fact f, dim d WHERE f.val = d.weight", True),
+    # composite key, one part per orientation
+    ("SELECT f.val, d.tag FROM fact f, dim d"
+     " WHERE f.entity = d.entity AND d.weight = f.val", True),
+    # 3-way chain
+    ("SELECT f.entity, d.tag, g.val FROM fact f, dim d, fact g"
+     " WHERE f.entity = d.entity AND d.weight = g.val", True),
+    # temporal ⋈ non-temporal, either FROM order
+    ("SELECT f.entity, l.name FROM fact f, label l WHERE f.val = l.val", True),
+    ("SELECT l.name, f.entity FROM label l, fact f WHERE l.val = f.val", True),
+    # self-join under two aliases, key plus residual
+    ("SELECT a.entity, b.val FROM fact a, fact b"
+     " WHERE a.entity = b.entity AND a.val < b.val", True),
+    # DISTINCT over a join (per period)
+    ("SELECT DISTINCT f.entity, d.tag FROM fact f, dim d"
+     " WHERE f.entity = d.entity", True),
+    # residual reading a cp-dependent nested subquery: per-period evaluation
+    ("SELECT f.entity, d.tag FROM fact f, dim d WHERE f.entity = d.entity"
+     " AND f.val >= (SELECT MAX(g.val) FROM fact g WHERE g.entity = f.entity)",
+     True),
+    # a cp-dependent projection
+    ("SELECT f.entity, (SELECT COUNT(*) FROM dim g WHERE g.entity = f.entity) AS n"
+     " FROM fact f, dim d WHERE f.entity = d.entity", True),
+    # equalities sort_key must not take: expression side, value-class mismatch
+    ("SELECT f.entity, d.tag FROM fact f, dim d WHERE f.val + 0 = d.weight", False),
+    ("SELECT f.entity, d.tag FROM fact f, dim d"
+     " WHERE f.entity = d.entity AND f.entity <> d.tag", True),
+    # no equi-key at all: the same join code under the single key ()
+    ("SELECT f.entity, d.tag FROM fact f, dim d WHERE f.val < d.weight", False),
+]
+
+
+@settings(
+    max_examples=20,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(fact=join_versions, dim=join_versions)
+def test_random_histories_join_family_equals_max_raw(fact, dim):
+    """The interval hash join is row-identical to MAX's per-period
+    nested loop on every key shape, and the interval index stays
+    pruning-only underneath it."""
+    stratum = build_join_stratum(fact, dim)
+    db = stratum.db
+    for query, keyed in JOIN_QUERIES:
+        sql = sequenced(query)
+        reference = raw(stratum.execute(sql, strategy=SlicingStrategy.MAX))
+        keyless_before = db.obs.value("stratum.seqset.join.keyless_levels")
+        result = raw(stratum.execute(sql, strategy=SlicingStrategy.SEQSET))
+        assert stratum.last_strategy is SlicingStrategy.SEQSET, query
+        assert stratum.last_fallback is None, query
+        assert result == reference, query
+        keyless = db.obs.value("stratum.seqset.join.keyless_levels") - keyless_before
+        assert (keyless == 0) is keyed, query
+        db.interval_indexing_enabled = False
+        try:
+            linear = raw(stratum.execute(sql, strategy=SlicingStrategy.SEQSET))
+        finally:
+            db.interval_indexing_enabled = True
+        assert linear == reference, query
 
 
 @settings(
@@ -118,14 +239,26 @@ class TestGoldenSeqSetExplain:
     def test_plan_tree(self, stratum):
         result = stratum.execute(
             "EXPLAIN VALIDTIME [DATE '2010-02-01', DATE '2010-03-01']"
-            " SELECT a.first_name, i.price FROM author a, item i"
-            " WHERE a.author_id = i.author_id AND i.price > 10.0",
+            " SELECT i.title, ia.author_id FROM item i, item_author ia"
+            " WHERE i.id = ia.item_id AND i.price > 10.0",
             strategy=SlicingStrategy.SEQSET,
         )
         text = result.text()
-        assert "IntervalJoin" in text
+        assert "IntervalJoin (2 inputs) [hash: i.id = ia.item_id] residual: 0" in text
         assert "TemporalAlign" in text
         check_golden("seqset_join_plan", text)
+
+    def test_keyless_level_renders_nested(self, stratum):
+        result = stratum.execute(
+            "EXPLAIN VALIDTIME [DATE '2010-02-01', DATE '2010-03-01']"
+            " SELECT a.first_name, i.title FROM author a, item i"
+            " WHERE a.first_name < i.title",
+            strategy=SlicingStrategy.SEQSET,
+        )
+        assert (
+            "IntervalJoin (2 inputs) [nested: no equi-key] residual: 1"
+            in result.text()
+        )
 
     def test_auto_rule_s(self, stratum):
         result = stratum.execute(

@@ -216,6 +216,28 @@ class TestCheckpoint:
         db2 = reopen(tmp_path / "d", db)
         assert len(db2.query("SELECT id FROM t").rows) == 40
 
+    def test_explicit_commit_straddling_threshold(self, tmp_path):
+        """A COMMIT whose flush takes the WAL past the threshold used to
+        fail with "cannot checkpoint inside an open transaction" after
+        its frames were durable, leaving the session stuck in the
+        transaction; the checkpoint now waits for the COMMIT to close."""
+        db = Database()
+        db.attach_durability(tmp_path / "d", auto_checkpoint_bytes=1024)
+        db.execute("CREATE TABLE t (id INTEGER, pad CHAR(40))")
+        writes_before = db.obs.value("checkpoint.writes")
+        db.execute("BEGIN")
+        for i in range(60):  # ≈ 1.7 KB of redo: crosses on the flush
+            db.execute(f"INSERT INTO t VALUES ({i}, 'x')")
+        assert db.durability.wal_size() < 1024  # nothing flushed mid-txn
+        db.execute("COMMIT")
+        assert not db.txn.explicit
+        assert db.obs.value("checkpoint.writes") == writes_before + 1
+        db.execute("BEGIN")
+        db.execute("INSERT INTO t VALUES (60, 'y')")
+        db.execute("COMMIT")
+        db2 = reopen(tmp_path / "d", db)
+        assert len(db2.query("SELECT id FROM t").rows) == 61
+
 
 class TestRecoveryDdl:
     def test_views_and_routines_survive(self, tmp_path):

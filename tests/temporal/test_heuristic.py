@@ -212,3 +212,70 @@ class TestCostStrategy:
             SlicingStrategy.PERST if estimate.prefers_perst else SlicingStrategy.MAX
         )
         assert picked is expected
+
+
+class TestSeqSetJoinShape:
+    """Rule (s) claims a routine-free join only when every level is a
+    hash join; a key-less level is priced as the cross product it is."""
+
+    CONTEXT = Period.from_iso("2010-01-01", "2011-01-01")
+    JOIN = "VALIDTIME SELECT i.title FROM item i, item_author ia WHERE "
+    KEYED = JOIN + "i.id = ia.item_id"
+    KEYLESS = JOIN + "i.id < ia.item_id"
+
+    def test_keyed_join_is_seqset_by_rule_s(self, stratum):
+        result = choice(stratum, self.KEYED, self.CONTEXT)
+        assert result.strategy is SlicingStrategy.SEQSET
+        assert result.rule == "s"
+
+    def test_keyless_join_is_cost_arbitrated(self, stratum):
+        from repro.temporal.heuristic import choose_by_cost
+
+        stmt = parse_statement(self.KEYLESS)
+        result = choice(stratum, self.KEYLESS, self.CONTEXT)
+        assert result.rule == "cost"
+        strategy, estimate, _why = choose_by_cost(
+            stmt, stratum.db, stratum.registry, self.CONTEXT
+        )
+        assert result.strategy is strategy
+        assert result.reason == "key-less join: " + estimate.describe()
+        costs = {
+            SlicingStrategy.MAX: estimate.max_cost,
+            SlicingStrategy.PERST: estimate.perst_cost,
+            SlicingStrategy.SEQSET: estimate.seqset_cost,
+        }
+        assert costs[strategy] == min(costs.values())
+
+    def test_seqset_cost_follows_the_plan_shape(self, stratum):
+        from repro.temporal.seqset import compile_seqset
+
+        db = stratum.db
+        items = len(db.catalog.get_table("item"))
+        links = len(db.catalog.get_table("item_author"))
+        shapes = {}
+        for sql in (self.KEYED, self.KEYLESS):
+            stmt = parse_statement(sql)
+            plan = compile_seqset(db, stratum.registry, stmt)
+            shapes[sql] = plan.combinations(db)
+            estimate = estimate_costs(
+                stmt, db, stratum.registry, self.CONTEXT, seqset_plan=plan
+            )
+            assert estimate.seqset_cost is not None
+        assert shapes[self.KEYED] == items + links
+        assert shapes[self.KEYLESS] == items * links
+
+    def test_slow_cross_product_does_not_poison_selection_unit(self, stratum):
+        """The measured unit is seconds per combination of the plan's
+        own shape, so the executed key-less join records a unit no
+        larger than per-pair work."""
+        db = stratum.db
+        stratum.execute(
+            self.KEYLESS.replace(
+                "VALIDTIME", "VALIDTIME [DATE '2010-01-01', DATE '2011-01-01']"
+            ),
+            strategy=SlicingStrategy.SEQSET,
+        )
+        timer = db.obs.timer("stratum.seqset.row_seconds")
+        items = len(db.catalog.get_table("item"))
+        links = len(db.catalog.get_table("item_author"))
+        assert timer.count == items * links
