@@ -54,8 +54,10 @@ class ExplainResult:
 # ---------------------------------------------------------------------------
 
 
-def describe_plan(plan: Any, depth: int = 0) -> list[str]:
-    """Text tree for a bound plan (SelectPlan / DML plans / sources)."""
+def describe_plan(plan: Any, depth: int = 0, since: Optional[dict] = None) -> list[str]:
+    """Text tree for a bound plan (SelectPlan / DML plans / sources).
+    With ``since`` (a :func:`_level_counts` snapshot) each join level
+    also shows the rows it took in and passed on from then to now."""
     from repro.sqlengine import planner
 
     pad = "  " * depth
@@ -71,15 +73,20 @@ def describe_plan(plan: Any, depth: int = 0) -> list[str]:
             shape.append("ordered")
         suffix = f" [{', '.join(shape)}]" if shape else ""
         lines = [pad + f"Select ({len(plan.columns)} columns{suffix})"]
-        if plan.where_c is not None:
-            if plan.single_scan is not None:
-                lines.append(
-                    pad + "  filter: vectorized selection (evaluated in scan)"
-                )
-            else:
-                lines.append(pad + "  filter: compiled predicate")
-        for source in plan.sources:
-            lines.extend(_describe_source(source, depth + 1))
+        if plan.single_scan:
+            lines.append(
+                pad + "  filter: vectorized selection (evaluated in scan)"
+            )
+        pipeline = plan.pipeline
+        if pipeline.reordered:
+            order = ", ".join(level.node.key for level in pipeline.levels)
+            lines.append(pad + f"  join order: {order} (emitted in FROM order)")
+        for level in pipeline.levels:
+            lines.extend(
+                _describe_level(level, depth + 1, bool(plan.conjuncts), since)
+            )
+        if plan.conjuncts:
+            lines.append(pad + f"  residual: {len(pipeline.residual)}")
         return lines
     if isinstance(plan, planner.InsertPlan):
         return [pad + f"Insert {plan.table} ({len(plan.value_rows or [])} rows)"
@@ -118,30 +125,65 @@ def describe_plan(plan: Any, depth: int = 0) -> list[str]:
     return [pad + type(plan).__name__]
 
 
-def _scan_filter_note(source: Any) -> str:
-    """How the scan's pushed-down conjuncts will be evaluated."""
-    if not source.conjuncts:
-        return ""
-    batch = source.batch
+def _describe_level(
+    level: Any, depth: int, filtered: bool, since: Optional[dict]
+) -> list[str]:
+    """One join level: access path, how the WHERE conjuncts placed on it
+    are evaluated, measured rows."""
+    from repro.sqlengine import planner
+
+    node = level.node
+    if not isinstance(node, planner._Scan):
+        return _describe_source(node, depth)
+    alias = f" AS {node.alias}" if node.key != node.name.lower() else ""
+    kind, detail = level.access
+    line = f"{kind} {node.name}{alias}{detail}"
+    batch = node.batch
     if batch is not None and batch.consumes_all:
-        return f" (vectorized filter: {len(batch.kernels)} kernels)"
-    return " (row-at-a-time filter)"
+        line += f" (vectorized filter: {len(batch.kernels)} kernels)"
+    elif filtered and kind != "HashProbe":
+        line += " (row-at-a-time filter)"
+    if level.filters:
+        line += f" filters: {len(level.filters)}"
+    if since is not None:
+        rows_in, rows_out = since.get(level, (0, 0))
+        line += f" [rows in: {level.rows_in - rows_in}, out: {level.rows_out - rows_out}]"
+    return ["  " * depth + line]
+
+
+def _level_counts(db: "Database") -> dict:
+    """Join level → (rows in, rows out) over every cached SELECT plan
+    (keyed by the level itself, so an evicted plan's cannot be aliased)."""
+    return {
+        level: (level.rows_in, level.rows_out)
+        for _, plan in db.plan_cache.select_plans()
+        for level in plan.pipeline.levels
+    }
+
+
+def _pipelines_run(db: "Database", since: dict) -> list[str]:
+    """The cached SELECT plans whose join levels saw rows after the
+    ``since`` snapshot — routine bodies' statements included — with the
+    rows each level took in and passed on."""
+    lines = []
+    for stmt, plan in db.plan_cache.select_plans():
+        if any(
+            level.rows_in != since.get(level, (0, 0))[0]
+            for level in plan.pipeline.levels
+        ):
+            sql = stmt.to_sql()
+            lines.append("    " + (sql if len(sql) <= 100 else sql[:97] + "..."))
+            lines.extend(describe_plan(plan, 3, since)[1:])
+    return lines
 
 
 def _describe_source(source: Any, depth: int) -> list[str]:
     from repro.sqlengine import planner
 
     pad = "  " * depth
-    if isinstance(source, planner._IntervalScan):
-        alias = f" AS {source.alias}" if source.alias.lower() != source.name.lower() else ""
-        begin_column, end_column = source.pair
-        return [
-            pad + f"IntervalIndexScan {source.name}{alias}"
-            f" ({begin_column}/{end_column})" + _scan_filter_note(source)
-        ]
     if isinstance(source, planner._Scan):
-        alias = f" AS {source.alias}" if source.alias.lower() != source.name.lower() else ""
-        return [pad + f"Scan {source.name}{alias}{_scan_filter_note(source)}"]
+        alias = f" AS {source.alias}" if source.key != source.name.lower() else ""
+        return [pad + f"Scan {source.name}{alias}"]
     if isinstance(source, planner._View):
         return [pad + f"View {source.name}"]
     if isinstance(source, planner._Subquery):
@@ -426,6 +468,7 @@ def _run_analyzed(db: "Database", thunk) -> tuple[Any, list[str]]:
     was_enabled = tracer.enabled
     tracer.enabled = True
     before = db.stats.snapshot()
+    levels_before = _level_counts(db)
     slices_before = db.obs.value("stratum.slices")
     interval_hits_before = db.obs.value("engine.interval_index_hits")
     interval_pruned_before = db.obs.value("engine.interval_rows_pruned")
@@ -505,6 +548,10 @@ def _run_analyzed(db: "Database", thunk) -> tuple[Any, list[str]]:
                 "  resilience: armed (" + ", ".join(budgets) + "),"
                 f" {resilience.checks} watchdog checks"
             )
+    pipelines = _pipelines_run(db, levels_before)
+    if pipelines:
+        lines.append("  join pipelines (rows in / out per level):")
+        lines.extend(pipelines)
     lines.append(f"  result rows: {_result_rows(result)}")
     if db.durability is not None:
         state = db.durability.state()

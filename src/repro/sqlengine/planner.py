@@ -1,12 +1,45 @@
 """Logical plans: the bind phase for whole statements.
 
-``build_select_plan`` turns an ``ast.Select`` into a tree of source
-nodes (scan → join → filter → group → project → order) whose predicates
-and projections are pre-compiled closures from
-:mod:`repro.sqlengine.exprcompile`.  ``SelectPlan.run`` then mirrors the
-interpreted ``Executor._select_no_order`` / ``_grouped_select`` step for
-step — same rows, same ordering, same errors — while skipping all
-per-row AST dispatch and name resolution.
+``build_select_plan`` turns an ``ast.Select`` into source nodes plus one
+**join pipeline** (access path → level filters → residual → group →
+project → order) whose predicates and projections are pre-compiled
+closures from :mod:`repro.sqlengine.exprcompile`.  Everything about the
+FROM/WHERE evaluation is decided here, at plan time; ``SelectPlan.run``
+walks no AST.
+
+*Total and partial conjuncts.*  The WHERE clause is split at its
+top-level ANDs.  A conjunct is **total** when it is a comparison
+(``= <> < <= > >=``) between columns of one ``sort_key`` value class
+(numeric / character / date, by declared type — values are coerced on
+assignment), literals and outer names (routine variables, parent-query
+bindings) whose value, read once per execution, is NULL or of the
+column's class: ``compare`` cannot raise on it.  Everything else —
+routine calls, subqueries, LIKE, arithmetic, casts, cross-class
+comparisons — is **partial**.  A total conjunct runs at the first join
+level where all its columns are bound (an equality the hash probe looked
+up is consumed by the probe); partial conjuncts form the leaf residual,
+in their original order and with the AND chain's short circuit,
+evaluated only on combinations that passed every total conjunct.  An
+outer operand of the wrong class (or one that cannot be read) makes its
+conjunct partial for that execution.  Hence the error behaviour: a
+statement raises iff a partial conjunct raises on a combination that
+satisfies every total conjunct.  Hash probes keep the licence they
+always had: a level is keyed by its first ``col = <bound operand>``
+conjunct in WHERE order, total or not — ``sort_key`` equality is exactly
+where ``=`` is true, so a probe drops only rows its conjunct is not
+true on.
+
+*Join order and emission order.*  When every source is a base-table scan
+the next level is the first source (in FROM order) with a total equality
+key bound by what is already placed — outer names and literals count as
+bound — else the next source in FROM order.  When that order differs
+from FROM order the matched combinations are sorted back into the
+FROM-order nested loop's emission order (lexicographic by per-source
+table position, via ``Table.row_positions``) *before* the residual,
+projection, ORDER BY tie-breaking and DISTINCT see them, so results are
+row-identical to the FROM-order loop.  Views, derived tables, table
+functions and explicit joins are opaque levels; a FROM holding one keeps
+FROM order.
 
 Plans are validated, not trusted: every source node checks at run time
 that the catalog object it was bound against is still current (same
@@ -15,11 +48,6 @@ table schema, same view object, same routine definition) and raises
 interpreted path.  ``build_select_plan`` returns ``None`` for any
 statement shape it cannot reproduce exactly, which the plan cache
 remembers so the statement is not re-analyzed per execution.
-
-Equality-predicate pushdown reuses the executor's existing probe
-analysis (``_find_index_probe``) against the lazy hash indexes in
-:mod:`repro.sqlengine.storage` — pruning only, never filtering, so the
-full WHERE clause still runs over every candidate row.
 """
 
 from __future__ import annotations
@@ -46,7 +74,8 @@ from repro.sqlengine.exprcompile import (
     compile_expression,
     compile_grouped,
 )
-from repro.sqlengine.values import Null, sort_key, truth
+from repro.sqlengine.storage import _column_kind
+from repro.sqlengine.values import Date, Null, compare, sort_key, truth
 
 
 class _CannotPlan(Exception):
@@ -97,30 +126,36 @@ def _compile_grouped_or_bail(executor: Executor, expr: ast.Expression, layout: d
 # ---------------------------------------------------------------------------
 
 
+def _bind_rows(env: Env, key: str, colmap: dict, rows: list) -> Iterator[Env]:
+    """Bind ``rows`` one at a time under ``key`` (an opaque join level)."""
+    bindings = env.bindings
+    for row in rows:
+        bindings[key] = Binding(colmap, row)
+        yield env
+    bindings.pop(key, None)
+
+
 class _Scan:
-    """Base-table scan, optionally narrowed through a hash-index probe,
-    an interval-index probe, and/or the vectorized batch kernels."""
+    """A base table in FROM.  As a pipeline level its access path and
+    filters live on the :class:`_Level`; ``bind`` is the plain full scan
+    an explicit JOIN's operand gets."""
 
-    __slots__ = ("name", "alias", "key", "colmap", "expected", "conjuncts",
-                 "from_items", "batch")
+    __slots__ = ("name", "alias", "key", "colmap", "expected", "types",
+                 "kinds", "pairs", "batch")
 
-    def __init__(
-        self,
-        name: str,
-        alias: str,
-        colmap: dict,
-        expected: dict,
-        conjuncts: list,
-        from_items: Optional[list],
-        batch: Optional[Any] = None,
-    ) -> None:
+    def __init__(self, name: str, alias: str, table, batch: Optional[Any]) -> None:
         self.name = name
         self.alias = alias
         self.key = alias.lower()
-        self.colmap = colmap
-        self.expected = expected
-        self.conjuncts = conjuncts
-        self.from_items = from_items
+        self.colmap = {c.name.lower(): i for i, c in enumerate(table.columns)}
+        self.expected = dict(table._index)
+        self.types = [c.type for c in table.columns]
+        self.kinds = [_column_kind(type_) for type_ in self.types]
+        # declared (begin, end) pairs an interval probe may use
+        self.pairs = [
+            (table.column_index(b), table.column_index(e), b, e)
+            for b, e in table.interval_pairs
+        ]
         self.batch = batch
 
     def _table(self, executor: Executor, env: Env):
@@ -132,110 +167,22 @@ class _Scan:
         return table
 
     def validate(self, executor: Executor, env: Env) -> None:
-        self._table(executor, env)
-
-    def _candidates(
-        self, executor: Executor, table, env: Env
-    ) -> tuple[list, bool]:
-        """Candidate rows plus a *fully filtered* flag.
-
-        The flag is True only when the batch kernels ran and cover every
-        WHERE conjunct, so the caller may skip the per-row predicate.
-        Candidate counts feed ``engine.rows_scanned`` identically on the
-        vectorized and row-at-a-time paths (pre-kernel counts).
-        """
-        db = executor.db
-        obs = db.obs
-        resilience = db.resilience
-        if resilience.armed:
-            # watchdog/governor checkpoint: every scan batch
-            resilience.check()
-        if self.conjuncts:
-            probe = executor._find_index_probe(
-                table, self.alias, self.conjuncts, env, self.from_items
-            )
-            if probe is not None:
-                column_index, value = probe
-                if value is Null:
-                    rows = []
-                else:
-                    rows = table.hash_index(column_index).get(sort_key(value), [])
-                obs.inc("engine.rows_scanned", len(rows))
-                return rows, False
-            # batch kernels only run when they cover *every* conjunct:
-            # a partial batch could drop a row before another conjunct
-            # gets the chance to raise the error the interpreted path
-            # would have raised on it
-            batch = self.batch
-            if batch is not None and not (
-                batch.consumes_all and db.vectorized_filtering_enabled
-            ):
-                batch = None
-            if batch is not None and not resilience.allow_columnar(table):
-                # governor degradation: under resident-bytes pressure,
-                # stream row-at-a-time instead of building a columnar
-                # image (counted; visible in EXPLAIN ANALYZE)
-                batch = None
-            interval = executor._find_interval_probe(
-                table, self.alias, self.conjuncts, env, self.from_items
-            )
-            if interval is not None:
-                positions = executor._interval_candidate_positions(table, interval)
-                obs.inc("engine.rows_scanned", len(positions))
-                table_rows = table.rows
-                if batch is not None:
-                    selected = batch.apply(table, positions, env)
-                    if selected is not None:
-                        obs.inc("engine.vectorized_batches")
-                        pruned = len(positions) - len(selected)
-                        if pruned:
-                            obs.inc("engine.vectorized_rows_pruned", pruned)
-                        return [table_rows[p] for p in selected], True
-                return [table_rows[p] for p in positions], False
-            obs.inc("engine.rows_scanned", len(table.rows))
-            if batch is not None:
-                selected = batch.apply(table, range(len(table.rows)), env)
-                if selected is not None:
-                    obs.inc("engine.vectorized_batches")
-                    pruned = len(table.rows) - len(selected)
-                    if pruned:
-                        obs.inc("engine.vectorized_rows_pruned", pruned)
-                    table_rows = table.rows
-                    return [table_rows[p] for p in selected], True
-            return table.rows, False
-        obs.inc("engine.rows_scanned", len(table.rows))
-        return table.rows, False
+        # conjunct placement rests on the declared value classes: a
+        # temporary table re-created with other column types (CTAS
+        # infers them from the data) must not run under this plan
+        if [c.type for c in self._table(executor, env).columns] != self.types:
+            raise PlanInvalidated(self.name)
 
     def bind(self, executor: Executor, env: Env) -> Iterator[Env]:
         table = self._table(executor, env)
-        rows, _ = self._candidates(executor, table, env)
-        key = self.key
-        colmap = self.colmap
-        bindings = env.bindings
-        for row in rows:
-            bindings[key] = Binding(colmap, row)
-            yield env
-        bindings.pop(key, None)
+        db = executor.db
+        if db.resilience.armed:
+            db.resilience.check()
+        db.obs.inc("engine.rows_scanned", len(table.rows))
+        return _bind_rows(env, self.key, self.colmap, table.rows)
 
     def materialize(self, executor: Executor, env: Env) -> list:
         return list(self._table(executor, env).rows)
-
-
-class _IntervalScan(_Scan):
-    """A scan whose conjuncts statically bound a declared (begin, end)
-    interval pair at build time.
-
-    Execution is identical to :class:`_Scan` — probing happens at bind
-    time either way, so a plan stays correct when pairs are declared (or
-    the ablation switch flips) after it was compiled.  The subclass
-    exists so EXPLAIN can render the access path as ``IntervalIndexScan``.
-    """
-
-    __slots__ = ("pair",)
-
-    def __init__(self, *args, pair: tuple) -> None:
-        super().__init__(*args)
-        self.pair = pair
 
 
 class TemporalAlign:
@@ -290,61 +237,20 @@ class IntervalJoin:
         self.distinct = distinct
 
 
-def _static_interval_pair(
-    executor: Executor,
-    table,
-    alias: str,
-    conjuncts: list,
-    from_items: Optional[list],
-) -> Optional[tuple]:
-    """The declared pair the conjuncts bound on both sides, if any.
+class _RowSource:
+    """An opaque join level: a view, derived table or table function
+    whose ``_rows`` are computed as a whole, then bound one at a time."""
 
-    Shape-only analysis (no evaluation): the begin column needs an upper
-    bound and the end column a lower bound, each against a literal or a
-    name — mirroring what `_find_interval_probe` will accept at bind
-    time with values in hand.
-    """
-    for begin_column, end_column in table.interval_pairs:
-        if _static_bound_exists(
-            executor, table, alias, begin_column, conjuncts, from_items, upper=True
-        ) and _static_bound_exists(
-            executor, table, alias, end_column, conjuncts, from_items, upper=False
-        ):
-            return begin_column, end_column
-    return None
+    __slots__ = ()
+
+    def bind(self, executor: Executor, env: Env) -> Iterator[Env]:
+        return _bind_rows(env, self.key, self.colmap, self._rows(executor, env))
+
+    def materialize(self, executor: Executor, env: Env) -> list:
+        return list(self._rows(executor, env))
 
 
-def _static_bound_exists(
-    executor: Executor,
-    table,
-    alias: str,
-    column: str,
-    conjuncts: list,
-    from_items: Optional[list],
-    upper: bool,
-) -> bool:
-    target = table.column_index(column)
-    wanted = ("<", "<=") if upper else (">", ">=")
-    for conjunct in conjuncts:
-        if not isinstance(conjunct, ast.BinaryOp):
-            continue
-        op = conjunct.op
-        if op not in ("<", "<=", ">", ">="):
-            continue
-        for lhs, rhs, normalized in (
-            (conjunct.left, conjunct.right, op),
-            (conjunct.right, conjunct.left, _FLIPPED_COMPARISON[op]),
-        ):
-            if normalized not in wanted:
-                continue
-            if not isinstance(rhs, (ast.Literal, ast.Name)):
-                continue
-            if executor._column_of(lhs, table, alias, from_items) == target:
-                return True
-    return False
-
-
-class _View:
+class _View(_RowSource):
     __slots__ = ("name", "key", "colmap", "expected", "view_ast")
 
     def __init__(
@@ -367,21 +273,8 @@ class _View:
             raise PlanInvalidated(self.name)
         return result.rows
 
-    def bind(self, executor: Executor, env: Env) -> Iterator[Env]:
-        rows = self._rows(executor, env)
-        key = self.key
-        colmap = self.colmap
-        bindings = env.bindings
-        for row in rows:
-            bindings[key] = Binding(colmap, row)
-            yield env
-        bindings.pop(key, None)
 
-    def materialize(self, executor: Executor, env: Env) -> list:
-        return list(self._rows(executor, env))
-
-
-class _Subquery:
+class _Subquery(_RowSource):
     __slots__ = ("key", "colmap", "expected", "select_ast")
 
     def __init__(self, alias: str, columns: list, select_ast: ast.Select) -> None:
@@ -399,21 +292,8 @@ class _Subquery:
             raise PlanInvalidated(self.key)
         return result.rows
 
-    def bind(self, executor: Executor, env: Env) -> Iterator[Env]:
-        rows = self._rows(executor, env)
-        key = self.key
-        colmap = self.colmap
-        bindings = env.bindings
-        for row in rows:
-            bindings[key] = Binding(colmap, row)
-            yield env
-        bindings.pop(key, None)
 
-    def materialize(self, executor: Executor, env: Env) -> list:
-        return list(self._rows(executor, env))
-
-
-class _TableFunc:
+class _TableFunc(_RowSource):
     __slots__ = ("name", "key", "colmap", "expected", "definition", "arg_cs")
 
     def __init__(
@@ -439,7 +319,7 @@ class _TableFunc:
         if routine.definition is not self.definition:
             raise PlanInvalidated(self.name)
 
-    def _rows_cols(self, executor: Executor, env: Env) -> tuple[list, list]:
+    def _rows(self, executor: Executor, env: Env) -> list:
         from repro.sqlengine.routines import RoutineInterpreter
 
         self.validate(executor, env)
@@ -461,20 +341,7 @@ class _TableFunc:
                 db.table_function_cache[cache_key] = (columns, rows)
         if [c.lower() for c in columns] != self.expected:
             raise PlanInvalidated(self.name)
-        return columns, rows
-
-    def bind(self, executor: Executor, env: Env) -> Iterator[Env]:
-        _, rows = self._rows_cols(executor, env)
-        key = self.key
-        colmap = self.colmap
-        bindings = env.bindings
-        for row in rows:
-            bindings[key] = Binding(colmap, row)
-            yield env
-        bindings.pop(key, None)
-
-    def materialize(self, executor: Executor, env: Env) -> list:
-        return list(self._rows_cols(executor, env)[1])
+        return rows
 
 
 class _JoinNode:
@@ -535,6 +402,246 @@ class _LeftJoinNode:
 
 
 # ---------------------------------------------------------------------------
+# the join pipeline
+# ---------------------------------------------------------------------------
+
+# ``sort_key`` value classes (see the module docstring) and, per
+# comparison operator, the ``compare`` verdicts under which it is true
+_CLASS_OF_KIND = {"int": "numeric", "float": "numeric", "str": "character",
+                  "date": "date"}
+_CLASS_TYPES = {"numeric": (int, float), "character": str, "date": Date}
+_ACCEPT = {"=": (0,), "<>": (-1, 1), "<": (-1,), "<=": (-1, 0),
+           ">": (1,), ">=": (0, 1)}
+_UNREADABLE = object()  # an outer operand whose lookup raised
+
+
+class _Conjunct:
+    """One top-level WHERE conjunct.  ``left``/``right`` are operand
+    addresses ``(a, b)`` into the run-time row vector — FROM position and
+    column index, or ``(len(sources), slot)`` for a literal or outer name
+    — when the conjunct is a comparison over such operands, else None.
+    ``types`` is set when the operands share one value class: the classes
+    an outer operand (``slot``) must be checked against per execution."""
+
+    __slots__ = ("sql", "closure", "op", "left", "right", "types", "slot")
+
+    def __init__(self, sql: str, closure: Callable) -> None:
+        self.sql = sql
+        self.closure = closure
+        self.op: Optional[str] = None
+        self.left = self.right = self.types = self.slot = None
+
+    def sides(self) -> tuple:
+        """``(own, other, op)`` in both orientations."""
+        return (
+            (self.left, self.right, self.op),
+            (self.right, self.left, _FLIPPED_COMPARISON.get(self.op, self.op)),
+        )
+
+
+class _Level:
+    """One join level: a source plus, for a scan, its access path (hash
+    ``key`` or ``interval`` bounds, else a full scan) and the total
+    conjuncts that become checkable here.  ``rows_in``/``rows_out``
+    accumulate over executions for EXPLAIN ANALYZE."""
+
+    __slots__ = ("node", "pos", "key", "interval", "filters", "access",
+                 "rows_in", "rows_out")
+
+    def __init__(self, node: Any, pos: int) -> None:
+        self.node = node
+        self.pos = pos
+        self.key: Optional[tuple] = None  # (column, a, b)
+        self.interval: Optional[tuple] = None  # (begin, end, uppers, lowers)
+        self.filters: list = []  # (accepted verdicts, la, lb, ra, rb)
+        self.access = ("Scan", "")  # EXPLAIN: (operator, detail)
+        self.rows_in = self.rows_out = 0
+
+    def candidates(
+        self, executor: Executor, table, vector: list, env: Env
+    ) -> tuple[list, bool]:
+        """Candidate rows plus a *fully filtered* flag.
+
+        The flag is True only when the batch kernels ran and cover every
+        WHERE conjunct, so the caller may skip filters and residual.
+        Candidate counts feed ``engine.rows_scanned`` identically on the
+        vectorized and row-at-a-time paths (pre-kernel counts).
+        """
+        db = executor.db
+        obs = db.obs
+        resilience = db.resilience
+        if resilience.armed:
+            # watchdog/governor checkpoint: every level bind
+            resilience.check()
+        if self.key is not None:
+            column, a, b = self.key
+            value = vector[a][b]
+            rows = (
+                [] if value is Null
+                else table.hash_index(column).get(sort_key(value), [])
+            )
+            obs.inc("engine.rows_scanned", len(rows))
+            return rows, False
+        # batch kernels only run when they cover *every* conjunct: a
+        # partial batch could drop a row before another conjunct gets
+        # the chance to raise the error the row path raises on it
+        batch = self.node.batch
+        if batch is not None and not (
+            batch.consumes_all
+            and db.vectorized_filtering_enabled
+            # governor degradation: under resident-bytes pressure, stream
+            # row-at-a-time instead of building a columnar image
+            # (counted; visible in EXPLAIN ANALYZE)
+            and resilience.allow_columnar(table)
+        ):
+            batch = None
+        table_rows = table.rows
+        positions: Any = None
+        probe = self._interval_probe(vector) if db.interval_indexing_enabled else None
+        if probe is not None:
+            positions = executor._interval_candidate_positions(table, probe)
+        obs.inc(
+            "engine.rows_scanned",
+            len(table_rows) if positions is None else len(positions),
+        )
+        if batch is not None:
+            scanned = range(len(table_rows)) if positions is None else positions
+            selected = batch.apply(table, scanned, env)
+            if selected is not None:
+                obs.inc("engine.vectorized_batches")
+                pruned = len(scanned) - len(selected)
+                if pruned:
+                    obs.inc("engine.vectorized_rows_pruned", pruned)
+                return [table_rows[p] for p in selected], True
+        if positions is None:
+            return table_rows, False
+        return [table_rows[p] for p in positions], False
+
+    def _interval_probe(self, vector: list) -> Optional[tuple]:
+        """``(begin_index, end_index, begin_max, end_min)`` from the
+        tightest bounds, ``(.., None, None)`` under a NULL bound (no row
+        can satisfy it), None when there is nothing to probe with."""
+        if self.interval is None:
+            return None
+        begin_index, end_index, uppers, lowers = self.interval
+        limits = []
+        for bounds, tightest, step in ((uppers, min, -1), (lowers, max, 1)):
+            limit = None
+            for a, b, inclusive in bounds:
+                value = vector[a][b]
+                if value is Null:
+                    return begin_index, end_index, None, None
+                if isinstance(value, Date):
+                    bound = value.ordinal if inclusive else value.ordinal + step
+                    limit = bound if limit is None else tightest(limit, bound)
+            if limit is None:
+                return None
+            limits.append(limit)
+        return begin_index, end_index, limits[0], limits[1]
+
+
+class _Pipeline:
+    """Levels in join order plus the leaf residual, for one set of
+    conjuncts demoted at run time (none, in the plan's default)."""
+
+    __slots__ = ("levels", "reordered", "residual")
+
+    def __init__(self, levels: list, reordered: bool, residual: list) -> None:
+        self.levels = levels
+        self.reordered = reordered
+        self.residual = residual
+
+
+def _join_order(sources: list, keys: list) -> list:
+    """Greedy join order over FROM positions; ``keys`` lists
+    ``(own position, other position | None)`` per usable equality."""
+    identity = list(range(len(sources)))
+    if not all(isinstance(node, _Scan) for node in sources):
+        return identity
+    order: list = []
+    while len(order) < len(sources):
+        waiting = [p for p in identity if p not in order]
+        order.append(next(
+            (
+                p for p in waiting
+                if any(
+                    own == p and (other is None or other in order)
+                    for own, other in keys
+                )
+            ),
+            waiting[0],
+        ))
+    return order
+
+
+def _build_pipeline(sources: list, conjuncts: list, demoted: dict) -> _Pipeline:
+    """Place ``conjuncts`` over ``sources``.  ``demoted`` maps the index
+    of a conjunct that is partial for this execution to whether its
+    outer operand could at least be read (it may still key a probe)."""
+    outer = len(sources)
+    total = [
+        c.types is not None and i not in demoted for i, c in enumerate(conjuncts)
+    ]
+    keyable = [
+        c.op == "=" and demoted.get(i, True) for i, c in enumerate(conjuncts)
+    ]
+    # only total equalities steer the join order; at its level the key
+    # is the first bound equality in WHERE order, total or not — in FROM
+    # order that is exactly the interpreted executor's probe choice
+    keys = [
+        (own[0], None if other[0] == outer else other[0])
+        for i, c in enumerate(conjuncts) if total[i] and c.op == "="
+        for own, other, _ in c.sides() if own[0] != outer and own[0] != other[0]
+    ]
+    order = _join_order(sources, keys)
+    depth_of = {pos: depth for depth, pos in enumerate(order)}
+    depth_of[outer] = -1
+    levels = [_Level(sources[pos], pos) for pos in order]
+    consumed: set = set()
+    for depth, level in enumerate(levels):
+        node, pos = level.node, level.pos
+        if not isinstance(node, _Scan):
+            continue
+        bound_sides = [
+            (i, own[1], other, op)
+            for i, c in enumerate(conjuncts) if c.op is not None
+            for own, other, op in c.sides()
+            if own[0] == pos and depth_of[other[0]] < depth
+        ]
+        for i, column, other, op in bound_sides:
+            if keyable[i] and op == "=":
+                level.key = (column,) + other
+                level.access = ("HashProbe", f" on {conjuncts[i].sql}")
+                if total[i]:
+                    consumed.add(i)
+                break
+        for begin_index, end_index, begin_name, end_name in node.pairs:
+            uppers = [
+                other + (op == "<=",) for i, column, other, op in bound_sides
+                if total[i] and column == begin_index and op in ("<", "<=")
+            ]
+            lowers = [
+                other + (op == ">=",) for i, column, other, op in bound_sides
+                if total[i] and column == end_index and op in (">", ">=")
+            ]
+            if uppers and lowers and (
+                node.kinds[begin_index] == node.kinds[end_index] == "date"
+            ):
+                level.interval = (begin_index, end_index, uppers, lowers)
+                if level.key is None:
+                    level.access = (
+                        "IntervalIndexScan", f" ({begin_name}/{end_name})"
+                    )
+                break
+    for i, c in enumerate(conjuncts):
+        if total[i] and i not in consumed:
+            depth = max(depth_of[c.left[0]], depth_of[c.right[0]])
+            levels[depth].filters.append((_ACCEPT[c.op],) + c.left + c.right)
+    residual = [c.closure for i, c in enumerate(conjuncts) if not total[i]]
+    return _Pipeline(levels, order != sorted(order), residual)
+
+
+# ---------------------------------------------------------------------------
 # plan construction
 # ---------------------------------------------------------------------------
 
@@ -561,7 +668,6 @@ def _build_leaf(
             columns = executor._output_columns(view, env if env is not None else Env())
             return _View(source.name, source.binding, columns, view)
         table = executor._read_table(source.name, env)
-        colmap = {name.lower(): i for i, name in enumerate(table.column_names)}
         batch = (
             compile_batch_filter(
                 executor, table, source.binding, conjuncts, from_items
@@ -569,22 +675,7 @@ def _build_leaf(
             if conjuncts
             else None
         )
-        scan_args = (
-            source.name,
-            source.binding,
-            colmap,
-            dict(table._index),
-            conjuncts,
-            from_items,
-            batch,
-        )
-        if conjuncts and table.interval_pairs:
-            pair = _static_interval_pair(
-                executor, table, source.binding, conjuncts, from_items
-            )
-            if pair is not None:
-                return _IntervalScan(*scan_args, pair=pair)
-        return _Scan(*scan_args)
+        return _Scan(source.name, source.binding, table, batch)
     if isinstance(source, ast.SubqueryRef):
         columns = executor._output_columns(
             source.select, env if env is not None else Env()
@@ -691,6 +782,74 @@ def _compile_table_func_args(
         ]
 
 
+def _analyze_conjuncts(
+    executor: Executor, where: list, sources: list, layout: dict
+) -> tuple[list, list]:
+    """Compile each WHERE conjunct and resolve the operands of the
+    comparisons among them (shape only: nothing is evaluated).  Returns
+    the :class:`_Conjunct` list and the closures reading the outer
+    operands (literals included: ``Literal.value`` is mutable), one per
+    slot."""
+    scans = {
+        node.key: (pos, node)
+        for pos, node in enumerate(sources) if isinstance(node, _Scan)
+    }
+
+    def operand(expr: ast.Expression) -> Any:
+        """A scan column as ``(position, column)``; a literal or outer
+        name as the expression itself; None for anything else."""
+        while isinstance(expr, ast.Parenthesized):
+            expr = expr.expr
+        if isinstance(expr, ast.Literal):
+            return expr
+        if not isinstance(expr, ast.Name):
+            return None
+        key = expr.name.lower()
+        if expr.qualifier is None:
+            owners = [a for a, colmap in layout.items() if key in colmap]
+            if not owners:
+                return expr  # routine variable or parent-query column
+        else:
+            owners = [expr.qualifier.lower()]
+            if owners[0] not in layout:
+                return expr  # parent-query alias or FOR-loop record
+            if key not in layout[owners[0]]:
+                return None
+        if len(owners) != 1 or owners[0] not in scans:
+            return None  # ambiguous, or an opaque source's column
+        pos, node = scans[owners[0]]
+        return pos, node.colmap[key]
+
+    conjuncts: list = []
+    outer_cs: list = []
+    for expr in where:
+        conjunct = _Conjunct(expr.to_sql(), _compile_or_bail(executor, expr, layout))
+        conjuncts.append(conjunct)
+        while isinstance(expr, ast.Parenthesized):
+            expr = expr.expr
+        if not (isinstance(expr, ast.BinaryOp) and expr.op in _ACCEPT):
+            continue
+        sides = [operand(expr.left), operand(expr.right)]
+        columns = [side for side in sides if isinstance(side, tuple)]
+        if None in sides or not columns:
+            continue
+        conjunct.op = expr.op
+        addresses = []
+        for side in sides:
+            if not isinstance(side, tuple):
+                conjunct.slot = len(outer_cs)
+                outer_cs.append(_compile_or_bail(executor, side, layout))
+                side = (len(sources), conjunct.slot)
+            addresses.append(side)
+        conjunct.left, conjunct.right = addresses
+        classes = {
+            _CLASS_OF_KIND.get(sources[pos].kinds[column]) for pos, column in columns
+        }
+        if len(classes) == 1 and None not in classes:
+            conjunct.types = _CLASS_TYPES[classes.pop()]
+    return conjuncts, outer_cs
+
+
 def _build_order(
     executor: Executor,
     order_by: list,
@@ -698,6 +857,7 @@ def _build_order(
     layout: dict,
     grouped: bool,
 ) -> list:
+    compile_ = _compile_grouped_or_bail if grouped else _compile_or_bail
     entries = []
     for item in order_by:
         expr = item.expr
@@ -710,19 +870,9 @@ def _build_order(
         if isinstance(expr, ast.Literal):
             # position literals are re-read per run (Literal.value is
             # mutable); the fallback closure covers non-int values
-            fallback = (
-                _compile_grouped_or_bail(executor, expr, layout)
-                if grouped
-                else _compile_or_bail(executor, expr, layout)
-            )
-            entries.append(("lit", expr, fallback, desc))
+            entries.append(("lit", expr, compile_(executor, expr, layout), desc))
             continue
-        closure = (
-            _compile_grouped_or_bail(executor, expr, layout)
-            if grouped
-            else _compile_or_bail(executor, expr, layout)
-        )
-        entries.append(("expr", closure, desc))
+        entries.append(("expr", compile_(executor, expr, layout), desc))
     return entries
 
 
@@ -733,17 +883,14 @@ def _build_select(
         item.expr is not None and _contains_aggregate(item.expr)
         for item in select.items
     ) or (select.having is not None)
-    sources, layout, _ = _build_sources(executor, select, env)
-    where_c = (
-        _compile_or_bail(executor, select.where, layout)
-        if select.where is not None
-        else None
-    )
+    sources, layout, where = _build_sources(executor, select, env)
+    conjuncts, outer_cs = _analyze_conjuncts(executor, where, sources, layout)
     columns = executor._output_columns(select, env if env is not None else Env())
     colmap = {name.lower(): i for i, name in enumerate(columns)}
     order_entries = _build_order(
         executor, select.order_by, colmap, layout, grouped
     )
+    group_cs = having_c = None
     if grouped:
         for item in select.items:
             if item.is_star:
@@ -751,44 +898,27 @@ def _build_select(
         group_cs = [
             _compile_or_bail(executor, g, layout) for g in select.group_by
         ]
-        having_c = (
-            _compile_grouped_or_bail(executor, select.having, layout)
-            if select.having is not None
-            else None
-        )
-        item_cs = [
+        if select.having is not None:
+            having_c = _compile_grouped_or_bail(executor, select.having, layout)
+        item_plans = [
             _compile_grouped_or_bail(executor, item.expr, layout)
             for item in select.items
         ]
-        return SelectPlan(
-            sources=sources,
-            where_c=where_c,
-            columns=columns,
-            grouped=True,
-            group_cs=group_cs,
-            having_c=having_c,
-            item_plans=item_cs,
-            order_entries=order_entries,
-            distinct=select.distinct,
-        )
-    item_plans: list = []
-    for item in select.items:
-        if item.is_star:
-            qualifier = (
-                item.star_qualifier.lower() if item.star_qualifier else None
-            )
-            item_plans.append(("star", qualifier))
-        else:
-            item_plans.append(
-                ("expr", _compile_or_bail(executor, item.expr, layout))
-            )
+    else:
+        item_plans = [
+            ("star", item.star_qualifier.lower() if item.star_qualifier else None)
+            if item.is_star
+            else ("expr", _compile_or_bail(executor, item.expr, layout))
+            for item in select.items
+        ]
     return SelectPlan(
         sources=sources,
-        where_c=where_c,
+        conjuncts=conjuncts,
+        outer_cs=outer_cs,
         columns=columns,
-        grouped=False,
-        group_cs=None,
-        having_c=None,
+        grouped=grouped,
+        group_cs=group_cs,
+        having_c=having_c,
         item_plans=item_plans,
         order_entries=order_entries,
         distinct=select.distinct,
@@ -800,15 +930,29 @@ def _build_select(
 # ---------------------------------------------------------------------------
 
 
+def _all_true(residual: list, env: Env) -> bool:
+    """The AND chain over the partial conjuncts: stops at the first
+    False, evaluates past an Unknown (as the compiled AND does)."""
+    unknown = False
+    for closure in residual:
+        value = closure(env)
+        if value is False:
+            return False
+        if value is not True:
+            unknown = True
+    return not unknown
+
+
 class SelectPlan:
-    __slots__ = ("sources", "where_c", "columns", "grouped", "group_cs",
-                 "having_c", "item_plans", "order_entries", "distinct",
-                 "single_scan")
+    __slots__ = ("sources", "conjuncts", "outer_cs", "checks", "pipeline", "variants",
+                 "columns", "grouped", "group_cs", "having_c", "item_plans",
+                 "order_entries", "distinct", "single_scan")
 
     def __init__(
         self,
         sources: list,
-        where_c: Optional[Callable],
+        conjuncts: list,
+        outer_cs: list,
         columns: list,
         grouped: bool,
         group_cs: Optional[list],
@@ -818,7 +962,19 @@ class SelectPlan:
         distinct: bool,
     ) -> None:
         self.sources = sources
-        self.where_c = where_c
+        self.conjuncts = conjuncts
+        self.outer_cs = outer_cs
+        # (conjunct index, slot, admissible types | None) per conjunct
+        # with an outer operand: what `_pipeline_for` checks per execution
+        self.checks = [
+            (i, c.slot, c.types) for i, c in enumerate(conjuncts)
+            if c.slot is not None
+        ]
+        # the pipeline when every outer operand is readable and of its
+        # column's class; executions that demote conjuncts get variants,
+        # built on first need and kept by the frozen demotion set
+        self.pipeline = _build_pipeline(sources, conjuncts, {})
+        self.variants: dict = {}
         self.columns = columns
         self.grouped = grouped
         self.group_cs = group_cs
@@ -827,16 +983,12 @@ class SelectPlan:
         self.order_entries = order_entries
         self.distinct = distinct
         # the WHERE fast path: a lone base-table scan whose batch
-        # kernels cover the whole predicate may skip `where_c` per row
+        # kernels cover the whole predicate may skip it per row
         self.single_scan = (
-            sources[0]
-            if (
-                len(sources) == 1
-                and isinstance(sources[0], _Scan)
-                and sources[0].batch is not None
-                and sources[0].batch.consumes_all
-            )
-            else None
+            len(sources) == 1
+            and isinstance(sources[0], _Scan)
+            and sources[0].batch is not None
+            and sources[0].batch.consumes_all
         )
 
     def run(self, executor: Executor, env: Optional[Env], apply_order: bool) -> ResultSet:
@@ -863,51 +1015,106 @@ class SelectPlan:
             rows = _distinct_rows(rows)
         return ResultSet(self.columns, rows)
 
+    def _pipeline_for(self, env: Env) -> tuple[_Pipeline, list]:
+        """Read the outer operands once and pick this execution's
+        pipeline: the plan's own unless an operand is unreadable or of
+        the wrong class, which makes its conjunct partial this time."""
+        slots: list = []
+        for closure in self.outer_cs:
+            try:
+                slots.append(closure(env))
+            except SqlError:
+                slots.append(_UNREADABLE)
+        demoted: dict = {}
+        for index, slot, types in self.checks:
+            value = slots[slot]
+            if value is _UNREADABLE:
+                demoted[index] = False
+            elif types is not None and value is not Null and not isinstance(value, types):
+                demoted[index] = True
+        if not demoted:
+            return self.pipeline, slots
+        key = frozenset(demoted.items())
+        pipeline = self.variants.get(key)
+        if pipeline is None:
+            pipeline = self.variants[key] = _build_pipeline(
+                self.sources, self.conjuncts, demoted
+            )
+        return pipeline, slots
+
     def _filtered_envs(self, executor: Executor, base_env: Env) -> Iterator[Env]:
-        """Row environments with the WHERE clause already applied.
-
-        On the vectorized fast path (one base-table scan, batch kernels
-        covering every conjunct, kernels applicable at run time) the
-        per-row compiled predicate is skipped entirely; every other
-        shape evaluates ``where_c`` per row exactly as before.
-        """
-        where_c = self.where_c
-        scan = self.single_scan
-        if scan is not None:
-            env = base_env.child()
-            table = scan._table(executor, env)
-            src_rows, fully = scan._candidates(executor, table, env)
-            key = scan.key
-            colmap = scan.colmap
-            bindings = env.bindings
-            if fully:
-                for row in src_rows:
-                    bindings[key] = Binding(colmap, row)
+        """Row environments with the WHERE clause already applied, in
+        the FROM-order nested loop's emission order."""
+        env = base_env.child()
+        pipeline, slots = self._pipeline_for(env)
+        residual = pipeline.residual
+        vector: list = [None] * len(self.sources) + [slots]
+        tables: list = [None] * len(self.sources)
+        matches = self._join(executor, env, pipeline.levels, 0, vector, tables)
+        if not pipeline.reordered:
+            for settled in matches:
+                if settled or _all_true(residual, env):
                     yield env
+            return
+        executor.db.obs.inc("engine.join.reordered")
+        combos = [tuple(vector[:-1]) for _ in matches]
+        if len(combos) > 1:
+            positions = [table.row_positions() for table in tables]
+            combos.sort(key=lambda combo: [
+                index[id(row)] for index, row in zip(positions, combo)
+            ])
+        bindings = env.bindings
+        for combo in combos:
+            for node, row in zip(self.sources, combo):
+                bindings[node.key] = Binding(node.colmap, row)
+            if _all_true(residual, env):
+                yield env
+        bindings.clear()
+
+    def _join(
+        self, executor: Executor, env: Env, levels: list, depth: int,
+        vector: list, tables: list,
+    ) -> Iterator[bool]:
+        """Bind ``levels[depth:]``; yields once per combination that
+        passes every level's filters, True when the batch kernels
+        already decided the whole WHERE for it."""
+        if depth == len(levels):
+            yield False
+            return
+        level = levels[depth]
+        node = level.node
+        if not isinstance(node, _Scan):
+            for _ in node.bind(executor, env):
+                yield from self._join(executor, env, levels, depth + 1, vector, tables)
+            return
+        table = tables[level.pos] = node._table(executor, env)
+        rows, settled = level.candidates(executor, table, vector, env)
+        settled = settled and self.single_scan
+        pos = level.pos
+        filters = () if settled else level.filters
+        key, colmap = node.key, node.colmap
+        bindings = env.bindings
+        last = depth + 1 == len(levels)
+        passed = 0
+        for row in rows:
+            vector[pos] = row
+            for accept, la, lb, ra, rb in filters:
+                if compare(vector[la][lb], vector[ra][rb]) not in accept:
+                    break
             else:
-                for row in src_rows:
-                    bindings[key] = Binding(colmap, row)
-                    if truth(where_c(env)):
-                        yield env
-            bindings.pop(key, None)
-            return
-        for row_env in self._row_envs(executor, base_env):
-            if where_c is not None and not truth(where_c(row_env)):
-                continue
-            yield row_env
-
-    def _row_envs(self, executor: Executor, base_env: Env) -> Iterator[Env]:
-        if not self.sources:
-            yield base_env.child()
-            return
-        yield from self._expand(executor, 0, base_env.child())
-
-    def _expand(self, executor: Executor, index: int, env: Env) -> Iterator[Env]:
-        if index >= len(self.sources):
-            yield env
-            return
-        for env2 in self.sources[index].bind(executor, env):
-            yield from self._expand(executor, index + 1, env2)
+                passed += 1
+                bindings[key] = Binding(colmap, row)
+                if last:
+                    yield settled
+                else:
+                    yield from self._join(
+                        executor, env, levels, depth + 1, vector, tables
+                    )
+        bindings.pop(key, None)
+        level.rows_in += len(rows)
+        level.rows_out += passed
+        if passed < len(rows):
+            executor.db.obs.inc("engine.join.level_rejects", len(rows) - passed)
 
     def _project(self, env: Env) -> list:
         values: list = []
@@ -922,7 +1129,9 @@ class SelectPlan:
                 values.append(plan[1](env))
         return values
 
-    def _order_key(self, order: list, row: list, row_env: Env) -> tuple:
+    def _order_key(self, order: list, row: list, *scope: Any) -> tuple:
+        """``scope`` is what the entry closures take: the row env, or
+        (group, base env) in a grouped select."""
         parts = []
         for entry in order:
             kind = entry[0]
@@ -935,32 +1144,9 @@ class SelectPlan:
                 if 0 <= position < len(row):
                     value = row[position]
                 else:
-                    value = fallback(row_env)
+                    value = fallback(*scope)
             else:
-                value = entry[1](row_env)
-                desc = entry[2]
-            key = sort_key(value)
-            parts.append(_Reversed(key) if desc else key)
-        return tuple(parts)
-
-    def _grouped_order_key(
-        self, order: list, row: list, group: list, base_env: Env
-    ) -> tuple:
-        parts = []
-        for entry in order:
-            kind = entry[0]
-            if kind == "slot":
-                value = row[entry[1]]
-                desc = entry[2]
-            elif kind == "lit":
-                literal, fallback, desc = entry[1], entry[2], entry[3]
-                position = literal.value - 1 if isinstance(literal.value, int) else -1
-                if 0 <= position < len(row):
-                    value = row[position]
-                else:
-                    value = fallback(group, base_env)
-            else:
-                value = entry[1](group, base_env)
+                value = entry[1](*scope)
                 desc = entry[2]
             key = sort_key(value)
             parts.append(_Reversed(key) if desc else key)
@@ -989,7 +1175,7 @@ class SelectPlan:
             row = [item_c(group, base_env) for item_c in self.item_plans]
             rows.append(row)
             if order:
-                keys.append(self._grouped_order_key(order, row, group, base_env))
+                keys.append(self._order_key(order, row, group, base_env))
         if order:
             paired = sorted(zip(keys, range(len(rows)), rows), key=lambda p: p[:2])
             rows = [row for _, _, row in paired]

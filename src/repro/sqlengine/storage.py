@@ -208,6 +208,8 @@ class Table:
         # discipline as the hash indexes, plus an incremental fast path
         # in append_row (the dominant mutation)
         self._column_store: Optional[tuple[int, ColumnStore]] = None
+        # row identity → position: (built_version, map); see row_positions
+        self._row_positions: Optional[tuple[int, dict]] = None
         # MVCC (see repro.sqlengine.mvcc): the in-flight transaction
         # holding this table's write claim, the csn of the last commit
         # that touched it, the committed pre-images serving pinned
@@ -499,6 +501,18 @@ class Table:
             index.setdefault(sort_key(value), []).append(row)
         self._hash_indexes[column_index] = (self.version, index)
         return index
+
+    def row_positions(self) -> dict:
+        """``id(row)`` → position in :attr:`rows`.  A join that ran in
+        another order than FROM order sorts its matches back into the
+        nested loop's emission order with it.  Version-cached like the
+        hash indexes (an in-place update keeps identity and position)."""
+        cached = self._row_positions
+        if cached is not None and cached[0] == self.version:
+            return cached[1]
+        positions = {id(row): position for position, row in enumerate(self.rows)}
+        self._row_positions = (self.version, positions)
+        return positions
 
     def column_store(self) -> ColumnStore:
         """The derived columnar image of the table (see

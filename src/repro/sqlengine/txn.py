@@ -157,17 +157,18 @@ def _restore_table_version(table, version: int) -> None:
     """Reset a table's version, evicting derived structures built later.
 
     A restored counter can climb back to the same value over different
-    rows, so any hash index, interval index or change-point set built
-    during the rolled-back window must go.
+    rows, so any hash index, interval index, change-point set, column
+    store or row-position map built during the rolled-back window must go.
     """
     table.version = version
     for cache in (table._hash_indexes, table._interval_indexes, table._change_points):
         stale = [key for key, (built, _) in cache.items() if built > version]
         for key in stale:
             del cache[key]
-    store = table._column_store
-    if store is not None and store[0] > version:
-        table._column_store = None
+    for attr in ("_column_store", "_row_positions"):
+        cached = getattr(table, attr)
+        if cached is not None and cached[0] > version:
+            setattr(table, attr, None)
 
 
 def _apply_undo(entry: tuple) -> None:

@@ -1079,26 +1079,26 @@ class TemporalStratum:
     # ------------------------------------------------------------------
 
     def _install_routines(self, definitions: list) -> None:
+        catalog = self.db.catalog
         for definition in definitions:
             key = definition.name.lower()
-            if (
-                self.db.catalog.has_routine(key)
-                and self.db.catalog.get_routine(key).definition is definition
-            ):
-                # re-installing the identical definition object would be
-                # a no-op; skipping it keeps the catalog schema version
-                # stable so compiled plans stay valid
-                self._installed_clones.add(key)
-                continue
+            self._installed_clones.add(key)
+            if catalog.has_routine(key):
+                installed = catalog.get_routine(key).definition
+                if installed is definition or installed.to_sql() == definition.to_sql():
+                    # a re-transform renders the clone it installed last
+                    # time: installing it again would bump the catalog
+                    # schema version and evict every *other* statement's
+                    # cached transform and compiled plans
+                    continue
             kind = (
                 "FUNCTION"
                 if isinstance(definition, ast.CreateFunction)
                 else "PROCEDURE"
             )
-            self.db.catalog.add_routine(
+            catalog.add_routine(
                 Routine(kind=kind, definition=definition), replace=True
             )
-            self._installed_clones.add(key)
 
     def _prepare_inner_modifiers(
         self, definition: Union[ast.CreateFunction, ast.CreateProcedure]

@@ -103,6 +103,46 @@ class TestGoldenIntervalIndex:
         check_golden("interval_sequenced_perst_plan", result.text())
 
 
+class TestGoldenJoinPipeline:
+    """The join pipeline as EXPLAIN renders it: the join order when it
+    differs from FROM order, one line per level with its access path and
+    filter count, then the residual count."""
+
+    def test_reordered_join_plan(self, stratum):
+        result = stratum.db.execute(
+            "EXPLAIN SELECT i.title FROM item i, item_author ia"
+            " WHERE i.id = ia.item_id AND ia.author_id = 'a1'"
+            " AND get_author_name(ia.author_id) = 'Ben'"
+            " AND i.begin_time <= DATE '2010-04-01'"
+            " AND DATE '2010-04-01' < i.end_time"
+        )
+        text = result.text()
+        assert "join order: ia, i (emitted in FROM order)" in text
+        assert "HashProbe item_author AS ia on ia.author_id = 'a1'" in text
+        assert "residual: 1" in text
+        check_golden("join_pipeline_plan", text)
+
+    def test_analyze_reports_rows_per_level(self, stratum):
+        """Rows in / out per level, for the statement *and* for the
+        routine bodies it ran — where a τPSM query's join lives."""
+        result = stratum.execute(
+            "EXPLAIN ANALYZE VALIDTIME [DATE '2010-01-01', DATE '2011-01-01']"
+            " SELECT get_author_name(ia.author_id) AS name FROM item_author ia"
+            " WHERE ia.item_id = 'i2'",
+            strategy=SlicingStrategy.MAX,
+        )
+        text = result.text()
+        assert "join pipelines (rows in / out per level):" in text
+        levels = re.findall(
+            r"HashProbe (\w+).* \[rows in: (\d+), out: (\d+)\]", text
+        )
+        # the outer statement probes item_author, the clone's body author
+        assert {name for name, _, _ in levels} >= {"item_author", "author"}
+        assert all(int(rows_in) >= int(rows_out) for _, rows_in, rows_out in levels)
+        assert stratum.db.obs.value("engine.join.reordered") > 0
+        assert stratum.db.obs.value("engine.join.level_rejects") > 0
+
+
 class TestGoldenVectorized:
     """Pin the compile-time vectorized-vs-fallback decision per scan.
 

@@ -118,6 +118,53 @@ class TestInvalidation:
         stratum.transaction_clock = None
         assert stratum.execute(query).rows == [["second"]]
 
+class TestInterleavedRoutineStatements:
+    """Two routine-bearing sequenced statements used to evict each other
+    forever: each re-transform installed fresh clone objects, bumped the
+    catalog schema version and so invalidated the other's transform and
+    every compiled plan (hit ratio 0 on the τPSM suites)."""
+
+    GET_LAST_NAME = GET_AUTHOR_NAME.replace(
+        "get_author_name", "get_last_name"
+    ).replace("SELECT first_name", "SELECT last_name")
+    QUERIES = [
+        "VALIDTIME [DATE '2010-02-01', DATE '2010-07-01']"
+        f" SELECT {name}(author_id) FROM author WHERE author_id = 'a1'"
+        for name in ("get_author_name", "get_last_name")
+    ]
+
+    @pytest.mark.parametrize(
+        "strategy", [SlicingStrategy.MAX, SlicingStrategy.PERST]
+    )
+    def test_interleaving_reaches_a_fixed_point(self, stratum, strategy):
+        stratum.register_routine(GET_AUTHOR_NAME)
+        stratum.register_routine(self.GET_LAST_NAME)
+        stats = stratum.db.stats
+        compiled = []
+        for _ in range(3):
+            for query in self.QUERIES:
+                stratum.execute(query, strategy=strategy)
+            compiled.append(stats.plans_compiled)
+        assert stats.transform_cache_hits > 0
+        assert compiled[2] == compiled[1]  # nothing re-planned in pass 3
+
+    def test_changed_body_still_invalidates(self, stratum):
+        stratum.register_routine(GET_AUTHOR_NAME)
+        stratum.register_routine(self.GET_LAST_NAME)
+        for query in self.QUERIES * 2:
+            stratum.execute(query, strategy=SlicingStrategy.MAX)
+        stratum.db.catalog.drop_routine("get_last_name")
+        stratum.register_routine(
+            self.GET_LAST_NAME.replace(
+                "SET fname = (SELECT last_name FROM author"
+                " WHERE author_id = aid);",
+                "SET fname = 'redefined';",
+            )
+        )
+        for query, expected in zip(self.QUERIES, ({"Ben", "Benjamin"}, {"redefined"})):
+            result = stratum.execute(query, strategy=SlicingStrategy.MAX)
+            assert {v for (v,), _ in result.coalesced()} == expected
+
 
 class TestAblationSwitch:
     def test_disabled_retransforms_every_time(self, stratum):
