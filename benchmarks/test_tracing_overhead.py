@@ -1,6 +1,6 @@
 """Tracing overhead: the disabled path must be (near) free.
 
-Runs the plan-cache benchmark's cell three ways — tracer disabled (the
+Runs one warm MAX cell (q2, DS1-SMALL, one year) two ways — tracer disabled (the
 default), then enabled — and emits ``BENCH_tracing_overhead.json``.
 The acceptance bar is on the *disabled* path: instrumentation sitting
 in the hot loops (span call sites, scan counters, undo-depth gauge)

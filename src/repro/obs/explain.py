@@ -22,6 +22,7 @@ import time
 from typing import Any, Optional, TYPE_CHECKING
 
 from repro.sqlengine import ast_nodes as ast
+from repro.sqlengine.errors import SqlError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sqlengine.engine import Database
@@ -61,8 +62,6 @@ def describe_plan(plan: Any, depth: int = 0, since: Optional[dict] = None) -> li
     from repro.sqlengine import planner
 
     pad = "  " * depth
-    if plan is None:
-        return [pad + "(interpreted: statement not plannable)"]
     if isinstance(plan, planner.SelectPlan):
         shape = []
         if plan.grouped:
@@ -200,7 +199,9 @@ def _describe_source(source: Any, depth: int) -> list[str]:
 
 
 def _engine_plan_lines(db: "Database", stmt: ast.Statement) -> list[str]:
-    """Bind ``stmt`` through the planner (cached) and render the plan."""
+    """Bind ``stmt`` through the planner (cached) and render the plan.
+    A statement over objects that only exist once it executes (routine
+    clones, the constant-period table) shows the plan-time error."""
     if not isinstance(stmt, ast.Select) or stmt.set_op:
         return []
     from repro.sqlengine.planner import build_select_plan
@@ -209,8 +210,8 @@ def _engine_plan_lines(db: "Database", stmt: ast.Statement) -> list[str]:
     if not hit:
         try:
             plan = build_select_plan(db.executor, stmt, None)
-        except Exception:  # planner bails on names only live envs resolve
-            return ["engine plan:", "  (not plannable outside execution)"]
+        except SqlError as exc:
+            return ["engine plan:", f"  (bound at first execution: {exc})"]
         db.plan_cache.store(stmt, db.catalog.schema_version, plan)
     return ["engine plan:"] + ["  " + line for line in describe_plan(plan)]
 

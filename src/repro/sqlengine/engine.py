@@ -99,9 +99,7 @@ class PlanCache:
     An entry holds a strong reference to the statement node, so a
     recycled ``id()`` can never alias a different statement, and records
     the catalog schema version the plan was bound against — any DDL
-    (non-temporary tables, views, routines) invalidates on fetch.  A
-    ``None`` plan marks a statement the planner cannot handle, sparing
-    re-analysis on every execution.
+    (non-temporary tables, views, routines) invalidates on fetch.
     """
 
     __slots__ = ("_entries",)
@@ -186,13 +184,9 @@ class Database:
         self.table_function_cache: dict = {}
         self.memoize_table_functions = True
         # bind/plan layer: compiled statement plans and expression
-        # closures, both invalidated by catalog schema changes.
-        # `plan_caching_enabled` is the ablation switch for the whole
-        # two-phase path (plan cache, expression cache, and the
-        # stratum's transform cache consult it).
+        # closures, both invalidated by catalog schema changes
         self.plan_cache = PlanCache()
         self.expr_cache: dict = {}
-        self.plan_caching_enabled = True
         # interval-index scan pruning over declared (begin, end) period
         # pairs; `interval_indexing_enabled` is the ablation switch.
         # `cp_cache` memoizes the last constant-period materialization

@@ -187,6 +187,6 @@ class PlanInvalidated(Exception):
     catalog (schema drift, replaced view, redefined table function).
 
     Deliberately *not* an :class:`SqlError` — it never escapes the
-    engine; the executor catches it, drops the stale plan, and re-runs
-    the statement through the interpreted path.
+    engine; the executor catches it, drops the stale plan, re-plans and
+    re-runs the statement once.
     """

@@ -1,15 +1,19 @@
-"""Statement execution: queries, DML, DDL, and expression evaluation.
+"""Statement execution: dispatch, set operations, DDL, and the plan and
+expression caches in front of the one SELECT/DML/expression engine.
 
 The executor is *conventional*: it refuses to run any statement carrying
 a temporal modifier (those belong to the stratum).  PSM control flow
-lives in :mod:`repro.sqlengine.routines`; this module provides the
-relational core they both call into.
+lives in :mod:`repro.sqlengine.routines`.  Every SELECT arm and DML
+statement runs through a plan from :mod:`repro.sqlengine.planner`, every
+expression through a closure from :mod:`repro.sqlengine.exprcompile`;
+this module keeps what they share: environments, result sets, name and
+table resolution, and the value-level operators.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine import functions as fn
@@ -24,7 +28,7 @@ from repro.sqlengine.errors import (
     TypeError_,
 )
 from repro.sqlengine.storage import Column, Table
-from repro.sqlengine.types import SqlType, coerce, infer_type
+from repro.sqlengine.types import SqlType, infer_type
 from repro.sqlengine.values import (
     Date,
     Null,
@@ -32,16 +36,11 @@ from repro.sqlengine.values import (
     Unknown,
     compare,
     logic_and,
-    logic_not,
     logic_or,
     sort_key,
-    truth,
 )
 
-# interval-probe bound extraction: sentinel for "no conjunct bounds this
-# column" (None is taken: it means a NULL bound) and the comparison flip
-# used when the column sits on the right-hand side
-_NO_BOUND = object()
+# the comparison flip used when a column sits on the right-hand side
 _FLIPPED_COMPARISON = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
@@ -182,12 +181,8 @@ class Executor:
         self.db.stats.statements += 1
         if isinstance(stmt, ast.Select):
             return self.execute_select(stmt, env)
-        if isinstance(stmt, ast.Insert):
-            return self.execute_insert(stmt, env)
-        if isinstance(stmt, ast.Update):
-            return self.execute_update(stmt, env)
-        if isinstance(stmt, ast.Delete):
-            return self.execute_delete(stmt, env)
+        if isinstance(stmt, (ast.Insert, ast.Update, ast.Delete)):
+            return self._run_planned(stmt, env)
         if isinstance(stmt, ast.CreateTable):
             return self.execute_create_table(stmt, env)
         if isinstance(stmt, ast.DropTable):
@@ -227,7 +222,7 @@ class Executor:
         raise ExecutionError(f"cannot execute {type(stmt).__name__}")
 
     # ------------------------------------------------------------------
-    # SELECT
+    # SELECT (and, through _run_planned, DML)
     # ------------------------------------------------------------------
 
     def execute_select(self, select: ast.Select, env: Optional[Env] = None) -> ResultSet:
@@ -248,31 +243,42 @@ class Executor:
         env: Optional[Env],
         order_by: Optional[list[ast.OrderItem]],
     ) -> ResultSet:
-        """Run one SELECT arm through its cached plan, or interpreted.
+        return self._run_planned(select, env, bool(order_by))
+
+    def _run_planned(self, stmt: ast.Statement, env: Optional[Env], *run_args) -> Any:
+        """Run one SELECT arm or DML statement through its plan.
 
         The bind/plan phase happens at most once per (statement, schema
-        version); unsupported statements are remembered as uncacheable so
-        the planner is not retried per execution.
+        version); a plan-time error propagates as itself and caches
+        nothing.  A plan validates its sources before it produces or
+        consumes a row: on :class:`PlanInvalidated` the entry is dropped
+        and the statement is re-planned and re-run, once.
         """
         db = self.db
-        if not db.plan_caching_enabled:
-            return self._select_no_order(select, env, order_by=order_by)
-        hit, plan = db.plan_cache.fetch(select, db.catalog.schema_version)
-        if not hit:
-            from repro.sqlengine.planner import build_select_plan
+        for replanned in (False, True):
+            hit, plan = db.plan_cache.fetch(stmt, db.catalog.schema_version)
+            if hit:
+                db.stats.plan_cache_hits += 1
+            else:
+                from repro.sqlengine import planner
 
-            plan = build_select_plan(self, select, env)
-            db.stats.plans_compiled += 1
-            db.plan_cache.store(select, db.catalog.schema_version, plan)
-        else:
-            db.stats.plan_cache_hits += 1
-        if plan is None:
-            return self._select_no_order(select, env, order_by=order_by)
-        try:
-            return plan.run(self, env, bool(order_by))
-        except PlanInvalidated:
-            db.plan_cache.drop(select)
-            return self._select_no_order(select, env, order_by=order_by)
+                build = (
+                    planner.build_select_plan
+                    if isinstance(stmt, ast.Select)
+                    else planner.build_dml_plan
+                )
+                plan = build(self, stmt, env)
+                db.stats.plans_compiled += 1
+                db.plan_cache.store(stmt, db.catalog.schema_version, plan)
+            try:
+                return plan.run(self, env, *run_args)
+            except PlanInvalidated as stale:
+                db.plan_cache.drop(stmt)
+                if replanned:
+                    raise ExecutionError(
+                        f"plan invalidated twice in one execution: {stale}"
+                    ) from None
+                db.obs.inc("engine.plan_invalidated")
 
     def _apply_set_ops(
         self, select: ast.Select, left: ResultSet, env: Optional[Env]
@@ -311,175 +317,6 @@ class Executor:
                 raise ExecutionError(f"unknown set operation {op}")
             node = rhs_node
         return result
-
-    def _select_no_order(
-        self,
-        select: ast.Select,
-        env: Optional[Env],
-        order_by: Optional[list[ast.OrderItem]] = None,
-    ) -> ResultSet:
-        base_env = env if env is not None else Env()
-        grouped = bool(select.group_by) or any(
-            item.expr is not None and _contains_aggregate(item.expr)
-            for item in select.items
-        ) or (select.having is not None)
-        if grouped:
-            return self._grouped_select(select, base_env, order_by)
-        columns = self._output_columns(select, base_env)
-        colmap = {name.lower(): i for i, name in enumerate(columns)}
-        rows: list[list[Any]] = []
-        keys: list[tuple] = []
-        for row_env in self._from_rows(select.from_items, base_env, select.where):
-            if select.where is not None and not truth(
-                self.evaluate(select.where, row_env)
-            ):
-                continue
-            row = self._project(select.items, row_env)
-            rows.append(row)
-            if order_by:
-                keys.append(self._order_key(order_by, row, colmap, row_env))
-        if order_by:
-            paired = sorted(zip(keys, range(len(rows)), rows), key=lambda p: p[:2])
-            rows = [row for _, _, row in paired]
-        if select.distinct:
-            rows = _distinct_rows(rows)
-        return ResultSet(columns, rows)
-
-    def _order_key(
-        self,
-        order_by: list[ast.OrderItem],
-        row: list[Any],
-        colmap: dict[str, int],
-        row_env: Env,
-    ) -> tuple:
-        parts = []
-        for item in order_by:
-            value = None
-            resolved = False
-            expr = item.expr
-            if isinstance(expr, ast.Name) and expr.qualifier is None:
-                index = colmap.get(expr.name.lower())
-                if index is not None:
-                    value = row[index]
-                    resolved = True
-            if not resolved and isinstance(expr, ast.Literal) and isinstance(
-                expr.value, int
-            ):
-                position = expr.value - 1
-                if 0 <= position < len(row):
-                    value = row[position]
-                    resolved = True
-            if not resolved:
-                value = self.evaluate(expr, row_env)
-            key = sort_key(value)
-            parts.append(_Reversed(key) if item.descending else key)
-        return tuple(parts)
-
-    def _grouped_select(
-        self,
-        select: ast.Select,
-        base_env: Env,
-        order_by: Optional[list[ast.OrderItem]] = None,
-    ) -> ResultSet:
-        source_envs: list[Env] = []
-        for row_env in self._from_rows(select.from_items, base_env, select.where):
-            if select.where is not None and not truth(
-                self.evaluate(select.where, row_env)
-            ):
-                continue
-            source_envs.append(_freeze_env(row_env))
-        groups: dict[tuple, list[Env]] = {}
-        if select.group_by:
-            for row_env in source_envs:
-                key = tuple(
-                    sort_key(self.evaluate(g, row_env)) for g in select.group_by
-                )
-                groups.setdefault(key, []).append(row_env)
-        else:
-            groups[()] = source_envs
-        columns = self._output_columns(select, base_env)
-        colmap = {name.lower(): i for i, name in enumerate(columns)}
-        rows: list[list[Any]] = []
-        keys: list[tuple] = []
-        for group in groups.values():
-            if select.having is not None and not truth(
-                self._evaluate_grouped(select.having, group, base_env)
-            ):
-                continue
-            row = [
-                self._evaluate_grouped(item.expr, group, base_env)
-                for item in select.items
-            ]
-            rows.append(row)
-            if order_by:
-                keys.append(
-                    self._grouped_order_key(order_by, row, colmap, group, base_env)
-                )
-        if order_by:
-            paired = sorted(zip(keys, range(len(rows)), rows), key=lambda p: p[:2])
-            rows = [row for _, _, row in paired]
-        if select.distinct:
-            rows = _distinct_rows(rows)
-        return ResultSet(columns, rows)
-
-    def _grouped_order_key(
-        self,
-        order_by: list[ast.OrderItem],
-        row: list[Any],
-        colmap: dict[str, int],
-        group: list[Env],
-        base_env: Env,
-    ) -> tuple:
-        parts = []
-        for item in order_by:
-            expr = item.expr
-            value = None
-            resolved = False
-            if isinstance(expr, ast.Name) and expr.qualifier is None:
-                index = colmap.get(expr.name.lower())
-                if index is not None:
-                    value = row[index]
-                    resolved = True
-            if not resolved and isinstance(expr, ast.Literal) and isinstance(
-                expr.value, int
-            ):
-                position = expr.value - 1
-                if 0 <= position < len(row):
-                    value = row[position]
-                    resolved = True
-            if not resolved:
-                value = self._evaluate_grouped(expr, group, base_env)
-            key = sort_key(value)
-            parts.append(_Reversed(key) if item.descending else key)
-        return tuple(parts)
-
-    def _evaluate_grouped(
-        self, expr: ast.Expression, group: list[Env], base_env: Env
-    ) -> Any:
-        """Evaluate an expression that may contain aggregate calls."""
-        if isinstance(expr, ast.FunctionCall) and fn.is_aggregate(expr.name) and not self.db.catalog.has_routine(expr.name):
-            if expr.star:
-                return fn.evaluate_aggregate(expr.name, [None] * len(group), star=True)
-            values = [self.evaluate(expr.args[0], row_env) for row_env in group]
-            return fn.evaluate_aggregate(expr.name, values, distinct=expr.distinct)
-        if isinstance(expr, ast.BinaryOp):
-            if expr.op in ("AND", "OR"):
-                left = self._evaluate_grouped(expr.left, group, base_env)
-                right = self._evaluate_grouped(expr.right, group, base_env)
-                return logic_and(left, right) if expr.op == "AND" else logic_or(left, right)
-            left = self._evaluate_grouped(expr.left, group, base_env)
-            right = self._evaluate_grouped(expr.right, group, base_env)
-            return _apply_binary(expr.op, left, right)
-        if isinstance(expr, ast.Parenthesized):
-            return self._evaluate_grouped(expr.expr, group, base_env)
-        if isinstance(expr, ast.UnaryOp):
-            value = self._evaluate_grouped(expr.operand, group, base_env)
-            return logic_not(value) if expr.op == "NOT" else _negate(value)
-        if isinstance(expr, ast.Cast):
-            return coerce(self._evaluate_grouped(expr.expr, group, base_env), expr.target)
-        # non-aggregate parts evaluate on a representative group row
-        representative = group[0] if group else base_env
-        return self.evaluate(expr, representative)
 
     def _output_columns(self, select: ast.Select, env: Env) -> list[str]:
         columns: list[str] = []
@@ -548,244 +385,11 @@ class Executor:
             return mvcc.read_view(table, self.db.txn)
         return table
 
-    # -- FROM evaluation ----------------------------------------------------
-
-    def _from_rows(
-        self,
-        from_items: list[ast.FromItem],
-        base_env: Env,
-        where: Optional[ast.Expression] = None,
-    ) -> Iterator[Env]:
-        if not from_items:
-            yield base_env.child()
-            return
-        env = base_env.child()
-        conjuncts = _split_conjuncts(where)
-        yield from self._expand_from(from_items, 0, env, conjuncts)
-
-    def _expand_from(
-        self,
-        from_items: list[ast.FromItem],
-        index: int,
-        env: Env,
-        conjuncts: list[ast.Expression],
-    ) -> Iterator[Env]:
-        if index >= len(from_items):
-            yield env
-            return
-        for env2 in self._bind_source(from_items[index], env, conjuncts, from_items):
-            yield from self._expand_from(from_items, index + 1, env2, conjuncts)
-
-    def _bind_source(
-        self,
-        source: ast.FromItem,
-        env: Env,
-        conjuncts: list[ast.Expression] = (),
-        from_items: Optional[list[ast.FromItem]] = None,
-    ) -> Iterator[Env]:
-        if isinstance(source, ast.Join):
-            yield from self._bind_join(source, env)
-            return
-        if (
-            isinstance(source, ast.TableRef)
-            and conjuncts
-            and not self.db.catalog.has_view(source.name)
-        ):
-            yield from self._bind_table_indexed(source, env, conjuncts, from_items)
-            return
-        alias, columns, rows = self._materialize_source(source, env)
-        colmap = {name.lower(): i for i, name in enumerate(columns)}
-        key = alias.lower()
-        for row in rows:
-            env.bindings[key] = Binding(colmap, row)
-            yield env
-        env.bindings.pop(key, None)
-
-    def _bind_table_indexed(
-        self,
-        source: ast.TableRef,
-        env: Env,
-        conjuncts: list[ast.Expression],
-        from_items: Optional[list[ast.FromItem]],
-    ) -> Iterator[Env]:
-        """Bind a base table, narrowing the scan with an equality conjunct.
-
-        A conjunct ``alias.col = rhs`` (or reversed) where ``rhs`` is a
-        literal or an expression over *already-bound* sources lets us use
-        the table's hash index instead of a full scan.  This only prunes
-        candidates — the full WHERE clause is still evaluated later — so
-        it can never change results, only skip rows that cannot match.
-        """
-        table = self._read_table(source.name, env)
-        resilience = self.db.resilience
-        if resilience.armed:
-            # watchdog/governor checkpoint: every interpreted table bind
-            resilience.check()
-        alias = source.binding
-        colmap = {name.lower(): i for i, name in enumerate(table.column_names)}
-        rows = table.rows
-        probe = self._find_index_probe(table, alias, conjuncts, env, from_items)
-        if probe is not None:
-            column_index, value = probe
-            if value is Null:
-                rows = []
-            else:
-                rows = table.hash_index(column_index).get(sort_key(value), [])
-        else:
-            # no equality probe: try an interval probe over a declared
-            # (begin, end) period pair (the shape the temporal
-            # transforms emit — overlap/stab conjuncts)
-            interval = self._find_interval_probe(table, alias, conjuncts, env, from_items)
-            if interval is not None:
-                rows = self._interval_candidates(table, interval)
-        key = alias.lower()
-        self.db.obs.inc("engine.rows_scanned", len(rows))
-        for row in rows:
-            env.bindings[key] = Binding(colmap, row)
-            yield env
-        env.bindings.pop(key, None)
-
-    def _find_index_probe(
-        self,
-        table: Table,
-        alias: str,
-        conjuncts: list[ast.Expression],
-        env: Env,
-        from_items: Optional[list[ast.FromItem]],
-    ) -> Optional[tuple[int, Any]]:
-        for conjunct in conjuncts:
-            if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="):
-                continue
-            for lhs, rhs in ((conjunct.left, conjunct.right),
-                             (conjunct.right, conjunct.left)):
-                column = self._column_of(lhs, table, alias, from_items)
-                if column is None:
-                    continue
-                if not self._rhs_is_bindable(rhs, env, from_items):
-                    continue
-                try:
-                    value = self.evaluate(rhs, env)
-                except SqlError:
-                    continue
-                return column, value
-        return None
-
-    def _find_interval_probe(
-        self,
-        table: Table,
-        alias: str,
-        conjuncts: list[ast.Expression],
-        env: Env,
-        from_items: Optional[list[ast.FromItem]],
-    ) -> Optional[tuple[int, int, Optional[int], Optional[int]]]:
-        """An interval-index probe over a declared (begin, end) pair.
-
-        Recognizes the predicate shapes the temporal transforms emit: an
-        upper bound on the begin column (``begin <= P`` / ``begin < P``)
-        together with a lower bound on the end column (``P < end`` /
-        ``P <= end``), each evaluable from already-bound sources.  Both
-        ``stab(P)`` and ``overlaps(B, E)`` conjunctions normalize to
-        this form over day ordinals.  Returns ``(begin_index, end_index,
-        begin_max, end_min)``; a NULL bound is reported as ``(..., None,
-        None)`` meaning the candidate set is empty (comparison with NULL
-        is never true).  Pruning only — the full WHERE still runs.
-        """
-        if not self.db.interval_indexing_enabled:
-            return None
-        for begin_column, end_column in table.interval_pairs:
-            begin_max = self._interval_bound(
-                table, alias, begin_column, conjuncts, env, from_items, upper=True
-            )
-            if begin_max is _NO_BOUND:
-                continue
-            end_min = self._interval_bound(
-                table, alias, end_column, conjuncts, env, from_items, upper=False
-            )
-            if end_min is _NO_BOUND:
-                continue
-            begin_index = table.column_index(begin_column)
-            end_index = table.column_index(end_column)
-            if begin_max is None or end_min is None:
-                return begin_index, end_index, None, None
-            return begin_index, end_index, begin_max, end_min
-        return None
-
-    def _interval_bound(
-        self,
-        table: Table,
-        alias: str,
-        column: str,
-        conjuncts: list[ast.Expression],
-        env: Env,
-        from_items: Optional[list[ast.FromItem]],
-        upper: bool,
-    ) -> Any:
-        """The tightest bound the conjuncts place on ``column``.
-
-        ``upper=True`` looks for ``column </<= X`` and returns the
-        largest admissible day ordinal; ``upper=False`` looks for
-        ``column >/>= Y`` and returns the smallest.  Returns ``_NO_BOUND``
-        when no conjunct bounds the column, ``None`` when a bound
-        evaluates to NULL (no row can satisfy it).
-        """
-        target = table.column_index(column)
-        best: Any = _NO_BOUND
-        for conjunct in conjuncts:
-            if not isinstance(conjunct, ast.BinaryOp):
-                continue
-            op = conjunct.op
-            if op not in ("<", "<=", ">", ">="):
-                continue
-            for lhs, rhs, normalized in (
-                (conjunct.left, conjunct.right, op),
-                (conjunct.right, conjunct.left, _FLIPPED_COMPARISON[op]),
-            ):
-                if upper and normalized not in ("<", "<="):
-                    continue
-                if not upper and normalized not in (">", ">="):
-                    continue
-                if self._column_of(lhs, table, alias, from_items) != target:
-                    continue
-                if not self._rhs_is_bindable(rhs, env, from_items):
-                    continue
-                try:
-                    value = self.evaluate(rhs, env)
-                except SqlError:
-                    continue
-                if value is Null:
-                    return None
-                if not isinstance(value, Date):
-                    continue
-                if upper:
-                    bound = value.ordinal if normalized == "<=" else value.ordinal - 1
-                    best = bound if best is _NO_BOUND else min(best, bound)
-                else:
-                    bound = value.ordinal if normalized == ">=" else value.ordinal + 1
-                    best = bound if best is _NO_BOUND else max(best, bound)
-        return best
-
-    def _interval_candidates(
-        self, table: Table, probe: tuple[int, int, Optional[int], Optional[int]]
-    ) -> list[list[Any]]:
-        """Candidate rows for an interval probe, in table position order."""
-        begin_index, end_index, begin_max, end_min = probe
-        if begin_max is None:
-            rows: list[list[Any]] = []
-        else:
-            rows = table.interval_index(begin_index, end_index).search(begin_max, end_min)
-        obs = self.db.obs
-        obs.inc("engine.interval_index_hits")
-        pruned = len(table.rows) - len(rows)
-        if pruned:
-            obs.inc("engine.interval_rows_pruned", pruned)
-        return rows
-
     def _interval_candidate_positions(
         self, table: Table, probe: tuple[int, int, Optional[int], Optional[int]]
     ) -> list[int]:
-        """Candidate *positions* for an interval probe (ascending) — the
-        selection-vector twin of :meth:`_interval_candidates`, with the
-        same metrics."""
+        """Candidate *positions* for an interval probe (ascending), counted
+        as ``engine.interval_index_hits`` / ``engine.interval_rows_pruned``."""
         begin_index, end_index, begin_max, end_min = probe
         if begin_max is None:
             positions: list[int] = []
@@ -831,142 +435,6 @@ class Executor:
                 return None
         return table.column_index(expr.name)
 
-    def _rhs_is_bindable(
-        self,
-        expr: ast.Expression,
-        env: Env,
-        from_items: Optional[list[ast.FromItem]],
-    ) -> bool:
-        """Can ``expr`` be evaluated now without touching unbound sources?
-
-        Literals always; qualified names only if the qualifier is bound;
-        bare names only if no source of this FROM could supply them (so
-        they must be routine variables / parameters).
-        """
-        if isinstance(expr, ast.Literal):
-            return True
-        if not isinstance(expr, ast.Name):
-            return False
-        if expr.qualifier is not None:
-            qualifier = expr.qualifier.lower()
-            probe: Optional[Env] = env
-            while probe is not None:
-                if qualifier in probe.bindings:
-                    return True
-                probe = probe.parent
-            return False
-        if from_items is None:
-            return False
-        for item in _flatten_from(from_items):
-            if not isinstance(item, ast.TableRef):
-                return False
-            if self.db.catalog.has_view(item.name):
-                return False
-            try:
-                candidate = self._resolve_table(item.name, None)
-            except SqlError:
-                return False
-            if candidate.has_column(expr.name):
-                return False
-        return True
-
-    def _bind_join(self, join: ast.Join, env: Env) -> Iterator[Env]:
-        if join.kind in ("INNER", "CROSS"):
-            for env2 in self._bind_source(join.left, env):
-                for env3 in self._bind_source(join.right, env2):
-                    if join.condition is None or truth(
-                        self.evaluate(join.condition, env3)
-                    ):
-                        yield env3
-            return
-        if join.kind == "RIGHT":
-            # a RIGHT join is a LEFT join with the operands swapped
-            swapped = ast.Join(
-                left=join.right, right=join.left, kind="LEFT",
-                condition=join.condition,
-            )
-            yield from self._bind_join(swapped, env)
-            return
-        if join.kind == "LEFT":
-            alias, columns, rows = self._materialize_source_static(join.right, env)
-            colmap = {name.lower(): i for i, name in enumerate(columns)}
-            key = alias.lower()
-            null_row = [Null] * len(columns)
-            for env2 in self._bind_source(join.left, env):
-                matched = False
-                for row in rows:
-                    env2.bindings[key] = Binding(colmap, row)
-                    if join.condition is None or truth(
-                        self.evaluate(join.condition, env2)
-                    ):
-                        matched = True
-                        yield env2
-                if not matched:
-                    env2.bindings[key] = Binding(colmap, null_row)
-                    yield env2
-                env2.bindings.pop(key, None)
-            return
-        raise ExecutionError(f"unsupported join kind {join.kind}")
-
-    def _materialize_source(
-        self, source: ast.FromItem, env: Env
-    ) -> tuple[str, list[str], list[list[Any]]]:
-        """Alias, columns and rows for a FROM source (lateral-aware)."""
-        if isinstance(source, ast.TableRef):
-            view = self.db.catalog.get_view(source.name)
-            if view is not None:
-                result = self.execute_select(view, Env(frame=env.frame))
-                return source.binding, result.columns, result.rows
-            table = self._read_table(source.name, env)
-            resilience = self.db.resilience
-            if resilience.armed:
-                resilience.check()
-            self.db.obs.inc("engine.rows_scanned", len(table.rows))
-            return source.binding, table.column_names, table.rows
-        if isinstance(source, ast.SubqueryRef):
-            result = self.execute_select(source.select, env)
-            return source.alias, result.columns, result.rows
-        if isinstance(source, ast.TableFunctionRef):
-            from repro.sqlengine.routines import RoutineInterpreter
-
-            args = [self.evaluate(a, env) for a in source.call.args]
-            if not self.db.memoize_table_functions:
-                return (source.alias,) + RoutineInterpreter(self).invoke_table_function(
-                    source.call.name, args
-                )
-            cache_key = (source.call.name.lower(), tuple(sort_key(a) for a in args))
-            cached = self.db.table_function_cache.get(cache_key)
-            if cached is not None:
-                return source.alias, cached[0], cached[1]
-            columns, rows = RoutineInterpreter(self).invoke_table_function(
-                source.call.name, args
-            )
-            self.db.table_function_cache[cache_key] = (columns, rows)
-            return source.alias, columns, rows
-        raise ExecutionError(f"unsupported FROM source {type(source).__name__}")
-
-    def _materialize_source_static(
-        self, source: ast.FromItem, env: Env
-    ) -> tuple[str, list[str], list[list[Any]]]:
-        """Like _materialize_source but copies rows (safe to re-iterate)."""
-        alias, columns, rows = self._materialize_source(source, env)
-        return alias, columns, list(rows)
-
-    def _project(self, items: list[ast.SelectItem], env: Env) -> list[Any]:
-        values: list[Any] = []
-        for item in items:
-            if item.is_star:
-                for binding_alias, binding in env.bindings.items():
-                    if (
-                        item.star_qualifier
-                        and binding_alias != item.star_qualifier.lower()
-                    ):
-                        continue
-                    values.extend(binding.row)
-            else:
-                values.append(self.evaluate(item.expr, env))
-        return values
-
     def _apply_order_on_output(
         self, select: ast.Select, result: ResultSet, env: Optional[Env]
     ) -> ResultSet:
@@ -996,98 +464,6 @@ class Executor:
 
         result.rows.sort(key=order_key)
         return result
-
-    # ------------------------------------------------------------------
-    # DML
-    # ------------------------------------------------------------------
-
-    def _run_dml(self, stmt: ast.Statement, env: Optional[Env], interpreted) -> int:
-        """Run a DML statement through its cached plan, or interpreted."""
-        db = self.db
-        if not db.plan_caching_enabled:
-            return interpreted(stmt, env)
-        hit, plan = db.plan_cache.fetch(stmt, db.catalog.schema_version)
-        if not hit:
-            from repro.sqlengine.planner import build_dml_plan
-
-            plan = build_dml_plan(self, stmt, env)
-            db.stats.plans_compiled += 1
-            db.plan_cache.store(stmt, db.catalog.schema_version, plan)
-        else:
-            db.stats.plan_cache_hits += 1
-        if plan is None:
-            return interpreted(stmt, env)
-        try:
-            return plan.run(self, env)
-        except PlanInvalidated:
-            db.plan_cache.drop(stmt)
-            return interpreted(stmt, env)
-
-    def execute_insert(self, stmt: ast.Insert, env: Optional[Env]) -> int:
-        return self._run_dml(stmt, env, self._insert_interpreted)
-
-    def _insert_interpreted(self, stmt: ast.Insert, env: Optional[Env]) -> int:
-        table = self._resolve_table(stmt.table, env)
-        if stmt.select is not None:
-            result = self.execute_select(stmt.select, env)
-            source_rows = result.rows
-        else:
-            eval_env = env if env is not None else Env()
-            source_rows = [
-                [self.evaluate(e, eval_env) for e in value_row]
-                for value_row in stmt.values or []
-            ]
-        # validate every row before appending any: a NOT NULL or
-        # coercion failure on row N must not keep rows 1..N-1
-        prepared = [table.prepare_row(values, stmt.columns) for values in source_rows]
-        for row in prepared:
-            table.append_row(row)
-        self.db.stats.count_rows(len(prepared), "insert")
-        return len(prepared)
-
-    def execute_update(self, stmt: ast.Update, env: Optional[Env]) -> int:
-        return self._run_dml(stmt, env, self._update_interpreted)
-
-    def _update_interpreted(self, stmt: ast.Update, env: Optional[Env]) -> int:
-        table = self._resolve_table(stmt.table, env)
-        alias = stmt.alias or stmt.table
-        colmap = {name.lower(): i for i, name in enumerate(table.column_names)}
-        eval_env = Env(parent=env)
-        key = alias.lower()
-        assign_indexes = [table.column_index(c) for c, _ in stmt.assignments]
-
-        def predicate(row: list[Any]) -> bool:
-            eval_env.bindings[key] = Binding(colmap, row)
-            return stmt.where is None or truth(self.evaluate(stmt.where, eval_env))
-
-        def updater(row: list[Any]) -> dict[int, Any]:
-            eval_env.bindings[key] = Binding(colmap, row)
-            return {
-                index: self.evaluate(expr, eval_env)
-                for index, (_, expr) in zip(assign_indexes, stmt.assignments)
-            }
-
-        count = table.update_where(predicate, updater)
-        self.db.stats.count_rows(count, "update")
-        return count
-
-    def execute_delete(self, stmt: ast.Delete, env: Optional[Env]) -> int:
-        return self._run_dml(stmt, env, self._delete_interpreted)
-
-    def _delete_interpreted(self, stmt: ast.Delete, env: Optional[Env]) -> int:
-        table = self._resolve_table(stmt.table, env)
-        alias = stmt.alias or stmt.table
-        colmap = {name.lower(): i for i, name in enumerate(table.column_names)}
-        eval_env = Env(parent=env)
-        key = alias.lower()
-
-        def predicate(row: list[Any]) -> bool:
-            eval_env.bindings[key] = Binding(colmap, row)
-            return stmt.where is None or truth(self.evaluate(stmt.where, eval_env))
-
-        count = table.delete_where(predicate)
-        self.db.stats.count_rows(count, "delete")
-        return count
 
     # ------------------------------------------------------------------
     # DDL
@@ -1203,160 +579,22 @@ class Executor:
     # expression evaluation
     # ------------------------------------------------------------------
 
-    def evaluate_cached(self, expr: ast.Expression, env: Env) -> Any:
-        """Evaluate via a memoized compiled closure (PSM hot paths).
+    def evaluate(self, expr: ast.Expression, env: Env) -> Any:
+        """Evaluate ``expr`` in ``env`` through its compiled closure.
 
-        Keyed by AST identity with a strong reference to the node, so a
-        recycled ``id()`` can never alias a different expression.
+        Closures are memoized by AST identity with a strong reference to
+        the node, so a recycled ``id()`` can never alias a different
+        expression.  Names resolve through ``env`` at call time.
         """
-        db = self.db
-        if not db.plan_caching_enabled:
-            return self.evaluate(expr, env)
-        cache = db.expr_cache
+        cache = self.db.expr_cache
         entry = cache.get(id(expr))
         if entry is None or entry[0] is not expr:
             from repro.sqlengine.exprcompile import compile_expression
 
             if len(cache) > 4096:
                 cache.clear()
-            entry = (expr, compile_expression(self, expr, {}))
-            cache[id(expr)] = entry
-        closure = entry[1]
-        if closure is None:
-            return self.evaluate(expr, env)
-        return closure(env)
-
-    def evaluate(self, expr: ast.Expression, env: Env) -> Any:
-        if isinstance(expr, ast.Literal):
-            return expr.value
-        if isinstance(expr, ast.Name):
-            return env.lookup(expr.qualifier, expr.name)
-        if isinstance(expr, ast.Parenthesized):
-            return self.evaluate(expr.expr, env)
-        if isinstance(expr, ast.BinaryOp):
-            return self._evaluate_binary(expr, env)
-        if isinstance(expr, ast.UnaryOp):
-            value = self.evaluate(expr.operand, env)
-            if expr.op == "NOT":
-                return logic_not(value)
-            return _negate(value)
-        if isinstance(expr, ast.FunctionCall):
-            return self._evaluate_call(expr, env)
-        if isinstance(expr, ast.Cast):
-            return coerce(self.evaluate(expr.expr, env), expr.target)
-        if isinstance(expr, ast.CaseExpr):
-            return self._evaluate_case(expr, env)
-        if isinstance(expr, ast.IsNullPredicate):
-            value = self.evaluate(expr.expr, env)
-            answer = value is Null
-            return not answer if expr.negated else answer
-        if isinstance(expr, ast.BetweenPredicate):
-            return self._evaluate_between(expr, env)
-        if isinstance(expr, ast.InPredicate):
-            return self._evaluate_in(expr, env)
-        if isinstance(expr, ast.ExistsPredicate):
-            result = self.execute_select(expr.subquery, env)
-            answer = len(result.rows) > 0
-            return not answer if expr.negated else answer
-        if isinstance(expr, ast.LikePredicate):
-            return self._evaluate_like(expr, env)
-        if isinstance(expr, ast.ScalarSubquery):
-            result = self.execute_select(expr.select, env)
-            if not result.rows:
-                return Null
-            if len(result.rows) > 1:
-                raise CardinalityError("scalar subquery returned more than one row")
-            return result.rows[0][0]
-        raise ExecutionError(f"cannot evaluate {type(expr).__name__}")
-
-    def _evaluate_binary(self, expr: ast.BinaryOp, env: Env) -> Any:
-        if expr.op == "AND":
-            left = self.evaluate(expr.left, env)
-            if left is False:
-                return False
-            right = self.evaluate(expr.right, env)
-            return logic_and(left, right)
-        if expr.op == "OR":
-            left = self.evaluate(expr.left, env)
-            if left is True:
-                return True
-            right = self.evaluate(expr.right, env)
-            return logic_or(left, right)
-        left = self.evaluate(expr.left, env)
-        right = self.evaluate(expr.right, env)
-        return _apply_binary(expr.op, left, right)
-
-    def _evaluate_call(self, expr: ast.FunctionCall, env: Env) -> Any:
-        name = expr.name
-        if self.db.catalog.has_routine(name):
-            from repro.sqlengine.routines import RoutineInterpreter
-
-            args = [self.evaluate(a, env) for a in expr.args]
-            return RoutineInterpreter(self).invoke_function(name, args)
-        upper = name.upper()
-        if upper == "CURRENT_DATE":
-            return self.db.now
-        if fn.is_aggregate(upper):
-            raise ExecutionError(
-                f"aggregate {name} used outside of a grouped query"
-            )
-        if fn.is_scalar_builtin(upper):
-            args = [self.evaluate(a, env) for a in expr.args]
-            return fn.call_scalar_builtin(upper, args)
-        raise CatalogError(f"no such function: {name}")
-
-    def _evaluate_case(self, expr: ast.CaseExpr, env: Env) -> Any:
-        if expr.operand is not None:
-            operand = self.evaluate(expr.operand, env)
-            for when, then in expr.whens:
-                candidate = self.evaluate(when, env)
-                if compare(operand, candidate) == 0:
-                    return self.evaluate(then, env)
-        else:
-            for when, then in expr.whens:
-                if truth(self.evaluate(when, env)):
-                    return self.evaluate(then, env)
-        if expr.else_expr is not None:
-            return self.evaluate(expr.else_expr, env)
-        return Null
-
-    def _evaluate_between(self, expr: ast.BetweenPredicate, env: Env) -> Any:
-        value = self.evaluate(expr.expr, env)
-        low = self.evaluate(expr.low, env)
-        high = self.evaluate(expr.high, env)
-        lower = compare(value, low)
-        upper = compare(value, high)
-        if lower is Unknown or upper is Unknown:
-            return Unknown
-        answer = lower >= 0 and upper <= 0
-        return (not answer) if expr.negated else answer
-
-    def _evaluate_in(self, expr: ast.InPredicate, env: Env) -> Any:
-        value = self.evaluate(expr.expr, env)
-        if expr.subquery is not None:
-            result = self.execute_select(expr.subquery, env)
-            candidates = [row[0] for row in result.rows]
-        else:
-            candidates = [self.evaluate(e, env) for e in expr.items or []]
-        saw_unknown = False
-        for candidate in candidates:
-            verdict = compare(value, candidate)
-            if verdict is Unknown:
-                saw_unknown = True
-            elif verdict == 0:
-                return False if expr.negated else True
-        if saw_unknown:
-            return Unknown
-        return True if expr.negated else False
-
-    def _evaluate_like(self, expr: ast.LikePredicate, env: Env) -> Any:
-        value = self.evaluate(expr.expr, env)
-        pattern = self.evaluate(expr.pattern, env)
-        if value is Null or pattern is Null:
-            return Unknown
-        regex = _like_regex(str(pattern))
-        answer = regex.fullmatch(str(value)) is not None
-        return (not answer) if expr.negated else answer
+            entry = cache[id(expr)] = (expr, compile_expression(self, expr, {}))
+        return entry[1](env)
 
 
 # ---------------------------------------------------------------------------

@@ -1,29 +1,26 @@
 """Expression compilation: AST → Python closures (the *bind* phase).
 
-The interpreted evaluator in :mod:`repro.sqlengine.executor` re-walks
-the expression tree and re-resolves every column name through
-lowercased-string dictionary lookups *per row*.  This module performs
-that resolution once per statement: given a *slot layout* — the mapping
+This is the engine's one expression evaluator.  Names are resolved once
+per statement instead of per row: given a *slot layout* — the mapping
 from FROM-clause alias to its column→index map — a column reference
 compiles to an integer row-index fetch, and every other node compiles to
-a closure over its children's closures.
+a closure over its children's closures.  ``Executor.evaluate`` (PSM
+statements, the stratum's row passes) is the same compiler with an empty
+layout, memoized by AST identity.
 
-Compiled closures are drop-in equivalents of ``Executor.evaluate``:
-
-* same results, including three-valued logic and NULL propagation,
-* same errors, raised at the same points,
-* mutable AST leaves (``Literal.value``) are re-read on every call, so
-  the stratum's placeholder-literal trick keeps working.
+Compiled closures implement SQL's three-valued logic and NULL
+propagation, raise per call exactly where the value-level operators
+raise, and re-read mutable AST leaves (``Literal.value``) on every call,
+so the stratum's placeholder-literal trick keeps working.
 
 Safety: a slot closure only takes the fast path when the runtime binding
 carries the *identical* column map the expression was compiled against
 (``binding.columns is colmap``); anything else — unbound alias,
-shadowing parent environment, routine-frame record — falls back to
-``Env.lookup_keyed``, which implements exactly the interpreted
-resolution rules.
+shadowing parent environment, routine-frame record — goes through
+``Env.lookup_keyed``, the one statement of the name-resolution rules.
 
-``compile_expression`` returns ``None`` for expression forms it does not
-know, in which case callers run the interpreted path unchanged.
+A node the compiler does not know (there is none in the grammar the
+parser accepts) is an ``ExecutionError`` at compile time.
 """
 
 from __future__ import annotations
@@ -69,36 +66,15 @@ CompiledGrouped = Callable[[list, Env], Any]
 Layout = dict
 
 
-class _Unsupported(Exception):
-    """Internal: expression form the compiler does not handle."""
+# ---------------------------------------------------------------------------
+# per-row compilation
+# ---------------------------------------------------------------------------
 
 
 def compile_expression(
     executor: Executor, expr: ast.Expression, layout: Layout
-) -> Optional[Compiled]:
-    """Compile ``expr`` to a closure, or None if any node is unsupported."""
-    try:
-        return _compile(executor, expr, layout)
-    except _Unsupported:
-        return None
-
-
-def compile_grouped(
-    executor: Executor, expr: ast.Expression, layout: Layout
-) -> Optional[CompiledGrouped]:
-    """Compile an expression that may contain aggregate calls."""
-    try:
-        return _compile_g(executor, expr, layout)
-    except _Unsupported:
-        return None
-
-
-# ---------------------------------------------------------------------------
-# per-row compilation (mirrors Executor.evaluate)
-# ---------------------------------------------------------------------------
-
-
-def _compile(executor: Executor, expr: ast.Expression, layout: Layout) -> Compiled:
+) -> Compiled:
+    """Compile ``expr`` to a closure over the row environment."""
     if isinstance(expr, ast.Literal):
         # Literal.value is mutable (the stratum substitutes context
         # bounds and period placeholders in place); read it per call.
@@ -106,24 +82,24 @@ def _compile(executor: Executor, expr: ast.Expression, layout: Layout) -> Compil
     if isinstance(expr, ast.Name):
         return _compile_name(expr, layout)
     if isinstance(expr, ast.Parenthesized):
-        return _compile(executor, expr.expr, layout)
+        return compile_expression(executor, expr.expr, layout)
     if isinstance(expr, ast.BinaryOp):
         return _compile_binary(executor, expr, layout)
     if isinstance(expr, ast.UnaryOp):
-        operand_c = _compile(executor, expr.operand, layout)
+        operand_c = compile_expression(executor, expr.operand, layout)
         if expr.op == "NOT":
             return lambda env: logic_not(operand_c(env))
         return lambda env: _negate(operand_c(env))
     if isinstance(expr, ast.FunctionCall):
         return _compile_call(executor, expr, layout)
     if isinstance(expr, ast.Cast):
-        inner_c = _compile(executor, expr.expr, layout)
+        inner_c = compile_expression(executor, expr.expr, layout)
         target = expr.target
         return lambda env: coerce(inner_c(env), target)
     if isinstance(expr, ast.CaseExpr):
         return _compile_case(executor, expr, layout)
     if isinstance(expr, ast.IsNullPredicate):
-        inner_c = _compile(executor, expr.expr, layout)
+        inner_c = compile_expression(executor, expr.expr, layout)
         if expr.negated:
             return lambda env: inner_c(env) is not Null
         return lambda env: inner_c(env) is Null
@@ -151,7 +127,7 @@ def _compile(executor: Executor, expr: ast.Expression, layout: Layout) -> Compil
                 raise CardinalityError("scalar subquery returned more than one row")
             return result.rows[0][0]
         return scalar_closure
-    raise _Unsupported(type(expr).__name__)
+    raise ExecutionError(f"cannot evaluate {type(expr).__name__}")
 
 
 def _compile_name(expr: ast.Name, layout: Layout) -> Compiled:
@@ -184,15 +160,15 @@ def _compile_name(expr: ast.Name, layout: Layout) -> Compiled:
             return env.lookup_keyed(None, key, None, name)
         return bare_slot
     # zero hits (parent env / frame variable) or an ambiguity: resolve
-    # dynamically so the interpreted rules (and errors) apply verbatim
+    # dynamically so the resolution rules (and errors) apply per row
     return lambda env: env.lookup_keyed(None, key, None, name)
 
 
 def _compile_binary(
     executor: Executor, expr: ast.BinaryOp, layout: Layout
 ) -> Compiled:
-    left_c = _compile(executor, expr.left, layout)
-    right_c = _compile(executor, expr.right, layout)
+    left_c = compile_expression(executor, expr.left, layout)
+    right_c = compile_expression(executor, expr.right, layout)
     op = expr.op
     if op == "AND":
         def and_closure(env: Env) -> Any:
@@ -227,7 +203,7 @@ def _compile_call(
 
     name = expr.name
     upper = name.upper()
-    arg_cs = [_compile(executor, a, layout) for a in expr.args]
+    arg_cs = [compile_expression(executor, a, layout) for a in expr.args]
     catalog = executor.db.catalog
     db = executor.db
     interpreter = RoutineInterpreter(executor)
@@ -252,16 +228,19 @@ def _compile_case(
     executor: Executor, expr: ast.CaseExpr, layout: Layout
 ) -> Compiled:
     operand_c = (
-        _compile(executor, expr.operand, layout)
+        compile_expression(executor, expr.operand, layout)
         if expr.operand is not None
         else None
     )
     whens = [
-        (_compile(executor, when, layout), _compile(executor, then, layout))
+        (
+            compile_expression(executor, when, layout),
+            compile_expression(executor, then, layout),
+        )
         for when, then in expr.whens
     ]
     else_c = (
-        _compile(executor, expr.else_expr, layout)
+        compile_expression(executor, expr.else_expr, layout)
         if expr.else_expr is not None
         else None
     )
@@ -286,9 +265,9 @@ def _compile_case(
 def _compile_between(
     executor: Executor, expr: ast.BetweenPredicate, layout: Layout
 ) -> Compiled:
-    value_c = _compile(executor, expr.expr, layout)
-    low_c = _compile(executor, expr.low, layout)
-    high_c = _compile(executor, expr.high, layout)
+    value_c = compile_expression(executor, expr.expr, layout)
+    low_c = compile_expression(executor, expr.low, layout)
+    high_c = compile_expression(executor, expr.high, layout)
     negated = expr.negated
 
     def between_closure(env: Env) -> Any:
@@ -306,11 +285,11 @@ def _compile_between(
 def _compile_in(
     executor: Executor, expr: ast.InPredicate, layout: Layout
 ) -> Compiled:
-    value_c = _compile(executor, expr.expr, layout)
+    value_c = compile_expression(executor, expr.expr, layout)
     negated = expr.negated
     subquery = expr.subquery
     item_cs = (
-        [_compile(executor, e, layout) for e in expr.items or []]
+        [compile_expression(executor, e, layout) for e in expr.items or []]
         if subquery is None
         else None
     )
@@ -339,8 +318,8 @@ def _compile_in(
 def _compile_like(
     executor: Executor, expr: ast.LikePredicate, layout: Layout
 ) -> Compiled:
-    value_c = _compile(executor, expr.expr, layout)
-    pattern_c = _compile(executor, expr.pattern, layout)
+    value_c = compile_expression(executor, expr.expr, layout)
+    pattern_c = compile_expression(executor, expr.pattern, layout)
     negated = expr.negated
     regex_cache: dict = {}
 
@@ -360,18 +339,19 @@ def _compile_like(
 
 
 # ---------------------------------------------------------------------------
-# grouped compilation (mirrors Executor._evaluate_grouped)
+# grouped compilation
 # ---------------------------------------------------------------------------
 
 
-def _compile_g(
+def compile_grouped(
     executor: Executor, expr: ast.Expression, layout: Layout
 ) -> CompiledGrouped:
+    """Compile an expression that may contain aggregate calls."""
     if isinstance(expr, ast.FunctionCall) and fn.is_aggregate(expr.name):
         return _compile_g_aggregate(executor, expr, layout)
     if isinstance(expr, ast.BinaryOp):
-        left_c = _compile_g(executor, expr.left, layout)
-        right_c = _compile_g(executor, expr.right, layout)
+        left_c = compile_grouped(executor, expr.left, layout)
+        right_c = compile_grouped(executor, expr.right, layout)
         op = expr.op
         # no short circuit in the grouped evaluator: both sides evaluate
         if op == "AND":
@@ -386,18 +366,18 @@ def _compile_g(
             op, left_c(group, base), right_c(group, base)
         )
     if isinstance(expr, ast.Parenthesized):
-        return _compile_g(executor, expr.expr, layout)
+        return compile_grouped(executor, expr.expr, layout)
     if isinstance(expr, ast.UnaryOp):
-        operand_c = _compile_g(executor, expr.operand, layout)
+        operand_c = compile_grouped(executor, expr.operand, layout)
         if expr.op == "NOT":
             return lambda group, base: logic_not(operand_c(group, base))
         return lambda group, base: _negate(operand_c(group, base))
     if isinstance(expr, ast.Cast):
-        inner_c = _compile_g(executor, expr.expr, layout)
+        inner_c = compile_grouped(executor, expr.expr, layout)
         target = expr.target
         return lambda group, base: coerce(inner_c(group, base), target)
     # every other form evaluates per-row on a representative group row
-    row_c = _compile(executor, expr, layout)
+    row_c = compile_expression(executor, expr, layout)
     return lambda group, base: row_c(group[0] if group else base)
 
 
@@ -409,11 +389,12 @@ def _compile_g_aggregate(
     distinct = expr.distinct
     catalog = executor.db.catalog
     if not star and not expr.args:
-        raise _Unsupported(f"aggregate {name} with no argument")
-    arg_c = _compile(executor, expr.args[0], layout) if expr.args else None
-    # a user routine shadowing the aggregate name is resolved per call,
-    # exactly like the interpreted evaluator does
-    row_c = _compile(executor, expr, layout)
+        raise ExecutionError(f"aggregate {name} requires an argument")
+    arg_c = (
+        compile_expression(executor, expr.args[0], layout) if expr.args else None
+    )
+    # a user routine shadowing the aggregate name is resolved per call
+    row_c = compile_expression(executor, expr, layout)
 
     def aggregate_closure(group: list, base: Env) -> Any:
         if not catalog.has_routine(name):
@@ -437,7 +418,7 @@ def _compile_g_aggregate(
 # ANDing conjuncts reduces to sequentially filtering one selection vector.
 #
 # Kernels are deliberately conservative.  Only shapes whose semantics are
-# provably identical to the interpreted evaluator compile:
+# provably identical to the row-at-a-time closures compile:
 #
 # * ``col <op> const`` / ``const <op> col`` for the six comparisons,
 # * ``col [NOT] BETWEEN const AND const``,
@@ -450,8 +431,8 @@ def _compile_g_aggregate(
 # yields no kernel, and any runtime surprise (vector degraded to ``obj``,
 # a constant whose type does not match the vector domain, an SqlError
 # during constant evaluation) makes the kernel return ``None`` so the
-# caller falls back to the row-at-a-time path, which reproduces the
-# interpreted results *and errors* exactly.
+# caller falls back to the row-at-a-time path, whose results *and errors*
+# are the specification.
 
 _CMP_OPS = {
     "=": operator.eq,
@@ -548,7 +529,7 @@ def _vector_const(kind: str, value: Any) -> Any:
 
     Returns ``_KEEP_NONE`` for NULL (comparisons are Unknown on every
     row) and ``_FALLBACK`` when the constant's type cannot be compared
-    against this vector without the interpreted error behaviour.
+    against this vector without the row path's error behaviour.
     """
     if value is Null:
         return _KEEP_NONE

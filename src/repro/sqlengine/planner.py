@@ -41,13 +41,20 @@ row-identical to the FROM-order loop.  Views, derived tables, table
 functions and explicit joins are opaque levels; a FROM holding one keeps
 FROM order.
 
-Plans are validated, not trusted: every source node checks at run time
-that the catalog object it was bound against is still current (same
-table schema, same view object, same routine definition) and raises
-:class:`PlanInvalidated` otherwise; the executor then falls back to the
-interpreted path.  ``build_select_plan`` returns ``None`` for any
-statement shape it cannot reproduce exactly, which the plan cache
-remembers so the statement is not re-analyzed per execution.
+Every statement runs through a plan; there is no other path.  What the
+bind phase can decide raises at plan time, as the error it is and before
+any row is read: an unknown table or table function, two FROM sources
+under one alias, a scalar function in ``TABLE(...)``, ``*`` in a grouped
+select.  What depends on the rows — a name no source or environment
+supplies, a type error, a failing routine — raises per row, under the
+rule above.
+
+Plans are validated, not trusted: every source node checks at run time,
+before the plan produces or consumes a row, that the catalog object it
+was bound against is still current (same table schema and declared
+types, same view object, same routine definition) and raises
+:class:`PlanInvalidated` otherwise; the executor drops the entry,
+re-plans and re-runs the statement once (``engine.plan_invalidated``).
 """
 
 from __future__ import annotations
@@ -55,7 +62,12 @@ from __future__ import annotations
 from typing import Any, Callable, Iterator, Optional
 
 from repro.sqlengine import ast_nodes as ast
-from repro.sqlengine.errors import CatalogError, PlanInvalidated, SqlError
+from repro.sqlengine.errors import (
+    CatalogError,
+    ExecutionError,
+    PlanInvalidated,
+    SqlError,
+)
 from repro.sqlengine.executor import (
     Binding,
     Env,
@@ -63,7 +75,6 @@ from repro.sqlengine.executor import (
     ResultSet,
     _contains_aggregate,
     _distinct_rows,
-    _flatten_from,
     _freeze_env,
     _FLIPPED_COMPARISON,
     _Reversed,
@@ -76,49 +87,6 @@ from repro.sqlengine.exprcompile import (
 )
 from repro.sqlengine.storage import _column_kind
 from repro.sqlengine.values import Date, Null, compare, sort_key, truth
-
-
-class _CannotPlan(Exception):
-    """Internal: statement shape the planner does not handle."""
-
-
-def build_select_plan(
-    executor: Executor, select: ast.Select, env: Optional[Env] = None
-) -> Optional["SelectPlan"]:
-    """Bind ``select`` into a plan, or None if it must stay interpreted."""
-    try:
-        return _build_select(executor, select, env)
-    except (_CannotPlan, SqlError):
-        return None
-
-
-def build_dml_plan(
-    executor: Executor, stmt: ast.Statement, env: Optional[Env] = None
-) -> Optional[Any]:
-    try:
-        if isinstance(stmt, ast.Insert):
-            return _build_insert(executor, stmt, env)
-        if isinstance(stmt, ast.Update):
-            return _build_update(executor, stmt, env)
-        if isinstance(stmt, ast.Delete):
-            return _build_delete(executor, stmt, env)
-    except (_CannotPlan, SqlError):
-        return None
-    return None
-
-
-def _compile_or_bail(executor: Executor, expr: ast.Expression, layout: dict):
-    closure = compile_expression(executor, expr, layout)
-    if closure is None:
-        raise _CannotPlan(type(expr).__name__)
-    return closure
-
-
-def _compile_grouped_or_bail(executor: Executor, expr: ast.Expression, layout: dict):
-    closure = compile_grouped(executor, expr, layout)
-    if closure is None:
-        raise _CannotPlan(type(expr).__name__)
-    return closure
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +148,6 @@ class _Scan:
             db.resilience.check()
         db.obs.inc("engine.rows_scanned", len(table.rows))
         return _bind_rows(env, self.key, self.colmap, table.rows)
-
-    def materialize(self, executor: Executor, env: Env) -> list:
-        return list(self._table(executor, env).rows)
 
 
 class TemporalAlign:
@@ -246,9 +211,6 @@ class _RowSource:
     def bind(self, executor: Executor, env: Env) -> Iterator[Env]:
         return _bind_rows(env, self.key, self.colmap, self._rows(executor, env))
 
-    def materialize(self, executor: Executor, env: Env) -> list:
-        return list(self._rows(executor, env))
-
 
 class _View(_RowSource):
     __slots__ = ("name", "key", "colmap", "expected", "view_ast")
@@ -294,7 +256,8 @@ class _Subquery(_RowSource):
 
 
 class _TableFunc(_RowSource):
-    __slots__ = ("name", "key", "colmap", "expected", "definition", "arg_cs")
+    __slots__ = ("name", "key", "colmap", "expected", "definition", "args",
+                 "arg_cs")
 
     def __init__(
         self,
@@ -302,14 +265,17 @@ class _TableFunc(_RowSource):
         alias: str,
         columns: list,
         definition: Any,
-        arg_cs: list,
+        args: list,
     ) -> None:
         self.name = name
         self.key = alias.lower()
         self.colmap = {name.lower(): i for i, name in enumerate(columns)}
         self.expected = [name.lower() for name in columns]
         self.definition = definition
-        self.arg_cs = arg_cs
+        # compiled once the whole FROM layout is known: arguments may be
+        # lateral references to earlier sources
+        self.args = args
+        self.arg_cs: list = []
 
     def validate(self, executor: Executor, env: Env) -> None:
         try:
@@ -367,38 +333,52 @@ class _JoinNode:
 
 
 class _LeftJoinNode:
-    """LEFT OUTER join: the right side materializes once per execution."""
+    """LEFT OUTER join.  The right side — a leaf or itself a join — is
+    bound once per execution, before the left side, and kept as one
+    ``{alias: Binding}`` per combination."""
 
-    __slots__ = ("left", "right", "condition_c", "null_row")
+    __slots__ = ("left", "right", "condition_c", "nulls")
 
     def __init__(self, left: Any, right: Any, condition_c: Optional[Callable]) -> None:
         self.left = left
         self.right = right
         self.condition_c = condition_c
-        self.null_row = [Null] * len(right.colmap)
+        self.nulls = {
+            leaf.key: Binding(leaf.colmap, [Null] * len(leaf.colmap))
+            for leaf in _leaves(right)
+        }
 
     def validate(self, executor: Executor, env: Env) -> None:
         self.left.validate(executor, env)
         self.right.validate(executor, env)
 
     def bind(self, executor: Executor, env: Env) -> Iterator[Env]:
-        right = self.right
-        rows = right.materialize(executor, env)
-        key = right.key
-        colmap = right.colmap
+        nulls = self.nulls
+        matches = [
+            {key: env.bindings[key] for key in nulls}
+            for _ in self.right.bind(executor, env)
+        ]
         condition_c = self.condition_c
-        null_row = self.null_row
         for env2 in self.left.bind(executor, env):
+            bindings = env2.bindings
             matched = False
-            for row in rows:
-                env2.bindings[key] = Binding(colmap, row)
+            for match in matches:
+                bindings.update(match)
                 if condition_c is None or truth(condition_c(env2)):
                     matched = True
                     yield env2
             if not matched:
-                env2.bindings[key] = Binding(colmap, null_row)
+                bindings.update(nulls)
                 yield env2
-            env2.bindings.pop(key, None)
+            for key in nulls:
+                bindings.pop(key, None)
+
+
+def _leaves(node: Any) -> list:
+    """The leaf sources under ``node`` in binding order."""
+    if isinstance(node, (_JoinNode, _LeftJoinNode)):
+        return _leaves(node.left) + _leaves(node.right)
+    return [node]
 
 
 # ---------------------------------------------------------------------------
@@ -586,8 +566,8 @@ def _build_pipeline(sources: list, conjuncts: list, demoted: dict) -> _Pipeline:
         c.op == "=" and demoted.get(i, True) for i, c in enumerate(conjuncts)
     ]
     # only total equalities steer the join order; at its level the key
-    # is the first bound equality in WHERE order, total or not — in FROM
-    # order that is exactly the interpreted executor's probe choice
+    # is the first bound equality in WHERE order, total or not: a probe
+    # only drops rows its conjunct is not true on
     keys = [
         (own[0], None if other[0] == outer else other[0])
         for i, c in enumerate(conjuncts) if total[i] and c.op == "="
@@ -646,14 +626,6 @@ def _build_pipeline(sources: list, conjuncts: list, demoted: dict) -> _Pipeline:
 # ---------------------------------------------------------------------------
 
 
-def _leaf_layout_entries(node: Any, entries: list) -> None:
-    if isinstance(node, (_JoinNode, _LeftJoinNode)):
-        _leaf_layout_entries(node.left, entries)
-        _leaf_layout_entries(node.right, entries)
-    else:
-        entries.append((node.key, node.colmap))
-
-
 def _build_leaf(
     executor: Executor,
     source: ast.FromItem,
@@ -684,14 +656,12 @@ def _build_leaf(
     if isinstance(source, ast.TableFunctionRef):
         routine = catalog.get_routine(source.call.name)
         if not isinstance(routine.returns, ast.RowArrayType):
-            raise _CannotPlan(source.call.name)
-        columns = list(routine.returns.column_names)
-        # argument closures are compiled later (they may see the layout:
-        # lateral references to earlier FROM sources)
+            raise ExecutionError(f"{source.call.name} is not a table function")
         return _TableFunc(
-            source.call.name, source.alias, columns, routine.definition, []
+            source.call.name, source.alias, list(routine.returns.column_names),
+            routine.definition, source.call.args,
         )
-    raise _CannotPlan(type(source).__name__)
+    raise ExecutionError(f"unsupported FROM source {type(source).__name__}")
 
 
 def _build_source(
@@ -709,17 +679,13 @@ def _build_source(
                 condition=source.condition,
             )
             return _build_source(executor, swapped, env, [], None, join_specs)
+        if source.kind not in ("INNER", "CROSS", "LEFT"):
+            raise ExecutionError(f"unsupported join kind {source.kind}")
         left = _build_source(executor, source.left, env, [], None, join_specs)
-        if source.kind in ("INNER", "CROSS"):
-            right = _build_source(executor, source.right, env, [], None, join_specs)
-            node = _JoinNode(left, right, None)
-        elif source.kind == "LEFT":
-            if isinstance(source.right, ast.Join):
-                raise _CannotPlan("join right operand is a join")
-            right = _build_leaf(executor, source.right, env, [], None)
-            node = _LeftJoinNode(left, right, None)
-        else:
-            raise _CannotPlan(f"join kind {source.kind}")
+        right = _build_source(executor, source.right, env, [], None, join_specs)
+        node = (_LeftJoinNode if source.kind == "LEFT" else _JoinNode)(
+            left, right, None
+        )
         if source.condition is not None:
             join_specs.append((node, source.condition))
         return node
@@ -737,49 +703,22 @@ def _build_sources(
         )
         for item in select.from_items
     ]
-    entries: list = []
-    for node in sources:
-        _leaf_layout_entries(node, entries)
+    leaves = [leaf for node in sources for leaf in _leaves(node)]
     layout: dict = {}
-    for key, colmap in entries:
-        if key in layout:
-            raise _CannotPlan(f"duplicate alias {key}")
-        layout[key] = colmap
+    for leaf in leaves:
+        if leaf.key in layout:
+            raise CatalogError(f"duplicate table alias {leaf.key!r} in FROM")
+        layout[leaf.key] = leaf.colmap
     # second pass now that the full layout is known: join conditions and
     # lateral table-function arguments
     for node, condition in join_specs:
-        node.condition_c = _compile_or_bail(executor, condition, layout)
-    _compile_table_func_args(executor, select.from_items, sources, layout)
+        node.condition_c = compile_expression(executor, condition, layout)
+    for leaf in leaves:
+        if isinstance(leaf, _TableFunc):
+            leaf.arg_cs = [
+                compile_expression(executor, a, layout) for a in leaf.args
+            ]
     return sources, layout, conjuncts
-
-
-def _compile_table_func_args(
-    executor: Executor, from_items: list, sources: list, layout: dict
-) -> None:
-    table_func_nodes: list = []
-
-    def collect(node: Any) -> None:
-        if isinstance(node, (_JoinNode, _LeftJoinNode)):
-            collect(node.left)
-            collect(node.right)
-        elif isinstance(node, _TableFunc):
-            table_func_nodes.append(node)
-
-    for node in sources:
-        collect(node)
-    refs = [
-        item
-        for item in _flatten_from(from_items)
-        if isinstance(item, ast.TableFunctionRef)
-    ]
-    by_key = {ref.alias.lower(): ref for ref in refs}
-    for node in table_func_nodes:
-        ref = by_key.get(node.key)
-        if ref is None:
-            raise _CannotPlan(node.key)
-        node.arg_cs = [
-            _compile_or_bail(executor, a, layout) for a in ref.call.args
-        ]
 
 
 def _analyze_conjuncts(
@@ -823,7 +762,7 @@ def _analyze_conjuncts(
     conjuncts: list = []
     outer_cs: list = []
     for expr in where:
-        conjunct = _Conjunct(expr.to_sql(), _compile_or_bail(executor, expr, layout))
+        conjunct = _Conjunct(expr.to_sql(), compile_expression(executor, expr, layout))
         conjuncts.append(conjunct)
         while isinstance(expr, ast.Parenthesized):
             expr = expr.expr
@@ -838,7 +777,7 @@ def _analyze_conjuncts(
         for side in sides:
             if not isinstance(side, tuple):
                 conjunct.slot = len(outer_cs)
-                outer_cs.append(_compile_or_bail(executor, side, layout))
+                outer_cs.append(compile_expression(executor, side, layout))
                 side = (len(sources), conjunct.slot)
             addresses.append(side)
         conjunct.left, conjunct.right = addresses
@@ -857,7 +796,7 @@ def _build_order(
     layout: dict,
     grouped: bool,
 ) -> list:
-    compile_ = _compile_grouped_or_bail if grouped else _compile_or_bail
+    compile_ = compile_grouped if grouped else compile_expression
     entries = []
     for item in order_by:
         expr = item.expr
@@ -876,9 +815,10 @@ def _build_order(
     return entries
 
 
-def _build_select(
-    executor: Executor, select: ast.Select, env: Optional[Env]
+def build_select_plan(
+    executor: Executor, select: ast.Select, env: Optional[Env] = None
 ) -> "SelectPlan":
+    """Bind ``select`` into a plan; what cannot be bound raises."""
     grouped = bool(select.group_by) or any(
         item.expr is not None and _contains_aggregate(item.expr)
         for item in select.items
@@ -894,21 +834,23 @@ def _build_select(
     if grouped:
         for item in select.items:
             if item.is_star:
-                raise _CannotPlan("star item in grouped select")
+                raise ExecutionError(
+                    "SELECT * is not allowed in a grouped or aggregate select"
+                )
         group_cs = [
-            _compile_or_bail(executor, g, layout) for g in select.group_by
+            compile_expression(executor, g, layout) for g in select.group_by
         ]
         if select.having is not None:
-            having_c = _compile_grouped_or_bail(executor, select.having, layout)
+            having_c = compile_grouped(executor, select.having, layout)
         item_plans = [
-            _compile_grouped_or_bail(executor, item.expr, layout)
+            compile_grouped(executor, item.expr, layout)
             for item in select.items
         ]
     else:
         item_plans = [
             ("star", item.star_qualifier.lower() if item.star_qualifier else None)
             if item.is_star
-            else ("expr", _compile_or_bail(executor, item.expr, layout))
+            else ("expr", compile_expression(executor, item.expr, layout))
             for item in select.items
         ]
     return SelectPlan(
@@ -995,7 +937,7 @@ class SelectPlan:
         base_env = env if env is not None else Env()
         # validate every source before producing (or consuming) any rows:
         # an invalidation discovered mid-run would re-execute side effects
-        # on the interpreted fallback
+        # on the re-planned run
         for node in self.sources:
             node.validate(executor, base_env)
         if self.grouped:
@@ -1233,7 +1175,7 @@ def _build_insert(executor: Executor, stmt: ast.Insert, env: Optional[Env]) -> I
             stmt.table, dict(table._index), stmt.columns, None, stmt.select
         )
     value_rows = [
-        [_compile_or_bail(executor, e, {}) for e in row]
+        [compile_expression(executor, e, {}) for e in row]
         for row in stmt.values or []
     ]
     return InsertPlan(stmt.table, dict(table._index), stmt.columns, value_rows, None)
@@ -1284,13 +1226,13 @@ def _build_update(executor: Executor, stmt: ast.Update, env: Optional[Env]) -> U
     alias = stmt.alias or stmt.table
     layout = {alias.lower(): colmap}
     where_c = (
-        _compile_or_bail(executor, stmt.where, layout)
+        compile_expression(executor, stmt.where, layout)
         if stmt.where is not None
         else None
     )
     assign_indexes = [table.column_index(c) for c, _ in stmt.assignments]
     assign_cs = [
-        _compile_or_bail(executor, e, layout) for _, e in stmt.assignments
+        compile_expression(executor, e, layout) for _, e in stmt.assignments
     ]
     return UpdatePlan(
         stmt.table, dict(table._index), alias.lower(), colmap, where_c,
@@ -1331,10 +1273,20 @@ def _build_delete(executor: Executor, stmt: ast.Delete, env: Optional[Env]) -> D
     alias = stmt.alias or stmt.table
     layout = {alias.lower(): colmap}
     where_c = (
-        _compile_or_bail(executor, stmt.where, layout)
+        compile_expression(executor, stmt.where, layout)
         if stmt.where is not None
         else None
     )
     return DeletePlan(
         stmt.table, dict(table._index), alias.lower(), colmap, where_c
     )
+
+
+def build_dml_plan(
+    executor: Executor, stmt: ast.Statement, env: Optional[Env] = None
+) -> Any:
+    """Bind an INSERT, UPDATE or DELETE; what cannot be bound raises."""
+    build = {
+        ast.Insert: _build_insert, ast.Update: _build_update, ast.Delete: _build_delete,
+    }[type(stmt)]
+    return build(executor, stmt, env)

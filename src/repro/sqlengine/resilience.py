@@ -15,7 +15,7 @@ cross-cutting concerns:
       if res.armed:
           res.check()
 
-  Check sites: every planner scan batch, every interpreted table bind,
+  Check sites: every join-level bind and opaque-source scan of a plan,
   every MAX constant-period iteration, the PERST row pass, constant-
   period materialization, and every PSM statement boundary.  A tripped
   deadline raises :class:`QueryCancelled` (SQLSTATE ``57014``), a

@@ -245,11 +245,11 @@ class RoutineInterpreter:
                     )
                 out_targets.append((index, arg.name))
                 if param.mode == "INOUT":
-                    arg_values.append(self.executor.evaluate_cached(arg, eval_env))
+                    arg_values.append(self.executor.evaluate(arg, eval_env))
                 else:
                     arg_values.append(Null)
             else:
-                arg_values.append(self.executor.evaluate_cached(arg, eval_env))
+                arg_values.append(self.executor.evaluate(arg, eval_env))
         frame = self._new_frame(routine, arg_values)
         self._count_call(routine.name)
         with self.db.tracer.span("routine", name=routine.name):
@@ -381,7 +381,7 @@ class RoutineInterpreter:
             raise _Iterate(stmt.label.lower())
         elif isinstance(stmt, ast.ReturnStatement):
             value = (
-                self.executor.evaluate_cached(stmt.value, env)
+                self.executor.evaluate(stmt.value, env)
                 if stmt.value is not None
                 else Null
             )
@@ -436,7 +436,7 @@ class RoutineInterpreter:
             return
         env = Env(frame=frame)
         default = (
-            self.executor.evaluate_cached(stmt.default, env)
+            self.executor.evaluate(stmt.default, env)
             if stmt.default is not None
             else Null
         )
@@ -447,7 +447,7 @@ class RoutineInterpreter:
 
     def _execute_set(self, stmt: ast.SetStatement, frame: Frame, env: Env) -> None:
         if len(stmt.targets) == 1:
-            value = self.executor.evaluate_cached(stmt.value, env)
+            value = self.executor.evaluate(stmt.value, env)
             frame.set_variable(stmt.targets[0], value)
             return
         # row form: SET (a, b) = (SELECT x, y ...)
@@ -492,7 +492,7 @@ class RoutineInterpreter:
 
     def _execute_if(self, stmt: ast.IfStatement, frame: Frame, env: Env) -> None:
         for condition, body in stmt.branches:
-            if truth(self.executor.evaluate_cached(condition, env)):
+            if truth(self.executor.evaluate(condition, env)):
                 for inner in body:
                     self.execute_statement(inner, frame)
                 return
@@ -502,15 +502,15 @@ class RoutineInterpreter:
 
     def _execute_case(self, stmt: ast.CaseStatement, frame: Frame, env: Env) -> None:
         if stmt.operand is not None:
-            operand = self.executor.evaluate_cached(stmt.operand, env)
+            operand = self.executor.evaluate(stmt.operand, env)
             for when, body in stmt.whens:
-                if compare(operand, self.executor.evaluate_cached(when, env)) == 0:
+                if compare(operand, self.executor.evaluate(when, env)) == 0:
                     for inner in body:
                         self.execute_statement(inner, frame)
                     return
         else:
             for when, body in stmt.whens:
-                if truth(self.executor.evaluate_cached(when, env)):
+                if truth(self.executor.evaluate(when, env)):
                     for inner in body:
                         self.execute_statement(inner, frame)
                     return
@@ -520,7 +520,7 @@ class RoutineInterpreter:
 
     def _execute_while(self, stmt: ast.WhileStatement, frame: Frame, env: Env) -> None:
         label = (stmt.label or "").lower()
-        while truth(self.executor.evaluate_cached(stmt.condition, env)):
+        while truth(self.executor.evaluate(stmt.condition, env)):
             try:
                 for inner in stmt.body:
                     self.execute_statement(inner, frame)
@@ -545,7 +545,7 @@ class RoutineInterpreter:
             except _Iterate as iterate:
                 if iterate.label != label:
                     raise
-            if truth(self.executor.evaluate_cached(stmt.until, env)):
+            if truth(self.executor.evaluate(stmt.until, env)):
                 return
 
     def _execute_for(self, stmt: ast.ForStatement, frame: Frame, env: Env) -> None:

@@ -300,8 +300,6 @@ def compile_seqset(
         plan.residual_c = compile_expression(
             executor, residual_expr, layout_with_cp
         )
-        if plan.residual_c is None:
-            raise _unsupported("predicate outside the compiled fragment")
         plan.residual_count = len(residual)
 
     evaluated = list(residual)
@@ -311,8 +309,6 @@ def compile_seqset(
             plan.projections.append(("slot",) + slot)
         else:
             compiled = compile_expression(executor, item.expr, layout_with_cp)
-            if compiled is None:
-                raise _unsupported("select item outside the compiled fragment")
             plan.projections.append(("closure", compiled, None))
             evaluated.append(item.expr)
     plan.reads_cp = any(

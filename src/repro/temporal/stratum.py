@@ -154,8 +154,6 @@ class TemporalStratum:
         # entry is served only while the catalog schema version still
         # matches, so DDL and routine redefinition can never expose a
         # stale transformation; registry versions are part of the key.
-        # Gated by db.plan_caching_enabled (one ablation switch for the
-        # whole two-phase path).
         self._transform_cache: dict = {}
         self.last_strategy: Optional[SlicingStrategy] = None
         # the CostEstimate behind the most recent COST-mode decision
@@ -267,8 +265,6 @@ class TemporalStratum:
         )
 
     def _transform_fetch(self, key: tuple) -> Any:
-        if not self.db.plan_caching_enabled:
-            return None
         entry = self._transform_cache.get(key)
         if entry is None:
             return None
@@ -295,8 +291,6 @@ class TemporalStratum:
         """Record a transformation against the *current* schema version —
         called after routine clones are installed, so the version already
         reflects them and stays stable across reuse."""
-        if not self.db.plan_caching_enabled:
-            return
         cache = self._transform_cache
         if key not in cache and len(cache) >= self.TRANSFORM_CACHE_CAPACITY:
             # evict the least recently used entry (dict order: oldest

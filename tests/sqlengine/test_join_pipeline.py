@@ -1,20 +1,22 @@
 """Differential: the planner's join pipeline ≡ the FROM-order nested loop.
 
-The interpreted ``Executor`` path (``plan_caching_enabled = False``) is
-the reference: a FROM-order nested loop that evaluates the whole WHERE
-at the leaf.  On random small tables the planned result must match it
-in rows *and* order, and in errors under the pipeline's stated rule: it
-raises iff a partial conjunct raises on a combination that satisfies
-every total conjunct.  So
+``tests/reference_executor.py`` is the reference: a FROM-order nested
+loop that walks the AST and evaluates the whole WHERE at the leaf,
+without hash or interval probes.  This test installs it on the database
+for the reference run, so the routine bodies and subqueries a statement
+reaches run through it too.  On random small tables the planned result
+must match it in rows *and* order, and in errors under the pipeline's
+stated rule: it raises iff a partial conjunct raises on a combination
+that satisfies every total conjunct.  So
 
 * whenever both paths return, rows and order are identical;
-* the pipeline never raises where the interpreted path returns;
-* it may return where the interpreted path raises — only because the
-  raising combination fails a total conjunct: with the total conjuncts
-  taken out of the WHERE it raises the same error class.  (A cross-class
+* the pipeline never raises where the reference returns;
+* it may return where the reference raises — only because the raising
+  combination fails a total conjunct: with the total conjuncts taken out
+  of the WHERE it raises the same error class.  (A cross-class
   *equality* is the one raising conjunct exempt from this last check:
-  either path may use it as a hash probe, and a probe prunes silently —
-  which one does depends on the conjunct order, as it always has.)
+  the pipeline may use it as a hash probe, and a probe prunes silently —
+  whether it does depends on the conjunct order.)
 
 The shapes are the ones a reordered or early-filtering join gets wrong:
 duplicate value-identical rows, NULL keys, CHAR padding, INTEGER = FLOAT
@@ -31,6 +33,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.sqlengine import Database
 from repro.sqlengine.errors import SqlError
 from repro.sqlengine.values import Null
+from tests.reference_executor import ReferenceExecutor
 
 INTS = st.sampled_from([Null, 0, 1, 1, 2])
 CHARS = st.sampled_from([Null, "x", "x  ", "y"])
@@ -168,30 +171,33 @@ def sql_of(head, totals, partials, tail, partial_first):
 
 
 def outcome(db, sql, planned):
-    """('rows', raw rows) or ('error', class)."""
-    db.plan_caching_enabled = planned
+    """('rows', raw rows) or ('error', class), through the engine or
+    with the reference executor installed for this one statement."""
+    engine = db._executor
+    if not planned:
+        db._executor = ReferenceExecutor(db)
     try:
         return "rows", db.execute(sql).rows
     except SqlError as exc:
         return "error", type(exc)
     finally:
-        db.plan_caching_enabled = True
+        db._executor = engine
 
 
 def check(db, query, partial_first, loose=False):
     head, totals, partials, tail = query
     sql = sql_of(head, totals, partials, tail, partial_first)
-    interpreted = outcome(db, sql, planned=False)
+    reference = outcome(db, sql, planned=False)
     planned = outcome(db, sql, planned=True)
-    if planned == interpreted:
+    if planned == reference:
         return
     # the only licensed difference: the pipeline returned, the nested
     # loop raised on a combination that fails a total conjunct
-    assert interpreted[0] == "error" and planned[0] == "rows", (sql, planned, interpreted)
+    assert reference[0] == "error" and planned[0] == "rows", (sql, planned, reference)
     if loose:
         return
     stripped = sql_of(head, [], partials, tail, partial_first)
-    assert outcome(db, stripped, planned=True) == interpreted, (sql, stripped)
+    assert outcome(db, stripped, planned=True) == reference, (sql, stripped)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -1,4 +1,4 @@
-"""The statement-plan cache: reuse, invalidation, and the ablation switch.
+"""The statement-plan cache: reuse and invalidation.
 
 Plans are keyed by AST identity, so reuse requires executing the *same*
 parsed statement object repeatedly — exactly what routine bodies and the
@@ -104,21 +104,81 @@ class TestInvalidation:
         assert db.execute_ast(stmt).rows == [[2]]
 
 
-class TestAblationSwitch:
-    def test_disabled_compiles_nothing(self, db):
-        db.plan_caching_enabled = False
-        stmt = parse_statement("SELECT name FROM t WHERE id = 1")
-        diff = snapshot_diff(
-            db, lambda: [db.execute_ast(stmt) for _ in range(3)]
-        )
-        assert diff["plans_compiled"] == 0
-        assert diff["plan_cache_hits"] == 0
-        assert db.execute_ast(stmt).rows == [["a"]]
+class TestPlanInvalidated:
+    """Changes the schema version does not see (temporary tables are
+    exempt from it) are caught by the plan's own validation, before it
+    produces a row: the entry is dropped, the statement re-planned and
+    re-run once — so a routine in the select list runs once per row."""
 
-    def test_disabled_matches_enabled_results(self, db):
-        sql = "SELECT t1.name FROM t AS t1, t AS t2 WHERE t1.id = t2.id ORDER BY 1"
-        enabled = db.execute(sql).rows
-        db.plan_caching_enabled = False
-        db.plan_cache.clear()
-        db.expr_cache.clear()
-        assert db.execute(sql).rows == enabled
+    @pytest.fixture
+    def db(self, db):
+        db.execute("CREATE TABLE log (id INTEGER)")
+        db.execute(
+            "CREATE FUNCTION noted (x INTEGER) RETURNS INTEGER MODIFIES SQL DATA"
+            " LANGUAGE SQL BEGIN INSERT INTO log VALUES (x); RETURN x; END"
+        )
+        db.execute("CREATE TEMPORARY TABLE tt AS (SELECT id, id AS v FROM t)")
+        return db
+
+    def invalidated(self, db, run):
+        before = db.obs.value("engine.plan_invalidated")
+        logged = len(db.table("log").rows)
+        result = run()
+        return (
+            result,
+            db.obs.value("engine.plan_invalidated") - before,
+            len(db.table("log").rows) - logged,
+        )
+
+    def test_temp_table_recreated_with_other_column_types(self, db):
+        stmt = parse_statement("SELECT noted(tt.id), tt.v FROM tt WHERE tt.v >= 1")
+        result, count, calls = self.invalidated(db, lambda: db.execute_ast(stmt))
+        assert (result.rows, count, calls) == ([[1, 1], [2, 2]], 0, 2)
+        # same column names, v now FLOAT: conjunct placement rests on the
+        # declared value classes, so the plan must not survive this
+        db.execute("CREATE TEMPORARY TABLE tt AS (SELECT id, id + 0.5 AS v FROM t)")
+        result, count, calls = self.invalidated(db, lambda: db.execute_ast(stmt))
+        assert (result.rows, count, calls) == ([[1, 1.5], [2, 2.5]], 1, 2)
+        result, count, calls = self.invalidated(db, lambda: db.execute_ast(stmt))
+        assert (result.rows, count, calls) == ([[1, 1.5], [2, 2.5]], 0, 2)
+
+    def test_view_with_another_column_list(self, db):
+        db.execute("CREATE VIEW w AS (SELECT * FROM tt)")
+        stmt = parse_statement("SELECT noted(w.id), w.* FROM w")
+        result, count, calls = self.invalidated(db, lambda: db.execute_ast(stmt))
+        assert (result.columns, result.rows) == (
+            ["c1", "id", "v"], [[1, 1, 1], [2, 2, 2]]
+        )
+        assert (count, calls) == (0, 2)
+        # the view's column list changes underneath it, with no DDL the
+        # schema version counts: the statement's plan and the view
+        # body's plan are each invalidated once
+        db.execute("CREATE TEMPORARY TABLE tt AS (SELECT id, name, id AS v FROM t)")
+        result, count, calls = self.invalidated(db, lambda: db.execute_ast(stmt))
+        assert (result.columns, result.rows) == (
+            ["c1", "id", "name", "v"], [[1, 1, "a", 1], [2, 2, "b", 2]]
+        )
+        assert (count, calls) == (2, 2)
+        # redefining the view itself is DDL: the schema version re-plans
+        # the statement, nothing needs invalidating
+        db.execute("DROP VIEW w")
+        db.execute("CREATE VIEW w AS (SELECT v, id FROM tt)")
+        compiled = db.stats.plans_compiled
+        result, count, calls = self.invalidated(db, lambda: db.execute_ast(stmt))
+        assert (result.columns, result.rows) == (
+            ["c1", "v", "id"], [[1, 1, 1], [2, 2, 2]]
+        )
+        assert (count, calls) == (0, 2)
+        assert db.stats.plans_compiled > compiled
+
+    def test_a_second_invalidation_is_an_error_not_a_loop(self, db, monkeypatch):
+        from repro.sqlengine import planner
+        from repro.sqlengine.errors import ExecutionError, PlanInvalidated
+
+        def never_valid(self, executor, env):
+            raise PlanInvalidated(self.name)
+
+        monkeypatch.setattr(planner._Scan, "validate", never_valid)
+        with pytest.raises(ExecutionError, match="invalidated twice.*tt"):
+            self.invalidated(db, lambda: db.execute("SELECT id FROM tt"))
+        assert db.obs.value("engine.plan_invalidated") == 1

@@ -310,3 +310,52 @@ class TestDateQueries:
         assert db.query(
             "SELECT DATE '2010-02-01' - DATE '2010-01-01'"
         ).scalar() == 31
+
+
+class TestShapesTheBindPhaseDecides:
+    """Statements that used to run only through the interpreted fallback:
+    each is now decided at plan time, before any row is read."""
+
+    @pytest.mark.parametrize("from_clause, alias", [
+        ("emp x, dept x", "x"),
+        ("emp, emp", "emp"),
+    ])
+    def test_two_sources_under_one_alias(self, db, from_clause, alias):
+        with pytest.raises(CatalogError, match=f"duplicate table alias '{alias}'"):
+            db.query(f"SELECT * FROM {from_clause}")
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT *, COUNT(*) FROM emp",
+        "SELECT * FROM emp GROUP BY dept",
+    ])
+    def test_star_in_a_grouped_select(self, db, sql):
+        with pytest.raises(ExecutionError, match=r"SELECT \* is not allowed"):
+            db.query(sql)
+
+    def test_right_join_onto_a_join(self, db):
+        db.execute("CREATE TABLE city (name CHAR(20), pop INTEGER)")
+        db.execute("INSERT INTO city VALUES ('tucson', 5)")
+        db.execute("INSERT INTO city VALUES ('boston', 6)")
+        db.execute("INSERT INTO city VALUES ('oslo', 7)")
+        # LEFT join whose null-extended side is the materialized join
+        result = db.query(
+            "SELECT e.name, d.code, c.pop FROM emp e JOIN dept d ON e.dept = d.code"
+            " RIGHT JOIN city c ON c.name = d.city ORDER BY c.pop, e.name"
+        )
+        assert result.rows == [
+            ["ann", "eng", 5], ["bob", "eng", 5], [Null, Null, 6], [Null, Null, 7],
+        ]
+        star = db.query(
+            "SELECT * FROM emp e JOIN dept d ON e.dept = d.code"
+            " RIGHT JOIN city c ON c.name = d.city WHERE c.pop = 7"
+        )
+        assert star.columns == [
+            "name", "pop", "id", "name", "dept", "salary", "code", "city",
+        ]
+        assert star.rows == [["oslo", 7] + [Null] * 6]
+
+    def test_unknown_table_beside_an_empty_one(self, db):
+        db.execute("CREATE TABLE nothing (id INTEGER)")
+        for first in ("nothing", "emp"):
+            with pytest.raises(CatalogError, match="no such table: nope"):
+                db.query(f"SELECT 1 FROM {first}, nope")

@@ -166,18 +166,6 @@ class TestInterleavedRoutineStatements:
             assert {v for (v,), _ in result.coalesced()} == expected
 
 
-class TestAblationSwitch:
-    def test_disabled_retransforms_every_time(self, stratum):
-        stratum.db.plan_caching_enabled = False
-        first = stratum.execute(SEQ_Q, strategy=SlicingStrategy.MAX)
-        transforms_before, hits_before = counters(stratum)
-        second = stratum.execute(SEQ_Q, strategy=SlicingStrategy.MAX)
-        transforms_after, hits_after = counters(stratum)
-        assert transforms_after == transforms_before + 1
-        assert hits_after == hits_before
-        assert second.coalesced() == first.coalesced()
-
-
 class TestLruEviction:
     """Capacity pressure evicts the least recently used entry, not the
     whole cache — a hot transformation must survive a flood of one-off
