@@ -474,6 +474,8 @@ def _run_analyzed(db: "Database", thunk) -> tuple[Any, list[str]]:
     interval_hits_before = db.obs.value("engine.interval_index_hits")
     interval_pruned_before = db.obs.value("engine.interval_rows_pruned")
     cp_hits_before = db.obs.value("stratum.cp.cache_hits")
+    built_before = db.obs.sum_prefix("engine.derived.builds.")
+    deltas_before = db.obs.value("engine.derived.deltas")
     degradations_before = db.obs.value("resilience.degradations.vectorized")
     cancellations_before = db.obs.value("resilience.cancellations")
     budget_stops_before = db.obs.value("resilience.budget_stops")
@@ -510,6 +512,12 @@ def _run_analyzed(db: "Database", thunk) -> tuple[Any, list[str]]:
     cp_hits = db.obs.value("stratum.cp.cache_hits") - cp_hits_before
     if cp_hits:
         lines.append(f"  constant-period cache hits: {cp_hits}")
+    built = db.obs.sum_prefix("engine.derived.builds.") - built_before
+    deltas = db.obs.value("engine.derived.deltas") - deltas_before
+    if built or deltas:
+        lines.append(
+            f"  derived structures: {built} built, {deltas} carried by delta"
+        )
     # resilience: the governor's degradations (and any watchdog events
     # a handler absorbed) must be visible, not silent
     degradations = (

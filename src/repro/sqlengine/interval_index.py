@@ -23,23 +23,43 @@ byte-for-byte identical too.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Any
+from bisect import bisect_left, bisect_right
+from typing import Any, Optional
 
 from repro.sqlengine.values import Date
 
 _NEG_INF = -1  # below any valid day ordinal (Date.MIN_ORDINAL is 1)
 
 
-class IntervalIndex:
-    """Static index over one ``(begin, end)`` column pair of a table.
+def without(sequence, doomed: list[int]):
+    """A copy of ``sequence`` (list, ``array`` or ``bytearray``) minus
+    the ascending, non-empty index list ``doomed`` — O(len) slice
+    copies, whatever the number of removals."""
+    kept = sequence[: doomed[0]]
+    start = doomed[0] + 1
+    for index in doomed[1:]:
+        kept += sequence[start:index]
+        start = index + 1
+    kept += sequence[start:]
+    return kept
 
-    Built from the table's current row list and cached against
-    ``table.version`` (see :meth:`Table.interval_index`); never mutated
-    in place.
+
+class IntervalIndex:
+    """Index over one ``(begin, end)`` column pair of a table.
+
+    Built from the table's current row list and kept valid at
+    ``table.version`` by the table's mutation primitives (see
+    :meth:`Table.interval_index`): :meth:`add` follows an appended row,
+    :meth:`set_end` a changed end bound, :meth:`remove` deleted
+    positions.  Every delta only edits the begin-sorted entry lists; the
+    max-end tree over them is rebuilt by the next search.  Searches
+    return fresh lists, so a caller holding hits never sees them change.
     """
 
-    __slots__ = ("entry_count", "total_rows", "_begins", "_positions", "_rows", "_ends", "_tree")
+    __slots__ = (
+        "begin_index", "end_index", "entry_count", "total_rows",
+        "_begins", "_positions", "_rows", "_ends", "_tree",
+    )
 
     def __init__(self, rows: list[list[Any]], begin_index: int, end_index: int) -> None:
         entries = []
@@ -49,23 +69,88 @@ class IntervalIndex:
             if isinstance(begin, Date) and isinstance(end, Date):
                 entries.append((begin.ordinal, position, end.ordinal, row))
         entries.sort(key=lambda entry: (entry[0], entry[1]))
+        self.begin_index = begin_index
+        self.end_index = end_index
         self.entry_count = len(entries)
         self.total_rows = len(rows)
         self._begins = [entry[0] for entry in entries]
         self._positions = [entry[1] for entry in entries]
         self._ends = [entry[2] for entry in entries]
         self._rows = [entry[3] for entry in entries]
-        # segment tree over the begin-sorted entries; each node holds the
-        # maximum end ordinal of its range so whole subtrees with every
-        # end below the threshold are skipped during reporting
-        size = 1
-        while size < max(self.entry_count, 1):
-            size *= 2
-        tree = [_NEG_INF] * (2 * size)
-        tree[size : size + self.entry_count] = self._ends
-        for node in range(size - 1, 0, -1):
-            tree[node] = max(tree[2 * node], tree[2 * node + 1])
-        self._tree = tree
+        self._tree: Optional[list[int]] = None
+
+    def _max_end_tree(self) -> list[int]:
+        """The segment tree over the begin-sorted entries (heap layout,
+        root at 1); each node holds the maximum end ordinal of its range
+        so whole subtrees with every end below the threshold are skipped
+        during reporting.  Built level by level on first use after a
+        build or a delta."""
+        tree = self._tree
+        if tree is None:
+            size = 1
+            while size < max(self.entry_count, 1):
+                size *= 2
+            level = self._ends + [_NEG_INF] * (size - self.entry_count)
+            levels = [level]
+            while len(level) > 1:
+                level = list(map(max, level[0::2], level[1::2]))
+                levels.append(level)
+            tree = [_NEG_INF]
+            for level in reversed(levels):
+                tree += level
+            self._tree = tree
+        return tree
+
+    # -- deltas (applied by the Table primitives after the rows changed) -----
+
+    def add(self, row: list[Any]) -> None:
+        """``row`` was appended to the table."""
+        position = self.total_rows
+        self.total_rows += 1
+        begin = row[self.begin_index]
+        end = row[self.end_index]
+        if isinstance(begin, Date) and isinstance(end, Date):
+            # the new position is the largest: after every equal begin
+            at = bisect_right(self._begins, begin.ordinal)
+            self._begins.insert(at, begin.ordinal)
+            self._positions.insert(at, position)
+            self._ends.insert(at, end.ordinal)
+            self._rows.insert(at, row)
+            self.entry_count += 1
+            self._tree = None
+
+    def set_end(self, position: int, begin: int, end: int) -> bool:
+        """The row at table ``position`` (begin ordinal ``begin``, both
+        bounds dates before and after) now ends at ordinal ``end``;
+        False when the index holds no such entry."""
+        lo = bisect_left(self._begins, begin)
+        hi = bisect_right(self._begins, begin)
+        at = bisect_left(self._positions, position, lo, hi)
+        if at == hi or self._positions[at] != position:
+            return False
+        self._ends[at] = end
+        self._tree = None
+        return True
+
+    def remove(self, doomed: list[int]) -> None:
+        """The rows at the ascending table positions ``doomed`` were
+        deleted: their entries go, later positions shift down."""
+        doomed_set = set(doomed)
+        gone = [
+            at for at, position in enumerate(self._positions)
+            if position in doomed_set
+        ]
+        if gone:
+            self._begins = without(self._begins, gone)
+            self._positions = without(self._positions, gone)
+            self._ends = without(self._ends, gone)
+            self._rows = without(self._rows, gone)
+            self.entry_count -= len(gone)
+        self._positions = [
+            position - bisect_left(doomed, position) for position in self._positions
+        ]
+        self.total_rows -= len(doomed)
+        self._tree = None
 
     # -- queries ------------------------------------------------------------
 
@@ -76,12 +161,12 @@ class IntervalIndex:
         if prefix == 0:
             return []
         threshold = end_min - 1  # report entries with end > threshold
-        size = len(self._tree) // 2
+        tree = self._max_end_tree()
+        size = len(tree) // 2
         hits: list[int] = []
         # iterative DFS over the tree, pruning subtrees that start at or
         # past the prefix or whose max end is at most the threshold
         stack = [(1, 0, size)]
-        tree = self._tree
         while stack:
             node, lo, hi = stack.pop()
             if lo >= prefix or tree[node] <= threshold:

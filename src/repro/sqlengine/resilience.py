@@ -318,8 +318,7 @@ class ResilienceManager:
         limit = self._max_resident_bytes
         if limit is None:
             return True
-        cached = table._column_store
-        if cached is not None and cached[0] == table.version:
+        if table.has_column_store():
             return True
         estimate = _estimate_store_bytes(table)
         resident = (

@@ -7,8 +7,9 @@ result boundaries.  For scans, a table additionally exposes a *derived*
 columnar representation (:class:`ColumnStore`): typed column vectors
 (stdlib ``array`` for integers, ordinals and date ordinals; lists for
 strings and everything else) plus a per-column validity bitmap for
-NULLs.  The store is version-cached exactly like the hash and interval
-indexes — rows remain the single authoritative write surface, so txn
+NULLs.  The store is one of the table's derived structures, like the
+hash and interval indexes (see :class:`Table` for the one validity
+rule) — rows remain the single authoritative write surface, so txn
 undo, WAL redo and recovery semantics are unchanged — and the batch
 predicate kernels in :mod:`repro.sqlengine.exprcompile` evaluate WHERE
 conjuncts over its column slices, returning selection vectors instead
@@ -21,7 +22,7 @@ from array import array
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.sqlengine.errors import CatalogError, ExecutionError
-from repro.sqlengine.interval_index import IntervalIndex
+from repro.sqlengine.interval_index import IntervalIndex, without
 from repro.sqlengine.types import SqlType, coerce
 from repro.sqlengine.values import Date, Null, sort_key
 
@@ -78,10 +79,13 @@ class ColumnVector:
     validity bitmap (1 = non-NULL).  Slots holding NULL carry a dummy
     value in ``data`` and must never be read without consulting
     ``valid``.  A value that does not fit the declared kind degrades the
-    whole vector to ``obj`` (batch kernels then fall back to rows).
+    whole vector to ``obj`` (batch kernels then fall back to rows); the
+    slots written before keep their converted form, so only appends can
+    follow a degraded vector — :meth:`set` and :meth:`delete` refuse and
+    the store is rebuilt from the rows.
     """
 
-    __slots__ = ("kind", "data", "valid", "nulls")
+    __slots__ = ("kind", "data", "valid", "nulls", "degraded")
 
     def __init__(self, kind: str) -> None:
         self.kind = kind
@@ -94,6 +98,7 @@ class ColumnVector:
         self.valid = bytearray()
         # NULL count: kernels skip the validity bitmap entirely when 0
         self.nulls = 0
+        self.degraded = False
 
     def append(self, value: Any) -> None:
         kind = self.kind
@@ -128,6 +133,30 @@ class ColumnVector:
         raw = list(self.data)
         self.kind = "obj"
         self.data = raw
+        self.degraded = True
+
+    def set(self, position: int, value: Any) -> bool:
+        """Overwrite one slot; False when only a rebuild can express it
+        (the vector is degraded, or ``value`` degrades it mid-vector)."""
+        if self.degraded:
+            return False
+        # encode through append — the one conversion ladder — then move
+        # the new last slot into place
+        self.append(value)
+        if self.degraded:
+            return False
+        if not self.valid[position]:
+            self.nulls -= 1
+        self.data[position] = self.data.pop()
+        self.valid[position] = self.valid.pop()
+        return True
+
+    def delete(self, doomed: list[int]) -> None:
+        """Drop the slots at the ascending positions ``doomed``."""
+        valid = self.valid
+        self.nulls -= sum(1 for position in doomed if not valid[position])
+        self.data = without(self.data, doomed)
+        self.valid = without(valid, doomed)
 
     def bytes_resident(self) -> int:
         """Estimated resident bytes of this vector (data + validity)."""
@@ -147,9 +176,11 @@ class ColumnVector:
 class ColumnStore:
     """The derived columnar image of a table's rows.
 
-    Built from the authoritative row list and cached against
-    ``table.version`` (see :meth:`Table.column_store`); appends are
-    mirrored incrementally, every other mutation invalidates.
+    Built from the authoritative row list and kept valid at
+    ``table.version`` by the table's mutation primitives (see
+    :meth:`Table.column_store`): appends, cell overwrites and deletes
+    are mirrored slot by slot; a slot change a degraded vector cannot
+    take makes the table rebuild the store.
     """
 
     __slots__ = ("vectors", "row_count")
@@ -165,8 +196,109 @@ class ColumnStore:
             vector.append(value)
         self.row_count += 1
 
+    def delete(self, doomed: list[int]) -> bool:
+        """Drop the rows at the ascending positions ``doomed``; False
+        (nothing changed) when a degraded vector cannot follow."""
+        if any(vector.degraded for vector in self.vectors):
+            return False
+        for vector in self.vectors:
+            vector.delete(doomed)
+        self.row_count -= len(doomed)
+        return True
+
     def bytes_resident(self) -> int:
         return sum(vector.bytes_resident() for vector in self.vectors)
+
+
+# -- deltas -------------------------------------------------------------------
+# One function per mutation shape.  Each receives a derived structure
+# that was valid just before the mutation (its key names the kind, see
+# Table) and returns it brought forward — edited in place, or a
+# replacement — or None when only a rebuild can express the change.
+
+_COLUMNAR = ("columnar",)
+_POSITIONS = ("positions",)
+
+
+def _append_delta(key: tuple, structure: Any, row: list[Any], position: int) -> Any:
+    """``row`` was appended, at ``position``."""
+    kind = key[0]
+    if kind == "hash":
+        value = row[key[1]]
+        if value is not Null:
+            bucket = sort_key(value)
+            # copy-on-write: a reader holding the old bucket keeps it
+            structure[bucket] = structure.get(bucket, []) + [row]
+    elif kind == "interval":
+        structure.add(row)
+    elif kind == "change_points":
+        points = {
+            value.ordinal for value in (row[key[1]], row[key[2]])
+            if isinstance(value, Date)
+        }
+        if not points <= structure:
+            structure = structure | points
+    elif kind == "columnar":
+        structure.append(row)
+    else:
+        structure[id(row)] = position
+    return structure
+
+
+def _update_delta(key: tuple, structure: Any, touched: list) -> Any:
+    """Cells were overwritten in place: ``touched`` lists ``(position,
+    row, [(column, old, new), ...])`` with the rows already updated."""
+    kind = key[0]
+    if kind == "positions":
+        return structure  # identity and position are unchanged
+    for position, row, changes in touched:
+        for column, old, new in changes:
+            if kind == "columnar":
+                if not structure.vectors[column].set(position, new):
+                    return None
+            elif column not in key[1:] or old is new:
+                continue
+            elif kind == "hash":
+                # the row stays in its bucket only under an equal key
+                if old is Null or new is Null or sort_key(old) != sort_key(new):
+                    return None
+            elif not (isinstance(old, Date) and isinstance(new, Date)):
+                return None  # a non-Date bound: the row enters or leaves
+            elif old.ordinal != new.ordinal:
+                if kind == "change_points" or column == key[1]:
+                    return None  # a point may vanish / the entry moves
+                begin = row[key[1]]  # no entry to follow under a NULL begin
+                if isinstance(begin, Date) and not structure.set_end(
+                    position, begin.ordinal, new.ordinal
+                ):
+                    return None
+    return structure
+
+
+def _delete_delta(key: tuple, structure: Any, doomed: list[int], rows: list) -> Any:
+    """The ``rows`` at the ascending positions ``doomed`` were removed."""
+    kind = key[0]
+    if kind == "hash":
+        column = key[1]
+        gone = set(map(id, rows))
+        buckets = {
+            sort_key(row[column]) for row in rows if row[column] is not Null
+        }
+        for bucket in buckets:
+            # copy-on-write, like the append
+            kept = [row for row in structure[bucket] if id(row) not in gone]
+            if kept:
+                structure[bucket] = kept
+            else:
+                del structure[bucket]
+    elif kind == "interval":
+        structure.remove(doomed)
+    elif kind == "columnar":
+        if not structure.delete(doomed):
+            return None
+    else:
+        return None  # change points, positions: cheap to rebuild
+    return structure
 
 
 class Table:
@@ -179,6 +311,26 @@ class Table:
     primitive *before* it mutates anything.  Unregistered tables
     (routine variable tables, result scratch) carry ``txn = None`` and
     pay nothing.
+
+    **Derived structures** — hash indexes, interval indexes,
+    change-point sets, the column store and the row-position map — are
+    built lazily from ``rows`` by the accessor methods below (the only
+    build code) and held in ``_derived`` as ``key -> (version, row
+    count, structure)``.  One rule decides validity: *a structure is
+    valid at* ``table.version`` *because it was built there or because
+    every mutation since was applied to it as a delta*.  Each primitive
+    changes the rows, bumps ``version`` and then carries the structures
+    that were valid just before: ``append_row``, ``set_cell`` /
+    ``write_row`` / ``update_where`` and ``delete_where`` apply their
+    row delta and re-tag last; what a delta cannot express (a changed
+    hash key or begin bound, a non-Date bound, a slot a degraded vector
+    cannot take) drops that structure, and ``replace_rows``,
+    ``truncate``, ``add_column`` and any edit of ``rows`` behind the
+    primitives' back (recovery redo, tests) carry nothing, so the next
+    accessor rebuilds.  Readers are never disturbed: a hash bucket is
+    replaced, never grown or shrunk in place, and index searches return
+    fresh lists.  Rollback evicts by tag
+    (:func:`repro.sqlengine.txn._restore_table_version`).
     """
 
     # default for tables never registered in a catalog
@@ -194,22 +346,15 @@ class Table:
         }
         if len(self._index) != len(self.columns):
             raise CatalogError(f"duplicate column names in table {name}")
-        # lazily-built hash indexes for equality lookups; invalidated by
-        # bumping `version` on any mutation
+        # bumped by every mutation; tags the derived structures
         self.version = 0
-        self._hash_indexes: dict[int, tuple[int, dict]] = {}
-        # declared (begin, end) period column pairs plus the lazily-built
-        # interval indexes and change-point sets over them, all version-
-        # invalidated like the hash indexes
+        # key -> (version, row count, structure), keys ("hash", column),
+        # ("interval", begin, end), ("change_points", begin, end),
+        # ("columnar",), ("positions",) — see the class docstring
+        self._derived: dict[tuple, tuple[int, int, Any]] = {}
+        # declared (begin, end) period column pairs, eligible for
+        # interval-index scans
         self.interval_pairs: list[tuple[str, str]] = []
-        self._interval_indexes: dict[tuple[int, int], tuple[int, IntervalIndex]] = {}
-        self._change_points: dict[tuple[int, int], tuple[int, frozenset[int]]] = {}
-        # derived columnar image: (built_version, store) — same version
-        # discipline as the hash indexes, plus an incremental fast path
-        # in append_row (the dominant mutation)
-        self._column_store: Optional[tuple[int, ColumnStore]] = None
-        # row identity → position: (built_version, map); see row_positions
-        self._row_positions: Optional[tuple[int, dict]] = None
         # MVCC (see repro.sqlengine.mvcc): the in-flight transaction
         # holding this table's write claim, the csn of the last commit
         # that touched it, the committed pre-images serving pinned
@@ -290,16 +435,11 @@ class Table:
                 txn.log.append(("ins", self, self.version))
             if txn.wal is not None and not self.temporary:
                 txn.wal.record_insert(self.name, row)
-        self.rows.append(row)
+        rows = self.rows
+        rows.append(row)
         self.version += 1
-        cached = self._column_store
-        if cached is not None:
-            built, store = cached
-            if built == self.version - 1 and store.row_count == len(self.rows) - 1:
-                # the only mutation between the two versions is this
-                # append: mirror it instead of rebuilding the store
-                store.append(row)
-                self._column_store = (self.version, store)
+        if self._derived:
+            self._carry(len(rows) - 1, _append_delta, row, len(rows) - 1)
 
     def insert(self, values: Sequence[Any], columns: Optional[Sequence[str]] = None) -> None:
         """Insert one row; missing columns get NULL, values are coerced."""
@@ -318,10 +458,13 @@ class Table:
             if txn.fault_plan is not None:
                 txn.fault_plan.hit("table.delete", self.name)
         old_rows = self.rows
+        version = self.version
         wal = txn.wal if txn is not None and not self.temporary else None
-        if wal is not None:
-            # one pass that also collects positions for the redo record
-            kept, doomed = [], []
+        doomed: list[int] = []
+        if wal is not None or self._derived:
+            # one pass that also collects positions, for the redo record
+            # and the structures' delta
+            kept = []
             for position, row in enumerate(old_rows):
                 if predicate(row):
                     doomed.append(position)
@@ -331,6 +474,9 @@ class Table:
             kept = [row for row in old_rows if not predicate(row)]
         removed = len(old_rows) - len(kept)
         if removed:
+            # a predicate that itself mutated this table leaves
+            # positions nobody can trust: carry nothing then
+            carry = bool(doomed and self._derived) and self.version == version
             if txn is not None and txn.logging:
                 # the displaced list object is the inverse
                 txn.log.append(("rows", self, self.version, old_rows))
@@ -338,6 +484,11 @@ class Table:
                 wal.record_delete(self.name, doomed)
             self.rows = kept
             self.version += 1
+            if carry:
+                self._carry(
+                    len(old_rows), _delete_delta, doomed,
+                    [old_rows[position] for position in doomed],
+                )
         return removed
 
     def update_where(
@@ -360,6 +511,8 @@ class Table:
                 txn.fault_plan.hit("table.update", self.name)
         log = txn.log if txn is not None and txn.logging else None
         wal = txn.wal if txn is not None and not self.temporary else None
+        version = self.version
+        touched: Optional[list] = [] if self._derived else None
         count = 0
         for position, row in enumerate(self.rows):
             if predicate(row):
@@ -374,31 +527,48 @@ class Table:
                     ))
                 if wal is not None:
                     wal.record_update(self.name, position, staged)
+                if touched is not None:
+                    touched.append((
+                        position, row,
+                        [(index, row[index], value) for index, value in staged],
+                    ))
                 for index, value in staged:
                     row[index] = value
                 count += 1
         if count:
+            # a predicate or updater that itself mutated this table
+            # leaves positions nobody can trust: carry nothing then
+            carry = bool(touched) and self.version == version
             self.version += 1
+            if carry:
+                self._carry(len(self.rows), _update_delta, touched)
         return count
 
     def set_cell(self, row: list[Any], index: int, value: Any) -> None:
         """Overwrite one cell of a live row (temporal current semantics)."""
         txn = self.txn
+        old = row[index]
+        position = self._row_position(row) if self._locates_rows() else None
         if txn is not None:
             if txn.mvcc.multi:
                 txn.mvcc.claim(txn, self)
             if txn.fault_plan is not None:
                 txn.fault_plan.hit("table.set_cell", self.name)
             if txn.logging:
-                txn.log.append(("cell", self, self.version, row, index, row[index]))
+                txn.log.append(("cell", self, self.version, row, index, old))
             if txn.wal is not None and not self.temporary:
-                txn.wal.record_cell(self.name, self._row_position(row), index, value)
+                txn.wal.record_cell(self.name, position, index, value)
         row[index] = value
         self.version += 1
+        if position is not None:
+            self._carry(
+                len(self.rows), _update_delta, [(position, row, [(index, old, value)])]
+            )
 
     def write_row(self, row: list[Any], values: Sequence[Any]) -> None:
         """Overwrite a live row wholesale (already evaluated values)."""
         txn = self.txn
+        position = self._row_position(row) if self._locates_rows() else None
         if txn is not None:
             if txn.mvcc.multi:
                 txn.mvcc.claim(txn, self)
@@ -409,11 +579,13 @@ class Table:
                     "upd", self, self.version, row, list(enumerate(row)),
                 ))
             if txn.wal is not None and not self.temporary:
-                txn.wal.record_write_row(
-                    self.name, self._row_position(row), list(values)
-                )
+                txn.wal.record_write_row(self.name, position, list(values))
+        old = list(row)
         row[:] = values
         self.version += 1
+        if position is not None:
+            changes = list(zip(range(len(old)), old, values))
+            self._carry(len(self.rows), _update_delta, [(position, row, changes)])
 
     def replace_rows(self, new_rows: list[list[Any]]) -> None:
         """Swap in a rebuilt row list (bulk delete / reorder)."""
@@ -472,59 +644,110 @@ class Table:
             row.append(default)
         self.version += 1
 
-    def _row_position(self, row: list[Any]) -> int:
-        """The position of a live row (identity, not equality) — rows can
-        be duplicates by value.  Only consulted when durability is
-        attached, to address the row in a redo record."""
-        for position, candidate in enumerate(self.rows):
-            if candidate is row:
-                return position
-        raise ExecutionError(
-            f"row is not resident in table {self.name} (cannot log redo)"
+    # -- derived structures ---------------------------------------------------
+
+    def _locates_rows(self) -> bool:
+        """Does an in-place row write need the row's position — to
+        address it in a redo record, or in a derived structure?"""
+        txn = self.txn
+        return bool(self._derived) or (
+            txn is not None and txn.wal is not None and not self.temporary
         )
 
-    def hash_index(self, column_index: int) -> dict:
-        """A hash index mapping sort-keyed column values to row lists.
+    def _row_position(self, row: list[Any]) -> int:
+        """The position of a live row (identity, not equality) — rows can
+        be duplicates by value."""
+        position = self.row_positions().get(id(row))
+        if position is None or self.rows[position] is not row:
+            raise ExecutionError(
+                f"row is not resident in table {self.name} (cannot log redo)"
+            )
+        return position
 
-        Built lazily and rebuilt whenever the table has been mutated
-        since the last build.  NULLs are excluded (equality with NULL is
-        never True).
+    def _count(self, name: str, n: int = 1) -> None:
+        """Count on the owning database's registry (catalog tables only)."""
+        txn = self.txn
+        if txn is not None:
+            txn.db.obs.inc(name, n)
+
+    def _current(self, key: tuple) -> Any:
+        """The structure under ``key`` if valid at this version."""
+        entry = self._derived.get(key)
+        if entry is not None and entry[0] == self.version:
+            return entry[2]
+        return None
+
+    def _built(self, key: tuple, structure: Any) -> Any:
+        self._derived[key] = (self.version, len(self.rows), structure)
+        self._count("engine.derived.builds." + key[0])
+        return structure
+
+    def _carry(self, count_before: int, delta: Callable[..., Any], *change: Any) -> None:
+        """Bring every structure that was valid just before the mutation
+        (``count_before`` rows at ``version - 1``) forward by ``delta``.
+
+        Runs after the rows changed and ``version`` moved.  A structure
+        leaves ``_derived`` while its delta runs and returns re-tagged,
+        so one that raised midway or that the delta refused is simply
+        gone; entries describing older states are left alone — rollback
+        to their version revalidates them, anything else rebuilds.
         """
-        cached = self._hash_indexes.get(column_index)
-        if cached is not None and cached[0] == self.version:
-            return cached[1]
-        index: dict = {}
-        for row in self.rows:
-            value = row[column_index]
-            if value is Null:
+        derived = self._derived
+        version = self.version
+        count = len(self.rows)
+        carried = 0
+        for key, (tag, rows, structure) in list(derived.items()):
+            if tag != version - 1 or rows != count_before:
                 continue
-            index.setdefault(sort_key(value), []).append(row)
-        self._hash_indexes[column_index] = (self.version, index)
+            del derived[key]
+            structure = delta(key, structure, *change)
+            if structure is not None:
+                derived[key] = (version, count, structure)
+                carried += 1
+        if carried:
+            self._count("engine.derived.deltas", carried)
+
+    def hash_index(self, column_index: int) -> dict:
+        """A hash index mapping sort-keyed column values to row lists
+        (table order within a bucket).  NULLs are excluded (equality
+        with NULL is never True).  A bucket a caller holds is never
+        edited: appends and deletes replace it."""
+        key = ("hash", column_index)
+        index = self._current(key)
+        if index is None:
+            index = {}
+            for row in self.rows:
+                value = row[column_index]
+                if value is Null:
+                    continue
+                index.setdefault(sort_key(value), []).append(row)
+            self._built(key, index)
         return index
 
     def row_positions(self) -> dict:
         """``id(row)`` → position in :attr:`rows`.  A join that ran in
         another order than FROM order sorts its matches back into the
-        nested loop's emission order with it.  Version-cached like the
-        hash indexes (an in-place update keeps identity and position)."""
-        cached = self._row_positions
-        if cached is not None and cached[0] == self.version:
-            return cached[1]
-        positions = {id(row): position for position, row in enumerate(self.rows)}
-        self._row_positions = (self.version, positions)
+        nested loop's emission order with it, and logged in-place
+        writes address their row with it."""
+        positions = self._current(_POSITIONS)
+        if positions is None:
+            positions = self._built(
+                _POSITIONS,
+                {id(row): position for position, row in enumerate(self.rows)},
+            )
         return positions
 
     def column_store(self) -> ColumnStore:
         """The derived columnar image of the table (see
-        :class:`ColumnStore`).  Built lazily and rebuilt whenever the
-        table has been mutated since the last build; ``append_row``
-        extends a current store in place instead of rebuilding."""
-        cached = self._column_store
-        if cached is not None and cached[0] == self.version:
-            return cached[1]
-        store = ColumnStore(self.columns, self.rows)
-        self._column_store = (self.version, store)
+        :class:`ColumnStore`)."""
+        store = self._current(_COLUMNAR)
+        if store is None:
+            store = self._built(_COLUMNAR, ColumnStore(self.columns, self.rows))
         return store
+
+    def has_column_store(self) -> bool:
+        """Is a current columnar image resident (asking builds nothing)?"""
+        return self._current(_COLUMNAR) is not None
 
     def bytes_resident(self) -> int:
         """Estimated bytes held by the columnar image of this table."""
@@ -543,38 +766,32 @@ class Table:
 
     def interval_index(self, begin_index: int, end_index: int) -> IntervalIndex:
         """The interval index over a column-index pair (see
-        :mod:`repro.sqlengine.interval_index`).  Built lazily and rebuilt
-        whenever the table has been mutated since the last build."""
-        key = (begin_index, end_index)
-        cached = self._interval_indexes.get(key)
-        if cached is not None and cached[0] == self.version:
-            return cached[1]
-        index = IntervalIndex(self.rows, begin_index, end_index)
-        self._interval_indexes[key] = (self.version, index)
+        :mod:`repro.sqlengine.interval_index`)."""
+        key = ("interval", begin_index, end_index)
+        index = self._current(key)
+        if index is None:
+            index = self._built(key, IntervalIndex(self.rows, begin_index, end_index))
         return index
 
     def change_points(self, begin_index: int, end_index: int) -> frozenset[int]:
-        """Every begin/end day ordinal appearing in the column pair.
-
-        Cached against ``version`` so sequenced statements merge
-        per-table sets instead of rescanning unchanged tables.  A Date
-        bound counts even when the opposite bound is NULL, matching
+        """Every begin/end day ordinal appearing in the column pair, so
+        sequenced statements merge per-table sets instead of rescanning
+        unchanged tables.  A Date bound counts even when the opposite
+        bound is NULL, matching
         :func:`repro.temporal.period.collect_change_points`.
         """
-        key = (begin_index, end_index)
-        cached = self._change_points.get(key)
-        if cached is not None and cached[0] == self.version:
-            return cached[1]
-        points: set[int] = set()
-        for row in self.rows:
-            begin = row[begin_index]
-            end = row[end_index]
-            if isinstance(begin, Date):
-                points.add(begin.ordinal)
-            if isinstance(end, Date):
-                points.add(end.ordinal)
-        frozen = frozenset(points)
-        self._change_points[key] = (self.version, frozen)
+        key = ("change_points", begin_index, end_index)
+        frozen = self._current(key)
+        if frozen is None:
+            points: set[int] = set()
+            for row in self.rows:
+                begin = row[begin_index]
+                end = row[end_index]
+                if isinstance(begin, Date):
+                    points.add(begin.ordinal)
+                if isinstance(end, Date):
+                    points.add(end.ordinal)
+            frozen = self._built(key, frozenset(points))
         return frozen
 
     def clone_empty(self, name: Optional[str] = None) -> "Table":

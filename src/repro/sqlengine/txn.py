@@ -154,21 +154,18 @@ class _Mark:
 
 
 def _restore_table_version(table, version: int) -> None:
-    """Reset a table's version, evicting derived structures built later.
+    """Reset a table's version, evicting derived structures tagged later.
 
     A restored counter can climb back to the same value over different
     rows, so any hash index, interval index, change-point set, column
-    store or row-position map built during the rolled-back window must go.
+    store or row-position map built *or carried forward by a delta*
+    during the rolled-back window must go: a tag above the restored
+    version says exactly that (see :class:`~repro.sqlengine.storage.Table`).
     """
     table.version = version
-    for cache in (table._hash_indexes, table._interval_indexes, table._change_points):
-        stale = [key for key, (built, _) in cache.items() if built > version]
-        for key in stale:
-            del cache[key]
-    for attr in ("_column_store", "_row_positions"):
-        cached = getattr(table, attr)
-        if cached is not None and cached[0] > version:
-            setattr(table, attr, None)
+    derived = table._derived
+    for key in [key for key, entry in derived.items() if entry[0] > version]:
+        del derived[key]
 
 
 def _apply_undo(entry: tuple) -> None:

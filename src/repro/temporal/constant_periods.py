@@ -96,9 +96,9 @@ def compute_constant_periods(
 ) -> list[Period]:
     """Native computation of the constant periods of the named tables.
 
-    Merges each table's version-cached change-point set (see
-    :meth:`Table.change_points`), so only tables mutated since the last
-    sequenced statement are rescanned.
+    Merges each table's change-point set (see
+    :meth:`Table.change_points`), so only tables whose bounds changed
+    since the last sequenced statement are rescanned.
     """
     points: set[int] = set()
     resilience = db.resilience

@@ -113,8 +113,10 @@ def _matching_rows(
     env = Env()
     matches = []
     for row in table.rows:
-        period = Period(row[begin_index].ordinal, row[end_index].ordinal)
-        if not period.overlaps(context):
+        begin, end = row[begin_index], row[end_index]
+        if not (isinstance(begin, Date) and isinstance(end, Date)):
+            continue  # a comparison with a NULL bound is never true
+        if not Period(begin.ordinal, end.ordinal).overlaps(context):
             continue
         env.bindings[alias.lower()] = Binding(colmap, row)
         if where is None or truth(db.executor.evaluate(where, env)):
@@ -133,7 +135,6 @@ def _sequenced_delete(
     begin_index = table.column_index(info.begin_column)
     end_index = table.column_index(info.end_column)
     matches = _matching_rows(db, table, info, stmt.where, alias, context)
-    to_remove = set(map(id, matches))
     additions: list[list[Any]] = []
     for row in matches:
         period = Period(row[begin_index].ordinal, row[end_index].ordinal)
@@ -142,13 +143,7 @@ def _sequenced_delete(
             part[begin_index] = Date(kept.begin)
             part[end_index] = Date(kept.end)
             additions.append(part)
-    if matches:
-        table.replace_rows(
-            [row for row in table.rows if id(row) not in to_remove]
-        )
-        for part in additions:
-            table.append_row(part)
-    db.stats.count_rows(len(matches) + len(additions), "sequenced_rewrite")
+    _rewrite(db, table, matches, additions)
     return len(matches)
 
 
@@ -168,7 +163,6 @@ def _sequenced_update(
     begin_index = table.column_index(info.begin_column)
     end_index = table.column_index(info.end_column)
     matches = _matching_rows(db, table, info, stmt.where, alias, context)
-    to_remove = set(map(id, matches))
     env = Env()
     additions: list[list[Any]] = []
     for row in matches:
@@ -187,14 +181,23 @@ def _sequenced_update(
             part[begin_index] = Date(kept.begin)
             part[end_index] = Date(kept.end)
             additions.append(part)
+    _rewrite(db, table, matches, additions)
+    return len(matches)
+
+
+def _rewrite(
+    db: Database, table: Table, matches: list[list[Any]], additions: list[list[Any]]
+) -> None:
+    """Swap the matched versions for their pieces: one removal per
+    version touched, then the pieces appended in order — row deltas the
+    table's derived structures and the redo log follow (``delpos`` +
+    ``ins`` records), never a rewrite of the table."""
     if matches:
-        table.replace_rows(
-            [row for row in table.rows if id(row) not in to_remove]
-        )
+        doomed = set(map(id, matches))
+        table.delete_where(lambda row: id(row) in doomed)
         for part in additions:
             table.append_row(part)
-    db.stats.count_rows(len(additions), "sequenced_rewrite")
-    return len(matches)
+    db.stats.count_rows(len(matches) + len(additions), "sequenced_rewrite")
 
 
 def _difference(period: Period, context: Period) -> list[Period]:

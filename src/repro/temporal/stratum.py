@@ -594,30 +594,48 @@ class TemporalStratum:
         self._install_routines(result.routines)
         return result.statement
 
-    def _execute_current_update(self, stmt: ast.Update) -> int:
-        """TUC UPDATE: terminate currently-valid rows, insert new versions."""
-        info = self.registry.get(stmt.table)
-        table = self.db.catalog.get_table(stmt.table)
-        # claim before the scan: this read-then-mutate path must see (and
-        # conflict against) the live table, never a snapshot view
+    def _currently_valid_matches(
+        self, stmt: Union[ast.Update, ast.Delete], table, begin_index: int, end_index: int
+    ) -> list[list[Any]]:
+        """The rows valid at ``now`` that satisfy the statement's WHERE.
+
+        Claims the table first: this read-then-mutate path must see (and
+        conflict against) the live table, never a snapshot view.  A row
+        with a NULL bound is valid at no point — a comparison with NULL
+        is never true, the interval index's rule.
+        """
         self.db.txn.claim_write(table)
-        now = self.db.now
-        alias = stmt.alias or stmt.table
+        now = self.db.now.ordinal
+        binding = (stmt.alias or stmt.table).lower()
         colmap = {c.lower(): i for i, c in enumerate(table.column_names)}
-        begin_index = table.column_index(info.begin_column)
-        end_index = table.column_index(info.end_column)
         executor = self.db.executor
         env = Env()
         matches = []
         for row in table.rows:
             begin, end = row[begin_index], row[end_index]
-            if not (begin.ordinal <= now.ordinal < end.ordinal):
+            if not (isinstance(begin, Date) and isinstance(end, Date)):
                 continue
-            env.bindings[alias.lower()] = Binding(colmap, row)
+            if not (begin.ordinal <= now < end.ordinal):
+                continue
+            env.bindings[binding] = Binding(colmap, row)
             if stmt.where is None or truth(executor.evaluate(stmt.where, env)):
                 matches.append(row)
+        return matches
+
+    def _execute_current_update(self, stmt: ast.Update) -> int:
+        """TUC UPDATE: terminate currently-valid rows, insert new versions."""
+        info = self.registry.get(stmt.table)
+        table = self.db.catalog.get_table(stmt.table)
+        now = self.db.now
+        begin_index = table.column_index(info.begin_column)
+        end_index = table.column_index(info.end_column)
+        matches = self._currently_valid_matches(stmt, table, begin_index, end_index)
+        binding = (stmt.alias or stmt.table).lower()
+        colmap = {c.lower(): i for i, c in enumerate(table.column_names)}
+        executor = self.db.executor
+        env = Env()
         for row in matches:
-            env.bindings[alias.lower()] = Binding(colmap, row)
+            env.bindings[binding] = Binding(colmap, row)
             new_row = list(row)
             for column, expr in stmt.assignments:
                 new_row[table.column_index(column)] = executor.evaluate(expr, env)
@@ -636,45 +654,25 @@ class TemporalStratum:
         """TUC DELETE: terminate currently-valid rows at ``now``.
 
         Rows that first became valid today are removed outright (they
-        were never visible), avoiding empty ``[now, now)`` periods.
+        were never visible), avoiding empty ``[now, now)`` periods; every
+        other row of the table is left untouched.
         """
         info = self.registry.get(stmt.table)
         table = self.db.catalog.get_table(stmt.table)
-        self.db.txn.claim_write(table)
         now = self.db.now
-        alias = stmt.alias or stmt.table
-        colmap = {c.lower(): i for i, c in enumerate(table.column_names)}
         begin_index = table.column_index(info.begin_column)
         end_index = table.column_index(info.end_column)
-        executor = self.db.executor
-        env = Env()
-        kept: list[list[Any]] = []
-        closed: list[list[Any]] = []
-        count = 0
-        for row in table.rows:
-            begin, end = row[begin_index], row[end_index]
-            current = begin.ordinal <= now.ordinal < end.ordinal
-            if current:
-                env.bindings[alias.lower()] = Binding(colmap, row)
-                matches = stmt.where is None or truth(
-                    executor.evaluate(stmt.where, env)
-                )
+        matches = self._currently_valid_matches(stmt, table, begin_index, end_index)
+        born_today = set()
+        for row in matches:
+            if row[begin_index].ordinal < now.ordinal:
+                table.set_cell(row, end_index, now)
             else:
-                matches = False
-            if not matches:
-                kept.append(row)
-                continue
-            count += 1
-            if begin.ordinal < now.ordinal:
-                closed.append(row)
-                kept.append(row)
-            # else: row inserted today — drop it entirely
-        for row in closed:
-            table.set_cell(row, end_index, now)
-        if count:
-            table.replace_rows(kept)
-        self.db.stats.count_rows(count, "current_rewrite")
-        return count
+                born_today.add(id(row))
+        if born_today:
+            table.delete_where(lambda row: id(row) in born_today)
+        self.db.stats.count_rows(len(matches), "current_rewrite")
+        return len(matches)
 
     def _execute_nonsequenced(self, stmt: ast.Statement, dimension: str = "VALID") -> Any:
         with self.db.tracer.span("stratum.nonsequenced", dim=dimension.lower()):

@@ -195,21 +195,21 @@ class TransactionTimeDml:
         stop_index = table.column_index(info.end_column)
         executor = self.db.executor
         env = Env()
-        count = 0
-        kept: list[list[Any]] = []
         closed: list[list[Any]] = []
+        born_now: set[int] = set()
         for row in table.rows:
             if row[stop_index] == FOREVER:
                 env.bindings[binding_name] = Binding(colmap, row)
                 if where is None or truth(executor.evaluate(where, env)):
-                    count += 1
                     if row[start_index] == clock:
-                        continue  # inserted and deleted in one transaction
-                    closed.append(row)
-            kept.append(row)
+                        # inserted and deleted in one transaction
+                        born_now.add(id(row))
+                    else:
+                        closed.append(row)
         for row in closed:
             table.set_cell(row, stop_index, clock)
-        if count:
-            table.replace_rows(kept)
+        if born_now:
+            table.delete_where(lambda row: id(row) in born_now)
+        count = len(closed) + len(born_now)
         self.db.stats.count_rows(count, "tt_maintenance")
         return count

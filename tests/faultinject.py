@@ -57,10 +57,10 @@ def assert_snapshot_equal(db: Database, expected: dict[str, Any]) -> None:
         assert got["columns"] == want["columns"], f"{name}: column layout"
         assert got["rows"] == want["rows"], f"{name}: row data"
         assert got["version"] == want["version"], f"{name}: version counter"
-    # hash indexes must never describe data newer than the version says
+    # derived structures must never describe data newer than the version says
     for name, table in db.catalog._tables.items():
-        for built, _ in table._hash_indexes.values():
-            assert built <= table.version, f"{name}: stale hash index survived"
+        for key, entry in table._derived.items():
+            assert entry[0] <= table.version, f"{name}: stale {key} survived"
 
 
 def install_fault(

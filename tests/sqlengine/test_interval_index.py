@@ -146,10 +146,14 @@ class TestTableIntegration:
         table.insert([1, Date(100), Date(200)])
         first = table.interval_index(1, 2)
         assert table.interval_index(1, 2) is first
+        hits = first.stab(160)
         table.insert([2, Date(150), Date(250)])
-        rebuilt = table.interval_index(1, 2)
-        assert rebuilt is not first
-        assert len(rebuilt.stab(160)) == 2
+        # the index follows the insert; hits a reader already holds do not
+        current = table.interval_index(1, 2)
+        assert current.stab(160) == [table.rows[0], table.rows[1]]
+        assert current.search_positions(160, 161) == [0, 1]
+        assert (current.entry_count, current.total_rows) == (2, 2)
+        assert hits == [table.rows[0]]
 
     def test_change_points_cached_and_one_sided(self):
         table = interval_table()

@@ -167,10 +167,10 @@ def test_resident_budget_degrades_vectorized_scan_same_rows(stocked: Database):
     # inequality conjuncts: no hash probe, so the planner wants the
     # vectorized batch path
     baseline = stocked.execute("SELECT a FROM t WHERE a > 10 AND b < 5")
-    # stale the store built by the baseline run (updates bump the table
-    # version without mirroring into the columnar image), then forbid
-    # a rebuild
-    stocked.execute("UPDATE t SET a = a")
+    # stale the store built by the baseline run (a swapped-in row list
+    # carries no derived structure forward), then forbid a rebuild
+    table = stocked.table("t")
+    table.replace_rows(list(table.rows))
     expected = sorted(r[0] for r in baseline.rows)
     stocked.resilience.max_resident_bytes = 1
     degraded = stocked.execute("SELECT a FROM t WHERE a > 10 AND b < 5")

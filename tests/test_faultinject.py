@@ -45,7 +45,7 @@ def crash_and_check(stratum, sql, site, target=None, at=1,
 
 
 # ---------------------------------------------------------------------------
-# sequenced modifications (PERST-style delete+insert pairs)
+# sequenced modifications (one removal, then the pieces re-inserted)
 # ---------------------------------------------------------------------------
 
 SEQ_UPDATE = (
@@ -61,8 +61,8 @@ SEQ_DELETE = (
 @pytest.mark.parametrize(
     "site,at",
     [
-        ("table.replace_rows", 1),  # before the old rows are displaced
-        ("table.insert", 1),        # after displacement, before re-insert
+        ("table.delete", 1),        # before the old version is removed
+        ("table.insert", 1),        # after the removal, before re-insert
         ("table.insert", 3),        # partway through the splits
     ],
 )
@@ -76,7 +76,7 @@ def test_sequenced_update_crash(bookstore, site, at):
 
 @pytest.mark.parametrize(
     "site,at",
-    [("table.replace_rows", 1), ("table.insert", 1), ("table.insert", 2)],
+    [("table.delete", 1), ("table.insert", 1), ("table.insert", 2)],
 )
 def test_sequenced_delete_crash(bookstore, site, at):
     crash_and_check(bookstore, SEQ_DELETE, site, target="author", at=at)
@@ -107,8 +107,15 @@ def test_current_update_crash(bookstore, site):
     assert new_versions[0][3] == now  # begins today
 
 
-@pytest.mark.parametrize("site", ["table.set_cell", "table.replace_rows"])
+@pytest.mark.parametrize("site", ["table.set_cell", "table.delete"])
 def test_current_delete_crash(bookstore, site):
+    # a second a2 version born today: the statement closes the old one
+    # (set_cell) and then removes this one outright (delete) — the
+    # fault on table.delete fires with the old version already closed
+    bookstore.execute(
+        "INSERT INTO author (author_id, first_name, last_name)"
+        " VALUES ('a2', 'Rose', 'L')"
+    )
     crash_and_check(bookstore, CUR_DELETE, site, target="author")
     bookstore.execute(CUR_DELETE)
     table = bookstore.db.table("author")
@@ -196,8 +203,12 @@ def test_transactiontime_update_crash(tt_stratum, site):
     assert len(believed_now) == 1
 
 
-@pytest.mark.parametrize("site", ["table.set_cell", "table.replace_rows"])
+@pytest.mark.parametrize("site", ["table.set_cell", "table.delete"])
 def test_transactiontime_delete_crash(tt_stratum, site):
+    # a second y recorded at this clock: the statement closes the old
+    # belief (set_cell), then removes the one inserted and deleted in
+    # the same transaction time (delete)
+    tt_stratum.execute("INSERT INTO accounts (id, balance) VALUES ('y', 250)")
     sql = "DELETE FROM accounts WHERE id = 'y'"
     crash_and_check(tt_stratum, sql, site, target="accounts")
     tt_stratum.execute(sql)
