@@ -282,6 +282,36 @@ def _explain_current(stratum: "TemporalStratum", stmt: ast.Statement) -> list[st
     dims = [d for d, hit in (("valid time", touches_vt),
                              ("transaction time", touches_tt)) if hit]
     lines = [f"semantics: temporal upward compatibility (current) on {', '.join(dims)}"]
+    if isinstance(stmt, (ast.Update, ast.Delete)) and stratum.registry.is_temporal(
+        stmt.table
+    ):
+        # no single statement does this: the stratum runs the steps
+        # itself (TemporalStratum._execute_current_update / _delete)
+        info = stratum.registry.get(stmt.table)
+        where = f" AND {stmt.where.to_sql()}" if stmt.where is not None else ""
+        lines.append("plan: executed by the stratum")
+        lines.append(
+            f"  match pass: rows of {stmt.table} with {info.begin_column} <="
+            f" CURRENT_DATE < {info.end_column}{where}"
+        )
+        if isinstance(stmt, ast.Update):
+            lines.append(
+                f"  close: {info.end_column} := CURRENT_DATE on each match"
+                " (a version that began today is overwritten in place)"
+            )
+            assignments = ", ".join(
+                f"{column} = {expr.to_sql()}" for column, expr in stmt.assignments
+            )
+            lines.append(
+                f"  re-insert: the match with {assignments} over"
+                " [CURRENT_DATE, forever)"
+            )
+        else:
+            lines.append(
+                f"  close: {info.end_column} := CURRENT_DATE on each match"
+                " (a version that began today is removed)"
+            )
+        return lines
     rendered = stmt
     if touches_vt:
         result = transform_current(stmt, db.catalog, stratum.registry)
@@ -494,8 +524,21 @@ def _run_analyzed(db: "Database", thunk) -> tuple[Any, list[str]]:
             f"  slices: {slices}"
             f" (mean {elapsed / slices * 1000.0:.3f}ms/slice)"
         )
-    calls = after["total_routine_calls"] - before["total_routine_calls"]
-    lines.append(f"  routine invocations: {calls}")
+    # per routine: bodies run, and calls the result memo served instead
+    routines = {
+        name: (
+            after["routine_calls"].get(name, 0) - before["routine_calls"].get(name, 0),
+            after["routine_reuses"].get(name, 0) - before["routine_reuses"].get(name, 0),
+        )
+        for name in sorted({*after["routine_calls"], *after["routine_reuses"]})
+    }
+    run = sum(counts[0] for counts in routines.values())
+    reused = sum(counts[1] for counts in routines.values())
+    lines.append(f"  routine invocations: {run + reused} ({run} run, {reused} reused)")
+    lines.extend(
+        f"    {name}: {counts[0]} run, {counts[1]} reused"
+        for name, counts in routines.items() if any(counts)
+    )
     lines.append(
         f"  statements executed: {after['statements'] - before['statements']}"
     )

@@ -16,6 +16,14 @@ class Routine:
 
     kind: str  # "FUNCTION" or "PROCEDURE"
     definition: Union[ast.CreateFunction, ast.CreateProcedure]
+    # index of the DATE parameter this function evaluates its reads at,
+    # when its installer vouches that the parameter appears only in
+    # ``begin <= p AND p < end`` predicates over declared period pairs
+    # and as that same argument of nested calls, and that
+    # :meth:`Catalog.write_free` holds of everything the statement
+    # invoking it reaches.  The interpreter then keeps the function's
+    # results per read window (``RoutineInterpreter._reused``).
+    window_param: Optional[int] = None
 
     @property
     def name(self) -> str:
@@ -36,6 +44,18 @@ class Routine:
         return self.kind == "FUNCTION" and isinstance(
             self.definition.returns, ast.RowArrayType
         )
+
+
+def _tables_named(nodes: list) -> set[str]:
+    """Lower-cased names a routine body (its ``nodes``) uses as a table:
+    FROM references, DML targets, CREATE / DROP TABLE."""
+    names = set()
+    for node in nodes:
+        if isinstance(node, (ast.TableRef, ast.CreateTable, ast.DropTable)):
+            names.add(node.name.lower())
+        elif isinstance(node, (ast.Insert, ast.Update, ast.Delete)):
+            names.add(node.table.lower())
+    return names
 
 
 class Catalog:
@@ -195,6 +215,56 @@ class Catalog:
 
     def has_routine(self, name: str) -> bool:
         return name.lower() in self._routines
+
+    def write_free(self, *names: str) -> bool:
+        """May a result of one of these routines stand in for running it
+        again?  True when no routine among ``names`` and those reachable
+        from them writes outside its own scratch: no INSERT / UPDATE /
+        DELETE but into a row-array variable it declares or a temporary
+        table it creates (and drops) that no other of these routines
+        names, no other DDL, no statement with a temporal modifier.  The
+        one eligibility rule of the routine-result memo, for scalar and
+        table functions alike."""
+        bodies: dict[str, list] = {}  # routine -> the nodes of its body
+        frontier = [name.lower() for name in names]
+        while frontier:
+            key = frontier.pop()
+            routine = self._routines.get(key)
+            if routine is None or key in bodies:
+                continue  # a built-in function
+            bodies[key] = nodes = list(ast.walk(routine.definition.body))
+            frontier.extend(
+                node.name.lower() for node in nodes
+                if isinstance(node, (ast.FunctionCall, ast.CallStatement))
+            )
+        named = {key: _tables_named(nodes) for key, nodes in bodies.items()}
+        for key, nodes in bodies.items():
+            elsewhere = set().union(
+                *(tables for other, tables in named.items() if other != key)
+            )
+            scratch = {
+                node.name.lower() for node in nodes
+                if isinstance(node, ast.CreateTable) and node.temporary
+            } - elsewhere
+            scratch.update(
+                variable.lower() for node in nodes
+                if isinstance(node, ast.DeclareVariable) and node.array_type is not None
+                for variable in node.names
+            )
+            for node in nodes:
+                if not isinstance(node, ast.Statement):
+                    continue
+                if getattr(node, "modifier", None) is not None:
+                    return False
+                if isinstance(node, (ast.Insert, ast.Update, ast.Delete)):
+                    if node.table.lower() not in scratch:
+                        return False
+                elif isinstance(node, (ast.CreateTable, ast.DropTable)):
+                    if node.name.lower() not in scratch:
+                        return False
+                elif not isinstance(node, (ast.Select, ast.PsmStatement)):
+                    return False
+        return True
 
     def drop_routine(self, name: str) -> None:
         key = name.lower()

@@ -40,7 +40,8 @@ class EngineStats:
         self.obs = obs if obs is not None else MetricsRegistry()
         self.statements = 0
         self.total_routine_calls = 0
-        self.routine_calls: dict[str, int] = {}
+        self.routine_calls: dict[str, int] = {}  # bodies run
+        self.routine_reuses: dict[str, int] = {}  # served by the result memo
         self.call_depth = 0  # transient: current execution nesting
         self.plans_compiled = 0
         self.plan_cache_hits = 0
@@ -65,6 +66,7 @@ class EngineStats:
         self.statements = 0
         self.total_routine_calls = 0
         self.routine_calls = {}
+        self.routine_reuses = {}
         self.call_depth = 0
         self.plans_compiled = 0
         self.plan_cache_hits = 0
@@ -85,6 +87,7 @@ class EngineStats:
             "rows_scanned": self.rows_scanned,
             "total_routine_calls": self.total_routine_calls,
             "routine_calls": dict(self.routine_calls),
+            "routine_reuses": dict(self.routine_reuses),
             "plans_compiled": self.plans_compiled,
             "plan_cache_hits": self.plan_cache_hits,
             "transforms": self.transforms,
@@ -176,13 +179,18 @@ class Database:
         self.durability = None
         self._now = now if now is not None else Date.from_ymd(2011, 1, 1)
         self._executor = Executor(self)
-        # per-top-level-statement memo for TABLE(f(args)) invocations:
-        # routines are deterministic over data that does not change while
-        # one statement runs, so a lateral join may reuse results for
-        # repeated argument tuples (what a DBMS optimizer does).
-        # `memoize_table_functions` exists for the ablation benchmark.
+        # the routine-result memo, one top-level statement long: a
+        # function that writes nothing (Catalog.write_free) is
+        # deterministic over data that does not change while the
+        # statement runs, so a repeated TABLE(f(args)) reuses its rows
+        # and a function the stratum declared a point parameter on
+        # (Routine.window_param) reuses its result across every point of
+        # the read window the run established — `read_window` is the
+        # innermost open one.  RoutineInterpreter._reused owns both;
+        # `memoize_table_functions` is the ablation switch.
         self.table_function_cache: dict = {}
         self.memoize_table_functions = True
+        self.read_window: Optional[list] = None
         # bind/plan layer: compiled statement plans and expression
         # closures, both invalidated by catalog schema changes
         self.plan_cache = PlanCache()

@@ -146,8 +146,47 @@ class _Scan:
         db = executor.db
         if db.resilience.armed:
             db.resilience.check()
+        if db.read_window is not None and self.pairs:
+            _narrow_by_table(db.read_window, self.pairs, table)
         db.obs.inc("engine.rows_scanned", len(table.rows))
         return _bind_rows(env, self.key, self.colmap, table.rows)
+
+
+# A *read window* is ``[lo, hi, point]``: the routine interpreter opens
+# one around the point a window-declared function evaluates at
+# (``RoutineInterpreter._reused``), and every bind of a table with a
+# declared period pair narrows the innermost open one so that each row
+# the bind examines keeps its ``begin <= p < end`` verdict for every
+# ``p`` of ``[lo, hi)``.  Narrowing by more than the rows examined is
+# always sound.
+
+
+def _narrow_by_table(window: list, pairs: list, table) -> None:
+    """Any row may be examined (full scan, interval probe, kernels):
+    narrow to the table's change points around the point."""
+    for begin_index, end_index, _, _ in pairs:
+        lo, hi = table.change_window(begin_index, end_index, window[2])
+        if lo > window[0]:
+            window[0] = lo
+        if hi < window[1]:
+            window[1] = hi
+
+
+def _narrow_by_rows(window: list, pairs: list, rows: list) -> None:
+    """A hash probe's key does not depend on the point, so exactly
+    ``rows`` are examined: narrow to their bounds around the point."""
+    lo, hi, point = window
+    for begin_index, end_index, _, _ in pairs:
+        for row in rows:
+            for value in (row[begin_index], row[end_index]):
+                if isinstance(value, Date):
+                    ordinal = value.ordinal
+                    if ordinal <= point:
+                        if ordinal > lo:
+                            lo = ordinal
+                    elif ordinal < hi:
+                        hi = ordinal
+    window[0], window[1] = lo, hi
 
 
 class TemporalAlign:
@@ -256,8 +295,8 @@ class _Subquery(_RowSource):
 
 
 class _TableFunc(_RowSource):
-    __slots__ = ("name", "key", "colmap", "expected", "definition", "args",
-                 "arg_cs")
+    __slots__ = ("name", "key", "colmap", "expected", "definition", "reusable",
+                 "args", "arg_cs")
 
     def __init__(
         self,
@@ -265,6 +304,7 @@ class _TableFunc(_RowSource):
         alias: str,
         columns: list,
         definition: Any,
+        reusable: bool,
         args: list,
     ) -> None:
         self.name = name
@@ -272,6 +312,9 @@ class _TableFunc(_RowSource):
         self.colmap = {name.lower(): i for i, name in enumerate(columns)}
         self.expected = [name.lower() for name in columns]
         self.definition = definition
+        # may a kept result serve a repeated call (Catalog.write_free)?
+        # decided here: any routine change re-plans
+        self.reusable = reusable
         # compiled once the whole FROM layout is known: arguments may be
         # lateral references to earlier sources
         self.args = args
@@ -289,22 +332,9 @@ class _TableFunc(_RowSource):
         from repro.sqlengine.routines import RoutineInterpreter
 
         self.validate(executor, env)
-        db = executor.db
-        args = [c(env) for c in self.arg_cs]
-        if not db.memoize_table_functions:
-            columns, rows = RoutineInterpreter(executor).invoke_table_function(
-                self.name, args
-            )
-        else:
-            cache_key = (self.name.lower(), tuple(sort_key(a) for a in args))
-            cached = db.table_function_cache.get(cache_key)
-            if cached is not None:
-                columns, rows = cached
-            else:
-                columns, rows = RoutineInterpreter(executor).invoke_table_function(
-                    self.name, args
-                )
-                db.table_function_cache[cache_key] = (columns, rows)
+        columns, rows = RoutineInterpreter(executor).invoke_table_function(
+            self.name, [c(env) for c in self.arg_cs], self.reusable
+        )
         if [c.lower() for c in columns] != self.expected:
             raise PlanInvalidated(self.name)
         return rows
@@ -453,6 +483,7 @@ class _Level:
         if resilience.armed:
             # watchdog/governor checkpoint: every level bind
             resilience.check()
+        window = db.read_window
         if self.key is not None:
             column, a, b = self.key
             value = vector[a][b]
@@ -461,7 +492,11 @@ class _Level:
                 else table.hash_index(column).get(sort_key(value), [])
             )
             obs.inc("engine.rows_scanned", len(rows))
+            if window is not None and self.node.pairs:
+                _narrow_by_rows(window, self.node.pairs, rows)
             return rows, False
+        if window is not None and self.node.pairs:
+            _narrow_by_table(window, self.node.pairs, table)
         # batch kernels only run when they cover *every* conjunct: a
         # partial batch could drop a row before another conjunct gets
         # the chance to raise the error the row path raises on it
@@ -659,7 +694,8 @@ def _build_leaf(
             raise ExecutionError(f"{source.call.name} is not a table function")
         return _TableFunc(
             source.call.name, source.alias, list(routine.returns.column_names),
-            routine.definition, source.call.args,
+            routine.definition, catalog.write_free(source.call.name),
+            source.call.args,
         )
     raise ExecutionError(f"unsupported FROM source {type(source).__name__}")
 

@@ -22,9 +22,20 @@ from repro.sqlengine.errors import (
     SqlError,
 )
 from repro.sqlengine.executor import Binding, Env, Executor, ResultSet
-from repro.sqlengine.storage import Column, Table
+from repro.sqlengine.storage import _INF, Column, Table
 from repro.sqlengine.types import SqlType, coerce
-from repro.sqlengine.values import Null, compare, truth
+from repro.sqlengine.values import Date, Null, compare, sort_key, truth
+
+
+def _narrow_caller(caller: list, lo: Any, hi: Any, point: int) -> None:
+    """Intersect the read window ``caller`` with a callee's ``[lo, hi)``
+    around ``point`` (see ``RoutineInterpreter._reused``)."""
+    if point != caller[2]:
+        lo, hi = caller[2], caller[2] + 1
+    if lo > caller[0]:
+        caller[0] = lo
+    if hi < caller[1]:
+        caller[1] = hi
 
 
 class _Return(Exception):
@@ -195,31 +206,102 @@ class RoutineInterpreter:
         routine = self.db.catalog.get_routine(name)
         if routine.kind != "FUNCTION":
             raise RoutineError(f"{name} is a procedure; use CALL")
+        if (
+            routine.window_param is None
+            or isinstance(routine.definition.returns, ast.RowArrayType)
+            or not self.db.memoize_table_functions
+        ):
+            return self._scalar_result(routine, args)
+        return self._reused(routine, args, self._scalar_result)
+
+    def _scalar_result(self, routine: Routine, args: list[Any]) -> Any:
         value = self._invoke(routine, args)
         returns = routine.definition.returns
-        if isinstance(returns, ast.RowArrayType):
+        if isinstance(returns, ast.RowArrayType) or value is Null:
             return value
-        if value is Null:
-            return Null
         return coerce(value, returns)
 
     def invoke_table_function(
-        self, name: str, args: list[Any]
+        self, name: str, args: list[Any], reusable: bool = False
     ) -> tuple[list[str], list[list[Any]]]:
+        """``(columns, rows)`` of a row-array function; ``reusable`` is
+        the caller's :meth:`Catalog.write_free` verdict on it."""
         routine = self.db.catalog.get_routine(name)
-        returns = routine.definition.returns
-        if not isinstance(returns, ast.RowArrayType):
+        if not isinstance(routine.definition.returns, ast.RowArrayType):
             raise RoutineError(f"{name} does not return a row array")
+        if reusable and self.db.memoize_table_functions:
+            return self._reused(routine, args, self._table_result)
+        return self._table_result(routine, args)
+
+    def _table_result(
+        self, routine: Routine, args: list[Any]
+    ) -> tuple[list[str], list[list[Any]]]:
         value = self._invoke(routine, args)
-        columns = list(returns.column_names)
+        columns = list(routine.definition.returns.column_names)
         if value is Null or value is None:
             return columns, []
         if isinstance(value, Table):
             return columns, [list(row) for row in value.rows]
         raise RoutineError(
-            f"table function {name} returned {type(value).__name__},"
+            f"table function {routine.name} returned {type(value).__name__},"
             " expected a row-array variable"
         )
+
+    def _reused(self, routine: Routine, args: list[Any], run) -> Any:
+        """``run(routine, args)``, or the result an earlier call in this
+        statement left in ``Database.table_function_cache`` — the
+        routine-result memo: ``(routine, arguments by sort_key) ->
+        [(lo, hi, result), ...]``.
+
+        A function without ``window_param`` is looked up under all its
+        arguments and its results hold everywhere.  One with it is
+        looked up under the *other* arguments and runs under a read
+        window ``[lo, hi)`` around its point (see the planner's
+        ``_narrow_by_*``): inside it every row the run examined keeps
+        its valid-at-point verdict, so every embedded plan sees the same
+        rows in the same order and the function returns the same
+        result.  A nested windowed call narrows its caller's window by
+        its own, run or reused alike — the caller's result rests on the
+        callee's — and one evaluated at another point leaves the caller
+        only ``[p, p + 1)``.  A call that raises keeps nothing.
+        """
+        db = self.db
+        index = routine.window_param
+        point = 0
+        if index is not None:
+            value = args[index]
+            if not isinstance(value, Date):
+                return run(routine, args)  # NULL point: nothing to slide along
+            point = value.ordinal
+        name = routine.name.lower()
+        key = (
+            name,
+            tuple(sort_key(arg) for i, arg in enumerate(args) if i != index),
+        )
+        caller = db.read_window if index is not None else None
+        entries = db.table_function_cache.setdefault(key, [])
+        for lo, hi, result in reversed(entries):
+            if lo <= point < hi:
+                stats = db.stats
+                stats.routine_reuses[name] = stats.routine_reuses.get(name, 0) + 1
+                db.obs.inc("engine.routine_memo.hits")
+                if caller is not None:
+                    _narrow_caller(caller, lo, hi, point)
+                return result
+        if index is None:
+            result = run(routine, args)
+            entries.append((-_INF, _INF, result))
+        else:
+            window = db.read_window = [-_INF, _INF, point]
+            try:
+                result = run(routine, args)
+            finally:
+                db.read_window = caller
+                if caller is not None:
+                    _narrow_caller(caller, window[0], window[1], point)
+            entries.append((window[0], window[1], result))
+        db.obs.inc("engine.routine_memo.entries")
+        return result
 
     def call_procedure(
         self, stmt: ast.CallStatement, caller_env: Optional[Env]
@@ -350,68 +432,48 @@ class RoutineInterpreter:
             raise _HandlerExit(handler.depth)
 
     def _dispatch(self, stmt: ast.Statement, frame: Frame) -> None:
-        env = Env(frame=frame)
-        if isinstance(stmt, ast.Compound):
-            self._execute_compound(stmt, frame)
-        elif isinstance(stmt, ast.DeclareVariable):
-            self._declare_variable(stmt, frame)
-        elif isinstance(stmt, ast.DeclareCursor):
-            frame.cursors[stmt.name.lower()] = _CursorState(stmt.select)
-        elif isinstance(stmt, ast.DeclareHandler):
-            frame.add_handler(stmt)
-        elif isinstance(stmt, ast.SetStatement):
-            self._execute_set(stmt, frame, env)
-        elif isinstance(stmt, ast.SelectInto):
-            self._execute_select_into(stmt, frame, env)
-        elif isinstance(stmt, ast.IfStatement):
-            self._execute_if(stmt, frame, env)
-        elif isinstance(stmt, ast.CaseStatement):
-            self._execute_case(stmt, frame, env)
-        elif isinstance(stmt, ast.WhileStatement):
-            self._execute_while(stmt, frame, env)
-        elif isinstance(stmt, ast.RepeatStatement):
-            self._execute_repeat(stmt, frame, env)
-        elif isinstance(stmt, ast.ForStatement):
-            self._execute_for(stmt, frame, env)
-        elif isinstance(stmt, ast.LoopStatement):
-            self._execute_loop(stmt, frame)
-        elif isinstance(stmt, ast.LeaveStatement):
-            raise _Leave(stmt.label.lower())
-        elif isinstance(stmt, ast.IterateStatement):
-            raise _Iterate(stmt.label.lower())
-        elif isinstance(stmt, ast.ReturnStatement):
-            value = (
-                self.executor.evaluate(stmt.value, env)
-                if stmt.value is not None
-                else Null
-            )
-            raise _Return(value)
-        elif isinstance(stmt, ast.CallStatement):
-            results = self.call_procedure(stmt, env)
-            frame.result_sets.extend(results)
-        elif isinstance(stmt, ast.OpenCursor):
-            self._execute_open(stmt, frame, env)
-        elif isinstance(stmt, ast.FetchCursor):
-            self._execute_fetch(stmt, frame)
-        elif isinstance(stmt, ast.CloseCursor):
-            self._execute_close(stmt, frame)
-        elif isinstance(stmt, ast.Select):
-            result = self.executor.execute_select(stmt, env)
-            frame.result_sets.append(result)
-        elif isinstance(stmt, (ast.Insert, ast.Update, ast.Delete)):
-            self.executor.execute(stmt, env)
-        elif isinstance(stmt, (ast.CreateTable, ast.DropTable)):
-            self.executor.execute(stmt, env)
-        elif isinstance(stmt, ast.SignalStatement):
-            raise SignalError(stmt.sqlstate, stmt.message)
-        elif isinstance(stmt, ast.TransactionStatement):
-            raise RoutineError(
-                "transaction control statements are not allowed inside routines"
-            )
-        else:
+        handler = _STATEMENT_HANDLERS.get(type(stmt))
+        if handler is None:
             raise RoutineError(
                 f"unsupported statement in routine body: {type(stmt).__name__}"
             )
+        handler(self, stmt, frame)
+
+    def _declare_cursor(self, stmt: ast.DeclareCursor, frame: Frame) -> None:
+        frame.cursors[stmt.name.lower()] = _CursorState(stmt.select)
+
+    def _declare_handler(self, stmt: ast.DeclareHandler, frame: Frame) -> None:
+        frame.add_handler(stmt)
+
+    def _execute_leave(self, stmt: ast.LeaveStatement, frame: Frame) -> None:
+        raise _Leave(stmt.label.lower())
+
+    def _execute_iterate(self, stmt: ast.IterateStatement, frame: Frame) -> None:
+        raise _Iterate(stmt.label.lower())
+
+    def _execute_return(self, stmt: ast.ReturnStatement, frame: Frame) -> None:
+        if stmt.value is None:
+            raise _Return(Null)
+        raise _Return(self.executor.evaluate(stmt.value, Env(frame=frame)))
+
+    def _execute_call(self, stmt: ast.CallStatement, frame: Frame) -> None:
+        frame.result_sets.extend(self.call_procedure(stmt, Env(frame=frame)))
+
+    def _execute_query(self, stmt: ast.Select, frame: Frame) -> None:
+        frame.result_sets.append(
+            self.executor.execute_select(stmt, Env(frame=frame))
+        )
+
+    def _execute_engine_statement(self, stmt: ast.Statement, frame: Frame) -> None:
+        self.executor.execute(stmt, Env(frame=frame))
+
+    def _execute_signal(self, stmt: ast.SignalStatement, frame: Frame) -> None:
+        raise SignalError(stmt.sqlstate, stmt.message)
+
+    def _refuse_transaction(self, stmt: ast.Statement, frame: Frame) -> None:
+        raise RoutineError(
+            "transaction control statements are not allowed inside routines"
+        )
 
     # -- compound ---------------------------------------------------------
 
@@ -445,7 +507,8 @@ class RoutineInterpreter:
 
     # -- assignment ---------------------------------------------------------
 
-    def _execute_set(self, stmt: ast.SetStatement, frame: Frame, env: Env) -> None:
+    def _execute_set(self, stmt: ast.SetStatement, frame: Frame) -> None:
+        env = Env(frame=frame)
         if len(stmt.targets) == 1:
             value = self.executor.evaluate(stmt.value, env)
             frame.set_variable(stmt.targets[0], value)
@@ -471,10 +534,8 @@ class RoutineInterpreter:
             return
         raise RoutineError("row SET requires a row subquery")
 
-    def _execute_select_into(
-        self, stmt: ast.SelectInto, frame: Frame, env: Env
-    ) -> None:
-        result = self.executor.execute_select(stmt.select, env)
+    def _execute_select_into(self, stmt: ast.SelectInto, frame: Frame) -> None:
+        result = self.executor.execute_select(stmt.select, Env(frame=frame))
         if len(result.rows) > 1:
             raise CardinalityError("SELECT INTO returned more than one row")
         if not result.rows:
@@ -490,7 +551,8 @@ class RoutineInterpreter:
 
     # -- control flow ---------------------------------------------------
 
-    def _execute_if(self, stmt: ast.IfStatement, frame: Frame, env: Env) -> None:
+    def _execute_if(self, stmt: ast.IfStatement, frame: Frame) -> None:
+        env = Env(frame=frame)
         for condition, body in stmt.branches:
             if truth(self.executor.evaluate(condition, env)):
                 for inner in body:
@@ -500,7 +562,8 @@ class RoutineInterpreter:
             for inner in stmt.else_branch:
                 self.execute_statement(inner, frame)
 
-    def _execute_case(self, stmt: ast.CaseStatement, frame: Frame, env: Env) -> None:
+    def _execute_case(self, stmt: ast.CaseStatement, frame: Frame) -> None:
+        env = Env(frame=frame)
         if stmt.operand is not None:
             operand = self.executor.evaluate(stmt.operand, env)
             for when, body in stmt.whens:
@@ -518,7 +581,8 @@ class RoutineInterpreter:
             for inner in stmt.else_branch:
                 self.execute_statement(inner, frame)
 
-    def _execute_while(self, stmt: ast.WhileStatement, frame: Frame, env: Env) -> None:
+    def _execute_while(self, stmt: ast.WhileStatement, frame: Frame) -> None:
+        env = Env(frame=frame)
         label = (stmt.label or "").lower()
         while truth(self.executor.evaluate(stmt.condition, env)):
             try:
@@ -532,7 +596,8 @@ class RoutineInterpreter:
                 if iterate.label != label:
                     raise
 
-    def _execute_repeat(self, stmt: ast.RepeatStatement, frame: Frame, env: Env) -> None:
+    def _execute_repeat(self, stmt: ast.RepeatStatement, frame: Frame) -> None:
+        env = Env(frame=frame)
         label = (stmt.label or "").lower()
         while True:
             try:
@@ -548,9 +613,9 @@ class RoutineInterpreter:
             if truth(self.executor.evaluate(stmt.until, env)):
                 return
 
-    def _execute_for(self, stmt: ast.ForStatement, frame: Frame, env: Env) -> None:
+    def _execute_for(self, stmt: ast.ForStatement, frame: Frame) -> None:
         label = (stmt.label or "").lower()
-        result = self.executor.execute_select(stmt.select, env)
+        result = self.executor.execute_select(stmt.select, Env(frame=frame))
         colmap = {name.lower(): i for i, name in enumerate(result.columns)}
         for row in result.rows:
             frame.push_scope()
@@ -596,11 +661,11 @@ class RoutineInterpreter:
             raise CursorError(f"no such cursor: {name}")
         return cursor
 
-    def _execute_open(self, stmt: ast.OpenCursor, frame: Frame, env: Env) -> None:
+    def _execute_open(self, stmt: ast.OpenCursor, frame: Frame) -> None:
         cursor = self._cursor(frame, stmt.name)
         if cursor.is_open:
             raise CursorError(f"cursor {stmt.name} is already open")
-        result = self.executor.execute_select(cursor.select, env)
+        result = self.executor.execute_select(cursor.select, Env(frame=frame))
         cursor.rows = result.rows
         cursor.columns = result.columns
         cursor.position = 0
@@ -638,3 +703,36 @@ class RoutineInterpreter:
         if handler is None:
             return  # SQLSTATE 02000 is a completion condition, not an error
         self.execute_statement(handler.action, frame)
+
+
+# statement class -> RoutineInterpreter method taking (stmt, frame);
+# a handler that evaluates makes its own Env over the frame
+_STATEMENT_HANDLERS = {
+    ast.Compound: RoutineInterpreter._execute_compound,
+    ast.DeclareVariable: RoutineInterpreter._declare_variable,
+    ast.DeclareCursor: RoutineInterpreter._declare_cursor,
+    ast.DeclareHandler: RoutineInterpreter._declare_handler,
+    ast.SetStatement: RoutineInterpreter._execute_set,
+    ast.SelectInto: RoutineInterpreter._execute_select_into,
+    ast.IfStatement: RoutineInterpreter._execute_if,
+    ast.CaseStatement: RoutineInterpreter._execute_case,
+    ast.WhileStatement: RoutineInterpreter._execute_while,
+    ast.RepeatStatement: RoutineInterpreter._execute_repeat,
+    ast.ForStatement: RoutineInterpreter._execute_for,
+    ast.LoopStatement: RoutineInterpreter._execute_loop,
+    ast.LeaveStatement: RoutineInterpreter._execute_leave,
+    ast.IterateStatement: RoutineInterpreter._execute_iterate,
+    ast.ReturnStatement: RoutineInterpreter._execute_return,
+    ast.CallStatement: RoutineInterpreter._execute_call,
+    ast.OpenCursor: RoutineInterpreter._execute_open,
+    ast.FetchCursor: RoutineInterpreter._execute_fetch,
+    ast.CloseCursor: RoutineInterpreter._execute_close,
+    ast.Select: RoutineInterpreter._execute_query,
+    ast.Insert: RoutineInterpreter._execute_engine_statement,
+    ast.Update: RoutineInterpreter._execute_engine_statement,
+    ast.Delete: RoutineInterpreter._execute_engine_statement,
+    ast.CreateTable: RoutineInterpreter._execute_engine_statement,
+    ast.DropTable: RoutineInterpreter._execute_engine_statement,
+    ast.SignalStatement: RoutineInterpreter._execute_signal,
+    ast.TransactionStatement: RoutineInterpreter._refuse_transaction,
+}

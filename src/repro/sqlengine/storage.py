@@ -19,6 +19,7 @@ of looping rows.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.sqlengine.errors import CatalogError, ExecutionError
@@ -210,6 +211,36 @@ class ColumnStore:
         return sum(vector.bytes_resident() for vector in self.vectors)
 
 
+_INF = float("inf")
+
+
+class ChangePoints:
+    """The day ordinals at which some row of a period column pair
+    begins or ends: ``points`` as a set (constant periods merge several
+    tables'), plus, on first need, the ascending form :meth:`window`
+    bisects."""
+
+    __slots__ = ("points", "_ascending")
+
+    def __init__(self, points: frozenset) -> None:
+        self.points = points
+        self._ascending: Optional[list[int]] = None
+
+    def window(self, point: int) -> tuple:
+        """``(lo, hi)``: the nearest change point at or before ``point``
+        and the nearest after it (∓inf where there is none).  No row's
+        ``begin <= p < end`` verdict differs between two ``p`` of
+        ``[lo, hi)``."""
+        ascending = self._ascending
+        if ascending is None:
+            ascending = self._ascending = sorted(self.points)
+        after = bisect_right(ascending, point)
+        return (
+            ascending[after - 1] if after else -_INF,
+            ascending[after] if after < len(ascending) else _INF,
+        )
+
+
 # -- deltas -------------------------------------------------------------------
 # One function per mutation shape.  Each receives a derived structure
 # that was valid just before the mutation (its key names the kind, see
@@ -236,8 +267,8 @@ def _append_delta(key: tuple, structure: Any, row: list[Any], position: int) -> 
             value.ordinal for value in (row[key[1]], row[key[2]])
             if isinstance(value, Date)
         }
-        if not points <= structure:
-            structure = structure | points
+        if not points <= structure.points:
+            structure = ChangePoints(structure.points | points)
     elif kind == "columnar":
         structure.append(row)
     else:
@@ -773,16 +804,10 @@ class Table:
             index = self._built(key, IntervalIndex(self.rows, begin_index, end_index))
         return index
 
-    def change_points(self, begin_index: int, end_index: int) -> frozenset[int]:
-        """Every begin/end day ordinal appearing in the column pair, so
-        sequenced statements merge per-table sets instead of rescanning
-        unchanged tables.  A Date bound counts even when the opposite
-        bound is NULL, matching
-        :func:`repro.temporal.period.collect_change_points`.
-        """
+    def _change_points(self, begin_index: int, end_index: int) -> ChangePoints:
         key = ("change_points", begin_index, end_index)
-        frozen = self._current(key)
-        if frozen is None:
+        structure = self._current(key)
+        if structure is None:
             points: set[int] = set()
             for row in self.rows:
                 begin = row[begin_index]
@@ -791,8 +816,22 @@ class Table:
                     points.add(begin.ordinal)
                 if isinstance(end, Date):
                     points.add(end.ordinal)
-            frozen = self._built(key, frozenset(points))
-        return frozen
+            structure = self._built(key, ChangePoints(frozenset(points)))
+        return structure
+
+    def change_points(self, begin_index: int, end_index: int) -> frozenset[int]:
+        """Every begin/end day ordinal appearing in the column pair, so
+        sequenced statements merge per-table sets instead of rescanning
+        unchanged tables.  A Date bound counts even when the opposite
+        bound is NULL, matching
+        :func:`repro.temporal.period.collect_change_points`.
+        """
+        return self._change_points(begin_index, end_index).points
+
+    def change_window(self, begin_index: int, end_index: int, point: int) -> tuple:
+        """The ``[lo, hi)`` around ``point`` in which no row of the pair
+        begins or ends (see :meth:`ChangePoints.window`)."""
+        return self._change_points(begin_index, end_index).window(point)
 
     def clone_empty(self, name: Optional[str] = None) -> "Table":
         """A new empty table with the same column layout."""

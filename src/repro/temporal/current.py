@@ -23,6 +23,7 @@ from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.catalog import Catalog
 from repro.sqlengine.values import Date
 from repro.temporal import analysis
+from repro.temporal.errors import FeatureNotSupportedError
 from repro.temporal.pointwise import transform_statement_at_point
 from repro.temporal.schema import TemporalRegistry
 from repro.temporal.transform_util import call, clone, overlap_at_point
@@ -134,9 +135,10 @@ def _transform_current_modification(
         return new_stmt
     # UPDATE: modelled as terminate-then-reinsert; expressed as a compound
     # of two statements the stratum executes atomically.
-    raise NotImplementedError(
-        "current UPDATE of a temporal table is executed by the stratum"
-        " (see TemporalStratum._execute_current_update)"
+    raise FeatureNotSupportedError(
+        "current UPDATE of a temporal table has no single-statement"
+        " form: the stratum closes the matching rows and re-inserts them"
+        " (EXPLAIN shows the steps)"
     )
 
 
@@ -153,7 +155,7 @@ def _current_insert(
     new_stmt.modifier = None
     columns = new_stmt.columns
     if columns is None:
-        raise NotImplementedError(
+        raise FeatureNotSupportedError(
             "current INSERT into a temporal table requires an explicit"
             " column list (timestamps are supplied by the stratum)"
         )

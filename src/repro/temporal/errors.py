@@ -9,6 +9,13 @@ class TemporalError(SqlError):
     """Base class for stratum errors."""
 
 
+class FeatureNotSupportedError(TemporalError):
+    """The statement is well-formed Temporal SQL/PSM the stratum has no
+    transformation for (SQLSTATE ``0A000``, feature not supported)."""
+
+    sqlstate = "0A000"
+
+
 class SequencedContextError(TemporalError):
     """A temporal modifier appeared inside a routine invoked from a
     sequenced or current context.

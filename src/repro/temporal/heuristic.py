@@ -21,7 +21,7 @@ from typing import Optional
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.engine import Database
 from repro.temporal import analysis
-from repro.temporal.errors import PerStatementInapplicableError, TemporalError
+from repro.temporal.errors import TemporalError
 from repro.temporal.period import Period
 from repro.temporal.schema import TemporalRegistry
 
@@ -75,7 +75,7 @@ def perst_applicable(
 
     try:
         PerstTransformer(db.catalog, registry).transform(stmt)
-    except (PerStatementInapplicableError, NotImplementedError, TemporalError) as exc:
+    except TemporalError as exc:
         return False, str(exc)
     return True, ""
 

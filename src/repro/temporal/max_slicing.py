@@ -26,6 +26,7 @@ from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.catalog import Catalog
 from repro.sqlengine.types import SqlType
 from repro.temporal import analysis
+from repro.temporal.errors import FeatureNotSupportedError
 from repro.temporal.schema import TemporalRegistry
 from repro.temporal.pointwise import transform_statement_at_point
 from repro.temporal.transform_util import (
@@ -141,7 +142,7 @@ def transform_query_max(
             new_stmt.name = target
         result_alias = "cp"
     else:
-        raise NotImplementedError(
+        raise FeatureNotSupportedError(
             f"sequenced {type(stmt).__name__} is not supported by maximal"
             " slicing (SELECT and CALL are)"
         )

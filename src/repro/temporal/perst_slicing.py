@@ -36,7 +36,11 @@ from repro.sqlengine.catalog import Catalog
 from repro.sqlengine.types import SqlType
 from repro.sqlengine.values import Null
 from repro.temporal import analysis
-from repro.temporal.errors import PerStatementInapplicableError, TemporalError
+from repro.temporal.errors import (
+    FeatureNotSupportedError,
+    PerStatementInapplicableError,
+    TemporalError,
+)
 from repro.temporal.pointwise import forbid_temporal_dml
 from repro.temporal.schema import TemporalRegistry
 from repro.temporal.transform_util import (
@@ -167,7 +171,7 @@ class PerstTransformer:
                 call_stmt.name = target
                 call_stmt.args = call_stmt.args + [ctx.lo_copy(), ctx.hi_copy()]
             return call_stmt
-        raise NotImplementedError(
+        raise FeatureNotSupportedError(
             f"sequenced {type(stmt).__name__} is not supported by"
             " per-statement slicing"
         )

@@ -835,7 +835,17 @@ class TemporalStratum:
                     self.db, result.temporal_tables, registry, context, MAX_CP_TABLE
                 )
                 span.set(slices=slices)
-            self._install_routines(result.routines)
+            # only this transformation knows that a clone's appended
+            # point parameter sits in overlap-at-point predicates and
+            # pass-along arguments alone, so it is what declares it —
+            # when nothing the statement reaches writes
+            catalog = self.db.catalog
+            self._install_routines(
+                result.routines,
+                declare_point=catalog.write_free(
+                    *analysis.called_routines(stmt, catalog)
+                ),
+            )
             statement = self._apply_other_dimension_currency(
                 result.statement, registry
             )
@@ -891,13 +901,23 @@ class TemporalStratum:
         tracer = self.db.tracer
         stats = self.db.stats
         resilience = self.db.resilience
-        calls_before = stats.total_routine_calls
+
+        def invocations() -> int:
+            # an invocation the result memo served still counts as one
+            return stats.total_routine_calls + self.db.obs.value(
+                "engine.routine_memo.hits"
+            )
+
+        calls_before = invocations()
         started = time.perf_counter()
         with tracer.span("stratum.max.loop", slices=slices):
             for row in list(cp.rows):
-                # watchdog: a MAX evaluation is hundreds to thousands
-                # of routine calls (DS1-LARGE × 365 d: q2 = 159, q17b =
-                # 31 075); every constant period is a cancellation point
+                # watchdog: a MAX evaluation is tens to thousands of
+                # routine invocations (DS1-LARGE × 365 d: q9 = 106
+                # through this loop, one engine statement per period, so
+                # the result memo never spans two; q17b = 31 160 as one
+                # SELECT, 3 681 of them run); every constant period is a
+                # cancellation point
                 if resilience.armed:
                     resilience.check()
                 begin, end = row[0], row[1]
@@ -922,7 +942,7 @@ class TemporalStratum:
         elapsed = time.perf_counter() - started
         self.db.obs.timer("stratum.max.slice_seconds").record(elapsed, slices)
         self.db.obs.timer("stratum.max.invocation_seconds").record(
-            elapsed, stats.total_routine_calls - calls_before
+            elapsed, invocations() - calls_before
         )
         return stamped
 
@@ -1070,26 +1090,38 @@ class TemporalStratum:
     # plumbing
     # ------------------------------------------------------------------
 
-    def _install_routines(self, definitions: list) -> None:
+    def _install_routines(self, definitions: list, declare_point: bool = False) -> None:
+        """Install transformation clones.  ``declare_point`` marks the
+        last parameter of each function — the point MAX appended — as
+        its ``Routine.window_param``."""
         catalog = self.db.catalog
         for definition in definitions:
             key = definition.name.lower()
             self._installed_clones.add(key)
+            is_function = isinstance(definition, ast.CreateFunction)
+            window_param = (
+                len(definition.params) - 1 if declare_point and is_function else None
+            )
             if catalog.has_routine(key):
-                installed = catalog.get_routine(key).definition
-                if installed is definition or installed.to_sql() == definition.to_sql():
+                installed = catalog.get_routine(key)
+                if installed.window_param == window_param and (
+                    installed.definition is definition
+                    or installed.definition.to_sql() == definition.to_sql()
+                ):
                     # a re-transform renders the clone it installed last
                     # time: installing it again would bump the catalog
                     # schema version and evict every *other* statement's
-                    # cached transform and compiled plans
+                    # cached transform and compiled plans.  (A changed
+                    # declaration must do exactly that: a statement that
+                    # shares the clone decided it under the old one.)
                     continue
-            kind = (
-                "FUNCTION"
-                if isinstance(definition, ast.CreateFunction)
-                else "PROCEDURE"
-            )
             catalog.add_routine(
-                Routine(kind=kind, definition=definition), replace=True
+                Routine(
+                    kind="FUNCTION" if is_function else "PROCEDURE",
+                    definition=definition,
+                    window_param=window_param,
+                ),
+                replace=True,
             )
 
     def _prepare_inner_modifiers(

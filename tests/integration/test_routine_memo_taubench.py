@@ -1,0 +1,169 @@
+"""The routine-result memo on the τPSM workload (DS1-SMALL × 365 d).
+
+* All sixteen queries under MAX, memo on vs ``memoize_table_functions =
+  False``: raw-identical results.
+* Work bound, counts repeating exactly: q2 and q17b run their routine
+  bodies once per *distinct read window*, counted here independently
+  from the tables by replaying each routine's reads — a hash probe's
+  window is the cell its candidates' bounds leave around the period
+  begin, any other access path's the table's — and run + reused is the
+  invocations made.  With the switch off every invocation runs.
+"""
+
+import pytest
+
+from repro.sqlengine.values import Date
+from repro.taubench import build_dataset, get_query
+from repro.taubench.queries import ALL_QUERIES
+from repro.temporal import SlicingStrategy
+from repro.temporal.constant_periods import compute_constant_periods
+from repro.temporal.period import Period
+
+BEGIN, END = "2010-02-01", "2011-02-01"
+INF = float("inf")
+
+
+@pytest.fixture(scope="module")
+def dataset():
+    return build_dataset("DS1", "SMALL")
+
+
+def raw(result):
+    results = result if isinstance(result, list) else [result]
+    return [(list(r.columns), [list(row) for row in r.rows]) for r in results]
+
+
+def counted(dataset, name: str, memo: bool):
+    """``(bodies run, invocations reused, raw result)`` of one warm
+    execution; the counts must repeat exactly."""
+    stratum, db = dataset.stratum, dataset.stratum.db
+    spec = get_query(name)
+    spec.install(dataset)
+    sql = spec.sequenced_sql(dataset, BEGIN, END)
+    db.memoize_table_functions = memo
+    try:
+        stratum.execute(sql, strategy=SlicingStrategy.MAX)  # warm
+        measured = []
+        for _ in range(2):
+            db.stats.reset()
+            result = stratum.execute(sql, strategy=SlicingStrategy.MAX)
+            measured.append((
+                db.stats.total_routine_calls,
+                sum(db.stats.routine_reuses.values()),
+                raw(result),
+            ))
+    finally:
+        db.memoize_table_functions = True
+    assert measured[0] == measured[1]
+    return measured[0]
+
+
+@pytest.mark.parametrize("spec", ALL_QUERIES, ids=lambda spec: spec.name)
+def test_memo_changes_no_result(dataset, spec):
+    run, reused, kept = counted(dataset, spec.name, True)
+    every, none, plain = counted(dataset, spec.name, False)
+    assert kept == plain
+    assert none == 0 and run + reused <= every and run <= every
+
+
+# -- the independent window count ------------------------------------------
+
+
+def alive(row, point: int) -> bool:
+    return row[-2].ordinal <= point < row[-1].ordinal
+
+
+def cell(rows, point: int) -> tuple:
+    """The window the bounds of ``rows`` leave around ``point``."""
+    bounds = [bound.ordinal for row in rows for bound in row[-2:]]
+    return (
+        max((b for b in bounds if b <= point), default=-INF),
+        min((b for b in bounds if b > point), default=INF),
+    )
+
+
+def meet(cells) -> tuple:
+    return max(lo for lo, _ in cells), min(hi for _, hi in cells)
+
+
+def period_begins(dataset, tables) -> list[int]:
+    context = Period(Date.from_iso(BEGIN).ordinal, Date.from_iso(END).ordinal)
+    stratum = dataset.stratum
+    return [
+        period.begin for period in
+        compute_constant_periods(stratum.db, tables, stratum.registry, context)
+    ]
+
+
+def by_column(table, name: str) -> dict:
+    index = table.column_index(name)
+    grouped: dict = {}
+    for row in table.rows:
+        grouped.setdefault(row[index], []).append(row)
+    return grouped
+
+
+def test_q2_runs_once_per_author_version_window(dataset):
+    run, reused, _ = counted(dataset, "q2", True)
+    every, _, _ = counted(dataset, "q2", False)
+    catalog = dataset.stratum.db.catalog
+    items = by_column(catalog.get_table("item"), "id")
+    links = catalog.get_table("item_author")
+    versions = by_column(catalog.get_table("author"), "author_id")[
+        dataset.cold_author_id
+    ]
+    invocations, windows = 0, set()
+    for point in period_begins(dataset, ["author", "item", "item_author"]):
+        for link in links.rows:
+            if link[1] == dataset.cold_author_id and alive(link, point):
+                for item in items[link[0]]:
+                    if alive(item, point):
+                        invocations += 1
+                        windows.add(cell(versions, point))
+    assert (run, reused, every) == (3, 262, 265)
+    assert run == len(windows) and run + reused == every == invocations
+
+
+def test_q17b_runs_once_per_read_window(dataset):
+    run, reused, _ = counted(dataset, "q17b", True)
+    every, _, _ = counted(dataset, "q17b", False)
+    catalog = dataset.stratum.db.catalog
+    item = catalog.get_table("item")
+    items = by_column(item, "id")
+    links = by_column(catalog.get_table("item_author"), "item_id")
+    author = catalog.get_table("author")
+    authors = by_column(author, "author_id")
+    country = author.column_index("country")
+    outer: set = set()
+    inner: set = set()
+    invocations = 0
+    for point in period_begins(dataset, ["author", "item", "item_author"]):
+        invocations += 1
+        if any(lo <= point < hi for lo, hi in outer):
+            continue  # canadian_small_books reused: nothing below it runs
+        cells = [cell(item.rows, point)]  # the cursor's scan of item
+        for iid in sorted(i for i, rows in items.items()
+                          if any(alive(row, point) for row in rows)):
+            # has_canadian_author: probe the item's links, then the
+            # versions of each link alive here
+            current = [link for link in links.get(iid, []) if alive(link, point)]
+            window = meet(
+                [cell(links.get(iid, []), point)]
+                + [cell(authors.get(link[1], []), point) for link in current]
+            )
+            invocations += 1
+            inner.add(("has_canadian_author", iid, window))
+            cells.append(window)
+            if any(
+                alive(version, point) and version[country].rstrip() == "Canada"
+                for link in current for version in authors.get(link[1], [])
+            ):
+                # is_small_book: probe the item's versions
+                window = cell(items[iid], point)
+                invocations += 1
+                inner.add(("is_small_book", iid, window))
+                cells.append(window)
+        outer.add(meet(cells))
+    assert (run, reused, every) == (394, 2628, 3022)
+    assert run == len(outer) + len(inner)
+    assert run + reused == invocations == every

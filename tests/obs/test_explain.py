@@ -240,6 +240,28 @@ class TestExplainSemantics:
         prices = stratum.db.execute("SELECT price FROM item WHERE id = 'i1'")
         assert all(row[0] != 1.0 for row in prices.rows)
 
+    def test_current_update_renders_the_stratum_steps(self, stratum):
+        """A current UPDATE has no single-statement form; EXPLAIN used to
+        die on a raw NotImplementedError from ``transform_current``."""
+        sql = "UPDATE item SET price = 1.0 WHERE id = 'i1'"
+        text = stratum.execute("EXPLAIN " + sql).text()
+        assert "plan: executed by the stratum" in text
+        assert "match pass: rows of item with begin_time <= CURRENT_DATE" in text
+        assert "id = 'i1'" in text
+        assert "close: end_time := CURRENT_DATE" in text
+        assert "re-insert: the match with price = 1.0" in text
+        prices = stratum.db.execute("SELECT price FROM item WHERE id = 'i1'")
+        assert [row[0] for row in prices.rows] == [25.0]  # nothing ran
+        analyzed = stratum.execute("EXPLAIN ANALYZE " + sql)
+        assert analyzed.result == 1
+        assert "rows written: 1" in analyzed.text()
+
+    def test_current_delete_renders_the_stratum_steps(self, stratum):
+        text = stratum.execute("EXPLAIN DELETE FROM item WHERE id = 'i2'").text()
+        assert "match pass: rows of item" in text and "close: end_time" in text
+        assert "re-insert" not in text
+        assert len(stratum.db.execute("SELECT 1 FROM item").rows) == 2
+
     def test_conventional_statement_explains_engine_plan(self, stratum):
         result = stratum.db.execute("EXPLAIN SELECT 1 AS one")
         assert isinstance(result, ExplainResult)

@@ -267,9 +267,11 @@ def test_with_a_second_session_open(a, b, c):
 
 class TestWorkBound:
     """q8 on DS1-SMALL × 365 d: the join inside ``max_short_book_title``
-    starts from the probed author's links, and the stab conjuncts reject
-    dead author versions before the routine-bearing conjunct runs.  The
-    counts repeat exactly, so the nested loop cannot come back unnoticed."""
+    starts from the probed author's links, the stab conjuncts reject
+    dead author versions before the routine-bearing conjunct runs, and
+    the body runs once per read window.  The counts repeat exactly, so
+    neither the nested loop nor one run per slice can come back
+    unnoticed."""
 
     def test_q8_routine_calls_and_rows_scanned(self):
         from repro.taubench import build_dataset, get_query
@@ -286,17 +288,24 @@ class TestWorkBound:
         sql = spec.sequenced_sql(dataset, begin, end)
         stratum.execute(sql, strategy=SlicingStrategy.MAX)  # warm: plans, indexes
 
-        def measured():
-            calls = db.stats.routine_calls.get("max_short_book_title", 0)
-            scanned = db.stats.rows_scanned
-            stratum.execute(sql, strategy=SlicingStrategy.MAX)
-            return (
-                db.stats.routine_calls["max_short_book_title"] - calls,
-                db.stats.rows_scanned - scanned,
-            )
+        name = "max_short_book_title"
 
-        calls, scanned = measured()
-        assert measured() == (calls, scanned)  # the counts repeat exactly
+        def measured():
+            stats = db.stats
+            before = (
+                stats.routine_calls.get(name, 0),
+                stats.routine_reuses.get(name, 0),
+                stats.rows_scanned,
+            )
+            stratum.execute(sql, strategy=SlicingStrategy.MAX)
+            after = (
+                stats.routine_calls[name], stats.routine_reuses[name],
+                stats.rows_scanned,
+            )
+            return tuple(b - a for a, b in zip(before, after))
+
+        calls, reused, scanned = measured()
+        assert measured() == (calls, reused, scanned)  # the counts repeat exactly
 
         context = Period(Date.from_iso(begin).ordinal, Date.from_iso(end).ordinal)
         periods = compute_constant_periods(
@@ -310,9 +319,9 @@ class TestWorkBound:
             1 for p in periods
             if any(r[b].ordinal <= p.begin < r[e].ordinal for r in versions)
         )
-        # exactly one call per slice in which the probed author is alive
-        assert 0 < calls == alive <= len(periods)
-
+        # exactly one invocation per slice in which the probed author is
+        # alive, run or served by the result memo
+        assert 0 < calls + reused == alive <= len(periods)
         links = db.catalog.get_table("item_author")
         item = db.catalog.get_table("item")
         link_rows = [
@@ -323,7 +332,33 @@ class TestWorkBound:
         item_versions = sum(
             1 for r in item.rows if r[item.column_index("id")] in item_ids
         )
-        # per call: the author's links, then each link's item versions —
+        # the body runs once per distinct read window: the cell of the
+        # author's links' bounds the slice begins in, cut by the cells of
+        # the item versions behind each link alive there
+        lid, iid = links.column_index("item_id"), item.column_index("id")
+
+        def cell(rows, point):
+            bounds = [v.ordinal for r in rows for v in r[-2:]]
+            return (
+                max((x for x in bounds if x <= point), default=None),
+                min((x for x in bounds if x > point), default=None),
+            )
+
+        windows = set()
+        for p in periods:
+            if any(r[b].ordinal <= p.begin < r[e].ordinal for r in versions):
+                cells = [cell(link_rows, p.begin)] + [
+                    cell([r for r in item.rows if r[iid] == link[lid]], p.begin)
+                    for link in link_rows
+                    if link[-2].ordinal <= p.begin < link[-1].ordinal
+                ]
+                windows.add((
+                    max(lo for lo, _ in cells if lo is not None),
+                    min(hi for _, hi in cells if hi is not None),
+                ))
+        assert calls == len(windows) < alive
+
+        # per run: the author's links, then each link's item versions —
         # never |item|; the outer statement adds its own author/cp scans
         per_call = len(link_rows) + len(link_rows) * item_versions
         outer = len(versions) * (1 + len(periods))

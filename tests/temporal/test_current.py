@@ -154,3 +154,46 @@ class TestNonsequenced:
             " WHERE begin_time = DATE '2010-06-01'"
         )
         assert result.rows == [["Benjamin"]]
+
+
+class TestFeatureNotSupported:
+    """What the stratum has no transformation for is a ``TemporalError``
+    with SQLSTATE 0A000 — a raw ``NotImplementedError`` has no handler,
+    no wire SQLSTATE, and killed the shell."""
+
+    def refused(self, run):
+        from repro.temporal.errors import FeatureNotSupportedError, TemporalError
+
+        with pytest.raises(FeatureNotSupportedError) as caught:
+            run()
+        assert isinstance(caught.value, TemporalError)
+        assert caught.value.sqlstate == "0A000"
+
+    def test_current_insert_without_a_column_list(self, stratum):
+        self.refused(lambda: stratum.execute(
+            "INSERT INTO item VALUES ('i9', 'Nine', 9.0)"
+        ))
+        assert len(stratum.db.catalog.get_table("item")) == 2
+
+    def test_current_update_has_no_transformed_form(self, stratum):
+        self.refused(lambda: stratum.transform(
+            "UPDATE item SET price = 1.0 WHERE id = 'i1'"
+        ))
+
+    def test_sequenced_modification_under_max_transform(self, stratum):
+        from repro.temporal import SlicingStrategy
+
+        self.refused(lambda: stratum.transform(
+            "VALIDTIME [DATE '2010-02-01', DATE '2010-03-01']"
+            " UPDATE item SET price = 1.0 WHERE id = 'i1'",
+            SlicingStrategy.MAX,
+        ))
+
+    def test_sequenced_modification_under_perst_transform(self, stratum):
+        from repro.temporal import SlicingStrategy
+
+        self.refused(lambda: stratum.transform(
+            "VALIDTIME [DATE '2010-02-01', DATE '2010-03-01']"
+            " DELETE FROM item WHERE id = 'i1'",
+            SlicingStrategy.PERST,
+        ))

@@ -96,13 +96,47 @@ class TestExecution:
         assert len(merged) == 2  # nothing after Ben -> Benjamin
 
     def test_one_call_per_constant_period_per_row(self, stratum):
-        stratum.db.stats.reset()
+        """One *logical* invocation per (candidate row x constant
+        period); the body runs once per distinct read window — the cell
+        of the probed author's version bounds the period begins in."""
+        db = stratum.db
+        db.stats.reset()
         stratum.execute(SEQ_Q2, strategy=SlicingStrategy.MAX)
-        calls = stratum.db.stats.routine_calls["max_get_author_name"]
-        cp_rows = len(stratum.db.catalog.get_table("taupsm_cp"))
-        assert cp_rows >= 4
-        # invoked once per (satisfying candidate row x constant period)
-        assert calls >= cp_rows
+        run = db.stats.routine_calls["max_get_author_name"]
+        reused = db.stats.routine_reuses.get("max_get_author_name", 0)
+        periods = [row[0].ordinal for row in db.catalog.get_table("taupsm_cp").rows]
+        assert len(periods) >= 4
+
+        def alive(row, point):
+            return row[-2].ordinal <= point < row[-1].ordinal
+
+        authors = db.catalog.get_table("author").rows
+        items = db.catalog.get_table("item").rows
+        links = db.catalog.get_table("item_author").rows
+        logical, windows = 0, set()
+        for point in periods:
+            for link in links:
+                if not alive(link, point):
+                    continue
+                for item in items:
+                    if item[0] == link[0] and alive(item, point):
+                        logical += 1
+                        bounds = {
+                            bound.ordinal for version in authors
+                            if version[0] == link[1] for bound in version[-2:]
+                        }
+                        windows.add((
+                            link[1],
+                            max(b for b in bounds if b <= point),
+                            min(b for b in bounds if b > point),
+                        ))
+        assert run + reused == logical >= len(periods)
+        assert 0 < run == len(windows) < logical
+        db.memoize_table_functions = False
+        db.stats.reset()
+        stratum.execute(SEQ_Q2, strategy=SlicingStrategy.MAX)
+        assert db.stats.routine_calls["max_get_author_name"] == logical
+        assert not db.stats.routine_reuses
 
     def test_default_context_spans_data(self, stratum):
         result = stratum.execute(
