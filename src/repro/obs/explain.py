@@ -71,30 +71,16 @@ def describe_plan(plan: Any, depth: int = 0, since: Optional[dict] = None) -> li
         if plan.order_entries:
             shape.append("ordered")
         suffix = f" [{', '.join(shape)}]" if shape else ""
-        lines = [pad + f"Select ({len(plan.columns)} columns{suffix})"]
-        if plan.single_scan:
-            lines.append(
-                pad + "  filter: vectorized selection (evaluated in scan)"
-            )
-        pipeline = plan.pipeline
-        if pipeline.reordered:
-            order = ", ".join(level.node.key for level in pipeline.levels)
-            lines.append(pad + f"  join order: {order} (emitted in FROM order)")
-        for level in pipeline.levels:
-            lines.extend(
-                _describe_level(level, depth + 1, bool(plan.conjuncts), since)
-            )
-        if plan.conjuncts:
-            lines.append(pad + f"  residual: {len(pipeline.residual)}")
-        return lines
+        head = f"Select ({len(plan.columns)} columns{suffix})"
+        return [pad + head] + _describe_pipeline(plan, depth, since)
+    if isinstance(plan, planner.MatchPlan):
+        verb = "Update" if isinstance(plan, planner.UpdatePlan) else "Delete"
+        head = f"{verb} {plan.sources[0].name}"
+        return [pad + head] + _describe_pipeline(plan, depth, since)
     if isinstance(plan, planner.InsertPlan):
         return [pad + f"Insert {plan.table} ({len(plan.value_rows or [])} rows)"
                 if plan.select is None
                 else pad + f"Insert {plan.table} (from query)"]
-    if isinstance(plan, planner.UpdatePlan):
-        return [pad + f"Update {plan.table}"]
-    if isinstance(plan, planner.DeletePlan):
-        return [pad + f"Delete {plan.table}"]
     if isinstance(plan, planner.IntervalJoin):
         levels = "".join(
             f" [hash: {' AND '.join(key)}]" if key else " [nested: no equi-key]"
@@ -124,6 +110,24 @@ def describe_plan(plan: Any, depth: int = 0, since: Optional[dict] = None) -> li
     return [pad + type(plan).__name__]
 
 
+def _describe_pipeline(plan: Any, depth: int, since: Optional[dict]) -> list[str]:
+    """The FROM/WHERE half of a SELECT, UPDATE or DELETE plan: one line
+    per join level, then the residual count."""
+    pad = "  " * depth
+    lines = []
+    if plan.single_scan:
+        lines.append(pad + "  filter: vectorized selection (evaluated in scan)")
+    pipeline = plan.pipeline
+    if pipeline.reordered:
+        order = ", ".join(level.node.key for level in pipeline.levels)
+        lines.append(pad + f"  join order: {order} (emitted in FROM order)")
+    for level in pipeline.levels:
+        lines.extend(_describe_level(level, depth + 1, bool(plan.conjuncts), since))
+    if plan.conjuncts:
+        lines.append(pad + f"  residual: {len(pipeline.residual)}")
+    return lines
+
+
 def _describe_level(
     level: Any, depth: int, filtered: bool, since: Optional[dict]
 ) -> list[str]:
@@ -151,21 +155,23 @@ def _describe_level(
 
 
 def _level_counts(db: "Database") -> dict:
-    """Join level → (rows in, rows out) over every cached SELECT plan
-    (keyed by the level itself, so an evicted plan's cannot be aliased)."""
+    """Join level → (rows in, rows out) over every cached SELECT, UPDATE
+    and DELETE plan (keyed by the level itself, so an evicted plan's
+    cannot be aliased)."""
     return {
         level: (level.rows_in, level.rows_out)
-        for _, plan in db.plan_cache.select_plans()
+        for _, plan in db.plan_cache.pipeline_plans()
         for level in plan.pipeline.levels
     }
 
 
 def _pipelines_run(db: "Database", since: dict) -> list[str]:
-    """The cached SELECT plans whose join levels saw rows after the
-    ``since`` snapshot — routine bodies' statements included — with the
-    rows each level took in and passed on."""
+    """The cached plans whose join levels saw rows after the ``since``
+    snapshot — routine bodies' statements and the stratum's match
+    statements included — with the rows each level took in and passed
+    on."""
     lines = []
-    for stmt, plan in db.plan_cache.select_plans():
+    for stmt, plan in db.plan_cache.pipeline_plans():
         if any(
             level.rows_in != since.get(level, (0, 0))[0]
             for level in plan.pipeline.levels
@@ -202,14 +208,16 @@ def _engine_plan_lines(db: "Database", stmt: ast.Statement) -> list[str]:
     """Bind ``stmt`` through the planner (cached) and render the plan.
     A statement over objects that only exist once it executes (routine
     clones, the constant-period table) shows the plan-time error."""
-    if not isinstance(stmt, ast.Select) or stmt.set_op:
+    if isinstance(stmt, ast.Select) and not stmt.set_op:
+        from repro.sqlengine.planner import build_select_plan as build
+    elif isinstance(stmt, (ast.Update, ast.Delete)):
+        from repro.sqlengine.planner import build_dml_plan as build
+    else:
         return []
-    from repro.sqlengine.planner import build_select_plan
-
     hit, plan = db.plan_cache.fetch(stmt, db.catalog.schema_version)
     if not hit:
         try:
-            plan = build_select_plan(db.executor, stmt, None)
+            plan = build(db.executor, stmt, None)
         except SqlError as exc:
             return ["engine plan:", f"  (bound at first execution: {exc})"]
         db.plan_cache.store(stmt, db.catalog.schema_version, plan)
@@ -282,34 +290,35 @@ def _explain_current(stratum: "TemporalStratum", stmt: ast.Statement) -> list[st
     dims = [d for d, hit in (("valid time", touches_vt),
                              ("transaction time", touches_tt)) if hit]
     lines = [f"semantics: temporal upward compatibility (current) on {', '.join(dims)}"]
-    if isinstance(stmt, (ast.Update, ast.Delete)) and stratum.registry.is_temporal(
-        stmt.table
-    ):
-        # no single statement does this: the stratum runs the steps
-        # itself (TemporalStratum._execute_current_update / _delete)
-        info = stratum.registry.get(stmt.table)
-        where = f" AND {stmt.where.to_sql()}" if stmt.where is not None else ""
-        lines.append("plan: executed by the stratum")
-        lines.append(
-            f"  match pass: rows of {stmt.table} with {info.begin_column} <="
-            f" CURRENT_DATE < {info.end_column}{where}"
+    is_vt = stratum.registry.is_temporal(getattr(stmt, "table", ""))
+    is_tt = stratum.tt_registry.is_temporal(getattr(stmt, "table", ""))
+    if isinstance(stmt, (ast.Update, ast.Delete)) and is_vt != is_tt:
+        # no single statement does this: the stratum finds the versions
+        # through the engine's match plan and runs the steps itself
+        # (modifications.execute_current_modification)
+        registry, restriction, point, fresh = (
+            (stratum.registry, "current", "CURRENT_DATE", "today") if is_vt
+            else (stratum.tt_registry, "believed", "the clock", "at the clock")
         )
+        end_column = registry.get(stmt.table).end_column
+        lines.append("plan: executed by the stratum")
+        lines.extend(_match_lines(stratum, stmt, registry, restriction))
         if isinstance(stmt, ast.Update):
             lines.append(
-                f"  close: {info.end_column} := CURRENT_DATE on each match"
-                " (a version that began today is overwritten in place)"
+                f"  close: {end_column} := {point} on each match"
+                f" (a version that began {fresh} is overwritten in place)"
             )
             assignments = ", ".join(
                 f"{column} = {expr.to_sql()}" for column, expr in stmt.assignments
             )
             lines.append(
                 f"  re-insert: the match with {assignments} over"
-                " [CURRENT_DATE, forever)"
+                f" [{point}, forever)"
             )
         else:
             lines.append(
-                f"  close: {info.end_column} := CURRENT_DATE on each match"
-                " (a version that began today is removed)"
+                f"  close: {end_column} := {point} on each match"
+                f" (a version that began {fresh} is removed)"
             )
         return lines
     rendered = stmt
@@ -324,6 +333,19 @@ def _explain_current(stratum: "TemporalStratum", stmt: ast.Statement) -> list[st
     lines.append("transformed SQL:")
     lines.extend("  " + line for line in rendered.to_sql().splitlines())
     lines.extend(_engine_plan_lines(db, rendered))
+    return lines
+
+
+def _match_lines(
+    stratum: "TemporalStratum", stmt: ast.Statement, registry: Any,
+    restriction: str,
+) -> list[str]:
+    """The match statement a temporal UPDATE/DELETE finds its versions
+    with (its ``taupsm_period`` bounds are read per execution: ``now``,
+    or the context), and the engine plan bound for it."""
+    matcher = stratum._match_statement(stmt, registry, restriction)
+    lines = [f"  match: {matcher.to_sql()}"]
+    lines.extend("  " + line for line in _engine_plan_lines(stratum.db, matcher))
     return lines
 
 
@@ -377,6 +399,8 @@ def _explain_sequenced(
         lines.append(
             "plan: sequenced modification (paper §VI close/split/reinsert)"
         )
+        if not isinstance(stmt, ast.Insert) and registry.is_temporal(stmt.table):
+            lines.extend(_match_lines(stratum, stmt, registry, "sequenced"))
         return lines
     other_registry = (
         stratum.registry if registry is stratum.tt_registry

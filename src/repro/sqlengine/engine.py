@@ -145,9 +145,9 @@ class PlanCache:
         for key in stale:
             del self._entries[key]
 
-    def select_plans(self) -> list[tuple]:
-        """``(statement, plan)`` of every cached SELECT plan (EXPLAIN
-        ANALYZE reads their per-level row counts)."""
+    def pipeline_plans(self) -> list[tuple]:
+        """``(statement, plan)`` of every cached SELECT, UPDATE and
+        DELETE plan (EXPLAIN ANALYZE reads their per-level row counts)."""
         return [
             (stmt, plan) for stmt, _, plan in self._entries.values()
             if hasattr(plan, "pipeline")

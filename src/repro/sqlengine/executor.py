@@ -245,7 +245,16 @@ class Executor:
     ) -> ResultSet:
         return self._run_planned(select, env, bool(order_by))
 
-    def _run_planned(self, stmt: ast.Statement, env: Optional[Env], *run_args) -> Any:
+    def match(self, stmt: ast.Statement, env: Optional[Env] = None) -> tuple:
+        """What an UPDATE or DELETE would touch, claimed and not yet
+        written: ``MatchPlan.match``'s ``(table, rows, cells)``.  The
+        temporal stratum's modifications find their versions here and
+        close / split / re-insert them themselves."""
+        return self._run_planned(stmt, env, step="match")
+
+    def _run_planned(
+        self, stmt: ast.Statement, env: Optional[Env], *run_args, step: str = "run"
+    ) -> Any:
         """Run one SELECT arm or DML statement through its plan.
 
         The bind/plan phase happens at most once per (statement, schema
@@ -271,7 +280,7 @@ class Executor:
                 db.stats.plans_compiled += 1
                 db.plan_cache.store(stmt, db.catalog.schema_version, plan)
             try:
-                return plan.run(self, env, *run_args)
+                return getattr(plan, step)(self, env, *run_args)
             except PlanInvalidated as stale:
                 db.plan_cache.drop(stmt)
                 if replanned:

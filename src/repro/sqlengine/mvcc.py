@@ -188,7 +188,7 @@ class MvccManager:
             chain = resource.version_chain
             base = resource.last_committed_csn
             if not chain or chain[-1][0] != base:
-                # row *copies*: set_cell / write_row / update_where
+                # row *copies*: set_cell / write_row / update_rows
                 # mutate the live row lists in place
                 chain.append(
                     (base, [list(row) for row in resource.rows],

@@ -41,6 +41,14 @@ row-identical to the FROM-order loop.  Views, derived tables, table
 functions and explicit joins are opaque levels; a FROM holding one keeps
 FROM order.
 
+*UPDATE and DELETE* are the same pipeline over one source: the target
+under its alias with the statement's conjuncts (``MatchPlan``), which
+is how every modification — the temporal stratum's included, whose
+period restrictions are ordinary conjuncts with outer operands — finds
+its rows.  The target is write-claimed before the match; all rows are
+found, then every SET value is evaluated, then the table's row-set
+primitives write.
+
 Every statement runs through a plan; there is no other path.  What the
 bind phase can decide raises at plan time, as the error it is and before
 any row is read: an unknown table or table function, two FROM sources
@@ -904,7 +912,7 @@ def build_select_plan(
 
 
 # ---------------------------------------------------------------------------
-# SELECT plan
+# plans: the FROM/WHERE half every plan shares, then SELECT
 # ---------------------------------------------------------------------------
 
 
@@ -921,24 +929,14 @@ def _all_true(residual: list, env: Env) -> bool:
     return not unknown
 
 
-class SelectPlan:
-    __slots__ = ("sources", "conjuncts", "outer_cs", "checks", "pipeline", "variants",
-                 "columns", "grouped", "group_cs", "having_c", "item_plans",
-                 "order_entries", "distinct", "single_scan")
+class _FromWhere:
+    """What every plan that reads rows holds: the sources, the analyzed
+    WHERE conjuncts and the join pipelines placed over them."""
 
-    def __init__(
-        self,
-        sources: list,
-        conjuncts: list,
-        outer_cs: list,
-        columns: list,
-        grouped: bool,
-        group_cs: Optional[list],
-        having_c: Optional[Callable],
-        item_plans: list,
-        order_entries: list,
-        distinct: bool,
-    ) -> None:
+    __slots__ = ("sources", "conjuncts", "outer_cs", "checks", "pipeline",
+                 "variants", "single_scan")
+
+    def __init__(self, sources: list, conjuncts: list, outer_cs: list) -> None:
         self.sources = sources
         self.conjuncts = conjuncts
         self.outer_cs = outer_cs
@@ -953,13 +951,6 @@ class SelectPlan:
         # built on first need and kept by the frozen demotion set
         self.pipeline = _build_pipeline(sources, conjuncts, {})
         self.variants: dict = {}
-        self.columns = columns
-        self.grouped = grouped
-        self.group_cs = group_cs
-        self.having_c = having_c
-        self.item_plans = item_plans
-        self.order_entries = order_entries
-        self.distinct = distinct
         # the WHERE fast path: a lone base-table scan whose batch
         # kernels cover the whole predicate may skip it per row
         self.single_scan = (
@@ -968,30 +959,6 @@ class SelectPlan:
             and sources[0].batch is not None
             and sources[0].batch.consumes_all
         )
-
-    def run(self, executor: Executor, env: Optional[Env], apply_order: bool) -> ResultSet:
-        base_env = env if env is not None else Env()
-        # validate every source before producing (or consuming) any rows:
-        # an invalidation discovered mid-run would re-execute side effects
-        # on the re-planned run
-        for node in self.sources:
-            node.validate(executor, base_env)
-        if self.grouped:
-            return self._run_grouped(executor, base_env, apply_order)
-        order = self.order_entries if (apply_order and self.order_entries) else None
-        rows: list = []
-        keys: list = []
-        for row_env in self._filtered_envs(executor, base_env):
-            row = self._project(row_env)
-            rows.append(row)
-            if order:
-                keys.append(self._order_key(order, row, row_env))
-        if order:
-            paired = sorted(zip(keys, range(len(rows)), rows), key=lambda p: p[:2])
-            rows = [row for _, _, row in paired]
-        if self.distinct:
-            rows = _distinct_rows(rows)
-        return ResultSet(self.columns, rows)
 
     def _pipeline_for(self, env: Env) -> tuple[_Pipeline, list]:
         """Read the outer operands once and pick this execution's
@@ -1094,6 +1061,57 @@ class SelectPlan:
         if passed < len(rows):
             executor.db.obs.inc("engine.join.level_rejects", len(rows) - passed)
 
+
+class SelectPlan(_FromWhere):
+    __slots__ = ("columns", "grouped", "group_cs", "having_c", "item_plans",
+                 "order_entries", "distinct")
+
+    def __init__(
+        self,
+        sources: list,
+        conjuncts: list,
+        outer_cs: list,
+        columns: list,
+        grouped: bool,
+        group_cs: Optional[list],
+        having_c: Optional[Callable],
+        item_plans: list,
+        order_entries: list,
+        distinct: bool,
+    ) -> None:
+        super().__init__(sources, conjuncts, outer_cs)
+        self.columns = columns
+        self.grouped = grouped
+        self.group_cs = group_cs
+        self.having_c = having_c
+        self.item_plans = item_plans
+        self.order_entries = order_entries
+        self.distinct = distinct
+
+    def run(self, executor: Executor, env: Optional[Env], apply_order: bool) -> ResultSet:
+        base_env = env if env is not None else Env()
+        # validate every source before producing (or consuming) any rows:
+        # an invalidation discovered mid-run would re-execute side effects
+        # on the re-planned run
+        for node in self.sources:
+            node.validate(executor, base_env)
+        if self.grouped:
+            return self._run_grouped(executor, base_env, apply_order)
+        order = self.order_entries if (apply_order and self.order_entries) else None
+        rows: list = []
+        keys: list = []
+        for row_env in self._filtered_envs(executor, base_env):
+            row = self._project(row_env)
+            rows.append(row)
+            if order:
+                keys.append(self._order_key(order, row, row_env))
+        if order:
+            paired = sorted(zip(keys, range(len(rows)), rows), key=lambda p: p[:2])
+            rows = [row for _, _, row in paired]
+        if self.distinct:
+            rows = _distinct_rows(rows)
+        return ResultSet(self.columns, rows)
+
     def _project(self, env: Env) -> list:
         values: list = []
         for plan in self.item_plans:
@@ -1167,12 +1185,6 @@ class SelectPlan:
 # ---------------------------------------------------------------------------
 
 
-def _table_colmap(executor: Executor, name: str, env: Optional[Env]) -> tuple:
-    table = executor._resolve_table(name, env)
-    colmap = {n.lower(): i for i, n in enumerate(table.column_names)}
-    return table, colmap
-
-
 class InsertPlan:
     __slots__ = ("table", "expected", "columns", "value_rows", "select")
 
@@ -1205,7 +1217,7 @@ class InsertPlan:
 
 
 def _build_insert(executor: Executor, stmt: ast.Insert, env: Optional[Env]) -> InsertPlan:
-    table, _ = _table_colmap(executor, stmt.table, env)
+    table = executor._resolve_table(stmt.table, env)
     if stmt.select is not None:
         return InsertPlan(
             stmt.table, dict(table._index), stmt.columns, None, stmt.select
@@ -1217,104 +1229,87 @@ def _build_insert(executor: Executor, stmt: ast.Insert, env: Optional[Env]) -> I
     return InsertPlan(stmt.table, dict(table._index), stmt.columns, value_rows, None)
 
 
-class UpdatePlan:
-    __slots__ = ("table", "expected", "key", "colmap", "where_c",
-                 "assign_indexes", "assign_cs")
+class MatchPlan(_FromWhere):
+    """UPDATE and DELETE: a one-level join pipeline over the target —
+    the access path, filters, residual and checkpoints a single-table
+    SELECT gets — plus the compiled SET expressions.  The rows are all
+    found, and every new value is evaluated, before anything is written:
+    no predicate or SET subquery sees the statement's own effects."""
+
+    __slots__ = ("assign_indexes", "assign_cs")
 
     def __init__(
-        self, table, expected, key, colmap, where_c, assign_indexes, assign_cs
+        self, scan: _Scan, conjuncts: list, outer_cs: list,
+        assign_indexes: list, assign_cs: list,
     ) -> None:
-        self.table = table
-        self.expected = expected
-        self.key = key
-        self.colmap = colmap
-        self.where_c = where_c
+        super().__init__([scan], conjuncts, outer_cs)
         self.assign_indexes = assign_indexes
         self.assign_cs = assign_cs
 
+    def match(self, executor: Executor, env: Optional[Env]) -> tuple:
+        """``(table, rows, cells)``: the live target, its matching rows
+        in table order and, per row, the ``(column index, value)`` pairs
+        SET assigns.  The table is write-claimed first, so the scan reads
+        the state this transaction may modify, never a snapshot view."""
+        scan = self.sources[0]
+        table = executor._resolve_table(scan.name, env)
+        if table.txn is not None:
+            table.txn.claim_write(table)
+        base_env = env if env is not None else Env()
+        scan.validate(executor, base_env)
+        key, colmap = scan.key, scan.colmap
+        rows = [
+            row_env.bindings[key].row
+            for row_env in self._filtered_envs(executor, base_env)
+        ]
+        indexes, assign_cs = self.assign_indexes, self.assign_cs
+        if not assign_cs:
+            return table, rows, [()] * len(rows)
+        cells = []
+        row_env = base_env.child()
+        for row in rows:
+            row_env.bindings[key] = Binding(colmap, row)
+            cells.append([(i, c(row_env)) for i, c in zip(indexes, assign_cs)])
+        return table, rows, cells
+
+
+class UpdatePlan(MatchPlan):
+    __slots__ = ()
+
     def run(self, executor: Executor, env: Optional[Env]) -> int:
-        table = executor._resolve_table(self.table, env)
-        if table._index != self.expected:
-            raise PlanInvalidated(self.table)
-        eval_env = Env(parent=env)
-        key = self.key
-        colmap = self.colmap
-        where_c = self.where_c
-
-        def predicate(row: list) -> bool:
-            eval_env.bindings[key] = Binding(colmap, row)
-            return where_c is None or truth(where_c(eval_env))
-
-        def updater(row: list) -> dict:
-            eval_env.bindings[key] = Binding(colmap, row)
-            return {
-                index: c(eval_env)
-                for index, c in zip(self.assign_indexes, self.assign_cs)
-            }
-
-        count = table.update_where(predicate, updater)
+        table, rows, cells = self.match(executor, env)
+        count = table.update_rows(rows, cells)
         executor.db.stats.count_rows(count, "update")
         return count
 
 
-def _build_update(executor: Executor, stmt: ast.Update, env: Optional[Env]) -> UpdatePlan:
-    table, colmap = _table_colmap(executor, stmt.table, env)
-    alias = stmt.alias or stmt.table
-    layout = {alias.lower(): colmap}
-    where_c = (
-        compile_expression(executor, stmt.where, layout)
-        if stmt.where is not None
-        else None
-    )
-    assign_indexes = [table.column_index(c) for c, _ in stmt.assignments]
-    assign_cs = [
-        compile_expression(executor, e, layout) for _, e in stmt.assignments
-    ]
-    return UpdatePlan(
-        stmt.table, dict(table._index), alias.lower(), colmap, where_c,
-        assign_indexes, assign_cs,
-    )
-
-
-class DeletePlan:
-    __slots__ = ("table", "expected", "key", "colmap", "where_c")
-
-    def __init__(self, table, expected, key, colmap, where_c) -> None:
-        self.table = table
-        self.expected = expected
-        self.key = key
-        self.colmap = colmap
-        self.where_c = where_c
+class DeletePlan(MatchPlan):
+    __slots__ = ()
 
     def run(self, executor: Executor, env: Optional[Env]) -> int:
-        table = executor._resolve_table(self.table, env)
-        if table._index != self.expected:
-            raise PlanInvalidated(self.table)
-        eval_env = Env(parent=env)
-        key = self.key
-        colmap = self.colmap
-        where_c = self.where_c
-
-        def predicate(row: list) -> bool:
-            eval_env.bindings[key] = Binding(colmap, row)
-            return where_c is None or truth(where_c(eval_env))
-
-        count = table.delete_where(predicate)
+        table, rows, _ = self.match(executor, env)
+        count = table.delete_rows(rows)
         executor.db.stats.count_rows(count, "delete")
         return count
 
 
-def _build_delete(executor: Executor, stmt: ast.Delete, env: Optional[Env]) -> DeletePlan:
-    table, colmap = _table_colmap(executor, stmt.table, env)
-    alias = stmt.alias or stmt.table
-    layout = {alias.lower(): colmap}
-    where_c = (
-        compile_expression(executor, stmt.where, layout)
-        if stmt.where is not None
-        else None
-    )
-    return DeletePlan(
-        stmt.table, dict(table._index), alias.lower(), colmap, where_c
+def _build_match(
+    executor: Executor, stmt: "ast.Update | ast.Delete", env: Optional[Env]
+) -> MatchPlan:
+    """Bind an UPDATE's or DELETE's target under its alias with the
+    statement's WHERE conjuncts, as a single-table FROM/WHERE."""
+    table = executor._resolve_table(stmt.table, env)
+    source = ast.TableRef(name=stmt.table, alias=stmt.alias)
+    where = _split_conjuncts(stmt.where)
+    scan = _build_leaf(executor, source, env, where, [source])
+    layout = {scan.key: scan.colmap}
+    conjuncts, outer_cs = _analyze_conjuncts(executor, where, [scan], layout)
+    if isinstance(stmt, ast.Delete):
+        return DeletePlan(scan, conjuncts, outer_cs, [], [])
+    return UpdatePlan(
+        scan, conjuncts, outer_cs,
+        [table.column_index(c) for c, _ in stmt.assignments],
+        [compile_expression(executor, e, layout) for _, e in stmt.assignments],
     )
 
 
@@ -1323,6 +1318,6 @@ def build_dml_plan(
 ) -> Any:
     """Bind an INSERT, UPDATE or DELETE; what cannot be bound raises."""
     build = {
-        ast.Insert: _build_insert, ast.Update: _build_update, ast.Delete: _build_delete,
+        ast.Insert: _build_insert, ast.Update: _build_match, ast.Delete: _build_match,
     }[type(stmt)]
     return build(executor, stmt, env)

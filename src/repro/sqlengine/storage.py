@@ -352,7 +352,7 @@ class Table:
     every mutation since was applied to it as a delta*.  Each primitive
     changes the rows, bumps ``version`` and then carries the structures
     that were valid just before: ``append_row``, ``set_cell`` /
-    ``write_row`` / ``update_where`` and ``delete_where`` apply their
+    ``write_row`` / ``update_rows`` and ``delete_rows`` apply their
     row delta and re-tag last; what a delta cannot express (a changed
     hash key or begin bound, a non-Date bound, a slot a degraded vector
     cannot take) drops that structure, and ``replace_rows``,
@@ -480,59 +480,40 @@ class Table:
         """Iterate over rows.  Callers must not mutate yielded lists."""
         return iter(self.rows)
 
-    def delete_where(self, predicate: Callable[[list[Any]], bool]) -> int:
-        """Delete rows matching ``predicate``; returns the count removed."""
+    def delete_rows(self, rows: Sequence[list[Any]]) -> int:
+        """Delete the given live rows (by identity); returns the count."""
         txn = self.txn
         if txn is not None:
             if txn.mvcc.multi:
                 txn.mvcc.claim(txn, self)
             if txn.fault_plan is not None:
                 txn.fault_plan.hit("table.delete", self.name)
+        if not rows:
+            return 0
         old_rows = self.rows
-        version = self.version
-        wal = txn.wal if txn is not None and not self.temporary else None
-        doomed: list[int] = []
-        if wal is not None or self._derived:
-            # one pass that also collects positions, for the redo record
-            # and the structures' delta
-            kept = []
-            for position, row in enumerate(old_rows):
-                if predicate(row):
-                    doomed.append(position)
-                else:
-                    kept.append(row)
-        else:
-            kept = [row for row in old_rows if not predicate(row)]
-        removed = len(old_rows) - len(kept)
-        if removed:
-            # a predicate that itself mutated this table leaves
-            # positions nobody can trust: carry nothing then
-            carry = bool(doomed and self._derived) and self.version == version
-            if txn is not None and txn.logging:
+        doomed = sorted(map(self._row_position, rows))
+        if txn is not None:
+            if txn.logging:
                 # the displaced list object is the inverse
                 txn.log.append(("rows", self, self.version, old_rows))
-            if wal is not None:
-                wal.record_delete(self.name, doomed)
-            self.rows = kept
-            self.version += 1
-            if carry:
-                self._carry(
-                    len(old_rows), _delete_delta, doomed,
-                    [old_rows[position] for position in doomed],
-                )
-        return removed
+            if txn.wal is not None and not self.temporary:
+                txn.wal.record_delete(self.name, doomed)
+        self.rows = without(old_rows, doomed)
+        self.version += 1
+        self._carry(
+            len(old_rows), _delete_delta, doomed,
+            [old_rows[position] for position in doomed],
+        )
+        return len(doomed)
 
-    def update_where(
-        self,
-        predicate: Callable[[list[Any]], bool],
-        updater: Callable[[list[Any]], dict[int, Any]],
+    def update_rows(
+        self, rows: Sequence[list[Any]], cells: Sequence[Sequence[tuple[int, Any]]]
     ) -> int:
-        """Update matching rows in place; returns the count updated.
+        """Overwrite ``(column index, value)`` cells of the given live
+        rows, ``cells[i]`` into ``rows[i]``; returns the count updated.
 
-        ``updater`` receives the *pre-update* row and returns a mapping
-        of column index to new (already evaluated) value; coercion
-        applies.  All of a row's new values are coerced before any is
-        written, so a coercion failure leaves the row untouched.
+        Every value is coerced before any is written, so a coercion
+        failure on the last row leaves all of them untouched.
         """
         txn = self.txn
         if txn is not None:
@@ -540,40 +521,36 @@ class Table:
                 txn.mvcc.claim(txn, self)
             if txn.fault_plan is not None:
                 txn.fault_plan.hit("table.update", self.name)
+        columns = self.columns
+        staged = [
+            [(index, coerce(value, columns[index].type)) for index, value in row_cells]
+            for row_cells in cells
+        ]
+        if not rows:
+            return 0
         log = txn.log if txn is not None and txn.logging else None
         wal = txn.wal if txn is not None and not self.temporary else None
-        version = self.version
-        touched: Optional[list] = [] if self._derived else None
-        count = 0
-        for position, row in enumerate(self.rows):
-            if predicate(row):
-                staged = [
-                    (index, coerce(value, self.columns[index].type))
-                    for index, value in updater(row).items()
-                ]
-                if log is not None:
-                    log.append((
-                        "upd", self, self.version, row,
-                        [(index, row[index]) for index, _ in staged],
-                    ))
+        touched = [] if self._locates_rows() else None
+        for row, new in zip(rows, staged):
+            if log is not None:
+                log.append((
+                    "upd", self, self.version, row,
+                    [(index, row[index]) for index, _ in new],
+                ))
+            if touched is not None:
+                position = self._row_position(row)
                 if wal is not None:
-                    wal.record_update(self.name, position, staged)
-                if touched is not None:
-                    touched.append((
-                        position, row,
-                        [(index, row[index], value) for index, value in staged],
-                    ))
-                for index, value in staged:
-                    row[index] = value
-                count += 1
-        if count:
-            # a predicate or updater that itself mutated this table
-            # leaves positions nobody can trust: carry nothing then
-            carry = bool(touched) and self.version == version
-            self.version += 1
-            if carry:
-                self._carry(len(self.rows), _update_delta, touched)
-        return count
+                    wal.record_update(self.name, position, new)
+                touched.append((
+                    position, row,
+                    [(index, row[index], value) for index, value in new],
+                ))
+            for index, value in new:
+                row[index] = value
+        self.version += 1
+        if touched:
+            self._carry(len(self.rows), _update_delta, touched)
+        return len(rows)
 
     def set_cell(self, row: list[Any], index: int, value: Any) -> None:
         """Overwrite one cell of a live row (temporal current semantics)."""

@@ -185,7 +185,7 @@ def _apply_undo(entry: tuple) -> None:
         row[index] = value
         _restore_table_version(table, version)
     elif tag == "rows":
-        # delete_where / replace_rows / truncate reassign the row list,
+        # delete_rows / replace_rows / truncate reassign the row list,
         # so the inverse is simply the displaced list object
         _, table, version, old_rows = entry
         table.rows = old_rows
@@ -446,13 +446,13 @@ class TransactionManager:
     # -- MVCC claims -----------------------------------------------------
 
     def claim_write(self, table) -> None:
-        """Claim ``table`` before a read-then-mutate flow scans it.
+        """Claim ``table`` before an UPDATE or DELETE matches its rows.
 
-        The storage primitives claim on first mutation, but paths that
-        scan the target rows *before* mutating (temporal currency
-        rewrites, transaction-time maintenance, sequenced modifications)
-        claim up front so the scan itself runs against a state this
-        transaction is entitled to modify."""
+        The storage primitives claim on first mutation, but the match
+        plan finds every row before the first write, so it claims up
+        front: the scan runs against a state this transaction is
+        entitled to modify (``read_view`` hands the claim holder the
+        live table) and a conflict surfaces before any row is read."""
         self.mvcc.claim(self, table)
 
     # -- statement guard -------------------------------------------------

@@ -1,4 +1,4 @@
-"""Sequenced modifications: ``VALIDTIME [bt, et) INSERT/UPDATE/DELETE``.
+"""Temporal modifications: what happens to the versions a statement touches.
 
 SQL/Temporal's statement modifiers apply to modifications as well as
 queries (paper §III: "these keywords modify the semantics of the entire
@@ -13,47 +13,132 @@ cursor, etc.)").  The sequenced semantics, granule by granule:
 * **UPDATE** applies the assignments within the context and preserves
   the original values outside it, splitting likewise.
 
-The WHERE predicate is evaluated against each stored row version (whose
-attribute values are constant over its period); scalar subqueries inside
-it run conventionally.
+An UPDATE/DELETE without a modifier has current semantics: on a
+valid-time table at ``now``, on a transaction-time table at the clock
+(:func:`execute_current_modification` serves both).
+
+Every one of them finds its versions the same way: :func:`match_statement`
+puts the restriction to the period columns in front of the statement's
+own WHERE as ordinary conjuncts, and the engine's match plan
+(``Executor.match``) returns the rows — and the SET values, evaluated
+against each stored version, whose attribute values are constant over
+its period — before anything is written.  Subqueries inside WHERE and
+SET run conventionally.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Any, Union
 
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.engine import Database
 from repro.sqlengine.executor import Binding, Env
-from repro.sqlengine.storage import Table
-from repro.sqlengine.values import Date, truth
+from repro.sqlengine.values import Date
 from repro.temporal.errors import TemporalError
 from repro.temporal.period import Period
-from repro.temporal.schema import TemporalRegistry, TemporalTableInfo
+from repro.temporal.schema import TemporalTableInfo
+from repro.temporal.transform_util import (
+    and_all,
+    cmp,
+    lit,
+    name,
+    overlap_at_point,
+    pairwise_overlap,
+)
+
+FOREVER = Date(Date.MAX_ORDINAL)
+# the outer binding a match statement reads its bounds from: the values
+# change per execution, the statement (and its cached plan) does not
+PERIOD = "taupsm_period"
+_BOUNDS = {"taupsm_lo": 0, "taupsm_hi": 1}
+
+
+def match_statement(
+    stmt: Union[ast.Update, ast.Delete], info: TemporalTableInfo, restriction: str
+) -> Union[ast.Update, ast.Delete]:
+    """``stmt`` as the conventional statement whose match plan finds the
+    versions it touches: its WHERE conjoined with the restriction —
+    ``"current"`` (valid at ``lo``), ``"sequenced"`` (a non-empty period
+    overlapping ``[lo, hi)``) or ``"believed"`` (not yet closed)."""
+    alias = stmt.alias or stmt.table
+    begin, end = name(alias, info.begin_column), name(alias, info.end_column)
+    lo, hi = name(PERIOD, "taupsm_lo"), name(PERIOD, "taupsm_hi")
+    own = [] if stmt.where is None else [stmt.where]
+    if restriction == "current":
+        conjuncts = [
+            overlap_at_point(alias, lo, info.begin_column, info.end_column)
+        ] + own
+    elif restriction == "sequenced":
+        conjuncts = (
+            pairwise_overlap([(begin, end), (lo, hi)]) + [cmp("<", begin, end)] + own
+        )
+    else:
+        # behind the statement's own conjuncts: a level probes on its
+        # first equality, which should be the statement's key
+        conjuncts = own + [cmp("=", end, lit(FOREVER))]
+    matcher = copy.copy(stmt)
+    matcher.modifier = None
+    matcher.where = and_all(conjuncts)
+    return matcher
+
+
+def _matched(db: Database, matcher, lo: Date, hi: Date) -> tuple:
+    env = Env()
+    env.bindings[PERIOD] = Binding(_BOUNDS, (lo, hi))
+    return db.executor.match(matcher, env)
+
+
+def execute_current_modification(
+    db: Database,
+    info: TemporalTableInfo,
+    matcher: Union[ast.Update, ast.Delete],
+    point: Date,
+    source: str,
+) -> int:
+    """Current UPDATE/DELETE at ``point``: close each matched version
+    there; an UPDATE re-inserts it changed over ``[point, forever)``.  A
+    version that began at ``point`` was never visible: it is overwritten
+    in place, or removed, instead of leaving an empty period behind.
+    ``source`` labels the ``rows_written`` count."""
+    table, rows, cells = _matched(db, matcher, point, point)
+    begin_index = table.column_index(info.begin_column)
+    end_index = table.column_index(info.end_column)
+    born_at_point = []
+    for row, assigned in zip(rows, cells):
+        fresh = row[begin_index] == point
+        if isinstance(matcher, ast.Update):
+            new_row = list(row)
+            for index, value in assigned:
+                new_row[index] = value
+            new_row[begin_index] = point
+            new_row[end_index] = FOREVER
+            if fresh:
+                table.write_row(row, new_row)
+            else:
+                table.set_cell(row, end_index, point)
+                table.insert(new_row)
+        elif fresh:
+            born_at_point.append(row)
+        else:
+            table.set_cell(row, end_index, point)
+    if born_at_point:
+        table.delete_rows(born_at_point)
+    db.stats.count_rows(len(rows), source)
+    return len(rows)
 
 
 def execute_sequenced_modification(
     db: Database,
-    registry: TemporalRegistry,
+    info: TemporalTableInfo,
     stmt: Union[ast.Insert, ast.Update, ast.Delete],
     context: Period,
 ) -> int:
-    """Dispatch a sequenced modification; returns the affected-row count."""
-    info = registry.get(stmt.table)
-    if info is None:
-        raise TemporalError(
-            f"sequenced modification requires a temporal table;"
-            f" {stmt.table!r} has no valid-time support"
-        )
+    """Run a sequenced modification — an INSERT, or the match statement
+    of an UPDATE/DELETE; returns the affected-row count."""
     if isinstance(stmt, ast.Insert):
         return _sequenced_insert(db, info, stmt, context)
-    if isinstance(stmt, ast.Delete):
-        return _sequenced_delete(db, info, stmt, context)
-    if isinstance(stmt, ast.Update):
-        return _sequenced_update(db, info, stmt, context)
-    raise TemporalError(  # pragma: no cover - dispatch is exhaustive
-        f"unsupported sequenced modification {type(stmt).__name__}"
-    )
+    return _sequenced_rewrite(db, info, stmt, context)
 
 
 def _sequenced_insert(
@@ -94,110 +179,49 @@ def _sequenced_insert(
     return db.executor.execute(new_stmt)
 
 
-def _matching_rows(
+def _sequenced_rewrite(
     db: Database,
-    table: Table,
     info: TemporalTableInfo,
-    where,
-    alias: str,
+    matcher: Union[ast.Update, ast.Delete],
     context: Period,
-) -> list[list[Any]]:
-    colmap = {c.lower(): i for i, c in enumerate(table.column_names)}
-    begin_index = table.column_index(info.begin_column)
-    end_index = table.column_index(info.end_column)
-    # watchdog: the sequenced-modification row pass walks the whole
-    # table outside the executor's scan machinery
-    resilience = db.resilience
-    if resilience.armed:
-        resilience.check()
-    env = Env()
-    matches = []
-    for row in table.rows:
-        begin, end = row[begin_index], row[end_index]
-        if not (isinstance(begin, Date) and isinstance(end, Date)):
-            continue  # a comparison with a NULL bound is never true
-        if not Period(begin.ordinal, end.ordinal).overlaps(context):
-            continue
-        env.bindings[alias.lower()] = Binding(colmap, row)
-        if where is None or truth(db.executor.evaluate(where, env)):
-            matches.append(row)
-    return matches
-
-
-def _sequenced_delete(
-    db: Database, info: TemporalTableInfo, stmt: ast.Delete, context: Period
 ) -> int:
-    """Remove validity within the context, splitting cut periods."""
-    table = db.catalog.get_table(stmt.table)
-    # claim before the scan: read-then-mutate must target the live table
-    db.txn.claim_write(table)
-    alias = stmt.alias or stmt.table
+    """Remove validity within the context (DELETE) or apply the
+    assignments there (UPDATE), preserving history outside it."""
+    update = isinstance(matcher, ast.Update)
+    hidden = (info.begin_column.lower(), info.end_column.lower())
+    if update and any(column.lower() in hidden for column, _ in matcher.assignments):
+        raise TemporalError("sequenced UPDATE may not assign timestamp columns")
+    table, rows, cells = _matched(
+        db, matcher, Date(context.begin), Date(context.end)
+    )
     begin_index = table.column_index(info.begin_column)
     end_index = table.column_index(info.end_column)
-    matches = _matching_rows(db, table, info, stmt.where, alias, context)
     additions: list[list[Any]] = []
-    for row in matches:
+
+    def piece(row: list[Any], period: Period) -> list[Any]:
+        part = list(row)
+        part[begin_index] = Date(period.begin)
+        part[end_index] = Date(period.end)
+        additions.append(part)
+        return part
+
+    for row, assigned in zip(rows, cells):
         period = Period(row[begin_index].ordinal, row[end_index].ordinal)
+        if update:
+            updated = piece(row, period.intersect(context))
+            for index, value in assigned:
+                updated[index] = value
         for kept in _difference(period, context):
-            part = list(row)
-            part[begin_index] = Date(kept.begin)
-            part[end_index] = Date(kept.end)
-            additions.append(part)
-    _rewrite(db, table, matches, additions)
-    return len(matches)
-
-
-def _sequenced_update(
-    db: Database, info: TemporalTableInfo, stmt: ast.Update, context: Period
-) -> int:
-    """Apply assignments within the context; preserve history outside."""
-    for column, _ in stmt.assignments:
-        if column.lower() in (info.begin_column.lower(), info.end_column.lower()):
-            raise TemporalError(
-                "sequenced UPDATE may not assign timestamp columns"
-            )
-    table = db.catalog.get_table(stmt.table)
-    db.txn.claim_write(table)
-    alias = stmt.alias or stmt.table
-    colmap = {c.lower(): i for i, c in enumerate(table.column_names)}
-    begin_index = table.column_index(info.begin_column)
-    end_index = table.column_index(info.end_column)
-    matches = _matching_rows(db, table, info, stmt.where, alias, context)
-    env = Env()
-    additions: list[list[Any]] = []
-    for row in matches:
-        period = Period(row[begin_index].ordinal, row[end_index].ordinal)
-        overlap = period.intersect(context)
-        assert overlap is not None  # guaranteed by _matching_rows
-        env.bindings[alias.lower()] = Binding(colmap, row)
-        updated = list(row)
-        for column, expr in stmt.assignments:
-            updated[table.column_index(column)] = db.executor.evaluate(expr, env)
-        updated[begin_index] = Date(overlap.begin)
-        updated[end_index] = Date(overlap.end)
-        additions.append(updated)
-        for kept in _difference(period, context):
-            part = list(row)
-            part[begin_index] = Date(kept.begin)
-            part[end_index] = Date(kept.end)
-            additions.append(part)
-    _rewrite(db, table, matches, additions)
-    return len(matches)
-
-
-def _rewrite(
-    db: Database, table: Table, matches: list[list[Any]], additions: list[list[Any]]
-) -> None:
-    """Swap the matched versions for their pieces: one removal per
-    version touched, then the pieces appended in order — row deltas the
-    table's derived structures and the redo log follow (``delpos`` +
-    ``ins`` records), never a rewrite of the table."""
-    if matches:
-        doomed = set(map(id, matches))
-        table.delete_where(lambda row: id(row) in doomed)
+            piece(row, kept)
+    # one removal per version touched, then the pieces appended in order:
+    # row deltas the table's derived structures and the redo log follow
+    # (``delpos`` + ``ins`` records), never a rewrite of the table
+    if rows:
+        table.delete_rows(rows)
         for part in additions:
             table.append_row(part)
-    db.stats.count_rows(len(matches) + len(additions), "sequenced_rewrite")
+    db.stats.count_rows(len(rows) + len(additions), "sequenced_rewrite")
+    return len(rows)
 
 
 def _difference(period: Period, context: Period) -> list[Period]:

@@ -23,6 +23,7 @@ statement turns into (the paper's Figures 5-11).
 
 from __future__ import annotations
 
+import copy
 import enum
 import re
 import time
@@ -32,11 +33,11 @@ from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.catalog import Routine
 from repro.sqlengine.engine import Database
 from repro.sqlengine.errors import CatalogError, ExecutionError
-from repro.sqlengine.executor import Binding, Env, ResultSet
+from repro.sqlengine.executor import Env, ResultSet
 from repro.sqlengine.parser import parse_script, parse_statement
 from repro.sqlengine.storage import Column
 from repro.sqlengine.types import SqlType
-from repro.sqlengine.values import Date, Null, truth
+from repro.sqlengine.values import Date
 from repro.temporal import analysis
 from repro.temporal.constant_periods import materialize_constant_periods
 from repro.temporal.current import CurrentTransformResult, transform_current
@@ -45,6 +46,11 @@ from repro.temporal.max_slicing import (
     MaxTransformResult,
     statement_key,
     transform_query_max,
+)
+from repro.temporal.modifications import (
+    execute_current_modification,
+    execute_sequenced_modification,
+    match_statement,
 )
 from repro.temporal.period import Period, coalesce
 from repro.temporal.perst_slicing import (
@@ -568,16 +574,38 @@ class TemporalStratum:
             dml = TransactionTimeDml(self.db, self.tt_registry)
             if isinstance(stmt, ast.Insert):
                 return dml.execute_insert(stmt, self.clock)
-            if isinstance(stmt, ast.Update):
-                return dml.execute_update(stmt, self.clock)
-            return dml.execute_delete(stmt, self.clock)
-        if is_vt:
-            if isinstance(stmt, ast.Update):
-                return self._execute_current_update(stmt)
-            if isinstance(stmt, ast.Delete):
-                return self._execute_current_delete(stmt)
-            return NotImplemented  # current INSERT handled by transform
+            matcher = self._match_statement(stmt, self.tt_registry, "believed")
+            return dml.execute_modification(matcher, self.clock)
+        if is_vt and not isinstance(stmt, ast.Insert):
+            # TUC: close the currently-valid versions at now (an UPDATE
+            # re-inserts them changed); current INSERT is a transformation
+            return execute_current_modification(
+                self.db, self.registry.get(stmt.table),
+                self._match_statement(stmt, self.registry, "current"),
+                self.db.now, "current_rewrite",
+            )
         return NotImplemented
+
+    def _match_statement(
+        self, stmt: Union[ast.Update, ast.Delete], registry: TemporalRegistry,
+        restriction: str,
+    ) -> Union[ast.Update, ast.Delete]:
+        """The cached :func:`~repro.temporal.modifications.match_statement`
+        of ``stmt`` (without its modifier): one statement object, hence
+        one engine plan, however often the text is re-parsed and
+        whatever ``now``, the context or the clock is by then."""
+        plain = copy.copy(stmt)
+        plain.modifier = None
+        key = (
+            "match", restriction, statement_key(plain),
+            self.registry.version, self.tt_registry.version,
+        )
+        matcher = self._transform_fetch(key)
+        if matcher is None:
+            self.db.stats.transforms += 1
+            matcher = match_statement(plain, registry.get(stmt.table), restriction)
+            self._transform_store(key, matcher)
+        return matcher
 
     def _apply_transaction_currency(self, stmt: ast.Statement) -> ast.Statement:
         """Restrict transaction-time tables to the rows believed at the
@@ -593,86 +621,6 @@ class TemporalStratum:
         )
         self._install_routines(result.routines)
         return result.statement
-
-    def _currently_valid_matches(
-        self, stmt: Union[ast.Update, ast.Delete], table, begin_index: int, end_index: int
-    ) -> list[list[Any]]:
-        """The rows valid at ``now`` that satisfy the statement's WHERE.
-
-        Claims the table first: this read-then-mutate path must see (and
-        conflict against) the live table, never a snapshot view.  A row
-        with a NULL bound is valid at no point — a comparison with NULL
-        is never true, the interval index's rule.
-        """
-        self.db.txn.claim_write(table)
-        now = self.db.now.ordinal
-        binding = (stmt.alias or stmt.table).lower()
-        colmap = {c.lower(): i for i, c in enumerate(table.column_names)}
-        executor = self.db.executor
-        env = Env()
-        matches = []
-        for row in table.rows:
-            begin, end = row[begin_index], row[end_index]
-            if not (isinstance(begin, Date) and isinstance(end, Date)):
-                continue
-            if not (begin.ordinal <= now < end.ordinal):
-                continue
-            env.bindings[binding] = Binding(colmap, row)
-            if stmt.where is None or truth(executor.evaluate(stmt.where, env)):
-                matches.append(row)
-        return matches
-
-    def _execute_current_update(self, stmt: ast.Update) -> int:
-        """TUC UPDATE: terminate currently-valid rows, insert new versions."""
-        info = self.registry.get(stmt.table)
-        table = self.db.catalog.get_table(stmt.table)
-        now = self.db.now
-        begin_index = table.column_index(info.begin_column)
-        end_index = table.column_index(info.end_column)
-        matches = self._currently_valid_matches(stmt, table, begin_index, end_index)
-        binding = (stmt.alias or stmt.table).lower()
-        colmap = {c.lower(): i for i, c in enumerate(table.column_names)}
-        executor = self.db.executor
-        env = Env()
-        for row in matches:
-            env.bindings[binding] = Binding(colmap, row)
-            new_row = list(row)
-            for column, expr in stmt.assignments:
-                new_row[table.column_index(column)] = executor.evaluate(expr, env)
-            new_row[begin_index] = now
-            new_row[end_index] = Date(Date.MAX_ORDINAL)
-            if row[begin_index].ordinal == now.ordinal:
-                # row became valid today: overwrite in place
-                table.write_row(row, new_row)
-            else:
-                table.set_cell(row, end_index, now)
-                table.insert(new_row)
-        self.db.stats.count_rows(len(matches), "current_rewrite")
-        return len(matches)
-
-    def _execute_current_delete(self, stmt: ast.Delete) -> int:
-        """TUC DELETE: terminate currently-valid rows at ``now``.
-
-        Rows that first became valid today are removed outright (they
-        were never visible), avoiding empty ``[now, now)`` periods; every
-        other row of the table is left untouched.
-        """
-        info = self.registry.get(stmt.table)
-        table = self.db.catalog.get_table(stmt.table)
-        now = self.db.now
-        begin_index = table.column_index(info.begin_column)
-        end_index = table.column_index(info.end_column)
-        matches = self._currently_valid_matches(stmt, table, begin_index, end_index)
-        born_today = set()
-        for row in matches:
-            if row[begin_index].ordinal < now.ordinal:
-                table.set_cell(row, end_index, now)
-            else:
-                born_today.add(id(row))
-        if born_today:
-            table.delete_where(lambda row: id(row) in born_today)
-        self.db.stats.count_rows(len(matches), "current_rewrite")
-        return len(matches)
 
     def _execute_nonsequenced(self, stmt: ast.Statement, dimension: str = "VALID") -> Any:
         with self.db.tracer.span("stratum.nonsequenced", dim=dimension.lower()):
@@ -750,20 +698,23 @@ class TemporalStratum:
         registry = registry if registry is not None else self.registry
         self._check_sequenced_preconditions(stmt)
         if isinstance(stmt, (ast.Insert, ast.Update, ast.Delete)):
-            from repro.temporal.modifications import (
-                execute_sequenced_modification,
-            )
-
             if registry is self.tt_registry:
                 raise TemporalError(
                     "transaction time is system-maintained; sequenced"
                     " TRANSACTIONTIME modifications are not meaningful"
                 )
-            plain = clone(stmt)
-            plain.modifier = None
-            return execute_sequenced_modification(
-                self.db, registry, plain, context
-            )
+            info = registry.get(stmt.table)
+            if info is None:
+                raise TemporalError(
+                    f"sequenced modification requires a temporal table;"
+                    f" {stmt.table!r} has no valid-time support"
+                )
+            if isinstance(stmt, ast.Insert):
+                plain = copy.copy(stmt)
+                plain.modifier = None
+            else:
+                plain = self._match_statement(stmt, registry, "sequenced")
+            return execute_sequenced_modification(self.db, info, plain, context)
         self.last_fallback = None
         other_registry = (
             self.registry if registry is self.tt_registry else self.tt_registry

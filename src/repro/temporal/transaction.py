@@ -22,24 +22,22 @@ Setting the clock into the past gives time travel ("as of" queries).
 
 from __future__ import annotations
 
-from typing import Any, Optional, Union
+from typing import Union
 
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.engine import Database
 from repro.sqlengine.errors import CatalogError
-from repro.sqlengine.executor import Binding, Env
 from repro.sqlengine.storage import Column, Table
 from repro.sqlengine.types import SqlType
-from repro.sqlengine.values import Date, truth
+from repro.sqlengine.values import Date
 from repro.temporal.errors import TemporalError
+from repro.temporal.modifications import FOREVER, execute_current_modification
 from repro.temporal.schema import (
     TT_START_COLUMN,
     TT_STOP_COLUMN,
     TemporalRegistry,
     TemporalTableInfo,
 )
-
-FOREVER = Date(Date.MAX_ORDINAL)
 
 
 def transaction_info(table_name: str) -> TemporalTableInfo:
@@ -141,75 +139,15 @@ class TransactionTimeDml:
             new_stmt.select = select
         return self.db.executor.execute(new_stmt)
 
-    def execute_delete(self, stmt: ast.Delete, clock: Date) -> int:
-        """Logical deletion: close the believed-now versions."""
-        table, info = self._table_and_info(stmt.table)
-        self.db.txn.claim_write(table)
-        return self._close_matching(table, info, stmt.where, stmt.alias, clock)
-
-    def execute_update(self, stmt: ast.Update, clock: Date) -> int:
-        """Close the believed-now versions and record the new belief."""
-        table, info = self._table_and_info(stmt.table)
-        # claim before the scan: read-then-mutate must target the live table
-        self.db.txn.claim_write(table)
-        self._reject_explicit_tt_columns(stmt, info)
-        alias = stmt.alias or stmt.table
-        colmap = {c.lower(): i for i, c in enumerate(table.column_names)}
-        start_index = table.column_index(info.begin_column)
-        stop_index = table.column_index(info.end_column)
-        executor = self.db.executor
-        env = Env()
-        matches: list[list[Any]] = []
-        for row in table.rows:
-            if row[stop_index] != FOREVER:
-                continue
-            env.bindings[alias.lower()] = Binding(colmap, row)
-            if stmt.where is None or truth(executor.evaluate(stmt.where, env)):
-                matches.append(row)
-        for row in matches:
-            env.bindings[alias.lower()] = Binding(colmap, row)
-            new_row = list(row)
-            for column, expr in stmt.assignments:
-                new_row[table.column_index(column)] = executor.evaluate(expr, env)
-            new_row[start_index] = clock
-            new_row[stop_index] = FOREVER
-            if row[start_index] == clock:
-                table.write_row(row, new_row)
-            else:
-                table.set_cell(row, stop_index, clock)
-                table.insert(new_row)
-        self.db.stats.count_rows(len(matches), "tt_maintenance")
-        return len(matches)
-
-    def _close_matching(
-        self,
-        table: Table,
-        info: TemporalTableInfo,
-        where: Optional[ast.Expression],
-        alias: Optional[str],
-        clock: Date,
+    def execute_modification(
+        self, matcher: Union[ast.Update, ast.Delete], clock: Date
     ) -> int:
-        binding_name = (alias or table.name).lower()
-        colmap = {c.lower(): i for i, c in enumerate(table.column_names)}
-        start_index = table.column_index(info.begin_column)
-        stop_index = table.column_index(info.end_column)
-        executor = self.db.executor
-        env = Env()
-        closed: list[list[Any]] = []
-        born_now: set[int] = set()
-        for row in table.rows:
-            if row[stop_index] == FOREVER:
-                env.bindings[binding_name] = Binding(colmap, row)
-                if where is None or truth(executor.evaluate(where, env)):
-                    if row[start_index] == clock:
-                        # inserted and deleted in one transaction
-                        born_now.add(id(row))
-                    else:
-                        closed.append(row)
-        for row in closed:
-            table.set_cell(row, stop_index, clock)
-        if born_now:
-            table.delete_where(lambda row: id(row) in born_now)
-        count = len(closed) + len(born_now)
-        self.db.stats.count_rows(count, "tt_maintenance")
-        return count
+        """UPDATE/DELETE, given as the statement's ``"believed"`` match
+        statement: close the believed-now versions at the clock (logical
+        deletion); an UPDATE also records the new belief."""
+        _, info = self._table_and_info(matcher.table)
+        if isinstance(matcher, ast.Update):
+            self._reject_explicit_tt_columns(matcher, info)
+        return execute_current_modification(
+            self.db, info, matcher, clock, "tt_maintenance"
+        )

@@ -69,6 +69,29 @@ def make_bookstore() -> TemporalStratum:
     return stratum
 
 
+# the four kinds of UPDATE/DELETE, each with a table holding an 'i2'
+# row: kind -> (statement prefix, table)
+DML_KINDS = {
+    "conventional": ("", "plain"),
+    "current": ("", "item"),
+    "sequenced": ("VALIDTIME [DATE '2010-03-15', DATE '2010-05-01'] ", "item"),
+    "transaction_time": ("", "account"),
+}
+
+
+def make_dml_kinds() -> TemporalStratum:
+    """The bookstore plus a conventional ``plain`` and a transaction-time
+    ``account`` table, both ``(id, price)`` with rows 'i1' and 'i2'."""
+    stratum = make_bookstore()
+    db = stratum.db
+    db.execute("CREATE TABLE plain (id CHAR(10), price FLOAT)")
+    db.execute("INSERT INTO plain VALUES ('i1', 1.0), ('i2', 2.0)")
+    db.execute("CREATE TABLE account (id CHAR(10), price FLOAT)")
+    stratum.execute("ALTER TABLE account ADD TRANSACTIONTIME")
+    stratum.execute("INSERT INTO account (id, price) VALUES ('i1', 1.0), ('i2', 2.0)")
+    return stratum
+
+
 GET_AUTHOR_NAME = """
 CREATE FUNCTION get_author_name (aid CHAR(10))
 RETURNS CHAR(50)

@@ -246,8 +246,9 @@ class TestExplainSemantics:
         sql = "UPDATE item SET price = 1.0 WHERE id = 'i1'"
         text = stratum.execute("EXPLAIN " + sql).text()
         assert "plan: executed by the stratum" in text
-        assert "match pass: rows of item with begin_time <= CURRENT_DATE" in text
-        assert "id = 'i1'" in text
+        # the match statement and the plan the engine bound for it
+        assert "item.begin_time <= taupsm_period.taupsm_lo" in text
+        assert "Update item\n      HashProbe item on id = 'i1' filters: 2" in text
         assert "close: end_time := CURRENT_DATE" in text
         assert "re-insert: the match with price = 1.0" in text
         prices = stratum.db.execute("SELECT price FROM item WHERE id = 'i1'")
@@ -255,12 +256,34 @@ class TestExplainSemantics:
         analyzed = stratum.execute("EXPLAIN ANALYZE " + sql)
         assert analyzed.result == 1
         assert "rows written: 1" in analyzed.text()
+        # the level's measured rows: i1 has one version, it matched
+        assert "HashProbe item on id = 'i1' filters: 2 [rows in: 1, out: 1]" in (
+            analyzed.text()
+        )
 
     def test_current_delete_renders_the_stratum_steps(self, stratum):
         text = stratum.execute("EXPLAIN DELETE FROM item WHERE id = 'i2'").text()
-        assert "match pass: rows of item" in text and "close: end_time" in text
+        assert "Delete item\n      HashProbe item on id = 'i2'" in text
+        assert "close: end_time" in text
         assert "re-insert" not in text
         assert len(stratum.db.execute("SELECT 1 FROM item").rows) == 2
+
+    def test_sequenced_and_transaction_time_dml_render_the_match_plan(self, stratum):
+        text = stratum.execute(
+            "EXPLAIN VALIDTIME [DATE '2010-04-01', DATE '2010-07-01']"
+            " DELETE FROM item WHERE price > 50"
+        ).text()
+        assert "item.begin_time < taupsm_period.taupsm_hi" in text
+        assert "IntervalIndexScan item (begin_time/end_time)" in text
+        stratum.db.execute("CREATE TABLE account (id CHAR(8), balance FLOAT)")
+        stratum.execute("ALTER TABLE account ADD TRANSACTIONTIME")
+        text = stratum.execute(
+            "EXPLAIN UPDATE account SET balance = 0 WHERE id = 'a1'"
+        ).text()
+        assert "HashProbe account on id = 'a1'" in text
+        assert "close: tt_stop := the clock" in text
+        text = stratum.execute("EXPLAIN DELETE FROM account").text()
+        assert "HashProbe account on account.tt_stop = DATE '9999-12-31'" in text
 
     def test_conventional_statement_explains_engine_plan(self, stratum):
         result = stratum.db.execute("EXPLAIN SELECT 1 AS one")

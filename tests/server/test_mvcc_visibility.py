@@ -12,6 +12,9 @@ import pytest
 
 from repro.sqlengine.engine import Database
 from repro.sqlengine.errors import ExecutionError, SerializationError
+from repro.sqlengine.values import Date
+from tests.conftest import DML_KINDS, make_dml_kinds
+from tests.sqlengine.test_derived_structures import assert_from_scratch, image
 
 
 @pytest.fixture
@@ -275,4 +278,80 @@ def test_reads_never_claim_or_conflict(db):
     db.activate_txn(session)
     results = db.execute("CALL count_rows()")
     assert results[0].scalar() == 3
+    db.close_session(session)
+
+
+# UPDATE and DELETE find their rows before the first mutation, so the
+# claim is taken before the match — on the conventional path exactly as
+# on the stratum's three
+
+
+@pytest.mark.parametrize("verb", ["UPDATE", "DELETE"])
+@pytest.mark.parametrize("kind", list(DML_KINDS))
+def test_dml_claims_before_it_matches(kind, verb):
+    stratum = make_dml_kinds()
+    db = stratum.db
+    db.now = Date(db.now.ordinal + 1)  # the rows were not born today
+    prefix, name = DML_KINDS[kind]
+    head = f"UPDATE {name} SET price = 2.5" if verb == "UPDATE" else f"DELETE FROM {name}"
+    sql = f"{prefix}{head} WHERE id = 'i2'"
+    table = db.table(name)
+    before = [list(row) for row in table.rows]
+    root = db.root_txn
+    reader, rival = db.create_session("reader"), db.create_session("rival")
+
+    db.activate_txn(reader)
+    db.execute("BEGIN")  # pins the snapshot
+    db.activate_txn(root)
+    db.execute("BEGIN")
+    image(table)  # every structure current: the statement carries them
+    assert stratum.execute(sql) == 1
+    assert table.writer is root
+    assert [list(row) for row in table.rows] != before
+    # the statement matched the live table: its claim holder's read view
+    assert db.read_table(name) is table
+
+    db.activate_txn(reader)
+    assert db.read_table(name) is not table
+    assert db.read_table(name).rows == before
+
+    db.activate_txn(rival)
+    scanned = db.obs.value("engine.rows_scanned")
+    with pytest.raises(SerializationError) as excinfo:
+        stratum.execute(sql)
+    assert excinfo.value.sqlstate == "40001"
+    # refused at the claim, before any row was examined
+    assert db.obs.value("engine.rows_scanned") == scanned
+
+    db.activate_txn(root)
+    db.execute("ROLLBACK")
+    assert table.rows == before
+    assert_from_scratch(table)
+    db.activate_txn(reader)
+    db.execute("COMMIT")
+    db.activate_txn(root)
+    db.close_session(reader)
+    db.close_session(rival)
+
+
+@pytest.mark.parametrize("kind", list(DML_KINDS))
+def test_dml_after_a_foreign_commit_conflicts_before_matching(kind):
+    """First committer wins at the claim: the statement never matches
+    against the snapshot view it would otherwise have read."""
+    stratum = make_dml_kinds()
+    db = stratum.db
+    prefix, name = DML_KINDS[kind]
+    sql = f"{prefix}UPDATE {name} SET price = 2.5 WHERE id = 'i2'"
+    session = db.create_session("late")
+    db.activate_txn(session)
+    db.execute("BEGIN")
+    db.activate_txn(db.root_txn)
+    assert stratum.execute(sql) == 1  # autocommit: a newer csn on the table
+    db.activate_txn(session)
+    scanned = db.obs.value("engine.rows_scanned")
+    with pytest.raises(SerializationError):
+        stratum.execute(sql)
+    assert db.obs.value("engine.rows_scanned") == scanned
+    db.execute("ROLLBACK")
+    db.activate_txn(db.root_txn)
     db.close_session(session)

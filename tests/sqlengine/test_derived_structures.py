@@ -56,9 +56,9 @@ OPS = st.one_of(
     st.tuples(st.just("append_row"), values(RAW)),
     st.tuples(st.just("set_cell"), small, st.integers(0, 4), small),
     st.tuples(st.just("write_row"), small, values(RAW)),
-    st.tuples(st.just("update_where"), st.integers(0, 2), st.integers(0, 4), small),
+    st.tuples(st.just("update_rows"), st.integers(0, 2), st.integers(0, 4), small),
     st.tuples(st.just("update_fails"), st.integers(0, 2)),
-    st.tuples(st.just("delete_where"), st.sampled_from(["key", "one", "one", "all"]), small),
+    st.tuples(st.just("delete_rows"), st.sampled_from(["key", "one", "one", "all"]), small),
     st.tuples(st.just("replace_rows"), small),
     st.tuples(st.sampled_from(
         ["truncate", "add_column", "hand_edit", "hand_edit_unversioned"]
@@ -102,7 +102,8 @@ def image(table: Table) -> dict:
             key: ids(bucket) for key, bucket in table.hash_index(column).items()
         }
     if table.interval_pairs:
-        index = table.interval_index(B, E)
+        begin, end = map(table.column_index, table.interval_pairs[0])
+        index = table.interval_index(begin, end)
         out["interval"] = (
             index.entry_count, index.total_rows, index._begins, index._positions,
             index._ends, ids(index._rows),
@@ -111,7 +112,7 @@ def image(table: Table) -> dict:
             [ids(index.stab(point)) for point in (100, 103, 107)],
             [ids(index.overlaps(lo, hi)) for lo, hi in ((100, 104), (105, 200))],
         )
-        out["change_points"] = table.change_points(B, E)
+        out["change_points"] = table.change_points(begin, end)
     store = table.column_store()
     out["columnar"] = (store.row_count, [
         (v.kind, list(v.data), bytes(v.valid), v.nulls, v.degraded)
@@ -166,30 +167,29 @@ def run(ops) -> None:
             row = pick(op[1])
             if row is not None:
                 table.write_row(row, wide(op[2]))
-        elif name == "update_where":
+        elif name == "update_rows":
             pool = CLEAN[op[2]]
             value = pool[op[3] % len(pool)]
-            table.update_where(
-                lambda row: row[K] == op[1], lambda row: {op[2]: value}
-            )
+            rows = [row for row in table.rows if row[K] == op[1]]
+            table.update_rows(rows, [[(op[2], value)]] * len(rows))
         elif name == "update_fails":
-            # coercion fails on the second match: rows one match deep are
-            # already overwritten when the statement rolls back
-            seen = []
-
-            def updater(row):
-                seen.append(row)
-                return {F: 9.5} if len(seen) == 1 else {B: "not a date"}
-
-            table.update_where(lambda row: row[K] == op[1], updater)
-        elif name == "delete_where":
+            # coercion fails on the second match: every value is coerced
+            # before any is written, so not even the first is overwritten
+            rows = [row for row in table.rows if row[K] == op[1]]
+            cells = [[(F, 9.5)]] + [[(B, "not a date")]] * (len(rows) - 1)
+            before = [list(row) for row in rows]
+            try:
+                table.update_rows(rows, cells)
+            finally:
+                assert len(rows) < 2 or [list(row) for row in rows] == before
+        elif name == "delete_rows":
             if op[1] == "key":
-                table.delete_where(lambda row: row[K] == op[2] % 3)
+                table.delete_rows([row for row in table.rows if row[K] == op[2] % 3])
             elif op[1] == "one":
                 doomed = pick(op[2])
-                table.delete_where(lambda row: row is doomed)
+                table.delete_rows([] if doomed is None else [doomed])
             else:
-                table.delete_where(lambda row: True)
+                table.delete_rows(list(table.rows))
         elif name == "replace_rows":
             rows = table.rows[::-1]
             table.replace_rows(rows[op[1] % 3:])
@@ -290,13 +290,13 @@ def test_the_written_out_case():
         ("set_cell", 1, E, 1),
         ("begin",), ("savepoint",),
         ("write_row", 0, (2, "b ", Null, Date(100), Date(108))),
-        ("delete_where", "one", 1),
+        ("delete_rows", "one", 1),
         ("unobserved", 2),  # the version climbs back over other rows
         ("rollback_to",),
         ("insert", (0, "b", 2.5, Date(106), Date(108))),
-        ("update_where", 1, F, 1),
+        ("update_rows", 1, F, 1),
         ("session_begin",),
-        ("delete_where", "key", 1),
+        ("delete_rows", "key", 1),
         ("commit",),
         ("session_read",),
         ("append_row", (2 ** 70, "a", 1.0, Date(100), Date(104))),
@@ -397,32 +397,30 @@ def test_a_scan_visits_the_rows_appended_under_it():
 
 
 def test_a_write_nested_in_a_write_carries_nothing():
-    """An updater or predicate that itself mutates the table leaves the
-    outer primitive's positions meaningless: it applies no delta and the
-    structures are rebuilt."""
-    db, table = make_db()
-    for k in (1, 2, 1, 0, 1):
-        table.insert([k, "a", 1.0, Date(100 + k), Date(108)])
+    """A SET expression or predicate that itself mutates the target runs
+    while the statement is still matching and staging; rows are located
+    when they are written, after it, so the structures follow.  Deleting
+    a row the statement matched is a typed error that rolls back."""
+    db = _self_feeding_table()
+    table = db.table("t")
     image(table)
-
-    def updater(row):
-        table.delete_where(lambda other: other[K] == 2)
-        return {F: 9.5}
-
-    db.txn.run_atomic(
-        lambda: table.update_where(lambda row: row[K] == 1, updater)
-    )
-    assert [row[K] for row in table.rows] == [1, 1, 0, 1]
+    # f inserts a k = 1 row per staged value; the three matches were
+    # found before the first call
+    assert db.execute("UPDATE t SET x = f(x) + 100 WHERE k = 1") == 3
+    assert [row[1] for row in table.rows] == [100, 101, 9, 102, 10, 11, 12]
     assert_from_scratch(table)
-
-    fed = []
-
-    def predicate(row):
-        if not fed:
-            fed.append(row)
-            table.insert([0, "b", 2.5, Date(103), Date(104)])
-        return row[K] == 0
-
-    db.txn.run_atomic(lambda: table.delete_where(predicate))
-    assert [row[K] for row in table.rows] == [1, 1, 1]
+    assert db.execute("DELETE FROM t WHERE k = 2 AND f(x) = 9") == 1
+    assert [row[1] for row in table.rows] == [100, 101, 102, 10, 11, 12, 19]
+    assert_from_scratch(table)
+    db.execute("""
+        CREATE FUNCTION g (x INTEGER) RETURNS INTEGER
+        MODIFIES SQL DATA LANGUAGE SQL
+        BEGIN
+          DELETE FROM t WHERE x = 100;
+          RETURN x;
+        END""")
+    rows = [list(row) for row in table.rows]
+    with pytest.raises(SqlError, match="not resident"):
+        db.execute("UPDATE t SET x = g(x) WHERE k = 1")
+    assert [list(row) for row in table.rows] == rows
     assert_from_scratch(table)

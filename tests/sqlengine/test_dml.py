@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sqlengine import Database
-from repro.sqlengine.errors import CatalogError, ExecutionError
+from repro.sqlengine.errors import CatalogError, ExecutionError, TypeError_
 from repro.sqlengine.values import Null
 
 
@@ -61,6 +61,32 @@ class TestUpdate:
         assert db.query("SELECT x, y FROM s").rows == [[2, 1]]
 
 
+    # match-then-write: the rows are found and every new value is
+    # evaluated before the first write, so a subquery over the target
+    # sees the table as the statement found it (SQL's semantics)
+
+    def test_where_subquery_on_the_target_sees_no_updated_row(self, db):
+        db.execute("INSERT INTO t (a) VALUES (3), (3), (1)")
+        count = db.execute("UPDATE t SET a = 0 WHERE a = (SELECT MAX(a) FROM t)")
+        assert count == 2
+        assert [r[0] for r in db.table("t").rows] == [0, 0, 1]
+
+    def test_set_subquery_on_the_target_sees_no_updated_row(self, db):
+        db.execute("INSERT INTO t (a) VALUES (1), (2), (3)")
+        assert db.execute("UPDATE t SET a = (SELECT MAX(a) FROM t) + 1") == 3
+        assert [r[0] for r in db.table("t").rows] == [4, 4, 4]
+
+    def test_coercion_failure_on_the_last_row_writes_nothing(self, db):
+        db.execute("INSERT INTO t VALUES (1, '10'), (2, '20'), (3, 'x')")
+        rollbacks = db.stats.rollbacks
+        with pytest.raises(TypeError_):
+            db.execute("UPDATE t SET a = b")
+        assert db.table("t").rows == [[1, "10"], [2, "20"], [3, "x"]]
+        # every value is staged before any is written: there was
+        # nothing to undo
+        assert db.stats.rollbacks == rollbacks
+
+
 class TestDelete:
     def test_delete_with_where(self, db):
         db.execute("INSERT INTO t VALUES (1, 'x'), (2, 'y')")
@@ -70,6 +96,12 @@ class TestDelete:
     def test_delete_all(self, db):
         db.execute("INSERT INTO t VALUES (1, 'x'), (2, 'y')")
         assert db.execute("DELETE FROM t") == 2
+
+
+    def test_where_subquery_on_the_target_sees_no_deleted_row(self, db):
+        db.execute("INSERT INTO t (a) VALUES (3), (3), (1)")
+        assert db.execute("DELETE FROM t WHERE a = (SELECT MAX(a) FROM t)") == 2
+        assert [r[0] for r in db.table("t").rows] == [1]
 
 
 class TestDdl:

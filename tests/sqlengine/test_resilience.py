@@ -26,6 +26,7 @@ from repro.sqlengine.resilience import retry_durable
 from repro.sqlengine.txn import FaultPlan
 from repro.temporal import TemporalStratum
 
+from tests.conftest import DML_KINDS, make_dml_kinds
 from tests.faultinject import assert_snapshot_equal, snapshot_db
 
 
@@ -98,6 +99,28 @@ def test_statement_timeout_cancels_and_clears(stocked: Database):
     assert "deadline" in str(excinfo.value)
     stocked.resilience.statement_timeout = None
     assert len(stocked.execute("SELECT a FROM t").rows) == 60
+
+
+@pytest.mark.parametrize("verb", ["UPDATE", "DELETE"])
+@pytest.mark.parametrize("kind", list(DML_KINDS))
+def test_every_dml_match_is_a_cancellation_point(kind, verb):
+    """All four kinds find their rows through the planner's level bind,
+    so all inherit its watchdog checkpoint: a deadline that has already
+    passed cancels the statement before it writes anything."""
+    stratum = make_dml_kinds()
+    db = stratum.db
+    prefix, table = DML_KINDS[kind]
+    head = f"UPDATE {table} SET price = 2.5" if verb == "UPDATE" else f"DELETE FROM {table}"
+    sql = f"{prefix}{head} WHERE id = 'i2'"
+    before = snapshot_db(db)
+    db.resilience.statement_timeout = 0.0
+    with pytest.raises(QueryCancelled) as excinfo:
+        stratum.execute(sql)
+    assert excinfo.value.sqlstate == "57014"
+    assert_snapshot_equal(db, before)
+    assert db.txn.log == [] and db.txn.marks == []
+    db.resilience.statement_timeout = None
+    assert stratum.execute(sql) == 1
 
 
 def test_watchdog_counts_cancellations(stocked: Database):

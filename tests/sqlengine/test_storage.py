@@ -53,14 +53,14 @@ class TestTableBasics:
         table = make_table()
         table.insert([1, "x"])
         table.insert([2, "y"])
-        removed = table.delete_where(lambda row: row[0] == 1)
+        removed = table.delete_rows([row for row in table.rows if row[0] == 1])
         assert removed == 1
         assert len(table) == 1
 
     def test_update_where(self):
         table = make_table()
         table.insert([1, "x"])
-        count = table.update_where(lambda r: True, lambda r: {1: "z"})
+        count = table.update_rows(table.rows, [[(1, "z")]])
         assert count == 1
         assert table.rows[0][1] == "z"
 
@@ -101,7 +101,7 @@ class TestHashIndex:
         table = make_table()
         table.insert([1, "x"])
         table.hash_index(0)
-        table.delete_where(lambda r: True)
+        table.delete_rows(list(table.rows))
         assert sort_key(1) not in table.hash_index(0)
 
     def test_cached_when_unchanged(self):

@@ -209,10 +209,11 @@ def test_multi_row_insert_not_null_is_all_or_nothing(db: Database):
 def test_update_where_coerces_all_values_before_writing():
     table = Table("t", [Column("a", SqlType("INTEGER")), Column("b", SqlType("INTEGER"))])
     table.insert([1, 2])
+    table.insert([3, 4])
     with pytest.raises(TypeError_):
-        table.update_where(lambda row: True, lambda row: {0: 99, 1: "nope"})
-    # the first assignment must not have been written
-    assert table.rows == [[1, 2]]
+        table.update_rows(table.rows, [[(0, 99), (1, 7)], [(0, 99), (1, "nope")]])
+    # neither the first assignment nor the first row may have been written
+    assert table.rows == [[1, 2], [3, 4]]
 
 
 def test_update_statement_failure_leaves_prior_rows(db_t: Database):

@@ -118,6 +118,76 @@ class TestInvalidation:
         stratum.transaction_clock = None
         assert stratum.execute(query).rows == [["second"]]
 
+class TestMatchPlanReuse:
+    """A temporal UPDATE/DELETE's match statement is cached by statement
+    text and its engine plan by that statement; ``now``, the context
+    bounds and the clock are outer operands the plan reads per
+    execution, never literals bound into it."""
+
+    def plans(self, stratum):
+        stats = stratum.db.stats
+        return stats.plans_compiled, stats.plan_cache_hits
+
+    def versions(self, stratum, table, key):
+        return sorted(
+            (row[-2].to_iso(), row[-1].to_iso(), row[2])
+            for row in stratum.db.table(table).rows if row[0] == key
+        )
+
+    def test_current_update_before_and_after_now_moves(self, stratum):
+        sql = "UPDATE item SET price = price + 1 WHERE id = 'i1'"
+        assert stratum.execute(sql) == 1
+        compiled, hits = self.plans(stratum)
+        stratum.db.now = Date.from_ymd(2010, 8, 1)
+        assert stratum.execute(sql) == 1
+        assert self.plans(stratum) == (compiled, hits + 1)
+        assert self.versions(stratum, "item", "i1") == [
+            ("2010-01-15", "2010-04-01", 25.0),
+            ("2010-04-01", "2010-08-01", 26.0),
+            ("2010-08-01", "9999-12-31", 27.0),
+        ]
+        stratum.db.now = Date.from_ymd(2009, 1, 1)  # before every version
+        assert stratum.execute(sql) == 0
+        assert self.plans(stratum) == (compiled, hits + 2)
+        # like any plan it is bound to a schema version
+        stratum.db.catalog.note_schema_change()
+        stratum.db.now = Date.from_ymd(2010, 9, 1)
+        assert stratum.execute(sql) == 1
+        assert self.plans(stratum) == (compiled + 1, hits + 2)
+
+    def test_sequenced_update_under_two_contexts(self, stratum):
+        body = " UPDATE item SET price = 1.0 WHERE id = 'i1'"
+        stratum.execute("VALIDTIME [DATE '2010-02-01', DATE '2010-03-01']" + body)
+        compiled, hits = self.plans(stratum)
+        stratum.execute("VALIDTIME [DATE '2010-05-01', DATE '2010-06-01']" + body)
+        assert self.plans(stratum) == (compiled, hits + 1)
+        assert self.versions(stratum, "item", "i1") == [
+            ("2010-01-15", "2010-02-01", 25.0),
+            ("2010-02-01", "2010-03-01", 1.0),
+            ("2010-03-01", "2010-05-01", 25.0),
+            ("2010-05-01", "2010-06-01", 1.0),
+            ("2010-06-01", "9999-12-31", 25.0),
+        ]
+
+    def test_transaction_time_update_under_two_clocks(self, stratum):
+        db = stratum.db
+        db.execute("CREATE TABLE account (id CHAR(4), owner CHAR(4), balance FLOAT)")
+        stratum.execute("ALTER TABLE account ADD TRANSACTIONTIME")
+        stratum.execute("INSERT INTO account (id, balance) VALUES ('a1', 1.0)")
+        sql = "UPDATE account SET balance = balance + 1 WHERE id = 'a1'"
+        db.now = Date.from_ymd(2010, 5, 1)
+        assert stratum.execute(sql) == 1
+        compiled, hits = self.plans(stratum)
+        db.now = Date.from_ymd(2010, 6, 1)
+        assert stratum.execute(sql) == 1
+        assert self.plans(stratum) == (compiled, hits + 1)
+        assert self.versions(stratum, "account", "a1") == [
+            ("2010-04-01", "2010-05-01", 1.0),
+            ("2010-05-01", "2010-06-01", 2.0),
+            ("2010-06-01", "9999-12-31", 3.0),
+        ]
+
+
 class TestInterleavedRoutineStatements:
     """Two routine-bearing sequenced statements used to evict each other
     forever: each re-transform installed fresh clone objects, bumped the
