@@ -39,7 +39,7 @@ for days in CONTEXTS:
     begin, end = context_bounds(dataset, days)
     stmt = parse_statement(query.sequenced_sql(dataset, begin, end))
     pick = choose_strategy(
-        stmt, dataset.stratum.db, dataset.stratum.registry, dataset.context(days)
+        stmt, dataset.stratum, dataset.stratum.registry, dataset.context(days)
     )
     print(
         f"{days:>7}d  {max_cell.seconds:>8.3f}  {perst_cell.seconds:>8.3f}"

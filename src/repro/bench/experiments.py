@@ -263,7 +263,7 @@ def heuristic_evaluation(cells: list[CellResult]) -> ExperimentResult:
         begin, end = _context_iso(dataset, context_days)
         stmt = parse_statement(query.sequenced_sql(dataset, begin, end))
         choice = choose_strategy(
-            stmt, dataset.stratum.db, dataset.stratum.registry,
+            stmt, dataset.stratum, dataset.stratum.registry,
             dataset.context(context_days),
         )
         rule_counts[choice.rule] = rule_counts.get(choice.rule, 0) + 1

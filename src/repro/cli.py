@@ -291,12 +291,8 @@ class Shell:
             return "usage: .transform <temporal statement>"
         sql = argument.rstrip(";")
         try:
-            strategy = (
-                self.strategy
-                if self.strategy is not SlicingStrategy.AUTO
-                else SlicingStrategy.MAX
-            )
-            return self.stratum.transform(sql, strategy).to_sql()
+            # PERST's transformation under `.strategy perst`, else MAX's
+            return self.stratum.transform(sql, self.strategy).to_sql()
         except SqlError as exc:
             return f"error: {exc}"
 

@@ -4,7 +4,12 @@
 heuristic picks (and which rule fired), the resolved temporal context,
 the constant-period count, the conventional SQL the statement
 transforms into, the routine clones it needs, and the engine's bound
-plan — all without executing the statement.
+plan — all without executing the statement.  It decides nothing
+itself: a temporal EXPLAIN is a rendering of the
+:class:`~repro.temporal.stratum.PreparedStatement` that
+``TemporalStratum.prepare`` returns, the record execution runs, so the
+``transformed SQL:`` block is the statement the engine receives and a
+statement execution refuses is refused here with the same error.
 
 ``EXPLAIN ANALYZE <stmt>`` executes it with tracing enabled and adds
 measured facts: wall time, slice count and per-slice latency, routine
@@ -42,6 +47,9 @@ class ExplainResult:
 
     def text(self) -> str:
         return "\n".join(self.lines)
+
+    # what a wire client receives (``protocol.encode_result``)
+    __str__ = text
 
     def __len__(self) -> int:
         return len(self.lines)
@@ -250,184 +258,117 @@ def explain_engine_statement(
 def explain_statement(
     stratum: "TemporalStratum",
     stmt: ast.Statement,
-    analyze: bool = False,
-    strategy: Optional[Any] = None,
+    analyze: bool,
+    strategy: Any,
 ) -> ExplainResult:
     """EXPLAIN for a Temporal SQL/PSM statement through the stratum."""
-    from repro.temporal.stratum import SlicingStrategy
-
-    if strategy is None:
-        strategy = SlicingStrategy.AUTO
-    modifier = getattr(stmt, "modifier", None)
-    lines = [f"statement: {stmt.to_sql()}"]
-    if modifier is None:
-        lines.extend(_explain_current(stratum, stmt))
-    elif modifier.flavor is ast.TemporalFlavor.NONSEQUENCED:
-        lines.extend(_explain_nonsequenced(stratum, stmt, modifier))
-    else:
-        lines.extend(_explain_sequenced(stratum, stmt, modifier, strategy))
+    prepared = stratum.prepare(stmt, strategy)
+    render = _render_unsliced if prepared.context is None else _render_sequenced
+    lines = [f"statement: {stmt.to_sql()}"] + render(stratum, prepared)
     if not analyze:
         return ExplainResult(lines)
-    db = stratum.db
     result, report = _run_analyzed(
-        db, lambda: stratum.execute_ast(stmt, strategy)
+        stratum.db, lambda: stratum.execute_ast(stmt, strategy)
     )
     lines.extend(report)
     return ExplainResult(lines, result=result)
 
 
-def _explain_current(stratum: "TemporalStratum", stmt: ast.Statement) -> list[str]:
-    from repro.temporal import analysis
-    from repro.temporal.current import transform_current
-
-    db = stratum.db
-    touches_vt = analysis.reads_temporal(stmt, db.catalog, stratum.registry)
-    touches_tt = analysis.reads_temporal(stmt, db.catalog, stratum.tt_registry)
-    if not touches_vt and not touches_tt:
-        lines = ["semantics: conventional (no temporal tables reached)"]
-        lines.extend(_engine_plan_lines(db, stmt))
-        return lines
-    dims = [d for d, hit in (("valid time", touches_vt),
-                             ("transaction time", touches_tt)) if hit]
-    lines = [f"semantics: temporal upward compatibility (current) on {', '.join(dims)}"]
-    is_vt = stratum.registry.is_temporal(getattr(stmt, "table", ""))
-    is_tt = stratum.tt_registry.is_temporal(getattr(stmt, "table", ""))
-    if isinstance(stmt, (ast.Update, ast.Delete)) and is_vt != is_tt:
-        # no single statement does this: the stratum finds the versions
-        # through the engine's match plan and runs the steps itself
-        # (modifications.execute_current_modification)
-        registry, restriction, point, fresh = (
-            (stratum.registry, "current", "CURRENT_DATE", "today") if is_vt
-            else (stratum.tt_registry, "believed", "the clock", "at the clock")
+def _transformed_lines(db: "Database", found: Any, plan: bool = True) -> list[str]:
+    """A candidate as the engine receives it: the routine clones it
+    installs, its SQL, the plan the engine binds for it."""
+    lines = []
+    if found.clones:
+        lines.append(
+            "routine clones: " + ", ".join(sorted(r.name for r in found.clones))
         )
-        end_column = registry.get(stmt.table).end_column
-        lines.append("plan: executed by the stratum")
-        lines.extend(_match_lines(stratum, stmt, registry, restriction))
-        if isinstance(stmt, ast.Update):
-            lines.append(
-                f"  close: {end_column} := {point} on each match"
-                f" (a version that began {fresh} is overwritten in place)"
-            )
-            assignments = ", ".join(
-                f"{column} = {expr.to_sql()}" for column, expr in stmt.assignments
-            )
-            lines.append(
-                f"  re-insert: the match with {assignments} over"
-                f" [{point}, forever)"
-            )
-        else:
-            lines.append(
-                f"  close: {end_column} := {point} on each match"
-                f" (a version that began {fresh} is removed)"
-            )
-        return lines
-    rendered = stmt
-    if touches_vt:
-        result = transform_current(stmt, db.catalog, stratum.registry)
-        rendered = result.statement
-        if result.routines:
-            lines.append(
-                "routine clones: "
-                + ", ".join(sorted(r.name for r in result.routines))
-            )
     lines.append("transformed SQL:")
-    lines.extend("  " + line for line in rendered.to_sql().splitlines())
-    lines.extend(_engine_plan_lines(db, rendered))
+    lines.extend("  " + line for line in found.statement.to_sql().splitlines())
+    if plan:
+        lines.extend(_engine_plan_lines(db, found.statement))
     return lines
 
 
-def _match_lines(
-    stratum: "TemporalStratum", stmt: ast.Statement, registry: Any,
-    restriction: str,
-) -> list[str]:
+def _match_lines(db: "Database", prepared: Any) -> list[str]:
     """The match statement a temporal UPDATE/DELETE finds its versions
     with (its ``taupsm_period`` bounds are read per execution: ``now``,
     or the context), and the engine plan bound for it."""
-    matcher = stratum._match_statement(stmt, registry, restriction)
+    matcher = prepared.candidate.statement
+    if isinstance(matcher, ast.Insert):
+        return []
     lines = [f"  match: {matcher.to_sql()}"]
-    lines.extend("  " + line for line in _engine_plan_lines(stratum.db, matcher))
+    lines.extend("  " + line for line in _engine_plan_lines(db, matcher))
     return lines
 
 
-def _explain_nonsequenced(
-    stratum: "TemporalStratum", stmt: ast.Statement, modifier: ast.TemporalModifier
-) -> list[str]:
-    from repro.temporal.transform_util import clone
-
-    plain = clone(stmt)
-    plain.modifier = None
+def _render_unsliced(stratum: "TemporalStratum", prepared: Any) -> list[str]:
+    """Conventional, current and nonsequenced statements: no context, no
+    strategy."""
+    db, stmt = stratum.db, prepared.statement
+    if prepared.semantics == "conventional":
+        return [
+            "semantics: conventional (no temporal tables reached)"
+        ] + _engine_plan_lines(db, stmt)
+    if prepared.semantics == "nonsequenced":
+        return [
+            f"semantics: nonsequenced {prepared.dimensions[0]} time"
+            " (timestamps exposed raw)"
+        ] + _transformed_lines(db, prepared.candidate)
     lines = [
-        f"semantics: nonsequenced {modifier.dimension.lower()} time"
-        " (timestamps exposed raw)"
+        "semantics: temporal upward compatibility (current) on "
+        + ", ".join(f"{dimension} time" for dimension in prepared.dimensions)
     ]
-    lines.append("transformed SQL:")
-    lines.extend("  " + line for line in plain.to_sql().splitlines())
-    lines.extend(_engine_plan_lines(stratum.db, plain))
+    if prepared.semantics != "modification":
+        return lines + _transformed_lines(db, prepared.candidate)
+    # no single statement does this: the stratum finds the versions
+    # through the engine's match plan and runs the steps itself
+    # (modifications.execute_current_modification)
+    point, fresh = (
+        ("the clock", "at the clock")
+        if prepared.registry is stratum.tt_registry
+        else ("CURRENT_DATE", "today")
+    )
+    lines.append("plan: executed by the stratum")
+    lines.extend(_match_lines(db, prepared))
+    if isinstance(stmt, ast.Insert):
+        lines.append(f"  insert: each row recorded over [{point}, forever)")
+        return lines
+    end_column = prepared.registry.get(stmt.table).end_column
+    fate = "overwritten in place" if isinstance(stmt, ast.Update) else "removed"
+    lines.append(
+        f"  close: {end_column} := {point} on each match"
+        f" (a version that began {fresh} is {fate})"
+    )
+    if isinstance(stmt, ast.Update):
+        assignments = ", ".join(
+            f"{column} = {expr.to_sql()}" for column, expr in stmt.assignments
+        )
+        lines.append(
+            f"  re-insert: the match with {assignments} over"
+            f" [{point}, forever)"
+        )
     return lines
 
 
-def _explain_sequenced(
-    stratum: "TemporalStratum",
-    stmt: ast.Statement,
-    modifier: ast.TemporalModifier,
-    strategy: Any,
-) -> list[str]:
+def _render_sequenced(stratum: "TemporalStratum", prepared: Any) -> list[str]:
     from repro.sqlengine.values import Date
-    from repro.temporal import analysis
     from repro.temporal.constant_periods import compute_constant_periods
-    from repro.temporal.heuristic import choose_by_cost, choose_strategy
-    from repro.temporal.max_slicing import transform_query_max
-    from repro.temporal.perst_slicing import PerstTransformer
-    from repro.temporal.stratum import (
-        MAX_CP_TABLE,
-        SlicingStrategy,
-        substitute_context,
-    )
-    from repro.temporal.transform_util import clone
+    from repro.temporal.stratum import SlicingStrategy
 
-    db = stratum.db
-    registry = (
-        stratum.tt_registry if modifier.dimension == "TRANSACTION" else stratum.registry
-    )
-    context = stratum._resolve_context(stmt, modifier, registry)
+    db, registry, context = stratum.db, prepared.registry, prepared.context
     lines = [
-        f"semantics: sequenced {modifier.dimension.lower()} time",
+        f"semantics: sequenced {prepared.dimensions[0]} time",
         f"context: [{Date(context.begin).to_iso()}, {Date(context.end).to_iso()})"
         f" ({context.duration} days)",
     ]
-    if isinstance(stmt, (ast.Insert, ast.Update, ast.Delete)):
+    if prepared.semantics == "modification":
         lines.append(
             "plan: sequenced modification (paper §VI close/split/reinsert)"
         )
-        if not isinstance(stmt, ast.Insert) and registry.is_temporal(stmt.table):
-            lines.extend(_match_lines(stratum, stmt, registry, "sequenced"))
-        return lines
-    other_registry = (
-        stratum.registry if registry is stratum.tt_registry
-        else stratum.tt_registry
-    )
-    # resolve AUTO / COST exactly the way execution would
-    if strategy is SlicingStrategy.AUTO:
-        choice = choose_strategy(
-            stmt, db, registry, context, other_registry=other_registry
-        )
-        strategy = choice.strategy
-        lines.append(
-            f"strategy: {strategy.value}"
-            f" (rule {choice.rule}: {choice.reason})"
-        )
-    elif strategy is SlicingStrategy.COST:
-        strategy, estimate, why = choose_by_cost(
-            stmt, db, registry, context, other_registry=other_registry
-        )
-        if estimate is None:
-            lines.append(f"strategy: max (cost model; PERST inapplicable: {why})")
-        else:
-            lines.append(f"strategy: {strategy.value} ({estimate.describe()})")
-    else:
-        lines.append(f"strategy: {strategy.value} (requested)")
-    tables = analysis.reachable_temporal_tables(stmt, db.catalog, registry)
-    slices = len(compute_constant_periods(db, tables, registry, context))
+        return lines + _match_lines(db, prepared)
+    found = prepared.candidate
+    tables = found.temporal_tables
+    lines.append(f"strategy: {prepared.choice.describe()}")
     lines.append(
         f"temporal tables: {', '.join(tables) if tables else '(none)'}"
     )
@@ -435,55 +376,21 @@ def _explain_sequenced(
         name
         for name in tables
         if (
-            (info := registry.get(name)) is not None
-            and (info.begin_column.lower(), info.end_column.lower())
-            in db.catalog.get_table(name).interval_pairs
-        )
+            registry.get(name).begin_column.lower(),
+            registry.get(name).end_column.lower(),
+        ) in db.catalog.get_table(name).interval_pairs
     ]
     if indexed:
         state = "on" if db.interval_indexing_enabled else "off"
         lines.append(f"interval index [{state}]: {', '.join(indexed)}")
-    if strategy is SlicingStrategy.SEQSET:
-        from repro.temporal.seqset import SeqSetUnsupportedError, compile_seqset
-
-        try:
-            seqset_plan = compile_seqset(
-                db, registry, stmt, other_registry=other_registry
-            )
-        except SeqSetUnsupportedError as exc:
-            lines.append(f"seqset: fallback to max ({exc})")
-            strategy = SlicingStrategy.MAX
-        else:
-            lines.append(
-                f"constant periods: {slices} into {MAX_CP_TABLE}"
-                " (aligned in one set-oriented pass)"
-            )
-            lines.append("seqset plan:")
-            lines.extend("  " + line for line in describe_plan(seqset_plan.root))
-            lines.append("transformed SQL:")
-            lines.extend(
-                "  " + line
-                for line in seqset_plan.select.to_sql().splitlines()
-            )
-            return lines
-    if strategy is SlicingStrategy.MAX:
-        result = transform_query_max(stmt, db.catalog, registry, MAX_CP_TABLE)
-        lines.append(
-            f"constant periods: {slices} into {result.cp_table}"
-            f" (one evaluation per period)"
-        )
-        transformed = result.statement
-        clones = result.routines
-    else:
-        transformer = PerstTransformer(db.catalog, registry)
-        result = transformer.transform(stmt)
-        transformed = clone(result.statement)
-        substitute_context(transformed, context)
-        clones = result.routines
-        if result.cp_requirements:
+    if prepared.fallback is not None:
+        lines.append(f"seqset: fallback to max ({prepared.fallback})")
+    slices = len(compute_constant_periods(db, tables, registry, context))
+    if prepared.strategy is SlicingStrategy.PERST:
+        if found.cp_requirements:
             reqs = ", ".join(
                 f"{cp} ({', '.join(tabs)})"
-                for cp, tabs in sorted(result.cp_requirements.items())
+                for cp, tabs in sorted(found.cp_requirements.items())
             )
             lines.append(
                 f"constant periods: {slices}; per-statement loops over: {reqs}"
@@ -493,14 +400,17 @@ def _explain_sequenced(
                 "constant periods: not needed (algebraic fragment,"
                 " single data pass)"
             )
-    if clones:
-        lines.append(
-            "routine clones: " + ", ".join(sorted(r.name for r in clones))
-        )
-    lines.append("transformed SQL:")
-    lines.extend("  " + line for line in transformed.to_sql().splitlines())
-    lines.extend(_engine_plan_lines(db, transformed))
-    return lines
+        return lines + _transformed_lines(db, found)
+    (cp_table,) = found.cp_requirements
+    how = (
+        "one evaluation per period" if found.plan is None
+        else "aligned in one set-oriented pass"
+    )
+    lines.append(f"constant periods: {slices} into {cp_table} ({how})")
+    if found.plan is not None:
+        lines.append("seqset plan:")
+        lines.extend("  " + line for line in describe_plan(found.plan.root))
+    return lines + _transformed_lines(db, found, plan=found.plan is None)
 
 
 # ---------------------------------------------------------------------------

@@ -491,7 +491,6 @@ class StandbyApplier:
             stratum._nonseq_only_routines = set()
             stratum._inner_cp_requirements = {}
             stratum._transform_cache.clear()
-            stratum._installed_clones.clear()
         db.plan_cache.clear()
         db.expr_cache.clear()
         db.table_function_cache.clear()

@@ -388,7 +388,6 @@ class Database:
         self.cp_cache.clear()
         if stratum is not None:
             stratum._transform_cache.clear()
-            stratum._installed_clones.clear()
         return manager
 
     def checkpoint(self) -> int:

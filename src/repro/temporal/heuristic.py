@@ -7,6 +7,14 @@
      (c) the query is on a small database *and* has a short temporal
          context."
 
+The heuristic transforms nothing itself.  Whether PERST applies, whether
+SEQ-SET covers the statement and what shape its plan has are questions
+it puts to :meth:`TemporalStratum.candidate`, the stratum's one cached
+transformation function — so deciding costs a transformation at most
+once per statement text, and what it built is what then runs.  Both
+:func:`choose_strategy` (the rules) and :func:`choose_by_cost` (the
+cost model) answer with a :class:`StrategyChoice`.
+
 The thresholds below are calibration constants for this engine; the
 paper's Section VIII notes a proper cost model is future work, and
 :func:`estimate_costs` sketches one (it predicts relative cost from the
@@ -21,7 +29,6 @@ from typing import Optional
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.engine import Database
 from repro.temporal import analysis
-from repro.temporal.errors import TemporalError
 from repro.temporal.period import Period
 from repro.temporal.schema import TemporalRegistry
 
@@ -37,11 +44,19 @@ SHORT_CONTEXT_DAYS = 7
 
 @dataclass(frozen=True)
 class StrategyChoice:
-    """The chosen strategy and the §VII-F rule that fired."""
+    """The chosen strategy and why: the §VII-F ``rule`` that fired (empty
+    when the cost model chose, or the caller named the strategy) and,
+    from the cost model, the estimate behind it."""
 
     strategy: "SlicingStrategy"  # noqa: F821 - resolved lazily
     rule: str
     reason: str
+    estimate: Optional["CostEstimate"] = None
+
+    def describe(self) -> str:
+        """As EXPLAIN's ``strategy:`` line prints it."""
+        why = f"rule {self.rule}: {self.reason}" if self.rule else self.reason
+        return f"{self.strategy.value} ({why})"
 
 
 def temporal_row_count(
@@ -67,66 +82,33 @@ def uses_per_period_cursors(
     return False
 
 
-def perst_applicable(
-    stmt: ast.Statement, db: Database, registry: TemporalRegistry
-) -> tuple[bool, str]:
-    """Rule (a): can PERST transform this statement at all?"""
-    from repro.temporal.perst_slicing import PerstTransformer
-
-    try:
-        PerstTransformer(db.catalog, registry).transform(stmt)
-    except TemporalError as exc:
-        return False, str(exc)
-    return True, ""
-
-
 def choose_strategy(
     stmt: ast.Statement,
-    db: Database,
+    stratum: "TemporalStratum",  # noqa: F821 - lazy type
     registry: TemporalRegistry,
     context: Period,
     data_rows: Optional[int] = None,
-    other_registry: Optional[TemporalRegistry] = None,
 ) -> StrategyChoice:
-    """Apply the §VII-F heuristic (extended with the SEQ-SET rule) and
-    bump the ``heuristic.choice.<strategy>`` counter for the winner."""
-    choice = _choose_strategy(
-        stmt, db, registry, context, data_rows, other_registry
-    )
-    db.obs.inc(f"heuristic.choice.{choice.strategy.value}")
-    return choice
-
-
-def _choose_strategy(
-    stmt: ast.Statement,
-    db: Database,
-    registry: TemporalRegistry,
-    context: Period,
-    data_rows: Optional[int],
-    other_registry: Optional[TemporalRegistry],
-) -> StrategyChoice:
-    from repro.temporal.seqset import seqset_applicable
+    """Apply the §VII-F heuristic (extended with the SEQ-SET rule) to a
+    sequenced query along ``registry``'s dimension."""
     from repro.temporal.stratum import SlicingStrategy
 
+    db = stratum.db
     # Rule (s), ahead of the paper's rules: a routine-free covered shape
     # whose every join is a hash join never needs the per-period loop at
     # all — one set-oriented pass beats both MAX and PERST, with the
     # cost model recording by how much (measured unit costs when the
     # registry has samples).  A key-less join level is a cross product
     # under every strategy, so there the cost model decides.
-    plan, _why = seqset_applicable(
-        stmt, db, registry, other_registry=other_registry
-    )
-    if plan is not None:
-        if not plan.keyed:
-            strategy, estimate, _why = choose_by_cost(
-                stmt, db, registry, context, other_registry=other_registry
-            )
+    seqset = stratum.candidate("seqset", stmt, registry)
+    if seqset.applicable:
+        if not seqset.plan.keyed:
+            by_cost = choose_by_cost(stmt, stratum, registry, context)
             return StrategyChoice(
-                strategy, "cost", "key-less join: " + estimate.describe()
+                by_cost.strategy, "cost", "key-less join: " + by_cost.reason
             )
         estimate = estimate_costs(
-            stmt, db, registry, context, obs=db.obs, seqset_plan=plan
+            stmt, db, registry, context, obs=db.obs, seqset_plan=seqset.plan
         )
         return StrategyChoice(
             SlicingStrategy.SEQSET,
@@ -134,10 +116,11 @@ def _choose_strategy(
             "routine-free statement covered by the set-oriented plan"
             f" ({estimate.describe()})",
         )
-    applicable, why = perst_applicable(stmt, db, registry)
-    if not applicable:
+    # Rule (a): can PERST transform this statement at all?
+    perst = stratum.candidate("perst", stmt, registry, context)
+    if not perst.applicable:
         return StrategyChoice(
-            SlicingStrategy.MAX, "a", f"PERST inapplicable: {why}"
+            SlicingStrategy.MAX, "a", f"PERST inapplicable: {perst.reason}"
         )
     rows = data_rows if data_rows is not None else temporal_row_count(
         stmt, db, registry
@@ -191,33 +174,32 @@ class CostEstimate:
 
 def choose_by_cost(
     stmt: ast.Statement,
-    db: Database,
+    stratum: "TemporalStratum",  # noqa: F821 - lazy type
     registry: TemporalRegistry,
     context: Period,
-    other_registry: Optional[TemporalRegistry] = None,
-) -> tuple["SlicingStrategy", Optional[CostEstimate], str]:  # noqa: F821
+) -> StrategyChoice:
     """Cheapest applicable strategy under :func:`estimate_costs`
-    (measured unit costs when the registry has samples).  Returns the
-    strategy, the estimate — ``None`` when only MAX applies — and why
-    PERST is inapplicable, if it is."""
-    from repro.temporal.seqset import seqset_applicable
+    (measured unit costs when the registry has samples); no estimate
+    when only MAX applies."""
     from repro.temporal.stratum import SlicingStrategy
 
-    applicable, why = perst_applicable(stmt, db, registry)
-    plan, _s_why = seqset_applicable(
-        stmt, db, registry, other_registry=other_registry
-    )
-    if not applicable and plan is None:
-        return SlicingStrategy.MAX, None, why
+    db = stratum.db
+    perst = stratum.candidate("perst", stmt, registry, context)
+    seqset = stratum.candidate("seqset", stmt, registry)
+    if not perst.applicable and not seqset.applicable:
+        return StrategyChoice(
+            SlicingStrategy.MAX, "",
+            f"cost model; PERST inapplicable: {perst.reason}",
+        )
     estimate = estimate_costs(
-        stmt, db, registry, context, obs=db.obs, seqset_plan=plan
+        stmt, db, registry, context, obs=db.obs, seqset_plan=seqset.plan
     )
     candidates = [(estimate.max_cost, 0, SlicingStrategy.MAX)]
-    if applicable:
+    if perst.applicable:
         candidates.append((estimate.perst_cost, 1, SlicingStrategy.PERST))
-    if plan is not None:
+    if seqset.applicable:
         candidates.append((estimate.seqset_cost, 2, SlicingStrategy.SEQSET))
-    return min(candidates)[2], estimate, why
+    return StrategyChoice(min(candidates)[2], "", estimate.describe(), estimate)
 
 
 # Static per-unit costs (arbitrary units; only ratios matter).

@@ -34,13 +34,14 @@ from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine import functions as fn
 from repro.sqlengine.catalog import Catalog
 from repro.sqlengine.types import SqlType
-from repro.sqlengine.values import Null
+from repro.sqlengine.values import Date, Null
 from repro.temporal import analysis
 from repro.temporal.errors import (
     FeatureNotSupportedError,
     PerStatementInapplicableError,
     TemporalError,
 )
+from repro.temporal.period import Period
 from repro.temporal.pointwise import forbid_temporal_dml
 from repro.temporal.schema import TemporalRegistry
 from repro.temporal.transform_util import (
@@ -1635,3 +1636,17 @@ def _rewrite_shallow(expr, rewriter):
         return None
 
     return visit(expr)
+
+
+def substitute_context(stmt: ast.Statement, context: Period) -> None:
+    """Replace top-level ``ps_begin`` / ``ps_end`` names with literals."""
+
+    def rewriter(expr: ast.Expression):
+        if isinstance(expr, ast.Name) and expr.qualifier is None:
+            if expr.name.lower() == BEGIN_PARAM:
+                return ast.Literal(value=Date(context.begin))
+            if expr.name.lower() == END_PARAM:
+                return ast.Literal(value=Date(context.end))
+        return None
+
+    rewrite_expressions(stmt, rewriter)

@@ -115,8 +115,7 @@ class SeqSetPlan:
 
     __slots__ = (
         "select", "cp_alias", "sources", "residual_c", "residual_count",
-        "projections", "columns", "distinct", "temporal_tables",
-        "reads_cp", "root",
+        "projections", "columns", "distinct", "reads_cp", "root",
     )
 
     def __init__(self) -> None:
@@ -128,7 +127,6 @@ class SeqSetPlan:
         self.projections: list[tuple] = []
         self.columns: list[str] = []
         self.distinct = False
-        self.temporal_tables: list[str] = []
         self.reads_cp = False
         self.root: Optional[IntervalJoin] = None
 
@@ -231,9 +229,6 @@ def compile_seqset(
     plan.select = select
     plan.cp_alias = cp_alias
     plan.distinct = bool(select.distinct)
-    plan.temporal_tables = analysis.reachable_temporal_tables(
-        stmt, db.catalog, registry
-    )
 
     layout: dict = {}
     tables = []
@@ -363,21 +358,6 @@ def _lift_join_key(conjunct, slot_of, sources, tables) -> bool:
     sources[inner].keys.append((inner_column, outer, outer_column))
     sources[inner].key_sql.append(conjunct.to_sql())
     return True
-
-
-def seqset_applicable(
-    stmt: ast.Statement,
-    db: Database,
-    registry: TemporalRegistry,
-    other_registry: Optional[TemporalRegistry] = None,
-) -> tuple[Optional[SeqSetPlan], str]:
-    """Can SEQ-SET evaluate this statement?  The compiled plan, or
-    ``None`` and the reason.  (Mirrors
-    :func:`repro.temporal.heuristic.perst_applicable`.)"""
-    try:
-        return compile_seqset(db, registry, stmt, other_registry=other_registry), ""
-    except SeqSetUnsupportedError as exc:
-        return None, str(exc)
 
 
 def execute_seqset(

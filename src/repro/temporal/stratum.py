@@ -17,6 +17,18 @@ down to the engine.
 * ``NONSEQUENCED VALIDTIME Q`` runs Q conventionally with timestamp
   columns exposed.
 
+Every statement takes one path (DESIGN.md §3.11, *The statement
+pipeline*): :meth:`TemporalStratum.prepare` decides and transforms —
+it returns a :class:`PreparedStatement` naming the semantics, the
+strategy and why it was chosen, and the :class:`Candidate`
+transformation the engine will receive — and ``_run`` installs that
+candidate's routine clones, materializes its constant periods and
+executes it.  ``execute_ast`` is *prepare + run*; ``EXPLAIN`` renders
+the same record (:mod:`repro.obs.explain`); the §VII-F heuristic asks
+:meth:`TemporalStratum.candidate` — the one cached place a
+transformation is built — which strategies apply.  Nothing is
+installed, and no catalog version moves, until a candidate runs.
+
 Use :meth:`TemporalStratum.transform` to inspect the conventional SQL a
 statement turns into (the paper's Figures 5-11).
 """
@@ -27,41 +39,43 @@ import copy
 import enum
 import re
 import time
+from dataclasses import dataclass, field, replace
 from typing import Any, Optional, Union
 
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.catalog import Routine
 from repro.sqlengine.engine import Database
-from repro.sqlengine.errors import CatalogError, ExecutionError
-from repro.sqlengine.executor import Env, ResultSet
+from repro.sqlengine.executor import Env
 from repro.sqlengine.parser import parse_script, parse_statement
 from repro.sqlengine.storage import Column
 from repro.sqlengine.types import SqlType
 from repro.sqlengine.values import Date
 from repro.temporal import analysis
 from repro.temporal.constant_periods import materialize_constant_periods
-from repro.temporal.current import CurrentTransformResult, transform_current
-from repro.temporal.errors import SequencedContextError, TemporalError
-from repro.temporal.max_slicing import (
-    MaxTransformResult,
-    statement_key,
-    transform_query_max,
+from repro.temporal.current import transform_current
+from repro.temporal.errors import (
+    FeatureNotSupportedError,
+    SequencedContextError,
+    TemporalError,
 )
+from repro.temporal.heuristic import StrategyChoice, choose_by_cost, choose_strategy
+from repro.temporal.max_slicing import statement_key, transform_query_max
 from repro.temporal.modifications import (
     execute_current_modification,
     execute_sequenced_modification,
     match_statement,
 )
 from repro.temporal.period import Period, coalesce
-from repro.temporal.perst_slicing import (
-    BEGIN_PARAM,
-    END_PARAM,
-    PerstTransformer,
-    PerstTransformResult,
-)
+from repro.temporal.perst_slicing import PerstTransformer, substitute_context
 from repro.obs.tracing import _NOOP as _NO_SPAN
 from repro.temporal.schema import TemporalRegistry, TemporalTableInfo
-from repro.temporal.transform_util import clone, rewrite_expressions
+from repro.temporal.seqset import (
+    SeqSetRuntimeFallback,
+    compile_seqset,
+    execute_seqset,
+)
+from repro.temporal.transaction import TransactionTimeDml, add_transactiontime
+from repro.temporal.transform_util import clone
 
 MAX_CP_TABLE = "taupsm_cp"
 
@@ -145,6 +159,104 @@ class TemporalResult:
         return f"TemporalResult({self.columns}, {len(self.rows)} rows)"
 
 
+@dataclass
+class Candidate:
+    """What one flavor of transformation makes of one statement — or why
+    it has none (``statement`` is None; ``reason`` and ``error`` say what
+    a caller that insisted on this flavor is told)."""
+
+    # the conventional statement the engine receives, every dimension the
+    # modifier did not name already restricted to its current state (for
+    # SEQ-SET the select its plan evaluates, for "match" the statement
+    # that finds a modification's versions)
+    statement: Optional[ast.Statement] = None
+    # routine clones the statement calls, in installation order
+    clones: list[Routine] = field(default_factory=list)
+    # constant-period table → the temporal tables whose change points it
+    # holds; materialized over the context before the statement runs
+    cp_requirements: dict[str, list[str]] = field(default_factory=dict)
+    temporal_tables: list[str] = field(default_factory=list)
+    plan: Any = None  # the SeqSetPlan, under SEQ-SET
+    reason: str = ""
+    error: type = TemporalError
+
+    @property
+    def applicable(self) -> bool:
+        return self.statement is not None
+
+    def require(self) -> "Candidate":
+        """This candidate, or the refusal its transformation raised."""
+        if self.statement is None:
+            raise self.error(self.reason)
+        return self
+
+    def to_sql(self) -> str:
+        parts = [routine.definition.to_sql() + ";" for routine in self.clones]
+        parts.append(self.statement.to_sql() + ";")
+        return "\n\n".join(parts)
+
+
+@dataclass
+class PreparedStatement:
+    """Everything decided about one statement before it runs: what
+    ``_run`` executes and what ``EXPLAIN`` renders."""
+
+    statement: ast.Statement  # as submitted
+    # "conventional" (no temporal table reached), "current",
+    # "nonsequenced", "sequenced" (a query) or "modification" (DML the
+    # stratum carries out itself through the candidate's match statement)
+    semantics: str
+    candidate: Candidate
+    # the dimensions whose semantics apply: the one the modifier names,
+    # or each one a statement without a modifier reads
+    dimensions: tuple = ()
+    # the registry sliced along, or whose periods a modification maintains
+    registry: Optional[TemporalRegistry] = None
+    context: Optional[Period] = None  # sequenced statements only
+    # sequenced queries: the decision (requested, §VII-F rule or cost
+    # model), the strategy that runs — MAX where SEQ-SET was chosen and
+    # declined — and why it declined
+    choice: Optional[StrategyChoice] = None
+    strategy: Optional[SlicingStrategy] = None
+    fallback: Optional[str] = None
+
+
+class _WithClones:
+    """The catalog as it will read once ``clones`` are installed: the
+    view a second transformation pass takes of the first pass's output,
+    since a candidate is built without installing anything."""
+
+    def __init__(self, catalog, clones: list[Routine]) -> None:
+        self._catalog = catalog
+        self._clones = {routine.name.lower(): routine for routine in clones}
+
+    def has_routine(self, name: str) -> bool:
+        return name.lower() in self._clones or self._catalog.has_routine(name)
+
+    def get_routine(self, name: str) -> Routine:
+        return self._clones.get(name.lower()) or self._catalog.get_routine(name)
+
+    def __getattr__(self, attribute: str) -> Any:
+        return getattr(self._catalog, attribute)
+
+
+def _as_clones(definitions: list, declare_point: bool = False) -> list[Routine]:
+    """Transformation output as installable routines.  ``declare_point``
+    marks the last parameter of each function — the point MAX appended —
+    as its ``Routine.window_param``."""
+    clones = []
+    for definition in definitions:
+        is_function = isinstance(definition, ast.CreateFunction)
+        clones.append(Routine(
+            kind="FUNCTION" if is_function else "PROCEDURE",
+            definition=definition,
+            window_param=(
+                len(definition.params) - 1 if declare_point and is_function else None
+            ),
+        ))
+    return clones
+
+
 class TemporalStratum:
     """Temporal SQL/PSM in, conventional SQL/PSM down to the engine."""
 
@@ -152,14 +264,13 @@ class TemporalStratum:
         self.db = db if db is not None else Database()
         self.registry = TemporalRegistry()  # valid time
         self.tt_registry = TemporalRegistry()  # transaction time
-        self._installed_clones: set[str] = set()
         self._nonseq_only_routines: set[str] = set()
         self._inner_cp_requirements: dict[str, list[str]] = {}
-        # transformed-statement cache: (flavor, statement text, registry
-        # versions, …) → (catalog schema version at store, payload).  An
-        # entry is served only while the catalog schema version still
-        # matches, so DDL and routine redefinition can never expose a
-        # stale transformation; registry versions are part of the key.
+        # candidate cache: :meth:`candidate`'s key → (catalog schema
+        # version at store, Candidate).  An entry is served only while
+        # the catalog schema version still matches, so DDL and routine
+        # redefinition can never expose a stale transformation or
+        # verdict; registry versions are part of the key.
         self._transform_cache: dict = {}
         self.last_strategy: Optional[SlicingStrategy] = None
         # the CostEstimate behind the most recent COST-mode decision
@@ -252,25 +363,116 @@ class TemporalStratum:
         return self.transaction_clock if self.transaction_clock is not None else self.db.now
 
     # ------------------------------------------------------------------
-    # transform cache
+    # candidates: the one cached place a transformation is built
     # ------------------------------------------------------------------
 
     TRANSFORM_CACHE_CAPACITY = 256
 
-    def _cache_key(self, flavor: str, stmt: ast.Statement, *extra) -> tuple:
-        """Key for one transformation: flavor tag + statement text +
-        registry versions + the transaction clock (embedded as a literal
-        by the transaction-currency pass), plus path-specific extras."""
-        return (
+    def candidate(
+        self, flavor: str, stmt: ast.Statement, registry: TemporalRegistry,
+        baked: Any = None,
+    ) -> Candidate:
+        """``stmt`` transformed the ``flavor`` way along ``registry``'s
+        dimension, or the verdict that ``flavor`` does not apply.
+
+        ``flavor`` is ``"current"``, ``"nonsequenced"``, ``"max"``,
+        ``"perst"``, ``"seqset"`` or ``"match"``.  ``baked`` is what two
+        of them write into their output besides the statement, hence
+        part of their key: PERST the context (:func:`substitute_context`;
+        every other strategy's context only drives the cp
+        materialization, redone per execution over the live data), a
+        match statement its restriction.  Building installs nothing and
+        moves no catalog version, so asking is free of side effects — the
+        heuristic asks about strategies it then does not choose.
+
+        Verdicts, like transformations, are deterministic in (statement
+        text, registries, catalog): both are cached under the one key
+        scheme and served while the schema version they were stored at
+        still stands.
+        """
+        key = (
             flavor,
+            registry is self.tt_registry,
             statement_key(stmt),
             self.registry.version,
             self.tt_registry.version,
-            self.clock.ordinal,
-            *extra,
+            # the transaction-currency pass embeds the clock as a literal;
+            # a match statement reads its bounds per execution
+            None if flavor == "match" else self.clock.ordinal,
+            baked if flavor in ("perst", "match") else None,
         )
+        found = self._transform_fetch(key)
+        if found is None:
+            self.db.stats.transforms += 1
+            try:
+                found = self._build_candidate(flavor, stmt, registry, baked)
+            except TemporalError as exc:
+                found = Candidate(reason=str(exc), error=type(exc))
+            self._transform_store(key, found)
+        return found
 
-    def _transform_fetch(self, key: tuple) -> Any:
+    def _build_candidate(
+        self, flavor: str, stmt: ast.Statement, registry: TemporalRegistry,
+        baked: Any,
+    ) -> Candidate:
+        catalog = self.db.catalog
+        if flavor == "match":
+            return Candidate(match_statement(stmt, registry.get(stmt.table), baked))
+        found = Candidate(
+            temporal_tables=analysis.reachable_temporal_tables(stmt, catalog, registry)
+        )
+        if flavor == "seqset":
+            other = self.registry if registry is self.tt_registry else self.tt_registry
+            found.plan = compile_seqset(self.db, registry, stmt, other_registry=other)
+            found.statement = found.plan.select
+            found.cp_requirements = {MAX_CP_TABLE: found.temporal_tables}
+            return found
+        if flavor == "max":
+            result = transform_query_max(stmt, catalog, registry, MAX_CP_TABLE)
+            found.statement = result.statement
+            # only this transformation knows that a clone's appended
+            # point parameter sits in overlap-at-point predicates and
+            # pass-along arguments alone, so it is what declares it —
+            # when nothing the statement reaches writes
+            found.clones = _as_clones(
+                result.routines,
+                declare_point=catalog.write_free(
+                    *analysis.called_routines(stmt, catalog)
+                ),
+            )
+            found.cp_requirements = {MAX_CP_TABLE: found.temporal_tables}
+        elif flavor == "perst":
+            result = PerstTransformer(catalog, registry).transform(stmt)
+            found.statement = clone(result.statement)
+            substitute_context(found.statement, baked)
+            found.clones = _as_clones(result.routines)
+            found.cp_requirements = result.cp_requirements
+        else:
+            found.statement = clone(stmt)
+            found.statement.modifier = None
+        # every dimension the modifier did not name keeps its current
+        # semantics on the tables that carry it (bitemporal composition,
+        # paper §III): valid time at CURRENT_DATE, transaction time at
+        # the clock — applied last, so it also covers the clones above
+        for other in (self.registry, self.tt_registry):
+            if flavor == "current" or other is not registry:
+                self._apply_currency(found, other)
+        return found
+
+    def _apply_currency(self, found: Candidate, registry: TemporalRegistry) -> None:
+        catalog = _WithClones(self.db.catalog, found.clones)
+        if not analysis.reads_temporal(found.statement, catalog, registry):
+            return
+        along_tt = (
+            {"prefix": "curtt_", "point": ast.Literal(value=self.clock)}
+            if registry is self.tt_registry
+            else {}
+        )
+        result = transform_current(found.statement, catalog, registry, **along_tt)
+        found.statement = result.statement
+        found.clones = found.clones + _as_clones(result.routines)
+
+    def _transform_fetch(self, key: tuple) -> Optional[Candidate]:
         entry = self._transform_cache.get(key)
         if entry is None:
             return None
@@ -293,16 +495,45 @@ class TemporalStratum:
         for key in stale:
             del self._transform_cache[key]
 
-    def _transform_store(self, key: tuple, payload: Any) -> None:
-        """Record a transformation against the *current* schema version —
-        called after routine clones are installed, so the version already
-        reflects them and stays stable across reuse."""
+    def _transform_store(self, key: tuple, payload: Candidate) -> None:
+        """Record a candidate against the *current* schema version."""
         cache = self._transform_cache
         if key not in cache and len(cache) >= self.TRANSFORM_CACHE_CAPACITY:
             # evict the least recently used entry (dict order: oldest
             # first, fetches re-insert at the end)
             del cache[next(iter(cache))]
         cache[key] = (self.db.catalog.schema_version, payload)
+
+    def _install(self, stmt: ast.Statement, clones: list[Routine]) -> None:
+        """Install the routine clones ``stmt``'s transformation calls.
+        They are this statement's own, so what was decided about it just
+        before — the candidate that runs, the verdicts on the strategies
+        not chosen — still holds at the schema version the installation
+        leaves: those entries are re-stamped, and the next execution
+        hits."""
+        catalog = self.db.catalog
+        decided_at = catalog.schema_version
+        for routine in clones:
+            key = routine.name.lower()
+            if catalog.has_routine(key):
+                installed = catalog.get_routine(key)
+                if installed.window_param == routine.window_param and (
+                    installed.definition is routine.definition
+                    or installed.definition.to_sql() == routine.definition.to_sql()
+                ):
+                    # a re-transform renders the clone it installed last
+                    # time: installing it again would bump the catalog
+                    # schema version and evict every *other* statement's
+                    # cached transform and compiled plans.  (A changed
+                    # declaration must do exactly that: a statement that
+                    # shares the clone decided it under the old one.)
+                    continue
+            catalog.add_routine(routine, replace=True)
+        if catalog.schema_version != decided_at:
+            text = statement_key(stmt)  # key[2], see :meth:`candidate`
+            for key, (version, payload) in list(self._transform_cache.items()):
+                if version == decided_at and key[2] == text:
+                    self._transform_store(key, payload)
 
     # ------------------------------------------------------------------
     # registration / DDL
@@ -382,16 +613,13 @@ class TemporalStratum:
             return self.register_routine_ast(stmt)
         if isinstance(stmt, ast.CreateView) and stmt.select.modifier is not None:
             return self._create_sequenced_view(stmt)
-        modifier = getattr(stmt, "modifier", None)
-        if modifier is None:
-            return self._execute_current_or_plain(stmt)
-        registry = (
-            self.tt_registry if modifier.dimension == "TRANSACTION" else self.registry
-        )
-        if modifier.flavor is ast.TemporalFlavor.NONSEQUENCED:
-            return self._execute_nonsequenced(stmt, modifier.dimension)
-        context = self._resolve_context(stmt, modifier, registry)
-        return self._execute_sequenced(stmt, context, strategy, registry)
+        prepared = self.prepare(stmt, strategy)
+        if prepared.choice is not None and strategy in (
+            SlicingStrategy.AUTO, SlicingStrategy.COST
+        ):
+            # a decision counts once it is acted on: EXPLAIN prepares too
+            self.db.obs.inc(f"heuristic.choice.{prepared.choice.strategy.value}")
+        return self._run(prepared)
 
     def add_validtime(self, table_name: str) -> TemporalTableInfo:
         """``ALTER TABLE t ADD VALIDTIME``: give ``t`` valid-time support.
@@ -419,8 +647,6 @@ class TemporalStratum:
     def add_transactiontime(self, table_name: str) -> TemporalTableInfo:
         """``ALTER TABLE t ADD TRANSACTIONTIME``: system-maintained
         ``[tt_start, tt_stop)`` columns; see :mod:`repro.temporal.transaction`."""
-        from repro.temporal.transaction import add_transactiontime
-
         return add_transactiontime(self.db, self.tt_registry, table_name, self.clock)
 
     def _create_sequenced_view(self, stmt: "ast.CreateView") -> None:
@@ -438,22 +664,14 @@ class TemporalStratum:
             body.modifier = None
             self.db.catalog.add_view(stmt.name, body)
             return None
-        registry = (
-            self.tt_registry if modifier.dimension == "TRANSACTION" else self.registry
-        )
-        self._check_sequenced_preconditions(stmt.select)
-        transformer = PerstTransformer(self.db.catalog, registry)
-        result = transformer.transform(stmt.select)
-        if result.cp_requirements:
+        found = self.prepare(stmt.select, SlicingStrategy.PERST).candidate
+        if found.cp_requirements:
             raise TemporalError(
                 "sequenced views support the algebraic fragment only"
                 " (no per-statement constant-period loops)"
             )
-        self._install_routines(result.routines)
-        body = clone(result.statement)
-        context = self._resolve_context(stmt.select, modifier, registry)
-        substitute_context(body, context)
-        self.db.catalog.add_view(stmt.name, body)
+        self._install(stmt.select, found.clones)
+        self.db.catalog.add_view(stmt.name, found.statement)
         return None
 
     def create_temporal_table(self, ddl: str) -> TemporalTableInfo:
@@ -487,170 +705,175 @@ class TemporalStratum:
         txn = self.db.txn
         if txn.wal is not None:
             txn.wal.record_stratum_routine(stmt.to_sql())
-        # a re-registration invalidates any clones derived from old bodies
-        self._installed_clones = {
-            c for c in self._installed_clones
-            if not c.endswith("_" + stmt.name.lower())
-        }
 
     # ------------------------------------------------------------------
-    # transformation inspection
+    # prepare: decide and transform
     # ------------------------------------------------------------------
 
     def transform(
         self,
         sql: str,
         strategy: SlicingStrategy = SlicingStrategy.MAX,
-    ) -> Union[CurrentTransformResult, MaxTransformResult, PerstTransformResult]:
-        """Return the conventional SQL/PSM a statement transforms into."""
-        stmt = parse_statement(sql)
+    ) -> Candidate:
+        """Return the conventional SQL/PSM a statement transforms into
+        (PERST's transformation on request, else MAX's)."""
+        if strategy is not SlicingStrategy.PERST:
+            strategy = SlicingStrategy.MAX
+        prepared = self.prepare(parse_statement(sql), strategy)
+        if prepared.semantics == "modification":
+            raise FeatureNotSupportedError(
+                "a modification of a temporal table has no single-statement"
+                " form: the stratum carries it out (EXPLAIN shows the steps)"
+            )
+        return prepared.candidate
+
+    def prepare(
+        self,
+        stmt: ast.Statement,
+        strategy: SlicingStrategy = SlicingStrategy.AUTO,
+    ) -> PreparedStatement:
+        """Decide how ``stmt`` will run and transform it, without running
+        or installing anything; raises whatever executing it would raise
+        before its first engine statement."""
         modifier = getattr(stmt, "modifier", None)
+        catalog = self.db.catalog
         if modifier is None:
-            return transform_current(stmt, self.db.catalog, self.registry)
+            dimensions = tuple(
+                dimension
+                for dimension, registry in (
+                    ("valid", self.registry), ("transaction", self.tt_registry)
+                )
+                if analysis.reads_temporal(stmt, catalog, registry)
+            )
+            if not dimensions:
+                return PreparedStatement(stmt, "conventional", Candidate(stmt))
+            self._reject_nonseq_only(stmt, "current")
+            prepared = self._prepare_modification(stmt, dimensions)
+            if prepared is None:
+                # a current read — or a current INSERT into a valid-time
+                # table, which is a transformation too
+                found = self._transformed("current", stmt, self.registry).require()
+                prepared = PreparedStatement(stmt, "current", found, dimensions)
+            return prepared
+        registry = (
+            self.tt_registry if modifier.dimension == "TRANSACTION" else self.registry
+        )
+        dimensions = (modifier.dimension.lower(),)
         if modifier.flavor is ast.TemporalFlavor.NONSEQUENCED:
-            plain = clone(stmt)
-            plain.modifier = None
-            return CurrentTransformResult(statement=plain, routines=[])
-        self._check_sequenced_preconditions(stmt)
-        if strategy is SlicingStrategy.PERST:
-            transformer = PerstTransformer(self.db.catalog, self.registry)
-            result = transformer.transform(stmt)
-            context = self._resolve_context(stmt, modifier)
-            substitute_context(result.statement, context)
-            return result
-        return transform_query_max(stmt, self.db.catalog, self.registry, MAX_CP_TABLE)
-
-    # ------------------------------------------------------------------
-    # current / nonsequenced execution
-    # ------------------------------------------------------------------
-
-    def _execute_current_or_plain(self, stmt: ast.Statement) -> Any:
-        touches_vt = analysis.reads_temporal(stmt, self.db.catalog, self.registry)
-        touches_tt = analysis.reads_temporal(stmt, self.db.catalog, self.tt_registry)
-        if not touches_vt and not touches_tt:
-            return self.db.execute_ast(stmt)
-        self._reject_nonseq_only(stmt, "current")
+            found = self.candidate("nonsequenced", stmt, registry).require()
+            return PreparedStatement(stmt, "nonsequenced", found, dimensions, registry)
+        context = self._resolve_context(stmt, modifier, registry)
+        self._reject_nonseq_only(stmt, "sequenced")
         if isinstance(stmt, (ast.Insert, ast.Update, ast.Delete)):
-            dml_result = self._execute_dml(stmt)
-            if dml_result is not NotImplemented:
-                return dml_result
-        tracer = self.db.tracer
-        key = self._cache_key("cur", stmt)
-        cached = self._transform_fetch(key)
-        if cached is not None:
-            with tracer.span("stratum.transform", strategy="current") as span:
-                span.set(cached=True)
-            return self.db.execute_ast(cached)
-        with tracer.span("stratum.transform", strategy="current") as span:
-            span.set(cached=False)
-            self.db.stats.transforms += 1
-            if touches_vt:
-                result = transform_current(stmt, self.db.catalog, self.registry)
-                self._install_routines(result.routines)
-                stmt = result.statement
-            if touches_tt:
-                stmt = self._apply_transaction_currency(stmt)
-            self._transform_store(key, stmt)
-        return self.db.execute_ast(stmt)
+            return self._prepare_modification(stmt, dimensions, registry, context)
+        if strategy is SlicingStrategy.AUTO:
+            choice = choose_strategy(stmt, self, registry, context)
+        elif strategy is SlicingStrategy.COST:
+            # measured unit costs when the registry has samples,
+            # static calibration otherwise
+            choice = choose_by_cost(stmt, self, registry, context)
+        else:
+            choice = StrategyChoice(strategy, "", "requested")
+        prepared = PreparedStatement(
+            stmt, "sequenced",
+            self._transformed(choice.strategy.value, stmt, registry, context),
+            dimensions, registry, context, choice, choice.strategy,
+        )
+        if choice.strategy is SlicingStrategy.SEQSET and not prepared.candidate.applicable:
+            return self._fall_back(prepared, prepared.candidate.reason)
+        prepared.candidate.require()
+        return prepared
 
-    def _execute_dml(self, stmt) -> Any:
-        """Dispatch modifications of temporal tables.
+    def _transformed(
+        self, flavor: str, stmt: ast.Statement, registry: TemporalRegistry,
+        context: Optional[Period] = None,
+    ) -> Candidate:
+        """:meth:`candidate` under the ``stratum.transform`` span."""
+        attrs = {"strategy": flavor}
+        if flavor != "current":
+            attrs["dim"] = "tt" if registry is self.tt_registry else "vt"
+        with self.db.tracer.span("stratum.transform", **attrs) as span:
+            built = self.db.stats.transforms
+            found = self.candidate(flavor, stmt, registry, context)
+            fresh = self.db.stats.transforms != built
+            span.set(cached=not fresh)
+            if fresh and flavor == "seqset" and not found.applicable:
+                span.set(fallback=found.reason)
+        return found
 
-        Returns NotImplemented when the statement is not a temporal DML
-        (plain tables, or a SELECT-shaped statement) so the caller falls
-        through to the read path.
-        """
-        is_vt = self.registry.is_temporal(stmt.table)
-        is_tt = self.tt_registry.is_temporal(stmt.table)
-        if is_vt and is_tt:
-            raise TemporalError(
-                "direct modification of a bitemporal table through the"
-                " stratum is not supported; load history at the engine"
-                " level or use a transaction-time-only table"
-            )
-        if is_tt:
-            from repro.temporal.transaction import TransactionTimeDml
+    def _fall_back(self, prepared: PreparedStatement, reason: str) -> PreparedStatement:
+        """SEQ-SET declined ``prepared`` (its shape at compile time, the
+        vectorized path at run time): the same statement under MAX, which
+        reproduces results — and errors — for everything SEQ-SET declines."""
+        found = self._transformed(
+            "max", prepared.statement, prepared.registry
+        ).require()
+        return replace(
+            prepared, candidate=found, strategy=SlicingStrategy.MAX, fallback=reason
+        )
 
-            dml = TransactionTimeDml(self.db, self.tt_registry)
-            if isinstance(stmt, ast.Insert):
-                return dml.execute_insert(stmt, self.clock)
-            matcher = self._match_statement(stmt, self.tt_registry, "believed")
-            return dml.execute_modification(matcher, self.clock)
-        if is_vt and not isinstance(stmt, ast.Insert):
-            # TUC: close the currently-valid versions at now (an UPDATE
-            # re-inserts them changed); current INSERT is a transformation
-            return execute_current_modification(
-                self.db, self.registry.get(stmt.table),
-                self._match_statement(stmt, self.registry, "current"),
-                self.db.now, "current_rewrite",
-            )
-        return NotImplemented
-
-    def _match_statement(
-        self, stmt: Union[ast.Update, ast.Delete], registry: TemporalRegistry,
-        restriction: str,
-    ) -> Union[ast.Update, ast.Delete]:
-        """The cached :func:`~repro.temporal.modifications.match_statement`
-        of ``stmt`` (without its modifier): one statement object, hence
-        one engine plan, however often the text is re-parsed and
-        whatever ``now``, the context or the clock is by then."""
+    def _prepare_modification(
+        self,
+        stmt: ast.Statement,
+        dimensions: tuple,
+        registry: Optional[TemporalRegistry] = None,
+        context: Optional[Period] = None,
+    ) -> Optional[PreparedStatement]:
+        """A modification of a temporal table the stratum carries out
+        itself: sequenced over ``context`` along ``registry``, or (no
+        context) current.  ``None`` for a statement without a modifier
+        that is not one — a SELECT, DML on a conventional table, a
+        current INSERT into a valid-time table."""
+        if context is not None:
+            if registry is self.tt_registry:
+                raise TemporalError(
+                    "transaction time is system-maintained; sequenced"
+                    " TRANSACTIONTIME modifications are not meaningful"
+                )
+            if not registry.is_temporal(stmt.table):
+                raise TemporalError(
+                    f"sequenced modification requires a temporal table;"
+                    f" {stmt.table!r} has no valid-time support"
+                )
+            restriction = "sequenced"
+        else:
+            if not isinstance(stmt, (ast.Insert, ast.Update, ast.Delete)):
+                return None
+            is_vt = self.registry.is_temporal(stmt.table)
+            is_tt = self.tt_registry.is_temporal(stmt.table)
+            if is_vt and is_tt:
+                raise TemporalError(
+                    "direct modification of a bitemporal table through the"
+                    " stratum is not supported; load history at the engine"
+                    " level or use a transaction-time-only table"
+                )
+            if is_tt:
+                registry, restriction = self.tt_registry, "believed"
+            elif is_vt and not isinstance(stmt, ast.Insert):
+                # TUC: close the currently-valid versions at now (an
+                # UPDATE re-inserts them changed)
+                registry, restriction = self.registry, "current"
+            else:
+                return None
+        # without the modifier: one match statement, hence one engine
+        # plan, however often the text is re-parsed and whatever ``now``,
+        # the context or the clock is by then
         plain = copy.copy(stmt)
         plain.modifier = None
-        key = (
-            "match", restriction, statement_key(plain),
-            self.registry.version, self.tt_registry.version,
+        if isinstance(stmt, ast.Insert):
+            found = Candidate(plain)
+        else:
+            found = self.candidate("match", plain, registry, restriction)
+        return PreparedStatement(
+            stmt, "modification", found, dimensions, registry, context
         )
-        matcher = self._transform_fetch(key)
-        if matcher is None:
-            self.db.stats.transforms += 1
-            matcher = match_statement(plain, registry.get(stmt.table), restriction)
-            self._transform_store(key, matcher)
-        return matcher
-
-    def _apply_transaction_currency(self, stmt: ast.Statement) -> ast.Statement:
-        """Restrict transaction-time tables to the rows believed at the
-        clock — the second dimension's current semantics, applied after
-        any valid-time transformation (so it also covers the clones the
-        first pass installed)."""
-        result = transform_current(
-            stmt,
-            self.db.catalog,
-            self.tt_registry,
-            prefix="curtt_",
-            point=ast.Literal(value=self.clock),
-        )
-        self._install_routines(result.routines)
-        return result.statement
-
-    def _execute_nonsequenced(self, stmt: ast.Statement, dimension: str = "VALID") -> Any:
-        with self.db.tracer.span("stratum.nonsequenced", dim=dimension.lower()):
-            plain = clone(stmt)
-            plain.modifier = None
-            self._refresh_inner_cp_tables(stmt)
-            # nonsequenced exposes the named dimension's timestamps raw, but
-            # the *other* dimension keeps its current semantics on tables
-            # that carry it
-            if dimension == "VALID":
-                if analysis.reads_temporal(plain, self.db.catalog, self.tt_registry):
-                    plain = self._apply_transaction_currency(plain)
-            else:
-                if analysis.reads_temporal(plain, self.db.catalog, self.registry):
-                    result = transform_current(plain, self.db.catalog, self.registry)
-                    self._install_routines(result.routines)
-                    plain = result.statement
-            return self.db.execute_ast(plain)
-
-    # ------------------------------------------------------------------
-    # sequenced execution
-    # ------------------------------------------------------------------
 
     def _resolve_context(
         self,
         stmt: ast.Statement,
         modifier: ast.TemporalModifier,
-        registry: Optional[TemporalRegistry] = None,
+        registry: TemporalRegistry,
     ) -> Period:
-        registry = registry if registry is not None else self.registry
         if modifier.begin is not None:
             env = Env()
             begin = self.db.executor.evaluate(modifier.begin, env)
@@ -659,7 +882,14 @@ class TemporalStratum:
                 raise TemporalError("temporal context bounds must be DATEs")
             return Period(begin.ordinal, end.ordinal)
         # default: the span of the data, so cp stays finite
-        tables = analysis.reachable_temporal_tables(stmt, self.db.catalog, registry)
+        return self._data_span(
+            analysis.reachable_temporal_tables(stmt, self.db.catalog, registry),
+            registry,
+        )
+
+    def _data_span(self, tables: list[str], registry: TemporalRegistry) -> Period:
+        """From the first to the last change point of ``tables`` (the
+        whole timeline when they hold none)."""
         points: set[int] = set()
         for name in tables:
             info = registry.get(name)
@@ -671,9 +901,6 @@ class TemporalStratum:
         if not points:
             return Period(Date.MIN_ORDINAL, Date.MAX_ORDINAL)
         return Period(min(points), max(points))
-
-    def _check_sequenced_preconditions(self, stmt: ast.Statement) -> None:
-        self._reject_nonseq_only(stmt, "sequenced")
 
     def _reject_nonseq_only(self, stmt: ast.Statement, flavor: str) -> None:
         flagged = [
@@ -688,150 +915,92 @@ class TemporalStratum:
                 f" nonsequenced context (attempted: {flavor})"
             )
 
-    def _execute_sequenced(
-        self,
-        stmt: ast.Statement,
-        context: Period,
-        strategy: SlicingStrategy,
-        registry: Optional[TemporalRegistry] = None,
-    ) -> Union[TemporalResult, list[TemporalResult]]:
-        registry = registry if registry is not None else self.registry
-        self._check_sequenced_preconditions(stmt)
-        if isinstance(stmt, (ast.Insert, ast.Update, ast.Delete)):
-            if registry is self.tt_registry:
-                raise TemporalError(
-                    "transaction time is system-maintained; sequenced"
-                    " TRANSACTIONTIME modifications are not meaningful"
-                )
-            info = registry.get(stmt.table)
-            if info is None:
-                raise TemporalError(
-                    f"sequenced modification requires a temporal table;"
-                    f" {stmt.table!r} has no valid-time support"
-                )
-            if isinstance(stmt, ast.Insert):
-                plain = copy.copy(stmt)
-                plain.modifier = None
-            else:
-                plain = self._match_statement(stmt, registry, "sequenced")
-            return execute_sequenced_modification(self.db, info, plain, context)
-        self.last_fallback = None
-        other_registry = (
-            self.registry if registry is self.tt_registry else self.tt_registry
+    # ------------------------------------------------------------------
+    # run: install, materialize, execute
+    # ------------------------------------------------------------------
+
+    def _run(self, prepared: PreparedStatement) -> Any:
+        db = self.db
+        found = prepared.candidate
+        self._install(prepared.statement, found.clones)
+        if prepared.semantics == "modification":
+            return self._run_modification(prepared)
+        if prepared.semantics == "nonsequenced":
+            with db.tracer.span("stratum.nonsequenced", dim=prepared.dimensions[0]):
+                self._refresh_inner_cp_tables(prepared.statement)
+                return db.execute_ast(found.statement)
+        if prepared.semantics != "sequenced":
+            return db.execute_ast(found.statement)
+        strategy, registry, context = (
+            prepared.strategy, prepared.registry, prepared.context
         )
-        if strategy is SlicingStrategy.AUTO:
-            from repro.temporal.heuristic import choose_strategy
-
-            strategy = choose_strategy(
-                stmt, self.db, registry, context,
-                other_registry=other_registry,
-            ).strategy
-        elif strategy is SlicingStrategy.COST:
-            from repro.temporal.heuristic import choose_by_cost
-
-            # measured unit costs when the registry has samples,
-            # static calibration otherwise
-            strategy, estimate, _why = choose_by_cost(
-                stmt, self.db, registry, context,
-                other_registry=other_registry,
-            )
-            if estimate is not None:
-                self.last_estimate = estimate
         self.last_strategy = strategy
+        self.last_fallback = prepared.fallback
+        if prepared.choice.estimate is not None:
+            self.last_estimate = prepared.choice.estimate
+        tracer = db.tracer
+        slices = 0
+        for cp_table, tables in found.cp_requirements.items():
+            with tracer.span("stratum.constant_periods", cp_table=cp_table) as span:
+                slices = materialize_constant_periods(
+                    db, tables, registry, context, cp_table
+                )
+                span.set(slices=slices)
+        statement = found.statement
+        if strategy is SlicingStrategy.MAX and isinstance(statement, ast.CallStatement):
+            return self._drive_max_call(statement, context, slices)
+        started = time.perf_counter()
         if strategy is SlicingStrategy.SEQSET:
-            outcome = self._execute_sequenced_seqset(stmt, context, registry)
-            if outcome is not NotImplemented:
-                return outcome
-            # transparent fallback: MAX reproduces results (and errors)
-            # for every statement SEQ-SET declines
-            self.last_strategy = SlicingStrategy.MAX
-            return self._execute_sequenced_max(stmt, context, registry)
+            try:
+                with tracer.span("stratum.seqset.execute", slices=slices):
+                    columns, rows = execute_seqset(db, found.plan, context, MAX_CP_TABLE)
+            except SeqSetRuntimeFallback as exc:
+                return self._run(self._fall_back(prepared, str(exc)))
+            # mean per combination of the plan's shape (per row for a
+            # single table), the unit the measured-cost model prices
+            # SEQ-SET in — so a cross product's seconds do not inflate a
+            # selection's unit
+            db.obs.timer("stratum.seqset.row_seconds").record(
+                time.perf_counter() - started, found.plan.combinations(db)
+            )
+            return TemporalResult(columns, rows)
         if strategy is SlicingStrategy.MAX:
-            return self._execute_sequenced_max(stmt, context, registry)
-        return self._execute_sequenced_perst(stmt, context, registry)
-
-    # -- MAX ---------------------------------------------------------------
-
-    def _execute_sequenced_max(
-        self,
-        stmt: ast.Statement,
-        context: Period,
-        registry: Optional[TemporalRegistry] = None,
-    ) -> Union[TemporalResult, list[TemporalResult]]:
-        registry = registry if registry is not None else self.registry
-        dim = "tt" if registry is self.tt_registry else "vt"
-        tracer = self.db.tracer
-        key = self._cache_key("max", stmt, dim)
-        cached = self._transform_fetch(key)
-        if cached is not None:
-            # context only drives the cp materialization (redone per
-            # execution over the live data), never the transformation
-            with tracer.span("stratum.transform", strategy="max", dim=dim) as span:
-                span.set(cached=True)
-                temporal_tables, statement = cached
-            with tracer.span("stratum.constant_periods", cp_table=MAX_CP_TABLE) as span:
-                slices = materialize_constant_periods(
-                    self.db, temporal_tables, registry, context, MAX_CP_TABLE
-                )
-                span.set(slices=slices)
-        else:
-            with tracer.span("stratum.transform", strategy="max", dim=dim) as span:
-                span.set(cached=False)
-                self.db.stats.transforms += 1
-                result = transform_query_max(
-                    stmt, self.db.catalog, registry, MAX_CP_TABLE
-                )
-            with tracer.span("stratum.constant_periods", cp_table=MAX_CP_TABLE) as span:
-                slices = materialize_constant_periods(
-                    self.db, result.temporal_tables, registry, context, MAX_CP_TABLE
-                )
-                span.set(slices=slices)
-            # only this transformation knows that a clone's appended
-            # point parameter sits in overlap-at-point predicates and
-            # pass-along arguments alone, so it is what declares it —
-            # when nothing the statement reaches writes
-            catalog = self.db.catalog
-            self._install_routines(
-                result.routines,
-                declare_point=catalog.write_free(
-                    *analysis.called_routines(stmt, catalog)
-                ),
-            )
-            statement = self._apply_other_dimension_currency(
-                result.statement, registry
-            )
-            self._transform_store(key, (result.temporal_tables, statement))
-        if isinstance(statement, ast.Select):
-            started = time.perf_counter()
             with tracer.span("stratum.max.execute", slices=slices):
-                engine_result = self.db.execute_ast(statement)
-            self.db.obs.timer("stratum.max.slice_seconds").record(
+                outcome = db.execute_ast(statement)
+            db.obs.timer("stratum.max.slice_seconds").record(
                 time.perf_counter() - started, slices
             )
-            return TemporalResult(engine_result.columns, engine_result.rows)
-        if isinstance(statement, ast.CallStatement):
-            return self._drive_max_call(statement, context, slices)
-        raise TemporalError(
-            f"sequenced {type(stmt).__name__} unsupported under MAX"
+            return TemporalResult(outcome.columns, outcome.rows)
+        # PERST: per-row mean over the temporal data it passes over once
+        data_rows = sum(
+            len(db.catalog.get_table(name)) for name in found.temporal_tables
         )
+        with tracer.span("stratum.perst.execute", rows=data_rows):
+            outcome = db.execute_ast(statement)
+        db.obs.timer("stratum.perst.row_seconds").record(
+            time.perf_counter() - started, data_rows
+        )
+        if isinstance(statement, ast.CallStatement):
+            return [TemporalResult(r.columns, r.rows) for r in outcome or []]
+        return TemporalResult(outcome.columns, outcome.rows)
 
-    def _apply_other_dimension_currency(
-        self, statement: ast.Statement, registry: TemporalRegistry
-    ) -> ast.Statement:
-        """After a sequenced transformation along one dimension, restrict
-        the other dimension to its current state on tables that carry it
-        (bitemporal composition, paper §III)."""
-        if registry is self.registry:
-            other = self.tt_registry
-            if analysis.reads_temporal(statement, self.db.catalog, other):
-                return self._apply_transaction_currency(statement)
-            return statement
-        other = self.registry
-        if analysis.reads_temporal(statement, self.db.catalog, other):
-            result = transform_current(statement, self.db.catalog, other)
-            self._install_routines(result.routines)
-            return result.statement
-        return statement
+    def _run_modification(self, prepared: PreparedStatement) -> int:
+        """``prepared.candidate.statement`` is the INSERT without its
+        modifier, or the match statement of the UPDATE/DELETE."""
+        registry, statement = prepared.registry, prepared.candidate.statement
+        info = registry.get(statement.table)
+        if prepared.context is not None:
+            return execute_sequenced_modification(
+                self.db, info, statement, prepared.context
+            )
+        if registry is self.tt_registry:
+            dml = TransactionTimeDml(self.db, registry)
+            if isinstance(statement, ast.Insert):
+                return dml.execute_insert(statement, self.clock)
+            return dml.execute_modification(statement, self.clock)
+        return execute_current_modification(
+            self.db, info, statement, self.db.now, "current_rewrite"
+        )
 
     def _drive_max_call(
         self, call_stmt: ast.CallStatement, context: Period, slices: int = 0
@@ -897,183 +1066,9 @@ class TemporalStratum:
         )
         return stamped
 
-    # -- SEQ-SET ------------------------------------------------------------
-
-    def _execute_sequenced_seqset(
-        self,
-        stmt: ast.Statement,
-        context: Period,
-        registry: Optional[TemporalRegistry] = None,
-    ) -> Union[TemporalResult, Any]:
-        """One set-oriented pass (:mod:`repro.temporal.seqset`).
-
-        Returns ``NotImplemented`` when the statement is outside the
-        covered fragment (or the vectorized path degrades at run time);
-        the caller then re-runs it under MAX, with the reason recorded
-        in :attr:`last_fallback`.
-        """
-        from repro.temporal.seqset import (
-            SeqSetRuntimeFallback,
-            SeqSetUnsupportedError,
-            compile_seqset,
-            execute_seqset,
-        )
-
-        registry = registry if registry is not None else self.registry
-        dim = "tt" if registry is self.tt_registry else "vt"
-        other_registry = (
-            self.registry if registry is self.tt_registry else self.tt_registry
-        )
-        tracer = self.db.tracer
-        key = self._cache_key("seqset", stmt, dim)
-        cached = self._transform_fetch(key)
-        if cached is not None:
-            with tracer.span("stratum.transform", strategy="seqset", dim=dim) as span:
-                span.set(cached=True)
-                tag, payload = cached
-            if tag == "fallback":
-                self.last_fallback = payload
-                return NotImplemented
-            plan = payload
-        else:
-            with tracer.span("stratum.transform", strategy="seqset", dim=dim) as span:
-                span.set(cached=False)
-                self.db.stats.transforms += 1
-                try:
-                    plan = compile_seqset(
-                        self.db, registry, stmt, other_registry=other_registry
-                    )
-                except SeqSetUnsupportedError as exc:
-                    span.set(fallback=str(exc))
-                    # negative entries are cached too: re-deciding the
-                    # fallback must not recompile on every execution
-                    self._transform_store(key, ("fallback", str(exc)))
-                    self.last_fallback = str(exc)
-                    return NotImplemented
-            self._transform_store(key, ("plan", plan))
-        with tracer.span("stratum.constant_periods", cp_table=MAX_CP_TABLE) as span:
-            slices = materialize_constant_periods(
-                self.db, plan.temporal_tables, registry, context, MAX_CP_TABLE
-            )
-            span.set(slices=slices)
-        started = time.perf_counter()
-        try:
-            with tracer.span("stratum.seqset.execute", slices=slices):
-                columns, rows = execute_seqset(
-                    self.db, plan, context, MAX_CP_TABLE
-                )
-        except SeqSetRuntimeFallback as exc:
-            self.last_fallback = str(exc)
-            return NotImplemented
-        # mean per combination of the plan's shape (per row for a single
-        # table), the unit the measured-cost model prices SEQ-SET in —
-        # so a cross product's seconds do not inflate a selection's unit
-        self.db.obs.timer("stratum.seqset.row_seconds").record(
-            time.perf_counter() - started, plan.combinations(self.db)
-        )
-        return TemporalResult(columns, rows)
-
-    # -- PERST --------------------------------------------------------------
-
-    def _execute_sequenced_perst(
-        self,
-        stmt: ast.Statement,
-        context: Period,
-        registry: Optional[TemporalRegistry] = None,
-    ) -> Union[TemporalResult, list[TemporalResult]]:
-        registry = registry if registry is not None else self.registry
-        dim = "tt" if registry is self.tt_registry else "vt"
-        tracer = self.db.tracer
-        # the context is substituted into the statement as literals, so
-        # unlike MAX it is part of the key
-        key = self._cache_key("perst", stmt, dim, context.begin, context.end)
-        cached = self._transform_fetch(key)
-        if cached is not None:
-            cp_requirements, statement = cached
-            with tracer.span("stratum.transform", strategy="perst", dim=dim) as span:
-                span.set(cached=True)
-            for cp_table, tables in cp_requirements.items():
-                with tracer.span("stratum.constant_periods", cp_table=cp_table) as span:
-                    span.set(slices=materialize_constant_periods(
-                        self.db, tables, registry, context, cp_table
-                    ))
-        else:
-            with tracer.span("stratum.transform", strategy="perst", dim=dim) as span:
-                span.set(cached=False)
-                self.db.stats.transforms += 1
-                transformer = PerstTransformer(self.db.catalog, registry)
-                result = transformer.transform(stmt)
-            for cp_table, tables in result.cp_requirements.items():
-                with tracer.span("stratum.constant_periods", cp_table=cp_table) as span:
-                    span.set(slices=materialize_constant_periods(
-                        self.db, tables, registry, context, cp_table
-                    ))
-            self._install_routines(result.routines)
-            statement = clone(result.statement)
-            substitute_context(statement, context)
-            statement = self._apply_other_dimension_currency(statement, registry)
-            self._transform_store(key, (result.cp_requirements, statement))
-        data_rows = sum(
-            len(self.db.catalog.get_table(name))
-            for name in analysis.reachable_temporal_tables(
-                stmt, self.db.catalog, registry
-            )
-        )
-        started = time.perf_counter()
-        with tracer.span("stratum.perst.execute", rows=data_rows):
-            if isinstance(statement, ast.Select):
-                engine_result = self.db.execute_ast(statement)
-                outcome = TemporalResult(engine_result.columns, engine_result.rows)
-            elif isinstance(statement, ast.CallStatement):
-                results = self.db.execute_ast(statement) or []
-                outcome = [TemporalResult(r.columns, r.rows) for r in results]
-            else:
-                raise TemporalError(
-                    f"sequenced {type(stmt).__name__} unsupported under PERST"
-                )
-        # per-row mean over the temporal data PERST passes over once
-        self.db.obs.timer("stratum.perst.row_seconds").record(
-            time.perf_counter() - started, data_rows
-        )
-        return outcome
-
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
-
-    def _install_routines(self, definitions: list, declare_point: bool = False) -> None:
-        """Install transformation clones.  ``declare_point`` marks the
-        last parameter of each function — the point MAX appended — as
-        its ``Routine.window_param``."""
-        catalog = self.db.catalog
-        for definition in definitions:
-            key = definition.name.lower()
-            self._installed_clones.add(key)
-            is_function = isinstance(definition, ast.CreateFunction)
-            window_param = (
-                len(definition.params) - 1 if declare_point and is_function else None
-            )
-            if catalog.has_routine(key):
-                installed = catalog.get_routine(key)
-                if installed.window_param == window_param and (
-                    installed.definition is definition
-                    or installed.definition.to_sql() == definition.to_sql()
-                ):
-                    # a re-transform renders the clone it installed last
-                    # time: installing it again would bump the catalog
-                    # schema version and evict every *other* statement's
-                    # cached transform and compiled plans.  (A changed
-                    # declaration must do exactly that: a statement that
-                    # shares the clone decided it under the old one.)
-                    continue
-            catalog.add_routine(
-                Routine(
-                    kind="FUNCTION" if is_function else "PROCEDURE",
-                    definition=definition,
-                    window_param=window_param,
-                ),
-                replace=True,
-            )
 
     def _prepare_inner_modifiers(
         self, definition: Union[ast.CreateFunction, ast.CreateProcedure]
@@ -1081,7 +1076,7 @@ class TemporalStratum:
         """Rewrite explicit inner VALIDTIME statements (nonsequenced-only
         routines) into conventional SQL via maximal slicing."""
         new_def = clone(definition)
-        cp_table = f"taupsm_cp_nonseq_{definition.name.lower()}"
+        cp_table = _inner_cp_table(definition.name)
 
         def rewrite_statements(statements: list[ast.Statement]) -> None:
             for index, inner in enumerate(statements):
@@ -1095,7 +1090,7 @@ class TemporalStratum:
                     result = transform_query_max(
                         inner, self.db.catalog, self.registry, cp_table
                     )
-                    self._install_routines(result.routines)
+                    self._install(inner, _as_clones(result.routines))
                     self._inner_cp_requirements[cp_table] = result.temporal_tables
                     statements[index] = result.statement
                 elif modifier is not None:
@@ -1132,37 +1127,17 @@ class TemporalStratum:
         """Materialize cp tables needed by nonsequenced-only routines."""
         if not self._inner_cp_requirements:
             return
-        reachable = set(analysis.reachable_routines(stmt, self.db.catalog))
-        for cp_table, tables in self._inner_cp_requirements.items():
-            owner = cp_table.replace("taupsm_cp_nonseq_", "")
-            if owner in reachable or owner in {
-                r.lower() for r in reachable
-            }:
-                context = Period(Date.MIN_ORDINAL, Date.MAX_ORDINAL)
-                points: set[int] = set()
-                for name in tables:
-                    info = self.registry.get(name)
-                    table = self.db.read_table(name)
-                    points |= table.change_points(
-                        table.column_index(info.begin_column),
-                        table.column_index(info.end_column),
-                    )
-                if points:
-                    context = Period(min(points), max(points))
+        for owner in analysis.reachable_routines(stmt, self.db.catalog):
+            cp_table = _inner_cp_table(owner)
+            tables = self._inner_cp_requirements.get(cp_table)
+            if tables is not None:
                 materialize_constant_periods(
-                    self.db, tables, self.registry, context, cp_table
+                    self.db, tables, self.registry,
+                    self._data_span(tables, self.registry), cp_table,
                 )
 
 
-def substitute_context(stmt: ast.Statement, context: Period) -> None:
-    """Replace top-level ``ps_begin`` / ``ps_end`` names with literals."""
-
-    def rewriter(expr: ast.Expression):
-        if isinstance(expr, ast.Name) and expr.qualifier is None:
-            if expr.name.lower() == BEGIN_PARAM:
-                return ast.Literal(value=Date(context.begin))
-            if expr.name.lower() == END_PARAM:
-                return ast.Literal(value=Date(context.end))
-        return None
-
-    rewrite_expressions(stmt, rewriter)
+def _inner_cp_table(routine_name: str) -> str:
+    """The constant-period table of a nonsequenced-only routine's inner
+    ``VALIDTIME`` statements."""
+    return f"taupsm_cp_nonseq_{routine_name.lower()}"

@@ -215,6 +215,34 @@ class TestExplainSemantics:
         # only the EXPLAIN statement itself was counted, not the target
         assert stats.statements <= statements_before + 1
 
+    @pytest.mark.parametrize(
+        "strategy", [SlicingStrategy.AUTO, SlicingStrategy.COST]
+    )
+    def test_only_a_run_moves_the_heuristic_counters(self, stratum, strategy):
+        """A decision counts when it is acted on: plain EXPLAIN moves no
+        ``heuristic.choice.*`` counter, EXPLAIN ANALYZE exactly one, by
+        one (EXPLAIN's own second derivation used to count too: 0 → 1
+        → 3)."""
+        obs = stratum.db.obs
+
+        def choices():
+            return {
+                name: obs.value(f"heuristic.choice.{name}")
+                for name in ("max", "perst", "seqset")
+            }
+
+        before = choices()
+        stratum.execute(RUNNING_EXAMPLE, strategy=strategy)
+        assert choices() == before
+        stratum.execute(
+            RUNNING_EXAMPLE.replace("EXPLAIN", "EXPLAIN ANALYZE"), strategy=strategy
+        )
+        moved = {
+            name: count - before[name]
+            for name, count in choices().items() if count != before[name]
+        }
+        assert moved == {stratum.last_strategy.value: 1}
+
     def test_explain_duck_types_a_result_set(self, stratum):
         result = stratum.execute(RUNNING_EXAMPLE)
         assert result.columns == ["plan"]

@@ -244,7 +244,7 @@ class TestRuleRegression:
         stratum = small_dataset.stratum
         stmt = sequenced_stmt(small_dataset, query)
         choice = choose_strategy(
-            stmt, stratum.db, stratum.registry, small_dataset.context(CONTEXT_DAYS)
+            stmt, stratum, stratum.registry, small_dataset.context(CONTEXT_DAYS)
         )
         assert choice.rule == EXPECTED_RULE_90D[query.name]
         expected = (
@@ -257,7 +257,7 @@ class TestRuleRegression:
         stratum = small_dataset.stratum
         stmt = sequenced_stmt(small_dataset, query, days=7)
         choice = choose_strategy(
-            stmt, stratum.db, stratum.registry, small_dataset.context(7)
+            stmt, stratum, stratum.registry, small_dataset.context(7)
         )
         assert choice.rule == EXPECTED_RULE_7D[query.name]
         assert choice.strategy is SlicingStrategy.MAX
@@ -270,7 +270,7 @@ class TestRuleRegression:
         stmt = sequenced_stmt(small_dataset, query)
         choice = choose_strategy(
             stmt,
-            stratum.db,
+            stratum,
             stratum.registry,
             small_dataset.context(CONTEXT_DAYS),
             data_rows=10_000,

@@ -177,6 +177,46 @@ def test_serialization_error_carries_sqlstate_over_the_wire():
     run(scenario())
 
 
+def test_explain_refuses_what_execution_refuses_over_the_wire():
+    """EXPLAIN prepares the statement exactly as execution does, so a
+    statement the stratum refuses comes back as the same error frame
+    (message and SQLSTATE) with or without EXPLAIN — it used to render a
+    plan — and the session carries on."""
+    setup = (
+        "CREATE TABLE item (id INT, price FLOAT)",
+        "ALTER TABLE item ADD VALIDTIME",
+        "INSERT INTO item (id, price) VALUES (1, 2.0)",
+        "CREATE TABLE ledger (id INT, amount FLOAT)",
+        "ALTER TABLE ledger ADD TRANSACTIONTIME",
+    )
+    refused = (
+        "TRANSACTIONTIME UPDATE ledger SET amount = 1",
+        "VALIDTIME [DATE '2010-01-01', DATE '2011-01-01'] DELETE FROM ledger",
+        "INSERT INTO item VALUES (2, 3.0)",  # 0A000: no column list
+    )
+
+    async def scenario():
+        _, server, host, port = await start_server(setup)
+        client = await ReproClient.connect(host, port)
+        for sql in refused:
+            frames = []
+            for prefix in ("", "EXPLAIN ", "EXPLAIN ANALYZE "):
+                with pytest.raises(ServerError) as excinfo:
+                    await client.execute(prefix + sql)
+                frames.append((str(excinfo.value), excinfo.value.sqlstate))
+            assert frames[1] == frames[2] == frames[0]
+        assert frames[0][1] == "0A000"
+        # the same connection still serves, temporal EXPLAIN included
+        plan = await client.execute("EXPLAIN VALIDTIME SELECT id FROM item")
+        assert "\nstrategy: " in plan
+        result = await client.execute("SELECT COUNT(*) FROM item")
+        assert result.scalar() == 1
+        await client.close()
+        await server.shutdown()
+
+    run(scenario())
+
+
 def test_snapshot_csn_reported_per_statement():
     async def scenario():
         _, server, host, port = await start_server(SETUP)

@@ -8,7 +8,6 @@ from repro.temporal.heuristic import (
     SHORT_CONTEXT_DAYS,
     choose_strategy,
     estimate_costs,
-    perst_applicable,
     temporal_row_count,
     uses_per_period_cursors,
 )
@@ -44,7 +43,7 @@ def stratum():
 
 def choice(stratum, sql, context, rows=None):
     return choose_strategy(
-        parse_statement(sql), stratum.db, stratum.registry, context, data_rows=rows
+        parse_statement(sql), stratum, stratum.registry, context, data_rows=rows
     )
 
 
@@ -119,11 +118,14 @@ class TestHelpers:
         assert not uses_per_period_cursors(stmt, stratum.db, stratum.registry)
 
     def test_perst_applicable_helper(self, stratum):
-        ok, _ = perst_applicable(
+        """Rule (a)'s question, put to the stratum's candidate function."""
+        context = Period.from_iso("2010-01-01", "2011-01-01")
+        found = stratum.candidate(
+            "perst",
             parse_statement("SELECT get_author_name('a1') FROM item"),
-            stratum.db, stratum.registry,
+            stratum.registry, context,
         )
-        assert ok
+        assert found.applicable
 
     def test_short_context_constant_sane(self):
         assert 1 <= SHORT_CONTEXT_DAYS <= 100
@@ -234,9 +236,8 @@ class TestSeqSetJoinShape:
         stmt = parse_statement(self.KEYLESS)
         result = choice(stratum, self.KEYLESS, self.CONTEXT)
         assert result.rule == "cost"
-        strategy, estimate, _why = choose_by_cost(
-            stmt, stratum.db, stratum.registry, self.CONTEXT
-        )
+        by_cost = choose_by_cost(stmt, stratum, stratum.registry, self.CONTEXT)
+        strategy, estimate = by_cost.strategy, by_cost.estimate
         assert result.strategy is strategy
         assert result.reason == "key-less join: " + estimate.describe()
         costs = {

@@ -59,6 +59,42 @@ class TestReuse:
         assert {v for (v,), _ in after.coalesced()} == {"Benny", "Benjamin"}
 
 
+class TestProbeAccounting:
+    """The heuristic's questions go through the same cache: every
+    candidate it asks for is a counted transform or a counted hit."""
+
+    @pytest.mark.parametrize(
+        "strategy", [SlicingStrategy.AUTO, SlicingStrategy.COST]
+    )
+    def test_every_probe_is_a_transform_or_a_hit(self, stratum, strategy):
+        stratum.register_routine(GET_AUTHOR_NAME)
+        query = (
+            "VALIDTIME [DATE '2010-02-01', DATE '2010-07-01']"
+            " SELECT get_author_name(author_id) FROM author"
+        )
+        asked = []
+        candidate = stratum.candidate
+
+        def counting(flavor, *args):
+            asked.append(flavor)
+            return candidate(flavor, *args)
+
+        stratum.candidate = counting
+        deltas = []
+        for _ in range(3):
+            asked.clear()
+            transforms, hits = counters(stratum)
+            stratum.execute(query, strategy=strategy)
+            after = counters(stratum)
+            deltas.append((after[0] - transforms, after[1] - hits, len(asked)))
+        # SEQ-SET (declined: a routine), PERST, then the one that runs
+        assert {"seqset", "perst"} <= set(asked) and len(asked) >= 3
+        for built, served, probes in deltas:
+            assert built + served == probes
+        assert deltas[0][0] >= 2  # the verdicts are built once...
+        assert [built for built, _, _ in deltas[1:]] == [0, 0]  # ...and kept
+
+
 class TestInvalidation:
     def test_add_validtime_is_never_stale(self, stratum):
         """A registry change must retransform: after `u` gains valid
