@@ -433,6 +433,7 @@ def _run_analyzed(db: "Database", thunk) -> tuple[Any, list[str]]:
     was_enabled = tracer.enabled
     tracer.enabled = True
     before = db.stats.snapshot()
+    seconds_before = dict(db.stats.routine_seconds)
     levels_before = _level_counts(db)
     slices_before = db.obs.value("stratum.slices")
     interval_hits_before = db.obs.value("engine.interval_index_hits")
@@ -458,7 +459,13 @@ def _run_analyzed(db: "Database", thunk) -> tuple[Any, list[str]]:
             f"  slices: {slices}"
             f" (mean {elapsed / slices * 1000.0:.3f}ms/slice)"
         )
-    # per routine: bodies run, and calls the result memo served instead
+    # per routine: bodies run, calls the result memo served instead, and
+    # the seconds spent inside its invocations (callees included) — the
+    # interpreter times them only while this report's tracer is on
+    spent = {
+        name: total - seconds_before.get(name, 0.0)
+        for name, total in db.stats.routine_seconds.items()
+    }
     routines = {
         name: (
             after["routine_calls"].get(name, 0) - before["routine_calls"].get(name, 0),
@@ -470,7 +477,8 @@ def _run_analyzed(db: "Database", thunk) -> tuple[Any, list[str]]:
     reused = sum(counts[1] for counts in routines.values())
     lines.append(f"  routine invocations: {run + reused} ({run} run, {reused} reused)")
     lines.extend(
-        f"    {name}: {counts[0]} run, {counts[1]} reused"
+        f"    {name}: {counts[0]} run, {counts[1]} reused,"
+        f" {spent.get(name, 0.0) * 1000.0:.3f}ms inclusive"
         for name, counts in routines.items() if any(counts)
     )
     lines.append(

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, field
+from typing import Any, Optional, Union
 
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.errors import CatalogError
@@ -24,6 +24,9 @@ class Routine:
     # invoking it reaches.  The interpreter then keeps the function's
     # results per read window (``RoutineInterpreter._reused``).
     window_param: Optional[int] = None
+    # the body compiled on this routine's first invocation
+    # (``RoutineInterpreter._body``); not part of the routine's identity
+    compiled: Any = field(default=None, compare=False, repr=False)
 
     @property
     def name(self) -> str:
@@ -215,6 +218,11 @@ class Catalog:
 
     def has_routine(self, name: str) -> bool:
         return name.lower() in self._routines
+
+    def find_routine(self, key: str) -> Optional[Routine]:
+        """The routine under the already lowered ``key``, or None: what a
+        compiled call site asks on every call."""
+        return self._routines.get(key)
 
     def write_free(self, *names: str) -> bool:
         """May a result of one of these routines stand in for running it

@@ -42,7 +42,10 @@ class EngineStats:
         self.total_routine_calls = 0
         self.routine_calls: dict[str, int] = {}  # bodies run
         self.routine_reuses: dict[str, int] = {}  # served by the result memo
-        self.call_depth = 0  # transient: current execution nesting
+        # inclusive seconds per routine, taken only while the tracer is
+        # on (EXPLAIN ANALYZE)
+        self.routine_seconds: dict[str, float] = {}
+        self.call_depth = 0  # transient: nested routine invocations
         self.plans_compiled = 0
         self.plan_cache_hits = 0
         self.transforms = 0
@@ -67,6 +70,7 @@ class EngineStats:
         self.total_routine_calls = 0
         self.routine_calls = {}
         self.routine_reuses = {}
+        self.routine_seconds = {}
         self.call_depth = 0
         self.plans_compiled = 0
         self.plan_cache_hits = 0

@@ -376,11 +376,10 @@ class Executor:
     def _resolve_table(self, name: str, env: Optional[Env]) -> Table:
         """Resolve a table name: routine-frame table variables shadow catalog."""
         frame = env.frame if env is not None else None
-        while frame is not None:
+        if frame is not None:
             table = frame.lookup_table_var(name)
             if table is not None:
                 return table
-            frame = getattr(frame, "parent", None)
         return self.db.catalog.get_table(name)
 
     def _read_table(self, name: str, env: Optional[Env]) -> Table:

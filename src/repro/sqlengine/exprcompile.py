@@ -66,6 +66,19 @@ CompiledGrouped = Callable[[list, Env], Any]
 Layout = dict
 
 
+class FrameLayout(dict):
+    """The layout of a PSM-level expression (an IF condition, a SET
+    value, a call argument): no FROM source binds a name, so every name
+    is a routine variable, and ``scope`` — the routine compiler's
+    ``_Scope`` at the statement — resolves it to a frame slot once."""
+
+    __slots__ = ("scope",)
+
+    def __init__(self, scope: Any) -> None:
+        super().__init__()
+        self.scope = scope
+
+
 # ---------------------------------------------------------------------------
 # per-row compilation
 # ---------------------------------------------------------------------------
@@ -134,6 +147,8 @@ def _compile_name(expr: ast.Name, layout: Layout) -> Compiled:
     qualifier, name = expr.qualifier, expr.name
     qual = qualifier.lower() if qualifier is not None else None
     key = name.lower()
+    if isinstance(layout, FrameLayout):
+        return layout.scope.reader(qual, key, qualifier, name)
     if qual is not None:
         colmap = layout.get(qual)
         if colmap is not None:
@@ -202,24 +217,38 @@ def _compile_call(
     from repro.sqlengine.routines import RoutineInterpreter
 
     name = expr.name
+    key = name.lower()
     upper = name.upper()
     arg_cs = [compile_expression(executor, a, layout) for a in expr.args]
-    catalog = executor.db.catalog
     db = executor.db
+    find_routine = db.catalog.find_routine
     interpreter = RoutineInterpreter(executor)
 
-    def call_closure(env: Env) -> Any:
-        if catalog.has_routine(name):
-            return interpreter.invoke_function(name, [c(env) for c in arg_cs])
-        if upper == "CURRENT_DATE":
+    # what the name means while no routine claims it is fixed here; the
+    # routine, if any, is read per call — one probe, and the callee's
+    # compiled body and memo-key shape hang off the object it returns
+    if upper == "CURRENT_DATE":
+        def builtin(env: Env) -> Any:
             return db.now
-        if fn.is_aggregate(upper):
+    elif fn.is_aggregate(upper):
+        def builtin(env: Env) -> Any:
             raise ExecutionError(
                 f"aggregate {name} used outside of a grouped query"
             )
-        if fn.is_scalar_builtin(upper):
+    elif fn.is_scalar_builtin(upper):
+        def builtin(env: Env) -> Any:
             return fn.call_scalar_builtin(upper, [c(env) for c in arg_cs])
-        raise CatalogError(f"no such function: {name}")
+    else:
+        def builtin(env: Env) -> Any:
+            raise CatalogError(f"no such function: {name}")
+
+    def call_closure(env: Env) -> Any:
+        routine = find_routine(key)
+        if routine is None:
+            return builtin(env)
+        return interpreter.invoke_function(
+            name, [c(env) for c in arg_cs], routine
+        )
 
     return call_closure
 

@@ -1,29 +1,47 @@
-"""The PSM interpreter: stored functions and procedures.
+"""Stored functions and procedures: routine bodies compiled to closures.
 
-Executes routine bodies (compound statements, variables, control flow,
-cursors) against the relational core in
-:mod:`repro.sqlengine.executor`.  Every routine invocation increments the
-engine's per-routine call counter — the machine-independent cost metric
-the paper's MAX-vs-PERST comparison turns on.
+A routine body is compiled **once per** :class:`~repro.sqlengine.catalog.Routine`
+object, on its first invocation, into one closure tree over a flat
+frame (``_Compiler``).  What the SQL/PSM text fixes is resolved then:
+every DECLAREd scalar, parameter, row-array variable, FOR record and
+cursor is a slot index under lexical scoping (an inner ``DECLARE x``
+gets its own slot), every LEAVE / ITERATE names its enclosing loop,
+every PSM-level expression is a closure from
+:mod:`repro.sqlengine.exprcompile` whose variable names read slots, and
+every embedded SELECT / DML resolves names through one name → slot
+``_Scope`` fixed for its statement.  What the catalog decides — the plan
+of an embedded statement, the callee of a call site — is looked up when
+the statement runs, through the plan cache and ``Catalog.find_routine``:
+a compiled body never goes stale.
+
+Every PSM statement runs inside its own guard (``_Compiler.block``):
+statement count, undo-log mark, watchdog check, then release — or
+rollback to the mark and handler dispatch.  Control flow is a returned
+signal, not an exception: nothing but an error leaves a routine.  Every
+routine invocation increments the engine's per-routine call counter —
+the machine-independent cost metric the paper's MAX-vs-PERST comparison
+turns on.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.catalog import Routine
 from repro.sqlengine.errors import (
     CardinalityError,
+    CatalogError,
     CursorError,
     ExecutionError,
     RoutineError,
     SignalError,
     SqlError,
 )
-from repro.sqlengine.executor import Binding, Env, Executor, ResultSet
+from repro.sqlengine.executor import Env, Executor, ResultSet
+from repro.sqlengine.exprcompile import FrameLayout, compile_expression
 from repro.sqlengine.storage import _INF, Column, Table
-from repro.sqlengine.types import SqlType, coerce
+from repro.sqlengine.types import coerce
 from repro.sqlengine.values import Date, Null, compare, sort_key, truth
 
 
@@ -38,147 +56,205 @@ def _narrow_caller(caller: list, lo: Any, hi: Any, point: int) -> None:
         caller[1] = hi
 
 
-class _Return(Exception):
-    def __init__(self, value: Any) -> None:
-        self.value = value
+def _coercion(type_: Any) -> Callable[[Any], Any]:
+    """``coerce(value, type_)`` as a closure that settles the usual
+    assignment — NULL, or a value already of the declared class — before
+    the generic ladder."""
+    if type_.is_character:
+        limit = type_.length
+
+        def to_text(value: Any) -> Any:
+            if value is Null or (
+                type(value) is str and (limit is None or len(value) <= limit)
+            ):
+                return value
+            return coerce(value, type_)
+
+        return to_text
+    if type_.is_integer:
+        exact: Any = int
+    elif type_.is_date:
+        exact = Date
+    else:
+        return lambda value: coerce(value, type_)
+
+    def to_exact(value: Any) -> Any:
+        if value is Null or type(value) is exact:
+            return value
+        return coerce(value, type_)
+
+    return to_exact
 
 
-class _Leave(Exception):
-    def __init__(self, label: str) -> None:
-        self.label = label
+class _Signal:
+    """What a statement returns instead of ``None`` to leave the normal
+    flow: RETURN, a loop's LEAVE or ITERATE, a compound's EXIT handler.
+    Each loop and compound owns its signals, so identity is the target."""
+
+    __slots__ = ("what",)
+
+    def __init__(self, what: str) -> None:
+        self.what = what
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"<{self.what}>"
 
 
-class _Iterate(Exception):
-    def __init__(self, label: str) -> None:
-        self.label = label
+_RETURN = _Signal("RETURN")
+
+# what a name of a scope stands for
+_SCALAR, _TABLE, _RECORD = "scalar", "table", "record"
 
 
-class _HandlerExit(Exception):
-    """Unwinds to the compound whose scope declared an EXIT handler."""
+class _Scope:
+    """The names visible at one point of a routine body, fixed at
+    compile time: ``names`` maps a lowered name to ``(kind, slot)``
+    (innermost declaration wins), ``records`` lists the slots of the
+    enclosing FOR records innermost first (an unqualified name no
+    variable claims is looked for among their fields), ``cursors`` maps
+    cursor names to slots.  A record takes two slots: its column map,
+    then its current row."""
 
-    def __init__(self, depth: int) -> None:
-        self.depth = depth
+    __slots__ = ("names", "records", "cursors")
+
+    def __init__(self, names: dict, records: tuple, cursors: dict) -> None:
+        self.names = names
+        self.records = records
+        self.cursors = cursors
+
+    def declaring(self, name: str, kind: str, slot: int) -> "_Scope":
+        names = dict(self.names)
+        names[name.lower()] = (kind, slot)
+        records = (slot,) + self.records if kind == _RECORD else self.records
+        return _Scope(names, records, self.cursors)
+
+    def with_cursor(self, name: str, slot: int) -> "_Scope":
+        cursors = dict(self.cursors)
+        cursors[name.lower()] = slot
+        return _Scope(self.names, self.records, cursors)
+
+    def reader(
+        self, qual: Optional[str], key: str, qualifier: Optional[str], name: str
+    ) -> Callable[[Env], Any]:
+        """The closure reading a name of a PSM-level expression — one
+        evaluated in the invocation's own ``Env``, which binds no FROM
+        source, so the frame is all there is to resolve against (the
+        rules and errors of ``Env.lookup_keyed`` with no bindings)."""
+        entry = self.names.get(key if qual is None else qual)
+        if qual is not None:
+            unknown = f"unknown table alias {qualifier!r}"
+            if entry is None or entry[0] != _RECORD:
+                def no_record(env: Env) -> Any:
+                    raise CatalogError(unknown)
+                return no_record
+            slot = entry[1]
+            def record_field(env: Env) -> Any:
+                slots = env.frame.slots
+                index = slots[slot].get(key)
+                if index is None:
+                    raise CatalogError(unknown)
+                return slots[slot + 1][index]
+            return record_field
+        if entry is not None and entry[0] != _RECORD:
+            slot = entry[1]
+            return lambda env: env.frame.slots[slot]
+        records = self.records
+        def any_record_field(env: Env) -> Any:
+            slots = env.frame.slots
+            for slot in records:
+                index = slots[slot].get(key)
+                if index is not None:
+                    return slots[slot + 1][index]
+            raise CatalogError(f"unknown column or variable {name!r}")
+        return any_record_field
 
 
 class _CursorState:
-    __slots__ = ("select", "rows", "columns", "position", "is_open")
+    __slots__ = ("select", "rows", "position", "is_open")
 
     def __init__(self, select: ast.Select) -> None:
         self.select = select
         self.rows: list[list[Any]] = []
-        self.columns: list[str] = []
         self.position = 0
         self.is_open = False
 
 
 class _Handler:
-    __slots__ = ("kind", "condition", "action", "depth", "active")
+    """One declared handler of a running compound."""
 
-    def __init__(self, kind: str, condition: str, action: ast.Statement, depth: int) -> None:
+    __slots__ = ("kind", "condition", "action", "exit", "active")
+
+    def __init__(
+        self, kind: str, condition: str, action: Callable, exit_: _Signal
+    ) -> None:
         self.kind = kind
         self.condition = condition
-        self.action = action
-        self.depth = depth
+        self.action = action  # the action statement as a guarded block
+        self.exit = exit_  # leaves the declaring compound (EXIT handlers)
         self.active = False  # True while the handler's action runs
 
 
 class Frame:
-    """One routine invocation: scoped variables, cursors, handlers."""
+    """One routine invocation: the slots of its body, the handlers of
+    its running compounds, its result.  ``scope`` is the scope of the
+    statement now running embedded SQL — the executor's ``Env`` resolves
+    variables of plans and subqueries through it."""
 
-    def __init__(self, routine_name: str) -> None:
-        self.routine_name = routine_name
-        self.scopes: list[dict[str, dict]] = [{}]
-        self.cursors: dict[str, _CursorState] = {}
+    __slots__ = ("routine_name", "slots", "types", "scope", "handlers",
+                 "result_sets", "result")
+
+    def __init__(self, body: "_Body", args: list[Any]) -> None:
+        self.routine_name = body.name
+        self.types = body.types
+        self.slots = slots = [Null] * len(body.types)
+        for slot, to_type in enumerate(body.params):  # parameter i is slot i
+            slots[slot] = to_type(args[slot])
+        self.scope = body.scope
         self.handlers: list[_Handler] = []
         self.result_sets: list[ResultSet] = []
-        self.parent = None  # no closure chain; queries see only this frame
-
-    # -- scope management -----------------------------------------------
-
-    def push_scope(self) -> None:
-        self.scopes.append({})
-
-    def pop_scope(self) -> None:
-        depth = len(self.scopes)
-        self.scopes.pop()
-        self.handlers = [h for h in self.handlers if h.depth < depth]
-
-    def declare_scalar(self, name: str, type_: SqlType, value: Any = Null) -> None:
-        self.scopes[-1][name.lower()] = {
-            "kind": "scalar",
-            "type": type_,
-            "value": coerce(value, type_) if value is not Null else Null,
-        }
-
-    def declare_table_var(self, name: str, array_type: ast.RowArrayType) -> Table:
-        columns = [Column(f.name, f.type) for f in array_type.fields]
-        table = Table(name, columns, temporary=True)
-        self.scopes[-1][name.lower()] = {"kind": "table", "table": table}
-        return table
-
-    def declare_record(self, name: str, columns: dict[str, int], row: list[Any]) -> None:
-        self.scopes[-1][name.lower()] = {
-            "kind": "record",
-            "columns": columns,
-            "row": row,
-        }
-
-    def _find_slot(self, key: str) -> Optional[dict]:
-        for scope in reversed(self.scopes):
-            slot = scope.get(key)
-            if slot is not None:
-                return slot
-        return None
+        self.result: Any = Null
 
     # -- lookups used by the executor's Env -------------------------------
 
     def lookup_variable(self, key: str) -> tuple[bool, Any]:
-        slot = self._find_slot(key)
-        if slot is not None:
-            if slot["kind"] == "scalar":
-                return True, slot["value"]
-            if slot["kind"] == "table":
-                return True, slot["table"]
+        scope, slots = self.scope, self.slots
+        entry = scope.names.get(key)
+        if entry is not None and entry[0] != _RECORD:
+            return True, slots[entry[1]]
         # unqualified access to a FOR-loop record field
-        for scope in reversed(self.scopes):
-            for slot in scope.values():
-                if slot["kind"] == "record":
-                    index = slot["columns"].get(key)
-                    if index is not None:
-                        return True, slot["row"][index]
+        for slot in scope.records:
+            index = slots[slot].get(key)
+            if index is not None:
+                return True, slots[slot + 1][index]
         return False, None
 
     def lookup_record_field(self, qualifier: str, key: str) -> tuple[bool, Any]:
-        slot = self._find_slot(qualifier)
-        if slot is not None and slot["kind"] == "record":
-            index = slot["columns"].get(key)
+        entry = self.scope.names.get(qualifier)
+        if entry is not None and entry[0] == _RECORD:
+            index = self.slots[entry[1]].get(key)
             if index is not None:
-                return True, slot["row"][index]
+                return True, self.slots[entry[1] + 1][index]
         return False, None
 
     def lookup_table_var(self, name: str) -> Optional[Table]:
-        slot = self._find_slot(name.lower())
-        if slot is not None and slot["kind"] == "table":
-            return slot["table"]
+        entry = self.scope.names.get(name.lower())
+        if entry is not None and entry[0] == _TABLE:
+            return self.slots[entry[1]]
         return None
 
     def set_variable(self, name: str, value: Any) -> None:
-        key = name.lower()
-        slot = self._find_slot(key)
-        if slot is None:
+        """Assign by name, in the running statement's scope (the
+        copy-back of a CALL's OUT / INOUT arguments)."""
+        entry = self.scope.names.get(name.lower())
+        if entry is None:
             raise RoutineError(
                 f"unknown variable {name!r} in {self.routine_name}"
             )
-        if slot["kind"] != "scalar":
+        if entry[0] != _SCALAR:
             raise RoutineError(f"cannot SET non-scalar variable {name!r}")
-        slot["value"] = coerce(value, slot["type"])
+        self.slots[entry[1]] = coerce(value, self.types[entry[1]])
 
     # -- handlers ----------------------------------------------------------
-
-    def add_handler(self, handler: ast.DeclareHandler) -> None:
-        self.handlers.append(
-            _Handler(handler.kind, handler.condition, handler.action, len(self.scopes))
-        )
 
     def find_handler(self, condition: str) -> Optional[_Handler]:
         # skip handlers whose action is currently running, so an error
@@ -189,10 +265,35 @@ class Frame:
         return None
 
 
-class RoutineInterpreter:
-    """Executes routine bodies; one instance per engine, stateless."""
+class _Body:
+    """A compiled routine body, and what every invocation reads off the
+    routine without walking its definition again."""
 
-    MAX_DEPTH = 64
+    __slots__ = ("executor", "name", "key", "run", "types", "scope",
+                 "params", "is_table", "window", "memo_args")
+
+    def __init__(self, executor: Executor, routine: Routine) -> None:
+        self.executor = executor
+        self.name = routine.name
+        self.key = routine.name.lower()
+        self.params = [_coercion(param.type) for param in routine.params]
+        self.is_table = routine.is_table_function
+        # the shape of the routine's result-memo key: the point
+        # parameter, and the arguments a kept result is looked up under
+        self.window = routine.window_param
+        self.memo_args = tuple(
+            i for i in range(len(routine.params)) if i != routine.window_param
+        )
+        self.types: list = []  # per slot: a scalar's SqlType, else None
+        self.scope = _Scope({}, (), {})
+        self.run: Callable[[Env], Any] = None
+
+
+class RoutineInterpreter:
+    """Invokes routines; one instance per call site, stateless — the
+    compiled body lives on the ``Routine``."""
+
+    MAX_DEPTH = 64  # nested routine invocations
 
     def __init__(self, executor: Executor) -> None:
         self.executor = executor
@@ -202,24 +303,24 @@ class RoutineInterpreter:
     # invocation entry points
     # ------------------------------------------------------------------
 
-    def invoke_function(self, name: str, args: list[Any]) -> Any:
-        routine = self.db.catalog.get_routine(name)
+    def invoke_function(
+        self, name: str, args: list[Any], routine: Optional[Routine] = None
+    ) -> Any:
+        """``routine`` is the callee a compiled call site already holds."""
+        if routine is None:
+            routine = self.db.catalog.get_routine(name)
         if routine.kind != "FUNCTION":
             raise RoutineError(f"{name} is a procedure; use CALL")
-        if (
-            routine.window_param is None
-            or isinstance(routine.definition.returns, ast.RowArrayType)
-            or not self.db.memoize_table_functions
-        ):
+        body = self._body(routine)
+        if body.window is None or body.is_table or not self.db.memoize_table_functions:
             return self._scalar_result(routine, args)
         return self._reused(routine, args, self._scalar_result)
 
     def _scalar_result(self, routine: Routine, args: list[Any]) -> Any:
-        value = self._invoke(routine, args)
-        returns = routine.definition.returns
-        if isinstance(returns, ast.RowArrayType) or value is Null:
+        value = self._invoke(routine, args).result
+        if routine.compiled.is_table or value is Null:
             return value
-        return coerce(value, returns)
+        return coerce(value, routine.definition.returns)
 
     def invoke_table_function(
         self, name: str, args: list[Any], reusable: bool = False
@@ -227,7 +328,7 @@ class RoutineInterpreter:
         """``(columns, rows)`` of a row-array function; ``reusable`` is
         the caller's :meth:`Catalog.write_free` verdict on it."""
         routine = self.db.catalog.get_routine(name)
-        if not isinstance(routine.definition.returns, ast.RowArrayType):
+        if not routine.is_table_function:
             raise RoutineError(f"{name} does not return a row array")
         if reusable and self.db.memoize_table_functions:
             return self._reused(routine, args, self._table_result)
@@ -236,7 +337,7 @@ class RoutineInterpreter:
     def _table_result(
         self, routine: Routine, args: list[Any]
     ) -> tuple[list[str], list[list[Any]]]:
-        value = self._invoke(routine, args)
+        value = self._invoke(routine, args).result
         columns = list(routine.definition.returns.column_names)
         if value is Null or value is None:
             return columns, []
@@ -266,20 +367,21 @@ class RoutineInterpreter:
         only ``[p, p + 1)``.  A call that raises keeps nothing.
         """
         db = self.db
-        index = routine.window_param
+        body = self._body(routine)
+        index = body.window
         point = 0
         if index is not None:
             value = args[index]
             if not isinstance(value, Date):
                 return run(routine, args)  # NULL point: nothing to slide along
             point = value.ordinal
-        name = routine.name.lower()
-        key = (
-            name,
-            tuple(sort_key(arg) for i, arg in enumerate(args) if i != index),
-        )
+        name = body.key
+        key = (name, tuple([sort_key(args[i]) for i in body.memo_args]))
         caller = db.read_window if index is not None else None
-        entries = db.table_function_cache.setdefault(key, [])
+        cache = db.table_function_cache
+        entries = cache.get(key)
+        if entries is None:
+            entries = cache[key] = []
         for lo, hi, result in reversed(entries):
             if lo <= point < hi:
                 stats = db.stats
@@ -304,8 +406,13 @@ class RoutineInterpreter:
         return result
 
     def call_procedure(
-        self, stmt: ast.CallStatement, caller_env: Optional[Env]
+        self,
+        stmt: ast.CallStatement,
+        caller_env: Optional[Env],
+        arg_cs: Optional[list] = None,
     ) -> list[ResultSet]:
+        """``arg_cs`` are the argument closures a compiled CALL holds; a
+        CALL from outside a routine evaluates its arguments itself."""
         routine = self.db.catalog.get_routine(stmt.name)
         if routine.kind != "PROCEDURE":
             raise RoutineError(f"{stmt.name} is a function; invoke it in a query")
@@ -326,96 +433,76 @@ class RoutineInterpreter:
                         f" ({param.mode} parameter)"
                     )
                 out_targets.append((index, arg.name))
-                if param.mode == "INOUT":
-                    arg_values.append(self.executor.evaluate(arg, eval_env))
-                else:
+                if param.mode == "OUT":
                     arg_values.append(Null)
+                    continue
+            if arg_cs is not None:
+                arg_values.append(arg_cs[index](eval_env))
             else:
                 arg_values.append(self.executor.evaluate(arg, eval_env))
-        frame = self._new_frame(routine, arg_values)
-        self._count_call(routine.name)
-        with self.db.tracer.span("routine", name=routine.name):
-            try:
-                self.execute_statement(routine.definition.body, frame)
-            except _Return:
-                pass
-        # copy OUT / INOUT parameters back to the caller
-        for index, var_name in out_targets:
-            found, value = frame.lookup_variable(params[index].name.lower())
-            if not found:  # pragma: no cover - parameters always exist
-                value = Null
-            if caller_frame is not None:
-                caller_frame.set_variable(var_name, value)
+        frame = self._invoke(routine, arg_values)
+        if caller_frame is not None:
+            # copy OUT / INOUT parameters back to the caller
+            names = routine.compiled.scope.names
+            for index, var_name in out_targets:
+                slot = names[params[index].name.lower()][1]
+                caller_frame.set_variable(var_name, frame.slots[slot])
         return frame.result_sets
 
-    def _invoke(self, routine: Routine, args: list[Any]) -> Any:
-        params = routine.params
-        if len(args) != len(params):
+    def _invoke(self, routine: Routine, args: list[Any]) -> Frame:
+        """Run ``routine``'s body over ``args`` in a fresh frame."""
+        body = self._body(routine)
+        if len(args) != len(body.params):
             raise RoutineError(
-                f"{routine.name} expects {len(params)} arguments, got {len(args)}"
+                f"{routine.name} expects {len(body.params)} arguments,"
+                f" got {len(args)}"
             )
-        frame = self._new_frame(routine, args)
-        self._count_call(routine.name)
-        with self.db.tracer.span("routine", name=routine.name):
-            try:
-                self.execute_statement(routine.definition.body, frame)
-            except _Return as ret:
-                return ret.value
-            return Null
-
-    def _new_frame(self, routine: Routine, args: list[Any]) -> Frame:
-        if self.db.stats.call_depth >= self.MAX_DEPTH:
+        db = self.db
+        stats = db.stats
+        if stats.call_depth >= self.MAX_DEPTH:
             raise RoutineError("routine call depth exceeded")
-        frame = Frame(routine.name)
-        for param, value in zip(routine.params, args):
-            frame.declare_scalar(param.name, param.type, value)
+        frame = Frame(body, args)
+        stats.total_routine_calls += 1
+        stats.routine_calls[body.key] = stats.routine_calls.get(body.key, 0) + 1
+        env = Env(frame=frame)
+        stats.call_depth += 1
+        try:
+            if not db.tracer.enabled:
+                body.run(env)
+            else:
+                with db.tracer.span("routine", name=routine.name) as span:
+                    body.run(env)
+                # inclusive, and only while someone is tracing
+                # (EXPLAIN ANALYZE prints it per routine)
+                stats.routine_seconds[body.key] = (
+                    stats.routine_seconds.get(body.key, 0.0) + span.seconds
+                )
+        finally:
+            stats.call_depth -= 1
         return frame
 
-    def _count_call(self, name: str) -> None:
-        stats = self.db.stats
-        stats.total_routine_calls += 1
-        stats.routine_calls[name.lower()] = stats.routine_calls.get(name.lower(), 0) + 1
+    def _body(self, routine: Routine) -> _Body:
+        """``routine``'s compiled body: compiled on first need, kept on
+        the ``Routine`` object — a DROP / CREATE, a re-installed clone
+        or a rolled-back ``add_routine`` meets another object."""
+        body = routine.compiled
+        if body is None or body.executor is not self.executor:
+            body = _Compiler(self, routine).compile()
+            routine.compiled = body
+            self.db.obs.inc("engine.psm.compiles")
+        return body
 
     # ------------------------------------------------------------------
-    # statement execution
+    # conditions
     # ------------------------------------------------------------------
 
-    def execute_statement(self, stmt: ast.Statement, frame: Frame) -> None:
-        if getattr(stmt, "modifier", None) is not None:
-            raise ExecutionError(
-                "temporal statement modifiers require the temporal stratum"
-            )
-        self.db.stats.statements += 1
-        self.db.stats.call_depth += 1
-        txn = self.db.txn
-        token = txn.mark()
-        try:
-            # watchdog checkpoint at every PSM statement boundary —
-            # inside this statement's guard, so a cancellation takes the
-            # same rollback + handler-dispatch path as a SIGNAL raised
-            # by the statement itself (SQLSTATE '57014' handlers fire;
-            # unhandled, it cascades to full routine atomicity)
-            resilience = self.db.resilience
-            if resilience.armed:
-                resilience.check()
-            self._dispatch(stmt, frame)
-        except SqlError as exc:
-            # revert this statement's partial effects, then look for a
-            # declared handler; an unhandled condition cascades up one
-            # statement guard at a time, so the whole routine unwinds
-            txn.rollback_to(token)
-            self._handle_exception(exc, frame)
-        except BaseException:
-            # control-flow signals (_Return, _Leave, _HandlerExit, ...)
-            # are not failures: keep the statement's effects
-            txn.release(token)
-            raise
-        else:
-            txn.release(token)
-        finally:
-            self.db.stats.call_depth -= 1
-
-    def _handle_exception(self, exc: SqlError, frame: Frame) -> None:
+    def _handle(self, exc: SqlError, env: Env) -> Optional[_Signal]:
+        """Dispatch a failed (and already rolled back) statement's
+        exception to a handler of its frame: a SQLSTATE handler before
+        SQLEXCEPTION, innermost first.  A CONTINUE handler resumes after
+        the failed statement, an EXIT handler leaves its compound; with
+        none declared the exception goes to the enclosing statement."""
+        frame = env.frame
         handler = None
         if isinstance(exc, SignalError):
             handler = frame.find_handler(f"SQLSTATE {exc.sqlstate}")
@@ -425,314 +512,574 @@ class RoutineInterpreter:
             raise exc
         handler.active = True
         try:
-            self.execute_statement(handler.action, frame)
+            signal = handler.action(env)
         finally:
             handler.active = False
-        if handler.kind == "EXIT":
-            raise _HandlerExit(handler.depth)
+        if signal is None and handler.kind == "EXIT":
+            return handler.exit
+        return signal
 
-    def _dispatch(self, stmt: ast.Statement, frame: Frame) -> None:
-        handler = _STATEMENT_HANDLERS.get(type(stmt))
+    @staticmethod
+    def _not_found(env: Env) -> Optional[_Signal]:
+        """SQLSTATE 02000 is a completion condition, not an error: a
+        NOT FOUND handler's action runs, the statement has succeeded."""
+        handler = env.frame.find_handler("NOT FOUND")
         if handler is None:
-            raise RoutineError(
-                f"unsupported statement in routine body: {type(stmt).__name__}"
-            )
-        handler(self, stmt, frame)
+            return None
+        return handler.action(env)
 
-    def _declare_cursor(self, stmt: ast.DeclareCursor, frame: Frame) -> None:
-        frame.cursors[stmt.name.lower()] = _CursorState(stmt.select)
 
-    def _declare_handler(self, stmt: ast.DeclareHandler, frame: Frame) -> None:
-        frame.add_handler(stmt)
+class _Compiler:
+    """Compiles one routine body.  A *statement* compiles to a closure
+    ``body(env)`` returning ``None`` or a :class:`_Signal`; a *block* is
+    a statement list run under the per-statement guard."""
 
-    def _execute_leave(self, stmt: ast.LeaveStatement, frame: Frame) -> None:
-        raise _Leave(stmt.label.lower())
+    def __init__(self, interpreter: RoutineInterpreter, routine: Routine) -> None:
+        self.interpreter = interpreter
+        self.executor = interpreter.executor
+        self.db = interpreter.db
+        self.routine = routine
+        self.body = _Body(self.executor, routine)
+        self.loops: list[tuple[str, _Signal, _Signal]] = []  # enclosing, labelled
+        self.exit = _Signal("EXIT")  # of the compound being compiled
 
-    def _execute_iterate(self, stmt: ast.IterateStatement, frame: Frame) -> None:
-        raise _Iterate(stmt.label.lower())
+    def compile(self) -> _Body:
+        body, scope = self.body, self.body.scope
+        for param in self.routine.params:
+            scope = scope.declaring(param.name, _SCALAR, self._slot(param.type))
+        body.scope = scope
+        body.run = self.block([self.routine.definition.body], scope)
+        return body
 
-    def _execute_return(self, stmt: ast.ReturnStatement, frame: Frame) -> None:
-        if stmt.value is None:
-            raise _Return(Null)
-        raise _Return(self.executor.evaluate(stmt.value, Env(frame=frame)))
+    def _slot(self, type_: Any = None) -> int:
+        self.body.types.append(type_)
+        return len(self.body.types) - 1
 
-    def _execute_call(self, stmt: ast.CallStatement, frame: Frame) -> None:
-        frame.result_sets.extend(self.call_procedure(stmt, Env(frame=frame)))
+    def _error(self, message: str, stmt: ast.Statement) -> RoutineError:
+        """A compile-time rejection names routine and statement."""
+        return RoutineError(f"{message} in {self.routine.name}: {stmt.to_sql()}")
 
-    def _execute_query(self, stmt: ast.Select, frame: Frame) -> None:
-        frame.result_sets.append(
-            self.executor.execute_select(stmt, Env(frame=frame))
-        )
+    # ------------------------------------------------------------------
+    # the statement guard
+    # ------------------------------------------------------------------
 
-    def _execute_engine_statement(self, stmt: ast.Statement, frame: Frame) -> None:
-        self.executor.execute(stmt, Env(frame=frame))
+    def block(
+        self,
+        statements: list,
+        scope: _Scope,
+        exit_: Optional[_Signal] = None,
+    ) -> Callable[[Env], Optional[_Signal]]:
+        """``statements`` in order, each inside its own guard.  With
+        ``exit_`` the block is a compound's: that signal — an EXIT
+        handler of its own fired — ends it normally, and at its END the
+        handlers it declared are dropped."""
+        bodies = []
+        for stmt in statements:
+            body, scope = self.statement(stmt, scope)
+            bodies.append(body)
+        bodies = tuple(bodies)
+        db = self.db
+        stats = db.stats
+        resilience = db.resilience
+        handle = self.interpreter._handle
 
-    def _execute_signal(self, stmt: ast.SignalStatement, frame: Frame) -> None:
-        raise SignalError(stmt.sqlstate, stmt.message)
+        def run(env: Env) -> Optional[_Signal]:
+            if exit_ is not None:
+                handlers = env.frame.handlers
+                declared = len(handlers)
+            try:
+                for body in bodies:
+                    stats.statements += 1
+                    txn = db.txn
+                    token = txn.mark()
+                    try:
+                        # watchdog checkpoint at every PSM statement
+                        # boundary — inside this statement's guard, so a
+                        # cancellation takes the same rollback +
+                        # handler-dispatch path as a SIGNAL raised by
+                        # the statement itself (SQLSTATE '57014'
+                        # handlers fire; unhandled, it cascades to full
+                        # routine atomicity)
+                        if resilience.armed:
+                            resilience.check()
+                        signal = body(env)
+                    except SqlError as exc:
+                        # revert this statement's partial effects, then
+                        # look for a declared handler; an unhandled
+                        # condition cascades up one statement guard at a
+                        # time, so the whole routine unwinds
+                        txn.rollback_to(token)
+                        signal = handle(exc, env)
+                    except BaseException:
+                        txn.release(token)
+                        raise
+                    else:
+                        txn.release(token)
+                    if signal is not None:
+                        return None if signal is exit_ else signal
+                return None
+            finally:
+                if exit_ is not None:
+                    del handlers[declared:]
 
-    def _refuse_transaction(self, stmt: ast.Statement, frame: Frame) -> None:
-        raise RoutineError(
-            "transaction control statements are not allowed inside routines"
-        )
+        return run
 
-    # -- compound ---------------------------------------------------------
+    # ------------------------------------------------------------------
+    # statements
+    # ------------------------------------------------------------------
 
-    def _execute_compound(self, stmt: ast.Compound, frame: Frame) -> None:
-        frame.push_scope()
-        depth = len(frame.scopes)  # handlers declared here record this depth
+    def statement(self, stmt: ast.Statement, scope: _Scope) -> tuple[Callable, _Scope]:
+        """``(body, scope after it)``: a declaration extends the scope
+        of the statements that follow it."""
+        if getattr(stmt, "modifier", None) is not None:
+            return self._raising(
+                ExecutionError,
+                "temporal statement modifiers require the temporal stratum",
+            ), scope
+        compile_ = _COMPILERS.get(type(stmt))
+        if compile_ is None:
+            return self._raising(
+                RoutineError,
+                f"unsupported statement in routine body: {type(stmt).__name__}",
+            ), scope
+        compiled = compile_(self, stmt, scope)
+        if isinstance(compiled, tuple):
+            return compiled
+        return compiled, scope
+
+    @staticmethod
+    def _raising(error: type, message: str) -> Callable:
+        """A statement that fails when (and only if) it is reached."""
+        def run(env: Env) -> None:
+            raise error(message)
+        return run
+
+    def _expression(self, expr: ast.Expression, scope: _Scope) -> Callable[[Env], Any]:
+        """A PSM-level expression: variable names read slots; a subquery
+        in it runs a plan, which resolves them through the frame."""
+        compiled = compile_expression(self.executor, expr, FrameLayout(scope))
+        if not any(isinstance(node, ast.Select) for node in ast.walk(expr)):
+            return compiled
+
+        def with_scope(env: Env) -> Any:
+            env.frame.scope = scope
+            return compiled(env)
+
+        return with_scope
+
+    def _targets(self, names: list[str], scope: _Scope, stmt: ast.Statement) -> list:
+        """``(slot, coercion to its type)`` per assignment target."""
+        targets = []
+        for name in names:
+            entry = scope.names.get(name.lower())
+            if entry is None:
+                raise self._error(f"unknown variable {name!r}", stmt)
+            if entry[0] != _SCALAR:
+                raise self._error(f"cannot SET non-scalar variable {name!r}", stmt)
+            targets.append((entry[1], _coercion(self.body.types[entry[1]])))
+        return targets
+
+    # -- compound and declarations -----------------------------------------
+
+    def _compound(self, stmt: ast.Compound, scope: _Scope) -> Callable:
+        enclosing, self.exit = self.exit, _Signal("EXIT")
         try:
-            for declaration in stmt.declarations:
-                self.execute_statement(declaration, frame)
-            for inner in stmt.statements:
-                self.execute_statement(inner, frame)
-        except _HandlerExit as exit_:
-            if exit_.depth != depth:
-                raise
+            return self.block(stmt.declarations + stmt.statements, scope, self.exit)
         finally:
-            frame.pop_scope()
+            self.exit = enclosing
 
-    def _declare_variable(self, stmt: ast.DeclareVariable, frame: Frame) -> None:
+    def _declare_variable(self, stmt: ast.DeclareVariable, scope: _Scope) -> tuple:
         if stmt.array_type is not None:
+            columns = [(f.name, f.type) for f in stmt.array_type.fields]
+            tables = []
             for name in stmt.names:
-                frame.declare_table_var(name, stmt.array_type)
-            return
-        env = Env(frame=frame)
-        default = (
-            self.executor.evaluate(stmt.default, env)
-            if stmt.default is not None
-            else Null
+                slot = self._slot()
+                tables.append((slot, name))
+                scope = scope.declaring(name, _TABLE, slot)
+
+            def declare_tables(env: Env) -> None:
+                slots = env.frame.slots
+                for slot, name in tables:
+                    slots[slot] = Table(
+                        name, [Column(n, t) for n, t in columns], temporary=True
+                    )
+
+            return declare_tables, scope
+        # the DEFAULT sees the scope before these names
+        default_c = (
+            self._expression(stmt.default, scope) if stmt.default is not None else None
         )
+        to_type = _coercion(stmt.type)
+        declared = []
         for name in stmt.names:
-            frame.declare_scalar(name, stmt.type, default)
+            slot = self._slot(stmt.type)
+            declared.append(slot)
+            scope = scope.declaring(name, _SCALAR, slot)
+
+        def declare(env: Env) -> None:
+            value = to_type(default_c(env)) if default_c is not None else Null
+            slots = env.frame.slots
+            for slot in declared:
+                slots[slot] = value
+
+        return declare, scope
+
+    def _declare_cursor(self, stmt: ast.DeclareCursor, scope: _Scope) -> tuple:
+        slot = self._slot()
+        select = stmt.select
+
+        def declare(env: Env) -> None:
+            env.frame.slots[slot] = _CursorState(select)
+
+        return declare, scope.with_cursor(stmt.name, slot)
+
+    def _declare_handler(self, stmt: ast.DeclareHandler, scope: _Scope) -> Callable:
+        kind, condition, exit_ = stmt.kind, stmt.condition, self.exit
+        action = self.block([stmt.action], scope)
+
+        def declare(env: Env) -> None:
+            env.frame.handlers.append(_Handler(kind, condition, action, exit_))
+
+        return declare
 
     # -- assignment ---------------------------------------------------------
 
-    def _execute_set(self, stmt: ast.SetStatement, frame: Frame) -> None:
-        env = Env(frame=frame)
-        if len(stmt.targets) == 1:
-            value = self.executor.evaluate(stmt.value, env)
-            frame.set_variable(stmt.targets[0], value)
-            return
+    def _set(self, stmt: ast.SetStatement, scope: _Scope) -> Callable:
+        targets = self._targets(stmt.targets, scope, stmt)
+        if len(targets) == 1:
+            value_c = self._expression(stmt.value, scope)
+            (slot, to_type), = targets
+
+            def assign(env: Env) -> None:
+                env.frame.slots[slot] = to_type(value_c(env))
+
+            return assign
         # row form: SET (a, b) = (SELECT x, y ...)
         value_expr = stmt.value
         if isinstance(value_expr, ast.Parenthesized):
             value_expr = value_expr.expr
-        if isinstance(value_expr, ast.ScalarSubquery):
-            result = self.executor.execute_select(value_expr.select, env)
-            if len(result.rows) > 1:
-                raise CardinalityError("row SET: query returned more than one row")
-            if not result.rows:
-                self._signal_not_found(frame)
-                return
-            row = result.rows[0]
-            if len(row) != len(stmt.targets):
-                raise RoutineError(
-                    f"row SET: {len(stmt.targets)} targets but {len(row)} columns"
-                )
-            for target, value in zip(stmt.targets, row):
-                frame.set_variable(target, value)
-            return
-        raise RoutineError("row SET requires a row subquery")
+        if not isinstance(value_expr, ast.ScalarSubquery):
+            return self._raising(RoutineError, "row SET requires a row subquery")
+        return self._assign_row(value_expr.select, targets, scope, "row SET")
 
-    def _execute_select_into(self, stmt: ast.SelectInto, frame: Frame) -> None:
-        result = self.executor.execute_select(stmt.select, Env(frame=frame))
-        if len(result.rows) > 1:
-            raise CardinalityError("SELECT INTO returned more than one row")
-        if not result.rows:
-            self._signal_not_found(frame)
-            return
-        row = result.rows[0]
-        if len(row) != len(stmt.targets):
-            raise RoutineError(
-                f"SELECT INTO: {len(stmt.targets)} targets but {len(row)} columns"
-            )
-        for target, value in zip(stmt.targets, row):
-            frame.set_variable(target, value)
+    def _select_into(self, stmt: ast.SelectInto, scope: _Scope) -> Callable:
+        targets = self._targets(stmt.targets, scope, stmt)
+        return self._assign_row(stmt.select, targets, scope, "SELECT INTO")
+
+    def _assign_row(
+        self, select: ast.Select, targets: list, scope: _Scope, what: str
+    ) -> Callable:
+        executor = self.executor
+        not_found = self.interpreter._not_found
+        many = "row SET: query" if what == "row SET" else what
+
+        def assign_row(env: Env) -> Optional[_Signal]:
+            frame = env.frame
+            frame.scope = scope
+            result = executor.execute_select(select, env)
+            if len(result.rows) > 1:
+                raise CardinalityError(f"{many} returned more than one row")
+            if not result.rows:
+                return not_found(env)
+            row = result.rows[0]
+            if len(row) != len(targets):
+                raise RoutineError(
+                    f"{what}: {len(targets)} targets but {len(row)} columns"
+                )
+            slots = frame.slots
+            for (slot, to_type), value in zip(targets, row):
+                slots[slot] = to_type(value)
+            return None
+
+        return assign_row
 
     # -- control flow ---------------------------------------------------
 
-    def _execute_if(self, stmt: ast.IfStatement, frame: Frame) -> None:
-        env = Env(frame=frame)
-        for condition, body in stmt.branches:
-            if truth(self.executor.evaluate(condition, env)):
-                for inner in body:
-                    self.execute_statement(inner, frame)
-                return
-        if stmt.else_branch is not None:
-            for inner in stmt.else_branch:
-                self.execute_statement(inner, frame)
+    def _branches(self, pairs: list, else_branch: Optional[list], scope: _Scope):
+        """``[(condition closure, block)]`` and the ELSE block."""
+        branches = [
+            (self._expression(condition, scope), self.block(body, scope))
+            for condition, body in pairs
+        ]
+        otherwise = (
+            self.block(else_branch, scope) if else_branch is not None else None
+        )
+        return branches, otherwise
 
-    def _execute_case(self, stmt: ast.CaseStatement, frame: Frame) -> None:
-        env = Env(frame=frame)
-        if stmt.operand is not None:
-            operand = self.executor.evaluate(stmt.operand, env)
-            for when, body in stmt.whens:
-                if compare(operand, self.executor.evaluate(when, env)) == 0:
-                    for inner in body:
-                        self.execute_statement(inner, frame)
-                    return
-        else:
-            for when, body in stmt.whens:
-                if truth(self.executor.evaluate(when, env)):
-                    for inner in body:
-                        self.execute_statement(inner, frame)
-                    return
-        if stmt.else_branch is not None:
-            for inner in stmt.else_branch:
-                self.execute_statement(inner, frame)
+    def _if(self, stmt: ast.IfStatement, scope: _Scope) -> Callable:
+        branches, otherwise = self._branches(stmt.branches, stmt.else_branch, scope)
 
-    def _execute_while(self, stmt: ast.WhileStatement, frame: Frame) -> None:
-        env = Env(frame=frame)
-        label = (stmt.label or "").lower()
-        while truth(self.executor.evaluate(stmt.condition, env)):
-            try:
-                for inner in stmt.body:
-                    self.execute_statement(inner, frame)
-            except _Leave as leave:
-                if leave.label == label:
-                    return
-                raise
-            except _Iterate as iterate:
-                if iterate.label != label:
-                    raise
+        def run(env: Env) -> Optional[_Signal]:
+            for condition, block in branches:
+                if truth(condition(env)):
+                    return block(env)
+            if otherwise is not None:
+                return otherwise(env)
+            return None
 
-    def _execute_repeat(self, stmt: ast.RepeatStatement, frame: Frame) -> None:
-        env = Env(frame=frame)
-        label = (stmt.label or "").lower()
-        while True:
-            try:
-                for inner in stmt.body:
-                    self.execute_statement(inner, frame)
-            except _Leave as leave:
-                if leave.label == label:
-                    return
-                raise
-            except _Iterate as iterate:
-                if iterate.label != label:
-                    raise
-            if truth(self.executor.evaluate(stmt.until, env)):
-                return
+        return run
 
-    def _execute_for(self, stmt: ast.ForStatement, frame: Frame) -> None:
-        label = (stmt.label or "").lower()
-        result = self.executor.execute_select(stmt.select, Env(frame=frame))
-        colmap = {name.lower(): i for i, name in enumerate(result.columns)}
-        for row in result.rows:
-            frame.push_scope()
-            frame.declare_record(stmt.loop_var, colmap, list(row))
-            try:
-                for inner in stmt.body:
-                    self.execute_statement(inner, frame)
-            except _Leave as leave:
-                frame.pop_scope()
-                if leave.label == label:
-                    return
-                raise
-            except _Iterate as iterate:
-                frame.pop_scope()
-                if iterate.label != label:
-                    raise
-                continue
-            frame.pop_scope()
+    def _case(self, stmt: ast.CaseStatement, scope: _Scope) -> Callable:
+        branches, otherwise = self._branches(stmt.whens, stmt.else_branch, scope)
+        operand_c = (
+            self._expression(stmt.operand, scope) if stmt.operand is not None else None
+        )
 
-    def _execute_loop(self, stmt: ast.LoopStatement, frame: Frame) -> None:
-        label = (stmt.label or "").lower()
-        iterations = 0
-        while True:
-            iterations += 1
-            if iterations > 10_000_000:  # pragma: no cover - runaway guard
-                raise RoutineError("LOOP exceeded iteration guard")
-            try:
-                for inner in stmt.body:
-                    self.execute_statement(inner, frame)
-            except _Leave as leave:
-                if leave.label == label:
-                    return
-                raise
-            except _Iterate as iterate:
-                if iterate.label != label:
-                    raise
+        def run(env: Env) -> Optional[_Signal]:
+            if operand_c is not None:
+                operand = operand_c(env)
+                for when, block in branches:
+                    if compare(operand, when(env)) == 0:
+                        return block(env)
+            else:
+                for when, block in branches:
+                    if truth(when(env)):
+                        return block(env)
+            if otherwise is not None:
+                return otherwise(env)
+            return None
+
+        return run
+
+    def _loop_body(self, stmt: Any, scope: _Scope) -> tuple:
+        """``(block, leave, iterate)`` of a loop statement: LEAVE and
+        ITERATE inside the body resolve to the signals made here."""
+        leave, iterate = _Signal("LEAVE"), _Signal("ITERATE")
+        self.loops.append(((stmt.label or "").lower(), leave, iterate))
+        try:
+            return self.block(stmt.body, scope), leave, iterate
+        finally:
+            self.loops.pop()
+
+    def _while(self, stmt: ast.WhileStatement, scope: _Scope) -> Callable:
+        condition = self._expression(stmt.condition, scope)
+        block, leave, iterate = self._loop_body(stmt, scope)
+
+        def run(env: Env) -> Optional[_Signal]:
+            while truth(condition(env)):
+                signal = block(env)
+                if signal is not None and signal is not iterate:
+                    return None if signal is leave else signal
+            return None
+
+        return run
+
+    def _repeat(self, stmt: ast.RepeatStatement, scope: _Scope) -> Callable:
+        until = self._expression(stmt.until, scope)
+        block, leave, iterate = self._loop_body(stmt, scope)
+
+        def run(env: Env) -> Optional[_Signal]:
+            while True:
+                signal = block(env)
+                if signal is not None and signal is not iterate:
+                    return None if signal is leave else signal
+                if truth(until(env)):
+                    return None
+
+        return run
+
+    def _loop(self, stmt: ast.LoopStatement, scope: _Scope) -> Callable:
+        block, leave, iterate = self._loop_body(stmt, scope)
+
+        def run(env: Env) -> Optional[_Signal]:
+            iterations = 0
+            while True:
+                iterations += 1
+                if iterations > 10_000_000:  # pragma: no cover - runaway guard
+                    raise RoutineError("LOOP exceeded iteration guard")
+                signal = block(env)
+                if signal is not None and signal is not iterate:
+                    return None if signal is leave else signal
+
+        return run
+
+    def _for(self, stmt: ast.ForStatement, scope: _Scope) -> Callable:
+        executor, select = self.executor, stmt.select
+        record = self._slot()  # the column map; the row follows it
+        self._slot()
+        block, leave, iterate = self._loop_body(
+            stmt, scope.declaring(stmt.loop_var, _RECORD, record)
+        )
+
+        def run(env: Env) -> Optional[_Signal]:
+            frame = env.frame
+            frame.scope = scope
+            result = executor.execute_select(select, env)
+            slots = frame.slots
+            slots[record] = {name.lower(): i for i, name in enumerate(result.columns)}
+            for row in result.rows:
+                slots[record + 1] = list(row)
+                signal = block(env)
+                if signal is not None and signal is not iterate:
+                    return None if signal is leave else signal
+            return None
+
+        return run
+
+    def _jump(self, stmt: Any, scope: _Scope) -> Callable:
+        """LEAVE / ITERATE: the signal of the enclosing loop so labelled."""
+        label = stmt.label.lower()
+        for name, leave, iterate in reversed(self.loops):
+            if name == label:
+                signal = leave if isinstance(stmt, ast.LeaveStatement) else iterate
+                return lambda env: signal
+        raise self._error(f"no enclosing loop labelled {stmt.label!r}", stmt)
+
+    def _return(self, stmt: ast.ReturnStatement, scope: _Scope) -> Callable:
+        if stmt.value is None:
+            return lambda env: _RETURN  # Frame.result is Null already
+        value_c = self._expression(stmt.value, scope)
+
+        def run(env: Env) -> _Signal:
+            env.frame.result = value_c(env)
+            return _RETURN
+
+        return run
+
+    def _call(self, stmt: ast.CallStatement, scope: _Scope) -> Callable:
+        interpreter = self.interpreter
+        layout = FrameLayout(scope)
+        arg_cs = [compile_expression(self.executor, a, layout) for a in stmt.args]
+
+        def run(env: Env) -> None:
+            frame = env.frame
+            frame.scope = scope  # subqueries among the arguments, OUT targets
+            frame.result_sets.extend(interpreter.call_procedure(stmt, env, arg_cs))
+
+        return run
+
+    def _query(self, stmt: ast.Select, scope: _Scope) -> Callable:
+        executor = self.executor
+
+        def run(env: Env) -> None:
+            frame = env.frame
+            frame.scope = scope
+            frame.result_sets.append(executor.execute_select(stmt, env))
+
+        return run
+
+    def _engine_statement(self, stmt: ast.Statement, scope: _Scope) -> Callable:
+        executor = self.executor
+
+        def run(env: Env) -> None:
+            env.frame.scope = scope
+            executor.execute(stmt, env)
+
+        return run
+
+    def _signal(self, stmt: ast.SignalStatement, scope: _Scope) -> Callable:
+        sqlstate, message = stmt.sqlstate, stmt.message
+
+        def run(env: Env) -> None:
+            raise SignalError(sqlstate, message)
+
+        return run
+
+    def _refuse_transaction(self, stmt: ast.Statement, scope: _Scope) -> Callable:
+        return self._raising(
+            RoutineError,
+            "transaction control statements are not allowed inside routines",
+        )
 
     # -- cursors ------------------------------------------------------------
 
-    def _cursor(self, frame: Frame, name: str) -> _CursorState:
-        cursor = frame.cursors.get(name.lower())
-        if cursor is None:
-            raise CursorError(f"no such cursor: {name}")
+    def _cursor(self, name: str, scope: _Scope) -> Callable[[Env], _CursorState]:
+        """The closure fetching the state of the cursor ``name`` denotes
+        here; a cursor not (yet) declared fails when the statement runs."""
+        slot = scope.cursors.get(name.lower())
+
+        def cursor(env: Env) -> _CursorState:
+            state = Null if slot is None else env.frame.slots[slot]
+            if state is Null:
+                raise CursorError(f"no such cursor: {name}")
+            return state
+
         return cursor
 
-    def _execute_open(self, stmt: ast.OpenCursor, frame: Frame) -> None:
-        cursor = self._cursor(frame, stmt.name)
-        if cursor.is_open:
-            raise CursorError(f"cursor {stmt.name} is already open")
-        result = self.executor.execute_select(cursor.select, Env(frame=frame))
-        cursor.rows = result.rows
-        cursor.columns = result.columns
-        cursor.position = 0
-        cursor.is_open = True
+    def _open(self, stmt: ast.OpenCursor, scope: _Scope) -> Callable:
+        executor, name = self.executor, stmt.name
+        cursor_of = self._cursor(name, scope)
 
-    def _execute_fetch(self, stmt: ast.FetchCursor, frame: Frame) -> None:
-        cursor = self._cursor(frame, stmt.name)
-        if not cursor.is_open:
-            raise CursorError(f"cursor {stmt.name} is not open")
-        if cursor.position >= len(cursor.rows):
-            self._signal_not_found(frame)
-            return
-        row = cursor.rows[cursor.position]
-        cursor.position += 1
-        if len(row) != len(stmt.targets):
-            raise CursorError(
-                f"FETCH {stmt.name}: {len(stmt.targets)} targets but"
-                f" {len(row)} columns"
-            )
-        for target, value in zip(stmt.targets, row):
-            frame.set_variable(target, value)
+        def run(env: Env) -> None:
+            cursor = cursor_of(env)
+            if cursor.is_open:
+                raise CursorError(f"cursor {name} is already open")
+            env.frame.scope = scope
+            cursor.rows = executor.execute_select(cursor.select, env).rows
+            cursor.position = 0
+            cursor.is_open = True
 
-    def _execute_close(self, stmt: ast.CloseCursor, frame: Frame) -> None:
-        cursor = self._cursor(frame, stmt.name)
-        if not cursor.is_open:
-            raise CursorError(f"cursor {stmt.name} is not open")
-        cursor.is_open = False
-        cursor.rows = []
-        cursor.position = 0
+        return run
 
-    # -- conditions -----------------------------------------------------
+    def _fetch(self, stmt: ast.FetchCursor, scope: _Scope) -> Callable:
+        name = stmt.name
+        cursor_of = self._cursor(name, scope)
+        targets = self._targets(stmt.targets, scope, stmt)
+        not_found = self.interpreter._not_found
 
-    def _signal_not_found(self, frame: Frame) -> None:
-        handler = frame.find_handler("NOT FOUND")
-        if handler is None:
-            return  # SQLSTATE 02000 is a completion condition, not an error
-        self.execute_statement(handler.action, frame)
+        def run(env: Env) -> Optional[_Signal]:
+            cursor = cursor_of(env)
+            if not cursor.is_open:
+                raise CursorError(f"cursor {name} is not open")
+            if cursor.position >= len(cursor.rows):
+                return not_found(env)
+            row = cursor.rows[cursor.position]
+            cursor.position += 1
+            if len(row) != len(targets):
+                raise CursorError(
+                    f"FETCH {name}: {len(targets)} targets but"
+                    f" {len(row)} columns"
+                )
+            slots = env.frame.slots
+            for (slot, to_type), value in zip(targets, row):
+                slots[slot] = to_type(value)
+            return None
+
+        return run
+
+    def _close(self, stmt: ast.CloseCursor, scope: _Scope) -> Callable:
+        name = stmt.name
+        cursor_of = self._cursor(name, scope)
+
+        def run(env: Env) -> None:
+            cursor = cursor_of(env)
+            if not cursor.is_open:
+                raise CursorError(f"cursor {name} is not open")
+            cursor.is_open = False
+            cursor.rows = []
+            cursor.position = 0
+
+        return run
 
 
-# statement class -> RoutineInterpreter method taking (stmt, frame);
-# a handler that evaluates makes its own Env over the frame
-_STATEMENT_HANDLERS = {
-    ast.Compound: RoutineInterpreter._execute_compound,
-    ast.DeclareVariable: RoutineInterpreter._declare_variable,
-    ast.DeclareCursor: RoutineInterpreter._declare_cursor,
-    ast.DeclareHandler: RoutineInterpreter._declare_handler,
-    ast.SetStatement: RoutineInterpreter._execute_set,
-    ast.SelectInto: RoutineInterpreter._execute_select_into,
-    ast.IfStatement: RoutineInterpreter._execute_if,
-    ast.CaseStatement: RoutineInterpreter._execute_case,
-    ast.WhileStatement: RoutineInterpreter._execute_while,
-    ast.RepeatStatement: RoutineInterpreter._execute_repeat,
-    ast.ForStatement: RoutineInterpreter._execute_for,
-    ast.LoopStatement: RoutineInterpreter._execute_loop,
-    ast.LeaveStatement: RoutineInterpreter._execute_leave,
-    ast.IterateStatement: RoutineInterpreter._execute_iterate,
-    ast.ReturnStatement: RoutineInterpreter._execute_return,
-    ast.CallStatement: RoutineInterpreter._execute_call,
-    ast.OpenCursor: RoutineInterpreter._execute_open,
-    ast.FetchCursor: RoutineInterpreter._execute_fetch,
-    ast.CloseCursor: RoutineInterpreter._execute_close,
-    ast.Select: RoutineInterpreter._execute_query,
-    ast.Insert: RoutineInterpreter._execute_engine_statement,
-    ast.Update: RoutineInterpreter._execute_engine_statement,
-    ast.Delete: RoutineInterpreter._execute_engine_statement,
-    ast.CreateTable: RoutineInterpreter._execute_engine_statement,
-    ast.DropTable: RoutineInterpreter._execute_engine_statement,
-    ast.SignalStatement: RoutineInterpreter._execute_signal,
-    ast.TransactionStatement: RoutineInterpreter._refuse_transaction,
+# statement class -> _Compiler method taking (stmt, scope) and returning
+# the statement's closure, with the scope after it for a declaration
+_COMPILERS = {
+    ast.Compound: _Compiler._compound,
+    ast.DeclareVariable: _Compiler._declare_variable,
+    ast.DeclareCursor: _Compiler._declare_cursor,
+    ast.DeclareHandler: _Compiler._declare_handler,
+    ast.SetStatement: _Compiler._set,
+    ast.SelectInto: _Compiler._select_into,
+    ast.IfStatement: _Compiler._if,
+    ast.CaseStatement: _Compiler._case,
+    ast.WhileStatement: _Compiler._while,
+    ast.RepeatStatement: _Compiler._repeat,
+    ast.ForStatement: _Compiler._for,
+    ast.LoopStatement: _Compiler._loop,
+    ast.LeaveStatement: _Compiler._jump,
+    ast.IterateStatement: _Compiler._jump,
+    ast.ReturnStatement: _Compiler._return,
+    ast.CallStatement: _Compiler._call,
+    ast.OpenCursor: _Compiler._open,
+    ast.FetchCursor: _Compiler._fetch,
+    ast.CloseCursor: _Compiler._close,
+    ast.Select: _Compiler._query,
+    ast.Insert: _Compiler._engine_statement,
+    ast.Update: _Compiler._engine_statement,
+    ast.Delete: _Compiler._engine_statement,
+    ast.CreateTable: _Compiler._engine_statement,
+    ast.DropTable: _Compiler._engine_statement,
+    ast.SignalStatement: _Compiler._signal,
+    ast.TransactionStatement: _Compiler._refuse_transaction,
 }

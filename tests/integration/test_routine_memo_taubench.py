@@ -8,6 +8,10 @@
   window is the cell its candidates' bounds leave around the period
   begin, any other access path's the table's — and run + reused is the
   invocations made.  With the switch off every invocation runs.
+* The work every query does, pinned: PSM statements, bodies run,
+  invocations reused and rows scanned as recorded before routine bodies
+  were compiled (commit 2396fbb) — compiling them must do the same work,
+  only cheaper.
 """
 
 import pytest
@@ -64,6 +68,61 @@ def test_memo_changes_no_result(dataset, spec):
     every, none, plain = counted(dataset, spec.name, False)
     assert kept == plain
     assert none == 0 and run + reused <= every and run <= every
+
+
+# (stats.statements, bodies run, invocations reused, rows scanned) of one
+# warm execution, recorded with the walking interpreter at 2396fbb
+WORK_AT_PARENT = {
+    "q2": (13, 3, 262, 2774),
+    "q2b": (19, 3, 262, 2789),
+    "q3": (13, 6, 47, 559),
+    "q5": (17, 4, 44, 85),
+    "q6": (43, 6, 47, 540),
+    "q7": (177, 9, 44, 828),
+    "q7b": (776, 25, 28, 1428),
+    "q8": (104, 13, 40, 757),
+    "q9": (265, 106, 0, 1060),
+    "q10": (43, 6, 47, 540),
+    "q11": (371, 53, 0, 1166),
+    "q14": (91, 9, 44, 233),
+    "q17": (300, 13, 40, 378),
+    "q17b": (7444, 394, 2628, 8294),
+    "q19": (21, 4, 44, 88),
+    "q20": (37, 6, 47, 540),
+}
+
+
+@pytest.mark.parametrize("spec", ALL_QUERIES, ids=lambda spec: spec.name)
+def test_compiled_bodies_do_the_parents_work(dataset, spec):
+    stratum, db = dataset.stratum, dataset.stratum.db
+    spec.install(dataset)
+    sql = spec.sequenced_sql(dataset, BEGIN, END)
+    stratum.execute(sql, strategy=SlicingStrategy.MAX)  # warm
+    db.stats.reset()
+    stratum.execute(sql, strategy=SlicingStrategy.MAX)
+    assert (
+        db.stats.statements,
+        db.stats.total_routine_calls,
+        sum(db.stats.routine_reuses.values()),
+        db.stats.rows_scanned,
+    ) == WORK_AT_PARENT[spec.name]
+
+
+def test_q17b_compiles_its_three_clones_once(dataset):
+    """``engine.psm.compiles``: one per routine body per install — q17b's
+    three ``max_*`` clones — and flat from the second execution on."""
+    stratum, db = dataset.stratum, dataset.stratum.db
+    spec = get_query("q17b")
+    spec.install(dataset)
+    for routine in db.catalog.routines():
+        if routine.name.startswith("max_"):  # the next execution installs anew
+            db.catalog.drop_routine(routine.name)
+    sql = spec.sequenced_sql(dataset, BEGIN, END)
+    before = db.obs.value("engine.psm.compiles")
+    stratum.execute(sql, strategy=SlicingStrategy.MAX)
+    assert db.obs.value("engine.psm.compiles") - before == 3
+    stratum.execute(sql, strategy=SlicingStrategy.MAX)
+    assert db.obs.value("engine.psm.compiles") - before == 3
 
 
 # -- the independent window count ------------------------------------------

@@ -343,6 +343,26 @@ class TestExplainAnalyze:
         assert re.search(r"transform cache hits: \d+", text)
         assert re.search(r"rows scanned: \d+", text)
 
+    def test_routine_lines_carry_inclusive_time_taken_only_under_analyze(
+        self, stratum
+    ):
+        sql = (
+            "VALIDTIME [DATE '2010-01-01', DATE '2011-01-01']"
+            " SELECT get_author_name('a1') AS name FROM item"
+        )
+        stratum.execute(sql, strategy=SlicingStrategy.MAX)
+        assert stratum.db.stats.routine_seconds == {}  # nobody asked
+        text = stratum.execute(
+            "EXPLAIN ANALYZE " + sql, strategy=SlicingStrategy.MAX
+        ).text()
+        line = re.search(
+            r"max_get_author_name: (\d+) run, (\d+) reused, ([\d.]+)ms inclusive",
+            text,
+        )
+        assert line, text
+        wall = float(re.search(r"wall time: ([\d.]+)ms", text).group(1))
+        assert int(line.group(1)) > 0 and 0.0 < float(line.group(3)) <= wall
+
     def test_executes_and_keeps_the_result(self, stratum):
         result = stratum.execute(
             "EXPLAIN ANALYZE VALIDTIME [DATE '2010-01-01', DATE '2011-01-01']"

@@ -10,7 +10,9 @@ what it inherits from ``Executor`` is dispatch, set operations, LIMIT,
 DDL, name/table resolution and the value-level operator helpers.
 
 A test installs it itself (``db._executor = ReferenceExecutor(db)``), so
-routine bodies and subqueries the statement reaches run through it too.
+routine bodies and subqueries the statement reaches run through it too:
+function calls and CALL go to ``tests/reference_psm.py``, the walking
+PSM interpreter, never to a compiled routine body.
 DML keeps the engine's plan: the only DML the differential reaches is
 ``INSERT INTO TABLE var (SELECT …)``, whose plan holds no closure and
 whose SELECT comes back here.
@@ -37,7 +39,6 @@ from repro.sqlengine.executor import (
     _like_regex,
     _negate,
 )
-from repro.sqlengine.routines import RoutineInterpreter
 from repro.sqlengine.types import coerce
 from repro.sqlengine.values import (
     Null,
@@ -47,9 +48,19 @@ from repro.sqlengine.values import (
     sort_key,
     truth,
 )
+from tests.reference_psm import ReferenceInterpreter
 
 
 class ReferenceExecutor(Executor):
+    def execute(self, stmt: ast.Statement, env: Optional[Env] = None) -> Any:
+        if isinstance(stmt, ast.CallStatement) and stmt.modifier is None:
+            # what Executor.execute does before it hands a CALL over
+            if self.db.resilience.armed:
+                self.db.resilience.check()
+            self.db.stats.statements += 1
+            return ReferenceInterpreter(self).call_procedure(stmt, env)
+        return super().execute(stmt, env)
+
     # -- SELECT -------------------------------------------------------------
 
     def _run_arm(
@@ -221,7 +232,7 @@ class ReferenceExecutor(Executor):
             return source.alias, result.columns, result.rows
         if isinstance(source, ast.TableFunctionRef):
             args = [self.evaluate(a, env) for a in source.call.args]
-            columns, rows = RoutineInterpreter(self).invoke_table_function(
+            columns, rows = ReferenceInterpreter(self).invoke_table_function(
                 source.call.name, args
             )
             return source.alias, columns, rows
@@ -295,7 +306,7 @@ class ReferenceExecutor(Executor):
         name, upper = expr.name, expr.name.upper()
         if self.db.catalog.has_routine(name):
             args = [self.evaluate(a, env) for a in expr.args]
-            return RoutineInterpreter(self).invoke_function(name, args)
+            return ReferenceInterpreter(self).invoke_function(name, args)
         if upper == "CURRENT_DATE":
             return self.db.now
         if fn.is_aggregate(upper):

@@ -217,6 +217,34 @@ def test_explain_refuses_what_execution_refuses_over_the_wire():
     run(scenario())
 
 
+def test_unknown_label_in_a_routine_is_a_typed_error_over_the_wire():
+    """``LEAVE nosuch`` used to leave ``execute`` as a private Python
+    exception of the interpreter: no error frame, and the connection
+    handler died with it.  It is a ``RoutineError`` of the routine's
+    compilation now — an ordinary error frame — and the session goes on."""
+    setup = SETUP + (
+        "CREATE PROCEDURE p () LANGUAGE SQL BEGIN"
+        " lp: LOOP INSERT INTO t VALUES (2, 'b'); LEAVE nosuch; END LOOP lp;"
+        " END",
+    )
+
+    async def scenario():
+        _, server, host, port = await start_server(setup)
+        client = await ReproClient.connect(host, port)
+        with pytest.raises(ServerError, match="'nosuch'.* in p: LEAVE nosuch"):
+            await client.execute("CALL p()")
+        # nothing of the statement stayed, and the same session serves on
+        result = await client.execute("SELECT COUNT(*) FROM t")
+        assert result.scalar() == 1
+        await client.execute("INSERT INTO t VALUES (3, 'c')")
+        result = await client.execute("SELECT COUNT(*) FROM t")
+        assert result.scalar() == 2
+        await client.close()
+        await server.shutdown()
+
+    run(scenario())
+
+
 def test_snapshot_csn_reported_per_statement():
     async def scenario():
         _, server, host, port = await start_server(SETUP)

@@ -369,3 +369,88 @@ def test_signalled_57014_hits_same_handler(db_h: Database):
     db_h.execute("CALL p()")
     assert values(db_h) == [1, 3]
     assert values(db_h, "log") == ["cancelled"]
+
+
+# -- handlers and lexical scopes -------------------------------------------
+#
+# Scopes are resolved when the body is compiled, so no way of leaving a
+# block — an EXIT handler's unwinding included — can leave one of its
+# declarations or handlers behind.
+
+
+def _two_rows(db: Database) -> None:
+    db.execute("INSERT INTO t VALUES (1)")
+    db.execute("INSERT INTO t VALUES (2)")
+
+
+def test_exit_handler_out_of_a_for_loop_leaves_no_scope_behind(db_h: Database):
+    """The walker popped a FOR record's scope on normal exit, LEAVE and
+    ITERATE only; an EXIT handler's unwinding left it on the stack, the
+    enclosing compound then popped the wrong one, and the inner block's
+    ``x`` (and its handler) outlived the block: this returned 3."""
+    _two_rows(db_h)
+    db_h.execute(
+        """
+        CREATE FUNCTION f () RETURNS INTEGER
+        LANGUAGE SQL
+        BEGIN
+          DECLARE x INTEGER DEFAULT 1;
+          BEGIN
+            DECLARE x INTEGER DEFAULT 2;
+            DECLARE EXIT HANDLER FOR SQLEXCEPTION SET x = 3;
+            FOR r AS SELECT a FROM t DO
+              SIGNAL SQLSTATE '45000';
+            END FOR;
+          END;
+          RETURN x;
+        END
+        """
+    )
+    assert db_h.query("SELECT f()").scalar() == 1
+
+
+def test_continue_handler_outside_a_for_loop_resumes_each_iteration(db_h: Database):
+    _two_rows(db_h)
+    db_h.execute(
+        """
+        CREATE FUNCTION g () RETURNS INTEGER
+        LANGUAGE SQL
+        BEGIN
+          DECLARE a INTEGER DEFAULT 10;
+          DECLARE CONTINUE HANDLER FOR SQLEXCEPTION SET a = a + 100;
+          FOR r AS SELECT a FROM t DO
+            SIGNAL SQLSTATE '45000';
+          END FOR;
+          RETURN a;
+        END
+        """
+    )
+    # the variable, not the record's column of the same name, on both
+    # sides of the handler's SET; one firing per row
+    assert db_h.query("SELECT g()").scalar() == 210
+
+
+def test_handler_of_an_ended_compound_does_not_fire(db_h: Database):
+    _two_rows(db_h)
+    db_h.execute(
+        """
+        CREATE FUNCTION h () RETURNS INTEGER
+        LANGUAGE SQL
+        BEGIN
+          DECLARE x INTEGER DEFAULT 0;
+          BEGIN
+            DECLARE EXIT HANDLER FOR SQLEXCEPTION SET x = 99;
+            FOR r AS SELECT a FROM t DO
+              SIGNAL SQLSTATE '45000';
+            END FOR;
+          END;
+          SIGNAL SQLSTATE '45001' SET MESSAGE_TEXT = 'after the block';
+          RETURN x;
+        END
+        """
+    )
+    # the walker kept the inner handler registered (see above), ran its
+    # action for the second SIGNAL too and returned 99
+    with pytest.raises(SignalError) as excinfo:
+        db_h.query("SELECT h()")
+    assert excinfo.value.sqlstate == "45001"

@@ -8,6 +8,7 @@ from repro.sqlengine.errors import (
     CursorError,
     RoutineError,
 )
+from repro.sqlengine.routines import RoutineInterpreter
 from repro.sqlengine.values import Null
 
 
@@ -406,3 +407,123 @@ class TestTableFunctions:
         END
         """)
         assert db.query("SELECT juggle()").scalar() == 3
+
+
+class TestLabelsAreLexical:
+    """LEAVE / ITERATE are resolved to their enclosing loop when the
+    body is compiled: a label that is not there is a typed error of the
+    routine that wrote it, raised at its first invocation — never a
+    jump into the caller, never a Python exception out of ``execute``."""
+
+    def test_leave_does_not_unwind_the_callers_loop(self, db):
+        define(db, "CREATE FUNCTION inner1 () RETURNS INTEGER LANGUAGE SQL"
+                   " BEGIN LEAVE w; RETURN 7; END")
+        define(db, """
+        CREATE FUNCTION h4 () RETURNS INTEGER LANGUAGE SQL
+        BEGIN
+          DECLARE x INTEGER DEFAULT 0;
+          w: WHILE x < 3 DO
+            SET x = x + 1;
+            SET x = x + inner1();
+          END WHILE w;
+          RETURN x;
+        END
+        """)
+        # the walker returned 1: inner1's LEAVE w left h4's loop
+        with pytest.raises(RoutineError, match=r"'w'.* in inner1: LEAVE w"):
+            db.query("SELECT h4()")
+
+    @pytest.mark.parametrize("jump", ["LEAVE", "ITERATE"])
+    def test_unknown_label_is_a_routine_error_and_rolls_back(self, db, jump):
+        define(db, f"""
+        CREATE PROCEDURE p () LANGUAGE SQL
+        BEGIN
+          DECLARE i INTEGER DEFAULT 0;
+          INSERT INTO nums VALUES (99);
+          lp: WHILE i < 2 DO
+            SET i = i + 1;
+            IF i = 5 THEN {jump} nosuch; END IF;
+          END WHILE lp;
+        END
+        """)
+        # rejected although the jump would never run, before the INSERT
+        with pytest.raises(RoutineError, match=f"'nosuch'.* in p: {jump} nosuch"):
+            db.execute("CALL p()")
+        assert db.query("SELECT COUNT(*) FROM nums").scalar() == 5
+        assert db.stats.call_depth == 0 and not db.txn.marks
+
+    def test_a_handler_can_catch_the_callees_rejection(self, db):
+        define(db, "CREATE FUNCTION bad () RETURNS INTEGER LANGUAGE SQL"
+                   " BEGIN lp: LOOP ITERATE other; END LOOP lp; RETURN 1; END")
+        define(db, """
+        CREATE FUNCTION careful () RETURNS INTEGER LANGUAGE SQL
+        BEGIN
+          DECLARE x INTEGER DEFAULT 0;
+          DECLARE CONTINUE HANDLER FOR SQLEXCEPTION SET x = -1;
+          SET x = bad();
+          RETURN x;
+        END
+        """)
+        assert db.query("SELECT careful()").scalar() == -1
+
+    def test_unknown_assignment_target_names_routine_and_statement(self, db):
+        define(db, "CREATE FUNCTION f () RETURNS INTEGER LANGUAGE SQL"
+                   " BEGIN DECLARE x INTEGER; SET y = 1; RETURN x; END")
+        with pytest.raises(RoutineError, match=r"unknown variable 'y' in f: SET y = 1"):
+            db.query("SELECT f()")
+        define(db, "CREATE FUNCTION g () RETURNS INTEGER LANGUAGE SQL"
+                   " BEGIN DECLARE c CURSOR FOR SELECT n FROM nums;"
+                   " OPEN c; FETCH c INTO z; RETURN 1; END")
+        with pytest.raises(RoutineError, match=r"unknown variable 'z' in g: FETCH c INTO z"):
+            db.query("SELECT g()")
+
+
+class TestCallDepth:
+    """``MAX_DEPTH`` bounds nested routine *invocations*.  The walker
+    counted nested statements instead, so ``fact`` gave out at 33 and
+    ``fact2`` — the same recursion three blocks deep — at 15.
+
+    One PSM call costs 8 Python frames where the call sits directly in
+    the body (``fact``: call site, ``invoke_function``, ``_scalar_result``,
+    ``_invoke``, the body's guard, the compound's guard, RETURN, ``*``)
+    and 2 more per enclosing IF or loop, 1 per enclosing BEGIN: 13 for
+    ``fact2``, 832 at depth 64 — under CPython's default limit of 1000
+    with pytest's own frames on top, so the typed error comes first."""
+
+    FACT = """
+    CREATE FUNCTION fact (n INTEGER) RETURNS FLOAT LANGUAGE SQL
+    BEGIN
+      IF n <= 1 THEN RETURN 1; END IF;
+      RETURN n * fact(n - 1);
+    END
+    """
+    FACT2 = """
+    CREATE FUNCTION fact2 (n INTEGER) RETURNS FLOAT LANGUAGE SQL
+    BEGIN
+      IF n > 1 THEN
+        BEGIN
+          IF n > 0 THEN
+            RETURN n * fact2(n - 1);
+          END IF;
+        END;
+      END IF;
+      RETURN 1;
+    END
+    """
+
+    @pytest.mark.parametrize("name", ["fact", "fact2"])
+    def test_depth_64_runs_and_65_is_refused(self, db, name):
+        import math
+        import sys
+
+        assert sys.getrecursionlimit() <= 1000  # the claim is about the default
+        define(db, self.FACT)
+        define(db, self.FACT2)
+        assert RoutineInterpreter.MAX_DEPTH == 64
+        assert db.query(f"SELECT {name}(64)").scalar() == float(math.factorial(64))
+        with pytest.raises(RoutineError, match="call depth exceeded"):
+            db.query(f"SELECT {name}(65)")
+        assert db.stats.call_depth == 0
+        assert len(db.txn.marks) == 0
+        # and the engine is as usable as before
+        assert db.query(f"SELECT {name}(5)").scalar() == 120.0
