@@ -130,29 +130,39 @@ def _describe_pipeline(plan: Any, depth: int, since: Optional[dict]) -> list[str
         order = ", ".join(level.node.key for level in pipeline.levels)
         lines.append(pad + f"  join order: {order} (emitted in FROM order)")
     for level in pipeline.levels:
-        lines.extend(_describe_level(level, depth + 1, bool(plan.conjuncts), since))
+        # the residual runs on the combinations the last level completes
+        residual = bool(pipeline.residual) and level is pipeline.levels[-1]
+        lines.extend(_describe_level(level, depth + 1, residual, since))
     if plan.conjuncts:
         lines.append(pad + f"  residual: {len(pipeline.residual)}")
     return lines
 
 
 def _describe_level(
-    level: Any, depth: int, filtered: bool, since: Optional[dict]
+    level: Any, depth: int, residual: bool, since: Optional[dict]
 ) -> list[str]:
-    """One join level: access path, how the WHERE conjuncts placed on it
-    are evaluated, measured rows."""
+    """One join level: access path and the period bounds it decides, how
+    the conjuncts still checked per row here are evaluated (``filters``
+    counts them), measured rows."""
     from repro.sqlengine import planner
 
     node = level.node
     if not isinstance(node, planner._Scan):
         return _describe_source(node, depth)
     alias = f" AS {node.alias}" if node.key != node.name.lower() else ""
-    kind, detail = level.access
-    line = f"{kind} {node.name}{alias}{detail}"
+    kind, key_sql = level.access
+    line = f"{kind} {node.name}{alias}"
+    if key_sql:
+        line += f" on {key_sql}"
+    period = level.period
+    if period is not None:
+        line += (
+            f" ({period.begin_name}/{period.end_name}): {_period_terms(period)}"
+        )
     batch = node.batch
     if batch is not None and batch.consumes_all:
         line += f" (vectorized filter: {len(batch.kernels)} kernels)"
-    elif filtered and kind != "HashProbe":
+    elif kind != "HashProbe" and (level.filters or residual):
         line += " (row-at-a-time filter)"
     if level.filters:
         line += f" filters: {len(level.filters)}"
@@ -160,6 +170,45 @@ def _describe_level(
         rows_in, rows_out = since.get(level, (0, 0))
         line += f" [rows in: {level.rows_in - rows_in}, out: {level.rows_out - rows_out}]"
     return ["  " * depth + line]
+
+
+def _period_terms(period: Any) -> str:
+    """What a level's access path decides about its period, in words:
+    ``alive at p`` (a stab), ``overlapping [b, e)``, ``begin in [x, y)``
+    (a begin range), any other bound as its comparison."""
+    begin, end = period.begin_name, period.end_name
+    lowers, uppers, ends = (
+        [(operand.to_sql(), offset == 0)
+         for side, _, _, offset, operand in period.bounds if side == wanted]
+        for wanted in range(3)
+    )
+    terms = []
+    for upper in list(uppers):
+        if upper[1] and (upper[0], False) in ends:
+            uppers.remove(upper)
+            ends.remove((upper[0], False))
+            terms.append(f"alive at {upper[0]}")
+    for upper, lower in list(zip(
+        [u for u in uppers if not u[1]], [e for e in ends if not e[1]]
+    )):
+        uppers.remove(upper)
+        ends.remove(lower)
+        terms.append(f"overlapping [{lower[0]}, {upper[0]})")
+    for lower, upper in list(zip(lowers, uppers)):
+        lowers.remove(lower)
+        uppers.remove(upper)
+        terms.append(
+            f"{begin} in {'[' if lower[1] else '('}{lower[0]},"
+            f" {upper[0]}{']' if upper[1] else ')'}"
+        )
+    for column, bounds, inclusive_op, strict_op in (
+        (begin, lowers, ">=", ">"), (begin, uppers, "<=", "<"), (end, ends, ">=", ">"),
+    ):
+        terms.extend(
+            f"{column} {inclusive_op if inclusive else strict_op} {text}"
+            for text, inclusive in bounds
+        )
+    return ", ".join(terms)
 
 
 def _level_counts(db: "Database") -> dict:

@@ -394,16 +394,18 @@ class Executor:
         return table
 
     def _interval_candidate_positions(
-        self, table: Table, probe: tuple[int, int, Optional[int], Optional[int]]
+        self, table: Table, begin_index: int, end_index: int, limits: Optional[list]
     ) -> list[int]:
-        """Candidate *positions* for an interval probe (ascending), counted
-        as ``engine.interval_index_hits`` / ``engine.interval_rows_pruned``."""
-        begin_index, end_index, begin_max, end_min = probe
-        if begin_max is None:
+        """Candidate *positions* (ascending) for an interval probe with
+        ``limits = [begin_min, begin_max, end_min]`` (None: no row can
+        match), counted as ``engine.interval_index_hits`` /
+        ``engine.interval_rows_pruned``."""
+        if limits is None:
             positions: list[int] = []
         else:
+            begin_min, begin_max, end_min = limits
             positions = table.interval_index(begin_index, end_index).search_positions(
-                begin_max, end_min
+                begin_max, end_min, begin_min
             )
         obs = self.db.obs
         obs.inc("engine.interval_index_hits")

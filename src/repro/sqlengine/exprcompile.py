@@ -565,9 +565,9 @@ def _vector_const(kind: str, value: Any) -> Any:
     if kind == "int" or kind == "float":
         if isinstance(value, bool):
             return int(value)
-        if isinstance(value, (int, float)):
+        if isinstance(value, (int, float)) and value == value:
             return value
-        return _FALLBACK
+        return _FALLBACK  # (NaN too: native comparison misorders it)
     if kind == "date":
         if isinstance(value, Date):
             return value.ordinal

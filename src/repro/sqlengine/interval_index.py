@@ -10,13 +10,19 @@ Both reduce to *"begin at most X and end at least Y"* over the day
 ordinals.  This index stores the rows whose period bounds are both
 DATE values sorted by begin ordinal, with a segment tree of maximum
 end ordinals on top, so ``search(begin_max, end_min)`` reports the
-matching rows in O(log n + k) instead of scanning the heap.
+matching rows in O(log n + k) instead of scanning the heap.  MAX's
+outer join with its constant-period table bounds the *begin* column
+from both sides instead (``X <= cp.begin AND cp.begin < Y``):
+``search_positions`` also takes a ``begin_min``, a second bisect, and
+either bound on a side may be absent.
 
 Rows whose begin or end is not a :class:`Date` (NULL bounds) are left
-out of the index: a comparison against NULL is never true, so such
+out of the entries: a comparison against NULL is never true, so such
 rows can never satisfy the bound conjuncts and excluding them is safe.
-The index only *prunes* — callers still evaluate the full WHERE over
-the candidates — so results are identical to a linear scan, and
+The one exception is a probe with no end bound, which a row with a
+Date begin and a NULL end can satisfy: those rows are kept aside
+(``_open_*``, in table order) and reported by such probes only.
+Results equal a linear scan's filter over the same bounds, and
 candidates are returned in table position order to keep row order
 byte-for-byte identical too.
 """
@@ -29,6 +35,7 @@ from typing import Any, Optional
 from repro.sqlengine.values import Date
 
 _NEG_INF = -1  # below any valid day ordinal (Date.MIN_ORDINAL is 1)
+_INF = float("inf")
 
 
 def without(sequence, doomed: list[int]):
@@ -59,15 +66,22 @@ class IntervalIndex:
     __slots__ = (
         "begin_index", "end_index", "entry_count", "total_rows",
         "_begins", "_positions", "_rows", "_ends", "_tree",
+        "_open_begins", "_open_positions",
     )
 
     def __init__(self, rows: list[list[Any]], begin_index: int, end_index: int) -> None:
         entries = []
+        self._open_begins: list[int] = []
+        self._open_positions: list[int] = []
         for position, row in enumerate(rows):
             begin = row[begin_index]
             end = row[end_index]
-            if isinstance(begin, Date) and isinstance(end, Date):
-                entries.append((begin.ordinal, position, end.ordinal, row))
+            if isinstance(begin, Date):
+                if isinstance(end, Date):
+                    entries.append((begin.ordinal, position, end.ordinal, row))
+                else:
+                    self._open_begins.append(begin.ordinal)
+                    self._open_positions.append(position)
         entries.sort(key=lambda entry: (entry[0], entry[1]))
         self.begin_index = begin_index
         self.end_index = end_index
@@ -109,7 +123,9 @@ class IntervalIndex:
         self.total_rows += 1
         begin = row[self.begin_index]
         end = row[self.end_index]
-        if isinstance(begin, Date) and isinstance(end, Date):
+        if not isinstance(begin, Date):
+            return
+        if isinstance(end, Date):
             # the new position is the largest: after every equal begin
             at = bisect_right(self._begins, begin.ordinal)
             self._begins.insert(at, begin.ordinal)
@@ -118,6 +134,9 @@ class IntervalIndex:
             self._rows.insert(at, row)
             self.entry_count += 1
             self._tree = None
+        else:
+            self._open_begins.append(begin.ordinal)
+            self._open_positions.append(position)
 
     def set_end(self, position: int, begin: int, end: int) -> bool:
         """The row at table ``position`` (begin ordinal ``begin``, both
@@ -149,27 +168,49 @@ class IntervalIndex:
         self._positions = [
             position - bisect_left(doomed, position) for position in self._positions
         ]
+        if self._open_positions:
+            kept = [
+                (begin, position)
+                for begin, position in zip(self._open_begins, self._open_positions)
+                if position not in doomed_set
+            ]
+            self._open_begins = [begin for begin, _ in kept]
+            self._open_positions = [
+                position - bisect_left(doomed, position) for _, position in kept
+            ]
         self.total_rows -= len(doomed)
         self._tree = None
 
     # -- queries ------------------------------------------------------------
 
-    def _search_hits(self, begin_max: int, end_min: int) -> list[int]:
-        """Entry indexes with ``begin <= begin_max AND end >= end_min``,
-        sorted by table position."""
-        prefix = bisect_right(self._begins, begin_max)
-        if prefix == 0:
+    def _search_hits(
+        self, begin_max: Optional[int], end_min: Optional[int],
+        begin_min: Optional[int] = None,
+    ) -> list[int]:
+        """Entry indexes with ``begin_min <= begin <= begin_max AND end
+        >= end_min`` (a bound given as None is absent), sorted by table
+        position."""
+        start = 0 if begin_min is None else bisect_left(self._begins, begin_min)
+        stop = (
+            self.entry_count if begin_max is None
+            else bisect_right(self._begins, begin_max)
+        )
+        if start >= stop:
             return []
+        if end_min is None:
+            hits = list(range(start, stop))
+            hits.sort(key=self._positions.__getitem__)
+            return hits
         threshold = end_min - 1  # report entries with end > threshold
         tree = self._max_end_tree()
         size = len(tree) // 2
-        hits: list[int] = []
-        # iterative DFS over the tree, pruning subtrees that start at or
-        # past the prefix or whose max end is at most the threshold
+        hits = []
+        # iterative DFS over the tree, pruning subtrees outside the begin
+        # range or whose max end is at most the threshold
         stack = [(1, 0, size)]
         while stack:
             node, lo, hi = stack.pop()
-            if lo >= prefix or tree[node] <= threshold:
+            if lo >= stop or hi <= start or tree[node] <= threshold:
                 continue
             if hi - lo == 1:
                 hits.append(lo)
@@ -188,11 +229,28 @@ class IntervalIndex:
         rows = self._rows
         return [rows[i] for i in self._search_hits(begin_max, end_min)]
 
-    def search_positions(self, begin_max: int, end_min: int) -> list[int]:
-        """Table positions (ascending) of the rows :meth:`search` would
-        return — the entry point for the vectorized selection path."""
+    def search_positions(
+        self, begin_max: Optional[int], end_min: Optional[int],
+        begin_min: Optional[int] = None,
+    ) -> list[int]:
+        """Table positions (ascending) of the rows with ``begin_min <=
+        begin <= begin_max AND end >= end_min``, any bound None meaning
+        absent — the planner's probe.  Without ``end_min`` a row whose
+        end is NULL qualifies on its begin alone."""
         positions = self._positions
-        return [positions[i] for i in self._search_hits(begin_max, end_min)]
+        found = [
+            positions[i] for i in self._search_hits(begin_max, end_min, begin_min)
+        ]
+        if end_min is None and self._open_positions:
+            lo = -_INF if begin_min is None else begin_min
+            hi = _INF if begin_max is None else begin_max
+            found += [
+                position
+                for begin, position in zip(self._open_begins, self._open_positions)
+                if lo <= begin <= hi
+            ]
+            found.sort()
+        return found
 
     def stab(self, point: int) -> list[list[Any]]:
         """Rows alive at ``point``: ``begin <= point AND point < end``."""

@@ -16,18 +16,26 @@ bindings) whose value, read once per execution, is NULL or of the
 column's class: ``compare`` cannot raise on it.  Everything else —
 routine calls, subqueries, LIKE, arithmetic, casts, cross-class
 comparisons — is **partial**.  A total conjunct runs at the first join
-level where all its columns are bound (an equality the hash probe looked
-up is consumed by the probe); partial conjuncts form the leaf residual,
-in their original order and with the AND chain's short circuit,
-evaluated only on combinations that passed every total conjunct.  An
-outer operand of the wrong class (or one that cannot be read) makes its
-conjunct partial for that execution.  Hence the error behaviour: a
-statement raises iff a partial conjunct raises on a combination that
-satisfies every total conjunct.  Hash probes keep the licence they
-always had: a level is keyed by its first ``col = <bound operand>``
-conjunct in WHERE order, total or not — ``sort_key`` equality is exactly
-where ``=`` is true, so a probe drops only rows its conjunct is not
-true on.
+level where all its columns are bound, compiled to its value class
+(date ordinals, right-stripped characters, native numbers with NaN
+ordered as ``sort_key`` orders it); partial conjuncts form the leaf
+residual, in their original order and with the AND chain's short
+circuit, evaluated only on combinations that passed every total
+conjunct.  An outer operand of the wrong class (or one that cannot be
+read) makes its conjunct partial for that execution.  Hence the error
+behaviour, with no exemption: a statement raises iff a partial conjunct
+raises on a combination that satisfies every total conjunct.
+
+*Access paths decide what they can.*  A level is keyed by its first
+total ``col = <bound operand>`` conjunct in WHERE order; the probe
+consumes it.  Total bounds on a declared ``(begin, end)`` pair of the
+level's table (``begin <= x``, ``x <= begin``, ``end > x`` and their
+strict / flipped forms) are decided by the access path too: behind a
+hash key the probe keeps only the bucket's versions inside them (day
+ordinals, NULL bounds excluded, table order kept); without one a begin
+range or a stab / overlap is an interval-index search.  Decided
+conjuncts are no level filter — unless ``interval_indexing_enabled`` is
+off and the level scans, when they run as ordinary filters.
 
 *Join order and emission order.*  When every source is a base-table scan
 the next level is the first source (in FROM order) with a total equality
@@ -67,6 +75,8 @@ re-plans and re-runs the statement once (``engine.plan_invalidated``).
 
 from __future__ import annotations
 
+import functools
+import operator
 from typing import Any, Callable, Iterator, Optional
 
 from repro.sqlengine import ast_nodes as ast
@@ -94,7 +104,9 @@ from repro.sqlengine.exprcompile import (
     compile_grouped,
 )
 from repro.sqlengine.storage import _column_kind
-from repro.sqlengine.values import Date, Null, compare, sort_key, truth
+from repro.sqlengine.values import Date, Null, sort_key, truth
+
+_INF = float("inf")
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +192,39 @@ def _narrow_by_table(window: list, pairs: list, table) -> None:
             window[1] = hi
 
 
-def _narrow_by_rows(window: list, pairs: list, rows: list) -> None:
-    """A hash probe's key does not depend on the point, so exactly
-    ``rows`` are examined: narrow to their bounds around the point."""
-    lo, hi, point = window
-    for begin_index, end_index, _, _ in pairs:
-        for row in rows:
-            for value in (row[begin_index], row[end_index]):
+def _bucket_versions(
+    rows: list, period: "Optional[_PeriodProbe]", limits: Optional[list],
+    window: Optional[list], pairs: list,
+) -> list:
+    """One pass over a hash probe's bucket ``rows`` (table order): keep
+    the versions whose ``period`` bounds are Dates inside ``limits``
+    (all of them without a ``period``, none under a NULL limit) and,
+    with a read ``window`` open, narrow it to the bounds of every
+    version around its point — the key does not depend on the point, so
+    exactly the bucket is examined, and a version the limits reject
+    must stay rejected over the whole window too."""
+    narrow = window is not None and bool(pairs)
+    if narrow:
+        lo, hi, point = window
+        columns = [index for pair in pairs for index in pair[:2]]
+    elif period is None:
+        return rows
+    test_begin = test_end = False
+    if period is not None:
+        begin_index, end_index = period.begin_index, period.end_index
+        if limits is None:
+            test_begin, begin_min, begin_max = True, _INF, -_INF
+        else:
+            begin_min, begin_max, end_min = limits
+            test_begin = begin_min is not None or begin_max is not None
+            test_end = end_min is not None
+            begin_min = -_INF if begin_min is None else begin_min
+            begin_max = _INF if begin_max is None else begin_max
+    kept = []
+    for row in rows:
+        if narrow:
+            for index in columns:
+                value = row[index]
                 if isinstance(value, Date):
                     ordinal = value.ordinal
                     if ordinal <= point:
@@ -194,7 +232,18 @@ def _narrow_by_rows(window: list, pairs: list, rows: list) -> None:
                             lo = ordinal
                     elif ordinal < hi:
                         hi = ordinal
-    window[0], window[1] = lo, hi
+        if test_begin:
+            begin = row[begin_index]
+            if not (isinstance(begin, Date) and begin_min <= begin.ordinal <= begin_max):
+                continue
+        if test_end:
+            end = row[end_index]
+            if not (isinstance(end, Date) and end.ordinal >= end_min):
+                continue
+        kept.append(row)
+    if narrow:
+        window[0], window[1] = lo, hi
+    return kept
 
 
 class TemporalAlign:
@@ -423,13 +472,13 @@ def _leaves(node: Any) -> list:
 # the join pipeline
 # ---------------------------------------------------------------------------
 
-# ``sort_key`` value classes (see the module docstring) and, per
-# comparison operator, the ``compare`` verdicts under which it is true
+# ``sort_key`` value classes (see the module docstring), the Python
+# types an outer operand of each must have, and the comparison operators
 _CLASS_OF_KIND = {"int": "numeric", "float": "numeric", "str": "character",
                   "date": "date"}
 _CLASS_TYPES = {"numeric": (int, float), "character": str, "date": Date}
-_ACCEPT = {"=": (0,), "<>": (-1, 1), "<": (-1,), "<=": (-1, 0),
-           ">": (1,), ">=": (0, 1)}
+_COMPARISONS = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
+                "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 _UNREADABLE = object()  # an outer operand whose lookup raised
 
 
@@ -437,53 +486,140 @@ class _Conjunct:
     """One top-level WHERE conjunct.  ``left``/``right`` are operand
     addresses ``(a, b)`` into the run-time row vector — FROM position and
     column index, or ``(len(sources), slot)`` for a literal or outer name
-    — when the conjunct is a comparison over such operands, else None.
-    ``types`` is set when the operands share one value class: the classes
-    an outer operand (``slot``) must be checked against per execution."""
+    — when the conjunct is a comparison over such operands, else None;
+    ``operands`` their expressions.  ``value_class`` is set when the
+    operands share one value class: what an outer operand (``slot``)
+    must be checked against per execution."""
 
-    __slots__ = ("sql", "closure", "op", "left", "right", "types", "slot")
+    __slots__ = ("sql", "closure", "op", "left", "right", "operands",
+                 "value_class", "slot")
 
     def __init__(self, sql: str, closure: Callable) -> None:
         self.sql = sql
         self.closure = closure
         self.op: Optional[str] = None
-        self.left = self.right = self.types = self.slot = None
+        self.left = self.right = self.operands = self.value_class = self.slot = None
 
     def sides(self) -> tuple:
-        """``(own, other, op)`` in both orientations."""
+        """``(own, other, op, other's expression)`` in both orientations."""
         return (
-            (self.left, self.right, self.op),
-            (self.right, self.left, _FLIPPED_COMPARISON.get(self.op, self.op)),
+            (self.left, self.right, self.op, self.operands[1]),
+            (self.right, self.left, _FLIPPED_COMPARISON.get(self.op, self.op),
+             self.operands[0]),
         )
+
+
+@functools.lru_cache(maxsize=4096)
+def _typed_filter(
+    value_class: str, op: str, left_at: tuple, right_at: tuple
+) -> Callable[[list], bool]:
+    """The total conjunct ``left op right``, its operands at the
+    row-vector addresses ``left_at`` / ``right_at``, as a test over the
+    run-time row vector, compiled to its value class: True
+    exactly where :func:`compare` makes the comparison true
+    (``tests/sqlengine/test_typed_filters.py`` holds them to that), so
+    NULL rejects the row.  A test depends on nothing but its arguments,
+    so plans of one shape share it."""
+    test = _COMPARISONS[op]
+    (la, lb), (ra, rb) = left_at, right_at
+    if value_class == "date":
+        def check(vector: list) -> bool:
+            left, right = vector[la][lb], vector[ra][rb]
+            return left is not Null and right is not Null and test(
+                left.ordinal, right.ordinal
+            )
+    elif value_class == "character":
+        def check(vector: list) -> bool:
+            left, right = vector[la][lb], vector[ra][rb]
+            return left is not Null and right is not Null and test(
+                left.rstrip(), right.rstrip()
+            )
+    else:
+        # native comparison orders bool as int; NaN takes its sort_key
+        # place (equal to itself, above every other number)
+        def check(vector: list) -> bool:
+            left, right = vector[la][lb], vector[ra][rb]
+            if left is Null or right is Null:
+                return False
+            if left != left or right != right:
+                return test(sort_key(left), sort_key(right))
+            return test(left, right)
+    return check
+
+
+# the sides a period bound can take: the begin column from below or
+# from above, the end column from below
+_BEGIN_FROM, _BEGIN_UPTO, _END_FROM = range(3)
+
+
+class _PeriodProbe:
+    """The total conjuncts bounding one declared ``(begin, end)`` pair
+    of a level's table by operands bound before the level, each
+    ``(side, a, b, offset, operand)``: which column from which side, the
+    operand's row-vector address, the day added to make the bound
+    inclusive (``begin > x`` is ``begin >= x + 1``) and its expression.
+    The level's access path applies them, so they are no level filter."""
+
+    __slots__ = ("begin_index", "end_index", "begin_name", "end_name", "bounds")
+
+    def __init__(self, pair: tuple, bounds: list) -> None:
+        self.begin_index, self.end_index, self.begin_name, self.end_name = pair
+        self.bounds = bounds
+
+    def limits(self, vector: list) -> Optional[list]:
+        """``[begin_min, begin_max, end_min]`` in day ordinals from the
+        tightest bounds (None for a side without one), or None under a
+        NULL bound: no row satisfies it.  A total conjunct's operand is
+        a Date or NULL."""
+        limits: list = [None, None, None]
+        for side, a, b, offset, _ in self.bounds:
+            value = vector[a][b]
+            if value is Null:
+                return None
+            bound = value.ordinal + offset
+            limit = limits[side]
+            if limit is None or (
+                bound < limit if side == _BEGIN_UPTO else bound > limit
+            ):
+                limits[side] = bound
+        return limits
 
 
 class _Level:
     """One join level: a source plus, for a scan, its access path (hash
-    ``key`` or ``interval`` bounds, else a full scan) and the total
-    conjuncts that become checkable here.  ``rows_in``/``rows_out``
-    accumulate over executions for EXPLAIN ANALYZE."""
+    ``key``, ``period`` bounds, both, or a full scan) and the total
+    conjuncts that become checkable here: ``filters`` when the access
+    path decided the period bounds, ``all_filters`` (the bounds' own
+    conjuncts too) when it did not.  ``rows_in``/``rows_out`` accumulate
+    over executions for EXPLAIN ANALYZE."""
 
-    __slots__ = ("node", "pos", "key", "interval", "filters", "access",
-                 "rows_in", "rows_out")
+    __slots__ = ("node", "pos", "key", "period", "filters", "all_filters",
+                 "access", "rows_in", "rows_out")
 
     def __init__(self, node: Any, pos: int) -> None:
         self.node = node
         self.pos = pos
         self.key: Optional[tuple] = None  # (column, a, b)
-        self.interval: Optional[tuple] = None  # (begin, end, uppers, lowers)
-        self.filters: list = []  # (accepted verdicts, la, lb, ra, rb)
-        self.access = ("Scan", "")  # EXPLAIN: (operator, detail)
+        self.period: Optional[_PeriodProbe] = None
+        self.filters: list = []  # _typed_filter tests
+        self.all_filters: list = self.filters  # another list only under a probe
+        self.access = ("Scan", "")  # EXPLAIN: (operator, the key's SQL)
         self.rows_in = self.rows_out = 0
 
     def candidates(
         self, executor: Executor, table, vector: list, env: Env
-    ) -> tuple[list, bool]:
-        """Candidate rows plus a *fully filtered* flag.
+    ) -> tuple[list, bool, bool]:
+        """Candidate rows plus a *fully filtered* and a *period decided*
+        flag.
 
-        The flag is True only when the batch kernels ran and cover every
-        WHERE conjunct, so the caller may skip filters and residual.
-        Candidate counts feed ``engine.rows_scanned`` identically on the
-        vectorized and row-at-a-time paths (pre-kernel counts).
+        The first is True only when the batch kernels ran and cover every
+        WHERE conjunct, so the caller may skip filters and residual.  The
+        second is True when the access path applied the level's period
+        bounds exactly — a hash probe always, an interval probe unless
+        ``interval_indexing_enabled`` is off — so the caller checks
+        ``filters`` per row, else ``all_filters``.  ``engine.rows_scanned``
+        counts the rows the access path returns (pre-kernel counts on the
+        vectorized path).
         """
         db = executor.db
         obs = db.obs
@@ -492,6 +628,7 @@ class _Level:
             # watchdog/governor checkpoint: every level bind
             resilience.check()
         window = db.read_window
+        period = self.period
         if self.key is not None:
             column, a, b = self.key
             value = vector[a][b]
@@ -499,10 +636,14 @@ class _Level:
                 [] if value is Null
                 else table.hash_index(column).get(sort_key(value), [])
             )
-            obs.inc("engine.rows_scanned", len(rows))
-            if window is not None and self.node.pairs:
-                _narrow_by_rows(window, self.node.pairs, rows)
-            return rows, False
+            versions = _bucket_versions(
+                rows, period, None if period is None else period.limits(vector),
+                window, self.node.pairs,
+            )
+            if len(versions) < len(rows):
+                obs.inc("engine.period_probe.rows_pruned", len(rows) - len(versions))
+            obs.inc("engine.rows_scanned", len(versions))
+            return versions, False, True
         if window is not None and self.node.pairs:
             _narrow_by_table(window, self.node.pairs, table)
         # batch kernels only run when they cover *every* conjunct: a
@@ -520,9 +661,12 @@ class _Level:
             batch = None
         table_rows = table.rows
         positions: Any = None
-        probe = self._interval_probe(vector) if db.interval_indexing_enabled else None
-        if probe is not None:
-            positions = executor._interval_candidate_positions(table, probe)
+        decided = period is None
+        if period is not None and db.interval_indexing_enabled:
+            positions = executor._interval_candidate_positions(
+                table, period.begin_index, period.end_index, period.limits(vector)
+            )
+            decided = True
         obs.inc(
             "engine.rows_scanned",
             len(table_rows) if positions is None else len(positions),
@@ -535,32 +679,10 @@ class _Level:
                 pruned = len(scanned) - len(selected)
                 if pruned:
                     obs.inc("engine.vectorized_rows_pruned", pruned)
-                return [table_rows[p] for p in selected], True
+                return [table_rows[p] for p in selected], True, decided
         if positions is None:
-            return table_rows, False
-        return [table_rows[p] for p in positions], False
-
-    def _interval_probe(self, vector: list) -> Optional[tuple]:
-        """``(begin_index, end_index, begin_max, end_min)`` from the
-        tightest bounds, ``(.., None, None)`` under a NULL bound (no row
-        can satisfy it), None when there is nothing to probe with."""
-        if self.interval is None:
-            return None
-        begin_index, end_index, uppers, lowers = self.interval
-        limits = []
-        for bounds, tightest, step in ((uppers, min, -1), (lowers, max, 1)):
-            limit = None
-            for a, b, inclusive in bounds:
-                value = vector[a][b]
-                if value is Null:
-                    return begin_index, end_index, None, None
-                if isinstance(value, Date):
-                    bound = value.ordinal if inclusive else value.ordinal + step
-                    limit = bound if limit is None else tightest(limit, bound)
-            if limit is None:
-                return None
-            limits.append(limit)
-        return begin_index, end_index, limits[0], limits[1]
+            return table_rows, False, decided
+        return [table_rows[p] for p in positions], False, decided
 
 
 class _Pipeline:
@@ -597,69 +719,96 @@ def _join_order(sources: list, keys: list) -> list:
     return order
 
 
-def _build_pipeline(sources: list, conjuncts: list, demoted: dict) -> _Pipeline:
-    """Place ``conjuncts`` over ``sources``.  ``demoted`` maps the index
-    of a conjunct that is partial for this execution to whether its
-    outer operand could at least be read (it may still key a probe)."""
+# the bounds a period probe takes, by (bounded column, operator): the
+# side, and the day that makes the bound inclusive
+_PERIOD_BOUNDS = {
+    ("begin", ">="): (_BEGIN_FROM, 0), ("begin", ">"): (_BEGIN_FROM, 1),
+    ("begin", "<="): (_BEGIN_UPTO, 0), ("begin", "<"): (_BEGIN_UPTO, -1),
+    ("end", ">="): (_END_FROM, 0), ("end", ">"): (_END_FROM, 1),
+}
+
+
+def _period_probe(
+    node: _Scan, bound_sides: list, keyed: bool
+) -> tuple[Optional[_PeriodProbe], set]:
+    """The bounds ``bound_sides`` (total comparisons of a level's column
+    with an earlier-bound operand) put on the first declared date pair
+    that has usable ones — any bound behind a hash key, which tests them
+    on its bucket; else a begin range or a stab/overlap (begin from
+    above *and* end from below), which the interval index searches —
+    and the indexes of the conjuncts it decides."""
+    for pair in node.pairs:
+        begin_index, end_index = pair[0], pair[1]
+        if not node.kinds[begin_index] == node.kinds[end_index] == "date":
+            continue
+        bounds = []
+        decided: set = set()
+        for i, column, other, op, operand in bound_sides:
+            side = "begin" if column == begin_index else "end" if column == end_index else None
+            found = _PERIOD_BOUNDS.get((side, op))
+            if found is not None:
+                bounds.append((found[0],) + other + (found[1], operand))
+                decided.add(i)
+        sides = {bound[0] for bound in bounds}
+        if bounds and (
+            keyed or _BEGIN_FROM in sides or {_BEGIN_UPTO, _END_FROM} <= sides
+        ):
+            return _PeriodProbe(pair, bounds), decided
+    return None, set()
+
+
+def _build_pipeline(sources: list, conjuncts: list, demoted: frozenset) -> _Pipeline:
+    """Place ``conjuncts`` over ``sources``; ``demoted`` holds the
+    indexes of the conjuncts that are partial for this execution."""
     outer = len(sources)
     total = [
-        c.types is not None and i not in demoted for i, c in enumerate(conjuncts)
+        c.value_class is not None and i not in demoted
+        for i, c in enumerate(conjuncts)
     ]
-    keyable = [
-        c.op == "=" and demoted.get(i, True) for i, c in enumerate(conjuncts)
-    ]
-    # only total equalities steer the join order; at its level the key
-    # is the first bound equality in WHERE order, total or not: a probe
-    # only drops rows its conjunct is not true on
+    # total equalities steer the join order, and at its level the first
+    # bound one in WHERE order keys the probe
     keys = [
         (own[0], None if other[0] == outer else other[0])
         for i, c in enumerate(conjuncts) if total[i] and c.op == "="
-        for own, other, _ in c.sides() if own[0] != outer and own[0] != other[0]
+        for own, other, _, _ in c.sides() if own[0] != outer and own[0] != other[0]
     ]
     order = _join_order(sources, keys)
     depth_of = {pos: depth for depth, pos in enumerate(order)}
     depth_of[outer] = -1
     levels = [_Level(sources[pos], pos) for pos in order]
     consumed: set = set()
+    decided: set = set()
     for depth, level in enumerate(levels):
         node, pos = level.node, level.pos
         if not isinstance(node, _Scan):
             continue
         bound_sides = [
-            (i, own[1], other, op)
-            for i, c in enumerate(conjuncts) if c.op is not None
-            for own, other, op in c.sides()
+            (i, own[1], other, op, operand)
+            for i, c in enumerate(conjuncts) if total[i]
+            for own, other, op, operand in c.sides()
             if own[0] == pos and depth_of[other[0]] < depth
         ]
-        for i, column, other, op in bound_sides:
-            if keyable[i] and op == "=":
+        for i, column, other, op, _ in bound_sides:
+            if op == "=":
                 level.key = (column,) + other
-                level.access = ("HashProbe", f" on {conjuncts[i].sql}")
-                if total[i]:
-                    consumed.add(i)
+                level.access = ("HashProbe", conjuncts[i].sql)
+                consumed.add(i)
                 break
-        for begin_index, end_index, begin_name, end_name in node.pairs:
-            uppers = [
-                other + (op == "<=",) for i, column, other, op in bound_sides
-                if total[i] and column == begin_index and op in ("<", "<=")
-            ]
-            lowers = [
-                other + (op == ">=",) for i, column, other, op in bound_sides
-                if total[i] and column == end_index and op in (">", ">=")
-            ]
-            if uppers and lowers and (
-                node.kinds[begin_index] == node.kinds[end_index] == "date"
-            ):
-                level.interval = (begin_index, end_index, uppers, lowers)
-                if level.key is None:
-                    level.access = (
-                        "IntervalIndexScan", f" ({begin_name}/{end_name})"
-                    )
-                break
+        level.period, settled = _period_probe(node, bound_sides, level.key is not None)
+        decided |= settled
+        if level.period is not None and level.key is None:
+            level.access = ("IntervalIndexScan", "")
+    unprobed: dict = {}  # level -> the tests of the conjuncts it decides
     for i, c in enumerate(conjuncts):
         if total[i] and i not in consumed:
-            depth = max(depth_of[c.left[0]], depth_of[c.right[0]])
-            levels[depth].filters.append((_ACCEPT[c.op],) + c.left + c.right)
+            level = levels[max(depth_of[c.left[0]], depth_of[c.right[0]])]
+            check = _typed_filter(c.value_class, c.op, c.left, c.right)
+            if i in decided:
+                unprobed.setdefault(level, []).append(check)
+            else:
+                level.filters.append(check)
+    for level, checks in unprobed.items():
+        level.all_filters = level.filters + checks
     residual = [c.closure for i, c in enumerate(conjuncts) if not total[i]]
     return _Pipeline(levels, order != sorted(order), residual)
 
@@ -810,13 +959,14 @@ def _analyze_conjuncts(
         conjuncts.append(conjunct)
         while isinstance(expr, ast.Parenthesized):
             expr = expr.expr
-        if not (isinstance(expr, ast.BinaryOp) and expr.op in _ACCEPT):
+        if not (isinstance(expr, ast.BinaryOp) and expr.op in _COMPARISONS):
             continue
         sides = [operand(expr.left), operand(expr.right)]
         columns = [side for side in sides if isinstance(side, tuple)]
         if None in sides or not columns:
             continue
         conjunct.op = expr.op
+        conjunct.operands = (expr.left, expr.right)
         addresses = []
         for side in sides:
             if not isinstance(side, tuple):
@@ -829,7 +979,7 @@ def _analyze_conjuncts(
             _CLASS_OF_KIND.get(sources[pos].kinds[column]) for pos, column in columns
         }
         if len(classes) == 1 and None not in classes:
-            conjunct.types = _CLASS_TYPES[classes.pop()]
+            conjunct.value_class = classes.pop()
     return conjuncts, outer_cs
 
 
@@ -943,13 +1093,13 @@ class _FromWhere:
         # (conjunct index, slot, admissible types | None) per conjunct
         # with an outer operand: what `_pipeline_for` checks per execution
         self.checks = [
-            (i, c.slot, c.types) for i, c in enumerate(conjuncts)
-            if c.slot is not None
+            (i, c.slot, _CLASS_TYPES.get(c.value_class))
+            for i, c in enumerate(conjuncts) if c.slot is not None
         ]
         # the pipeline when every outer operand is readable and of its
         # column's class; executions that demote conjuncts get variants,
-        # built on first need and kept by the frozen demotion set
-        self.pipeline = _build_pipeline(sources, conjuncts, {})
+        # built on first need and kept by the demotion set
+        self.pipeline = _build_pipeline(sources, conjuncts, frozenset())
         self.variants: dict = {}
         # the WHERE fast path: a lone base-table scan whose batch
         # kernels cover the whole predicate may skip it per row
@@ -970,19 +1120,18 @@ class _FromWhere:
                 slots.append(closure(env))
             except SqlError:
                 slots.append(_UNREADABLE)
-        demoted: dict = {}
-        for index, slot, types in self.checks:
-            value = slots[slot]
-            if value is _UNREADABLE:
-                demoted[index] = False
-            elif types is not None and value is not Null and not isinstance(value, types):
-                demoted[index] = True
+        demoted = frozenset(
+            index for index, slot, types in self.checks
+            if slots[slot] is _UNREADABLE or (
+                types is not None and slots[slot] is not Null
+                and not isinstance(slots[slot], types)
+            )
+        )
         if not demoted:
             return self.pipeline, slots
-        key = frozenset(demoted.items())
-        pipeline = self.variants.get(key)
+        pipeline = self.variants.get(demoted)
         if pipeline is None:
-            pipeline = self.variants[key] = _build_pipeline(
+            pipeline = self.variants[demoted] = _build_pipeline(
                 self.sources, self.conjuncts, demoted
             )
         return pipeline, slots
@@ -1033,18 +1182,20 @@ class _FromWhere:
                 yield from self._join(executor, env, levels, depth + 1, vector, tables)
             return
         table = tables[level.pos] = node._table(executor, env)
-        rows, settled = level.candidates(executor, table, vector, env)
+        rows, settled, decided = level.candidates(executor, table, vector, env)
         settled = settled and self.single_scan
         pos = level.pos
-        filters = () if settled else level.filters
+        filters = (
+            () if settled else level.filters if decided else level.all_filters
+        )
         key, colmap = node.key, node.colmap
         bindings = env.bindings
         last = depth + 1 == len(levels)
         passed = 0
         for row in rows:
             vector[pos] = row
-            for accept, la, lb, ra, rb in filters:
-                if compare(vector[la][lb], vector[ra][rb]) not in accept:
+            for check in filters:
+                if not check(vector):
                     break
             else:
                 passed += 1

@@ -117,7 +117,9 @@ class ColumnVector:
                 self.data.append(value)
         elif kind == "date" and isinstance(value, Date):
             self.data.append(value.ordinal)
-        elif kind == "float" and isinstance(value, (int, float)):
+        elif kind == "float" and isinstance(value, (int, float)) and value == value:
+            # (a NaN degrades the vector: native float comparison does
+            # not order it the way `compare` does)
             self.data.append(float(value))
         elif kind == "str" and isinstance(value, str):
             self.data.append(value.rstrip())

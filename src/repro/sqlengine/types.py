@@ -9,6 +9,7 @@ PSM behaves like it would on a real DBMS.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -135,7 +136,8 @@ def _coerce_numeric(value: Any, target: SqlType) -> Any:
         return value if target.is_integer else float(value) if target.name in ("FLOAT", "REAL", "DOUBLE") else value
     if isinstance(value, float):
         if target.is_integer:
-            if value != int(value):
+            # NaN and ±inf first: int() raises a Python error on them
+            if not math.isfinite(value) or value != int(value):
                 raise TypeError_(f"cannot coerce non-integral {value!r} to {target}")
             return int(value)
         return value

@@ -178,15 +178,19 @@ def is_null(value: Any) -> bool:
 def compare(left: Any, right: Any) -> Any:
     """SQL comparison: -1/0/1, or Unknown if either side is NULL.
 
-    Numeric types compare numerically across int/float/bool; strings
-    compare after stripping trailing blanks (CHAR padding semantics);
-    dates compare by ordinal.  Cross-type comparisons raise.
+    Numeric types compare numerically across int/float/bool; a float
+    NaN equals NaN and is greater than every other number (PostgreSQL's
+    rule, which :func:`sort_key` orders by too); strings compare after
+    stripping trailing blanks (CHAR padding semantics); dates compare by
+    ordinal.  Cross-type comparisons raise.
     """
     if left is Null or right is Null:
         return Unknown
     left = _normalize(left)
     right = _normalize(right)
     if isinstance(left, (int, float)) and isinstance(right, (int, float)):
+        if left != left or right != right:  # NaN
+            return (right == right) - (left == left)
         return (left > right) - (left < right)
     if isinstance(left, str) and isinstance(right, str):
         lhs, rhs = left.rstrip(), right.rstrip()
@@ -247,14 +251,18 @@ def truth(value: Any) -> bool:
     return value is True
 
 
+_NAN_KEY = (1, float("inf"), 1)  # after every other number, inf included
+
+
 def sort_key(value: Any) -> tuple:
-    """A total-order key for ORDER BY / DISTINCT: NULLs sort first."""
+    """A total-order key for ORDER BY / DISTINCT / hash keys: NULLs sort
+    first; keys are equal exactly where :func:`compare` says 0."""
     if value is Null:
         return (0, 0)
     if isinstance(value, bool):
         return (1, int(value))
     if isinstance(value, (int, float)):
-        return (1, value)
+        return (1, value) if value == value else _NAN_KEY
     if isinstance(value, Date):
         return (2, value.ordinal)
     if isinstance(value, str):

@@ -119,6 +119,11 @@ class TestGoldenJoinPipeline:
         text = result.text()
         assert "join order: ia, i (emitted in FROM order)" in text
         assert "HashProbe item_author AS ia on ia.author_id = 'a1'" in text
+        # the stab on i is decided by the probe: no filter left on i
+        assert (
+            "HashProbe item AS i on i.id = ia.item_id (begin_time/end_time):"
+            " alive at DATE '2010-04-01'\n" in text
+        )
         assert "residual: 1" in text
         check_golden("join_pipeline_plan", text)
 
@@ -139,8 +144,15 @@ class TestGoldenJoinPipeline:
         # the outer statement probes item_author, the clone's body author
         assert {name for name, _, _ in levels} >= {"item_author", "author"}
         assert all(int(rows_in) >= int(rows_out) for _, rows_in, rows_out in levels)
+        # the clone's stab is the probe's: author versions not alive at
+        # the period begin never reach the level, nothing is rejected there
+        assert re.search(
+            r"HashProbe author on author_id = aid \(begin_time/end_time\):"
+            r" alive at begin_time_in \[rows in: (\d+), out: \1\]", text
+        )
+        assert stratum.db.obs.value("engine.period_probe.rows_pruned") > 0
         assert stratum.db.obs.value("engine.join.reordered") > 0
-        assert stratum.db.obs.value("engine.join.level_rejects") > 0
+        assert stratum.db.obs.value("engine.join.level_rejects") == 0
 
 
 class TestGoldenVectorized:
@@ -276,7 +288,11 @@ class TestExplainSemantics:
         assert "plan: executed by the stratum" in text
         # the match statement and the plan the engine bound for it
         assert "item.begin_time <= taupsm_period.taupsm_lo" in text
-        assert "Update item\n      HashProbe item on id = 'i1' filters: 2" in text
+        # the two period conjuncts are the probe's stab, not filters
+        assert (
+            "Update item\n      HashProbe item on id = 'i1' (begin_time/end_time):"
+            " alive at taupsm_period.taupsm_lo\n" in text
+        )
         assert "close: end_time := CURRENT_DATE" in text
         assert "re-insert: the match with price = 1.0" in text
         prices = stratum.db.execute("SELECT price FROM item WHERE id = 'i1'")
@@ -285,8 +301,9 @@ class TestExplainSemantics:
         assert analyzed.result == 1
         assert "rows written: 1" in analyzed.text()
         # the level's measured rows: i1 has one version, it matched
-        assert "HashProbe item on id = 'i1' filters: 2 [rows in: 1, out: 1]" in (
-            analyzed.text()
+        assert (
+            "HashProbe item on id = 'i1' (begin_time/end_time):"
+            " alive at taupsm_period.taupsm_lo [rows in: 1, out: 1]" in analyzed.text()
         )
 
     def test_current_delete_renders_the_stratum_steps(self, stratum):

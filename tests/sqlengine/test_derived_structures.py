@@ -109,6 +109,11 @@ def image(table: Table) -> dict:
             index._ends, ids(index._rows),
             [ids(index.search(*probe)) for probe in PROBES],
             [index.search_positions(*probe) for probe in PROBES],
+            # begin ranges without an end bound: NULL-ended rows qualify
+            [
+                index.search_positions(begin_max, None, begin_min)
+                for begin_min, begin_max in ((100, 104), (None, 103), (105, None))
+            ],
             [ids(index.stab(point)) for point in (100, 103, 107)],
             [ids(index.overlaps(lo, hi)) for lo, hi in ((100, 104), (105, 200))],
         )

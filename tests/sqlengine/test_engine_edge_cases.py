@@ -177,3 +177,121 @@ class TestEmptyAndDegenerate:
 
     def test_select_null_literal(self, db):
         assert db.query("SELECT NULL").scalar() is Null
+
+
+class TestNaN:
+    """One rule on every path: NaN equals NaN and sorts above every other
+    number (PostgreSQL's).  Before it, ``x <> 5.0`` kept the NaN row on
+    the vectorized path and dropped it on the row path, ``x = 1.0`` was
+    TRUE for it, and a hash probe could never find it."""
+
+    NAN = "CAST('nan' AS FLOAT)"
+    INF = "CAST('inf' AS FLOAT)"
+
+    @pytest.fixture
+    def fdb(self):
+        db = Database()
+        db.execute("CREATE TABLE f (id INTEGER, x FLOAT)")
+        db.execute(f"INSERT INTO f VALUES (1, {self.NAN}), (2, 1.0), (3, 5.0)")
+        return db
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    @pytest.mark.parametrize("predicate, ids", [
+        ("x <> 5.0", [1, 2]),
+        ("x = 1.0", [2]),
+        (f"x = {NAN}", [1]),
+        ("x > 5.0", [1]),
+        ("x < 5.0", [2]),
+        (f"x >= {NAN}", [1]),
+        (f"x < {NAN}", [2, 3]),
+        ("x BETWEEN 0.0 AND 10.0", [2, 3]),
+        ("x IN (1.0, 5.0)", [2, 3]),
+        (f"x IN ({NAN})", [1]),
+    ])
+    def test_every_path_agrees(self, fdb, vectorized, predicate, ids):
+        fdb.vectorized_filtering_enabled = vectorized
+        expected = [[i] for i in ids]
+        assert fdb.query(f"SELECT id FROM f WHERE {predicate}").rows == expected
+        # a partial conjunct beside it forces the row-at-a-time path
+        assert fdb.query(
+            f"SELECT id FROM f WHERE {predicate} AND id + 0 = id"
+        ).rows == expected
+
+    def test_comparison_values(self, fdb):
+        assert fdb.query("SELECT id, x = 1.0, x > 1.0 FROM f").rows == [
+            [1, False, True], [2, True, False], [3, False, True],
+        ]
+
+    def test_nan_from_arithmetic(self, fdb):
+        for expr in (f"{self.INF} - {self.INF}", f"{self.INF} * 0"):
+            assert fdb.query(f"SELECT id FROM f WHERE x = {expr}").rows == [[1]]
+
+    def test_hash_probe_and_join_find_it(self, fdb):
+        fdb.execute("CREATE TABLE g (y FLOAT)")
+        fdb.execute(f"INSERT INTO g VALUES ({self.NAN}), (5.0)")
+        assert fdb.query(
+            "SELECT f.id FROM g, f WHERE f.x = g.y ORDER BY f.id"
+        ).rows == [[1], [3]]
+        fdb.execute(
+            "CREATE FUNCTION of_x (v FLOAT) RETURNS INTEGER READS SQL DATA"
+            " LANGUAGE SQL BEGIN RETURN (SELECT MAX(id) FROM f WHERE x = v); END"
+        )
+        assert fdb.query(f"SELECT of_x({self.NAN}), of_x(1.0)").rows == [[1, 2]]
+
+    def test_order_distinct_group_and_extrema(self, fdb):
+        fdb.execute(f"INSERT INTO f VALUES (4, {self.NAN}), (5, {self.INF})")
+        assert fdb.query("SELECT id FROM f ORDER BY x, id").rows == [
+            [2], [3], [5], [1], [4],
+        ]
+        assert fdb.query("SELECT id FROM f ORDER BY x DESC, id").rows == [
+            [1], [4], [5], [3], [2],
+        ]
+        assert len(fdb.query("SELECT DISTINCT x FROM f").rows) == 4
+        counts = fdb.query("SELECT COUNT(*) FROM f GROUP BY x ORDER BY 1").rows
+        assert counts == [[1], [1], [1], [2]]
+        assert fdb.query("SELECT MIN(x) FROM f").scalar() == 1.0
+        top = fdb.query("SELECT MAX(x) FROM f").scalar()
+        assert top != top  # NaN
+
+    def test_integer_cast_is_a_typed_error(self, fdb):
+        from repro.sqlengine.errors import TypeError_
+
+        for value in (self.NAN, self.INF):
+            with pytest.raises(TypeError_):
+                fdb.query(f"SELECT CAST({value} AS INTEGER)")
+
+
+class TestCrossClassEquality:
+    """Only a total equality keys a hash probe, so a comparison across
+    value classes raises wherever it is evaluated — before, it pruned
+    silently when it keyed the probe and raised when it did not."""
+
+    @pytest.fixture
+    def xdb(self):
+        db = Database()
+        db.execute("CREATE TABLE t (n INTEGER, c CHAR(4))")
+        db.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b')")
+        db.execute("CREATE TABLE u (k INTEGER)")
+        db.execute("INSERT INTO u VALUES (1), (2)")
+        return db
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT * FROM t WHERE c = 1",
+        "SELECT * FROM t WHERE n = 1 AND c = 1",
+        "SELECT * FROM t WHERE c = 1 AND n = 1",
+        "SELECT * FROM t, u WHERE t.c = u.k",
+    ])
+    def test_raises_the_same_error(self, xdb, sql):
+        from repro.sqlengine.errors import TypeError_
+
+        with pytest.raises(TypeError_, match="cannot compare str with int"):
+            xdb.query(sql)
+
+    def test_the_join_raises_on_its_first_row_pair(self, xdb):
+        from repro.sqlengine.errors import TypeError_
+
+        before = xdb.obs.value("engine.rows_scanned")
+        with pytest.raises(TypeError_):
+            xdb.query("SELECT t.n FROM t, u WHERE t.c = u.k")
+        # t's two rows, then u bound once under the first of them
+        assert xdb.obs.value("engine.rows_scanned") - before == 4

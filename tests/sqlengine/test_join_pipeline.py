@@ -13,10 +13,7 @@ that satisfies every total conjunct.  So
 * the pipeline never raises where the reference returns;
 * it may return where the reference raises — only because the raising
   combination fails a total conjunct: with the total conjuncts taken out
-  of the WHERE it raises the same error class.  (A cross-class
-  *equality* is the one raising conjunct exempt from this last check:
-  the pipeline may use it as a hash probe, and a probe prunes silently —
-  whether it does depends on the conjunct order.)
+  of the WHERE it raises the same error class.
 
 The shapes are the ones a reordered or early-filtering join gets wrong:
 duplicate value-identical rows, NULL keys, CHAR padding, INTEGER = FLOAT
@@ -26,19 +23,31 @@ ties, DISTINCT, GROUP BY, correlated subqueries, routine variables and
 table variables, raising conjuncts before and after total ones — plus a
 rolled-back insert (row-position map evicted with the version) and a
 second MVCC session (read views).
+
+``PERIOD`` holds the shapes whose period conjuncts the access path
+decides instead of a level filter: a hash key plus a stab, an overlap or
+a one-sided bound (the probe keeps only the bucket's versions inside
+them), a begin range over a constant-period table and a stab or overlap
+without a key (interval probes), bounds inclusive and exclusive on both
+sides — over histories with NULL and forever bounds, zero-length,
+duplicate and equal-begin versions, under every combination of the
+interval-index and vectorized ablation switches.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.sqlengine import Database
 from repro.sqlengine.errors import SqlError
+from repro.sqlengine.planner import _BEGIN_FROM
 from repro.sqlengine.values import Null
 from tests.reference_executor import ReferenceExecutor
 
 INTS = st.sampled_from([Null, 0, 1, 1, 2])
 CHARS = st.sampled_from([Null, "x", "x  ", "y"])
 FLOATS = st.sampled_from([Null, 0.0, 1.0, 1.5, 2.0])
-DAYS = st.sampled_from([Null, "2010-01-01", "2010-01-05", "2010-01-09", "2010-02-01"])
+DAYS = st.sampled_from(
+    [Null, "2010-01-01", "2010-01-05", "2010-01-09", "2010-02-01", "9999-12-31"]
+)
 
 rows_a = st.lists(st.tuples(INTS, CHARS, FLOATS, INTS), max_size=6)
 rows_b = st.lists(st.tuples(INTS, CHARS, FLOATS, INTS), max_size=6)
@@ -60,8 +69,8 @@ SCHEMA = [
                  WHERE a.k = b.k AND b.w = kk AND a.s = ss AND a.v <= kk);
        END""",
     # the same variable compared across classes: partial for that
-    # execution — as a key it only prunes, as a filter it must wait for
-    # the total conjuncts (here one that nothing passes)
+    # execution — it keys no probe and must wait for the total conjuncts
+    # (in filter_cross one that nothing passes)
     """CREATE FUNCTION probe_cross (kk INTEGER) RETURNS INTEGER
        READS SQL DATA LANGUAGE SQL
        BEGIN
@@ -138,17 +147,75 @@ QUERIES = [
     ("SELECT a.v, b.w FROM a, b", ["a.k = b.k"], ["10 / (a.v - b.w) > 1"], ""),
     ("SELECT a.v, b.w FROM a, b", ["a.k = b.k", "b.w >= 1"], ["a.s < b.k"], ""),
     ("SELECT a.v, b.w FROM a, b", ["a.k = b.k", "b.w > 5"], ["a.s < 1"], ""),
-]
-# checked for equal rows and no new errors only: raising conjuncts a
-# probe may prune by, and routine bodies (the harness cannot strip the
-# total conjuncts out of their WHERE)
-LOOSE = [
-    ("SELECT c.k, filter_cross(c.k) FROM c", [], [], ""),
+    # a cross-class equality is partial like any other: it never keys a
+    # probe, so it raises wherever it is evaluated
     ("SELECT a.v, b.w FROM a, b", ["a.k = b.k"], ["a.s = b.w"], ""),
     ("SELECT a.v, b.w FROM a, b", ["b.k = 1"], ["a.s = b.w"], ""),
     ("SELECT a.v FROM a", ["a.k = 1"], ["a.s = 1"], ""),
+]
+# checked for equal rows and no new errors only: routine bodies (the
+# harness cannot strip the total conjuncts out of their WHERE)
+LOOSE = [
+    ("SELECT c.k, filter_cross(c.k) FROM c", [], [], ""),
     ("SELECT c.k, probe_cross(c.k) FROM c", [], [], ""),
 ]
+STAB = ["fact.begin_time <= cp.begin_time", "cp.begin_time < fact.end_time"]
+PERIOD = [
+    # hash key + stab on an earlier level's column / a literal
+    ("SELECT cp.begin_time, a.v, fact.begin_time FROM cp, a, fact",
+     ["fact.k = a.k"] + STAB, [], ""),
+    ("SELECT a.v, fact.begin_time, fact.end_time FROM a, fact",
+     ["fact.k = a.k", "fact.begin_time <= DATE '2010-01-05'",
+      "DATE '2010-01-05' < fact.end_time"], [], ""),
+    # hash key + overlap, then the constant-period table as an overlap probe
+    ("SELECT fact.begin_time, cp.begin_time, cp.end_time FROM fact, cp",
+     ["fact.k = 1", "fact.begin_time < cp.end_time",
+      "cp.begin_time < fact.end_time"], [], ""),
+    # hash key + one-sided and inclusive/exclusive bounds
+    ("SELECT a.v, fact.end_time FROM a, fact",
+     ["fact.k = a.k", "fact.end_time > DATE '2010-01-05'"], [], ""),
+    ("SELECT a.v, fact.end_time FROM a, fact",
+     ["fact.k = a.k", "fact.end_time >= DATE '2010-01-09'"], [], ""),
+    ("SELECT a.v, fact.begin_time FROM a, fact",
+     ["fact.k = a.k", "fact.begin_time >= DATE '2010-01-05'",
+      "fact.begin_time < DATE '2010-02-01'"], [], ""),
+    ("SELECT a.v, fact.begin_time FROM a, fact",
+     ["a.k = fact.k", "DATE '2010-01-09' > fact.begin_time",
+      "fact.end_time >= DATE '2010-01-09'"], [], ""),
+    # several bounds per side: the tightest one wins, whichever comes first
+    ("SELECT a.v, fact.begin_time, fact.end_time FROM a, fact",
+     ["fact.k = a.k", "fact.begin_time < DATE '2010-02-01'",
+      "fact.begin_time <= DATE '2010-01-05'", "fact.begin_time > DATE '2009-12-01'",
+      "fact.begin_time >= DATE '2010-01-01'", "fact.end_time >= DATE '2010-01-09'",
+      "fact.end_time > DATE '2010-01-01'"], [], ""),
+    ("SELECT fact.k FROM fact",
+     ["fact.begin_time < DATE '2010-02-01'", "fact.begin_time <= DATE '2010-01-05'",
+      "fact.end_time > DATE '2010-01-01'", "fact.end_time > DATE '2010-01-05'"],
+     [], ""),
+    # a begin range over the constant-period table: MAX's outer level
+    ("SELECT fact.k, cp.begin_time FROM fact, cp",
+     ["fact.begin_time <= cp.begin_time", "cp.begin_time < fact.end_time"], [], ""),
+    ("SELECT fact.k, cp.begin_time FROM fact, cp",
+     ["cp.begin_time > fact.begin_time", "cp.begin_time <= fact.end_time",
+      "cp.end_time >= fact.end_time"], [], ""),
+    ("SELECT a.v, fact.k, cp.begin_time FROM a, fact, cp",
+     ["fact.k = a.k"] + STAB + ["fact.begin_time <= cp.end_time"],
+     ["10 / a.v > 1"], ""),
+    # no key: stab, overlap, begin-only range (NULL ends qualify)
+    ("SELECT fact.k FROM fact",
+     ["fact.begin_time <= DATE '2010-01-05'", "DATE '2010-01-05' < fact.end_time"],
+     [], ""),
+    ("SELECT fact.k, fact.end_time FROM fact",
+     ["fact.begin_time < DATE '2010-01-09'", "DATE '2010-01-05' < fact.end_time",
+      "fact.k >= 1"], [], " ORDER BY fact.k"),
+    ("SELECT fact.k, fact.end_time FROM fact",
+     ["fact.begin_time >= DATE '2010-01-05'"], [], ""),
+    ("SELECT fact.k FROM fact",
+     ["fact.begin_time > DATE '2010-01-01'", "fact.begin_time <= DATE '2010-01-09'"],
+     ["fact.k + 0 = fact.k"], ""),
+]
+# (interval_indexing_enabled, vectorized_filtering_enabled)
+SWITCHES = [(True, True), (False, True), (True, False), (False, False)]
 REORDERED = [q for q in QUERIES if "b.w = 1" in q[1] or "c.x = 1" in q[1]]
 
 
@@ -160,7 +227,8 @@ def build(a, b, c, fact, cp) -> Database:
         table = db.catalog.get_table(name)
         for row in rows:
             table.insert(list(row))
-    db.catalog.get_table("fact").declare_interval("begin_time", "end_time")
+    for name in ("fact", "cp"):
+        db.catalog.get_table(name).declare_interval("begin_time", "end_time")
     return db
 
 
@@ -223,6 +291,58 @@ def test_the_shapes_reorder_and_demote():
     # `a.s < kk` with an INTEGER kk ran as a partial conjunct
     plans = [entry[2] for entry in db.plan_cache._entries.values()]
     assert any(getattr(plan, "variants", None) for plan in plans)
+
+
+def check_switched(db, query):
+    """One ``PERIOD`` shape under every ablation setting."""
+    for interval, vectorized in SWITCHES:
+        db.interval_indexing_enabled = interval
+        db.vectorized_filtering_enabled = vectorized
+        try:
+            check(db, query, False)
+        finally:
+            db.interval_indexing_enabled = db.vectorized_filtering_enabled = True
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(a=rows_a, fact=rows_fact, cp=rows_cp)
+def test_period_bounds_equal_the_nested_loop(a, fact, cp):
+    db = build(a, [], [], fact, cp)
+    for query in PERIOD:
+        check_switched(db, query)
+
+
+def test_the_period_shapes_take_their_paths():
+    """Sanity for ``PERIOD``: on a history with NULL, forever, zero-length,
+    duplicate and equal-begin versions the key probes prune versions by
+    their bounds, the probes without a key use the interval index (a
+    begin range included), and no decided conjunct is left as a filter."""
+    days = ["2010-01-01", "2010-01-05", "2010-01-09", "2010-02-01", "9999-12-31"]
+    fact = [
+        (1, days[0], days[2]), (1, days[1], days[4]), (1, days[1], days[4]),
+        (1, days[2], days[2]), (1, days[1], Null), (2, Null, days[3]),
+        (2, days[0], days[1]),
+    ]
+    cp = [(days[0], days[1]), (days[1], days[2]), (days[2], days[3]), (Null, days[3])]
+    db = build([(1, "x", 1.0, 1), (2, "y", 2.0, 2)], [], [], fact, cp)
+    for query in PERIOD:
+        check_switched(db, query)
+    assert db.obs.value("engine.period_probe.rows_pruned") > 0
+    assert db.obs.value("engine.interval_index_hits") > 0
+    probes = [
+        level for entry in db.plan_cache._entries.values()
+        for level in entry[2].pipeline.levels if level.period is not None
+    ]
+    assert any(level.key is not None for level in probes)
+    # a begin range without a key: MAX's constant-period level
+    assert any(
+        level.key is None
+        and any(bound[0] == _BEGIN_FROM for bound in level.period.bounds)
+        for level in probes
+    )
+    for level in probes:
+        # one decided conjunct per bound, each out of `filters`
+        assert len(level.all_filters) - len(level.filters) == len(level.period.bounds)
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])

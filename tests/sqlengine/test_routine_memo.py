@@ -19,9 +19,11 @@ NULL, forever, adjacent, empty and duplicate periods.
 
 Mutation-checked on ``HISTORY`` below (each fails
 ``test_fixed_history``): dropping ``_narrow_by_table`` in
-``_Level.candidates`` or in ``_Scan.bind``, dropping ``_narrow_by_rows``
+``_Level.candidates`` or in ``_Scan.bind``, dropping ``_narrow_by_bucket``
 after a hash probe, dropping the callee → caller narrowing after a run,
-and dropping it after a reuse.
+and dropping it after a reuse.  Narrowing by the versions a hash probe's
+stab keeps, instead of its whole bucket, fails
+``test_a_rejected_version_narrows_the_window``.
 """
 
 import pytest
@@ -230,6 +232,43 @@ def test_fixed_history():
 @given(emp=emp_rows, dept=dept_rows, price=price_rows, acct=acct_rows)
 def test_random_histories(emp, dept, price, acct):
     check({"emp": emp, "dept": dept, "price": price, "acct": acct})
+
+
+def test_a_rejected_version_narrows_the_window():
+    """``top_sal(1)`` at day 0: the key's version over [0, 9) is alive,
+    the one over [4, 6) is rejected by the probe's stab — and still ends
+    the read window at day 4, or the result at days 0–3 would be reused
+    at days 4 and 5, where the second version counts.  Key 2 changes
+    almost daily so that there are more slices than windows.  The memo
+    must return the memo-off rows and run exactly once per distinct
+    (key, window), the window computed here from *all* versions of the
+    key."""
+    emp = [(1, 1, 10, 0, 9), (1, 1, 20, 4, 6)] + [
+        (2, 1, sal, begin, end)
+        for sal, (begin, end) in enumerate(
+            [(0, 1), (1, 2), (2, 3), (3, 5), (5, 7), (7, 8), (8, FOREVER - BASE)]
+        )
+    ]
+    history = {"emp": emp, "dept": [], "price": [], "acct": []}
+    kept, plain = build(history, True), build(history, False)
+    sql = f"VALIDTIME {CONTEXT} SELECT p.k, top_sal(p.k) FROM probe p"
+    assert outcome(kept, sql) == outcome(plain, sql)
+    name = "max_top_sal"
+    run = kept.db.stats.routine_calls[name]
+    reused = kept.db.stats.routine_reuses[name]
+    points = range(10)  # every day of the context is a change point of emp
+    keys = [1, 1, 2, Null]  # the probe rows
+    assert run + reused == plain.db.stats.routine_calls[name] == len(keys) * len(points)
+
+    def window(key, point):
+        bounds = [b for row in emp if row[0] == key for b in row[3:]]
+        return (
+            max((b for b in bounds if b <= point), default=None),
+            min((b for b in bounds if b > point), default=None),
+        )
+
+    windows = {(key, window(key, point)) for key in keys for point in points}
+    assert run == len(windows) == 12
 
 
 def test_second_session_reads_its_snapshot():
