@@ -19,10 +19,12 @@ maintains:
   size — a crashed standby recovers through the ordinary
   :mod:`~repro.sqlengine.recovery` path, and the offline scrubber
   (``repro verify``) works on a standby store unchanged.
-* Apply goes through :func:`recovery._apply_record` under the root
-  transaction with explicit MVCC claims, so standby reader sessions
-  keep real snapshot isolation while the applier streams commits in
-  under them.
+* Apply goes through :func:`recovery.apply_committed` — crash
+  recovery's own group applier, which writes with the logged row
+  primitives — under the root transaction.  The primitives claim what
+  they write, so standby reader sessions keep real snapshot isolation
+  while the applier streams commits in under them, and derived
+  structures are carried forward by deltas as on the primary.
 
 A checkpoint on the primary bumps the WAL generation and resets the
 file; the standby detects the generation change in the next chunk
@@ -40,13 +42,16 @@ import hashlib
 import json
 import os
 import shutil
-import struct
 import tempfile
 from pathlib import Path
 from typing import Any, Callable, Optional
 
 from repro.sqlengine.errors import ReplicationError
-from repro.sqlengine.recovery import _apply_record, _apply_snapshot
+from repro.sqlengine.recovery import (
+    _apply_snapshot,
+    apply_committed,
+    committed_groups,
+)
 from repro.sqlengine.values import Date
 from repro.sqlengine.wal import read_frames
 
@@ -54,14 +59,6 @@ from repro.sqlengine.wal import read_frames
 # under the 8 MiB wire-frame cap
 WAL_CHUNK_BYTES = 1 << 20
 SNAPSHOT_CHUNK_BYTES = 1 << 20
-
-_FRAME_HEADER = struct.Struct("<II")
-
-# redo tags whose record[1] names the table they mutate (claimed before
-# apply so pinned standby readers keep their snapshots)
-_TABLE_TAGS = frozenset(
-    ("ins", "upd", "cell", "wrow", "delpos", "setrows", "addcol")
-)
 
 
 # ---------------------------------------------------------------------------
@@ -347,43 +344,24 @@ class StandbyApplier:
             return 0  # pure duplicate of already-applied bytes
         if skip:
             data = data[skip:]
-        records, _ = read_frames(data)
+        records, ends = read_frames(data)
         applied = 0
-        offset = 0
-        group_start: Optional[int] = None
-        pending: list[list] = []
-        for record in records:
-            length = _FRAME_HEADER.unpack_from(data, offset)[0]
-            record_end = offset + _FRAME_HEADER.size + length
-            tag = record[0]
-            if tag == "walhdr":
-                if local != 0 or offset != 0:
-                    raise ReplicationError(
-                        "unexpected walhdr frame mid-stream: the primary"
-                        " checkpointed; re-bootstrap required"
-                    )
-                if record[1] != self.manager.generation:
-                    raise ReplicationError(
-                        f"shipped WAL header generation {record[1]} does not"
-                        f" match negotiated generation"
-                        f" {self.manager.generation}"
-                    )
-                self._persist(data[offset:record_end])
-                applied = record_end
-            elif tag == "begin":
-                group_start = offset
-                pending = []
-            elif tag == "commit":
-                if group_start is not None:
-                    self._apply_commit(
-                        pending, record, data[group_start:record_end]
-                    )
-                    applied = record_end
-                    group_start = None
-                    pending = []
-            elif group_start is not None:
-                pending.append(record)
-            offset = record_end
+        if records and records[0][0] == "walhdr":
+            if local != 0:
+                raise ReplicationError(
+                    "unexpected walhdr frame mid-stream: the primary"
+                    " checkpointed; re-bootstrap required"
+                )
+            if records[0][1] != self.manager.generation:
+                raise ReplicationError(
+                    f"shipped WAL header generation {records[0][1]} does not"
+                    f" match negotiated generation {self.manager.generation}"
+                )
+            self._persist(data[:ends[0]])
+            applied = ends[0]
+        for group, commit, start, end in committed_groups(records, ends):
+            self._apply_commit(group, commit, data[start:end])
+            applied = end
         if applied:
             self.db.obs.inc("replication.batches_applied", 1)
             self.db.obs.set_gauge(
@@ -395,38 +373,25 @@ class StandbyApplier:
         self.manager.append_replicated(raw)
         self.applied_offset = self.manager.wal_size()
 
-    def _apply_commit(
-        self, pending: list[list], commit: list, raw: bytes
-    ) -> None:
+    def _apply_commit(self, group: list, commit: list, raw: bytes) -> None:
         db = self.db
         manager = self.manager
         db.activate_txn(db.root_txn)
         txn = db.root_txn
-        mvcc = db.mvcc
         # disk first: if we die between the append and the in-memory
         # apply, restart recovery replays the local WAL to this exact
         # state — memory is never ahead of disk
         self._persist(raw)
         try:
-            if mvcc.multi:
-                for record in pending:
-                    if (
-                        record[0] in _TABLE_TAGS
-                        and db.catalog.has_table(record[1])
-                    ):
-                        mvcc.claim(txn, db.catalog.get_table(record[1]))
             manager.replaying = True
             try:
-                for record in pending:
-                    _apply_record(manager, record)
-                    self.db.obs.inc("replication.records_applied", 1)
+                apply_committed(manager, group, commit)
             finally:
                 manager.replaying = False
-            db._now = Date(commit[2])
-            manager.txn_counter = max(manager.txn_counter, commit[1])
+            self.db.obs.inc("replication.records_applied", len(group))
             self.applied_csn = manager.txn_counter
-            if mvcc.multi and txn.write_set:
-                mvcc.release_writes(txn, committed=True)
+            if txn.write_set:
+                db.mvcc.release_writes(txn, committed=True)
             self.commits_applied += 1
             self.db.obs.inc("replication.commits_applied", 1)
         except BaseException:

@@ -188,8 +188,8 @@ class MvccManager:
             chain = resource.version_chain
             base = resource.last_committed_csn
             if not chain or chain[-1][0] != base:
-                # row *copies*: set_cell / write_row / update_rows
-                # mutate the live row lists in place
+                # row *copies*: update_rows mutates the live row lists
+                # in place, on the primary and in standby replay alike
                 chain.append(
                     (base, [list(row) for row in resource.rows],
                      list(resource.columns))

@@ -1399,9 +1399,9 @@ class MatchPlan(_FromWhere):
 
     def match(self, executor: Executor, env: Optional[Env]) -> tuple:
         """``(table, rows, cells)``: the live target, its matching rows
-        in table order and, per row, the ``(column index, value)`` pairs
-        SET assigns.  The table is write-claimed first, so the scan reads
-        the state this transaction may modify, never a snapshot view."""
+        in table order and, per row, the prepared ``(column index, value)``
+        pairs SET assigns.  The table is write-claimed first, so the scan
+        reads the state this transaction may modify, never a snapshot view."""
         scan = self.sources[0]
         table = executor._resolve_table(scan.name, env)
         if table.txn is not None:
@@ -1420,7 +1420,7 @@ class MatchPlan(_FromWhere):
         row_env = base_env.child()
         for row in rows:
             row_env.bindings[key] = Binding(colmap, row)
-            cells.append([(i, c(row_env)) for i, c in zip(indexes, assign_cs)])
+            cells.append(table.prepare_cells(indexes, [c(row_env) for c in assign_cs]))
         return table, rows, cells
 
 

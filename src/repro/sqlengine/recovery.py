@@ -1,8 +1,8 @@
 """Crash recovery: load the snapshot, redo the committed WAL suffix.
 
 Called once from ``Database.attach_durability`` while the WAL is still
-detached from the transaction manager, so nothing applied here is
-re-logged.  The sequence (classic ARIES-lite for a logical redo log):
+detached from the transaction manager.  The sequence (classic ARIES-lite
+for a logical redo log):
 
 1. **Snapshot** — rebuild catalog tables, views, routines, temporal
    registries, stratum bookkeeping and CURRENT_DATE from the latest
@@ -10,9 +10,11 @@ re-logged.  The sequence (classic ARIES-lite for a logical redo log):
 2. **Redo** — scan ``wal.log``.  Frames decode until the first torn,
    checksum-failing, or undecodable record (truncate-at-first-bad-record
    — see :func:`repro.sqlengine.wal.read_frames`).  Records are grouped
-   into transactions by their ``begin``/``commit`` markers; only
-   transactions whose ``commit`` frame survived are applied, in log
-   order.  An uncommitted tail (crash mid-commit) is discarded.
+   into transactions by their ``begin``/``commit`` markers
+   (:func:`committed_groups`); only transactions whose ``commit`` frame
+   survived are applied, in log order, by :func:`apply_committed` — the
+   function a standby applies each shipped group with.  An uncommitted
+   tail (crash mid-commit) is discarded.
 3. **Truncate** — the file is cut back to the end of the last committed
    transaction, so the bad/uncommitted tail can never resurface.
 
@@ -20,15 +22,23 @@ A WAL whose header generation does not match the snapshot's is stale —
 the crash happened between the snapshot rename and the WAL reset of a
 checkpoint — and is discarded wholesale.
 
-Replay applies raw storage mutations (rows, version counters) rather
-than the logging primitives, exactly like undo application: recovery
-must never re-log, re-fire an armed fault plan, or double-count
-``engine.rows_written`` sources.
+Redo goes through the logged primitives a statement writes with:
+``Table.append_row`` / ``update_rows`` / ``delete_rows`` /
+``replace_rows`` / ``add_column`` and the catalog and registry
+primitives.  So derived structures are carried forward by deltas as on
+the primary, and a standby's pinned readers keep their snapshots through
+the primitives' own MVCC claims.  Nothing re-logs: recovery runs before
+``attach_durability`` sets ``txn.wal``, and a standby in replica mode
+has ``txn.wal = None``, so no redo record is written; replay runs
+outside any mark, so no undo is recorded; and ``engine.rows_written``
+counts statements, not primitives.  A record tag or row layout only an
+earlier format wrote (``cell``, ``wrow``, per-row row lists) fails with
+a typed :class:`~repro.sqlengine.wal.WalError` naming it.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterator
 
 from repro.sqlengine.catalog import Routine
 from repro.sqlengine.storage import Table
@@ -37,7 +47,7 @@ from repro.sqlengine.wal import (
     WalError,
     decode_column,
     decode_row,
-    decode_rows_any,
+    decode_rows_columnar,
     decode_value,
     read_frames,
 )
@@ -98,11 +108,8 @@ def _apply_snapshot(manager, snapshot: dict[str, Any]) -> None:
     catalog = db.catalog
     for spec in snapshot["tables"]:
         table = Table(spec["name"], [decode_column(c) for c in spec["columns"]])
-        # current snapshots store rows transposed under "cols"; older
-        # generations used a per-row list under "rows"
-        table.rows = decode_rows_any(
-            spec["cols"] if "cols" in spec else spec["rows"]
-        )
+        # a per-row snapshot table (no "cols") is refused by the decoder
+        table.rows = decode_rows_columnar(spec.get("cols"))
         catalog.add_table(table, replace=True)
     for name, sql in snapshot["views"]:
         select = parse_statement(sql)
@@ -159,7 +166,7 @@ def _replay_wal(manager, replay_cap: "int | None" = None) -> dict[str, Any]:
     if not manager.wal_path.exists():
         return report
     data = manager.wal_path.read_bytes()
-    records, good_end = read_frames(data)
+    records, ends = read_frames(data)
     if not records:
         # empty or header-corrupt WAL: start it over at our generation
         if data:
@@ -176,49 +183,51 @@ def _replay_wal(manager, replay_cap: "int | None" = None) -> dict[str, Any]:
         _report_metrics(db, report)
         return report
 
-    pending: list[list] = []
-    in_txn = False
-    committed_end = _end_of_record(data, 0)  # just past the header frame
-    offset = committed_end
-    for record in records[1:]:
-        record_end = _end_of_record(data, offset)
-        tag = record[0]
-        if tag == "begin":
-            pending = []
-            in_txn = True
-        elif tag == "commit":
-            if in_txn:
-                if replay_cap is not None and record[1] > replay_cap:
-                    pending = []
-                    in_txn = False
-                    break  # commits are sequence-ordered: nothing more applies
-                for entry in pending:
-                    _apply_record(manager, entry)
-                    report["records_replayed"] += 1
-                db._now = Date(record[2])
-                manager.txn_counter = max(manager.txn_counter, record[1])
-                report["transactions_replayed"] += 1
-                committed_end = record_end
-            pending = []
-            in_txn = False
-        elif in_txn:
-            pending.append(record)
-        # records outside begin/commit (cannot be produced by the
-        # writer) are ignored rather than trusted
-        offset = record_end
+    committed_end = ends[0]  # just past the header frame
+    for group, commit, _, end in committed_groups(records, ends):
+        if replay_cap is not None and commit[1] > replay_cap:
+            break  # commits are sequence-ordered: nothing more applies
+        apply_committed(manager, group, commit)
+        report["records_replayed"] += len(group)
+        report["transactions_replayed"] += 1
+        committed_end = end
     dropped = len(data) - committed_end
     if dropped and replay_cap is None:
         report["bytes_truncated"] = dropped
-        manager.truncate_wal_to(committed_end)
+        manager.cut_wal_to(committed_end)
     _report_metrics(db, report)
     return report
 
 
-def _end_of_record(data: bytes, offset: int) -> int:
-    import struct
+def committed_groups(records: list, ends: list) -> Iterator[tuple]:
+    """``(group, commit, start, end)`` for each complete ``begin`` ..
+    ``commit`` group among the frames :func:`read_frames` decoded: the
+    records between the markers, the commit record and the byte range
+    the group spans.  Records outside a group (the writer produces none
+    but the header) are skipped rather than trusted."""
+    group = None
+    start = previous = 0
+    for record, end in zip(records, ends):
+        tag = record[0]
+        if tag == "begin":
+            group, start = [], previous
+        elif tag == "commit":
+            if group is not None:
+                yield group, record, start, end
+            group = None
+        elif group is not None:
+            group.append(record)
+        previous = end
 
-    length = struct.unpack_from("<I", data, offset)[0]
-    return offset + 8 + length
+
+def apply_committed(manager, group: list, commit: list) -> None:
+    """Apply one committed group — each record through the logged
+    primitives, then the commit's clock and sequence number.  Crash
+    recovery and standby replay both call this."""
+    for record in group:
+        _apply_record(manager, record)
+    manager.db._now = Date(commit[2])
+    manager.txn_counter = max(manager.txn_counter, commit[1])
 
 
 def _report_metrics(db, report: dict[str, Any]) -> None:
@@ -238,46 +247,25 @@ def _apply_record(manager, record: list) -> None:
     catalog = db.catalog
     tag = record[0]
     if tag == "ins":
-        table = catalog.get_table(record[1])
-        table.rows.append(decode_row(record[2]))
-        table.version += 1
+        catalog.get_table(record[1]).append_row(decode_row(record[2]))
     elif tag == "upd":
         table = catalog.get_table(record[1])
-        row = table.rows[record[2]]
-        for index, value in record[3]:
-            row[index] = decode_value(value)
-        table.version += 1
-    elif tag == "cell":
-        table = catalog.get_table(record[1])
-        table.rows[record[2]][record[3]] = decode_value(record[4])
-        table.version += 1
-    elif tag == "wrow":
-        table = catalog.get_table(record[1])
-        table.rows[record[2]][:] = decode_row(record[3])
-        table.version += 1
+        table.update_rows(
+            [table.rows[record[2]]],
+            [[(index, decode_value(value)) for index, value in record[3]]],
+        )
     elif tag == "delpos":
         table = catalog.get_table(record[1])
-        doomed = set(record[2])
-        table.rows = [
-            row for index, row in enumerate(table.rows) if index not in doomed
-        ]
-        table.version += 1
+        table.delete_rows([table.rows[position] for position in record[2]])
     elif tag == "setrows":
         table = catalog.get_table(record[1])
-        table.rows = decode_rows_any(record[2])
-        table.version += 1
+        table.replace_rows(decode_rows_columnar(record[2]))
     elif tag == "addcol":
         table = catalog.get_table(record[1])
-        column = decode_column(record[2])
-        default = decode_value(record[3])
-        table.columns.append(column)
-        table._index[column.name.lower()] = len(table.columns) - 1
-        for row in table.rows:
-            row.append(default)
-        table.version += 1
+        table.add_column(decode_column(record[2]), decode_value(record[3]))
     elif tag == "mktable":
         table = Table(record[1], [decode_column(c) for c in record[2]])
-        table.rows = decode_rows_any(record[3])
+        table.rows = decode_rows_columnar(record[3])
         catalog.add_table(table, replace=True)
     elif tag == "rmtable":
         if catalog.has_table(record[1]):

@@ -536,7 +536,8 @@ def verify_store(
         return report
     data = wal_path.read_bytes()
     report.wal_size = len(data)
-    records, good_end = read_frames(data)
+    records, ends = read_frames(data)
+    good_end = ends[-1] if ends else 0
     report.good_end = good_end
     report.frames = len(records)
     if good_end < len(data):
@@ -607,9 +608,7 @@ MUTATION_SITES = (
     "table.insert",
     "table.update",
     "table.delete",
-    "table.set_cell",
     "table.replace_rows",
-    "table.truncate",
 )
 DURABLE_SITES = ("wal.write", "wal.fsync", "checkpoint.rename")
 

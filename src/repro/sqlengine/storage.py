@@ -353,16 +353,17 @@ class Table:
     valid at* ``table.version`` *because it was built there or because
     every mutation since was applied to it as a delta*.  Each primitive
     changes the rows, bumps ``version`` and then carries the structures
-    that were valid just before: ``append_row``, ``set_cell`` /
-    ``write_row`` / ``update_rows`` and ``delete_rows`` apply their
-    row delta and re-tag last; what a delta cannot express (a changed
-    hash key or begin bound, a non-Date bound, a slot a degraded vector
-    cannot take) drops that structure, and ``replace_rows``,
-    ``truncate``, ``add_column`` and any edit of ``rows`` behind the
-    primitives' back (recovery redo, tests) carry nothing, so the next
-    accessor rebuilds.  Readers are never disturbed: a hash bucket is
-    replaced, never grown or shrunk in place, and index searches return
-    fresh lists.  Rollback evicts by tag
+    that were valid just before: ``append_row``, ``update_rows`` and
+    ``delete_rows`` apply their row delta and re-tag last; what a delta
+    cannot express (a changed hash key or begin bound, a non-Date bound,
+    a slot a degraded vector cannot take) drops that structure, and
+    ``replace_rows``, ``add_column`` and any edit of ``rows`` behind the
+    primitives' back (tests) carry nothing, so the next accessor
+    rebuilds.  These five are the only row writers: statements, crash
+    recovery and standby replay all call them (see
+    :mod:`repro.sqlengine.recovery`).  Readers are never disturbed: a
+    hash bucket is replaced, never grown or shrunk in place, and index
+    searches return fresh lists.  Rollback evicts by tag
     (:func:`repro.sqlengine.txn._restore_table_version`).
     """
 
@@ -456,6 +457,24 @@ class Table:
                 )
         return row
 
+    def prepare_cells(
+        self, indexes: Sequence[int], values: Sequence[Any]
+    ) -> list[tuple[int, Any]]:
+        """Coerce and validate one row's SET values without storing
+        them: :meth:`prepare_row` for an UPDATE.  The match plan
+        prepares every matched row's cells before any is written, so a
+        failure on the last row leaves all of them untouched."""
+        cells = []
+        for index, value in zip(indexes, values):
+            column = self.columns[index]
+            value = coerce(value, column.type)
+            if column.not_null and value is Null:
+                raise ExecutionError(
+                    f"NULL not allowed in {self.name}.{column.name}"
+                )
+            cells.append((index, value))
+        return cells
+
     def append_row(self, row: list[Any]) -> None:
         """Append a prepared row (see :meth:`prepare_row`); logs undo."""
         txn = self.txn
@@ -511,29 +530,23 @@ class Table:
     def update_rows(
         self, rows: Sequence[list[Any]], cells: Sequence[Sequence[tuple[int, Any]]]
     ) -> int:
-        """Overwrite ``(column index, value)`` cells of the given live
-        rows, ``cells[i]`` into ``rows[i]``; returns the count updated.
-
-        Every value is coerced before any is written, so a coercion
-        failure on the last row leaves all of them untouched.
-        """
+        """Overwrite prepared ``(column index, value)`` cells (see
+        :meth:`prepare_cells`) of the given live rows, ``cells[i]`` into
+        ``rows[i]``; returns the count updated."""
         txn = self.txn
         if txn is not None:
             if txn.mvcc.multi:
                 txn.mvcc.claim(txn, self)
             if txn.fault_plan is not None:
                 txn.fault_plan.hit("table.update", self.name)
-        columns = self.columns
-        staged = [
-            [(index, coerce(value, columns[index].type)) for index, value in row_cells]
-            for row_cells in cells
-        ]
         if not rows:
             return 0
         log = txn.log if txn is not None and txn.logging else None
         wal = txn.wal if txn is not None and not self.temporary else None
-        touched = [] if self._locates_rows() else None
-        for row, new in zip(rows, staged):
+        # a row's position is needed only to address it in a redo
+        # record or in a derived structure
+        touched = [] if self._derived or wal is not None else None
+        for row, new in zip(rows, cells):
             if log is not None:
                 log.append((
                     "upd", self, self.version, row,
@@ -554,51 +567,8 @@ class Table:
             self._carry(len(self.rows), _update_delta, touched)
         return len(rows)
 
-    def set_cell(self, row: list[Any], index: int, value: Any) -> None:
-        """Overwrite one cell of a live row (temporal current semantics)."""
-        txn = self.txn
-        old = row[index]
-        position = self._row_position(row) if self._locates_rows() else None
-        if txn is not None:
-            if txn.mvcc.multi:
-                txn.mvcc.claim(txn, self)
-            if txn.fault_plan is not None:
-                txn.fault_plan.hit("table.set_cell", self.name)
-            if txn.logging:
-                txn.log.append(("cell", self, self.version, row, index, old))
-            if txn.wal is not None and not self.temporary:
-                txn.wal.record_cell(self.name, position, index, value)
-        row[index] = value
-        self.version += 1
-        if position is not None:
-            self._carry(
-                len(self.rows), _update_delta, [(position, row, [(index, old, value)])]
-            )
-
-    def write_row(self, row: list[Any], values: Sequence[Any]) -> None:
-        """Overwrite a live row wholesale (already evaluated values)."""
-        txn = self.txn
-        position = self._row_position(row) if self._locates_rows() else None
-        if txn is not None:
-            if txn.mvcc.multi:
-                txn.mvcc.claim(txn, self)
-            if txn.fault_plan is not None:
-                txn.fault_plan.hit("table.update", self.name)
-            if txn.logging:
-                txn.log.append((
-                    "upd", self, self.version, row, list(enumerate(row)),
-                ))
-            if txn.wal is not None and not self.temporary:
-                txn.wal.record_write_row(self.name, position, list(values))
-        old = list(row)
-        row[:] = values
-        self.version += 1
-        if position is not None:
-            changes = list(zip(range(len(old)), old, values))
-            self._carry(len(self.rows), _update_delta, [(position, row, changes)])
-
     def replace_rows(self, new_rows: list[list[Any]]) -> None:
-        """Swap in a rebuilt row list (bulk delete / reorder)."""
+        """Swap in a rebuilt row list (bulk delete / reorder / empty)."""
         txn = self.txn
         if txn is not None:
             if txn.mvcc.multi:
@@ -610,20 +580,6 @@ class Table:
             if txn.wal is not None and not self.temporary:
                 txn.wal.record_set_rows(self.name, new_rows)
         self.rows = new_rows
-        self.version += 1
-
-    def truncate(self) -> None:
-        txn = self.txn
-        if txn is not None:
-            if txn.mvcc.multi:
-                txn.mvcc.claim(txn, self)
-            if txn.fault_plan is not None:
-                txn.fault_plan.hit("table.truncate", self.name)
-            if txn.logging and self.rows:
-                txn.log.append(("rows", self, self.version, self.rows))
-            if txn.wal is not None and not self.temporary:
-                txn.wal.record_set_rows(self.name, [])
-        self.rows = []
         self.version += 1
 
     def add_column(self, column: Column, default: Any = Null) -> None:
@@ -655,14 +611,6 @@ class Table:
         self.version += 1
 
     # -- derived structures ---------------------------------------------------
-
-    def _locates_rows(self) -> bool:
-        """Does an in-place row write need the row's position — to
-        address it in a redo record, or in a derived structure?"""
-        txn = self.txn
-        return bool(self._derived) or (
-            txn is not None and txn.wal is not None and not self.temporary
-        )
 
     def _row_position(self, row: list[Any]) -> int:
         """The position of a live row (identity, not equality) — rows can

@@ -180,13 +180,9 @@ def _apply_undo(entry: tuple) -> None:
         for index, value in old_cells:
             row[index] = value
         _restore_table_version(table, version)
-    elif tag == "cell":
-        _, table, version, row, index, value = entry
-        row[index] = value
-        _restore_table_version(table, version)
     elif tag == "rows":
-        # delete_rows / replace_rows / truncate reassign the row list,
-        # so the inverse is simply the displaced list object
+        # delete_rows / replace_rows reassign the row list, so the
+        # inverse is simply the displaced list object
         _, table, version, old_rows = entry
         table.rows = old_rows
         _restore_table_version(table, version)
@@ -318,7 +314,7 @@ class TransactionManager:
             self.marks.pop()
         self._undo_to(mark.index)
         if self.wal is not None:
-            self.wal.truncate_buffer(mark.redo_index)
+            self.wal.discard_buffer_from(mark.redo_index)
         if not keep and self.marks and self.marks[-1] is mark:
             self.marks.pop()
         if not self.marks:
@@ -394,7 +390,7 @@ class TransactionManager:
             raise ExecutionError("ROLLBACK: no transaction in progress")
         if self.wal is not None:
             # nothing from an aborted transaction ever reaches the WAL
-            self.wal.truncate_buffer(0)
+            self.wal.discard_buffer_from(0)
         self.marks.clear()
         self._undo_to(0)
         self.explicit = False

@@ -141,7 +141,10 @@ def encode_rows_columnar(rows: list) -> dict:
 
 
 def decode_rows_columnar(data: dict) -> list:
-    """Inverse of :func:`encode_rows_columnar`."""
+    """Inverse of :func:`encode_rows_columnar`.  The per-row list an
+    earlier format wrote is refused, not guessed at."""
+    if not isinstance(data, dict):
+        raise WalError("row set in the retired per-row layout")
     columns = []
     for col in data["cols"]:
         kind = col["k"]
@@ -157,15 +160,6 @@ def decode_rows_columnar(data: dict) -> list:
     return [list(cells) for cells in zip(*columns)]
 
 
-def decode_rows_any(data) -> list:
-    """Decode either row-set encoding: the legacy row list or the
-    columnar dict — recovery stays compatible with both generations of
-    WAL records and snapshots."""
-    if isinstance(data, dict):
-        return decode_rows_columnar(data)
-    return [decode_row(r) for r in data]
-
-
 def frame(payload: bytes) -> bytes:
     """One length-prefixed, CRC-checksummed WAL frame."""
     return _FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
@@ -175,15 +169,17 @@ def encode_record(record: list) -> bytes:
     return json.dumps(record, separators=(",", ":")).encode("utf-8")
 
 
-def read_frames(data: bytes) -> tuple[list[list], int]:
+def read_frames(data: bytes) -> tuple[list[list], list[int]]:
     """Decode frames from raw WAL bytes.
 
-    Returns ``(records, good_end)`` where ``good_end`` is the offset
-    just past the last intact frame.  Scanning stops at the first torn
+    Returns ``(records, ends)``: ``ends[i]`` is the offset just past
+    ``records[i]``'s frame, so the last end (0 when nothing decoded) is
+    the end of the intact prefix.  Scanning stops at the first torn
     (short) frame, checksum mismatch, implausible length prefix, or
     undecodable payload — truncate-at-first-bad-record semantics.
     """
     records: list[list] = []
+    ends: list[int] = []
     offset = 0
     size = len(data)
     while offset + _FRAME_HEADER.size <= size:
@@ -204,8 +200,9 @@ def read_frames(data: bytes) -> tuple[list[list], int]:
         if not isinstance(record, list) or not record:
             break
         records.append(record)
+        ends.append(end)
         offset = end
-    return records, offset
+    return records, ends
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +284,7 @@ class DurabilityManager:
     def position(self) -> int:
         return len(self.buffer)
 
-    def truncate_buffer(self, position: int) -> None:
+    def discard_buffer_from(self, position: int) -> None:
         """Discard records buffered after ``position`` (rollback)."""
         del self.buffer[position:]
 
@@ -372,12 +369,6 @@ class DurabilityManager:
             ["upd", table, position, [[i, encode_value(v)] for i, v in pairs]]
         )
 
-    def record_cell(self, table: str, position: int, index: int, value: Any) -> None:
-        self.buffer.append(["cell", table, position, index, encode_value(value)])
-
-    def record_write_row(self, table: str, position: int, values: list) -> None:
-        self.buffer.append(["wrow", table, position, encode_row(values)])
-
     def record_delete(self, table: str, positions: list[int]) -> None:
         self.buffer.append(["delpos", table, positions])
 
@@ -453,7 +444,7 @@ class DurabilityManager:
         if self.sync:
             os.fsync(self._file.fileno())
 
-    def truncate_wal_to(self, offset: int) -> None:
+    def cut_wal_to(self, offset: int) -> None:
         """Cut the WAL back to ``offset`` (drop a corrupt/uncommitted tail)."""
         if self._file is not None:
             self._file.close()

@@ -97,33 +97,40 @@ def execute_current_modification(
     source: str,
 ) -> int:
     """Current UPDATE/DELETE at ``point``: close each matched version
-    there; an UPDATE re-inserts it changed over ``[point, forever)``.  A
-    version that began at ``point`` was never visible: it is overwritten
-    in place, or removed, instead of leaving an empty period behind.
-    ``source`` labels the ``rows_written`` count."""
+    there (one ``update_rows``); an UPDATE re-inserts it changed over
+    ``[point, forever)``.  A version that began at ``point`` was never
+    visible: it is overwritten in place (a second ``update_rows``, before
+    the re-inserts), or removed last, instead of leaving an empty period
+    behind.  ``source`` labels the ``rows_written`` count."""
     table, rows, cells = _matched(db, matcher, point, point)
     begin_index = table.column_index(info.begin_column)
     end_index = table.column_index(info.end_column)
-    born_at_point = []
+    update = isinstance(matcher, ast.Update)
+    closed, born, born_cells, versions = [], [], [], []
     for row, assigned in zip(rows, cells):
-        fresh = row[begin_index] == point
-        if isinstance(matcher, ast.Update):
-            new_row = list(row)
-            for index, value in assigned:
-                new_row[index] = value
-            new_row[begin_index] = point
-            new_row[end_index] = FOREVER
-            if fresh:
-                table.write_row(row, new_row)
-            else:
-                table.set_cell(row, end_index, point)
-                table.insert(new_row)
-        elif fresh:
-            born_at_point.append(row)
+        # the SET values and an open end; the begin is the point
+        opened = [cell for cell in assigned if cell[0] != begin_index]
+        opened.append((end_index, FOREVER))
+        if row[begin_index] == point:
+            born.append(row)
+            born_cells.append(opened)
         else:
-            table.set_cell(row, end_index, point)
-    if born_at_point:
-        table.delete_rows(born_at_point)
+            closed.append(row)
+            if update:
+                version = list(row)
+                version[begin_index] = point
+                for index, value in opened:
+                    version[index] = value
+                versions.append(version)
+    if closed:
+        table.update_rows(closed, [[(end_index, point)]] * len(closed))
+    if update:
+        if born:
+            table.update_rows(born, born_cells)
+        for version in versions:
+            table.append_row(version)
+    elif born:
+        table.delete_rows(born)
     db.stats.count_rows(len(rows), source)
     return len(rows)
 

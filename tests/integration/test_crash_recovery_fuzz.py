@@ -27,7 +27,9 @@ import shutil
 
 import pytest
 
+from repro.sqlengine.errors import SqlError
 from repro.sqlengine.values import Date
+from repro.sqlengine.wal import read_frames
 from repro.temporal.stratum import TemporalStratum
 
 DEFAULT_SEEDS = [11, 42]
@@ -41,11 +43,11 @@ def _seeds():
 
 
 SETUP = [
-    "CREATE TABLE emp (name CHAR(12), dept CHAR(8), salary INTEGER,"
-    " begin_time DATE, end_time DATE)",
+    # ADD VALIDTIME appends the period columns (``addcol`` records)
+    "CREATE TABLE emp (name CHAR(12), dept CHAR(8), salary INTEGER)",
     "ALTER TABLE emp ADD VALIDTIME",
     "CREATE TABLE audit (note CHAR(30))",
-    "CREATE TABLE payroll (dept CHAR(8), total INTEGER)",
+    "CREATE TABLE payroll (dept CHAR(8), total INTEGER NOT NULL)",
     "INSERT INTO payroll VALUES ('sales', 0), ('eng', 0), ('ops', 0)",
     # routines registered with the stratum may only read temporal tables,
     # so the procedure mutates the non-temporal ledgers
@@ -57,16 +59,21 @@ SETUP = [
 
 NAMES = ["ann", "bob", "cho", "dev", "eve", "fay"]
 DEPTS = ["sales", "eng", "ops"]
+# every data tag the redo writer emits; each seed's WAL must hold all of
+# them, so no replay branch goes unexercised
+DATA_TAGS = {"ins", "upd", "delpos", "addcol", "mktable"}
 
 
 def build_workload(seed, length=40):
-    """A deterministic statement list: DML, sequenced updates, routine
-    calls, clock advances, and explicit transactions (some rolled back)."""
+    """A deterministic statement list: DML, sequenced and current
+    updates, routine calls, clock advances, explicit transactions (some
+    rolled back), writes to a version born at the clock, and an UPDATE
+    that NOT NULL refuses."""
     rng = random.Random(seed)
     ops = []
     day = 40  # ordinal offset into 2010 for clock advances
     for _ in range(length):
-        kind = rng.randrange(10)
+        kind = rng.randrange(14)
         name = rng.choice(NAMES)
         dept = rng.choice(DEPTS)
         salary = rng.randrange(30, 90) * 100
@@ -98,9 +105,30 @@ def build_workload(seed, length=40):
             ]
             outcome = "COMMIT" if rng.random() < 0.7 else "ROLLBACK"
             ops.append(("txn", body, outcome))
-        else:
+        elif kind == 9:
             ops.append(
                 f"DELETE FROM audit WHERE note = 'txn-{rng.randrange(1000)}'"
+            )
+        elif kind == 10:
+            # current: close the version alive at the clock, re-insert it
+            ops.append(
+                f"UPDATE emp SET salary = salary + 10 WHERE name = '{name}'"
+            )
+        elif kind < 13:
+            # a version born at the clock, then updated in place or
+            # removed at that same clock (other current versions close)
+            verb = (
+                f"UPDATE emp SET salary = {salary + 1}" if kind == 11
+                else "DELETE FROM emp"
+            )
+            ops.append(("txn", [
+                f"INSERT INTO emp (name, dept, salary)"
+                f" VALUES ('{name}', '{dept}', {salary})",
+                f"{verb} WHERE name = '{name}'",
+            ], "COMMIT"))
+        else:
+            ops.append(
+                ("refused", f"UPDATE payroll SET total = NULL WHERE dept = '{dept}'")
             )
     return ops
 
@@ -112,12 +140,20 @@ def apply_op(stratum, op):
         stratum.db.execute(op[1])
     elif op[0] == "now":
         stratum.db.now = Date(Date.from_ymd(2010, 1, 1).ordinal + op[1])
+    elif op[0] == "refused":
+        with pytest.raises(SqlError, match="NULL not allowed"):
+            stratum.execute(op[1])
     else:
         _, body, outcome = op
         stratum.db.execute("BEGIN")
         for sql in body:
             stratum.execute(sql)
         stratum.db.execute(outcome)
+
+
+def assert_every_data_tag(wal_bytes):
+    tags = {record[0] for record in read_frames(wal_bytes)[0]}
+    assert DATA_TAGS <= tags, f"no {sorted(DATA_TAGS - tags)} record in the WAL"
 
 
 def fingerprint(stratum):
@@ -175,6 +211,7 @@ def test_crash_at_every_commit_boundary(seed, tmp_path):
     assert len(boundaries) == len(expected)
 
     wal_bytes = (tmp_path / "live" / "wal.log").read_bytes()
+    assert_every_data_tag(wal_bytes)
     rng = random.Random(seed ^ 0xC0FFEE)
     # sample kill points (every boundary on short runs is fine, but keep
     # the sweep bounded); always include first, last, and a torn tail

@@ -21,7 +21,10 @@ from repro.server import (
     store_fingerprints,
 )
 from repro.server.protocol import FrameError, FramedReader, encode_frame
+from repro.server.replication import StandbyApplier
+from repro.sqlengine.values import Date
 from repro.temporal.stratum import TemporalStratum
+from tests.sqlengine.test_derived_structures import assert_from_scratch
 
 
 def run(coro):
@@ -326,6 +329,62 @@ def test_fingerprints_at_replays_store_to_common_seq(tmp_path):
         assert fingerprint_divergence(full, before) != []
 
     run(scenario())
+
+
+def test_a_standby_carries_derived_structures(tmp_path):
+    """Replay writes through the primitives a statement writes with, so
+    a standby carries its hash, interval and columnar structures forward
+    by deltas: 60 single-row UPDATE commits, each followed by a keyed
+    read, build nothing after the warm-up (the parent of this change
+    rebuilt the hash index after every applied commit: 60 builds)."""
+    primary = TemporalStratum.open(tmp_path / "p", auto_checkpoint_bytes=1 << 40)
+    primary.db.execute(
+        "CREATE TABLE acct (id INTEGER, balance INTEGER,"
+        " begin_time DATE, end_time DATE)"
+    )
+    primary.execute("ALTER TABLE acct ADD VALIDTIME")
+    primary.db.now = Date.from_ymd(2010, 1, 1)
+    primary.execute(
+        "INSERT INTO acct (id, balance) VALUES "
+        + ", ".join(f"({n}, 0)" for n in range(300))
+    )
+    primary.db.now = Date.from_ymd(2010, 6, 1)
+    boundaries = [primary.db.durability.wal_size()]
+    for n in range(60):
+        primary.execute(f"UPDATE acct SET balance = {n + 1} WHERE id = {n * 5}")
+        boundaries.append(primary.db.durability.wal_size())
+    wal_bytes = (tmp_path / "p" / "wal.log").read_bytes()
+
+    standby = TemporalStratum.open(tmp_path / "s")
+    applier = StandbyApplier(standby)
+    applier.enter_replica_mode()
+    applier.feed(0, wal_bytes[:boundaries[0]])
+    obs, table = standby.db.obs, standby.db.table("acct")
+
+    def keyed_read(key):
+        return standby.execute(f"SELECT balance FROM acct WHERE id = {key}").rows
+
+    # warm-up: the read's hash index, and every other structure a reader
+    # can obtain (the interval index and column store included)
+    assert keyed_read(0) == [[0]]
+    assert_from_scratch(table)
+    kinds = ("hash", "interval", "columnar")
+    builds = {kind: obs.value(f"engine.derived.builds.{kind}") for kind in kinds}
+    for n in range(60):
+        applier.feed(boundaries[n], wal_bytes[boundaries[n]:boundaries[n + 1]])
+        assert keyed_read(n * 5) == [[n + 1]]
+    assert applier.applied_csn == primary_seq(primary)
+    assert {
+        kind: obs.value(f"engine.derived.builds.{kind}") for kind in kinds
+    } == builds
+    assert obs.value("engine.derived.deltas") > 0
+    assert_from_scratch(table)
+    assert fingerprint_divergence(
+        store_fingerprints(standby.db, standby),
+        store_fingerprints(primary.db, primary),
+    ) == []
+    standby.close(checkpoint=False)
+    primary.close(checkpoint=False)
 
 
 def test_rid_echo_on_responses_and_errors(tmp_path):

@@ -26,9 +26,10 @@ from repro.sqlengine.values import Date, Null, sort_key
 K, C, F, B, E = range(5)
 
 # declared-type values (survive coercion) and raw ones only append_row /
-# set_cell / write_row can place: an INTEGER = FLOAT key, a bool, a
-# blank-padded CHAR key, an int in the FLOAT column, a non-Date bound
-# and two values that degrade their vector
+# update_rows can place (they store what they are given, prepared or
+# not): an INTEGER = FLOAT key, a bool, a blank-padded CHAR key, an int
+# in the FLOAT column, a non-Date bound and two values that degrade
+# their vector
 CLEAN = {
     K: [0, 1, 2, Null],
     C: ["a", "a   ", "b", Null],
@@ -54,14 +55,14 @@ OPS = st.one_of(
     st.tuples(st.just("insert"), values(CLEAN)),
     st.tuples(st.just("insert"), values(CLEAN)),
     st.tuples(st.just("append_row"), values(RAW)),
-    st.tuples(st.just("set_cell"), small, st.integers(0, 4), small),
-    st.tuples(st.just("write_row"), small, values(RAW)),
+    st.tuples(st.just("update_cell"), small, st.integers(0, 4), small),
+    st.tuples(st.just("update_row"), small, values(RAW)),
     st.tuples(st.just("update_rows"), st.integers(0, 2), st.integers(0, 4), small),
     st.tuples(st.just("update_fails"), st.integers(0, 2)),
     st.tuples(st.just("delete_rows"), st.sampled_from(["key", "one", "one", "all"]), small),
     st.tuples(st.just("replace_rows"), small),
     st.tuples(st.sampled_from(
-        ["truncate", "add_column", "hand_edit", "hand_edit_unversioned"]
+        ["empty", "add_column", "hand_edit", "hand_edit_unversioned"]
     )),
     st.tuples(st.sampled_from(
         ["begin", "commit", "rollback", "savepoint", "savepoint", "rollback_to"]
@@ -163,27 +164,32 @@ def run(ops) -> None:
             table.insert(wide(op[1]))
         elif name == "append_row":
             table.append_row(wide(op[1]))
-        elif name == "set_cell":
+        elif name == "update_cell":
             row = pick(op[1])
             if row is not None:
                 pool = RAW[op[2]]
-                table.set_cell(row, op[2], pool[op[3] % len(pool)])
-        elif name == "write_row":
+                table.update_rows([row], [[(op[2], pool[op[3] % len(pool)])]])
+        elif name == "update_row":
+            # every cell of one row, as a current UPDATE overwrites a
+            # version born at its point
             row = pick(op[1])
             if row is not None:
-                table.write_row(row, wide(op[2]))
+                table.update_rows([row], [list(enumerate(wide(op[2])))])
         elif name == "update_rows":
             pool = CLEAN[op[2]]
             value = pool[op[3] % len(pool)]
             rows = [row for row in table.rows if row[K] == op[1]]
             table.update_rows(rows, [[(op[2], value)]] * len(rows))
         elif name == "update_fails":
-            # coercion fails on the second match: every value is coerced
-            # before any is written, so not even the first is overwritten
+            # coercion fails on the second match: every row's cells are
+            # prepared before any is written, so not even the first is
+            # overwritten
             rows = [row for row in table.rows if row[K] == op[1]]
-            cells = [[(F, 9.5)]] + [[(B, "not a date")]] * (len(rows) - 1)
             before = [list(row) for row in rows]
             try:
+                cells = [table.prepare_cells([F], [9.5])] + [
+                    table.prepare_cells([B], ["not a date"]) for _ in rows[1:]
+                ]
                 table.update_rows(rows, cells)
             finally:
                 assert len(rows) < 2 or [list(row) for row in rows] == before
@@ -198,8 +204,8 @@ def run(ops) -> None:
         elif name == "replace_rows":
             rows = table.rows[::-1]
             table.replace_rows(rows[op[1] % 3:])
-        elif name == "truncate":
-            table.truncate()
+        elif name == "empty":
+            table.replace_rows([])
         elif name == "add_column":
             if len(table.columns) < 7:
                 name = f"x{len(table.columns)}"
@@ -292,9 +298,9 @@ def test_the_written_out_case():
         ("insert", (1, "a   ", 2.5, Date(103), Date(3652059))),
         ("append_row", (1.0, "b", 1, Date(106), Null)),
         ("append_row", (Null, Null, Null, "2010-01-01", Date(108))),
-        ("set_cell", 1, E, 1),
+        ("update_cell", 1, E, 1),
         ("begin",), ("savepoint",),
-        ("write_row", 0, (2, "b ", Null, Date(100), Date(108))),
+        ("update_row", 0, (2, "b ", Null, Date(100), Date(108))),
         ("delete_rows", "one", 1),
         ("unobserved", 2),  # the version climbs back over other rows
         ("rollback_to",),
@@ -305,7 +311,8 @@ def test_the_written_out_case():
         ("commit",),
         ("session_read",),
         ("append_row", (2 ** 70, "a", 1.0, Date(100), Date(104))),
-        ("set_cell", 0, K, 0),
+        ("update_cell", 0, K, 0),
+        ("empty",),
         ("session_end",),
     ])
 

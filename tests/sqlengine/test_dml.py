@@ -86,6 +86,25 @@ class TestUpdate:
         # nothing to undo
         assert db.stats.rollbacks == rollbacks
 
+    def test_set_null_into_not_null_is_refused_like_insert(self, db):
+        db.execute("CREATE TABLE n (id INTEGER NOT NULL, v INTEGER)")
+        db.execute("INSERT INTO n VALUES (1, 1)")
+        with pytest.raises(ExecutionError, match="NULL not allowed"):
+            db.execute("INSERT INTO n VALUES (NULL, 2)")
+        with pytest.raises(ExecutionError, match="NULL not allowed"):
+            db.execute("UPDATE n SET id = NULL WHERE v = 1")
+        assert db.table("n").rows == [[1, 1]]
+        # the check is on the value stored, not on the column named
+        assert db.execute("UPDATE n SET id = v + 1, v = NULL") == 1
+        assert db.table("n").rows == [[2, Null]]
+
+    def test_not_null_failure_on_the_last_row_writes_nothing(self, db):
+        db.execute("CREATE TABLE n (id INTEGER NOT NULL, v INTEGER)")
+        db.execute("INSERT INTO n VALUES (1, 1), (2, 2), (3, NULL)")
+        with pytest.raises(ExecutionError):
+            db.execute("UPDATE n SET id = v")
+        assert db.table("n").rows == [[1, 1], [2, 2], [3, Null]]
+
 
 class TestDelete:
     def test_delete_with_where(self, db):

@@ -113,5 +113,6 @@ class TestHashIndex:
         table = make_table()
         table.insert([1, "x"])
         version = table.version
-        table.truncate()
+        table.replace_rows([])
         assert table.version > version
+        assert table.rows == [] and table.hash_index(0) == {}

@@ -211,7 +211,9 @@ def test_update_where_coerces_all_values_before_writing():
     table.insert([1, 2])
     table.insert([3, 4])
     with pytest.raises(TypeError_):
-        table.update_rows(table.rows, [[(0, 99), (1, 7)], [(0, 99), (1, "nope")]])
+        # what the match plan does: prepare every row's cells, then write
+        cells = [table.prepare_cells([0, 1], v) for v in ([99, 7], [99, "nope"])]
+        table.update_rows(table.rows, cells)
     # neither the first assignment nor the first row may have been written
     assert table.rows == [[1, 2], [3, 4]]
 

@@ -6,10 +6,13 @@ in-memory ``Database`` is simply abandoned and the directory reopened,
 so only what the WAL/snapshot captured survives.
 """
 
+import json
 import os
+import zlib
 
 import pytest
 
+from repro.sqlengine.checkpoint import SNAPSHOT_MAGIC, load_snapshot
 from repro.sqlengine.engine import Database
 from repro.sqlengine.errors import FaultInjected
 from repro.sqlengine.txn import FaultPlan, FaultSet
@@ -36,39 +39,44 @@ class TestFraming:
     def test_round_trip(self):
         records = [["walhdr", 0], ["ins", "t", [1, "x"]], ["commit", 1, 100]]
         data = b"".join(frame(encode_record(r)) for r in records)
-        decoded, end = read_frames(data)
+        decoded, ends = read_frames(data)
         assert decoded == records
-        assert end == len(data)
+        # each record's end offset; the last is the end of the data
+        assert ends == [
+            len(b"".join(frame(encode_record(r)) for r in records[:n + 1]))
+            for n in range(len(records))
+        ]
+        assert ends[-1] == len(data)
 
     def test_torn_final_record(self):
         records = [["walhdr", 0], ["ins", "t", [1]]]
         data = b"".join(frame(encode_record(r)) for r in records)
         torn = data[:-3]
-        decoded, end = read_frames(torn)
+        decoded, ends = read_frames(torn)
         assert decoded == [["walhdr", 0]]
-        assert end == len(frame(encode_record(["walhdr", 0])))
+        assert ends == [len(frame(encode_record(["walhdr", 0])))]
 
     def test_checksum_mismatch_stops_scan(self):
         good = frame(encode_record(["walhdr", 0]))
         bad = bytearray(frame(encode_record(["ins", "t", [1]])))
         bad[-1] ^= 0xFF  # flip a payload byte; CRC no longer matches
-        decoded, end = read_frames(bytes(good) + bytes(bad))
+        decoded, ends = read_frames(bytes(good) + bytes(bad))
         assert decoded == [["walhdr", 0]]
-        assert end == len(good)
+        assert ends == [len(good)]
 
     def test_implausible_length_prefix(self):
         good = frame(encode_record(["walhdr", 0]))
         garbage = b"\xff\xff\xff\xff\x00\x00\x00\x00payload"
-        decoded, end = read_frames(good + garbage)
+        decoded, ends = read_frames(good + garbage)
         assert decoded == [["walhdr", 0]]
-        assert end == len(good)
+        assert ends == [len(good)]
 
     def test_undecodable_payload_stops_scan(self):
         good = frame(encode_record(["walhdr", 0]))
         bad = frame(b"\x80\x81 not json")
-        decoded, end = read_frames(good + bad)
+        decoded, ends = read_frames(good + bad)
         assert decoded == [["walhdr", 0]]
-        assert end == len(good)
+        assert ends == [len(good)]
 
     def test_value_encoding_round_trip(self):
         row = [1, 2.5, "x", True, Null, Date.from_ymd(2010, 6, 1)]
@@ -290,6 +298,62 @@ class TestRecoveryDdl:
         # plain Database.open cannot rebuild temporal registries
         with pytest.raises(WalError):
             Database.open(tmp_path / "d")
+
+
+class TestRetiredFormats:
+    """What only an earlier format wrote (the ``cell`` and ``wrow``
+    record tags, per-row row lists) fails recovery with a typed
+    WalError naming it; no second replay path survives for it."""
+
+    @staticmethod
+    def forge(path, *records):
+        db = Database.open(path)
+        db.execute("CREATE TABLE t (id INTEGER)")
+        db.execute("INSERT INTO t VALUES (1)")
+        group = [["begin", 99], *records, ["commit", 99, db.now.ordinal]]
+        db.durability._file.write(b"".join(frame(encode_record(r)) for r in group))
+        db.close(checkpoint=False)
+
+    @pytest.mark.parametrize("record", [["cell", "t", 0, 0, 5], ["wrow", "t", 0, [5]]])
+    def test_retired_record_tag(self, tmp_path, record):
+        self.forge(tmp_path / "d", record)
+        with pytest.raises(WalError, match=f"'{record[0]}'"):
+            Database.open(tmp_path / "d")
+
+    def test_per_row_setrows(self, tmp_path):
+        self.forge(tmp_path / "d", ["setrows", "t", [[5]]])
+        with pytest.raises(WalError, match="per-row"):
+            Database.open(tmp_path / "d")
+
+    def test_per_row_snapshot(self, tmp_path):
+        db = Database.open(tmp_path / "d")
+        db.execute("CREATE TABLE t (id INTEGER)")
+        db.execute("INSERT INTO t VALUES (1)")
+        db.close()
+        path = tmp_path / "d" / "snapshot.json"
+        payload = load_snapshot(path)
+        spec = payload["tables"][0]
+        del spec["cols"]
+        spec["rows"] = [[1]]
+        body = json.dumps(payload).encode("utf-8")
+        path.write_bytes(f"{SNAPSHOT_MAGIC} {zlib.crc32(body):08x}\n".encode() + body)
+        with pytest.raises(WalError, match="per-row"):
+            Database.open(tmp_path / "d")
+
+    def test_current_records_replay(self, tmp_path):
+        """The live tags all replay: a row inserted, updated, deleted,
+        a column added and a row set replaced."""
+        self.forge(
+            tmp_path / "d",
+            ["ins", "t", [2]], ["upd", "t", 1, [[0, 3]]], ["delpos", "t", [0]],
+            ["addcol", "t", ["x", ["INTEGER", None, None, None], False, False], 7],
+        )
+        db = Database.open(tmp_path / "d")
+        assert db.table("t").rows == [[3, 7]]
+        db.execute("INSERT INTO t VALUES (4, 8)")
+        db.table("t").replace_rows([])
+        db.close(checkpoint=False)
+        assert Database.open(tmp_path / "d").table("t").rows == []
 
 
 class TestFaultPlanGeneralization:

@@ -10,12 +10,16 @@ and writes only after all of them are found.
   tree-walking evaluator the stratum's row passes used before PR 19.
 * The differential: random histories (NULL / forever / adjacent /
   duplicate / empty periods) × the four kinds × UPDATE/DELETE × WHERE
-  shapes × alias or none, against a model that shares nothing with the
+  shapes × SET shapes (a value of another class, a NULL into a NOT NULL
+  column) × alias or none, against a model that shares nothing with the
   planner — a list comprehension over the rows the restriction admits,
   the predicate and SET values evaluated by
-  ``tests/reference_executor.py``, the close / split / re-insert steps
-  written out on plain lists.  Raw rows in raw order, the affected count
-  and the error class + SQLSTATE must agree.
+  ``tests/reference_executor.py`` and coerced by ``types.coerce``, the
+  close / split / re-insert steps written out on plain lists.  Raw rows
+  in raw order, the affected count and the error class + SQLSTATE must
+  agree.
+* SET values become cells in one place, the match plan: every kind
+  coerces them and checks NOT NULL before anything is written.
 * The floor: on DS1-SMALL a keyed UPDATE examines at most the versions
   of its key, whatever the kind.
 """
@@ -23,7 +27,7 @@ and writes only after all of them are found.
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.sqlengine.errors import SqlError
+from repro.sqlengine.errors import ExecutionError, SqlError, TypeError_
 from repro.sqlengine.executor import Binding, Env
 from repro.sqlengine.parser import parse_statement
 from repro.sqlengine.types import coerce
@@ -31,7 +35,7 @@ from repro.sqlengine.values import Date, Null, truth
 from repro.taubench import build_dataset
 from repro.temporal import TemporalStratum
 
-from tests.conftest import make_bookstore
+from tests.conftest import DML_KINDS, make_bookstore, make_dml_kinds
 from tests.reference_executor import ReferenceExecutor
 
 FOREVER = "DATE '9999-12-31'"
@@ -141,7 +145,14 @@ WHERE_SHAPES = [
     "WHERE id = 'b' AND k + 0 = 1",  # unqualified; a partial conjunct behind the key
     "WHERE {q}.s = 1",  # cross-class: raises on any row the restriction admits
 ]
-SETS = ["v = v + 1, s = 'new'", "v = (SELECT MAX(v) FROM h) + 1"]
+SETS = [
+    "v = v + 1, s = 'new'",
+    "v = (SELECT MAX(v) FROM h) + 1",
+    # another class: coerced (an int into CHAR and FLOAT), or refused
+    "s = k, v = CASE WHEN k = 1 THEN 'abc' ELSE k END",
+    # a NULL into the NOT NULL column, on some rows only
+    "n = CASE WHEN k = 2 THEN NULL ELSE n + 1 END",
+]
 
 
 def build_history(kind: str, rows) -> TemporalStratum:
@@ -153,7 +164,7 @@ def build_history(kind: str, rows) -> TemporalStratum:
     )
     db.execute(
         "CREATE TABLE h (id CHAR(4), k INTEGER, s CHAR(4), v FLOAT,"
-        f" {period[0]} DATE, {period[1]} DATE)"
+        f" {period[0]} DATE, {period[1]} DATE, n INTEGER NOT NULL)"
     )
     if kind == "transaction_time":
         stratum.execute("ALTER TABLE h ADD TRANSACTIONTIME")
@@ -161,7 +172,7 @@ def build_history(kind: str, rows) -> TemporalStratum:
         stratum.execute("ALTER TABLE h ADD VALIDTIME")
     table = db.table("h")
     for row in rows:
-        table.insert(list(row))
+        table.insert(list(row) + [1])
     db.execute("CREATE TABLE lim (k INTEGER, floor FLOAT)")
     db.execute("INSERT INTO lim VALUES (0, 1.0), (1, 0.0), (1, NULL), (2, 2.0)")
     return stratum
@@ -182,6 +193,11 @@ def admitted(kind: str, row) -> bool:
     return begin.ordinal < end.ordinal and (
         begin.ordinal < hi.ordinal and lo.ordinal < end.ordinal
     )
+
+
+def stamped(row, begin, end):
+    """``row`` over another period (the period columns are 4 and 5)."""
+    return row[:4] + [begin, end] + row[6:]
 
 
 def model(kind: str, stratum: TemporalStratum, sql: str):
@@ -208,11 +224,15 @@ def model(kind: str, stratum: TemporalStratum, sql: str):
     changed = {}
     for n in matched:
         changed[n] = list(rows[n])
-        for column, expr in stmt.assignments if update else ():
+        assignments = stmt.assignments if update else ()
+        values = [reference.evaluate(expr, env_of(rows[n])) for _, expr in assignments]
+        for (column, _), value in zip(assignments, values):
             index = colmap[column.lower()]
-            changed[n][index] = coerce(
-                reference.evaluate(expr, env_of(rows[n])), table.columns[index].type
-            )
+            declared = table.columns[index]
+            value = coerce(value, declared.type)
+            if value is Null and declared.not_null:
+                raise ExecutionError(f"NULL not allowed in h.{declared.name}")
+            changed[n][index] = value
     if kind == "conventional":
         out = [changed.get(n, row) for n, row in enumerate(rows)]
         return len(matched), out if update else [
@@ -224,11 +244,11 @@ def model(kind: str, stratum: TemporalStratum, sql: str):
         for n in matched:
             begin, end = rows[n][4].ordinal, rows[n][5].ordinal
             if update:
-                tail.append(changed[n][:4] + [Date(max(begin, lo)), Date(min(end, hi))])
+                tail.append(stamped(changed[n], Date(max(begin, lo)), Date(min(end, hi))))
             if begin < lo:
-                tail.append(rows[n][:4] + [Date(begin), Date(min(end, lo))])
+                tail.append(stamped(rows[n], Date(begin), Date(min(end, lo))))
             if end > hi:
-                tail.append(rows[n][:4] + [Date(max(begin, hi)), Date(end)])
+                tail.append(stamped(rows[n], Date(max(begin, hi)), Date(end)))
         return len(matched), [
             row for n, row in enumerate(rows) if n not in changed
         ] + tail
@@ -239,11 +259,11 @@ def model(kind: str, stratum: TemporalStratum, sql: str):
             out.append(row)
         elif row[4] == NOW:  # born now: overwritten in place / removed
             if update:
-                out.append(changed[n][:4] + [NOW, END_OF_TIME])
+                out.append(stamped(changed[n], NOW, END_OF_TIME))
         else:
-            out.append(row[:5] + [NOW])
+            out.append(stamped(row, row[4], NOW))
             if update:
-                tail.append(changed[n][:4] + [NOW, END_OF_TIME])
+                tail.append(stamped(changed[n], NOW, END_OF_TIME))
     return len(matched), out + tail
 
 
@@ -326,6 +346,55 @@ def test_inside_a_routine_with_the_key_in_a_variable(verb, rows):
         expected = model("conventional", stratum, sql)
         stratum.execute(f"CALL touch('{key}')")
         assert [list(row) for row in stratum.db.table("h").rows] == expected[1]
+
+
+# -- SET values become cells in one place -------------------------------------
+
+
+@pytest.mark.parametrize("kind", list(DML_KINDS))
+def test_set_values_are_coerced_in_every_kind(kind):
+    """A conventional UPDATE, a current one of a version born at its
+    point, a sequenced one's updated piece and a transaction-time one of
+    a row recorded at the clock store what the column holds: at the
+    parent of this change the last three stored 'abc' and an int in the
+    FLOAT column, and 150 characters in CHAR(100)."""
+    stratum = make_dml_kinds()
+    prefix, name = DML_KINDS[kind]
+    key = "i1" if kind == "sequenced" else "i9"
+    if kind != "sequenced":
+        columns = "(id, title, price)" if name == "item" else "(id, price)"
+        title = "'X', " if name == "item" else ""
+        stratum.execute(f"INSERT INTO {name} {columns} VALUES ('i9', {title}1.0)")
+    table = stratum.db.table(name)
+    refused = ["price = 'abc'"]
+    if name == "item":
+        refused.append(f"title = '{'x' * 150}'")
+    for assignment in refused:
+        before = raw(stratum, name)
+        with pytest.raises(TypeError_):
+            stratum.execute(f"{prefix}UPDATE {name} SET {assignment} WHERE id = '{key}'")
+        assert raw(stratum, name) == before
+    assert stratum.execute(f"{prefix}UPDATE {name} SET price = 2 WHERE id = '{key}'") == 1
+    price = table.column_index("price")
+    assert all(type(row[price]) is float for row in table.rows)
+
+
+@pytest.mark.parametrize("kind", list(DML_KINDS))
+def test_a_coercion_failure_on_the_last_matched_row_writes_nothing(kind):
+    """Both rows match; only the last one's value cannot be coerced.
+    Every row's cells are prepared before the first write, so there is
+    nothing to undo."""
+    stratum = make_dml_kinds()
+    prefix, name = DML_KINDS[kind]
+    before = raw(stratum, name)
+    rollbacks = stratum.db.stats.rollbacks
+    with pytest.raises(TypeError_):
+        stratum.execute(
+            f"{prefix}UPDATE {name} SET price = CASE WHEN id = 'i2' THEN 'abc'"
+            " ELSE 1.0 END WHERE id IN ('i1', 'i2')"
+        )
+    assert raw(stratum, name) == before
+    assert stratum.db.stats.rollbacks == rollbacks
 
 
 # -- the floor ----------------------------------------------------------------

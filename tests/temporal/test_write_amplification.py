@@ -1,6 +1,6 @@
 """A temporal write costs what it touches, not the table.
 
-Ending one row must log one cell, and a sequenced UPDATE or DELETE of
+Ending one row must log one cell update, and a sequenced UPDATE or DELETE of
 one version one removal plus its pieces — in the WAL (bytes per
 statement) and in the undo log (no entry holding the whole row list).
 At the parent of this change each of these statements swapped in a
@@ -62,7 +62,7 @@ def whole_table_entries(undo):
 def test_ending_one_row_logs_one_cell(stratum, sql):
     wal_bytes, undo = cost(stratum, sql)
     assert wal_bytes < SMALL
-    assert [entry[0] for entry in undo] == ["cell"]
+    assert [entry[0] for entry in undo] == ["upd"]
 
 
 def test_deleting_a_row_born_today_removes_only_it(stratum):
@@ -76,7 +76,7 @@ def test_deleting_a_row_born_today_removes_only_it(stratum):
     assert table.rows == before[:-1] and all(
         now is then for now, then in zip(table.rows, before)
     )
-    assert [entry[0] for entry in undo] == ["cell", "rows"]
+    assert [entry[0] for entry in undo] == ["upd", "rows"]
 
 
 @pytest.mark.parametrize("verb,pieces", [

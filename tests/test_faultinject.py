@@ -94,10 +94,10 @@ CUR_UPDATE = "UPDATE author SET first_name = 'Rose' WHERE author_id = 'a2'"
 CUR_DELETE = "DELETE FROM author WHERE author_id = 'a2'"
 
 
-@pytest.mark.parametrize("site", ["table.set_cell", "table.insert"])
+@pytest.mark.parametrize("site", ["table.update", "table.insert"])
 def test_current_update_crash(bookstore, site):
-    # the fault on table.insert fires after set_cell already closed the
-    # old version — the canonical mid-flight state
+    # the fault on table.insert fires after update_rows already closed
+    # the old version — the canonical mid-flight state
     crash_and_check(bookstore, CUR_UPDATE, site, target="author")
     bookstore.execute(CUR_UPDATE)
     table = bookstore.db.table("author")
@@ -107,10 +107,10 @@ def test_current_update_crash(bookstore, site):
     assert new_versions[0][3] == now  # begins today
 
 
-@pytest.mark.parametrize("site", ["table.set_cell", "table.delete"])
+@pytest.mark.parametrize("site", ["table.update", "table.delete"])
 def test_current_delete_crash(bookstore, site):
     # a second a2 version born today: the statement closes the old one
-    # (set_cell) and then removes this one outright (delete) — the
+    # (update_rows) and then removes this one outright (delete) — the
     # fault on table.delete fires with the old version already closed
     bookstore.execute(
         "INSERT INTO author (author_id, first_name, last_name)"
@@ -193,7 +193,7 @@ def tt_stratum():
     return stratum
 
 
-@pytest.mark.parametrize("site", ["table.set_cell", "table.insert"])
+@pytest.mark.parametrize("site", ["table.update", "table.insert"])
 def test_transactiontime_update_crash(tt_stratum, site):
     sql = "UPDATE accounts SET balance = 150 WHERE id = 'x'"
     crash_and_check(tt_stratum, sql, site, target="accounts")
@@ -203,10 +203,10 @@ def test_transactiontime_update_crash(tt_stratum, site):
     assert len(believed_now) == 1
 
 
-@pytest.mark.parametrize("site", ["table.set_cell", "table.delete"])
+@pytest.mark.parametrize("site", ["table.update", "table.delete"])
 def test_transactiontime_delete_crash(tt_stratum, site):
     # a second y recorded at this clock: the statement closes the old
-    # belief (set_cell), then removes the one inserted and deleted in
+    # belief (update_rows), then removes the one inserted and deleted in
     # the same transaction time (delete)
     tt_stratum.execute("INSERT INTO accounts (id, balance) VALUES ('y', 250)")
     sql = "DELETE FROM accounts WHERE id = 'y'"
