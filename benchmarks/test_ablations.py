@@ -1,48 +1,17 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
-
-1. **Table-function memoization** — PERST joins the invoking query with
-   ``TABLE(ps_f(args, bt, et))``; a DBMS reuses the result for repeated
-   argument tuples.  Disabling the memo shows how much of PERST's
-   flatness it provides (and that correctness is unaffected).
-2. **Constant-period computation route** — the stratum precomputes cp
-   natively (sort + adjacent pairs); the paper's Figure-8 SQL is a
-   quadratic self-join with NOT EXISTS.  Timing both quantifies why the
-   precomputation lives in the stratum.
+"""Ablation benchmark for a design choice DESIGN.md calls out: the
+constant-period computation route.  The stratum precomputes cp natively
+(sort + adjacent pairs); the paper's Figure-8 SQL is a quadratic
+self-join with NOT EXISTS.  Timing both quantifies why the
+precomputation lives in the stratum.
 """
 
 import pytest
 
 from benchmarks.conftest import print_report
-from repro.bench.harness import run_cell
-from repro.taubench import get_query
 from repro.temporal.constant_periods import (
     materialize_constant_periods,
     materialize_constant_periods_via_sql,
 )
-from repro.temporal.stratum import SlicingStrategy
-
-
-@pytest.mark.parametrize("memoize", [True, False], ids=["memo", "no-memo"])
-def test_ablation_table_function_memo(benchmark, ds1_small, memoize):
-    query = get_query("q2")
-    query.install(ds1_small)
-    db = ds1_small.stratum.db
-    saved = db.memoize_table_functions
-    db.memoize_table_functions = memoize
-    try:
-        def run():
-            return run_cell(
-                ds1_small, query, SlicingStrategy.PERST, 90, warm=False
-            )
-
-        cell = benchmark.pedantic(run, rounds=1, iterations=1)
-        assert cell.ok and cell.rows > 0
-        print_report(
-            f"PERST q2, 90-day context, memoization={memoize}:"
-            f" {cell.seconds:.3f}s, {cell.routine_calls} routine calls"
-        )
-    finally:
-        db.memoize_table_functions = saved
 
 
 @pytest.mark.parametrize("route", ["native", "figure8-sql"])

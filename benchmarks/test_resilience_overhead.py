@@ -1,13 +1,13 @@
 """Resilience overhead: the disarmed watchdog/governor must be ~free.
 
-Runs the interval-index benchmark's scan-shaped cell (sequenced MAX,
+Runs a scan-shaped cell (sequenced MAX ``SELECT COUNT(*) FROM item``,
 365-day context) two ways — resilience disarmed (the default: every
 check site is two attribute loads and a branch) and armed with
 generous budgets (deadline + row/undo/resident limits actually
 evaluated at each checkpoint) — and emits ``BENCH_resilience.json``.
 
 The acceptance bar is on the *disarmed* path: ≤3% on this cell against
-the ``BENCH_interval_index`` baseline, which the emitted JSON makes
+the same cell before the change under test, which the emitted JSON makes
 comparable (same dataset, query, strategy, context).  In-run we hold
 the armed/disarmed ratio to a loose noise-tolerant bound and report
 the measured numbers.
@@ -28,7 +28,7 @@ OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_resilience.json"
 CONTEXT_DAYS = 365
 ROUNDS = 3  # best-of-N damps scheduler noise
 
-# the BENCH_interval_index cell: scan-shaped, no equality probes
+# scan-shaped, no equality probes
 SCAN_QUERY = QuerySpec(
     name="interval_scan",
     feature="sequenced scan without equality probes",
@@ -91,7 +91,7 @@ def test_resilience_overhead(benchmark, request):
         "armed_over_disarmed": ratio,
         "watchdog_checks_when_armed": checks,
         "budgets_when_armed": GENEROUS,
-        "disabled_path_bar": 1.03,  # vs the BENCH_interval_index cell
+        "disabled_path_bar": 1.03,  # vs this cell before the change
         "rows": disarmed.rows,
         "slices": disarmed.slices,
         "rows_scanned": disarmed.rows_scanned,

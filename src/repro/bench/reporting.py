@@ -107,39 +107,6 @@ def format_series_table(
     return "\n".join(lines)
 
 
-COUNTER_METRICS = [
-    "routine_calls",
-    "rows_written",
-    "plans_compiled",
-    "plan_cache_hits",
-    "transform_cache_hits",
-    "slices",
-    "rows_scanned",
-]
-
-
-def format_counters(cells: list[CellResult], title: str = "") -> str:
-    """One row per cell: the machine-independent cost counters, the
-    two-phase execution counters alongside routine calls / rows written."""
-    header = ["query", "strategy", "context_days", "seconds"] + COUNTER_METRICS
-    body: list[list[str]] = []
-    for cell in cells:
-        body.append(
-            [cell.query, cell.strategy, str(cell.context_days)]
-            + [_fmt(cell, m) for m in ["seconds"] + COUNTER_METRICS]
-        )
-    widths = [len(h) for h in header]
-    for row in body:
-        for i, value in enumerate(row):
-            widths[i] = max(widths[i], len(value))
-    lines = [title] if title else []
-    lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in body:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
 def trace_summary(db) -> dict:
     """A JSON-able view of one database's observability state.
 

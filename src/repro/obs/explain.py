@@ -430,8 +430,7 @@ def _render_sequenced(stratum: "TemporalStratum", prepared: Any) -> list[str]:
         ) in db.catalog.get_table(name).interval_pairs
     ]
     if indexed:
-        state = "on" if db.interval_indexing_enabled else "off"
-        lines.append(f"interval index [{state}]: {', '.join(indexed)}")
+        lines.append(f"interval index: {', '.join(indexed)}")
     if prepared.fallback is not None:
         lines.append(f"seqset: fallback to max ({prepared.fallback})")
     slices = len(compute_constant_periods(db, tables, registry, context))

@@ -203,11 +203,6 @@ class MetricsRegistry:
     def set_gauge(self, name: str, value: float) -> None:
         self.gauges[name] = value
 
-    def max_gauge(self, name: str, value: float) -> None:
-        """Raise a gauge to ``value`` if it is a new high-water mark."""
-        if value > self.gauges.get(name, float("-inf")):
-            self.gauges[name] = value
-
     def scope(self, prefix: str) -> "MetricsScope":
         return MetricsScope(self, prefix)
 

@@ -190,27 +190,17 @@ class Database:
         # and a function the stratum declared a point parameter on
         # (Routine.window_param) reuses its result across every point of
         # the read window the run established — `read_window` is the
-        # innermost open one.  RoutineInterpreter._reused owns both;
-        # `memoize_table_functions` is the ablation switch.
+        # innermost open one.  RoutineInterpreter._reused owns both.
         self.table_function_cache: dict = {}
-        self.memoize_table_functions = True
         self.read_window: Optional[list] = None
         # bind/plan layer: compiled statement plans and expression
         # closures, both invalidated by catalog schema changes
         self.plan_cache = PlanCache()
         self.expr_cache: dict = {}
-        # interval-index scan pruning over declared (begin, end) period
-        # pairs; `interval_indexing_enabled` is the ablation switch.
         # `cp_cache` memoizes the last constant-period materialization
         # per cp table (source table versions + context), letting the
         # stratum skip the rebuild when nothing changed.
-        self.interval_indexing_enabled = True
         self.cp_cache: dict = {}
-        # vectorized WHERE evaluation over the derived column stores
-        # (storage.ColumnStore + exprcompile batch kernels);
-        # `vectorized_filtering_enabled` is the ablation switch — off,
-        # every scan runs the row-at-a-time compiled predicate.
-        self.vectorized_filtering_enabled = True
         # MVCC: snapshot pins, write claims, version-chain GC (DESIGN.md
         # §3.8); fully dormant — one bool per mutation — until a second
         # session registers.  Must exist before any TransactionManager.

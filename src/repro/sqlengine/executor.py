@@ -32,7 +32,6 @@ from repro.sqlengine.types import SqlType, infer_type
 from repro.sqlengine.values import (
     Date,
     Null,
-    Row,
     Unknown,
     compare,
     logic_and,
@@ -52,9 +51,6 @@ class ResultSet:
     def __init__(self, columns: Sequence[str], rows: list[list[Any]]) -> None:
         self.columns = list(columns)
         self.rows = rows
-
-    def as_rows(self) -> list[Row]:
-        return [Row(self.columns, row) for row in self.rows]
 
     def scalar(self) -> Any:
         """The single value of a 1x1 result (Null when empty)."""

@@ -34,8 +34,7 @@ strict / flipped forms) are decided by the access path too: behind a
 hash key the probe keeps only the bucket's versions inside them (day
 ordinals, NULL bounds excluded, table order kept); without one a begin
 range or a stab / overlap is an interval-index search.  Decided
-conjuncts are no level filter — unless ``interval_indexing_enabled`` is
-off and the level scans, when they run as ordinary filters.
+conjuncts are no level filter.
 
 *Join order and emission order.*  When every source is a base-table scan
 the next level is the first source (in FROM order) with a total equality
@@ -588,13 +587,12 @@ class _PeriodProbe:
 class _Level:
     """One join level: a source plus, for a scan, its access path (hash
     ``key``, ``period`` bounds, both, or a full scan) and the total
-    conjuncts that become checkable here: ``filters`` when the access
-    path decided the period bounds, ``all_filters`` (the bounds' own
-    conjuncts too) when it did not.  ``rows_in``/``rows_out`` accumulate
-    over executions for EXPLAIN ANALYZE."""
+    conjuncts that become checkable here and that the access path does
+    not decide (``filters``).  ``rows_in``/``rows_out`` accumulate over
+    executions for EXPLAIN ANALYZE."""
 
-    __slots__ = ("node", "pos", "key", "period", "filters", "all_filters",
-                 "access", "rows_in", "rows_out")
+    __slots__ = ("node", "pos", "key", "period", "filters", "access",
+                 "rows_in", "rows_out")
 
     def __init__(self, node: Any, pos: int) -> None:
         self.node = node
@@ -602,23 +600,18 @@ class _Level:
         self.key: Optional[tuple] = None  # (column, a, b)
         self.period: Optional[_PeriodProbe] = None
         self.filters: list = []  # _typed_filter tests
-        self.all_filters: list = self.filters  # another list only under a probe
         self.access = ("Scan", "")  # EXPLAIN: (operator, the key's SQL)
         self.rows_in = self.rows_out = 0
 
     def candidates(
         self, executor: Executor, table, vector: list, env: Env
-    ) -> tuple[list, bool, bool]:
-        """Candidate rows plus a *fully filtered* and a *period decided*
-        flag.
-
-        The first is True only when the batch kernels ran and cover every
-        WHERE conjunct, so the caller may skip filters and residual.  The
-        second is True when the access path applied the level's period
-        bounds exactly — a hash probe always, an interval probe unless
-        ``interval_indexing_enabled`` is off — so the caller checks
-        ``filters`` per row, else ``all_filters``.  ``engine.rows_scanned``
-        counts the rows the access path returns (pre-kernel counts on the
+    ) -> tuple[list, bool]:
+        """Candidate rows plus a *fully filtered* flag, True only when
+        the batch kernels ran and cover every WHERE conjunct, so the
+        caller may skip filters and residual.  The access path always
+        applies the level's period bounds exactly — behind a hash key or
+        as an interval-index search.  ``engine.rows_scanned`` counts the
+        rows the access path returns (pre-kernel counts on the
         vectorized path).
         """
         db = executor.db
@@ -643,7 +636,7 @@ class _Level:
             if len(versions) < len(rows):
                 obs.inc("engine.period_probe.rows_pruned", len(rows) - len(versions))
             obs.inc("engine.rows_scanned", len(versions))
-            return versions, False, True
+            return versions, False
         if window is not None and self.node.pairs:
             _narrow_by_table(window, self.node.pairs, table)
         # batch kernels only run when they cover *every* conjunct: a
@@ -652,7 +645,6 @@ class _Level:
         batch = self.node.batch
         if batch is not None and not (
             batch.consumes_all
-            and db.vectorized_filtering_enabled
             # governor degradation: under resident-bytes pressure, stream
             # row-at-a-time instead of building a columnar image
             # (counted; visible in EXPLAIN ANALYZE)
@@ -661,12 +653,10 @@ class _Level:
             batch = None
         table_rows = table.rows
         positions: Any = None
-        decided = period is None
-        if period is not None and db.interval_indexing_enabled:
+        if period is not None:
             positions = executor._interval_candidate_positions(
                 table, period.begin_index, period.end_index, period.limits(vector)
             )
-            decided = True
         obs.inc(
             "engine.rows_scanned",
             len(table_rows) if positions is None else len(positions),
@@ -679,10 +669,10 @@ class _Level:
                 pruned = len(scanned) - len(selected)
                 if pruned:
                     obs.inc("engine.vectorized_rows_pruned", pruned)
-                return [table_rows[p] for p in selected], True, decided
+                return [table_rows[p] for p in selected], True
         if positions is None:
-            return table_rows, False, decided
-        return [table_rows[p] for p in positions], False, decided
+            return table_rows, False
+        return [table_rows[p] for p in positions], False
 
 
 class _Pipeline:
@@ -776,8 +766,7 @@ def _build_pipeline(sources: list, conjuncts: list, demoted: frozenset) -> _Pipe
     depth_of = {pos: depth for depth, pos in enumerate(order)}
     depth_of[outer] = -1
     levels = [_Level(sources[pos], pos) for pos in order]
-    consumed: set = set()
-    decided: set = set()
+    decided: set = set()  # the conjuncts an access path applies
     for depth, level in enumerate(levels):
         node, pos = level.node, level.pos
         if not isinstance(node, _Scan):
@@ -792,23 +781,16 @@ def _build_pipeline(sources: list, conjuncts: list, demoted: frozenset) -> _Pipe
             if op == "=":
                 level.key = (column,) + other
                 level.access = ("HashProbe", conjuncts[i].sql)
-                consumed.add(i)
+                decided.add(i)
                 break
         level.period, settled = _period_probe(node, bound_sides, level.key is not None)
         decided |= settled
         if level.period is not None and level.key is None:
             level.access = ("IntervalIndexScan", "")
-    unprobed: dict = {}  # level -> the tests of the conjuncts it decides
     for i, c in enumerate(conjuncts):
-        if total[i] and i not in consumed:
+        if total[i] and i not in decided:
             level = levels[max(depth_of[c.left[0]], depth_of[c.right[0]])]
-            check = _typed_filter(c.value_class, c.op, c.left, c.right)
-            if i in decided:
-                unprobed.setdefault(level, []).append(check)
-            else:
-                level.filters.append(check)
-    for level, checks in unprobed.items():
-        level.all_filters = level.filters + checks
+            level.filters.append(_typed_filter(c.value_class, c.op, c.left, c.right))
     residual = [c.closure for i, c in enumerate(conjuncts) if not total[i]]
     return _Pipeline(levels, order != sorted(order), residual)
 
@@ -1182,12 +1164,10 @@ class _FromWhere:
                 yield from self._join(executor, env, levels, depth + 1, vector, tables)
             return
         table = tables[level.pos] = node._table(executor, env)
-        rows, settled, decided = level.candidates(executor, table, vector, env)
+        rows, settled = level.candidates(executor, table, vector, env)
         settled = settled and self.single_scan
         pos = level.pos
-        filters = (
-            () if settled else level.filters if decided else level.all_filters
-        )
+        filters = () if settled else level.filters
         key, colmap = node.key, node.colmap
         bindings = env.bindings
         last = depth + 1 == len(levels)

@@ -671,14 +671,6 @@ class ChaosSchedule:
         )
         self._saved_fault_plan: Any = None
 
-    @property
-    def transient_only(self) -> bool:
-        """True when every armed fault is a retryable OSError blip."""
-        return all(
-            getattr(plan, "exc_factory", None) is not None
-            for plan in self.plans
-        ) and self.cancel_at_check is None
-
     def describe(self) -> str:
         parts = [
             f"{plan.site}@{plan.at}"

@@ -312,7 +312,7 @@ class RoutineInterpreter:
         if routine.kind != "FUNCTION":
             raise RoutineError(f"{name} is a procedure; use CALL")
         body = self._body(routine)
-        if body.window is None or body.is_table or not self.db.memoize_table_functions:
+        if body.window is None or body.is_table:
             return self._scalar_result(routine, args)
         return self._reused(routine, args, self._scalar_result)
 
@@ -330,7 +330,7 @@ class RoutineInterpreter:
         routine = self.db.catalog.get_routine(name)
         if not routine.is_table_function:
             raise RoutineError(f"{name} does not return a row array")
-        if reusable and self.db.memoize_table_functions:
+        if reusable:
             return self._reused(routine, args, self._table_result)
         return self._table_result(routine, args)
 

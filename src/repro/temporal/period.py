@@ -91,10 +91,6 @@ class Period:
             return Period(min(self.begin, other.begin), max(self.end, other.end))
         return None
 
-    def clip(self, context: "Period") -> Optional["Period"]:
-        """Alias of :meth:`intersect`, named for clipping to a context."""
-        return self.intersect(context)
-
     def granules(self) -> Iterable[int]:
         """Iterate the granules in this period (careful with FOREVER)."""
         return range(self.begin, self.end)

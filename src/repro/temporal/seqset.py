@@ -66,7 +66,7 @@ from repro.sqlengine.exprcompile import (
 )
 from repro.sqlengine.planner import IntervalJoin, TemporalAlign
 from repro.sqlengine.storage import _column_kind
-from repro.sqlengine.values import Date, Null, sort_key, truth
+from repro.sqlengine.values import Null, sort_key, truth
 from repro.temporal import analysis
 from repro.temporal.errors import TemporalError
 from repro.temporal.period import Period
@@ -388,28 +388,12 @@ def execute_seqset(
         rows = table.rows
         if source.temporal:
             begin_index, end_index = source.begin_index, source.end_index
-            if db.interval_indexing_enabled:
-                index = table.interval_index(begin_index, end_index)
-                positions = index.search_positions(
-                    context.end - 1, context.begin + 1
-                )
-                obs.inc("engine.interval_index_hits")
-                pruned = len(rows) - len(positions)
-                if pruned:
-                    obs.inc("engine.interval_rows_pruned", pruned)
-            else:
-                # linear scan with the same membership rule the index
-                # documents: Date-bounded rows overlapping the context
-                # (the index is pruning-only — disabling it must never
-                # change a result)
-                positions = [
-                    position
-                    for position, row in enumerate(rows)
-                    if isinstance(row[begin_index], Date)
-                    and isinstance(row[end_index], Date)
-                    and row[begin_index].ordinal <= context.end - 1
-                    and row[end_index].ordinal >= context.begin + 1
-                ]
+            index = table.interval_index(begin_index, end_index)
+            positions = index.search_positions(context.end - 1, context.begin + 1)
+            obs.inc("engine.interval_index_hits")
+            pruned = len(rows) - len(positions)
+            if pruned:
+                obs.inc("engine.interval_rows_pruned", pruned)
         else:
             positions = range(len(rows))
         if source.kernels:

@@ -11,7 +11,6 @@ import copy
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.sqlengine import ast_nodes as ast
-from repro.sqlengine.values import Date
 
 
 def clone(node: ast.Node) -> ast.Node:
@@ -30,10 +29,6 @@ def name(qualifier: Optional[str], column: str) -> ast.Name:
 
 def lit(value) -> ast.Literal:
     return ast.Literal(value=value)
-
-
-def date_lit(ordinal: int) -> ast.Literal:
-    return ast.Literal(value=Date(ordinal))
 
 
 def call(function: str, *args: ast.Expression) -> ast.FunctionCall:

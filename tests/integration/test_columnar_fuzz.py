@@ -1,15 +1,14 @@
-"""Differential fuzz: vectorized filtering ≡ the interpreted row path.
+"""Crash recovery against columnar checkpoints, and the vectorized
+differential's test names.
 
-The column-batch kernels are a pure evaluation strategy, so disabling
-them (``db.vectorized_filtering_enabled``) must never change a result —
-raw rows, order and duplicates included.  Mirrors the interval-index
-differential: Hypothesis version histories plus the full 16-query τPSM
-suite, each under MAX, PERST and AUTO.
+A checkpoint mid-workload writes transposed ``cols`` payloads, and
+crashes at every post-checkpoint commit boundary must still recover the
+reference state.
 
-The second half fuzzes durability against the columnar snapshot/WAL
-encoding: a checkpoint mid-workload writes transposed ``cols`` payloads,
-and crashes at every post-checkpoint commit boundary must still recover
-the reference state.
+The differential compared the engine with the batch kernels switched
+off.  Its tests are now the reference differential's
+(``test_reference_differential.py``), whose reference evaluates row at a
+time by walking the AST.
 """
 
 import json
@@ -17,11 +16,7 @@ import random
 import shutil
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.sqlengine.values import Date
-from repro.taubench import ALL_QUERIES
-from repro.temporal import SlicingStrategy
 from repro.temporal.stratum import TemporalStratum
 
 from tests.integration.test_crash_recovery_fuzz import (
@@ -31,99 +26,13 @@ from tests.integration.test_crash_recovery_fuzz import (
     fingerprint,
     reference_fingerprints,
 )
-from tests.integration.test_fuzz_sequenced import (
-    CONTEXT,
-    FN_QUERY,
-    QUERIES,
-    build_stratum,
-    versions,
+from tests.integration.test_reference_differential import (  # noqa: F401
+    test_engine_takes_the_fast_paths_and_the_reference_does_not
+    as test_taubench_suite_exercises_the_kernels,
+    test_random_histories as test_random_histories_vectorized_equals_row,
+    test_random_histories_routine_path,
+    test_taupsm_max as test_taubench_vectorized_equals_row,
 )
-from tests.integration.test_interval_index_fuzz import STRATEGIES, raw
-
-BEGIN, END = "2010-02-01", "2010-03-01"
-
-
-def vectorized_vs_row(stratum, sequenced, strategy):
-    db = stratum.db
-    assert db.vectorized_filtering_enabled
-    vectorized = raw(stratum.execute(sequenced, strategy=strategy))
-    db.vectorized_filtering_enabled = False
-    try:
-        fallback = raw(stratum.execute(sequenced, strategy=strategy))
-    finally:
-        db.vectorized_filtering_enabled = True
-    return vectorized, fallback
-
-
-@settings(
-    max_examples=20,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(fact=versions, dim=versions, query_index=st.integers(0, len(QUERIES) - 1))
-def test_random_histories_vectorized_equals_row(fact, dim, query_index):
-    stratum = build_stratum(fact, dim)
-    sequenced = (
-        f"VALIDTIME [DATE '{Date(CONTEXT.begin).to_iso()}',"
-        f" DATE '{Date(CONTEXT.end).to_iso()}'] " + QUERIES[query_index]
-    )
-    for strategy in STRATEGIES:
-        vectorized, fallback = vectorized_vs_row(stratum, sequenced, strategy)
-        assert vectorized == fallback, strategy.value
-
-
-@settings(
-    max_examples=10,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(fact=versions, dim=versions)
-def test_random_histories_routine_path(fact, dim):
-    """Kernels under routine bodies (MAX per-period loop and PERST row
-    loop) agree with the interpreted path too."""
-    stratum = build_stratum(fact, dim)
-    sequenced = (
-        f"VALIDTIME [DATE '{Date(CONTEXT.begin).to_iso()}',"
-        f" DATE '{Date(CONTEXT.end).to_iso()}'] " + FN_QUERY
-    )
-    for strategy in STRATEGIES:
-        vectorized, fallback = vectorized_vs_row(stratum, sequenced, strategy)
-        assert vectorized == fallback, strategy.value
-
-
-@pytest.mark.parametrize("query", ALL_QUERIES, ids=lambda q: q.name)
-def test_taubench_vectorized_equals_row(query, small_dataset):
-    query.install(small_dataset)
-    sequenced = query.sequenced_sql(small_dataset, BEGIN, END)
-    stratum = small_dataset.stratum
-    for strategy in STRATEGIES:
-        if strategy is SlicingStrategy.PERST and not query.perst_applicable:
-            continue
-        vectorized, fallback = vectorized_vs_row(stratum, sequenced, strategy)
-        assert vectorized == fallback, f"{query.name}/{strategy.value}"
-
-
-def test_taubench_suite_exercises_the_kernels(small_dataset):
-    """Sanity for the differential above: the enabled runs actually
-    evaluate batches over the column store.  The PERST algebraic
-    fragment substitutes literal context bounds, so its overlap
-    conjuncts compile to date kernels (the MAX stab predicates are
-    cp-correlated and stay on the interpreted path)."""
-    db = small_dataset.stratum.db
-    before = db.obs.value("engine.vectorized_batches")
-    # switch the interval index off so the pruning is attributable to
-    # the kernels alone (with it on the batch sees pre-pruned positions)
-    db.interval_indexing_enabled = False
-    try:
-        small_dataset.stratum.execute(
-            f"VALIDTIME [DATE '{BEGIN}', DATE '{END}']"
-            " SELECT i.id, i.title FROM item i",
-            strategy=SlicingStrategy.PERST,
-        )
-    finally:
-        db.interval_indexing_enabled = True
-    assert db.obs.value("engine.vectorized_batches") > before
-    assert db.obs.value("engine.vectorized_rows_pruned") > 0
 
 
 # ---------------------------------------------------------------------------

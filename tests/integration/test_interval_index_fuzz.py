@@ -1,109 +1,14 @@
-"""Differential fuzz: interval-indexed slicing ≡ linear scanning.
+"""The interval-index differential's test names, kept.
 
-The interval index is pruning-only, so switching it off must never
-change a result — not just the coalesced temporal relation but the raw
-rows in their original order.  Two generators drive this: Hypothesis
-version histories (period layouts beyond the hand-written cases) and
-the full 16-query τPSM suite, each run under MAX, PERST and AUTO with
-the index enabled vs. force-disabled.
+They compared the engine with the index switched off.  They are now the
+reference differential's tests (``test_reference_differential.py``),
+whose reference scans every row of every table.
 """
 
-import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
-
-from repro.sqlengine.values import Date
-from repro.taubench import ALL_QUERIES
-from repro.temporal import SlicingStrategy
-
-from tests.integration.test_fuzz_sequenced import (
-    CONTEXT,
-    FN_QUERY,
-    QUERIES,
-    build_stratum,
-    versions,
+from tests.integration.test_reference_differential import (  # noqa: F401
+    test_engine_takes_the_fast_paths_and_the_reference_does_not
+    as test_taubench_suite_exercises_the_index,
+    test_random_histories as test_random_histories_indexed_equals_linear,
+    test_random_histories_routine_path,
+    test_taupsm_max as test_taubench_indexed_equals_linear,
 )
-
-BEGIN, END = "2010-02-01", "2010-03-01"
-
-STRATEGIES = (SlicingStrategy.MAX, SlicingStrategy.PERST, SlicingStrategy.AUTO)
-
-
-def raw(result):
-    """Rows exactly as delivered: order and duplicates preserved."""
-    if isinstance(result, list):  # CALL loops yield one result per slice
-        return [raw(r) for r in result]
-    return (list(result.columns), [list(row) for row in result.rows])
-
-
-def indexed_vs_linear(stratum, sequenced, strategy):
-    db = stratum.db
-    assert db.interval_indexing_enabled
-    indexed = raw(stratum.execute(sequenced, strategy=strategy))
-    db.interval_indexing_enabled = False
-    try:
-        linear = raw(stratum.execute(sequenced, strategy=strategy))
-    finally:
-        db.interval_indexing_enabled = True
-    return indexed, linear
-
-
-@settings(
-    max_examples=20,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(fact=versions, dim=versions, query_index=st.integers(0, len(QUERIES) - 1))
-def test_random_histories_indexed_equals_linear(fact, dim, query_index):
-    stratum = build_stratum(fact, dim)
-    sequenced = (
-        f"VALIDTIME [DATE '{Date(CONTEXT.begin).to_iso()}',"
-        f" DATE '{Date(CONTEXT.end).to_iso()}'] " + QUERIES[query_index]
-    )
-    for strategy in STRATEGIES:
-        indexed, linear = indexed_vs_linear(stratum, sequenced, strategy)
-        assert indexed == linear, strategy.value
-
-
-@settings(
-    max_examples=10,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(fact=versions, dim=versions)
-def test_random_histories_routine_path(fact, dim):
-    """The pruned path inside routine bodies (MAX per-period loop and
-    PERST row loop) agrees with linear scanning too."""
-    stratum = build_stratum(fact, dim)
-    sequenced = (
-        f"VALIDTIME [DATE '{Date(CONTEXT.begin).to_iso()}',"
-        f" DATE '{Date(CONTEXT.end).to_iso()}'] " + FN_QUERY
-    )
-    for strategy in STRATEGIES:
-        indexed, linear = indexed_vs_linear(stratum, sequenced, strategy)
-        assert indexed == linear, strategy.value
-
-
-@pytest.mark.parametrize("query", ALL_QUERIES, ids=lambda q: q.name)
-def test_taubench_indexed_equals_linear(query, small_dataset):
-    query.install(small_dataset)
-    sequenced = query.sequenced_sql(small_dataset, BEGIN, END)
-    stratum = small_dataset.stratum
-    for strategy in STRATEGIES:
-        if strategy is SlicingStrategy.PERST and not query.perst_applicable:
-            continue
-        indexed, linear = indexed_vs_linear(stratum, sequenced, strategy)
-        assert indexed == linear, f"{query.name}/{strategy.value}"
-
-
-def test_taubench_suite_exercises_the_index(small_dataset):
-    """Sanity for the differential above: the enabled runs actually go
-    through the interval index on scan-shaped sequenced statements."""
-    db = small_dataset.stratum.db
-    before = db.obs.value("engine.interval_index_hits")
-    small_dataset.stratum.execute(
-        f"VALIDTIME [DATE '{BEGIN}', DATE '{END}']"
-        " SELECT COUNT(*) AS n FROM item",
-        strategy=SlicingStrategy.MAX,
-    )
-    assert db.obs.value("engine.interval_index_hits") > before
-    assert db.obs.value("engine.interval_rows_pruned") > 0

@@ -1,13 +1,14 @@
 """The routine-result memo on the τPSM workload (DS1-SMALL × 365 d).
 
-* All sixteen queries under MAX, memo on vs ``memoize_table_functions =
-  False``: raw-identical results.
+* All sixteen queries under MAX equal the reference evaluators, which
+  run every invocation: ``test_memo_changes_no_result`` is the reference
+  differential's τPSM test (``test_reference_differential.py``).
 * Work bound, counts repeating exactly: q2 and q17b run their routine
   bodies once per *distinct read window*, counted here independently
   from the tables by replaying each routine's reads — a hash probe's
   window is the cell its candidates' bounds leave around the period
   begin, any other access path's the table's — and run + reused is the
-  invocations made.  With the switch off every invocation runs.
+  invocations made.
 * The work every query does, pinned: PSM statements, bodies run and
   invocations reused as recorded before routine bodies were compiled
   (commit 2396fbb) — compiling them must do the same work, only
@@ -23,6 +24,10 @@ from repro.temporal import SlicingStrategy
 from repro.temporal.constant_periods import compute_constant_periods
 from repro.temporal.period import Period
 
+from tests.integration.test_reference_differential import (  # noqa: F401
+    test_taupsm_max as test_memo_changes_no_result,
+)
+
 BEGIN, END = "2010-02-01", "2011-02-01"
 INF = float("inf")
 
@@ -32,42 +37,23 @@ def dataset():
     return build_dataset("DS1", "SMALL")
 
 
-def raw(result):
-    results = result if isinstance(result, list) else [result]
-    return [(list(r.columns), [list(row) for row in r.rows]) for r in results]
-
-
-def counted(dataset, name: str, memo: bool):
-    """``(bodies run, invocations reused, raw result)`` of one warm
-    execution; the counts must repeat exactly."""
+def counted(dataset, name: str):
+    """``(bodies run, invocations reused)`` of one warm execution; the
+    counts must repeat exactly."""
     stratum, db = dataset.stratum, dataset.stratum.db
     spec = get_query(name)
     spec.install(dataset)
     sql = spec.sequenced_sql(dataset, BEGIN, END)
-    db.memoize_table_functions = memo
-    try:
-        stratum.execute(sql, strategy=SlicingStrategy.MAX)  # warm
-        measured = []
-        for _ in range(2):
-            db.stats.reset()
-            result = stratum.execute(sql, strategy=SlicingStrategy.MAX)
-            measured.append((
-                db.stats.total_routine_calls,
-                sum(db.stats.routine_reuses.values()),
-                raw(result),
-            ))
-    finally:
-        db.memoize_table_functions = True
+    stratum.execute(sql, strategy=SlicingStrategy.MAX)  # warm
+    measured = []
+    for _ in range(2):
+        db.stats.reset()
+        stratum.execute(sql, strategy=SlicingStrategy.MAX)
+        measured.append((
+            db.stats.total_routine_calls, sum(db.stats.routine_reuses.values())
+        ))
     assert measured[0] == measured[1]
     return measured[0]
-
-
-@pytest.mark.parametrize("spec", ALL_QUERIES, ids=lambda spec: spec.name)
-def test_memo_changes_no_result(dataset, spec):
-    run, reused, kept = counted(dataset, spec.name, True)
-    every, none, plain = counted(dataset, spec.name, False)
-    assert kept == plain
-    assert none == 0 and run + reused <= every and run <= every
 
 
 # (stats.statements, bodies run, invocations reused, rows scanned) of one
@@ -167,8 +153,7 @@ def by_column(table, name: str) -> dict:
 
 
 def test_q2_runs_once_per_author_version_window(dataset):
-    run, reused, _ = counted(dataset, "q2", True)
-    every, _, _ = counted(dataset, "q2", False)
+    run, reused = counted(dataset, "q2")
     catalog = dataset.stratum.db.catalog
     items = by_column(catalog.get_table("item"), "id")
     links = catalog.get_table("item_author")
@@ -183,13 +168,12 @@ def test_q2_runs_once_per_author_version_window(dataset):
                     if alive(item, point):
                         invocations += 1
                         windows.add(cell(versions, point))
-    assert (run, reused, every) == (3, 262, 265)
-    assert run == len(windows) and run + reused == every == invocations
+    assert (run, reused) == (3, 262)
+    assert run == len(windows) and run + reused == invocations
 
 
 def test_q17b_runs_once_per_read_window(dataset):
-    run, reused, _ = counted(dataset, "q17b", True)
-    every, _, _ = counted(dataset, "q17b", False)
+    run, reused = counted(dataset, "q17b")
     catalog = dataset.stratum.db.catalog
     item = catalog.get_table("item")
     items = by_column(item, "id")
@@ -227,6 +211,6 @@ def test_q17b_runs_once_per_read_window(dataset):
                 inner.add(("is_small_book", iid, window))
                 cells.append(window)
         outer.add(meet(cells))
-    assert (run, reused, every) == (394, 2628, 3022)
+    assert (run, reused) == (394, 2628)
     assert run == len(outer) + len(inner)
-    assert run + reused == invocations == every
+    assert run + reused == invocations

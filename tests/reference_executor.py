@@ -9,8 +9,9 @@ reordering.  It shares nothing with ``planner.py``/``exprcompile.py``;
 what it inherits from ``Executor`` is dispatch, set operations, LIMIT,
 DDL, name/table resolution and the value-level operator helpers.
 
-A test installs it itself (``db._executor = ReferenceExecutor(db)``), so
-routine bodies and subqueries the statement reaches run through it too:
+A test installs it on a database (``db._executor = ReferenceExecutor(db)``,
+or for a block ``with installed(db):``), so routine bodies and
+subqueries the statement reaches run through it too:
 function calls and CALL go to ``tests/reference_psm.py``, the walking
 PSM interpreter, never to a compiled routine body.
 DML keeps the engine's plan: the only DML the differential reaches is
@@ -20,6 +21,7 @@ whose SELECT comes back here.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Optional
 
 from repro.sqlengine import ast_nodes as ast
@@ -49,6 +51,17 @@ from repro.sqlengine.values import (
     truth,
 )
 from tests.reference_psm import ReferenceInterpreter
+
+
+@contextmanager
+def installed(db) -> Iterator[None]:
+    """Run what the block executes on ``db`` through the reference."""
+    engine = db._executor
+    db._executor = ReferenceExecutor(db)
+    try:
+        yield
+    finally:
+        db._executor = engine
 
 
 class ReferenceExecutor(Executor):

@@ -9,7 +9,9 @@ through it the plans of embedded statements), the transaction manager,
 ``values`` and ``types`` with ``src/`` and nothing of ``routines.py`` or
 ``exprcompile.py``; installed together with
 ``tests/reference_executor.py`` (whose function calls and CALLs come
-here) a statement runs without touching a compiled body.
+here) a statement runs without touching a compiled body.  It keeps no
+routine-result memo: every invocation runs, so a result that agrees with
+it also shows that the engine's memo changed nothing.
 
 Three defects of the walker are kept on purpose — they are the licensed
 differences ``tests/sqlengine/test_psm_compiled.py`` names: a FOR
@@ -33,20 +35,9 @@ from repro.sqlengine.errors import (
     SqlError,
 )
 from repro.sqlengine.executor import Binding, Env, Executor, ResultSet
-from repro.sqlengine.storage import _INF, Column, Table
+from repro.sqlengine.storage import Column, Table
 from repro.sqlengine.types import SqlType, coerce
-from repro.sqlengine.values import Date, Null, compare, sort_key, truth
-
-
-def _narrow_caller(caller: list, lo: Any, hi: Any, point: int) -> None:
-    """Intersect the read window ``caller`` with a callee's ``[lo, hi)``
-    around ``point`` (see ``ReferenceInterpreter._reused``)."""
-    if point != caller[2]:
-        lo, hi = caller[2], caller[2] + 1
-    if lo > caller[0]:
-        caller[0] = lo
-    if hi < caller[1]:
-        caller[1] = hi
+from repro.sqlengine.values import Null, compare, truth
 
 
 class _Return(Exception):
@@ -217,15 +208,6 @@ class ReferenceInterpreter:
         routine = self.db.catalog.get_routine(name)
         if routine.kind != "FUNCTION":
             raise RoutineError(f"{name} is a procedure; use CALL")
-        if (
-            routine.window_param is None
-            or isinstance(routine.definition.returns, ast.RowArrayType)
-            or not self.db.memoize_table_functions
-        ):
-            return self._scalar_result(routine, args)
-        return self._reused(routine, args, self._scalar_result)
-
-    def _scalar_result(self, routine: Routine, args: list[Any]) -> Any:
         value = self._invoke(routine, args)
         returns = routine.definition.returns
         if isinstance(returns, ast.RowArrayType) or value is Null:
@@ -233,20 +215,12 @@ class ReferenceInterpreter:
         return coerce(value, returns)
 
     def invoke_table_function(
-        self, name: str, args: list[Any], reusable: bool = False
+        self, name: str, args: list[Any]
     ) -> tuple[list[str], list[list[Any]]]:
-        """``(columns, rows)`` of a row-array function; ``reusable`` is
-        the caller's :meth:`Catalog.write_free` verdict on it."""
+        """``(columns, rows)`` of a row-array function."""
         routine = self.db.catalog.get_routine(name)
         if not isinstance(routine.definition.returns, ast.RowArrayType):
             raise RoutineError(f"{name} does not return a row array")
-        if reusable and self.db.memoize_table_functions:
-            return self._reused(routine, args, self._table_result)
-        return self._table_result(routine, args)
-
-    def _table_result(
-        self, routine: Routine, args: list[Any]
-    ) -> tuple[list[str], list[list[Any]]]:
         value = self._invoke(routine, args)
         columns = list(routine.definition.returns.column_names)
         if value is Null or value is None:
@@ -257,62 +231,6 @@ class ReferenceInterpreter:
             f"table function {routine.name} returned {type(value).__name__},"
             " expected a row-array variable"
         )
-
-    def _reused(self, routine: Routine, args: list[Any], run) -> Any:
-        """``run(routine, args)``, or the result an earlier call in this
-        statement left in ``Database.table_function_cache`` — the
-        routine-result memo: ``(routine, arguments by sort_key) ->
-        [(lo, hi, result), ...]``.
-
-        A function without ``window_param`` is looked up under all its
-        arguments and its results hold everywhere.  One with it is
-        looked up under the *other* arguments and runs under a read
-        window ``[lo, hi)`` around its point (see the planner's
-        ``_narrow_by_*``): inside it every row the run examined keeps
-        its valid-at-point verdict, so every embedded plan sees the same
-        rows in the same order and the function returns the same
-        result.  A nested windowed call narrows its caller's window by
-        its own, run or reused alike — the caller's result rests on the
-        callee's — and one evaluated at another point leaves the caller
-        only ``[p, p + 1)``.  A call that raises keeps nothing.
-        """
-        db = self.db
-        index = routine.window_param
-        point = 0
-        if index is not None:
-            value = args[index]
-            if not isinstance(value, Date):
-                return run(routine, args)  # NULL point: nothing to slide along
-            point = value.ordinal
-        name = routine.name.lower()
-        key = (
-            name,
-            tuple(sort_key(arg) for i, arg in enumerate(args) if i != index),
-        )
-        caller = db.read_window if index is not None else None
-        entries = db.table_function_cache.setdefault(key, [])
-        for lo, hi, result in reversed(entries):
-            if lo <= point < hi:
-                stats = db.stats
-                stats.routine_reuses[name] = stats.routine_reuses.get(name, 0) + 1
-                db.obs.inc("engine.routine_memo.hits")
-                if caller is not None:
-                    _narrow_caller(caller, lo, hi, point)
-                return result
-        if index is None:
-            result = run(routine, args)
-            entries.append((-_INF, _INF, result))
-        else:
-            window = db.read_window = [-_INF, _INF, point]
-            try:
-                result = run(routine, args)
-            finally:
-                db.read_window = caller
-                if caller is not None:
-                    _narrow_caller(caller, window[0], window[1], point)
-            entries.append((window[0], window[1], result))
-        db.obs.inc("engine.routine_memo.entries")
-        return result
 
     def call_procedure(
         self, stmt: ast.CallStatement, caller_env: Optional[Env]

@@ -30,17 +30,19 @@ a one-sided bound (the probe keeps only the bucket's versions inside
 them), a begin range over a constant-period table and a stab or overlap
 without a key (interval probes), bounds inclusive and exclusive on both
 sides — over histories with NULL and forever bounds, zero-length,
-duplicate and equal-begin versions, under every combination of the
-interval-index and vectorized ablation switches.
+duplicate and equal-begin versions.  Whether a keyless level runs the
+batch kernels or the row-at-a-time filters follows from the statement:
+the shapes with a partial conjunct beside the bounds take the row path.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.sqlengine import Database
 from repro.sqlengine.errors import SqlError
-from repro.sqlengine.planner import _BEGIN_FROM
+from repro.sqlengine.parser import parse_statement
+from repro.sqlengine.planner import _BEGIN_FROM, build_select_plan
 from repro.sqlengine.values import Null
-from tests.reference_executor import ReferenceExecutor
+from tests.reference_executor import installed
 
 INTS = st.sampled_from([Null, 0, 1, 1, 2])
 CHARS = st.sampled_from([Null, "x", "x  ", "y"])
@@ -210,12 +212,14 @@ PERIOD = [
       "fact.k >= 1"], [], " ORDER BY fact.k"),
     ("SELECT fact.k, fact.end_time FROM fact",
      ["fact.begin_time >= DATE '2010-01-05'"], [], ""),
+    # a partial conjunct beside the bounds: the row-at-a-time filters
     ("SELECT fact.k FROM fact",
      ["fact.begin_time > DATE '2010-01-01'", "fact.begin_time <= DATE '2010-01-09'"],
      ["fact.k + 0 = fact.k"], ""),
+    ("SELECT fact.k, fact.end_time FROM fact",
+     ["fact.begin_time < DATE '2010-01-09'", "DATE '2010-01-05' < fact.end_time",
+      "fact.k >= 1"], ["fact.k + 0 = fact.k"], " ORDER BY fact.k"),
 ]
-# (interval_indexing_enabled, vectorized_filtering_enabled)
-SWITCHES = [(True, True), (False, True), (True, False), (False, False)]
 REORDERED = [q for q in QUERIES if "b.w = 1" in q[1] or "c.x = 1" in q[1]]
 
 
@@ -241,15 +245,13 @@ def sql_of(head, totals, partials, tail, partial_first):
 def outcome(db, sql, planned):
     """('rows', raw rows) or ('error', class), through the engine or
     with the reference executor installed for this one statement."""
-    engine = db._executor
-    if not planned:
-        db._executor = ReferenceExecutor(db)
     try:
-        return "rows", db.execute(sql).rows
+        if planned:
+            return "rows", db.execute(sql).rows
+        with installed(db):
+            return "rows", db.execute(sql).rows
     except SqlError as exc:
         return "error", type(exc)
-    finally:
-        db._executor = engine
 
 
 def check(db, query, partial_first, loose=False):
@@ -293,30 +295,21 @@ def test_the_shapes_reorder_and_demote():
     assert any(getattr(plan, "variants", None) for plan in plans)
 
 
-def check_switched(db, query):
-    """One ``PERIOD`` shape under every ablation setting."""
-    for interval, vectorized in SWITCHES:
-        db.interval_indexing_enabled = interval
-        db.vectorized_filtering_enabled = vectorized
-        try:
-            check(db, query, False)
-        finally:
-            db.interval_indexing_enabled = db.vectorized_filtering_enabled = True
-
-
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(a=rows_a, fact=rows_fact, cp=rows_cp)
 def test_period_bounds_equal_the_nested_loop(a, fact, cp):
     db = build(a, [], [], fact, cp)
-    for query in PERIOD:
-        check_switched(db, query)
+    for partial_first in (False, True):
+        for query in PERIOD:
+            check(db, query, partial_first)
 
 
 def test_the_period_shapes_take_their_paths():
     """Sanity for ``PERIOD``: on a history with NULL, forever, zero-length,
     duplicate and equal-begin versions the key probes prune versions by
     their bounds, the probes without a key use the interval index (a
-    begin range included), and no decided conjunct is left as a filter."""
+    begin range included), the shapes without a partial conjunct run the
+    batch kernels, and no decided conjunct is left as a filter."""
     days = ["2010-01-01", "2010-01-05", "2010-01-09", "2010-02-01", "9999-12-31"]
     fact = [
         (1, days[0], days[2]), (1, days[1], days[4]), (1, days[1], days[4]),
@@ -326,9 +319,10 @@ def test_the_period_shapes_take_their_paths():
     cp = [(days[0], days[1]), (days[1], days[2]), (days[2], days[3]), (Null, days[3])]
     db = build([(1, "x", 1.0, 1), (2, "y", 2.0, 2)], [], [], fact, cp)
     for query in PERIOD:
-        check_switched(db, query)
+        check(db, query, False)
     assert db.obs.value("engine.period_probe.rows_pruned") > 0
     assert db.obs.value("engine.interval_index_hits") > 0
+    assert db.obs.value("engine.vectorized_batches") > 0
     probes = [
         level for entry in db.plan_cache._entries.values()
         for level in entry[2].pipeline.levels if level.period is not None
@@ -340,9 +334,16 @@ def test_the_period_shapes_take_their_paths():
         and any(bound[0] == _BEGIN_FROM for bound in level.period.bounds)
         for level in probes
     )
-    for level in probes:
-        # one decided conjunct per bound, each out of `filters`
-        assert len(level.all_filters) - len(level.filters) == len(level.period.bounds)
+    for head, totals, partials, tail in PERIOD:
+        sql = sql_of(head, totals, partials, tail, False)
+        levels = build_select_plan(db._executor, parse_statement(sql)).pipeline.levels
+        # each total conjunct is applied once: as a hash key, as a
+        # period bound, or — only when neither decides it — as a filter
+        assert sum(
+            len(level.filters) + (level.key is not None)
+            + (0 if level.period is None else len(level.period.bounds))
+            for level in levels
+        ) == len(totals), sql
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])

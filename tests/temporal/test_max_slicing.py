@@ -132,11 +132,6 @@ class TestExecution:
                         ))
         assert run + reused == logical >= len(periods)
         assert 0 < run == len(windows) < logical
-        db.memoize_table_functions = False
-        db.stats.reset()
-        stratum.execute(SEQ_Q2, strategy=SlicingStrategy.MAX)
-        assert db.stats.routine_calls["max_get_author_name"] == logical
-        assert not db.stats.routine_reuses
 
     def test_default_context_spans_data(self, stratum):
         result = stratum.execute(
