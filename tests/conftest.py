@@ -123,11 +123,3 @@ def small_dataset():
     from repro.taubench import build_dataset
 
     return build_dataset("DS1", "SMALL")
-
-
-@pytest.fixture(scope="session")
-def small_dataset_reference() -> dict:
-    """Outcomes of statements run on ``small_dataset`` through the
-    reference evaluators, by a key the test chooses: the reference is
-    slow and the data never changes, so each is computed once."""
-    return {}

@@ -195,7 +195,7 @@ class TestNaN:
         db.execute(f"INSERT INTO f VALUES (1, {self.NAN}), (2, 1.0), (3, 5.0)")
         return db
 
-    @pytest.mark.parametrize("vectorized", [True, False])
+    @pytest.mark.parametrize("alone", [True, False])
     @pytest.mark.parametrize("predicate, ids", [
         ("x <> 5.0", [1, 2]),
         ("x = 1.0", [2]),
@@ -208,13 +208,13 @@ class TestNaN:
         ("x IN (1.0, 5.0)", [2, 3]),
         (f"x IN ({NAN})", [1]),
     ])
-    def test_every_path_agrees(self, fdb, vectorized, predicate, ids):
-        """``vectorized`` picks the shape: the predicate alone may take a
-        hash probe or the batch kernels, a partial conjunct beside it
-        forces the row-at-a-time filters.  The NaN degrades ``x``'s float
-        vector, so on this table the kernels decline every shape."""
+    def test_every_path_agrees(self, fdb, alone, predicate, ids):
+        """The predicate ``alone`` may take a hash probe; a partial
+        conjunct beside it forces the row-at-a-time filters.  The NaN
+        degrades ``x``'s float vector, so on this table the batch kernels
+        decline both shapes."""
         sql = f"SELECT id FROM f WHERE {predicate}"
-        if not vectorized:
+        if not alone:
             sql += " AND id + 0 = id"
         before = fdb.obs.value("engine.vectorized_batches")
         assert fdb.query(sql).rows == [[i] for i in ids]

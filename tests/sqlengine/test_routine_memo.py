@@ -1,13 +1,17 @@
 """Differential: the routine-result memo ≡ running every routine call.
 
-Two strata are built from the same history; one runs on the reference
-evaluators (``tests/reference_executor.py`` + ``tests/reference_psm.py``),
-which keep no result and open no read window — every invocation runs its
-body.  Under MAX, through a sequenced SELECT and a sequenced CALL, both
-must return the same rows in the same order, or raise the same error
-class — except where the reference's nested loop raised on a
-combination that fails a total conjunct, which the engine never
-evaluates (the join pipeline's one licence, ``test_join_pipeline.py``).
+Two strata are built from the same history; one runs with the memo
+bypassed (``every_invocation_runs``), so no result is kept and no read
+window is opened — every invocation runs its body.  Under MAX, through a
+sequenced SELECT and a sequenced CALL, both must return the same rows in
+the same order, or raise the same error class.  On the hand-built
+histories a third stratum runs on the reference evaluators
+(``tests/reference_executor.py`` + ``tests/reference_psm.py``), which
+keep no memo either, and must agree just as strictly.  Random histories
+carry NULL bounds, on which the reference's nested loop may raise for a
+combination the engine rejects first (the join pipeline's licence,
+checked in ``test_join_pipeline.py``), so they are compared with the
+engine alone.
 
 The routines cover each way a window is narrowed or a result reused: a
 keyed probe (narrowed by the candidates' bounds), a full scan and an
@@ -30,10 +34,13 @@ stab keeps, instead of its whole bucket, fails
 ``test_a_rejected_version_narrows_the_window``.
 """
 
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.sqlengine.errors import SqlError
+from repro.sqlengine.routines import RoutineInterpreter
 from repro.sqlengine.values import Date, Null
 from repro.temporal import SlicingStrategy, TemporalStratum
 from tests.reference_executor import ReferenceExecutor
@@ -214,17 +221,34 @@ def outcome(stratum: TemporalStratum, sql: str):
     return "rows", [(list(r.columns), [list(row) for row in r.rows]) for r in results]
 
 
-def check(history) -> TemporalStratum:
-    kept, plain = build(history), build(history, reference=True)
+@contextmanager
+def every_invocation_runs():
+    """The engine with the routine-result memo bypassed."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            RoutineInterpreter, "_reused",
+            lambda self, routine, args, run: run(routine, args),
+        )
+        yield
+
+
+def check(history, reference: bool = False) -> TemporalStratum:
+    """The memo ≡ every invocation run; with ``reference``, ≡ the
+    reference evaluators too."""
+    kept, plain = build(history), build(history)
+    walker = build(history, reference=True) if reference else None
     for sql in STATEMENTS:
-        engine, reference = outcome(kept, sql), outcome(plain, sql)
-        assert engine == reference or (engine[0], reference[0]) == ("rows", "error"), sql
+        engine = outcome(kept, sql)
+        with every_invocation_runs():
+            assert outcome(plain, sql) == engine, sql
+        if walker is not None:
+            assert outcome(walker, sql) == engine, sql
     assert not plain.db.stats.routine_reuses
     return kept
 
 
 def test_fixed_history():
-    kept = check(HISTORY)
+    kept = check(HISTORY, reference=True)
     reuses = kept.db.stats.routine_reuses
     # not vacuous: every windowed shape was served from the memo
     for name in ("max_sal_of", "max_top_sal", "max_richer", "max_twice",
