@@ -121,13 +121,17 @@ def describe_plan(plan: Any, depth: int = 0, since: Optional[dict] = None) -> li
 def _describe_pipeline(plan: Any, depth: int, since: Optional[dict]) -> list[str]:
     """The FROM/WHERE half of a SELECT, UPDATE or DELETE plan: one line
     per join level, then the residual count."""
+    from repro.sqlengine import planner
+
     pad = "  " * depth
     lines = []
     if plan.single_scan:
         lines.append(pad + "  filter: vectorized selection (evaluated in scan)")
     pipeline = plan.pipeline
     if pipeline.reordered:
-        order = ", ".join(level.node.key for level in pipeline.levels)
+        order = ", ".join(
+            leaf.key for level in pipeline.levels for leaf in planner._leaves(level.node)
+        )
         lines.append(pad + f"  join order: {order} (emitted in FROM order)")
     for level in pipeline.levels:
         # the residual runs on the combinations the last level completes
@@ -148,7 +152,9 @@ def _describe_level(
 
     node = level.node
     if not isinstance(node, planner._Scan):
-        return _describe_source(node, depth)
+        lines = _describe_source(node, depth)
+        lines[0] += _rows_measured(level, since)
+        return lines
     alias = f" AS {node.alias}" if node.key != node.name.lower() else ""
     kind, key_sql = level.access
     line = f"{kind} {node.name}{alias}"
@@ -166,10 +172,16 @@ def _describe_level(
         line += " (row-at-a-time filter)"
     if level.filters:
         line += f" filters: {len(level.filters)}"
-    if since is not None:
-        rows_in, rows_out = since.get(level, (0, 0))
-        line += f" [rows in: {level.rows_in - rows_in}, out: {level.rows_out - rows_out}]"
-    return ["  " * depth + line]
+    return ["  " * depth + line + _rows_measured(level, since)]
+
+
+def _rows_measured(level: Any, since: Optional[dict]) -> str:
+    """`` [rows in: n, out: m]`` since the ``since`` snapshot (EXPLAIN
+    ANALYZE), else nothing."""
+    if since is None:
+        return ""
+    rows_in, rows_out = since.get(level, (0, 0))
+    return f" [rows in: {level.rows_in - rows_in}, out: {level.rows_out - rows_out}]"
 
 
 def _period_terms(period: Any) -> str:

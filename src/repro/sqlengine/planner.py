@@ -36,17 +36,18 @@ ordinals, NULL bounds excluded, table order kept); without one a begin
 range or a stab / overlap is an interval-index search.  Decided
 conjuncts are no level filter.
 
-*Join order and emission order.*  When every source is a base-table scan
-the next level is the first source (in FROM order) with a total equality
-key bound by what is already placed — outer names and literals count as
-bound — else the next source in FROM order.  When that order differs
-from FROM order the matched combinations are sorted back into the
+*Join order and emission order.*  The leading run of base-table scans in
+FROM is ordered: the next level is the first of them (in FROM order)
+with a total equality key bound by what is already placed — outer names
+and literals count as bound — else the next in FROM order.  The rest —
+views, derived tables, table functions, explicit joins (opaque levels)
+and any scan after the first of them — follows in FROM order.  When the
+prefix runs out of FROM order its combinations are sorted back into the
 FROM-order nested loop's emission order (lexicographic by per-source
-table position, via ``Table.row_positions``) *before* the residual,
-projection, ORDER BY tie-breaking and DISTINCT see them, so results are
-row-identical to the FROM-order loop.  Views, derived tables, table
-functions and explicit joins are opaque levels; a FROM holding one keeps
-FROM order.
+table position, via ``Table.row_positions``), then the rest is joined
+under each in turn: every opaque level is invoked as under that loop —
+same combinations, order and count — and the residual, projection,
+ORDER BY tie-breaking and DISTINCT see that loop's rows.
 
 *UPDATE and DELETE* are the same pipeline over one source: the target
 under its alias with the statement's conjuncts (``MatchPlan``), which
@@ -677,25 +678,25 @@ class _Level:
 
 class _Pipeline:
     """Levels in join order plus the leaf residual, for one set of
-    conjuncts demoted at run time (none, in the plan's default)."""
+    conjuncts demoted at run time (none, in the plan's default); the
+    first ``split`` levels are the FROM's leading scans."""
 
-    __slots__ = ("levels", "reordered", "residual")
+    __slots__ = ("levels", "split", "reordered", "residual")
 
-    def __init__(self, levels: list, reordered: bool, residual: list) -> None:
+    def __init__(self, levels: list, split: int, residual: list) -> None:
         self.levels = levels
-        self.reordered = reordered
+        self.split = split
+        self.reordered = any(level.pos != pos for pos, level in enumerate(levels))
         self.residual = residual
 
 
-def _join_order(sources: list, keys: list) -> list:
-    """Greedy join order over FROM positions; ``keys`` lists
-    ``(own position, other position | None)`` per usable equality."""
-    identity = list(range(len(sources)))
-    if not all(isinstance(node, _Scan) for node in sources):
-        return identity
+def _join_order(prefix: int, count: int, keys: list) -> list:
+    """Join order over ``count`` FROM positions: the leading ``prefix``
+    scans greedily by ``keys`` — ``(own position, other position |
+    None)`` per usable equality — then the rest in FROM order."""
     order: list = []
-    while len(order) < len(sources):
-        waiting = [p for p in identity if p not in order]
+    while len(order) < prefix:
+        waiting = [p for p in range(prefix) if p not in order]
         order.append(next(
             (
                 p for p in waiting
@@ -706,7 +707,7 @@ def _join_order(sources: list, keys: list) -> list:
             ),
             waiting[0],
         ))
-    return order
+    return order + list(range(prefix, count))
 
 
 # the bounds a period probe takes, by (bounded column, operator): the
@@ -762,7 +763,11 @@ def _build_pipeline(sources: list, conjuncts: list, demoted: frozenset) -> _Pipe
         for i, c in enumerate(conjuncts) if total[i] and c.op == "="
         for own, other, _, _ in c.sides() if own[0] != outer and own[0] != other[0]
     ]
-    order = _join_order(sources, keys)
+    split = next(
+        (pos for pos, node in enumerate(sources) if not isinstance(node, _Scan)),
+        outer,
+    )
+    order = _join_order(split, outer, keys)
     depth_of = {pos: depth for depth, pos in enumerate(order)}
     depth_of[outer] = -1
     levels = [_Level(sources[pos], pos) for pos in order]
@@ -792,7 +797,7 @@ def _build_pipeline(sources: list, conjuncts: list, demoted: frozenset) -> _Pipe
             level = levels[max(depth_of[c.left[0]], depth_of[c.right[0]])]
             level.filters.append(_typed_filter(c.value_class, c.op, c.left, c.right))
     residual = [c.closure for i, c in enumerate(conjuncts) if not total[i]]
-    return _Pipeline(levels, order != sorted(order), residual)
+    return _Pipeline(levels, split, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -1126,25 +1131,34 @@ class _FromWhere:
         residual = pipeline.residual
         vector: list = [None] * len(self.sources) + [slots]
         tables: list = [None] * len(self.sources)
-        matches = self._join(executor, env, pipeline.levels, 0, vector, tables)
+        levels = pipeline.levels
         if not pipeline.reordered:
-            for settled in matches:
+            for settled in self._join(executor, env, levels, 0, vector, tables):
                 if settled or _all_true(residual, env):
                     yield env
             return
+        # the scan prefix's combinations in FROM order, then the rest under each
         executor.db.obs.inc("engine.join.reordered")
-        combos = [tuple(vector[:-1]) for _ in matches]
+        split = pipeline.split
+        prefix = self._join(executor, env, levels[:split], 0, vector, tables)
+        combos = [tuple(vector[:split]) for _ in prefix]
         if len(combos) > 1:
-            positions = [table.row_positions() for table in tables]
+            positions = [table.row_positions() for table in tables[:split]]
             combos.sort(key=lambda combo: [
                 index[id(row)] for index, row in zip(positions, combo)
             ])
         bindings = env.bindings
+        scans, rest = self.sources[:split], levels[split:]
+        matches: Any = (False,)  # an all-scan FROM: the combination itself
         for combo in combos:
-            for node, row in zip(self.sources, combo):
+            for node, row in zip(scans, combo):
                 bindings[node.key] = Binding(node.colmap, row)
-            if _all_true(residual, env):
-                yield env
+            if rest:
+                vector[:split] = combo
+                matches = self._join(executor, env, rest, 0, vector, tables)
+            for _ in matches:
+                if _all_true(residual, env):
+                    yield env
         bindings.clear()
 
     def _join(
@@ -1160,8 +1174,12 @@ class _FromWhere:
         level = levels[depth]
         node = level.node
         if not isinstance(node, _Scan):
+            bound = 0
             for _ in node.bind(executor, env):
+                bound += 1
                 yield from self._join(executor, env, levels, depth + 1, vector, tables)
+            level.rows_in += bound
+            level.rows_out += bound
             return
         table = tables[level.pos] = node._table(executor, env)
         rows, settled = level.candidates(executor, table, vector, env)

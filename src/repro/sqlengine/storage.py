@@ -683,9 +683,10 @@ class Table:
         return index
 
     def row_positions(self) -> dict:
-        """``id(row)`` → position in :attr:`rows`.  A join that ran in
-        another order than FROM order sorts its matches back into the
-        nested loop's emission order with it, and logged in-place
+        """``id(row)`` → position in :attr:`rows`.  A join whose scan
+        prefix ran in another order than FROM order sorts the prefix's
+        matches back into the nested loop's emission order with it
+        (before any later FROM item is joined), and logged in-place
         writes address their row with it."""
         positions = self._current(_POSITIONS)
         if positions is None:

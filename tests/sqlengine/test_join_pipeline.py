@@ -24,6 +24,14 @@ table variables, raising conjuncts before and after total ones — plus a
 rolled-back insert (row-position map evicted with the version) and a
 second MVCC session (read views).
 
+``SUFFIX`` holds opaque levels after a reordered scan pair: table
+functions (one lateral to the other), a derived table, a scan after a
+table function, a raising conjunct on a function's column, an explicit
+JOIN, and an opaque first level.  The pipeline orders only the leading scans and
+joins the rest under each of their combinations in FROM order; a
+``MODIFIES SQL DATA`` table function's log shows it is called exactly
+as the FROM-order loop calls it.
+
 ``PERIOD`` holds the shapes whose period conjuncts the access path
 decides instead of a level filter: a hash key plus a stab, an overlap or
 a one-sided bound (the probe keeps only the bucket's versions inside
@@ -35,6 +43,7 @@ batch kernels or the row-at-a-time filters follows from the statement:
 the shapes with a partial conjunct beside the bounds take the row path.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.sqlengine import Database
@@ -91,6 +100,24 @@ SCHEMA = [
          DECLARE buf ROW(k INTEGER, w INTEGER) ARRAY;
          INSERT INTO TABLE buf (SELECT k, w FROM b);
          RETURN (SELECT COUNT(*) FROM a, buf WHERE a.k = buf.k AND buf.w = kk);
+       END""",
+    # table functions after the scan prefix: one that reads, one that
+    # logs each argument it is called with
+    """CREATE FUNCTION from_c (kk INTEGER) RETURNS ROW(k INTEGER, x INTEGER) ARRAY
+       READS SQL DATA LANGUAGE SQL
+       BEGIN
+         DECLARE buf ROW(k INTEGER, x INTEGER) ARRAY;
+         INSERT INTO TABLE buf (SELECT k, x FROM c WHERE k >= kk);
+         RETURN buf;
+       END""",
+    "CREATE TABLE log (n INTEGER)",
+    """CREATE FUNCTION logged (kk INTEGER) RETURNS ROW(x INTEGER) ARRAY
+       MODIFIES SQL DATA LANGUAGE SQL
+       BEGIN
+         DECLARE buf ROW(x INTEGER) ARRAY;
+         INSERT INTO log VALUES (kk);
+         INSERT INTO TABLE buf (SELECT x FROM c WHERE k = kk);
+         RETURN buf;
        END""",
 ]
 
@@ -220,7 +247,36 @@ PERIOD = [
      ["fact.begin_time < DATE '2010-01-09'", "DATE '2010-01-05' < fact.end_time",
       "fact.k >= 1"], ["fact.k + 0 = fact.k"], " ORDER BY fact.k"),
 ]
-REORDERED = [q for q in QUERIES if "b.w = 1" in q[1] or "c.x = 1" in q[1]]
+PAIR = ["a.k = b.k", "b.w = 1"]  # a scan pair that runs b, a
+# opaque levels after the scan prefix, joined in FROM order under each
+# of its combinations, sorted back into FROM order first
+SUFFIX = [
+    # a table function reading the second scan
+    ("SELECT a.v, b.w, t.x FROM a, b, TABLE(from_c(b.k)) AS t", PAIR, [], ""),
+    # two table functions, the second lateral to the first
+    ("SELECT a.v, t.x, u.x FROM a, b, TABLE(from_c(b.k)) AS t,"
+     " TABLE(from_c(t.x)) AS u", PAIR, ["u.k >= a.v"], " ORDER BY t.x"),
+    # a derived table
+    ("SELECT a.v, b.w, d.x FROM a, b, (SELECT k, x FROM c WHERE x >= 1) AS d",
+     PAIR, ["d.k = a.v"], ""),
+    # a scan after a table function keeps FROM order (and its key)
+    ("SELECT a.v, t.x, c.x FROM a, b, TABLE(from_c(b.k)) AS t, c",
+     PAIR + ["c.k = a.v"], [], ""),
+    # a partial conjunct on the function's column that raises
+    ("SELECT a.v, t.x FROM a, b, TABLE(from_c(b.k)) AS t", PAIR, ["10 / t.x > 1"], ""),
+    # an explicit JOIN
+    ("SELECT a.v, c.x, d.k FROM a, b, c JOIN c AS d ON c.x = d.k", PAIR,
+     ["c.k = b.w"], ""),
+    # an opaque first level: an empty prefix, FROM order throughout
+    ("SELECT t.x, a.v, b.w FROM TABLE(from_c(1)) AS t, a, b", PAIR, [], ""),
+]
+# EXPLAIN's join order per SUFFIX shape (None: FROM order, no line)
+SUFFIX_ORDERS = [
+    "b, a, t", "b, a, t, u", "b, a, d", "b, a, t, c", "b, a, t", "b, a, c, d", None,
+]
+REORDERED = [
+    q for q in QUERIES if "b.w = 1" in q[1] or "c.x = 1" in q[1]
+] + SUFFIX[:1]
 
 
 def build(a, b, c, fact, cp) -> Database:
@@ -275,7 +331,7 @@ def check(db, query, partial_first, loose=False):
 def test_pipeline_equals_from_order_nested_loop(a, b, c, fact, cp):
     db = build(a, b, c, fact, cp)
     for partial_first in (False, True):
-        for query in QUERIES:
+        for query in QUERIES + SUFFIX:
             check(db, query, partial_first)
         for query in LOOSE:
             check(db, query, partial_first, loose=True)
@@ -283,16 +339,61 @@ def test_pipeline_equals_from_order_nested_loop(a, b, c, fact, cp):
 
 def test_the_shapes_reorder_and_demote():
     """Sanity for the differential above: its queries do run reordered,
-    reject rows at a level, and demote a conjunct at run time."""
+    reject rows at a level, and demote a conjunct at run time; the
+    ``SUFFIX`` shapes order only their leading scans."""
     row = (1, "x", 1.0, 1)
     db = build([row, row], [row, (1, "y", 1.0, 1)], [(1, 1)], [], [])
-    for query in QUERIES + LOOSE:
+    for query in QUERIES + SUFFIX + LOOSE:
         outcome(db, sql_of(*query, False), planned=True)
     assert db.obs.value("engine.join.reordered") >= len(REORDERED)
     assert db.obs.value("engine.join.level_rejects") > 0
     # `a.s < kk` with an INTEGER kk ran as a partial conjunct
     plans = [entry[2] for entry in db.plan_cache._entries.values()]
     assert any(getattr(plan, "variants", None) for plan in plans)
+    for query, order in zip(SUFFIX, SUFFIX_ORDERS):
+        text = db.execute("EXPLAIN " + sql_of(*query, False)).text()
+        if order is None:
+            assert "join order" not in text, text
+        else:
+            assert f"join order: {order} (emitted in FROM order)" in text, text
+    # the scan after the table function is probed by the prefix's key
+    assert "HashProbe c on c.k = a.v" in db.execute(
+        "EXPLAIN " + sql_of(*SUFFIX[3], False)
+    ).text()
+
+
+# the prefix's combinations as a FROM-order derived table: the reference
+# runs it as a nested loop, so it calls ``logged`` once per combination
+# that passes the prefix's conjuncts, in FROM order — what the reordered
+# pipeline must call it with
+LOGGED = (
+    "SELECT a.v, b.w, g.x FROM a, b, TABLE(logged(b.k)) AS g"
+    " WHERE a.k = b.k AND b.w = 1"
+)
+LOGGED_REFERENCE = (
+    "SELECT p.v, p.w, g.x FROM (SELECT a.v AS v, b.w AS w, b.k AS k FROM a, b"
+    " WHERE a.k = b.k AND b.w = 1) AS p, TABLE(logged(p.k)) AS g"
+)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(a=rows_a, b=rows_b, c=rows_c)
+def test_a_writing_table_function_sees_the_from_order_calls(a, b, c):
+    """A ``MODIFIES SQL DATA`` table function after a reordered scan pair
+    is called with the same arguments, in the same order and as many
+    times as the FROM-order nested loop calls it: its log equals the
+    reference's, and so do the rows."""
+    db = build(a, b, c, [], [])
+
+    def run(sql, planned):
+        db.execute("DELETE FROM log")
+        result = outcome(db, sql, planned)
+        return result, [row[0] for row in db.execute("SELECT n FROM log").rows]
+
+    planned = run(LOGGED, planned=True)
+    assert db.obs.value("engine.join.reordered") > 0
+    assert planned == run(LOGGED_REFERENCE, planned=False)
+    assert planned[0] == outcome(db, LOGGED, planned=False)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -390,8 +491,10 @@ class TestWorkBound:
     """q8 on DS1-SMALL × 365 d: the join inside ``max_short_book_title``
     starts from the probed author's links, the stab conjuncts reject
     dead author versions before the routine-bearing conjunct runs, and
-    the body runs once per read window.  The counts repeat exactly, so
-    neither the nested loop nor one run per slice can come back
+    the body runs once per read window.  PERST q2 / q2b / q3 on the same
+    data start from the probed link's versions although a table function
+    follows the scans.  The counts repeat exactly, so neither the nested
+    loop, one run per slice nor a pass over ``item`` can come back
     unnoticed."""
 
     def test_q8_routine_calls_and_rows_scanned(self):
@@ -485,3 +588,68 @@ class TestWorkBound:
         outer = len(versions) * (1 + len(periods))
         assert scanned <= calls * per_call + outer
         assert scanned < calls * len(item.rows)
+
+    # PERST query → (link table, its probed column, the dataset's probe
+    # attribute, the function body's table and key, SELECTs in the body)
+    PERST_LINKS = {
+        "q2": ("item_author", "author_id", "cold_author_id", "author", "author_id", 1),
+        "q2b": ("item_author", "author_id", "cold_author_id", "author", "author_id", 2),
+        "q3": ("item_publisher", "item_id", "probe_item_id", "publisher",
+               "publisher_id", 1),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PERST_LINKS))
+    def test_perst_joins_start_from_the_probed_link(self, name):
+        """PERST appends the routine's table function after ``item`` and
+        the link table; the two scans still run link first, keyed by the
+        literal, then ``item`` by id — never a pass over ``item``."""
+        from repro.taubench import build_dataset, get_query
+        from repro.temporal import SlicingStrategy
+        from repro.sqlengine.values import Date
+
+        dataset = build_dataset("DS1", "SMALL")
+        stratum, db = dataset.stratum, dataset.stratum.db
+        spec = get_query(name)
+        spec.install(dataset)
+        begin, end = "2010-02-01", "2011-02-01"
+        sql = spec.sequenced_sql(dataset, begin, end)
+        stratum.execute(sql, strategy=SlicingStrategy.PERST)  # warm
+
+        def measured():
+            stats = db.stats
+            before = (sum(stats.routine_calls.values()), stats.rows_scanned)
+            stratum.execute(sql, strategy=SlicingStrategy.PERST)
+            return sum(stats.routine_calls.values()) - before[0], stats.rows_scanned - before[1]
+
+        calls, scanned = measured()
+        assert measured() == (calls, scanned)  # the counts repeat exactly
+
+        link_name, column, probe, body_name, body_key, selects = self.PERST_LINKS[name]
+        links, item, body = (
+            db.catalog.get_table(t) for t in (link_name, "item", body_name)
+        )
+
+        def versions(table, column, value):
+            index = table.column_index(column)
+            return [r for r in table.rows if r[index] == value]
+
+        link_rows = versions(links, column, getattr(dataset, probe))
+        item_versions = sum(
+            len(versions(item, "id", r[links.column_index("item_id")]))
+            for r in link_rows
+        )
+        argument = links.column_index(body_key)
+        body_versions = sum(
+            len(versions(body, body_key, value))
+            for value in {r[argument] for r in link_rows}
+        )
+        assert scanned <= len(link_rows) + item_versions + calls * selects * body_versions
+        lo, hi = Date.from_iso(begin).ordinal, Date.from_iso(end).ordinal
+        overlapping = sum(
+            1 for r in item.rows if r[-2].ordinal < hi and lo < r[-1].ordinal
+        )
+        assert scanned < overlapping
+        link_alias = "ia" if link_name == "item_author" else "ip"
+        text = stratum.execute("EXPLAIN " + sql, strategy=SlicingStrategy.PERST).text()
+        assert f"join order: {link_alias}, i, taupsm_f (emitted in FROM order)" in text
+        assert f"HashProbe item AS i on i.id = {link_alias}.item_id" in text
