@@ -325,12 +325,16 @@ def explain_statement(
     """EXPLAIN for a Temporal SQL/PSM statement through the stratum."""
     prepared = stratum.prepare(stmt, strategy)
     render = _render_unsliced if prepared.context is None else _render_sequenced
-    lines = [f"statement: {stmt.to_sql()}"] + render(stratum, prepared)
+    sql = stmt.to_sql()
+    lines = [f"statement: {sql}"] + render(stratum, prepared)
     if not analyze:
         return ExplainResult(lines)
-    result, report = _run_analyzed(
-        stratum.db, lambda: stratum.execute_ast(stmt, strategy)
-    )
+    # executed by its text, as a client submits it: the statement cache
+    # serves a text executed before (under this strategy)
+    hits = stratum.db.obs.value("stratum.statement_cache.hits")
+    result, report = _run_analyzed(stratum.db, lambda: stratum.execute(sql, strategy))
+    served = stratum.db.obs.value("stratum.statement_cache.hits") != hits
+    report.insert(2, f"  statement cache: {'hit' if served else 'miss'}")
     lines.extend(report)
     return ExplainResult(lines, result=result)
 

@@ -12,7 +12,6 @@ from typing import Any, Optional
 
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.errors import ReadOnlyError
-from repro.sqlengine.parser import parse_statement
 from repro.temporal.stratum import SlicingStrategy, parse_set_strategy
 
 _UNSET = object()
@@ -91,7 +90,7 @@ class ServerSession:
         db.activate_txn(self.txn)
         mvcc = db.mvcc
         txn = self.txn
-        statement = parse_statement(sql)
+        statement = self.stratum.parse(sql, self.strategy)
         if mvcc.read_only and txn is not db.root_txn:
             _assert_read_allowed(statement)
         pinned = txn.snapshot is None

@@ -106,7 +106,8 @@ class PlanCache:
     An entry holds a strong reference to the statement node, so a
     recycled ``id()`` can never alias a different statement, and records
     the catalog schema version the plan was bound against — any DDL
-    (non-temporary tables, views, routines) invalidates on fetch.
+    (non-temporary tables, views, routines) invalidates on fetch.  At
+    capacity, storing evicts the least recently fetched or stored plan.
     """
 
     __slots__ = ("_entries",)
@@ -117,18 +118,16 @@ class PlanCache:
         self._entries: dict[int, tuple] = {}
 
     def fetch(self, stmt: ast.Statement, schema_version: int) -> tuple[bool, Any]:
-        entry = self._entries.get(id(stmt))
-        if entry is None:
+        entry = self._entries.pop(id(stmt), None)
+        if entry is None or entry[0] is not stmt or entry[1] != schema_version:
             return False, None
-        node, version, plan = entry
-        if node is not stmt or version != schema_version:
-            del self._entries[id(stmt)]
-            return False, None
-        return True, plan
+        # LRU refresh: re-insert at the end of the (insertion-ordered) dict
+        self._entries[id(stmt)] = entry
+        return True, entry[2]
 
     def store(self, stmt: ast.Statement, schema_version: int, plan: Any) -> None:
-        if len(self._entries) >= self.CAPACITY:
-            self._entries.clear()
+        if len(self._entries) >= self.CAPACITY and id(stmt) not in self._entries:
+            del self._entries[next(iter(self._entries))]  # least recently used
         self._entries[id(stmt)] = (stmt, schema_version, plan)
 
     def drop(self, stmt: ast.Statement) -> None:

@@ -219,6 +219,24 @@ class PreparedStatement:
     choice: Optional[StrategyChoice] = None
     strategy: Optional[SlicingStrategy] = None
     fallback: Optional[str] = None
+    # registry versions, clock and ``now`` when preparing read no data: the
+    # statement cache reuses the record while they hold (None: never)
+    stamp: Optional[tuple] = None
+
+
+def _reusable(prepared: PreparedStatement, strategy: SlicingStrategy) -> bool:
+    """Whether ``prepared`` decided nothing from the data: not under a
+    context without two literal bounds (the data span, or an expression),
+    nor by the cost model or an AUTO rule that compares row totals with
+    thresholds (rules s and a read only the catalog)."""
+    modifier = getattr(prepared.statement, "modifier", None)
+    literal = prepared.context is None or (
+        isinstance(modifier.begin, ast.Literal) and isinstance(modifier.end, ast.Literal)
+    )
+    return literal and (
+        strategy not in (SlicingStrategy.AUTO, SlicingStrategy.COST)
+        or prepared.choice is None or prepared.choice.rule in ("s", "a")
+    )
 
 
 class _WithClones:
@@ -270,8 +288,10 @@ class TemporalStratum:
         # version at store, Candidate).  An entry is served only while
         # the catalog schema version still matches, so DDL and routine
         # redefinition can never expose a stale transformation or
-        # verdict; registry versions are part of the key.
+        # verdict; registry versions are part of the key.  Statement-cache
+        # entries, ("statement", strategy, text) → PreparedStatement, too.
         self._transform_cache: dict = {}
+        self._served: tuple = (None, None)  # :meth:`parse`'s last
         self.last_strategy: Optional[SlicingStrategy] = None
         # the CostEstimate behind the most recent COST-mode decision
         self.last_estimate = None
@@ -409,6 +429,8 @@ class TemporalStratum:
             except TemporalError as exc:
                 found = Candidate(reason=str(exc), error=type(exc))
             self._transform_store(key, found)
+        else:
+            self.db.stats.transform_cache_hits += 1
         return found
 
     def _build_candidate(
@@ -472,19 +494,14 @@ class TemporalStratum:
         found.statement = result.statement
         found.clones = found.clones + _as_clones(result.routines)
 
-    def _transform_fetch(self, key: tuple) -> Optional[Candidate]:
-        entry = self._transform_cache.get(key)
-        if entry is None:
-            return None
-        version, payload = entry
-        if version != self.db.catalog.schema_version:
-            del self._transform_cache[key]
+    def _transform_fetch(self, key: tuple) -> Any:
+        entry = self._transform_cache.pop(key, None)
+        if entry is None or entry[0] != self.db.catalog.schema_version:
             return None
         # LRU refresh: re-insert at the end of the (insertion-ordered)
-        # dict so hot transformations survive capacity pressure
-        self._transform_cache[key] = self._transform_cache.pop(key)
-        self.db.stats.transform_cache_hits += 1
-        return payload
+        # dict so hot entries survive capacity pressure
+        self._transform_cache[key] = entry
+        return entry[1]
 
     def _evict_stale_transforms(self) -> None:
         current = self.db.catalog.schema_version
@@ -495,8 +512,8 @@ class TemporalStratum:
         for key in stale:
             del self._transform_cache[key]
 
-    def _transform_store(self, key: tuple, payload: Candidate) -> None:
-        """Record a candidate against the *current* schema version."""
+    def _transform_store(self, key: tuple, payload: Any) -> None:
+        """Record an entry against the *current* schema version."""
         cache = self._transform_cache
         if key not in cache and len(cache) >= self.TRANSFORM_CACHE_CAPACITY:
             # evict the least recently used entry (dict order: oldest
@@ -530,9 +547,9 @@ class TemporalStratum:
                     continue
             catalog.add_routine(routine, replace=True)
         if catalog.schema_version != decided_at:
-            text = statement_key(stmt)  # key[2], see :meth:`candidate`
+            text = statement_key(stmt)  # candidates' key[2]; statement entries hold stmt
             for key, (version, payload) in list(self._transform_cache.items()):
-                if version == decided_at and key[2] == text:
+                if version == decided_at and (key[2] == text or payload.statement is stmt):
                     self._transform_store(key, payload)
 
     # ------------------------------------------------------------------
@@ -545,7 +562,26 @@ class TemporalStratum:
         strategy: SlicingStrategy = SlicingStrategy.AUTO,
     ) -> Any:
         """Parse and execute one Temporal SQL/PSM statement."""
-        return self.execute_ast(parse_statement(sql), strategy)
+        return self.execute_ast(self.parse(sql, strategy), strategy)
+
+    def parse(
+        self, sql: str, strategy: SlicingStrategy = SlicingStrategy.AUTO
+    ) -> ast.Statement:
+        """``sql`` parsed: the statement cache's own AST — shared, never to
+        be mutated — while it holds the text under ``strategy``;
+        :meth:`execute_ast` then reuses what was prepared for it, while
+        that still holds (DESIGN.md §3.11)."""
+        key = ("statement", strategy, sql)
+        # a stale entry still serves its AST: parsing reads no catalog
+        entry = self._transform_cache.get(key)
+        if entry is None:
+            self.db.obs.inc("stratum.statement_cache.misses")
+            stmt = parse_statement(sql)
+        else:
+            self.db.obs.inc("stratum.statement_cache.hits")
+            stmt = entry[1].statement
+        self._served = (key, stmt)
+        return stmt
 
     def execute_script(
         self, sql: str, strategy: SlicingStrategy = SlicingStrategy.AUTO
@@ -613,7 +649,7 @@ class TemporalStratum:
             return self.register_routine_ast(stmt)
         if isinstance(stmt, ast.CreateView) and stmt.select.modifier is not None:
             return self._create_sequenced_view(stmt)
-        prepared = self.prepare(stmt, strategy)
+        prepared = self._prepare_served(stmt, strategy)
         if prepared.choice is not None and strategy in (
             SlicingStrategy.AUTO, SlicingStrategy.COST
         ):
@@ -699,6 +735,7 @@ class TemporalStratum:
             self._nonseq_only_routines.add(stmt.name.lower())
         else:
             self.db.catalog.add_routine(Routine(kind=kind, definition=stmt))
+            self._nonseq_only_routines.discard(stmt.name.lower())
         # durable form: the *original* (pre-rewrite) definition, so
         # recovery re-registers through the stratum and rebuilds the
         # nonsequenced-only bookkeeping the catalog records can't carry
@@ -782,6 +819,29 @@ class TemporalStratum:
         if choice.strategy is SlicingStrategy.SEQSET and not prepared.candidate.applicable:
             return self._fall_back(prepared, prepared.candidate.reason)
         prepared.candidate.require()
+        return prepared
+
+    def _prepare_served(
+        self, stmt: ast.Statement, strategy: SlicingStrategy
+    ) -> PreparedStatement:
+        """:meth:`prepare`; for a SELECT, CALL or DML statement :meth:`parse`
+        just served, the record prepared last time while its stamp holds,
+        else a fresh one, stored (unless preparing it raised)."""
+        key, served = self._served
+        if served is not stmt or key[1] is not strategy or not isinstance(
+            stmt, (ast.Select, ast.CallStatement, ast.Insert, ast.Update, ast.Delete)
+        ):
+            return self.prepare(stmt, strategy)
+        registries = (self.registry.version, self.tt_registry.version)
+        stamp = registries + (self.transaction_clock, self.db.now)
+        last = self._transform_fetch(key)
+        if last is not None and last.stamp == stamp:
+            with self.db.tracer.span("stratum.prepare", cached=True):
+                return last
+        prepared = self.prepare(stmt, strategy)
+        if _reusable(prepared, strategy):
+            prepared.stamp = stamp
+        self._transform_store(key, prepared)
         return prepared
 
     def _transformed(

@@ -56,9 +56,11 @@ def test_max_call_hits_plan_cache_once_per_period():
     coalesced = results[0].coalesced()
     assert (("i2", 80.0),) in {(values,) for values, _ in coalesced}
 
-    # a second execution reuses the cached transform AND the cached
+    # a second execution reuses the prepared statement (the statement
+    # cache: nothing is transformed or even looked up) AND the cached
     # plans: every period is now a hit and nothing recompiles
     mid = db.stats.snapshot()
+    served = db.obs.value("stratum.statement_cache.hits")
     stratum.execute(
         "VALIDTIME [DATE '2010-01-01', DATE '2010-12-01'] CALL report_prices()",
         strategy=SlicingStrategy.MAX,
@@ -66,7 +68,8 @@ def test_max_call_hits_plan_cache_once_per_period():
     end = db.stats.snapshot()
     assert end["plans_compiled"] == mid["plans_compiled"]
     assert end["plan_cache_hits"] - mid["plan_cache_hits"] >= periods
-    assert end["transform_cache_hits"] == mid["transform_cache_hits"] + 1
+    assert end["transforms"] == mid["transforms"]
+    assert db.obs.value("stratum.statement_cache.hits") == served + 1
 
 
 def test_max_select_hits_plan_cache_across_executions():

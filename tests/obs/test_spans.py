@@ -107,8 +107,14 @@ class TestSequencedMax:
     def test_cached_transform_is_flagged(self, stratum):
         sql = CONTEXT_SQL + "SELECT i.id FROM item i"
         run(stratum, sql, SlicingStrategy.MAX)
-        _, root = run(stratum, sql, SlicingStrategy.MAX)
+        # a fresh parse asks the candidate cache, which serves it
+        stratum.execute_ast(parse_statement(sql), SlicingStrategy.MAX)
+        root = stratum.db.tracer.last_root
         assert root.find("stratum.transform").attrs["cached"] is True
+        # the text again: the statement cache serves parse and prepare
+        _, root = run(stratum, sql, SlicingStrategy.MAX)
+        assert root.find("stratum.transform") is None
+        assert root.find("stratum.prepare").attrs["cached"] is True
 
 
 class TestSequencedPerst:

@@ -58,6 +58,21 @@ class TestReuse:
         assert db.execute("SELECT name FROM t WHERE id = 2").rows == [["x"]]
 
 
+class TestLruEviction:
+    def test_hot_plan_survives_a_flood_of_cold_statements(self, db):
+        """At capacity the least recently used plan goes, not every plan:
+        a statement run now and then keeps its plan through 600 one-off
+        statements (more than the 512 the cache holds)."""
+        hot = parse_statement("SELECT name FROM t WHERE id = 1")
+        db.execute_ast(hot)
+        for n in range(601):
+            if n % 100 == 0:
+                compiled = db.stats.plans_compiled
+                assert db.execute_ast(hot).rows == [["a"]]
+                assert db.stats.plans_compiled == compiled
+            db.execute(f"UPDATE t SET name = 'n{n}' WHERE id = 2")
+
+
 class TestInvalidation:
     def test_drop_create_table_recompiles(self, db):
         stmt = parse_statement("SELECT name FROM t ORDER BY id")

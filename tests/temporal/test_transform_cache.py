@@ -1,8 +1,13 @@
 """The stratum's transform cache: reuse across executions, invalidation
-by registry changes, routine redefinition, and the ablation switch."""
+by registry changes, routine redefinition, and the ablation switch.
+
+A repeated ``execute(sql)`` is served by the statement cache and asks
+the candidate cache nothing, so the tests that count candidate-cache
+traffic submit a fresh parse each time (:func:`fresh`)."""
 
 import pytest
 
+from repro.sqlengine.parser import parse_statement
 from repro.sqlengine.values import Date
 from repro.temporal import SlicingStrategy, TemporalStratum
 
@@ -19,6 +24,10 @@ def stratum() -> TemporalStratum:
     return make_bookstore()
 
 
+def fresh(stratum, sql, strategy=SlicingStrategy.AUTO):
+    return stratum.execute_ast(parse_statement(sql), strategy)
+
+
 def counters(stratum):
     snap = stratum.db.stats.snapshot()
     return snap["transforms"], snap["transform_cache_hits"]
@@ -29,9 +38,9 @@ class TestReuse:
         "strategy", [SlicingStrategy.MAX, SlicingStrategy.PERST]
     )
     def test_second_execution_hits(self, stratum, strategy):
-        first = stratum.execute(SEQ_Q, strategy=strategy)
+        first = fresh(stratum, SEQ_Q, strategy)
         transforms_before, hits_before = counters(stratum)
-        second = stratum.execute(SEQ_Q, strategy=strategy)
+        second = fresh(stratum, SEQ_Q, strategy)
         transforms_after, hits_after = counters(stratum)
         assert transforms_after == transforms_before  # no re-transform
         assert hits_after == hits_before + 1
@@ -39,9 +48,9 @@ class TestReuse:
 
     def test_current_path_hits(self, stratum):
         query = "SELECT first_name FROM author WHERE author_id = 'a1'"
-        first = stratum.execute(query)
+        first = fresh(stratum, query)
         transforms_before, hits_before = counters(stratum)
-        second = stratum.execute(query)
+        second = fresh(stratum, query)
         transforms_after, hits_after = counters(stratum)
         assert transforms_after == transforms_before
         assert hits_after == hits_before + 1
@@ -249,7 +258,7 @@ class TestInterleavedRoutineStatements:
         compiled = []
         for _ in range(3):
             for query in self.QUERIES:
-                stratum.execute(query, strategy=strategy)
+                fresh(stratum, query, strategy)
             compiled.append(stats.plans_compiled)
         assert stats.transform_cache_hits > 0
         assert compiled[2] == compiled[1]  # nothing re-planned in pass 3
@@ -285,14 +294,14 @@ class TestLruEviction:
 
     def test_hot_key_survives_capacity_pressure(self, stratum):
         stratum.TRANSFORM_CACHE_CAPACITY = 4
-        stratum.execute(SEQ_Q, strategy=SlicingStrategy.MAX)
+        fresh(stratum, SEQ_Q, SlicingStrategy.MAX)
         for i in range(8):
-            stratum.execute(self.filler(i), strategy=SlicingStrategy.MAX)
+            fresh(stratum, self.filler(i), SlicingStrategy.MAX)
             # touching the hot key between fillers refreshes its recency
-            stratum.execute(SEQ_Q, strategy=SlicingStrategy.MAX)
+            fresh(stratum, SEQ_Q, SlicingStrategy.MAX)
         assert len(stratum._transform_cache) <= 4
         transforms_before, hits_before = counters(stratum)
-        stratum.execute(SEQ_Q, strategy=SlicingStrategy.MAX)
+        fresh(stratum, SEQ_Q, SlicingStrategy.MAX)
         transforms_after, hits_after = counters(stratum)
         assert transforms_after == transforms_before  # still cached
         assert hits_after == hits_before + 1
@@ -301,12 +310,12 @@ class TestLruEviction:
         stratum.TRANSFORM_CACHE_CAPACITY = 4
         statements = [self.filler(i) for i in range(4)]
         for statement in statements:
-            stratum.execute(statement, strategy=SlicingStrategy.MAX)
+            fresh(stratum, statement, SlicingStrategy.MAX)
         # refresh filler 0, then overflow: filler 1 is now the oldest
-        stratum.execute(statements[0], strategy=SlicingStrategy.MAX)
-        stratum.execute(self.filler(99), strategy=SlicingStrategy.MAX)
+        fresh(stratum, statements[0], SlicingStrategy.MAX)
+        fresh(stratum, self.filler(99), SlicingStrategy.MAX)
         transforms_before, _ = counters(stratum)
-        stratum.execute(statements[0], strategy=SlicingStrategy.MAX)  # hit
+        fresh(stratum, statements[0], SlicingStrategy.MAX)  # hit
         assert counters(stratum)[0] == transforms_before
-        stratum.execute(statements[1], strategy=SlicingStrategy.MAX)  # evicted
+        fresh(stratum, statements[1], SlicingStrategy.MAX)  # evicted
         assert counters(stratum)[0] == transforms_before + 1
