@@ -68,6 +68,7 @@ def describe_plan(plan: Any, depth: int = 0, since: Optional[dict] = None) -> li
     With ``since`` (a :func:`_level_counts` snapshot) each join level
     also shows the rows it took in and passed on from then to now."""
     from repro.sqlengine import planner
+    from repro.temporal import seqset
 
     pad = "  " * depth
     if isinstance(plan, planner.SelectPlan):
@@ -89,7 +90,7 @@ def describe_plan(plan: Any, depth: int = 0, since: Optional[dict] = None) -> li
         return [pad + f"Insert {plan.table} ({len(plan.value_rows or [])} rows)"
                 if plan.select is None
                 else pad + f"Insert {plan.table} (from query)"]
-    if isinstance(plan, planner.IntervalJoin):
+    if isinstance(plan, seqset.IntervalJoin):
         levels = "".join(
             f" [hash: {' AND '.join(key)}]" if key else " [nested: no equi-key]"
             for key in plan.keys
@@ -102,7 +103,7 @@ def describe_plan(plan: Any, depth: int = 0, since: Optional[dict] = None) -> li
         for aligned in plan.inputs:
             lines.extend(describe_plan(aligned, depth + 1))
         return lines
-    if isinstance(plan, planner.TemporalAlign):
+    if isinstance(plan, seqset.TemporalAlign):
         alias = f" AS {plan.alias}" if plan.alias != plan.name.lower() else ""
         if plan.temporal:
             begin_column, end_column = plan.pair
@@ -258,10 +259,8 @@ def _describe_source(source: Any, depth: int) -> list[str]:
     if isinstance(source, planner._Scan):
         alias = f" AS {source.alias}" if source.key != source.name.lower() else ""
         return [pad + f"Scan {source.name}{alias}"]
-    if isinstance(source, planner._View):
-        return [pad + f"View {source.name}"]
-    if isinstance(source, planner._Subquery):
-        return [pad + f"Subquery AS {source.key}"]
+    if isinstance(source, planner._Query):
+        return [pad + (f"View {source.name}" if source.name else f"Subquery AS {source.key}")]
     if isinstance(source, planner._TableFunc):
         return [pad + f"TableFunction {source.name} AS {source.key}"]
     if isinstance(source, (planner._JoinNode, planner._LeftJoinNode)):
@@ -498,6 +497,7 @@ def _run_analyzed(db: "Database", thunk) -> tuple[Any, list[str]]:
     tracer.enabled = True
     before = db.stats.snapshot()
     seconds_before = dict(db.stats.routine_seconds)
+    embedded_before = {name: tuple(e) for name, e in db.stats.embedded_runs.items()}
     levels_before = _level_counts(db)
     slices_before = db.obs.value("stratum.slices")
     interval_hits_before = db.obs.value("engine.interval_index_hits")
@@ -540,11 +540,19 @@ def _run_analyzed(db: "Database", thunk) -> tuple[Any, list[str]]:
     run = sum(counts[0] for counts in routines.values())
     reused = sum(counts[1] for counts in routines.values())
     lines.append(f"  routine invocations: {run + reused} ({run} run, {reused} reused)")
-    lines.extend(
-        f"    {name}: {counts[0]} run, {counts[1]} reused,"
-        f" {spent.get(name, 0.0) * 1000.0:.3f}ms inclusive"
-        for name, counts in routines.items() if any(counts)
-    )
+    for name, counts in routines.items():
+        if not any(counts):
+            continue
+        lines.append(
+            f"    {name}: {counts[0]} run, {counts[1]} reused,"
+            f" {spent.get(name, 0.0) * 1000.0:.3f}ms inclusive"
+        )
+        # the plan runs of the routine's own statements, and their mean
+        runs, seconds = db.stats.embedded_runs.get(name, (0, 0.0))
+        runs_before, seconds_before = embedded_before.get(name, (0, 0.0))
+        if runs > runs_before:
+            mean = (seconds - seconds_before) / (runs - runs_before) * 1e6
+            lines.append(f"      embedded plan runs: {runs - runs_before} (mean {mean:.1f}µs)")
     lines.append(
         f"  statements executed: {after['statements'] - before['statements']}"
     )

@@ -45,7 +45,15 @@ class EngineStats:
         # inclusive seconds per routine, taken only while the tracer is
         # on (EXPLAIN ANALYZE)
         self.routine_seconds: dict[str, float] = {}
+        # routine bodies' own plan runs; per routine [count, seconds] while tracing
+        self.embedded_plan_runs = 0
+        self.embedded_runs: dict[str, list] = {}
         self.call_depth = 0  # transient: nested routine invocations
+        # hot registry counters, bumped through their handles
+        self.scanned = self.obs.counter(self.ROWS_SCANNED)
+        self.pruned = self.obs.counter("engine.period_probe.rows_pruned")
+        self.rejects = self.obs.counter("engine.join.level_rejects")
+        self.memo_hits = self.obs.counter("engine.routine_memo.hits")
         self.plans_compiled = 0
         self.plan_cache_hits = 0
         self.transforms = 0
@@ -71,6 +79,8 @@ class EngineStats:
         self.routine_calls = {}
         self.routine_reuses = {}
         self.routine_seconds = {}
+        self.embedded_plan_runs = 0
+        self.embedded_runs = {}
         self.call_depth = 0
         self.plans_compiled = 0
         self.plan_cache_hits = 0
@@ -92,6 +102,7 @@ class EngineStats:
             "total_routine_calls": self.total_routine_calls,
             "routine_calls": dict(self.routine_calls),
             "routine_reuses": dict(self.routine_reuses),
+            "embedded_plan_runs": self.embedded_plan_runs,
             "plans_compiled": self.plans_compiled,
             "plan_cache_hits": self.plan_cache_hits,
             "transforms": self.transforms,

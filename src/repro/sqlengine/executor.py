@@ -13,6 +13,8 @@ table resolution, and the value-level operators.
 from __future__ import annotations
 
 import re
+import time
+from collections import Counter
 from typing import Any, Optional, Sequence
 
 from repro.sqlengine import ast_nodes as ast
@@ -138,15 +140,16 @@ class Env:
             raise CatalogError(f"unknown table alias {qualifier!r}")
         env = self
         while env is not None:
-            hits = []
-            for binding in env.bindings.values():
-                index = binding.columns.get(key)
-                if index is not None:
-                    hits.append(binding.row[index])
-            if len(hits) == 1:
-                return hits[0]
-            if len(hits) > 1:
-                raise ExecutionError(f"ambiguous column name {name!r}")
+            if env.bindings:
+                hits = []
+                for binding in env.bindings.values():
+                    index = binding.columns.get(key)
+                    if index is not None:
+                        hits.append(binding.row[index])
+                if len(hits) == 1:
+                    return hits[0]
+                if len(hits) > 1:
+                    raise ExecutionError(f"ambiguous column name {name!r}")
             env = env.parent
         if self.frame is not None:
             found, value = self.frame.lookup_variable(key)
@@ -260,30 +263,42 @@ class Executor:
         and the statement is re-planned and re-run, once.
         """
         db = self.db
-        for replanned in (False, True):
-            hit, plan = db.plan_cache.fetch(stmt, db.catalog.schema_version)
-            if hit:
-                db.stats.plan_cache_hits += 1
-            else:
-                from repro.sqlengine import planner
-
-                build = (
-                    planner.build_select_plan
-                    if isinstance(stmt, ast.Select)
-                    else planner.build_dml_plan
+        started = None
+        if env is not None and env.parent is None and env.frame is not None:
+            # a routine body's statement (timed per routine while tracing)
+            db.stats.embedded_plan_runs += 1
+            if db.tracer.enabled:
+                started = time.perf_counter()
+        try:
+            for replanned in (False, True):
+                hit, plan = db.plan_cache.fetch(stmt, db.catalog.schema_version)
+                if hit:
+                    db.stats.plan_cache_hits += 1
+                else:
+                    build = (
+                        planner.build_select_plan
+                        if isinstance(stmt, ast.Select)
+                        else planner.build_dml_plan
+                    )
+                    plan = build(self, stmt, env)
+                    db.stats.plans_compiled += 1
+                    db.plan_cache.store(stmt, db.catalog.schema_version, plan)
+                try:
+                    return getattr(plan, step)(self, env, *run_args)
+                except PlanInvalidated as stale:
+                    db.plan_cache.drop(stmt)
+                    if replanned:
+                        raise ExecutionError(
+                            f"plan invalidated twice in one execution: {stale}"
+                        ) from None
+                    db.obs.inc("engine.plan_invalidated")
+        finally:
+            if started is not None:
+                entry = db.stats.embedded_runs.setdefault(
+                    env.frame.routine_name.lower(), [0, 0.0]
                 )
-                plan = build(self, stmt, env)
-                db.stats.plans_compiled += 1
-                db.plan_cache.store(stmt, db.catalog.schema_version, plan)
-            try:
-                return getattr(plan, step)(self, env, *run_args)
-            except PlanInvalidated as stale:
-                db.plan_cache.drop(stmt)
-                if replanned:
-                    raise ExecutionError(
-                        f"plan invalidated twice in one execution: {stale}"
-                    ) from None
-                db.obs.inc("engine.plan_invalidated")
+                entry[0] += 1
+                entry[1] += time.perf_counter() - started
 
     def _apply_set_ops(
         self, select: ast.Select, left: ResultSet, env: Optional[Env]
@@ -302,24 +317,26 @@ class Executor:
                 result = ResultSet(
                     result.columns, _distinct_rows(result.rows + right.rows)
                 )
-            elif op in ("EXCEPT", "EXCEPT ALL"):
-                right_keys = {tuple(sort_key(v) for v in row) for row in right.rows}
+            elif op in ("EXCEPT", "INTERSECT"):
+                right_keys = {_row_key(row) for row in right.rows}
                 kept = [
-                    row
-                    for row in result.rows
-                    if tuple(sort_key(v) for v in row) not in right_keys
+                    row for row in result.rows
+                    if (_row_key(row) in right_keys) == (op == "INTERSECT")
                 ]
                 result = ResultSet(result.columns, _distinct_rows(kept))
-            elif op in ("INTERSECT", "INTERSECT ALL"):
-                right_keys = {tuple(sort_key(v) for v in row) for row in right.rows}
-                kept = [
-                    row
-                    for row in result.rows
-                    if tuple(sort_key(v) for v in row) in right_keys
-                ]
-                result = ResultSet(result.columns, _distinct_rows(kept))
-            else:  # pragma: no cover - parser restricts ops
-                raise ExecutionError(f"unknown set operation {op}")
+            else:  # EXCEPT ALL, INTERSECT ALL (the parser allows no other)
+                # bags: a row held m times on the left and n on the right
+                # is kept max(m - n, 0) / min(m, n) times, its first
+                # copies in left order
+                keys = [_row_key(row) for row in result.rows]
+                have, other = Counter(keys), Counter(map(_row_key, right.rows))
+                quota = have - other if op == "EXCEPT ALL" else have & other
+                kept = []
+                for key, row in zip(keys, result.rows):
+                    if quota[key] > 0:
+                        quota[key] -= 1
+                        kept.append(row)
+                result = ResultSet(result.columns, kept)
             node = rhs_node
         return result
 
@@ -728,31 +745,37 @@ def _split_conjuncts(where: Optional[ast.Expression]) -> list[ast.Expression]:
     return [where]
 
 
+def _row_key(row: list[Any]) -> tuple:
+    """A row's identity for DISTINCT and the set operations."""
+    return tuple(sort_key(v) for v in row)
+
+
 def _distinct_rows(rows: list[list[Any]]) -> list[list[Any]]:
     seen: set = set()
     unique: list[list[Any]] = []
     for row in rows:
-        key = tuple(sort_key(v) for v in row)
+        key = _row_key(row)
         if key not in seen:
             seen.add(key)
             unique.append(row)
     return unique
 
 
-def _contains_aggregate(expr: ast.Expression) -> bool:
-    """True if the expression has an aggregate call not inside a subquery."""
+def _contains_aggregate(expr: ast.Expression, but_count: bool = False) -> bool:
+    """True if the expression has an aggregate call not inside a subquery
+    (with ``but_count``, one other than ``COUNT(*)``)."""
     if isinstance(expr, ast.FunctionCall):
-        if fn.is_aggregate(expr.name):
+        if fn.is_aggregate(expr.name) and not (but_count and expr.star):
             return True
-        return any(_contains_aggregate(a) for a in expr.args)
+        return any(_contains_aggregate(a, but_count) for a in expr.args)
     if isinstance(expr, (ast.ScalarSubquery, ast.ExistsPredicate)):
         return False
     if isinstance(expr, ast.InPredicate):
-        return _contains_aggregate(expr.expr) or any(
-            _contains_aggregate(i) for i in expr.items or []
+        return _contains_aggregate(expr.expr, but_count) or any(
+            _contains_aggregate(i, but_count) for i in expr.items or []
         )
     for child in ast.iter_children(expr):
-        if isinstance(child, ast.Expression) and _contains_aggregate(child):
+        if isinstance(child, ast.Expression) and _contains_aggregate(child, but_count):
             return True
     return False
 
@@ -827,3 +850,6 @@ def _infer_column_type(rows: list[list[Any]], index: int) -> SqlType:
     return SqlType(
         {"bool": "BOOLEAN", "int": "INTEGER", "float": "FLOAT", "date": "DATE"}[saw]
     )
+
+
+from repro.sqlengine import planner  # noqa: E402  (imports the names above)

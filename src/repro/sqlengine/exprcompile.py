@@ -201,7 +201,10 @@ def _compile_binary(
         return or_closure
     if op == "=":
         def eq_closure(env: Env) -> Any:
-            verdict = compare(left_c(env), right_c(env))
+            left, right = left_c(env), right_c(env)
+            if type(left) is int and type(right) is int:
+                return left == right
+            verdict = compare(left, right)
             if verdict is Unknown:
                 return Unknown
             return verdict == 0
@@ -247,7 +250,9 @@ def _compile_call(
         if routine is None:
             return builtin(env)
         return interpreter.invoke_function(
-            name, [c(env) for c in arg_cs], routine
+            name, [c(env) for c in arg_cs] if len(arg_cs) != 2
+            else [arg_cs[0](env), arg_cs[1](env)],  # a MAX clone's (argument, point)
+            routine,
         )
 
     return call_closure

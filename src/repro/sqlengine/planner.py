@@ -1,76 +1,54 @@
-"""Logical plans: the bind phase for whole statements.
+"""Logical plans: the bind phase for whole statements (DESIGN.md §3.1).
 
 ``build_select_plan`` turns an ``ast.Select`` into source nodes plus one
 **join pipeline** (access path → level filters → residual → group →
 project → order) whose predicates and projections are pre-compiled
 closures from :mod:`repro.sqlengine.exprcompile`.  Everything about the
-FROM/WHERE evaluation is decided here, at plan time; ``SelectPlan.run``
-walks no AST.
+FROM/WHERE evaluation is decided at plan time, the levels included: each
+is a closure that binds its candidates and calls the next level's, the
+leaf hands a passing combination to the plan's consumer (projection,
+grouping, the count of an ungrouped ``COUNT(*)``, a match's rows).
+``SelectPlan.run`` walks no AST and makes no generator frame.
 
-*Total and partial conjuncts.*  The WHERE clause is split at its
-top-level ANDs.  A conjunct is **total** when it is a comparison
-(``= <> < <= > >=``) between columns of one ``sort_key`` value class
-(numeric / character / date, by declared type — values are coerced on
-assignment), literals and outer names (routine variables, parent-query
-bindings) whose value, read once per execution, is NULL or of the
-column's class: ``compare`` cannot raise on it.  Everything else —
-routine calls, subqueries, LIKE, arithmetic, casts, cross-class
-comparisons — is **partial**.  A total conjunct runs at the first join
-level where all its columns are bound, compiled to its value class
-(date ordinals, right-stripped characters, native numbers with NaN
-ordered as ``sort_key`` orders it); partial conjuncts form the leaf
+*Total and partial conjuncts.*  A top-level WHERE conjunct is **total**
+when it is a comparison (``= <> < <= > >=``) between columns of one
+``sort_key`` value class (numeric / character / date, by declared type),
+literals and outer names (routine variables, parent-query bindings)
+whose value, read once per execution, is NULL or of the column's class:
+``compare`` cannot raise on it.  Everything else is **partial**.  A
+total conjunct runs at the first join level where all its columns are
+bound, compiled to its value class; partial conjuncts form the leaf
 residual, in their original order and with the AND chain's short
-circuit, evaluated only on combinations that passed every total
-conjunct.  An outer operand of the wrong class (or one that cannot be
-read) makes its conjunct partial for that execution.  Hence the error
-behaviour, with no exemption: a statement raises iff a partial conjunct
-raises on a combination that satisfies every total conjunct.
+circuit.  An outer operand of the wrong class (or one that cannot be
+read) makes its conjunct partial for that execution.  Hence: a statement
+raises iff a partial conjunct raises on a combination that satisfies
+every total conjunct.
 
 *Access paths decide what they can.*  A level is keyed by its first
-total ``col = <bound operand>`` conjunct in WHERE order; the probe
-consumes it.  Total bounds on a declared ``(begin, end)`` pair of the
-level's table (``begin <= x``, ``x <= begin``, ``end > x`` and their
-strict / flipped forms) are decided by the access path too: behind a
-hash key the probe keeps only the bucket's versions inside them (day
-ordinals, NULL bounds excluded, table order kept); without one a begin
-range or a stab / overlap is an interval-index search.  Decided
-conjuncts are no level filter.
+total ``col = <bound operand>`` conjunct in WHERE order; total bounds on
+a declared ``(begin, end)`` pair are applied by the access path too —
+behind a hash key to the bucket's versions, without one as an
+interval-index search.  Decided conjuncts are no level filter.
 
 *Join order and emission order.*  The leading run of base-table scans in
-FROM is ordered: the next level is the first of them (in FROM order)
-with a total equality key bound by what is already placed — outer names
-and literals count as bound — else the next in FROM order.  The rest —
-views, derived tables, table functions, explicit joins (opaque levels)
-and any scan after the first of them — follows in FROM order.  When the
-prefix runs out of FROM order its combinations are sorted back into the
-FROM-order nested loop's emission order (lexicographic by per-source
-table position, via ``Table.row_positions``), then the rest is joined
-under each in turn: every opaque level is invoked as under that loop —
-same combinations, order and count — and the residual, projection,
+FROM is ordered by bound equality keys; the rest (views, derived tables,
+table functions, explicit joins and any scan after them) follows in FROM
+order.  A reordered prefix's combinations are sorted back into the
+FROM-order nested loop's emission order (``Table.row_positions``) before
+the rest is joined under each, so every opaque level, the residual,
 ORDER BY tie-breaking and DISTINCT see that loop's rows.
 
-*UPDATE and DELETE* are the same pipeline over one source: the target
-under its alias with the statement's conjuncts (``MatchPlan``), which
-is how every modification — the temporal stratum's included, whose
-period restrictions are ordinary conjuncts with outer operands — finds
-its rows.  The target is write-claimed before the match; all rows are
-found, then every SET value is evaluated, then the table's row-set
-primitives write.
+*UPDATE and DELETE* are the same pipeline over the write-claimed target
+(``MatchPlan``); all rows are found, then every SET value is evaluated,
+then the table's row-set primitives write.
 
-Every statement runs through a plan; there is no other path.  What the
-bind phase can decide raises at plan time, as the error it is and before
-any row is read: an unknown table or table function, two FROM sources
-under one alias, a scalar function in ``TABLE(...)``, ``*`` in a grouped
-select.  What depends on the rows — a name no source or environment
-supplies, a type error, a failing routine — raises per row, under the
-rule above.
-
-Plans are validated, not trusted: every source node checks at run time,
-before the plan produces or consumes a row, that the catalog object it
-was bound against is still current (same table schema and declared
-types, same view object, same routine definition) and raises
-:class:`PlanInvalidated` otherwise; the executor drops the entry,
-re-plans and re-runs the statement once (``engine.plan_invalidated``).
+What the bind phase can decide raises at plan time, before any row is
+read.  Plans are validated, not trusted: before a plan produces or
+consumes a row, every source checks that the catalog object it was bound
+against is still current (a table's schema stamp, else its columns and
+declared types; the view object; the routine definition) and raises
+:class:`PlanInvalidated` otherwise; the executor re-plans and re-runs the
+statement once (``engine.plan_invalidated``).
 """
 
 from __future__ import annotations
@@ -128,14 +106,15 @@ class _Scan:
     filters live on the :class:`_Level`; ``bind`` is the plain full scan
     an explicit JOIN's operand gets."""
 
-    __slots__ = ("name", "alias", "key", "colmap", "expected", "types",
-                 "kinds", "pairs", "batch")
+    __slots__ = ("name", "alias", "key", "colmap", "stamp", "expected", "types",
+                 "kinds", "pairs", "period_columns", "batch")
 
     def __init__(self, name: str, alias: str, table, batch: Optional[Any]) -> None:
         self.name = name
         self.alias = alias
         self.key = alias.lower()
         self.colmap = {c.name.lower(): i for i, c in enumerate(table.columns)}
+        self.stamp = table.schema_stamp
         self.expected = dict(table._index)
         self.types = [c.type for c in table.columns]
         self.kinds = [_column_kind(type_) for type_ in self.types]
@@ -144,31 +123,32 @@ class _Scan:
             (table.column_index(b), table.column_index(e), b, e)
             for b, e in table.interval_pairs
         ]
+        self.period_columns = [index for pair in self.pairs for index in pair[:2]]
         self.batch = batch
 
-    def _table(self, executor: Executor, env: Env):
-        if executor.db.catalog.has_view(self.name):
-            raise PlanInvalidated(self.name)
+    def validate(self, executor: Executor, env: Env):
+        """The table this execution reads, if it is still the one the
+        plan was bound against: same columns and — conjunct placement
+        rests on the declared value classes — the same types (a
+        temporary table re-created by CTAS infers them from the data).
+        The schema stamp the plan took settles it without comparing.  (A
+        view of the name is DDL: the plan cache has re-planned already.)"""
         table = executor._read_table(self.name, env)
-        if table._index != self.expected:
+        if table.schema_stamp is not self.stamp and (
+            table._index != self.expected
+            or [c.type for c in table.columns] != self.types
+        ):
             raise PlanInvalidated(self.name)
         return table
 
-    def validate(self, executor: Executor, env: Env) -> None:
-        # conjunct placement rests on the declared value classes: a
-        # temporary table re-created with other column types (CTAS
-        # infers them from the data) must not run under this plan
-        if [c.type for c in self._table(executor, env).columns] != self.types:
-            raise PlanInvalidated(self.name)
-
     def bind(self, executor: Executor, env: Env) -> Iterator[Env]:
-        table = self._table(executor, env)
+        table = self.validate(executor, env)
         db = executor.db
         if db.resilience.armed:
             db.resilience.check()
         if db.read_window is not None and self.pairs:
             _narrow_by_table(db.read_window, self.pairs, table)
-        db.obs.inc("engine.rows_scanned", len(table.rows))
+        db.stats.scanned.value += len(table.rows)
         return _bind_rows(env, self.key, self.colmap, table.rows)
 
 
@@ -194,19 +174,19 @@ def _narrow_by_table(window: list, pairs: list, table) -> None:
 
 def _bucket_versions(
     rows: list, period: "Optional[_PeriodProbe]", limits: Optional[list],
-    window: Optional[list], pairs: list,
+    window: Optional[list], columns: list,
 ) -> list:
     """One pass over a hash probe's bucket ``rows`` (table order): keep
     the versions whose ``period`` bounds are Dates inside ``limits``
     (all of them without a ``period``, none under a NULL limit) and,
     with a read ``window`` open, narrow it to the bounds of every
-    version around its point — the key does not depend on the point, so
-    exactly the bucket is examined, and a version the limits reject
-    must stay rejected over the whole window too."""
-    narrow = window is not None and bool(pairs)
+    version around its point (its declared period ``columns``) — the key
+    does not depend on the point, so exactly the bucket is examined, and
+    a version the limits reject must stay rejected over the whole window
+    too."""
+    narrow = window is not None and bool(columns)
     if narrow:
         lo, hi, point = window
-        columns = [index for pair in pairs for index in pair[:2]]
     elif period is None:
         return rows
     test_begin = test_end = False
@@ -246,58 +226,6 @@ def _bucket_versions(
     return kept
 
 
-class TemporalAlign:
-    """SEQ-SET plan node: one FROM table's rows aligned onto the
-    constant-period grid in a single pass (interval-index overlap probe
-    against the temporal context, vectorized single-table filters, then
-    a bisect of each row's period onto the sorted period begins).
-
-    Execution lives in :mod:`repro.temporal.seqset`; the node exists at
-    the planner layer so EXPLAIN renders the access path alongside the
-    engine's scan nodes.
-    """
-
-    __slots__ = ("name", "alias", "pair", "kernel_count", "temporal")
-
-    def __init__(
-        self,
-        name: str,
-        alias: str,
-        pair: "tuple | None",
-        kernel_count: int,
-        temporal: bool,
-    ) -> None:
-        self.name = name
-        self.alias = alias
-        self.pair = pair
-        self.kernel_count = kernel_count
-        self.temporal = temporal
-
-
-class IntervalJoin:
-    """SEQ-SET plan node: interval hash join of aligned inputs.  Each
-    input after the first is hashed once on its equi-join key
-    (``keys[i]`` lists the ``a.col = b.col`` conjuncts binding input
-    ``i + 1`` to earlier inputs; empty = nested, every run under one
-    key), outer runs probe in ascending position and period ranges
-    intersect; output is period-major in FROM order — MAX's emission
-    order — with one compiled residual per matched combination."""
-
-    __slots__ = ("inputs", "keys", "residual_conjuncts", "distinct")
-
-    def __init__(
-        self,
-        inputs: list,
-        keys: list,
-        residual_conjuncts: int,
-        distinct: bool,
-    ) -> None:
-        self.inputs = inputs
-        self.keys = keys
-        self.residual_conjuncts = residual_conjuncts
-        self.distinct = distinct
-
-
 class _RowSource:
     """An opaque join level: a view, derived table or table function
     whose ``_rows`` are computed as a whole, then bound one at a time."""
@@ -308,46 +236,33 @@ class _RowSource:
         return _bind_rows(env, self.key, self.colmap, self._rows(executor, env))
 
 
-class _View(_RowSource):
-    __slots__ = ("name", "key", "colmap", "expected", "view_ast")
+class _Query(_RowSource):
+    """A view (``name``: the view's) or a derived table (``name`` None)."""
+
+    __slots__ = ("name", "key", "colmap", "expected", "select_ast")
 
     def __init__(
-        self, name: str, alias: str, columns: list, view_ast: ast.Select
+        self, name: Optional[str], alias: str, columns: list, select_ast: ast.Select
     ) -> None:
         self.name = name
-        self.key = alias.lower()
-        self.colmap = {name.lower(): i for i, name in enumerate(columns)}
-        self.expected = [name.lower() for name in columns]
-        self.view_ast = view_ast
-
-    def validate(self, executor: Executor, env: Env) -> None:
-        if executor.db.catalog.get_view(self.name) is not self.view_ast:
-            raise PlanInvalidated(self.name)
-
-    def _rows(self, executor: Executor, env: Env) -> list:
-        self.validate(executor, env)
-        result = executor.execute_select(self.view_ast, Env(frame=env.frame))
-        if [c.lower() for c in result.columns] != self.expected:
-            raise PlanInvalidated(self.name)
-        return result.rows
-
-
-class _Subquery(_RowSource):
-    __slots__ = ("key", "colmap", "expected", "select_ast")
-
-    def __init__(self, alias: str, columns: list, select_ast: ast.Select) -> None:
         self.key = alias.lower()
         self.colmap = {name.lower(): i for i, name in enumerate(columns)}
         self.expected = [name.lower() for name in columns]
         self.select_ast = select_ast
 
     def validate(self, executor: Executor, env: Env) -> None:
-        pass
+        if self.name is not None and (
+            executor.db.catalog.get_view(self.name) is not self.select_ast
+        ):
+            raise PlanInvalidated(self.name)
 
     def _rows(self, executor: Executor, env: Env) -> list:
-        result = executor.execute_select(self.select_ast, env)
+        self.validate(executor, env)
+        # a view sees none of the bindings of the query that reads it
+        scope = env if self.name is None else Env(frame=env.frame)
+        result = executor.execute_select(self.select_ast, scope)
         if [c.lower() for c in result.columns] != self.expected:
-            raise PlanInvalidated(self.key)
+            raise PlanInvalidated(self.name or self.key)
         return result.rows
 
 
@@ -632,11 +547,12 @@ class _Level:
             )
             versions = _bucket_versions(
                 rows, period, None if period is None else period.limits(vector),
-                window, self.node.pairs,
+                window, self.node.period_columns,
             )
+            stats = db.stats
             if len(versions) < len(rows):
-                obs.inc("engine.period_probe.rows_pruned", len(rows) - len(versions))
-            obs.inc("engine.rows_scanned", len(versions))
+                stats.pruned.value += len(rows) - len(versions)
+            stats.scanned.value += len(versions)
             return versions, False
         if window is not None and self.node.pairs:
             _narrow_by_table(window, self.node.pairs, table)
@@ -658,9 +574,8 @@ class _Level:
             positions = executor._interval_candidate_positions(
                 table, period.begin_index, period.end_index, period.limits(vector)
             )
-        obs.inc(
-            "engine.rows_scanned",
-            len(table_rows) if positions is None else len(positions),
+        db.stats.scanned.value += (
+            len(table_rows) if positions is None else len(positions)
         )
         if batch is not None:
             scanned = range(len(table_rows)) if positions is None else positions
@@ -679,15 +594,97 @@ class _Level:
 class _Pipeline:
     """Levels in join order plus the leaf residual, for one set of
     conjuncts demoted at run time (none, in the plan's default); the
-    first ``split`` levels are the FROM's leading scans."""
+    first ``split`` levels are the FROM's leading scans.  ``run`` chains
+    them all; a reordered pipeline runs the scan ``prefix`` (no residual),
+    sorts its combinations into FROM order and runs ``rest`` under each."""
 
-    __slots__ = ("levels", "split", "reordered", "residual")
+    __slots__ = ("levels", "split", "reordered", "residual", "run", "prefix",
+                 "rest")
 
     def __init__(self, levels: list, split: int, residual: list) -> None:
         self.levels = levels
         self.split = split
         self.reordered = any(level.pos != pos for pos, level in enumerate(levels))
         self.residual = residual
+        if self.reordered:
+            self.prefix = _chain(levels[:split], [])
+            self.rest = _chain(levels[split:], residual)
+        else:
+            self.run = _chain(levels, residual)
+
+
+# A *step* ``step(executor, env, vector, tables, emit)`` binds its level's
+# candidates one at a time (``env.bindings`` for closures, ``vector`` for
+# typed filters and later probes; ``tables`` by FROM position) and hands
+# each that passes to the next step, at the leaf to ``emit(env)``.
+
+
+def _chain(levels: list, residual: list) -> Callable:
+    """``levels`` as nested steps; the leaf checks the ``residual`` (the
+    partial conjuncts) before it emits."""
+    after: Optional[Callable] = None
+    if residual:
+        def after(executor, env, vector, tables, emit) -> None:
+            if _all_true(residual, env):
+                emit(env)
+    for level in reversed(levels):
+        after = (_scan_step if isinstance(level.node, _Scan) else _opaque_step)(
+            level, after, len(levels) == 1
+        )
+    return after or (lambda executor, env, vector, tables, emit: emit(env))
+
+
+def _scan_step(level: "_Level", after: Optional[Callable], alone: bool) -> Callable:
+    """``alone``: a lone scan emits what batch kernels that decided the
+    whole WHERE selected unchecked."""
+    pos, key, colmap, filters = level.pos, level.node.key, level.node.colmap, level.filters
+
+    def scan(executor, env, vector, tables, emit) -> None:
+        rows, settled = level.candidates(executor, tables[pos], vector, env)
+        # one binding, re-pointed at each row that passes (grouping
+        # freezes a copy)
+        binding = env.bindings[key] = Binding(colmap, None)
+        if settled and alone:
+            for row in rows:
+                binding.row = row
+                emit(env)
+            passed = len(rows)
+        else:
+            passed = 0
+            for row in rows:
+                vector[pos] = row
+                for check in filters:
+                    if not check(vector):
+                        break
+                else:
+                    passed += 1
+                    binding.row = row
+                    if after is None:
+                        emit(env)
+                    else:
+                        after(executor, env, vector, tables, emit)
+        del env.bindings[key]
+        level.rows_in += len(rows)
+        level.rows_out += passed
+        if passed < len(rows):
+            executor.db.stats.rejects.value += len(rows) - passed
+
+    return scan
+
+
+def _opaque_step(level: "_Level", after: Optional[Callable], alone: bool) -> Callable:
+    def opaque(executor, env, vector, tables, emit) -> None:
+        bound = 0
+        for _ in level.node.bind(executor, env):
+            bound += 1
+            if after is None:
+                emit(env)
+            else:
+                after(executor, env, vector, tables, emit)
+        level.rows_in += bound
+        level.rows_out += bound
+
+    return opaque
 
 
 def _join_order(prefix: int, count: int, keys: list) -> list:
@@ -817,7 +814,7 @@ def _build_leaf(
         view = catalog.get_view(source.name)
         if view is not None:
             columns = executor._output_columns(view, env if env is not None else Env())
-            return _View(source.name, source.binding, columns, view)
+            return _Query(source.name, source.binding, columns, view)
         table = executor._read_table(source.name, env)
         batch = (
             compile_batch_filter(
@@ -831,7 +828,7 @@ def _build_leaf(
         columns = executor._output_columns(
             source.select, env if env is not None else Env()
         )
-        return _Subquery(source.alias, columns, source.select)
+        return _Query(None, source.alias, columns, source.select)
     if isinstance(source, ast.TableFunctionRef):
         routine = catalog.get_routine(source.call.name)
         if not isinstance(routine.returns, ast.RowArrayType):
@@ -941,6 +938,7 @@ def _analyze_conjuncts(
 
     conjuncts: list = []
     outer_cs: list = []
+    slots: dict = {}
     for expr in where:
         conjunct = _Conjunct(expr.to_sql(), compile_expression(executor, expr, layout))
         conjuncts.append(conjunct)
@@ -957,8 +955,13 @@ def _analyze_conjuncts(
         addresses = []
         for side in sides:
             if not isinstance(side, tuple):
-                conjunct.slot = len(outer_cs)
-                outer_cs.append(compile_expression(executor, side, layout))
+                # a name several conjuncts compare with is read once
+                name = isinstance(side, ast.Name) and (side.qualifier, side.name.lower())
+                shared = name or id(side)
+                if shared not in slots:
+                    slots[shared] = len(outer_cs)
+                    outer_cs.append(compile_expression(executor, side, layout))
+                conjunct.slot = slots[shared]
                 side = (len(sources), conjunct.slot)
             addresses.append(side)
         conjunct.left, conjunct.right = addresses
@@ -1034,12 +1037,18 @@ def build_select_plan(
             else ("expr", compile_expression(executor, item.expr, layout))
             for item in select.items
         ]
+    counted = grouped and not select.group_by and not any(
+        _contains_aggregate(expr, but_count=True)
+        for expr in [item.expr for item in select.items + select.order_by]
+        + [select.having] if expr is not None
+    )
     return SelectPlan(
         sources=sources,
         conjuncts=conjuncts,
         outer_cs=outer_cs,
         columns=columns,
         grouped=grouped,
+        counted=counted,
         group_cs=group_cs,
         having_c=having_c,
         item_plans=item_plans,
@@ -1107,15 +1116,17 @@ class _FromWhere:
                 slots.append(closure(env))
             except SqlError:
                 slots.append(_UNREADABLE)
-        demoted = frozenset(
-            index for index, slot, types in self.checks
-            if slots[slot] is _UNREADABLE or (
-                types is not None and slots[slot] is not Null
-                and not isinstance(slots[slot], types)
-            )
-        )
+        demoted: Any = ()
+        for index, slot, types in self.checks:
+            value = slots[slot]
+            if value is _UNREADABLE or (
+                types is not None and value is not Null
+                and not isinstance(value, types)
+            ):
+                demoted += (index,)
         if not demoted:
             return self.pipeline, slots
+        demoted = frozenset(demoted)
         pipeline = self.variants.get(demoted)
         if pipeline is None:
             pipeline = self.variants[demoted] = _build_pipeline(
@@ -1123,97 +1134,51 @@ class _FromWhere:
             )
         return pipeline, slots
 
-    def _filtered_envs(self, executor: Executor, base_env: Env) -> Iterator[Env]:
-        """Row environments with the WHERE clause already applied, in
-        the FROM-order nested loop's emission order."""
+    def _each(self, executor: Executor, base_env: Env, emit: Callable) -> None:
+        """Validate every source before producing (or consuming) any rows
+        — an invalidation found mid-run would re-execute side effects on
+        the re-planned run — then ``emit`` the row environment of each
+        combination that satisfies the WHERE clause, in the FROM-order
+        nested loop's emission order."""
+        tables = [node.validate(executor, base_env) for node in self.sources]
+        # the outer operands read from the base environment: the child
+        # binds nothing yet
+        pipeline, slots = self._pipeline_for(base_env)
         env = base_env.child()
-        pipeline, slots = self._pipeline_for(env)
-        residual = pipeline.residual
         vector: list = [None] * len(self.sources) + [slots]
-        tables: list = [None] * len(self.sources)
-        levels = pipeline.levels
         if not pipeline.reordered:
-            for settled in self._join(executor, env, levels, 0, vector, tables):
-                if settled or _all_true(residual, env):
-                    yield env
+            pipeline.run(executor, env, vector, tables, emit)
             return
         # the scan prefix's combinations in FROM order, then the rest under each
         executor.db.obs.inc("engine.join.reordered")
         split = pipeline.split
-        prefix = self._join(executor, env, levels[:split], 0, vector, tables)
-        combos = [tuple(vector[:split]) for _ in prefix]
+        combos: list = []
+        pipeline.prefix(
+            executor, env, vector, tables,
+            lambda _: combos.append(tuple(vector[:split])),
+        )
         if len(combos) > 1:
             positions = [table.row_positions() for table in tables[:split]]
             combos.sort(key=lambda combo: [
                 index[id(row)] for index, row in zip(positions, combo)
             ])
         bindings = env.bindings
-        scans, rest = self.sources[:split], levels[split:]
-        matches: Any = (False,)  # an all-scan FROM: the combination itself
         for combo in combos:
-            for node, row in zip(scans, combo):
+            for node, row in zip(self.sources, combo):
                 bindings[node.key] = Binding(node.colmap, row)
-            if rest:
-                vector[:split] = combo
-                matches = self._join(executor, env, rest, 0, vector, tables)
-            for _ in matches:
-                if _all_true(residual, env):
-                    yield env
+            vector[:split] = combo
+            pipeline.rest(executor, env, vector, tables, emit)
         bindings.clear()
-
-    def _join(
-        self, executor: Executor, env: Env, levels: list, depth: int,
-        vector: list, tables: list,
-    ) -> Iterator[bool]:
-        """Bind ``levels[depth:]``; yields once per combination that
-        passes every level's filters, True when the batch kernels
-        already decided the whole WHERE for it."""
-        if depth == len(levels):
-            yield False
-            return
-        level = levels[depth]
-        node = level.node
-        if not isinstance(node, _Scan):
-            bound = 0
-            for _ in node.bind(executor, env):
-                bound += 1
-                yield from self._join(executor, env, levels, depth + 1, vector, tables)
-            level.rows_in += bound
-            level.rows_out += bound
-            return
-        table = tables[level.pos] = node._table(executor, env)
-        rows, settled = level.candidates(executor, table, vector, env)
-        settled = settled and self.single_scan
-        pos = level.pos
-        filters = () if settled else level.filters
-        key, colmap = node.key, node.colmap
-        bindings = env.bindings
-        last = depth + 1 == len(levels)
-        passed = 0
-        for row in rows:
-            vector[pos] = row
-            for check in filters:
-                if not check(vector):
-                    break
-            else:
-                passed += 1
-                bindings[key] = Binding(colmap, row)
-                if last:
-                    yield settled
-                else:
-                    yield from self._join(
-                        executor, env, levels, depth + 1, vector, tables
-                    )
-        bindings.pop(key, None)
-        level.rows_in += len(rows)
-        level.rows_out += passed
-        if passed < len(rows):
-            executor.db.obs.inc("engine.join.level_rejects", len(rows) - passed)
 
 
 class SelectPlan(_FromWhere):
-    __slots__ = ("columns", "grouped", "group_cs", "having_c", "item_plans",
-                 "order_entries", "distinct")
+    """``counted``: an ungrouped aggregate select whose aggregates are
+    all ``COUNT(*)`` folds its rows into a count as the join emits them;
+    every other grouped select keeps each combination's environment,
+    since its aggregate arguments are evaluated after the join."""
+
+    __slots__ = ("columns", "grouped", "counted", "group_cs", "having_c",
+                 "item_plans", "order_entries", "distinct")
 
     def __init__(
         self,
@@ -1222,6 +1187,7 @@ class SelectPlan(_FromWhere):
         outer_cs: list,
         columns: list,
         grouped: bool,
+        counted: bool,
         group_cs: Optional[list],
         having_c: Optional[Callable],
         item_plans: list,
@@ -1231,6 +1197,7 @@ class SelectPlan(_FromWhere):
         super().__init__(sources, conjuncts, outer_cs)
         self.columns = columns
         self.grouped = grouped
+        self.counted = counted
         self.group_cs = group_cs
         self.having_c = having_c
         self.item_plans = item_plans
@@ -1239,39 +1206,44 @@ class SelectPlan(_FromWhere):
 
     def run(self, executor: Executor, env: Optional[Env], apply_order: bool) -> ResultSet:
         base_env = env if env is not None else Env()
-        # validate every source before producing (or consuming) any rows:
-        # an invalidation discovered mid-run would re-execute side effects
-        # on the re-planned run
-        for node in self.sources:
-            node.validate(executor, base_env)
-        if self.grouped:
-            return self._run_grouped(executor, base_env, apply_order)
-        order = self.order_entries if (apply_order and self.order_entries) else None
+        order = self.order_entries if apply_order else []
         rows: list = []
         keys: list = []
-        for row_env in self._filtered_envs(executor, base_env):
-            row = self._project(row_env)
-            rows.append(row)
-            if order:
-                keys.append(self._order_key(order, row, row_env))
-        if order:
-            paired = sorted(zip(keys, range(len(rows)), rows), key=lambda p: p[:2])
-            rows = [row for _, _, row in paired]
+        project = self._project
+        if self.grouped:
+            self._run_grouped(executor, base_env, order, rows, keys)
+        elif order and not all(entry[0] == "slot" for entry in order):
+            order_key = self._order_key
+
+            def emit(row_env: Env) -> None:
+                row = project(row_env)
+                rows.append(row)
+                keys.append(order_key(order, row, row_env))
+
+            self._each(executor, base_env, emit)
+        else:
+            self._each(executor, base_env, lambda row_env: rows.append(project(row_env)))
+            if order:  # on output columns only: sorted once the join is done
+                one = order[0][1] if len(order) == 1 and not order[0][2] else None
+                rows.sort(key=(lambda row: sort_key(row[one])) if one is not None
+                          else (lambda row: self._order_key(order, row)))
+                order = []
+        if order:  # a stable sort: ties keep emission order
+            rows = [rows[i] for i in sorted(range(len(rows)), key=keys.__getitem__)]
         if self.distinct:
             rows = _distinct_rows(rows)
         return ResultSet(self.columns, rows)
 
     def _project(self, env: Env) -> list:
         values: list = []
-        for plan in self.item_plans:
-            if plan[0] == "star":
-                qualifier = plan[1]
+        for kind, plan in self.item_plans:
+            if kind == "star":
                 for binding_alias, binding in env.bindings.items():
-                    if qualifier and binding_alias != qualifier:
+                    if plan and binding_alias != plan:
                         continue
                     values.extend(binding.row)
             else:
-                values.append(plan[1](env))
+                values.append(plan(env))
         return values
 
     def _order_key(self, order: list, row: list, *scope: Any) -> tuple:
@@ -1298,35 +1270,35 @@ class SelectPlan(_FromWhere):
         return tuple(parts)
 
     def _run_grouped(
-        self, executor: Executor, base_env: Env, apply_order: bool
-    ) -> ResultSet:
-        source_envs: list = []
-        for row_env in self._filtered_envs(executor, base_env):
-            source_envs.append(_freeze_env(row_env))
-        groups: dict = {}
+        self, executor: Executor, base_env: Env, order: list, rows: list, keys: list
+    ) -> None:
+        envs: list = []
+        if self.counted:
+            # no aggregate reads a row: the group is the first row's
+            # environment once per combination
+            count = 0
+
+            def emit(row_env: Env) -> None:
+                nonlocal count
+                if not count:
+                    envs.append(_freeze_env(row_env))
+                count += 1
+
+            self._each(executor, base_env, emit)
+            envs *= count
+        else:
+            self._each(executor, base_env, lambda row_env: envs.append(_freeze_env(row_env)))
+        groups: dict = {} if self.group_cs else {(): envs}
         if self.group_cs:
-            for row_env in source_envs:
+            for row_env in envs:
                 key = tuple(sort_key(g(row_env)) for g in self.group_cs)
                 groups.setdefault(key, []).append(row_env)
-        else:
-            groups[()] = source_envs
-        order = self.order_entries if (apply_order and self.order_entries) else None
-        having_c = self.having_c
-        rows: list = []
-        keys: list = []
         for group in groups.values():
-            if having_c is not None and not truth(having_c(group, base_env)):
+            if self.having_c is not None and not truth(self.having_c(group, base_env)):
                 continue
-            row = [item_c(group, base_env) for item_c in self.item_plans]
-            rows.append(row)
+            rows.append([item_c(group, base_env) for item_c in self.item_plans])
             if order:
-                keys.append(self._order_key(order, row, group, base_env))
-        if order:
-            paired = sorted(zip(keys, range(len(rows)), rows), key=lambda p: p[:2])
-            rows = [row for _, _, row in paired]
-        if self.distinct:
-            rows = _distinct_rows(rows)
-        return ResultSet(self.columns, rows)
+                keys.append(self._order_key(order, rows[-1], group, base_env))
 
 
 # ---------------------------------------------------------------------------
@@ -1405,12 +1377,9 @@ class MatchPlan(_FromWhere):
         if table.txn is not None:
             table.txn.claim_write(table)
         base_env = env if env is not None else Env()
-        scan.validate(executor, base_env)
         key, colmap = scan.key, scan.colmap
-        rows = [
-            row_env.bindings[key].row
-            for row_env in self._filtered_envs(executor, base_env)
-        ]
+        rows: list = []
+        self._each(executor, base_env, lambda row_env: rows.append(row_env.bindings[key].row))
         indexes, assign_cs = self.assign_indexes, self.assign_cs
         if not assign_cs:
             return table, rows, [()] * len(rows)

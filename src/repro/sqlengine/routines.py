@@ -15,8 +15,8 @@ the statement runs, through the plan cache and ``Catalog.find_routine``:
 a compiled body never goes stale.
 
 Every PSM statement runs inside its own guard (``_Compiler.block``):
-statement count, undo-log mark, watchdog check, then release — or
-rollback to the mark and handler dispatch.  Control flow is a returned
+statement count, undo-log depth, watchdog check — and on an error, undo
+to that depth and handler dispatch; no savepoint.  Control flow is a returned
 signal, not an exception: nothing but an error leaves a routine.  Every
 routine invocation increments the engine's per-routine call counter —
 the machine-independent cost metric the paper's MAX-vs-PERST comparison
@@ -42,7 +42,7 @@ from repro.sqlengine.executor import Env, Executor, ResultSet
 from repro.sqlengine.exprcompile import FrameLayout, compile_expression
 from repro.sqlengine.storage import _INF, Column, Table
 from repro.sqlengine.types import coerce
-from repro.sqlengine.values import Date, Null, compare, sort_key, truth
+from repro.sqlengine.values import Date, Null, compare, sort_key
 
 
 def _narrow_caller(caller: list, lo: Any, hi: Any, point: int) -> None:
@@ -269,21 +269,29 @@ class _Body:
     """A compiled routine body, and what every invocation reads off the
     routine without walking its definition again."""
 
-    __slots__ = ("executor", "name", "key", "run", "types", "scope",
-                 "params", "is_table", "window", "memo_args")
+    __slots__ = ("executor", "routine", "name", "key", "run", "types", "scope",
+                 "params", "is_table", "to_result", "window", "memo_key")
 
     def __init__(self, executor: Executor, routine: Routine) -> None:
         self.executor = executor
+        self.routine = routine
         self.name = routine.name
         self.key = routine.name.lower()
         self.params = [_coercion(param.type) for param in routine.params]
         self.is_table = routine.is_table_function
+        # a scalar function's result is coerced to its declared type
+        returns = None if self.is_table else routine.returns
+        self.to_result = None if returns is None else _coercion(returns)
         # the shape of the routine's result-memo key: the point
         # parameter, and the arguments a kept result is looked up under
         self.window = routine.window_param
-        self.memo_args = tuple(
-            i for i in range(len(routine.params)) if i != routine.window_param
-        )
+        others = [i for i in range(len(routine.params)) if i != routine.window_param]
+        key = self.key
+        if len(others) == 1:
+            first = others[0]
+            self.memo_key = lambda args: (key, sort_key(args[first]))
+        else:
+            self.memo_key = lambda args: (key, *[sort_key(args[i]) for i in others])
         self.types: list = []  # per slot: a scalar's SqlType, else None
         self.scope = _Scope({}, (), {})
         self.run: Callable[[Env], Any] = None
@@ -311,16 +319,18 @@ class RoutineInterpreter:
             routine = self.db.catalog.get_routine(name)
         if routine.kind != "FUNCTION":
             raise RoutineError(f"{name} is a procedure; use CALL")
-        body = self._body(routine)
+        body = routine.compiled
+        if body is None or body.executor is not self.executor:
+            body = self._body(routine)
         if body.window is None or body.is_table:
-            return self._scalar_result(routine, args)
-        return self._reused(routine, args, self._scalar_result)
+            return self._scalar_result(body, args)
+        return self._reused(body, args, self._scalar_result)
 
-    def _scalar_result(self, routine: Routine, args: list[Any]) -> Any:
-        value = self._invoke(routine, args).result
-        if routine.compiled.is_table or value is Null:
+    def _scalar_result(self, body: "_Body", args: list[Any]) -> Any:
+        value = self._invoke(body, args).result
+        if body.is_table or value is Null:
             return value
-        return coerce(value, routine.definition.returns)
+        return body.to_result(value)
 
     def invoke_table_function(
         self, name: str, args: list[Any], reusable: bool = False
@@ -330,26 +340,27 @@ class RoutineInterpreter:
         routine = self.db.catalog.get_routine(name)
         if not routine.is_table_function:
             raise RoutineError(f"{name} does not return a row array")
+        body = self._body(routine)
         if reusable:
-            return self._reused(routine, args, self._table_result)
-        return self._table_result(routine, args)
+            return self._reused(body, args, self._table_result)
+        return self._table_result(body, args)
 
     def _table_result(
-        self, routine: Routine, args: list[Any]
+        self, body: "_Body", args: list[Any]
     ) -> tuple[list[str], list[list[Any]]]:
-        value = self._invoke(routine, args).result
-        columns = list(routine.definition.returns.column_names)
+        value = self._invoke(body, args).result
+        columns = list(body.routine.definition.returns.column_names)
         if value is Null or value is None:
             return columns, []
         if isinstance(value, Table):
             return columns, [list(row) for row in value.rows]
         raise RoutineError(
-            f"table function {routine.name} returned {type(value).__name__},"
+            f"table function {body.name} returned {type(value).__name__},"
             " expected a row-array variable"
         )
 
-    def _reused(self, routine: Routine, args: list[Any], run) -> Any:
-        """``run(routine, args)``, or the result an earlier call in this
+    def _reused(self, body: "_Body", args: list[Any], run) -> Any:
+        """``run(body, args)``, or the result an earlier call in this
         statement left in ``Database.table_function_cache`` — the
         routine-result memo: ``(routine, arguments by sort_key) ->
         [(lo, hi, result), ...]``.
@@ -364,19 +375,19 @@ class RoutineInterpreter:
         result.  A nested windowed call narrows its caller's window by
         its own, run or reused alike — the caller's result rests on the
         callee's — and one evaluated at another point leaves the caller
-        only ``[p, p + 1)``.  A call that raises keeps nothing.
+        only ``[p, p + 1)``.  A call that raises keeps nothing.  A hit is
+        one probe and a window test per kept result, newest first.
         """
         db = self.db
-        body = self._body(routine)
         index = body.window
         point = 0
         if index is not None:
             value = args[index]
             if not isinstance(value, Date):
-                return run(routine, args)  # NULL point: nothing to slide along
+                return run(body, args)  # NULL point: nothing to slide along
             point = value.ordinal
         name = body.key
-        key = (name, tuple([sort_key(args[i]) for i in body.memo_args]))
+        key = body.memo_key(args)
         caller = db.read_window if index is not None else None
         cache = db.table_function_cache
         entries = cache.get(key)
@@ -386,17 +397,17 @@ class RoutineInterpreter:
             if lo <= point < hi:
                 stats = db.stats
                 stats.routine_reuses[name] = stats.routine_reuses.get(name, 0) + 1
-                db.obs.inc("engine.routine_memo.hits")
+                stats.memo_hits.value += 1
                 if caller is not None:
                     _narrow_caller(caller, lo, hi, point)
                 return result
         if index is None:
-            result = run(routine, args)
+            result = run(body, args)
             entries.append((-_INF, _INF, result))
         else:
             window = db.read_window = [-_INF, _INF, point]
             try:
-                result = run(routine, args)
+                result = run(body, args)
             finally:
                 db.read_window = caller
                 if caller is not None:
@@ -440,7 +451,7 @@ class RoutineInterpreter:
                 arg_values.append(arg_cs[index](eval_env))
             else:
                 arg_values.append(self.executor.evaluate(arg, eval_env))
-        frame = self._invoke(routine, arg_values)
+        frame = self._invoke(self._body(routine), arg_values)
         if caller_frame is not None:
             # copy OUT / INOUT parameters back to the caller
             names = routine.compiled.scope.names
@@ -449,15 +460,18 @@ class RoutineInterpreter:
                 caller_frame.set_variable(var_name, frame.slots[slot])
         return frame.result_sets
 
-    def _invoke(self, routine: Routine, args: list[Any]) -> Frame:
-        """Run ``routine``'s body over ``args`` in a fresh frame."""
-        body = self._body(routine)
+    def _invoke(self, body: "_Body", args: list[Any]) -> Frame:
+        """Run ``body`` over ``args`` in a fresh frame."""
         if len(args) != len(body.params):
             raise RoutineError(
-                f"{routine.name} expects {len(body.params)} arguments,"
+                f"{body.name} expects {len(body.params)} arguments,"
                 f" got {len(args)}"
             )
         db = self.db
+        if not db.txn.logging:
+            # the guards undo through the log an open mark keeps on: the
+            # engine's entry points hold one, a call outside them opens its own
+            return db.txn.run_atomic(lambda: self._invoke(body, args))
         stats = db.stats
         if stats.call_depth >= self.MAX_DEPTH:
             raise RoutineError("routine call depth exceeded")
@@ -470,7 +484,7 @@ class RoutineInterpreter:
             if not db.tracer.enabled:
                 body.run(env)
             else:
-                with db.tracer.span("routine", name=routine.name) as span:
+                with db.tracer.span("routine", name=body.name) as span:
                     body.run(env)
                 # inclusive, and only while someone is tracing
                 # (EXPLAIN ANALYZE prints it per routine)
@@ -587,11 +601,15 @@ class _Compiler:
             if exit_ is not None:
                 handlers = env.frame.handlers
                 declared = len(handlers)
+            # no savepoint: an open mark (``_invoke``) keeps the undo log
+            # on, whose depth is a statement's start; a statement that
+            # returns has released every mark it opened
+            txn = db.txn
+            marks = len(txn.marks)
             try:
                 for body in bodies:
                     stats.statements += 1
-                    txn = db.txn
-                    token = txn.mark()
+                    depth, redo = len(txn.log), len(txn.redo)
                     try:
                         # watchdog checkpoint at every PSM statement
                         # boundary — inside this statement's guard, so a
@@ -608,13 +626,8 @@ class _Compiler:
                         # look for a declared handler; an unhandled
                         # condition cascades up one statement guard at a
                         # time, so the whole routine unwinds
-                        txn.rollback_to(token)
+                        txn.undo_to(depth, redo, marks)
                         signal = handle(exc, env)
-                    except BaseException:
-                        txn.release(token)
-                        raise
-                    else:
-                        txn.release(token)
                     if signal is not None:
                         return None if signal is exit_ else signal
                 return None
@@ -811,7 +824,7 @@ class _Compiler:
 
         def run(env: Env) -> Optional[_Signal]:
             for condition, block in branches:
-                if truth(condition(env)):
+                if condition(env) is True:
                     return block(env)
             if otherwise is not None:
                 return otherwise(env)
@@ -833,7 +846,7 @@ class _Compiler:
                         return block(env)
             else:
                 for when, block in branches:
-                    if truth(when(env)):
+                    if when(env) is True:
                         return block(env)
             if otherwise is not None:
                 return otherwise(env)
@@ -856,7 +869,7 @@ class _Compiler:
         block, leave, iterate = self._loop_body(stmt, scope)
 
         def run(env: Env) -> Optional[_Signal]:
-            while truth(condition(env)):
+            while condition(env) is True:
                 signal = block(env)
                 if signal is not None and signal is not iterate:
                     return None if signal is leave else signal
@@ -873,7 +886,7 @@ class _Compiler:
                 signal = block(env)
                 if signal is not None and signal is not iterate:
                     return None if signal is leave else signal
-                if truth(until(env)):
+                if until(env) is True:
                     return None
 
         return run

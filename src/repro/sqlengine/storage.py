@@ -380,6 +380,9 @@ class Table:
         }
         if len(self._index) != len(self.columns):
             raise CatalogError(f"duplicate column names in table {name}")
+        # replaced whenever the columns change: a plan bound against
+        # this stamp still fits the table (``planner._Scan.validate``)
+        self.schema_stamp = object()
         # bumped by every mutation; tags the derived structures
         self.version = 0
         # key -> (version, row count, structure), keys ("hash", column),
@@ -606,6 +609,7 @@ class Table:
                 txn.wal.record_add_column(self.name, column, default)
         self.columns.append(column)
         self._index[key] = len(self.columns) - 1
+        self.schema_stamp = object()
         for row in self.rows:
             row.append(default)
         self.version += 1

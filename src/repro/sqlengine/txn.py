@@ -14,8 +14,8 @@ Marks nest freely on one stack:
   statement in an anonymous mark (implicit statement atomicity);
 * the temporal stratum wraps each temporal statement, covering the MAX
   per-period CALL loop and PERST delete+insert pairs;
-* the PSM interpreter wraps every routine statement so handlers can
-  revert exactly the failing statement;
+* a failed routine statement is undone to the log depth it began at,
+  inside those marks, before its handler runs (no mark of its own);
 * ``SAVEPOINT name`` pushes a named mark inside an explicit transaction.
 
 Outside an explicit transaction the log is discarded as soon as the last
@@ -193,6 +193,7 @@ def _apply_undo(entry: tuple) -> None:
         del table.columns[ncols:]
         for row in table.rows:
             del row[ncols:]
+        table.schema_stamp = object()
         _restore_table_version(table, version)
     elif tag == "cat_table":
         _, catalog, key, old_value, old_version = entry
@@ -326,6 +327,14 @@ class TransactionManager:
                 # installing a new version
                 if self.write_set:
                     self.mvcc.release_writes(self, committed=False)
+
+    def undo_to(self, depth: int, redo: int, marks: int) -> None:
+        """A PSM statement guard's rollback, without a mark of its own: to
+        the undo-log ``depth``, redo length and mark count it took."""
+        del self.marks[marks:]
+        self._undo_to(depth)
+        if self.wal is not None:
+            self.wal.discard_buffer_from(redo)
 
     def _undo_to(self, index: int) -> None:
         if len(self.log) <= index:

@@ -184,6 +184,8 @@ def compare(left: Any, right: Any) -> Any:
     stripping trailing blanks (CHAR padding semantics); dates compare by
     ordinal.  Cross-type comparisons raise.
     """
+    if type(left) is int and type(right) is int:
+        return (left > right) - (left < right)
     if left is Null or right is Null:
         return Unknown
     left = _normalize(left)
@@ -257,6 +259,10 @@ _NAN_KEY = (1, float("inf"), 1)  # after every other number, inf included
 def sort_key(value: Any) -> tuple:
     """A total-order key for ORDER BY / DISTINCT / hash keys: NULLs sort
     first; keys are equal exactly where :func:`compare` says 0."""
+    if type(value) is str:
+        return (3, value.rstrip())
+    if type(value) is int:
+        return (1, value)
     if value is Null:
         return (0, 0)
     if isinstance(value, bool):

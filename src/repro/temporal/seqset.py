@@ -64,7 +64,6 @@ from repro.sqlengine.exprcompile import (
     _batch_kernel,
     compile_expression,
 )
-from repro.sqlengine.planner import IntervalJoin, TemporalAlign
 from repro.sqlengine.storage import _column_kind
 from repro.sqlengine.values import Null, sort_key, truth
 from repro.temporal import analysis
@@ -73,6 +72,56 @@ from repro.temporal.period import Period
 from repro.temporal.pointwise import add_point_conditions
 from repro.temporal.schema import TemporalRegistry
 from repro.temporal.transform_util import and_all, clone, unique_name
+
+
+class TemporalAlign:
+    """SEQ-SET plan node: one FROM table's rows aligned onto the
+    constant-period grid in a single pass (interval-index overlap probe
+    against the temporal context, vectorized single-table filters, then
+    a bisect of each row's period onto the sorted period begins).
+
+    EXPLAIN renders the access path alongside the engine's scan nodes.
+    """
+
+    __slots__ = ("name", "alias", "pair", "kernel_count", "temporal")
+
+    def __init__(
+        self,
+        name: str,
+        alias: str,
+        pair: "tuple | None",
+        kernel_count: int,
+        temporal: bool,
+    ) -> None:
+        self.name = name
+        self.alias = alias
+        self.pair = pair
+        self.kernel_count = kernel_count
+        self.temporal = temporal
+
+
+class IntervalJoin:
+    """SEQ-SET plan node: interval hash join of aligned inputs.  Each
+    input after the first is hashed once on its equi-join key
+    (``keys[i]`` lists the ``a.col = b.col`` conjuncts binding input
+    ``i + 1`` to earlier inputs; empty = nested, every run under one
+    key), outer runs probe in ascending position and period ranges
+    intersect; output is period-major in FROM order — MAX's emission
+    order — with one compiled residual per matched combination."""
+
+    __slots__ = ("inputs", "keys", "residual_conjuncts", "distinct")
+
+    def __init__(
+        self,
+        inputs: list,
+        keys: list,
+        residual_conjuncts: int,
+        distinct: bool,
+    ) -> None:
+        self.inputs = inputs
+        self.keys = keys
+        self.residual_conjuncts = residual_conjuncts
+        self.distinct = distinct
 
 CP_COLMAP = {"begin_time": 0, "end_time": 1}
 

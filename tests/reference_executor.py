@@ -6,8 +6,9 @@ the whole WHERE is evaluated at the leaf, and every expression is
 evaluated by a tree walk — no plan, no plan or expression cache, no
 compiled closure, no hash or interval probe, no batch kernel, no join
 reordering.  It shares nothing with ``planner.py``/``exprcompile.py``;
-what it inherits from ``Executor`` is dispatch, set operations, LIMIT,
-DDL, name/table resolution and the value-level operator helpers.
+what it inherits from ``Executor`` is dispatch, LIMIT, DDL, name/table
+resolution and the value-level operator helpers; set operations are its
+own, over ``Counter`` multisets.
 
 A test installs it on a database (``db._executor = ReferenceExecutor(db)``,
 or for a block ``with installed(db):``), so routine bodies and
@@ -21,6 +22,7 @@ whose SELECT comes back here.
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Optional
 
@@ -51,6 +53,26 @@ from repro.sqlengine.values import (
     truth,
 )
 from tests.reference_psm import ReferenceInterpreter
+
+
+def _key(row: list[Any]) -> tuple:
+    return tuple(map(sort_key, row))
+
+
+def _first_copies(rows: list, counts: Counter, cap: Optional[int]) -> list:
+    """The first ``counts[key]`` rows of each key, in order (at most
+    ``cap`` of them when given)."""
+    left = Counter({
+        key: count if cap is None else min(count, cap)
+        for key, count in counts.items()
+    })
+    kept = []
+    for row in rows:
+        key = _key(row)
+        if left[key] > 0:
+            left[key] -= 1
+            kept.append(row)
+    return kept
 
 
 @contextmanager
@@ -127,6 +149,34 @@ class ReferenceExecutor(Executor):
             rows = [row for _, _, row in paired]
         if select.distinct:
             rows = _distinct_rows(rows)
+        return ResultSet(columns, rows)
+
+    def _apply_set_ops(
+        self, select: ast.Select, left: ResultSet, env: Optional[Env]
+    ) -> ResultSet:
+        """Set operations over multisets of rows keyed by ``sort_key``
+        (NULLs group): UNION ALL adds counts, UNION / EXCEPT / INTERSECT
+        keep each surviving key once (EXCEPT: the keys the right operand
+        lacks), EXCEPT ALL keeps ``max(m - n, 0)``
+        and INTERSECT ALL ``min(m, n)`` copies — always the first ones
+        in left-operand order."""
+        node, rows, columns = select, left.rows, left.columns
+        while node.set_op:
+            node, op = node.set_rhs, node.set_op
+            right = self._run_arm(node, env, None)
+            if len(right.columns) != len(columns):
+                raise ExecutionError("set operands differ in column count")
+            if op.startswith("UNION"):
+                rows = rows + right.rows
+                if op == "UNION":
+                    rows = _first_copies(rows, Counter(map(_key, rows)), 1)
+                continue
+            have, other = Counter(map(_key, rows)), Counter(map(_key, right.rows))
+            if op == "EXCEPT":
+                kept = Counter(key for key in have if key not in other)
+            else:
+                kept = have - other if op == "EXCEPT ALL" else have & other
+            rows = _first_copies(rows, kept, None if op.endswith("ALL") else 1)
         return ResultSet(columns, rows)
 
     def _evaluate_grouped(

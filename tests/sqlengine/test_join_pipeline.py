@@ -121,6 +121,49 @@ SCHEMA = [
        END""",
 ]
 
+# aggregates over probe joins keyed by routine variables: an ungrouped
+# COUNT(*) over three levels, a SUM (NULL over zero rows), a grouped
+# select read row by row; NULL arguments key nothing
+SCHEMA += [
+    """CREATE FUNCTION agg_count (kk INTEGER, ss CHAR(4)) RETURNS INTEGER
+       READS SQL DATA LANGUAGE SQL
+       BEGIN
+         RETURN (SELECT COUNT(*) FROM a, b, c
+                 WHERE a.k = b.k AND b.w = kk AND c.k = a.v AND a.s = ss);
+       END""",
+    """CREATE FUNCTION agg_sum (kk INTEGER) RETURNS INTEGER
+       READS SQL DATA LANGUAGE SQL
+       BEGIN
+         DECLARE total INTEGER;
+         SELECT SUM(c.x) INTO total FROM b, c WHERE c.k = b.k AND b.w = kk;
+         RETURN COALESCE(total, -1);
+       END""",
+    """CREATE FUNCTION agg_groups (kk INTEGER) RETURNS INTEGER
+       READS SQL DATA LANGUAGE SQL
+       BEGIN
+         DECLARE total INTEGER DEFAULT 0;
+         FOR g AS SELECT a.v AS v, COUNT(*) AS n, MIN(c.x) AS m FROM a, b, c
+                  WHERE a.k = b.k AND b.w = kk AND c.k = a.v
+                  GROUP BY a.v ORDER BY a.v DO
+           SET total = total * 10 + g.n + COALESCE(g.m, 5) + COALESCE(g.v, 7);
+         END FOR;
+         RETURN total;
+       END""",
+    # the same joins with a partial conjunct that raises on some
+    # combinations, and with an operand of the wrong class (demoted)
+    """CREATE FUNCTION agg_div (kk INTEGER) RETURNS INTEGER
+       READS SQL DATA LANGUAGE SQL
+       BEGIN
+         RETURN (SELECT COUNT(*) FROM a, b, c
+                 WHERE a.k = b.k AND b.w = kk AND c.k = a.v AND 10 / c.x > 1);
+       END""",
+    """CREATE FUNCTION agg_cross (kk INTEGER) RETURNS INTEGER
+       READS SQL DATA LANGUAGE SQL
+       BEGIN
+         RETURN (SELECT SUM(a.v) FROM a, b WHERE a.k = b.k AND b.w >= 0 AND a.s = kk);
+       END""",
+]
+
 # (FROM + select list, total conjuncts, partial conjuncts in WHERE order
 # relative to the totals: "before" / "after"), tail
 QUERIES = [
@@ -182,11 +225,24 @@ QUERIES = [
     ("SELECT a.v, b.w FROM a, b", ["b.k = 1"], ["a.s = b.w"], ""),
     ("SELECT a.v FROM a", ["a.k = 1"], ["a.s = 1"], ""),
 ]
+# aggregates over 2- and 3-level probe joins: over zero rows COUNT(*) is
+# 0 and SUM NULL; partial conjuncts that raise on some combinations
+AGGREGATE = [
+    ("SELECT COUNT(*), SUM(c.x) FROM a, b, c",
+     ["a.k = b.k", "b.w = c.k", "c.x = 1"], ["10 / a.v > 0"], ""),
+    ("SELECT COUNT(*) FROM a, b", ["a.k = b.k", "b.w = 1"], ["10 / (a.v - b.w) > 0"], ""),
+    ("SELECT a.v, COUNT(*), SUM(b.w) FROM a, b",
+     ["a.k = b.k", "b.w = 1"], ["10 / a.v > 0"], " GROUP BY a.v ORDER BY a.v"),
+    ("SELECT c.k, c.x, agg_count(c.x, 'x'), agg_sum(c.k), agg_groups(c.x) FROM c",
+     [], [], " ORDER BY c.k, c.x"),
+]
 # checked for equal rows and no new errors only: routine bodies (the
 # harness cannot strip the total conjuncts out of their WHERE)
 LOOSE = [
     ("SELECT c.k, filter_cross(c.k) FROM c", [], [], ""),
     ("SELECT c.k, probe_cross(c.k) FROM c", [], [], ""),
+    ("SELECT c.k, agg_div(c.x) FROM c", [], [], ""),
+    ("SELECT c.k, agg_cross(c.k) FROM c", [], [], ""),
 ]
 STAB = ["fact.begin_time <= cp.begin_time", "cp.begin_time < fact.end_time"]
 PERIOD = [
@@ -331,7 +387,7 @@ def check(db, query, partial_first, loose=False):
 def test_pipeline_equals_from_order_nested_loop(a, b, c, fact, cp):
     db = build(a, b, c, fact, cp)
     for partial_first in (False, True):
-        for query in QUERIES + SUFFIX:
+        for query in QUERIES + SUFFIX + AGGREGATE:
             check(db, query, partial_first)
         for query in LOOSE:
             check(db, query, partial_first, loose=True)
@@ -653,3 +709,42 @@ class TestWorkBound:
         text = stratum.execute("EXPLAIN " + sql, strategy=SlicingStrategy.PERST).text()
         assert f"join order: {link_alias}, i, taupsm_f (emitted in FROM order)" in text
         assert f"HashProbe item AS i on i.id = {link_alias}.item_id" in text
+
+
+def test_a_plan_is_invalidated_between_two_invocations():
+    """q11's shape: each call re-creates a temporary table by CTAS, whose
+    column types follow the data.  The SELECT over it was planned with
+    ``c.k = p.z`` a numeric probe; when a call re-creates ``z`` as text
+    the plan must go (the comparison is partial now, and raises as the
+    nested loop does) and come back for the next numeric call."""
+    row_a = [(1, "x", 1.0, 1), (2, "y", 2.0, 2)]
+    db = build(row_a, [(1, "x", 1.0, 1), (2, "y", 2.0, 1)], [(1, 5), (2, 6), (2, 7)], [], [])
+    db.execute(
+        """CREATE PROCEDURE retyped (kk INTEGER) LANGUAGE SQL
+           BEGIN
+             CREATE TEMPORARY TABLE pricey AS (
+               SELECT CASE WHEN kk = 1 THEN a.v ELSE a.s END AS z, b.w AS w
+               FROM a, b WHERE a.k = b.k);
+             SELECT p.z, p.w, c.x FROM pricey p, c WHERE c.k = p.z AND p.w >= 0
+             ORDER BY p.w;
+           END"""
+    )
+
+    def called(kk, planned):
+        try:
+            if planned:
+                results = db.execute(f"CALL retyped({kk})")
+            else:
+                with installed(db):
+                    results = db.execute(f"CALL retyped({kk})")
+        except SqlError as exc:
+            return "error", type(exc)
+        return "rows", [result.rows for result in results]
+
+    outcomes = []
+    for kk in (1, 2, 1):
+        outcomes.append(called(kk, planned=True))
+        assert outcomes[-1] == called(kk, planned=False), kk
+    assert outcomes[0] == outcomes[2] == ("rows", [[[1, 1, 5], [2, 1, 6], [2, 1, 7]]])
+    assert outcomes[1][0] == "error"
+    assert db.obs.value("engine.plan_invalidated") == 2

@@ -10,7 +10,10 @@ compounds with shadowed declarations, IF / CASE (both forms) / WHILE /
 REPEAT / LOOP / FOR with LEAVE and ITERATE to inner and outer labels,
 cursors (OPEN / FETCH past the end / CLOSE / re-OPEN / FETCH on a closed
 cursor), CONTINUE and EXIT handlers for SQLEXCEPTION, a SQLSTATE and NOT
-FOUND, SIGNAL, row SET and SELECT INTO over 0 / 1 / 2 rows, row-array
+FOUND (whose actions may raise themselves), SIGNAL, a statement that
+writes a temporary and a base table and then raises inside itself under
+a CONTINUE, an EXIT or no handler, row SET and SELECT INTO over 0 / 1 /
+2 rows, row-array
 variables with ``INSERT INTO TABLE``, DML on a base table, nested
 function and procedure calls with OUT / INOUT, and recursion.  Both
 sides must agree on return value, result sets, OUT values, final table
@@ -20,8 +23,9 @@ contents, error class + SQLSTATE, ``stats.statements`` and
 What the generator stays away from is where the two differ **on
 purpose**; each has its own fixed-case test:
 
-1. an EXIT handler whose extent holds a FOR loop — the walker leaks the
-   record's scope (``test_handler_semantics.py``);
+1. an EXIT handler, or a handler whose action raises, whose extent holds
+   a FOR loop — the walker leaks the record's scope, so the handler stays
+   declared for one more statement guard (``test_handler_semantics.py``);
 2. LEAVE / ITERATE to a label that does not enclose them, and SET /
    FETCH / SELECT INTO targets that are not declared — compile-time
    ``RoutineError`` now (``test_routines.py``);
@@ -47,6 +51,7 @@ empty SELECT INTO.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -54,6 +59,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.sqlengine import Database
 from repro.sqlengine.errors import SqlError
+from repro.sqlengine.parser import parse_statement
 from tests.reference_executor import ReferenceExecutor
 
 SCHEMA = [
@@ -78,6 +84,15 @@ SCHEMA = [
          UPDATE t SET b = b + 1 WHERE a = x;
          IF x >= 1 THEN SIGNAL SQLSTATE '45000' SET MESSAGE_TEXT = 'leak'; END IF;
          RETURN x;
+       END""",
+    # writes a temporary and a base table, then fails: a statement that
+    # calls it writes and raises inside itself
+    "CREATE TEMPORARY TABLE scratch (k INTEGER)",
+    """CREATE FUNCTION spill (x INTEGER) RETURNS INTEGER MODIFIES SQL DATA LANGUAGE SQL
+       BEGIN
+         INSERT INTO scratch VALUES (x);
+         INSERT INTO log VALUES (200 + x);
+         SIGNAL SQLSTATE '45000' SET MESSAGE_TEXT = 'spilled';
        END""",
     # runs the generated procedure and shows its OUT / INOUT values
     """CREATE PROCEDURE wrapper (d INTEGER) LANGUAGE SQL
@@ -225,14 +240,24 @@ def loop(draw, ctx: Ctx) -> str:
             f" DO {body} END FOR {label}")
 
 
+RAISING_ACTIONS = [  # the second one after writing
+    "SIGNAL SQLSTATE '45001'",
+    "BEGIN INSERT INTO log VALUES (hc); SET hc = spill(hc); END",
+]
+
+
 @st.composite
-def handler(draw, ctx: Ctx, exits: bool) -> str:
+def handler(draw, ctx: Ctx, exits: bool, raising: bool = False) -> str:
+    """``raising``: the action may raise itself — which leaves the
+    declaring compound like an EXIT, so its extent holds no FOR loop."""
     condition_ = draw(st.sampled_from(
         ["SQLEXCEPTION", "SQLSTATE '45000'", "NOT FOUND"]
     ))
     kind = "EXIT" if exits and condition_ != "NOT FOUND" else "CONTINUE"
     actions = ["SET hc = hc + 1", f"INSERT INTO log VALUES ({draw(LITERALS)})",
                "BEGIN SET hc = hc + 10; INSERT INTO log VALUES (hc); END"]
+    if raising:
+        actions += RAISING_ACTIONS
     if ctx.function:
         actions.append("RETURN -1")
     if ctx.labels:
@@ -262,8 +287,11 @@ def compound(draw, ctx: Ctx) -> str:
         declarations.insert(0, f"DECLARE {array} ROW(x INTEGER, y INTEGER) ARRAY;")
         inner = inner.child(arrays=inner.arrays + (array,), depth=inner.depth)
     exits = draw(st.integers(0, 2)) == 0
-    handlers = [draw(handler(ctx, exits)) for _ in range(draw(st.integers(0, 2)))]
-    if any(" EXIT " in text for text in handlers):
+    handlers = [
+        draw(handler(ctx, exits, raising=True)) for _ in range(draw(st.integers(0, 2)))
+    ]
+    if any(" EXIT " in text or text.endswith(tuple(action + ";" for action in RAISING_ACTIONS))
+           for text in handlers):
         inner = inner.child(exit_extent=True, depth=inner.depth)
     # a block with handlers gets something for them to catch
     also = ("SIGNAL SQLSTATE '45000'",) if handlers and draw(st.booleans()) else ()
@@ -274,7 +302,7 @@ def compound(draw, ctx: Ctx) -> str:
 @st.composite
 def statement(draw, ctx: Ctx) -> str:
     deep = ctx.depth >= 4
-    kind = draw(st.integers(0, 21 if not deep else 13))
+    kind = draw(st.integers(0, 22 if not deep else 13))
     var = draw(VARS)
     if kind <= 2:
         return f"SET {var} = {draw(expression(ctx))}"
@@ -344,7 +372,25 @@ def statement(draw, ctx: Ctx) -> str:
                 f"{otherwise} END CASE")
     if kind <= 19:
         return draw(loop(ctx))
+    if kind == 20:
+        return draw(write_then_raise(ctx))
     return draw(compound(ctx))
+
+
+@st.composite
+def write_then_raise(draw, ctx: Ctx) -> str:
+    """A statement that writes and then raises, inside itself: its
+    callee's temporary- and base-table inserts must be undone, under a
+    CONTINUE handler, an EXIT handler or none."""
+    failing = draw(st.sampled_from([
+        f"SET {draw(VARS)} = spill({draw(VARS)})",
+        f"SET hc = leaky({draw(VARS)})",
+    ]))
+    kind = draw(st.sampled_from(["CONTINUE", "EXIT", None]))
+    if kind is None:
+        return f"BEGIN {failing}; SET hc = hc + 100; END"
+    return (f"BEGIN DECLARE {kind} HANDLER FOR SQLSTATE '45000' SET hc = hc + 1;"
+            f" {failing}; SET hc = hc + 100; END")
 
 
 @st.composite
@@ -398,6 +444,7 @@ def observe(db: Database, sql: str):
         outcome,
         db.table("t").rows,
         db.table("log").rows,
+        db.table("scratch").rows,
         db.stats.statements,
         db.stats.routine_calls,
         db.stats.call_depth,
@@ -419,7 +466,7 @@ def test_compiled_bodies_equal_the_walker(pair):
         assert observe(compiled, sql) == observe(walked, sql), (function, procedure, sql)
     # the walker's side never compiled a body, the engine's compiled each once
     assert walked.obs.value("engine.psm.compiles") == 0
-    assert compiled.obs.value("engine.psm.compiles") <= 5
+    assert compiled.obs.value("engine.psm.compiles") <= 6
 
 
 # -- fixed cases -----------------------------------------------------------
@@ -505,3 +552,67 @@ def test_one_interpreter_in_src():
     call = (src / "repro/sqlengine/exprcompile.py").read_text()
     closure = call[call.index("def call_closure"):call.index("return call_closure")]
     assert "has_routine(" not in closure and "get_routine(" not in closure
+
+
+def test_a_handled_error_buffers_the_redo_the_mark_based_guard_buffers(tmp_path):
+    """On a durable store, the statement guards undo a failed statement
+    without a savepoint of their own: what the transaction buffered for
+    the WAL after handled errors — and the WAL the commit writes — must
+    be byte for byte what the walker's mark-based guards leave."""
+    procedure = """
+        CREATE PROCEDURE p (x INTEGER) LANGUAGE SQL
+        BEGIN
+          DECLARE hc INTEGER DEFAULT 0;
+          DECLARE CONTINUE HANDLER FOR SQLSTATE '45000'
+            BEGIN SET hc = hc + 1; INSERT INTO log VALUES (hc); END;
+          INSERT INTO log VALUES (x);
+          SET hc = spill(x);
+          UPDATE t SET b = b + 1 WHERE a = x;
+          BEGIN
+            DECLARE EXIT HANDLER FOR SQLEXCEPTION INSERT INTO log VALUES (99);
+            SET hc = leaky(x);
+            INSERT INTO log VALUES (98);
+          END;
+          SET hc = hc + risky(x);
+        END"""
+
+    def run(reference: bool) -> tuple:
+        db = Database.open(tmp_path / ("walker" if reference else "compiled"))
+        if reference:
+            db._executor = ReferenceExecutor(db)
+        for sql in SCHEMA + [procedure]:
+            db.execute(sql)
+        db.execute("BEGIN")
+        db.execute("CALL p(2)")
+        buffered = json.dumps(db.txn.redo)
+        db.execute("COMMIT")
+        wal = db.durability.wal_path.read_bytes()
+        observed = (buffered, db.table("log").rows, db.table("t").rows,
+                    db.table("scratch").rows, db.stats.statements)
+        db.close()
+        return observed, wal
+
+    (compiled, compiled_wal), (walked, walked_wal) = run(False), run(True)
+    assert compiled == walked
+    assert compiled_wal == walked_wal
+    assert json.loads(compiled[0])  # the handled statements left records
+
+
+def test_routines_run_under_an_open_mark():
+    """The guards undo through the undo log an open mark keeps on: an
+    invocation from outside every engine entry point opens its own, so a
+    handled error still leaves nothing of the failed statement behind."""
+    db = Database()
+    for sql in SCHEMA:
+        db.execute(sql)
+    db.execute(
+        "CREATE FUNCTION f () RETURNS INTEGER LANGUAGE SQL BEGIN"
+        " DECLARE x INTEGER DEFAULT 1;"
+        " DECLARE CONTINUE HANDLER FOR SQLSTATE '45000' SET x = 0;"
+        " SET x = spill(5); RETURN x; END"
+    )
+    assert not db.txn.marks and not db.txn.logging
+    call = parse_statement("SELECT f() AS r FROM one")
+    assert db.executor.execute(call).rows == [[0]]  # outside Database.execute_ast
+    assert db.table("log").rows == [] and db.table("scratch").rows == []
+    assert not db.txn.marks and not db.txn.log

@@ -1,6 +1,7 @@
 """Query-execution tests: scans, joins, aggregation, subqueries, views."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sqlengine import Database
 from repro.sqlengine.errors import (
@@ -9,6 +10,7 @@ from repro.sqlengine.errors import (
     ExecutionError,
 )
 from repro.sqlengine.values import Date, Null
+from tests.reference_executor import installed
 
 
 @pytest.fixture
@@ -229,6 +231,70 @@ class TestSetOperations:
     def test_mismatched_arity_raises(self, db):
         with pytest.raises(ExecutionError):
             db.query("SELECT id, name FROM emp UNION SELECT code FROM dept")
+
+    def test_except_all_keeps_multiplicities(self, bags):
+        # a = {1, 1, 1, 2, NULL, NULL}, b = {1, NULL, 3}
+        result = bags.query("SELECT x FROM a EXCEPT ALL SELECT x FROM b")
+        assert result.rows == [[1], [1], [2], [Null]]
+
+    def test_intersect_all_keeps_multiplicities(self, bags):
+        result = bags.query("SELECT x FROM a INTERSECT ALL SELECT x FROM b")
+        assert result.rows == [[1], [Null]]
+        result = bags.query("SELECT x FROM b INTERSECT ALL SELECT x FROM a")
+        assert result.rows == [[1], [Null]]
+
+    def test_distinct_forms_keep_one_copy(self, bags):
+        assert bags.query(
+            "SELECT x FROM a EXCEPT SELECT x FROM b"
+        ).rows == [[2]]
+        assert bags.query(
+            "SELECT x FROM a INTERSECT SELECT x FROM b"
+        ).rows == [[1], [Null]]
+
+
+@pytest.fixture
+def bags():
+    db = Database()
+    db.execute("CREATE TABLE a (x INTEGER)")
+    db.execute("CREATE TABLE b (x INTEGER)")
+    for x in ("1", "1", "1", "2", "NULL", "NULL"):
+        db.execute(f"INSERT INTO a VALUES ({x})")
+    for x in ("1", "NULL", "3"):
+        db.execute(f"INSERT INTO b VALUES ({x})")
+    return db
+
+
+_SET_OPS = ["UNION", "UNION ALL", "EXCEPT", "EXCEPT ALL", "INTERSECT", "INTERSECT ALL"]
+_BAG = st.lists(
+    st.tuples(st.sampled_from(["1", "2", "NULL"]), st.sampled_from(["'x'", "'x  '", "'y'"])),
+    max_size=6,
+)
+
+
+class TestSetOperationsDifferential:
+    """Every set operation, chained left to right, against the reference
+    executor's own multiset implementation: rows, order and copies (CHAR
+    padding makes equal keys with different spellings)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        contents=st.lists(_BAG, min_size=3, max_size=3),
+        ops=st.lists(st.sampled_from(_SET_OPS), min_size=1, max_size=2),
+    )
+    def test_engine_matches_reference(self, contents, ops):
+        db = Database()
+        for name, rows in zip("pqr", contents):
+            db.execute(f"CREATE TABLE {name} (k INTEGER, s VARCHAR(4))")
+            for k, text in rows:
+                db.execute(f"INSERT INTO {name} VALUES ({k}, {text})")
+        sql = " ".join(
+            f"{op} SELECT k, s FROM {name}" for op, name in zip(ops, "qr")
+        )
+        sql = "SELECT k, s FROM p " + sql
+        engine = db.query(sql).rows
+        with installed(db):
+            reference = db.query(sql).rows
+        assert engine == reference
 
 
 class TestViews:
