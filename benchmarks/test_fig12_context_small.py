@@ -10,8 +10,7 @@ both strategies — the crossover the paper walks through numerically).
 import pytest
 
 from benchmarks.conftest import print_report
-from repro.bench.experiments import fig12_context_small
-from repro.bench.harness import run_cell
+from benchmarks.paper import fig12_context_small, run_cell
 from repro.taubench import get_query
 from repro.temporal.stratum import SlicingStrategy
 

@@ -9,8 +9,7 @@ per-period cursor queries (q7/q7b); q17b has no PERST timing anywhere.
 import pytest
 
 from benchmarks.conftest import print_report
-from repro.bench.experiments import fig13_context_large
-from repro.bench.harness import run_cell
+from benchmarks.paper import fig13_context_large, run_cell
 from repro.taubench import get_query
 from repro.temporal.stratum import SlicingStrategy
 

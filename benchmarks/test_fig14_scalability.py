@@ -6,7 +6,7 @@ caused by DB2 plan changes, which an interpreter does not reproduce).
 """
 
 from benchmarks.conftest import print_report
-from repro.bench.experiments import fig14_scalability
+from benchmarks.paper import fig14_scalability
 
 
 def test_fig14_series(benchmark):

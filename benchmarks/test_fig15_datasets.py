@@ -8,7 +8,7 @@ those queries probe a cold (non-hot-spot) row with fewer versions.
 """
 
 from benchmarks.conftest import print_report
-from repro.bench.experiments import fig15_data_characteristics
+from benchmarks.paper import fig15_data_characteristics
 
 
 def test_fig15_series(benchmark):

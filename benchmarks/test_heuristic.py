@@ -7,7 +7,7 @@ datasets and evaluate the same heuristic over them.
 """
 
 from benchmarks.conftest import print_report
-from repro.bench.experiments import (
+from benchmarks.paper import (
     fig12_context_small,
     fig15_data_characteristics,
     heuristic_evaluation,

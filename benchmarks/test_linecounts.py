@@ -7,7 +7,7 @@ expansion ordering (original < MAX < PERST in total).
 """
 
 from benchmarks.conftest import print_report
-from repro.bench.experiments import line_counts
+from benchmarks.paper import line_counts
 
 
 def test_line_counts(benchmark):

@@ -6,10 +6,12 @@ invocations for each strategy, plus what the §VII-F heuristic would
 pick.  Expect MAX to win for the shortest contexts and PERST to win —
 and stay nearly flat — as the context grows.
 
-Run:  python examples/slicing_tradeoff.py
+Run from the repository root:
+
+    PYTHONPATH=src python -m examples.slicing_tradeoff
 """
 
-from repro.bench.harness import context_bounds, run_cell
+from benchmarks.paper import run_cell
 from repro.sqlengine.parser import parse_statement
 from repro.taubench import build_dataset, get_query
 from repro.temporal.heuristic import choose_strategy
@@ -36,8 +38,9 @@ for days in CONTEXTS:
     max_cell = cells[SlicingStrategy.MAX]
     perst_cell = cells[SlicingStrategy.PERST]
     winner = "MAX" if max_cell.seconds <= perst_cell.seconds else "PERST"
-    begin, end = context_bounds(dataset, days)
-    stmt = parse_statement(query.sequenced_sql(dataset, begin, end))
+    stmt = parse_statement(
+        query.sequenced_sql(dataset, *dataset.context_bounds(days))
+    )
     pick = choose_strategy(
         stmt, dataset.stratum, dataset.stratum.registry, dataset.context(days)
     )

@@ -10,8 +10,6 @@ Public API:
   sequenced (MAX or PERST slicing) and nonsequenced semantics.
 * :mod:`repro.taubench` — the τPSM benchmark: datasets DS1/DS2/DS3 and
   the sixteen queries q2..q20.
-* :mod:`repro.bench` — the experiment harness regenerating the paper's
-  figures.
 """
 
 __version__ = "1.0.0"

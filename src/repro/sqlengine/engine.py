@@ -29,8 +29,8 @@ class EngineStats:
     Hot counters stay plain ints; row mutations are routed into the
     metrics registry under ``engine.rows_written.<source>`` so every
     write path (insert/update/delete, sequenced rewrites, TT
-    maintenance, bulk loads) is attributed.  ``rows_written`` remains as
-    a deprecated read-only alias for the sum across sources.
+    maintenance, bulk loads) is attributed.  ``rows_written`` is the
+    read-only sum across sources, read by the e2e harness.
     """
 
     ROWS_WRITTEN_PREFIX = "engine.rows_written."
@@ -66,7 +66,8 @@ class EngineStats:
 
     @property
     def rows_written(self) -> int:
-        """Deprecated: total across ``engine.rows_written.*`` sources."""
+        """Total across ``engine.rows_written.*`` sources; read by the e2e
+        harness."""
         return self.obs.sum_prefix(self.ROWS_WRITTEN_PREFIX)
 
     @property
@@ -307,7 +308,7 @@ class Database:
     def refresh_storage_gauges(self) -> int:
         """Recompute the ``engine.bytes_resident`` gauge: the summed
         byte estimate of every catalog table's columnar image.  Called
-        on demand (``.metrics``, ``trace_summary``) rather than per
+        on demand (the shell's ``.metrics``) rather than per
         statement — building a store for a never-scanned table is work
         we only want when someone is looking."""
         total = sum(table.bytes_resident() for table in self.catalog.tables())

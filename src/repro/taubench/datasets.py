@@ -132,6 +132,11 @@ class Dataset:
         begin = TIMELINE_BEGIN.ordinal + 30
         return Period(begin, begin + days)
 
+    def context_bounds(self, days: int) -> tuple[str, str]:
+        """:meth:`context` as ISO dates, for a ``VALIDTIME`` clause."""
+        period = self.context(days)
+        return Date(period.begin).to_iso(), Date(period.end).to_iso()
+
     def total_rows(self) -> int:
         return sum(
             len(self.stratum.db.catalog.get_table(t)) for t in schema.TABLE_NAMES

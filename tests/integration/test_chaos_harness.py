@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 import random
 import shutil
+import time
 
 import pytest
 
@@ -235,15 +236,16 @@ def test_chaos_durable_recovers_committed_prefix(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the acceptance scenario: 50 ms deadline mid-MAX-loop on q2's shape
+# the acceptance scenario: a deadline mid-MAX-loop on q2's shape
 # ---------------------------------------------------------------------------
 
 
 def test_deadline_cancels_mid_max_loop_and_store_verifies(tmp_path):
     """A q2-shaped sequenced query (function-in-predicate join driven
-    through the per-constant-period CALL loop) with a 50 ms statement
-    deadline: cancels mid-loop with SQLSTATE 57014, leaves the stratum
-    usable, and the durable store verifies clean afterwards."""
+    through the per-constant-period CALL loop) with a statement deadline
+    a tenth of its own running time: cancels mid-loop with SQLSTATE
+    57014, leaves the stratum usable, and the durable store verifies
+    clean afterwards."""
     from repro.sqlengine.values import Date
 
     path = tmp_path / "store"
@@ -314,9 +316,13 @@ def test_deadline_cancels_mid_max_loop_and_store_verifies(tmp_path):
         stratum.execute(sequenced, SlicingStrategy.MAX)
     assert db.resilience.checks == 150
 
-    # then the wall-clock shape: a 50 ms deadline on a multi-second
-    # loop cancels with SQLSTATE 57014 long before completion
-    db.resilience.statement_timeout = 0.050
+    # then the wall-clock shape: a deadline of a tenth of the statement's
+    # own warm running time cancels with SQLSTATE 57014 long before
+    # completion.  Both runs after the first hit the statement cache, so
+    # the timed run and the cancelled one do the same work.
+    started = time.perf_counter()
+    stratum.execute(sequenced, SlicingStrategy.MAX)
+    db.resilience.statement_timeout = (time.perf_counter() - started) / 10
     with pytest.raises(QueryCancelled) as excinfo:
         stratum.execute(sequenced, SlicingStrategy.MAX)
     assert excinfo.value.sqlstate == "57014"

@@ -18,7 +18,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.harness import context_bounds
 from repro.obs.explain import ExplainResult
 from repro.taubench import get_query
 from repro.temporal import SlicingStrategy
@@ -227,7 +226,7 @@ class TestGoldenBenchmarkQueries:
     def test_query(self, dataset, name):
         query = get_query(name)
         query.install(dataset)
-        begin, end = context_bounds(dataset, 90)
+        begin, end = dataset.context_bounds(90)
         sql = query.sequenced_sql(dataset, begin, end)
         result = dataset.stratum.execute("EXPLAIN " + sql)
         check_golden(f"taubench_{name}", result.text())
@@ -240,7 +239,7 @@ class TestGoldenBenchmarkQueries:
         dataset = build_dataset("DS1", "SMALL")
         query = get_query("q2")
         query.install(dataset)
-        begin, end = context_bounds(dataset, 90)
+        begin, end = dataset.context_bounds(90)
         sql = query.sequenced_sql(dataset, begin, end)
         dataset.stratum.execute(sql, strategy=SlicingStrategy.PERST)
         text = dataset.stratum.execute(

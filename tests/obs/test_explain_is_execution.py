@@ -12,7 +12,6 @@ refused by EXPLAIN with the same error.
 
 import pytest
 
-from repro.bench.harness import context_bounds
 from repro.sqlengine.errors import SqlError
 from repro.sqlengine.values import Date
 from repro.taubench import ALL_QUERIES, build_dataset
@@ -167,7 +166,7 @@ class TestTaubench:
         query.install(dataset)
         for name in self.clones(catalog):
             catalog.drop_routine(name)
-        sql = query.sequenced_sql(dataset, *context_bounds(dataset, 30))
+        sql = query.sequenced_sql(dataset, *dataset.context_bounds(30))
         lines = stratum.execute("EXPLAIN " + sql, strategy).lines
         assert self.clones(catalog) == set()  # EXPLAIN installed nothing
         stratum.execute(sql, strategy)
@@ -235,7 +234,7 @@ class TestRefusals:
         dataset = build_dataset("DS1", "SMALL")
         query = next(q for q in ALL_QUERIES if not q.perst_applicable)
         query.install(dataset)
-        sql = query.sequenced_sql(dataset, *context_bounds(dataset, 30))
+        sql = query.sequenced_sql(dataset, *dataset.context_bounds(30))
         run = dataset.stratum.execute
         executed = self.refusal(lambda: run(sql, SlicingStrategy.PERST))
         assert executed[0].__name__ == "PerStatementInapplicableError"

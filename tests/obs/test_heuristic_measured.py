@@ -15,7 +15,6 @@ Two guarantees:
 
 import pytest
 
-from repro.bench.harness import context_bounds
 from repro.sqlengine.parser import parse_statement
 from repro.taubench import ALL_QUERIES, get_query
 from repro.temporal import SlicingStrategy
@@ -26,7 +25,7 @@ CONTEXT_DAYS = 90
 
 def sequenced_stmt(dataset, query, days=CONTEXT_DAYS):
     query.install(dataset)
-    begin, end = context_bounds(dataset, days)
+    begin, end = dataset.context_bounds(days)
     return parse_statement(query.sequenced_sql(dataset, begin, end))
 
 
@@ -38,7 +37,7 @@ class TestMeasuredCostMode:
         for name in ("q10", "q14"):
             query = get_query(name)
             query.install(small_dataset)
-            begin, end = context_bounds(small_dataset, CONTEXT_DAYS)
+            begin, end = small_dataset.context_bounds(CONTEXT_DAYS)
             sql = query.sequenced_sql(small_dataset, begin, end)
             for strategy in (SlicingStrategy.MAX, SlicingStrategy.PERST):
                 stratum.execute(sql, strategy=strategy)
@@ -164,7 +163,7 @@ class TestMeasuredCostMode:
         decision is recorded and the result matches a forced strategy."""
         stratum = warmed.stratum
         query = get_query("q10")
-        begin, end = context_bounds(warmed, CONTEXT_DAYS)
+        begin, end = warmed.context_bounds(CONTEXT_DAYS)
         sql = query.sequenced_sql(warmed, begin, end)
         cost_result = stratum.execute(sql, strategy=SlicingStrategy.COST)
         assert stratum.last_estimate is not None
@@ -293,7 +292,7 @@ class TestIndexedRealityCalibration:
     SCAN_QUERY = "SELECT COUNT(*) AS n FROM item"
 
     def sequenced(self, dataset, days=CONTEXT_DAYS):
-        begin, end = context_bounds(dataset, days)
+        begin, end = dataset.context_bounds(days)
         return (
             f"VALIDTIME [DATE '{begin}', DATE '{end}'] " + self.SCAN_QUERY
         )

@@ -24,7 +24,8 @@ from repro.sqlengine.errors import (
 )
 from repro.sqlengine.resilience import retry_durable
 from repro.sqlengine.txn import FaultPlan
-from repro.temporal import TemporalStratum
+from repro.taubench import get_query
+from repro.temporal import SlicingStrategy, TemporalStratum
 
 from tests.conftest import DML_KINDS, make_dml_kinds
 from tests.faultinject import assert_snapshot_equal, snapshot_db
@@ -371,6 +372,44 @@ def test_disable_returns_to_free_state(stocked: Database):
     res.disable()
     assert not res.armed
     assert len(stocked.execute("SELECT a FROM t").rows) == 60
+
+
+def test_armed_generous_budgets_do_the_same_work(small_dataset):
+    """Armed with budgets nothing reaches, every checkpoint is evaluated
+    and nothing degrades: q2 under MAX returns the disarmed run's rows
+    from the same slices and the same base-table rows scanned."""
+    stratum = small_dataset.stratum
+    db = stratum.db
+    query = get_query("q2")
+    query.install(small_dataset)
+    sql = query.sequenced_sql(small_dataset, *small_dataset.context_bounds(365))
+
+    def run():
+        slices = db.obs.value("stratum.slices")
+        scanned = db.obs.value("engine.rows_scanned")
+        result = stratum.execute(sql, SlicingStrategy.MAX)
+        return (
+            sorted(map(repr, result.rows)),
+            db.obs.value("stratum.slices") - slices,
+            db.obs.value("engine.rows_scanned") - scanned,
+        )
+
+    run()  # warm: derived structures and the statement cache
+    disarmed = run()
+    db.resilience.configure(
+        statement_timeout=3600.0,
+        max_rows_scanned=10**12,
+        max_undo_depth=10**9,
+        max_resident_bytes=1 << 40,
+    )
+    try:
+        armed = run()
+        checks = db.resilience.checks
+    finally:
+        db.resilience.disable()
+    assert armed == disarmed
+    assert disarmed[1] > 1 and disarmed[2] > 0
+    assert checks > 0
 
 
 def test_explain_analyze_silent_when_disarmed(stocked: Database):

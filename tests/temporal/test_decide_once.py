@@ -15,7 +15,6 @@ inside its window — and asking installs nothing.
 
 import pytest
 
-from repro.bench.harness import context_bounds
 from repro.taubench import build_dataset, get_query
 from repro.taubench.queries import _Q17B_FN
 from repro.temporal import SlicingStrategy
@@ -62,7 +61,7 @@ def calls(monkeypatch):
 
 
 def sequenced(dataset, body: str, days: int = 90) -> str:
-    begin, end = context_bounds(dataset, days)
+    begin, end = dataset.context_bounds(days)
     return f"VALIDTIME [DATE '{begin}', DATE '{end}'] " + body
 
 
@@ -82,7 +81,7 @@ def statements(dataset) -> dict:
         ),
         # (c) routine-bearing: the default rule
         "routine": (
-            q2.sequenced_sql(dataset, *context_bounds(dataset, 90)),
+            q2.sequenced_sql(dataset, *dataset.context_bounds(90)),
             SlicingStrategy.PERST,
         ),
         # (d) a current read of a transaction-time table
@@ -121,7 +120,7 @@ def test_probe_installs_nothing(dataset):
     catalog = stratum.db.catalog
     q2 = get_query("q2")
     q2.install(dataset)
-    sql = q2.sequenced_sql(dataset, *context_bounds(dataset, 7))
+    sql = q2.sequenced_sql(dataset, *dataset.context_bounds(7))
     version = catalog.schema_version
     stratum.execute("EXPLAIN " + sql)
     assert catalog.schema_version == version
@@ -152,7 +151,7 @@ def test_redefinition_flips_the_verdict(dataset):
         "    IF done = 0 AND has_canadian_author(iid) = 1 AND",
     ).replace("    FETCH all_items_cur INTO iid;\n  END WHILE", "  END WHILE")
     assert nested.count("FETCH") == 1
-    sql = q17b.sequenced_sql(dataset, *context_bounds(dataset, 90))
+    sql = q17b.sequenced_sql(dataset, *dataset.context_bounds(90))
     context = dataset.context(90)
 
     def verdict():

@@ -13,7 +13,6 @@ text alone.
 
 import pytest
 
-from repro.bench.harness import context_bounds
 from repro.server.session import ServerSession
 from repro.sqlengine.parser import parse_statement
 from repro.sqlengine.values import Date
@@ -65,7 +64,7 @@ def dataset():
 
 
 def sequenced(dataset, body: str, days: int = 90) -> str:
-    begin, end = context_bounds(dataset, days)
+    begin, end = dataset.context_bounds(days)
     return f"VALIDTIME [DATE '{begin}', DATE '{end}'] " + body
 
 
@@ -125,7 +124,7 @@ def test_every_statement_equals_a_fresh_parse(strategy):
     what the text parses to."""
     measured, twin = loaded(), loaded()
     texts = [
-        query.sequenced_sql(measured, *context_bounds(measured, 90))
+        query.sequenced_sql(measured, *measured.context_bounds(90))
         for query in ALL_QUERIES
     ] + [
         sequenced(measured, body, 30 if name.endswith("_30d") else 365)
@@ -171,7 +170,7 @@ def test_auto_redecides_when_writes_cross_the_row_threshold(dataset):
     deleting them turns it back."""
     stratum = dataset.stratum
     db = stratum.db
-    sql = get_query("q7b").sequenced_sql(dataset, *context_bounds(dataset, 90))
+    sql = get_query("q7b").sequenced_sql(dataset, *dataset.context_bounds(90))
     for _ in range(2):
         assert decided(stratum, sql) is SlicingStrategy.PERST
     template = db.catalog.get_table("item").rows[0]
@@ -189,7 +188,7 @@ def test_auto_redecides_when_writes_cross_the_row_threshold(dataset):
 
 def test_cost_estimates_afresh_on_every_execution(dataset):
     stratum = dataset.stratum
-    sql = get_query("q2").sequenced_sql(dataset, *context_bounds(dataset, 90))
+    sql = get_query("q2").sequenced_sql(dataset, *dataset.context_bounds(90))
     estimates, hits = [], statement_cache(stratum)[0]
     for _ in range(3):
         stratum.execute(sql, SlicingStrategy.COST)
@@ -281,7 +280,7 @@ def test_refused_statement_raises_until_the_routine_is_replaced(dataset):
 
 def test_sessions_with_different_strategies_share_no_entry(dataset):
     stratum = dataset.stratum
-    sql = get_query("q2").sequenced_sql(dataset, *context_bounds(dataset, 90))
+    sql = get_query("q2").sequenced_sql(dataset, *dataset.context_bounds(90))
     sessions = {}
     for strategy in (SlicingStrategy.MAX, SlicingStrategy.PERST):
         session = sessions[strategy] = ServerSession.open(stratum, strategy.value)

@@ -1,13 +1,16 @@
-"""Harness and reporting tests (fast cells only)."""
+"""Paper-harness cell and reporting tests (fast cells only)."""
 
 import pytest
 
-from repro.bench.harness import CellResult, context_bounds, run_cell, run_grid
-from repro.bench.reporting import (
+from benchmarks.paper import (
+    CellResult,
     classify_queries,
     classify_query,
     format_series_table,
+    run_cell,
+    run_grid,
 )
+from repro.sqlengine.values import Date
 from repro.taubench import get_query
 from repro.temporal.stratum import SlicingStrategy
 
@@ -30,9 +33,16 @@ class TestRunCell:
         assert not cell.ok
 
     def test_context_bounds_formatting(self, small_dataset):
-        begin, end = context_bounds(small_dataset, 7)
+        begin, end = small_dataset.context_bounds(7)
         assert len(begin) == 10 and len(end) == 10
         assert begin < end
+
+    @pytest.mark.parametrize("days", [1, 7, 30, 365])
+    def test_context_bounds_are_the_context(self, small_dataset, days):
+        period = small_dataset.context(days)
+        assert small_dataset.context_bounds(days) == (
+            Date(period.begin).to_iso(), Date(period.end).to_iso()
+        )
 
     def test_run_grid_cross_product(self, small_dataset):
         cells = run_grid(
