@@ -2,17 +2,76 @@
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Optional, Union
+from functools import cached_property
+from typing import Any, NamedTuple, Optional, Union
 
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.errors import CatalogError
 from repro.sqlengine.storage import Table
 
 
+@dataclass(frozen=True)
+class BodyFacts:
+    """What one walk of a routine body (or any other node) finds: the
+    names :meth:`Catalog.reach` follows and the local inputs of
+    :meth:`Catalog.write_free`.  Names are lower-cased."""
+
+    calls: frozenset  # FunctionCall / CallStatement names, built-ins too
+    tables: frozenset  # FROM references and DML targets
+    writes: frozenset  # DML targets, CREATE / DROP TABLE names
+    temporaries: frozenset  # temporary tables it creates
+    row_arrays: frozenset  # row-array variables it declares
+    modifier: bool  # a statement carries a temporal modifier
+    ddl: bool  # a statement beyond query, DML, PSM, CREATE / DROP TABLE
+    cursors: Optional["BodyFacts"]  # of its cursors' selects, if it declares any
+
+
+def body_facts(*nodes: ast.Node) -> BodyFacts:
+    """The :class:`BodyFacts` of ``nodes``, in one walk of each."""
+    calls, tables, writes, temporaries, row_arrays = set(), set(), set(), set(), set()
+    modifier = ddl = False
+    cursors = []
+    for node in (child for root in nodes for child in ast.walk(root)):
+        if isinstance(node, (ast.FunctionCall, ast.CallStatement)):
+            calls.add(node.name.lower())
+        elif isinstance(node, ast.TableRef):
+            tables.add(node.name.lower())
+        if not isinstance(node, ast.Statement):
+            continue
+        modifier = modifier or node.modifier is not None
+        if isinstance(node, (ast.Insert, ast.Update, ast.Delete)):
+            tables.add(node.table.lower())
+            writes.add(node.table.lower())
+        elif isinstance(node, (ast.CreateTable, ast.DropTable)):
+            writes.add(node.name.lower())
+            if isinstance(node, ast.CreateTable) and node.temporary:
+                temporaries.add(node.name.lower())
+        elif isinstance(node, ast.DeclareVariable) and node.array_type is not None:
+            row_arrays.update(variable.lower() for variable in node.names)
+        elif isinstance(node, ast.DeclareCursor):
+            cursors.append(node.select)
+        elif not isinstance(node, (ast.Select, ast.PsmStatement)):
+            ddl = True
+    return BodyFacts(
+        frozenset(calls), frozenset(tables), frozenset(writes),
+        frozenset(temporaries), frozenset(row_arrays), modifier, ddl,
+        body_facts(*cursors) if cursors else None,
+    )
+
+
+def routine_facts(routine: "Routine") -> BodyFacts:
+    """The facts of a routine's body: built once per :class:`Routine`."""
+    return body_facts(routine.definition.body)
+
+
 @dataclass
 class Routine:
-    """A stored routine: the parsed CREATE FUNCTION / PROCEDURE."""
+    """A stored routine: the parsed CREATE FUNCTION / PROCEDURE.
+
+    A definition is not mutated once added, so what is derived from it —
+    ``compiled``, ``facts`` — is derived once."""
 
     kind: str  # "FUNCTION" or "PROCEDURE"
     definition: Union[ast.CreateFunction, ast.CreateProcedure]
@@ -27,6 +86,12 @@ class Routine:
     # the body compiled on this routine's first invocation
     # (``RoutineInterpreter._body``); not part of the routine's identity
     compiled: Any = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def facts(self) -> BodyFacts:
+        """The body's facts, walked on first need (not part of the
+        routine's identity)."""
+        return routine_facts(self)
 
     @property
     def name(self) -> str:
@@ -49,16 +114,11 @@ class Routine:
         )
 
 
-def _tables_named(nodes: list) -> set[str]:
-    """Lower-cased names a routine body (its ``nodes``) uses as a table:
-    FROM references, DML targets, CREATE / DROP TABLE."""
-    names = set()
-    for node in nodes:
-        if isinstance(node, (ast.TableRef, ast.CreateTable, ast.DropTable)):
-            names.add(node.name.lower())
-        elif isinstance(node, (ast.Insert, ast.Update, ast.Delete)):
-            names.add(node.table.lower())
-    return names
+class Reach(NamedTuple):
+    """What a statement reaches through the routine call graph."""
+
+    routines: dict  # lower-cased name -> Routine, in breadth-first order
+    tables: set  # every table it or those routines name (lower-cased)
 
 
 class Catalog:
@@ -224,6 +284,32 @@ class Catalog:
         compiled call site asks on every call."""
         return self._routines.get(key)
 
+    def reach(self, *roots: Union[ast.Node, str, BodyFacts]) -> Reach:
+        """The stored routines ``roots`` reach through calls — breadth
+        first, each level in name order — and the tables they all name.
+        A node root is walked once; a name stands for that stored
+        routine; after that only :attr:`Routine.facts` are read."""
+        calls: set[str] = set()
+        tables: set[str] = set()
+        for root in roots:
+            if isinstance(root, str):
+                calls.add(root.lower())
+                continue
+            facts = root if isinstance(root, BodyFacts) else body_facts(root)
+            calls |= facts.calls
+            tables |= facts.tables
+        routines: dict[str, Routine] = {}
+        frontier = deque(sorted(calls))
+        while frontier:
+            key = frontier.popleft()
+            routine = None if key in routines else self.find_routine(key)
+            if routine is None:
+                continue  # seen, or a built-in function
+            routines[key] = routine
+            tables |= routine.facts.tables
+            frontier.extend(sorted(routine.facts.calls - routines.keys()))
+        return Reach(routines, tables)
+
     def write_free(self, *names: str) -> bool:
         """May a result of one of these routines stand in for running it
         again?  True when no routine among ``names`` and those reachable
@@ -233,45 +319,14 @@ class Catalog:
         names, no other DDL, no statement with a temporal modifier.  The
         one eligibility rule of the routine-result memo, for scalar and
         table functions alike."""
-        bodies: dict[str, list] = {}  # routine -> the nodes of its body
-        frontier = [name.lower() for name in names]
-        while frontier:
-            key = frontier.pop()
-            routine = self._routines.get(key)
-            if routine is None or key in bodies:
-                continue  # a built-in function
-            bodies[key] = nodes = list(ast.walk(routine.definition.body))
-            frontier.extend(
-                node.name.lower() for node in nodes
-                if isinstance(node, (ast.FunctionCall, ast.CallStatement))
-            )
-        named = {key: _tables_named(nodes) for key, nodes in bodies.items()}
-        for key, nodes in bodies.items():
-            elsewhere = set().union(
-                *(tables for other, tables in named.items() if other != key)
-            )
-            scratch = {
-                node.name.lower() for node in nodes
-                if isinstance(node, ast.CreateTable) and node.temporary
-            } - elsewhere
-            scratch.update(
-                variable.lower() for node in nodes
-                if isinstance(node, ast.DeclareVariable) and node.array_type is not None
-                for variable in node.names
-            )
-            for node in nodes:
-                if not isinstance(node, ast.Statement):
-                    continue
-                if getattr(node, "modifier", None) is not None:
-                    return False
-                if isinstance(node, (ast.Insert, ast.Update, ast.Delete)):
-                    if node.table.lower() not in scratch:
-                        return False
-                elif isinstance(node, (ast.CreateTable, ast.DropTable)):
-                    if node.name.lower() not in scratch:
-                        return False
-                elif not isinstance(node, (ast.Select, ast.PsmStatement)):
-                    return False
+        facts = [routine.facts for routine in self.reach(*names).routines.values()]
+        named = [own.tables | own.writes for own in facts]
+        for index, own in enumerate(facts):
+            if own.modifier or own.ddl:
+                return False
+            elsewhere = set().union(*named[:index], *named[index + 1:])
+            if not own.writes <= (own.temporaries - elsewhere) | own.row_arrays:
+                return False
         return True
 
     def drop_routine(self, name: str) -> None:

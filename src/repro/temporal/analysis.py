@@ -1,12 +1,21 @@
-"""Compile-time analysis over SQL/PSM ASTs.
+"""Compile-time analysis over SQL/PSM ASTs: the questions that need the
+temporal registry.
 
-The stratum needs to know, *before* transforming (paper §V-A, §VI-C,
-§VII-A2):
+What a statement reaches through the call graph is one walk of the
+statement plus the facts each routine body records once
+(:meth:`Catalog.reach`, :attr:`Routine.facts`).  Every question here
+reads that closure.  A ``root`` is a node, a stored routine's name or
+:class:`BodyFacts`.  The stratum needs to know, *before* transforming
+(paper §V-A, §V-C, §VII-A2, §VII-F):
 
-* which tables a statement references, directly or through the routine
-  call graph (:func:`reachable_tables`);
-* whether a statement or routine (transitively) touches temporal tables
-  (:func:`reads_temporal`);
+* which temporal tables a statement reaches
+  (:func:`reachable_temporal_tables`, :func:`reads_temporal`) — the
+  input to constant-period computation;
+* which routines it reaches read temporal data, hence are cloned
+  (:func:`temporal_routines`);
+* whether a routine drives a cursor over temporal data, which PERST
+  evaluates per constant period (:func:`temporal_cursor`,
+  :func:`uses_per_period_cursors`);
 * whether a routine body contains an explicit temporal modifier, which
   restricts it to nonsequenced contexts (:func:`has_inner_modifier`);
 * whether per-statement slicing applies (:func:`check_perst_applicable`
@@ -15,94 +24,67 @@ The stratum needs to know, *before* transforming (paper §V-A, §VI-C,
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Union
 
 from repro.sqlengine import ast_nodes as ast
-from repro.sqlengine.catalog import Catalog
+from repro.sqlengine.catalog import BodyFacts, Catalog, Routine
 from repro.temporal.errors import PerStatementInapplicableError
 from repro.temporal.schema import TemporalRegistry
 
+Root = Union[ast.Node, str, BodyFacts]
+
 # ---------------------------------------------------------------------------
-# table and routine references
+# temporal reach
 # ---------------------------------------------------------------------------
-
-
-def referenced_tables(node: ast.Node) -> set[str]:
-    """Lower-cased names of tables referenced directly by this AST.
-
-    Includes FROM-clause tables and DML targets; does *not* follow
-    routine calls (see :func:`reachable_tables`).  Names that turn out to
-    be PSM variables simply won't match any catalog or registry entry.
-    """
-    names: set[str] = set()
-    for child in ast.walk(node):
-        if isinstance(child, ast.TableRef):
-            names.add(child.name.lower())
-        elif isinstance(child, (ast.Insert, ast.Update, ast.Delete)):
-            names.add(child.table.lower())
-    return names
-
-
-def called_routines(node: ast.Node, catalog: Catalog) -> set[str]:
-    """Lower-cased names of catalog routines invoked anywhere in ``node``."""
-    names: set[str] = set()
-    for child in ast.walk(node):
-        if isinstance(child, ast.FunctionCall) and catalog.has_routine(child.name):
-            names.add(child.name.lower())
-        elif isinstance(child, ast.CallStatement) and catalog.has_routine(child.name):
-            names.add(child.name.lower())
-    return names
-
-
-def reachable_routines(node: ast.Node, catalog: Catalog) -> list[str]:
-    """Transitive closure of routine calls starting from ``node``.
-
-    Returns names in discovery (BFS) order, each exactly once.
-    """
-    seen: list[str] = []
-    frontier = sorted(called_routines(node, catalog))
-    while frontier:
-        name = frontier.pop(0)
-        if name in seen:
-            continue
-        seen.append(name)
-        body = catalog.get_routine(name).definition
-        for callee in sorted(called_routines(body, catalog)):
-            if callee not in seen:
-                frontier.append(callee)
-    return seen
-
-
-def reachable_tables(node: ast.Node, catalog: Catalog) -> set[str]:
-    """Tables referenced by ``node`` or by any routine it (transitively)
-    invokes — the input to constant-period computation (§V-A)."""
-    names = referenced_tables(node)
-    for routine_name in reachable_routines(node, catalog):
-        names |= referenced_tables(catalog.get_routine(routine_name).definition)
-    return names
 
 
 def reachable_temporal_tables(
-    node: ast.Node, catalog: Catalog, registry: TemporalRegistry
+    root: Root, catalog: Catalog, registry: TemporalRegistry
 ) -> list[str]:
-    """Sorted temporal-table names reachable from ``node``."""
+    """Sorted temporal-table names ``root`` reaches, directly or through
+    the routines it (transitively) invokes."""
     return sorted(
-        name for name in reachable_tables(node, catalog) if registry.is_temporal(name)
+        name for name in catalog.reach(root).tables if registry.is_temporal(name)
     )
 
 
-def reads_temporal(
-    node: ast.Node, catalog: Catalog, registry: TemporalRegistry
-) -> bool:
-    """True if the statement touches temporal data, directly or indirectly."""
-    return bool(reachable_temporal_tables(node, catalog, registry))
+def reads_temporal(root: Root, catalog: Catalog, registry: TemporalRegistry) -> bool:
+    """True if ``root`` touches temporal data, directly or indirectly."""
+    return any(registry.is_temporal(name) for name in catalog.reach(root).tables)
 
 
-def routine_reads_temporal(
-    name: str, catalog: Catalog, registry: TemporalRegistry
+def temporal_routines(
+    root: Root, catalog: Catalog, registry: TemporalRegistry
+) -> list[str]:
+    """The routines ``root`` reaches that read temporal data, in call
+    order: the ones a transformation clones under its prefix.  Routines
+    that never touch temporal data stay untouched (the paper's
+    compile-time reachability optimization, §V-C)."""
+    return [
+        name for name in catalog.reach(root).routines
+        if reads_temporal(name, catalog, registry)
+    ]
+
+
+def temporal_cursor(
+    routine: Routine, catalog: Catalog, registry: TemporalRegistry
 ) -> bool:
-    """True if the named routine (transitively) touches temporal tables."""
-    return reads_temporal(catalog.get_routine(name).definition, catalog, registry)
+    """Does ``routine`` declare a cursor whose select reaches temporal
+    data, directly or through a routine?  PERST then evaluates its body
+    per constant period (§VII-C)."""
+    cursors = routine.facts.cursors
+    return cursors is not None and reads_temporal(cursors, catalog, registry)
+
+
+def uses_per_period_cursors(
+    root: Root, catalog: Catalog, registry: TemporalRegistry
+) -> bool:
+    """Rule (b)'s trigger (§VII-F): a routine ``root`` reaches is one
+    PERST evaluates per constant period (:func:`temporal_cursor`)."""
+    return any(
+        temporal_cursor(routine, catalog, registry)
+        for routine in catalog.reach(root).routines.values()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -116,17 +98,6 @@ def has_inner_modifier(node: ast.Node) -> bool:
         if child is not node and getattr(child, "modifier", None) is not None:
             return True
     return False
-
-
-def routines_with_inner_modifiers(
-    node: ast.Node, catalog: Catalog
-) -> list[str]:
-    """Reachable routines whose bodies contain explicit temporal modifiers."""
-    flagged = []
-    for name in reachable_routines(node, catalog):
-        if has_inner_modifier(catalog.get_routine(name).definition):
-            flagged.append(name)
-    return flagged
 
 
 # ---------------------------------------------------------------------------
@@ -146,81 +117,37 @@ def check_perst_applicable(
     per-period loops (it would fetch once per period instead of once per
     outer iteration) — the paper's "non-nested FETCH".
     """
-    checker = _PerstChecker(catalog, registry)
-    checker.check_statement(stmt, outer_cursors=set())
-    for name in reachable_routines(stmt, catalog):
-        routine = catalog.get_routine(name)
-        if routine_reads_temporal(name, catalog, registry):
-            checker.check_statement(routine.definition.body, outer_cursors=set())
 
+    def check(node: ast.Statement, outer_cursors: frozenset) -> None:
+        if isinstance(node, ast.Compound):
+            outer_cursors = outer_cursors | {
+                decl.name.lower() for decl in node.declarations
+                if isinstance(decl, ast.DeclareCursor)
+            }
+            children = node.statements
+        else:
+            children = ast.iter_children(node)
+        if isinstance(node, (ast.WhileStatement, ast.RepeatStatement, ast.LoopStatement)):
+            # a FETCH of an outer cursor after a time-varying result (a
+            # statement reaching temporal data) at the loop body's level
+            produced = False
+            for inner in node.body:
+                if (
+                    produced
+                    and isinstance(inner, ast.FetchCursor)
+                    and inner.name.lower() in outer_cursors
+                ):
+                    raise PerStatementInapplicableError(
+                        "per-statement slicing cannot transform a FETCH of outer"
+                        f" cursor {inner.name!r} placed after a time-varying"
+                        " result in the same loop body (non-nested FETCH, cf."
+                        " q17b)"
+                    )
+                produced = produced or reads_temporal(inner, catalog, registry)
+        for child in children:
+            if isinstance(child, ast.PsmStatement):
+                check(child, outer_cursors)
 
-class _PerstChecker:
-    def __init__(self, catalog: Catalog, registry: TemporalRegistry) -> None:
-        self.catalog = catalog
-        self.registry = registry
-
-    def _is_temporal_producer(self, stmt: ast.Statement) -> bool:
-        """Does this statement yield a time-varying result under PERST?"""
-        for name in called_routines(stmt, self.catalog):
-            if routine_reads_temporal(name, self.catalog, self.registry):
-                return True
-        for table in referenced_tables(stmt):
-            if self.registry.is_temporal(table):
-                return True
-        return False
-
-    def check_statement(
-        self, stmt: ast.Statement, outer_cursors: set[str]
-    ) -> None:
-        if isinstance(stmt, ast.Compound):
-            cursors = set(outer_cursors)
-            for decl in stmt.declarations:
-                if isinstance(decl, ast.DeclareCursor):
-                    cursors.add(decl.name.lower())
-            for inner in stmt.statements:
-                self.check_statement(inner, cursors)
-            return
-        if isinstance(stmt, (ast.WhileStatement, ast.RepeatStatement, ast.LoopStatement)):
-            self._check_loop_body(stmt.body, outer_cursors)
-            for inner in stmt.body:
-                self.check_statement(inner, outer_cursors)
-            return
-        if isinstance(stmt, ast.ForStatement):
-            for inner in stmt.body:
-                self.check_statement(inner, outer_cursors)
-            return
-        if isinstance(stmt, ast.IfStatement):
-            for _, body in stmt.branches:
-                for inner in body:
-                    self.check_statement(inner, outer_cursors)
-            for inner in stmt.else_branch or []:
-                self.check_statement(inner, outer_cursors)
-            return
-        if isinstance(stmt, ast.CaseStatement):
-            for _, body in stmt.whens:
-                for inner in body:
-                    self.check_statement(inner, outer_cursors)
-            for inner in stmt.else_branch or []:
-                self.check_statement(inner, outer_cursors)
-            return
-
-    def _check_loop_body(
-        self, body: list[ast.Statement], outer_cursors: set[str]
-    ) -> None:
-        """Within one loop body: flag FETCH-of-outer-cursor *after* a
-        temporal producer at the same lexical level."""
-        seen_temporal_producer = False
-        for inner in body:
-            if (
-                isinstance(inner, ast.FetchCursor)
-                and inner.name.lower() in outer_cursors
-                and seen_temporal_producer
-            ):
-                raise PerStatementInapplicableError(
-                    "per-statement slicing cannot transform a FETCH of outer"
-                    f" cursor {inner.name!r} placed after a time-varying"
-                    " result in the same loop body (non-nested FETCH, cf."
-                    " q17b)"
-                )
-            if self._is_temporal_producer(inner):
-                seen_temporal_producer = True
+    check(stmt, frozenset())
+    for name in temporal_routines(stmt, catalog, registry):
+        check(catalog.get_routine(name).definition.body, frozenset())

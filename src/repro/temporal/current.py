@@ -60,7 +60,10 @@ def transform_current(
     transaction-time dimension (including time travel).  ``prefix``
     keeps per-dimension routine clones distinct.
     """
-    rename_map = _current_rename_map(stmt, catalog, registry, prefix)
+    rename_map = {
+        routine: prefix + routine
+        for routine in analysis.temporal_routines(stmt, catalog, registry)
+    }
     at = point if point is not None else _now()
     routines = []
     for original_name, new_name in rename_map.items():
@@ -85,24 +88,6 @@ def transform_current(
 
 def _now() -> ast.Expression:
     return call("CURRENT_DATE")
-
-
-def _current_rename_map(
-    stmt: ast.Statement,
-    catalog: Catalog,
-    registry: TemporalRegistry,
-    prefix: str = CURRENT_PREFIX,
-) -> dict[str, str]:
-    """original → curr_ names for reachable temporal-reading routines.
-
-    Routines that never touch temporal data are left alone (the paper's
-    compile-time reachability optimization, §V-C).
-    """
-    mapping: dict[str, str] = {}
-    for name in analysis.reachable_routines(stmt, catalog):
-        if analysis.routine_reads_temporal(name, catalog, registry):
-            mapping[name] = prefix + name
-    return mapping
 
 
 def _transform_current_modification(

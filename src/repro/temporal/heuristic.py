@@ -67,21 +67,6 @@ def temporal_row_count(
     return sum(len(db.catalog.get_table(name)) for name in names)
 
 
-def uses_per_period_cursors(
-    stmt: ast.Statement, db: Database, registry: TemporalRegistry
-) -> bool:
-    """Rule (b) trigger: a reachable routine drives a cursor over
-    temporal data, which PERST evaluates per constant period."""
-    for name in analysis.reachable_routines(stmt, db.catalog):
-        definition = db.catalog.get_routine(name).definition
-        for child in ast.walk(definition.body):
-            if isinstance(child, ast.DeclareCursor):
-                tables = analysis.referenced_tables(child.select)
-                if any(registry.is_temporal(t) for t in tables):
-                    return True
-    return False
-
-
 def choose_strategy(
     stmt: ast.Statement,
     stratum: "TemporalStratum",  # noqa: F821 - lazy type
@@ -125,7 +110,9 @@ def choose_strategy(
     rows = data_rows if data_rows is not None else temporal_row_count(
         stmt, db, registry
     )
-    if rows >= LARGE_DATABASE_ROWS and uses_per_period_cursors(stmt, db, registry):
+    if rows >= LARGE_DATABASE_ROWS and analysis.uses_per_period_cursors(
+        stmt, db.catalog, registry
+    ):
         return StrategyChoice(
             SlicingStrategy.MAX,
             "b",
@@ -263,7 +250,7 @@ def estimate_costs(
     tables = analysis.reachable_temporal_tables(stmt, db.catalog, registry)
     periods = len(compute_constant_periods(db, tables, registry, context))
     rows = temporal_row_count(stmt, db, registry)
-    cursors = uses_per_period_cursors(stmt, db, registry)
+    cursors = analysis.uses_per_period_cursors(stmt, db.catalog, registry)
     per_invocation = max(rows, 1) * STATIC_PER_INVOCATION_ROW
     max_cost = periods * per_invocation + periods * STATIC_PERIOD_OVERHEAD
     perst_cost = max(rows, 1) * STATIC_PER_ROW

@@ -59,7 +59,6 @@ class MaxTransformResult:
     routines: list[Union[ast.CreateFunction, ast.CreateProcedure]] = field(
         default_factory=list
     )
-    cp_table: str = "cp"
     cp_alias: str = "cp"
     temporal_tables: list[str] = field(default_factory=list)
 
@@ -67,17 +66,6 @@ class MaxTransformResult:
         parts = [r.to_sql() + ";" for r in self.routines]
         parts.append(self.statement.to_sql() + ";")
         return "\n\n".join(parts)
-
-
-def max_rename_map(
-    stmt: ast.Statement, catalog: Catalog, registry: TemporalRegistry
-) -> dict[str, str]:
-    """original → max_ names for reachable temporal-reading routines."""
-    mapping: dict[str, str] = {}
-    for routine_name in analysis.reachable_routines(stmt, catalog):
-        if analysis.routine_reads_temporal(routine_name, catalog, registry):
-            mapping[routine_name] = MAX_PREFIX + routine_name
-    return mapping
 
 
 def transform_routine_max(
@@ -117,7 +105,10 @@ def transform_query_max(
     The caller is responsible for materializing ``cp_table`` (see
     :mod:`repro.temporal.constant_periods`) before executing.
     """
-    rename_map = max_rename_map(stmt, catalog, registry)
+    rename_map = {
+        routine: MAX_PREFIX + routine
+        for routine in analysis.temporal_routines(stmt, catalog, registry)
+    }
     routines = [
         transform_routine_max(catalog.get_routine(original).definition, registry, rename_map)
         for original in rename_map
@@ -149,7 +140,6 @@ def transform_query_max(
     return MaxTransformResult(
         statement=new_stmt,
         routines=routines,
-        cp_table=cp_table,
         cp_alias=result_alias,
         temporal_tables=temporal_tables,
     )

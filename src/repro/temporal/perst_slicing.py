@@ -32,7 +32,7 @@ from typing import Optional, Union
 
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine import functions as fn
-from repro.sqlengine.catalog import Catalog
+from repro.sqlengine.catalog import Catalog, Routine
 from repro.sqlengine.types import SqlType
 from repro.sqlengine.values import Date, Null
 from repro.temporal import analysis
@@ -84,23 +84,11 @@ class PerstTransformResult:
         default_factory=list
     )
     cp_requirements: dict[str, list[str]] = dataclass_field(default_factory=dict)
-    temporal_tables: list[str] = dataclass_field(default_factory=list)
 
     def to_sql(self) -> str:
         parts = [r.to_sql() + ";" for r in self.routines]
         parts.append(self.statement.to_sql() + ";")
         return "\n\n".join(parts)
-
-
-def perst_rename_map(
-    stmt: ast.Statement, catalog: Catalog, registry: TemporalRegistry
-) -> dict[str, str]:
-    """original → ps_ names for reachable temporal-reading routines."""
-    mapping: dict[str, str] = {}
-    for routine_name in analysis.reachable_routines(stmt, catalog):
-        if analysis.routine_reads_temporal(routine_name, catalog, registry):
-            mapping[routine_name] = PS_PREFIX + routine_name
-    return mapping
 
 
 class PerstTransformer:
@@ -117,9 +105,12 @@ class PerstTransformer:
 
     def transform(self, stmt: ast.Statement) -> PerstTransformResult:
         analysis.check_perst_applicable(stmt, self.catalog, self.registry)
-        rename_map = perst_rename_map(stmt, self.catalog, self.registry)
+        rename_map = {
+            routine: PS_PREFIX + routine
+            for routine in analysis.temporal_routines(stmt, self.catalog, self.registry)
+        }
         routines = [
-            self.transform_routine(self.catalog.get_routine(original).definition)
+            self.transform_routine(self.catalog.get_routine(original), rename_map)
             for original in rename_map
         ]
         new_stmt = self.transform_top_statement(stmt, rename_map)
@@ -127,9 +118,6 @@ class PerstTransformer:
             statement=new_stmt,
             routines=routines,
             cp_requirements=dict(self.cp_requirements),
-            temporal_tables=analysis.reachable_temporal_tables(
-                stmt, self.catalog, self.registry
-            ),
         )
 
     def transform_top_statement(
@@ -182,10 +170,11 @@ class PerstTransformer:
     # ------------------------------------------------------------------
 
     def transform_routine(
-        self, definition: Union[ast.CreateFunction, ast.CreateProcedure]
+        self, routine: Routine, rename_map: dict[str, str]
     ) -> Union[ast.CreateFunction, ast.CreateProcedure]:
-        rename_map = perst_rename_map(definition, self.catalog, self.registry)
-        rename_map[definition.name.lower()] = PS_PREFIX + definition.name.lower()
+        """The ``ps_`` clone of one temporal-reading routine; ``rename_map``
+        names the clones of everything the invoking statement reaches."""
+        definition = routine.definition
         new_def = clone(definition)
         new_def.name = PS_PREFIX + definition.name
         new_def.params = new_def.params + [
@@ -237,14 +226,14 @@ class PerstTransformer:
             returns_row_array=returns_row_array,
             routine_tables=set(
                 analysis.reachable_temporal_tables(
-                    definition, self.catalog, self.registry
+                    definition.name, self.catalog, self.registry
                 )
             ),
         )
         body = new_def.body
         if not isinstance(body, ast.Compound):
             body = ast.Compound(declarations=[], statements=[body])
-        if self._body_has_temporal_cursor(body, ctx):
+        if analysis.temporal_cursor(routine, self.catalog, self.registry):
             new_def.body = self._transform_cursor_body(
                 body, ctx, is_function and not returns_row_array
             )
@@ -290,9 +279,7 @@ class PerstTransformer:
                 ):
                     return True
             elif isinstance(child, ast.FunctionCall):
-                if self.catalog.has_routine(child.name) and analysis.routine_reads_temporal(
-                    child.name, self.catalog, self.registry
-                ):
+                if analysis.reads_temporal(child.name, self.catalog, self.registry):
                     return True
             elif isinstance(child, ast.TableRef):
                 key = child.name.lower()
@@ -383,14 +370,6 @@ class PerstTransformer:
                             tv.add(target.lower())
                             changed = True
         return tv, records
-
-    def _body_has_temporal_cursor(self, body: ast.Compound, ctx: "_Context") -> bool:
-        for child in ast.walk(body):
-            if isinstance(child, ast.DeclareCursor) and self._select_is_temporal(
-                child.select, set(), set()
-            ):
-                return True
-        return False
 
     # ------------------------------------------------------------------
     # algebraic body mode
@@ -873,9 +852,7 @@ class PerstTransformer:
                     sources.append(
                         (name(item.alias, "begin_time"), name(item.alias, "end_time"))
                     )
-                elif self.catalog.has_routine(call_name) and analysis.routine_reads_temporal(
-                    call_name, self.catalog, self.registry
-                ):
+                elif analysis.reads_temporal(call_name, self.catalog, self.registry):
                     return None
         # 2) time-varying scalar variables used in expressions: join their
         #    variable tables
@@ -956,11 +933,7 @@ class PerstTransformer:
         def rewriter(expr: ast.Expression) -> Optional[ast.Expression]:
             if not isinstance(expr, ast.FunctionCall):
                 return None
-            if not self.catalog.has_routine(expr.name):
-                return None
-            if not analysis.routine_reads_temporal(
-                expr.name, self.catalog, self.registry
-            ):
+            if not analysis.reads_temporal(expr.name, self.catalog, self.registry):
                 return None
             target = ctx.rename_map.get(expr.name.lower())
             if target is None:
@@ -1023,11 +996,9 @@ class PerstTransformer:
         The statement evaluates point-wise at each period's begin; its
         outputs are stamped with the period.
         """
-        tables = {
-            t
-            for t in analysis.reachable_tables(stmt, self.catalog)
-            if self.registry.is_temporal(t)
-        }
+        tables = set(
+            analysis.reachable_temporal_tables(stmt, self.catalog, self.registry)
+        )
         tables |= ctx.routine_tables
         cp_table = self.require_cp_table(ctx.routine_name, sorted(tables))
         point = name(CP_LOOP_VAR, "begin_time")
@@ -1241,9 +1212,7 @@ class PerstTransformer:
 
         # temporal routine calls → scalar subquery over TABLE(ps_f(...))
         def rewriter(expr: ast.Expression) -> Optional[ast.Expression]:
-            if isinstance(expr, ast.FunctionCall) and self.catalog.has_routine(
-                expr.name
-            ):
+            if isinstance(expr, ast.FunctionCall):
                 target = ctx.rename_map.get(expr.name.lower())
                 if target is None:
                     return None
@@ -1289,22 +1258,7 @@ class PerstTransformer:
         q7/q7b's PERST cost), the cursor re-pointed at it, everything
         else point-evaluated, and outputs stamped with the period.
         """
-        tables = sorted(
-            t
-            for t in analysis.reachable_tables(body, self.catalog)
-            if self.registry.is_temporal(t)
-        )
-        for routine_name in analysis.reachable_routines(body, self.catalog):
-            definition = self.catalog.get_routine(routine_name).definition
-            tables = sorted(
-                set(tables)
-                | {
-                    t
-                    for t in analysis.referenced_tables(definition)
-                    if self.registry.is_temporal(t)
-                }
-            )
-        cp_table = self.require_cp_table(ctx.routine_name, tables)
+        cp_table = self.require_cp_table(ctx.routine_name, sorted(ctx.routine_tables))
         point = name(CP_LOOP_VAR, "begin_time")
         period_end = name(CP_LOOP_VAR, "end_time")
 

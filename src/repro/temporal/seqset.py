@@ -243,7 +243,7 @@ def compile_seqset(
             raise _unsupported(
                 "aggregate projection (MAX aggregates per constant period)"
             )
-    routines = analysis.reachable_routines(stmt, db.catalog)
+    routines = db.catalog.reach(stmt).routines
     if routines:
         raise _unsupported(
             "invokes routine(s) " + ", ".join(sorted(routines))

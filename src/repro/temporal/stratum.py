@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Optional, Union
 
 from repro.sqlengine import ast_nodes as ast
-from repro.sqlengine.catalog import Routine
+from repro.sqlengine.catalog import Catalog, Routine
 from repro.sqlengine.engine import Database
 from repro.sqlengine.executor import Env
 from repro.sqlengine.parser import parse_script, parse_statement
@@ -248,11 +248,13 @@ class _WithClones:
         self._catalog = catalog
         self._clones = {routine.name.lower(): routine for routine in clones}
 
-    def has_routine(self, name: str) -> bool:
-        return name.lower() in self._clones or self._catalog.has_routine(name)
-
     def get_routine(self, name: str) -> Routine:
         return self._clones.get(name.lower()) or self._catalog.get_routine(name)
+
+    def find_routine(self, key: str) -> Optional[Routine]:
+        return self._clones.get(key) or self._catalog.find_routine(key)
+
+    reach = Catalog.reach  # over this view's find_routine
 
     def __getattr__(self, attribute: str) -> Any:
         return getattr(self._catalog, attribute)
@@ -458,9 +460,7 @@ class TemporalStratum:
             # when nothing the statement reaches writes
             found.clones = _as_clones(
                 result.routines,
-                declare_point=catalog.write_free(
-                    *analysis.called_routines(stmt, catalog)
-                ),
+                declare_point=catalog.write_free(*catalog.reach(stmt).routines),
             )
             found.cp_requirements = {MAX_CP_TABLE: found.temporal_tables}
         elif flavor == "perst":
@@ -965,7 +965,7 @@ class TemporalStratum:
     def _reject_nonseq_only(self, stmt: ast.Statement, flavor: str) -> None:
         flagged = [
             name
-            for name in analysis.reachable_routines(stmt, self.db.catalog)
+            for name in self.db.catalog.reach(stmt).routines
             if name in self._nonseq_only_routines
         ]
         if flagged:
@@ -1187,7 +1187,7 @@ class TemporalStratum:
         """Materialize cp tables needed by nonsequenced-only routines."""
         if not self._inner_cp_requirements:
             return
-        for owner in analysis.reachable_routines(stmt, self.db.catalog):
+        for owner in self.db.catalog.reach(stmt).routines:
             cp_table = _inner_cp_table(owner)
             tables = self._inner_cp_requirements.get(cp_table)
             if tables is not None:

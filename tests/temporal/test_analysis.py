@@ -19,23 +19,23 @@ def stratum():
 class TestTableReferences:
     def test_direct_tables(self, stratum):
         stmt = parse_statement("SELECT 1 FROM item i, item_author ia")
-        assert analysis.referenced_tables(stmt) == {"item", "item_author"}
+        assert stratum.db.catalog.reach(stmt).tables == {"item", "item_author"}
 
     def test_subquery_tables_included(self, stratum):
         stmt = parse_statement(
             "SELECT 1 FROM item WHERE EXISTS (SELECT 1 FROM author)"
         )
-        assert "author" in analysis.referenced_tables(stmt)
+        assert "author" in stratum.db.catalog.reach(stmt).tables
 
     def test_dml_targets_included(self, stratum):
         stmt = parse_statement("UPDATE item SET title = 'x'")
-        assert analysis.referenced_tables(stmt) == {"item"}
+        assert stratum.db.catalog.reach(stmt).tables == {"item"}
 
     def test_reachable_through_function(self, stratum):
         stmt = parse_statement(
             "SELECT 1 FROM item_author ia WHERE get_author_name(ia.author_id) = 'Ben'"
         )
-        tables = analysis.reachable_tables(stmt, stratum.db.catalog)
+        tables = stratum.db.catalog.reach(stmt).tables
         assert "author" in tables  # only referenced inside the function
         assert "item_author" in tables
 
@@ -46,8 +46,11 @@ class TestTableReferences:
             " RETURN get_author_name(aid); END"
         )
         stmt = parse_statement("SELECT outer_fn('a1')")
-        routines = analysis.reachable_routines(stmt, stratum.db.catalog)
-        assert routines == ["outer_fn", "get_author_name"]
+        routines = stratum.db.catalog.reach(stmt).routines
+        assert list(routines) == ["outer_fn", "get_author_name"]
+        assert analysis.temporal_routines(
+            stmt, stratum.db.catalog, stratum.registry
+        ) == ["outer_fn", "get_author_name"]
 
     def test_reads_temporal(self, stratum):
         stmt = parse_statement("SELECT get_author_name('a1')")
@@ -59,8 +62,11 @@ class TestTableReferences:
         assert not analysis.reads_temporal(stmt, stratum.db.catalog, stratum.registry)
 
     def test_routine_reads_temporal(self, stratum):
-        assert analysis.routine_reads_temporal(
+        assert analysis.reads_temporal(
             "get_author_name", stratum.db.catalog, stratum.registry
+        )
+        assert not analysis.reads_temporal(
+            "no_such_routine", stratum.db.catalog, stratum.registry
         )
 
 
@@ -181,6 +187,62 @@ class TestRoutinesWithInnerModifiers:
             Routine(kind="PROCEDURE", definition=definition)
         )
         stmt = parse_statement("CALL audit()")
-        assert analysis.routines_with_inner_modifiers(
-            stmt, stratum.db.catalog
-        ) == ["audit"]
+        reached = stratum.db.catalog.reach(stmt).routines
+        assert [name for name, r in reached.items() if r.facts.modifier] == ["audit"]
+
+
+class TestRoutineFacts:
+    """Each routine body is walked once, on its ``Routine``; the facts
+    live and die with that object, so a rollback cannot leave them
+    stale."""
+
+    def test_rollback_leaves_no_stale_facts(self, stratum):
+        catalog, db = stratum.db.catalog, stratum.db
+        db.execute("CREATE TABLE plain (x INTEGER)")
+        stmt = parse_statement("SELECT f()")
+        version = catalog.schema_version
+        stratum.execute("BEGIN")
+        stratum.register_routine(
+            "CREATE FUNCTION f () RETURNS INTEGER LANGUAGE SQL BEGIN"
+            " INSERT INTO plain VALUES (1);"
+            " RETURN (SELECT COUNT(*) FROM item); END"
+        )
+        assert analysis.reachable_temporal_tables(
+            stmt, catalog, stratum.registry
+        ) == ["item"]
+        assert analysis.temporal_routines(stmt, catalog, stratum.registry) == ["f"]
+        assert not catalog.write_free("f")
+        stratum.execute("ROLLBACK")
+        assert catalog.schema_version == version
+        stratum.register_routine(
+            "CREATE FUNCTION f () RETURNS INTEGER LANGUAGE SQL BEGIN"
+            " RETURN (SELECT COUNT(*) FROM plain); END"
+        )
+        assert catalog.reach(stmt).tables == {"plain"}
+        assert analysis.reachable_temporal_tables(stmt, catalog, stratum.registry) == []
+        assert analysis.temporal_routines(stmt, catalog, stratum.registry) == []
+        assert catalog.write_free("f")
+
+    def test_each_body_is_walked_once(self, monkeypatch):
+        from repro.sqlengine import catalog as catalog_module
+        from repro.taubench import build_dataset, get_query
+        from repro.temporal import SlicingStrategy
+
+        dataset = build_dataset("DS1", "SMALL")
+        spec = get_query("q2")
+        spec.install(dataset)
+        sql = spec.sequenced_sql(dataset, "2010-02-01", "2010-03-01")
+        built = []
+        walk = catalog_module.routine_facts
+
+        def spy(routine):
+            built.append(routine)
+            return walk(routine)
+
+        monkeypatch.setattr(catalog_module, "routine_facts", spy)
+        stratum = dataset.stratum
+        for strategy in (SlicingStrategy.MAX, SlicingStrategy.PERST, SlicingStrategy.AUTO):
+            for _ in range(2):
+                stratum.prepare(parse_statement(sql), strategy)
+        assert built  # the analysis read routine facts
+        assert len({id(routine) for routine in built}) == len(built)

@@ -4,13 +4,14 @@ import pytest
 
 from repro.sqlengine.parser import parse_statement
 from repro.temporal import SlicingStrategy
+from repro.temporal.analysis import uses_per_period_cursors
 from repro.temporal.heuristic import (
     SHORT_CONTEXT_DAYS,
     choose_strategy,
     estimate_costs,
     temporal_row_count,
-    uses_per_period_cursors,
 )
+from repro.temporal.perst_slicing import PerstTransformer
 from repro.temporal.period import Period
 
 from tests.conftest import GET_AUTHOR_NAME, make_bookstore
@@ -110,12 +111,26 @@ class TestHelpers:
 
     def test_uses_per_period_cursors(self, stratum):
         stratum.register_routine(CURSOR_FN)
+        catalog = stratum.db.catalog
         stmt = parse_statement("SELECT scan_titles()")
-        assert uses_per_period_cursors(stmt, stratum.db, stratum.registry)
+        assert uses_per_period_cursors(stmt, catalog, stratum.registry)
+        # a cursor over a conventional table that reaches temporal data
+        # through a function: PERST evaluates it per constant period, so
+        # rule (b) counts it too
+        stratum.db.execute("CREATE TABLE plain (aid CHAR(10))")
+        stratum.register_routine(CURSOR_FN.replace(
+            "scan_titles", "names_via_fn"
+        ).replace("SELECT title FROM item", "SELECT get_author_name(p.aid) FROM plain p"))
+        stmt = parse_statement("SELECT names_via_fn()")
+        assert uses_per_period_cursors(stmt, catalog, stratum.registry)
+        found = PerstTransformer(catalog, stratum.registry).transform(
+            parse_statement("VALIDTIME SELECT names_via_fn()")
+        )
+        assert found.cp_requirements == {"taupsm_cp_names_via_fn": ["author"]}
 
     def test_no_cursor_detected(self, stratum):
         stmt = parse_statement("SELECT get_author_name('a1')")
-        assert not uses_per_period_cursors(stmt, stratum.db, stratum.registry)
+        assert not uses_per_period_cursors(stmt, stratum.db.catalog, stratum.registry)
 
     def test_perst_applicable_helper(self, stratum):
         """Rule (a)'s question, put to the stratum's candidate function."""

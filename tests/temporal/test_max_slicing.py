@@ -5,11 +5,8 @@ import pytest
 from repro.sqlengine.parser import parse_statement
 from repro.sqlengine.values import Date
 from repro.temporal import SlicingStrategy
-from repro.temporal.max_slicing import (
-    max_rename_map,
-    transform_query_max,
-    transform_routine_max,
-)
+from repro.temporal.analysis import temporal_routines
+from repro.temporal.max_slicing import transform_query_max, transform_routine_max
 from repro.temporal.period import Period
 
 from tests.conftest import GET_AUTHOR_NAME, make_bookstore
@@ -62,8 +59,10 @@ class TestTransformText:
         stmt = parse_statement(
             "VALIDTIME SELECT pure(1), get_author_name('a1') FROM item"
         )
-        rename = max_rename_map(stmt, stratum.db.catalog, stratum.registry)
-        assert rename == {"get_author_name": "max_get_author_name"}
+        catalog = stratum.db.catalog
+        assert temporal_routines(stmt, catalog, stratum.registry) == ["get_author_name"]
+        result = transform_query_max(stmt, catalog, stratum.registry, "cp")
+        assert [r.name for r in result.routines] == ["max_get_author_name"]
 
     def test_nested_call_passes_point_along(self, stratum):
         stratum.register_routine(
