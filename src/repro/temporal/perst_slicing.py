@@ -15,19 +15,24 @@ operates *on temporal tables*:
   ``FIRST_INSTANCE`` folds and pairwise overlap predicates;
 * statements outside the algebraic fragment (aggregates, temporal IF
   conditions) fall back to a per-statement ``FOR`` loop over the
-  constant periods of *that statement's* inputs, clipped to the
-  evaluation period (§VI-C);
+  routine's constant periods, clipped to the evaluation period (§VI-C);
 * a routine whose body drives a cursor over temporal data is evaluated
   per constant period: the cursor is re-pointed at an auxiliary
   temporary table rebuilt for each period — the materialization cost
   behind the paper's q7/q7b observations (§VII-C);
+* both per-period loops evaluate their statements point-wise with one
+  walker (:meth:`PerstTransformer._at_point`) on the shared core
+  (:func:`repro.temporal.pointwise.add_point_conditions`); the shapes it
+  cannot stamp correctly (an early RETURN, a result set, a variable
+  whose stamped rows would go stale or repeat) are refused;
 * the non-nested-FETCH pattern (q17b) is rejected up front
   (:func:`repro.temporal.analysis.check_perst_applicable`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from collections import Counter
+from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Optional, Union
 
 from repro.sqlengine import ast_nodes as ast
@@ -42,7 +47,7 @@ from repro.temporal.errors import (
     TemporalError,
 )
 from repro.temporal.period import Period
-from repro.temporal.pointwise import forbid_temporal_dml
+from repro.temporal.pointwise import add_point_conditions, forbid_temporal_dml
 from repro.temporal.schema import TemporalRegistry
 from repro.temporal.transform_util import (
     add_condition,
@@ -53,8 +58,8 @@ from repro.temporal.transform_util import (
     fold_last_instance,
     from_table_aliases,
     lit,
+    map_bodies,
     name,
-    overlap_at_point,
     pairwise_overlap,
     rewrite_expressions,
     unique_name,
@@ -135,7 +140,6 @@ class PerstTransformer:
             tv_vars=set(),
             tv_tables=set(),
             rename_map=rename_map,
-            transformer=self,
             routine_name="<query>",
             routine_tables=set(
                 analysis.reachable_temporal_tables(stmt, self.catalog, self.registry)
@@ -220,10 +224,8 @@ class PerstTransformer:
             tv_vars=set(),
             tv_tables=set(),
             rename_map=rename_map,
-            transformer=self,
             routine_name=definition.name,
             return_type=return_type,
-            returns_row_array=returns_row_array,
             routine_tables=set(
                 analysis.reachable_temporal_tables(
                     definition.name, self.catalog, self.registry
@@ -234,14 +236,13 @@ class PerstTransformer:
         if not isinstance(body, ast.Compound):
             body = ast.Compound(declarations=[], statements=[body])
         if analysis.temporal_cursor(routine, self.catalog, self.registry):
-            new_def.body = self._transform_cursor_body(
-                body, ctx, is_function and not returns_row_array
-            )
-        else:
-            ctx.tv_vars, ctx.tv_records = self._time_varying_variables(body, ctx)
-            new_def.body = self._transform_algebraic_body(
-                body, ctx, is_function and not returns_row_array
-            )
+            new_def.body = self._transform_cursor_body(body, ctx)
+            return new_def
+        ctx.tv_vars, ctx.tv_records = self._time_varying_variables(body, ctx)
+        ctx.assignments = _assignments(body)
+        new_def.body = self._transform_compound(body, ctx)
+        if return_type is not None:
+            new_def.body.declarations.insert(0, self._return_table_declaration(ctx))
         return new_def
 
     def _param_is_time_varying(self, definition, param_name: str) -> bool:
@@ -251,25 +252,28 @@ class PerstTransformer:
             if isinstance(child, ast.SetStatement) and target in [
                 t.lower() for t in child.targets
             ]:
-                if self._expression_is_temporal(child.value, set(), set()):
+                if self._is_temporal(child.value, set(), set()):
                     return True
             if isinstance(child, ast.SelectInto) and target in [
                 t.lower() for t in child.targets
             ]:
-                if self._select_is_temporal(child.select, set(), set()):
+                if self._is_temporal(child.select, set(), set()):
                     return True
         return False
 
     # -- temporality tests --------------------------------------------------
 
-    def _expression_is_temporal(
+    def _is_temporal(
         self,
-        expr: ast.Expression,
+        node: ast.Node,
         tv_vars: set[str],
         tv_tables: set[str],
         tv_records: set[str] = frozenset(),
     ) -> bool:
-        for child in ast.walk(expr):
+        """Does ``node`` (an expression or a select) read temporal data:
+        a temporal or variable table, a time-varying variable, a FOR
+        record in ``tv_records``, or a routine that reads temporal data?"""
+        for child in ast.walk(node):
             if isinstance(child, ast.Name):
                 if child.qualifier is None and child.name.lower() in tv_vars:
                     return True
@@ -287,20 +291,6 @@ class PerstTransformer:
                     return True
         return False
 
-    def _select_is_temporal(
-        self,
-        select: ast.Select,
-        tv_vars: set[str],
-        tv_tables: set[str],
-        tv_records: set[str] = frozenset(),
-    ) -> bool:
-        return self._expression_is_temporal(
-            ast.Parenthesized(expr=ast.ScalarSubquery(select=select)),
-            tv_vars,
-            tv_tables,
-            tv_records,
-        )
-
     def _time_varying_variables(
         self, body: ast.Compound, ctx: "_Context"
     ) -> tuple[set[str], set[str]]:
@@ -316,80 +306,59 @@ class PerstTransformer:
             changed = False
             for child in ast.walk(body):
                 targets: list[str] = []
-                source_temporal = False
                 if isinstance(child, ast.SetStatement):
-                    targets = child.targets
-                    source_temporal = self._expression_is_temporal(
-                        child.value, tv, ctx.tv_tables, records
-                    )
+                    if self._is_temporal(child.value, tv, ctx.tv_tables, records):
+                        targets = child.targets
                 elif isinstance(child, ast.SelectInto):
-                    targets = child.targets
-                    source_temporal = self._select_is_temporal(
-                        child.select, tv, ctx.tv_tables, records
-                    )
+                    if self._is_temporal(child.select, tv, ctx.tv_tables, records):
+                        targets = child.targets
                 elif isinstance(child, ast.ForStatement):
                     if (
-                        self._select_is_temporal(
-                            child.select, tv, ctx.tv_tables, records
-                        )
+                        self._is_temporal(child.select, tv, ctx.tv_tables, records)
                         and child.loop_var.lower() not in records
                     ):
                         records.add(child.loop_var.lower())
                         changed = True
-                elif isinstance(child, (ast.IfStatement, ast.CaseStatement)):
+                elif isinstance(child, (ast.IfStatement, ast.CaseStatement)) and any(
+                    self._is_temporal(c, tv, ctx.tv_tables, records)
+                    for c in _conditions(child)
+                ):
                     # control dependence: a variable assigned under a
                     # time-varying condition is itself time-varying
-                    conditions = []
-                    if isinstance(child, ast.IfStatement):
-                        conditions = [cond for cond, _ in child.branches]
-                    else:
-                        if child.operand is not None:
-                            conditions.append(child.operand)
-                        conditions += [when for when, _ in child.whens]
-                    if any(
-                        self._expression_is_temporal(c, tv, ctx.tv_tables, records)
-                        for c in conditions
-                    ):
-                        branches = []
-                        if isinstance(child, ast.IfStatement):
-                            branches = [b for _, b in child.branches]
-                        else:
-                            branches = [b for _, b in child.whens]
-                        extra = child.else_branch or []
-                        for branch in branches + [extra]:
-                            for nested in branch:
-                                for sub in ast.walk(nested):
-                                    if isinstance(sub, (ast.SetStatement, ast.SelectInto)):
-                                        for target in sub.targets:
-                                            if target.lower() not in tv:
-                                                tv.add(target.lower())
-                                                changed = True
-                if source_temporal:
-                    for target in targets:
-                        if target.lower() not in tv:
-                            tv.add(target.lower())
-                            changed = True
+                    targets = [
+                        target
+                        for sub in ast.walk(child)
+                        if isinstance(sub, (ast.SetStatement, ast.SelectInto))
+                        for target in sub.targets
+                    ]
+                for target in targets:
+                    if target.lower() not in tv:
+                        tv.add(target.lower())
+                        changed = True
         return tv, records
 
     # ------------------------------------------------------------------
     # algebraic body mode
     # ------------------------------------------------------------------
 
-    def _transform_algebraic_body(
-        self, body: ast.Compound, ctx: "_Context", is_function: bool
-    ) -> ast.Compound:
+    def _transform_compound(self, body: ast.Compound, ctx: "_Context") -> ast.Compound:
         declarations: list[ast.PsmStatement] = []
         prelude: list[ast.Statement] = []
-        if is_function:
-            declarations.append(self._return_table_declaration(ctx))
         for decl in body.declarations:
             new_decls, extra = self._transform_declaration(decl, ctx)
             declarations.extend(new_decls)
             prelude.extend(extra)
-        statements: list[ast.Statement] = list(prelude)
-        for stmt in body.statements:
-            statements.extend(self.transform_body_statement(stmt, ctx))
-        return ast.Compound(declarations=declarations, statements=statements)
+        return body.copy(
+            declarations=declarations,
+            statements=prelude + self._transform_block(body.statements, ctx),
+        )
+
+    def _transform_block(
+        self, statements: list[ast.Statement], ctx: "_Context"
+    ) -> list[ast.Statement]:
+        return [
+            out for stmt in statements for out in self.transform_body_statement(stmt, ctx)
+        ]
 
     def _return_table_declaration(self, ctx: "_Context") -> ast.DeclareVariable:
         assert ctx.return_type is not None
@@ -456,9 +425,8 @@ class PerstTransformer:
                         )
                     )
             return new_decls, prelude
-        if isinstance(decl, ast.DeclareCursor):
-            # reachable only when the cursor select is non-temporal
-            return [clone(decl)], []
+        # a cursor declaration is reachable only when its select is
+        # non-temporal
         return [clone(decl)], []
 
     # -- statement dispatch ---------------------------------------------
@@ -466,20 +434,29 @@ class PerstTransformer:
     def transform_body_statement(
         self, stmt: ast.Statement, ctx: "_Context"
     ) -> list[ast.Statement]:
-        if isinstance(stmt, ast.SetStatement):
-            return self._transform_set(stmt, ctx)
-        if isinstance(stmt, ast.SelectInto):
-            return self._transform_select_into(stmt, ctx)
+        if isinstance(stmt, (ast.SetStatement, ast.SelectInto)):
+            return self._transform_assignment(stmt, ctx)
         if isinstance(stmt, ast.ReturnStatement):
             return self._transform_return(stmt, ctx)
-        if isinstance(stmt, ast.IfStatement):
-            return self._transform_if(stmt, ctx)
-        if isinstance(stmt, ast.CaseStatement):
-            return self._transform_case(stmt, ctx)
-        if isinstance(stmt, (ast.WhileStatement, ast.RepeatStatement, ast.LoopStatement)):
-            return self._transform_plain_loop(stmt, ctx)
-        if isinstance(stmt, ast.ForStatement):
+        if isinstance(stmt, ast.Compound):
+            return [self._transform_compound(stmt, ctx)]
+        if isinstance(stmt, ast.ForStatement) and self._is_temporal(
+            stmt.select, ctx.tv_vars, ctx.tv_tables, ctx.tv_records
+        ):
             return self._transform_for(stmt, ctx)
+        # IF / CASE / loop conditions do not count FOR records as temporal
+        if any(
+            self._is_temporal(c, ctx.tv_vars, ctx.tv_tables) for c in _conditions(stmt)
+        ):
+            if isinstance(stmt, LOOPS):
+                raise PerStatementInapplicableError(
+                    f"{ctx.routine_name}: loop condition over temporal data"
+                )
+            return self._statement_loop_fallback(stmt, ctx)
+        inner = replace(ctx, in_loop=True) if isinstance(stmt, LOOPS) else ctx
+        mapped = map_bodies(stmt, lambda body: self._transform_block(body, inner))
+        if mapped is not None:
+            return [mapped]
         if isinstance(stmt, ast.CallStatement):
             return self._transform_call(stmt, ctx)
         if isinstance(stmt, ast.Select):
@@ -492,77 +469,61 @@ class PerstTransformer:
                              ast.DropTable, ast.OpenCursor, ast.FetchCursor,
                              ast.CloseCursor)):
             return [clone(stmt)]
-        if isinstance(stmt, ast.Compound):
-            inner_ctx = ctx
-            declarations: list[ast.PsmStatement] = []
-            prelude: list[ast.Statement] = []
-            for decl in stmt.declarations:
-                new_decls, extra = self._transform_declaration(decl, inner_ctx)
-                declarations.extend(new_decls)
-                prelude.extend(extra)
-            statements = list(prelude)
-            for inner in stmt.statements:
-                statements.extend(self.transform_body_statement(inner, inner_ctx))
-            return [ast.Compound(declarations=declarations, statements=statements)]
         raise PerStatementInapplicableError(
             f"{ctx.routine_name}: cannot transform {type(stmt).__name__}"
             " under per-statement slicing"
         )
 
-    # -- SET (§VI-B) -----------------------------------------------------
+    # -- SET / SELECT INTO (§VI-B) --------------------------------------
 
-    def _transform_set(
-        self, stmt: ast.SetStatement, ctx: "_Context"
+    def _transform_assignment(
+        self, stmt: Union[ast.SetStatement, ast.SelectInto], ctx: "_Context"
     ) -> list[ast.Statement]:
-        temporal = self._expression_is_temporal(stmt.value, ctx.tv_vars, ctx.tv_tables, ctx.tv_records)
-        if len(stmt.targets) == 1 and stmt.targets[0].lower() not in ctx.tv_vars:
-            if temporal:
+        """A time-varying target's rows in the evaluation period are
+        deleted, then its sequenced value inserted; a value outside the
+        algebraic fragment is filled in by the per-statement loop."""
+        source = stmt.value if isinstance(stmt, ast.SetStatement) else stmt.select
+        if not _time_varying_targets(stmt, ctx):
+            if self._is_temporal(source, ctx.tv_vars, ctx.tv_tables, ctx.tv_records):
                 raise PerStatementInapplicableError(
                     f"{ctx.routine_name}: non-time-varying variable"
                     f" {stmt.targets[0]!r} assigned from temporal data"
                 )
             return [clone(stmt)]
-        # self-referential sequenced assignment (acc = acc + x) cannot be
-        # expressed as delete-then-insert; the paper's workloads route
-        # accumulation through cursors (per-period evaluation) instead
-        for target in stmt.targets:
-            key = target.lower()
+        if isinstance(stmt, ast.SetStatement):
+            # self-referential sequenced assignment (acc = acc + x) cannot
+            # be expressed as delete-then-insert; the paper's workloads
+            # route accumulation through cursors (per-period evaluation)
+            targets = {t.lower() for t in stmt.targets}
             for child in ast.walk(stmt.value):
                 if (
                     isinstance(child, ast.Name)
                     and child.qualifier is None
-                    and child.name.lower() == key
-                    and key in ctx.tv_vars
+                    and child.name.lower() in targets
                 ):
                     raise PerStatementInapplicableError(
                         f"{ctx.routine_name}: self-referential sequenced"
-                        f" assignment to {target!r}"
+                        f" assignment to {child.name!r}"
                     )
-        statements: list[ast.Statement] = []
-        for target in stmt.targets:
-            statements.append(self._sequenced_delete(target, ctx))
-        if len(stmt.targets) == 1:
-            value_select = self.seq_value_select(stmt.value, ctx)
-            if value_select is None:
-                return statements + self._statement_loop_fallback(stmt, ctx)
-            statements.append(ast.Insert(table=stmt.targets[0], select=value_select))
-            return statements
-        # row form: SET (a, b) = (SELECT ...)
-        inner = stmt.value
-        if isinstance(inner, ast.Parenthesized):
-            inner = inner.expr
-        if not isinstance(inner, ast.ScalarSubquery):
-            raise PerStatementInapplicableError(
-                f"{ctx.routine_name}: row SET requires a row subquery"
-            )
-        for index, target in enumerate(stmt.targets):
-            item_select = self.seq_select(
-                clone(inner.select), ctx, keep_items=[index]
-            )
-            if item_select is None:
-                return statements + self._statement_loop_fallback(stmt, ctx)
-            statements.append(ast.Insert(table=target, select=item_select))
-        return statements
+        deletes: list[ast.Statement] = [
+            self._sequenced_delete(t, ctx) for t in stmt.targets
+        ]
+        if isinstance(stmt, ast.SetStatement) and len(stmt.targets) == 1:
+            selects = [self.seq_value_select(stmt.value, ctx)]
+        else:
+            rows = _row_select(stmt, ctx)
+            selects = [
+                self.seq_select(clone(rows), ctx, keep_items=[index])
+                for index in range(len(stmt.targets))
+            ]
+        if any(select is None for select in selects):
+            # every target's rows in the period are gone before the loop
+            # stamps its values: none may survive beside them
+            return deletes + self._statement_loop_fallback(stmt, ctx)
+        return deletes + [
+            ast.Insert(table=target, select=select)
+            for target, select in zip(stmt.targets, selects)
+        ]
 
     def _sequenced_delete(self, target: str, ctx: "_Context") -> ast.Delete:
         """Delete rows of a variable table valid in the evaluation period."""
@@ -574,33 +535,6 @@ class PerstTransformer:
                 right=cmp("<=", ctx.lo_copy(), name(None, "end_time")),
             ),
         )
-
-    def _transform_select_into(
-        self, stmt: ast.SelectInto, ctx: "_Context"
-    ) -> list[ast.Statement]:
-        temporal = self._select_is_temporal(stmt.select, ctx.tv_vars, ctx.tv_tables, ctx.tv_records)
-        tv_targets = [t for t in stmt.targets if t.lower() in ctx.tv_vars]
-        if not tv_targets:
-            if temporal:
-                raise PerStatementInapplicableError(
-                    f"{ctx.routine_name}: SELECT INTO scalar targets from"
-                    " temporal data"
-                )
-            return [clone(stmt)]
-        statements: list[ast.Statement] = [
-            self._sequenced_delete(t, ctx) for t in tv_targets
-        ]
-        for index, target in enumerate(stmt.targets):
-            if target.lower() not in ctx.tv_vars:
-                raise PerStatementInapplicableError(
-                    f"{ctx.routine_name}: SELECT INTO mixes time-varying"
-                    " and scalar targets"
-                )
-            item_select = self.seq_select(clone(stmt.select), ctx, keep_items=[index])
-            if item_select is None:
-                return statements[:1] + self._statement_loop_fallback(stmt, ctx)
-            statements.append(ast.Insert(table=target, select=item_select))
-        return statements
 
     # -- RETURN (§VI-B) -----------------------------------------------------
 
@@ -630,106 +564,23 @@ class PerstTransformer:
             ast.ReturnStatement(value=name(None, RETURN_TABLE)),
         ]
 
-    # -- IF / CASE ------------------------------------------------------
-
-    def _transform_if(
-        self, stmt: ast.IfStatement, ctx: "_Context"
-    ) -> list[ast.Statement]:
-        condition_temporal = any(
-            self._expression_is_temporal(cond, ctx.tv_vars, ctx.tv_tables)
-            for cond, _ in stmt.branches
-        )
-        if condition_temporal:
-            return self._statement_loop_fallback(stmt, ctx)
-        branches = []
-        for cond, body in stmt.branches:
-            new_body: list[ast.Statement] = []
-            for inner in body:
-                new_body.extend(self.transform_body_statement(inner, ctx))
-            branches.append((clone(cond), new_body))
-        else_branch = None
-        if stmt.else_branch is not None:
-            else_branch = []
-            for inner in stmt.else_branch:
-                else_branch.extend(self.transform_body_statement(inner, ctx))
-        return [ast.IfStatement(branches=branches, else_branch=else_branch)]
-
-    def _transform_case(
-        self, stmt: ast.CaseStatement, ctx: "_Context"
-    ) -> list[ast.Statement]:
-        exprs = [stmt.operand] if stmt.operand is not None else []
-        exprs += [when for when, _ in stmt.whens]
-        if any(
-            self._expression_is_temporal(e, ctx.tv_vars, ctx.tv_tables) for e in exprs
-        ):
-            return self._statement_loop_fallback(stmt, ctx)
-        whens = []
-        for when, body in stmt.whens:
-            new_body: list[ast.Statement] = []
-            for inner in body:
-                new_body.extend(self.transform_body_statement(inner, ctx))
-            whens.append((clone(when), new_body))
-        else_branch = None
-        if stmt.else_branch is not None:
-            else_branch = []
-            for inner in stmt.else_branch:
-                else_branch.extend(self.transform_body_statement(inner, ctx))
-        return [
-            ast.CaseStatement(
-                operand=clone(stmt.operand) if stmt.operand is not None else None,
-                whens=whens,
-                else_branch=else_branch,
-            )
-        ]
-
-    # -- loops ----------------------------------------------------------
-
-    def _transform_plain_loop(self, stmt, ctx: "_Context") -> list[ast.Statement]:
-        condition = getattr(stmt, "condition", None) or getattr(stmt, "until", None)
-        if condition is not None and self._expression_is_temporal(
-            condition, ctx.tv_vars, ctx.tv_tables
-        ):
-            raise PerStatementInapplicableError(
-                f"{ctx.routine_name}: loop condition over temporal data"
-            )
-        new_stmt = stmt.copy()
-        new_body: list[ast.Statement] = []
-        for inner in stmt.body:
-            new_body.extend(self.transform_body_statement(inner, ctx))
-        new_stmt.body = new_body
-        return [new_stmt]
+    # -- FOR over temporal data -------------------------------------------
 
     def _transform_for(
         self, stmt: ast.ForStatement, ctx: "_Context"
     ) -> list[ast.Statement]:
-        if not self._select_is_temporal(stmt.select, ctx.tv_vars, ctx.tv_tables, ctx.tv_records):
-            new_stmt = stmt.copy()
-            new_body: list[ast.Statement] = []
-            for inner in stmt.body:
-                new_body.extend(self.transform_body_statement(inner, ctx))
-            new_stmt.body = new_body
-            return [new_stmt]
         seq = self.seq_select(clone(stmt.select), ctx)
         if seq is None:
             return self._statement_loop_fallback(stmt, ctx)
         # block-structured slicing: the loop body runs once per
         # (row, period); inner statements evaluate over the row's period
-        inner_ctx = ctx.narrowed(
+        inner_ctx = replace(
+            ctx,
             lo=name(stmt.loop_var, "begin_time"),
             hi=name(stmt.loop_var, "end_time"),
+            in_loop=True,
         )
-        new_body = []
-        for inner in stmt.body:
-            new_body.extend(self.transform_body_statement(inner, inner_ctx))
-        return [
-            ast.ForStatement(
-                loop_var=stmt.loop_var,
-                select=seq,
-                body=new_body,
-                cursor_name=stmt.cursor_name,
-                label=stmt.label,
-            )
-        ]
+        return [stmt.copy(select=seq, body=self._transform_block(stmt.body, inner_ctx))]
 
     # -- CALL -------------------------------------------------------------
 
@@ -748,7 +599,7 @@ class PerstTransformer:
     def _transform_result_select(
         self, stmt: ast.Select, ctx: "_Context"
     ) -> list[ast.Statement]:
-        if not self._select_is_temporal(stmt, ctx.tv_vars, ctx.tv_tables, ctx.tv_records):
+        if not self._is_temporal(stmt, ctx.tv_vars, ctx.tv_tables, ctx.tv_records):
             return [clone(stmt)]
         seq = self.seq_select(clone(stmt), ctx)
         if seq is None:
@@ -760,7 +611,7 @@ class PerstTransformer:
     def _transform_dml(self, stmt, ctx: "_Context") -> list[ast.Statement]:
         forbid_temporal_dml(stmt, self.registry)
         if isinstance(stmt, ast.Insert) and stmt.select is not None:
-            if self._select_is_temporal(stmt.select, ctx.tv_vars, ctx.tv_tables, ctx.tv_records):
+            if self._is_temporal(stmt.select, ctx.tv_vars, ctx.tv_tables, ctx.tv_records):
                 seq = self.seq_select(clone(stmt.select), ctx)
                 if seq is None:
                     return self._statement_loop_fallback(stmt, ctx)
@@ -771,7 +622,7 @@ class PerstTransformer:
     def _transform_create_table(
         self, stmt: ast.CreateTable, ctx: "_Context"
     ) -> list[ast.Statement]:
-        if stmt.as_select is not None and self._select_is_temporal(
+        if stmt.as_select is not None and self._is_temporal(
             stmt.as_select, ctx.tv_vars, ctx.tv_tables
         ):
             seq = self.seq_select(clone(stmt.as_select), ctx)
@@ -953,13 +804,9 @@ class PerstTransformer:
         # rewrite only the select's own items/where (not nested selects)
         for item in select.items:
             if item.expr is not None:
-                replacement = _rewrite_shallow(item.expr, rewriter)
-                if replacement is not None:
-                    item.expr = replacement
+                item.expr = rewrite_expressions(item.expr, rewriter, into_selects=False)
         if select.where is not None:
-            replacement = _rewrite_shallow(select.where, rewriter)
-            if replacement is not None:
-                select.where = replacement
+            select.where = rewrite_expressions(select.where, rewriter, into_selects=False)
         if failure:
             return None
         return True
@@ -985,42 +832,39 @@ class PerstTransformer:
         return self.seq_select(carrier, ctx)
 
     # ------------------------------------------------------------------
-    # per-statement loop fallback (§VI-C)
+    # point-wise evaluation: the per-statement loop (§VI-C) and
+    # cursor-body mode (§VII-C)
     # ------------------------------------------------------------------
 
     def _statement_loop_fallback(
         self, stmt: ast.Statement, ctx: "_Context"
     ) -> list[ast.Statement]:
-        """Wrap one statement in a FOR loop over its constant periods.
+        """Wrap one statement in a FOR loop over the routine's constant
+        periods.
 
         The statement evaluates point-wise at each period's begin; its
-        outputs are stamped with the period.
+        outputs are stamped with the period (:meth:`_at_point`).
         """
-        tables = set(
-            analysis.reachable_temporal_tables(stmt, self.catalog, self.registry)
-        )
-        tables |= ctx.routine_tables
-        cp_table = self.require_cp_table(ctx.routine_name, sorted(tables))
+        if isinstance(stmt, (ast.IfStatement, ast.CaseStatement, ast.ForStatement)):
+            self._check_stamped_assignments(stmt, ctx)
         point = name(CP_LOOP_VAR, "begin_time")
         period_end = name(CP_LOOP_VAR, "end_time")
-        inner = self._pointwise_statement(stmt, ctx, point, period_end)
-        loop_select = ast.Select(
-            items=[
-                ast.SelectItem(expr=name(None, "begin_time")),
-                ast.SelectItem(expr=name(None, "end_time")),
-            ],
-            from_items=[ast.TableRef(name=cp_table)],
-            where=ast.BinaryOp(
-                op="AND",
-                left=cmp(">=", name(None, "begin_time"), ctx.lo_copy()),
-                right=cmp("<", name(None, "begin_time"), ctx.hi_copy()),
-            ),
-        )
-        return [
-            ast.ForStatement(
-                loop_var=CP_LOOP_VAR, select=loop_select, body=inner
-            )
-        ]
+        return [self._cp_loop(ctx, self._at_point(stmt, ctx, point, period_end))]
+
+    def _check_stamped_assignments(self, stmt: ast.Statement, ctx: "_Context") -> None:
+        """The loop stamps what an IF / CASE / FOR assigns a time-varying
+        variable without deleting the variable's rows first.  That is
+        right only when no other statement (or DEFAULT) gives the variable
+        rows and the assignment runs once per point — not under a loop."""
+        own = _assignments(stmt)
+        looped = ctx.in_loop or any(isinstance(child, LOOPS) for child in ast.walk(stmt))
+        for var in sorted(own):
+            if var in ctx.tv_vars and (looped or ctx.assignments[var] > own[var]):
+                raise PerStatementInapplicableError(
+                    f"{ctx.routine_name}: time-varying variable {var!r} is"
+                    " assigned under a per-statement loop and also"
+                    " elsewhere or inside a loop"
+                )
 
     def require_cp_table(self, routine_name: str, tables: list[str]) -> str:
         """Register a constant-period helper table and return its name."""
@@ -1034,58 +878,85 @@ class PerstTransformer:
             self.cp_requirements[cp_table] = sorted(tables)
         return cp_table
 
-    def _pointwise_statement(
+    def _cp_loop(self, ctx: "_Context", body: list[ast.Statement]) -> ast.ForStatement:
+        """``FOR taupsm_cp AS`` the routine's constant periods that begin
+        in the evaluation period ``DO body``."""
+        cp_table = self.require_cp_table(ctx.routine_name, sorted(ctx.routine_tables))
+        loop_select = ast.Select(
+            items=[
+                ast.SelectItem(expr=name(None, "begin_time")),
+                ast.SelectItem(expr=name(None, "end_time")),
+            ],
+            from_items=[ast.TableRef(name=cp_table)],
+            where=ast.BinaryOp(
+                op="AND",
+                left=cmp(">=", name(None, "begin_time"), ctx.lo_copy()),
+                right=cmp("<", name(None, "begin_time"), ctx.hi_copy()),
+            ),
+        )
+        return ast.ForStatement(loop_var=CP_LOOP_VAR, select=loop_select, body=body)
+
+    def _at_point(
         self,
         stmt: ast.Statement,
         ctx: "_Context",
         point: ast.Expression,
         period_end: ast.Expression,
+        once: bool = False,
     ) -> list[ast.Statement]:
-        """Evaluate one statement at ``point``; stamp outputs with the
-        period ``[point, period_end)``."""
-        new_stmt = clone(stmt)
-        self._pointwise_rewrite(new_stmt, ctx, point)
-        if isinstance(new_stmt, ast.SetStatement):
-            targets = new_stmt.targets
-            if all(t.lower() in ctx.tv_vars for t in targets):
-                value = new_stmt.value
-                if len(targets) == 1:
-                    return [
-                        ast.Insert(
-                            table=targets[0],
-                            values=[[value, clone(point), clone(period_end)]],
-                        )
-                    ]
-                inner = value
-                if isinstance(inner, ast.Parenthesized):
-                    inner = inner.expr
-                if isinstance(inner, ast.ScalarSubquery):
-                    inserts: list[ast.Statement] = []
-                    for index, target in enumerate(targets):
-                        one = clone(inner.select)
-                        one.items = [one.items[index]]
-                        inserts.append(
-                            ast.Insert(
-                                table=target,
-                                select=_with_period_items(
-                                    one, clone(point), clone(period_end)
-                                ),
-                            )
-                        )
-                    return inserts
+        """Evaluate one statement at ``point``; stamp each output with the
+        period ``[point, period_end)``.
+
+        An assignment to a time-varying variable becomes a stamped insert
+        into its table; control statements are copied with their
+        conditions read at the point and their bodies walked; any other
+        statement is read at the point.  ``once`` is cursor-body mode,
+        whose body runs in a ``taupsm_once`` block per period: a RETURN
+        stamps its value and leaves the block.  Under the per-statement
+        loop a RETURN cannot end the routine at one point, and a result
+        set would be returned once per constant period: both are refused.
+        """
+        if isinstance(stmt, ast.ReturnStatement):
+            if not once:
+                raise PerStatementInapplicableError(
+                    f"{ctx.routine_name}: RETURN under a per-statement loop"
+                    " cannot end the routine at one point"
+                )
+            leave = ast.LeaveStatement(label=ONCE_LABEL)
+            if ctx.return_type is None:
+                return [leave]
+            value = stmt.value if stmt.value is not None else lit(Null)
+            return [
+                ast.Insert(
+                    table=RETURN_TABLE,
+                    values=[[
+                        self._point_expr(value, ctx, point),
+                        clone(point),
+                        clone(period_end),
+                    ]],
+                ),
+                leave,
+            ]
+        if isinstance(stmt, ast.Select):
             raise PerStatementInapplicableError(
-                f"{ctx.routine_name}: loop fallback for SET with scalar"
-                " targets"
+                f"{ctx.routine_name}: a result set under a per-period loop"
+                " would be returned once per constant period"
             )
-        if isinstance(new_stmt, ast.SelectInto):
-            inserts = []
-            for index, target in enumerate(new_stmt.targets):
-                if target.lower() not in ctx.tv_vars:
-                    raise PerStatementInapplicableError(
-                        f"{ctx.routine_name}: loop fallback SELECT INTO"
-                        " scalar target"
+        if isinstance(
+            stmt, (ast.SetStatement, ast.SelectInto)
+        ) and _time_varying_targets(stmt, ctx):
+            if isinstance(stmt, ast.SetStatement) and len(stmt.targets) == 1:
+                value = self._point_expr(stmt.value, ctx, point)
+                return [
+                    ast.Insert(
+                        table=stmt.targets[0],
+                        values=[[value, clone(point), clone(period_end)]],
                     )
-                one = clone(new_stmt.select)
+                ]
+            rows = self._point_expr(_row_select(stmt, ctx), ctx, point)
+            inserts: list[ast.Statement] = []
+            for index, target in enumerate(stmt.targets):
+                one = clone(rows)
                 one.items = [one.items[index]]
                 inserts.append(
                     ast.Insert(
@@ -1094,123 +965,26 @@ class PerstTransformer:
                     )
                 )
             return inserts
-        if isinstance(new_stmt, ast.Select):
-            return [_with_period_items(new_stmt, clone(point), clone(period_end))]
-        if isinstance(new_stmt, (ast.IfStatement, ast.CaseStatement,
-                                 ast.Insert, ast.Update, ast.Delete,
-                                 ast.ForStatement)):
-            self._stamp_nested_outputs(new_stmt, ctx, point, period_end)
-            return [new_stmt]
-        raise PerStatementInapplicableError(
-            f"{ctx.routine_name}: loop fallback cannot handle"
-            f" {type(stmt).__name__}"
+        mapped = map_bodies(
+            stmt,
+            lambda body: [
+                out
+                for inner in body
+                for out in self._at_point(inner, ctx, point, period_end, once)
+            ],
+            lambda node: self._point_expr(node, ctx, point),
         )
+        return [mapped if mapped is not None else self._point_expr(stmt, ctx, point)]
 
-    def _stamp_nested_outputs(
-        self,
-        stmt: ast.Statement,
-        ctx: "_Context",
-        point: ast.Expression,
-        period_end: ast.Expression,
-    ) -> None:
-        """Rewrite SET-into-tv-var statements nested under IF/CASE to
-        period-stamped inserts."""
-
-        def rewrite_list(statements: list[ast.Statement]) -> list[ast.Statement]:
-            out: list[ast.Statement] = []
-            for inner in statements:
-                if isinstance(inner, ast.SetStatement) and all(
-                    t.lower() in ctx.tv_vars for t in inner.targets
-                ):
-                    out.extend(
-                        self._pointwise_insert_for_set(inner, ctx, point, period_end)
-                    )
-                elif isinstance(inner, ast.IfStatement):
-                    inner.branches = [
-                        (cond, rewrite_list(body)) for cond, body in inner.branches
-                    ]
-                    if inner.else_branch is not None:
-                        inner.else_branch = rewrite_list(inner.else_branch)
-                    out.append(inner)
-                elif isinstance(inner, ast.CaseStatement):
-                    inner.whens = [
-                        (when, rewrite_list(body)) for when, body in inner.whens
-                    ]
-                    if inner.else_branch is not None:
-                        inner.else_branch = rewrite_list(inner.else_branch)
-                    out.append(inner)
-                else:
-                    out.append(inner)
-            return out
-
-        if isinstance(stmt, ast.IfStatement):
-            stmt.branches = [(cond, rewrite_list(body)) for cond, body in stmt.branches]
-            if stmt.else_branch is not None:
-                stmt.else_branch = rewrite_list(stmt.else_branch)
-        elif isinstance(stmt, ast.CaseStatement):
-            stmt.whens = [(when, rewrite_list(body)) for when, body in stmt.whens]
-            if stmt.else_branch is not None:
-                stmt.else_branch = rewrite_list(stmt.else_branch)
-        elif isinstance(stmt, ast.ForStatement):
-            stmt.body = rewrite_list(stmt.body)
-
-    def _pointwise_insert_for_set(
-        self,
-        stmt: ast.SetStatement,
-        ctx: "_Context",
-        point: ast.Expression,
-        period_end: ast.Expression,
-    ) -> list[ast.Statement]:
-        if len(stmt.targets) != 1:
-            raise PerStatementInapplicableError(
-                f"{ctx.routine_name}: nested row SET under loop fallback"
-            )
-        return [
-            ast.Insert(
-                table=stmt.targets[0],
-                values=[[stmt.value, clone(point), clone(period_end)]],
-            )
-        ]
-
-    def _pointwise_rewrite(
+    def _point_expr(
         self, node: ast.Node, ctx: "_Context", point: ast.Expression
-    ) -> None:
-        """Point-wise evaluation rewrites shared by fallback and cursor
-        modes: overlap-at-point predicates, scalarized ps_ calls, and
-        point reads of variable tables."""
-        # temporal tables and variable tables in FROM clauses; LEFT-join
-        # right sides take their condition in the ON clause
-        from repro.temporal.transform_util import (
-            add_join_condition,
-            classify_from_sources,
-        )
+    ) -> ast.Node:
+        """A copy of ``node`` — a condition, a select or a leaf statement —
+        that reads the database at ``point``: each ``ps_`` call scalarised
+        at the point's granule, each time-varying variable read from its
+        table, and :func:`add_point_conditions` on every temporal and
+        variable table."""
 
-        def condition_for(table_name: str, alias: str):
-            info = self.registry.get(table_name)
-            if info is not None:
-                return overlap_at_point(
-                    alias, point, info.begin_column, info.end_column
-                )
-            if table_name in ctx.tv_vars or table_name in ctx.tv_tables:
-                return overlap_at_point(alias, point)
-            return None
-
-        for child in ast.walk(node):
-            if isinstance(child, ast.Select):
-                where_pairs, join_pairs = classify_from_sources(child)
-                conditions = []
-                for table_name, alias in where_pairs:
-                    condition = condition_for(table_name, alias)
-                    if condition is not None:
-                        conditions.append(condition)
-                add_condition(child, and_all(conditions))
-                for join, pairs in join_pairs:
-                    for table_name, alias in pairs:
-                        condition = condition_for(table_name, alias)
-                        if condition is not None:
-                            add_join_condition(join, condition)
-
-        # temporal routine calls → scalar subquery over TABLE(ps_f(...))
         def rewriter(expr: ast.Expression) -> Optional[ast.Expression]:
             if isinstance(expr, ast.FunctionCall):
                 target = ctx.rename_map.get(expr.name.lower())
@@ -1227,29 +1001,27 @@ class PerstTransformer:
                     ],
                 )
                 return ast.ScalarSubquery(select=subquery)
-            # bare reads of tv variables become point lookups
+            # a bare read of a tv variable reads its table
             if (
                 isinstance(expr, ast.Name)
                 and expr.qualifier is None
                 and expr.name.lower() in ctx.tv_vars
             ):
-                var = expr.name
                 subquery = ast.Select(
-                    items=[ast.SelectItem(expr=name(None, var))],
-                    from_items=[ast.TableRef(name=var)],
-                    where=overlap_at_point(var, point),
+                    items=[ast.SelectItem(expr=name(None, expr.name))],
+                    from_items=[ast.TableRef(name=expr.name)],
                 )
                 return ast.ScalarSubquery(select=subquery)
             return None
 
-        rewrite_expressions(node, rewriter)
-
-    # ------------------------------------------------------------------
-    # cursor body mode (§VII-C: per-period auxiliary tables)
-    # ------------------------------------------------------------------
+        node = rewrite_expressions(clone(node), rewriter)
+        add_point_conditions(
+            node, point, self.registry, period_tables=ctx.tv_vars | ctx.tv_tables
+        )
+        return node
 
     def _transform_cursor_body(
-        self, body: ast.Compound, ctx: "_Context", is_function: bool
+        self, body: ast.Compound, ctx: "_Context"
     ) -> ast.Compound:
         """Evaluate the whole body once per constant period.
 
@@ -1258,25 +1030,23 @@ class PerstTransformer:
         q7/q7b's PERST cost), the cursor re-pointed at it, everything
         else point-evaluated, and outputs stamped with the period.
         """
-        cp_table = self.require_cp_table(ctx.routine_name, sorted(ctx.routine_tables))
         point = name(CP_LOOP_VAR, "begin_time")
         period_end = name(CP_LOOP_VAR, "end_time")
-
-        inner_declarations: list[ast.PsmStatement] = []
-        aux_statements: list[ast.Statement] = []
+        declarations: list[ast.PsmStatement] = []
+        statements: list[ast.Statement] = []
         for decl in body.declarations:
-            if isinstance(decl, ast.DeclareCursor) and self._select_is_temporal(
+            if isinstance(decl, ast.DeclareCursor) and self._is_temporal(
                 decl.select, set(), set()
             ):
                 aux_name = f"taupsm_aux_{decl.name}"
-                point_select = clone(decl.select)
-                self._pointwise_rewrite(point_select, ctx, point)
-                aux_statements.append(
+                statements.append(
                     ast.CreateTable(
-                        name=aux_name, temporary=True, as_select=point_select
+                        name=aux_name,
+                        temporary=True,
+                        as_select=self._point_expr(decl.select, ctx, point),
                     )
                 )
-                inner_declarations.append(
+                declarations.append(
                     ast.DeclareCursor(
                         name=decl.name,
                         select=ast.Select(
@@ -1286,173 +1056,18 @@ class PerstTransformer:
                     )
                 )
             else:
-                inner_declarations.append(clone(decl))
-
-        inner_statements: list[ast.Statement] = list(aux_statements)
-        loop_body = self._pointwise_block(
-            body.statements, ctx, point, period_end, is_function
+                declarations.append(self._point_expr(decl, ctx, point))
+        block = ast.LoopStatement(
+            body=body.statements + [ast.LeaveStatement(label=ONCE_LABEL)],
+            label=ONCE_LABEL,
         )
-        inner_statements.append(
-            ast.LoopStatement(
-                body=loop_body + [ast.LeaveStatement(label=ONCE_LABEL)],
-                label=ONCE_LABEL,
-            )
-        )
-        per_period = ast.Compound(
-            declarations=inner_declarations, statements=inner_statements
-        )
-        loop_select = ast.Select(
-            items=[
-                ast.SelectItem(expr=name(None, "begin_time")),
-                ast.SelectItem(expr=name(None, "end_time")),
-            ],
-            from_items=[ast.TableRef(name=cp_table)],
-            where=ast.BinaryOp(
-                op="AND",
-                left=cmp(">=", name(None, "begin_time"), ctx.lo_copy()),
-                right=cmp("<", name(None, "begin_time"), ctx.hi_copy()),
-            ),
-        )
-        outer_declarations: list[ast.PsmStatement] = []
-        outer_statements: list[ast.Statement] = [
-            ast.ForStatement(loop_var=CP_LOOP_VAR, select=loop_select, body=[per_period])
-        ]
-        if is_function:
-            outer_declarations.append(self._return_table_declaration(ctx))
-            outer_statements.append(
-                ast.ReturnStatement(value=name(None, RETURN_TABLE))
-            )
-        return ast.Compound(
-            declarations=outer_declarations, statements=outer_statements
-        )
-
-    def _pointwise_block(
-        self,
-        statements: list[ast.Statement],
-        ctx: "_Context",
-        point: ast.Expression,
-        period_end: ast.Expression,
-        is_function: bool,
-    ) -> list[ast.Statement]:
-        """Point-transform a statement list inside the per-period loop."""
-        out: list[ast.Statement] = []
-        for stmt in statements:
-            out.extend(
-                self._pointwise_block_statement(
-                    stmt, ctx, point, period_end, is_function
-                )
-            )
-        return out
-
-    def _pointwise_block_statement(
-        self,
-        stmt: ast.Statement,
-        ctx: "_Context",
-        point: ast.Expression,
-        period_end: ast.Expression,
-        is_function: bool,
-    ) -> list[ast.Statement]:
-        if isinstance(stmt, ast.ReturnStatement) and not is_function:
-            # procedure RETURN ends this period's evaluation
-            return [ast.LeaveStatement(label=ONCE_LABEL)]
-        if isinstance(stmt, ast.ReturnStatement) and is_function:
-            new_value = clone(stmt.value) if stmt.value is not None else lit(Null)
-            holder = ast.SetStatement(targets=["__x"], value=new_value)
-            self._pointwise_rewrite(holder, ctx, point)
-            return [
-                ast.Insert(
-                    table=RETURN_TABLE,
-                    values=[[holder.value, clone(point), clone(period_end)]],
-                ),
-                ast.LeaveStatement(label=ONCE_LABEL),
-            ]
-        if isinstance(stmt, ast.Select):
-            new_stmt = clone(stmt)
-            self._pointwise_rewrite(new_stmt, ctx, point)
-            return [_with_period_items(new_stmt, clone(point), clone(period_end))]
-        if isinstance(stmt, ast.IfStatement):
-            new_stmt = ast.IfStatement(branches=[], else_branch=None)
-            for cond, branch_body in stmt.branches:
-                new_cond = clone(cond)
-                holder = ast.SetStatement(targets=["__x"], value=new_cond)
-                self._pointwise_rewrite(holder, ctx, point)
-                new_stmt.branches.append(
-                    (
-                        holder.value,
-                        self._pointwise_block(
-                            branch_body, ctx, point, period_end, is_function
-                        ),
-                    )
-                )
-            if stmt.else_branch is not None:
-                new_stmt.else_branch = self._pointwise_block(
-                    stmt.else_branch, ctx, point, period_end, is_function
-                )
-            return [new_stmt]
-        if isinstance(stmt, ast.CaseStatement):
-            new_whens = []
-            for when, branch_body in stmt.whens:
-                holder = ast.SetStatement(targets=["__x"], value=clone(when))
-                self._pointwise_rewrite(holder, ctx, point)
-                new_whens.append(
-                    (
-                        holder.value,
-                        self._pointwise_block(
-                            branch_body, ctx, point, period_end, is_function
-                        ),
-                    )
-                )
-            operand = None
-            if stmt.operand is not None:
-                holder = ast.SetStatement(targets=["__x"], value=clone(stmt.operand))
-                self._pointwise_rewrite(holder, ctx, point)
-                operand = holder.value
-            else_branch = None
-            if stmt.else_branch is not None:
-                else_branch = self._pointwise_block(
-                    stmt.else_branch, ctx, point, period_end, is_function
-                )
-            return [
-                ast.CaseStatement(operand=operand, whens=new_whens, else_branch=else_branch)
-            ]
-        if isinstance(stmt, (ast.WhileStatement, ast.RepeatStatement, ast.LoopStatement)):
-            new_stmt = stmt.copy()
-            condition = getattr(new_stmt, "condition", None)
-            if condition is not None:
-                holder = ast.SetStatement(targets=["__x"], value=clone(condition))
-                self._pointwise_rewrite(holder, ctx, point)
-                new_stmt.condition = holder.value
-            until = getattr(new_stmt, "until", None)
-            if until is not None:
-                holder = ast.SetStatement(targets=["__x"], value=clone(until))
-                self._pointwise_rewrite(holder, ctx, point)
-                new_stmt.until = holder.value
-            new_stmt.body = self._pointwise_block(
-                stmt.body, ctx, point, period_end, is_function
-            )
-            return [new_stmt]
-        if isinstance(stmt, ast.ForStatement):
-            new_stmt = stmt.copy()
-            new_select = clone(stmt.select)
-            self._pointwise_rewrite(new_select, ctx, point)
-            new_stmt.select = new_select
-            new_stmt.body = self._pointwise_block(
-                stmt.body, ctx, point, period_end, is_function
-            )
-            return [new_stmt]
-        if isinstance(stmt, ast.Compound):
-            return [
-                ast.Compound(
-                    declarations=[clone(d) for d in stmt.declarations],
-                    statements=self._pointwise_block(
-                        stmt.statements, ctx, point, period_end, is_function
-                    ),
-                )
-            ]
-        # leaf statements: point-rewrite expressions in place
-        new_stmt = clone(stmt)
-        self._pointwise_rewrite(new_stmt, ctx, point)
-        return [new_stmt]
+        statements += self._at_point(block, ctx, point, period_end, once=True)
+        per_period = ast.Compound(declarations=declarations, statements=statements)
+        result = ast.Compound(statements=[self._cp_loop(ctx, [per_period])])
+        if ctx.return_type is not None:
+            result.declarations.append(self._return_table_declaration(ctx))
+            result.statements.append(ast.ReturnStatement(value=name(None, RETURN_TABLE)))
+        return result
 
 
 # ---------------------------------------------------------------------------
@@ -1469,12 +1084,14 @@ class _Context:
     tv_vars: set[str]
     tv_tables: set[str]
     rename_map: dict[str, str]
-    transformer: PerstTransformer
     routine_name: str
     return_type: Optional[SqlType] = None
-    returns_row_array: bool = False
     tv_records: set[str] = dataclass_field(default_factory=set)
     routine_tables: set[str] = dataclass_field(default_factory=set)
+    # statements (and DEFAULTs) assigning each variable in the routine
+    assignments: Counter = dataclass_field(default_factory=Counter)
+    # inside a loop body: a statement here may run more than once
+    in_loop: bool = False
 
     def lo_copy(self) -> ast.Expression:
         return clone(self.lo)
@@ -1482,20 +1099,65 @@ class _Context:
     def hi_copy(self) -> ast.Expression:
         return clone(self.hi)
 
-    def narrowed(self, lo: ast.Expression, hi: ast.Expression) -> "_Context":
-        return _Context(
-            lo=lo,
-            hi=hi,
-            tv_vars=self.tv_vars,
-            tv_tables=self.tv_tables,
-            rename_map=self.rename_map,
-            transformer=self.transformer,
-            routine_name=self.routine_name,
-            return_type=self.return_type,
-            returns_row_array=self.returns_row_array,
-            tv_records=self.tv_records,
-            routine_tables=self.routine_tables,
+
+LOOPS = (ast.WhileStatement, ast.RepeatStatement, ast.LoopStatement, ast.ForStatement)
+
+
+def _conditions(stmt: ast.Statement) -> list[ast.Expression]:
+    """The conditions an IF, CASE, WHILE or REPEAT branches on."""
+    if isinstance(stmt, ast.IfStatement):
+        return [cond for cond, _ in stmt.branches]
+    if isinstance(stmt, ast.CaseStatement):
+        operand = [stmt.operand] if stmt.operand is not None else []
+        return operand + [when for when, _ in stmt.whens]
+    if isinstance(stmt, ast.WhileStatement):
+        return [stmt.condition]
+    if isinstance(stmt, ast.RepeatStatement):
+        return [stmt.until]
+    return []
+
+
+def _assignments(node: ast.Node) -> Counter:
+    """How many SET, SELECT INTO, FETCH and DEFAULT clauses under ``node``
+    assign each (lower-cased) variable."""
+    counts: Counter = Counter()
+    for child in ast.walk(node):
+        if isinstance(child, (ast.SetStatement, ast.SelectInto, ast.FetchCursor)):
+            counts.update(target.lower() for target in child.targets)
+        elif isinstance(child, ast.DeclareVariable) and child.default is not None:
+            counts.update(n.lower() for n in child.names)
+    return counts
+
+
+def _time_varying_targets(
+    stmt: Union[ast.SetStatement, ast.SelectInto], ctx: _Context
+) -> bool:
+    """Are an assignment's targets time-varying variables?  Refused when
+    only some are."""
+    time_varying = {target.lower() in ctx.tv_vars for target in stmt.targets}
+    if len(time_varying) > 1:
+        raise PerStatementInapplicableError(
+            f"{ctx.routine_name}: {type(stmt).__name__} mixes time-varying"
+            " and scalar targets"
         )
+    return time_varying == {True}
+
+
+def _row_select(
+    stmt: Union[ast.SetStatement, ast.SelectInto], ctx: _Context
+) -> ast.Select:
+    """The select a SELECT INTO or a row SET ``(a, b) = (SELECT ...)``
+    takes its values from."""
+    if isinstance(stmt, ast.SelectInto):
+        return stmt.select
+    inner = stmt.value
+    if isinstance(inner, ast.Parenthesized):
+        inner = inner.expr
+    if not isinstance(inner, ast.ScalarSubquery):
+        raise PerStatementInapplicableError(
+            f"{ctx.routine_name}: row SET requires a row subquery"
+        )
+    return inner.select
 
 
 def _point_plus_one(point: ast.Expression) -> ast.Expression:
@@ -1546,50 +1208,12 @@ def _has_temporal_subquery(
     for child in ast.walk(expr):
         if isinstance(child, (ast.ScalarSubquery, ast.ExistsPredicate)):
             select = child.select if isinstance(child, ast.ScalarSubquery) else child.subquery
-            if transformer._select_is_temporal(select, ctx.tv_vars, ctx.tv_tables, ctx.tv_records):
+            if transformer._is_temporal(select, ctx.tv_vars, ctx.tv_tables, ctx.tv_records):
                 return True
         if isinstance(child, ast.InPredicate) and child.subquery is not None:
-            if transformer._select_is_temporal(
-                child.subquery, ctx.tv_vars, ctx.tv_tables
-            ):
+            if transformer._is_temporal(child.subquery, ctx.tv_vars, ctx.tv_tables):
                 return True
     return False
-
-
-def _rewrite_shallow(expr, rewriter):
-    """Rewrite an expression tree without descending into subqueries."""
-    import dataclasses
-
-    def visit(value):
-        if isinstance(value, ast.Select):
-            return None
-        if isinstance(value, ast.Node):
-            for field in dataclasses.fields(value):
-                current = getattr(value, field.name)
-                replacement = visit(current)
-                if replacement is not None:
-                    setattr(value, field.name, replacement)
-            if isinstance(value, ast.Expression):
-                return rewriter(value)
-            return None
-        if isinstance(value, list):
-            for index, item in enumerate(value):
-                replacement = visit(item)
-                if replacement is not None:
-                    value[index] = replacement
-            return None
-        if isinstance(value, tuple):
-            items = list(value)
-            changed = False
-            for index, item in enumerate(items):
-                replacement = visit(item)
-                if replacement is not None:
-                    items[index] = replacement
-                    changed = True
-            return tuple(items) if changed else None
-        return None
-
-    return visit(expr)
 
 
 def substitute_context(stmt: ast.Statement, context: Period) -> None:

@@ -5,8 +5,9 @@ This is the shared core of three transformations:
 * **current** semantics (§IV-C): point = ``CURRENT_DATE``;
 * **maximally-fragmented slicing** (§V): point = ``cp.begin_time`` in the
   invoking query and the ``begin_time_in`` parameter inside routines;
-* **per-statement slicing's loop fallback** (§VI-C): point =
-  ``taupsm_cp.begin_time`` of the per-statement constant-period loop.
+* **per-statement slicing's per-period loops** (§VI-C, §VII-C): point =
+  ``taupsm_cp.begin_time`` of the constant-period loop, PERST's variable
+  tables read like temporal tables.
 
 Given a statement and a point expression, every SELECT gains, for each
 temporal table in *its own* FROM clause, the overlap condition
@@ -17,7 +18,7 @@ the point (or other extra arguments) appended.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Collection, Optional
 
 from repro.sqlengine import ast_nodes as ast
 from repro.temporal.errors import TemporalError
@@ -38,6 +39,7 @@ def add_point_conditions(
     point: ast.Expression,
     registry: TemporalRegistry,
     skip: tuple = (),
+    period_tables: Collection[str] = (),
 ) -> None:
     """Add overlap-at-point predicates to every SELECT under ``node``.
 
@@ -50,29 +52,29 @@ def add_point_conditions(
     ``skip`` names Select nodes (by identity) to leave untouched —
     SEQ-SET replaces the root select's overlap predicates with its
     alignment operator but still point-transforms nested subqueries.
+    ``period_tables`` names (lower-cased) further tables valid over
+    ``[begin_time, end_time)``: PERST's variable tables.
     """
+
+    def condition(table_name: str, alias: str) -> Optional[ast.Expression]:
+        info = registry.get(table_name)
+        if info is not None:
+            return overlap_at_point(alias, point, info.begin_column, info.end_column)
+        if table_name in period_tables:
+            return overlap_at_point(alias, point)
+        return None
+
     for select in selects_in(node):
         if any(select is skipped for skipped in skip):
             continue
         where_pairs, join_pairs = classify_from_sources(select)
-        conditions = []
-        for table_name, alias in where_pairs:
-            info = registry.get(table_name)
-            if info is not None:
-                conditions.append(
-                    overlap_at_point(alias, point, info.begin_column, info.end_column)
-                )
-        add_condition(select, and_all(conditions))
+        conditions = [condition(*pair) for pair in where_pairs]
+        add_condition(select, and_all([c for c in conditions if c is not None]))
         for join, pairs in join_pairs:
-            for table_name, alias in pairs:
-                info = registry.get(table_name)
-                if info is not None:
-                    add_join_condition(
-                        join,
-                        overlap_at_point(
-                            alias, point, info.begin_column, info.end_column
-                        ),
-                    )
+            for pair in pairs:
+                found = condition(*pair)
+                if found is not None:
+                    add_join_condition(join, found)
 
 
 def forbid_temporal_dml(node: ast.Node, registry: TemporalRegistry) -> None:

@@ -75,7 +75,7 @@ from repro.temporal.seqset import (
     execute_seqset,
 )
 from repro.temporal.transaction import TransactionTimeDml, add_transactiontime
-from repro.temporal.transform_util import clone
+from repro.temporal.transform_util import clone, map_bodies
 
 MAX_CP_TABLE = "taupsm_cp"
 
@@ -1138,49 +1138,25 @@ class TemporalStratum:
         new_def = clone(definition)
         cp_table = _inner_cp_table(definition.name)
 
-        def rewrite_statements(statements: list[ast.Statement]) -> None:
-            for index, inner in enumerate(statements):
-                modifier = getattr(inner, "modifier", None)
-                if modifier is not None and modifier.flavor is ast.TemporalFlavor.SEQUENCED:
-                    if not isinstance(inner, ast.Select):
-                        raise TemporalError(
-                            "inner VALIDTIME is supported on SELECT"
-                            " statements only"
-                        )
-                    result = transform_query_max(
-                        inner, self.db.catalog, self.registry, cp_table
-                    )
-                    self._install(inner, _as_clones(result.routines))
-                    self._inner_cp_requirements[cp_table] = result.temporal_tables
-                    statements[index] = result.statement
-                elif modifier is not None:
-                    plain = clone(inner)
-                    plain.modifier = None
-                    statements[index] = plain
-                else:
-                    recurse(inner)
+        def rewrite(inner: ast.Statement) -> ast.Statement:
+            modifier = getattr(inner, "modifier", None)
+            if modifier is None:
+                mapped = map_bodies(inner, lambda body: [rewrite(s) for s in body])
+                return inner if mapped is None else mapped
+            if modifier.flavor is not ast.TemporalFlavor.SEQUENCED:
+                plain = clone(inner)
+                plain.modifier = None
+                return plain
+            if not isinstance(inner, ast.Select):
+                raise TemporalError(
+                    "inner VALIDTIME is supported on SELECT statements only"
+                )
+            result = transform_query_max(inner, self.db.catalog, self.registry, cp_table)
+            self._install(inner, _as_clones(result.routines))
+            self._inner_cp_requirements[cp_table] = result.temporal_tables
+            return result.statement
 
-        def recurse(node: ast.Statement) -> None:
-            if isinstance(node, ast.Compound):
-                rewrite_statements(node.statements)
-            elif isinstance(node, ast.IfStatement):
-                for _, body in node.branches:
-                    rewrite_statements(body)
-                if node.else_branch is not None:
-                    rewrite_statements(node.else_branch)
-            elif isinstance(node, ast.CaseStatement):
-                for _, body in node.whens:
-                    rewrite_statements(body)
-                if node.else_branch is not None:
-                    rewrite_statements(node.else_branch)
-            elif isinstance(
-                node,
-                (ast.WhileStatement, ast.RepeatStatement, ast.LoopStatement,
-                 ast.ForStatement),
-            ):
-                rewrite_statements(node.body)
-
-        recurse(new_def.body)
+        new_def.body = rewrite(new_def.body)
         return new_def
 
     def _refresh_inner_cp_tables(self, stmt: ast.Statement) -> None:

@@ -116,27 +116,32 @@ def pairwise_overlap(
 
 
 def rewrite_expressions(
-    node: ast.Node, rewriter: Callable[[ast.Expression], Optional[ast.Expression]]
-) -> None:
+    node: ast.Node,
+    rewriter: Callable[[ast.Expression], Optional[ast.Expression]],
+    into_selects: bool = True,
+) -> ast.Node:
     """Bottom-up, in-place rewrite of every Expression under ``node``.
 
     ``rewriter`` returns a replacement node or None to keep the original.
     Replacement happens by reassigning the parent's dataclass fields, so
-    the rewriter may return entirely different expression types.
+    the rewriter may return entirely different expression types; the
+    result is ``node`` or, when the root itself was replaced, its
+    replacement.  With ``into_selects`` false the rewrite does not
+    descend into a nested Select (a subquery keeps its expressions).
     """
     import dataclasses
 
     def visit(value):
         if isinstance(value, ast.Node):
+            if not into_selects and isinstance(value, ast.Select):
+                return None
             for field in dataclasses.fields(value):
                 current = getattr(value, field.name)
                 replacement = visit(current)
                 if replacement is not None:
                     setattr(value, field.name, replacement)
             if isinstance(value, ast.Expression):
-                replaced = rewriter(value)
-                if replaced is not None:
-                    return replaced
+                return rewriter(value)
             return None
         if isinstance(value, list):
             for index, item in enumerate(value):
@@ -155,7 +160,51 @@ def rewrite_expressions(
             return tuple(items) if changed else None
         return None
 
-    visit(node)
+    replaced = visit(node)
+    return node if replaced is None else replaced
+
+
+def map_bodies(
+    stmt: ast.Statement,
+    body_fn: Callable[[list[ast.Statement]], list[ast.Statement]],
+    expr_fn: Callable[[ast.Node], ast.Node] = clone,
+) -> Optional[ast.Statement]:
+    """A copy of a control statement with its parts mapped, or None.
+
+    IF, CASE, WHILE, REPEAT, LOOP, FOR and compound statements are
+    copied with every statement list mapped by ``body_fn`` and every
+    condition (a CASE operand, a FOR's select, a compound's
+    declarations) by ``expr_fn``; labels and flags are kept.  Any other
+    statement has no bodies: the result is None.
+    """
+    def optional(function, value):
+        return None if value is None else function(value)
+
+    if isinstance(stmt, ast.IfStatement):
+        return stmt.copy(
+            branches=[(expr_fn(cond), body_fn(body)) for cond, body in stmt.branches],
+            else_branch=optional(body_fn, stmt.else_branch),
+        )
+    if isinstance(stmt, ast.CaseStatement):
+        return stmt.copy(
+            whens=[(expr_fn(when), body_fn(body)) for when, body in stmt.whens],
+            else_branch=optional(body_fn, stmt.else_branch),
+            operand=optional(expr_fn, stmt.operand),
+        )
+    if isinstance(stmt, ast.WhileStatement):
+        return stmt.copy(condition=expr_fn(stmt.condition), body=body_fn(stmt.body))
+    if isinstance(stmt, ast.RepeatStatement):
+        return stmt.copy(body=body_fn(stmt.body), until=expr_fn(stmt.until))
+    if isinstance(stmt, ast.LoopStatement):
+        return stmt.copy(body=body_fn(stmt.body))
+    if isinstance(stmt, ast.ForStatement):
+        return stmt.copy(select=expr_fn(stmt.select), body=body_fn(stmt.body))
+    if isinstance(stmt, ast.Compound):
+        return stmt.copy(
+            declarations=[expr_fn(decl) for decl in stmt.declarations],
+            statements=body_fn(stmt.statements),
+        )
+    return None
 
 
 def rename_routine_calls(

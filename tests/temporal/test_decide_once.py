@@ -16,7 +16,7 @@ inside its window — and asking installs nothing.
 import pytest
 
 from repro.taubench import build_dataset, get_query
-from repro.taubench.queries import _Q17B_FN
+from repro.taubench.queries import _Q17B_FN, _Q17B_HAS_CANADIAN, _Q17B_IS_SMALL
 from repro.temporal import SlicingStrategy
 from repro.temporal import stratum as stratum_module
 from repro.temporal.perst_slicing import PerstTransformer
@@ -136,10 +136,20 @@ def test_probe_installs_nothing(dataset):
     assert catalog.schema_version == version + 1
 
 
+def flag_form(helper: str) -> str:
+    """A q17b helper in q10's IF / ELSE form: the flag is assigned in both
+    branches and returned once (an early RETURN refuses PERST)."""
+    assert helper.count("    RETURN 1;\n  END IF;\n  RETURN 0;") == 1
+    return helper.replace("BEGIN\n", "BEGIN\n  DECLARE flag INTEGER;\n", 1).replace(
+        "    RETURN 1;\n  END IF;\n  RETURN 0;",
+        "    SET flag = 1;\n  ELSE\n    SET flag = 0;\n  END IF;\n  RETURN flag;",
+    )
+
+
 def test_redefinition_flips_the_verdict(dataset):
-    """PERST applies while the FETCH opens the loop body; q17b's form —
-    the FETCH after the time-varying calls — takes it out of the
-    fragment, and the cached verdict with it."""
+    """PERST applies while the FETCH opens the loop body (its helpers in
+    q10's IF / ELSE form); q17b's form — the FETCH after the time-varying
+    calls — takes it out of the fragment, and the cached verdict with it."""
     stratum = dataset.stratum
     q17b = get_query("q17b")
     q17b.install(dataset)
@@ -161,14 +171,20 @@ def test_redefinition_flips_the_verdict(dataset):
             "perst", parse_statement(sql), stratum.registry, context
         )
 
-    def redefine(definition):
-        stratum.db.catalog.drop_routine("canadian_small_books")
+    def redefine(definition, routine="canadian_small_books"):
+        stratum.db.catalog.drop_routine(routine)
         stratum.register_routine(definition)
 
+    redefine(flag_form(_Q17B_HAS_CANADIAN), "has_canadian_author")
+    redefine(flag_form(_Q17B_IS_SMALL), "is_small_book")
     redefine(nested)
     assert verdict().applicable
     assert stratum.execute("EXPLAIN " + sql).lines[3].startswith(
         "strategy: perst (rule default"
+    )
+    assert (
+        stratum.execute(sql).coalesced()
+        == stratum.execute(sql, SlicingStrategy.MAX).coalesced()
     )
     redefine(_Q17B_FN)
     assert not verdict().applicable
