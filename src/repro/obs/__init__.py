@@ -11,13 +11,7 @@ reaches back into :mod:`repro.sqlengine`, and the engine imports this
 package at module level — eager re-export here would be a cycle.
 """
 
-from repro.obs.metrics import (
-    Counter,
-    Histogram,
-    MetricsRegistry,
-    MetricsScope,
-    Timer,
-)
+from repro.obs.metrics import Counter, MetricsRegistry, Timer
 from repro.obs.tracing import NULL_SPAN, Span, Tracer
 
 _LAZY = {
@@ -29,9 +23,7 @@ _LAZY = {
 
 __all__ = [
     "Counter",
-    "Histogram",
     "MetricsRegistry",
-    "MetricsScope",
     "Timer",
     "Span",
     "Tracer",

@@ -354,13 +354,13 @@ def _transformed_lines(db: "Database", found: Any, plan: bool = True) -> list[st
 
 
 def _match_lines(db: "Database", prepared: Any) -> list[str]:
-    """The match statement a temporal UPDATE/DELETE finds its versions
-    with (its ``taupsm_period`` bounds are read per execution: ``now``,
-    or the context), and the engine plan bound for it."""
+    """The one statement a temporal modification runs — an INSERT that
+    stamps its rows, the match statement an UPDATE/DELETE finds its
+    versions with; its ``taupsm_period`` bounds are read per execution:
+    ``now``, the clock or the context — and the engine plan bound for it."""
     matcher = prepared.candidate.statement
-    if isinstance(matcher, ast.Insert):
-        return []
-    lines = [f"  match: {matcher.to_sql()}"]
+    verb = "insert" if isinstance(matcher, ast.Insert) else "match"
+    lines = [f"  {verb}: {matcher.to_sql()}"]
     lines.extend("  " + line for line in _engine_plan_lines(db, matcher))
     return lines
 
@@ -395,7 +395,7 @@ def _render_unsliced(stratum: "TemporalStratum", prepared: Any) -> list[str]:
     lines.append("plan: executed by the stratum")
     lines.extend(_match_lines(db, prepared))
     if isinstance(stmt, ast.Insert):
-        lines.append(f"  insert: each row recorded over [{point}, forever)")
+        lines.append(f"  period: each row recorded over [{point}, forever)")
         return lines
     end_column = prepared.registry.get(stmt.table).end_column
     fate = "overwritten in place" if isinstance(stmt, ast.Update) else "removed"

@@ -13,17 +13,27 @@ cursor, etc.)").  The sequenced semantics, granule by granule:
 * **UPDATE** applies the assignments within the context and preserves
   the original values outside it, splitting likewise.
 
-An UPDATE/DELETE without a modifier has current semantics: on a
+A modification without a modifier has current semantics: on a
 valid-time table at ``now``, on a transaction-time table at the clock
-(:func:`execute_current_modification` serves both).
+(:func:`execute_current_modification` serves both, and a ``NONSEQUENCED
+VALIDTIME`` one of a transaction-time table).
 
-Every one of them finds its versions the same way: :func:`match_statement`
-puts the restriction to the period columns in front of the statement's
-own WHERE as ordinary conjuncts, and the engine's match plan
-(``Executor.match``) returns the rows — and the SET values, evaluated
-against each stored version, whose attribute values are constant over
-its period — before anything is written.  Subqueries inside WHERE and
-SET run conventionally.
+Every one of them is one conventional statement plus a period
+``[lo, hi)`` — ``[now, forever)``, ``[clock, forever)`` or the context —
+read from the ``taupsm_period`` binding, so the statement (and its
+cached plan) does not change with the period.  :func:`match_statement`
+builds it: an INSERT stamps each row ``[lo, hi)``; an UPDATE/DELETE puts
+the restriction to the period columns in front of its own WHERE as
+ordinary conjuncts, and the engine's match plan (``Executor.match``)
+returns the rows — and the SET values, evaluated against each stored
+version, whose attribute values are constant over its period — before
+anything is written.  What the statement reads (WHERE, SET, VALUES, the
+SELECT, the routines they call) reads what a query of its semantics
+reads: the current state along every dimension the modifier does not
+name.  The stratum refuses a sequenced modification whose reads
+(:func:`reads`) reach data temporal along its own dimension: evaluating
+it snapshot by snapshot would need a split at the constant periods of
+the tables it reads.
 """
 
 from __future__ import annotations
@@ -40,6 +50,7 @@ from repro.temporal.period import Period
 from repro.temporal.schema import TemporalTableInfo
 from repro.temporal.transform_util import (
     and_all,
+    clone,
     cmp,
     lit,
     name,
@@ -48,22 +59,67 @@ from repro.temporal.transform_util import (
 )
 
 FOREVER = Date(Date.MAX_ORDINAL)
-# the outer binding a match statement reads its bounds from: the values
+# the outer binding a modification reads its period from: the values
 # change per execution, the statement (and its cached plan) does not
 PERIOD = "taupsm_period"
 _BOUNDS = {"taupsm_lo": 0, "taupsm_hi": 1}
 
+Modification = Union[ast.Insert, ast.Update, ast.Delete]
+
+
+def reads(stmt: ast.Statement) -> list[ast.Node]:
+    """What a statement reads: a modification its WHERE, SET values,
+    VALUES rows or SELECT, any other statement all of itself."""
+    if not isinstance(stmt, (ast.Insert, ast.Update, ast.Delete)):
+        return [stmt]
+    if isinstance(stmt, ast.Insert):
+        return [stmt.select] if stmt.select is not None else [
+            expr for row in stmt.values for expr in row
+        ]
+    parts = [expr for _, expr in getattr(stmt, "assignments", ())]
+    return parts + ([stmt.where] if stmt.where is not None else [])
+
 
 def match_statement(
-    stmt: Union[ast.Update, ast.Delete], info: TemporalTableInfo, restriction: str
-) -> Union[ast.Update, ast.Delete]:
-    """``stmt`` as the conventional statement whose match plan finds the
-    versions it touches: its WHERE conjoined with the restriction —
-    ``"current"`` (valid at ``lo``), ``"sequenced"`` (a non-empty period
-    overlapping ``[lo, hi)``) or ``"believed"`` (not yet closed)."""
+    stmt: Modification, info: TemporalTableInfo, restriction: str,
+    columns: list[str],
+) -> Modification:
+    """``stmt`` as the one conventional statement that carries it out.
+    An INSERT gains the period pair — after its column list, or after
+    every column of the table (``columns``) but the pair — and ``[lo,
+    hi)`` after each row.  An UPDATE/DELETE is the statement whose match
+    plan finds the versions it touches: its WHERE conjoined with the
+    restriction — ``"current"`` (valid at ``lo``), ``"sequenced"`` (a
+    non-empty period overlapping ``[lo, hi)``) or ``"believed"`` (not yet
+    closed).  The stratum maintains the pair: a statement naming it is
+    refused."""
+    pair = [info.begin_column, info.end_column]
+    hidden = {column.lower() for column in pair}
+    insert = isinstance(stmt, ast.Insert)
+    named = (stmt.columns or []) if insert else [
+        column for column, _ in getattr(stmt, "assignments", ())
+    ]
+    if hidden & {column.lower() for column in named}:
+        raise TemporalError(
+            f"{info.name}.{pair[0]} and {pair[1]} are maintained by the"
+            " stratum; a modification may not name them"
+        )
+    lo, hi = name(PERIOD, "taupsm_lo"), name(PERIOD, "taupsm_hi")
+    matcher = copy.copy(stmt)
+    matcher.modifier = None
+    if insert:
+        matcher.columns = (
+            list(stmt.columns or [c for c in columns if c.lower() not in hidden]) + pair
+        )
+        if stmt.values is not None:
+            matcher.values = [list(row) + [clone(lo), clone(hi)] for row in stmt.values]
+        else:
+            matcher.select = stmt.select.copy(items=stmt.select.items + [
+                ast.SelectItem(expr=lo), ast.SelectItem(expr=hi)
+            ])
+        return matcher
     alias = stmt.alias or stmt.table
     begin, end = name(alias, info.begin_column), name(alias, info.end_column)
-    lo, hi = name(PERIOD, "taupsm_lo"), name(PERIOD, "taupsm_hi")
     own = [] if stmt.where is None else [stmt.where]
     if restriction == "current":
         conjuncts = [
@@ -77,40 +133,41 @@ def match_statement(
         # behind the statement's own conjuncts: a level probes on its
         # first equality, which should be the statement's key
         conjuncts = own + [cmp("=", end, lit(FOREVER))]
-    matcher = copy.copy(stmt)
-    matcher.modifier = None
     matcher.where = and_all(conjuncts)
     return matcher
 
 
-def _matched(db: Database, matcher, lo: Date, hi: Date) -> tuple:
+def _period(lo: Date, hi: Date) -> Env:
     env = Env()
     env.bindings[PERIOD] = Binding(_BOUNDS, (lo, hi))
-    return db.executor.match(matcher, env)
+    return env
 
 
 def execute_current_modification(
     db: Database,
     info: TemporalTableInfo,
-    matcher: Union[ast.Update, ast.Delete],
+    matcher: Modification,
     point: Date,
     source: str,
 ) -> int:
-    """Current UPDATE/DELETE at ``point``: close each matched version
-    there (one ``update_rows``); an UPDATE re-inserts it changed over
-    ``[point, forever)``.  A version that began at ``point`` was never
-    visible: it is overwritten in place (a second ``update_rows``, before
-    the re-inserts), or removed last, instead of leaving an empty period
-    behind.  ``source`` labels the ``rows_written`` count."""
-    table, rows, cells = _matched(db, matcher, point, point)
+    """Current INSERT/UPDATE/DELETE at ``point``: an INSERT records its
+    rows over ``[point, forever)``.  An UPDATE/DELETE closes each matched
+    version there (one ``update_rows``); an UPDATE re-inserts it changed
+    over ``[point, forever)``.  A version that began at ``point`` was
+    never visible: it is overwritten in place (a second ``update_rows``,
+    before the re-inserts), or removed last, instead of leaving an empty
+    period behind.  ``source`` labels the ``rows_written`` count."""
+    env = _period(point, FOREVER)
+    if isinstance(matcher, ast.Insert):
+        return db.executor.execute(matcher, env)
+    table, rows, cells = db.executor.match(matcher, env)
     begin_index = table.column_index(info.begin_column)
     end_index = table.column_index(info.end_column)
     update = isinstance(matcher, ast.Update)
     closed, born, born_cells, versions = [], [], [], []
     for row, assigned in zip(rows, cells):
         # the SET values and an open end; the begin is the point
-        opened = [cell for cell in assigned if cell[0] != begin_index]
-        opened.append((end_index, FOREVER))
+        opened = list(assigned) + [(end_index, FOREVER)]
         if row[begin_index] == point:
             born.append(row)
             born_cells.append(opened)
@@ -138,71 +195,21 @@ def execute_current_modification(
 def execute_sequenced_modification(
     db: Database,
     info: TemporalTableInfo,
-    stmt: Union[ast.Insert, ast.Update, ast.Delete],
+    stmt: Modification,
     context: Period,
 ) -> int:
-    """Run a sequenced modification — an INSERT, or the match statement
-    of an UPDATE/DELETE; returns the affected-row count."""
+    """Sequenced INSERT/UPDATE/DELETE over ``context``: an INSERT records
+    its rows over exactly the context.  An UPDATE/DELETE removes validity
+    within the context (DELETE) or applies the assignments there
+    (UPDATE), preserving history outside it.  Returns the affected-row
+    count."""
+    env = _period(Date(context.begin), Date(context.end))
     if isinstance(stmt, ast.Insert):
-        return _sequenced_insert(db, info, stmt, context)
-    return _sequenced_rewrite(db, info, stmt, context)
-
-
-def _sequenced_insert(
-    db: Database, info: TemporalTableInfo, stmt: ast.Insert, context: Period
-) -> int:
-    """INSERT with validity exactly the context period."""
-    table = db.catalog.get_table(stmt.table)
-    timestamp_columns = {info.begin_column.lower(), info.end_column.lower()}
-    if stmt.columns is not None and timestamp_columns & {
-        c.lower() for c in stmt.columns
-    }:
-        raise TemporalError(
-            "sequenced INSERT supplies the validity period via the"
-            " temporal context, not explicit timestamp columns"
-        )
-    new_stmt = ast.Insert(table=stmt.table, select=stmt.select)
-    if stmt.columns is None:
-        value_columns = [
-            c for c in table.column_names if c.lower() not in timestamp_columns
-        ]
-    else:
-        value_columns = list(stmt.columns)
-    new_stmt.columns = value_columns + [info.begin_column, info.end_column]
-    stamp = [
-        ast.Literal(value=Date(context.begin)),
-        ast.Literal(value=Date(context.end)),
-    ]
-    if stmt.values is not None:
-        new_stmt.values = [list(row) + stamp for row in stmt.values]
-        new_stmt.select = None
-    else:
-        select = stmt.select.copy()
-        select.items = select.items + [
-            ast.SelectItem(expr=stamp[0]),
-            ast.SelectItem(expr=stamp[1]),
-        ]
-        new_stmt.select = select
-    return db.executor.execute(new_stmt)
-
-
-def _sequenced_rewrite(
-    db: Database,
-    info: TemporalTableInfo,
-    matcher: Union[ast.Update, ast.Delete],
-    context: Period,
-) -> int:
-    """Remove validity within the context (DELETE) or apply the
-    assignments there (UPDATE), preserving history outside it."""
-    update = isinstance(matcher, ast.Update)
-    hidden = (info.begin_column.lower(), info.end_column.lower())
-    if update and any(column.lower() in hidden for column, _ in matcher.assignments):
-        raise TemporalError("sequenced UPDATE may not assign timestamp columns")
-    table, rows, cells = _matched(
-        db, matcher, Date(context.begin), Date(context.end)
-    )
+        return db.executor.execute(stmt, env)
+    table, rows, cells = db.executor.match(stmt, env)
     begin_index = table.column_index(info.begin_column)
     end_index = table.column_index(info.end_column)
+    update = isinstance(stmt, ast.Update)
     additions: list[list[Any]] = []
 
     def piece(row: list[Any], period: Period) -> list[Any]:

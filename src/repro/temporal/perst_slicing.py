@@ -903,6 +903,7 @@ class PerstTransformer:
         point: ast.Expression,
         period_end: ast.Expression,
         once: bool = False,
+        labels: frozenset = frozenset(),
     ) -> list[ast.Statement]:
         """Evaluate one statement at ``point``; stamp each output with the
         period ``[point, period_end)``.
@@ -915,7 +916,17 @@ class PerstTransformer:
         stamps its value and leaves the block.  Under the per-statement
         loop a RETURN cannot end the routine at one point, and a result
         set would be returned once per constant period: both are refused.
+        So is a LEAVE / ITERATE of a label not among ``labels``, those
+        defined inside the loop: it would end the loop over the periods
+        at the first one it jumps at.
         """
+        if isinstance(stmt, (ast.LeaveStatement, ast.IterateStatement)) and (
+            stmt.label.lower() not in labels
+        ):
+            raise PerStatementInapplicableError(
+                f"{ctx.routine_name}: {stmt.to_sql()} under a per-period"
+                " loop jumps out of it"
+            )
         if isinstance(stmt, ast.ReturnStatement):
             if not once:
                 raise PerStatementInapplicableError(
@@ -965,12 +976,14 @@ class PerstTransformer:
                     )
                 )
             return inserts
+        label = getattr(stmt, "label", None)
+        inside = labels | {label.lower()} if label else labels
         mapped = map_bodies(
             stmt,
             lambda body: [
                 out
                 for inner in body
-                for out in self._at_point(inner, ctx, point, period_end, once)
+                for out in self._at_point(inner, ctx, point, period_end, once, inside)
             ],
             lambda node: self._point_expr(node, ctx, point),
         )

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Optional, Union
 
 from repro.sqlengine import ast_nodes as ast
-from repro.sqlengine.catalog import Catalog, Routine
+from repro.sqlengine.catalog import Catalog, Routine, body_facts
 from repro.sqlengine.engine import Database
 from repro.sqlengine.executor import Env
 from repro.sqlengine.parser import parse_script, parse_statement
@@ -64,6 +64,7 @@ from repro.temporal.modifications import (
     execute_current_modification,
     execute_sequenced_modification,
     match_statement,
+    reads,
 )
 from repro.temporal.period import Period, coalesce
 from repro.temporal.perst_slicing import PerstTransformer, substitute_context
@@ -74,7 +75,7 @@ from repro.temporal.seqset import (
     compile_seqset,
     execute_seqset,
 )
-from repro.temporal.transaction import TransactionTimeDml, add_transactiontime
+from repro.temporal.transaction import add_transactiontime
 from repro.temporal.transform_util import clone, map_bodies
 
 MAX_CP_TABLE = "taupsm_cp"
@@ -177,6 +178,9 @@ class Candidate:
     cp_requirements: dict[str, list[str]] = field(default_factory=dict)
     temporal_tables: list[str] = field(default_factory=list)
     plan: Any = None  # the SeqSetPlan, under SEQ-SET
+    # the transaction clock the transaction-currency pass wrote into the
+    # statement or its clones as a literal (None: it wrote none)
+    clock: Optional[Date] = None
     reason: str = ""
     error: type = TemporalError
 
@@ -398,19 +402,22 @@ class TemporalStratum:
         dimension, or the verdict that ``flavor`` does not apply.
 
         ``flavor`` is ``"current"``, ``"nonsequenced"``, ``"max"``,
-        ``"perst"``, ``"seqset"`` or ``"match"``.  ``baked`` is what two
-        of them write into their output besides the statement, hence
-        part of their key: PERST the context (:func:`substitute_context`;
-        every other strategy's context only drives the cp
-        materialization, redone per execution over the live data), a
-        match statement its restriction.  Building installs nothing and
-        moves no catalog version, so asking is free of side effects — the
-        heuristic asks about strategies it then does not choose.
+        ``"perst"``, ``"seqset"`` or ``"match"`` (a modification of a
+        table temporal along ``registry``, whose modifier, if any, has no
+        bounds).  ``baked`` is what PERST writes into its output besides
+        the statement, hence part of its key: the context
+        (:func:`substitute_context`; every other strategy's context only
+        drives the cp materialization, redone per execution over the live
+        data, and a modification reads its period per execution).
+        Building installs nothing and moves no catalog version, so asking
+        is free of side effects — the heuristic asks about strategies it
+        then does not choose.
 
         Verdicts, like transformations, are deterministic in (statement
-        text, registries, catalog): both are cached under the one key
-        scheme and served while the schema version they were stored at
-        still stands.
+        text, registries, catalog) and — for one the transaction-currency
+        pass wrote its clock into (:attr:`Candidate.clock`) — the clock:
+        both are cached under the one key scheme and served while the
+        schema version they were stored at, and that clock, still stand.
         """
         key = (
             flavor,
@@ -418,21 +425,18 @@ class TemporalStratum:
             statement_key(stmt),
             self.registry.version,
             self.tt_registry.version,
-            # the transaction-currency pass embeds the clock as a literal;
-            # a match statement reads its bounds per execution
-            None if flavor == "match" else self.clock.ordinal,
-            baked if flavor in ("perst", "match") else None,
+            baked if flavor == "perst" else None,
         )
         found = self._transform_fetch(key)
-        if found is None:
-            self.db.stats.transforms += 1
-            try:
-                found = self._build_candidate(flavor, stmt, registry, baked)
-            except TemporalError as exc:
-                found = Candidate(reason=str(exc), error=type(exc))
-            self._transform_store(key, found)
-        else:
+        if found is not None and found.clock in (None, self.clock):
             self.db.stats.transform_cache_hits += 1
+            return found
+        self.db.stats.transforms += 1
+        try:
+            found = self._build_candidate(flavor, stmt, registry, baked)
+        except TemporalError as exc:
+            found = Candidate(reason=str(exc), error=type(exc))
+        self._transform_store(key, found)
         return found
 
     def _build_candidate(
@@ -440,18 +444,19 @@ class TemporalStratum:
         baked: Any,
     ) -> Candidate:
         catalog = self.db.catalog
-        if flavor == "match":
-            return Candidate(match_statement(stmt, registry.get(stmt.table), baked))
         found = Candidate(
             temporal_tables=analysis.reachable_temporal_tables(stmt, catalog, registry)
         )
+        modifier = getattr(stmt, "modifier", None)
         if flavor == "seqset":
             other = self.registry if registry is self.tt_registry else self.tt_registry
             found.plan = compile_seqset(self.db, registry, stmt, other_registry=other)
             found.statement = found.plan.select
             found.cp_requirements = {MAX_CP_TABLE: found.temporal_tables}
             return found
-        if flavor == "max":
+        if flavor == "match":
+            found.statement = self._match_statement(stmt, modifier, registry)
+        elif flavor == "max":
             result = transform_query_max(stmt, catalog, registry, MAX_CP_TABLE)
             found.statement = result.statement
             # only this transformation knows that a clone's appended
@@ -476,20 +481,46 @@ class TemporalStratum:
         # semantics on the tables that carry it (bitemporal composition,
         # paper §III): valid time at CURRENT_DATE, transaction time at
         # the clock — applied last, so it also covers the clones above
-        for other in (self.registry, self.tt_registry):
-            if flavor == "current" or other is not registry:
+        for dimension, other in (
+            ("VALID", self.registry), ("TRANSACTION", self.tt_registry)
+        ):
+            if modifier is None or modifier.dimension != dimension:
                 self._apply_currency(found, other)
         return found
 
+    def _match_statement(
+        self, stmt: ast.Statement, modifier: Any, registry: TemporalRegistry
+    ) -> ast.Statement:
+        """The one statement a modification of a table temporal along
+        ``registry`` runs (:func:`match_statement`): sequenced under a
+        sequenced modifier, else current along ``registry``."""
+        if modifier is not None and modifier.flavor is ast.TemporalFlavor.SEQUENCED:
+            # each version is read at no single point: the reads would
+            # have to be split at their own constant periods
+            if analysis.reads_temporal(
+                body_facts(*reads(stmt)), self.db.catalog, registry
+            ):
+                raise FeatureNotSupportedError(
+                    "a sequenced modification may not read data temporal"
+                    " along its own dimension (its WHERE, SET, VALUES or"
+                    " SELECT reaches a valid-time table)"
+                )
+            restriction = "sequenced"
+        else:
+            restriction = "believed" if registry is self.tt_registry else "current"
+        columns = self.db.catalog.get_table(stmt.table).column_names
+        return match_statement(stmt, registry.get(stmt.table), restriction, columns)
+
     def _apply_currency(self, found: Candidate, registry: TemporalRegistry) -> None:
         catalog = _WithClones(self.db.catalog, found.clones)
-        if not analysis.reads_temporal(found.statement, catalog, registry):
+        if not analysis.reads_temporal(
+            body_facts(*reads(found.statement)), catalog, registry
+        ):
             return
-        along_tt = (
-            {"prefix": "curtt_", "point": ast.Literal(value=self.clock)}
-            if registry is self.tt_registry
-            else {}
-        )
+        along_tt = {}
+        if registry is self.tt_registry:
+            found.clock = self.clock
+            along_tt = {"prefix": "curtt_", "point": ast.Literal(value=self.clock)}
         result = transform_current(found.statement, catalog, registry, **along_tt)
         found.statement = result.statement
         found.clones = found.clones + _as_clones(result.routines)
@@ -787,8 +818,6 @@ class TemporalStratum:
             self._reject_nonseq_only(stmt, "current")
             prepared = self._prepare_modification(stmt, dimensions)
             if prepared is None:
-                # a current read — or a current INSERT into a valid-time
-                # table, which is a transformation too
                 found = self._transformed("current", stmt, self.registry).require()
                 prepared = PreparedStatement(stmt, "current", found, dimensions)
             return prepared
@@ -797,8 +826,13 @@ class TemporalStratum:
         )
         dimensions = (modifier.dimension.lower(),)
         if modifier.flavor is ast.TemporalFlavor.NONSEQUENCED:
-            found = self.candidate("nonsequenced", stmt, registry).require()
-            return PreparedStatement(stmt, "nonsequenced", found, dimensions, registry)
+            prepared = self._prepare_modification(stmt, None, registry)
+            if prepared is None:
+                found = self.candidate("nonsequenced", stmt, registry).require()
+                prepared = PreparedStatement(
+                    stmt, "nonsequenced", found, dimensions, registry
+                )
+            return prepared
         context = self._resolve_context(stmt, modifier, registry)
         self._reject_nonseq_only(stmt, "sequenced")
         if isinstance(stmt, (ast.Insert, ast.Update, ast.Delete)):
@@ -875,55 +909,55 @@ class TemporalStratum:
     def _prepare_modification(
         self,
         stmt: ast.Statement,
-        dimensions: tuple,
-        registry: Optional[TemporalRegistry] = None,
+        dimensions: Optional[tuple],
+        named: Optional[TemporalRegistry] = None,
         context: Optional[Period] = None,
     ) -> Optional[PreparedStatement]:
         """A modification of a temporal table the stratum carries out
-        itself: sequenced over ``context`` along ``registry``, or (no
-        context) current.  ``None`` for a statement without a modifier
-        that is not one — a SELECT, DML on a conventional table, a
-        current INSERT into a valid-time table."""
+        itself: sequenced over ``context`` along ``named``, the registry
+        the modifier names, or (no context) current along the dimension
+        the modifier does not name.  ``None`` for a statement that is not
+        one — a query, DML on a table without that dimension.
+        ``dimensions`` None: the one maintained."""
+        if not isinstance(stmt, (ast.Insert, ast.Update, ast.Delete)):
+            return None
         if context is not None:
-            if registry is self.tt_registry:
+            if named is self.tt_registry:
                 raise TemporalError(
                     "transaction time is system-maintained; sequenced"
                     " TRANSACTIONTIME modifications are not meaningful"
                 )
-            if not registry.is_temporal(stmt.table):
+            if not named.is_temporal(stmt.table):
                 raise TemporalError(
                     f"sequenced modification requires a temporal table;"
                     f" {stmt.table!r} has no valid-time support"
                 )
-            restriction = "sequenced"
+            registry = named
         else:
-            if not isinstance(stmt, (ast.Insert, ast.Update, ast.Delete)):
+            current = [
+                (dimension, registry)
+                for dimension, registry in (
+                    ("valid", self.registry), ("transaction", self.tt_registry)
+                )
+                if registry is not named and registry.is_temporal(stmt.table)
+            ]
+            if not current:
                 return None
-            is_vt = self.registry.is_temporal(stmt.table)
-            is_tt = self.tt_registry.is_temporal(stmt.table)
-            if is_vt and is_tt:
+            if len(current) > 1:
                 raise TemporalError(
                     "direct modification of a bitemporal table through the"
                     " stratum is not supported; load history at the engine"
                     " level or use a transaction-time-only table"
                 )
-            if is_tt:
-                registry, restriction = self.tt_registry, "believed"
-            elif is_vt and not isinstance(stmt, ast.Insert):
-                # TUC: close the currently-valid versions at now (an
-                # UPDATE re-inserts them changed)
-                registry, restriction = self.registry, "current"
-            else:
-                return None
-        # without the modifier: one match statement, hence one engine
+            (dimension, registry), = current
+            dimensions = dimensions or (dimension,)
+        # without the modifier's bounds: one statement, hence one engine
         # plan, however often the text is re-parsed and whatever ``now``,
         # the context or the clock is by then
         plain = copy.copy(stmt)
-        plain.modifier = None
-        if isinstance(stmt, ast.Insert):
-            found = Candidate(plain)
-        else:
-            found = self.candidate("match", plain, registry, restriction)
+        if stmt.modifier is not None:
+            plain.modifier = replace(stmt.modifier, begin=None, end=None)
+        found = self.candidate("match", plain, registry).require()
         return PreparedStatement(
             stmt, "modification", found, dimensions, registry, context
         )
@@ -1045,8 +1079,8 @@ class TemporalStratum:
         return TemporalResult(outcome.columns, outcome.rows)
 
     def _run_modification(self, prepared: PreparedStatement) -> int:
-        """``prepared.candidate.statement`` is the INSERT without its
-        modifier, or the match statement of the UPDATE/DELETE."""
+        """``prepared.candidate.statement`` is the modification's one
+        statement (:func:`match_statement`), run over its period."""
         registry, statement = prepared.registry, prepared.candidate.statement
         info = registry.get(statement.table)
         if prepared.context is not None:
@@ -1054,13 +1088,10 @@ class TemporalStratum:
                 self.db, info, statement, prepared.context
             )
         if registry is self.tt_registry:
-            dml = TransactionTimeDml(self.db, registry)
-            if isinstance(statement, ast.Insert):
-                return dml.execute_insert(statement, self.clock)
-            return dml.execute_modification(statement, self.clock)
-        return execute_current_modification(
-            self.db, info, statement, self.db.now, "current_rewrite"
-        )
+            point, source = self.clock, "tt_maintenance"
+        else:
+            point, source = self.db.now, "current_rewrite"
+        return execute_current_modification(self.db, info, statement, point, source)
 
     def _drive_max_call(
         self, call_stmt: ast.CallStatement, context: Period, slices: int = 0

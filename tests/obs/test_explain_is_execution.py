@@ -201,6 +201,9 @@ class TestRefusals:
         "TRANSACTIONTIME " + CONTEXT + "INSERT INTO tt (emp, sal) VALUES ('b', 1)",
         # a current modification of a bitemporal table
         "UPDATE bt SET sal = 1",
+        # a sequenced modification that reads data temporal along its
+        # own dimension
+        "VALIDTIME " + CONTEXT + "UPDATE vt SET sal = (SELECT MAX(sal) FROM vt)",
     ]
 
     @pytest.fixture

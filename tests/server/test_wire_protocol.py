@@ -192,7 +192,9 @@ def test_explain_refuses_what_execution_refuses_over_the_wire():
     refused = (
         "TRANSACTIONTIME UPDATE ledger SET amount = 1",
         "VALIDTIME [DATE '2010-01-01', DATE '2011-01-01'] DELETE FROM ledger",
-        "INSERT INTO item VALUES (2, 3.0)",  # 0A000: no column list
+        # 0A000: a sequenced modification that reads its own dimension
+        "VALIDTIME [DATE '2010-01-01', DATE '2011-01-01']"
+        " UPDATE item SET price = (SELECT MAX(price) FROM item)",
     )
 
     async def scenario():

@@ -132,11 +132,20 @@ class TestTemporalUpwardCompatibility:
         assert rows == []
 
     def test_current_update_through_where_function(self, stratum):
+        """The WHERE's function reads the current timeslice, as it does in
+        a current query: 'Ben' on 2010-04-01, 'Benjamin' after June."""
         stratum.db.now = Date.from_ymd(2010, 4, 1)
         count = stratum.execute(
-            "UPDATE item SET price = 99.0 WHERE id = 'i1'"
+            "UPDATE item SET price = 99.0"
+            " WHERE id = 'i1' AND get_author_name('a1') = 'Ben'"
         )
         assert count == 1
+        assert stratum.execute("SELECT price FROM item WHERE id = 'i1'").scalar() == 99.0
+        stratum.db.now = Date.from_ymd(2010, 8, 1)
+        assert stratum.execute(
+            "UPDATE item SET price = 1.0"
+            " WHERE id = 'i1' AND get_author_name('a1') = 'Ben'"
+        ) == 0
 
 
 class TestNonsequenced:
@@ -170,10 +179,13 @@ class TestFeatureNotSupported:
         assert caught.value.sqlstate == "0A000"
 
     def test_current_insert_without_a_column_list(self, stratum):
-        self.refused(lambda: stratum.execute(
-            "INSERT INTO item VALUES ('i9', 'Nine', 9.0)"
-        ))
-        assert len(stratum.db.catalog.get_table("item")) == 2
+        """No column list means every column but the period pair, as on
+        a transaction-time table: the row is stored over [now, forever)."""
+        assert stratum.execute("INSERT INTO item VALUES ('i9', 'Nine', 9.0)") == 1
+        assert stratum.execute(
+            "NONSEQUENCED VALIDTIME SELECT title, begin_time, end_time"
+            " FROM item WHERE id = 'i9'"
+        ).rows == [["Nine", stratum.db.now, Date(Date.MAX_ORDINAL)]]
 
     def test_current_update_has_no_transformed_form(self, stratum):
         self.refused(lambda: stratum.transform(

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sqlengine.values import Date
 from repro.temporal import TemporalStratum
-from repro.temporal.errors import TemporalError
+from repro.temporal.errors import FeatureNotSupportedError, TemporalError
 from repro.temporal.period import Period, coalesce
 
 from tests.conftest import make_bookstore
@@ -135,12 +135,23 @@ class TestSequencedInsert:
         assert history(stratum, "i9") == [(5.0, "2010-02-01", "2010-05-01")]
 
     def test_insert_select_form(self, stratum):
+        stratum.db.execute("CREATE TABLE feed (title CHAR(100), price FLOAT)")
+        stratum.db.execute("INSERT INTO feed VALUES ('Nine', 25.0)")
         stratum.execute(
             "VALIDTIME [DATE '2010-02-01', DATE '2010-03-01']"
             " INSERT INTO item (id, title, price)"
-            " SELECT 'i9', title, price FROM item WHERE id = 'i1'"
+            " SELECT 'i9', title, price FROM feed"
         )
         assert history(stratum, "i9") == [(25.0, "2010-02-01", "2010-03-01")]
+        # a select from a valid-time table would read each version at no
+        # single point of the context: refused
+        with pytest.raises(FeatureNotSupportedError):
+            stratum.execute(
+                "VALIDTIME [DATE '2010-02-01', DATE '2010-03-01']"
+                " INSERT INTO item (id, title, price)"
+                " SELECT 'i8', title, price FROM item WHERE id = 'i1'"
+            )
+        assert history(stratum, "i8") == []
 
     def test_explicit_timestamps_rejected(self, stratum):
         with pytest.raises(TemporalError):

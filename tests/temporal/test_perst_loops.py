@@ -2,11 +2,12 @@
 
 A statement outside PERST's algebraic fragment is evaluated point-wise
 inside a loop over constant periods: the per-statement loop (§VI-C) for
-one statement, cursor-body mode (§VII-C) for a whole body.  Five routine
+one statement, cursor-body mode (§VII-C) for a whole body.  Six routine
 shapes on the bookstore, and q17b with its FETCH nested in the loop,
 were answered wrongly there: a RETURN that left the table function with
 a scalar, stale rows a fallback did not delete, a per-period loop run
-twice by an enclosing WHILE, a procedure result set per period.  Each
+twice by an enclosing WHILE, a procedure result set per period, a LEAVE
+that ended the loop over the periods at the first one.  Each
 case now either equals MAX snapshot by snapshot, multiplicities included
 (Dignös et al., *Snapshot Semantics for Temporal Multiset Relations*), or
 PERST refuses it with :class:`PerStatementInapplicableError` and AUTO
@@ -96,6 +97,22 @@ SHAPES = {
           FROM item i, item_author ia
           WHERE i.id = ia.item_id AND ia.author_id = aid;
           RETURN p;
+        END""",
+    # a LEAVE under the per-statement loop of a temporal IF that names
+    # the enclosing LOOP: it would end the loop over the periods
+    "F-leave-enclosing-loop": f"""
+        CREATE FUNCTION f (aid CHAR(10)) RETURNS INTEGER
+        READS SQL DATA LANGUAGE SQL
+        BEGIN
+          DECLARE n INTEGER DEFAULT 0;
+          l1: LOOP
+            IF {FIRST_NAME_IS_BEN} THEN
+              LEAVE l1;
+            END IF;
+            SET n = 1;
+            LEAVE l1;
+          END LOOP;
+          RETURN n;
         END""",
 }
 

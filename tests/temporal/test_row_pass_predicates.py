@@ -17,7 +17,9 @@ and writes only after all of them are found.
   ``tests/reference_executor.py`` and coerced by ``types.coerce``, the
   close / split / re-insert steps written out on plain lists.  Raw rows
   in raw order, the affected count and the error class + SQLSTATE must
-  agree.
+  agree.  A subquery over ``h`` reads what a query of the statement's
+  semantics reads: the rows current at NOW (valid time) or at the clock
+  (transaction time); a sequenced statement reading ``h`` is refused.
 * SET values become cells in one place, the match plan: every kind
   coerces them and checks NOT NULL before anything is written.
 * The floor: on DS1-SMALL a keyed UPDATE examines at most the versions
@@ -34,6 +36,7 @@ from repro.sqlengine.types import coerce
 from repro.sqlengine.values import Date, Null, truth
 from repro.taubench import build_dataset
 from repro.temporal import TemporalStratum
+from repro.temporal.errors import FeatureNotSupportedError
 
 from tests.conftest import DML_KINDS, make_bookstore, make_dml_kinds
 from tests.reference_executor import ReferenceExecutor
@@ -195,6 +198,19 @@ def admitted(kind: str, row) -> bool:
     )
 
 
+def visible(row) -> bool:
+    """Current at NOW (= the clock), as a current query reads ``h``."""
+    begin, end = row[4], row[5]
+    return (
+        isinstance(begin, Date) and isinstance(end, Date)
+        and begin.ordinal <= NOW.ordinal < end.ordinal
+    )
+
+
+# the one subquery shape over the target itself
+READS_H = "(SELECT MAX(v) FROM h)"
+
+
 def stamped(row, begin, end):
     """``row`` over another period (the period columns are 4 and 5)."""
     return row[:4] + [begin, end] + row[6:]
@@ -203,8 +219,13 @@ def stamped(row, begin, end):
 def model(kind: str, stratum: TemporalStratum, sql: str):
     """``(affected, rows)`` the statement must leave, from plain lists."""
     db = stratum.db
-    stmt = parse_statement(sql)
     table = db.table("h")
+    if READS_H in sql and kind == "sequenced":
+        raise FeatureNotSupportedError("reads h along its own dimension")
+    if READS_H in sql and kind != "conventional":
+        values = [row[3] for row in table.rows if visible(row) and row[3] is not Null]
+        sql = sql.replace(READS_H, repr(max(values)) if values else "NULL")
+    stmt = parse_statement(sql)
     reference = ReferenceExecutor(db)
     colmap = {name.lower(): i for i, name in enumerate(table.column_names)}
     alias = (stmt.alias or stmt.table).lower()
