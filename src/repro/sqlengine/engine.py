@@ -54,6 +54,7 @@ class EngineStats:
         self.pruned = self.obs.counter("engine.period_probe.rows_pruned")
         self.rejects = self.obs.counter("engine.join.level_rejects")
         self.memo_hits = self.obs.counter("engine.routine_memo.hits")
+        self.waived = self.obs.counter("engine.read_window.versions_waived")
         self.plans_compiled = 0
         self.plan_cache_hits = 0
         self.transforms = 0

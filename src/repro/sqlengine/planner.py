@@ -157,8 +157,8 @@ class _Scan:
 # (``RoutineInterpreter._reused``), and every bind of a table with a
 # declared period pair narrows the innermost open one so that each row
 # the bind examines keeps its ``begin <= p < end`` verdict for every
-# ``p`` of ``[lo, hi)``.  Narrowing by more than the rows examined is
-# always sound.
+# ``p`` of ``[lo, hi)`` — but a bucket version a point-free level filter
+# rejects.  Narrowing by more than the rows examined is always sound.
 
 
 def _narrow_by_table(window: list, pairs: list, table) -> None:
@@ -173,25 +173,29 @@ def _narrow_by_table(window: list, pairs: list, table) -> None:
 
 
 def _bucket_versions(
-    rows: list, period: "Optional[_PeriodProbe]", limits: Optional[list],
-    window: Optional[list], columns: list,
+    rows: list, level: "_Level", vector: list, window: Optional[list], stats
 ) -> list:
     """One pass over a hash probe's bucket ``rows`` (table order): keep
-    the versions whose ``period`` bounds are Dates inside ``limits``
-    (all of them without a ``period``, none under a NULL limit) and,
+    the versions whose bounds are Dates inside the ``level``'s period
+    limits (all of them without a period, none under a NULL limit) and,
     with a read ``window`` open, narrow it to the bounds of every
-    version around its point (its declared period ``columns``) — the key
-    does not depend on the point, so exactly the bucket is examined, and
-    a version the limits reject must stay rejected over the whole window
-    too."""
+    version around its point — the key does not depend on the point, so
+    exactly the bucket is examined, and a version the limits reject must
+    stay rejected over the whole window too — but for a version whose
+    bounds would tighten it and that a point-free filter of the
+    ``level`` rejects: the level emits it at no point (counted in
+    ``engine.read_window.versions_waived``)."""
+    period, columns = level.period, level.node.period_columns
     narrow = window is not None and bool(columns)
     if narrow:
         lo, hi, point = window
+        free, pos = level.free, level.pos
     elif period is None:
         return rows
     test_begin = test_end = False
     if period is not None:
         begin_index, end_index = period.begin_index, period.end_index
+        limits = period.limits(vector)
         if limits is None:
             test_begin, begin_min, begin_max = True, _INF, -_INF
         else:
@@ -203,15 +207,24 @@ def _bucket_versions(
     kept = []
     for row in rows:
         if narrow:
+            row_lo, row_hi = lo, hi
             for index in columns:
                 value = row[index]
                 if isinstance(value, Date):
                     ordinal = value.ordinal
                     if ordinal <= point:
-                        if ordinal > lo:
-                            lo = ordinal
-                    elif ordinal < hi:
-                        hi = ordinal
+                        if ordinal > row_lo:
+                            row_lo = ordinal
+                    elif ordinal < row_hi:
+                        row_hi = ordinal
+            if row_lo != lo or row_hi != hi:
+                vector[pos] = row
+                for check in free:
+                    if not check(vector):
+                        stats.waived.value += 1
+                        break
+                else:
+                    lo, hi = row_lo, row_hi
         if test_begin:
             begin = row[begin_index]
             if not (isinstance(begin, Date) and begin_min <= begin.ordinal <= begin_max):
@@ -504,10 +517,11 @@ class _Level:
     """One join level: a source plus, for a scan, its access path (hash
     ``key``, ``period`` bounds, both, or a full scan) and the total
     conjuncts that become checkable here and that the access path does
-    not decide (``filters``).  ``rows_in``/``rows_out`` accumulate over
-    executions for EXPLAIN ANALYZE."""
+    not decide (``filters``; ``free``: those whose operands are columns
+    of this or earlier levels or literals).  ``rows_in``/``rows_out``
+    accumulate over executions for EXPLAIN ANALYZE."""
 
-    __slots__ = ("node", "pos", "key", "period", "filters", "access",
+    __slots__ = ("node", "pos", "key", "period", "filters", "free", "access",
                  "rows_in", "rows_out")
 
     def __init__(self, node: Any, pos: int) -> None:
@@ -516,6 +530,7 @@ class _Level:
         self.key: Optional[tuple] = None  # (column, a, b)
         self.period: Optional[_PeriodProbe] = None
         self.filters: list = []  # _typed_filter tests
+        self.free: list = []  # the point-free ones among them
         self.access = ("Scan", "")  # EXPLAIN: (operator, the key's SQL)
         self.rows_in = self.rows_out = 0
 
@@ -545,11 +560,8 @@ class _Level:
                 [] if value is Null
                 else table.hash_index(column).get(sort_key(value), [])
             )
-            versions = _bucket_versions(
-                rows, period, None if period is None else period.limits(vector),
-                window, self.node.period_columns,
-            )
             stats = db.stats
+            versions = _bucket_versions(rows, self, vector, window, stats)
             if len(versions) < len(rows):
                 stats.pruned.value += len(rows) - len(versions)
             stats.scanned.value += len(versions)
@@ -792,7 +804,11 @@ def _build_pipeline(sources: list, conjuncts: list, demoted: frozenset) -> _Pipe
     for i, c in enumerate(conjuncts):
         if total[i] and i not in decided:
             level = levels[max(depth_of[c.left[0]], depth_of[c.right[0]])]
-            level.filters.append(_typed_filter(c.value_class, c.op, c.left, c.right))
+            test = _typed_filter(c.value_class, c.op, c.left, c.right)
+            level.filters.append(test)
+            if all(at[0] != outer or isinstance(expr, ast.Literal)
+                   for at, expr in zip((c.left, c.right), c.operands)):
+                level.free.append(test)
     residual = [c.closure for i, c in enumerate(conjuncts) if not total[i]]
     return _Pipeline(levels, split, residual)
 

@@ -369,9 +369,11 @@ class RoutineInterpreter:
         arguments and its results hold everywhere.  One with it is
         looked up under the *other* arguments and runs under a read
         window ``[lo, hi)`` around its point (see the planner's
-        ``_narrow_by_*``): inside it every row the run examined keeps
-        its valid-at-point verdict, so every embedded plan sees the same
-        rows in the same order and the function returns the same
+        ``_narrow_by_table`` and ``_bucket_versions``): inside it every
+        row the run examined keeps its valid-at-point verdict — but a
+        hash-bucket version that a point-free level filter rejects,
+        which is emitted at no point — so every embedded plan sees the
+        same rows in the same order and the function returns the same
         result.  A nested windowed call narrows its caller's window by
         its own, run or reused alike — the caller's result rests on the
         callee's — and one evaluated at another point leaves the caller

@@ -14,7 +14,10 @@ checked in ``test_join_pipeline.py``), so they are compared with the
 engine alone.
 
 The routines cover each way a window is narrowed or a result reused: a
-keyed probe (narrowed by the candidates' bounds), a full scan and an
+keyed probe (narrowed by the bucket's bounds), one with a column–literal
+filter and a two-level one filtering its second level (narrowed by the
+versions that filter does not reject), one filtering against a routine
+variable (by every version again), a full scan and an
 explicit JOIN (by the table's change points), a nested call with no read
 of its own (callee → caller, run and reused), ``TABLE(g(…))`` in FROM and
 inside a function, scratch in a temporary table of its own, a cursor
@@ -31,7 +34,14 @@ narrowing in ``_bucket_versions`` after a hash probe, dropping the
 callee → caller narrowing after a run, and dropping it after a reuse.
 Narrowing by the versions a hash probe's
 stab keeps, instead of its whole bucket, fails
-``test_a_rejected_version_narrows_the_window``.
+``test_a_rejected_version_narrows_the_window``.  Waiving the narrowing
+for every bucket version fails ``test_fixed_history`` and
+``test_a_version_a_filter_rejects_does_not_narrow``; waiving it for the
+versions the point-free filters pass instead of those they reject fails
+both too; counting a filter that reads an outer name as point-free fails
+``test_a_version_a_filter_rejects_does_not_narrow`` (``rich_over`` runs
+fewer times) and ``test_a_filter_on_the_point_is_never_free`` (a wrong
+count reused).
 """
 
 from contextlib import contextmanager
@@ -133,6 +143,23 @@ ROUTINES = [
        BEGIN RETURN (SELECT MAX(amount) FROM price WHERE item = k) + twice(k); END""",
     """CREATE FUNCTION bal_of (k INTEGER) RETURNS INTEGER READS SQL DATA LANGUAGE SQL
        BEGIN RETURN (SELECT MAX(bal) FROM acct WHERE id = k); END""",
+    # a keyed probe with a point-free filter: a version it rejects does
+    # not narrow the window
+    """CREATE FUNCTION rich_in (k INTEGER) RETURNS INTEGER READS SQL DATA LANGUAGE SQL
+       BEGIN RETURN (SELECT COUNT(*) FROM emp WHERE dept = k AND sal > 6); END""",
+    # the filter on the second of two keyed levels
+    """CREATE FUNCTION rich_boss (k INTEGER) RETURNS INTEGER READS SQL DATA LANGUAGE SQL
+       BEGIN
+         RETURN (SELECT COUNT(*) FROM dept d, emp e
+                 WHERE d.id = k AND e.id = d.boss AND e.sal > 6);
+       END""",
+    # a filter against a routine variable is not point-free: every
+    # version narrows
+    """CREATE FUNCTION rich_over (k INTEGER) RETURNS INTEGER READS SQL DATA LANGUAGE SQL
+       BEGIN
+         DECLARE s INTEGER DEFAULT 6;
+         RETURN (SELECT COUNT(*) FROM emp WHERE dept = k AND sal > s);
+       END""",
     """CREATE PROCEDURE report (k INTEGER) LANGUAGE SQL
        BEGIN
          SELECT twice(k) AS t, boss_sal(k) AS b, payroll(k) AS p, top_sal(k) AS s;
@@ -154,6 +181,9 @@ SELECTS = [
     "SELECT p.k, strict_sal(p.k) FROM probe p",
     "SELECT p.k, price_of(p.k) FROM probe p",
     "SELECT e.id, twice(e.id) FROM emp e WHERE sal_of(e.dept) > 0",
+    "SELECT p.k, rich_in(p.k) FROM probe p",
+    "SELECT p.k, rich_boss(p.k) FROM probe p",
+    "SELECT p.k, rich_over(p.k) FROM probe p",
 ]
 STATEMENTS = [f"VALIDTIME {CONTEXT} {select}" for select in SELECTS] + [
     f"VALIDTIME {CONTEXT} CALL report(1)",
@@ -254,7 +284,8 @@ def test_fixed_history():
     for name in ("max_sal_of", "max_top_sal", "max_richer", "max_twice",
                  "max_boss_sal", "max_staff", "max_payroll", "max_headcount",
                  "max_count_rich",
-                 "max_safe_sal", "max_bal_of"):
+                 "max_safe_sal", "max_bal_of", "max_rich_in", "max_rich_boss",
+                 "max_rich_over"):
         assert reuses.get(name, 0) > 0, name
 
 
@@ -301,6 +332,114 @@ def test_a_rejected_version_narrows_the_window():
 
     windows = {(key, window(key, point)) for key in keys for point in points}
     assert run == len(windows) == 12
+
+
+def test_a_version_a_filter_rejects_does_not_narrow():
+    """``rich_in(1)`` at day 0: the dept's version over [4, 6) earns 5,
+    which ``sal > 6`` rejects at every point, so it does not end the read
+    window at day 4 — the result is 1 over days 0–8 either way.  Dept 2
+    changes almost daily, every other version rejected.  ``rich_over``
+    compares with a routine variable instead, which is no point-free
+    filter: every version narrows its window.  The memo must return the
+    reference's rows and run exactly once per distinct (key, window), the
+    windows computed here from the versions that pass the filter
+    (``rich_in``) or from all of them (``rich_over``); the versions
+    waived are those that would have tightened ``rich_in``'s window."""
+    emp = [(1, 1, 10, 0, 9), (2, 1, 5, 4, 6)] + [
+        (3, 2, sal, begin, end)
+        for sal, (begin, end) in zip(
+            [7, 1, 2, 8, 3, 9, 4],
+            [(0, 1), (1, 2), (2, 3), (3, 5), (5, 7), (7, 8), (8, FOREVER - BASE)],
+        )
+    ]
+    history = {"emp": emp, "dept": [], "price": [], "acct": []}
+    kept, plain = build(history), build(history, reference=True)
+    sql = f"VALIDTIME {CONTEXT} SELECT p.k, rich_in(p.k), rich_over(p.k) FROM probe p"
+    assert outcome(kept, sql) == outcome(plain, sql)
+    points = range(10)  # every day of the context is a change point of emp
+    keys = [1, 1, 2, Null]  # the probe rows
+
+    def window(versions, point):
+        bounds = [b for row in versions for b in row[3:]]
+        return (
+            max((b for b in bounds if b <= point), default=None),
+            min((b for b in bounds if b > point), default=None),
+        )
+
+    stats = kept.db.stats
+    for name, passes, count in (
+        ("max_rich_in", lambda row: row[2] > 6, 9),
+        ("max_rich_over", lambda row: True, 12),
+    ):
+        run, reused = stats.routine_calls[name], stats.routine_reuses[name]
+        assert run + reused == plain.db.stats.routine_calls[name] == len(keys) * len(points)
+        windows = {
+            (key, window([r for r in emp if r[1] == key and passes(r)], point))
+            for key in keys for point in points
+        }
+        assert run == len(windows) == count
+
+    # each run of rich_in is at the first day of its window; a version is
+    # waived there when its bounds would tighten the window that the
+    # passing versions before it (table order) left
+    waived = 0
+    for key in (1, 2):
+        seen = set()
+        for point in points:
+            cell = window([r for r in emp if r[1] == key and r[2] > 6], point)
+            if cell in seen:
+                continue
+            seen.add(cell)
+            narrowed: list = []
+            for row in (r for r in emp if r[1] == key):
+                if window(narrowed + [row], point) != window(narrowed, point):
+                    if row[2] > 6:
+                        narrowed.append(row)
+                    else:
+                        waived += 1
+    assert kept.db.obs.value("engine.read_window.versions_waived") == waived == 15
+
+
+def test_a_filter_on_the_point_is_never_free():
+    """A table whose first declared date pair is not its valid time: the
+    hash probe takes the literal bound on that pair, so the clone's
+    valid-time bounds on ``begin_time_in`` stay level filters.  They read
+    an outer name, so they are not point-free: the version over [4, 6),
+    which they reject at day 0, still ends the window there, or day 0's
+    count would be reused at days 4 and 5, where it is 2."""
+    strata = []
+    for reference in (False, False, True):
+        stratum = TemporalStratum()
+        db = stratum.db
+        db.execute("CREATE TABLE probe (k INTEGER)")
+        db.execute(
+            "CREATE TABLE post (id INTEGER, seen DATE, gone DATE,"
+            " begin_time DATE, end_time DATE)"
+        )
+        db.catalog.get_table("post").declare_interval("seen", "gone")
+        stratum.execute("ALTER TABLE post ADD VALIDTIME")
+        db.insert_rows("probe", [[1], [1]])
+        db.insert_rows("post", [
+            [1, day(0), day(FOREVER - BASE), day(begin), day(end)]
+            for begin, end in ((0, 9), (4, 6))
+        ])
+        stratum.register_routine(
+            "CREATE FUNCTION posted (k INTEGER) RETURNS INTEGER READS SQL DATA"
+            " LANGUAGE SQL BEGIN RETURN (SELECT COUNT(*) FROM post"
+            f" WHERE id = k AND gone > DATE '{Date(BASE).to_iso()}'); END"
+        )
+        if reference:
+            db._executor = ReferenceExecutor(db)
+        strata.append(stratum)
+    kept, plain, walker = strata
+    sql = f"VALIDTIME {CONTEXT} SELECT p.k, posted(p.k) FROM probe p"
+    engine = outcome(kept, sql)
+    with every_invocation_runs():
+        assert outcome(plain, sql) == engine
+    assert outcome(walker, sql) == engine
+    assert [row[1] for row in engine[1][0][1]] == [1, 1, 2, 2, 1, 1, 0, 0]
+    assert kept.db.stats.routine_reuses["max_posted"] > 0
+    assert kept.db.obs.value("engine.read_window.versions_waived") == 0
 
 
 def test_second_session_reads_its_snapshot():
