@@ -36,7 +36,7 @@ from repro.sqlengine.parser import parse_statement
 from repro.taubench.datasets import Dataset, build_dataset
 from repro.taubench.queries import ALL_QUERIES, QuerySpec, get_query
 from repro.temporal.errors import PerStatementInapplicableError, TemporalError
-from repro.temporal.heuristic import choose_strategy, estimate_costs
+from repro.temporal.heuristic import choose_strategy
 from repro.temporal.max_slicing import transform_query_max
 from repro.temporal.perst_slicing import PerstTransformer
 from repro.temporal.stratum import SlicingStrategy
@@ -402,7 +402,7 @@ def line_counts() -> ExperimentResult:
                 stratum.db.catalog, stratum.registry
             ).transform(stmt)
             perst_tokens = tokens_of(perst_result.to_sql())
-        except TemporalError:  # outside PERST's fragment (q17b)
+        except TemporalError:  # outside PERST's fragment (q8, q17b)
             perst_tokens = 0
         lines.append(
             f"{query.name:6s} {original:9d} {max_tokens:7d} {perst_tokens:7d}"
@@ -440,7 +440,7 @@ def heuristic_evaluation(cells: list[CellResult]) -> ExperimentResult:
             (cell.query, cell.dataset, cell.context_days), {}
         )[cell.strategy] = cell
     datasets: dict[str, Dataset] = {}
-    total = perst_wins = correct = near_tie_ok = cost_correct = 0
+    total = perst_wins = correct = near_tie_ok = 0
     rule_counts: dict[str, int] = {}
     for (query_name, dataset_key, context_days), pair in sorted(by_key.items()):
         max_cell = pair.get("max")
@@ -482,17 +482,6 @@ def heuristic_evaluation(cells: list[CellResult]) -> ExperimentResult:
             near_tie_ok += 1
         elif near_tie:
             near_tie_ok += 1  # picked the "wrong" side of a near-tie
-        # the §VIII future-work cost model, scored against the same cells
-        if query.perst_applicable:
-            estimate = estimate_costs(
-                stmt, dataset.stratum.db, dataset.stratum.registry,
-                dataset.context(context_days),
-            )
-            cost_pick = "perst" if estimate.prefers_perst else "max"
-        else:
-            cost_pick = "max"
-        if cost_pick == actual:
-            cost_correct += 1
     report_lines = [
         "§VII-F — heuristic evaluation",
         f"cells measured:        {total}",
@@ -505,9 +494,6 @@ def heuristic_evaluation(cells: list[CellResult]) -> ExperimentResult:
         f"correct or near-tie:   {near_tie_ok}"
         f" ({100.0 * near_tie_ok / total:.0f}%)"
         "  (misses where the strategies were within 25%)" if total else "",
-        f"cost model correct:    {cost_correct}"
-        f" ({100.0 * cost_correct / total:.0f}%)"
-        "  (§VIII future-work replacement for the heuristic)" if total else "",
         f"rule firings:          {dict(sorted(rule_counts.items()))}",
         "(paper: PERST faster in ~70% of 160 points; heuristic wrong ~13%)",
     ]

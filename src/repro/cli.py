@@ -16,7 +16,7 @@ Meta-commands (a leading dot):
 ``.now [DATE]``    show or set CURRENT_DATE
 ``.clock [DATE]``  show or set the transaction clock (``.clock none`` resets)
 ``.strategy S``    sequenced strategy: ``max`` / ``perst`` / ``seqset`` /
-                   ``auto`` / ``cost`` (``SET STRATEGY S`` works as SQL too)
+                   ``auto`` (``SET STRATEGY S`` works as SQL too)
 ``.transform SQL`` show the conventional SQL a statement transforms into
 ``.load DS SIZE``  load a τPSM dataset (e.g. ``.load DS1 SMALL``)
 ``.stats``         engine counters
@@ -283,7 +283,7 @@ class Shell:
             try:
                 self.strategy = SlicingStrategy(argument.lower())
             except ValueError:
-                return "strategy must be one of: max, perst, seqset, auto, cost"
+                return "strategy must be one of: max, perst, seqset, auto"
         return f"sequenced strategy = {self.strategy.value}"
 
     def _transform(self, argument: str) -> str:
@@ -566,7 +566,7 @@ def run_subcommand(argv: list[str]) -> int:
         )
         p.add_argument(
             "--strategy", default="auto",
-            choices=["auto", "max", "perst", "seqset", "cost"],
+            choices=["auto", "max", "perst", "seqset"],
         )
         if name == "explain":
             p.add_argument("--analyze", action="store_true")

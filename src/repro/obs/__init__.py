@@ -11,7 +11,7 @@ reaches back into :mod:`repro.sqlengine`, and the engine imports this
 package at module level — eager re-export here would be a cycle.
 """
 
-from repro.obs.metrics import Counter, MetricsRegistry, Timer
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.tracing import NULL_SPAN, Span, Tracer
 
 _LAZY = {
@@ -24,7 +24,6 @@ _LAZY = {
 __all__ = [
     "Counter",
     "MetricsRegistry",
-    "Timer",
     "Span",
     "Tracer",
     "NULL_SPAN",

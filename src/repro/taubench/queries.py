@@ -10,7 +10,8 @@ q5      a function in the SELECT list
 q6      the CASE statement
 q7      the WHILE statement (cursor-driven)
 q7b     the REPEAT statement (cursor-driven)
-q8      a loop name with the FOR statement
+q8      a loop name with the FOR statement (PERST-inapplicable: the
+        ordered FOR's last row wins)
 q9      a CALL within a procedure
 q10     an IF without a CURSOR
 q11     creation of a temporary table
@@ -323,6 +324,7 @@ Q8 = QuerySpec(
     name="q8",
     feature="a loop name with the FOR statement",
     routines=(_Q8_FN,),
+    perst_applicable=False,
     build_query=lambda d: (
         "SELECT a.last_name FROM author a "
         f"WHERE a.author_id = '{d.probe_author_id}' "

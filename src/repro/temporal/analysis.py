@@ -19,7 +19,8 @@ reads that closure.  A ``root`` is a node, a stored routine's name or
 * whether a routine body contains an explicit temporal modifier, which
   restricts it to nonsequenced contexts (:func:`has_inner_modifier`);
 * whether per-statement slicing applies (:func:`check_perst_applicable`
-  — the paper's q17b non-nested-FETCH restriction).
+  — the paper's q17b non-nested-FETCH restriction, and q8's ordered
+  FOR whose last row wins).
 """
 
 from __future__ import annotations
@@ -101,14 +102,15 @@ def has_inner_modifier(node: ast.Node) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# PERST applicability (§VII-A2: the q17b restriction)
+# PERST applicability (§VII-A2: the q17b restriction; q8's ordered FOR)
 # ---------------------------------------------------------------------------
 
 
 def check_perst_applicable(
     stmt: ast.Statement, catalog: Catalog, registry: TemporalRegistry
 ) -> None:
-    """Raise :class:`PerStatementInapplicableError` for the q17b pattern.
+    """Raise :class:`PerStatementInapplicableError` for the q17b and q8
+    patterns.
 
     Per-statement slicing turns every temporal routine result into a
     per-period loop that encloses the *remainder* of the surrounding loop
@@ -116,6 +118,13 @@ def check_perst_applicable(
     lexically *after* such a temporal result cannot be hoisted into the
     per-period loops (it would fetch once per period instead of once per
     outer iteration) — the paper's "non-nested FETCH".
+
+    A ``FOR`` over an ordered SELECT that reaches temporal data, whose
+    body assigns a variable declared outside the loop, leaves that
+    variable holding what the *last* qualifying row in that order set —
+    per snapshot.  PERST's one pass over the whole context orders rows
+    across periods, so the last row of one snapshot is not the last row
+    of the pass (q8's ``short_book_title``).
     """
 
     def check(node: ast.Statement, outer_cursors: frozenset) -> None:
@@ -127,6 +136,19 @@ def check_perst_applicable(
             children = node.statements
         else:
             children = ast.iter_children(node)
+        if (
+            isinstance(node, ast.ForStatement)
+            and node.select.order_by
+            and reads_temporal(node.select, catalog, registry)
+        ):
+            outer = _assigned(node.body) - _declared(node.body)
+            if outer:
+                raise PerStatementInapplicableError(
+                    "per-statement slicing cannot transform a FOR over an"
+                    " ordered time-varying SELECT whose body assigns outer"
+                    f" variable(s) {', '.join(sorted(outer))} (the last row"
+                    " of each snapshot wins, cf. q8)"
+                )
         if isinstance(node, (ast.WhileStatement, ast.RepeatStatement, ast.LoopStatement)):
             # a FETCH of an outer cursor after a time-varying result (a
             # statement reaching temporal data) at the loop body's level
@@ -151,3 +173,23 @@ def check_perst_applicable(
     check(stmt, frozenset())
     for name in temporal_routines(stmt, catalog, registry):
         check(catalog.get_routine(name).definition.body, frozenset())
+
+
+def _assigned(body: list) -> set[str]:
+    """Names a SET, FETCH or SELECT INTO under ``body`` assigns."""
+    return {
+        target.lower()
+        for node in ast.walk(body)
+        if isinstance(node, (ast.SetStatement, ast.FetchCursor, ast.SelectInto))
+        for target in node.targets
+    }
+
+
+def _declared(body: list) -> set[str]:
+    """Variable names declared under ``body``."""
+    return {
+        name.lower()
+        for node in ast.walk(body)
+        if isinstance(node, ast.DeclareVariable)
+        for name in node.names
+    }

@@ -179,21 +179,6 @@ class SeqSetPlan:
         self.reads_cp = False
         self.root: Optional[IntervalJoin] = None
 
-    @property
-    def keyed(self) -> bool:
-        """Is every join level a hash join?"""
-        return all(source.keys for source in self.sources[1:])
-
-    def combinations(self, db: Database) -> int:
-        """Combinations the join touches, estimated from table sizes:
-        a keyed level adds its rows (one build, one probe each), a
-        key-less level multiplies."""
-        sizes = [len(db.catalog.get_table(s.name)) for s in self.sources]
-        total = sizes[0]
-        for source, size in zip(self.sources[1:], sizes[1:]):
-            total = total + size if source.keys else total * size
-        return total
-
 
 def _unsupported(reason: str) -> SeqSetUnsupportedError:
     return SeqSetUnsupportedError(reason)

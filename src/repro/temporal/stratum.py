@@ -38,7 +38,6 @@ from __future__ import annotations
 import copy
 import enum
 import re
-import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional, Union
 
@@ -58,7 +57,7 @@ from repro.temporal.errors import (
     SequencedContextError,
     TemporalError,
 )
-from repro.temporal.heuristic import StrategyChoice, choose_by_cost, choose_strategy
+from repro.temporal.heuristic import StrategyChoice, choose_strategy
 from repro.temporal.max_slicing import statement_key, transform_query_max
 from repro.temporal.modifications import (
     execute_current_modification,
@@ -85,19 +84,19 @@ class SlicingStrategy(enum.Enum):
     """How to evaluate a sequenced statement.
 
     ``AUTO`` applies the paper's §VII-F rule heuristic (extended with a
-    SEQ-SET rule); ``COST`` uses the §VIII future-work cost model
-    (predicted relative cost from the constant-period count and expected
-    routine invocations) instead.  ``SEQSET`` compiles routine-free
-    queries into one set-oriented pass (interval alignment + interval
-    join, :mod:`repro.temporal.seqset`) and transparently falls back to
-    MAX whenever a routine is invoked or the shape is not covered.
+    SEQ-SET rule).  ``SEQSET`` compiles routine-free queries into one
+    set-oriented pass (interval alignment + interval join,
+    :mod:`repro.temporal.seqset`) and transparently falls back to MAX
+    whenever a routine is invoked or the shape is not covered.
+    ``COST`` is only another name for ``AUTO``: there is no cost model,
+    and the name ``cost`` is not accepted where a strategy is named.
     """
 
     MAX = "max"
     PERST = "perst"
     AUTO = "auto"
-    COST = "cost"
     SEQSET = "seqset"
+    COST = "auto"
 
 
 _SET_STRATEGY_RE = re.compile(
@@ -217,8 +216,8 @@ class PreparedStatement:
     # the registry sliced along, or whose periods a modification maintains
     registry: Optional[TemporalRegistry] = None
     context: Optional[Period] = None  # sequenced statements only
-    # sequenced queries: the decision (requested, §VII-F rule or cost
-    # model), the strategy that runs — MAX where SEQ-SET was chosen and
+    # sequenced queries: the decision (requested or a §VII-F rule), the
+    # strategy that runs — MAX where SEQ-SET was chosen and
     # declined — and why it declined
     choice: Optional[StrategyChoice] = None
     strategy: Optional[SlicingStrategy] = None
@@ -231,16 +230,31 @@ class PreparedStatement:
 def _reusable(prepared: PreparedStatement, strategy: SlicingStrategy) -> bool:
     """Whether ``prepared`` decided nothing from the data: not under a
     context without two literal bounds (the data span, or an expression),
-    nor by the cost model or an AUTO rule that compares row totals with
-    thresholds (rules s and a read only the catalog)."""
+    nor by an AUTO rule that compares row totals with thresholds (rules
+    s and a read only the catalog)."""
     modifier = getattr(prepared.statement, "modifier", None)
     literal = prepared.context is None or (
         isinstance(modifier.begin, ast.Literal) and isinstance(modifier.end, ast.Literal)
     )
     return literal and (
-        strategy not in (SlicingStrategy.AUTO, SlicingStrategy.COST)
+        strategy is not SlicingStrategy.AUTO
         or prepared.choice is None or prepared.choice.rule in ("s", "a")
     )
+
+
+def _refuse_limit(stmt: ast.Statement) -> None:
+    """A sequenced SELECT must not carry a LIMIT of its own, in any
+    set-operation arm: every strategy would cut the rows of the whole
+    context instead of each snapshot's.  A subquery's LIMIT is evaluated
+    per snapshot, so it stays allowed."""
+    arm = stmt
+    while isinstance(arm, ast.Select):
+        if arm.limit is not None:
+            raise FeatureNotSupportedError(
+                "LIMIT on a sequenced SELECT is not supported: it would cut"
+                " the rows of the whole context, not of each period's snapshot"
+            )
+        arm = arm.set_rhs
 
 
 class _WithClones:
@@ -299,8 +313,6 @@ class TemporalStratum:
         self._transform_cache: dict = {}
         self._served: tuple = (None, None)  # :meth:`parse`'s last
         self.last_strategy: Optional[SlicingStrategy] = None
-        # the CostEstimate behind the most recent COST-mode decision
-        self.last_estimate = None
         # why the most recent SEQ-SET attempt fell back to MAX (None
         # when the last sequenced statement ran without a fallback)
         self.last_fallback: Optional[str] = None
@@ -681,9 +693,7 @@ class TemporalStratum:
         if isinstance(stmt, ast.CreateView) and stmt.select.modifier is not None:
             return self._create_sequenced_view(stmt)
         prepared = self._prepare_served(stmt, strategy)
-        if prepared.choice is not None and strategy in (
-            SlicingStrategy.AUTO, SlicingStrategy.COST
-        ):
+        if prepared.choice is not None and strategy is SlicingStrategy.AUTO:
             # a decision counts once it is acted on: EXPLAIN prepares too
             self.db.obs.inc(f"heuristic.choice.{prepared.choice.strategy.value}")
         return self._run(prepared)
@@ -837,12 +847,9 @@ class TemporalStratum:
         self._reject_nonseq_only(stmt, "sequenced")
         if isinstance(stmt, (ast.Insert, ast.Update, ast.Delete)):
             return self._prepare_modification(stmt, dimensions, registry, context)
+        _refuse_limit(stmt)
         if strategy is SlicingStrategy.AUTO:
             choice = choose_strategy(stmt, self, registry, context)
-        elif strategy is SlicingStrategy.COST:
-            # measured unit costs when the registry has samples,
-            # static calibration otherwise
-            choice = choose_by_cost(stmt, self, registry, context)
         else:
             choice = StrategyChoice(strategy, "", "requested")
         prepared = PreparedStatement(
@@ -1030,8 +1037,6 @@ class TemporalStratum:
         )
         self.last_strategy = strategy
         self.last_fallback = prepared.fallback
-        if prepared.choice.estimate is not None:
-            self.last_estimate = prepared.choice.estimate
         tracer = db.tracer
         slices = 0
         for cp_table, tables in found.cp_requirements.items():
@@ -1043,37 +1048,23 @@ class TemporalStratum:
         statement = found.statement
         if strategy is SlicingStrategy.MAX and isinstance(statement, ast.CallStatement):
             return self._drive_max_call(statement, context, slices)
-        started = time.perf_counter()
         if strategy is SlicingStrategy.SEQSET:
             try:
                 with tracer.span("stratum.seqset.execute", slices=slices):
                     columns, rows = execute_seqset(db, found.plan, context, MAX_CP_TABLE)
             except SeqSetRuntimeFallback as exc:
                 return self._run(self._fall_back(prepared, str(exc)))
-            # mean per combination of the plan's shape (per row for a
-            # single table), the unit the measured-cost model prices
-            # SEQ-SET in — so a cross product's seconds do not inflate a
-            # selection's unit
-            db.obs.timer("stratum.seqset.row_seconds").record(
-                time.perf_counter() - started, found.plan.combinations(db)
-            )
             return TemporalResult(columns, rows)
         if strategy is SlicingStrategy.MAX:
             with tracer.span("stratum.max.execute", slices=slices):
                 outcome = db.execute_ast(statement)
-            db.obs.timer("stratum.max.slice_seconds").record(
-                time.perf_counter() - started, slices
-            )
             return TemporalResult(outcome.columns, outcome.rows)
-        # PERST: per-row mean over the temporal data it passes over once
+        # PERST: one pass over the temporal data
         data_rows = sum(
             len(db.catalog.get_table(name)) for name in found.temporal_tables
         )
         with tracer.span("stratum.perst.execute", rows=data_rows):
             outcome = db.execute_ast(statement)
-        db.obs.timer("stratum.perst.row_seconds").record(
-            time.perf_counter() - started, data_rows
-        )
         if isinstance(statement, ast.CallStatement):
             return [TemporalResult(r.columns, r.rows) for r in outcome or []]
         return TemporalResult(outcome.columns, outcome.rows)
@@ -1110,17 +1101,7 @@ class TemporalStratum:
         placeholder = ast.Literal(value=None)
         per_period.args = per_period.args + [placeholder]
         tracer = self.db.tracer
-        stats = self.db.stats
         resilience = self.db.resilience
-
-        def invocations() -> int:
-            # an invocation the result memo served still counts as one
-            return stats.total_routine_calls + self.db.obs.value(
-                "engine.routine_memo.hits"
-            )
-
-        calls_before = invocations()
-        started = time.perf_counter()
         with tracer.span("stratum.max.loop", slices=slices):
             for row in list(cp.rows):
                 # watchdog: a MAX evaluation is tens to thousands of
@@ -1148,13 +1129,6 @@ class TemporalStratum:
                         stamped[index].rows.extend(rows)
                     else:
                         stamped.append(TemporalResult(columns, rows))
-        # one aggregate timing for the whole loop feeds the measured-cost
-        # heuristic with per-slice and per-invocation means
-        elapsed = time.perf_counter() - started
-        self.db.obs.timer("stratum.max.slice_seconds").record(elapsed, slices)
-        self.db.obs.timer("stratum.max.invocation_seconds").record(
-            elapsed, invocations() - calls_before
-        )
         return stamped
 
     # ------------------------------------------------------------------

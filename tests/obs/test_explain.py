@@ -261,9 +261,7 @@ class TestExplainSemantics:
         # only the EXPLAIN statement itself was counted, not the target
         assert stats.statements <= statements_before + 1
 
-    @pytest.mark.parametrize(
-        "strategy", [SlicingStrategy.AUTO, SlicingStrategy.COST]
-    )
+    @pytest.mark.parametrize("strategy", [SlicingStrategy.AUTO])
     def test_only_a_run_moves_the_heuristic_counters(self, stratum, strategy):
         """A decision counts when it is acted on: plain EXPLAIN moves no
         ``heuristic.choice.*`` counter, EXPLAIN ANALYZE exactly one, by
@@ -298,11 +296,6 @@ class TestExplainSemantics:
     def test_requested_strategy_line(self, stratum):
         result = stratum.execute(RUNNING_EXAMPLE, strategy=SlicingStrategy.MAX)
         assert "strategy: max (requested)" in result.lines
-
-    def test_cost_strategy_reports_model_numbers(self, stratum):
-        result = stratum.execute(RUNNING_EXAMPLE, strategy=SlicingStrategy.COST)
-        line = next(l for l in result.lines if l.startswith("strategy:"))
-        assert "cost model" in line and "max=" in line and "perst=" in line
 
     def test_sequenced_modification(self, stratum):
         result = stratum.execute(

@@ -18,6 +18,7 @@ from repro.taubench import ALL_QUERIES, build_dataset
 from repro.temporal import SlicingStrategy, TemporalStratum
 from repro.temporal import seqset as seqset_module
 from repro.temporal import stratum as stratum_module
+from repro.temporal.errors import PerStatementInapplicableError
 
 CONTEXT = "[DATE '2010-01-01', DATE '2011-01-01'] "
 TABLES = {
@@ -159,14 +160,22 @@ class TestTaubench:
     )
     @pytest.mark.parametrize("query", ALL_QUERIES, ids=lambda q: q.name)
     def test_strategy_and_clones(self, dataset, query, strategy):
-        if strategy is SlicingStrategy.PERST and not query.perst_applicable:
-            pytest.skip("outside PERST's fragment")
         stratum = dataset.stratum
         catalog = stratum.db.catalog
         query.install(dataset)
         for name in self.clones(catalog):
             catalog.drop_routine(name)
         sql = query.sequenced_sql(dataset, *dataset.context_bounds(30))
+        if strategy is SlicingStrategy.PERST and not query.perst_applicable:
+            # outside PERST's fragment: EXPLAIN refuses as the run does
+            refusals = []
+            for text in ("EXPLAIN " + sql, sql):
+                with pytest.raises(PerStatementInapplicableError) as refused:
+                    stratum.execute(text, strategy)
+                refusals.append(str(refused.value))
+            assert refusals[0] == refusals[1]
+            assert self.clones(catalog) == set()
+            return
         lines = stratum.execute("EXPLAIN " + sql, strategy).lines
         assert self.clones(catalog) == set()  # EXPLAIN installed nothing
         stratum.execute(sql, strategy)

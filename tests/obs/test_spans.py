@@ -211,44 +211,6 @@ class TestMetrics:
         )
         assert obs.value("stratum.slices") - before == expected
 
-    def test_max_select_timer_counts_slices(self, stratum):
-        _, root = run(
-            stratum,
-            CONTEXT_SQL + "SELECT get_author_name('a1') AS name FROM item",
-            SlicingStrategy.MAX,
-        )
-        slice_timer = stratum.db.obs.timer("stratum.max.slice_seconds")
-        assert slice_timer.count == root.find("stratum.max.execute").attrs["slices"]
-
-    def test_max_loop_timers_count_slices_and_invocations(self, stratum):
-        stratum.register_routine(
-            "CREATE PROCEDURE names () LANGUAGE SQL BEGIN"
-            " SELECT first_name FROM author WHERE author_id = 'a1'; END"
-        )
-        obs = stratum.db.obs
-        stats = stratum.db.stats
-        calls_before = stats.total_routine_calls
-        _, root = run(
-            stratum,
-            "VALIDTIME [DATE '2010-05-01', DATE '2010-07-01'] CALL names()",
-            SlicingStrategy.MAX,
-        )
-        assert obs.timer("stratum.max.slice_seconds").count == 2
-        invocation_timer = obs.timer("stratum.max.invocation_seconds")
-        assert invocation_timer.count == (
-            stats.total_routine_calls - calls_before
-        ) == len(root.find_all("routine"))
-
-    def test_perst_row_timer_counts_data_rows(self, stratum):
-        obs = stratum.db.obs
-        _, root = run(
-            stratum,
-            CONTEXT_SQL + "SELECT i.id FROM item i",
-            SlicingStrategy.PERST,
-        )
-        timer = obs.timer("stratum.perst.row_seconds")
-        assert timer.count == root.find("stratum.perst.execute").attrs["rows"]
-
     def test_rows_written_aliases_the_registry(self, stratum):
         stats = stratum.db.stats
         obs = stratum.db.obs

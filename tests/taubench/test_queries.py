@@ -18,9 +18,9 @@ class TestSuiteShape:
             "q11", "q14", "q17", "q17b", "q19", "q20",
         ]
 
-    def test_only_q17b_perst_inapplicable(self):
+    def test_only_q8_and_q17b_perst_inapplicable(self):
         flagged = [q.name for q in ALL_QUERIES if not q.perst_applicable]
-        assert flagged == ["q17b"]
+        assert flagged == ["q8", "q17b"]
 
     def test_cursor_queries_flagged(self):
         cursored = {q.name for q in ALL_QUERIES if q.uses_cursor}

@@ -174,6 +174,50 @@ class TestPerstApplicability:
         analysis.check_perst_applicable(stmt, stratum.db.catalog, stratum.registry)
 
 
+    LAST_TITLE = """
+    CREATE FUNCTION last_title () RETURNS CHAR(100) READS SQL DATA LANGUAGE SQL
+    BEGIN
+      DECLARE t CHAR(100);
+      FOR rec AS SELECT title FROM item ORDER BY title DO
+        BODY
+      END FOR;
+      RETURN t;
+    END
+    """
+
+    @pytest.mark.parametrize(
+        "order, body, refused",
+        [
+            # q8's shape: the last row of each snapshot wins
+            ("ORDER BY title", "SET t = rec.title;", True),
+            # no order: which row is last is unspecified anyway
+            ("", "SET t = rec.title;", False),
+            # assignments local to the body start afresh per row
+            (
+                "ORDER BY title",
+                "BEGIN DECLARE u CHAR(100); SET u = rec.title; END;",
+                False,
+            ),
+        ],
+        ids=["ordered-outer", "unordered", "ordered-local"],
+    )
+    def test_ordered_for_assigning_an_outer_variable(
+        self, stratum, order, body, refused
+    ):
+        _install(stratum, self.LAST_TITLE.replace("ORDER BY title", order).replace(
+            "BODY", body
+        ))
+        stmt = parse_statement("SELECT last_title()")
+
+        def check():
+            analysis.check_perst_applicable(stmt, stratum.db.catalog, stratum.registry)
+
+        if refused:
+            with pytest.raises(PerStatementInapplicableError, match="outer variable"):
+                check()
+        else:
+            check()
+
 class TestRoutinesWithInnerModifiers:
     def test_flags_routines(self, stratum):
         stratum.db.catalog.drop_routine("get_author_name")

@@ -1,10 +1,10 @@
 """Work bound: a statement is decided and transformed once.
 
-DS1-SMALL.  The §VII-F heuristic and the cost model put their questions
-— does PERST apply, does SEQ-SET cover this — to the stratum's cached
-candidate function, and what they built is what runs.  So while one
-statement text executes 10× under AUTO and 10× under COST, each of the
-four transformation functions runs **at most once** (at the parent of
+DS1-SMALL.  The §VII-F heuristic puts its questions — does PERST
+apply, does SEQ-SET cover this — to the stratum's cached candidate
+function, and what it built is what runs.  So while one statement text
+executes 10× under AUTO, each of the four transformation functions runs
+**at most once** (at the parent of
 this change the heuristic transformed privately on every execution:
 10–11 ``compile_seqset`` / ``PerstTransformer.transform`` calls per 10
 executions), and ``stats.transforms`` is flat from the second execution
@@ -21,7 +21,6 @@ from repro.temporal import SlicingStrategy
 from repro.temporal import stratum as stratum_module
 from repro.temporal.perst_slicing import PerstTransformer
 
-DECIDING = (SlicingStrategy.AUTO, SlicingStrategy.COST)
 FUNCTIONS = (
     "compile_seqset", "transform_query_max", "transform_current", "perst_transform"
 )
@@ -96,17 +95,15 @@ def test_each_transformation_runs_at_most_once(dataset, calls, shape):
     sql, expected = statements(dataset)[shape]
     for count in calls:
         calls[count] = 0
-    for strategy in DECIDING:
-        transforms = []
-        for _ in range(10):
-            stratum.execute(sql, strategy)
-            transforms.append(stats.transforms)
-            if strategy is SlicingStrategy.AUTO and expected is not None:
-                assert stratum.last_strategy is expected
-        # nothing is built after the first execution: not by the
-        # decision, not by the clone installation's schema-version bump
-        # (COST's first may build the one candidate AUTO never asked for)
-        assert transforms[1:] == [transforms[0]] * 9
+    transforms = []
+    for _ in range(10):
+        stratum.execute(sql, SlicingStrategy.AUTO)
+        transforms.append(stats.transforms)
+        if expected is not None:
+            assert stratum.last_strategy is expected
+    # nothing is built after the first execution: not by the decision,
+    # not by the clone installation's schema-version bump
+    assert transforms[1:] == [transforms[0]] * 9
     assert all(count <= 1 for count in calls.values()), calls
     assert sum(calls.values()) >= 1
 

@@ -21,7 +21,7 @@ def test_item_author_join_work_is_bounded_by_its_result(small_dataset):
     stratum = small_dataset.stratum
     db = stratum.db
     plan = compile_seqset(db, stratum.registry, parse_statement(SEQUENCED))
-    assert plan.keyed
+    assert all(source.keys for source in plan.sources[1:])  # every level a hash join
     assert plan.residual_c is None  # zero residual evaluations
 
     def counters():

@@ -186,18 +186,6 @@ def test_auto_redecides_when_writes_cross_the_row_threshold(dataset):
     assert decided(stratum, sql) is SlicingStrategy.PERST
 
 
-def test_cost_estimates_afresh_on_every_execution(dataset):
-    stratum = dataset.stratum
-    sql = get_query("q2").sequenced_sql(dataset, *dataset.context_bounds(90))
-    estimates, hits = [], statement_cache(stratum)[0]
-    for _ in range(3):
-        stratum.execute(sql, SlicingStrategy.COST)
-        estimates.append(stratum.last_estimate)
-    assert statement_cache(stratum)[0] == hits + 2
-    assert all(estimate is not None for estimate in estimates)
-    assert estimates[1] is not estimates[0] and estimates[2] is not estimates[1]
-
-
 def test_time_travel_and_now_give_the_fresh_parse_result(dataset):
     """The clock is a literal of the transaction-currency pass, and ``now``
     where a current UPDATE closes its versions: moving either between two

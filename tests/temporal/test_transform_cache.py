@@ -72,9 +72,7 @@ class TestProbeAccounting:
     """The heuristic's questions go through the same cache: every
     candidate it asks for is a counted transform or a counted hit."""
 
-    @pytest.mark.parametrize(
-        "strategy", [SlicingStrategy.AUTO, SlicingStrategy.COST]
-    )
+    @pytest.mark.parametrize("strategy", [SlicingStrategy.AUTO])
     def test_every_probe_is_a_transform_or_a_hit(self, stratum, strategy):
         stratum.register_routine(GET_AUTHOR_NAME)
         query = (

@@ -89,6 +89,13 @@ class TestMetaCommands:
     def test_strategy(self, shell):
         assert "perst" in shell.meta(".strategy perst")
         assert "must be one of" in shell.meta(".strategy bogus")
+        assert shell.meta(".strategy cost") == (
+            "strategy must be one of: max, perst, seqset, auto"
+        )
+        assert run(shell, "SET STRATEGY cost;") == (
+            "error: unknown strategy 'cost'; expected one of:"
+            " max, perst, auto, seqset"
+        )
 
     def test_transform(self, shell):
         run(shell, "CREATE TABLE t (a INTEGER);")
@@ -207,6 +214,17 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert "statement" in out
         assert "stratum" in out
+
+    def test_strategy_cost_is_refused(self, capsys):
+        """There is one chooser: ``cost`` is no strategy name."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit):
+            main(["explain", "--strategy", "cost", self.SQL])
+        assert (
+            "invalid choice: 'cost' (choose from 'auto', 'max', 'perst', 'seqset')"
+            in capsys.readouterr().err
+        )
 
     def test_subcommand_error_exit_code(self, capsys):
         from repro.cli import main

@@ -72,7 +72,6 @@ class TestHeuristicEvaluation:
         cells = paper.fig12_context_small().cells
         result = paper.heuristic_evaluation(cells)
         assert "heuristic correct" in result.report
-        assert "cost model correct" in result.report
         assert "rule firings" in result.report
 
     def test_empty_pool(self):
