@@ -55,6 +55,9 @@ class EngineStats:
         self.rejects = self.obs.counter("engine.join.level_rejects")
         self.memo_hits = self.obs.counter("engine.routine_memo.hits")
         self.waived = self.obs.counter("engine.read_window.versions_waived")
+        # stab-shaped probes a stab structure answered (the others count
+        # as engine.stab.full_pass.<reason>)
+        self.stab_served = self.obs.counter("engine.stab.served")
         self.plans_compiled = 0
         self.plan_cache_hits = 0
         self.transforms = 0

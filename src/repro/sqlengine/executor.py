@@ -29,6 +29,7 @@ from repro.sqlengine.errors import (
     SqlError,
     TypeError_,
 )
+from repro.sqlengine.interval_index import stab_point
 from repro.sqlengine.storage import Column, Table
 from repro.sqlengine.types import SqlType, infer_type
 from repro.sqlengine.values import (
@@ -412,15 +413,20 @@ class Executor:
         """Candidate *positions* (ascending) for an interval probe with
         ``limits = [begin_min, begin_max, end_min]`` (None: no row can
         match), counted as ``engine.interval_index_hits`` /
-        ``engine.interval_rows_pruned``."""
+        ``engine.interval_rows_pruned``, and a stab as
+        ``engine.stab.served`` or ``engine.stab.full_pass.too_wide``."""
+        obs = self.db.obs
         if limits is None:
             positions: list[int] = []
         else:
             begin_min, begin_max, end_min = limits
-            positions = table.interval_index(begin_index, end_index).search_positions(
-                begin_max, end_min, begin_min
-            )
-        obs = self.db.obs
+            index = table.interval_index(begin_index, end_index)
+            positions = index.search_positions(begin_max, end_min, begin_min)
+            if stab_point(limits) is not None:
+                if index.serves_stabs():
+                    self.db.stats.stab_served.value += 1
+                else:
+                    obs.inc("engine.stab.full_pass.too_wide")
         obs.inc("engine.interval_index_hits")
         pruned = len(table.rows) - len(positions)
         if pruned:

@@ -25,17 +25,29 @@ Date begin and a NULL end can satisfy: those rows are kept aside
 Results equal a linear scan's filter over the same bounds, and
 candidates are returned in table position order to keep row order
 byte-for-byte identical too.
+
+A stab costs its output: :class:`ChangePoints` keeps, next to the
+ascending change points of some rows, each elementary segment's live
+rows for one ``(begin, end)`` pair, so the rows alive at ``p`` are one
+bisect and one list copy.  The index answers a stab probe from one built
+over its entries; the planner answers a hash bucket's stab from one
+built over the bucket (``Table.bucket_stab``).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from repro.sqlengine.values import Date
 
 _NEG_INF = -1  # below any valid day ordinal (Date.MIN_ORDINAL is 1)
 _INF = float("inf")
+
+# A stab structure is built only while its segments hold at most this
+# many rows per row it covers (DESIGN §3.5): its memory stays within a
+# few times the rows' own and its build within as many full passes.
+SPAN_LIMIT = 32
 
 
 def without(sequence, doomed: list[int]):
@@ -51,6 +63,116 @@ def without(sequence, doomed: list[int]):
     return kept
 
 
+def stab_point(limits: Optional[list]) -> Optional[int]:
+    """``p`` when probe limits ``[begin_min, begin_max, end_min]`` are
+    exactly the stab ``begin <= p < end``, else None."""
+    if limits is None:
+        return None
+    begin_min, begin_max, end_min = limits
+    if begin_min is None and begin_max is not None and end_min == begin_max + 1:
+        return begin_max
+    return None
+
+
+class ChangePoints:
+    """The day ordinals at which some of a set of rows begins or ends in
+    a set of period columns: ``points`` as a set (constant periods merge
+    several tables'), plus, on first need, the ascending form
+    :meth:`window` bisects.
+
+    As a *stab structure* it also holds ``live`` (:meth:`fill`): for each
+    elementary segment ``i`` — ``[ascending[i - 1], ascending[i])``,
+    unbounded past either end — the items of the rows alive there under
+    one ``(begin, end)`` pair, in table order.  No row's ``begin <= p <
+    end`` verdict changes inside a segment, so the rows alive at a point
+    are one bisect and one list copy (:meth:`alive`).  ``live`` stays
+    None when the segments would hold more than :data:`SPAN_LIMIT` items
+    per row.  Nothing edits a filled structure: a delta drops it.
+    """
+
+    __slots__ = ("points", "_ascending", "live")
+
+    def __init__(self, points: frozenset) -> None:
+        self.points = points
+        self._ascending: Optional[list[int]] = None
+        self.live: Optional[list[list]] = None
+
+    @classmethod
+    def of(cls, rows: list, columns: tuple, pair: Optional[tuple] = None) -> "ChangePoints":
+        """Every Date in ``columns`` of ``rows`` — one whose opposite
+        bound is NULL too, matching
+        :func:`repro.temporal.period.collect_change_points` — and, given
+        a ``pair`` among them, the stab structure of ``rows`` under it."""
+        points: set[int] = set()
+        for row in rows:
+            for index in columns:
+                value = row[index]
+                if isinstance(value, Date):
+                    points.add(value.ordinal)
+        structure = cls(frozenset(points))
+        if pair is not None:
+            begin, end = pair
+            structure.fill(
+                (
+                    (row[begin].ordinal, row[end].ordinal, row) for row in rows
+                    if isinstance(row[begin], Date) and isinstance(row[end], Date)
+                ),
+                len(rows),
+            )
+        return structure
+
+    def window(self, point: int) -> tuple:
+        """``(lo, hi)``: the nearest change point at or before ``point``
+        and the nearest after it (∓inf where there is none).  No row's
+        ``begin <= p < end`` verdict differs between two ``p`` of
+        ``[lo, hi)``."""
+        ascending = self._ascending
+        if ascending is None:
+            ascending = self._ascending = sorted(self.points)
+        after = bisect_right(ascending, point)
+        return (
+            ascending[after - 1] if after else -_INF,
+            ascending[after] if after < len(ascending) else _INF,
+        )
+
+    def fill(self, entries: Iterable[tuple], rows: int) -> "ChangePoints":
+        """Set ``live`` from ``entries``, ``(begin, end, item)`` for each
+        row whose bounds are both Dates (as ordinals, each one of the
+        points), in table order — unless the segments would hold more
+        than ``SPAN_LIMIT * rows`` items.  Returns the structure."""
+        ascending = self._ascending
+        if ascending is None:
+            ascending = self._ascending = sorted(self.points)
+        spans = []
+        total = 0
+        for begin, end, item in entries:
+            first = bisect_right(ascending, begin)
+            last = bisect_right(ascending, end)
+            if first < last:  # an empty or inverted period is alive nowhere
+                spans.append((first, last, item))
+                total += last - first
+        if total <= SPAN_LIMIT * rows:
+            live: list[list] = [[] for _ in range(len(ascending) + 1)]
+            for first, last, item in spans:
+                for segment in live[first:last]:
+                    segment.append(item)
+            self.live = live
+        return self
+
+    def alive(self, point: int, window: Optional[list] = None) -> list:
+        """A fresh list of the filled items alive at ``point``; an open
+        read ``window`` ``[lo, hi, point]`` is narrowed to the segment
+        around it (:meth:`window`)."""
+        ascending = self._ascending  # sorted by fill
+        at = bisect_right(ascending, point)
+        if window is not None:
+            if at and ascending[at - 1] > window[0]:
+                window[0] = ascending[at - 1]
+            if at < len(ascending) and ascending[at] < window[1]:
+                window[1] = ascending[at]
+        return self.live[at][:]
+
+
 class IntervalIndex:
     """Index over one ``(begin, end)`` column pair of a table.
 
@@ -59,14 +181,15 @@ class IntervalIndex:
     :meth:`Table.interval_index`): :meth:`add` follows an appended row,
     :meth:`set_end` a changed end bound, :meth:`remove` deleted
     positions.  Every delta only edits the begin-sorted entry lists; the
-    max-end tree over them is rebuilt by the next search.  Searches
-    return fresh lists, so a caller holding hits never sees them change.
+    max-end tree over them is rebuilt by the next search, the stab
+    structure by the next stab.  Searches return fresh lists, so a caller
+    holding hits never sees them change.
     """
 
     __slots__ = (
         "begin_index", "end_index", "entry_count", "total_rows",
         "_begins", "_positions", "_rows", "_ends", "_tree",
-        "_open_begins", "_open_positions",
+        "_open_begins", "_open_positions", "_stab",
     )
 
     def __init__(self, rows: list[list[Any]], begin_index: int, end_index: int) -> None:
@@ -92,6 +215,7 @@ class IntervalIndex:
         self._ends = [entry[2] for entry in entries]
         self._rows = [entry[3] for entry in entries]
         self._tree: Optional[list[int]] = None
+        self._stab: Optional[ChangePoints] = None
 
     def _max_end_tree(self) -> list[int]:
         """The segment tree over the begin-sorted entries (heap layout,
@@ -133,7 +257,7 @@ class IntervalIndex:
             self._ends.insert(at, end.ordinal)
             self._rows.insert(at, row)
             self.entry_count += 1
-            self._tree = None
+            self._tree = self._stab = None
         else:
             self._open_begins.append(begin.ordinal)
             self._open_positions.append(position)
@@ -148,7 +272,7 @@ class IntervalIndex:
         if at == hi or self._positions[at] != position:
             return False
         self._ends[at] = end
-        self._tree = None
+        self._tree = self._stab = None
         return True
 
     def remove(self, doomed: list[int]) -> None:
@@ -179,7 +303,7 @@ class IntervalIndex:
                 position - bisect_left(doomed, position) for _, position in kept
             ]
         self.total_rows -= len(doomed)
-        self._tree = None
+        self._tree = self._stab = None
 
     # -- queries ------------------------------------------------------------
 
@@ -236,7 +360,11 @@ class IntervalIndex:
         """Table positions (ascending) of the rows with ``begin_min <=
         begin <= begin_max AND end >= end_min``, any bound None meaning
         absent — the planner's probe.  Without ``end_min`` a row whose
-        end is NULL qualifies on its begin alone."""
+        end is NULL qualifies on its begin alone.  A stab is answered
+        by the stab structure when it is within its size guard."""
+        point = stab_point([begin_min, begin_max, end_min])
+        if point is not None and self.serves_stabs():
+            return self._stab.alive(point)
         positions = self._positions
         found = [
             positions[i] for i in self._search_hits(begin_max, end_min, begin_min)
@@ -251,6 +379,19 @@ class IntervalIndex:
             ]
             found.sort()
         return found
+
+    def serves_stabs(self) -> bool:
+        """Does the stab structure over the entries (positions, built on
+        first need) fit :data:`SPAN_LIMIT`?"""
+        stab = self._stab
+        if stab is None:
+            begins, ends = self._begins, self._ends
+            by_position = sorted(zip(self._positions, begins, ends))
+            stab = self._stab = ChangePoints(frozenset(begins) | frozenset(ends)).fill(
+                ((begin, end, position) for position, begin, end in by_position),
+                self.total_rows,
+            )
+        return stab.live is not None
 
     def stab(self, point: int) -> list[list[Any]]:
         """Rows alive at ``point``: ``begin <= point AND point < end``."""

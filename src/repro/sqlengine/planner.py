@@ -81,6 +81,7 @@ from repro.sqlengine.exprcompile import (
     compile_expression,
     compile_grouped,
 )
+from repro.sqlengine.interval_index import stab_point
 from repro.sqlengine.storage import _column_kind
 from repro.sqlengine.values import Date, Null, sort_key, truth
 
@@ -123,7 +124,7 @@ class _Scan:
             (table.column_index(b), table.column_index(e), b, e)
             for b, e in table.interval_pairs
         ]
-        self.period_columns = [index for pair in self.pairs for index in pair[:2]]
+        self.period_columns = tuple(index for pair in self.pairs for index in pair[:2])
         self.batch = batch
 
     def validate(self, executor: Executor, env: Env):
@@ -166,25 +167,21 @@ def _narrow_by_table(window: list, pairs: list, table) -> None:
     narrow to the table's change points around the point."""
     for begin_index, end_index, _, _ in pairs:
         lo, hi = table.change_window(begin_index, end_index, window[2])
-        if lo > window[0]:
-            window[0] = lo
-        if hi < window[1]:
-            window[1] = hi
+        window[0], window[1] = max(window[0], lo), min(window[1], hi)
 
 
 def _bucket_versions(
-    rows: list, level: "_Level", vector: list, window: Optional[list], stats
+    table, bucket, rows: list, level: "_Level", vector: list, window: Optional[list], stats
 ) -> list:
-    """One pass over a hash probe's bucket ``rows`` (table order): keep
-    the versions whose bounds are Dates inside the ``level``'s period
-    limits (all of them without a period, none under a NULL limit) and,
-    with a read ``window`` open, narrow it to the bounds of every
-    version around its point — the key does not depend on the point, so
-    exactly the bucket is examined, and a version the limits reject must
-    stay rejected over the whole window too — but for a version whose
-    bounds would tighten it and that a point-free filter of the
-    ``level`` rejects: the level emits it at no point (counted in
-    ``engine.read_window.versions_waived``)."""
+    """The versions of a hash probe's ``bucket`` (``rows``, table order)
+    whose bounds are Dates inside the ``level``'s period limits (all
+    without a period, none under a NULL limit).  A stab takes them from
+    ``Table.bucket_stab`` unless a read window is open at another point,
+    a point-free filter could waive or the structure is too wide; else
+    one pass narrows an open ``window`` to the bounds of every version
+    around its point, but for a version that would tighten it and that a
+    point-free filter of the ``level`` rejects: the level emits it at no
+    point (``engine.read_window.versions_waived``)."""
     period, columns = level.period, level.node.period_columns
     narrow = window is not None and bool(columns)
     if narrow:
@@ -196,6 +193,16 @@ def _bucket_versions(
     if period is not None:
         begin_index, end_index = period.begin_index, period.end_index
         limits = period.limits(vector)
+        at = stab_point(limits)
+        if at is not None and rows:
+            reason = "window_point" if narrow and at != point else "point_free_filter"
+            if not (narrow and (at != point or free)):
+                stab = table.bucket_stab(level.key[0], bucket, begin_index, end_index, columns)
+                if stab.live is not None:
+                    stats.stab_served.value += 1
+                    return stab.alive(at, window if narrow else None)
+                reason = "too_wide"
+            stats.obs.inc("engine.stab.full_pass." + reason)
         if limits is None:
             test_begin, begin_min, begin_max = True, _INF, -_INF
         else:
@@ -556,14 +563,11 @@ class _Level:
         if self.key is not None:
             column, a, b = self.key
             value = vector[a][b]
-            rows = (
-                [] if value is Null
-                else table.hash_index(column).get(sort_key(value), [])
-            )
+            bucket = None if value is Null else sort_key(value)
+            rows = [] if bucket is None else table.hash_index(column).get(bucket, [])
             stats = db.stats
-            versions = _bucket_versions(rows, self, vector, window, stats)
-            if len(versions) < len(rows):
-                stats.pruned.value += len(rows) - len(versions)
+            versions = _bucket_versions(table, bucket, rows, self, vector, window, stats)
+            stats.pruned.value += len(rows) - len(versions)
             stats.scanned.value += len(versions)
             return versions, False
         if window is not None and self.node.pairs:
@@ -586,9 +590,7 @@ class _Level:
             positions = executor._interval_candidate_positions(
                 table, period.begin_index, period.end_index, period.limits(vector)
             )
-        db.stats.scanned.value += (
-            len(table_rows) if positions is None else len(positions)
-        )
+        db.stats.scanned.value += len(table_rows if positions is None else positions)
         if batch is not None:
             scanned = range(len(table_rows)) if positions is None else positions
             selected = batch.apply(table, scanned, env)

@@ -40,7 +40,8 @@ from repro.sqlengine.errors import (
 )
 from repro.sqlengine.executor import Env, Executor, ResultSet
 from repro.sqlengine.exprcompile import FrameLayout, compile_expression
-from repro.sqlengine.storage import _INF, Column, Table
+from repro.sqlengine.interval_index import _INF
+from repro.sqlengine.storage import Column, Table
 from repro.sqlengine.types import coerce
 from repro.sqlengine.values import Date, Null, compare, sort_key
 

@@ -19,11 +19,10 @@ of looping rows.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.sqlengine.errors import CatalogError, ExecutionError
-from repro.sqlengine.interval_index import IntervalIndex, without
+from repro.sqlengine.interval_index import ChangePoints, IntervalIndex, without
 from repro.sqlengine.types import SqlType, coerce
 from repro.sqlengine.values import Date, Null, sort_key
 
@@ -213,36 +212,6 @@ class ColumnStore:
         return sum(vector.bytes_resident() for vector in self.vectors)
 
 
-_INF = float("inf")
-
-
-class ChangePoints:
-    """The day ordinals at which some row of a period column pair
-    begins or ends: ``points`` as a set (constant periods merge several
-    tables'), plus, on first need, the ascending form :meth:`window`
-    bisects."""
-
-    __slots__ = ("points", "_ascending")
-
-    def __init__(self, points: frozenset) -> None:
-        self.points = points
-        self._ascending: Optional[list[int]] = None
-
-    def window(self, point: int) -> tuple:
-        """``(lo, hi)``: the nearest change point at or before ``point``
-        and the nearest after it (∓inf where there is none).  No row's
-        ``begin <= p < end`` verdict differs between two ``p`` of
-        ``[lo, hi)``."""
-        ascending = self._ascending
-        if ascending is None:
-            ascending = self._ascending = sorted(self.points)
-        after = bisect_right(ascending, point)
-        return (
-            ascending[after - 1] if after else -_INF,
-            ascending[after] if after < len(ascending) else _INF,
-        )
-
-
 # -- deltas -------------------------------------------------------------------
 # One function per mutation shape.  Each receives a derived structure
 # that was valid just before the mutation (its key names the kind, see
@@ -251,6 +220,14 @@ class ChangePoints:
 
 _COLUMNAR = ("columnar",)
 _POSITIONS = ("positions",)
+
+
+def _drop_buckets(key: tuple, structure: dict, values: list) -> None:
+    """A stab key's buckets of the hash ``values`` rebuild on their next
+    stab: the buckets map is edited, the stab structures never are."""
+    for value in values:
+        if value is not Null:
+            structure.pop(sort_key(value), None)
 
 
 def _append_delta(key: tuple, structure: Any, row: list[Any], position: int) -> Any:
@@ -273,6 +250,8 @@ def _append_delta(key: tuple, structure: Any, row: list[Any], position: int) -> 
             structure = ChangePoints(structure.points | points)
     elif kind == "columnar":
         structure.append(row)
+    elif kind == "stab":
+        _drop_buckets(key, structure, [row[key[1]]])
     else:
         structure[id(row)] = position
     return structure
@@ -295,6 +274,11 @@ def _update_delta(key: tuple, structure: Any, touched: list) -> Any:
                 # the row stays in its bucket only under an equal key
                 if old is Null or new is Null or sort_key(old) != sort_key(new):
                     return None
+            elif kind == "stab":
+                # the row's bucket, and under a changed key the one it left
+                _drop_buckets(
+                    key, structure, [row[key[1]], old if column == key[1] else Null]
+                )
             elif not (isinstance(old, Date) and isinstance(new, Date)):
                 return None  # a non-Date bound: the row enters or leaves
             elif old.ordinal != new.ordinal:
@@ -329,6 +313,8 @@ def _delete_delta(key: tuple, structure: Any, doomed: list[int], rows: list) -> 
     elif kind == "columnar":
         if not structure.delete(doomed):
             return None
+    elif kind == "stab":
+        _drop_buckets(key, structure, [row[key[1]] for row in rows])
     else:
         return None  # change points, positions: cheap to rebuild
     return structure
@@ -346,20 +332,22 @@ class Table:
     pay nothing.
 
     **Derived structures** — hash indexes, interval indexes,
-    change-point sets, the column store and the row-position map — are
-    built lazily from ``rows`` by the accessor methods below (the only
-    build code) and held in ``_derived`` as ``key -> (version, row
-    count, structure)``.  One rule decides validity: *a structure is
-    valid at* ``table.version`` *because it was built there or because
-    every mutation since was applied to it as a delta*.  Each primitive
-    changes the rows, bumps ``version`` and then carries the structures
-    that were valid just before: ``append_row``, ``update_rows`` and
-    ``delete_rows`` apply their row delta and re-tag last; what a delta
-    cannot express (a changed hash key or begin bound, a non-Date bound,
-    a slot a degraded vector cannot take) drops that structure, and
-    ``replace_rows``, ``add_column`` and any edit of ``rows`` behind the
-    primitives' back (tests) carry nothing, so the next accessor
-    rebuilds.  These five are the only row writers: statements, crash
+    change-point sets, per-bucket stab structures, the column store and
+    the row-position map — are built lazily from ``rows`` by the
+    accessor methods below (the only build code) and held in
+    ``_derived`` as ``key -> (version, row count, structure)``.  One
+    rule decides validity: *a structure is valid at* ``table.version``
+    *because it was built there or because every mutation since was
+    applied to it as a delta*.  Each primitive changes the rows, bumps
+    ``version`` and then carries the structures that were valid just
+    before: ``append_row``, ``update_rows`` and ``delete_rows`` apply
+    their row delta and re-tag last; what a delta cannot express (a
+    changed hash key or begin bound, a non-Date bound, a slot a degraded
+    vector cannot take) drops that structure — or, for the stab buckets,
+    the buckets of the rows it touched — and ``replace_rows``,
+    ``add_column`` and any edit of ``rows`` behind the primitives' back
+    (tests) carry nothing, so the next accessor rebuilds.  These five
+    are the only row writers: statements, crash
     recovery and standby replay all call them (see
     :mod:`repro.sqlengine.recovery`).  Readers are never disturbed: a
     hash bucket is replaced, never grown or shrunk in place, and index
@@ -387,7 +375,8 @@ class Table:
         self.version = 0
         # key -> (version, row count, structure), keys ("hash", column),
         # ("interval", begin, end), ("change_points", begin, end),
-        # ("columnar",), ("positions",) — see the class docstring
+        # ("stab", column, begin, end, *period columns), ("columnar",),
+        # ("positions",) — see the class docstring
         self._derived: dict[tuple, tuple[int, int, Any]] = {}
         # declared (begin, end) period column pairs, eligible for
         # interval-index scans
@@ -740,15 +729,9 @@ class Table:
         key = ("change_points", begin_index, end_index)
         structure = self._current(key)
         if structure is None:
-            points: set[int] = set()
-            for row in self.rows:
-                begin = row[begin_index]
-                end = row[end_index]
-                if isinstance(begin, Date):
-                    points.add(begin.ordinal)
-                if isinstance(end, Date):
-                    points.add(end.ordinal)
-            structure = self._built(key, ChangePoints(frozenset(points)))
+            structure = self._built(
+                key, ChangePoints.of(self.rows, (begin_index, end_index))
+            )
         return structure
 
     def change_points(self, begin_index: int, end_index: int) -> frozenset[int]:
@@ -764,6 +747,30 @@ class Table:
         """The ``[lo, hi)`` around ``point`` in which no row of the pair
         begins or ends (see :meth:`ChangePoints.window`)."""
         return self._change_points(begin_index, end_index).window(point)
+
+    def bucket_stab(
+        self, column: int, bucket: tuple, begin_index: int, end_index: int,
+        columns: tuple,
+    ) -> ChangePoints:
+        """The stab structure over ``hash_index(column)[bucket]``: the
+        change points of the period ``columns`` (every declared pair's,
+        so a segment is the read window the bucket's versions allow) and
+        the rows alive in each segment under the ``(begin, end)`` pair.
+        Its ``live`` is None beyond the size guard.  One derived entry per
+        key column and pair maps buckets to structures, built on a
+        bucket's first stab; a delta drops the buckets whose rows it
+        touched."""
+        key = ("stab", column, begin_index, end_index, *columns)
+        buckets = self._current(key)
+        if buckets is None:
+            buckets = self._built(key, {})
+        structure = buckets.get(bucket)
+        if structure is None:
+            structure = buckets[bucket] = ChangePoints.of(
+                self.hash_index(column).get(bucket, []), columns,
+                (begin_index, end_index),
+            )
+        return structure
 
     def clone_empty(self, name: Optional[str] = None) -> "Table":
         """A new empty table with the same column layout."""

@@ -7,8 +7,10 @@ docstring).  The property here: after *any* sequence of primitives —
 interleaved with savepoints, rollbacks and a second MVCC session — every
 structure a reader can obtain equals a from-scratch build over the same
 rows, and a bucket or hit list a reader fetched *before* a step is
-unchanged after it.  Three mutants (a skipped position shift, a skipped
-NULL count, an in-place bucket append) must each fail the property.
+unchanged after it.  Four mutants (a skipped position shift, a skipped
+NULL count, an in-place bucket append, a bucket's stab structure
+validated by the bucket list's identity only) must each fail the
+property.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 from repro.sqlengine import Database
 from repro.sqlengine import interval_index, storage
 from repro.sqlengine.errors import SqlError
+from repro.sqlengine.interval_index import ChangePoints
 from repro.sqlengine.storage import Column, Table
 from repro.sqlengine.types import SqlType
 from repro.sqlengine.values import Date, Null, sort_key
@@ -93,6 +96,16 @@ def ids(rows) -> list[int]:
 
 
 PROBES = [(99, 100), (100, 101), (103, 105), (106, 104), (110, 109), (4000000, 1)]
+STABS = (99, 100, 103, 104, 106, 107, 3652058, 3652059)
+
+
+def bucket_stabs(table: Table) -> dict:
+    """The stab structure of every bucket of the first column under the
+    first declared pair."""
+    pair = tuple(map(table.column_index, table.interval_pairs[0]))
+    return {
+        bucket: table.bucket_stab(0, bucket, *pair, pair) for bucket in table.hash_index(0)
+    }
 
 
 def image(table: Table) -> dict:
@@ -117,8 +130,18 @@ def image(table: Table) -> dict:
             ],
             [ids(index.stab(point)) for point in (100, 103, 107)],
             [ids(index.overlaps(lo, hi)) for lo, hi in ((100, 104), (105, 200))],
+            index.serves_stabs(),
+            [index.search_positions(point, point + 1) for point in STABS],
         )
         out["change_points"] = table.change_points(begin, end)
+        out["stab"] = {
+            bucket: (
+                sorted(structure.points),
+                structure.live and [ids(segment) for segment in structure.live],
+                [structure.window(point) for point in STABS],
+            )
+            for bucket, structure in bucket_stabs(table).items()
+        }
     store = table.column_store()
     out["columnar"] = (store.row_count, [
         (v.kind, list(v.data), bytes(v.valid), v.nulls, v.degraded)
@@ -143,6 +166,10 @@ def held_by_a_reader(table: Table) -> list[tuple[list, list[int]]]:
     held += [bucket for bucket in table.hash_index(C).values()]
     index = table.interval_index(B, E)
     held += [index.search(*PROBES[2]), index.stab(103), index.search_positions(*PROBES[2])]
+    held += [index.search_positions(103, 104)]
+    for structure in bucket_stabs(table).values():
+        if structure.live is not None:
+            held += structure.live + [structure.alive(103)]
     return [(fetched, list(fetched)) for fetched in held]
 
 
@@ -353,10 +380,26 @@ def _bucket_grown_in_place(key, structure, row, position):
     return _real_append_delta(key, structure, row, position)
 
 
+_STABS_BY_BUCKET: dict = {}
+
+
+def _stab_validated_by_bucket_identity(self, column, bucket, begin, end, columns):
+    """Keeps a bucket's structure while the bucket list is the same
+    object: an in-place bound change keeps the list and goes unseen."""
+    rows = self.hash_index(column).get(bucket, [])
+    held = _STABS_BY_BUCKET.get((id(rows), begin, end, columns))
+    if held is None or held[0] is not rows:
+        held = _STABS_BY_BUCKET[id(rows), begin, end, columns] = (
+            rows, ChangePoints.of(rows, columns, (begin, end))
+        )
+    return held[1]
+
+
 @pytest.mark.parametrize("target,name,mutant", [
     (interval_index.IntervalIndex, "remove", _no_position_shift),
     (storage.ColumnVector, "set", _no_null_count),
     (storage, "_append_delta", _bucket_grown_in_place),
+    (Table, "bucket_stab", _stab_validated_by_bucket_identity),
 ])
 def test_a_broken_delta_fails_the_property(monkeypatch, target, name, mutant):
     monkeypatch.setattr(target, name, mutant)
@@ -366,6 +409,36 @@ def test_a_broken_delta_fails_the_property(monkeypatch, target, name, mutant):
     )(given(ops=SEQUENCES)(run))
     with pytest.raises(AssertionError):
         prop()
+
+
+def test_a_stab_after_an_in_place_bound_change():
+    """A NONSEQUENCED UPDATE closes ``a``'s version in place: the row
+    stays in its bucket (same list object), so only the update delta can
+    tell the bucket's stab structure that ``a`` is no longer alive at
+    2012-06-01."""
+    from repro.temporal import TemporalStratum
+
+    stratum = TemporalStratum()
+    db = stratum.db
+    db.execute("CREATE TABLE p (emp CHAR(4), sal INTEGER)")
+    stratum.execute("ALTER TABLE p ADD VALIDTIME")
+    db.insert_rows("p", [
+        ["a", 1, Date.from_iso("2010-01-01"), Date.from_iso("9999-12-31")],
+        ["b", 2, Date.from_iso("2010-03-01"), Date.from_iso("2011-01-01")],
+    ])
+    stab = (
+        "SELECT emp, sal FROM p WHERE emp = 'a'"
+        " AND begin_time <= DATE '2012-06-01' AND DATE '2012-06-01' < end_time"
+    )
+    served = db.obs.value("engine.stab.served")
+    assert [tuple(row) for row in db.execute(stab).rows] == [("a", 1)]
+    stratum.execute(
+        "NONSEQUENCED VALIDTIME UPDATE p SET end_time = DATE '2011-01-01'"
+        " WHERE emp = 'a'"
+    )
+    assert db.execute(stab).rows == []
+    assert db.obs.value("engine.stab.served") == served + 2
+    assert_from_scratch(db.table("p"))
 
 
 # -- writes under a reader, writes under a write ------------------------------

@@ -75,6 +75,33 @@ class TestIntervalIndex:
         assert index.stab(200) == [rows[2]]
         assert index.stab(99) == []
 
+    def test_stab_positions_from_the_stab_structure(self):
+        """A stab probe is answered from the per-segment lists — rows
+        alive at every point, in table order, as the tree walk finds
+        them — while the segments stay within the size guard."""
+        rng = random.Random(13)
+        rows = make_rows(rng, 200)
+        index = IntervalIndex(rows, 0, 1)
+        assert index.serves_stabs()
+        positions = range(len(rows))
+        for point in range(730000 - 5, 730000 + 470):
+            alive = [
+                p for p in positions
+                if isinstance(rows[p][0], Date) and isinstance(rows[p][1], Date)
+                and rows[p][0].ordinal <= point < rows[p][1].ordinal
+            ]
+            assert index.search_positions(point, point + 1) == alive
+
+    def test_a_wide_history_keeps_the_tree_walk(self):
+        """Row ``i`` over ``[i, forever)``: row ``i`` lives in ``n - i``
+        segments, n²/2 in all, past the size guard — the structure is not
+        built and a stab walks the tree, with the same answer."""
+        n = 100
+        rows = [[Date(1000 + i), Date(3652059)] for i in range(n)]
+        index = IntervalIndex(rows, 0, 1)
+        assert not index.serves_stabs()
+        assert index.search_positions(1000 + 49, 1000 + 50) == list(range(50))
+
     def test_overlaps(self):
         rows = [
             [Date(100), Date(200)],

@@ -41,16 +41,24 @@ sides — over histories with NULL and forever bounds, zero-length,
 duplicate and equal-begin versions.  Whether a keyless level runs the
 batch kernels or the row-at-a-time filters follows from the statement:
 the shapes with a partial conjunct beside the bounds take the row path.
+
+``STAB`` holds the probes a stab structure may answer (``begin <= p <
+end`` with a key or without) beside ones it must not (other limits, a
+point-free filter under an open read window, a window open at another
+point), on a table with two declared period pairs.  The stab path must
+equal the full pass it replaces — rows and order, the narrowed window
+and every work counter — and be taken exactly where it is allowed.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.sqlengine import Database
+from repro.sqlengine.interval_index import ChangePoints
 from repro.sqlengine.errors import SqlError
 from repro.sqlengine.parser import parse_statement
 from repro.sqlengine.planner import _BEGIN_FROM, build_select_plan
-from repro.sqlengine.values import Null
+from repro.sqlengine.values import Date, Null
 from tests.reference_executor import installed
 
 INTS = st.sampled_from([Null, 0, 1, 1, 2])
@@ -748,3 +756,106 @@ def test_a_plan_is_invalidated_between_two_invocations():
     assert outcomes[0] == outcomes[2] == ("rows", [[[1, 1, 5], [2, 1, 6], [2, 1, 7]]])
     assert outcomes[1][0] == "error"
     assert db.obs.value("engine.plan_invalidated") == 2
+
+
+# -- the stab path ≡ the full pass ---------------------------------------------
+
+STAB_BASE = Date.from_iso("2010-01-01").ordinal
+STAB_BOUNDS = st.sampled_from([Null, 0, 1, 2, 3, 4, 5, Date.MAX_ORDINAL - STAB_BASE])
+rows_h = st.lists(
+    st.tuples(st.sampled_from([Null, 0, 1, 2]), INTS, STAB_BOUNDS, STAB_BOUNDS,
+              STAB_BOUNDS, STAB_BOUNDS),
+    max_size=8,
+)
+STAB_POINTS = [-1, 1, 3, Date.MAX_ORDINAL - STAB_BASE - 1]
+# (SQL over {k} and the days {p}, {q} = {p} + 1; a stab?; keyed?; a
+# point-free filter?)
+STAB = [
+    ("SELECT v FROM h WHERE k = {k} AND vb <= {p} AND {p} < ve", True, True, False),
+    ("SELECT v, tb FROM h WHERE te > {p} AND k = {k} AND tb <= {p}", True, True, False),
+    ("SELECT v FROM h WHERE k = {k} AND vb <= {p} AND {p} < ve AND v > 0",
+     True, True, True),
+    ("SELECT v FROM h WHERE k = {k} AND vb <= {p} AND {q} < ve", False, True, False),
+    ("SELECT v FROM h WHERE k = {k} AND vb >= {p} AND {p} < ve", False, True, False),
+    ("SELECT v FROM h WHERE k = {k} AND vb < {q}", False, True, False),
+    ("SELECT v FROM h WHERE vb <= {p} AND {p} < ve", True, False, False),
+    ("SELECT v FROM h WHERE tb <= {p} AND {p} < te AND v > 0", True, False, True),
+    ("SELECT v FROM h WHERE vb <= {p} AND {q} < ve", False, False, False),
+    ("SELECT v FROM h WHERE vb <= {p} AND {q} <= ve", True, False, False),
+]
+STAB_COUNTERS = [
+    "engine.rows_scanned", "engine.period_probe.rows_pruned",
+    "engine.interval_rows_pruned", "engine.read_window.versions_waived",
+    "engine.stab.served", "engine.stab.full_pass.too_wide",
+    "engine.stab.full_pass.window_point", "engine.stab.full_pass.point_free_filter",
+]
+
+
+def build_h(rows) -> Database:
+    db = Database()
+    db.execute("CREATE TABLE h (k INTEGER, v INTEGER, vb DATE, ve DATE, tb DATE, te DATE)")
+    table = db.catalog.get_table("h")
+    table.declare_interval("vb", "ve")
+    table.declare_interval("tb", "te")
+    for row in rows:
+        table.insert(list(row[:2]) + [
+            bound if bound is Null else Date(STAB_BASE + bound) for bound in row[2:]
+        ])
+    return db
+
+
+def stab_run(db, sql, window) -> tuple:
+    """Rows, the read window after the statement and the counter deltas."""
+    before = [db.obs.value(name) for name in STAB_COUNTERS]
+    db.read_window = None if window is None else list(window)
+    try:
+        rows = db.execute(sql).rows
+        narrowed = db.read_window
+    finally:
+        db.read_window = None
+    return rows, narrowed, [
+        db.obs.value(name) - then for name, then in zip(STAB_COUNTERS, before)
+    ]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(rows=rows_h, duplicates=st.integers(0, 3))
+def test_the_stab_path_equals_the_full_pass(rows, duplicates):
+    rows = rows + rows[:duplicates]
+    stab, full = build_h(rows), build_h(rows)
+    inf = float("inf")
+    for offset in STAB_POINTS:
+        point = STAB_BASE + offset
+        days = {
+            name: f"DATE '{Date(STAB_BASE + day).to_iso()}'"
+            for name, day in (("p", offset), ("q", offset + 1))
+        }
+        windows = [None, (-inf, inf, point), (point - 1, point + 2, point),
+                   (-inf, inf, point + 1)]
+        for template, stabs, keyed, free in STAB:
+            for k in (0, 3) if keyed else (0,):
+                sql = template.format(k=k, **days)
+                for window in windows:
+                    with pytest.MonkeyPatch.context() as patch:
+                        # every structure too wide: the full pass everywhere
+                        patch.setattr(ChangePoints, "fill", lambda self, entries, n: self)
+                        *expected, full_counts = stab_run(full, sql, window)
+                    *found, counts = stab_run(stab, sql, window)
+                    assert found == expected, (sql, window)
+                    assert counts[:4] == full_counts[:4], (sql, window)
+                    # where the stab path is taken, and why not elsewhere
+                    served = window_point = free_filter = 0
+                    probed = not keyed or any(row[0] == k for row in rows)
+                    if stabs and probed:
+                        if not keyed or window is None:
+                            served = 1
+                        elif window[2] != point:
+                            window_point = 1
+                        elif free:
+                            free_filter = 1
+                        else:
+                            served = 1
+                    assert counts[4:] == [served, 0, window_point, free_filter], (
+                        sql, window
+                    )
+                    assert full_counts[4] == 0
