@@ -282,7 +282,7 @@ def _engine_plan_lines(db: "Database", stmt: ast.Statement) -> list[str]:
         from repro.sqlengine.planner import build_dml_plan as build
     else:
         return []
-    hit, plan = db.plan_cache.fetch(stmt, db.catalog.schema_version)
+    hit, plan = db.plan_cache.fetch(stmt, db.catalog)
     if not hit:
         try:
             plan = build(db.executor, stmt, None)

@@ -443,11 +443,7 @@ class StandbyApplier:
             manager.snapshot_path.unlink()
         manager.reset_wal_raw(generation)
         # wipe in-memory state: catalog, registries, caches, chains
-        catalog = db.catalog
-        catalog._tables.clear()
-        catalog._views.clear()
-        catalog._routines.clear()
-        catalog.schema_version += 1
+        db.catalog.clear()
         stratum = manager.stratum
         if stratum is not None:
             for registry in (stratum.registry, stratum.tt_registry):

@@ -143,6 +143,14 @@ class Catalog:
         # routine table variables) churn once per sequenced execution and
         # are exempt — plans validate their schema at run time instead.
         self.schema_version = 0
+        # per name, the schema version its last change left — tables and
+        # views share one namespace, routines have their own — and the
+        # version of the last change that covered every name (``clear``).
+        # A rollback restores ``schema_version`` but lowers none of these,
+        # so a name's stamp may exceed the version (:meth:`unchanged_since`).
+        self._relation_stamps: dict[str, int] = {}
+        self._routine_stamps: dict[str, int] = {}
+        self._floor = 0
 
     def _guard(self, site: str, name: str, entry_tag: str, key: str, old: object) -> None:
         """Fault-check then log one catalog mutation's inverse."""
@@ -161,14 +169,61 @@ class Catalog:
         if txn is not None and txn.mvcc.multi:
             txn.mvcc.claim_schema(txn)
 
-    def note_schema_change(self) -> None:
-        """Invalidate compiled plans after an out-of-band schema change
-        (e.g. the stratum appending timestamp columns for ADD VALIDTIME)."""
+    def note_schema_change(self, name: str) -> None:
+        """Invalidate what was compiled against table ``name`` after an
+        out-of-band change to its shape (the stratum appending timestamp
+        columns for ADD VALIDTIME)."""
         self._claim_schema()
         txn = self.txn
         if txn is not None and txn.logging:
             txn.log.append(("cat_schema", self, self.schema_version))
+        self._stamp(self._relation_stamps, name.lower())
+
+    def clear(self) -> None:
+        """Forget every table, view and routine, unlogged (a standby
+        adopting a shipped snapshot): nothing compiled before stays valid."""
+        for names in (self._tables, self._views, self._routines,
+                      self._relation_stamps, self._routine_stamps):
+            names.clear()
         self.schema_version += 1
+        self._floor = self.schema_version
+
+    def _stamp(self, stamps: dict, key: str) -> None:
+        """Move the schema version for a change to ``key``."""
+        self.schema_version += 1
+        stamps[key] = self.schema_version
+
+    def unchanged_since(self, stamp: int, root: ast.Node) -> bool:
+        """Does everything ``root`` reaches still read as it did at schema
+        version ``stamp``?  Walks from ``root`` through view bodies and
+        :attr:`Routine.facts` in the catalog as it is now, and is False
+        as soon as a name met — one that resolves to nothing included: a
+        routine created under it shadows a built-in — changed after
+        ``stamp``.  The root's names are its own; a view or routine
+        unchanged since ``stamp`` has the body it had then, so this walk
+        meets exactly the names a walk at ``stamp`` would have met."""
+        if stamp < self._floor:
+            return False
+        relations: set[str] = set()
+        calls: set[str] = set()
+        pending = [body_facts(root)]
+        while pending:
+            facts = pending.pop()
+            for name in (facts.tables | facts.writes) - relations:
+                if self._relation_stamps.get(name, 0) > stamp:
+                    return False
+                relations.add(name)
+                view = self._views.get(name)
+                if view is not None:
+                    pending.append(body_facts(view))
+            for name in facts.calls - calls:
+                if self._routine_stamps.get(name, 0) > stamp:
+                    return False
+                calls.add(name)
+                routine = self._routines.get(name)
+                if routine is not None:
+                    pending.append(routine.facts)
+        return True
 
     # -- tables ---------------------------------------------------------
 
@@ -186,7 +241,7 @@ class Catalog:
         table.txn = self.txn
         self._tables[key] = table
         if not table.temporary:
-            self.schema_version += 1
+            self._stamp(self._relation_stamps, key)
 
     def get_table(self, name: str) -> Table:
         try:
@@ -210,7 +265,7 @@ class Catalog:
             txn.wal.record_drop_table(table.name)
         del self._tables[key]
         if not table.temporary:
-            self.schema_version += 1
+            self._stamp(self._relation_stamps, key)
 
     def tables(self) -> list[Table]:
         return list(self._tables.values())
@@ -227,7 +282,7 @@ class Catalog:
         if txn is not None and txn.wal is not None:
             txn.wal.record_view(name, select.to_sql())
         self._views[key] = select
-        self.schema_version += 1
+        self._stamp(self._relation_stamps, key)
 
     def get_view(self, name: str) -> Optional[ast.Select]:
         return self._views.get(name.lower())
@@ -246,7 +301,7 @@ class Catalog:
         if txn is not None and txn.wal is not None:
             txn.wal.record_drop_view(name)
         del self._views[key]
-        self.schema_version += 1
+        self._stamp(self._relation_stamps, key)
 
     # -- routines -------------------------------------------------------
 
@@ -268,7 +323,7 @@ class Catalog:
             txn.wal.record_routine(routine.definition.to_sql())
         self._routines[key] = routine
         if changed:
-            self.schema_version += 1
+            self._stamp(self._routine_stamps, key)
 
     def get_routine(self, name: str) -> Routine:
         try:
@@ -340,7 +395,7 @@ class Catalog:
         if txn is not None and txn.wal is not None:
             txn.wal.record_drop_routine(name)
         del self._routines[key]
-        self.schema_version += 1
+        self._stamp(self._routine_stamps, key)
 
     def routines(self) -> list[Routine]:
         return list(self._routines.values())

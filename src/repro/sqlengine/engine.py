@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.catalog import Catalog
@@ -121,22 +121,30 @@ class PlanCache:
 
     An entry holds a strong reference to the statement node, so a
     recycled ``id()`` can never alias a different statement, and records
-    the catalog schema version the plan was bound against — any DDL
-    (non-temporary tables, views, routines) invalidates on fetch.  At
+    the catalog schema version the plan was bound against.  An entry of
+    the current version is served after that one comparison; one of an
+    older version is served, re-stamped, if nothing the statement reaches
+    changed since (:meth:`Catalog.unchanged_since`), else dropped.  At
     capacity, storing evicts the least recently fetched or stored plan.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_revalidated")
 
     CAPACITY = 512
 
-    def __init__(self) -> None:
+    def __init__(self, revalidated: Counter) -> None:
         self._entries: dict[int, tuple] = {}
+        self._revalidated = revalidated
 
-    def fetch(self, stmt: ast.Statement, schema_version: int) -> tuple[bool, Any]:
+    def fetch(self, stmt: ast.Statement, catalog: Catalog) -> tuple[bool, Any]:
         entry = self._entries.pop(id(stmt), None)
-        if entry is None or entry[0] is not stmt or entry[1] != schema_version:
+        if entry is None or entry[0] is not stmt:
             return False, None
+        if entry[1] != catalog.schema_version:
+            if not catalog.unchanged_since(entry[1], stmt):
+                return False, None
+            entry = (stmt, catalog.schema_version, entry[2])
+            self._revalidated.inc()
         # LRU refresh: re-insert at the end of the (insertion-ordered) dict
         self._entries[id(stmt)] = entry
         return True, entry[2]
@@ -208,9 +216,9 @@ class Database:
         # innermost open one.  RoutineInterpreter._reused owns both.
         self.table_function_cache: dict = {}
         self.read_window: Optional[list] = None
-        # bind/plan layer: compiled statement plans and expression
-        # closures, both invalidated by catalog schema changes
-        self.plan_cache = PlanCache()
+        # bind/plan layer: compiled statement plans, revalidated after a
+        # catalog schema change, and expression closures
+        self.plan_cache = PlanCache(self.obs.counter("engine.plan_cache.revalidated"))
         self.expr_cache: dict = {}
         # `cp_cache` memoizes the last constant-period materialization
         # per cp table (source table versions + context), letting the

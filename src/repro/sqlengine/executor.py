@@ -257,9 +257,9 @@ class Executor:
     ) -> Any:
         """Run one SELECT arm or DML statement through its plan.
 
-        The bind/plan phase happens at most once per (statement, schema
-        version); a plan-time error propagates as itself and caches
-        nothing.  A plan validates its sources before it produces or
+        The bind/plan phase happens once per statement, and again only
+        after a change to something it reaches; a plan-time error
+        propagates as itself and caches nothing.  A plan validates its sources before it produces or
         consumes a row: on :class:`PlanInvalidated` the entry is dropped
         and the statement is re-planned and re-run, once.
         """
@@ -272,7 +272,7 @@ class Executor:
                 started = time.perf_counter()
         try:
             for replanned in (False, True):
-                hit, plan = db.plan_cache.fetch(stmt, db.catalog.schema_version)
+                hit, plan = db.plan_cache.fetch(stmt, db.catalog)
                 if hit:
                     db.stats.plan_cache_hits += 1
                 else:

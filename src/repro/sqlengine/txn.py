@@ -196,6 +196,8 @@ def _apply_undo(entry: tuple) -> None:
         table.schema_stamp = object()
         _restore_table_version(table, version)
     elif tag == "cat_table":
+        # the version is restored, the catalog's per-name stamps are not
+        # lowered (``Catalog.unchanged_since``)
         _, catalog, key, old_value, old_version = entry
         if old_value is None:
             catalog._tables.pop(key, None)

@@ -305,12 +305,14 @@ class TemporalStratum:
         self._nonseq_only_routines: set[str] = set()
         self._inner_cp_requirements: dict[str, list[str]] = {}
         # candidate cache: :meth:`candidate`'s key → (catalog schema
-        # version at store, Candidate).  An entry is served only while
-        # the catalog schema version still matches, so DDL and routine
-        # redefinition can never expose a stale transformation or
-        # verdict; registry versions are part of the key.  Statement-cache
-        # entries, ("statement", strategy, text) → PreparedStatement, too.
+        # version at store, Candidate).  An entry is served while nothing
+        # the submitted statement reaches changed since that version
+        # (:meth:`_transform_fetch`), so DDL and routine redefinition can
+        # never expose a stale transformation or verdict; registry
+        # versions are part of the key.  Statement-cache entries,
+        # ("statement", strategy, text) → PreparedStatement, too.
         self._transform_cache: dict = {}
+        self._revalidated = self.db.obs.counter("stratum.transform_cache.revalidated")
         self._served: tuple = (None, None)  # :meth:`parse`'s last
         self.last_strategy: Optional[SlicingStrategy] = None
         # why the most recent SEQ-SET attempt fell back to MAX (None
@@ -439,7 +441,7 @@ class TemporalStratum:
             self.tt_registry.version,
             baked if flavor == "perst" else None,
         )
-        found = self._transform_fetch(key)
+        found = self._transform_fetch(key, stmt)
         if found is not None and found.clock in (None, self.clock):
             self.db.stats.transform_cache_hits += 1
             return found
@@ -537,10 +539,20 @@ class TemporalStratum:
         found.statement = result.statement
         found.clones = found.clones + _as_clones(result.routines)
 
-    def _transform_fetch(self, key: tuple) -> Any:
+    def _transform_fetch(self, key: tuple, stmt: ast.Statement) -> Any:
+        """The entry under ``key``, built from the submitted ``stmt``,
+        while nothing ``stmt`` reaches changed since it was stored.  The
+        statement's own clones are not among those names, so installing
+        them leaves its entries valid."""
         entry = self._transform_cache.pop(key, None)
-        if entry is None or entry[0] != self.db.catalog.schema_version:
+        if entry is None:
             return None
+        catalog = self.db.catalog
+        if entry[0] != catalog.schema_version:
+            if not catalog.unchanged_since(entry[0], stmt):
+                return None
+            entry = (catalog.schema_version, entry[1])
+            self._revalidated.inc()
         # LRU refresh: re-insert at the end of the (insertion-ordered)
         # dict so hot entries survive capacity pressure
         self._transform_cache[key] = entry
@@ -564,15 +576,9 @@ class TemporalStratum:
             del cache[next(iter(cache))]
         cache[key] = (self.db.catalog.schema_version, payload)
 
-    def _install(self, stmt: ast.Statement, clones: list[Routine]) -> None:
-        """Install the routine clones ``stmt``'s transformation calls.
-        They are this statement's own, so what was decided about it just
-        before — the candidate that runs, the verdicts on the strategies
-        not chosen — still holds at the schema version the installation
-        leaves: those entries are re-stamped, and the next execution
-        hits."""
+    def _install(self, clones: list[Routine]) -> None:
+        """Install the routine clones a statement's transformation calls."""
         catalog = self.db.catalog
-        decided_at = catalog.schema_version
         for routine in clones:
             key = routine.name.lower()
             if catalog.has_routine(key):
@@ -583,17 +589,12 @@ class TemporalStratum:
                 ):
                     # a re-transform renders the clone it installed last
                     # time: installing it again would bump the catalog
-                    # schema version and evict every *other* statement's
-                    # cached transform and compiled plans.  (A changed
+                    # schema version and send every plan that calls it
+                    # through a revalidation that fails.  (A changed
                     # declaration must do exactly that: a statement that
                     # shares the clone decided it under the old one.)
                     continue
             catalog.add_routine(routine, replace=True)
-        if catalog.schema_version != decided_at:
-            text = statement_key(stmt)  # candidates' key[2]; statement entries hold stmt
-            for key, (version, payload) in list(self._transform_cache.items()):
-                if version == decided_at and (key[2] == text or payload.statement is stmt):
-                    self._transform_store(key, payload)
 
     # ------------------------------------------------------------------
     # registration / DDL
@@ -717,7 +718,7 @@ class TemporalStratum:
         if columns_added:
             # the table's shape changed out-of-band: compiled plans that
             # bound against the old column layout must not be reused
-            self.db.catalog.note_schema_change()
+            self.db.catalog.note_schema_change(table.name)
         self.registry.add(info, table)
         return info
 
@@ -747,7 +748,7 @@ class TemporalStratum:
                 "sequenced views support the algebraic fragment only"
                 " (no per-statement constant-period loops)"
             )
-        self._install(stmt.select, found.clones)
+        self._install(found.clones)
         self.db.catalog.add_view(stmt.name, found.statement)
         return None
 
@@ -875,8 +876,9 @@ class TemporalStratum:
             return self.prepare(stmt, strategy)
         registries = (self.registry.version, self.tt_registry.version)
         stamp = registries + (self.transaction_clock, self.db.now)
-        last = self._transform_fetch(key)
+        last = self._transform_fetch(key, stmt)
         if last is not None and last.stamp == stamp:
+            self.db.stats.transform_cache_hits += 1
             with self.db.tracer.span("stratum.prepare", cached=True):
                 return last
         prepared = self.prepare(stmt, strategy)
@@ -1023,7 +1025,7 @@ class TemporalStratum:
     def _run(self, prepared: PreparedStatement) -> Any:
         db = self.db
         found = prepared.candidate
-        self._install(prepared.statement, found.clones)
+        self._install(found.clones)
         if prepared.semantics == "modification":
             return self._run_modification(prepared)
         if prepared.semantics == "nonsequenced":
@@ -1157,7 +1159,7 @@ class TemporalStratum:
                     "inner VALIDTIME is supported on SELECT statements only"
                 )
             result = transform_query_max(inner, self.db.catalog, self.registry, cp_table)
-            self._install(inner, _as_clones(result.routines))
+            self._install(_as_clones(result.routines))
             self._inner_cp_requirements[cp_table] = result.temporal_tables
             return result.statement
 

@@ -73,6 +73,6 @@ def add_transactiontime(
     if columns_added:
         # the table's shape changed out-of-band: compiled plans bound
         # against the old column layout must not be reused
-        db.catalog.note_schema_change()
+        db.catalog.note_schema_change(table.name)
     registry.add(info, table)
     return info

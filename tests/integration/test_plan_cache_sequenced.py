@@ -7,6 +7,10 @@ every invocation, so the engine's plan cache must hit on every period
 after the first: ``plan_cache_hits >= periods - 1``.
 """
 
+import pytest
+
+from repro.taubench import build_dataset
+from repro.taubench.queries import ALL_QUERIES
 from repro.temporal import SlicingStrategy, TemporalStratum
 from repro.temporal.stratum import MAX_CP_TABLE
 
@@ -86,3 +90,33 @@ def test_max_select_hits_plan_cache_across_executions():
     assert second.coalesced() == first.coalesced()
     assert end["plans_compiled"] == mid["plans_compiled"]
     assert end["plan_cache_hits"] > mid["plan_cache_hits"]
+
+
+@pytest.mark.parametrize(
+    "strategy", [SlicingStrategy.MAX, SlicingStrategy.PERST],
+    ids=lambda strategy: strategy.value,
+)
+def test_second_pass_of_the_templates_builds_nothing(strategy):
+    """DS1-SMALL: after one pass of the τPSM templates, a second pass
+    transforms nothing and plans only what ``engine.plan_invalidated``
+    counts (PERST q17's CTAS re-infers its auxiliary table's column types
+    per period).  Each template's clone installation moves the schema
+    version, which used to evict every other template's transform and
+    plans."""
+    dataset = build_dataset("DS1", "SMALL")
+    queries = [
+        query for query in ALL_QUERIES
+        if strategy is SlicingStrategy.MAX or query.perst_applicable
+    ]
+    for query in queries:
+        query.install(dataset)
+    texts = [query.sequenced_sql(dataset, *dataset.context_bounds(90)) for query in queries]
+    stratum = dataset.stratum
+    stats, value = stratum.db.stats, stratum.db.obs.value
+    for sql in texts:
+        stratum.execute(sql, strategy)
+    before = stats.transforms, stats.plans_compiled, value("engine.plan_invalidated")
+    for sql in texts:
+        stratum.execute(sql, strategy)
+    assert stats.transforms == before[0]
+    assert stats.plans_compiled - before[1] == value("engine.plan_invalidated") - before[2]

@@ -192,8 +192,8 @@ class TestMatchPlanReuse:
         stratum.db.now = Date.from_ymd(2009, 1, 1)  # before every version
         assert stratum.execute(sql) == 0
         assert self.plans(stratum) == (compiled, hits + 2)
-        # like any plan it is bound to a schema version
-        stratum.db.catalog.note_schema_change()
+        # like any plan it is bound to the shape of the table it reads
+        stratum.db.catalog.note_schema_change("item")
         stratum.db.now = Date.from_ymd(2010, 9, 1)
         assert stratum.execute(sql) == 1
         assert self.plans(stratum) == (compiled + 1, hits + 2)
@@ -317,3 +317,153 @@ class TestLruEviction:
         assert counters(stratum)[0] == transforms_before
         fresh(stratum, statements[1], SlicingStrategy.MAX)  # evicted
         assert counters(stratum)[0] == transforms_before + 1
+
+
+CONTEXT = "VALIDTIME [DATE '2010-02-01', DATE '2010-07-01'] "
+OUTER_NAME = """
+CREATE FUNCTION outer_name (aid CHAR(10))
+RETURNS CHAR(50)
+READS SQL DATA
+LANGUAGE SQL
+BEGIN
+  RETURN get_author_name(aid);
+END
+"""
+REDEFINED = GET_AUTHOR_NAME.replace(
+    "SET fname = (SELECT first_name FROM author WHERE author_id = aid);",
+    "SET fname = (SELECT last_name FROM author WHERE author_id = aid);",
+)
+# an ABS that reads valid-time data: MAX must clone it once it exists
+SHADOWING_ABS = """
+CREATE FUNCTION abs (x FLOAT)
+RETURNS INTEGER
+READS SQL DATA
+LANGUAGE SQL
+BEGIN
+  RETURN (SELECT COUNT(*) FROM item_author);
+END
+"""
+
+
+class TestRevalidation:
+    """A cached transform or plan is checked against the names its
+    statement reaches, not against every schema change: another
+    statement's clone installation leaves it served, and a change to
+    anything it reaches — directly, through a routine or a view, or a
+    name it called as a built-in — rebuilds it, after which it answers
+    what a database that never cached anything answers."""
+
+    GET_LAST_NAME = TestInterleavedRoutineStatements.GET_LAST_NAME
+    QUERIES = TestInterleavedRoutineStatements.QUERIES
+    SETUP = [
+        GET_AUTHOR_NAME,
+        OUTER_NAME,
+        "CREATE TABLE shelf (id CHAR(10), qty INTEGER)",
+        "INSERT INTO shelf VALUES ('i1', 3), ('i2', 9)",
+        "CREATE VIEW stocked AS SELECT id, qty FROM shelf WHERE qty > 0",
+    ]
+    CALLS = CONTEXT + (
+        "SELECT get_author_name(author_id) FROM author WHERE author_id = 'a1'"
+    )
+    OUTER = CONTEXT + (
+        "SELECT outer_name(author_id) FROM author WHERE author_id = 'a1'"
+    )
+    SHELF = "SELECT id, qty FROM shelf ORDER BY id"
+    VIEW = "SELECT id, qty FROM stocked ORDER BY id"
+    BUILTIN = CONTEXT + "SELECT id, abs(price) FROM item"
+    RECREATE_SHELF = [
+        "DROP TABLE shelf",
+        "CREATE TABLE shelf (id CHAR(10), qty INTEGER)",
+        "INSERT INTO shelf VALUES ('i3', 7)",
+    ]
+
+    def build(self, changes=()):
+        stratum = make_bookstore()
+        for sql in self.SETUP + list(changes):
+            stratum.execute(sql)
+        return stratum
+
+    def run(self, stratum, sql):
+        result = stratum.execute(sql, SlicingStrategy.MAX)
+        if hasattr(result, "coalesced"):
+            return sorted(map(repr, result.coalesced()))
+        return result.rows
+
+    def work(self, stratum):
+        stats = stratum.db.stats
+        return stats.transforms, stats.plans_compiled
+
+    @pytest.mark.parametrize("submit", ["cached", "fresh"])
+    def test_another_statements_clones_leave_it_served(self, submit):
+        stratum = self.build([self.GET_LAST_NAME])
+        execute = (
+            stratum.execute if submit == "cached"
+            else lambda sql, strategy: fresh(stratum, sql, strategy)
+        )
+        execute(self.CALLS, SlicingStrategy.MAX)
+        execute(self.CALLS, SlicingStrategy.MAX)
+        version = stratum.db.catalog.schema_version
+        execute(self.QUERIES[1], SlicingStrategy.MAX)  # installs its clone
+        assert stratum.db.catalog.schema_version > version
+        before = self.work(stratum)
+        execute(self.CALLS, SlicingStrategy.MAX)
+        assert self.work(stratum) == before
+        value = stratum.db.obs.value
+        assert value("stratum.transform_cache.revalidated") >= 1
+        assert value("engine.plan_cache.revalidated") >= 1
+
+    @pytest.mark.parametrize("statement, changes", [
+        pytest.param(
+            CALLS, ["DROP FUNCTION get_author_name", REDEFINED],
+            id="routine-it-calls",
+        ),
+        pytest.param(
+            OUTER, ["DROP FUNCTION get_author_name", REDEFINED],
+            id="routine-reached-through-another",
+        ),
+        pytest.param(SHELF, RECREATE_SHELF, id="table-dropped-and-recreated"),
+        pytest.param(
+            VIEW,
+            ["DROP VIEW stocked",
+             "CREATE VIEW stocked AS SELECT id, qty FROM shelf WHERE qty > 5"],
+            id="view-redefined",
+        ),
+        pytest.param(VIEW, RECREATE_SHELF, id="table-under-the-view"),
+        pytest.param(BUILTIN, [SHADOWING_ABS], id="routine-shadows-a-built-in"),
+        pytest.param(
+            SHELF,
+            ["ALTER TABLE shelf ADD VALIDTIME",
+             "NONSEQUENCED VALIDTIME UPDATE shelf SET end_time = DATE '2010-03-01'"
+             " WHERE id = 'i2'"],
+            id="add-validtime",
+        ),
+    ])
+    def test_a_change_it_reaches_rebuilds_it(self, statement, changes):
+        stratum = self.build()
+        first = self.run(stratum, statement)
+        assert self.run(stratum, statement) == first
+        for sql in changes:
+            stratum.execute(sql)
+        before = self.work(stratum)
+        found = self.run(stratum, statement)
+        assert self.work(stratum)[1] > before[1]  # evicted: planned anew
+        assert found == self.run(self.build(changes), statement)
+        assert found != first
+
+    def test_ddl_rolled_back_then_climbed_back_serves_nothing_stale(self):
+        stratum = self.build()
+        first = self.run(stratum, self.OUTER)
+        stratum.execute("BEGIN")
+        stratum.execute("DROP FUNCTION get_author_name")
+        stratum.execute(REDEFINED)
+        inside = self.run(stratum, self.OUTER)
+        assert inside != first
+        stratum.execute("ROLLBACK")
+        assert self.run(stratum, self.OUTER) == first
+        # the version climbs back over the rolled-back window's numbers
+        for n in range(4):
+            stratum.execute(f"CREATE TABLE pad{n} (x INTEGER)")
+        assert self.run(stratum, self.OUTER) == first
+        stratum.execute("DROP FUNCTION get_author_name")
+        stratum.execute(REDEFINED)
+        assert self.run(stratum, self.OUTER) == inside
