@@ -297,8 +297,6 @@ class Shell:
             return f"error: {exc}"
 
     def _metrics(self) -> str:
-        # recomputed on demand: the columnar byte estimate of every table
-        self.stratum.db.refresh_storage_gauges()
         flat = self.stratum.db.obs.flat()
         if not flat:
             return "no metrics recorded yet"

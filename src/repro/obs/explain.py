@@ -126,8 +126,6 @@ def _describe_pipeline(plan: Any, depth: int, since: Optional[dict]) -> list[str
 
     pad = "  " * depth
     lines = []
-    if plan.single_scan:
-        lines.append(pad + "  filter: vectorized selection (evaluated in scan)")
     pipeline = plan.pipeline
     if pipeline.reordered:
         order = ", ".join(
@@ -166,10 +164,7 @@ def _describe_level(
         line += (
             f" ({period.begin_name}/{period.end_name}): {_period_terms(period)}"
         )
-    batch = node.batch
-    if batch is not None and batch.consumes_all:
-        line += f" (vectorized filter: {len(batch.kernels)} kernels)"
-    elif kind != "HashProbe" and (level.filters or residual):
+    if kind != "HashProbe" and (level.filters or residual):
         line += " (row-at-a-time filter)"
     if level.filters:
         line += f" filters: {len(level.filters)}"
@@ -505,7 +500,6 @@ def _run_analyzed(db: "Database", thunk) -> tuple[Any, list[str]]:
     cp_hits_before = db.obs.value("stratum.cp.cache_hits")
     built_before = db.obs.sum_prefix("engine.derived.builds.")
     deltas_before = db.obs.value("engine.derived.deltas")
-    degradations_before = db.obs.value("resilience.degradations.vectorized")
     cancellations_before = db.obs.value("resilience.cancellations")
     budget_stops_before = db.obs.value("resilience.budget_stops")
     retries_before = db.obs.value("wal.retries")
@@ -575,16 +569,8 @@ def _run_analyzed(db: "Database", thunk) -> tuple[Any, list[str]]:
         lines.append(
             f"  derived structures: {built} built, {deltas} carried by delta"
         )
-    # resilience: the governor's degradations (and any watchdog events
-    # a handler absorbed) must be visible, not silent
-    degradations = (
-        db.obs.value("resilience.degradations.vectorized") - degradations_before
-    )
-    if degradations:
-        lines.append(
-            f"  governor degradations: {degradations}"
-            " (vectorized scan -> row-at-a-time)"
-        )
+    # resilience: watchdog events a handler absorbed must be visible,
+    # not silent
     cancellations = (
         db.obs.value("resilience.cancellations") - cancellations_before
     )
@@ -605,10 +591,6 @@ def _run_analyzed(db: "Database", thunk) -> tuple[Any, list[str]]:
             budgets.append(f"max_rows_scanned={resilience.max_rows_scanned}")
         if resilience.max_undo_depth is not None:
             budgets.append(f"max_undo_depth={resilience.max_undo_depth}")
-        if resilience.max_resident_bytes is not None:
-            budgets.append(
-                f"max_resident_bytes={resilience.max_resident_bytes}"
-            )
         if budgets:
             lines.append(
                 "  resilience: armed (" + ", ".join(budgets) + "),"

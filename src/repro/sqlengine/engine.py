@@ -315,19 +315,6 @@ class Database:
             return self.mvcc.read_view(table, self.txn)
         return table
 
-    # -- observability ---------------------------------------------------
-
-    def refresh_storage_gauges(self) -> int:
-        """Recompute the ``engine.bytes_resident`` gauge: the summed
-        byte estimate of every catalog table's columnar image.  Called
-        on demand (the shell's ``.metrics``) rather than per
-        statement — building a store for a never-scanned table is work
-        we only want when someone is looking."""
-        total = sum(table.bytes_resident() for table in self.catalog.tables())
-        self.obs.set_gauge("engine.bytes_resident", total)
-        self.resilience.note_gauge_refresh()
-        return total
-
     # -- CURRENT_DATE ----------------------------------------------------
 
     @property

@@ -546,7 +546,7 @@ class Executor:
         names.  Without this, temp tables built by the temporal
         transforms (cp tables, PERST auxiliaries) silently lose their
         DATE declarations on empty results and their period pairs
-        always — degrading them to the unbatchable fallback path.
+        always — and with them typed date filters and interval probes.
 
         Returns ``(output index → type, [(begin, end), ...])`` or None
         when the shape is not a single-table projection.
@@ -815,9 +815,11 @@ def _infer_column_type(rows: list[list[Any]], index: int) -> SqlType:
     """Unify a declared type over *all* of the column's non-NULL values.
 
     Inferring from the first value alone would declare too narrow a type
-    when later rows widen (int → float, longer strings) — and a wrong
-    declaration degrades the table's derived column vector to ``obj``,
-    silently losing the vectorized path.  Numeric kinds unify upward
+    when later rows widen (int → float, longer strings) — and the
+    declared type is trusted: the planner's typed filters and SEQ-SET's
+    batch kernels compare a column by its declared value class, and
+    ``planner._Scan.validate`` keeps a plan while the declared types
+    stay the same.  Numeric kinds unify upward
     (bool → int → float); anything heterogeneous beyond that keeps the
     legacy first-value inference.
     """

@@ -25,7 +25,7 @@ parser accepts) is an ``ExecutionError`` at compile time.
 
 from __future__ import annotations
 
-import operator
+from operator import attrgetter
 from typing import Any, Callable, Optional
 
 from repro.sqlengine import ast_nodes as ast
@@ -43,6 +43,7 @@ from repro.sqlengine.executor import (
     _like_regex,
     _negate,
 )
+from repro.sqlengine.storage import _column_kind
 from repro.sqlengine.types import coerce
 from repro.sqlengine.values import (
     Date,
@@ -305,13 +306,16 @@ def _compile_between(
     negated = expr.negated
 
     def between_closure(env: Env) -> Any:
+        # ``value >= low AND value <= high``: a False half decides even
+        # when the other half is Unknown under a NULL bound
         value = value_c(env)
         lower = compare(value, low_c(env))
         upper = compare(value, high_c(env))
-        if lower is Unknown or upper is Unknown:
-            return Unknown
-        answer = lower >= 0 and upper <= 0
-        return (not answer) if negated else answer
+        answer = logic_and(
+            Unknown if lower is Unknown else lower >= 0,
+            Unknown if upper is Unknown else upper <= 0,
+        )
+        return logic_not(answer) if negated else answer
 
     return between_closure
 
@@ -442,73 +446,68 @@ def _compile_g_aggregate(
 
 
 # ---------------------------------------------------------------------------
-# column-batch compilation (vectorized WHERE kernels)
+# batch WHERE kernels over rows
 # ---------------------------------------------------------------------------
 #
-# A *batch kernel* evaluates one WHERE conjunct over the table's derived
-# column store (:class:`repro.sqlengine.storage.ColumnStore`) and keeps
-# exactly the positions where the conjunct is **True** — rows where it is
-# False *or* Unknown are dropped, which is precisely SQL's WHERE rule, so
-# ANDing conjuncts reduces to sequentially filtering one selection vector.
-#
-# Kernels are deliberately conservative.  Only shapes whose semantics are
-# provably identical to the row-at-a-time closures compile:
-#
-# * ``col <op> const`` / ``const <op> col`` for the six comparisons,
-# * ``col [NOT] BETWEEN const AND const``,
-# * ``col IS [NOT] NULL``,
-# * ``col [NOT] IN (const, ...)`` over literal lists,
-#
-# where *const* is a side-effect-free literal expression (the stratum's
-# mutable placeholder Literals included — they are re-read per apply).
-# Everything else — routine calls, subqueries, column-vs-column, LIKE —
-# yields no kernel, and any runtime surprise (vector degraded to ``obj``,
-# a constant whose type does not match the vector domain, an SqlError
-# during constant evaluation) makes the kernel return ``None`` so the
-# caller falls back to the row-at-a-time path, whose results *and errors*
-# are the specification.
-
-_CMP_OPS = {
-    "=": operator.eq,
-    "<>": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
+# A *batch kernel* evaluates one single-table WHERE conjunct over
+# candidate positions of ``table.rows`` and keeps exactly those where it
+# is **True** (False and Unknown drop: SQL's WHERE rule), so ANDing
+# conjuncts is sequential filtering.  SEQ-SET's TemporalAlign applies
+# them once over a table's aligned candidates.  Only shapes whose
+# semantics are provably those of the row-at-a-time closures compile:
+# ``col <op> const`` (either side), ``col [NOT] BETWEEN const AND const``,
+# ``col IS [NOT] NULL`` and ``col [NOT] IN (const, ...)``, where *const*
+# is a side-effect-free literal expression, re-read per apply (the
+# stratum's mutable placeholder Literals).  A kernel reads a cell through
+# its column's declared kind (``storage._column_kind``), trusting it as
+# the planner's typed filters do, and orders it as ``compare`` does.  It
+# *declines* — the caller evaluates row at a time, whose results *and
+# errors* are the specification — when a constant's type does not fit
+# the kind or a constant is NaN, constant evaluation raises an SqlError,
+# or the table no longer has the kinds it was compiled against.  A
+# comparison on an ``obj`` column gets no kernel.
 
 _BATCH_FLIPPED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
-# sentinels for constant-to-vector-domain conversion
-_FALLBACK = object()  # type cannot be compared in the vector domain
+# sentinels for constant-to-kind conversion
+_FALLBACK = object()  # type cannot be compared under this kind
 _KEEP_NONE = object()  # NULL constant: the conjunct is Unknown everywhere
 
 
 class BatchFilter:
-    """The compiled batch kernels for one scanned table's conjuncts.
+    """The batch kernels for one scanned table's conjuncts, compiled
+    against the table's declared column kinds at ``stamp``."""
 
-    ``consumes_all`` is True when *every* WHERE conjunct got a kernel —
-    only then may the caller skip the per-row compiled predicate after a
-    successful :meth:`apply`.
-    """
+    __slots__ = ("kernels", "stamp", "kinds")
 
-    __slots__ = ("kernels", "consumes_all")
+    def __init__(self, table) -> None:
+        self.kernels: list = []
+        self.stamp = table.schema_stamp
+        self.kinds = [_column_kind(column.type) for column in table.columns]
 
-    def __init__(self, kernels: list, consumes_all: bool) -> None:
-        self.kernels = kernels
-        self.consumes_all = consumes_all
+    def add(
+        self, executor: Executor, table, alias: str, conjunct: ast.Expression,
+        from_items: Optional[list],
+    ) -> bool:
+        """Compile a kernel for ``conjunct``; False when it has none."""
+        kernel = _batch_kernel(executor, table, alias, conjunct, from_items, self.kinds)
+        if kernel is not None:
+            self.kernels.append(kernel)
+        return kernel is not None
 
     def apply(self, table, positions, env: Env) -> Optional[list]:
-        """Filter candidate ``positions`` through every kernel.
-
-        Returns the surviving positions (ascending, a subset of the
-        input), or ``None`` when any kernel cannot run vectorized — the
-        caller must then evaluate row-at-a-time.
-        """
-        store = table.column_store()
+        """The candidate ``positions`` (ascending) that pass every kernel,
+        or ``None`` when a kernel declines.  A table under another schema
+        stamp (a snapshot view, a re-declared table) is read only while
+        its column kinds are the compiled ones."""
+        if table.schema_stamp is not self.stamp and self.kinds != [
+            _column_kind(column.type) for column in table.columns
+        ]:
+            return None
+        rows = table.rows
         try:
             for kernel in self.kernels:
-                positions = kernel(store, positions, env)
+                positions = kernel(rows, positions, env)
                 if positions is None:
                     return None
                 if not positions:
@@ -516,28 +515,6 @@ class BatchFilter:
         except SqlError:
             return None
         return list(positions) if not isinstance(positions, list) else positions
-
-
-def compile_batch_filter(
-    executor: Executor,
-    table,
-    alias: str,
-    conjuncts: list,
-    from_items: Optional[list],
-) -> Optional["BatchFilter"]:
-    """Compile the batchable subset of ``conjuncts`` against ``table``.
-
-    Returns ``None`` when no conjunct is batchable (the scan then runs
-    the classic row path with nothing lost).
-    """
-    kernels = []
-    for conjunct in conjuncts:
-        kernel = _batch_kernel(executor, table, alias, conjunct, from_items)
-        if kernel is not None:
-            kernels.append(kernel)
-    if not kernels:
-        return None
-    return BatchFilter(kernels, len(kernels) == len(conjuncts))
 
 
 def _batch_const(expr: ast.Expression) -> Optional[Compiled]:
@@ -558,13 +535,9 @@ def _batch_const(expr: ast.Expression) -> Optional[Compiled]:
     return None
 
 
-def _vector_const(kind: str, value: Any) -> Any:
-    """Map a constant into a vector's comparison domain.
-
-    Returns ``_KEEP_NONE`` for NULL (comparisons are Unknown on every
-    row) and ``_FALLBACK`` when the constant's type cannot be compared
-    against this vector without the row path's error behaviour.
-    """
+def _kind_const(kind: str, value: Any) -> Any:
+    """A constant in a column kind's comparison domain; ``_KEEP_NONE``
+    for NULL, ``_FALLBACK`` when the row path may raise on it."""
     if value is Null:
         return _KEEP_NONE
     if kind == "int" or kind == "float":
@@ -572,107 +545,140 @@ def _vector_const(kind: str, value: Any) -> Any:
             return int(value)
         if isinstance(value, (int, float)) and value == value:
             return value
-        return _FALLBACK  # (NaN too: native comparison misorders it)
+        return _FALLBACK  # (a NaN constant too: native comparison with it is False)
     if kind == "date":
         if isinstance(value, Date):
             return value.ordinal
         return _FALLBACK
-    if kind == "str":
-        if isinstance(value, str):
-            return value.rstrip()
-        return _FALLBACK
-    return _FALLBACK  # obj vectors are never batch-compared
+    if isinstance(value, str):
+        return value.rstrip()
+    return _FALLBACK
 
 
-# the comparison loops are specialized per operator: an inline compare
-# in the comprehension beats an ``operator`` call per element by ~1.6x,
-# and the NULL-free variants drop the validity lookup as well
-_CMP_LOOPS = {
-    "=": lambda data, ps, c: [p for p in ps if data[p] == c],
-    "<>": lambda data, ps, c: [p for p in ps if data[p] != c],
-    "<": lambda data, ps, c: [p for p in ps if data[p] < c],
-    "<=": lambda data, ps, c: [p for p in ps if data[p] <= c],
-    ">": lambda data, ps, c: [p for p in ps if data[p] > c],
-    ">=": lambda data, ps, c: [p for p in ps if data[p] >= c],
+# The loops keep ``p`` where the cell ``rows[p][c]`` passes, NULL tested
+# inline: an inline comparison beats an ``operator`` call per row.
+# ``not v <= k`` is ``v > k`` but for a NaN, which ``compare`` puts above
+# every number.  Per kind: ``(op -> comparison loop, (BETWEEN, NOT
+# BETWEEN), (IN, NOT IN))``.
+_NUMBER_LOOPS = (
+    {
+        "=": lambda rows, ps, c, k: [p for p in ps if (v := rows[p][c]) is not Null and v == k],
+        "<>": lambda rows, ps, c, k: [p for p in ps if (v := rows[p][c]) is not Null and v != k],
+        "<": lambda rows, ps, c, k: [p for p in ps if (v := rows[p][c]) is not Null and v < k],
+        "<=": lambda rows, ps, c, k: [p for p in ps if (v := rows[p][c]) is not Null and v <= k],
+        ">": lambda rows, ps, c, k: [
+            p for p in ps if (v := rows[p][c]) is not Null and not v <= k],
+        ">=": lambda rows, ps, c, k: [
+            p for p in ps if (v := rows[p][c]) is not Null and not v < k],
+    },
+    (
+        lambda rows, ps, c, lo, hi: [
+            p for p in ps if (v := rows[p][c]) is not Null and lo <= v <= hi],
+        lambda rows, ps, c, lo, hi: [
+            p for p in ps if (v := rows[p][c]) is not Null and not lo <= v <= hi],
+    ),
+    (
+        lambda rows, ps, c, ks: [p for p in ps if (v := rows[p][c]) is not Null and v in ks],
+        lambda rows, ps, c, ks: [p for p in ps if (v := rows[p][c]) is not Null and v not in ks],
+    ),
+)
+
+
+def _read_loops(read: Callable[[Any], Any]) -> tuple:
+    """The loops of a kind whose cells compare as ``read(cell)``."""
+    return (
+        {
+            "=": lambda rows, ps, c, k: [
+                p for p in ps if (v := rows[p][c]) is not Null and read(v) == k],
+            "<>": lambda rows, ps, c, k: [
+                p for p in ps if (v := rows[p][c]) is not Null and read(v) != k],
+            "<": lambda rows, ps, c, k: [
+                p for p in ps if (v := rows[p][c]) is not Null and read(v) < k],
+            "<=": lambda rows, ps, c, k: [
+                p for p in ps if (v := rows[p][c]) is not Null and read(v) <= k],
+            ">": lambda rows, ps, c, k: [
+                p for p in ps if (v := rows[p][c]) is not Null and read(v) > k],
+            ">=": lambda rows, ps, c, k: [
+                p for p in ps if (v := rows[p][c]) is not Null and read(v) >= k],
+        },
+        (
+            lambda rows, ps, c, lo, hi: [
+                p for p in ps if (v := rows[p][c]) is not Null and lo <= read(v) <= hi],
+            lambda rows, ps, c, lo, hi: [
+                p for p in ps if (v := rows[p][c]) is not Null and not lo <= read(v) <= hi],
+        ),
+        (
+            lambda rows, ps, c, ks: [
+                p for p in ps if (v := rows[p][c]) is not Null and read(v) in ks],
+            lambda rows, ps, c, ks: [
+                p for p in ps if (v := rows[p][c]) is not Null and read(v) not in ks],
+        ),
+    )
+
+
+_LOOPS = {
+    "int": _NUMBER_LOOPS,
+    "float": _NUMBER_LOOPS,
+    "date": _read_loops(attrgetter("ordinal")),
+    "str": _read_loops(str.rstrip),
 }
 
-_CMP_LOOPS_VALID = {
-    "=": lambda data, v, ps, c: [p for p in ps if v[p] and data[p] == c],
-    "<>": lambda data, v, ps, c: [p for p in ps if v[p] and data[p] != c],
-    "<": lambda data, v, ps, c: [p for p in ps if v[p] and data[p] < c],
-    "<=": lambda data, v, ps, c: [p for p in ps if v[p] and data[p] <= c],
-    ">": lambda data, v, ps, c: [p for p in ps if v[p] and data[p] > c],
-    ">=": lambda data, v, ps, c: [p for p in ps if v[p] and data[p] >= c],
-}
 
+def _make_compare_kernel(column: int, kind: str, op: str, const_c: Compiled):
+    loop = _LOOPS[kind][0][op]
 
-def _make_compare_kernel(column_index: int, op: str, const_c: Compiled):
-    loop = _CMP_LOOPS[op]
-    loop_valid = _CMP_LOOPS_VALID[op]
-
-    def kernel(store, positions, env: Env):
-        vector = store.vectors[column_index]
-        const = _vector_const(vector.kind, const_c(env))
+    def kernel(rows, positions, env: Env):
+        const = _kind_const(kind, const_c(env))
         if const is _FALLBACK:
             return None
         if const is _KEEP_NONE:
             return []
-        if vector.nulls:
-            return loop_valid(vector.data, vector.valid, positions, const)
-        return loop(vector.data, positions, const)
+        return loop(rows, positions, column, const)
 
     return kernel
 
 
 def _make_between_kernel(
-    column_index: int, low_c: Compiled, high_c: Compiled, negated: bool
+    column: int, kind: str, low_c: Compiled, high_c: Compiled, negated: bool
 ):
-    def kernel(store, positions, env: Env):
-        vector = store.vectors[column_index]
-        low = _vector_const(vector.kind, low_c(env))
-        high = _vector_const(vector.kind, high_c(env))
+    compares, (inside, outside), _ = _LOOPS[kind]
+
+    def kernel(rows, positions, env: Env):
+        low = _kind_const(kind, low_c(env))
+        high = _kind_const(kind, high_c(env))
         if low is _FALLBACK or high is _FALLBACK:
             return None
+        # ``x BETWEEN a AND b`` is ``x >= a AND x <= b``: a NULL bound
+        # makes its half Unknown, so the predicate is never True, and its
+        # negation is True exactly where the other half is False
         if low is _KEEP_NONE or high is _KEEP_NONE:
-            # a NULL bound makes the predicate Unknown for every row,
-            # negated or not (both compares must be known to negate)
-            return []
-        data = vector.data
-        if vector.nulls:
-            valid = vector.valid
-            if negated:
-                return [
-                    p for p in positions
-                    if valid[p] and not (low <= data[p] <= high)
-                ]
-            return [
-                p for p in positions if valid[p] and low <= data[p] <= high
-            ]
-        if negated:
-            return [p for p in positions if not (low <= data[p] <= high)]
-        return [p for p in positions if low <= data[p] <= high]
+            if not negated or (low is _KEEP_NONE and high is _KEEP_NONE):
+                return []
+            if low is _KEEP_NONE:
+                return compares[">"](rows, positions, column, high)
+            return compares["<"](rows, positions, column, low)
+        return (outside if negated else inside)(rows, positions, column, low, high)
 
     return kernel
 
 
-def _make_null_kernel(column_index: int, negated: bool):
-    def kernel(store, positions, env: Env):
-        valid = store.vectors[column_index].valid
+def _make_null_kernel(column: int, negated: bool):
+    def kernel(rows, positions, env: Env):
         if negated:  # IS NOT NULL
-            return [p for p in positions if valid[p]]
-        return [p for p in positions if not valid[p]]
+            return [p for p in positions if rows[p][column] is not Null]
+        return [p for p in positions if rows[p][column] is Null]
 
     return kernel
 
 
-def _make_in_kernel(column_index: int, item_cs: list, negated: bool):
-    def kernel(store, positions, env: Env):
-        vector = store.vectors[column_index]
-        kind = vector.kind
+def _make_in_kernel(column: int, kind: str, item_cs: list, negated: bool):
+    loop = _LOOPS[kind][2][negated]
+
+    def kernel(rows, positions, env: Env):
         members = set()
         saw_null = False
         for item_c in item_cs:
-            const = _vector_const(kind, item_c(env))
+            const = _kind_const(kind, item_c(env))
             if const is _KEEP_NONE:
                 saw_null = True
                 continue
@@ -682,70 +688,56 @@ def _make_in_kernel(column_index: int, item_cs: list, negated: bool):
                 # order-dependent, so let the row path handle it
                 return None
             members.add(const)
-        data = vector.data
         if negated and saw_null:
             # NOT IN with a NULL candidate is never True
             return []
-        if vector.nulls:
-            valid = vector.valid
-            if negated:
-                return [
-                    p for p in positions
-                    if valid[p] and data[p] not in members
-                ]
-            return [p for p in positions if valid[p] and data[p] in members]
-        if negated:
-            return [p for p in positions if data[p] not in members]
-        return [p for p in positions if data[p] in members]
+        return loop(rows, positions, column, members)
 
     return kernel
 
 
 def _batch_kernel(
-    executor: Executor,
-    table,
-    alias: str,
-    conjunct: ast.Expression,
-    from_items: Optional[list],
+    executor: Executor, table, alias: str, conjunct: ast.Expression,
+    from_items: Optional[list], kinds: list,
 ):
     while isinstance(conjunct, ast.Parenthesized):
         conjunct = conjunct.expr
-    if isinstance(conjunct, ast.BinaryOp) and conjunct.op in _CMP_OPS:
+    if isinstance(conjunct, ast.IsNullPredicate):
+        column = executor._column_of(conjunct.expr, table, alias, from_items)
+        if column is None:
+            return None
+        return _make_null_kernel(column, conjunct.negated)
+    if isinstance(conjunct, ast.BinaryOp) and conjunct.op in _BATCH_FLIPPED:
         op = conjunct.op
         for lhs, rhs, normalized in (
             (conjunct.left, conjunct.right, op),
             (conjunct.right, conjunct.left, _BATCH_FLIPPED[op]),
         ):
             column = executor._column_of(lhs, table, alias, from_items)
-            if column is None:
+            if column is None or kinds[column] == "obj":
                 continue
             const_c = _batch_const(rhs)
             if const_c is None:
                 continue
-            return _make_compare_kernel(column, normalized, const_c)
+            return _make_compare_kernel(column, kinds[column], normalized, const_c)
         return None
     if isinstance(conjunct, ast.BetweenPredicate):
         column = executor._column_of(conjunct.expr, table, alias, from_items)
-        if column is None:
+        if column is None or kinds[column] == "obj":
             return None
         low_c = _batch_const(conjunct.low)
         high_c = _batch_const(conjunct.high)
         if low_c is None or high_c is None:
             return None
-        return _make_between_kernel(column, low_c, high_c, conjunct.negated)
-    if isinstance(conjunct, ast.IsNullPredicate):
-        column = executor._column_of(conjunct.expr, table, alias, from_items)
-        if column is None:
-            return None
-        return _make_null_kernel(column, conjunct.negated)
+        return _make_between_kernel(column, kinds[column], low_c, high_c, conjunct.negated)
     if isinstance(conjunct, ast.InPredicate):
         if conjunct.subquery is not None or not conjunct.items:
             return None
         column = executor._column_of(conjunct.expr, table, alias, from_items)
-        if column is None:
+        if column is None or kinds[column] == "obj":
             return None
         item_cs = [_batch_const(item) for item in conjunct.items]
         if any(c is None for c in item_cs):
             return None
-        return _make_in_kernel(column, item_cs, conjunct.negated)
+        return _make_in_kernel(column, kinds[column], item_cs, conjunct.negated)
     return None

@@ -76,11 +76,7 @@ from repro.sqlengine.executor import (
     _Reversed,
     _split_conjuncts,
 )
-from repro.sqlengine.exprcompile import (
-    compile_batch_filter,
-    compile_expression,
-    compile_grouped,
-)
+from repro.sqlengine.exprcompile import compile_expression, compile_grouped
 from repro.sqlengine.interval_index import stab_point
 from repro.sqlengine.storage import _column_kind
 from repro.sqlengine.values import Date, Null, sort_key, truth
@@ -108,9 +104,9 @@ class _Scan:
     an explicit JOIN's operand gets."""
 
     __slots__ = ("name", "alias", "key", "colmap", "stamp", "expected", "types",
-                 "kinds", "pairs", "period_columns", "batch")
+                 "kinds", "pairs", "period_columns")
 
-    def __init__(self, name: str, alias: str, table, batch: Optional[Any]) -> None:
+    def __init__(self, name: str, alias: str, table) -> None:
         self.name = name
         self.alias = alias
         self.key = alias.lower()
@@ -125,7 +121,6 @@ class _Scan:
             for b, e in table.interval_pairs
         ]
         self.period_columns = tuple(index for pair in self.pairs for index in pair[:2])
-        self.batch = batch
 
     def validate(self, executor: Executor, env: Env):
         """The table this execution reads, if it is still the one the
@@ -163,7 +158,7 @@ class _Scan:
 
 
 def _narrow_by_table(window: list, pairs: list, table) -> None:
-    """Any row may be examined (full scan, interval probe, kernels):
+    """Any row may be examined (full scan, interval probe):
     narrow to the table's change points around the point."""
     for begin_index, end_index, _, _ in pairs:
         lo, hi = table.change_window(begin_index, end_index, window[2])
@@ -541,23 +536,15 @@ class _Level:
         self.access = ("Scan", "")  # EXPLAIN: (operator, the key's SQL)
         self.rows_in = self.rows_out = 0
 
-    def candidates(
-        self, executor: Executor, table, vector: list, env: Env
-    ) -> tuple[list, bool]:
-        """Candidate rows plus a *fully filtered* flag, True only when
-        the batch kernels ran and cover every WHERE conjunct, so the
-        caller may skip filters and residual.  The access path always
-        applies the level's period bounds exactly — behind a hash key or
-        as an interval-index search.  ``engine.rows_scanned`` counts the
-        rows the access path returns (pre-kernel counts on the
-        vectorized path).
-        """
+    def candidates(self, executor: Executor, table, vector: list) -> list:
+        """Candidate rows.  The access path always applies the level's
+        period bounds exactly — behind a hash key or as an
+        interval-index search.  ``engine.rows_scanned`` counts the rows
+        the access path returns."""
         db = executor.db
-        obs = db.obs
-        resilience = db.resilience
-        if resilience.armed:
+        if db.resilience.armed:
             # watchdog/governor checkpoint: every level bind
-            resilience.check()
+            db.resilience.check()
         window = db.read_window
         period = self.period
         if self.key is not None:
@@ -569,40 +556,18 @@ class _Level:
             versions = _bucket_versions(table, bucket, rows, self, vector, window, stats)
             stats.pruned.value += len(rows) - len(versions)
             stats.scanned.value += len(versions)
-            return versions, False
+            return versions
         if window is not None and self.node.pairs:
             _narrow_by_table(window, self.node.pairs, table)
-        # batch kernels only run when they cover *every* conjunct: a
-        # partial batch could drop a row before another conjunct gets
-        # the chance to raise the error the row path raises on it
-        batch = self.node.batch
-        if batch is not None and not (
-            batch.consumes_all
-            # governor degradation: under resident-bytes pressure, stream
-            # row-at-a-time instead of building a columnar image
-            # (counted; visible in EXPLAIN ANALYZE)
-            and resilience.allow_columnar(table)
-        ):
-            batch = None
         table_rows = table.rows
-        positions: Any = None
-        if period is not None:
-            positions = executor._interval_candidate_positions(
-                table, period.begin_index, period.end_index, period.limits(vector)
-            )
-        db.stats.scanned.value += len(table_rows if positions is None else positions)
-        if batch is not None:
-            scanned = range(len(table_rows)) if positions is None else positions
-            selected = batch.apply(table, scanned, env)
-            if selected is not None:
-                obs.inc("engine.vectorized_batches")
-                pruned = len(scanned) - len(selected)
-                if pruned:
-                    obs.inc("engine.vectorized_rows_pruned", pruned)
-                return [table_rows[p] for p in selected], True
-        if positions is None:
-            return table_rows, False
-        return [table_rows[p] for p in positions], False
+        if period is None:
+            db.stats.scanned.value += len(table_rows)
+            return table_rows
+        positions = executor._interval_candidate_positions(
+            table, period.begin_index, period.end_index, period.limits(vector)
+        )
+        db.stats.scanned.value += len(positions)
+        return [table_rows[p] for p in positions]
 
 
 class _Pipeline:
@@ -642,41 +607,31 @@ def _chain(levels: list, residual: list) -> Callable:
             if _all_true(residual, env):
                 emit(env)
     for level in reversed(levels):
-        after = (_scan_step if isinstance(level.node, _Scan) else _opaque_step)(
-            level, after, len(levels) == 1
-        )
+        after = (_scan_step if isinstance(level.node, _Scan) else _opaque_step)(level, after)
     return after or (lambda executor, env, vector, tables, emit: emit(env))
 
 
-def _scan_step(level: "_Level", after: Optional[Callable], alone: bool) -> Callable:
-    """``alone``: a lone scan emits what batch kernels that decided the
-    whole WHERE selected unchecked."""
+def _scan_step(level: "_Level", after: Optional[Callable]) -> Callable:
     pos, key, colmap, filters = level.pos, level.node.key, level.node.colmap, level.filters
 
     def scan(executor, env, vector, tables, emit) -> None:
-        rows, settled = level.candidates(executor, tables[pos], vector, env)
+        rows = level.candidates(executor, tables[pos], vector)
         # one binding, re-pointed at each row that passes (grouping
         # freezes a copy)
         binding = env.bindings[key] = Binding(colmap, None)
-        if settled and alone:
-            for row in rows:
+        passed = 0
+        for row in rows:
+            vector[pos] = row
+            for check in filters:
+                if not check(vector):
+                    break
+            else:
+                passed += 1
                 binding.row = row
-                emit(env)
-            passed = len(rows)
-        else:
-            passed = 0
-            for row in rows:
-                vector[pos] = row
-                for check in filters:
-                    if not check(vector):
-                        break
+                if after is None:
+                    emit(env)
                 else:
-                    passed += 1
-                    binding.row = row
-                    if after is None:
-                        emit(env)
-                    else:
-                        after(executor, env, vector, tables, emit)
+                    after(executor, env, vector, tables, emit)
         del env.bindings[key]
         level.rows_in += len(rows)
         level.rows_out += passed
@@ -686,7 +641,7 @@ def _scan_step(level: "_Level", after: Optional[Callable], alone: bool) -> Calla
     return scan
 
 
-def _opaque_step(level: "_Level", after: Optional[Callable], alone: bool) -> Callable:
+def _opaque_step(level: "_Level", after: Optional[Callable]) -> Callable:
     def opaque(executor, env, vector, tables, emit) -> None:
         bound = 0
         for _ in level.node.bind(executor, env):
@@ -820,28 +775,14 @@ def _build_pipeline(sources: list, conjuncts: list, demoted: frozenset) -> _Pipe
 # ---------------------------------------------------------------------------
 
 
-def _build_leaf(
-    executor: Executor,
-    source: ast.FromItem,
-    env: Optional[Env],
-    conjuncts: list,
-    from_items: Optional[list],
-) -> Any:
+def _build_leaf(executor: Executor, source: ast.FromItem, env: Optional[Env]) -> Any:
     catalog = executor.db.catalog
     if isinstance(source, ast.TableRef):
         view = catalog.get_view(source.name)
         if view is not None:
             columns = executor._output_columns(view, env if env is not None else Env())
             return _Query(source.name, source.binding, columns, view)
-        table = executor._read_table(source.name, env)
-        batch = (
-            compile_batch_filter(
-                executor, table, source.binding, conjuncts, from_items
-            )
-            if conjuncts
-            else None
-        )
-        return _Scan(source.name, source.binding, table, batch)
+        return _Scan(source.name, source.binding, executor._read_table(source.name, env))
     if isinstance(source, ast.SubqueryRef):
         columns = executor._output_columns(
             source.select, env if env is not None else Env()
@@ -860,12 +801,7 @@ def _build_leaf(
 
 
 def _build_source(
-    executor: Executor,
-    source: ast.FromItem,
-    env: Optional[Env],
-    conjuncts: list,
-    from_items: Optional[list],
-    join_specs: list,
+    executor: Executor, source: ast.FromItem, env: Optional[Env], join_specs: list
 ) -> Any:
     if isinstance(source, ast.Join):
         if source.kind == "RIGHT":
@@ -873,30 +809,26 @@ def _build_source(
                 left=source.right, right=source.left, kind="LEFT",
                 condition=source.condition,
             )
-            return _build_source(executor, swapped, env, [], None, join_specs)
+            return _build_source(executor, swapped, env, join_specs)
         if source.kind not in ("INNER", "CROSS", "LEFT"):
             raise ExecutionError(f"unsupported join kind {source.kind}")
-        left = _build_source(executor, source.left, env, [], None, join_specs)
-        right = _build_source(executor, source.right, env, [], None, join_specs)
+        left = _build_source(executor, source.left, env, join_specs)
+        right = _build_source(executor, source.right, env, join_specs)
         node = (_LeftJoinNode if source.kind == "LEFT" else _JoinNode)(
             left, right, None
         )
         if source.condition is not None:
             join_specs.append((node, source.condition))
         return node
-    return _build_leaf(executor, source, env, conjuncts, from_items)
+    return _build_leaf(executor, source, env)
 
 
 def _build_sources(
     executor: Executor, select: ast.Select, env: Optional[Env]
 ) -> tuple[list, dict, list]:
-    conjuncts = _split_conjuncts(select.where)
     join_specs: list = []
     sources = [
-        _build_source(
-            executor, item, env, conjuncts, select.from_items, join_specs
-        )
-        for item in select.from_items
+        _build_source(executor, item, env, join_specs) for item in select.from_items
     ]
     leaves = [leaf for node in sources for leaf in _leaves(node)]
     layout: dict = {}
@@ -913,7 +845,7 @@ def _build_sources(
             leaf.arg_cs = [
                 compile_expression(executor, a, layout) for a in leaf.args
             ]
-    return sources, layout, conjuncts
+    return sources, layout, _split_conjuncts(select.where)
 
 
 def _analyze_conjuncts(
@@ -1098,7 +1030,7 @@ class _FromWhere:
     WHERE conjuncts and the join pipelines placed over them."""
 
     __slots__ = ("sources", "conjuncts", "outer_cs", "checks", "pipeline",
-                 "variants", "single_scan")
+                 "variants")
 
     def __init__(self, sources: list, conjuncts: list, outer_cs: list) -> None:
         self.sources = sources
@@ -1115,14 +1047,6 @@ class _FromWhere:
         # built on first need and kept by the demotion set
         self.pipeline = _build_pipeline(sources, conjuncts, frozenset())
         self.variants: dict = {}
-        # the WHERE fast path: a lone base-table scan whose batch
-        # kernels cover the whole predicate may skip it per row
-        self.single_scan = (
-            len(sources) == 1
-            and isinstance(sources[0], _Scan)
-            and sources[0].batch is not None
-            and sources[0].batch.consumes_all
-        )
 
     def _pipeline_for(self, env: Env) -> tuple[_Pipeline, list]:
         """Read the outer operands once and pick this execution's
@@ -1437,7 +1361,7 @@ def _build_match(
     table = executor._resolve_table(stmt.table, env)
     source = ast.TableRef(name=stmt.table, alias=stmt.alias)
     where = _split_conjuncts(stmt.where)
-    scan = _build_leaf(executor, source, env, where, [source])
+    scan = _build_leaf(executor, source, env)
     layout = {scan.key: scan.colmap}
     conjuncts, outer_cs = _analyze_conjuncts(executor, where, [scan], layout)
     if isinstance(stmt, ast.Delete):

@@ -8,8 +8,8 @@ cross-cutting concerns:
 * :class:`ResilienceManager` — one per :class:`~repro.sqlengine.engine.Database`,
   combining the **query watchdog** (per-statement deadlines, async
   cancellation, deterministic cancel-at-check triggers for tests) and
-  the **resource governor** (row-scan / undo-depth / resident-bytes
-  budgets).  Hot paths pay one attribute load while disarmed::
+  the **resource governor** (row-scan / undo-depth budgets).  Hot
+  paths pay one attribute load while disarmed::
 
       res = db.resilience
       if res.armed:
@@ -22,12 +22,6 @@ cross-cutting concerns:
   :class:`~repro.sqlengine.errors.SignalError` subclass, so it unwinds
   through the existing handler/rollback machinery exactly like a
   ``SIGNAL``-raised condition and leaves the undo log clean.
-
-* **Graceful degradation** — under resident-bytes pressure the planner
-  consults :meth:`ResilienceManager.allow_columnar` before building a
-  columnar image and falls back to streaming row-at-a-time scans; every
-  degradation is counted (``resilience.degradations.vectorized``) and
-  surfaced in EXPLAIN ANALYZE.
 
 * :func:`retry_durable` — bounded-backoff retry around WAL write/fsync
   and checkpoint tmp+rename.  Transient ``OSError``\\ s (EINTR/EAGAIN/
@@ -111,10 +105,8 @@ class ResilienceManager:
         "_cancel_at_check",
         "_max_rows_scanned",
         "_max_undo_depth",
-        "_max_resident_bytes",
         "_depth",
         "_rows_baseline",
-        "_resident_extra",
     )
 
     def __init__(self, db) -> None:
@@ -127,13 +119,8 @@ class ResilienceManager:
         self._cancel_at_check: Optional[int] = None
         self._max_rows_scanned: Optional[int] = None
         self._max_undo_depth: Optional[int] = None
-        self._max_resident_bytes: Optional[int] = None
         self._depth = 0
         self._rows_baseline = 0
-        # bytes admitted by allow_columnar since the last gauge refresh:
-        # the gauge is only recomputed on demand, so stores granted in
-        # between must count against the budget too
-        self._resident_extra = 0
 
     # -- configuration ---------------------------------------------------
 
@@ -145,7 +132,6 @@ class ResilienceManager:
             or self._cancel_at_check is not None
             or self._max_rows_scanned is not None
             or self._max_undo_depth is not None
-            or self._max_resident_bytes is not None
         )
 
     @property
@@ -182,15 +168,6 @@ class ResilienceManager:
         self._rearm()
 
     @property
-    def max_resident_bytes(self) -> Optional[int]:
-        return self._max_resident_bytes
-
-    @max_resident_bytes.setter
-    def max_resident_bytes(self, limit: Optional[int]) -> None:
-        self._max_resident_bytes = limit
-        self._rearm()
-
-    @property
     def cancel_at_check(self) -> Optional[int]:
         """One-shot deterministic trigger: cancel on the Nth watchdog
         check of the current (or next) top-level statement.  Cleared
@@ -208,13 +185,11 @@ class ResilienceManager:
         statement_timeout: Optional[float] = None,
         max_rows_scanned: Optional[int] = None,
         max_undo_depth: Optional[int] = None,
-        max_resident_bytes: Optional[int] = None,
     ) -> "ResilienceManager":
         """Set (or clear, with None) every knob in one call."""
         self._statement_timeout = statement_timeout
         self._max_rows_scanned = max_rows_scanned
         self._max_undo_depth = max_undo_depth
-        self._max_resident_bytes = max_resident_bytes
         self._rearm()
         return self
 
@@ -226,7 +201,6 @@ class ResilienceManager:
         self._cancel_at_check = None
         self._max_rows_scanned = None
         self._max_undo_depth = None
-        self._max_resident_bytes = None
         self.armed = False
 
     def cancel(self) -> None:
@@ -300,72 +274,6 @@ class ResilienceManager:
                     limit=limit,
                     used=used,
                 )
-
-    # -- graceful degradation (the governor's soft edge) -----------------
-
-    def allow_columnar(self, table) -> bool:
-        """May the planner materialize ``table``'s columnar image?
-
-        Under a resident-bytes budget, building a *new* store that
-        would push the estimate past the limit is denied — the scan
-        degrades to the streaming row-at-a-time path instead of
-        failing.  A store that is already built and current is always
-        allowed: it costs no new memory.  Estimation is deliberately
-        cheap (rows × columns × a per-cell constant); calling
-        ``table.bytes_resident()`` here would *build* the store we are
-        deciding about.
-        """
-        limit = self._max_resident_bytes
-        if limit is None:
-            return True
-        if table.has_column_store():
-            return True
-        estimate = _estimate_store_bytes(table)
-        resident = (
-            self.db.obs.gauges.get("engine.bytes_resident", 0)
-            + self._resident_extra
-        )
-        if resident + estimate > limit:
-            self.db.obs.inc("resilience.degradations.vectorized")
-            return False
-        self._resident_extra += estimate
-        return True
-
-    def note_gauge_refresh(self) -> None:
-        """The ``engine.bytes_resident`` gauge was just recomputed; the
-        provisional grants are folded into it."""
-        self._resident_extra = 0
-
-    # -- introspection ---------------------------------------------------
-
-    def state(self) -> dict[str, Any]:
-        return {
-            "armed": self.armed,
-            "statement_timeout": self._statement_timeout,
-            "max_rows_scanned": self._max_rows_scanned,
-            "max_undo_depth": self._max_undo_depth,
-            "max_resident_bytes": self._max_resident_bytes,
-            "checks": self.checks,
-            "cancellations": self.db.obs.value("resilience.cancellations"),
-            "budget_stops": self.db.obs.value("resilience.budget_stops"),
-            "degradations": self.db.obs.value(
-                "resilience.degradations.vectorized"
-            ),
-        }
-
-
-# rough per-cell byte cost of a columnar image (ColumnVector holds
-# typed arrays for dates/ints and object lists otherwise; 24 bytes/cell
-# sits between the two) plus a fixed per-column overhead
-_CELL_BYTES = 24
-_COLUMN_OVERHEAD = 64
-
-
-def _estimate_store_bytes(table) -> int:
-    return (
-        len(table.rows) * len(table.columns) * _CELL_BYTES
-        + len(table.columns) * _COLUMN_OVERHEAD
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,22 +3,15 @@
 Rows are plain Python lists (one slot per column) so inserts, updates,
 the undo log and WAL redo stay cheap and identity-based;
 :class:`~repro.sqlengine.values.Row` objects are only materialised at
-result boundaries.  For scans, a table additionally exposes a *derived*
-columnar representation (:class:`ColumnStore`): typed column vectors
-(stdlib ``array`` for integers, ordinals and date ordinals; lists for
-strings and everything else) plus a per-column validity bitmap for
-NULLs.  The store is one of the table's derived structures, like the
-hash and interval indexes (see :class:`Table` for the one validity
-rule) — rows remain the single authoritative write surface, so txn
-undo, WAL redo and recovery semantics are unchanged — and the batch
-predicate kernels in :mod:`repro.sqlengine.exprcompile` evaluate WHERE
-conjuncts over its column slices, returning selection vectors instead
-of looping rows.
+result boundaries.  The rows are a table's only in-memory form: hash
+and interval indexes, change points and stab structures are *derived*
+from them (see :class:`Table` for the one validity rule), and the batch
+predicate kernels in :mod:`repro.sqlengine.exprcompile` read them
+through each column's declared kind (:func:`_column_kind`).
 """
 
 from __future__ import annotations
 
-from array import array
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.sqlengine.errors import CatalogError, ExecutionError
@@ -49,16 +42,16 @@ class Column:
 
 
 def _column_kind(type_: SqlType) -> str:
-    """The vector kind a declared column type maps to.
+    """The comparison domain a declared column type maps to.
 
     * ``int``  — integers and booleans (booleans normalise to 0/1, the
       same normalisation :func:`repro.sqlengine.values.compare` applies);
     * ``date`` — day ordinals;
     * ``float`` — FLOAT/REAL/DOUBLE (and non-integer DECIMAL/NUMERIC,
       which the engine stores as Python floats);
-    * ``str``  — character types, stored right-stripped because
+    * ``str``  — character types, compared right-stripped because
       ``compare`` strips both sides;
-    * ``obj``  — anything else: raw values, never batch-evaluated.
+    * ``obj``  — anything else: raw values, never batch-compared.
     """
     if type_.is_integer or type_.is_boolean:
         return "int"
@@ -71,154 +64,12 @@ def _column_kind(type_: SqlType) -> str:
     return "obj"
 
 
-class ColumnVector:
-    """One column of a :class:`ColumnStore`.
-
-    ``data`` is an ``array('q')`` of ints/ordinals, an ``array('d')`` of
-    floats, or a list (strings / raw objects); ``valid`` is a bytearray
-    validity bitmap (1 = non-NULL).  Slots holding NULL carry a dummy
-    value in ``data`` and must never be read without consulting
-    ``valid``.  A value that does not fit the declared kind degrades the
-    whole vector to ``obj`` (batch kernels then fall back to rows); the
-    slots written before keep their converted form, so only appends can
-    follow a degraded vector — :meth:`set` and :meth:`delete` refuse and
-    the store is rebuilt from the rows.
-    """
-
-    __slots__ = ("kind", "data", "valid", "nulls", "degraded")
-
-    def __init__(self, kind: str) -> None:
-        self.kind = kind
-        if kind == "int" or kind == "date":
-            self.data: Any = array("q")
-        elif kind == "float":
-            self.data = array("d")
-        else:
-            self.data = []
-        self.valid = bytearray()
-        # NULL count: kernels skip the validity bitmap entirely when 0
-        self.nulls = 0
-        self.degraded = False
-
-    def append(self, value: Any) -> None:
-        kind = self.kind
-        if value is Null:
-            self.valid.append(0)
-            self.nulls += 1
-            self.data.append(0 if kind in ("int", "date", "float") else None)
-            return
-        if kind == "int" and isinstance(value, int):
-            try:
-                # bool is an int subclass; int() normalises it like compare
-                self.data.append(int(value))
-            except OverflowError:  # beyond 64-bit: keep the raw object
-                self._degrade()
-                self.data.append(value)
-        elif kind == "date" and isinstance(value, Date):
-            self.data.append(value.ordinal)
-        elif kind == "float" and isinstance(value, (int, float)) and value == value:
-            # (a NaN degrades the vector: native float comparison does
-            # not order it the way `compare` does)
-            self.data.append(float(value))
-        elif kind == "str" and isinstance(value, str):
-            self.data.append(value.rstrip())
-        elif kind == "obj":
-            self.data.append(value)
-        else:
-            # a value outside the declared kind: demote to raw objects
-            self._degrade()
-            self.data.append(value)
-        self.valid.append(1)
-
-    def _degrade(self) -> None:
-        """Demote to an ``obj`` vector, keeping positions aligned."""
-        raw = list(self.data)
-        self.kind = "obj"
-        self.data = raw
-        self.degraded = True
-
-    def set(self, position: int, value: Any) -> bool:
-        """Overwrite one slot; False when only a rebuild can express it
-        (the vector is degraded, or ``value`` degrades it mid-vector)."""
-        if self.degraded:
-            return False
-        # encode through append — the one conversion ladder — then move
-        # the new last slot into place
-        self.append(value)
-        if self.degraded:
-            return False
-        if not self.valid[position]:
-            self.nulls -= 1
-        self.data[position] = self.data.pop()
-        self.valid[position] = self.valid.pop()
-        return True
-
-    def delete(self, doomed: list[int]) -> None:
-        """Drop the slots at the ascending positions ``doomed``."""
-        valid = self.valid
-        self.nulls -= sum(1 for position in doomed if not valid[position])
-        self.data = without(self.data, doomed)
-        self.valid = without(valid, doomed)
-
-    def bytes_resident(self) -> int:
-        """Estimated resident bytes of this vector (data + validity)."""
-        data = self.data
-        if isinstance(data, array):
-            payload = len(data) * data.itemsize
-        else:
-            payload = 0
-            for value in data:
-                if isinstance(value, str):
-                    payload += 49 + len(value)  # CPython str header + chars
-                else:
-                    payload += 32  # pointer + small-object estimate
-        return payload + len(self.valid)
-
-
-class ColumnStore:
-    """The derived columnar image of a table's rows.
-
-    Built from the authoritative row list and kept valid at
-    ``table.version`` by the table's mutation primitives (see
-    :meth:`Table.column_store`): appends, cell overwrites and deletes
-    are mirrored slot by slot; a slot change a degraded vector cannot
-    take makes the table rebuild the store.
-    """
-
-    __slots__ = ("vectors", "row_count")
-
-    def __init__(self, columns: Sequence[Column], rows: list[list[Any]]) -> None:
-        self.vectors = [ColumnVector(_column_kind(c.type)) for c in columns]
-        self.row_count = 0
-        for row in rows:
-            self.append(row)
-
-    def append(self, row: list[Any]) -> None:
-        for vector, value in zip(self.vectors, row):
-            vector.append(value)
-        self.row_count += 1
-
-    def delete(self, doomed: list[int]) -> bool:
-        """Drop the rows at the ascending positions ``doomed``; False
-        (nothing changed) when a degraded vector cannot follow."""
-        if any(vector.degraded for vector in self.vectors):
-            return False
-        for vector in self.vectors:
-            vector.delete(doomed)
-        self.row_count -= len(doomed)
-        return True
-
-    def bytes_resident(self) -> int:
-        return sum(vector.bytes_resident() for vector in self.vectors)
-
-
 # -- deltas -------------------------------------------------------------------
 # One function per mutation shape.  Each receives a derived structure
 # that was valid just before the mutation (its key names the kind, see
 # Table) and returns it brought forward — edited in place, or a
 # replacement — or None when only a rebuild can express the change.
 
-_COLUMNAR = ("columnar",)
 _POSITIONS = ("positions",)
 
 
@@ -248,8 +99,6 @@ def _append_delta(key: tuple, structure: Any, row: list[Any], position: int) -> 
         }
         if not points <= structure.points:
             structure = ChangePoints(structure.points | points)
-    elif kind == "columnar":
-        structure.append(row)
     elif kind == "stab":
         _drop_buckets(key, structure, [row[key[1]]])
     else:
@@ -265,10 +114,7 @@ def _update_delta(key: tuple, structure: Any, touched: list) -> Any:
         return structure  # identity and position are unchanged
     for position, row, changes in touched:
         for column, old, new in changes:
-            if kind == "columnar":
-                if not structure.vectors[column].set(position, new):
-                    return None
-            elif column not in key[1:] or old is new:
+            if column not in key[1:] or old is new:
                 continue
             elif kind == "hash":
                 # the row stays in its bucket only under an equal key
@@ -310,9 +156,6 @@ def _delete_delta(key: tuple, structure: Any, doomed: list[int], rows: list) -> 
                 del structure[bucket]
     elif kind == "interval":
         structure.remove(doomed)
-    elif kind == "columnar":
-        if not structure.delete(doomed):
-            return None
     elif kind == "stab":
         _drop_buckets(key, structure, [row[key[1]] for row in rows])
     else:
@@ -332,8 +175,8 @@ class Table:
     pay nothing.
 
     **Derived structures** — hash indexes, interval indexes,
-    change-point sets, per-bucket stab structures, the column store and
-    the row-position map — are built lazily from ``rows`` by the
+    change-point sets, per-bucket stab structures and the row-position
+    map — are built lazily from ``rows`` by the
     accessor methods below (the only build code) and held in
     ``_derived`` as ``key -> (version, row count, structure)``.  One
     rule decides validity: *a structure is valid at* ``table.version``
@@ -342,8 +185,7 @@ class Table:
     ``version`` and then carries the structures that were valid just
     before: ``append_row``, ``update_rows`` and ``delete_rows`` apply
     their row delta and re-tag last; what a delta cannot express (a
-    changed hash key or begin bound, a non-Date bound, a slot a degraded
-    vector cannot take) drops that structure — or, for the stab buckets,
+    changed hash key or begin bound, a non-Date bound) drops that structure — or, for the stab buckets,
     the buckets of the rows it touched — and ``replace_rows``,
     ``add_column`` and any edit of ``rows`` behind the primitives' back
     (tests) carry nothing, so the next accessor rebuilds.  These five
@@ -369,14 +211,15 @@ class Table:
         if len(self._index) != len(self.columns):
             raise CatalogError(f"duplicate column names in table {name}")
         # replaced whenever the columns change: a plan bound against
-        # this stamp still fits the table (``planner._Scan.validate``)
+        # this stamp still fits the table (``planner._Scan.validate``,
+        # ``exprcompile.BatchFilter.apply``)
         self.schema_stamp = object()
         # bumped by every mutation; tags the derived structures
         self.version = 0
         # key -> (version, row count, structure), keys ("hash", column),
         # ("interval", begin, end), ("change_points", begin, end),
-        # ("stab", column, begin, end, *period columns), ("columnar",),
-        # ("positions",) — see the class docstring
+        # ("stab", column, begin, end, *period columns), ("positions",) —
+        # see the class docstring
         self._derived: dict[tuple, tuple[int, int, Any]] = {}
         # declared (begin, end) period column pairs, eligible for
         # interval-index scans
@@ -688,22 +531,6 @@ class Table:
                 {id(row): position for position, row in enumerate(self.rows)},
             )
         return positions
-
-    def column_store(self) -> ColumnStore:
-        """The derived columnar image of the table (see
-        :class:`ColumnStore`)."""
-        store = self._current(_COLUMNAR)
-        if store is None:
-            store = self._built(_COLUMNAR, ColumnStore(self.columns, self.rows))
-        return store
-
-    def has_column_store(self) -> bool:
-        """Is a current columnar image resident (asking builds nothing)?"""
-        return self._current(_COLUMNAR) is not None
-
-    def bytes_resident(self) -> int:
-        """Estimated bytes held by the columnar image of this table."""
-        return self.column_store().bytes_resident()
 
     def declare_interval(self, begin_column: str, end_column: str) -> None:
         """Declare a ``(begin, end)`` period column pair as eligible for

@@ -176,7 +176,7 @@ def materialize_constant_periods(
             temporary=True,
         )
         # the cp table is stabbed per slice; declaring its period pair
-        # makes those probes interval-indexed and vectorizable
+        # makes those probes interval-indexed
         cp_table.declare_interval("begin_time", "end_time")
         db.catalog.add_table(cp_table, replace=True)
     # routed through the logged primitive so temp-table state follows the

@@ -14,7 +14,8 @@ plan over the same constant-period grid:
   Candidate rows come from the table's :class:`IntervalIndex` overlap
   probe against the temporal context (NULL-bounded rows drop out by the
   index's documented contract, exactly as a NULL comparison drops them
-  under MAX), and single-table conjuncts that have vectorized kernels
+  under MAX), and single-table conjuncts that have batch kernels
+  (:class:`repro.sqlengine.exprcompile.BatchFilter`, reading the rows)
   are applied **once** over the candidate set instead of once per
   period.
 * **IntervalJoin** — an interval hash join over the aligned runs.  Each
@@ -41,8 +42,8 @@ pays one engine round-trip per period.
 
 Coverage is deliberately conservative: any statement shape outside the
 proven-identical fragment raises :class:`SeqSetUnsupportedError` at
-compile time (and :class:`SeqSetRuntimeFallback` when the vectorized
-path degrades at run time), and the stratum falls back to MAX — the
+compile time (and :class:`SeqSetRuntimeFallback` when a batch kernel
+declines at run time), and the stratum falls back to MAX — the
 fallback reproduces MAX's results *and errors* exactly.
 """
 
@@ -59,11 +60,7 @@ from repro.sqlengine.executor import (
     _contains_aggregate,
     _split_conjuncts,
 )
-from repro.sqlengine.exprcompile import (
-    BatchFilter,
-    _batch_kernel,
-    compile_expression,
-)
+from repro.sqlengine.exprcompile import BatchFilter, compile_expression
 from repro.sqlengine.storage import _column_kind
 from repro.sqlengine.values import Null, sort_key, truth
 from repro.temporal import analysis
@@ -77,7 +74,7 @@ from repro.temporal.transform_util import and_all, clone, unique_name
 class TemporalAlign:
     """SEQ-SET plan node: one FROM table's rows aligned onto the
     constant-period grid in a single pass (interval-index overlap probe
-    against the temporal context, vectorized single-table filters, then
+    against the temporal context, single-table batch kernels, then
     a bisect of each row's period onto the sorted period begins).
 
     EXPLAIN renders the access path alongside the engine's scan nodes.
@@ -131,8 +128,8 @@ class SeqSetUnsupportedError(TemporalError):
 
 
 class SeqSetRuntimeFallback(Exception):
-    """The vectorized path is unavailable for this execution (governor
-    degradation, column-store surprise); re-run the statement under MAX."""
+    """A batch kernel declined this execution (a constant of the wrong
+    type or NaN, a changed table); re-run the statement under MAX."""
 
 
 class _AlignedSource:
@@ -140,10 +137,10 @@ class _AlignedSource:
 
     __slots__ = (
         "name", "binding", "alias", "colmap", "temporal",
-        "begin_index", "end_index", "kernels", "keys", "key_sql",
+        "begin_index", "end_index", "filter", "keys", "key_sql",
     )
 
-    def __init__(self, name: str, binding: str) -> None:
+    def __init__(self, name: str, binding: str, table) -> None:
         self.name = name
         self.binding = binding  # original spelling, for kernel compilation
         self.alias = binding.lower()
@@ -151,7 +148,7 @@ class _AlignedSource:
         self.temporal = False
         self.begin_index: Optional[int] = None
         self.end_index: Optional[int] = None
-        self.kernels: list = []
+        self.filter = BatchFilter(table)
         # equi-join key parts binding this source to earlier FROM
         # sources: (own column, earlier source index, its column), and
         # the conjuncts they were lifted from (for EXPLAIN)
@@ -268,7 +265,7 @@ def compile_seqset(
     tables = []
     for from_item in select.from_items:
         table = db.catalog.get_table(from_item.name)
-        source = _AlignedSource(table.name, from_item.binding)
+        source = _AlignedSource(table.name, from_item.binding, table)
         if source.alias in layout:
             raise _unsupported(f"duplicate FROM alias {source.alias}")
         source.colmap = {
@@ -305,24 +302,19 @@ def compile_seqset(
                 return index, column
         return None
 
-    # conjunct classification: a conjunct with a vectorized kernel on one
+    # conjunct classification: a conjunct with a batch kernel on one
     # source is applied once over that source's aligned candidates; an
     # equality between plain columns of two sources becomes a hash-join
     # key part of the later one; the rest become one compiled residual
     # predicate per matched combination
     residual: list[ast.Expression] = []
     for conjunct in _split_conjuncts(select.where):
-        kernel = None
-        for source, table in zip(plan.sources, tables):
-            kernel = _batch_kernel(
+        if not any(
+            source.filter.add(
                 executor, table, source.binding, conjunct, select.from_items
             )
-            if kernel is not None:
-                source.kernels.append(kernel)
-                break
-        if kernel is None and not _lift_join_key(
-            conjunct, slot_of, plan.sources, tables
-        ):
+            for source, table in zip(plan.sources, tables)
+        ) and not _lift_join_key(conjunct, slot_of, plan.sources, tables):
             residual.append(conjunct)
     residual_expr = and_all(residual)
     if residual_expr is not None:
@@ -361,7 +353,7 @@ def compile_seqset(
                     if source.temporal
                     else None
                 ),
-                kernel_count=len(source.kernels),
+                kernel_count=len(source.filter.kernels),
                 temporal=source.temporal,
             )
             for i, source in enumerate(plan.sources)
@@ -430,19 +422,16 @@ def execute_seqset(
                 obs.inc("engine.interval_rows_pruned", pruned)
         else:
             positions = range(len(rows))
-        if source.kernels:
-            if not resilience.allow_columnar(table):
-                raise SeqSetRuntimeFallback(
-                    "resource governor denied the columnar store for"
-                    f" {source.name}"
-                )
-            filtered = BatchFilter(source.kernels, True).apply(
-                table, positions, env
-            )
+        if source.filter.kernels:
+            filtered = source.filter.apply(table, positions, env)
             if filtered is None:
                 raise SeqSetRuntimeFallback(
-                    f"vectorized filter unavailable on {source.name}"
+                    f"a filter kernel declined on {source.name}"
                 )
+            obs.inc("engine.vectorized_batches")
+            pruned = len(positions) - len(filtered)
+            if pruned:
+                obs.inc("engine.vectorized_rows_pruned", pruned)
             positions = filtered
         obs.inc("engine.rows_scanned", len(positions))
         # one (row, lo, hi) run per candidate, positions ascending: the

@@ -905,8 +905,8 @@ class TemporalStratum:
         return found
 
     def _fall_back(self, prepared: PreparedStatement, reason: str) -> PreparedStatement:
-        """SEQ-SET declined ``prepared`` (its shape at compile time, the
-        vectorized path at run time): the same statement under MAX, which
+        """SEQ-SET declined ``prepared`` (its shape at compile time, a
+        batch kernel at run time): the same statement under MAX, which
         reproduces results — and errors — for everything SEQ-SET declines."""
         found = self._transformed(
             "max", prepared.statement, prepared.registry

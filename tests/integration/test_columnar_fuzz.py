@@ -92,7 +92,7 @@ def test_columnar_checkpoint_crash_boundaries(seed, tmp_path):
                 f"seed {seed}: crash at post-checkpoint boundary {index}"
                 " diverged"
             )
-            # a recovered store keeps a working vectorized path
+            # a recovered store answers a filtered scan
             recovered.db.execute(
                 "SELECT name FROM emp WHERE salary > 4000"
             )

@@ -45,6 +45,7 @@ from tests.integration.test_fuzz_sequenced import (
 from tests.reference_executor import installed
 
 MAX, PERST, AUTO = SlicingStrategy.MAX, SlicingStrategy.PERST, SlicingStrategy.AUTO
+SEQSET = SlicingStrategy.SEQSET
 MONTH = ("2010-02-01", "2010-03-01")
 WEEK = ("2010-02-01", "2010-02-08")
 # shorter MAX contexts for the two queries the reference is slowest on
@@ -135,27 +136,28 @@ COUNTERS = (
 
 
 def test_engine_takes_the_fast_paths_and_the_reference_does_not(small_dataset):
-    """PERST's algebraic fragment over ``price > 50``: an interval probe
-    on the context bounds, then a batch kernel on the price, which the
-    index cannot decide.  q2 under MAX: a routine served by the memo."""
+    """SEQ-SET over ``price > 50``: an interval probe on the context
+    bounds, then a batch kernel on the price, which the index cannot
+    decide; its reference is MAX.  q2 under MAX: a routine served by the
+    memo."""
     stratum, db = small_dataset.stratum, small_dataset.stratum.db
     q2 = get_query("q2")
     q2.install(small_dataset)
     statements = [
         (f"VALIDTIME [DATE '{MONTH[0]}', DATE '{MONTH[1]}']"
-         " SELECT i.id, i.title FROM item i WHERE i.price > 50", PERST),
-        (q2.sequenced_sql(small_dataset, *MONTH), MAX),
+         " SELECT i.id, i.title FROM item i WHERE i.price > 50", SEQSET, MAX),
+        (q2.sequenced_sql(small_dataset, *MONTH), MAX, MAX),
     ]
 
-    def grown(run):
+    def grown(run, side):
         before = [db.obs.value(name) for name in COUNTERS]
-        results = [run(stratum, sql, strategy) for sql, strategy in statements]
+        results = [run(stratum, sql, strategies[side]) for sql, *strategies in statements]
         return results, {
             name: db.obs.value(name) - was for name, was in zip(COUNTERS, before)
         }
 
-    engine, fast = grown(outcome)
-    reference, slow = grown(reference_outcome)
+    engine, fast = grown(outcome, 0)
+    reference, slow = grown(reference_outcome, 1)
     assert engine == reference
     assert all(fast.values()), fast
     assert not any(slow.values()), slow

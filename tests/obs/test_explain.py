@@ -172,22 +172,21 @@ class TestGoldenJoinPipeline:
 
 
 class TestGoldenVectorized:
-    """Pin the compile-time vectorized-vs-fallback decision per scan.
-
-    The planner annotates every scan with how its pushed-down conjuncts
-    will run: ``vectorized filter`` when every conjunct compiled to a
-    column-batch kernel, ``row-at-a-time filter`` otherwise."""
+    """Pin how a scan evaluates its conjuncts: every engine scan filters
+    row at a time (a typed filter per total conjunct, the residual for
+    the rest); batch kernels run only in SEQ-SET's TemporalAlign."""
 
     def test_vectorized_filter_plan(self, stratum):
         result = stratum.db.execute(
             "EXPLAIN SELECT i.id FROM item i WHERE i.price > 30.0"
         )
-        assert any("vectorized filter" in line for line in result.lines)
+        assert any("row-at-a-time filter" in line for line in result.lines)
+        assert not any("vectorized" in line for line in result.lines)
         check_golden("vectorized_filter_plan", result.text())
 
     def test_fallback_filter_plan(self, stratum):
-        # arithmetic inside the comparison has no batch kernel, so the
-        # conjunct set falls back to the interpreted row path
+        # arithmetic inside the comparison makes the conjunct partial:
+        # the residual evaluates it
         result = stratum.db.execute(
             "EXPLAIN SELECT i.id FROM item i WHERE i.price + 1.0 > 30.0"
         )
@@ -196,9 +195,7 @@ class TestGoldenVectorized:
         check_golden("fallback_filter_plan", result.text())
 
     def test_mixed_conjuncts_fall_back(self, stratum):
-        # one kernelizable conjunct + one that is not: partial batches
-        # never apply (they could suppress row-path errors), so the
-        # whole scan stays row-at-a-time
+        # one total conjunct (a typed filter) + one partial (the residual)
         result = stratum.db.execute(
             "EXPLAIN SELECT i.id FROM item i"
             " WHERE i.price > 30.0 AND i.price + 1.0 > 30.0"

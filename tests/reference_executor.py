@@ -340,12 +340,20 @@ class ReferenceExecutor(Executor):
         if isinstance(expr, ast.IsNullPredicate):
             return (self.evaluate(expr.expr, env) is Null) != expr.negated
         if isinstance(expr, ast.BetweenPredicate):
+            # SQL defines it as ``value >= low AND value <= high``: one
+            # False half makes it False even when the other is Unknown
             value = self.evaluate(expr.expr, env)
             lower = compare(value, self.evaluate(expr.low, env))
             upper = compare(value, self.evaluate(expr.high, env))
-            if lower is Unknown or upper is Unknown:
-                return Unknown
-            return (lower >= 0 and upper <= 0) != expr.negated
+            if (lower is not Unknown and lower < 0) or (
+                upper is not Unknown and upper > 0
+            ):
+                answer = False
+            elif lower is Unknown or upper is Unknown:
+                answer = Unknown
+            else:
+                answer = True
+            return logic_not(answer) if expr.negated else answer
         if isinstance(expr, ast.InPredicate):
             return self._evaluate_in(expr, env)
         if isinstance(expr, ast.ExistsPredicate):

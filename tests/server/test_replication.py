@@ -333,7 +333,7 @@ def test_fingerprints_at_replays_store_to_common_seq(tmp_path):
 
 def test_a_standby_carries_derived_structures(tmp_path):
     """Replay writes through the primitives a statement writes with, so
-    a standby carries its hash, interval and columnar structures forward
+    a standby carries its hash and interval structures forward
     by deltas: 60 single-row UPDATE commits, each followed by a keyed
     read, build nothing after the warm-up (the parent of this change
     rebuilt the hash index after every applied commit: 60 builds)."""
@@ -365,10 +365,10 @@ def test_a_standby_carries_derived_structures(tmp_path):
         return standby.execute(f"SELECT balance FROM acct WHERE id = {key}").rows
 
     # warm-up: the read's hash index, and every other structure a reader
-    # can obtain (the interval index and column store included)
+    # can obtain (the interval index included)
     assert keyed_read(0) == [[0]]
     assert_from_scratch(table)
-    kinds = ("hash", "interval", "columnar")
+    kinds = ("hash", "interval")
     builds = {kind: obs.value(f"engine.derived.builds.{kind}") for kind in kinds}
     for n in range(60):
         applier.feed(boundaries[n], wal_bytes[boundaries[n]:boundaries[n + 1]])

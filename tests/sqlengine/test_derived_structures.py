@@ -1,16 +1,15 @@
 """Derived structures follow row deltas: carried ≡ built from scratch.
 
-``Table`` keeps its hash indexes, interval indexes, column store,
-change-point sets and row-position map valid across mutations by
+``Table`` keeps its hash indexes, interval indexes, change-point sets,
+stab structures and row-position map valid across mutations by
 applying each primitive's row delta to them (one rule, in the ``Table``
 docstring).  The property here: after *any* sequence of primitives —
 interleaved with savepoints, rollbacks and a second MVCC session — every
 structure a reader can obtain equals a from-scratch build over the same
 rows, and a bucket or hit list a reader fetched *before* a step is
-unchanged after it.  Four mutants (a skipped position shift, a skipped
-NULL count, an in-place bucket append, a bucket's stab structure
-validated by the bucket list's identity only) must each fail the
-property.
+unchanged after it.  Three mutants (a skipped position shift, an
+in-place bucket append, a bucket's stab structure validated by the
+bucket list's identity only) must each fail the property.
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ K, C, F, B, E = range(5)
 # declared-type values (survive coercion) and raw ones only append_row /
 # update_rows can place (they store what they are given, prepared or
 # not): an INTEGER = FLOAT key, a bool, a blank-padded CHAR key, an int
-# in the FLOAT column, a non-Date bound and two values that degrade
-# their vector
+# in the FLOAT column, a non-Date bound and values outside their
+# column's declared kind
 CLEAN = {
     K: [0, 1, 2, Null],
     C: ["a", "a   ", "b", Null],
@@ -142,11 +141,6 @@ def image(table: Table) -> dict:
             )
             for bucket, structure in bucket_stabs(table).items()
         }
-    store = table.column_store()
-    out["columnar"] = (store.row_count, [
-        (v.kind, list(v.data), bytes(v.valid), v.nulls, v.degraded)
-        for v in store.vectors
-    ])
     out["positions"] = dict(table.row_positions())
     return out
 
@@ -357,19 +351,6 @@ def _no_position_shift(self, doomed):
     self._tree = None
 
 
-def _no_null_count(self, position, value):
-    if self.degraded:
-        return False
-    self.append(value)
-    if self.degraded:
-        return False
-    if value is Null:
-        self.nulls -= 1  # undo append's count: the slot's old state is ignored
-    self.data[position] = self.data.pop()
-    self.valid[position] = self.valid.pop()
-    return True
-
-
 _real_append_delta = storage._append_delta
 
 
@@ -397,7 +378,6 @@ def _stab_validated_by_bucket_identity(self, column, bucket, begin, end, columns
 
 @pytest.mark.parametrize("target,name,mutant", [
     (interval_index.IntervalIndex, "remove", _no_position_shift),
-    (storage.ColumnVector, "set", _no_null_count),
     (storage, "_append_delta", _bucket_grown_in_place),
     (Table, "bucket_stab", _stab_validated_by_bucket_identity),
 ])

@@ -1,10 +1,18 @@
 """Engine edge cases: composition, nesting, coercion boundaries."""
 
+import math
+
 import pytest
 
 from repro.sqlengine import Database
 from repro.sqlengine.errors import CatalogError, RoutineError, SqlError
-from repro.sqlengine.values import Null
+from repro.sqlengine.executor import Env
+from repro.sqlengine.exprcompile import BatchFilter
+from repro.sqlengine.parser import parse_statement
+from repro.sqlengine.storage import Column, Table
+from repro.sqlengine.types import SqlType
+from repro.sqlengine.values import Date, Null
+from repro.temporal import SlicingStrategy
 
 
 @pytest.fixture
@@ -182,7 +190,7 @@ class TestEmptyAndDegenerate:
 class TestNaN:
     """One rule on every path: NaN equals NaN and sorts above every other
     number (PostgreSQL's).  Before it, ``x <> 5.0`` kept the NaN row on
-    the vectorized path and dropped it on the row path, ``x = 1.0`` was
+    the batch path and dropped it on the row path, ``x = 1.0`` was
     TRUE for it, and a hash probe could never find it."""
 
     NAN = "CAST('nan' AS FLOAT)"
@@ -195,30 +203,100 @@ class TestNaN:
         db.execute(f"INSERT INTO f VALUES (1, {self.NAN}), (2, 1.0), (3, 5.0)")
         return db
 
-    @pytest.mark.parametrize("alone", [True, False])
+    @pytest.fixture
+    def wide(self):
+        """``f`` widened to every kind a batch kernel reads: NaN, NULL and
+        ±inf floats, CHAR values with trailing blanks, a BOOLEAN and a
+        DATE column, each row valid over the whole sequenced context."""
+        from repro.temporal import TemporalStratum
+
+        stratum = TemporalStratum()
+        db = stratum.db
+        db.execute(
+            "CREATE TABLE f (id INTEGER, x FLOAT, c CHAR(6), b BOOLEAN, d DATE)"
+        )
+        stratum.execute("ALTER TABLE f ADD VALIDTIME")
+        day = Date.from_iso
+        db.insert_rows("f", [
+            [i, x, c, b, Null if d is Null else day(d), day("2009-01-01"), day("9999-12-31")]
+            for i, x, c, b, d in [
+                (1, math.nan, "ab", True, "2010-01-01"),
+                (2, 1.0, "ab  ", False, "2010-06-01"),
+                (3, 5.0, "b", Null, Null),
+                (4, Null, Null, True, "2011-01-01"),
+                (5, math.inf, "zz", False, "2010-06-01"),
+                (6, -math.inf, "ab ", True, "2009-12-31"),
+            ]
+        ])
+        return stratum
+
+    @pytest.mark.parametrize("alone", [True, False, "seqset"])
     @pytest.mark.parametrize("predicate, ids", [
-        ("x <> 5.0", [1, 2]),
+        ("x <> 5.0", [1, 2, 5, 6]),
         ("x = 1.0", [2]),
         (f"x = {NAN}", [1]),
-        ("x > 5.0", [1]),
-        ("x < 5.0", [2]),
+        ("x > 5.0", [1, 5]),
+        ("x < 5.0", [2, 6]),
         (f"x >= {NAN}", [1]),
-        (f"x < {NAN}", [2, 3]),
+        (f"x < {NAN}", [2, 3, 5, 6]),
         ("x BETWEEN 0.0 AND 10.0", [2, 3]),
         ("x IN (1.0, 5.0)", [2, 3]),
         (f"x IN ({NAN})", [1]),
+        ("x >= 5.0", [1, 3, 5]),
+        ("x <= 1.0", [2, 6]),
+        ("x NOT BETWEEN 0.0 AND 10.0", [1, 5, 6]),
+        ("x NOT IN (1.0, 5.0)", [1, 5, 6]),
+        ("x IN (1.0, NULL)", [2]),
+        ("x NOT IN (1.0, NULL)", []),
+        (f"x NOT IN ({NAN})", [2, 3, 5, 6]),
+        ("x IS NULL", [4]),
+        ("x IS NOT NULL", [1, 2, 3, 5, 6]),
+        ("c = 'ab'", [1, 2, 6]),
+        ("c <> 'ab  '", [3, 5]),
+        ("c > 'ab'", [3, 5]),
+        ("c IN ('ab', 'zz')", [1, 2, 5, 6]),
+        ("b = TRUE", [1, 4, 6]),
+        ("b <> TRUE", [2, 5]),
+        ("b IS NULL", [3]),
+        ("d > DATE '2010-01-01'", [2, 4, 5]),
+        ("d BETWEEN DATE '2010-01-01' AND DATE '2010-06-01'", [1, 2, 5]),
+        ("d NOT IN (DATE '2010-06-01')", [1, 4, 6]),
+        ("d IS NOT NULL", [1, 2, 4, 5, 6]),
     ])
-    def test_every_path_agrees(self, fdb, alone, predicate, ids):
+    def test_every_path_agrees(self, wide, alone, predicate, ids):
         """The predicate ``alone`` may take a hash probe; a partial
-        conjunct beside it forces the row-at-a-time filters.  The NaN
-        degrades ``x``'s float vector, so on this table the batch kernels
-        decline both shapes."""
-        sql = f"SELECT id FROM f WHERE {predicate}"
-        if not alone:
-            sql += " AND id + 0 = id"
-        before = fdb.obs.value("engine.vectorized_batches")
-        assert fdb.query(sql).rows == [[i] for i in ids]
-        assert fdb.obs.value("engine.vectorized_batches") == before
+        conjunct beside it forces the row-at-a-time filters.  Under
+        SEQSET a batch kernel reads the rows (a ``CAST`` constant has
+        none) and must equal MAX; compiled against ``f``, a kernel
+        declines a table of other column kinds."""
+        db = wide.db
+        if alone != "seqset":
+            sql = f"SELECT id FROM f WHERE {predicate}"
+            if not alone:
+                sql += " AND id + 0 = id"
+            assert db.query(sql).rows == [[i] for i in ids]
+            return
+        sql = (
+            "VALIDTIME [DATE '2010-01-01', DATE '2011-01-01']"
+            f" SELECT id FROM f WHERE {predicate}"
+        )
+        before = db.obs.value("engine.vectorized_batches")
+        rows = wide.execute(sql, strategy=SlicingStrategy.SEQSET).rows
+        assert wide.last_strategy is SlicingStrategy.SEQSET, wide.last_fallback
+        kernel = self.NAN not in predicate
+        assert db.obs.value("engine.vectorized_batches") - before == kernel
+        assert rows == wide.execute(sql, strategy=SlicingStrategy.MAX).rows
+        assert [row[0] for row in rows] == ids
+        if kernel:
+            table = db.table("f")
+            select = parse_statement(f"SELECT id FROM f WHERE {predicate}")
+            batch = BatchFilter(table)
+            assert batch.add(db.executor, table, "f", select.where, select.from_items)
+            every = range(len(table.rows))
+            assert batch.apply(table, every, Env()) == [i - 1 for i in ids]
+            other = Table("f", [Column(c.name, SqlType("VARCHAR")) for c in table.columns])
+            other.rows = [[str(value) for value in row] for row in table.rows]
+            assert batch.apply(other, every, Env()) is None
 
     def test_comparison_values(self, fdb):
         assert fdb.query("SELECT id, x = 1.0, x > 1.0 FROM f").rows == [

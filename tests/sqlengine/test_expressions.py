@@ -4,7 +4,7 @@ import pytest
 
 from repro.sqlengine import Database
 from repro.sqlengine.errors import CatalogError, DivisionByZeroError, TypeError_
-from repro.sqlengine.values import Date, Null
+from repro.sqlengine.values import Date, Null, Unknown
 
 
 @pytest.fixture
@@ -90,6 +90,72 @@ class TestPredicates:
     def test_is_null(self, db):
         assert val(db, "CASE WHEN NULL IS NULL THEN 1 ELSE 0 END") == 1
         assert val(db, "CASE WHEN 1 IS NOT NULL THEN 1 ELSE 0 END") == 1
+
+
+T, F, U = True, False, Unknown
+
+
+class TestBetweenNullBound:
+    """``x BETWEEN a AND b`` is ``x >= a AND x <= b``: a False half
+    decides even when a NULL bound leaves the other half Unknown
+    (PostgreSQL agrees), so ``5 BETWEEN NULL AND 3`` is FALSE and its
+    negation TRUE — in the SELECT list and in WHERE, on a plain scan
+    and under SEQSET, whose batch kernel decides the WHERE."""
+
+    ROWS = [1, 5, 9, Null]
+    # bounds -> (x BETWEEN bounds, x NOT BETWEEN bounds) for each of ROWS
+    CASES = {
+        "NULL AND 3": ([U, F, F, U], [U, T, T, U]),
+        "3 AND NULL": ([F, U, U, U], [T, U, U, U]),
+        "NULL AND NULL": ([U, U, U, U], [U, U, U, U]),
+        "3 AND 7": ([F, T, F, U], [T, F, T, U]),
+    }
+
+    @pytest.fixture(scope="class")
+    def stratum(self):
+        from repro.temporal import TemporalStratum
+
+        stratum = TemporalStratum()
+        stratum.db.execute("CREATE TABLE p (x INTEGER)")
+        stratum.execute("ALTER TABLE p ADD VALIDTIME")
+        stratum.db.insert_rows("p", [
+            [x, Date.from_iso("2009-01-01"), Date.from_iso("9999-12-31")]
+            for x in self.ROWS
+        ])
+        return stratum
+
+    def test_constants(self, db):
+        assert db.query(
+            "SELECT 5 BETWEEN NULL AND 3, 5 NOT BETWEEN NULL AND 3,"
+            " 5 BETWEEN NULL AND 9, 5 BETWEEN 7 AND NULL, 5 NOT BETWEEN 7 AND NULL"
+        ).rows == [[F, T, U, F, T]]
+
+    @pytest.mark.parametrize("sequenced", [False, True])
+    @pytest.mark.parametrize("bounds", list(CASES))
+    def test_select_list_and_where(self, stratum, bounds, sequenced):
+        from repro.temporal import SlicingStrategy
+
+        db = stratum.db
+
+        def run(sql):
+            if not sequenced:
+                return db.query(sql).rows
+            sql = "VALIDTIME [DATE '2010-01-01', DATE '2011-01-01'] " + sql
+            rows = stratum.execute(sql, strategy=SlicingStrategy.SEQSET).rows
+            assert stratum.last_strategy is SlicingStrategy.SEQSET
+            assert rows == stratum.execute(sql, strategy=SlicingStrategy.MAX).rows
+            return [row[:-2] for row in rows]  # the period columns
+
+        inside, outside = self.CASES[bounds]
+        assert run(
+            f"SELECT x, x BETWEEN {bounds}, x NOT BETWEEN {bounds} FROM p"
+        ) == [list(row) for row in zip(self.ROWS, inside, outside)]
+        for negation, answers in (("", inside), ("NOT ", outside)):
+            before = db.obs.value("engine.vectorized_batches")
+            assert run(f"SELECT x FROM p WHERE x {negation}BETWEEN {bounds}") == [
+                [x] for x, answer in zip(self.ROWS, answers) if answer is T
+            ]
+            assert db.obs.value("engine.vectorized_batches") - before == sequenced
 
 
 class TestCase:

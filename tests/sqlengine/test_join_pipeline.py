@@ -473,8 +473,7 @@ def test_the_period_shapes_take_their_paths():
     """Sanity for ``PERIOD``: on a history with NULL, forever, zero-length,
     duplicate and equal-begin versions the key probes prune versions by
     their bounds, the probes without a key use the interval index (a
-    begin range included), the shapes without a partial conjunct run the
-    batch kernels, and no decided conjunct is left as a filter."""
+    begin range included), and no decided conjunct is left as a filter."""
     days = ["2010-01-01", "2010-01-05", "2010-01-09", "2010-02-01", "9999-12-31"]
     fact = [
         (1, days[0], days[2]), (1, days[1], days[4]), (1, days[1], days[4]),
@@ -487,7 +486,6 @@ def test_the_period_shapes_take_their_paths():
         check(db, query, False)
     assert db.obs.value("engine.period_probe.rows_pruned") > 0
     assert db.obs.value("engine.interval_index_hits") > 0
-    assert db.obs.value("engine.vectorized_batches") > 0
     probes = [
         level for entry in db.plan_cache._entries.values()
         for level in entry[2].pipeline.levels if level.period is not None

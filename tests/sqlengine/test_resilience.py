@@ -183,46 +183,6 @@ def test_undo_depth_budget_trips_inside_routine(db: Database):
 
 
 # ---------------------------------------------------------------------------
-# governor: graceful degradation
-# ---------------------------------------------------------------------------
-
-
-def test_resident_budget_degrades_vectorized_scan_same_rows(stocked: Database):
-    # inequality conjuncts: no hash probe, so the planner wants the
-    # vectorized batch path
-    baseline = stocked.execute("SELECT a FROM t WHERE a > 10 AND b < 5")
-    # stale the store built by the baseline run (a swapped-in row list
-    # carries no derived structure forward), then forbid a rebuild
-    table = stocked.table("t")
-    table.replace_rows(list(table.rows))
-    expected = sorted(r[0] for r in baseline.rows)
-    stocked.resilience.max_resident_bytes = 1
-    degraded = stocked.execute("SELECT a FROM t WHERE a > 10 AND b < 5")
-    assert sorted(r[0] for r in degraded.rows) == expected
-    assert stocked.obs.value("resilience.degradations.vectorized") >= 1
-
-
-def test_degradation_counts_visible_in_explain_analyze(stocked: Database):
-    stocked.execute("UPDATE t SET a = a")
-    stocked.resilience.max_resident_bytes = 1
-    result = stocked.execute("EXPLAIN ANALYZE SELECT a FROM t WHERE a > 10")
-    text = result.text()
-    assert "governor degradations" in text
-    assert "resilience: armed" in text
-
-
-def test_current_store_is_always_allowed(stocked: Database):
-    # build the store while unbudgeted ...
-    stocked.execute("SELECT a FROM t WHERE a > 10")
-    before = stocked.obs.value("resilience.degradations.vectorized")
-    # ... then a budget smaller than the table: no rebuild needed, so no
-    # degradation either
-    stocked.resilience.max_resident_bytes = 1
-    stocked.execute("SELECT a FROM t WHERE a > 10")
-    assert stocked.obs.value("resilience.degradations.vectorized") == before
-
-
-# ---------------------------------------------------------------------------
 # transient-fault retry and DurabilityError
 # ---------------------------------------------------------------------------
 
@@ -400,7 +360,6 @@ def test_armed_generous_budgets_do_the_same_work(small_dataset):
         statement_timeout=3600.0,
         max_rows_scanned=10**12,
         max_undo_depth=10**9,
-        max_resident_bytes=1 << 40,
     )
     try:
         armed = run()
