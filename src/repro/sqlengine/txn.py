@@ -193,6 +193,11 @@ def _apply_undo(entry: tuple) -> None:
         del table.columns[ncols:]
         for row in table.rows:
             del row[ncols:]
+        # a period pair declared over the removed columns goes with them
+        table.interval_pairs = [
+            pair for pair in table.interval_pairs
+            if all(column in table._index for column in pair)
+        ]
         table.schema_stamp = object()
         _restore_table_version(table, version)
     elif tag == "cat_table":

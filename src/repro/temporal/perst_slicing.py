@@ -13,7 +13,7 @@ operates *on temporal tables*:
   sources (temporal tables, variable tables, nested ``ps_`` calls joined
   via ``TABLE(...)``) are intersected with ``LAST_INSTANCE`` /
   ``FIRST_INSTANCE`` folds and pairwise overlap predicates;
-* statements outside the algebraic fragment (aggregates, temporal IF
+* statements outside the algebraic fragment (aggregates, DISTINCT, temporal IF
   conditions) fall back to a per-statement ``FOR`` loop over the
   routine's constant periods, clipped to the evaluation period (§VI-C);
 * a routine whose body drives a cursor over temporal data is evaluated
@@ -44,7 +44,6 @@ from repro.temporal import analysis
 from repro.temporal.errors import (
     FeatureNotSupportedError,
     PerStatementInapplicableError,
-    TemporalError,
 )
 from repro.temporal.period import Period
 from repro.temporal.pointwise import add_point_conditions, forbid_temporal_dml
@@ -150,7 +149,7 @@ class PerstTransformer:
             select.modifier = None
             transformed = self.seq_select(select, ctx)
             if transformed is None:
-                raise TemporalError(
+                raise PerStatementInapplicableError(
                     "the invoking query is outside the algebraic fragment"
                     " supported by per-statement slicing; use maximal"
                     " slicing"
@@ -614,7 +613,12 @@ class PerstTransformer:
             if self._is_temporal(stmt.select, ctx.tv_vars, ctx.tv_tables, ctx.tv_records):
                 seq = self.seq_select(clone(stmt.select), ctx)
                 if seq is None:
-                    return self._statement_loop_fallback(stmt, ctx)
+                    # point-wise, each period's rows would land unstamped
+                    # in a table later statements read as conventional
+                    raise PerStatementInapplicableError(
+                        f"{ctx.routine_name}: INSERT … SELECT over a"
+                        " non-algebraic temporal query"
+                    )
                 ctx.tv_tables.add(stmt.table.lower())
                 return [ast.Insert(table=stmt.table, columns=None, select=seq)]
         return [clone(stmt)]
@@ -657,6 +661,9 @@ class PerstTransformer:
         """
         if (
             select.set_op is not None
+            # DISTINCT over (values, begin, end) keeps value-equal rows
+            # of overlapping periods apart: one snapshot holds both
+            or select.distinct
             or select.group_by
             or select.having is not None
             or any(

@@ -3,22 +3,21 @@
 For every query and both slicing strategies, the sequenced result
 timesliced at any granule must equal the conventional query evaluated on
 the database's timeslice at that granule — the paper's validation
-methodology, run on DS1-SMALL with a two-week context.
+methodology, held to the timeslice oracle (``tests/oracle``) on
+DS1-SMALL with a two-week context.
 """
 
 import pytest
 
 from repro.taubench import ALL_QUERIES
 from repro.temporal import SlicingStrategy
-from repro.temporal.period import Period
-from repro.temporal.validate import (
-    check_call_commutativity,
-    check_commutativity,
-)
+
+from tests.oracle import Expected, check_each
 
 BEGIN, END = "2010-02-10", "2010-02-24"
-CONTEXT = Period.from_iso(BEGIN, END)
-CALL_QUERIES = {"q9", "q11"}
+# the reference of each query, shared by its strategies: the session's
+# DS1-SMALL never changes
+EXPECTED: dict = {}
 
 
 def _cases():
@@ -32,17 +31,8 @@ def _cases():
 @pytest.mark.parametrize("query,strategy", list(_cases()))
 def test_commutativity(query, strategy, small_dataset):
     query.install(small_dataset)
-    sequenced = query.sequenced_sql(small_dataset, BEGIN, END)
-    conventional = query.conventional_sql(small_dataset)
-    checker = (
-        check_call_commutativity if query.name in CALL_QUERIES else check_commutativity
-    )
-    ok, message = checker(
-        small_dataset.stratum,
-        sequenced,
-        conventional,
-        CONTEXT,
-        strategy=strategy,
-        sample_every=2,
-    )
-    assert ok, f"{query.name} under {strategy.value}: {message}"
+    sql = query.sequenced_sql(small_dataset, BEGIN, END)
+    if query.name not in EXPECTED:
+        EXPECTED[query.name] = Expected(small_dataset.stratum, sql)
+    verdicts = check_each(small_dataset.stratum, sql, [strategy], EXPECTED[query.name])
+    assert verdicts == {strategy: "agrees"}, query.name

@@ -1,31 +1,32 @@
-"""§VII-B: maximal and per-statement slicing are snapshot-equivalent.
+"""§VII-B: every strategy is snapshot-equivalent to the timeslice oracle.
 
-Also checks the third leg of the paper's validation: the sequenced
-result equals the union of slices produced by the nontemporal variant
-(which is what commutativity samples; here we assert MAX ≡ PERST over a
-longer one-month context and on the hot-spot dataset DS2).
+The third leg of the paper's validation: MAX, PERST, SEQ-SET and AUTO
+each equal the conventional query on every timeslice (``tests/oracle``),
+over a one-month context on DS1-SMALL and on the hot-spot dataset DS2.
 """
 
 import pytest
 
 from repro.taubench import ALL_QUERIES, build_dataset
-from repro.temporal.period import Period
-from repro.temporal.validate import check_strategy_equivalence
+from repro.temporal import SlicingStrategy
+
+from tests.oracle import check_each
 
 BEGIN, END = "2010-02-01", "2010-03-01"
-CONTEXT = Period.from_iso(BEGIN, END)
 
 APPLICABLE = [q for q in ALL_QUERIES if q.perst_applicable]
 
 
+def check_strategies(dataset, query):
+    query.install(dataset)
+    sql = query.sequenced_sql(dataset, BEGIN, END)
+    verdicts = check_each(dataset.stratum, sql, list(SlicingStrategy))
+    assert set(verdicts.values()) == {"agrees"}, (query.name, verdicts)
+
+
 @pytest.mark.parametrize("query", APPLICABLE, ids=lambda q: q.name)
 def test_strategies_agree_ds1(query, small_dataset):
-    query.install(small_dataset)
-    sequenced = query.sequenced_sql(small_dataset, BEGIN, END)
-    ok, message = check_strategy_equivalence(
-        small_dataset.stratum, sequenced, CONTEXT
-    )
-    assert ok, f"{query.name}: {message}"
+    check_strategies(small_dataset, query)
 
 
 @pytest.fixture(scope="module")
@@ -39,9 +40,4 @@ def ds2_dataset():
     ids=lambda q: q.name,
 )
 def test_strategies_agree_on_hot_spot_data(query, ds2_dataset):
-    query.install(ds2_dataset)
-    sequenced = query.sequenced_sql(ds2_dataset, BEGIN, END)
-    ok, message = check_strategy_equivalence(
-        ds2_dataset.stratum, sequenced, CONTEXT
-    )
-    assert ok, f"{query.name} on DS2: {message}"
+    check_strategies(ds2_dataset, query)

@@ -1,102 +1,39 @@
 """Property-based fuzzing of sequenced semantics.
 
-Hypothesis generates random version histories and a family of queries
-(joins, predicates, stored-function calls); for each we assert the
-paper's two §VII-B invariants:
-
-* MAX and PERST coalesce to the same temporal relation;
-* both match the granule-by-granule reference evaluation.
-
-This is the strongest correctness evidence in the suite: it explores
-period layouts (meeting, overlapping, nested, disjoint) far beyond the
-hand-written cases.
+Hypothesis generates random version histories (``tests/oracle/
+test_corpus.py``'s generator) and a family of queries (joins,
+predicates, stored-function calls); for each we assert the paper's
+§VII-B invariant with the timeslice oracle (``tests/oracle``): every
+strategy's result, snapshot by snapshot and multiplicities included,
+equals the conventional query on the timeslice — or the strategy
+refuses with a typed refusal.  The transaction-time dimension and
+EXPLAIN ANALYZE's bookkeeping are checked on the same histories.
 """
 
+from collections import Counter
+
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.sqlengine.values import Date
 from repro.temporal import SlicingStrategy, TemporalStratum
-from repro.temporal.period import Period
-from repro.temporal.validate import (
-    check_commutativity,
-    check_strategy_equivalence,
+from repro.temporal.errors import PerStatementInapplicableError
+
+from tests.oracle import check_each, contents, timeslice
+from tests.oracle.test_corpus import (
+    BASE,
+    CONTEXT,
+    EVERY,
+    FAMILIES,
+    SPAN,
+    build_stratum,
+    sequenced,
+    versions,
 )
 
-BASE = Date.from_ymd(2010, 1, 1).ordinal
-SPAN = 60  # days of history
-CONTEXT = Period(BASE, BASE + SPAN)
-
-# a version: (entity 0..2, value 0..3, begin offset, duration)
-versions = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=2),
-        st.integers(min_value=0, max_value=3),
-        st.integers(min_value=0, max_value=SPAN - 1),
-        st.integers(min_value=1, max_value=SPAN),
-    ),
-    min_size=1,
-    max_size=8,
-)
-
-GET_VALUE_FN = """
-CREATE FUNCTION value_of (eid CHAR(4))
-RETURNS INTEGER
-READS SQL DATA
-LANGUAGE SQL
-BEGIN
-  DECLARE v INTEGER;
-  SET v = (SELECT MAX(val) FROM fact WHERE entity = eid);
-  RETURN v;
-END
-"""
-
-
-def build_stratum(fact_rows, dim_rows):
-    stratum = TemporalStratum()
-    stratum.create_temporal_table(
-        "CREATE TABLE fact (entity CHAR(4), val INTEGER,"
-        " begin_time DATE, end_time DATE)"
-    )
-    stratum.create_temporal_table(
-        "CREATE TABLE dim (entity CHAR(4), tag CHAR(4),"
-        " begin_time DATE, end_time DATE)"
-    )
-    for entity, value, start, duration in fact_rows:
-        end = min(start + duration, SPAN)
-        if start >= end:
-            continue
-        stratum.db.insert_rows(
-            "fact",
-            [[f"e{entity}", value, Date(BASE + start), Date(BASE + end)]],
-        )
-    for entity, value, start, duration in dim_rows:
-        end = min(start + duration, SPAN)
-        if start >= end:
-            continue
-        stratum.db.insert_rows(
-            "dim",
-            [[f"e{entity}", f"t{value}", Date(BASE + start), Date(BASE + end)]],
-        )
-    stratum.register_routine(GET_VALUE_FN)
-    return stratum
-
-
-QUERIES = [
-    # plain selection-projection
-    "SELECT entity, val FROM fact WHERE val > 1",
-    # join with period intersection
-    "SELECT f.entity, f.val, d.tag FROM fact f, dim d"
-    " WHERE f.entity = d.entity",
-    # self-join
-    "SELECT a.entity FROM fact a, fact b"
-    " WHERE a.entity = b.entity AND a.val < b.val",
-    # DISTINCT
-    "SELECT DISTINCT entity FROM fact",
-]
-
-FN_QUERY = (
-    "SELECT d.entity, value_of(d.entity) AS v FROM dim d WHERE d.tag = 't1'"
-)
+# the corpus families the other differential fuzzers share
+QUERIES = [FAMILIES[name] for name in ("selection", "join", "self-join", "distinct")]
+FN_QUERY = FAMILIES["scalar-function"]
 
 
 @settings(
@@ -106,14 +43,9 @@ FN_QUERY = (
 )
 @given(fact=versions, dim=versions, query_index=st.integers(0, len(QUERIES) - 1))
 def test_random_histories_strategies_agree(fact, dim, query_index):
+    """Every strategy equals the oracle (PERST may refuse a DISTINCT)."""
     stratum = build_stratum(fact, dim)
-    query = QUERIES[query_index]
-    sequenced = (
-        f"VALIDTIME [DATE '{Date(CONTEXT.begin).to_iso()}',"
-        f" DATE '{Date(CONTEXT.end).to_iso()}'] " + query
-    )
-    ok, message = check_strategy_equivalence(stratum, sequenced, CONTEXT)
-    assert ok, f"{query}: {message}"
+    check_each(stratum, sequenced(QUERIES[query_index]), EVERY)
 
 
 @settings(
@@ -123,20 +55,14 @@ def test_random_histories_strategies_agree(fact, dim, query_index):
 )
 @given(fact=versions, dim=versions)
 def test_random_histories_commutativity(fact, dim):
-    """Both strategies must match the granule-wise reference, including a
-    query that routes an aggregate through a stored function (PERST's
-    loop fallback)."""
+    """MAX and PERST match the timeslice reference on a query that
+    routes an aggregate through a stored function (PERST's loop
+    fallback)."""
     stratum = build_stratum(fact, dim)
-    sequenced = (
-        f"VALIDTIME [DATE '{Date(CONTEXT.begin).to_iso()}',"
-        f" DATE '{Date(CONTEXT.end).to_iso()}'] " + FN_QUERY
+    verdicts = check_each(
+        stratum, sequenced(FN_QUERY), (SlicingStrategy.MAX, SlicingStrategy.PERST)
     )
-    for strategy in (SlicingStrategy.MAX, SlicingStrategy.PERST):
-        ok, message = check_commutativity(
-            stratum, sequenced, FN_QUERY, CONTEXT,
-            strategy=strategy, sample_every=3,
-        )
-        assert ok, f"{strategy.value}: {message}"
+    assert set(verdicts.values()) == {"agrees"}
 
 
 @settings(
@@ -154,22 +80,24 @@ def test_random_histories_explain_analyze(fact, dim, query_index):
 
     stratum = build_stratum(fact, dim)
     query = QUERIES[query_index]
-    sequenced = (
-        f"VALIDTIME [DATE '{Date(CONTEXT.begin).to_iso()}',"
-        f" DATE '{Date(CONTEXT.end).to_iso()}'] " + query
-    )
+    sql = sequenced(query)
     for strategy in (SlicingStrategy.MAX, SlicingStrategy.PERST):
         assert stratum.db.tracer.enabled is False
-        plain = stratum.execute(sequenced, strategy=strategy).coalesced()
+        try:
+            plain = stratum.execute(sql, strategy=strategy)
+        except PerStatementInapplicableError:
+            with pytest.raises(PerStatementInapplicableError):
+                stratum.execute("EXPLAIN ANALYZE " + sql, strategy=strategy)
+            continue
         obs = stratum.db.obs
         stats = stratum.db.stats
         slices_before = obs.value("stratum.slices")
         calls_before = stats.total_routine_calls
         analyzed = stratum.execute(
-            "EXPLAIN ANALYZE " + sequenced, strategy=strategy
+            "EXPLAIN ANALYZE " + sql, strategy=strategy
         )
         # identical results with tracing on and off
-        assert sorted(analyzed.result.coalesced()) == sorted(plain)
+        assert Counter(map(tuple, analyzed.result.rows)) == Counter(map(tuple, plain.rows))
         # tracer state restored
         assert stratum.db.tracer.enabled is False
         # slice accounting is internally consistent
@@ -203,7 +131,7 @@ def test_random_histories_transaction_dimension(fact):
     stratum.db.now = Date(BASE)
     stratum.execute("ALTER TABLE tfact ADD TRANSACTIONTIME")
     # replay as modifications at increasing clock times
-    for entity, value, start, _duration in sorted(fact, key=lambda v: v[2]):
+    for entity, value, start, *_ in sorted(fact, key=lambda v: v[2]):
         stratum.db.now = Date(BASE + start)
         existing = stratum.execute(
             f"SELECT val FROM tfact WHERE entity = 'e{entity}'"
@@ -217,25 +145,18 @@ def test_random_histories_transaction_dimension(fact):
                 f"INSERT INTO tfact (entity, val) VALUES ('e{entity}', {value})"
             )
     stratum.db.now = Date(BASE + SPAN)
-    sequenced = (
+    sequenced_tt = (
         f"TRANSACTIONTIME [DATE '{Date(CONTEXT.begin).to_iso()}',"
         f" DATE '{Date(CONTEXT.end).to_iso()}']"
         " SELECT entity, val FROM tfact"
     )
-    ok, message = check_strategy_equivalence(stratum, sequenced, CONTEXT)
-    assert ok, message
-    # time-travel consistency: the state as of any clock equals the
-    # sequenced result sliced at that granule
-    probe = Date(BASE + SPAN // 2)
-    stratum.transaction_clock = probe
-    state = sorted(
+    check_each(stratum, sequenced_tt, EVERY)
+    # time-travel consistency: the state as of any clock is the
+    # oracle's transaction-time slice at that granule
+    probe = BASE + SPAN // 2
+    stratum.transaction_clock = Date(probe)
+    state = Counter(
         tuple(r) for r in stratum.execute("SELECT entity, val FROM tfact").rows
     )
     stratum.transaction_clock = None
-    result = stratum.execute(sequenced, strategy=SlicingStrategy.MAX)
-    sliced = sorted(
-        values
-        for values, period in result.coalesced()
-        if period.contains(probe.ordinal)
-    )
-    assert state == sliced
+    assert state == contents(timeslice(stratum, probe, dimension="TRANSACTION"))["tfact"]

@@ -7,19 +7,18 @@ of them — a FROM-order nested loop over full scans that walks the AST,
 and a PSM walker that runs every invocation.  Installed beneath the
 stratum, it runs the same transformed statements, so the results must
 agree raw: columns, rows, order and duplicates, or the same error class.
-No licence is needed here: these histories carry no NULL bound and these
-queries no raising conjunct, so the nested loop never raises on a
-combination the pipeline rejects (``test_join_pipeline.py`` checks that
+No licence is needed here: these queries hold no raising conjunct, so
+the nested loop never raises on a combination the pipeline rejects (``test_join_pipeline.py`` checks that
 licence where it applies).
 
-* Random histories (``test_fuzz_sequenced``'s generator and queries):
+* Random histories (the oracle corpus's generator, ``test_fuzz_sequenced``'s
+  queries):
   MAX and PERST on both sides, AUTO on the engine against MAX on the
   reference.
 * The τPSM suite on DS1-SMALL under MAX, over contexts short enough for
   the reference: one month, one week for q8, three days for q17b.
 * PERST on the ten τPSM queries that are cheap on the reference.  The
-  other five are covered transitively: engine PERST ≡ engine MAX in
-  ``test_equivalence.py``, and engine MAX ≡ reference here.
+  other five are held to the timeslice oracle in ``test_equivalence.py``.
 * A sanity test that the engine took its fast paths and the reference
   did not.
 
@@ -31,17 +30,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.sqlengine.errors import SqlError
-from repro.sqlengine.values import Date
 from repro.taubench import ALL_QUERIES, get_query
 from repro.temporal import SlicingStrategy
 
-from tests.integration.test_fuzz_sequenced import (
-    CONTEXT,
-    FN_QUERY,
-    QUERIES,
-    build_stratum,
-    versions,
-)
+from tests.integration.test_fuzz_sequenced import FN_QUERY, QUERIES
+from tests.oracle.test_corpus import build_stratum, sequenced, versions
 from tests.reference_executor import installed
 
 MAX, PERST, AUTO = SlicingStrategy.MAX, SlicingStrategy.PERST, SlicingStrategy.AUTO
@@ -69,10 +62,7 @@ def reference_outcome(stratum, sql, strategy):
 
 
 def check_history(stratum, query):
-    sql = (
-        f"VALIDTIME [DATE '{Date(CONTEXT.begin).to_iso()}',"
-        f" DATE '{Date(CONTEXT.end).to_iso()}'] " + query
-    )
+    sql = sequenced(query)
     reference = {
         strategy: reference_outcome(stratum, sql, strategy) for strategy in (MAX, PERST)
     }

@@ -20,20 +20,12 @@ Golden EXPLAIN snapshots pin the plan shape (``TemporalAlign`` /
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.sqlengine.values import Date, Null
 from repro.taubench import ALL_QUERIES
-from repro.temporal import SlicingStrategy, TemporalStratum
+from repro.temporal import SlicingStrategy
 
 from tests.conftest import GET_AUTHOR_NAME, make_bookstore
-from tests.integration.test_fuzz_sequenced import (
-    BASE,
-    CONTEXT,
-    FN_QUERY,
-    QUERIES,
-    SPAN,
-    build_stratum,
-    versions,
-)
+from tests.integration.test_fuzz_sequenced import FN_QUERY, QUERIES
+from tests.oracle.test_corpus import build_stratum, sequenced, versions
 from tests.obs.test_explain import check_golden
 from tests.reference_executor import installed
 
@@ -45,13 +37,6 @@ def raw(result):
     if isinstance(result, list):  # CALL loops yield one result per slice
         return [raw(r) for r in result]
     return (list(result.columns), [list(row) for row in result.rows])
-
-
-def sequenced(query):
-    return (
-        f"VALIDTIME [DATE '{Date(CONTEXT.begin).to_iso()}',"
-        f" DATE '{Date(CONTEXT.end).to_iso()}'] " + query
-    )
 
 
 @settings(
@@ -73,55 +58,6 @@ def test_random_histories_seqset_equals_max_raw(fact, dim, query_index):
     auto = raw(stratum.execute(sql, strategy=SlicingStrategy.AUTO))
     assert stratum.last_strategy is SlicingStrategy.SEQSET
     assert auto == reference
-
-
-# join versions: (key 0..3 — 3 is a NULL join key, value 0..3, begin
-# offset, duration); few keys and values so duplicates are the norm
-join_versions = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=3),
-        st.integers(min_value=0, max_value=3),
-        st.integers(min_value=0, max_value=SPAN - 1),
-        st.integers(min_value=1, max_value=SPAN),
-    ),
-    min_size=1,
-    max_size=8,
-)
-
-
-def build_join_stratum(fact_rows, dim_rows):
-    """``fact`` ⋈ ``dim`` on a CHAR key (NULLs on both sides, blank
-    padding on one) and on INTEGER = FLOAT, plus a non-temporal
-    ``label`` table."""
-    stratum = TemporalStratum()
-    stratum.create_temporal_table(
-        "CREATE TABLE fact (entity CHAR(4), val INTEGER,"
-        " begin_time DATE, end_time DATE)"
-    )
-    stratum.create_temporal_table(
-        "CREATE TABLE dim (entity CHAR(8), weight FLOAT, tag CHAR(4),"
-        " begin_time DATE, end_time DATE)"
-    )
-    stratum.db.execute("CREATE TABLE label (val INTEGER, name CHAR(8))")
-    stratum.db.insert_rows(
-        "label", [[0, "zero"], [1, "one"], [1, "uno"], [Null, "none"]]
-    )
-    def load(table, versions, make_head):
-        for key, value, start, duration in versions:
-            end = min(start + duration, SPAN)
-            if start < end:
-                stratum.db.insert_rows(
-                    table,
-                    [make_head(key, value) + [Date(BASE + start), Date(BASE + end)]],
-                )
-
-    load("fact", fact_rows, lambda key, value: [
-        Null if key == 3 else f"e{key}", value,
-    ])
-    load("dim", dim_rows, lambda key, value: [
-        Null if key == 3 else f"e{key}   ", float(value), f"t{value}",
-    ])
-    return stratum
 
 
 # (query, every join level hash-keyed?)
@@ -169,12 +105,12 @@ JOIN_QUERIES = [
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(fact=join_versions, dim=join_versions)
+@given(fact=versions, dim=versions)
 def test_random_histories_join_family_equals_max_raw(fact, dim):
     """The interval hash join is row-identical to MAX's per-period
     nested loop on every key shape — the engine's, and the reference's
     full scans without an interval index."""
-    stratum = build_join_stratum(fact, dim)
+    stratum = build_stratum(fact, dim)
     db = stratum.db
     for query, keyed in JOIN_QUERIES:
         sql = sequenced(query)

@@ -16,11 +16,13 @@ transaction-time table recorded at 2010-04-01.
 
 import pytest
 
-from repro.sqlengine import Database
+from repro.sqlengine.parser import parse_statement
 from repro.sqlengine.values import Date
 from repro.temporal.errors import FeatureNotSupportedError
 
 from tests.conftest import GET_AUTHOR_NAME, make_dml_kinds
+from tests.oracle import contents, timeslice
+from tests.reference_executor import installed
 
 FOREVER = Date(Date.MAX_ORDINAL)
 
@@ -32,52 +34,16 @@ def stratum():
     return stratum
 
 
-def timeslice(stratum) -> Database:
-    """Every table of ``stratum`` as a conventional table: a valid-time
-    table's rows valid at now and a transaction-time table's rows
-    current at the clock, without their period columns."""
-    db = stratum.db
-    copy = Database(now=db.now)
-    dimensions = ((stratum.registry, db.now), (stratum.tt_registry, stratum.clock))
-    for table in db.catalog.tables():
-        pair, point = None, None
-        for registry, at in dimensions:
-            info = registry.get(table.name)
-            if info is not None:
-                pair = tuple(
-                    table.column_index(c) for c in (info.begin_column, info.end_column)
-                )
-                point = at
-        keep = [i for i in range(len(table.columns)) if pair is None or i not in pair]
-        copy.execute(
-            f"CREATE TABLE {table.name} ("
-            + ", ".join(
-                f"{table.columns[i].name} {table.columns[i].type.to_sql()}" for i in keep
-            )
-            + ")"
-        )
-        copy.insert_rows(table.name, [
-            [row[i] for i in keep] for row in table.rows
-            if pair is None or row[pair[0]] <= point < row[pair[1]]
-        ])
-    copy.execute(GET_AUTHOR_NAME)
-    return copy
-
-
-def contents(db: Database) -> dict:
-    return {
-        table.name: sorted(map(repr, table.rows))
-        for table in db.catalog.tables()
-    }
-
-
 def check(stratum, sql, conventional_sql=None):
     """``sql`` through the stratum returns the count and leaves the
-    timeslice the conventional statement leaves on the conventional copy."""
-    copy = timeslice(stratum)
-    expected = copy.execute(conventional_sql or sql)
+    timeslice at now (``tests/oracle``) as the conventional statement
+    leaves the timeslice it ran on."""
+    stmt = parse_statement(conventional_sql or sql)
+    copy = timeslice(stratum, stratum.db.now.ordinal, stmt)
+    with installed(copy):
+        expected = copy.execute_ast(stmt)
     assert stratum.execute(sql) == expected
-    assert contents(timeslice(stratum)) == contents(copy)
+    assert contents(timeslice(stratum, stratum.db.now.ordinal)) == contents(copy)
 
 
 def refused(stratum, sql):

@@ -11,11 +11,10 @@ import pytest
 from repro.sqlengine.parser import parse_statement
 from repro.sqlengine.values import Date, Null
 from repro.temporal import SlicingStrategy
-from repro.temporal.errors import TemporalError
-from repro.temporal.period import Period
-from repro.temporal.validate import check_commutativity
+from repro.temporal.errors import PerStatementInapplicableError
 
 from tests.conftest import make_bookstore
+from tests.oracle import check
 
 LEFT_QUERY = (
     "SELECT i.title, ia.author_id FROM item i"
@@ -54,15 +53,10 @@ class TestCurrentSemantics:
 
 class TestSequencedMax:
     def test_commutativity_with_null_extension(self, stratum):
-        context = Period.from_iso("2010-01-01", "2010-10-01")
         sequenced = (
             "VALIDTIME [DATE '2010-01-01', DATE '2010-10-01'] " + LEFT_QUERY
         )
-        ok, message = check_commutativity(
-            stratum, sequenced, LEFT_QUERY, context,
-            strategy=SlicingStrategy.MAX, sample_every=5,
-        )
-        assert ok, message
+        assert check(stratum, sequenced, SlicingStrategy.MAX) == "agrees"
 
     def test_null_extended_history(self, stratum):
         sequenced = (
@@ -79,7 +73,7 @@ class TestSequencedPerst:
 
         transformer = PerstTransformer(stratum.db.catalog, stratum.registry)
         sequenced = parse_statement("VALIDTIME " + LEFT_QUERY)
-        with pytest.raises(TemporalError):
+        with pytest.raises(PerStatementInapplicableError):
             transformer.transform(sequenced)
 
     def test_heuristic_falls_back_to_max(self, stratum):

@@ -7,24 +7,20 @@ shapes on the bookstore, and q17b with its FETCH nested in the loop,
 were answered wrongly there: a RETURN that left the table function with
 a scalar, stale rows a fallback did not delete, a per-period loop run
 twice by an enclosing WHILE, a procedure result set per period, a LEAVE
-that ended the loop over the periods at the first one.  Each
-case now either equals MAX snapshot by snapshot, multiplicities included
-(Dignös et al., *Snapshot Semantics for Temporal Multiset Relations*), or
-PERST refuses it with :class:`PerStatementInapplicableError` and AUTO
-answers what MAX answers.
+that ended the loop over the periods at the first one.  Each case now
+either equals the timeslice oracle (``tests/oracle``) snapshot by
+snapshot, multiplicities included, or PERST refuses it with
+:class:`PerStatementInapplicableError`; MAX and AUTO equal the oracle.
 """
-
-from collections import Counter
 
 import pytest
 
-from repro.sqlengine.values import sort_key
 from repro.taubench import build_dataset, get_query
 from repro.taubench.queries import _Q17B_FN
 from repro.temporal import SlicingStrategy
-from repro.temporal.errors import PerStatementInapplicableError
 
 from tests.conftest import make_bookstore
+from tests.oracle import check_each
 
 MAX, PERST, AUTO = SlicingStrategy.MAX, SlicingStrategy.PERST, SlicingStrategy.AUTO
 QUERY = (
@@ -117,31 +113,6 @@ SHAPES = {
 }
 
 
-def snapshots(result) -> list:
-    """The result as a bag per constant period: every row counts."""
-    results = result if isinstance(result, list) else [result]
-    rows = [row for r in results for row in r.temporal_rows()]
-    points = sorted({p for _, period in rows for p in (period.begin, period.end)})
-    return [
-        (point, sorted(
-            Counter(
-                values for values, period in rows
-                if period.begin <= point < period.end
-            ).items(),
-            key=lambda item: tuple(sort_key(v) for v in item[0]),
-        ))
-        for point in points
-    ]
-
-
-def outcome(stratum, sql, strategy):
-    """The result's snapshots, or the error class PERST refused with."""
-    try:
-        return snapshots(stratum.execute(sql, strategy=strategy))
-    except PerStatementInapplicableError:
-        return PerStatementInapplicableError
-
-
 def _bookstore(shape):
     stratum = make_bookstore()
     stratum.register_routine(SHAPES[shape])
@@ -157,7 +128,7 @@ def _nested_q17b():
     q17b.install(dataset)
     dataset.stratum.db.catalog.drop_routine("canadian_small_books")
     dataset.stratum.register_routine(nested_fetch(_Q17B_FN))
-    return dataset.stratum, q17b.sequenced_sql(dataset, *dataset.context_bounds(90))
+    return dataset.stratum, q17b.sequenced_sql(dataset, *dataset.context_bounds(7))
 
 
 def nested_fetch(definition: str) -> str:
@@ -179,9 +150,8 @@ CASES["q17b-nested-fetch"] = _nested_q17b
 
 @pytest.mark.parametrize("case", CASES)
 def test_perst_equals_max_or_refuses(case):
+    """PERST ≡ the snapshot (the oracle), or a typed refusal; MAX and AUTO
+    ≡ the snapshot."""
     stratum, sql = CASES[case]()
-    expected = outcome(stratum, sql, MAX)
-    assert expected is not PerStatementInapplicableError and expected
-    perst = outcome(stratum, sql, PERST)
-    assert perst in (expected, PerStatementInapplicableError), case
-    assert outcome(stratum, sql, AUTO) == expected, case
+    verdicts = check_each(stratum, sql, (MAX, PERST, AUTO))
+    assert verdicts[MAX] == verdicts[AUTO] == "agrees", case

@@ -21,7 +21,7 @@ stamps that a rollback never lowers (every entry newer than the restored
 version is evicted) — are checked on the helper itself below.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sqlengine.parser import parse_statement
 from repro.temporal import SlicingStrategy
@@ -157,6 +157,9 @@ def forget(stratum) -> None:
 
 
 @settings(max_examples=40, deadline=None)
+# a rolled-back ADD VALIDTIME must take its period pair's interval
+# declaration with its columns
+@example([("txn", "BEGIN"), ("add_validtime",), ("txn", "ROLLBACK"), ("query", 4)])
 @given(st.lists(steps, min_size=4, max_size=24))
 def test_revalidated_caches_equal_no_caches(sequence):
     measured, twin = build(), build()
