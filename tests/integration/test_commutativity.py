@@ -12,12 +12,9 @@ import pytest
 from repro.taubench import ALL_QUERIES
 from repro.temporal import SlicingStrategy
 
-from tests.oracle import Expected, check_each
+from tests.oracle import check
 
 BEGIN, END = "2010-02-10", "2010-02-24"
-# the reference of each query, shared by its strategies: the session's
-# DS1-SMALL never changes
-EXPECTED: dict = {}
 
 
 def _cases():
@@ -32,7 +29,5 @@ def _cases():
 def test_commutativity(query, strategy, small_dataset):
     query.install(small_dataset)
     sql = query.sequenced_sql(small_dataset, BEGIN, END)
-    if query.name not in EXPECTED:
-        EXPECTED[query.name] = Expected(small_dataset.stratum, sql)
-    verdicts = check_each(small_dataset.stratum, sql, [strategy], EXPECTED[query.name])
+    verdicts = check(small_dataset.stratum, sql, [strategy])
     assert verdicts == {strategy: "agrees"}, query.name

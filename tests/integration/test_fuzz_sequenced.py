@@ -6,7 +6,9 @@ predicates, stored-function calls); for each we assert the paper's
 §VII-B invariant with the timeslice oracle (``tests/oracle``): every
 strategy's result, snapshot by snapshot and multiplicities included,
 equals the conventional query on the timeslice — or the strategy
-refuses with a typed refusal.  The transaction-time dimension and
+refuses with the typed refusal the corpus expects.  The corpus runs
+these families on random histories; here they also run on one history
+holding every period shape at once.  The transaction-time dimension and
 EXPLAIN ANALYZE's bookkeeping are checked on the same histories.
 """
 
@@ -19,7 +21,7 @@ from repro.sqlengine.values import Date
 from repro.temporal import SlicingStrategy, TemporalStratum
 from repro.temporal.errors import PerStatementInapplicableError
 
-from tests.oracle import check_each, contents, timeslice
+from tests.oracle import check, contents, timeslice
 from tests.oracle.test_corpus import (
     BASE,
     CONTEXT,
@@ -28,24 +30,39 @@ from tests.oracle.test_corpus import (
     SPAN,
     build_stratum,
     sequenced,
+    verdicts,
     versions,
 )
 
 # the corpus families the other differential fuzzers share
-QUERIES = [FAMILIES[name] for name in ("selection", "join", "self-join", "distinct")]
+NAMES = ("selection", "join", "self-join", "distinct")
+QUERIES = [FAMILIES[name] for name in NAMES]
 FN_QUERY = FAMILIES["scalar-function"]
 
+# one history with every period shape the generator draws, at once (as
+# (key, value, begin offset, length, shape); key 3 is NULL): a version
+# repeated verbatim, a value-equal and a value-changing overlap, one
+# version beginning where the previous ended, NULL at either bound,
+# forever, empty and inverted periods, NULL keys on both sides
+EVERY_SHAPE_FACT = [
+    (1, 1, 8, 20, 9), (1, 2, 0, 15, 3), (1, 1, 25, 35, 9), (1, 1, 8, 20, 9),
+    (0, 3, 5, 30, 2), (0, 0, 3, 10, 0), (2, 3, 15, 10, 1), (2, 1, 12, 0, 9),
+    (2, 1, 20, -2, 9), (3, 2, 10, 20, 9),
+]
+EVERY_SHAPE_DIM = [
+    (1, 1, 0, SPAN, 9), (1, 1, 0, SPAN, 9), (0, 3, 10, 30, 2), (2, 1, 5, 10, 9),
+    (2, 2, 15, 10, 3), (3, 2, 5, 20, 9),
+]
 
-@settings(
-    max_examples=25,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(fact=versions, dim=versions, query_index=st.integers(0, len(QUERIES) - 1))
-def test_random_histories_strategies_agree(fact, dim, query_index):
-    """Every strategy equals the oracle (PERST may refuse a DISTINCT)."""
-    stratum = build_stratum(fact, dim)
-    check_each(stratum, sequenced(QUERIES[query_index]), EVERY)
+
+def test_random_histories_strategies_agree():
+    """On the every-shape history each fuzzed family, the stored-function
+    one included, equals the oracle under every strategy, or refuses as
+    the corpus expects (PERST's DISTINCT)."""
+    stratum = build_stratum(EVERY_SHAPE_FACT, EVERY_SHAPE_DIM)
+    for name in NAMES + ("scalar-function",):
+        sql = sequenced(FAMILIES[name])
+        assert check(stratum, sql, EVERY) == verdicts(name, EVERY), name
 
 
 @settings(
@@ -59,10 +76,9 @@ def test_random_histories_commutativity(fact, dim):
     routes an aggregate through a stored function (PERST's loop
     fallback)."""
     stratum = build_stratum(fact, dim)
-    verdicts = check_each(
+    assert check(
         stratum, sequenced(FN_QUERY), (SlicingStrategy.MAX, SlicingStrategy.PERST)
-    )
-    assert set(verdicts.values()) == {"agrees"}
+    ) == {SlicingStrategy.MAX: "agrees", SlicingStrategy.PERST: "agrees"}
 
 
 @settings(
@@ -150,7 +166,7 @@ def test_random_histories_transaction_dimension(fact):
         f" DATE '{Date(CONTEXT.end).to_iso()}']"
         " SELECT entity, val FROM tfact"
     )
-    check_each(stratum, sequenced_tt, EVERY)
+    assert check(stratum, sequenced_tt, EVERY) == {s: "agrees" for s in EVERY}
     # time-travel consistency: the state as of any clock is the
     # oracle's transaction-time slice at that granule
     probe = BASE + SPAN // 2

@@ -12,8 +12,8 @@ temporal code:
   a timeslice through the reference evaluators
   (``tests/reference_executor.py`` + ``tests/reference_psm.py``: no
   stratum, no planner, no compiled routine body);
-* :func:`check` — the statement run under one strategy, its stamped rows
-  expanded into a bag per granule (a CALL's result sets pooled) and
+* :func:`check` — the statement run under each strategy, its stamped
+  rows expanded into a bag per granule (a CALL's result sets pooled) and
   compared with the reference's bag at every granule of the context.
   Bags, not sets: a duplicate is a wrong answer (Dignös et al.,
   *Snapshot Semantics for Temporal Multiset Relations*).
@@ -27,13 +27,15 @@ Accepted outcomes: equal bags; a reference error matched by an error of
 the same SQLSTATE (of the same class where it has none); a typed refusal
 (:data:`REFUSALS`).  A modification passes when every slice inside the
 context equals the conventional statement applied to the parent's
-slice, and every slice outside it is unchanged.
+slice, and every slice outside it is unchanged; it is then rolled back,
+so each strategy modifies the same database.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Iterable, Optional, Union
+from contextlib import contextmanager
+from typing import Any, Iterable, Iterator, Optional, Union
 
 from repro.sqlengine import Database
 from repro.sqlengine import ast_nodes as ast
@@ -309,94 +311,106 @@ class Expected:
             assert result == want, f"at {_day(granule)}: {_diff(result, want)}"
 
 
-def _check_modification(
-    stratum: TemporalStratum, sql: str, stmt: ast.Statement,
-    strategy: SlicingStrategy,
-) -> str:
-    """Inside the context each slice becomes the conventional statement
-    applied to the parent's slice; outside it, and everywhere when the
-    statement raises, each slice stays as it was."""
-    context = context_of(stratum, stmt)
-    dimension = stmt.modifier.dimension
-    plain = _conventional(stmt)
-    starts = sorted(
-        {Date.MIN_ORDINAL, context.begin, context.end}
-        | change_points(stratum, dimension)
-    )
-    before, expected = {}, {}
-    for granule in starts:
-        copy = timeslice(stratum, granule, stmt, dimension)
-        before[granule] = expected[granule] = contents(copy)
-        if context.contains(granule):
-            with installed(copy):
-                try:
-                    copy.execute_ast(clone(plain))
-                    expected[granule] = contents(copy)
-                except SqlError as exc:
-                    expected[granule] = exc
-    errors = [e for e in expected.values() if isinstance(e, SqlError)]
-    try:
-        stratum.execute(sql, strategy=strategy)
-    except REFUSALS:
-        return "refused"
-    except SqlError as exc:
-        assert any(_same_error(exc, e) for e in errors), (
-            f"raised {type(exc).__name__}: {exc}; the reference "
-            + ("raises " + ", ".join(map(repr, errors)) if errors else "does not")
+class ExpectedModification:
+    """The reference's slices for one sequenced modification on the
+    database as it stands: inside the context each slice becomes the
+    conventional statement applied to the parent's slice; outside it,
+    and everywhere when the statement raises, each slice stays as it
+    was."""
+
+    def __init__(self, stratum: TemporalStratum, sql: Union[str, ast.Statement]) -> None:
+        stmt = _statement(sql)
+        self.stratum, self.stmt = stratum, stmt
+        self.context = context_of(stratum, stmt)
+        self.dimension = stmt.modifier.dimension
+        plain = _conventional(stmt)
+        self.starts = sorted(
+            {Date.MIN_ORDINAL, self.context.begin, self.context.end}
+            | change_points(stratum, self.dimension)
         )
-        expected = before
-    else:
-        assert not errors, f"the reference raises {errors[0]!r}; the statement ran"
-    for granule in sorted(set(starts) | change_points(stratum, dimension)):
-        after = contents(timeslice(stratum, granule, stmt, dimension))
-        want = expected[_covering(starts, granule)]
-        inside = "inside" if context.contains(granule) else "outside"
-        for name in sorted(set(after) | set(want)):
-            got, wanted = after.get(name, Counter()), want.get(name, Counter())
-            assert got == wanted, (
-                f"{name} at {_day(granule)} ({inside} the context):"
-                f" {_diff(got, wanted)}"
+        self.before, self.after = {}, {}
+        for granule in self.starts:
+            copy = timeslice(stratum, granule, stmt, self.dimension)
+            self.before[granule] = self.after[granule] = contents(copy)
+            if self.context.contains(granule):
+                with installed(copy):
+                    try:
+                        copy.execute_ast(clone(plain))
+                        self.after[granule] = contents(copy)
+                    except SqlError as exc:
+                        self.after[granule] = exc
+        self.errors = [e for e in self.after.values() if isinstance(e, SqlError)]
+
+    def compare(self, outcome: Any) -> None:
+        """Assert that the database, after the statement returned or
+        raised ``outcome``, holds the expected slices.  The assertion
+        names the first table and granule that differ."""
+        errors = self.errors
+        if isinstance(outcome, SqlError):
+            assert any(_same_error(outcome, e) for e in errors), (
+                f"raised {type(outcome).__name__}: {outcome}; the reference "
+                + ("raises " + ", ".join(map(repr, errors)) if errors else "does not")
             )
-    return "agrees"
+            expected = self.before
+        else:
+            assert not errors, f"the reference raises {errors[0]!r}; the statement ran"
+            expected = self.after
+        stratum, dimension = self.stratum, self.dimension
+        for granule in sorted(set(self.starts) | change_points(stratum, dimension)):
+            after = contents(timeslice(stratum, granule, self.stmt, dimension))
+            want = expected[_covering(self.starts, granule)]
+            inside = "inside" if self.context.contains(granule) else "outside"
+            for name in sorted(set(after) | set(want)):
+                got, wanted = after.get(name, Counter()), want.get(name, Counter())
+                assert got == wanted, (
+                    f"{name} at {_day(granule)} ({inside} the context):"
+                    f" {_diff(got, wanted)}"
+                )
+
+
+@contextmanager
+def _rolled_back(db: Database, writes: bool) -> Iterator[None]:
+    """Run the body in a transaction rolled back after it, when it writes."""
+    if not writes:
+        yield
+        return
+    db.execute("BEGIN")
+    try:
+        yield
+    finally:
+        db.execute("ROLLBACK")
 
 
 def check(
     stratum: TemporalStratum,
     sql: str,
-    strategy: SlicingStrategy = SlicingStrategy.MAX,
-) -> str:
-    """Run the sequenced ``sql`` under ``strategy`` and hold it to the
-    reference: ``"agrees"``, ``"refused"`` (a typed refusal), or an
-    AssertionError naming the granule that differs."""
-    stmt = parse_statement(sql)
-    if isinstance(stmt, MODIFICATIONS):
-        return _check_modification(stratum, sql, stmt, strategy)
-    return check_each(stratum, sql, [strategy])[strategy]
-
-
-def check_each(
-    stratum: TemporalStratum,
-    sql: str,
-    strategies: Iterable[SlicingStrategy],
-    expected: Optional[Expected] = None,
+    strategies: Iterable[SlicingStrategy] = (SlicingStrategy.MAX,),
+    expected: Union[Expected, ExpectedModification, None] = None,
 ) -> dict:
-    """:func:`check` of a query under each of ``strategies``, against one
-    reference (``expected``, when the caller kept it for a database that
-    has not changed since): strategy → ``"agrees"`` or ``"refused"``."""
+    """Run the sequenced ``sql`` under each of ``strategies`` and hold it
+    to the reference: strategy → ``"agrees"`` or ``"refused"`` (a typed
+    refusal), or an AssertionError naming the strategy and the granule
+    that differs.  ``expected`` is the reference, when the caller built
+    it on the database as it stands.  The database is left as it was: a
+    modification runs in a transaction rolled back once its slices are
+    compared, so every strategy modifies the same database."""
+    stmt = parse_statement(sql)
+    writes = isinstance(stmt, MODIFICATIONS)
+    if expected is None:
+        expected = (ExpectedModification if writes else Expected)(stratum, stmt)
     verdicts = {}
     for strategy in strategies:
-        try:
-            outcome = stratum.execute(sql, strategy=strategy)
-        except REFUSALS:
-            verdicts[strategy] = "refused"
-            continue
-        except SqlError as exc:
-            outcome = exc
-        if expected is None:
-            expected = Expected(stratum, sql)
-        try:
-            expected.compare(outcome)
-        except AssertionError as exc:
-            raise AssertionError(f"{strategy.value}: {exc}") from None
+        with _rolled_back(stratum.db, writes):
+            try:
+                outcome = stratum.execute(sql, strategy=strategy)
+            except REFUSALS:
+                verdicts[strategy] = "refused"
+                continue
+            except SqlError as exc:
+                outcome = exc
+            try:
+                expected.compare(outcome)
+            except AssertionError as exc:
+                raise AssertionError(f"{strategy.value}: {exc}") from None
         verdicts[strategy] = "agrees"
     return verdicts

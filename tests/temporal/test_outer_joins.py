@@ -56,7 +56,7 @@ class TestSequencedMax:
         sequenced = (
             "VALIDTIME [DATE '2010-01-01', DATE '2010-10-01'] " + LEFT_QUERY
         )
-        assert check(stratum, sequenced, SlicingStrategy.MAX) == "agrees"
+        assert check(stratum, sequenced) == {SlicingStrategy.MAX: "agrees"}
 
     def test_null_extended_history(self, stratum):
         sequenced = (

@@ -19,10 +19,10 @@ from repro.temporal.period import Period
 from tests.conftest import GET_AUTHOR_NAME, make_bookstore
 from tests.oracle import (
     Expected,
+    ExpectedModification,
     bag_at,
     change_points,
     check,
-    check_each,
     reference,
     stamped,
     timeslice,
@@ -97,7 +97,7 @@ class TestSampling:
 
 class TestChecks:
     def test_commutativity_detects_agreement(self, stratum):
-        assert check(stratum, SEQUENCED, SlicingStrategy.MAX) == "agrees"
+        assert check(stratum, SEQUENCED) == {SlicingStrategy.MAX: "agrees"}
 
     def test_commutativity_detects_disagreement(self, stratum):
         """Another statement's result is reported at the first granule."""
@@ -109,7 +109,7 @@ class TestChecks:
             Expected(stratum, SEQUENCED).compare(wrong)
 
     def test_equivalence_check(self, stratum):
-        assert check_each(stratum, SEQUENCED, list(SlicingStrategy)) == {
+        assert check(stratum, SEQUENCED, list(SlicingStrategy)) == {
             strategy: "agrees" for strategy in SlicingStrategy
         }
 
@@ -153,7 +153,7 @@ class TestOutcomes:
             " SELECT get_author_name('a1') FROM item WHERE id = 'i1'"
         )
         assert isinstance(reference(stratum, sql, JUNE), CardinalityError)
-        assert check(stratum, sql, SlicingStrategy.MAX) == "agrees"
+        assert check(stratum, sql) == {SlicingStrategy.MAX: "agrees"}
         with pytest.raises(AssertionError, match="CardinalityError"):
             Expected(stratum, sql).compare(stratum.execute(SEQUENCED))
 
@@ -170,3 +170,31 @@ class TestOutcomes:
         assert sorted(map(tuple, author.rows)) == [
             ("a1", "Ben", "Okri"), ("a2", "Rosa", "Luxemburg"),
         ]
+
+
+class TestModifications:
+    DELETE = "DELETE FROM author WHERE author_id = 'a1'"
+
+    def test_each_strategy_modifies_the_same_database(self, stratum):
+        """Every strategy's DELETE is held to the slices, then rolled
+        back: the database is left as it was."""
+        rows = {t.name: list(t.rows) for t in stratum.db.catalog.tables()}
+        sql = "VALIDTIME [DATE '2010-05-20', DATE '2010-06-10'] " + self.DELETE
+        assert check(stratum, sql, list(SlicingStrategy)) == {
+            strategy: "agrees" for strategy in SlicingStrategy
+        }
+        assert {t.name: list(t.rows) for t in stratum.db.catalog.tables()} == rows
+
+    def test_a_wrong_modification_is_reported_outside_the_context(self, stratum):
+        """A DELETE over a longer context empties a slice the statement
+        leaves alone."""
+        expected = ExpectedModification(
+            stratum, "VALIDTIME [DATE '2010-05-20', DATE '2010-06-10'] " + self.DELETE
+        )
+        outcome = stratum.execute(
+            "VALIDTIME [DATE '2010-05-20', DATE '2010-07-01'] " + self.DELETE
+        )
+        with pytest.raises(
+            AssertionError, match=r"author at 2010-06-10 \(outside the context\)"
+        ):
+            expected.compare(outcome)
