@@ -45,19 +45,11 @@ including temporal registrations and routines — even after a crash.
 store *offline* (no recovery, no mutation): it walks the WAL CRC chain
 and the snapshot header, reports the first torn or corrupt frame, and
 with ``--quarantine`` moves the bad suffix to a sidecar file instead of
-leaving it to be silently truncated at next open.  Add ``--against
-HOST:PORT`` to additionally compare the local store against a running
-node: per-table fingerprints are taken at a common commit sequence
-number and any divergence is reported (exit 1).
+leaving it to be silently truncated at next open.
 
 ``python -m repro serve [--db PATH] [--port P]`` starts the multi-client
 asyncio server: each connection gets its own snapshot-isolated session
-(see :mod:`repro.server`).  With ``--replicate-from HOST:PORT`` the
-node comes up as a read-only hot standby of that primary: it bootstraps
-from a shipped checkpoint, tails the primary's WAL, serves read-only
-queries at its applied commit sequence number, and survives link chaos
-by resuming from its local offset.  ``python -m repro promote --port P``
-turns a standby into a writable primary.
+(see :mod:`repro.server`).
 """
 
 from __future__ import annotations
@@ -432,106 +424,10 @@ def run_verify(argv: list[str]) -> int:
         "--quarantine", action="store_true",
         help="move a corrupt WAL suffix to a sidecar file",
     )
-    parser.add_argument(
-        "--against", metavar="HOST:PORT",
-        help="also fingerprint-compare this store against a running node"
-             " at a common commit sequence number",
-    )
-    parser.add_argument(
-        "--wait", type=float, default=5.0,
-        help="seconds to wait for the commit sequence numbers to align"
-             " (--against only; default 5)",
-    )
     args = parser.parse_args(argv)
     report = verify_store(args.db, quarantine=args.quarantine)
     print(report.render())
-    if not report.ok:
-        return 1
-    if args.against:
-        return _verify_against(args.db, args.against, args.wait)
-    return 0
-
-
-def _verify_against(db_path: str, target: str, wait: float) -> int:
-    """Cross-node divergence scrub: fingerprint the local store at the
-    remote node's commit sequence number and diff per table.
-
-    The local store must have reached the remote's sequence (the local
-    side is replayed *capped* at the remote's seq, so a local store that
-    is ahead — say the primary's, diffed against a lagging standby —
-    compares fine; one that is behind cannot).  Within ``wait`` seconds
-    the remote is re-polled, which rides out a standby that is still
-    catching up on the other end.
-    """
-    import asyncio
-    import time
-
-    from repro.server.client import ReproClient
-    from repro.server.replication import (
-        fingerprint_divergence,
-        fingerprints_at,
-    )
-
-    host, _, port_text = target.rpartition(":")
-    try:
-        port = int(port_text)
-    except ValueError:
-        print(f"error: --against wants HOST:PORT, got {target!r}",
-              file=sys.stderr)
-        return 2
-
-    async def fetch_remote() -> dict:
-        client = await ReproClient.connect(host or "127.0.0.1", port,
-                                           reconnect=False)
-        try:
-            response = await client.request({"op": "repl_fingerprint"},
-                                            retryable=False)
-        finally:
-            await client.close()
-        if not response.get("ok"):
-            raise RuntimeError(response.get("error", "fingerprint failed"))
-        return response
-
-    deadline = time.monotonic() + wait
-    local = remote = None
-    while True:
-        try:
-            remote = asyncio.run(fetch_remote())
-        except (ConnectionError, OSError, RuntimeError) as exc:
-            print(f"error: could not fingerprint {target}: {exc}",
-                  file=sys.stderr)
-            return 2
-        try:
-            local = fingerprints_at(db_path, remote["commit_seq"])
-        except SqlError as exc:
-            # e.g. the local snapshot is already past the remote's seq
-            print(f"error: cannot fingerprint {db_path} at seq"
-                  f" {remote['commit_seq']}: {exc}", file=sys.stderr)
-            return 2
-        if local["commit_seq"] == remote["commit_seq"]:
-            break
-        if time.monotonic() >= deadline:
-            print(
-                f"error: no common commit sequence number within {wait:g}s:"
-                f" local store is at seq {local['commit_seq']}, remote at"
-                f" {remote['commit_seq']} — let the lagging side catch up",
-                file=sys.stderr,
-            )
-            return 2
-        time.sleep(0.2)
-    divergence = fingerprint_divergence(local, remote)
-    seq = remote["commit_seq"]
-    if divergence:
-        print(f"DIVERGED from {target} at commit seq {seq}:")
-        for line in divergence:
-            print(f"  {line}")
-        return 1
-    tables = len(local["tables"])
-    print(
-        f"consistent with {target} at commit seq {seq}:"
-        f" {tables} table fingerprint{'s' if tables != 1 else ''} match"
-    )
-    return 0
+    return 0 if report.ok else 1
 
 
 def run_subcommand(argv: list[str]) -> int:
@@ -607,21 +503,12 @@ def run_serve(argv: list[str]) -> int:
 
         python -m repro serve [--db PATH] [--host H] [--port P]
                               [--load DS SIZE]
-                              [--replicate-from HOST:PORT]
 
     Each connected client gets its own session with snapshot-isolated
     MVCC semantics; the wire protocol is length-prefixed JSON (see
     :mod:`repro.server`).  SIGINT/SIGTERM trigger a graceful drain:
     in-flight statements finish, sessions roll back, and a durable
     store is checkpointed before exit.
-
-    ``--replicate-from HOST:PORT`` (requires ``--db``) brings the node
-    up as a read-only hot standby: it bootstraps from the primary's
-    checkpoint, tails its WAL, and serves SELECTs at the applied commit
-    sequence number until ``repro promote`` lifts it to primary.  A
-    still-replicating standby shuts down *without* checkpointing, so
-    its local WAL stays a byte-prefix of the primary's and the next
-    start resumes from that offset instead of re-bootstrapping.
     """
     import argparse
     import asyncio
@@ -640,110 +527,27 @@ def run_serve(argv: list[str]) -> int:
         "--load", nargs=2, metavar=("DS", "SIZE"),
         help="load a τPSM dataset first (e.g. --load DS1 SMALL)",
     )
-    parser.add_argument(
-        "--replicate-from", metavar="HOST:PORT", dest="replicate_from",
-        help="run as a read-only hot standby of this primary",
-    )
     args = parser.parse_args(argv)
-    primary = None
-    if args.replicate_from:
-        if not args.db:
-            print("error: --replicate-from requires --db (the standby's"
-                  " durable store)", file=sys.stderr)
-            return 2
-        if args.load:
-            print("error: --replicate-from and --load conflict: a standby's"
-                  " contents come from the primary", file=sys.stderr)
-            return 2
-        host, _, port_text = args.replicate_from.rpartition(":")
-        try:
-            primary = (host or "127.0.0.1", int(port_text))
-        except ValueError:
-            print(f"error: --replicate-from wants HOST:PORT, got"
-                  f" {args.replicate_from!r}", file=sys.stderr)
-            return 2
     shell = _build_shell(
         " ".join(args.load) if args.load else None, db_path=args.db
     )
     stratum = shell.stratum
-    still_standby = False
 
     async def run() -> None:
-        nonlocal still_standby
         server = ReproServer(stratum, host=args.host, port=args.port)
         host, port = await server.start()
-        if primary is not None:
-            from repro.server.replication import StandbyManager
-
-            standby = StandbyManager(server, primary[0], primary[1])
-            await standby.start()
-            print(
-                f"repro standby following {primary[0]}:{primary[1]}",
-                flush=True,
-            )
         print(f"repro server listening on {host}:{port}", flush=True)
         loop = asyncio.get_running_loop()
         stop = asyncio.Event()
         for signum in (signal.SIGINT, signal.SIGTERM):
             loop.add_signal_handler(signum, stop.set)
         await server.serve_until(stop)
-        # promote clears server.standby; if it is still set we are a
-        # replica and must not checkpoint (that would bump the local
-        # generation and force a re-bootstrap on restart)
-        still_standby = server.standby is not None
 
     try:
         asyncio.run(run())
     finally:
-        stratum.db.close(checkpoint=not still_standby)
+        stratum.db.close()
     print("repro server stopped", flush=True)
-    return 0
-
-
-def run_promote(argv: list[str]) -> int:
-    """``repro promote``: lift a running standby to writable primary.
-
-    Usage::
-
-        python -m repro promote [--host H] [--port P]
-
-    The standby stops tailing, replays any buffered WAL tail, bumps its
-    checkpoint generation, and starts accepting writes.  Prints the new
-    generation and the commit sequence number the node was at when it
-    took over.
-    """
-    import argparse
-    import asyncio
-
-    from repro.server.client import ReproClient
-
-    parser = argparse.ArgumentParser(prog="repro promote")
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=7878)
-    args = parser.parse_args(argv)
-
-    async def promote() -> dict:
-        client = await ReproClient.connect(args.host, args.port,
-                                           reconnect=False)
-        try:
-            return await client.request({"op": "promote"}, retryable=False)
-        finally:
-            await client.close()
-
-    try:
-        response = asyncio.run(promote())
-    except (ConnectionError, OSError) as exc:
-        print(f"error: could not reach {args.host}:{args.port}: {exc}",
-              file=sys.stderr)
-        return 2
-    if not response.get("ok"):
-        print(f"error: {response.get('error', 'promotion failed')}",
-              file=sys.stderr)
-        return 1
-    print(
-        f"promoted: generation {response.get('generation')},"
-        f" applied_csn {response.get('applied_csn')} — node is writable"
-    )
     return 0
 
 
@@ -754,8 +558,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return run_verify(argv[1:])
     if argv and argv[0] == "serve":
         return run_serve(argv[1:])
-    if argv and argv[0] == "promote":
-        return run_promote(argv[1:])
     if argv and argv[0] in ("explain", "trace"):
         return run_subcommand(argv)
     import argparse

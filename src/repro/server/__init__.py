@@ -31,14 +31,6 @@ from repro.server.protocol import (
     FrameError,
     FramedReader,
 )
-from repro.server.replication import (
-    ReplicationSource,
-    StandbyApplier,
-    StandbyManager,
-    fingerprint_divergence,
-    fingerprints_at,
-    store_fingerprints,
-)
 
 __all__ = [
     "ClientResult",
@@ -47,13 +39,7 @@ __all__ = [
     "FrameError",
     "FramedReader",
     "MAX_FRAME_BYTES",
-    "ReplicationSource",
     "ReproClient",
     "ReproServer",
     "ServerError",
-    "StandbyApplier",
-    "StandbyManager",
-    "fingerprint_divergence",
-    "fingerprints_at",
-    "store_fingerprints",
 ]

@@ -11,7 +11,7 @@
 
 Engine errors arrive as :class:`ServerError` with the originating
 ``sqlstate`` (``'40001'`` for a serialization failure the caller
-should retry; ``'25006'`` when a write reaches a read-only standby).
+should retry).
 
 **Reconnection.** Every request carries a monotonically increasing
 request id (``rid``) that the server echoes, so a response can never be
@@ -103,9 +103,6 @@ class ReproClient:
         self._settings: dict[str, Any] = {}
         # the csn the most recent statement read through
         self.last_snapshot: Optional[int] = None
-        # the replication position a standby reported for the most
-        # recent statement (None when talking to a primary)
-        self.last_applied_csn: Optional[int] = None
         self.reconnects = 0
 
     @classmethod
@@ -182,7 +179,6 @@ class ReproClient:
     ) -> dict:
         """Send one raw request, return the raw response dict.
 
-        Used by the replication tailer and the cross-node scrubber;
         ``retryable`` overrides the built-in safe-to-resend detection.
         """
         rid = self._next_rid
@@ -231,6 +227,10 @@ class ReproClient:
             raise FrameError(
                 f"response rid {echoed} does not match request rid {rid}"
             )
+        if "in_txn" in response:
+            # every execute response, errors included, carries whether
+            # the server-side session holds an open transaction
+            self._in_txn = response["in_txn"]
         return response
 
     async def _roundtrip(self, message: dict) -> Any:
@@ -240,41 +240,16 @@ class ReproClient:
                 response.get("error", "unknown server error"),
                 response.get("sqlstate"),
             )
-        if message.get("op") == "execute":
-            head = message.get("sql", "").strip().split(None, 1)
-            verb = head[0].upper() if head else ""
-            if verb == "BEGIN":
-                self._in_txn = True
-            elif verb in ("COMMIT", "ROLLBACK"):
-                self._in_txn = False
         if "snapshot" in response:
             self.last_snapshot = response["snapshot"]
-        if "applied_csn" in response:
-            self.last_applied_csn = response["applied_csn"]
         return decode_result(response["result"]) if "result" in response else None
 
     # -- public API -----------------------------------------------------
 
-    async def execute(
-        self,
-        sql: str,
-        *,
-        min_csn: Optional[int] = None,
-        wait: Optional[float] = None,
-    ) -> Any:
+    async def execute(self, sql: str) -> Any:
         """Run one statement; returns a :class:`ClientResult`, a row
-        count, a list (CALL result sets), text, or ``None``.
-
-        Against a standby, ``min_csn`` demands read-your-writes: the
-        statement runs only once the replica has applied at least that
-        commit sequence number, waiting up to ``wait`` seconds.
-        """
-        message: dict[str, Any] = {"op": "execute", "sql": sql}
-        if min_csn is not None:
-            message["min_csn"] = min_csn
-            if wait is not None:
-                message["wait"] = wait
-        return await self._roundtrip(message)
+        count, a list (CALL result sets), text, or ``None``."""
+        return await self._roundtrip({"op": "execute", "sql": sql})
 
     async def set_timeout(self, seconds: Optional[float]) -> None:
         """Set (or with ``None`` clear) this session's statement

@@ -49,11 +49,6 @@ class ReproServer:
         self._connections: set = set()
         self._session_seq = 0
         self._closing = False
-        # replication: a ReplicationSource is created lazily when the
-        # first repl_* op arrives (primary role); `standby` is installed
-        # by StandbyManager.start (standby role)
-        self._replication = None
-        self.standby = None
 
     # -- lifecycle -------------------------------------------------------
 
@@ -75,8 +70,6 @@ class ReproServer:
         """Graceful drain: no new connections, in-flight statements
         finish, sessions tear down, then the worker stops."""
         self._closing = True
-        if self.standby is not None:
-            await self.standby.stop()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -187,56 +180,13 @@ class ReproServer:
 
     # -- request dispatch ------------------------------------------------
 
-    def _replication_source(self):
-        if self._replication is None:
-            from repro.server.replication import ReplicationSource
-
-            self._replication = ReplicationSource(
-                self.db, asyncio.get_running_loop()
-            )
-        return self._replication
-
     async def _dispatch(self, session: ServerSession, request: dict) -> dict:
         op = request.get("op")
         if op == "execute":
-            sql = request.get("sql")
-            if not isinstance(sql, str):
-                return {
-                    "ok": False,
-                    "error": "execute needs a 'sql' string",
-                    "sqlstate": None,
-                }
-            min_csn = request.get("min_csn")
-            if min_csn is not None and self.standby is not None:
-                timeout = float(request.get("wait") or 5.0)
-                if not await self.standby.wait_applied(min_csn, timeout):
-                    return {
-                        "ok": False,
-                        "error": (
-                            f"standby lag: applied_csn"
-                            f" {self.standby.applier.applied_csn} has not"
-                            f" reached min_csn {min_csn} within {timeout}s"
-                        ),
-                        "sqlstate": "55000",
-                        "applied_csn": self.standby.applier.applied_csn,
-                    }
-            try:
-                result, snapshot, applied = await self._db(
-                    session.run_statement, sql
-                )
-            except SqlError as exc:
-                return {
-                    "ok": False,
-                    "error": str(exc),
-                    "sqlstate": getattr(exc, "sqlstate", None),
-                }
-            response = {
-                "ok": True,
-                "result": encode_result(result),
-                "snapshot": snapshot,
-            }
-            if applied is not None:
-                response["applied_csn"] = applied
+            response = await self._execute(session, request.get("sql"))
+            # the client learns from this alone whether a transaction is
+            # open, whatever verb opened, kept or ended it
+            response["in_txn"] = session.txn.explicit
             return response
         if op == "set":
             try:
@@ -257,80 +207,29 @@ class ReproServer:
             }
         if op == "quit":
             return {"ok": True, "result": {"kind": "ok"}}
-        if op in ("repl_handshake", "repl_wal", "repl_snapshot",
-                  "repl_fingerprint", "repl_status"):
-            return await self._dispatch_replication(op, request)
-        if op == "promote":
-            return await self._promote()
         return {
             "ok": False,
             "error": f"unknown op {op!r}",
             "sqlstate": None,
         }
 
-    async def _dispatch_replication(self, op: str, request: dict) -> dict:
-        from repro.sqlengine.errors import ReplicationError
-
-        if op == "repl_status" and self.standby is not None:
-            return {"ok": True, **self.standby.status()}
-        if self.db.durability is None:
+    async def _execute(self, session: ServerSession, sql: Any) -> dict:
+        if not isinstance(sql, str):
             return {
                 "ok": False,
-                "error": "replication requires a durable store"
-                         " (serve with --db)",
+                "error": "execute needs a 'sql' string",
                 "sqlstate": None,
             }
         try:
-            source = self._replication_source()
-            if op == "repl_handshake":
-                payload = await self._db(
-                    source.handshake,
-                    request.get("generation"),
-                    request.get("offset"),
-                )
-            elif op == "repl_wal":
-                generation = request.get("generation")
-                offset = request.get("offset")
-                wait = float(request.get("wait") or 0.0)
-                payload = await self._db(source.wal_chunk, generation, offset)
-                if wait > 0 and not payload.get("resync") and not payload["data"]:
-                    # long-poll: park on the loop until a commit lands
-                    await source.wait_for_commit(wait)
-                    payload = await self._db(
-                        source.wal_chunk, generation, offset
-                    )
-            elif op == "repl_snapshot":
-                payload = await self._db(
-                    source.snapshot_chunk, request.get("offset", 0)
-                )
-            elif op == "repl_fingerprint":
-                payload = await self._db(source.fingerprints, self.stratum)
-            else:  # repl_status on a primary
-                payload = await self._db(source.status)
-                payload["role"] = "primary"
-            return {"ok": True, **payload}
-        except (ReplicationError, SqlError, OSError, ValueError) as exc:
-            return {"ok": False, "error": str(exc), "sqlstate": None}
-
-    async def _promote(self) -> dict:
-        from repro.sqlengine.errors import ReplicationError
-
-        if self.standby is None:
+            result, snapshot = await self._db(session.run_statement, sql)
+        except SqlError as exc:
             return {
                 "ok": False,
-                "error": "this node is not a standby",
-                "sqlstate": None,
+                "error": str(exc),
+                "sqlstate": getattr(exc, "sqlstate", None),
             }
-        standby = self.standby
-        try:
-            await standby.stop()  # no frames may land mid-promotion
-            generation = await self._db(standby.applier.promote)
-        except (ReplicationError, SqlError) as exc:
-            return {"ok": False, "error": str(exc), "sqlstate": None}
-        self.standby = None  # writes flow; repl ops now serve as primary
         return {
             "ok": True,
-            "result": {"kind": "ok"},
-            "generation": generation,
-            "applied_csn": standby.applier.applied_csn,
+            "result": encode_result(result),
+            "snapshot": snapshot,
         }

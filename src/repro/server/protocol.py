@@ -132,19 +132,6 @@ class FramedReader:
         return message
 
 
-async def read_frame(
-    reader: asyncio.StreamReader, max_bytes: int = MAX_FRAME_BYTES
-) -> Optional[dict]:
-    """Read one frame; ``None`` on clean EOF between frames.
-
-    A connection dropped mid-header or mid-payload, an oversized
-    length, or a non-JSON payload raise :class:`FrameError` — the
-    caller decides whether that tears down the connection (server) or
-    surfaces to the application (client).
-    """
-    return await FramedReader(reader, max_bytes).read()
-
-
 # -- result coding ---------------------------------------------------------
 
 

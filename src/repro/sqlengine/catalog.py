@@ -144,13 +144,11 @@ class Catalog:
         # are exempt — plans validate their schema at run time instead.
         self.schema_version = 0
         # per name, the schema version its last change left — tables and
-        # views share one namespace, routines have their own — and the
-        # version of the last change that covered every name (``clear``).
+        # views share one namespace, routines have their own.
         # A rollback restores ``schema_version`` but lowers none of these,
         # so a name's stamp may exceed the version (:meth:`unchanged_since`).
         self._relation_stamps: dict[str, int] = {}
         self._routine_stamps: dict[str, int] = {}
-        self._floor = 0
 
     def _guard(self, site: str, name: str, entry_tag: str, key: str, old: object) -> None:
         """Fault-check then log one catalog mutation's inverse."""
@@ -179,15 +177,6 @@ class Catalog:
             txn.log.append(("cat_schema", self, self.schema_version))
         self._stamp(self._relation_stamps, name.lower())
 
-    def clear(self) -> None:
-        """Forget every table, view and routine, unlogged (a standby
-        adopting a shipped snapshot): nothing compiled before stays valid."""
-        for names in (self._tables, self._views, self._routines,
-                      self._relation_stamps, self._routine_stamps):
-            names.clear()
-        self.schema_version += 1
-        self._floor = self.schema_version
-
     def _stamp(self, stamps: dict, key: str) -> None:
         """Move the schema version for a change to ``key``."""
         self.schema_version += 1
@@ -202,8 +191,6 @@ class Catalog:
         ``stamp``.  The root's names are its own; a view or routine
         unchanged since ``stamp`` has the body it had then, so this walk
         meets exactly the names a walk at ``stamp`` would have met."""
-        if stamp < self._floor:
-            return False
         relations: set[str] = set()
         calls: set[str] = set()
         pending = [body_facts(root)]

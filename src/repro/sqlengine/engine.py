@@ -348,14 +348,11 @@ class Database:
         return db
 
     def attach_durability(self, path, *, stratum=None, sync: bool = True,
-                          auto_checkpoint_bytes: Optional[int] = None,
-                          replay_cap: Optional[int] = None):
+                          auto_checkpoint_bytes: Optional[int] = None):
         """Bind a WAL + snapshot directory, running crash recovery first.
 
         ``stratum`` (a :class:`~repro.temporal.stratum.TemporalStratum`)
         makes registry changes durable and lets recovery rebuild them.
-        ``replay_cap`` stops redo at a commit sequence number (used by
-        the cross-node scrubber to recover a copy *as of* a common csn).
         Returns the :class:`~repro.sqlengine.wal.DurabilityManager`.
         """
         from repro.sqlengine.recovery import recover
@@ -381,7 +378,7 @@ class Database:
         )
         if stratum is not None:
             manager.bind_stratum(stratum)
-        recover(manager, replay_cap)
+        recover(manager)
         self.durability = manager
         self.txn.wal = manager
         # recovery may have rebuilt arbitrary schema/data: every compiled

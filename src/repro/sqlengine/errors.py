@@ -114,32 +114,6 @@ class SerializationError(SignalError):
         )
 
 
-class ReadOnlyError(SignalError):
-    """Raised when a statement attempts to modify a read-only database —
-    a hot standby serving replica reads before promotion.
-
-    Carries SQLSTATE ``25006`` (read-only SQL transaction); surfaced to
-    wire clients as an ordinary typed error so they can fail over to the
-    primary instead of dying on an opaque exception.
-    """
-
-    SQLSTATE = "25006"
-
-    def __init__(self, message: "str | None" = None) -> None:
-        super().__init__(
-            self.SQLSTATE,
-            message
-            if message is not None
-            else "cannot execute a write statement on a read-only standby (25006)",
-        )
-
-
-class ReplicationError(ExecutionError):
-    """A replication-link failure: a gap in the shipped WAL stream, a
-    generation mismatch the standby cannot resume across, or an apply
-    error that poisoned the standby state machine."""
-
-
 class FaultInjected(ExecutionError):
     """Raised by an armed :class:`~repro.sqlengine.txn.FaultPlan` — the
     fault-injection harness's stand-in for a mid-statement crash."""

@@ -42,7 +42,6 @@ from typing import Optional
 
 from repro.sqlengine.errors import (
     ExecutionError,
-    ReadOnlyError,
     SerializationError,
 )
 from repro.sqlengine.storage import Table
@@ -75,11 +74,6 @@ class MvccManager:
         self.multi = False
         # pinned snapshot csn -> number of transactions pinned at it
         self.pins: dict[int, int] = {}
-        # standby mode: only the root session (the replication applier)
-        # may claim tables for writing; reader sessions get a typed
-        # 25006.  Schema claims stay allowed — serving a sequenced query
-        # may lazily install its transform routine.
-        self.read_only = False
         self.schema = _SchemaResource()
         # tables (and the schema resource) holding live version chains
         self._chained: set = set()
@@ -159,15 +153,6 @@ class MvccManager:
         """
         if not self.multi or resource.temporary:
             return
-        if (
-            self.read_only
-            and resource is not self.schema
-            and txn is not self.db.root_txn
-        ):
-            raise ReadOnlyError(
-                f"cannot write to {resource.name}: this node is a read-only"
-                " standby (25006)"
-            )
         write_set = txn.write_set
         if resource in write_set:
             return
@@ -189,7 +174,7 @@ class MvccManager:
             base = resource.last_committed_csn
             if not chain or chain[-1][0] != base:
                 # row *copies*: update_rows mutates the live row lists
-                # in place, on the primary and in standby replay alike
+                # in place, in statements and in crash recovery alike
                 chain.append(
                     (base, [list(row) for row in resource.rows],
                      list(resource.columns))

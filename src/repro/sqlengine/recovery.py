@@ -12,9 +12,8 @@ for a logical redo log):
    — see :func:`repro.sqlengine.wal.read_frames`).  Records are grouped
    into transactions by their ``begin``/``commit`` markers
    (:func:`committed_groups`); only transactions whose ``commit`` frame
-   survived are applied, in log order, by :func:`apply_committed` — the
-   function a standby applies each shipped group with.  An uncommitted
-   tail (crash mid-commit) is discarded.
+   survived are applied, in log order, by :func:`apply_committed`.  An
+   uncommitted tail (crash mid-commit) is discarded.
 3. **Truncate** — the file is cut back to the end of the last committed
    transaction, so the bad/uncommitted tail can never resurface.
 
@@ -25,13 +24,11 @@ checkpoint — and is discarded wholesale.
 Redo goes through the logged primitives a statement writes with:
 ``Table.append_row`` / ``update_rows`` / ``delete_rows`` /
 ``replace_rows`` / ``add_column`` and the catalog and registry
-primitives.  So derived structures are carried forward by deltas as on
-the primary, and a standby's pinned readers keep their snapshots through
-the primitives' own MVCC claims.  Nothing re-logs: recovery runs before
-``attach_durability`` sets ``txn.wal``, and a standby in replica mode
-has ``txn.wal = None``, so no redo record is written; replay runs
-outside any mark, so no undo is recorded; and ``engine.rows_written``
-counts statements, not primitives.  A record tag or row layout only an
+primitives.  So derived structures are carried forward by deltas, as
+they are when a statement writes.  Nothing re-logs: recovery runs
+before ``attach_durability`` sets ``txn.wal``, so no redo record is
+written; replay runs outside any mark, so no undo is recorded; and
+``engine.rows_written`` counts statements, not primitives.  A record tag or row layout only an
 earlier format wrote (``cell``, ``wrow``, per-row row lists) fails with
 a typed :class:`~repro.sqlengine.wal.WalError` naming it.
 """
@@ -53,14 +50,8 @@ from repro.sqlengine.wal import (
 )
 
 
-def recover(manager, replay_cap: "int | None" = None) -> dict[str, Any]:
-    """Run recovery for ``manager``; returns a small report dict.
-
-    ``replay_cap`` stops redo after the committed transaction whose
-    sequence number equals the cap (later commits are left on disk, not
-    applied, and nothing is truncated) — the cross-node scrubber uses it
-    to materialize a store *as of* a common commit sequence.
-    """
+def recover(manager) -> dict[str, Any]:
+    """Run recovery for ``manager``; returns a small report dict."""
     from repro.sqlengine.checkpoint import load_snapshot
 
     db = manager.db
@@ -71,14 +62,6 @@ def recover(manager, replay_cap: "int | None" = None) -> dict[str, Any]:
             with tracer.span("recovery.snapshot") as span:
                 snapshot = load_snapshot(manager.snapshot_path)
                 if snapshot is not None:
-                    if (
-                        replay_cap is not None
-                        and snapshot.get("txn_counter", 0) > replay_cap
-                    ):
-                        raise WalError(
-                            f"snapshot is already past replay cap {replay_cap}"
-                            f" (txn_counter {snapshot.get('txn_counter', 0)})"
-                        )
                     _apply_snapshot(manager, snapshot)
                     manager.generation = snapshot["generation"]
                     manager.txn_counter = snapshot.get("txn_counter", 0)
@@ -87,7 +70,7 @@ def recover(manager, replay_cap: "int | None" = None) -> dict[str, Any]:
                     generation=manager.generation,
                 )
             with tracer.span("recovery.replay") as span:
-                report = _replay_wal(manager, replay_cap)
+                report = _replay_wal(manager)
                 span.set(**report)
     finally:
         manager.replaying = False
@@ -155,7 +138,7 @@ def _registry_for(manager, dim: str):
 # ---------------------------------------------------------------------------
 
 
-def _replay_wal(manager, replay_cap: "int | None" = None) -> dict[str, Any]:
+def _replay_wal(manager) -> dict[str, Any]:
     db = manager.db
     report = {
         "records_replayed": 0,
@@ -184,15 +167,13 @@ def _replay_wal(manager, replay_cap: "int | None" = None) -> dict[str, Any]:
         return report
 
     committed_end = ends[0]  # just past the header frame
-    for group, commit, _, end in committed_groups(records, ends):
-        if replay_cap is not None and commit[1] > replay_cap:
-            break  # commits are sequence-ordered: nothing more applies
+    for group, commit, end in committed_groups(records, ends):
         apply_committed(manager, group, commit)
         report["records_replayed"] += len(group)
         report["transactions_replayed"] += 1
         committed_end = end
     dropped = len(data) - committed_end
-    if dropped and replay_cap is None:
+    if dropped:
         report["bytes_truncated"] = dropped
         manager.cut_wal_to(committed_end)
     _report_metrics(db, report)
@@ -200,30 +181,27 @@ def _replay_wal(manager, replay_cap: "int | None" = None) -> dict[str, Any]:
 
 
 def committed_groups(records: list, ends: list) -> Iterator[tuple]:
-    """``(group, commit, start, end)`` for each complete ``begin`` ..
-    ``commit`` group among the frames :func:`read_frames` decoded: the
-    records between the markers, the commit record and the byte range
-    the group spans.  Records outside a group (the writer produces none
-    but the header) are skipped rather than trusted."""
+    """``(group, commit, end)`` for each complete ``begin`` .. ``commit``
+    group among the frames :func:`read_frames` decoded: the records
+    between the markers, the commit record and the byte offset just
+    past it.  Records outside a group (the writer produces none but the
+    header) are skipped rather than trusted."""
     group = None
-    start = previous = 0
     for record, end in zip(records, ends):
         tag = record[0]
         if tag == "begin":
-            group, start = [], previous
+            group = []
         elif tag == "commit":
             if group is not None:
-                yield group, record, start, end
+                yield group, record, end
             group = None
         elif group is not None:
             group.append(record)
-        previous = end
 
 
 def apply_committed(manager, group: list, commit: list) -> None:
     """Apply one committed group — each record through the logged
-    primitives, then the commit's clock and sequence number.  Crash
-    recovery and standby replay both call this."""
+    primitives, then the commit's clock and sequence number."""
     for record in group:
         _apply_record(manager, record)
     manager.db._now = Date(commit[2])

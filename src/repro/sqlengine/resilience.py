@@ -610,102 +610,3 @@ def _transient_os_error(site: str, target: str, hits: int) -> OSError:
         errno.EINTR,
         f"injected transient fault at {site} on {target!r} (match #{hits})",
     )
-
-
-class ReplicationChaos:
-    """Seeded perturbation of the WAL-shipping link.
-
-    The replication-side sibling of :class:`ChaosSchedule`: one seed
-    draws a reproducible sequence of link misbehaviors.  An instance is
-    a ``StandbyManager`` ``link_filter`` — called with each fetched
-    ``(offset, data)`` batch, it returns the deliveries the standby
-    actually sees:
-
-    - **tear**: only a prefix of the batch arrives (the tail is
-      re-fetched on the next poll, since the applied offset only
-      advances past complete commit groups);
-    - **duplicate**: the batch is delivered twice (the second copy
-      trims to nothing against the applier's local offset);
-    - **stall**: the batch is dropped outright (the tailer re-requests
-      the same offset);
-    - **reorder**: the batch is held back and delivered *after* its
-      successor, which the applier rejects as a gap — a recoverable
-      :class:`~repro.sqlengine.errors.ReplicationError` that makes the
-      tailer re-request from its applied offset.
-
-    ``kill_primary_after`` does not shape the link; it marks the batch
-    count after which a harness should kill the primary mid-stream
-    (consult :attr:`primary_should_die`).
-    """
-
-    ACTIONS = ("pass", "tear", "duplicate", "stall", "reorder")
-
-    def __init__(
-        self,
-        seed: int,
-        *,
-        perturb_probability: float = 0.4,
-        kill_primary_after: Optional[int] = None,
-    ) -> None:
-        self.seed = seed
-        self._rng = random.Random((seed << 1) ^ 0x9E3779B9)
-        self.perturb_probability = perturb_probability
-        self.kill_primary_after = kill_primary_after
-        self.batches_seen = 0
-        self.actions: list = []  # the drawn sequence, for post-mortems
-        self._held: Optional[tuple] = None
-
-    @property
-    def primary_should_die(self) -> bool:
-        return (
-            self.kill_primary_after is not None
-            and self.batches_seen >= self.kill_primary_after
-        )
-
-    def describe(self) -> str:
-        kill = (
-            f", kill-primary@{self.kill_primary_after}"
-            if self.kill_primary_after is not None
-            else ""
-        )
-        return (
-            f"seed={self.seed}: p={self.perturb_probability}{kill},"
-            f" actions={','.join(self.actions) or 'none yet'}"
-        )
-
-    def __call__(self, offset: int, data: bytes) -> list:
-        self.batches_seen += 1
-        rng = self._rng
-        if rng.random() >= self.perturb_probability:
-            action = "pass"
-        else:
-            action = rng.choice(self.ACTIONS[1:])
-        self.actions.append(action)
-        deliveries: list = []
-        if self._held is not None and action != "reorder":
-            # release a previously held batch *after* the current one:
-            # the standby sees them out of order
-            held, self._held = self._held, None
-            if action == "tear" and len(data) > 1:
-                deliveries.append((offset, data[: rng.randrange(1, len(data))]))
-            elif action == "duplicate":
-                deliveries.extend([(offset, data), (offset, data)])
-            elif action == "stall":
-                pass
-            else:
-                deliveries.append((offset, data))
-            deliveries.append(held)
-            return deliveries
-        if action == "tear" and len(data) > 1:
-            deliveries.append((offset, data[: rng.randrange(1, len(data))]))
-        elif action == "duplicate":
-            deliveries.extend([(offset, data), (offset, data)])
-        elif action == "stall":
-            pass
-        elif action == "reorder":
-            if self._held is not None:
-                deliveries.append(self._held)
-            self._held = (offset, data)
-        else:
-            deliveries.append((offset, data))
-        return deliveries

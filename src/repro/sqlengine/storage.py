@@ -189,9 +189,8 @@ class Table:
     the buckets of the rows it touched — and ``replace_rows``,
     ``add_column`` and any edit of ``rows`` behind the primitives' back
     (tests) carry nothing, so the next accessor rebuilds.  These five
-    are the only row writers: statements, crash
-    recovery and standby replay all call them (see
-    :mod:`repro.sqlengine.recovery`).  Readers are never disturbed: a
+    are the only row writers: statements and crash recovery both call
+    them (see :mod:`repro.sqlengine.recovery`).  Readers are never disturbed: a
     hash bucket is replaced, never grown or shrunk in place, and index
     searches return fresh lists.  Rollback evicts by tag
     (:func:`repro.sqlengine.txn._restore_table_version`).

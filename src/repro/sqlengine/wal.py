@@ -235,10 +235,6 @@ class DurabilityManager:
         self.txn_counter = 0
         self.replaying = False
         self.closed = False
-        # post-commit callbacks: fired (no args) after a transaction's
-        # frames are durably on disk.  The replication source registers
-        # here to wake long-polling standbys without polling.
-        self.on_commit: list = []
         self._file = None  # append handle, opened after recovery
         # temporal-stratum integration (None for engine-only databases)
         self.stratum = None
@@ -335,8 +331,6 @@ class DurabilityManager:
         self.obs.inc("wal.fsyncs", 1)
         self.obs.inc("wal.commits", 1)
         self.auto_checkpoint()
-        for hook in self.on_commit:
-            hook()
 
     def auto_checkpoint(self) -> None:
         """Checkpoint once the WAL has outgrown ``auto_checkpoint_bytes``
@@ -458,53 +452,6 @@ class DurabilityManager:
         if self._file is not None:
             return self._file.tell()
         return self.wal_path.stat().st_size if self.wal_path.exists() else 0
-
-    # -- replication support --------------------------------------------
-
-    def read_wal_range(self, offset: int, limit: int) -> bytes:
-        """Committed WAL bytes starting at ``offset`` (at most ``limit``).
-
-        Everything on disk is committed — ``commit_buffered`` writes whole
-        transactions in one append — so any prefix of the file is a valid
-        redo stream for a standby to apply.
-        """
-        end = self.wal_size()
-        if offset >= end or limit <= 0:
-            return b""
-        with open(self.wal_path, "rb") as handle:
-            handle.seek(offset)
-            return handle.read(min(limit, end - offset))
-
-    def append_replicated(self, data: bytes) -> None:
-        """Standby-side raw append: shipped primary bytes land verbatim,
-        keeping the local WAL a byte prefix of the primary's (resume
-        offset is simply our file size)."""
-        if self.closed:
-            raise WalError("durability manager is closed")
-
-        def _write() -> None:
-            self._file.write(data)
-            self._file.flush()
-
-        def _sync() -> None:
-            if self.sync:
-                os.fsync(self._file.fileno())
-
-        retry_durable("wal.replicate", self.wal_path, _write, obs=self.obs)
-        retry_durable("wal.fsync", self.wal_path, _sync, obs=self.obs)
-        self.obs.inc("wal.bytes", len(data))
-
-    def reset_wal_raw(self, generation: int) -> None:
-        """Truncate the WAL to empty **without** writing a header — the
-        standby's first shipped batch carries the primary's own
-        ``walhdr`` frame, which must land at offset 0 verbatim."""
-        if self._file is not None:
-            self._file.close()
-        self.generation = generation
-        self._file = open(self.wal_path, "wb")
-        self._file.flush()
-        if self.sync:
-            os.fsync(self._file.fileno())
 
     def checkpoint(self) -> int:
         """Snapshot everything and truncate the WAL; returns the new

@@ -17,7 +17,7 @@ down to the engine.
 * ``NONSEQUENCED VALIDTIME Q`` runs Q conventionally with timestamp
   columns exposed.
 
-Every statement takes one path (DESIGN.md §3.11, *The statement
+Every statement takes one path (DESIGN.md §3.10, *The statement
 pipeline*): :meth:`TemporalStratum.prepare` decides and transforms —
 it returns a :class:`PreparedStatement` naming the semantics, the
 strategy and why it was chosen, and the :class:`Candidate`
@@ -344,7 +344,6 @@ class TemporalStratum:
         now: Optional[Date] = None,
         sync: bool = True,
         auto_checkpoint_bytes: Optional[int] = None,
-        replay_cap: Optional[int] = None,
     ) -> "TemporalStratum":
         """Open (or create) a durable temporal database at ``path``.
 
@@ -357,7 +356,6 @@ class TemporalStratum:
             path,
             sync=sync,
             auto_checkpoint_bytes=auto_checkpoint_bytes,
-            replay_cap=replay_cap,
         )
         return stratum
 
@@ -367,7 +365,6 @@ class TemporalStratum:
         *,
         sync: bool = True,
         auto_checkpoint_bytes: Optional[int] = None,
-        replay_cap: Optional[int] = None,
     ):
         """Bind a WAL + snapshot directory to the underlying database,
         registering this stratum so registry changes are durable."""
@@ -376,7 +373,6 @@ class TemporalStratum:
             stratum=self,
             sync=sync,
             auto_checkpoint_bytes=auto_checkpoint_bytes,
-            replay_cap=replay_cap,
         )
 
     def checkpoint(self) -> int:
@@ -614,7 +610,7 @@ class TemporalStratum:
         """``sql`` parsed: the statement cache's own AST — shared, never to
         be mutated — while it holds the text under ``strategy``;
         :meth:`execute_ast` then reuses what was prepared for it, while
-        that still holds (DESIGN.md §3.11)."""
+        that still holds (DESIGN.md §3.10)."""
         key = ("statement", strategy, sql)
         # a stale entry still serves its AST: parsing reads no catalog
         entry = self._transform_cache.get(key)

@@ -1,5 +1,6 @@
-"""Wire-protocol edge cases: torn frames, oversized frames, abrupt
-disconnects, and per-session timeout isolation.
+"""Wire-protocol edge cases: torn frames, oversized frames and
+responses, request-id echo, abrupt disconnects, per-session timeout
+isolation, and what the client may resend after a reconnect.
 
 Each test spins up a real :class:`ReproServer` on an ephemeral port
 inside ``asyncio.run`` (no pytest-asyncio in the image) and talks to it
@@ -12,8 +13,14 @@ import struct
 
 import pytest
 
-from repro.server import MAX_FRAME_BYTES, ReproClient, ReproServer, ServerError
-from repro.server.protocol import FrameError, encode_frame, read_frame
+from repro.server import (
+    MAX_FRAME_BYTES,
+    ConnectionLostError,
+    ReproClient,
+    ReproServer,
+    ServerError,
+)
+from repro.server.protocol import FrameError, FramedReader, encode_frame
 from repro.temporal.stratum import TemporalStratum
 
 
@@ -35,6 +42,33 @@ SETUP = (
     "INSERT INTO t VALUES (1, 'a')",
 )
 
+# a durable store with one valid-time table (``start_primary``); the
+# reconnection tests restart its server on the same port
+DURABLE_SETUP = (
+    "CREATE TABLE pos (emp CHAR(20), title CHAR(30))",
+    "ALTER TABLE pos ADD VALIDTIME",
+    "INSERT INTO pos (emp, title) VALUES ('mia', 'eng')",
+)
+
+
+async def start_primary(path, setup=DURABLE_SETUP):
+    stratum = TemporalStratum.open(path)
+    server = ReproServer(stratum)
+    host, port = await server.start()
+    client = await ReproClient.connect(host, port)
+    for sql in setup:
+        await client.execute(sql)
+    return stratum, server, client
+
+
+async def teardown(*pairs):
+    """(client_or_None, server, stratum, checkpoint_bool) tuples."""
+    for client, server, stratum, checkpoint in pairs:
+        if client is not None:
+            await client.close()
+        await server.shutdown()
+        stratum.db.close(checkpoint=checkpoint)
+
 
 def test_frame_roundtrip_and_split_delivery():
     async def scenario():
@@ -45,8 +79,9 @@ def test_frame_roundtrip_and_split_delivery():
         for i in range(len(data)):
             reader.feed_data(data[i:i + 1])
         reader.feed_eof()
-        assert await read_frame(reader) == message
-        assert await read_frame(reader) is None  # clean EOF after
+        framed = FramedReader(reader)
+        assert await framed.read() == message
+        assert await framed.read() is None  # clean EOF after
 
     run(scenario())
 
@@ -57,13 +92,13 @@ def test_torn_header_and_torn_payload_raise():
         reader.feed_data(b"\x00\x00")  # half a header
         reader.feed_eof()
         with pytest.raises(FrameError, match="mid-header"):
-            await read_frame(reader)
+            await FramedReader(reader).read()
 
         reader = asyncio.StreamReader()
         reader.feed_data(struct.pack(">I", 100) + b"{\"op\":")  # truncated
         reader.feed_eof()
         with pytest.raises(FrameError, match="mid-payload"):
-            await read_frame(reader)
+            await FramedReader(reader).read()
 
     run(scenario())
 
@@ -74,11 +109,12 @@ def test_oversized_frame_rejected_without_reading_it():
         reader, writer = await asyncio.open_connection(host, port)
         writer.write(struct.pack(">I", MAX_FRAME_BYTES + 1))
         await writer.drain()
-        response = await read_frame(reader)
+        framed = FramedReader(reader)
+        response = await framed.read()
         assert response is not None and not response["ok"]
         assert "exceeds" in response["error"]
         # the server dropped the connection after reporting
-        assert await read_frame(reader) is None
+        assert await framed.read() is None
         writer.close()
         await server.shutdown()
 
@@ -92,7 +128,7 @@ def test_non_json_payload_rejected():
         junk = b"\xff\xfenot json"
         writer.write(struct.pack(">I", len(junk)) + junk)
         await writer.drain()
-        response = await read_frame(reader)
+        response = await FramedReader(reader).read()
         assert response is not None and not response["ok"]
         writer.close()
         await server.shutdown()
@@ -278,5 +314,150 @@ def test_graceful_shutdown_rejects_new_connections():
         await server.shutdown()
         with pytest.raises(OSError):
             await asyncio.open_connection(host, port)
+
+    run(scenario())
+
+
+def test_rid_echo_on_responses_and_errors(tmp_path):
+    async def scenario():
+        stratum, server, client = await start_primary(tmp_path / "p")
+        reader, writer = await asyncio.open_connection(
+            server.host, server.port
+        )
+        framed = FramedReader(reader)
+        writer.write(encode_frame(
+            {"op": "execute", "sql": "SELECT emp FROM pos", "rid": 41}
+        ))
+        writer.write(encode_frame({"op": "nonsense", "rid": 42}))
+        await writer.drain()
+        ok = await framed.read()
+        bad = await framed.read()
+        assert ok["ok"] and ok["rid"] == 41
+        assert not bad["ok"] and bad["rid"] == 42
+        writer.close()
+        await teardown((client, server, stratum, True))
+
+    run(scenario())
+
+
+def test_frame_error_reports_stream_offset(tmp_path):
+    async def scenario():
+        # two clean frames, then a torn header: the error must name the
+        # byte offset the bad frame began at, not asyncio internals
+        good = encode_frame({"op": "ping"})
+        reader = asyncio.StreamReader()
+        reader.feed_data(good + good + b"\x00\x01")
+        reader.feed_eof()
+        framed = FramedReader(reader)
+        assert await framed.read() == {"op": "ping"}
+        assert await framed.read() == {"op": "ping"}
+        with pytest.raises(FrameError) as excinfo:
+            await framed.read()
+        assert f"stream offset {2 * len(good)}" in str(excinfo.value)
+        assert excinfo.value.offset == 2 * len(good)
+
+    run(scenario())
+
+
+def test_oversized_response_reported_as_54000_not_a_dead_socket():
+    async def scenario():
+        stratum = TemporalStratum()
+        stratum.execute("CREATE TABLE big (v VARCHAR(4000000))")
+        blob = "x" * 3_000_000
+        for _ in range(4):
+            stratum.execute(f"INSERT INTO big VALUES ('{blob}')")
+        server = ReproServer(stratum)
+        await server.start()
+        client = await ReproClient.connect(server.host, server.port)
+        with pytest.raises(ServerError) as excinfo:
+            await client.execute("SELECT v FROM big")
+        assert excinfo.value.sqlstate == "54000"
+        # the connection survived: a reasonable statement still works
+        result = await client.execute("SELECT COUNT(*) FROM big")
+        assert result.scalar() == 4
+        assert stratum.db.obs.value("server.frame_errors") == 0
+        await client.close()
+        await server.shutdown()
+
+    run(scenario())
+
+
+def test_client_auto_reconnects_reads_after_server_restart(tmp_path):
+    async def scenario():
+        stratum, server, client = await start_primary(tmp_path / "p")
+        port = server.port
+        result = await client.execute("SELECT COUNT(*) FROM pos")
+        assert result.scalar() == 1
+        await server.shutdown()
+        server2 = ReproServer(stratum, port=port)
+        await server2.start()
+        # the read-only statement is silently retried on a new link
+        result = await client.execute("SELECT COUNT(*) FROM pos")
+        assert result.scalar() == 1
+        assert client.reconnects == 1
+        await teardown((client, server2, stratum, True))
+
+    run(scenario())
+
+
+def test_client_refuses_to_retry_writes_and_open_transactions(tmp_path):
+    async def scenario():
+        from repro.server import ConnectionLostError
+
+        stratum, server, client = await start_primary(tmp_path / "p")
+        port = server.port
+        await server.shutdown()
+        server2 = ReproServer(stratum, port=port)
+        await server2.start()
+        with pytest.raises(ConnectionLostError):
+            await client.execute(
+                "INSERT INTO pos (emp, title) VALUES ('x', 'y')"
+            )
+        # a drop inside an explicit transaction surfaces even for reads
+        await client.execute("BEGIN")
+        await client.execute("SELECT COUNT(*) FROM pos")
+        await server2.shutdown()
+        server3 = ReproServer(stratum, port=port)
+        await server3.start()
+        with pytest.raises(ConnectionLostError):
+            await client.execute("SELECT COUNT(*) FROM pos")
+        await teardown((client, server3, stratum, True))
+
+    run(scenario())
+
+
+@pytest.mark.parametrize(
+    "opening",
+    [
+        ("START TRANSACTION",),
+        ("BEGIN", "SAVEPOINT s", "ROLLBACK TO SAVEPOINT s"),
+    ],
+    ids=["start-transaction", "rollback-to-savepoint"],
+)
+def test_client_knows_a_transaction_whatever_verb_opened_or_kept_it(
+    tmp_path, opening
+):
+    """The client takes its transaction state from the server's
+    responses, not from the statement's first word: a transaction opened
+    by ``START TRANSACTION``, or still open after ``ROLLBACK TO
+    SAVEPOINT``, makes a dropped read surface instead of being resent in
+    a fresh session outside the transaction."""
+
+    async def scenario():
+        stratum, server, client = await start_primary(tmp_path / "p")
+        port = server.port
+        for sql in opening:
+            await client.execute(sql)
+        # an error response keeps the transaction open, and says so
+        with pytest.raises(ServerError):
+            await client.execute("SELECT emp FROM nosuch")
+        await client.execute("SELECT COUNT(*) FROM pos")
+        await server.shutdown()
+        server2 = ReproServer(stratum, port=port)
+        await server2.start()
+        with pytest.raises(ConnectionLostError):
+            await client.execute("SELECT COUNT(*) FROM pos")
+        assert client.reconnects == 0
+        await teardown((client, server2, stratum, True))
 
     run(scenario())

@@ -21,9 +21,12 @@ from repro.sqlengine import Database
 from repro.sqlengine import interval_index, storage
 from repro.sqlengine.errors import SqlError
 from repro.sqlengine.interval_index import ChangePoints
+from repro.sqlengine.recovery import apply_committed, committed_groups
 from repro.sqlengine.storage import Column, Table
 from repro.sqlengine.types import SqlType
 from repro.sqlengine.values import Date, Null, sort_key
+from repro.sqlengine.wal import read_frames
+from repro.temporal.stratum import TemporalStratum
 
 K, C, F, B, E = range(5)
 
@@ -489,3 +492,71 @@ def test_a_write_nested_in_a_write_carries_nothing():
         db.execute("UPDATE t SET x = g(x) WHERE k = 1")
     assert [list(row) for row in table.rows] == rows
     assert_from_scratch(table)
+
+
+def test_recovery_replay_carries_derived_structures(tmp_path):
+    """Crash recovery writes through the primitives a statement writes
+    with, so replay carries hash and interval structures forward by
+    deltas: a store recovered up to its first commit boundary, then
+    handed the remaining 60 single-row UPDATE commits one at a time as
+    ``_replay_wal`` applies them, with a keyed read after each, builds
+    nothing after the warm-up read."""
+    primary = TemporalStratum.open(tmp_path / "p", auto_checkpoint_bytes=1 << 40)
+    primary.db.execute(
+        "CREATE TABLE acct (id INTEGER, balance INTEGER,"
+        " begin_time DATE, end_time DATE)"
+    )
+    primary.execute("ALTER TABLE acct ADD VALIDTIME")
+    primary.db.now = Date.from_ymd(2010, 1, 1)
+    primary.execute(
+        "INSERT INTO acct (id, balance) VALUES "
+        + ", ".join(f"({n}, 0)" for n in range(300))
+    )
+    primary.db.now = Date.from_ymd(2010, 6, 1)
+    cut = primary.db.durability.wal_size()
+    for n in range(60):
+        primary.execute(f"UPDATE acct SET balance = {n + 1} WHERE id = {n * 5}")
+    wal_bytes = (tmp_path / "p" / "wal.log").read_bytes()
+    records, ends = read_frames(wal_bytes)
+    remaining = [
+        (group, commit)
+        for group, commit, end in committed_groups(records, ends)
+        if end > cut
+    ]
+    assert len(remaining) == 60
+
+    (tmp_path / "r").mkdir()
+    (tmp_path / "r" / "wal.log").write_bytes(wal_bytes[:cut])
+    replica = TemporalStratum.open(tmp_path / "r")
+    manager = replica.db.durability
+    # replay runs unlogged, as recovery does before attach_durability
+    # sets txn.wal
+    replica.db.txn.wal = None
+    obs, table = replica.db.obs, replica.db.table("acct")
+
+    def keyed_read(key):
+        return replica.execute(f"SELECT balance FROM acct WHERE id = {key}").rows
+
+    # warm-up: the read's hash index, and every other structure a reader
+    # can obtain (the interval index included)
+    assert keyed_read(0) == [[0]]
+    assert_from_scratch(table)
+    kinds = ("hash", "interval")
+    builds = {kind: obs.value(f"engine.derived.builds.{kind}") for kind in kinds}
+    deltas = obs.value("engine.derived.deltas")
+    for n, (group, commit) in enumerate(remaining):
+        manager.replaying = True
+        try:
+            apply_committed(manager, group, commit)
+        finally:
+            manager.replaying = False
+        assert keyed_read(n * 5) == [[n + 1]]
+    assert manager.txn_counter == primary.db.durability.txn_counter
+    assert {
+        kind: obs.value(f"engine.derived.builds.{kind}") for kind in kinds
+    } == builds
+    assert obs.value("engine.derived.deltas") > deltas
+    assert_from_scratch(table)
+    assert table.rows == primary.db.table("acct").rows
+    replica.close(checkpoint=False)
+    primary.close(checkpoint=False)

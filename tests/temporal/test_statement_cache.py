@@ -276,7 +276,7 @@ def test_sessions_with_different_strategies_share_no_entry(dataset):
     results, before = {}, statement_cache(stratum)
     for _ in range(2):
         for strategy, session in sessions.items():
-            result, _, _ = session.run_statement(sql)
+            result, _ = session.run_statement(sql)
             assert stratum.last_strategy is strategy
             results[strategy] = result.coalesced()
     assert results[SlicingStrategy.MAX] == results[SlicingStrategy.PERST]
