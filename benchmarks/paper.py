@@ -98,15 +98,15 @@ def run_cell(
     try:
         if warm:
             stratum.execute(sequenced, strategy=strategy)
-        stats = stratum.db.stats
-        calls_before = stats.total_routine_calls
+        db = stratum.db
+        calls_before = db.obs.sum_prefix(db.stats.ROUTINE_CALLS)
         started = time.perf_counter()
         result = stratum.execute(sequenced, strategy=strategy)
         cell.seconds = time.perf_counter() - started
         cell.rows = (
             sum(len(r) for r in result) if isinstance(result, list) else len(result)
         )
-        cell.routine_calls = stats.total_routine_calls - calls_before
+        cell.routine_calls = db.obs.sum_prefix(db.stats.ROUTINE_CALLS) - calls_before
     except PerStatementInapplicableError:
         cell.inapplicable = True
     except TemporalError as exc:

@@ -98,9 +98,10 @@ for strategy in (SlicingStrategy.MAX, SlicingStrategy.PERST):
     db.stats.reset()
     result = stratum.execute(FIG3, strategy=strategy)
     calls = {
-        name: count
-        for name, count in db.stats.routine_calls.items()
-        if "get_author_name" in name
+        name[len(db.stats.ROUTINE_CALLS):]: count
+        for name, count in db.obs.flat().items()
+        if name.startswith(db.stats.ROUTINE_CALLS) and "get_author_name" in name
+        and count
     }
     print(f"\n{strategy.value.upper()} (routine calls: {calls}):")
     for values, period in result.coalesced():

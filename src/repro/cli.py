@@ -19,8 +19,7 @@ Meta-commands (a leading dot):
                    ``auto`` (``SET STRATEGY S`` works as SQL too)
 ``.transform SQL`` show the conventional SQL a statement transforms into
 ``.load DS SIZE``  load a τPSM dataset (e.g. ``.load DS1 SMALL``)
-``.stats``         engine counters
-``.metrics``       the observability registry (hierarchical snapshot)
+``.metrics``       every counter and gauge of the metrics registry
 ``.trace [on|off]``toggle tracing, or show the last statement's span tree
 ``.save``          checkpoint the durable database (``--db`` sessions)
 ``.checkpoint``    alias for ``.save``
@@ -220,9 +219,6 @@ class Shell:
             return self._transform(argument)
         if command == ".load":
             return self._load(argument)
-        if command == ".stats":
-            stats = self.stratum.db.stats.snapshot()
-            return "\n".join(f"{k}: {v}" for k, v in stats.items())
         if command == ".metrics":
             return self._metrics()
         if command == ".trace":
@@ -292,19 +288,7 @@ class Shell:
         flat = self.stratum.db.obs.flat()
         if not flat:
             return "no metrics recorded yet"
-        lines = []
-        for name in sorted(flat):
-            value = flat[name]
-            if isinstance(value, dict):
-                detail = ", ".join(
-                    f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}"
-                    for k, v in value.items()
-                    if not isinstance(v, dict) and v is not None
-                )
-                lines.append(f"{name}: {detail}")
-            else:
-                lines.append(f"{name}: {value}")
-        return "\n".join(lines)
+        return "\n".join(f"{name}: {flat[name]}" for name in sorted(flat))
 
     def _trace(self, argument: str) -> str:
         tracer = self.stratum.db.tracer

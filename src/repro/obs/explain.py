@@ -475,42 +475,64 @@ def _render_sequenced(stratum: "TemporalStratum", prepared: Any) -> list[str]:
 # ANALYZE
 # ---------------------------------------------------------------------------
 
+# (label, counter — or a family, named by its prefix) printed when it moved
 _ANALYZE_COUNTERS = (
-    ("plans compiled", "plans_compiled"),
-    ("plan cache hits", "plan_cache_hits"),
-    ("transforms", "transforms"),
-    ("transform cache hits", "transform_cache_hits"),
-    ("rows scanned", "rows_scanned"),
-    ("rows written", "rows_written"),
+    ("plans compiled", "engine.plans_compiled"),
+    ("plan cache hits", "engine.plan_cache.hits"),
+    ("transforms", "stratum.transforms"),
+    ("transform cache hits", "stratum.transform_cache.hits"),
+    ("rows scanned", "engine.rows_scanned"),
+    ("rows written", "engine.rows_written."),
+)
+# faults the run absorbed (a handler, a retry) must be visible, not silent
+_ANALYZE_EVENTS = (
+    ("watchdog cancellations (handled)", "resilience.cancellations"),
+    ("budget stops (handled)", "resilience.budget_stops"),
+    ("wal transient-fault retries", "wal.retries"),
 )
 
 
+def _moved(moved: dict, name: str) -> int:
+    """A counter's movement, or a family's (a name ending in a dot)."""
+    if name.endswith("."):
+        return sum(_family(moved, name).values())
+    return moved.get(name, 0)
+
+
+def _moved_lines(moved: dict, counters: tuple) -> list[str]:
+    """``label: n`` for each of ``counters`` that moved."""
+    deltas = [(label, _moved(moved, name)) for label, name in counters]
+    return [f"  {label}: {delta}" for label, delta in deltas if delta]
+
+
+def _family(moved: dict, prefix: str) -> dict:
+    """A family's moved members, keyed by what follows ``prefix``."""
+    return {
+        key[len(prefix):]: value
+        for key, value in moved.items() if key.startswith(prefix)
+    }
+
+
 def _run_analyzed(db: "Database", thunk) -> tuple[Any, list[str]]:
-    """Execute ``thunk`` traced; render the measured report lines."""
+    """Execute ``thunk`` traced; render the measured report lines from
+    what the run moved in the registry and in the plans' join levels."""
     tracer = db.tracer
     was_enabled = tracer.enabled
     tracer.enabled = True
-    before = db.stats.snapshot()
-    seconds_before = dict(db.stats.routine_seconds)
-    embedded_before = {name: tuple(e) for name, e in db.stats.embedded_runs.items()}
+    before = db.obs.flat()
     levels_before = _level_counts(db)
-    slices_before = db.obs.value("stratum.slices")
-    interval_hits_before = db.obs.value("engine.interval_index_hits")
-    interval_pruned_before = db.obs.value("engine.interval_rows_pruned")
-    cp_hits_before = db.obs.value("stratum.cp.cache_hits")
-    built_before = db.obs.sum_prefix("engine.derived.builds.")
-    deltas_before = db.obs.value("engine.derived.deltas")
-    cancellations_before = db.obs.value("resilience.cancellations")
-    budget_stops_before = db.obs.value("resilience.budget_stops")
-    retries_before = db.obs.value("wal.retries")
     started = time.perf_counter()
     try:
         result = thunk()
     finally:
         tracer.enabled = was_enabled
     elapsed = time.perf_counter() - started
-    after = db.stats.snapshot()
-    slices = db.obs.value("stratum.slices") - slices_before
+    after = db.obs.flat()
+    moved = {
+        name: value - before.get(name, 0)
+        for name, value in after.items() if value != before.get(name, 0)
+    }
+    slices = moved.get("stratum.slices", 0)
     lines = ["measured:", f"  wall time: {elapsed * 1000.0:.3f}ms"]
     if slices:
         lines.append(
@@ -518,70 +540,44 @@ def _run_analyzed(db: "Database", thunk) -> tuple[Any, list[str]]:
             f" (mean {elapsed / slices * 1000.0:.3f}ms/slice)"
         )
     # per routine: bodies run, calls the result memo served instead, and
-    # the seconds spent inside its invocations (callees included) — the
+    # the time spent inside its invocations (callees included) — the
     # interpreter times them only while this report's tracer is on
-    spent = {
-        name: total - seconds_before.get(name, 0.0)
-        for name, total in db.stats.routine_seconds.items()
-    }
-    routines = {
-        name: (
-            after["routine_calls"].get(name, 0) - before["routine_calls"].get(name, 0),
-            after["routine_reuses"].get(name, 0) - before["routine_reuses"].get(name, 0),
-        )
-        for name in sorted({*after["routine_calls"], *after["routine_reuses"]})
-    }
-    run = sum(counts[0] for counts in routines.values())
-    reused = sum(counts[1] for counts in routines.values())
+    stats = db.stats
+    calls = _family(moved, stats.ROUTINE_CALLS)
+    reuses = _family(moved, stats.ROUTINE_REUSES)
+    spent = _family(moved, stats.ROUTINE_NS)
+    plan_runs = _family(moved, stats.ROUTINE_PLAN_RUNS)
+    plan_ns = _family(moved, stats.ROUTINE_PLAN_NS)
+    run, reused = sum(calls.values()), sum(reuses.values())
     lines.append(f"  routine invocations: {run + reused} ({run} run, {reused} reused)")
-    for name, counts in routines.items():
-        if not any(counts):
-            continue
+    for name in sorted({*calls, *reuses}):
         lines.append(
-            f"    {name}: {counts[0]} run, {counts[1]} reused,"
-            f" {spent.get(name, 0.0) * 1000.0:.3f}ms inclusive"
+            f"    {name}: {calls.get(name, 0)} run, {reuses.get(name, 0)} reused,"
+            f" {spent.get(name, 0) / 1e6:.3f}ms inclusive"
         )
         # the plan runs of the routine's own statements, and their mean
-        runs, seconds = db.stats.embedded_runs.get(name, (0, 0.0))
-        runs_before, seconds_before = embedded_before.get(name, (0, 0.0))
-        if runs > runs_before:
-            mean = (seconds - seconds_before) / (runs - runs_before) * 1e6
-            lines.append(f"      embedded plan runs: {runs - runs_before} (mean {mean:.1f}µs)")
-    lines.append(
-        f"  statements executed: {after['statements'] - before['statements']}"
-    )
-    for label, key in _ANALYZE_COUNTERS:
-        delta = after.get(key, 0) - before.get(key, 0)
-        if delta:
-            lines.append(f"  {label}: {delta}")
-    interval_hits = db.obs.value("engine.interval_index_hits") - interval_hits_before
+        runs = plan_runs.get(name, 0)
+        if runs:
+            mean = plan_ns.get(name, 0) / runs / 1e3
+            lines.append(f"      embedded plan runs: {runs} (mean {mean:.1f}µs)")
+    lines.append(f"  statements executed: {moved.get('engine.statements', 0)}")
+    lines.extend(_moved_lines(moved, _ANALYZE_COUNTERS))
+    interval_hits = moved.get("engine.interval_index_hits", 0)
     if interval_hits:
-        pruned = db.obs.value("engine.interval_rows_pruned") - interval_pruned_before
+        pruned = moved.get("engine.interval_rows_pruned", 0)
         lines.append(
             f"  interval index hits: {interval_hits} ({pruned} rows pruned)"
         )
-    cp_hits = db.obs.value("stratum.cp.cache_hits") - cp_hits_before
+    cp_hits = moved.get("stratum.cp.cache_hits", 0)
     if cp_hits:
         lines.append(f"  constant-period cache hits: {cp_hits}")
-    built = db.obs.sum_prefix("engine.derived.builds.") - built_before
-    deltas = db.obs.value("engine.derived.deltas") - deltas_before
+    built = _moved(moved, "engine.derived.builds.")
+    deltas = moved.get("engine.derived.deltas", 0)
     if built or deltas:
         lines.append(
             f"  derived structures: {built} built, {deltas} carried by delta"
         )
-    # resilience: watchdog events a handler absorbed must be visible,
-    # not silent
-    cancellations = (
-        db.obs.value("resilience.cancellations") - cancellations_before
-    )
-    if cancellations:
-        lines.append(f"  watchdog cancellations (handled): {cancellations}")
-    budget_stops = db.obs.value("resilience.budget_stops") - budget_stops_before
-    if budget_stops:
-        lines.append(f"  budget stops (handled): {budget_stops}")
-    retries = db.obs.value("wal.retries") - retries_before
-    if retries:
-        lines.append(f"  wal transient-fault retries: {retries}")
+    lines.extend(_moved_lines(moved, _ANALYZE_EVENTS))
     resilience = db.resilience
     if resilience.armed:
         budgets = []
@@ -602,14 +598,14 @@ def _run_analyzed(db: "Database", thunk) -> tuple[Any, list[str]]:
         lines.extend(pipelines)
     lines.append(f"  result rows: {_result_rows(result)}")
     if db.durability is not None:
-        state = db.durability.state()
+        # cumulative, not moved: the store's state after the run
         lines.append(
             "  wal: generation"
-            f" {state['generation']},"
-            f" {state['records_written']} records"
-            f" / {state['bytes_written']} bytes written,"
-            f" {state['fsyncs']} fsyncs,"
-            f" {state['checkpoints']} checkpoints"
+            f" {db.durability.generation},"
+            f" {after.get('wal.records_written', 0)} records"
+            f" / {after.get('wal.bytes', 0)} bytes written,"
+            f" {after.get('wal.fsyncs', 0)} fsyncs,"
+            f" {after.get('checkpoint.writes', 0)} checkpoints"
         )
     if tracer.last_root is not None:
         lines.append("trace:")

@@ -1,9 +1,10 @@
-"""A hierarchical metrics registry: counters and gauges.
+"""The metrics registry: counters and gauges.
 
-Metric names are dotted paths (``engine.routine_memo.hits``); the
-registry is flat internally (one dict lookup per touch, cheap enough
-for hot paths) and hierarchical at the edges — :meth:`snapshot`
-returns a nested dict keyed by path segment.
+Metric names are dotted paths (``engine.routine_memo.entries``) in one
+flat dict, one lookup per touch; a hot path holds a :class:`Counter`
+handle instead.  A family of counters shares a prefix
+(``engine.routine.calls.<routine>``), and its total is
+:meth:`MetricsRegistry.sum_prefix`: no second counter holds it.
 
 Two instrument kinds:
 
@@ -16,7 +17,7 @@ Everything is in-process and single-threaded, like the engine itself.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any
 
 
 class Counter:
@@ -86,10 +87,6 @@ class MetricsRegistry:
 
     # -- introspection ---------------------------------------------------
 
-    def names(self) -> Iterator[str]:
-        yield from self._counters
-        yield from self.gauges
-
     def flat(self) -> dict[str, Any]:
         """One flat dict: counters as ints, gauges as last set."""
         out: dict[str, Any] = {}
@@ -98,22 +95,3 @@ class MetricsRegistry:
         for name, value in self.gauges.items():
             out[name] = value
         return out
-
-    def snapshot(self) -> dict[str, Any]:
-        """The hierarchical view: dotted names become nested dicts."""
-        tree: dict[str, Any] = {}
-        for name, value in sorted(self.flat().items()):
-            node = tree
-            parts = name.split(".")
-            for part in parts[:-1]:
-                child = node.get(part)
-                if not isinstance(child, dict) or part not in node:
-                    child = node[part] = {}
-                node = child
-            node[parts[-1]] = value
-        return tree
-
-    def reset(self) -> None:
-        for counter in self._counters.values():
-            counter.reset()
-        self.gauges.clear()

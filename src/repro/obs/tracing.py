@@ -176,7 +176,3 @@ class Tracer:
             self._stack.pop()
         if not self._stack:
             self.last_root = span
-
-    def reset(self) -> None:
-        self._stack = []
-        self.last_root = None

@@ -1,9 +1,9 @@
 """The `Database` facade: parse + execute conventional SQL/PSM.
 
-Also owns :class:`EngineStats`, the instrumentation the benchmark
-harness reports: per-routine invocation counts, statements executed and
-rows written are the machine-independent cost drivers behind the
-paper's MAX-vs-PERST comparison.
+Also owns :class:`EngineStats`, the handles on the registry counters the
+benchmark harness reports: per-routine invocation counts, statements
+executed and rows written are the machine-independent cost drivers
+behind the paper's MAX-vs-PERST comparison.
 """
 
 from __future__ import annotations
@@ -24,95 +24,64 @@ from repro.sqlengine.values import Date
 
 
 class EngineStats:
-    """Counters accumulated across statement executions.
+    """Handles on the registry counters the engine bumps per statement,
+    plan or row, and the harness's view of them.
 
-    Hot counters stay plain ints; row mutations are routed into the
-    metrics registry under ``engine.rows_written.<source>`` so every
-    write path (insert/update/delete, sequenced rewrites, TT
-    maintenance, bulk loads) is attributed.  ``rows_written`` is the
-    read-only sum across sources, read by the e2e harness.
+    Every count lives in the registry (``db.obs``); one event is one
+    counter.  Written rows are attributed by source
+    (``engine.rows_written.<source>``) and routine work by routine
+    (``engine.routine.<what>.<routine>``, with ``what`` one of the
+    ``ROUTINE_*`` families); a family's total is its prefix sum.
     """
 
-    ROWS_WRITTEN_PREFIX = "engine.rows_written."
-    ROWS_SCANNED = "engine.rows_scanned"
+    ROWS_WRITTEN = "engine.rows_written."
+    # per routine: bodies run, invocations the result memo served, plan
+    # runs of the body's own statements; while the tracer is on also the
+    # nanoseconds inside its invocations (callees included) and inside
+    # those plan runs
+    ROUTINE_CALLS = "engine.routine.calls."
+    ROUTINE_REUSES = "engine.routine.reuses."
+    ROUTINE_PLAN_RUNS = "engine.routine.plan_runs."
+    ROUTINE_NS = "engine.routine.ns."
+    ROUTINE_PLAN_NS = "engine.routine.plan_ns."
 
     def __init__(self, obs: Optional[MetricsRegistry] = None) -> None:
-        self.obs = obs if obs is not None else MetricsRegistry()
-        self.statements = 0
-        self.total_routine_calls = 0
-        self.routine_calls: dict[str, int] = {}  # bodies run
-        self.routine_reuses: dict[str, int] = {}  # served by the result memo
-        # inclusive seconds per routine, taken only while the tracer is
-        # on (EXPLAIN ANALYZE)
-        self.routine_seconds: dict[str, float] = {}
-        # routine bodies' own plan runs; per routine [count, seconds] while tracing
-        self.embedded_plan_runs = 0
-        self.embedded_runs: dict[str, list] = {}
+        self.obs = obs = obs if obs is not None else MetricsRegistry()
         self.call_depth = 0  # transient: nested routine invocations
-        # hot registry counters, bumped through their handles
-        self.scanned = self.obs.counter(self.ROWS_SCANNED)
-        self.pruned = self.obs.counter("engine.period_probe.rows_pruned")
-        self.rejects = self.obs.counter("engine.join.level_rejects")
-        self.memo_hits = self.obs.counter("engine.routine_memo.hits")
-        self.waived = self.obs.counter("engine.read_window.versions_waived")
+        self.executed = obs.counter("engine.statements")
+        self.compiled = obs.counter("engine.plans_compiled")
+        self.plan_hits = obs.counter("engine.plan_cache.hits")
+        self.transformed = obs.counter("stratum.transforms")
+        self.transform_hits = obs.counter("stratum.transform_cache.hits")
+        self.scanned = obs.counter("engine.rows_scanned")
+        self.pruned = obs.counter("engine.period_probe.rows_pruned")
+        self.rejects = obs.counter("engine.join.level_rejects")
+        self.waived = obs.counter("engine.read_window.versions_waived")
         # stab-shaped probes a stab structure answered (the others count
         # as engine.stab.full_pass.<reason>)
-        self.stab_served = self.obs.counter("engine.stab.served")
-        self.plans_compiled = 0
-        self.plan_cache_hits = 0
-        self.transforms = 0
-        self.transform_cache_hits = 0
-        self.rollbacks = 0
+        self.stab_served = obs.counter("engine.stab.served")
 
     def count_rows(self, n: int, source: str = "insert") -> None:
         """Attribute ``n`` written rows to one mutation ``source``."""
-        self.obs.inc(self.ROWS_WRITTEN_PREFIX + source, n)
-
-    @property
-    def rows_written(self) -> int:
-        """Total across ``engine.rows_written.*`` sources; read by the e2e
-        harness."""
-        return self.obs.sum_prefix(self.ROWS_WRITTEN_PREFIX)
-
-    @property
-    def rows_scanned(self) -> int:
-        return self.obs.value(self.ROWS_SCANNED)
+        self.obs.inc(self.ROWS_WRITTEN + source, n)
 
     def reset(self) -> None:
-        self.statements = 0
-        self.total_routine_calls = 0
-        self.routine_calls = {}
-        self.routine_reuses = {}
-        self.routine_seconds = {}
-        self.embedded_plan_runs = 0
-        self.embedded_runs = {}
         self.call_depth = 0
-        self.plans_compiled = 0
-        self.plan_cache_hits = 0
-        self.transforms = 0
-        self.transform_cache_hits = 0
-        self.rollbacks = 0
         self.obs.reset_prefix("engine.")
+        self.transformed.reset()
+        self.transform_hits.reset()
 
-    def snapshot(self) -> dict[str, Any]:
+    def snapshot(self) -> dict[str, int]:
+        """The program-wide totals the benchmark harness reads."""
         return {
-            "statements": self.statements,
-            "rows_written": self.rows_written,
-            "rows_written_by_source": {
-                name[len(self.ROWS_WRITTEN_PREFIX):]: value
-                for name, value in self.obs.flat().items()
-                if name.startswith(self.ROWS_WRITTEN_PREFIX)
-            },
-            "rows_scanned": self.rows_scanned,
-            "total_routine_calls": self.total_routine_calls,
-            "routine_calls": dict(self.routine_calls),
-            "routine_reuses": dict(self.routine_reuses),
-            "embedded_plan_runs": self.embedded_plan_runs,
-            "plans_compiled": self.plans_compiled,
-            "plan_cache_hits": self.plan_cache_hits,
-            "transforms": self.transforms,
-            "transform_cache_hits": self.transform_cache_hits,
-            "rollbacks": self.rollbacks,
+            "statements": self.executed.value,
+            "rows_written": self.obs.sum_prefix(self.ROWS_WRITTEN),
+            "rows_scanned": self.scanned.value,
+            "total_routine_calls": self.obs.sum_prefix(self.ROUTINE_CALLS),
+            "plans_compiled": self.compiled.value,
+            "plan_cache_hits": self.plan_hits.value,
+            "transforms": self.transformed.value,
+            "transform_cache_hits": self.transform_hits.value,
         }
 
 

@@ -178,7 +178,7 @@ class Executor:
         if resilience.armed:
             # watchdog/governor checkpoint: every engine statement
             resilience.check()
-        self.db.stats.statements += 1
+        self.db.stats.executed.value += 1
         if isinstance(stmt, ast.Select):
             return self.execute_select(stmt, env)
         if isinstance(stmt, (ast.Insert, ast.Update, ast.Delete)):
@@ -267,14 +267,14 @@ class Executor:
         started = None
         if env is not None and env.parent is None and env.frame is not None:
             # a routine body's statement (timed per routine while tracing)
-            db.stats.embedded_plan_runs += 1
+            env.frame.plan_runs.value += 1
             if db.tracer.enabled:
-                started = time.perf_counter()
+                started = time.perf_counter_ns()
         try:
             for replanned in (False, True):
                 hit, plan = db.plan_cache.fetch(stmt, db.catalog)
                 if hit:
-                    db.stats.plan_cache_hits += 1
+                    db.stats.plan_hits.value += 1
                 else:
                     build = (
                         planner.build_select_plan
@@ -282,7 +282,7 @@ class Executor:
                         else planner.build_dml_plan
                     )
                     plan = build(self, stmt, env)
-                    db.stats.plans_compiled += 1
+                    db.stats.compiled.value += 1
                     db.plan_cache.store(stmt, db.catalog.schema_version, plan)
                 try:
                     return getattr(plan, step)(self, env, *run_args)
@@ -295,11 +295,10 @@ class Executor:
                     db.obs.inc("engine.plan_invalidated")
         finally:
             if started is not None:
-                entry = db.stats.embedded_runs.setdefault(
-                    env.frame.routine_name.lower(), [0, 0.0]
+                db.obs.inc(
+                    db.stats.ROUTINE_PLAN_NS + env.frame.routine_name.lower(),
+                    time.perf_counter_ns() - started,
                 )
-                entry[0] += 1
-                entry[1] += time.perf_counter() - started
 
     def _apply_set_ops(
         self, select: ast.Select, left: ResultSet, env: Optional[Env]

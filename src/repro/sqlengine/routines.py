@@ -201,11 +201,12 @@ class Frame:
     statement now running embedded SQL — the executor's ``Env`` resolves
     variables of plans and subqueries through it."""
 
-    __slots__ = ("routine_name", "slots", "types", "scope", "handlers",
-                 "result_sets", "result")
+    __slots__ = ("routine_name", "plan_runs", "slots", "types", "scope",
+                 "handlers", "result_sets", "result")
 
     def __init__(self, body: "_Body", args: list[Any]) -> None:
         self.routine_name = body.name
+        self.plan_runs = body.plan_runs
         self.types = body.types
         self.slots = slots = [Null] * len(body.types)
         for slot, to_type in enumerate(body.params):  # parameter i is slot i
@@ -271,13 +272,20 @@ class _Body:
     routine without walking its definition again."""
 
     __slots__ = ("executor", "routine", "name", "key", "run", "types", "scope",
-                 "params", "is_table", "to_result", "window", "memo_key")
+                 "params", "is_table", "to_result", "window", "memo_key",
+                 "calls", "reuses", "plan_runs")
 
     def __init__(self, executor: Executor, routine: Routine) -> None:
         self.executor = executor
         self.routine = routine
         self.name = routine.name
         self.key = routine.name.lower()
+        # this routine's counters of the per-routine families
+        stats = executor.db.stats
+        counter = stats.obs.counter
+        self.calls = counter(stats.ROUTINE_CALLS + self.key)
+        self.reuses = counter(stats.ROUTINE_REUSES + self.key)
+        self.plan_runs = counter(stats.ROUTINE_PLAN_RUNS + self.key)
         self.params = [_coercion(param.type) for param in routine.params]
         self.is_table = routine.is_table_function
         # a scalar function's result is coerced to its declared type
@@ -389,7 +397,6 @@ class RoutineInterpreter:
             if not isinstance(value, Date):
                 return run(body, args)  # NULL point: nothing to slide along
             point = value.ordinal
-        name = body.key
         key = body.memo_key(args)
         caller = db.read_window if index is not None else None
         cache = db.table_function_cache
@@ -398,9 +405,7 @@ class RoutineInterpreter:
             entries = cache[key] = []
         for lo, hi, result in reversed(entries):
             if lo <= point < hi:
-                stats = db.stats
-                stats.routine_reuses[name] = stats.routine_reuses.get(name, 0) + 1
-                stats.memo_hits.value += 1
+                body.reuses.value += 1
                 if caller is not None:
                     _narrow_caller(caller, lo, hi, point)
                 return result
@@ -479,8 +484,7 @@ class RoutineInterpreter:
         if stats.call_depth >= self.MAX_DEPTH:
             raise RoutineError("routine call depth exceeded")
         frame = Frame(body, args)
-        stats.total_routine_calls += 1
-        stats.routine_calls[body.key] = stats.routine_calls.get(body.key, 0) + 1
+        body.calls.value += 1
         env = Env(frame=frame)
         stats.call_depth += 1
         try:
@@ -491,9 +495,7 @@ class RoutineInterpreter:
                     body.run(env)
                 # inclusive, and only while someone is tracing
                 # (EXPLAIN ANALYZE prints it per routine)
-                stats.routine_seconds[body.key] = (
-                    stats.routine_seconds.get(body.key, 0.0) + span.seconds
-                )
+                db.obs.inc(stats.ROUTINE_NS + body.key, round(span.seconds * 1e9))
         finally:
             stats.call_depth -= 1
         return frame
@@ -596,7 +598,7 @@ class _Compiler:
             bodies.append(body)
         bodies = tuple(bodies)
         db = self.db
-        stats = db.stats
+        executed = db.stats.executed
         resilience = db.resilience
         handle = self.interpreter._handle
 
@@ -611,7 +613,7 @@ class _Compiler:
             marks = len(txn.marks)
             try:
                 for body in bodies:
-                    stats.statements += 1
+                    executed.value += 1
                     depth, redo = len(txn.log), len(txn.redo)
                     try:
                         # watchdog checkpoint at every PSM statement

@@ -359,7 +359,7 @@ class TransactionManager:
         revalidate once DDL pushes the counter back up.
         """
         db = self.db
-        db.stats.rollbacks += 1
+        db.obs.inc("engine.rollbacks")
         db.plan_cache.evict_newer(db.catalog.schema_version)
         # the constant-period materialization cache keys on table version
         # counters that rollback just restored; entries recorded during

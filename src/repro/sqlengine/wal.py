@@ -476,25 +476,6 @@ class DurabilityManager:
             self._file = None
         self.closed = True
 
-    # -- introspection --------------------------------------------------
-
-    def state(self) -> dict[str, Any]:
-        """JSON-able WAL state for trace summaries and EXPLAIN ANALYZE."""
-        return {
-            "dir": str(self.dir),
-            "generation": self.generation,
-            "sync": self.sync,
-            "wal_bytes_on_disk": self.wal_size(),
-            "buffered_records": len(self.buffer),
-            "records_written": self.obs.value("wal.records_written"),
-            "bytes_written": self.obs.value("wal.bytes"),
-            "fsyncs": self.obs.value("wal.fsyncs"),
-            "commits": self.obs.value("wal.commits"),
-            "retries": self.obs.value("wal.retries"),
-            "checkpoints": self.obs.value("checkpoint.writes"),
-            "records_replayed": self.obs.value("recovery.records_replayed"),
-        }
-
 
 def _encode_column(column) -> list:
     type_ = column.type

@@ -439,9 +439,9 @@ class TemporalStratum:
         )
         found = self._transform_fetch(key, stmt)
         if found is not None and found.clock in (None, self.clock):
-            self.db.stats.transform_cache_hits += 1
+            self.db.stats.transform_hits.value += 1
             return found
-        self.db.stats.transforms += 1
+        self.db.stats.transformed.value += 1
         try:
             found = self._build_candidate(flavor, stmt, registry, baked)
         except TemporalError as exc:
@@ -874,7 +874,7 @@ class TemporalStratum:
         stamp = registries + (self.transaction_clock, self.db.now)
         last = self._transform_fetch(key, stmt)
         if last is not None and last.stamp == stamp:
-            self.db.stats.transform_cache_hits += 1
+            self.db.stats.transform_hits.value += 1
             with self.db.tracer.span("stratum.prepare", cached=True):
                 return last
         prepared = self.prepare(stmt, strategy)
@@ -892,9 +892,10 @@ class TemporalStratum:
         if flavor != "current":
             attrs["dim"] = "tt" if registry is self.tt_registry else "vt"
         with self.db.tracer.span("stratum.transform", **attrs) as span:
-            built = self.db.stats.transforms
+            transformed = self.db.stats.transformed
+            built = transformed.value
             found = self.candidate(flavor, stmt, registry, context)
-            fresh = self.db.stats.transforms != built
+            fresh = transformed.value != built
             span.set(cached=not fresh)
             if fresh and flavor == "seqset" and not found.applicable:
                 span.set(fallback=found.reason)

@@ -106,9 +106,8 @@ def test_random_histories_explain_analyze(fact, dim, query_index):
                 stratum.execute("EXPLAIN ANALYZE " + sql, strategy=strategy)
             continue
         obs = stratum.db.obs
-        stats = stratum.db.stats
         slices_before = obs.value("stratum.slices")
-        calls_before = stats.total_routine_calls
+        calls_before = obs.sum_prefix("engine.routine.calls.")
         analyzed = stratum.execute(
             "EXPLAIN ANALYZE " + sql, strategy=strategy
         )
@@ -129,7 +128,7 @@ def test_random_histories_explain_analyze(fact, dim, query_index):
             root = stratum.db.tracer.last_root
             assert root.find("stratum.constant_periods").attrs["slices"] == slices
         # routine invocations in the span tree match the engine counter
-        calls = stats.total_routine_calls - calls_before
+        calls = obs.sum_prefix("engine.routine.calls.") - calls_before
         root = stratum.db.tracer.last_root
         assert len(root.find_all("routine")) == calls
 

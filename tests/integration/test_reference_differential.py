@@ -121,7 +121,7 @@ COUNTERS = (
     "engine.interval_index_hits",
     "engine.vectorized_batches",
     "engine.vectorized_rows_pruned",
-    "engine.routine_memo.hits",
+    "engine.routine.reuses.",  # the per-routine family's total
 )
 
 
@@ -140,10 +140,10 @@ def test_engine_takes_the_fast_paths_and_the_reference_does_not(small_dataset):
     ]
 
     def grown(run, side):
-        before = [db.obs.value(name) for name in COUNTERS]
+        before = [db.obs.sum_prefix(name) for name in COUNTERS]
         results = [run(stratum, sql, strategies[side]) for sql, *strategies in statements]
         return results, {
-            name: db.obs.value(name) - was for name, was in zip(COUNTERS, before)
+            name: db.obs.sum_prefix(name) - was for name, was in zip(COUNTERS, before)
         }
 
     engine, fast = grown(outcome, 0)

@@ -51,13 +51,13 @@ def counted(dataset, name: str):
         db.stats.reset()
         stratum.execute(sql, strategy=SlicingStrategy.MAX)
         measured.append((
-            db.stats.total_routine_calls, sum(db.stats.routine_reuses.values())
+            db.obs.sum_prefix("engine.routine.calls."), db.obs.sum_prefix("engine.routine.reuses.")
         ))
     assert measured[0] == measured[1]
     return measured[0]
 
 
-# (stats.statements, bodies run, invocations reused, rows scanned) of one
+# (engine.statements, bodies run, invocations reused, rows scanned) of one
 # warm execution.  The first three were recorded with the walking
 # interpreter at 2396fbb.  Rows scanned counts the rows access paths
 # return: since a hash probe keeps only the versions inside its period
@@ -92,10 +92,10 @@ def test_compiled_bodies_do_the_parents_work(dataset, spec):
     db.stats.reset()
     stratum.execute(sql, strategy=SlicingStrategy.MAX)
     assert (
-        db.stats.statements,
-        db.stats.total_routine_calls,
-        sum(db.stats.routine_reuses.values()),
-        db.stats.rows_scanned,
+        db.obs.value("engine.statements"),
+        db.obs.sum_prefix("engine.routine.calls."),
+        db.obs.sum_prefix("engine.routine.reuses."),
+        db.obs.value("engine.rows_scanned"),
     ) == WORK_AT_PARENT[spec.name]
 
 

@@ -73,13 +73,13 @@ class TestFigure3Sequenced:
 
     def test_figure_7_call_count_comparison(self, stratum):
         """MAX calls per constant period; PERST far fewer (Fig. 7)."""
-        stats = stratum.db.stats
-        stats.reset()
+        db = stratum.db
+        db.stats.reset()
         stratum.execute(FIG3_QUERY, strategy=SlicingStrategy.MAX)
-        max_calls = stats.routine_calls["max_get_author_name"]
-        stats.reset()
+        max_calls = db.obs.value("engine.routine.calls.max_get_author_name")
+        db.stats.reset()
         stratum.execute(FIG3_QUERY, strategy=SlicingStrategy.PERST)
-        perst_calls = stats.routine_calls["ps_get_author_name"]
+        perst_calls = db.obs.value("engine.routine.calls.ps_get_author_name")
         assert perst_calls < max_calls
 
 

@@ -248,15 +248,15 @@ class TestGoldenBenchmarkQueries:
 
 class TestExplainSemantics:
     def test_explain_is_side_effect_free(self, stratum):
-        stats = stratum.db.stats
-        statements_before = stats.statements
-        rows_before = stats.rows_written
+        obs = stratum.db.obs
+        statements_before = obs.value("engine.statements")
+        rows_before = obs.sum_prefix("engine.rows_written.")
         result = stratum.execute(RUNNING_EXAMPLE)
         assert isinstance(result, ExplainResult)
         assert result.result is None  # nothing executed
-        assert stats.rows_written == rows_before
+        assert obs.sum_prefix("engine.rows_written.") == rows_before
         # only the EXPLAIN statement itself was counted, not the target
-        assert stats.statements <= statements_before + 1
+        assert obs.value("engine.statements") <= statements_before + 1
 
     @pytest.mark.parametrize("strategy", [SlicingStrategy.AUTO])
     def test_only_a_run_moves_the_heuristic_counters(self, stratum, strategy):
@@ -395,7 +395,7 @@ class TestExplainAnalyze:
             " SELECT get_author_name('a1') AS name FROM item"
         )
         stratum.execute(sql, strategy=SlicingStrategy.MAX)
-        assert stratum.db.stats.routine_seconds == {}  # nobody asked
+        assert stratum.db.obs.sum_prefix("engine.routine.ns.") == 0  # nobody asked
         text = stratum.execute(
             "EXPLAIN ANALYZE " + sql, strategy=SlicingStrategy.MAX
         ).text()
@@ -451,3 +451,78 @@ class TestExplainAnalyze:
         delta = obs.value("stratum.slices") - before
         reported = re.search(r"slices: (\d+) ", result.text())
         assert reported and int(reported.group(1)) == delta
+
+    def test_every_printed_count_is_the_registry_delta(self, stratum, monkeypatch):
+        """The counts the report prints — invocations run and reused, per
+        routine and in total, embedded plan runs, statements, plans,
+        transforms, rows scanned and written, slices — equal what the
+        execution it measured moved in ``db.obs``; a count it leaves out
+        did not move."""
+        from repro.obs import explain
+
+        obs = stratum.db.obs
+        seen = {}
+        analyzed = explain._run_analyzed
+
+        def spied(db, thunk):
+            def measured():
+                seen["before"] = obs.flat()
+                try:
+                    return thunk()
+                finally:
+                    seen["after"] = obs.flat()
+
+            return analyzed(db, measured)
+
+        monkeypatch.setattr(explain, "_run_analyzed", spied)
+
+        def moved(name):  # a counter, or a family named by its prefix
+            before, after = seen["before"], seen["after"]
+            names = [key for key in after if key.startswith(name)] if name.endswith(".") else [name]
+            return sum(after.get(key, 0) - before.get(key, 0) for key in names)
+
+        def printed(pattern, text):
+            found = re.search(pattern, text)
+            return tuple(map(int, found.groups())) if found else None
+
+        sql = (
+            "EXPLAIN ANALYZE VALIDTIME [DATE '2010-01-01', DATE '2011-01-01']"
+            " SELECT get_author_name(ia.author_id) AS name"
+            " FROM item i, item_author ia WHERE i.id = ia.item_id"
+        )
+        scanned = written = 0
+        for _ in range(2):  # a statement-cache miss, then a hit
+            text = stratum.execute(sql, strategy=SlicingStrategy.MAX).text()
+            routine = "max_get_author_name"
+            run = moved("engine.routine.calls." + routine)
+            reused = moved("engine.routine.reuses." + routine)
+            assert run > 0, text
+            assert printed(
+                r"routine invocations: (\d+) \((\d+) run, (\d+) reused\)", text
+            ) == (
+                run + reused, moved("engine.routine.calls."),
+                moved("engine.routine.reuses."),
+            )
+            assert printed(rf"{routine}: (\d+) run, (\d+) reused", text) == (run, reused)
+            assert printed(r"embedded plan runs: (\d+) ", text) == (
+                moved("engine.routine.plan_runs." + routine),
+            )
+            assert printed(r"statements executed: (\d+)", text) == (
+                moved("engine.statements"),
+            )
+            assert printed(r"slices: (\d+) ", text) == (moved("stratum.slices"),)
+            for label, name in (
+                ("plans compiled", "engine.plans_compiled"),
+                ("plan cache hits", "engine.plan_cache.hits"),
+                ("transforms", "stratum.transforms"),
+                ("transform cache hits", "stratum.transform_cache.hits"),
+                ("rows scanned", "engine.rows_scanned"),
+                ("rows written", "engine.rows_written."),
+            ):
+                delta = moved(name)
+                assert printed(rf"\n  {label}: (\d+)", text) == (
+                    (delta,) if delta else None
+                ), label
+            scanned += moved("engine.rows_scanned")
+            written += moved("engine.rows_written.")
+        assert scanned and written

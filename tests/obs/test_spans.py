@@ -214,14 +214,14 @@ class TestMetrics:
     def test_rows_written_aliases_the_registry(self, stratum):
         stats = stratum.db.stats
         obs = stratum.db.obs
-        before = stats.rows_written
+        before = stats.snapshot()["rows_written"]
         stratum.db.execute(
             "INSERT INTO item VALUES"
             " ('i9', 'Book Nine', 5.0, DATE '2010-05-01', DATE '9999-12-31')"
         )
-        assert stats.rows_written == before + 1
-        assert stats.rows_written == obs.sum_prefix("engine.rows_written.")
-        assert stats.snapshot()["rows_written_by_source"]["insert"] >= 1
+        assert stats.snapshot()["rows_written"] == before + 1
+        assert stats.snapshot()["rows_written"] == obs.sum_prefix("engine.rows_written.")
+        assert obs.value("engine.rows_written.insert") >= 1
 
     def test_undo_depth_gauge_high_water(self, stratum):
         # the gauge samples the log depth when a statement mark is taken,

@@ -92,7 +92,7 @@ class ReferenceExecutor(Executor):
             # what Executor.execute does before it hands a CALL over
             if self.db.resilience.armed:
                 self.db.resilience.check()
-            self.db.stats.statements += 1
+            self.db.stats.executed.value += 1
             return ReferenceInterpreter(self).call_procedure(stmt, env)
         return super().execute(stmt, env)
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
+from repro.obs.metrics import Counter
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.catalog import Routine
 from repro.sqlengine.errors import (
@@ -87,8 +88,9 @@ class _Handler:
 class Frame:
     """One routine invocation: scoped variables, cursors, handlers."""
 
-    def __init__(self, routine_name: str) -> None:
+    def __init__(self, routine_name: str, plan_runs: Counter) -> None:
         self.routine_name = routine_name
+        self.plan_runs = plan_runs  # what the executor counts embedded runs on
         self.scopes: list[dict[str, dict]] = [{}]
         self.cursors: dict[str, _CursorState] = {}
         self.handlers: list[_Handler] = []
@@ -295,15 +297,16 @@ class ReferenceInterpreter:
     def _new_frame(self, routine: Routine, args: list[Any]) -> Frame:
         if self.db.stats.call_depth >= self.MAX_DEPTH:
             raise RoutineError("routine call depth exceeded")
-        frame = Frame(routine.name)
+        stats = self.db.stats
+        frame = Frame(
+            routine.name, stats.obs.counter(stats.ROUTINE_PLAN_RUNS + routine.name.lower())
+        )
         for param, value in zip(routine.params, args):
             frame.declare_scalar(param.name, param.type, value)
         return frame
 
     def _count_call(self, name: str) -> None:
-        stats = self.db.stats
-        stats.total_routine_calls += 1
-        stats.routine_calls[name.lower()] = stats.routine_calls.get(name.lower(), 0) + 1
+        self.db.obs.inc(self.db.stats.ROUTINE_CALLS + name.lower())
 
     # ------------------------------------------------------------------
     # statement execution
@@ -314,7 +317,7 @@ class ReferenceInterpreter:
             raise ExecutionError(
                 "temporal statement modifiers require the temporal stratum"
             )
-        self.db.stats.statements += 1
+        self.db.stats.executed.value += 1
         self.db.stats.call_depth += 1
         txn = self.db.txn
         token = txn.mark()

@@ -32,9 +32,9 @@ class TestInsert:
         assert db.query("SELECT a, b FROM t").rows == [[5, "42"]]
 
     def test_rows_written_counter(self, db):
-        before = db.stats.rows_written
+        before = db.obs.sum_prefix("engine.rows_written.")
         db.execute("INSERT INTO t VALUES (1, 'x')")
-        assert db.stats.rows_written == before + 1
+        assert db.obs.sum_prefix("engine.rows_written.") == before + 1
 
 
 class TestUpdate:
@@ -78,13 +78,13 @@ class TestUpdate:
 
     def test_coercion_failure_on_the_last_row_writes_nothing(self, db):
         db.execute("INSERT INTO t VALUES (1, '10'), (2, '20'), (3, 'x')")
-        rollbacks = db.stats.rollbacks
+        rollbacks = db.obs.value("engine.rollbacks")
         with pytest.raises(TypeError_):
             db.execute("UPDATE t SET a = b")
         assert db.table("t").rows == [[1, "10"], [2, "20"], [3, "x"]]
         # every value is staged before any is written: there was
         # nothing to undo
-        assert db.stats.rollbacks == rollbacks
+        assert db.obs.value("engine.rollbacks") == rollbacks
 
     def test_set_null_into_not_null_is_refused_like_insert(self, db):
         db.execute("CREATE TABLE n (id INTEGER NOT NULL, v INTEGER)")

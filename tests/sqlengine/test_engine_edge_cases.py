@@ -13,6 +13,7 @@ from repro.sqlengine.storage import Column, Table
 from repro.sqlengine.types import SqlType
 from repro.sqlengine.values import Date, Null
 from repro.temporal import SlicingStrategy
+from tests.counters import routine_calls
 
 
 @pytest.fixture
@@ -147,20 +148,20 @@ class TestCoercionBoundaries:
 
 class TestStatsAccounting:
     def test_statement_counter_monotone(self, db):
-        before = db.stats.statements
+        before = db.obs.value("engine.statements")
         db.query("SELECT 1")
-        assert db.stats.statements > before
+        assert db.obs.value("engine.statements") > before
 
     def test_reset(self, db):
         db.query("SELECT 1")
         db.stats.reset()
-        assert db.stats.statements == 0
-        assert db.stats.routine_calls == {}
+        assert db.obs.value("engine.statements") == 0
+        assert routine_calls(db) == {}
 
     def test_snapshot_is_a_copy(self, db):
         snapshot = db.stats.snapshot()
         db.query("SELECT 1")
-        assert snapshot["statements"] < db.stats.statements
+        assert snapshot["statements"] < db.obs.value("engine.statements")
 
 
 class TestEmptyAndDegenerate:

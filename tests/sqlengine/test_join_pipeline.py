@@ -577,18 +577,14 @@ class TestWorkBound:
         name = "max_short_book_title"
 
         def measured():
-            stats = db.stats
-            before = (
-                stats.routine_calls.get(name, 0),
-                stats.routine_reuses.get(name, 0),
-                stats.rows_scanned,
+            counters = (
+                "engine.routine.calls." + name,
+                "engine.routine.reuses." + name,
+                "engine.rows_scanned",
             )
+            before = [db.obs.value(counter) for counter in counters]
             stratum.execute(sql, strategy=SlicingStrategy.MAX)
-            after = (
-                stats.routine_calls[name], stats.routine_reuses[name],
-                stats.rows_scanned,
-            )
-            return tuple(b - a for a, b in zip(before, after))
+            return tuple(db.obs.value(c) - b for c, b in zip(counters, before))
 
         calls, reused, scanned = measured()
         assert measured() == (calls, reused, scanned)  # the counts repeat exactly
@@ -678,10 +674,13 @@ class TestWorkBound:
         stratum.execute(sql, strategy=SlicingStrategy.PERST)  # warm
 
         def measured():
-            stats = db.stats
-            before = (sum(stats.routine_calls.values()), stats.rows_scanned)
+            obs = db.obs
+            before = (obs.sum_prefix("engine.routine.calls."), obs.value("engine.rows_scanned"))
             stratum.execute(sql, strategy=SlicingStrategy.PERST)
-            return sum(stats.routine_calls.values()) - before[0], stats.rows_scanned - before[1]
+            return (
+                obs.sum_prefix("engine.routine.calls.") - before[0],
+                obs.value("engine.rows_scanned") - before[1],
+            )
 
         calls, scanned = measured()
         assert measured() == (calls, scanned)  # the counts repeat exactly

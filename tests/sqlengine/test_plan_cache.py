@@ -67,9 +67,9 @@ class TestLruEviction:
         db.execute_ast(hot)
         for n in range(601):
             if n % 100 == 0:
-                compiled = db.stats.plans_compiled
+                compiled = db.obs.value("engine.plans_compiled")
                 assert db.execute_ast(hot).rows == [["a"]]
-                assert db.stats.plans_compiled == compiled
+                assert db.obs.value("engine.plans_compiled") == compiled
             db.execute(f"UPDATE t SET name = 'n{n}' WHERE id = 2")
 
 
@@ -178,13 +178,13 @@ class TestPlanInvalidated:
         # the statement, nothing needs invalidating
         db.execute("DROP VIEW w")
         db.execute("CREATE VIEW w AS (SELECT v, id FROM tt)")
-        compiled = db.stats.plans_compiled
+        compiled = db.obs.value("engine.plans_compiled")
         result, count, calls = self.invalidated(db, lambda: db.execute_ast(stmt))
         assert (result.columns, result.rows) == (
             ["c1", "v", "id"], [[1, 1, 1], [2, 2, 2]]
         )
         assert (count, calls) == (0, 2)
-        assert db.stats.plans_compiled > compiled
+        assert db.obs.value("engine.plans_compiled") > compiled
 
     def test_a_second_invalidation_is_an_error_not_a_loop(self, db, monkeypatch):
         from repro.sqlengine import planner

@@ -17,8 +17,8 @@ a CONTINUE, an EXIT or no handler, row SET and SELECT INTO over 0 / 1 /
 variables with ``INSERT INTO TABLE``, DML on a base table, nested
 function and procedure calls with OUT / INOUT, and recursion.  Both
 sides must agree on return value, result sets, OUT values, final table
-contents, error class + SQLSTATE, ``stats.statements`` and
-``stats.routine_calls``.
+contents, error class + SQLSTATE, ``engine.statements`` and the
+per-routine ``engine.routine.calls.<routine>``.
 
 What the generator stays away from is where the two differ **on
 purpose**; each has its own fixed-case test:
@@ -60,6 +60,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.sqlengine import Database
 from repro.sqlengine.errors import SqlError
 from repro.sqlengine.parser import parse_statement
+from tests.counters import routine_calls
 from tests.reference_executor import ReferenceExecutor
 
 SCHEMA = [
@@ -445,8 +446,8 @@ def observe(db: Database, sql: str):
         db.table("t").rows,
         db.table("log").rows,
         db.table("scratch").rows,
-        db.stats.statements,
-        db.stats.routine_calls,
+        db.obs.value("engine.statements"),
+        routine_calls(db),
         db.stats.call_depth,
         len(db.txn.marks),
     )
@@ -588,7 +589,7 @@ def test_a_handled_error_buffers_the_redo_the_mark_based_guard_buffers(tmp_path)
         db.execute("COMMIT")
         wal = db.durability.wal_path.read_bytes()
         observed = (buffered, db.table("log").rows, db.table("t").rows,
-                    db.table("scratch").rows, db.stats.statements)
+                    db.table("scratch").rows, db.obs.value("engine.statements"))
         db.close()
         return observed, wal
 

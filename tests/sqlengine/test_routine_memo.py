@@ -54,6 +54,7 @@ from repro.sqlengine.routines import RoutineInterpreter
 from repro.sqlengine.values import Date, Null
 from repro.temporal import SlicingStrategy, TemporalStratum
 from tests.reference_executor import ReferenceExecutor
+from tests.counters import routine_calls, routine_reuses
 
 BASE = Date.from_iso("2010-01-01").ordinal
 FOREVER = Date.MAX_ORDINAL
@@ -273,13 +274,13 @@ def check(history, reference: bool = False) -> TemporalStratum:
             assert outcome(plain, sql) == engine, sql
         if walker is not None:
             assert outcome(walker, sql) == engine, sql
-    assert not plain.db.stats.routine_reuses
+    assert not routine_reuses(plain.db)
     return kept
 
 
 def test_fixed_history():
     kept = check(HISTORY, reference=True)
-    reuses = kept.db.stats.routine_reuses
+    reuses = routine_reuses(kept.db)
     # not vacuous: every windowed shape was served from the memo
     for name in ("max_sal_of", "max_top_sal", "max_richer", "max_twice",
                  "max_boss_sal", "max_staff", "max_payroll", "max_headcount",
@@ -317,11 +318,11 @@ def test_a_rejected_version_narrows_the_window():
     sql = f"VALIDTIME {CONTEXT} SELECT p.k, top_sal(p.k) FROM probe p"
     assert outcome(kept, sql) == outcome(plain, sql)
     name = "max_top_sal"
-    run = kept.db.stats.routine_calls[name]
-    reused = kept.db.stats.routine_reuses[name]
+    run = routine_calls(kept.db)[name]
+    reused = routine_reuses(kept.db)[name]
     points = range(10)  # every day of the context is a change point of emp
     keys = [1, 1, 2, Null]  # the probe rows
-    assert run + reused == plain.db.stats.routine_calls[name] == len(keys) * len(points)
+    assert run + reused == routine_calls(plain.db)[name] == len(keys) * len(points)
 
     def window(key, point):
         bounds = [b for row in emp if row[0] == key for b in row[3:]]
@@ -366,13 +367,13 @@ def test_a_version_a_filter_rejects_does_not_narrow():
             min((b for b in bounds if b > point), default=None),
         )
 
-    stats = kept.db.stats
+    run_by, reused_by = routine_calls(kept.db), routine_reuses(kept.db)
     for name, passes, count in (
         ("max_rich_in", lambda row: row[2] > 6, 9),
         ("max_rich_over", lambda row: True, 12),
     ):
-        run, reused = stats.routine_calls[name], stats.routine_reuses[name]
-        assert run + reused == plain.db.stats.routine_calls[name] == len(keys) * len(points)
+        run, reused = run_by[name], reused_by[name]
+        assert run + reused == routine_calls(plain.db)[name] == len(keys) * len(points)
         windows = {
             (key, window([r for r in emp if r[1] == key and passes(r)], point))
             for key in keys for point in points
@@ -438,7 +439,7 @@ def test_a_filter_on_the_point_is_never_free():
         assert outcome(plain, sql) == engine
     assert outcome(walker, sql) == engine
     assert [row[1] for row in engine[1][0][1]] == [1, 1, 2, 2, 1, 1, 0, 0]
-    assert kept.db.stats.routine_reuses["max_posted"] > 0
+    assert routine_reuses(kept.db)["max_posted"] > 0
     assert kept.db.obs.value("engine.read_window.versions_waived") == 0
 
 
@@ -481,16 +482,16 @@ class TestEligibility:
         assert self.declared(kept, "max_top_sal") is None
         logged = len(kept.db.catalog.get_table("log"))
         assert 0 < logged == len(plain.db.catalog.get_table("log"))
-        assert not kept.db.stats.routine_reuses
+        assert not routine_reuses(kept.db)
         # the shared clone is declared by a statement that may, and
         # undeclared again when the writer's statement returns
         kept.execute(STATEMENTS[2], strategy=SlicingStrategy.MAX)
         assert self.declared(kept, "max_top_sal") == 1
-        assert kept.db.stats.routine_reuses["max_twice"] > 0
-        before = dict(kept.db.stats.routine_reuses)
+        assert routine_reuses(kept.db)["max_twice"] > 0
+        before = routine_reuses(kept.db)
         kept.execute(WRITER, strategy=SlicingStrategy.MAX)
         assert self.declared(kept, "max_top_sal") is None
-        assert kept.db.stats.routine_reuses == before
+        assert routine_reuses(kept.db) == before
         assert len(kept.db.catalog.get_table("log")) == 2 * logged
 
     def test_only_max_clones_are_declared(self):
@@ -591,7 +592,6 @@ class TestTableFunctionSideEffects:
             " END"
         )
         db.execute("SELECT t.x, g.y FROM t, TABLE(f(t.x)) g")
-        assert db.stats.routine_calls["f"] == 2
-        assert db.stats.routine_reuses["f"] == 1
-        assert db.obs.value("engine.routine_memo.hits") == 1
+        assert routine_calls(db)["f"] == 2
+        assert routine_reuses(db) == {"f": 1}
         assert db.obs.value("engine.routine_memo.entries") == 2

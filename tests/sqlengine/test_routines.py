@@ -10,6 +10,7 @@ from repro.sqlengine.errors import (
 )
 from repro.sqlengine.routines import RoutineInterpreter
 from repro.sqlengine.values import Null
+from tests.counters import routine_calls
 
 
 @pytest.fixture
@@ -79,9 +80,9 @@ class TestFunctions:
     def test_routine_call_counter(self, db):
         define(db, "CREATE FUNCTION inc (x INTEGER) RETURNS INTEGER"
                    " LANGUAGE SQL BEGIN RETURN x + 1; END")
-        before = db.stats.routine_calls.get("inc", 0)
+        before = routine_calls(db).get("inc", 0)
         db.query("SELECT inc(n) FROM nums")
-        assert db.stats.routine_calls["inc"] == before + 5
+        assert routine_calls(db)["inc"] == before + 5
 
 
 class TestControlFlow:

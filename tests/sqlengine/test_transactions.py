@@ -93,7 +93,7 @@ def test_rollback_restores_rows_and_versions(db_t: Database):
     assert sorted(row[0] for row in table.rows) == [1, 3]
     db_t.execute("ROLLBACK")
     assert_snapshot_equal(db_t, before)
-    assert db_t.stats.rollbacks == 1
+    assert db_t.obs.value("engine.rollbacks") == 1
 
 
 def test_rollback_restores_ddl(db_t: Database):
@@ -235,15 +235,15 @@ def test_update_statement_failure_leaves_prior_rows(db_t: Database):
 def test_rollback_restores_plan_cache_validity(db_t: Database):
     stmt = parse_statement("SELECT b FROM t WHERE a = 1")
     db_t.execute_ast(stmt)  # compiles
-    hits0 = db_t.stats.plan_cache_hits
+    hits0 = db_t.obs.value("engine.plan_cache.hits")
     db_t.execute_ast(stmt)
-    assert db_t.stats.plan_cache_hits == hits0 + 1
+    assert db_t.obs.value("engine.plan_cache.hits") == hits0 + 1
     db_t.execute("BEGIN")
     db_t.execute("UPDATE t SET b = 'changed' WHERE a = 1")
     db_t.execute("ROLLBACK")
     # table.version was restored, so the compiled plan still hits
     db_t.execute_ast(stmt)
-    assert db_t.stats.plan_cache_hits == hits0 + 2
+    assert db_t.obs.value("engine.plan_cache.hits") == hits0 + 2
     assert db_t.query("SELECT b FROM t WHERE a = 1").rows == [["one"]]
 
 

@@ -7,7 +7,7 @@ executes 10× under AUTO, each of the four transformation functions runs
 **at most once** (at the parent of
 this change the heuristic transformed privately on every execution:
 10–11 ``compile_seqset`` / ``PerstTransformer.transform`` calls per 10
-executions), and ``stats.transforms`` is flat from the second execution
+executions), and ``stratum.transforms`` is flat from the second execution
 on.  The verdicts live under the transform cache's invalidation rules:
 a routine redefinition flips them, a rollback evicts the ones stored
 inside its window — and asking installs nothing.
@@ -91,14 +91,14 @@ def statements(dataset) -> dict:
 @pytest.mark.parametrize("shape", ["seqset", "aggregate", "routine", "current"])
 def test_each_transformation_runs_at_most_once(dataset, calls, shape):
     stratum = dataset.stratum
-    stats = stratum.db.stats
+    value = stratum.db.obs.value
     sql, expected = statements(dataset)[shape]
     for count in calls:
         calls[count] = 0
     transforms = []
     for _ in range(10):
         stratum.execute(sql, SlicingStrategy.AUTO)
-        transforms.append(stats.transforms)
+        transforms.append(value("stratum.transforms"))
         if expected is not None:
             assert stratum.last_strategy is expected
     # nothing is built after the first execution: not by the decision,
@@ -215,6 +215,6 @@ def test_rollback_evicts_verdicts_of_its_window(dataset):
     )
     db.execute("CREATE TABLE other (x INTEGER)")
     assert db.catalog.schema_version == window
-    before = db.stats.transforms
+    before = db.obs.value("stratum.transforms")
     stratum.execute(sql)
-    assert db.stats.transforms > before
+    assert db.obs.value("stratum.transforms") > before

@@ -10,6 +10,7 @@ from repro.temporal.max_slicing import transform_query_max, transform_routine_ma
 from repro.temporal.period import Period
 
 from tests.conftest import GET_AUTHOR_NAME, make_bookstore
+from tests.counters import routine_calls, routine_reuses
 
 SEQ_Q2 = (
     "VALIDTIME [DATE '2010-01-01', DATE '2010-10-01']"
@@ -101,8 +102,8 @@ class TestExecution:
         db = stratum.db
         db.stats.reset()
         stratum.execute(SEQ_Q2, strategy=SlicingStrategy.MAX)
-        run = db.stats.routine_calls["max_get_author_name"]
-        reused = db.stats.routine_reuses.get("max_get_author_name", 0)
+        run = routine_calls(db)["max_get_author_name"]
+        reused = routine_reuses(db).get("max_get_author_name", 0)
         periods = [row[0].ordinal for row in db.catalog.get_table("taupsm_cp").rows]
         assert len(periods) >= 4
 

@@ -408,14 +408,14 @@ def test_a_coercion_failure_on_the_last_matched_row_writes_nothing(kind):
     stratum = make_dml_kinds()
     prefix, name = DML_KINDS[kind]
     before = raw(stratum, name)
-    rollbacks = stratum.db.stats.rollbacks
+    rollbacks = stratum.db.obs.value("engine.rollbacks")
     with pytest.raises(TypeError_):
         stratum.execute(
             f"{prefix}UPDATE {name} SET price = CASE WHEN id = 'i2' THEN 'abc'"
             " ELSE 1.0 END WHERE id IN ('i1', 'i2')"
         )
     assert raw(stratum, name) == before
-    assert stratum.db.stats.rollbacks == rollbacks
+    assert stratum.db.obs.value("engine.rollbacks") == rollbacks
 
 
 # -- the floor ----------------------------------------------------------------

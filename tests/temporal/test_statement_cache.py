@@ -157,10 +157,10 @@ def test_rollback_evicts_entries_of_its_window(dataset):
     stratum.execute("ROLLBACK")
     db.execute("CREATE TABLE other (x INTEGER)")
     assert db.catalog.schema_version == window
-    transforms, (_, misses) = db.stats.transforms, statement_cache(stratum)
+    transforms, (_, misses) = db.obs.value("stratum.transforms"), statement_cache(stratum)
     assert cached(stratum, sql) == fresh(stratum, sql)
     assert statement_cache(stratum)[1] == misses + 1
-    assert db.stats.transforms > transforms
+    assert db.obs.value("stratum.transforms") > transforms
 
 
 def test_auto_redecides_when_writes_cross_the_row_threshold(dataset):

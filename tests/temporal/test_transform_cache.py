@@ -168,8 +168,8 @@ class TestMatchPlanReuse:
     execution, never literals bound into it."""
 
     def plans(self, stratum):
-        stats = stratum.db.stats
-        return stats.plans_compiled, stats.plan_cache_hits
+        value = stratum.db.obs.value
+        return value("engine.plans_compiled"), value("engine.plan_cache.hits")
 
     def versions(self, stratum, table, key):
         return sorted(
@@ -252,13 +252,13 @@ class TestInterleavedRoutineStatements:
     def test_interleaving_reaches_a_fixed_point(self, stratum, strategy):
         stratum.register_routine(GET_AUTHOR_NAME)
         stratum.register_routine(self.GET_LAST_NAME)
-        stats = stratum.db.stats
+        value = stratum.db.obs.value
         compiled = []
         for _ in range(3):
             for query in self.QUERIES:
                 fresh(stratum, query, strategy)
-            compiled.append(stats.plans_compiled)
-        assert stats.transform_cache_hits > 0
+            compiled.append(value("engine.plans_compiled"))
+        assert value("stratum.transform_cache.hits") > 0
         assert compiled[2] == compiled[1]  # nothing re-planned in pass 3
 
     def test_changed_body_still_invalidates(self, stratum):
@@ -390,8 +390,8 @@ class TestRevalidation:
         return result.rows
 
     def work(self, stratum):
-        stats = stratum.db.stats
-        return stats.transforms, stats.plans_compiled
+        value = stratum.db.obs.value
+        return value("stratum.transforms"), value("engine.plans_compiled")
 
     @pytest.mark.parametrize("submit", ["cached", "fresh"])
     def test_another_statements_clones_leave_it_served(self, submit):

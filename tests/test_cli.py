@@ -104,7 +104,11 @@ class TestMetaCommands:
         assert "CURRENT_DATE" in output
 
     def test_stats(self, shell):
-        assert "statements:" in shell.meta(".stats")
+        """The engine's counters are registry counters: ``.metrics``
+        lists them, and there is no second listing."""
+        run(shell, "SELECT 1;")
+        assert "engine.statements: " in shell.meta(".metrics")
+        assert "unknown meta-command" in shell.meta(".stats")
 
     def test_unknown(self, shell):
         assert "unknown meta-command" in shell.meta(".wat")
