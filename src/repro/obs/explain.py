@@ -483,6 +483,7 @@ _ANALYZE_COUNTERS = (
     ("transform cache hits", "stratum.transform_cache.hits"),
     ("rows scanned", "engine.rows_scanned"),
     ("rows written", "engine.rows_written."),
+    ("groups formed", "engine.group.groups"),
 )
 # faults the run absorbed (a handler, a retry) must be visible, not silent
 _ANALYZE_EVENTS = (

@@ -148,6 +148,20 @@ class DurabilityError(ExecutionError):
         self.attempts = attempts
 
 
+# Errors that report the engine's state rather than an expression's value:
+# the watchdog, the resource governor, MVCC, the fault harness and durable
+# storage.  Code that holds an expression's error to raise it later (the
+# grouped fold of ``planner.SelectPlan._run_grouped``) lets these through
+# at once.
+INTERRUPTS = (
+    QueryCancelled,
+    ResourceBudgetExceeded,
+    SerializationError,
+    FaultInjected,
+    DurabilityError,
+)
+
+
 class RoutineError(ExecutionError):
     """Raised for errors inside stored-routine execution."""
 

@@ -766,21 +766,20 @@ def _distinct_rows(rows: list[list[Any]]) -> list[list[Any]]:
     return unique
 
 
-def _contains_aggregate(expr: ast.Expression, but_count: bool = False) -> bool:
-    """True if the expression has an aggregate call not inside a subquery
-    (with ``but_count``, one other than ``COUNT(*)``)."""
+def _contains_aggregate(expr: ast.Expression) -> bool:
+    """True if the expression has an aggregate call not inside a subquery."""
     if isinstance(expr, ast.FunctionCall):
-        if fn.is_aggregate(expr.name) and not (but_count and expr.star):
+        if fn.is_aggregate(expr.name):
             return True
-        return any(_contains_aggregate(a, but_count) for a in expr.args)
+        return any(_contains_aggregate(a) for a in expr.args)
     if isinstance(expr, (ast.ScalarSubquery, ast.ExistsPredicate)):
         return False
     if isinstance(expr, ast.InPredicate):
-        return _contains_aggregate(expr.expr, but_count) or any(
-            _contains_aggregate(i, but_count) for i in expr.items or []
+        return _contains_aggregate(expr.expr) or any(
+            _contains_aggregate(i) for i in expr.items or []
         )
     for child in ast.iter_children(expr):
-        if isinstance(child, ast.Expression) and _contains_aggregate(child, but_count):
+        if isinstance(child, ast.Expression) and _contains_aggregate(child):
             return True
     return False
 

@@ -58,7 +58,7 @@ from repro.sqlengine.values import (
 
 # A compiled scalar expression: Env → value.
 Compiled = Callable[[Env], Any]
-# A compiled grouped expression: (group rows, base env) → value.
+# A compiled grouped expression: (group, base env) → value.
 CompiledGrouped = Callable[[list, Env], Any]
 
 # Layout: alias (lowercased) → column→index map.  The colmap dicts must
@@ -382,14 +382,15 @@ def _compile_like(
 
 
 def compile_grouped(
-    executor: Executor, expr: ast.Expression, layout: Layout
+    executor: Executor, expr: ast.Expression, layout: Layout, aggregates: list
 ) -> CompiledGrouped:
-    """Compile an expression that may contain aggregate calls."""
+    """Compile an expression that may contain aggregate calls, appending
+    each call's argument closure to ``aggregates``."""
     if isinstance(expr, ast.FunctionCall) and fn.is_aggregate(expr.name):
-        return _compile_g_aggregate(executor, expr, layout)
+        return _compile_g_aggregate(executor, expr, layout, aggregates)
     if isinstance(expr, ast.BinaryOp):
-        left_c = compile_grouped(executor, expr.left, layout)
-        right_c = compile_grouped(executor, expr.right, layout)
+        left_c = compile_grouped(executor, expr.left, layout, aggregates)
+        right_c = compile_grouped(executor, expr.right, layout, aggregates)
         op = expr.op
         # no short circuit in the grouped evaluator: both sides evaluate
         if op == "AND":
@@ -404,43 +405,48 @@ def compile_grouped(
             op, left_c(group, base), right_c(group, base)
         )
     if isinstance(expr, ast.Parenthesized):
-        return compile_grouped(executor, expr.expr, layout)
+        return compile_grouped(executor, expr.expr, layout, aggregates)
     if isinstance(expr, ast.UnaryOp):
-        operand_c = compile_grouped(executor, expr.operand, layout)
+        operand_c = compile_grouped(executor, expr.operand, layout, aggregates)
         if expr.op == "NOT":
             return lambda group, base: logic_not(operand_c(group, base))
         return lambda group, base: _negate(operand_c(group, base))
     if isinstance(expr, ast.Cast):
-        inner_c = compile_grouped(executor, expr.expr, layout)
+        inner_c = compile_grouped(executor, expr.expr, layout, aggregates)
         target = expr.target
         return lambda group, base: coerce(inner_c(group, base), target)
-    # every other form evaluates per-row on a representative group row
+    # every other form evaluates per-row on the group's first row
     row_c = compile_expression(executor, expr, layout)
-    return lambda group, base: row_c(group[0] if group else base)
+    return lambda group, base: row_c(group[0] or base)
 
 
 def _compile_g_aggregate(
-    executor: Executor, expr: ast.FunctionCall, layout: Layout
+    executor: Executor, expr: ast.FunctionCall, layout: Layout, aggregates: list
 ) -> CompiledGrouped:
+    """A group is ``[first row's frozen env | None, row count, values of
+    aggregate 0, …]``; an argument's held ``SqlError`` replaces its
+    values and is raised here, when the aggregate is folded."""
     name = expr.name
     star = expr.star
     distinct = expr.distinct
     catalog = executor.db.catalog
     if not star and not expr.args:
         raise ExecutionError(f"aggregate {name} requires an argument")
-    arg_c = (
-        compile_expression(executor, expr.args[0], layout) if expr.args else None
-    )
+    if not star:
+        slot = 2 + len(aggregates)
+        aggregates.append(compile_expression(executor, expr.args[0], layout))
     # a user routine shadowing the aggregate name is resolved per call
     row_c = compile_expression(executor, expr, layout)
 
     def aggregate_closure(group: list, base: Env) -> Any:
-        if not catalog.has_routine(name):
-            if star:
-                return fn.evaluate_aggregate(name, [None] * len(group), star=True)
-            values = [arg_c(row_env) for row_env in group]
-            return fn.evaluate_aggregate(name, values, distinct=distinct)
-        return row_c(group[0] if group else base)
+        if catalog.has_routine(name):
+            return row_c(group[0] or base)
+        if star:
+            return fn.evaluate_aggregate(name, [None] * group[1], star=True)
+        values = group[slot]
+        if values.__class__ is not list:
+            raise values
+        return fn.evaluate_aggregate(name, values, distinct=distinct)
 
     return aggregate_closure
 

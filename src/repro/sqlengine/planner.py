@@ -7,7 +7,7 @@ closures from :mod:`repro.sqlengine.exprcompile`.  Everything about the
 FROM/WHERE evaluation is decided at plan time, the levels included: each
 is a closure that binds its candidates and calls the next level's, the
 leaf hands a passing combination to the plan's consumer (projection,
-grouping, the count of an ungrouped ``COUNT(*)``, a match's rows).
+grouping, a match's rows).
 ``SelectPlan.run`` walks no AST and makes no generator frame.
 
 *Total and partial conjuncts.*  A top-level WHERE conjunct is **total**
@@ -59,6 +59,7 @@ from typing import Any, Callable, Iterator, Optional
 
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.errors import (
+    INTERRUPTS,
     CatalogError,
     ExecutionError,
     PlanInvalidated,
@@ -928,9 +929,8 @@ def _build_order(
     order_by: list,
     colmap: dict,
     layout: dict,
-    grouped: bool,
+    compile_: Callable,
 ) -> list:
-    compile_ = compile_grouped if grouped else compile_expression
     entries = []
     for item in order_by:
         expr = item.expr
@@ -961,10 +961,13 @@ def build_select_plan(
     conjuncts, outer_cs = _analyze_conjuncts(executor, where, sources, layout)
     columns = executor._output_columns(select, env if env is not None else Env())
     colmap = {name.lower(): i for i, name in enumerate(columns)}
+    aggregates: Optional[list] = [] if grouped else None
     order_entries = _build_order(
-        executor, select.order_by, colmap, layout, grouped
+        executor, select.order_by, colmap, layout,
+        functools.partial(compile_grouped, aggregates=aggregates)
+        if grouped else compile_expression,
     )
-    group_cs = having_c = None
+    group_key = having_c = None
     if grouped:
         for item in select.items:
             if item.is_star:
@@ -974,10 +977,15 @@ def build_select_plan(
         group_cs = [
             compile_expression(executor, g, layout) for g in select.group_by
         ]
+        if len(group_cs) == 1:  # one key needs no tuple
+            only = group_cs[0]
+            group_key = lambda env: sort_key(only(env))
+        elif group_cs:
+            group_key = lambda env: tuple([sort_key(g(env)) for g in group_cs])
         if select.having is not None:
-            having_c = compile_grouped(executor, select.having, layout)
+            having_c = compile_grouped(executor, select.having, layout, aggregates)
         item_plans = [
-            compile_grouped(executor, item.expr, layout)
+            compile_grouped(executor, item.expr, layout, aggregates)
             for item in select.items
         ]
     else:
@@ -987,19 +995,13 @@ def build_select_plan(
             else ("expr", compile_expression(executor, item.expr, layout))
             for item in select.items
         ]
-    counted = grouped and not select.group_by and not any(
-        _contains_aggregate(expr, but_count=True)
-        for expr in [item.expr for item in select.items + select.order_by]
-        + [select.having] if expr is not None
-    )
     return SelectPlan(
         sources=sources,
         conjuncts=conjuncts,
         outer_cs=outer_cs,
         columns=columns,
-        grouped=grouped,
-        counted=counted,
-        group_cs=group_cs,
+        aggregates=aggregates,
+        group_key=group_key,
         having_c=having_c,
         item_plans=item_plans,
         order_entries=order_entries,
@@ -1114,12 +1116,10 @@ class _FromWhere:
 
 
 class SelectPlan(_FromWhere):
-    """``counted``: an ungrouped aggregate select whose aggregates are
-    all ``COUNT(*)`` folds its rows into a count as the join emits them;
-    every other grouped select keeps each combination's environment,
-    since its aggregate arguments are evaluated after the join."""
+    """``aggregates``: a grouped select's aggregate argument closures, in
+    the order its groups keep their values (``None`` when ungrouped)."""
 
-    __slots__ = ("columns", "grouped", "counted", "group_cs", "having_c",
+    __slots__ = ("columns", "grouped", "aggregates", "group_key", "having_c",
                  "item_plans", "order_entries", "distinct")
 
     def __init__(
@@ -1128,9 +1128,8 @@ class SelectPlan(_FromWhere):
         conjuncts: list,
         outer_cs: list,
         columns: list,
-        grouped: bool,
-        counted: bool,
-        group_cs: Optional[list],
+        aggregates: Optional[list],
+        group_key: Optional[Callable],
         having_c: Optional[Callable],
         item_plans: list,
         order_entries: list,
@@ -1138,9 +1137,9 @@ class SelectPlan(_FromWhere):
     ) -> None:
         super().__init__(sources, conjuncts, outer_cs)
         self.columns = columns
-        self.grouped = grouped
-        self.counted = counted
-        self.group_cs = group_cs
+        self.grouped = aggregates is not None
+        self.aggregates = aggregates
+        self.group_key = group_key
         self.having_c = having_c
         self.item_plans = item_plans
         self.order_entries = order_entries
@@ -1214,27 +1213,53 @@ class SelectPlan(_FromWhere):
     def _run_grouped(
         self, executor: Executor, base_env: Env, order: list, rows: list, keys: list
     ) -> None:
-        envs: list = []
-        if self.counted:
-            # no aggregate reads a row: the group is the first row's
-            # environment once per combination
-            count = 0
+        """Fold each row into its group as the join emits it: a group
+        freezes its first row's environment (what the non-aggregate parts
+        read), counts its rows and collects each aggregate argument's
+        values.  A key's error is held until the join is done (a later
+        WHERE error wins); an argument's until its group folds that
+        aggregate (a group HAVING drops raises nothing).  ``INTERRUPTS``
+        (a cancellation, a budget, a fault, …) are never held."""
+        aggregates = list(enumerate(self.aggregates, 2))
+        group_key = self.group_key
+        held: Optional[SqlError] = None
 
-            def emit(row_env: Env) -> None:
-                nonlocal count
-                if not count:
-                    envs.append(_freeze_env(row_env))
-                count += 1
+        def fold(group: list, row_env: Env) -> None:
+            if not group[1]:
+                group[0] = _freeze_env(row_env)
+            group[1] += 1
+            for slot, arg_c in aggregates:
+                values = group[slot]
+                if values.__class__ is list:
+                    try:
+                        values.append(arg_c(row_env))
+                    except INTERRUPTS:
+                        raise
+                    except SqlError as exc:
+                        group[slot] = exc
 
-            self._each(executor, base_env, emit)
-            envs *= count
-        else:
-            self._each(executor, base_env, lambda row_env: envs.append(_freeze_env(row_env)))
-        groups: dict = {} if self.group_cs else {(): envs}
-        if self.group_cs:
-            for row_env in envs:
-                key = tuple(sort_key(g(row_env)) for g in self.group_cs)
-                groups.setdefault(key, []).append(row_env)
+        def emit(row_env: Env) -> None:
+            nonlocal held
+            if held is None:
+                try:
+                    key = group_key(row_env)
+                except INTERRUPTS:
+                    raise
+                except SqlError as exc:
+                    held = exc
+                    return
+                group = groups.get(key)
+                if group is None:
+                    group = groups[key] = [None, 0] + [[] for _ in aggregates]
+                fold(group, row_env)
+
+        groups: dict = {} if group_key else {(): [None, 0] + [[] for _ in aggregates]}
+        if group_key is None:  # ungrouped: the one group is there before the join
+            emit = functools.partial(fold, groups[()])
+        self._each(executor, base_env, emit)
+        if held is not None:
+            raise held
+        executor.db.obs.inc("engine.group.groups", len(groups))
         for group in groups.values():
             if self.having_c is not None and not truth(self.having_c(group, base_env)):
                 continue

@@ -387,6 +387,25 @@ class TestExplainAnalyze:
         assert re.search(r"plan cache hits: \d+", text)
         assert re.search(r"rows scanned: \d+", text)
 
+    def test_a_grouped_select_prints_the_groups_it_formed(self, stratum):
+        """``engine.group.groups`` moves once per execution, by the groups
+        the execution formed (fewer than the rows it folded); the summary
+        prints the run's delta."""
+        obs = stratum.db.obs
+        sql = (
+            "VALIDTIME [DATE '2010-01-01', DATE '2011-01-01']"
+            " SELECT ia.author_id, COUNT(*) AS n FROM item_author ia"
+            " GROUP BY ia.author_id"
+        )
+        before = obs.value("engine.group.groups")
+        rows = stratum.execute(sql, strategy=SlicingStrategy.MAX).rows
+        formed = obs.value("engine.group.groups") - before
+        assert 0 < formed < sum(row[1] for row in rows)
+        text = stratum.execute(
+            "EXPLAIN ANALYZE " + sql, strategy=SlicingStrategy.MAX
+        ).text()
+        assert f"  groups formed: {formed}\n" in text, text
+
     def test_routine_lines_carry_inclusive_time_taken_only_under_analyze(
         self, stratum
     ):
