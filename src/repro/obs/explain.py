@@ -453,6 +453,12 @@ def _render_sequenced(stratum: "TemporalStratum", prepared: Any) -> list[str]:
             lines.append(
                 f"constant periods: {slices}; per-statement loops over: {reqs}"
             )
+            lines.extend(
+                f"loop periods in {routine.name}: {_loop_periods(node.split)}"
+                for routine in found.clones
+                for node in ast.walk(routine.definition)
+                if isinstance(node, ast.ForStatement) and node.split is not None
+            )
         else:
             lines.append(
                 "constant periods: not needed (algebraic fragment,"
@@ -469,6 +475,15 @@ def _render_sequenced(stratum: "TemporalStratum", prepared: Any) -> list[str]:
         lines.append("seqset plan:")
         lines.extend("  " + line for line in describe_plan(found.plan.root))
     return lines + _transformed_lines(db, found, plan=found.plan is None)
+
+
+def _loop_periods(split: ast.PeriodSplit) -> str:
+    """What one PERST per-period loop's periods come from."""
+    if split.unmerged is not None:
+        return f"every constant period (unmerged: {split.unmerged})"
+    return "constant periods merged but at the bounds of " + (
+        ", ".join(split.sources) or "the evaluation period"
+    )
 
 
 # ---------------------------------------------------------------------------

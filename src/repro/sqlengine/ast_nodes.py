@@ -919,14 +919,52 @@ class ForStatement(PsmStatement):
     body: list[Statement] = field(default_factory=list)
     cursor_name: Optional[str] = None
     label: Optional[str] = None
+    # set on PERST's loops over constant periods only (no syntax)
+    split: Optional["PeriodSplit"] = None
 
     def to_sql(self) -> str:
         head = f"{self.label}: " if self.label else ""
         cursor = f"{self.cursor_name} CURSOR FOR " if self.cursor_name else ""
-        lines = [f"{head}FOR {self.loop_var} AS {cursor}{self.select.to_sql()} DO"]
+        split = f" {self.split.to_sql()}" if self.split is not None else ""
+        lines = [f"{head}FOR {self.loop_var} AS {cursor}{self.select.to_sql()}{split} DO"]
         lines.extend(_indent(_semi(s), 1) for s in self.body)
         lines.append("END FOR" + (f" {self.label}" if self.label else ""))
         return "\n".join(lines)
+
+
+@dataclass
+class PeriodSplit(Node):
+    """Which periods PERST's per-period loop runs (built by the transformer
+    only: no syntax, rendered as a comment).  ``unmerged`` names why it
+    runs every period it selects; else adjacent periods merge across each
+    point no row of the ``split_at`` selects holds (the bounds of what the
+    body reads, named in ``sources``): nothing it reads changes there."""
+
+    split_at: list["Select"] = field(default_factory=list)
+    sources: list[str] = field(default_factory=list)
+    unmerged: Optional[str] = None
+
+    def to_sql(self) -> str:
+        if self.unmerged is not None:
+            return f"/* every period: {self.unmerged} */"
+        return "/* merged but at the bounds of: " + ", ".join(
+            f"{source} ({select.to_sql()})"
+            for source, select in zip(self.sources, self.split_at)
+        ) + " */"
+
+    @staticmethod
+    def merge(periods: list, splits: list) -> list[list]:
+        """``periods`` in begin order, each joined to the one before it
+        where no row in ``splits`` (one result per ``split_at`` select)
+        holds their meeting point."""
+        bounds = {point for rows in splits for row in rows for point in row}
+        merged: list[list] = []
+        for begin, end in sorted(periods, key=lambda period: period[0]):
+            if merged and merged[-1][1] == begin and begin not in bounds:
+                merged[-1][1] = end
+            else:
+                merged.append([begin, end])
+        return merged
 
 
 @dataclass

@@ -24,6 +24,13 @@ class ParseError(SqlError):
     """Raised when the parser cannot make sense of a token stream."""
 
 
+class StarArgumentError(ParseError):
+    """``f(*)`` for an ``f`` other than ``COUNT``: SQL has no other
+    ``(*)`` argument list."""
+
+    sqlstate = "42601"  # syntax error
+
+
 class CatalogError(SqlError):
     """Raised for unknown or duplicate tables, routines, views, columns."""
 

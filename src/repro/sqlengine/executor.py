@@ -537,69 +537,73 @@ class Executor:
     ) -> Optional[tuple[dict[int, SqlType], list[tuple[str, str]]]]:
         """Statically propagated schema for ``CREATE TABLE ... AS select``.
 
-        When the select is a projection over exactly one base table,
-        every output that is a plain column reference (or part of a
-        ``*``) keeps the *declared* source column type instead of a
-        row-sampled inference, and any declared interval pair whose both
+        When the select is a projection over base tables (one, or a join
+        of several in FROM), every output that is a plain column
+        reference of exactly one of them (or part of a ``*``) keeps the
+        *declared* source column type instead of a row-sampled
+        inference; over one table, any declared interval pair whose both
         columns survive the projection is re-declared under the output
         names.  Without this, temp tables built by the temporal
         transforms (cp tables, PERST auxiliaries) silently lose their
         DATE declarations on empty results and their period pairs
-        always — and with them typed date filters and interval probes.
+        always — and with them typed date filters, interval probes and
+        the plans of every statement that reads a rebuilt one.
 
         Returns ``(output index → type, [(begin, end), ...])`` or None
-        when the shape is not a single-table projection.
+        when FROM holds anything but base tables.
         """
-        if (
-            select.set_op is not None
-            or len(select.from_items) != 1
-            or not isinstance(select.from_items[0], ast.TableRef)
-        ):
+        if select.set_op is not None or not select.from_items:
             return None
-        ref = select.from_items[0]
-        if self.db.catalog.has_view(ref.name):
-            return None
-        try:
-            table = self._resolve_table(ref.name, env)
-        except SqlError:
-            return None
-        binding = ref.binding.lower()
+        sources: list[tuple[str, Any]] = []  # (binding, table) in FROM order
+        for ref in select.from_items:
+            if not isinstance(ref, ast.TableRef) or self.db.catalog.has_view(ref.name):
+                return None
+            try:
+                sources.append((ref.binding.lower(), self._resolve_table(ref.name, env)))
+            except SqlError:
+                return None
         types: dict[int, SqlType] = {}
-        # source column (lowercased) → output name, for surviving pairs;
+        # (source, column lowercased) → output name, for surviving pairs;
         # a source column projected twice keeps its first output name
-        out_names: dict[str, str] = {}
+        out_names: dict[tuple[int, str], str] = {}
         position = 0
         for item in select.items:
             if item.is_star:
-                if (
-                    item.star_qualifier is not None
-                    and item.star_qualifier.lower() != binding
-                ):
+                qualifier = item.star_qualifier
+                starred = [
+                    index for index, (binding, _) in enumerate(sources)
+                    if qualifier is None or qualifier.lower() == binding
+                ]
+                if not starred:
                     return None
-                for column in table.columns:
-                    types[position] = column.type
-                    out_names.setdefault(column.name.lower(), column.name)
-                    position += 1
+                for index in starred:
+                    for column in sources[index][1].columns:
+                        types[position] = column.type
+                        out_names.setdefault((index, column.name.lower()), column.name)
+                        position += 1
                 continue
             expr = item.expr
             while isinstance(expr, ast.Parenthesized):
                 expr = expr.expr
-            if (
-                isinstance(expr, ast.Name)
+            owners = [
+                index for index, (binding, table) in enumerate(sources)
+                if isinstance(expr, ast.Name)
                 and (expr.qualifier is None or expr.qualifier.lower() == binding)
                 and table.has_column(expr.name)
-            ):
-                index = table.column_index(expr.name)
-                types[position] = table.columns[index].type
-                out_name = item.alias or expr.name
-                out_names.setdefault(expr.name.lower(), out_name)
+            ]
+            if len(owners) == 1:
+                table = sources[owners[0]][1]
+                types[position] = table.columns[table.column_index(expr.name)].type
+                out_names.setdefault(
+                    (owners[0], expr.name.lower()), item.alias or expr.name
+                )
             position += 1
         if position != expected_count:
             return None
         pairs = [
-            (out_names[begin], out_names[end])
-            for begin, end in table.interval_pairs
-            if begin in out_names and end in out_names
+            (out_names[(0, begin)], out_names[(0, end)])
+            for begin, end in sources[0][1].interval_pairs
+            if len(sources) == 1 and (0, begin) in out_names and (0, end) in out_names
         ]
         return types, pairs
 

@@ -210,8 +210,6 @@ def _compile_binary(
                 return Unknown
             return verdict == 0
         return eq_closure
-    if op in ("<>", "<", "<=", ">", ">="):
-        return lambda env: _apply_binary(op, left_c(env), right_c(env))
     return lambda env: _apply_binary(op, left_c(env), right_c(env))
 
 
@@ -441,8 +439,8 @@ def _compile_g_aggregate(
     def aggregate_closure(group: list, base: Env) -> Any:
         if catalog.has_routine(name):
             return row_c(group[0] or base)
-        if star:
-            return fn.evaluate_aggregate(name, [None] * group[1], star=True)
+        if star:  # COUNT(*), the one star call the parser makes
+            return group[1]
         values = group[slot]
         if values.__class__ is not list:
             raise values

@@ -16,7 +16,7 @@ from typing import Optional
 
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine import types as sqltypes
-from repro.sqlengine.errors import ParseError
+from repro.sqlengine.errors import ParseError, StarArgumentError
 from repro.sqlengine.lexer import tokenize
 from repro.sqlengine.tokens import Token, TokenKind
 from repro.sqlengine.values import Date, Null
@@ -1227,6 +1227,8 @@ class Parser:
         if self.peek().matches(TokenKind.PUNCT, "("):
             self.advance()
             if self.peek().matches(TokenKind.OPERATOR, "*"):
+                if name.upper() != "COUNT":
+                    raise StarArgumentError(f"{name}(*): only COUNT takes *")
                 self.advance()
                 self.expect_punct(")")
                 return ast.FunctionCall(name=name, args=[], star=True)

@@ -57,6 +57,20 @@ def _narrow_caller(caller: list, lo: Any, hi: Any, point: int) -> None:
         caller[1] = hi
 
 
+def _periods(executor: Executor, env: Env, split: ast.PeriodSplit, rows: list) -> list:
+    """The periods a PERST per-period loop runs (:class:`ast.PeriodSplit`),
+    counted in the registry."""
+    obs = executor.db.obs
+    if split.unmerged is not None:
+        obs.inc("stratum.perst.loop.unmerged." + split.unmerged)
+    else:
+        rows = split.merge(rows, [
+            executor.execute_select(select, env).rows for select in split.split_at
+        ])
+    obs.inc("stratum.perst.loop.periods", len(rows))
+    return rows
+
+
 def _coercion(type_: Any) -> Callable[[Any], Any]:
     """``coerce(value, type_)`` as a closure that settles the usual
     assignment — NULL, or a value already of the declared class — before
@@ -923,9 +937,12 @@ class _Compiler:
             frame = env.frame
             frame.scope = scope
             result = executor.execute_select(select, env)
+            rows = result.rows
+            if stmt.split is not None:
+                rows = _periods(executor, env, stmt.split, rows)
             slots = frame.slots
             slots[record] = {name.lower(): i for i, name in enumerate(result.columns)}
-            for row in result.rows:
+            for row in rows:
                 slots[record + 1] = list(row)
                 signal = block(env)
                 if signal is not None and signal is not iterate:

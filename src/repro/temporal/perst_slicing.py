@@ -25,6 +25,9 @@ operates *on temporal tables*:
   (:func:`repro.temporal.pointwise.add_point_conditions`); the shapes it
   cannot stamp correctly (an early RETURN, a result set, a variable
   whose stamped rows would go stale or repeat) are refused;
+* each loop runs once per run of constant periods in which nothing its
+  body reads changes (:meth:`PerstTransformer._period_split`; beyond
+  the paper's PERST);
 * the non-nested-FETCH pattern (q17b) is rejected up front
   (:func:`repro.temporal.analysis.check_perst_applicable`).
 """
@@ -71,6 +74,16 @@ RESULT_COLUMN = "taupsm_result"
 RETURN_TABLE = "ps_return_tb"
 CP_LOOP_VAR = "taupsm_cp"
 ONCE_LABEL = "taupsm_once"
+# why a per-period loop keeps every constant period, the first that holds
+UNMERGED_REASONS = ("effect", "base_read", "ps_call", "seq_refused")
+# statements of a per-period loop's body that act on the body alone (reads,
+# control flow, declarations); writes are judged one by one, the rest effects
+_POINT_SAFE = (
+    ast.Select, ast.Compound, ast.DeclareVariable, ast.DeclareCursor,
+    ast.DeclareHandler, ast.IfStatement, ast.CaseStatement, ast.WhileStatement,
+    ast.RepeatStatement, ast.LoopStatement, ast.ForStatement, ast.LeaveStatement,
+    ast.IterateStatement, ast.SignalStatement, ast.OpenCursor, ast.CloseCursor,
+)
 DATE_TYPE = SqlType("DATE")
 
 
@@ -652,12 +665,15 @@ class PerstTransformer:
         select: ast.Select,
         ctx: "_Context",
         keep_items: Optional[list[int]] = None,
+        bounds: bool = False,
     ) -> Optional[ast.Select]:
         """Transform an SPJ select into its sequenced equivalent, or None.
 
         The result carries two extra columns, ``begin_time`` and
         ``end_time``: the intersection of the validity periods of every
-        temporal source and the evaluation period (Figure 11).
+        temporal source and the evaluation period (Figure 11).  With
+        ``bounds`` its only columns are each temporal source's period,
+        unclipped: every bound of a row's period is among them.
         """
         if (
             select.set_op is not None
@@ -725,11 +741,21 @@ class PerstTransformer:
         if replaced is None:
             return None
         if not sources:
+            if bounds:
+                return None
             # no temporal source at all: constant over the whole period
             select.items = _filter_items(select.items, keep_items) + [
                 ast.SelectItem(expr=ctx.lo_copy(), alias="begin_time"),
                 ast.SelectItem(expr=ctx.hi_copy(), alias="end_time"),
             ]
+            return select
+        add_condition(
+            select,
+            and_all(pairwise_overlap(sources + [(ctx.lo_copy(), ctx.hi_copy())])),
+        )
+        if bounds:
+            select.items = [ast.SelectItem(expr=clone(e)) for pair in sources for e in pair]
+            select.order_by = []
             return select
         begins = [b for b, _ in sources] + [ctx.lo_copy()]
         ends = [e for _, e in sources] + [ctx.hi_copy()]
@@ -743,10 +769,6 @@ class PerstTransformer:
                 alias="end_time",
             ),
         ]
-        add_condition(
-            select,
-            and_all(pairwise_overlap(sources + [(ctx.lo_copy(), ctx.hi_copy())])),
-        )
         return select
 
     def _collect_tv_names(self, select: ast.Select, ctx: "_Context") -> list[str]:
@@ -854,9 +876,8 @@ class PerstTransformer:
         """
         if isinstance(stmt, (ast.IfStatement, ast.CaseStatement, ast.ForStatement)):
             self._check_stamped_assignments(stmt, ctx)
-        point = name(CP_LOOP_VAR, "begin_time")
-        period_end = name(CP_LOOP_VAR, "end_time")
-        return [self._cp_loop(ctx, self._at_point(stmt, ctx, point, period_end))]
+        body = self._at_point(stmt, ctx, *_stamp())
+        return [self._cp_loop(ctx, body, self._period_split(ctx, body))]
 
     def _check_stamped_assignments(self, stmt: ast.Statement, ctx: "_Context") -> None:
         """The loop stamps what an IF / CASE / FOR assigns a time-varying
@@ -885,23 +906,70 @@ class PerstTransformer:
             self.cp_requirements[cp_table] = sorted(tables)
         return cp_table
 
-    def _cp_loop(self, ctx: "_Context", body: list[ast.Statement]) -> ast.ForStatement:
-        """``FOR taupsm_cp AS`` the routine's constant periods that begin
-        in the evaluation period ``DO body``."""
-        cp_table = self.require_cp_table(ctx.routine_name, sorted(ctx.routine_tables))
-        loop_select = ast.Select(
-            items=[
-                ast.SelectItem(expr=name(None, "begin_time")),
-                ast.SelectItem(expr=name(None, "end_time")),
-            ],
-            from_items=[ast.TableRef(name=cp_table)],
-            where=ast.BinaryOp(
-                op="AND",
-                left=cmp(">=", name(None, "begin_time"), ctx.lo_copy()),
-                right=cmp("<", name(None, "begin_time"), ctx.hi_copy()),
-            ),
+    def _period_split(
+        self,
+        ctx: "_Context",
+        statements: list,
+        cursors: list[tuple[str, Union[ast.Select, str]]] = (),
+    ) -> ast.PeriodSplit:
+        """Where the loop over ``statements`` (its body but the aux
+        tables) splits its periods: where a row of a variable table it
+        reads, or of a cursor's bounds (:meth:`_cursor_bounds`), begins
+        or ends.  A write but a stamped insert into a variable or return
+        table or to a variable it declares, any other statement not in
+        :data:`_POINT_SAFE`, a temporal base table or a ``ps_`` call
+        read at the point, or a cursor without bounds keeps them all."""
+        declared = _declared(statements)
+        stamped_into = ctx.tv_vars | ctx.tv_tables | {RETURN_TABLE}
+        ps_names = {target.lower() for target in ctx.rename_map.values()}
+        reasons = {seq for _, seq in cursors if isinstance(seq, str)}
+        read: list[str] = []
+        for node in ast.walk(statements):
+            if isinstance(node, (ast.Insert, ast.Update, ast.Delete)):
+                if node.table.lower() not in declared and not (
+                    isinstance(node, ast.Insert)
+                    and node.table.lower() in stamped_into
+                    and _stamped(node)
+                ):
+                    reasons.add("effect")
+            elif isinstance(node, (ast.SetStatement, ast.SelectInto, ast.FetchCursor)):
+                if not {target.lower() for target in node.targets} <= declared:
+                    reasons.add("effect")
+            elif isinstance(node, ast.Statement) and not isinstance(node, _POINT_SAFE):
+                reasons.add("effect")
+            elif isinstance(node, ast.FunctionCall):
+                key = node.name.lower()
+                if key in ps_names:
+                    reasons.add("ps_call")
+                elif self.catalog.has_routine(key) and not self.catalog.write_free(key):
+                    reasons.add("effect")
+            elif isinstance(node, ast.TableRef):
+                key = node.name.lower()
+                if key in stamped_into:
+                    read += [key] if key not in read else []
+                elif self.registry.is_temporal(key) or self.catalog.has_view(key):
+                    reasons.add("base_read")
+        for reason in UNMERGED_REASONS:
+            if reason in reasons:
+                return ast.PeriodSplit(unmerged=reason)
+        return ast.PeriodSplit(
+            split_at=[_periods_of(table) for table in read]
+            + [seq for _, seq in cursors],
+            sources=read + [f"cursor {cursor}" for cursor, _ in cursors],
         )
-        return ast.ForStatement(loop_var=CP_LOOP_VAR, select=loop_select, body=body)
+
+    def _cp_loop(
+        self, ctx: "_Context", body: list[ast.Statement], split: ast.PeriodSplit
+    ) -> ast.ForStatement:
+        """``FOR taupsm_cp AS`` the routine's constant periods that begin
+        in the evaluation period, merged as ``split`` allows, ``DO body``."""
+        cp_table = self.require_cp_table(ctx.routine_name, sorted(ctx.routine_tables))
+        loop_select = _periods_of(cp_table, ast.BinaryOp(
+            op="AND",
+            left=cmp(">=", name(None, "begin_time"), ctx.lo_copy()),
+            right=cmp("<", name(None, "begin_time"), ctx.hi_copy()),
+        ))
+        return ast.ForStatement(CP_LOOP_VAR, loop_select, body, split=split)
 
     def _at_point(
         self,
@@ -1040,24 +1108,63 @@ class PerstTransformer:
         )
         return node
 
+    def _cursor_bounds(
+        self, select: ast.Select, ctx: "_Context", variables: set[str]
+    ) -> Union[ast.Select, str]:
+        """The sequenced bounds of a per-period cursor's query (its rows
+        change only where a version they are made of begins or ends, so
+        ORDER BY ties keep the versions' order), or why it has none: a
+        routine that writes (``effect``) or reads temporal data
+        (``ps_call``); a temporal read outside its top-level FROM, a
+        view, a body variable (read before the body declares it) or a
+        shape :meth:`seq_select` refuses (``seq_refused``)."""
+        nodes = list(ast.walk(select))
+        calls = [node.name.lower() for node in nodes if isinstance(node, ast.FunctionCall)]
+        calls = [call for call in calls if self.catalog.has_routine(call)]
+        if not all(self.catalog.write_free(call) for call in calls):
+            return "effect"
+        if any(analysis.reads_temporal(c, self.catalog, self.registry) for c in calls):
+            return "ps_call"
+        tables = [node.name.lower() for node in nodes if isinstance(node, ast.TableRef)]
+        top = [table for table, _ in from_table_aliases(select)]
+
+        def temporal(table: str) -> bool:
+            return self.registry.is_temporal(table) or table in ctx.tv_tables | ctx.tv_vars
+
+        if (
+            sum(map(temporal, tables)) > sum(map(temporal, top))
+            or any(map(self.catalog.has_view, tables))
+            or any(
+                isinstance(node, ast.Name) and node.qualifier is None
+                and node.name.lower() in variables for node in nodes
+            )
+        ):
+            return "seq_refused"
+        return self.seq_select(clone(select), ctx, bounds=True) or "seq_refused"
+
     def _transform_cursor_body(
         self, body: ast.Compound, ctx: "_Context"
     ) -> ast.Compound:
-        """Evaluate the whole body once per constant period.
+        """Evaluate the whole body once per constant period (merged where
+        nothing it reads changes, :meth:`_period_split`).
 
         The cursor's query is materialized into an auxiliary temporary
         table for each period (the write traffic the paper blames for
         q7/q7b's PERST cost), the cursor re-pointed at it, everything
         else point-evaluated, and outputs stamped with the period.
         """
-        point = name(CP_LOOP_VAR, "begin_time")
-        period_end = name(CP_LOOP_VAR, "end_time")
+        point, period_end = _stamp()
         declarations: list[ast.PsmStatement] = []
         statements: list[ast.Statement] = []
+        cursors: list[tuple[str, Union[ast.Select, str]]] = []
+        variables = _declared(body.declarations)
         for decl in body.declarations:
             if isinstance(decl, ast.DeclareCursor) and self._is_temporal(
                 decl.select, set(), set()
             ):
+                cursors.append(
+                    (decl.name, self._cursor_bounds(decl.select, ctx, variables))
+                )
                 aux_name = f"taupsm_aux_{decl.name}"
                 statements.append(
                     ast.CreateTable(
@@ -1081,9 +1188,10 @@ class PerstTransformer:
             body=body.statements + [ast.LeaveStatement(label=ONCE_LABEL)],
             label=ONCE_LABEL,
         )
-        statements += self._at_point(block, ctx, point, period_end, once=True)
-        per_period = ast.Compound(declarations=declarations, statements=statements)
-        result = ast.Compound(statements=[self._cp_loop(ctx, [per_period])])
+        evaluated = self._at_point(block, ctx, point, period_end, once=True)
+        split = self._period_split(ctx, declarations + evaluated, cursors)
+        per_period = ast.Compound(declarations, statements + evaluated)
+        result = ast.Compound(statements=[self._cp_loop(ctx, [per_period], split)])
         if ctx.return_type is not None:
             result.declarations.append(self._return_table_declaration(ctx))
             result.statements.append(ast.ReturnStatement(value=name(None, RETURN_TABLE)))
@@ -1149,6 +1257,12 @@ def _assignments(node: ast.Node) -> Counter:
     return counts
 
 
+def _declared(nodes: list) -> set[str]:
+    """The (lower-cased) variables DECLAREd under ``nodes``."""
+    declares = [node for node in ast.walk(nodes) if isinstance(node, ast.DeclareVariable)]
+    return {var.lower() for node in declares for var in node.names}
+
+
 def _time_varying_targets(
     stmt: Union[ast.SetStatement, ast.SelectInto], ctx: _Context
 ) -> bool:
@@ -1178,6 +1292,27 @@ def _row_select(
             f"{ctx.routine_name}: row SET requires a row subquery"
         )
     return inner.select
+
+
+def _stamp() -> tuple[ast.Name, ast.Name]:
+    """The point and the period end of a per-period loop's period."""
+    return name(CP_LOOP_VAR, "begin_time"), name(CP_LOOP_VAR, "end_time")
+
+
+def _stamped(insert: ast.Insert) -> bool:
+    """Does every row ``insert`` writes end with the loop's period?"""
+    if insert.select is not None:
+        return [item.expr for item in insert.select.items[-2:]] == list(_stamp())
+    return all(row[-2:] == list(_stamp()) for row in insert.values)
+
+
+def _periods_of(table: str, where: Optional[ast.Expression] = None) -> ast.Select:
+    """``SELECT begin_time, end_time FROM table [WHERE where]``."""
+    return ast.Select(
+        items=[ast.SelectItem(expr=name(None, c)) for c in ("begin_time", "end_time")],
+        from_items=[ast.TableRef(name=table)],
+        where=where,
+    )
 
 
 def _point_plus_one(point: ast.Expression) -> ast.Expression:

@@ -98,11 +98,11 @@ def test_max_select_hits_plan_cache_across_executions():
 )
 def test_second_pass_of_the_templates_builds_nothing(strategy):
     """DS1-SMALL: after one pass of the τPSM templates, a second pass
-    transforms nothing and plans only what ``engine.plan_invalidated``
-    counts (PERST q17's CTAS re-infers its auxiliary table's column types
-    per period).  Each template's clone installation moves the schema
-    version, which used to evict every other template's transform and
-    plans."""
+    transforms and plans nothing.  Each template's clone installation
+    moves the schema version, which used to evict every other template's
+    transform and plans; PERST q14's and q17's auxiliary tables, built
+    over a join, re-inferred their column types from each period's rows
+    (none in some periods), which re-planned every read of them."""
     dataset = build_dataset("DS1", "SMALL")
     queries = [
         query for query in ALL_QUERIES
@@ -122,4 +122,5 @@ def test_second_pass_of_the_templates_builds_nothing(strategy):
     for sql in texts:
         stratum.execute(sql, strategy)
     assert value("stratum.transforms") == before[0]
-    assert value("engine.plans_compiled") - before[1] == value("engine.plan_invalidated") - before[2]
+    assert value("engine.plans_compiled") == before[1]
+    assert value("engine.plan_invalidated") == before[2]

@@ -113,8 +113,141 @@ BEGIN
   RETURN n;
 END
 """
+# PERST's per-period loops: each body below runs point-wise over the
+# constant periods, merged where nothing it reads changes.  The IF reads
+# a variable set from an aggregate (its table has a row, NULL or not, in
+# every period) or from a plain subquery (no row where ``eid`` has no
+# fact: the ELSE branch runs over NULL)
+BAND_OF = """
+CREATE FUNCTION band_of (eid CHAR(4))
+RETURNS CHAR(4)
+READS SQL DATA
+LANGUAGE SQL
+BEGIN
+  DECLARE v INTEGER;
+  DECLARE b CHAR(4);
+  SET v = (SELECT MAX(val) FROM fact WHERE entity = eid);
+  IF v > 1 THEN
+    SET b = 'high';
+  ELSE
+    SET b = 'low';
+  END IF;
+  RETURN b;
+END
+"""
+GAP_BAND_OF = BAND_OF.replace("band_of", "gap_band_of").replace(
+    "SELECT MAX(val) FROM fact", "SELECT val FROM fact"
+)
+# a cursor over a join whose ORDER BY ties: which tag comes first is the
+# order the rows are read in
+FIRST_TAG = """
+CREATE FUNCTION first_tag (eid CHAR(4))
+RETURNS CHAR(4)
+READS SQL DATA
+LANGUAGE SQL
+BEGIN
+  DECLARE t CHAR(4);
+  DECLARE done INTEGER DEFAULT 0;
+  DECLARE c CURSOR FOR
+    SELECT d.tag FROM fact f, dim d
+    WHERE f.entity = d.entity AND f.entity = eid
+    ORDER BY f.val;
+  DECLARE CONTINUE HANDLER FOR NOT FOUND SET done = 1;
+  OPEN c;
+  FETCH c INTO t;
+  CLOSE c;
+  IF done = 1 THEN
+    SET t = 'none';
+  END IF;
+  RETURN t;
+END
+"""
+# the IF reads ``fact`` at the point: every constant period runs
+MANY_OF = """
+CREATE FUNCTION many_of (eid CHAR(4))
+RETURNS CHAR(4)
+READS SQL DATA
+LANGUAGE SQL
+BEGIN
+  DECLARE b CHAR(4);
+  IF (SELECT COUNT(*) FROM fact WHERE entity = eid) > 1 THEN
+    SET b = 'many';
+  ELSE
+    SET b = 'few';
+  END IF;
+  RETURN b;
+END
+"""
+# the IF also writes a row per period it runs in, a counter over periods
+# the result never reads: every constant period runs
+COUNTED_BAND_OF = """
+CREATE FUNCTION counted_band_of (eid CHAR(4))
+RETURNS CHAR(4)
+READS SQL DATA
+LANGUAGE SQL
+BEGIN
+  DECLARE v INTEGER;
+  DECLARE b CHAR(4);
+  CREATE TEMPORARY TABLE seen (n INTEGER);
+  SET v = (SELECT MAX(val) FROM fact WHERE entity = eid);
+  IF v > 1 THEN
+    SET b = 'high';
+    INSERT INTO seen VALUES (1);
+  ELSE
+    SET b = 'low';
+  END IF;
+  DROP TABLE seen;
+  RETURN b;
+END
+"""
+# cursors that read ``fact`` through a subquery, in the select list or
+# in the ORDER BY: their rows change where ``fact`` does, though
+# their FROM holds ``dim`` alone
+FIRST_VAL = """
+CREATE FUNCTION first_val (eid CHAR(4))
+RETURNS INTEGER
+READS SQL DATA
+LANGUAGE SQL
+BEGIN
+  DECLARE v INTEGER;
+  DECLARE c CURSOR FOR
+    SELECT CASE WHEN EXISTS (SELECT * FROM fact f
+      WHERE f.entity = d.entity AND f.val > 1) THEN 1 ELSE 0 END
+    FROM dim d WHERE d.entity = eid;
+  DECLARE CONTINUE HANDLER FOR NOT FOUND SET v = -1;
+  OPEN c;
+  FETCH c INTO v;
+  CLOSE c;
+  RETURN v;
+END
+"""
+TOP_ENTITY = """
+CREATE FUNCTION top_entity (eid CHAR(4))
+RETURNS CHAR(8)
+READS SQL DATA
+LANGUAGE SQL
+BEGIN
+  DECLARE e CHAR(8);
+  DECLARE c CURSOR FOR
+    SELECT d.entity FROM dim d WHERE d.entity IS NOT NULL
+    ORDER BY (SELECT MAX(f.val) FROM fact f WHERE f.entity = d.entity) DESC,
+      d.entity;
+  DECLARE CONTINUE HANDLER FOR NOT FOUND SET e = eid;
+  OPEN c;
+  FETCH c INTO e;
+  CLOSE c;
+  RETURN e;
+END
+"""
 # parsed once: a stored definition is never mutated
-ROUTINES = [parse_statement(sql) for sql in (VALUE_OF, TAGS_OF, TAGS, EACH_TAGS, TOPS)]
+ROUTINES = [
+    parse_statement(sql)
+    for sql in (
+        VALUE_OF, TAGS_OF, TAGS, EACH_TAGS, TOPS,
+        BAND_OF, GAP_BAND_OF, FIRST_TAG, MANY_OF, COUNTED_BAND_OF,
+        FIRST_VAL, TOP_ENTITY,
+    )
+]
 LABELS = [[0, "zero"], [1, "one"], [1, "uno"], [Null, "none"]]
 
 
@@ -210,6 +343,13 @@ FAMILIES = {
     "call": "CALL tags('e1')",
     "call-in-cursor": "CALL each_tags()",
     "insert-select-in-routine": "SELECT f.entity, tops(f.entity) AS n FROM fact f",
+    "loop-variable": "SELECT d.entity, band_of(d.entity) AS b FROM dim d",
+    "loop-variable-gap": "SELECT gap_band_of('e1') AS b",
+    "loop-cursor-ties": "SELECT d.entity, first_tag(d.entity) AS t FROM dim d",
+    "loop-cursor-subquery": "SELECT d.entity, first_val(d.entity) AS v FROM dim d",
+    "loop-cursor-order-subquery": "SELECT top_entity('none') AS e",
+    "loop-base-read": "SELECT d.entity, many_of(d.entity) AS b FROM dim d",
+    "loop-effect": "SELECT d.entity, counted_band_of(d.entity) AS b FROM dim d",
     "insert": "INSERT INTO fact (entity, val) SELECT name, val FROM label WHERE val > 0",
     "update": "UPDATE fact SET val = val + 1 WHERE val IN (SELECT val FROM label)",
     "delete": "DELETE FROM fact WHERE entity IN (SELECT name FROM label) OR val > 2",

@@ -549,7 +549,23 @@ class ReferenceInterpreter:
         label = (stmt.label or "").lower()
         result = self.executor.execute_select(stmt.select, Env(frame=frame))
         colmap = {name.lower(): i for i, name in enumerate(result.columns)}
-        for row in result.rows:
+        rows, split = result.rows, stmt.split
+        if split is not None and split.unmerged is None:
+            # PERST's merged periods, worked out here rather than by
+            # PeriodSplit.merge: a period extends the one it meets unless
+            # a cell of a split row holds the meeting point
+            cells = set()
+            for select in split.split_at:
+                for cut in self.executor.execute_select(select, Env(frame=frame)).rows:
+                    cells.update(cut)
+            merged: list = []
+            for begin, end in sorted(rows, key=lambda row: row[0]):
+                if merged and merged[-1][1] == begin and begin not in cells:
+                    merged[-1] = (merged[-1][0], end)
+                else:
+                    merged.append((begin, end))
+            rows = merged
+        for row in rows:
             frame.push_scope()
             frame.declare_record(stmt.loop_var, colmap, list(row))
             try:

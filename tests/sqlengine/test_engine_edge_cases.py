@@ -377,3 +377,35 @@ class TestCrossClassEquality:
             xdb.query("SELECT t.n FROM t, u WHERE t.c = u.k")
         # t's two rows, then u bound once under the first of them
         assert xdb.obs.value("engine.rows_scanned") - before == 4
+
+
+class TestStarArguments:
+    """``COUNT(*)`` is SQL's one ``(*)`` argument list.  Every other
+    ``f(*)`` parsed as a star call: on a one-row table ``SUM(*)`` raised a
+    Python ``TypeError`` and ``MAX(*)`` returned a Python ``None`` cell.
+    Now each is a typed syntax error (SQLSTATE 42601), on the engine and
+    on the reference executor alike; ``COUNT(*)`` still counts rows."""
+
+    @pytest.fixture
+    def one_row(self):
+        db = Database()
+        db.execute("CREATE TABLE t (n INTEGER, c CHAR(4))")
+        db.execute("INSERT INTO t VALUES (1, 'a')")
+        return db
+
+    @pytest.mark.parametrize("reference", [False, True], ids=["engine", "reference"])
+    @pytest.mark.parametrize("call", [
+        "SUM(*)", "AVG(*)", "MIN(*)", "MAX(*)", "UPPER(*)", "sum(*)",
+    ])
+    def test_only_count_takes_a_star(self, one_row, call, reference):
+        from contextlib import nullcontext
+
+        from repro.sqlengine.errors import StarArgumentError
+        from tests.reference_executor import installed
+
+        with installed(one_row) if reference else nullcontext():
+            with pytest.raises(StarArgumentError) as raised:
+                one_row.query(f"SELECT {call} FROM t")
+            assert one_row.query("SELECT COUNT(*), count(*) FROM t").rows == [[1, 1]]
+        assert raised.value.sqlstate == "42601"
+        assert isinstance(raised.value, SqlError)

@@ -51,17 +51,17 @@ PINNED = {
     ),
     "q6": Pin(
         "12c5e7cb153fc2cf", (("max_price_category", 1),),
-        "4698a6a80fe824b9", (("ps_price_category", None),),
+        "d5fe7566a8f1b46c", (("ps_price_category", None),),
         {"taupsm_cp_price_category": ["item"]}, "default",
     ),
     "q7": Pin(
         "d5888b97e64b6ffa", (("max_count_cheap_items", 1),),
-        "8d6862a707ef6fca", (("ps_count_cheap_items", None),),
+        "88059e16880aebcf", (("ps_count_cheap_items", None),),
         {"taupsm_cp_count_cheap_items": ["item", "item_publisher"]}, "default",
     ),
     "q7b": Pin(
         "fbbe29a997c01611", (("max_count_subject_pages", 1),),
-        "6f7449b0df803a98", (("ps_count_subject_pages", None),),
+        "25b37bff09435fb9", (("ps_count_subject_pages", None),),
         {"taupsm_cp_count_subject_pages": ["item"]}, "default",
     ),
     "q8": Pin(
@@ -80,7 +80,7 @@ PINNED = {
     ),
     "q10": Pin(
         "62d7ff2155d477e5", (("max_price_flag", 1),),
-        "8d1a27cf3f20fa46", (("ps_price_flag", None),),
+        "7bc3b5592350985c", (("ps_price_flag", None),),
         {"taupsm_cp_price_flag": ["item"]}, "default",
     ),
     "q11": Pin(
@@ -89,12 +89,12 @@ PINNED = {
     ),
     "q14": Pin(
         "b769a6991e0e70e5", (("max_priciest_title", 1),),
-        "0da5dc11c684c52a", (("ps_priciest_title", None),),
+        "cfb0551b11906cca", (("ps_priciest_title", None),),
         {"taupsm_cp_priciest_title": ["item", "item_publisher"]}, "default",
     ),
     "q17": Pin(
         "a239a3bd2767c415", (("max_find_subject_item", 2),),
-        "64a9f104f3b3d496", (("ps_find_subject_item", None),),
+        "fa028d3763b1fda0", (("ps_find_subject_item", None),),
         {"taupsm_cp_find_subject_item": ["item", "item_author"]}, "default",
     ),
     "q17b": Pin(
