@@ -95,8 +95,9 @@ def describe_plan(plan: Any, depth: int = 0, since: Optional[dict] = None) -> li
             f" [hash: {' AND '.join(key)}]" if key else " [nested: no equi-key]"
             for key in plan.keys
         )
+        filters = f" filters: {plan.filters}" if plan.filters else ""
         lines = [
-            pad + f"IntervalJoin ({len(plan.inputs)} inputs){levels}"
+            pad + f"IntervalJoin ({len(plan.inputs)} inputs){levels}{filters}"
             f" residual: {plan.residual_conjuncts}"
             + (" [distinct per period]" if plan.distinct else "")
         ]
@@ -110,12 +111,7 @@ def describe_plan(plan: Any, depth: int = 0, since: Optional[dict] = None) -> li
             head = f"TemporalAlign {plan.name}{alias} ({begin_column}/{end_column})"
         else:
             head = f"TemporalAlign {plan.name}{alias} (non-temporal: every period)"
-        note = (
-            f" (vectorized filter: {plan.kernel_count} kernels)"
-            if plan.kernel_count
-            else ""
-        )
-        return [pad + head + note]
+        return [pad + head + (f" filters: {plan.filters}" if plan.filters else "")]
     return [pad + type(plan).__name__]
 
 

@@ -818,8 +818,8 @@ def _infer_column_type(rows: list[list[Any]], index: int) -> SqlType:
 
     Inferring from the first value alone would declare too narrow a type
     when later rows widen (int → float, longer strings) — and the
-    declared type is trusted: the planner's typed filters and SEQ-SET's
-    batch kernels compare a column by its declared value class, and
+    declared type is trusted: the planner's typed filters (SEQ-SET's
+    too) compare a column by its declared value class, and
     ``planner._Scan.validate`` keeps a plan while the declared types
     stay the same.  Numeric kinds unify upward
     (bool → int → float); anything heterogeneous beyond that keeps the

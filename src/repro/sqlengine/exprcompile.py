@@ -25,8 +25,7 @@ parser accepts) is an ``ExecutionError`` at compile time.
 
 from __future__ import annotations
 
-from operator import attrgetter
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine import functions as fn
@@ -34,7 +33,6 @@ from repro.sqlengine.errors import (
     CardinalityError,
     CatalogError,
     ExecutionError,
-    SqlError,
 )
 from repro.sqlengine.executor import (
     Env,
@@ -43,10 +41,8 @@ from repro.sqlengine.executor import (
     _like_regex,
     _negate,
 )
-from repro.sqlengine.storage import _column_kind
 from repro.sqlengine.types import coerce
 from repro.sqlengine.values import (
-    Date,
     Null,
     Unknown,
     compare,
@@ -447,301 +443,3 @@ def _compile_g_aggregate(
         return fn.evaluate_aggregate(name, values, distinct=distinct)
 
     return aggregate_closure
-
-
-# ---------------------------------------------------------------------------
-# batch WHERE kernels over rows
-# ---------------------------------------------------------------------------
-#
-# A *batch kernel* evaluates one single-table WHERE conjunct over
-# candidate positions of ``table.rows`` and keeps exactly those where it
-# is **True** (False and Unknown drop: SQL's WHERE rule), so ANDing
-# conjuncts is sequential filtering.  SEQ-SET's TemporalAlign applies
-# them once over a table's aligned candidates.  Only shapes whose
-# semantics are provably those of the row-at-a-time closures compile:
-# ``col <op> const`` (either side), ``col [NOT] BETWEEN const AND const``,
-# ``col IS [NOT] NULL`` and ``col [NOT] IN (const, ...)``, where *const*
-# is a side-effect-free literal expression, re-read per apply (the
-# stratum's mutable placeholder Literals).  A kernel reads a cell through
-# its column's declared kind (``storage._column_kind``), trusting it as
-# the planner's typed filters do, and orders it as ``compare`` does.  It
-# *declines* — the caller evaluates row at a time, whose results *and
-# errors* are the specification — when a constant's type does not fit
-# the kind or a constant is NaN, constant evaluation raises an SqlError,
-# or the table no longer has the kinds it was compiled against.  A
-# comparison on an ``obj`` column gets no kernel.
-
-_BATCH_FLIPPED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
-# sentinels for constant-to-kind conversion
-_FALLBACK = object()  # type cannot be compared under this kind
-_KEEP_NONE = object()  # NULL constant: the conjunct is Unknown everywhere
-
-
-class BatchFilter:
-    """The batch kernels for one scanned table's conjuncts, compiled
-    against the table's declared column kinds at ``stamp``."""
-
-    __slots__ = ("kernels", "stamp", "kinds")
-
-    def __init__(self, table) -> None:
-        self.kernels: list = []
-        self.stamp = table.schema_stamp
-        self.kinds = [_column_kind(column.type) for column in table.columns]
-
-    def add(
-        self, executor: Executor, table, alias: str, conjunct: ast.Expression,
-        from_items: Optional[list],
-    ) -> bool:
-        """Compile a kernel for ``conjunct``; False when it has none."""
-        kernel = _batch_kernel(executor, table, alias, conjunct, from_items, self.kinds)
-        if kernel is not None:
-            self.kernels.append(kernel)
-        return kernel is not None
-
-    def apply(self, table, positions, env: Env) -> Optional[list]:
-        """The candidate ``positions`` (ascending) that pass every kernel,
-        or ``None`` when a kernel declines.  A table under another schema
-        stamp (a snapshot view, a re-declared table) is read only while
-        its column kinds are the compiled ones."""
-        if table.schema_stamp is not self.stamp and self.kinds != [
-            _column_kind(column.type) for column in table.columns
-        ]:
-            return None
-        rows = table.rows
-        try:
-            for kernel in self.kernels:
-                positions = kernel(rows, positions, env)
-                if positions is None:
-                    return None
-                if not positions:
-                    return []
-        except SqlError:
-            return None
-        return list(positions) if not isinstance(positions, list) else positions
-
-
-def _batch_const(expr: ast.Expression) -> Optional[Compiled]:
-    """A closure for a side-effect-free constant expression, else None.
-
-    Literals are re-read per call (mutable placeholder semantics); the
-    only other accepted forms are parentheses and numeric sign unary.
-    """
-    if isinstance(expr, ast.Literal):
-        return lambda env, e=expr: e.value
-    if isinstance(expr, ast.Parenthesized):
-        return _batch_const(expr.expr)
-    if isinstance(expr, ast.UnaryOp) and expr.op != "NOT":
-        inner = _batch_const(expr.operand)
-        if inner is None:
-            return None
-        return lambda env: _negate(inner(env))
-    return None
-
-
-def _kind_const(kind: str, value: Any) -> Any:
-    """A constant in a column kind's comparison domain; ``_KEEP_NONE``
-    for NULL, ``_FALLBACK`` when the row path may raise on it."""
-    if value is Null:
-        return _KEEP_NONE
-    if kind == "int" or kind == "float":
-        if isinstance(value, bool):
-            return int(value)
-        if isinstance(value, (int, float)) and value == value:
-            return value
-        return _FALLBACK  # (a NaN constant too: native comparison with it is False)
-    if kind == "date":
-        if isinstance(value, Date):
-            return value.ordinal
-        return _FALLBACK
-    if isinstance(value, str):
-        return value.rstrip()
-    return _FALLBACK
-
-
-# The loops keep ``p`` where the cell ``rows[p][c]`` passes, NULL tested
-# inline: an inline comparison beats an ``operator`` call per row.
-# ``not v <= k`` is ``v > k`` but for a NaN, which ``compare`` puts above
-# every number.  Per kind: ``(op -> comparison loop, (BETWEEN, NOT
-# BETWEEN), (IN, NOT IN))``.
-_NUMBER_LOOPS = (
-    {
-        "=": lambda rows, ps, c, k: [p for p in ps if (v := rows[p][c]) is not Null and v == k],
-        "<>": lambda rows, ps, c, k: [p for p in ps if (v := rows[p][c]) is not Null and v != k],
-        "<": lambda rows, ps, c, k: [p for p in ps if (v := rows[p][c]) is not Null and v < k],
-        "<=": lambda rows, ps, c, k: [p for p in ps if (v := rows[p][c]) is not Null and v <= k],
-        ">": lambda rows, ps, c, k: [
-            p for p in ps if (v := rows[p][c]) is not Null and not v <= k],
-        ">=": lambda rows, ps, c, k: [
-            p for p in ps if (v := rows[p][c]) is not Null and not v < k],
-    },
-    (
-        lambda rows, ps, c, lo, hi: [
-            p for p in ps if (v := rows[p][c]) is not Null and lo <= v <= hi],
-        lambda rows, ps, c, lo, hi: [
-            p for p in ps if (v := rows[p][c]) is not Null and not lo <= v <= hi],
-    ),
-    (
-        lambda rows, ps, c, ks: [p for p in ps if (v := rows[p][c]) is not Null and v in ks],
-        lambda rows, ps, c, ks: [p for p in ps if (v := rows[p][c]) is not Null and v not in ks],
-    ),
-)
-
-
-def _read_loops(read: Callable[[Any], Any]) -> tuple:
-    """The loops of a kind whose cells compare as ``read(cell)``."""
-    return (
-        {
-            "=": lambda rows, ps, c, k: [
-                p for p in ps if (v := rows[p][c]) is not Null and read(v) == k],
-            "<>": lambda rows, ps, c, k: [
-                p for p in ps if (v := rows[p][c]) is not Null and read(v) != k],
-            "<": lambda rows, ps, c, k: [
-                p for p in ps if (v := rows[p][c]) is not Null and read(v) < k],
-            "<=": lambda rows, ps, c, k: [
-                p for p in ps if (v := rows[p][c]) is not Null and read(v) <= k],
-            ">": lambda rows, ps, c, k: [
-                p for p in ps if (v := rows[p][c]) is not Null and read(v) > k],
-            ">=": lambda rows, ps, c, k: [
-                p for p in ps if (v := rows[p][c]) is not Null and read(v) >= k],
-        },
-        (
-            lambda rows, ps, c, lo, hi: [
-                p for p in ps if (v := rows[p][c]) is not Null and lo <= read(v) <= hi],
-            lambda rows, ps, c, lo, hi: [
-                p for p in ps if (v := rows[p][c]) is not Null and not lo <= read(v) <= hi],
-        ),
-        (
-            lambda rows, ps, c, ks: [
-                p for p in ps if (v := rows[p][c]) is not Null and read(v) in ks],
-            lambda rows, ps, c, ks: [
-                p for p in ps if (v := rows[p][c]) is not Null and read(v) not in ks],
-        ),
-    )
-
-
-_LOOPS = {
-    "int": _NUMBER_LOOPS,
-    "float": _NUMBER_LOOPS,
-    "date": _read_loops(attrgetter("ordinal")),
-    "str": _read_loops(str.rstrip),
-}
-
-
-def _make_compare_kernel(column: int, kind: str, op: str, const_c: Compiled):
-    loop = _LOOPS[kind][0][op]
-
-    def kernel(rows, positions, env: Env):
-        const = _kind_const(kind, const_c(env))
-        if const is _FALLBACK:
-            return None
-        if const is _KEEP_NONE:
-            return []
-        return loop(rows, positions, column, const)
-
-    return kernel
-
-
-def _make_between_kernel(
-    column: int, kind: str, low_c: Compiled, high_c: Compiled, negated: bool
-):
-    compares, (inside, outside), _ = _LOOPS[kind]
-
-    def kernel(rows, positions, env: Env):
-        low = _kind_const(kind, low_c(env))
-        high = _kind_const(kind, high_c(env))
-        if low is _FALLBACK or high is _FALLBACK:
-            return None
-        # ``x BETWEEN a AND b`` is ``x >= a AND x <= b``: a NULL bound
-        # makes its half Unknown, so the predicate is never True, and its
-        # negation is True exactly where the other half is False
-        if low is _KEEP_NONE or high is _KEEP_NONE:
-            if not negated or (low is _KEEP_NONE and high is _KEEP_NONE):
-                return []
-            if low is _KEEP_NONE:
-                return compares[">"](rows, positions, column, high)
-            return compares["<"](rows, positions, column, low)
-        return (outside if negated else inside)(rows, positions, column, low, high)
-
-    return kernel
-
-
-def _make_null_kernel(column: int, negated: bool):
-    def kernel(rows, positions, env: Env):
-        if negated:  # IS NOT NULL
-            return [p for p in positions if rows[p][column] is not Null]
-        return [p for p in positions if rows[p][column] is Null]
-
-    return kernel
-
-
-def _make_in_kernel(column: int, kind: str, item_cs: list, negated: bool):
-    loop = _LOOPS[kind][2][negated]
-
-    def kernel(rows, positions, env: Env):
-        members = set()
-        saw_null = False
-        for item_c in item_cs:
-            const = _kind_const(kind, item_c(env))
-            if const is _KEEP_NONE:
-                saw_null = True
-                continue
-            if const is _FALLBACK:
-                # a type-mismatched candidate raises in the row path
-                # only when no earlier candidate matched — irreducibly
-                # order-dependent, so let the row path handle it
-                return None
-            members.add(const)
-        if negated and saw_null:
-            # NOT IN with a NULL candidate is never True
-            return []
-        return loop(rows, positions, column, members)
-
-    return kernel
-
-
-def _batch_kernel(
-    executor: Executor, table, alias: str, conjunct: ast.Expression,
-    from_items: Optional[list], kinds: list,
-):
-    while isinstance(conjunct, ast.Parenthesized):
-        conjunct = conjunct.expr
-    if isinstance(conjunct, ast.IsNullPredicate):
-        column = executor._column_of(conjunct.expr, table, alias, from_items)
-        if column is None:
-            return None
-        return _make_null_kernel(column, conjunct.negated)
-    if isinstance(conjunct, ast.BinaryOp) and conjunct.op in _BATCH_FLIPPED:
-        op = conjunct.op
-        for lhs, rhs, normalized in (
-            (conjunct.left, conjunct.right, op),
-            (conjunct.right, conjunct.left, _BATCH_FLIPPED[op]),
-        ):
-            column = executor._column_of(lhs, table, alias, from_items)
-            if column is None or kinds[column] == "obj":
-                continue
-            const_c = _batch_const(rhs)
-            if const_c is None:
-                continue
-            return _make_compare_kernel(column, kinds[column], normalized, const_c)
-        return None
-    if isinstance(conjunct, ast.BetweenPredicate):
-        column = executor._column_of(conjunct.expr, table, alias, from_items)
-        if column is None or kinds[column] == "obj":
-            return None
-        low_c = _batch_const(conjunct.low)
-        high_c = _batch_const(conjunct.high)
-        if low_c is None or high_c is None:
-            return None
-        return _make_between_kernel(column, kinds[column], low_c, high_c, conjunct.negated)
-    if isinstance(conjunct, ast.InPredicate):
-        if conjunct.subquery is not None or not conjunct.items:
-            return None
-        column = executor._column_of(conjunct.expr, table, alias, from_items)
-        if column is None or kinds[column] == "obj":
-            return None
-        item_cs = [_batch_const(item) for item in conjunct.items]
-        if any(c is None for c in item_cs):
-            return None
-        return _make_in_kernel(column, kinds[column], item_cs, conjunct.negated)
-    return None

@@ -11,18 +11,19 @@ grouping, a match's rows).
 ``SelectPlan.run`` walks no AST and makes no generator frame.
 
 *Total and partial conjuncts.*  A top-level WHERE conjunct is **total**
-when it is a comparison (``= <> < <= > >=``) between columns of one
-``sort_key`` value class (numeric / character / date, by declared type),
-literals and outer names (routine variables, parent-query bindings)
-whose value, read once per execution, is NULL or of the column's class:
-``compare`` cannot raise on it.  Everything else is **partial**.  A
-total conjunct runs at the first join level where all its columns are
-bound, compiled to its value class; partial conjuncts form the leaf
-residual, in their original order and with the AND chain's short
-circuit.  An outer operand of the wrong class (or one that cannot be
-read) makes its conjunct partial for that execution.  Hence: a statement
-raises iff a partial conjunct raises on a combination that satisfies
-every total conjunct.
+when it is a comparison (``= <> < <= > >=``) or a non-negated
+``BETWEEN`` over columns of one ``sort_key`` value class (numeric /
+character / date, by declared type), literals and outer names (routine
+variables, parent-query bindings) whose value, read once per execution,
+is NULL or of the column's class: ``compare`` cannot raise on it.
+Everything else is **partial**.  A total conjunct runs at the first join
+level where all its columns are bound, compiled to its value class;
+partial conjuncts form the leaf residual, in their original order and
+with the AND chain's short circuit.  An outer operand of the wrong class
+(or one that cannot be read) makes its conjunct partial for that
+execution.  Hence: a statement raises iff a partial conjunct raises on a
+combination that satisfies every total conjunct.  SEQ-SET places the
+same analysis over its aligned sources (:mod:`repro.temporal.seqset`).
 
 *Access paths decide what they can.*  A level is keyed by its first
 total ``col = <bound operand>`` conjunct in WHERE order; total bounds on
@@ -411,48 +412,62 @@ _CLASS_TYPES = {"numeric": (int, float), "character": str, "date": Date}
 _COMPARISONS = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
                 "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 _UNREADABLE = object()  # an outer operand whose lookup raised
+_NONE_DEMOTED: frozenset = frozenset()
 
 
 class _Conjunct:
-    """One top-level WHERE conjunct.  ``left``/``right`` are operand
-    addresses ``(a, b)`` into the run-time row vector — FROM position and
-    column index, or ``(len(sources), slot)`` for a literal or outer name
-    — when the conjunct is a comparison over such operands, else None;
-    ``operands`` their expressions.  ``value_class`` is set when the
-    operands share one value class: what an outer operand (``slot``)
+    """One top-level WHERE conjunct.  ``at`` holds the operand addresses
+    into the run-time row vector — FROM position and column index, or
+    ``(len(sources), slot)`` for a literal or outer name — when the
+    conjunct is a comparison (``left, right``) or a ``BETWEEN`` (``value,
+    low, high``) over such operands, else None; ``operands`` their
+    expressions, ``slots`` the outer ones' slots.  ``value_class`` is
+    set when the operands share one value class: what an outer operand
     must be checked against per execution."""
 
-    __slots__ = ("sql", "closure", "op", "left", "right", "operands",
-                 "value_class", "slot")
+    __slots__ = ("sql", "closure", "op", "at", "operands", "value_class", "slots")
 
     def __init__(self, sql: str, closure: Callable) -> None:
         self.sql = sql
         self.closure = closure
         self.op: Optional[str] = None
-        self.left = self.right = self.operands = self.value_class = self.slot = None
+        self.at = self.operands = self.value_class = None
+        self.slots: tuple = ()
 
     def sides(self) -> tuple:
-        """``(own, other, op, other's expression)`` in both orientations."""
+        """``(own, other, op, other's expression)`` in both orientations
+        of a comparison (none for a ``BETWEEN``)."""
+        if self.op == "BETWEEN":
+            return ()
+        left, right = self.at
         return (
-            (self.left, self.right, self.op, self.operands[1]),
-            (self.right, self.left, _FLIPPED_COMPARISON.get(self.op, self.op),
+            (left, right, self.op, self.operands[1]),
+            (right, left, _FLIPPED_COMPARISON.get(self.op, self.op),
              self.operands[0]),
         )
 
+    def test(self) -> Callable[[list], bool]:
+        """The conjunct as a :func:`_typed_filter` test."""
+        return _typed_filter(self.value_class, self.op, *self.at)
+
 
 @functools.lru_cache(maxsize=4096)
-def _typed_filter(
-    value_class: str, op: str, left_at: tuple, right_at: tuple
-) -> Callable[[list], bool]:
-    """The total conjunct ``left op right``, its operands at the
-    row-vector addresses ``left_at`` / ``right_at``, as a test over the
-    run-time row vector, compiled to its value class: True
-    exactly where :func:`compare` makes the comparison true
+def _typed_filter(value_class: str, op: str, *at: tuple) -> Callable[[list], bool]:
+    """The total conjunct ``left op right`` — or ``value BETWEEN low AND
+    high``, which is ``value >= low AND value <= high`` — its operands at
+    the row-vector addresses ``at``, as a test over the run-time row
+    vector, compiled to its value class: True exactly where
+    :func:`compare` makes the conjunct true
     (``tests/sqlengine/test_typed_filters.py`` holds them to that), so
     NULL rejects the row.  A test depends on nothing but its arguments,
     so plans of one shape share it."""
+    if op == "BETWEEN":
+        value_at, low_at, high_at = at
+        above = _typed_filter(value_class, ">=", value_at, low_at)
+        below = _typed_filter(value_class, "<=", value_at, high_at)
+        return lambda vector: above(vector) and below(vector)
     test = _COMPARISONS[op]
-    (la, lb), (ra, rb) = left_at, right_at
+    (la, lb), (ra, rb) = at
     if value_class == "date":
         def check(vector: list) -> bool:
             left, right = vector[la][lb], vector[ra][rb]
@@ -761,11 +776,11 @@ def _build_pipeline(sources: list, conjuncts: list, demoted: frozenset) -> _Pipe
             level.access = ("IntervalIndexScan", "")
     for i, c in enumerate(conjuncts):
         if total[i] and i not in decided:
-            level = levels[max(depth_of[c.left[0]], depth_of[c.right[0]])]
-            test = _typed_filter(c.value_class, c.op, c.left, c.right)
+            level = levels[max(depth_of[at[0]] for at in c.at)]
+            test = c.test()
             level.filters.append(test)
             if all(at[0] != outer or isinstance(expr, ast.Literal)
-                   for at, expr in zip((c.left, c.right), c.operands)):
+                   for at, expr in zip(c.at, c.operands)):
                 level.free.append(test)
     residual = [c.closure for i, c in enumerate(conjuncts) if not total[i]]
     return _Pipeline(levels, split, residual)
@@ -895,14 +910,18 @@ def _analyze_conjuncts(
         conjuncts.append(conjunct)
         while isinstance(expr, ast.Parenthesized):
             expr = expr.expr
-        if not (isinstance(expr, ast.BinaryOp) and expr.op in _COMPARISONS):
+        if isinstance(expr, ast.BinaryOp) and expr.op in _COMPARISONS:
+            op, operands = expr.op, (expr.left, expr.right)
+        elif isinstance(expr, ast.BetweenPredicate) and not expr.negated:
+            op, operands = "BETWEEN", (expr.expr, expr.low, expr.high)
+        else:
             continue
-        sides = [operand(expr.left), operand(expr.right)]
+        sides = [operand(e) for e in operands]
         columns = [side for side in sides if isinstance(side, tuple)]
         if None in sides or not columns:
             continue
-        conjunct.op = expr.op
-        conjunct.operands = (expr.left, expr.right)
+        conjunct.op = op
+        conjunct.operands = operands
         addresses = []
         for side in sides:
             if not isinstance(side, tuple):
@@ -912,10 +931,10 @@ def _analyze_conjuncts(
                 if shared not in slots:
                     slots[shared] = len(outer_cs)
                     outer_cs.append(compile_expression(executor, side, layout))
-                conjunct.slot = slots[shared]
-                side = (len(sources), conjunct.slot)
+                conjunct.slots += (slots[shared],)
+                side = (len(sources), slots[shared])
             addresses.append(side)
-        conjunct.left, conjunct.right = addresses
+        conjunct.at = tuple(addresses)
         classes = {
             _CLASS_OF_KIND.get(sources[pos].kinds[column]) for pos, column in columns
         }
@@ -1014,6 +1033,36 @@ def build_select_plan(
 # ---------------------------------------------------------------------------
 
 
+def _outer_checks(conjuncts: list) -> list:
+    """``(conjunct index, slot, admissible types | None)`` per outer
+    operand of a conjunct: what :func:`_read_outer` checks per execution."""
+    return [
+        (i, slot, _CLASS_TYPES.get(c.value_class))
+        for i, c in enumerate(conjuncts) for slot in c.slots
+    ]
+
+
+def _read_outer(outer_cs: list, checks: list, env: Env) -> tuple[list, frozenset]:
+    """Read the outer operands once: their values by slot, and the
+    indexes of the conjuncts an unreadable operand, or one of the wrong
+    class, makes partial for this execution."""
+    slots: list = []
+    for closure in outer_cs:
+        try:
+            slots.append(closure(env))
+        except SqlError:
+            slots.append(_UNREADABLE)
+    demoted: Any = ()
+    for index, slot, types in checks:
+        value = slots[slot]
+        if value is _UNREADABLE or (
+            types is not None and value is not Null
+            and not isinstance(value, types)
+        ):
+            demoted += (index,)
+    return slots, frozenset(demoted) if demoted else _NONE_DEMOTED
+
+
 def _all_true(residual: list, env: Env) -> bool:
     """The AND chain over the partial conjuncts: stops at the first
     False, evaluates past an Unknown (as the compiled AND does)."""
@@ -1038,39 +1087,20 @@ class _FromWhere:
         self.sources = sources
         self.conjuncts = conjuncts
         self.outer_cs = outer_cs
-        # (conjunct index, slot, admissible types | None) per conjunct
-        # with an outer operand: what `_pipeline_for` checks per execution
-        self.checks = [
-            (i, c.slot, _CLASS_TYPES.get(c.value_class))
-            for i, c in enumerate(conjuncts) if c.slot is not None
-        ]
+        self.checks = _outer_checks(conjuncts)
         # the pipeline when every outer operand is readable and of its
         # column's class; executions that demote conjuncts get variants,
         # built on first need and kept by the demotion set
-        self.pipeline = _build_pipeline(sources, conjuncts, frozenset())
+        self.pipeline = _build_pipeline(sources, conjuncts, _NONE_DEMOTED)
         self.variants: dict = {}
 
     def _pipeline_for(self, env: Env) -> tuple[_Pipeline, list]:
         """Read the outer operands once and pick this execution's
         pipeline: the plan's own unless an operand is unreadable or of
         the wrong class, which makes its conjunct partial this time."""
-        slots: list = []
-        for closure in self.outer_cs:
-            try:
-                slots.append(closure(env))
-            except SqlError:
-                slots.append(_UNREADABLE)
-        demoted: Any = ()
-        for index, slot, types in self.checks:
-            value = slots[slot]
-            if value is _UNREADABLE or (
-                types is not None and value is not Null
-                and not isinstance(value, types)
-            ):
-                demoted += (index,)
+        slots, demoted = _read_outer(self.outer_cs, self.checks, env)
         if not demoted:
             return self.pipeline, slots
-        demoted = frozenset(demoted)
         pipeline = self.variants.get(demoted)
         if pipeline is None:
             pipeline = self.variants[demoted] = _build_pipeline(

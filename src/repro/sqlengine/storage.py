@@ -5,9 +5,9 @@ the undo log and WAL redo stay cheap and identity-based;
 :class:`~repro.sqlengine.values.Row` objects are only materialised at
 result boundaries.  The rows are a table's only in-memory form: hash
 and interval indexes, change points and stab structures are *derived*
-from them (see :class:`Table` for the one validity rule), and the batch
-predicate kernels in :mod:`repro.sqlengine.exprcompile` read them
-through each column's declared kind (:func:`_column_kind`).
+from them (see :class:`Table` for the one validity rule), and the
+planner's typed filters read them through each column's declared kind
+(:func:`_column_kind`).
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def _column_kind(type_: SqlType) -> str:
       which the engine stores as Python floats);
     * ``str``  — character types, compared right-stripped because
       ``compare`` strips both sides;
-    * ``obj``  — anything else: raw values, never batch-compared.
+    * ``obj``  — anything else: raw values, of no value class.
     """
     if type_.is_integer or type_.is_boolean:
         return "int"
@@ -210,8 +210,7 @@ class Table:
         if len(self._index) != len(self.columns):
             raise CatalogError(f"duplicate column names in table {name}")
         # replaced whenever the columns change: a plan bound against
-        # this stamp still fits the table (``planner._Scan.validate``,
-        # ``exprcompile.BatchFilter.apply``)
+        # this stamp still fits the table (``planner._Scan.validate``)
         self.schema_stamp = object()
         # bumped by every mutation; tags the derived structures
         self.version = 0

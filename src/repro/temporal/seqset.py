@@ -14,23 +14,33 @@ plan over the same constant-period grid:
   Candidate rows come from the table's :class:`IntervalIndex` overlap
   probe against the temporal context (NULL-bounded rows drop out by the
   index's documented contract, exactly as a NULL comparison drops them
-  under MAX), and single-table conjuncts that have batch kernels
-  (:class:`repro.sqlengine.exprcompile.BatchFilter`, reading the rows)
-  are applied **once** over the candidate set instead of once per
-  period.
+  under MAX), and the table's own total conjuncts are tested **once**
+  per candidate instead of once per period.
 * **IntervalJoin** — an interval hash join over the aligned runs.  Each
   candidate stays **one** ``(row, lo, hi)`` run on the period grid;
-  every ``a.col = b.col`` conjunct between two FROM sources is lifted
-  out of the WHERE clause into the later source's join key (composite
-  when several bind it), and that source's runs are hashed once per
-  execution under the same ``sort_key`` normalisation
-  ``Table.hash_index`` uses (NULL keys excluded).  Outer runs are walked
-  in ascending position, probed, and the period ranges intersected as
-  ``[max(lo), min(hi))``; a source with no equi-key is the same code
-  under the single key ``()``.  Conjuncts that are neither kernels nor
-  keys form one compiled residual, evaluated with the projection once
-  per matched combination — per period only when they read the ``cp``
-  binding (a point-transformed nested subquery).
+  every total ``a.col = b.col`` conjunct between two FROM sources is
+  the later source's join key (composite when several bind it), and
+  that source's runs are hashed once per execution under the same
+  ``sort_key`` normalisation ``Table.hash_index`` uses (NULL keys
+  excluded).  Outer runs are walked in ascending position, probed, and
+  the period ranges intersected as ``[max(lo), min(hi))``; a source with
+  no equi-key is the same code under the single key ``()``.
+
+The WHERE conjuncts are placed by the planner's rule (DESIGN.md §3.1,
+*Total and partial conjuncts*; ``planner._analyze_conjuncts``): a total
+conjunct on one source is a ``planner._typed_filter`` test on its
+candidates, a total equality between two sources a key, any other total
+conjunct a test on every matched combination, and the partial ones the
+residual, in WHERE order, evaluated with the projection once per
+matched combination that passes the tests — per period only when they
+read the ``cp`` binding (a point-transformed nested subquery).  An
+outer operand (a literal) of the wrong class makes its conjunct partial
+for that execution, as it does in an engine plan.  So a statement
+raises iff a partial conjunct raises on a combination alive in some
+period that satisfies every total conjunct: where MAX raises.  The
+tests trust the declared column classes the plan was compiled against;
+the stratum's transform cache drops the plan when DDL touches a table
+it reads.
 
 Matched combinations are appended to per-period output lists that are
 concatenated period-major at the end, so rows come out in MAX's
@@ -42,9 +52,7 @@ pays one engine round-trip per period.
 
 Coverage is deliberately conservative: any statement shape outside the
 proven-identical fragment raises :class:`SeqSetUnsupportedError` at
-compile time (and :class:`SeqSetRuntimeFallback` when a batch kernel
-declines at run time), and the stratum falls back to MAX — the
-fallback reproduces MAX's results *and errors* exactly.
+compile time, and the stratum runs the statement under MAX instead.
 """
 
 from __future__ import annotations
@@ -60,40 +68,46 @@ from repro.sqlengine.executor import (
     _contains_aggregate,
     _split_conjuncts,
 )
-from repro.sqlengine.exprcompile import BatchFilter, compile_expression
-from repro.sqlengine.storage import _column_kind
-from repro.sqlengine.values import Null, sort_key, truth
+from repro.sqlengine.exprcompile import compile_expression
+from repro.sqlengine.planner import (
+    _Scan,
+    _all_true,
+    _analyze_conjuncts,
+    _outer_checks,
+    _read_outer,
+)
+from repro.sqlengine.values import Null, sort_key
 from repro.temporal import analysis
 from repro.temporal.errors import TemporalError
 from repro.temporal.period import Period
 from repro.temporal.pointwise import add_point_conditions
 from repro.temporal.schema import TemporalRegistry
-from repro.temporal.transform_util import and_all, clone, unique_name
+from repro.temporal.transform_util import clone, unique_name
 
 
 class TemporalAlign:
     """SEQ-SET plan node: one FROM table's rows aligned onto the
     constant-period grid in a single pass (interval-index overlap probe
-    against the temporal context, single-table batch kernels, then
-    a bisect of each row's period onto the sorted period begins).
+    against the temporal context, the table's ``filters`` typed tests,
+    then a bisect of each row's period onto the sorted period begins).
 
     EXPLAIN renders the access path alongside the engine's scan nodes.
     """
 
-    __slots__ = ("name", "alias", "pair", "kernel_count", "temporal")
+    __slots__ = ("name", "alias", "pair", "filters", "temporal")
 
     def __init__(
         self,
         name: str,
         alias: str,
         pair: "tuple | None",
-        kernel_count: int,
+        filters: int,
         temporal: bool,
     ) -> None:
         self.name = name
         self.alias = alias
         self.pair = pair
-        self.kernel_count = kernel_count
+        self.filters = filters
         self.temporal = temporal
 
 
@@ -104,19 +118,22 @@ class IntervalJoin:
     ``i + 1`` to earlier inputs; empty = nested, every run under one
     key), outer runs probe in ascending position and period ranges
     intersect; output is period-major in FROM order — MAX's emission
-    order — with one compiled residual per matched combination."""
+    order — with ``filters`` typed tests and then the residual's
+    conjuncts per matched combination."""
 
-    __slots__ = ("inputs", "keys", "residual_conjuncts", "distinct")
+    __slots__ = ("inputs", "keys", "filters", "residual_conjuncts", "distinct")
 
     def __init__(
         self,
         inputs: list,
         keys: list,
+        filters: int,
         residual_conjuncts: int,
         distinct: bool,
     ) -> None:
         self.inputs = inputs
         self.keys = keys
+        self.filters = filters
         self.residual_conjuncts = residual_conjuncts
         self.distinct = distinct
 
@@ -127,54 +144,89 @@ class SeqSetUnsupportedError(TemporalError):
     """The statement shape is outside the SEQ-SET fragment."""
 
 
-class SeqSetRuntimeFallback(Exception):
-    """A batch kernel declined this execution (a constant of the wrong
-    type or NaN, a changed table); re-run the statement under MAX."""
-
-
 class _AlignedSource:
     """One FROM table's compiled alignment state."""
 
     __slots__ = (
         "name", "binding", "alias", "colmap", "temporal",
-        "begin_index", "end_index", "filter", "keys", "key_sql",
+        "begin_index", "end_index", "keys", "key_sql",
     )
 
-    def __init__(self, name: str, binding: str, table) -> None:
-        self.name = name
-        self.binding = binding  # original spelling, for kernel compilation
-        self.alias = binding.lower()
-        self.colmap: dict[str, int] = {}
+    def __init__(self, scan: _Scan) -> None:
+        self.name = scan.name
+        self.binding = scan.alias  # original spelling, for column lookup
+        self.alias = scan.key
+        self.colmap = scan.colmap
         self.temporal = False
         self.begin_index: Optional[int] = None
         self.end_index: Optional[int] = None
-        self.filter = BatchFilter(table)
         # equi-join key parts binding this source to earlier FROM
         # sources: (own column, earlier source index, its column), and
-        # the conjuncts they were lifted from (for EXPLAIN)
+        # the conjuncts they are (for EXPLAIN)
         self.keys: list[tuple[int, int, int]] = []
         self.key_sql: list[str] = []
 
 
+class _Placement:
+    """Where one execution evaluates the WHERE conjuncts that are not
+    keys, given the ones its outer operands make partial: per source
+    the typed tests run once per aligned candidate (``filters``), the
+    typed tests over several sources run on every matched combination
+    (``leaf``) and then the partial conjuncts' closures, in WHERE order
+    (``residual``)."""
+
+    __slots__ = ("filters", "leaf", "residual")
+
+    def __init__(self, plan: "SeqSetPlan", demoted: frozenset) -> None:
+        count = len(plan.sources)
+        self.filters: list[list] = [[] for _ in range(count)]
+        self.leaf: list = []
+        self.residual: list = []
+        for i, conjunct in enumerate(plan.conjuncts):
+            if i in plan.keyed:
+                continue
+            if conjunct.value_class is None or i in demoted:
+                self.residual.append(conjunct.closure)
+                continue
+            sources = {at[0] for at in conjunct.at} - {count}
+            if len(sources) == 1:
+                self.filters[sources.pop()].append(conjunct.test())
+            else:
+                self.leaf.append(conjunct.test())
+
+
 class SeqSetPlan:
-    """A compiled set-oriented plan for one sequenced SELECT."""
+    """A compiled set-oriented plan for one sequenced SELECT.
+    ``placements`` holds the default :class:`_Placement` (no conjunct
+    demoted) and those built for executions that demote some, by the
+    demotion set."""
 
     __slots__ = (
-        "select", "cp_alias", "sources", "residual_c", "residual_count",
-        "projections", "columns", "distinct", "reads_cp", "root",
+        "select", "cp_alias", "sources", "conjuncts", "outer_cs", "checks",
+        "keyed", "placements", "projections", "columns", "distinct",
+        "reads_cp", "root",
     )
 
     def __init__(self) -> None:
         self.select: Optional[ast.Select] = None
         self.cp_alias = "cp"
         self.sources: list[_AlignedSource] = []
-        self.residual_c = None
-        self.residual_count = 0
+        self.conjuncts: list = []
+        self.outer_cs: list = []
+        self.checks: list = []
+        self.keyed: frozenset = frozenset()
+        self.placements: dict[frozenset, _Placement] = {}
         self.projections: list[tuple] = []
         self.columns: list[str] = []
         self.distinct = False
         self.reads_cp = False
         self.root: Optional[IntervalJoin] = None
+
+    def placement(self, demoted: frozenset) -> _Placement:
+        found = self.placements.get(demoted)
+        if found is None:
+            found = self.placements[demoted] = _Placement(self, demoted)
+        return found
 
 
 def _unsupported(reason: str) -> SeqSetUnsupportedError:
@@ -262,15 +314,14 @@ def compile_seqset(
     plan.distinct = bool(select.distinct)
 
     layout: dict = {}
+    scans = []
     tables = []
     for from_item in select.from_items:
         table = db.catalog.get_table(from_item.name)
-        source = _AlignedSource(table.name, from_item.binding, table)
+        scan = _Scan(table.name, from_item.binding, table)
+        source = _AlignedSource(scan)
         if source.alias in layout:
             raise _unsupported(f"duplicate FROM alias {source.alias}")
-        source.colmap = {
-            c.lower(): i for i, c in enumerate(table.column_names)
-        }
         layout[source.alias] = source.colmap
         info = registry.get(from_item.name)
         if info is not None:
@@ -285,6 +336,7 @@ def compile_seqset(
             source.begin_index = table.column_index(info.begin_column)
             source.end_index = table.column_index(info.end_column)
         plan.sources.append(source)
+        scans.append(scan)
         tables.append(table)
     if cp_alias in layout:  # pragma: no cover - unique_name prevents this
         raise _unsupported("cp alias collision")
@@ -302,28 +354,26 @@ def compile_seqset(
                 return index, column
         return None
 
-    # conjunct classification: a conjunct with a batch kernel on one
-    # source is applied once over that source's aligned candidates; an
-    # equality between plain columns of two sources becomes a hash-join
-    # key part of the later one; the rest become one compiled residual
-    # predicate per matched combination
-    residual: list[ast.Expression] = []
-    for conjunct in _split_conjuncts(select.where):
-        if not any(
-            source.filter.add(
-                executor, table, source.binding, conjunct, select.from_items
-            )
-            for source, table in zip(plan.sources, tables)
-        ) and not _lift_join_key(conjunct, slot_of, plan.sources, tables):
-            residual.append(conjunct)
-    residual_expr = and_all(residual)
-    if residual_expr is not None:
-        plan.residual_c = compile_expression(
-            executor, residual_expr, layout_with_cp
-        )
-        plan.residual_count = len(residual)
+    # the planner's analysis; a total equality between columns of two
+    # sources is a key part of the later one, the rest is placed per
+    # execution (_Placement)
+    where = _split_conjuncts(select.where)
+    plan.conjuncts, plan.outer_cs = _analyze_conjuncts(
+        executor, where, scans, layout_with_cp
+    )
+    plan.checks = _outer_checks(plan.conjuncts)
+    keyed = set()
+    for i, conjunct in enumerate(plan.conjuncts):
+        if conjunct.value_class is None or conjunct.op != "=" or conjunct.slots:
+            continue
+        (outer, outer_column), (inner, inner_column) = sorted(conjunct.at)
+        if outer != inner:
+            plan.sources[inner].keys.append((inner_column, outer, outer_column))
+            plan.sources[inner].key_sql.append(conjunct.sql)
+            keyed.add(i)
+    plan.keyed = frozenset(keyed)
 
-    evaluated = list(residual)
+    evaluated = list(where)
     for item in select.items:
         slot = slot_of(item.expr)
         if slot is not None:
@@ -340,6 +390,7 @@ def compile_seqset(
         for node in ast.walk(expr)
     )
     plan.columns = executor._output_columns(select, Env())
+    placement = plan.placement(frozenset())
     plan.root = IntervalJoin(
         inputs=[
             TemporalAlign(
@@ -353,37 +404,17 @@ def compile_seqset(
                     if source.temporal
                     else None
                 ),
-                kernel_count=len(source.filter.kernels),
+                filters=len(placement.filters[i]),
                 temporal=source.temporal,
             )
             for i, source in enumerate(plan.sources)
         ],
         keys=[source.key_sql for source in plan.sources[1:]],
-        residual_conjuncts=plan.residual_count,
+        filters=len(placement.leaf),
+        residual_conjuncts=len(placement.residual),
         distinct=plan.distinct,
     )
     return plan
-
-
-def _lift_join_key(conjunct, slot_of, sources, tables) -> bool:
-    """Turn ``a.col = b.col`` (either orientation) between two FROM
-    sources into a key part of the later one.  Only column pairs whose
-    ``sort_key``s are equal exactly when the engine's ``=`` is true are
-    lifted — one value class on both sides (values are coerced to the
-    declared type on assignment), where ``=`` cannot raise; anything
-    else stays in the residual."""
-    if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="):
-        return False
-    left, right = slot_of(conjunct.left), slot_of(conjunct.right)
-    if left is None or right is None or left[0] == right[0]:
-        return False
-    kinds = {_column_kind(tables[i].columns[c].type) for i, c in (left, right)}
-    if not (kinds <= {"int", "float"} or kinds in ({"date"}, {"str"})):
-        return False
-    (outer, outer_column), (inner, inner_column) = sorted((left, right))
-    sources[inner].keys.append((inner_column, outer, outer_column))
-    sources[inner].key_sql.append(conjunct.to_sql())
-    return True
 
 
 def execute_seqset(
@@ -406,10 +437,15 @@ def execute_seqset(
     env = Env()
     cp_row: list[Any] = [None, None]
     env.bindings[plan.cp_alias] = Binding(CP_COLMAP, cp_row)
+    # the typed tests read the row vector: a row per source, then the
+    # outer operands read once for this execution
+    slots, demoted = _read_outer(plan.outer_cs, plan.checks, env)
+    placement = plan.placement(demoted)
+    vector: list = [None] * len(plan.sources) + [slots]
 
     run_lists: list[list[tuple]] = []
     bindings: list[Binding] = []
-    for source in plan.sources:
+    for pos, source in enumerate(plan.sources):
         table = db.read_table(source.name)
         rows = table.rows
         if source.temporal:
@@ -422,17 +458,20 @@ def execute_seqset(
                 obs.inc("engine.interval_rows_pruned", pruned)
         else:
             positions = range(len(rows))
-        if source.filter.kernels:
-            filtered = source.filter.apply(table, positions, env)
-            if filtered is None:
-                raise SeqSetRuntimeFallback(
-                    f"a filter kernel declined on {source.name}"
-                )
-            obs.inc("engine.vectorized_batches")
-            pruned = len(positions) - len(filtered)
-            if pruned:
-                obs.inc("engine.vectorized_rows_pruned", pruned)
-            positions = filtered
+        tests = placement.filters[pos]
+        if tests:
+            kept = []
+            for position in positions:
+                vector[pos] = rows[position]
+                for check in tests:
+                    if not check(vector):
+                        break
+                else:
+                    kept.append(position)
+            dropped = len(positions) - len(kept)
+            if dropped:
+                obs.inc("stratum.seqset.filter.rows_dropped", dropped)
+            positions = kept
         obs.inc("engine.rows_scanned", len(positions))
         # one (row, lo, hi) run per candidate, positions ascending: the
         # row is alive in periods [lo, hi)
@@ -454,7 +493,7 @@ def execute_seqset(
         bindings.append(binding)
 
     projections = plan.projections
-    residual_c = plan.residual_c
+    leaf, residual = placement.leaf, placement.residual
     depth = len(plan.sources)
     # build side: one dict per inner source and execution, keyed like
     # Table.hash_index (sort_key normalisation, NULL keys excluded); a
@@ -503,9 +542,12 @@ def execute_seqset(
                     run_hi = hi
                 if run_lo < run_hi:
                     matches += 1
-                    binding.row = row
+                    binding.row = vector[level] = row
                     join(level + 1, run_lo, run_hi)
             return
+        for check in leaf:
+            if not check(vector):
+                return
         # residual and projection are evaluated once for the whole run
         # unless they read the cp binding
         values = key = None
@@ -513,7 +555,7 @@ def execute_seqset(
             if reads_cp or values is None:
                 if reads_cp:
                     cp_row[:] = periods[k]
-                if residual_c is not None and not truth(residual_c(env)):
+                if residual and not _all_true(residual, env):
                     if reads_cp:
                         continue
                     return
@@ -534,7 +576,7 @@ def execute_seqset(
         # watchdog: every outermost run is a cancellation point
         if resilience.armed:
             resilience.check()
-        outer.row = row
+        outer.row = vector[0] = row
         join(1, lo, hi)
     obs.inc("stratum.seqset.join.probes", probes)
     obs.inc("stratum.seqset.join.matches", matches)

@@ -70,7 +70,6 @@ from repro.temporal.perst_slicing import PerstTransformer, substitute_context
 from repro.obs.tracing import _NOOP as _NO_SPAN
 from repro.temporal.schema import TemporalRegistry, TemporalTableInfo
 from repro.temporal.seqset import (
-    SeqSetRuntimeFallback,
     compile_seqset,
     execute_seqset,
 )
@@ -902,9 +901,9 @@ class TemporalStratum:
         return found
 
     def _fall_back(self, prepared: PreparedStatement, reason: str) -> PreparedStatement:
-        """SEQ-SET declined ``prepared`` (its shape at compile time, a
-        batch kernel at run time): the same statement under MAX, which
-        reproduces results — and errors — for everything SEQ-SET declines."""
+        """SEQ-SET declined ``prepared``'s shape: the same statement under
+        MAX, which reproduces results — and errors — for everything
+        SEQ-SET declines."""
         found = self._transformed(
             "max", prepared.statement, prepared.registry
         ).require()
@@ -1048,11 +1047,8 @@ class TemporalStratum:
         if strategy is SlicingStrategy.MAX and isinstance(statement, ast.CallStatement):
             return self._drive_max_call(statement, context, slices)
         if strategy is SlicingStrategy.SEQSET:
-            try:
-                with tracer.span("stratum.seqset.execute", slices=slices):
-                    columns, rows = execute_seqset(db, found.plan, context, MAX_CP_TABLE)
-            except SeqSetRuntimeFallback as exc:
-                return self._run(self._fall_back(prepared, str(exc)))
+            with tracer.span("stratum.seqset.execute", slices=slices):
+                columns, rows = execute_seqset(db, found.plan, context, MAX_CP_TABLE)
             return TemporalResult(columns, rows)
         if strategy is SlicingStrategy.MAX:
             with tracer.span("stratum.max.execute", slices=slices):

@@ -1,7 +1,7 @@
 """Differential: every fast path ≡ the reference evaluators.
 
 The engine picks its fast paths from the statement alone: interval
-probes, batch kernels, the routine-result memo, SEQ-SET.  The reference
+probes, typed filters, the routine-result memo, SEQ-SET.  The reference
 (``tests/reference_executor.py`` + ``tests/reference_psm.py``) takes none
 of them — a FROM-order nested loop over full scans that walks the AST,
 and a PSM walker that runs every invocation.  Installed beneath the
@@ -119,16 +119,15 @@ def test_taupsm_perst(name, small_dataset):
 
 COUNTERS = (
     "engine.interval_index_hits",
-    "engine.vectorized_batches",
-    "engine.vectorized_rows_pruned",
+    "stratum.seqset.filter.rows_dropped",
     "engine.routine.reuses.",  # the per-routine family's total
 )
 
 
 def test_engine_takes_the_fast_paths_and_the_reference_does_not(small_dataset):
     """SEQ-SET over ``price > 50``: an interval probe on the context
-    bounds, then a batch kernel on the price, which the index cannot
-    decide; its reference is MAX.  q2 under MAX: a routine served by the
+    bounds, then a typed filter on the price, which the index cannot
+    decide, dropping candidates once each; its reference is MAX.  q2 under MAX: a routine served by the
     memo."""
     stratum, db = small_dataset.stratum, small_dataset.stratum.db
     q2 = get_query("q2")

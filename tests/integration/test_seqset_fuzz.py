@@ -182,6 +182,8 @@ class TestGoldenSeqSetExplain:
         check_golden("seqset_join_plan", text)
 
     def test_keyless_level_renders_nested(self, stratum):
+        # a total comparison across two sources is no key: it is tested
+        # on every matched combination (``filters``), ahead of the residual
         result = stratum.execute(
             "EXPLAIN VALIDTIME [DATE '2010-02-01', DATE '2010-03-01']"
             " SELECT a.first_name, i.title FROM author a, item i"
@@ -189,7 +191,7 @@ class TestGoldenSeqSetExplain:
             strategy=SlicingStrategy.SEQSET,
         )
         assert (
-            "IntervalJoin (2 inputs) [nested: no equi-key] residual: 1"
+            "IntervalJoin (2 inputs) [nested: no equi-key] filters: 1 residual: 0"
             in result.text()
         )
 

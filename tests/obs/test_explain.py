@@ -174,7 +174,7 @@ class TestGoldenJoinPipeline:
 class TestGoldenVectorized:
     """Pin how a scan evaluates its conjuncts: every engine scan filters
     row at a time (a typed filter per total conjunct, the residual for
-    the rest); batch kernels run only in SEQ-SET's TemporalAlign."""
+    the rest), and nothing renders a vectorized path."""
 
     def test_vectorized_filter_plan(self, stratum):
         result = stratum.db.execute(

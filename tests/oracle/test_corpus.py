@@ -16,7 +16,8 @@ Each cell must equal the timeslice oracle (``tests/oracle``), or refuse
 with the typed refusal :data:`REFUSED` expects of it.  The aggregate /
 GROUP BY / HAVING family under MAX, SEQ-SET and AUTO is a strict xfail
 (ROADMAP item 1): MAX's constant-period join aggregates across periods,
-and an empty snapshot's ``COUNT(*)`` has no row.
+and an empty snapshot's ``COUNT(*)`` has no row.  Two PERST defects are
+strict xfails on fixed histories (ROADMAP item 18).
 """
 
 from __future__ import annotations
@@ -478,3 +479,60 @@ def test_perst_distinct_of_overlapping_versions():
     assert check(stratum, sql, EVERY) == {
         MAX: "agrees", PERST: "refused", SEQSET: "agrees", AUTO: "agrees",
     }
+
+
+# ROADMAP item 18: two PERST defects, pinned on fixed histories.  Their
+# fix moves the pinned PERST transform fingerprints, so it lands with
+# that item; until then each is a strict xfail.
+LATERAL_PERIOD_REASON = (
+    "ROADMAP item 18: PERST runs a lateral TABLE(ps_f(...)) over the whole"
+    " context, not the caller row's period"
+)
+CURSOR_AUX_REASON = (
+    "ROADMAP item 18: PERST builds a cursor's taupsm_aux_<c> before the"
+    " statements that precede its OPEN"
+)
+VAL_ABOVE = """
+CREATE FUNCTION val_above (eid CHAR(4))
+RETURNS INTEGER
+READS SQL DATA
+LANGUAGE SQL
+BEGIN
+  DECLARE lim INTEGER DEFAULT 0;
+  DECLARE r INTEGER;
+  DECLARE c CURSOR FOR SELECT val FROM fact WHERE entity = eid AND val > lim;
+  SET lim = 1;
+  OPEN c;
+  FETCH c INTO r;
+  CLOSE c;
+  RETURN r;
+END
+"""
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=LATERAL_PERIOD_REASON)
+def test_perst_lateral_call_reads_the_caller_rows_period():
+    """``fact`` holds e1 twice over [2010-01-01, 2010-01-02), where
+    ``gap_band_of('e1')``'s scalar subquery has two rows; ``dim``'s e1
+    is alive only from 2010-01-02 on.  No snapshot calls the routine on
+    that first day, so every snapshot answers.  PERST evaluates the
+    call over the whole context and raises CardinalityError (so does
+    AUTO, which picks PERST here)."""
+    stratum = build_stratum([(1, 1, 0, 1, 9), (1, 1, 0, 1, 9)], [(1, 1, 1, SPAN, 9)])
+    sql = sequenced("SELECT d.entity, gap_band_of(d.entity) AS b FROM dim d")
+    assert check(stratum, sql, (PERST,)) == {PERST: "agrees"}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=CURSOR_AUX_REASON)
+def test_perst_cursor_reads_a_variable_set_before_open():
+    """e2's only value, 1, over [2010-01-11, 2010-02-10): with ``lim``
+    set to 1 before OPEN the cursor finds no row and ``r`` stays NULL in
+    every snapshot.  PERST's cursor-body mode fills the cursor's table
+    while ``lim`` still holds its DEFAULT 0, so it returns 1 (so does
+    AUTO, which picks PERST here)."""
+    stratum = build_stratum([(2, 1, 10, 30, 9)], [])
+    stratum.register_routine(VAL_ABOVE)
+    assert check(stratum, sequenced("SELECT val_above('e2') AS v"), (PERST,)) == {
+        PERST: "agrees"
+    }
+

@@ -4,7 +4,7 @@
 that walks the AST: each source is bound in FROM order by a full scan,
 the whole WHERE is evaluated at the leaf, and every expression is
 evaluated by a tree walk — no plan, no plan or expression cache, no
-compiled closure, no hash or interval probe, no batch kernel, no join
+compiled closure, no hash or interval probe, no typed filter, no join
 reordering.  It shares nothing with ``planner.py``/``exprcompile.py``;
 what it inherits from ``Executor`` is dispatch, LIMIT, DDL, name/table
 resolution and the value-level operator helpers; set operations are its

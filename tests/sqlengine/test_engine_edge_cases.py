@@ -6,11 +6,6 @@ import pytest
 
 from repro.sqlengine import Database
 from repro.sqlengine.errors import CatalogError, RoutineError, SqlError
-from repro.sqlengine.executor import Env
-from repro.sqlengine.exprcompile import BatchFilter
-from repro.sqlengine.parser import parse_statement
-from repro.sqlengine.storage import Column, Table
-from repro.sqlengine.types import SqlType
 from repro.sqlengine.values import Date, Null
 from repro.temporal import SlicingStrategy
 from tests.counters import routine_calls
@@ -191,7 +186,7 @@ class TestEmptyAndDegenerate:
 class TestNaN:
     """One rule on every path: NaN equals NaN and sorts above every other
     number (PostgreSQL's).  Before it, ``x <> 5.0`` kept the NaN row on
-    the batch path and dropped it on the row path, ``x = 1.0`` was
+    one filter path and dropped it on another, ``x = 1.0`` was
     TRUE for it, and a hash probe could never find it."""
 
     NAN = "CAST('nan' AS FLOAT)"
@@ -206,7 +201,7 @@ class TestNaN:
 
     @pytest.fixture
     def wide(self):
-        """``f`` widened to every kind a batch kernel reads: NaN, NULL and
+        """``f`` widened to every value class a typed filter reads: NaN, NULL and
         ±inf floats, CHAR values with trailing blanks, a BOOLEAN and a
         DATE column, each row valid over the whole sequenced context."""
         from repro.temporal import TemporalStratum
@@ -267,9 +262,9 @@ class TestNaN:
     def test_every_path_agrees(self, wide, alone, predicate, ids):
         """The predicate ``alone`` may take a hash probe; a partial
         conjunct beside it forces the row-at-a-time filters.  Under
-        SEQSET a batch kernel reads the rows (a ``CAST`` constant has
-        none) and must equal MAX; compiled against ``f``, a kernel
-        declines a table of other column kinds."""
+        SEQSET the planner's placement decides it once per candidate (a
+        typed filter) or in the residual (a ``CAST`` constant, IN, IS
+        NULL, NOT BETWEEN) and must equal MAX."""
         db = wide.db
         if alone != "seqset":
             sql = f"SELECT id FROM f WHERE {predicate}"
@@ -281,23 +276,41 @@ class TestNaN:
             "VALIDTIME [DATE '2010-01-01', DATE '2011-01-01']"
             f" SELECT id FROM f WHERE {predicate}"
         )
-        before = db.obs.value("engine.vectorized_batches")
         rows = wide.execute(sql, strategy=SlicingStrategy.SEQSET).rows
         assert wide.last_strategy is SlicingStrategy.SEQSET, wide.last_fallback
-        kernel = self.NAN not in predicate
-        assert db.obs.value("engine.vectorized_batches") - before == kernel
         assert rows == wide.execute(sql, strategy=SlicingStrategy.MAX).rows
         assert [row[0] for row in rows] == ids
-        if kernel:
-            table = db.table("f")
-            select = parse_statement(f"SELECT id FROM f WHERE {predicate}")
-            batch = BatchFilter(table)
-            assert batch.add(db.executor, table, "f", select.where, select.from_items)
-            every = range(len(table.rows))
-            assert batch.apply(table, every, Env()) == [i - 1 for i in ids]
-            other = Table("f", [Column(c.name, SqlType("VARCHAR")) for c in table.columns])
-            other.rows = [[str(value) for value in row] for row in table.rows]
-            assert batch.apply(other, every, Env()) is None
+
+    @pytest.mark.parametrize("predicate", [
+        "x > 'abc'",
+        "d = 5",
+        "c < DATE '2010-01-01'",
+        "x BETWEEN 0.0 AND 'z'",
+        "d BETWEEN DATE '2010-01-01' AND 5",
+        "id = 99 AND x > 'abc'",  # a total conjunct rejects every row first
+        "x > 'abc' AND id = 99",
+        "id > 3 AND d = 5",
+    ])
+    def test_wrong_class_literal_stays_on_seqset(self, wide, predicate):
+        """A literal of another class than its column's makes its conjunct
+        partial for the execution: SEQ-SET evaluates it in the residual,
+        on the candidates the total conjuncts keep, and answers what MAX
+        answers — its rows or its error class — without falling back."""
+        sql = (
+            "VALIDTIME [DATE '2010-01-01', DATE '2011-01-01']"
+            f" SELECT id FROM f WHERE {predicate}"
+        )
+
+        def answer(strategy):
+            try:
+                return wide.execute(sql, strategy=strategy).rows
+            except SqlError as exc:
+                return type(exc)
+
+        expected = answer(SlicingStrategy.MAX)
+        assert answer(SlicingStrategy.SEQSET) == expected
+        assert wide.last_strategy is SlicingStrategy.SEQSET
+        assert wide.last_fallback is None
 
     def test_comparison_values(self, fdb):
         assert fdb.query("SELECT id, x = 1.0, x > 1.0 FROM f").rows == [

@@ -38,9 +38,10 @@ a one-sided bound (the probe keeps only the bucket's versions inside
 them), a begin range over a constant-period table and a stab or overlap
 without a key (interval probes), bounds inclusive and exclusive on both
 sides — over histories with NULL and forever bounds, zero-length,
-duplicate and equal-begin versions.  Whether a keyless level runs the
-batch kernels or the row-at-a-time filters follows from the statement:
-the shapes with a partial conjunct beside the bounds take the row path.
+duplicate and equal-begin versions.  Which conjuncts a keyless level
+tests as typed filters and which the residual evaluates follows from
+the statement: the shapes with a partial conjunct beside the bounds
+leave it to the residual.
 
 ``STAB`` holds the probes a stab structure may answer (``begin <= p <
 end`` with a key or without) beside ones it must not (other limits, a

@@ -4,11 +4,13 @@ native numbers.  ``values.compare`` stays the specification — for every
 operator and every pair of operands of one class the closure must say
 True exactly where the comparison evaluates to TRUE, so NULL rejects,
 bool is an integer, CHAR padding is ignored and NaN equals NaN above
-every other number."""
+every other number.  A non-negated ``value BETWEEN low AND high`` is one
+such test, held to the engine's own evaluation of the predicate."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sqlengine.executor import _apply_binary
+from repro.sqlengine import Database, ast_nodes as ast
+from repro.sqlengine.executor import Env, _apply_binary
 from repro.sqlengine.planner import _COMPARISONS, _typed_filter
 from repro.sqlengine.values import Date, Null
 
@@ -48,6 +50,26 @@ def test_typed_filter_agrees_with_compare(data, op, value_class):
     vector = [["pad", left], [right, "pad"]]
     expected = _apply_binary(op, left, right) is True
     assert closure(value_class, op)(vector) is expected, (left, op, right)
+
+
+EVALUATE = Database().executor.evaluate
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=st.data(), value_class=st.sampled_from(sorted(CLASSES)))
+def test_between_agrees_with_the_engine(data, value_class):
+    value, low, high = (
+        data.draw(CLASSES[value_class], label=label)
+        for label in ("value", "low", "high")
+    )
+    # the three operands in different row-vector slots
+    test = _typed_filter(value_class, "BETWEEN", (0, 1), (1, 0), (2, 0))
+    predicate = ast.BetweenPredicate(
+        expr=ast.Literal(value=value), low=ast.Literal(value=low),
+        high=ast.Literal(value=high), negated=False,
+    )
+    expected = EVALUATE(predicate, Env()) is True
+    assert test([["pad", value], [low, "pad"], [high]]) is expected, (value, low, high)
 
 
 def test_the_edges_by_hand():

@@ -22,7 +22,8 @@ def test_item_author_join_work_is_bounded_by_its_result(small_dataset):
     db = stratum.db
     plan = compile_seqset(db, stratum.registry, parse_statement(SEQUENCED))
     assert all(source.keys for source in plan.sources[1:])  # every level a hash join
-    assert plan.residual_c is None  # zero residual evaluations
+    # nothing is left to check per matched combination
+    assert plan.root.filters == plan.root.residual_conjuncts == 0
 
     def counters():
         return tuple(
