@@ -499,7 +499,6 @@ _ANALYZE_COUNTERS = (
 # faults the run absorbed (a handler, a retry) must be visible, not silent
 _ANALYZE_EVENTS = (
     ("watchdog cancellations (handled)", "resilience.cancellations"),
-    ("budget stops (handled)", "resilience.budget_stops"),
     ("wal transient-fault retries", "wal.retries"),
 )
 
@@ -591,19 +590,11 @@ def _run_analyzed(db: "Database", thunk) -> tuple[Any, list[str]]:
         )
     lines.extend(_moved_lines(moved, _ANALYZE_EVENTS))
     resilience = db.resilience
-    if resilience.armed:
-        budgets = []
-        if resilience.statement_timeout is not None:
-            budgets.append(f"timeout={resilience.statement_timeout:g}s")
-        if resilience.max_rows_scanned is not None:
-            budgets.append(f"max_rows_scanned={resilience.max_rows_scanned}")
-        if resilience.max_undo_depth is not None:
-            budgets.append(f"max_undo_depth={resilience.max_undo_depth}")
-        if budgets:
-            lines.append(
-                "  resilience: armed (" + ", ".join(budgets) + "),"
-                f" {resilience.checks} watchdog checks"
-            )
+    if resilience.armed and resilience.statement_timeout is not None:
+        lines.append(
+            f"  resilience: armed (timeout={resilience.statement_timeout:g}s),"
+            f" {resilience.checks} watchdog checks"
+        )
     pipelines = _pipelines_run(db, levels_before)
     if pipelines:
         lines.append("  join pipelines (rows in / out per level):")

@@ -208,8 +208,8 @@ class Database:
         self.catalog.txn = self.txn
         self.txn_followers: list[Any] = [self.catalog]
         self._session_txns: list[TransactionManager] = []
-        # resilience: query watchdog + resource governor (DESIGN.md
-        # §3.7); disarmed by default, so hot paths pay one bool check
+        # resilience: the query watchdog (DESIGN.md §3.7); disarmed by
+        # default, so hot paths pay one bool check
         self.resilience = ResilienceManager(self)
 
     # -- sessions (MVCC) -------------------------------------------------

@@ -84,23 +84,6 @@ class QueryCancelled(SignalError):
         )
 
 
-class ResourceBudgetExceeded(SignalError):
-    """Raised by the resource governor when a hard per-statement budget
-    (row-scan or undo-depth) is breached and no degradation can help.
-
-    Carries SQLSTATE ``53000`` (insufficient resources); handled like
-    any SIGNAL-raised state.
-    """
-
-    SQLSTATE = "53000"
-
-    def __init__(self, message: str, budget: str, limit: int, used: int) -> None:
-        super().__init__(self.SQLSTATE, message)
-        self.budget = budget
-        self.limit = limit
-        self.used = used
-
-
 class SerializationError(SignalError):
     """Raised by the MVCC manager when a transaction's write conflicts
     with another session's in-flight or already-committed write
@@ -122,8 +105,9 @@ class SerializationError(SignalError):
 
 
 class FaultInjected(ExecutionError):
-    """Raised by an armed :class:`~repro.sqlengine.txn.FaultPlan` — the
-    fault-injection harness's stand-in for a mid-statement crash."""
+    """Raised by an armed ``txn.fault_plan`` at a mutation or durability
+    site — the fault-injection harness's stand-in for a mid-statement
+    crash."""
 
 
 class DurabilityError(ExecutionError):
@@ -156,13 +140,11 @@ class DurabilityError(ExecutionError):
 
 
 # Errors that report the engine's state rather than an expression's value:
-# the watchdog, the resource governor, MVCC, the fault harness and durable
-# storage.  Code that holds an expression's error to raise it later (the
-# grouped fold of ``planner.SelectPlan._run_grouped``) lets these through
-# at once.
+# the watchdog, MVCC, the fault harness and durable storage.  Code that
+# holds an expression's error to raise it later (the grouped fold of
+# ``planner.SelectPlan._run_grouped``) lets these through at once.
 INTERRUPTS = (
     QueryCancelled,
-    ResourceBudgetExceeded,
     SerializationError,
     FaultInjected,
     DurabilityError,

@@ -176,7 +176,7 @@ class Executor:
             )
         resilience = self.db.resilience
         if resilience.armed:
-            # watchdog/governor checkpoint: every engine statement
+            # watchdog checkpoint: every engine statement
             resilience.check()
         self.db.stats.executed.value += 1
         if isinstance(stmt, ast.Select):

@@ -559,7 +559,7 @@ class _Level:
         the access path returns."""
         db = executor.db
         if db.resilience.armed:
-            # watchdog/governor checkpoint: every level bind
+            # watchdog checkpoint: every level bind
             db.resilience.check()
         window = db.read_window
         period = self.period
@@ -1249,7 +1249,7 @@ class SelectPlan(_FromWhere):
         values.  A key's error is held until the join is done (a later
         WHERE error wins); an argument's until its group folds that
         aggregate (a group HAVING drops raises nothing).  ``INTERRUPTS``
-        (a cancellation, a budget, a fault, …) are never held."""
+        (a cancellation, a fault, …) are never held."""
         aggregates = list(enumerate(self.aggregates, 2))
         group_key = self.group_key
         held: Optional[SqlError] = None

@@ -1,15 +1,14 @@
-"""Resilience layer: query watchdog, resource governor, retry, scrubbing, chaos.
+"""Resilience layer: query watchdog, retry, scrubbing.
 
 The engine's north star is serving heavy concurrent traffic; no
 multi-client front-end is safe to build until a single statement can be
-interrupted, budgeted, and retried.  This module concentrates those
+interrupted and a durable write retried.  This module concentrates those
 cross-cutting concerns:
 
 * :class:`ResilienceManager` — one per :class:`~repro.sqlengine.engine.Database`,
-  combining the **query watchdog** (per-statement deadlines, async
-  cancellation, deterministic cancel-at-check triggers for tests) and
-  the **resource governor** (row-scan / undo-depth budgets).  Hot
-  paths pay one attribute load while disarmed::
+  the **query watchdog**: per-statement deadlines, async cancellation
+  and a deterministic cancel-at-check trigger.  Hot paths pay one
+  attribute load while disarmed::
 
       res = db.resilience
       if res.armed:
@@ -36,60 +35,49 @@ cross-cutting concerns:
   file instead of silently truncating at next open.  Exposed as
   ``Database.verify()`` and the ``repro verify --db PATH`` CLI.
 
-* :class:`ChaosSchedule` — a seeded extension of
-  :class:`~repro.sqlengine.txn.FaultPlan`/``FaultSet`` arming randomized
-  multi-site fault sequences (mutation faults, fsync kills, mid-loop
-  cancellations) across whole workloads.  The chaos harness asserts the
-  resilience invariant: *complete, or fail typed with clean rollback,
-  or recover to the committed-prefix fingerprint — never hang, never
-  corrupt*.
+The seeded chaos schedules that arm faults at the ``txn.fault_plan``
+hook sites and the watchdog's ``cancel_at_check`` live with the tests,
+in ``tests/faultinject.py``.
 """
 
 from __future__ import annotations
 
 import errno
 import os
-import random
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
-from repro.sqlengine.errors import (
-    DurabilityError,
-    QueryCancelled,
-    ResourceBudgetExceeded,
-)
+from repro.sqlengine.errors import DurabilityError, QueryCancelled
 
 __all__ = [
     "ResilienceManager",
     "QueryCancelled",
-    "ResourceBudgetExceeded",
     "DurabilityError",
     "retry_durable",
     "TRANSIENT_ERRNOS",
     "VerifyReport",
     "verify_store",
-    "ChaosSchedule",
 ]
 
 
 # ---------------------------------------------------------------------------
-# watchdog + governor
+# watchdog
 # ---------------------------------------------------------------------------
 
 
 class ResilienceManager:
-    """Per-database watchdog and resource governor.
+    """Per-database query watchdog.
 
     Everything is disarmed by default; ``armed`` is a plain bool the hot
     paths read before calling :meth:`check`, so the disabled path costs
-    two attribute loads and a branch.  Arming happens through the
-    configuration properties (``statement_timeout``, budgets), an
-    explicit :meth:`cancel`, or a deterministic ``cancel_at_check``
-    trigger (used by tests and the chaos harness).
+    two attribute loads and a branch.  Arming happens through
+    ``statement_timeout``, an explicit :meth:`cancel`, or a
+    deterministic ``cancel_at_check`` trigger (used by tests and the
+    chaos harness).
 
-    Deadlines and the row-scan baseline are per *top-level* statement:
+    Deadlines are per *top-level* statement:
     :meth:`begin_statement`/:meth:`end_statement` track nesting (the
     stratum re-enters ``Database.execute_ast`` once per constant
     period), and only the outermost entry re-arms the clock.
@@ -103,10 +91,7 @@ class ResilienceManager:
         "_deadline",
         "_cancel_requested",
         "_cancel_at_check",
-        "_max_rows_scanned",
-        "_max_undo_depth",
         "_depth",
-        "_rows_baseline",
     )
 
     def __init__(self, db) -> None:
@@ -117,10 +102,7 @@ class ResilienceManager:
         self._deadline: Optional[float] = None
         self._cancel_requested = False
         self._cancel_at_check: Optional[int] = None
-        self._max_rows_scanned: Optional[int] = None
-        self._max_undo_depth: Optional[int] = None
         self._depth = 0
-        self._rows_baseline = 0
 
     # -- configuration ---------------------------------------------------
 
@@ -130,8 +112,6 @@ class ResilienceManager:
             or self._deadline is not None
             or self._cancel_requested
             or self._cancel_at_check is not None
-            or self._max_rows_scanned is not None
-            or self._max_undo_depth is not None
         )
 
     @property
@@ -150,24 +130,6 @@ class ResilienceManager:
         self._rearm()
 
     @property
-    def max_rows_scanned(self) -> Optional[int]:
-        return self._max_rows_scanned
-
-    @max_rows_scanned.setter
-    def max_rows_scanned(self, limit: Optional[int]) -> None:
-        self._max_rows_scanned = limit
-        self._rearm()
-
-    @property
-    def max_undo_depth(self) -> Optional[int]:
-        return self._max_undo_depth
-
-    @max_undo_depth.setter
-    def max_undo_depth(self, limit: Optional[int]) -> None:
-        self._max_undo_depth = limit
-        self._rearm()
-
-    @property
     def cancel_at_check(self) -> Optional[int]:
         """One-shot deterministic trigger: cancel on the Nth watchdog
         check of the current (or next) top-level statement.  Cleared
@@ -179,28 +141,12 @@ class ResilienceManager:
         self._cancel_at_check = n
         self._rearm()
 
-    def configure(
-        self,
-        *,
-        statement_timeout: Optional[float] = None,
-        max_rows_scanned: Optional[int] = None,
-        max_undo_depth: Optional[int] = None,
-    ) -> "ResilienceManager":
-        """Set (or clear, with None) every knob in one call."""
-        self._statement_timeout = statement_timeout
-        self._max_rows_scanned = max_rows_scanned
-        self._max_undo_depth = max_undo_depth
-        self._rearm()
-        return self
-
     def disable(self) -> None:
         """Back to the disarmed (free) state."""
         self._statement_timeout = None
         self._deadline = None
         self._cancel_requested = False
         self._cancel_at_check = None
-        self._max_rows_scanned = None
-        self._max_undo_depth = None
         self.armed = False
 
     def cancel(self) -> None:
@@ -216,7 +162,6 @@ class ResilienceManager:
         self._depth += 1
         if self._depth == 1 and self.armed:
             self.checks = 0
-            self._rows_baseline = self.db.obs.value("engine.rows_scanned")
             if self._statement_timeout is not None:
                 self._deadline = time.monotonic() + self._statement_timeout
 
@@ -230,7 +175,7 @@ class ResilienceManager:
     # -- the hot check ---------------------------------------------------
 
     def check(self) -> None:
-        """One watchdog/governor checkpoint.  Call only when ``armed``."""
+        """One watchdog checkpoint.  Call only when ``armed``."""
         self.checks += 1
         trigger = self._cancel_at_check
         if trigger is not None and self.checks >= trigger:
@@ -250,30 +195,6 @@ class ResilienceManager:
                 f"statement deadline exceeded"
                 f" ({self._statement_timeout:.3f}s)"
             )
-        limit = self._max_rows_scanned
-        if limit is not None:
-            used = self.db.obs.value("engine.rows_scanned") - self._rows_baseline
-            if used > limit:
-                self.db.obs.inc("resilience.budget_stops")
-                raise ResourceBudgetExceeded(
-                    f"row-scan budget exceeded: {used} > {limit} rows"
-                    f" this statement",
-                    budget="rows_scanned",
-                    limit=limit,
-                    used=used,
-                )
-        limit = self._max_undo_depth
-        if limit is not None:
-            used = len(self.db.txn.log)
-            if used > limit:
-                self.db.obs.inc("resilience.budget_stops")
-                raise ResourceBudgetExceeded(
-                    f"undo-depth budget exceeded: {used} > {limit}"
-                    f" log entries",
-                    budget="undo_depth",
-                    limit=limit,
-                    used=used,
-                )
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +395,6 @@ def verify_store(
                     f" snapshot's {snapshot_generation} — snapshot and log"
                     " do not belong together"
                 )
-    elif data:
-        report.problems.append(f"{WAL_FILE}: no intact frames")
 
     # -- begin/commit pairing -------------------------------------------
     tail = 0  # records since the last commit marker
@@ -504,109 +423,3 @@ def verify_store(
             p for p in report.problems if "torn or corrupt frame" not in p
         ]
     return report
-
-
-# ---------------------------------------------------------------------------
-# chaos schedules
-# ---------------------------------------------------------------------------
-
-# fault sites a schedule may arm, split by whether they require an
-# attached durability manager to ever be reached
-MUTATION_SITES = (
-    "table.insert",
-    "table.update",
-    "table.delete",
-    "table.replace_rows",
-)
-DURABLE_SITES = ("wal.write", "wal.fsync", "checkpoint.rename")
-
-
-class ChaosSchedule:
-    """A seeded, randomized multi-site fault/cancellation schedule.
-
-    Extends :class:`~repro.sqlengine.txn.FaultPlan`/``FaultSet`` from
-    single deterministic faults to whole-workload chaos: a schedule owns
-    zero or more fault plans over the mutation and durability sites plus
-    an optional watchdog ``cancel_at_check`` trigger, all drawn from one
-    seed so every run is reproducible.
-
-    Usage::
-
-        schedule = ChaosSchedule(seed)
-        schedule.arm(db)
-        try:
-            ... run the workload ...
-        finally:
-            schedule.disarm(db)
-    """
-
-    def __init__(
-        self,
-        seed: int,
-        *,
-        durable: bool = False,
-        max_faults: int = 2,
-        max_fault_at: int = 40,
-        cancel_probability: float = 0.5,
-        max_cancel_check: int = 400,
-        transient_probability: float = 0.3,
-    ) -> None:
-        from repro.sqlengine.txn import FaultPlan
-
-        self.seed = seed
-        rng = random.Random(seed)
-        sites = MUTATION_SITES + (DURABLE_SITES if durable else ())
-        self.plans: list = []
-        for _ in range(rng.randrange(max_faults + 1)):
-            site = rng.choice(sites)
-            # cap the trigger offset to the workload's expected hit
-            # volume, else most plans never reach their `at`
-            kwargs: dict[str, Any] = {"at": rng.randrange(1, max_fault_at)}
-            if rng.random() < 0.3:
-                kwargs["every"] = rng.randrange(2, 20)
-                kwargs["times"] = rng.randrange(1, 4)
-            if site in ("wal.write", "wal.fsync", "checkpoint.rename") and (
-                rng.random() < transient_probability
-            ):
-                # an EINTR-style blip: absorbed by retry_durable, the
-                # workload should complete as if nothing happened
-                kwargs["exc_factory"] = _transient_os_error
-            self.plans.append(FaultPlan(site, **kwargs))
-        self.cancel_at_check: Optional[int] = (
-            rng.randrange(1, max_cancel_check)
-            if rng.random() < cancel_probability
-            else None
-        )
-        self._saved_fault_plan: Any = None
-
-    def describe(self) -> str:
-        parts = [
-            f"{plan.site}@{plan.at}"
-            + (f"/every{plan.every}x{plan.times}" if plan.every else "")
-            + ("(transient)" if getattr(plan, "exc_factory", None) else "")
-            for plan in self.plans
-        ]
-        if self.cancel_at_check is not None:
-            parts.append(f"cancel@check{self.cancel_at_check}")
-        return f"seed={self.seed}: " + (", ".join(parts) if parts else "no-op")
-
-    def arm(self, db) -> None:
-        from repro.sqlengine.txn import FaultSet
-
-        self._saved_fault_plan = db.txn.fault_plan
-        if self.plans:
-            db.txn.fault_plan = FaultSet(*self.plans)
-        if self.cancel_at_check is not None:
-            db.resilience.cancel_at_check = self.cancel_at_check
-
-    def disarm(self, db) -> None:
-        db.txn.fault_plan = self._saved_fault_plan
-        self._saved_fault_plan = None
-        db.resilience.cancel_at_check = None
-
-
-def _transient_os_error(site: str, target: str, hits: int) -> OSError:
-    return OSError(
-        errno.EINTR,
-        f"injected transient fault at {site} on {target!r} (match #{hits})",
-    )

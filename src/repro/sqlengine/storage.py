@@ -597,16 +597,6 @@ class Table:
             )
         return structure
 
-    def clone_empty(self, name: Optional[str] = None) -> "Table":
-        """A new empty table with the same column layout."""
-        clone = Table(
-            name or self.name,
-            [Column(c.name, c.type, c.not_null, c.primary_key) for c in self.columns],
-            temporary=self.temporary,
-        )
-        clone.interval_pairs = list(self.interval_pairs)
-        return clone
-
     def __len__(self) -> int:
         return len(self.rows)
 

@@ -36,105 +36,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.sqlengine.errors import ExecutionError, FaultInjected
-
-
-class FaultPlan:
-    """Deterministic fault injection: fail scheduled mutations at a site.
-
-    ``site`` is a primitive tag such as ``"table.insert"`` or
-    ``"catalog.add_table"``; ``target`` optionally restricts to one
-    object name.  By default the fault fires once (on the ``at``-th
-    match) and then stays spent, so re-running the statement after a
-    crash succeeds without clearing the plan.  Two extensions support
-    crash-matrix sweeps without re-arming:
-
-    * ``every=N`` re-fires on every Nth match after ``at``
-      (``at``, ``at+N``, ``at+2N``, ...);
-    * ``times=K`` caps the number of firings (``None`` = unlimited,
-      meaningful only with ``every``).
-
-    Primitives consult the plan *before* mutating, so a fired fault
-    leaves that primitive un-applied.
-
-    ``exc_factory`` swaps the raised exception: a callable
-    ``(site, target, hits) -> BaseException`` lets the resilience
-    chaos harness inject ``OSError``-style *transient* faults at the
-    durability sites (absorbed by bounded retry) instead of the
-    default :class:`FaultInjected` crash simulation.
-    """
-
-    __slots__ = (
-        "site", "target", "at", "every", "times", "hits", "fires", "fired",
-        "exc_factory",
-    )
-
-    def __init__(
-        self,
-        site: str,
-        target: Optional[str] = None,
-        at: int = 1,
-        every: Optional[int] = None,
-        times: Optional[int] = 1,
-        exc_factory: Optional[Callable[[str, str, int], BaseException]] = None,
-    ) -> None:
-        self.site = site
-        self.target = target.lower() if target is not None else None
-        self.at = at
-        self.every = every
-        self.times = times
-        self.exc_factory = exc_factory
-        self.hits = 0
-        self.fires = 0
-        self.fired = False
-
-    @property
-    def spent(self) -> bool:
-        return self.times is not None and self.fires >= self.times
-
-    def hit(self, site: str, target: str) -> None:
-        """Count a mutation; raise :class:`FaultInjected` on scheduled matches."""
-        if site != self.site or self.spent:
-            return
-        if self.target is not None and target.lower() != self.target:
-            return
-        self.hits += 1
-        if self.hits == self.at:
-            due = True
-        elif self.every is not None and self.hits > self.at:
-            due = (self.hits - self.at) % self.every == 0
-        else:
-            due = False
-        if due:
-            self.fires += 1
-            self.fired = True
-            if self.exc_factory is not None:
-                raise self.exc_factory(site, target, self.hits)
-            raise FaultInjected(
-                f"injected fault at {site} on {target!r} (match #{self.hits})"
-            )
-
-
-class FaultSet:
-    """Several armed :class:`FaultPlan` sites behind one ``hit`` surface.
-
-    Duck-types the single-plan interface the primitives consult, so a
-    crash-matrix test can arm, say, every-Nth-fsync *and* a catalog
-    fault in the same run: ``txn.fault_plan = FaultSet(p1, p2)``.
-    """
-
-    __slots__ = ("plans",)
-
-    def __init__(self, *plans: FaultPlan) -> None:
-        self.plans = list(plans)
-
-    @property
-    def fired(self) -> bool:
-        return any(plan.fired for plan in self.plans)
-
-    def hit(self, site: str, target: str) -> None:
-        for plan in self.plans:
-            plan.hit(site, target)
+from repro.sqlengine.errors import ExecutionError
 
 
 class _Mark:
@@ -257,7 +159,10 @@ class TransactionManager:
         self.marks: list[_Mark] = []
         self.explicit = False
         self.logging = False
-        self.fault_plan: Optional[FaultPlan] = None
+        # fault injection: any object with ``hit(site, target)``, which
+        # the mutation and durability primitives call before they act
+        # (None = disarmed; the fault harness lives in the tests)
+        self.fault_plan: Any = None
         # MVCC (repro.sqlengine.mvcc): the shared manager, this
         # transaction's pinned snapshot csn (None between autocommit
         # statements), and the set of tables it holds write claims on.

@@ -299,10 +299,11 @@ class DurabilityManager:
         fault_plan = self.db.txn.fault_plan
 
         # both steps run under bounded-backoff retry: transient OSErrors
-        # (EINTR/ENOSPC-style, injectable via FaultPlan exc_factory) are
-        # absorbed and counted under wal.retries; exhaustion or a
-        # non-transient error raises a typed DurabilityError.  Injected
-        # FaultInjected crashes pass through untouched.
+        # (EINTR/ENOSPC-style, injectable at the wal.write / wal.fsync
+        # fault sites) are absorbed and counted under wal.retries;
+        # exhaustion or a non-transient error raises a typed
+        # DurabilityError.  Injected FaultInjected crashes pass through
+        # untouched.
         start = self._file.tell()
 
         def _write() -> None:

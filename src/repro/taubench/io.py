@@ -1,178 +1,13 @@
-"""Dataset persistence: export/import τPSM datasets as CSV directories.
-
-τBench distributes its benchmark data as files; this module gives the
-reproduction the same property, so a generated dataset can be inspected,
-versioned, or loaded elsewhere without re-running the simulator.
-
-Layout of an exported dataset directory::
-
-    <dir>/manifest.txt        # spec key + probe values, one `key=value` per line
-    <dir>/item.csv            # header row, then data rows
-    <dir>/author.csv          # ... one file per table
-
-Dates are written as ISO strings; NULLs as empty fields.
-"""
+"""Load a generated τBench dataset into an already-open stratum (the
+CLI's ``--load``)."""
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-from pathlib import Path
-from typing import Union
 
-from repro.sqlengine.engine import Database
-from repro.sqlengine.errors import SqlError
-from repro.sqlengine.storage import Table
-from repro.sqlengine.values import Date, Null
 from repro.taubench import schema
-from repro.taubench.datasets import Dataset, dataset_spec
+from repro.taubench.datasets import Dataset
 from repro.temporal.stratum import TemporalStratum
-
-MANIFEST = "manifest.txt"
-
-
-class DatasetLoadError(ValueError):
-    """A malformed dataset file: always names the file and line."""
-
-
-def _encode(value) -> str:
-    if value is Null:
-        return ""
-    if isinstance(value, Date):
-        return value.to_iso()
-    return str(value)
-
-
-def _decode(text: str, type_name: str):
-    if text == "":
-        return Null
-    if type_name == "DATE":
-        return Date.from_iso(text)
-    if type_name in ("INTEGER", "INT", "SMALLINT", "BIGINT"):
-        return int(text)
-    if type_name in ("FLOAT", "REAL", "DOUBLE", "DECIMAL", "NUMERIC"):
-        return float(text)
-    return text
-
-
-def export_table(table: Table, path: Union[str, Path]) -> int:
-    """Write one engine table to a CSV file; returns the row count."""
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(table.column_names)
-        for row in table.rows:
-            writer.writerow([_encode(v) for v in row])
-    return len(table)
-
-
-def import_table(db: Database, table_name: str, path: Union[str, Path]) -> int:
-    """Load a CSV file (written by :func:`export_table`) into a table.
-
-    The table must already exist; the CSV header must match its columns.
-    Values are decoded according to the column types.  Malformed input —
-    a missing header, a row with the wrong number of fields, or a value
-    that cannot represent its column's type — raises
-    :class:`DatasetLoadError` naming the file and 1-based line number.
-    """
-    table = db.catalog.get_table(table_name)
-    path = Path(path)
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetLoadError(f"{path.name}: empty file (no header row)")
-        expected = [c.lower() for c in table.column_names]
-        if [h.lower() for h in header] != expected:
-            raise DatasetLoadError(
-                f"{path.name}, line 1: header {header} does not match"
-                f" columns {table.column_names}"
-            )
-        types = [c.type.name for c in table.columns]
-        names = table.column_names
-        count = 0
-        for row in reader:
-            line = reader.line_num
-            if len(row) != len(types):
-                raise DatasetLoadError(
-                    f"{path.name}, line {line}: expected {len(types)}"
-                    f" fields, got {len(row)}"
-                )
-            decoded = []
-            for value, type_name, column in zip(row, types, names):
-                try:
-                    decoded.append(_decode(value, type_name))
-                except (ValueError, SqlError) as exc:
-                    raise DatasetLoadError(
-                        f"{path.name}, line {line}, column {column}:"
-                        f" cannot read {value!r} as {type_name} ({exc})"
-                    ) from exc
-            try:
-                table.insert(decoded)
-            except SqlError as exc:
-                raise DatasetLoadError(
-                    f"{path.name}, line {line}: {exc}"
-                ) from exc
-            count += 1
-    db.stats.count_rows(count, "bulk_load")
-    return count
-
-
-def export_dataset(dataset: Dataset, directory: Union[str, Path]) -> Path:
-    """Write a loaded dataset (six tables + manifest) to a directory."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for table_name in schema.TABLE_NAMES:
-        export_table(
-            dataset.stratum.db.catalog.get_table(table_name),
-            directory / f"{table_name}.csv",
-        )
-    manifest = {
-        "name": dataset.spec.name,
-        "size": dataset.spec.size,
-        "probe_author_id": dataset.probe_author_id,
-        "probe_author_first_name": dataset.probe_author_first_name,
-        "probe_item_id": dataset.probe_item_id,
-        "cold_item_id": dataset.cold_item_id,
-        "cold_author_id": dataset.cold_author_id,
-        "cold_author_first_name": dataset.cold_author_first_name,
-        "cold_author_last_name": dataset.cold_author_last_name,
-        "probe_publisher_id": dataset.probe_publisher_id,
-    }
-    lines = [f"{key}={value}" for key, value in manifest.items()]
-    (directory / MANIFEST).write_text("\n".join(lines) + "\n")
-    return directory
-
-
-def import_dataset(directory: Union[str, Path]) -> Dataset:
-    """Load a dataset directory written by :func:`export_dataset`."""
-    directory = Path(directory)
-    manifest: dict[str, str] = {}
-    for line in (directory / MANIFEST).read_text().splitlines():
-        if line.strip():
-            key, _, value = line.partition("=")
-            manifest[key] = value
-    spec = dataset_spec(manifest["name"], manifest["size"])
-    stratum = TemporalStratum()
-    schema.create_all(stratum)
-    for table_name in schema.TABLE_NAMES:
-        import_table(stratum.db, table_name, directory / f"{table_name}.csv")
-    from repro.taubench.simulator import TIMELINE_BEGIN
-
-    stratum.db.now = Date(TIMELINE_BEGIN.ordinal + 200)
-    return Dataset(
-        spec=spec,
-        stratum=stratum,
-        probe_author_id=manifest["probe_author_id"],
-        probe_author_first_name=manifest["probe_author_first_name"],
-        probe_item_id=manifest["probe_item_id"],
-        cold_item_id=manifest["cold_item_id"],
-        cold_author_id=manifest["cold_author_id"],
-        cold_author_first_name=manifest["cold_author_first_name"],
-        cold_author_last_name=manifest["cold_author_last_name"],
-        probe_publisher_id=manifest["probe_publisher_id"],
-    )
 
 
 def copy_dataset_into(stratum: TemporalStratum, dataset: Dataset) -> Dataset:

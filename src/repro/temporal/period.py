@@ -130,14 +130,6 @@ def coalesce(
     return result
 
 
-def temporal_rows_equal(
-    left: Sequence[tuple[tuple, Period]],
-    right: Sequence[tuple[tuple, Period]],
-) -> bool:
-    """Snapshot equivalence: equal after coalescing."""
-    return coalesce(left) == coalesce(right)
-
-
 def constant_periods(
     points: Iterable[int], context: Optional[Period] = None
 ) -> list[Period]:

@@ -21,13 +21,15 @@ import time
 import pytest
 
 from repro.sqlengine.errors import QueryCancelled, SqlError
-from repro.sqlengine.resilience import ChaosSchedule, verify_store
+from repro.sqlengine.resilience import verify_store
 from repro.taubench import ALL_QUERIES, build_dataset
 from repro.temporal.stratum import (
     SlicingStrategy,
     TemporalResult,
     TemporalStratum,
 )
+
+from tests.faultinject import ChaosSchedule
 
 SEED = int(os.environ.get("TAUPSM_CHAOS_SEED", "20120401"))
 RUNS = int(os.environ.get("TAUPSM_CHAOS_RUNS", "200"))

@@ -166,10 +166,6 @@ class TestTableIntegration:
         table.declare_interval("BEGIN_TIME", "END_TIME")
         assert table.interval_pairs == [("begin_time", "end_time")]
 
-    def test_clone_empty_copies_pairs(self):
-        clone = interval_table().clone_empty("u")
-        assert clone.interval_pairs == [("begin_time", "end_time")]
-
     def test_index_cached_until_mutation(self):
         table = interval_table()
         table.insert([1, Date(100), Date(200)])

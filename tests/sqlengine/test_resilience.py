@@ -1,8 +1,7 @@
-"""The resilience layer: watchdog, governor, retry, context managers.
+"""The resilience layer: watchdog, retry, context managers.
 
 DESIGN.md §3.7.  The contract under test: a statement can always be
-interrupted (typed ``QueryCancelled``, SQLSTATE 57014) or budgeted
-(typed ``ResourceBudgetExceeded``, SQLSTATE 53000), both unwinding
+interrupted (typed ``QueryCancelled``, SQLSTATE 57014), unwinding
 through the ordinary rollback machinery and leaving the engine usable;
 transient durability faults are retried with backoff and surface as a
 typed ``DurabilityError`` only after exhaustion.
@@ -19,16 +18,14 @@ from repro.sqlengine.errors import (
     DurabilityError,
     FaultInjected,
     QueryCancelled,
-    ResourceBudgetExceeded,
     SignalError,
 )
 from repro.sqlengine.resilience import retry_durable
-from repro.sqlengine.txn import FaultPlan
 from repro.taubench import get_query
 from repro.temporal import SlicingStrategy, TemporalStratum
 
 from tests.conftest import DML_KINDS, make_dml_kinds
-from tests.faultinject import assert_snapshot_equal, snapshot_db
+from tests.faultinject import FaultPlan, assert_snapshot_equal, snapshot_db
 
 
 @pytest.fixture
@@ -129,57 +126,6 @@ def test_watchdog_counts_cancellations(stocked: Database):
     with pytest.raises(QueryCancelled):
         stocked.execute("SELECT a FROM t")
     assert stocked.obs.value("resilience.cancellations") == 1
-
-
-# ---------------------------------------------------------------------------
-# governor: hard budgets
-# ---------------------------------------------------------------------------
-
-
-def test_row_scan_budget_trips_with_typed_53000(stocked: Database):
-    stocked.resilience.max_rows_scanned = 70
-    with pytest.raises(ResourceBudgetExceeded) as excinfo:
-        # nested loop: one bind per outer row, so checks interleave scans
-        stocked.execute("SELECT x.a FROM t x, t y WHERE x.b = y.b")
-    assert excinfo.value.sqlstate == "53000"
-    assert excinfo.value.budget == "rows_scanned"
-    assert excinfo.value.used > 70
-
-
-def test_row_scan_budget_is_per_statement(stocked: Database):
-    stocked.resilience.max_rows_scanned = 100
-    # each statement scans 60 rows; a cumulative counter would trip on
-    # the second
-    assert len(stocked.execute("SELECT a FROM t").rows) == 60
-    assert len(stocked.execute("SELECT a FROM t").rows) == 60
-
-
-def test_undo_depth_budget_trips_inside_routine(db: Database):
-    db.execute("CREATE TABLE t (a INTEGER)")
-    db.execute(
-        """
-        CREATE PROCEDURE filler ()
-        LANGUAGE SQL
-        BEGIN
-          DECLARE i INTEGER;
-          SET i = 0;
-          WHILE i < 200 DO
-            INSERT INTO t VALUES (i);
-            SET i = i + 1;
-          END WHILE;
-        END
-        """
-    )
-    db.resilience.max_undo_depth = 50
-    before = snapshot_db(db)
-    with pytest.raises(ResourceBudgetExceeded) as excinfo:
-        db.execute("CALL filler()")
-    assert excinfo.value.budget == "undo_depth"
-    # unhandled budget stop cascades to full routine atomicity
-    assert_snapshot_equal(db, before)
-    db.resilience.max_undo_depth = None
-    db.execute("CALL filler()")
-    assert len(db.table("t")) == 200
 
 
 # ---------------------------------------------------------------------------
@@ -323,21 +269,20 @@ def test_context_manager_skips_checkpoint_on_error(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_disable_returns_to_free_state(stocked: Database):
+def test_disable_clears_timeout_to_free_state(stocked: Database):
     res = stocked.resilience
-    res.configure(
-        statement_timeout=5.0, max_rows_scanned=10**9, max_undo_depth=10**9
-    )
+    res.statement_timeout = 5.0
     assert res.armed
     res.disable()
     assert not res.armed
     assert len(stocked.execute("SELECT a FROM t").rows) == 60
 
 
-def test_armed_generous_budgets_do_the_same_work(small_dataset):
-    """Armed with budgets nothing reaches, every checkpoint is evaluated
-    and nothing degrades: q2 under MAX returns the disarmed run's rows
-    from the same slices and the same base-table rows scanned."""
+def test_armed_generous_timeout_does_the_same_work(small_dataset):
+    """Armed with a deadline nothing reaches, every checkpoint is
+    evaluated and nothing degrades: q2 under MAX returns the disarmed
+    run's rows from the same slices and the same base-table rows
+    scanned."""
     stratum = small_dataset.stratum
     db = stratum.db
     query = get_query("q2")
@@ -356,11 +301,7 @@ def test_armed_generous_budgets_do_the_same_work(small_dataset):
 
     run()  # warm: derived structures and the statement cache
     disarmed = run()
-    db.resilience.configure(
-        statement_timeout=3600.0,
-        max_rows_scanned=10**12,
-        max_undo_depth=10**9,
-    )
+    db.resilience.statement_timeout = 3600.0
     try:
         armed = run()
         checks = db.resilience.checks
@@ -374,4 +315,12 @@ def test_armed_generous_budgets_do_the_same_work(small_dataset):
 def test_explain_analyze_silent_when_disarmed(stocked: Database):
     text = stocked.execute("EXPLAIN ANALYZE SELECT a FROM t").text()
     assert "resilience" not in text
-    assert "governor" not in text
+
+
+def test_explain_analyze_names_an_armed_timeout(stocked: Database):
+    stocked.resilience.statement_timeout = 60.0
+    text = stocked.execute("EXPLAIN ANALYZE SELECT a FROM t").text()
+    line = next(row for row in text.splitlines() if "resilience" in row)
+    assert line.startswith("  resilience: armed (timeout=60s), ")
+    assert line.endswith(" watchdog checks")
+    assert int(line.split(", ")[1].split()[0]) > 0

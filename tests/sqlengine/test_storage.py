@@ -64,14 +64,6 @@ class TestTableBasics:
         assert count == 1
         assert table.rows[0][1] == "z"
 
-    def test_clone_empty(self):
-        table = make_table()
-        table.insert([1, "x"])
-        clone = table.clone_empty("u")
-        assert clone.name == "u"
-        assert len(clone) == 0
-        assert clone.column_names == table.column_names
-
 
 class TestHashIndex:
     def test_lookup(self):

@@ -194,6 +194,47 @@ def test_empty_wal_with_garbage_has_no_intact_frames(store):
     assert report.frames == 0
 
 
+def test_torn_header_frame_quarantines_to_a_clean_store(store, capsys):
+    """A WAL torn inside its first frame has no intact frame at all:
+    quarantine moves every byte aside, and the emptied log passes, from
+    the API and from the CLI."""
+    data = wal_path(store).read_bytes()
+    (length,) = struct.unpack_from("<I", data, 0)
+    torn = data[: 8 + length - 1]
+    wal_path(store).write_bytes(torn)
+    report = verify_store(store, quarantine=True)
+    assert report.ok, report.problems
+    assert report.frames == 0 and report.corrupt_offset == 0
+    assert wal_path(store).read_bytes() == b""
+    sidecar = store / report.quarantined_to.rsplit("/", 1)[-1]
+    assert sidecar.read_bytes() == torn
+
+    wal_path(store).write_bytes(torn)
+    assert run_verify(["--db", str(store), "--quarantine"]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("result: OK")
+    # the snapshot alone recovers: the torn log held nothing committed
+    db = Database.open(store)
+    assert [r[0] for r in db.table("t").rows] == [1]
+    db.close(checkpoint=False)
+
+
+def test_torn_header_frame_is_one_problem_until_quarantined(store, capsys):
+    """Without quarantine the torn first frame is reported once, as the
+    torn frame at byte 0, and the CLI exits 1."""
+    data = wal_path(store).read_bytes()
+    (length,) = struct.unpack_from("<I", data, 0)
+    wal_path(store).write_bytes(data[: 8 + length - 1])
+    report = verify_store(store)
+    assert report.frames == 0 and report.corrupt_offset == 0
+    assert len(report.problems) == 1
+    assert "torn or corrupt frame at byte 0" in report.problems[0]
+    assert report.render().count("FAIL:") == 1
+    assert run_verify(["--db", str(store)]) == 1
+    assert capsys.readouterr().out.rstrip().endswith("result: CORRUPT")
+    # reporting alone moved nothing
+    assert wal_path(store).read_bytes() == data[: 8 + length - 1]
+
+
 def test_fresh_directory_verifies_ok(tmp_path):
     report = verify_store(tmp_path / "nothing-here")
     assert report.ok

@@ -15,7 +15,6 @@ import pytest
 from repro.sqlengine.checkpoint import SNAPSHOT_MAGIC, load_snapshot
 from repro.sqlengine.engine import Database
 from repro.sqlengine.errors import FaultInjected
-from repro.sqlengine.txn import FaultPlan, FaultSet
 from repro.sqlengine.values import Date, Null
 from repro.sqlengine.wal import (
     WalError,
@@ -28,6 +27,8 @@ from repro.sqlengine.wal import (
     read_frames,
 )
 from repro.temporal.stratum import TemporalStratum
+
+from tests.faultinject import FaultPlan, FaultSet
 
 
 def reopen(path, db=None):

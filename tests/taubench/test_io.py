@@ -1,100 +1,19 @@
-"""Dataset persistence round-trip tests."""
+"""Copying a generated dataset into another stratum."""
 
 import pytest
 
-from repro.sqlengine import Database
-from repro.sqlengine.values import Date, Null
+from repro.sqlengine.errors import FaultInjected
+from repro.sqlengine.resilience import verify_store
+from repro.sqlengine.wal import WAL_FILE, read_frames
 from repro.taubench import schema
-from repro.taubench.io import (
-    DatasetLoadError,
-    copy_dataset_into,
-    export_dataset,
-    export_table,
-    import_dataset,
-    import_table,
-)
-from repro.temporal import SlicingStrategy
+from repro.taubench.io import copy_dataset_into
+from repro.temporal.stratum import TemporalStratum
 
-from tests.oracle import check
-
-
-class TestTableRoundTrip:
-    @pytest.fixture
-    def db(self):
-        db = Database()
-        db.execute(
-            "CREATE TABLE t (a INTEGER, b CHAR(10), c FLOAT, d DATE)"
-        )
-        db.execute(
-            "INSERT INTO t VALUES (1, 'x', 2.5, DATE '2010-06-01')"
-        )
-        db.execute("INSERT INTO t (a) VALUES (2)")  # NULLs in b, c, d
-        return db
-
-    def test_round_trip_preserves_values(self, db, tmp_path):
-        export_table(db.catalog.get_table("t"), tmp_path / "t.csv")
-        db2 = Database()
-        db2.execute("CREATE TABLE t (a INTEGER, b CHAR(10), c FLOAT, d DATE)")
-        count = import_table(db2, "t", tmp_path / "t.csv")
-        assert count == 2
-        rows = db2.query("SELECT a, b, c, d FROM t ORDER BY a").rows
-        assert rows[0] == [1, "x", 2.5, Date.from_iso("2010-06-01")]
-        assert rows[1][1] is Null and rows[1][3] is Null
-
-    def test_header_mismatch_rejected(self, db, tmp_path):
-        export_table(db.catalog.get_table("t"), tmp_path / "t.csv")
-        db2 = Database()
-        db2.execute("CREATE TABLE t (x INTEGER, b CHAR(10), c FLOAT, d DATE)")
-        with pytest.raises(ValueError):
-            import_table(db2, "t", tmp_path / "t.csv")
-
-
-class TestCorruptFixtures:
-    @pytest.fixture
-    def db(self):
-        db = Database()
-        db.execute("CREATE TABLE t (a INTEGER, d DATE)")
-        return db
-
-    def test_empty_file_rejected(self, db, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("")
-        with pytest.raises(DatasetLoadError, match="empty file"):
-            import_table(db, "t", path)
-
-    def test_wrong_field_count_names_file_and_line(self, db, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("a,d\n1,2010-06-01\n2,2010-06-02,EXTRA\n")
-        with pytest.raises(DatasetLoadError, match=r"t\.csv, line 3"):
-            import_table(db, "t", path)
-
-    def test_bad_value_names_file_line_and_column(self, db, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("a,d\n1,2010-06-01\nnope,2010-06-02\n")
-        with pytest.raises(
-            DatasetLoadError, match=r"t\.csv, line 3, column a"
-        ):
-            import_table(db, "t", path)
-
-    def test_bad_date_names_file_line_and_column(self, db, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("a,d\n1,not-a-date\n")
-        with pytest.raises(
-            DatasetLoadError, match=r"t\.csv, line 2, column d"
-        ):
-            import_table(db, "t", path)
-
-    def test_load_error_is_a_value_error(self, db, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("")
-        with pytest.raises(ValueError):
-            import_table(db, "t", path)
+from tests.faultinject import install_fault
 
 
 class TestCopyDatasetInto:
     def test_copy_into_fresh_stratum(self, small_dataset):
-        from repro.temporal.stratum import TemporalStratum
-
         target = TemporalStratum()
         copied = copy_dataset_into(target, small_dataset)
         assert copied.stratum is target
@@ -106,32 +25,54 @@ class TestCopyDatasetInto:
             assert original.rows == restored.rows
             assert target.registry.is_temporal(table_name)
 
+    def test_durable_copy_is_one_commit_and_survives_reopen(
+        self, small_dataset, tmp_path
+    ):
+        path = tmp_path / "db"
+        target = TemporalStratum.open(path)
+        copy_dataset_into(target, small_dataset)
+        target.db.close(checkpoint=False)
+        assert verify_store(path).ok
+        # every copied row rides in one transaction (the clock's move to
+        # the dataset's ``now`` commits on its own after it)
+        records, _ = read_frames((path / WAL_FILE).read_bytes())
+        inserts_per_txn, current = [], 0
+        for record in records:
+            if record[0] == "ins":
+                current += 1
+            elif record[0] == "commit":
+                inserts_per_txn.append(current)
+                current = 0
+        loaded = sum(
+            len(small_dataset.stratum.db.catalog.get_table(name))
+            for name in schema.TABLE_NAMES
+        )
+        assert [n for n in inserts_per_txn if n] == [loaded]
 
-class TestDatasetRoundTrip:
-    def test_export_import_identical_tables(self, small_dataset, tmp_path):
-        export_dataset(small_dataset, tmp_path / "ds")
-        loaded = import_dataset(tmp_path / "ds")
-        assert loaded.spec.key == small_dataset.spec.key
-        assert loaded.probe_item_id == small_dataset.probe_item_id
+        reopened = TemporalStratum.open(path)
         for table_name in schema.TABLE_NAMES:
             original = small_dataset.stratum.db.catalog.get_table(table_name)
-            restored = loaded.stratum.db.catalog.get_table(table_name)
-            assert len(original) == len(restored)
+            restored = reopened.db.catalog.get_table(table_name)
             assert original.rows == restored.rows
+            assert reopened.registry.is_temporal(table_name)
+        reopened.db.close(checkpoint=False)
 
-    def test_imported_dataset_is_queryable(self, small_dataset, tmp_path):
-        export_dataset(small_dataset, tmp_path / "ds")
-        loaded = import_dataset(tmp_path / "ds")
-        from repro.taubench import get_query
+    def test_failed_copy_rolls_back_the_whole_load(self, small_dataset):
+        target = TemporalStratum()
+        # fail on the last table, after the first five were copied
+        last = schema.TABLE_NAMES[-1]
+        install_fault(target.db, "table.insert", target=last, at=2)
+        with pytest.raises(FaultInjected):
+            copy_dataset_into(target, small_dataset)
+        for table_name in schema.TABLE_NAMES:
+            assert not target.db.catalog.has_table(table_name)
+        assert target.db.txn.log == []
 
-        query = get_query("q2")
-        query.install(loaded)
-        sequenced = query.sequenced_sql(loaded, "2010-02-01", "2010-02-15")
-        verdicts = check(loaded.stratum, sequenced, list(SlicingStrategy))
-        assert verdicts == {s: "agrees" for s in SlicingStrategy}
-
-    def test_manifest_written(self, small_dataset, tmp_path):
-        directory = export_dataset(small_dataset, tmp_path / "ds")
-        manifest = (directory / "manifest.txt").read_text()
-        assert "name=DS1" in manifest
-        assert "size=SMALL" in manifest
+    def test_copy_into_existing_tables_appends(self, small_dataset):
+        target = TemporalStratum()
+        copy_dataset_into(target, small_dataset)
+        copy_dataset_into(target, small_dataset)
+        for table_name in schema.TABLE_NAMES:
+            original = small_dataset.stratum.db.catalog.get_table(table_name)
+            restored = target.db.catalog.get_table(table_name)
+            assert restored.rows == original.rows + original.rows

@@ -9,7 +9,6 @@ from repro.temporal.period import (
     coalesce,
     collect_change_points,
     constant_periods,
-    temporal_rows_equal,
 )
 
 periods = st.builds(
@@ -107,8 +106,8 @@ class TestCoalesce:
     def test_snapshot_equivalence_helper(self):
         left = [(("x",), Period(0, 5)), (("x",), Period(5, 9))]
         right = [(("x",), Period(0, 9))]
-        assert temporal_rows_equal(left, right)
-        assert not temporal_rows_equal(left, [(("x",), Period(0, 8))])
+        assert coalesce(left) == coalesce(right)
+        assert coalesce(left) != coalesce([(("x",), Period(0, 8))])
 
     @given(st.lists(st.tuples(st.sampled_from(["a", "b"]), periods), max_size=20))
     def test_coalesce_idempotent(self, raw):

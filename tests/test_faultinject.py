@@ -1,6 +1,6 @@
 """Crash every temporal strategy mid-flight and assert exact restoration.
 
-Each test arms a single-shot :class:`~repro.sqlengine.txn.FaultPlan`,
+Each test arms a single-shot :class:`~tests.faultinject.FaultPlan`,
 runs a temporal statement that the fault aborts partway through, and
 asserts the database is byte-identical to never having run it — row
 data, version counters, catalog contents, schema version, temporal
