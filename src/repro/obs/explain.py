@@ -215,13 +215,19 @@ def _period_terms(period: Any) -> str:
     return ", ".join(terms)
 
 
+def _pipeline_plans(db: "Database") -> list[tuple]:
+    """``(statement, plan)`` of every cached SELECT, UPDATE and DELETE
+    plan (the ones with join levels)."""
+    return [entry for entry in db.plan_cache.values() if hasattr(entry[1], "pipeline")]
+
+
 def _level_counts(db: "Database") -> dict:
     """Join level → (rows in, rows out) over every cached SELECT, UPDATE
     and DELETE plan (keyed by the level itself, so an evicted plan's
     cannot be aliased)."""
     return {
         level: (level.rows_in, level.rows_out)
-        for _, plan in db.plan_cache.pipeline_plans()
+        for _, plan in _pipeline_plans(db)
         for level in plan.pipeline.levels
     }
 
@@ -232,7 +238,7 @@ def _pipelines_run(db: "Database", since: dict) -> list[str]:
     statements included — with the rows each level took in and passed
     on."""
     lines = []
-    for stmt, plan in db.plan_cache.pipeline_plans():
+    for stmt, plan in _pipeline_plans(db):
         if any(
             level.rows_in != since.get(level, (0, 0))[0]
             for level in plan.pipeline.levels
@@ -267,19 +273,15 @@ def _engine_plan_lines(db: "Database", stmt: ast.Statement) -> list[str]:
     """Bind ``stmt`` through the planner (cached) and render the plan.
     A statement over objects that only exist once it executes (routine
     clones, the constant-period table) shows the plan-time error."""
-    if isinstance(stmt, ast.Select) and not stmt.set_op:
-        from repro.sqlengine.planner import build_select_plan as build
-    elif isinstance(stmt, (ast.Update, ast.Delete)):
-        from repro.sqlengine.planner import build_dml_plan as build
-    else:
+    if not (
+        (isinstance(stmt, ast.Select) and not stmt.set_op)
+        or isinstance(stmt, (ast.Update, ast.Delete))
+    ):
         return []
-    hit, plan = db.plan_cache.fetch(stmt, db.catalog)
-    if not hit:
-        try:
-            plan = build(db.executor, stmt, None)
-        except SqlError as exc:
-            return ["engine plan:", f"  (bound at first execution: {exc})"]
-        db.plan_cache.store(stmt, db.catalog.schema_version, plan)
+    try:
+        plan = db.executor.plan(stmt, None)
+    except SqlError as exc:
+        return ["engine plan:", f"  (bound at first execution: {exc})"]
     return ["engine plan:"] + ["  " + line for line in describe_plan(plan)]
 
 

@@ -48,6 +48,12 @@ __all__ = [
     "ServerError",
 ]
 
+# reconnection: retries of a request safe to resend, and the bounds of
+# the jittered exponential backoff between them, in seconds
+RECONNECT_ATTEMPTS = 5
+RECONNECT_BASE_DELAY = 0.05
+RECONNECT_MAX_DELAY = 1.0
+
 
 class ServerError(Exception):
     """An error the server reported for one request."""
@@ -83,18 +89,12 @@ class ReproClient:
         host: Optional[str] = None,
         port: Optional[int] = None,
         reconnect: bool = True,
-        reconnect_attempts: int = 5,
-        reconnect_base_delay: float = 0.05,
-        reconnect_max_delay: float = 1.0,
     ) -> None:
         self._framed = FramedReader(reader)
         self._writer = writer
         self._host = host
         self._port = port
         self._reconnect = reconnect and host is not None
-        self._reconnect_attempts = reconnect_attempts
-        self._reconnect_base_delay = reconnect_base_delay
-        self._reconnect_max_delay = reconnect_max_delay
         self._rng = random.Random()
         self._next_rid = 1
         self._in_txn = False
@@ -112,21 +112,9 @@ class ReproClient:
         port: int,
         *,
         reconnect: bool = True,
-        reconnect_attempts: int = 5,
-        reconnect_base_delay: float = 0.05,
-        reconnect_max_delay: float = 1.0,
     ) -> "ReproClient":
         reader, writer = await asyncio.open_connection(host, port)
-        return cls(
-            reader,
-            writer,
-            host=host,
-            port=port,
-            reconnect=reconnect,
-            reconnect_attempts=reconnect_attempts,
-            reconnect_base_delay=reconnect_base_delay,
-            reconnect_max_delay=reconnect_max_delay,
-        )
+        return cls(reader, writer, host=host, port=port, reconnect=reconnect)
 
     # -- transport ------------------------------------------------------
 
@@ -158,10 +146,7 @@ class ReproClient:
                 )
 
     def _backoff(self, attempt: int) -> float:
-        delay = min(
-            self._reconnect_max_delay,
-            self._reconnect_base_delay * (2 ** attempt),
-        )
+        delay = min(RECONNECT_MAX_DELAY, RECONNECT_BASE_DELAY * (2 ** attempt))
         return delay * (0.5 + self._rng.random() / 2)  # full-ish jitter
 
     # -- request machinery ----------------------------------------------
@@ -215,7 +200,7 @@ class ReproClient:
                         " its state is lost — reconnect and retry the"
                         f" whole transaction ({exc})"
                     ) from exc
-                if not can_retry or attempt >= self._reconnect_attempts:
+                if not can_retry or attempt >= RECONNECT_ATTEMPTS:
                     raise ConnectionLostError(
                         f"connection lost and request is not retryable"
                         f" (or retries exhausted): {exc}"

@@ -144,21 +144,25 @@ class Catalog:
         # are exempt — plans validate their schema at run time instead.
         self.schema_version = 0
         # per name, the schema version its last change left — tables and
-        # views share one namespace, routines have their own.
-        # A rollback restores ``schema_version`` but lowers none of these,
-        # so a name's stamp may exceed the version (:meth:`unchanged_since`).
+        # views share one namespace, routines have their own.  Undoing a
+        # change stamps the name again, so neither ever goes backwards.
         self._relation_stamps: dict[str, int] = {}
         self._routine_stamps: dict[str, int] = {}
 
-    def _guard(self, site: str, name: str, entry_tag: str, key: str, old: object) -> None:
-        """Fault-check then log one catalog mutation's inverse."""
+    def _guard(
+        self, site: str, name: str, objects: dict, stamps: Optional[dict],
+        key: str, old: object,
+    ) -> None:
+        """Fault-check then log one catalog mutation's inverse: put
+        ``old`` back under ``key`` in ``objects`` and, unless the change
+        is exempt from a stamp (``stamps`` None), stamp the name."""
         txn = self.txn
         if txn is None:
             return
         if txn.fault_plan is not None:
             txn.fault_plan.hit(site, name)
         if txn.logging:
-            txn.log.append((entry_tag, self, key, old, self.schema_version))
+            txn.log.append(("cat", self, objects, stamps, key, old))
 
     def _claim_schema(self) -> None:
         """Claim the schema for writing: DDL is not versioned (it becomes
@@ -174,7 +178,7 @@ class Catalog:
         self._claim_schema()
         txn = self.txn
         if txn is not None and txn.logging:
-            txn.log.append(("cat_schema", self, self.schema_version))
+            txn.log.append(("cat_stamp", self, name.lower()))
         self._stamp(self._relation_stamps, name.lower())
 
     def _stamp(self, stamps: dict, key: str) -> None:
@@ -220,7 +224,9 @@ class Catalog:
             raise CatalogError(f"table or view {table.name} already exists")
         if not table.temporary:
             self._claim_schema()
-        self._guard("catalog.add_table", table.name, "cat_table", key,
+        # temporary tables are exempt from stamps (see ``schema_version``)
+        stamps = None if table.temporary else self._relation_stamps
+        self._guard("catalog.add_table", table.name, self._tables, stamps, key,
                     self._tables.get(key))
         txn = self.txn
         if txn is not None and txn.wal is not None and not table.temporary:
@@ -246,7 +252,8 @@ class Catalog:
             raise CatalogError(f"no such table: {name}")
         if not table.temporary:
             self._claim_schema()
-        self._guard("catalog.drop_table", name, "cat_table", key, table)
+        stamps = None if table.temporary else self._relation_stamps
+        self._guard("catalog.drop_table", name, self._tables, stamps, key, table)
         txn = self.txn
         if txn is not None and txn.wal is not None and not table.temporary:
             txn.wal.record_drop_table(table.name)
@@ -264,7 +271,8 @@ class Catalog:
         if not replace and (key in self._views or key in self._tables):
             raise CatalogError(f"table or view {name} already exists")
         self._claim_schema()
-        self._guard("catalog.add_view", name, "cat_view", key, self._views.get(key))
+        self._guard("catalog.add_view", name, self._views, self._relation_stamps,
+                    key, self._views.get(key))
         txn = self.txn
         if txn is not None and txn.wal is not None:
             txn.wal.record_view(name, select.to_sql())
@@ -283,7 +291,8 @@ class Catalog:
         if select is None:
             raise CatalogError(f"no such view: {name}")
         self._claim_schema()
-        self._guard("catalog.drop_view", name, "cat_view", key, select)
+        self._guard("catalog.drop_view", name, self._views, self._relation_stamps,
+                    key, select)
         txn = self.txn
         if txn is not None and txn.wal is not None:
             txn.wal.record_drop_view(name)
@@ -304,7 +313,8 @@ class Catalog:
         changed = existing is None or existing.definition is not routine.definition
         if changed:
             self._claim_schema()
-        self._guard("catalog.add_routine", routine.name, "cat_routine", key, existing)
+        self._guard("catalog.add_routine", routine.name, self._routines,
+                    self._routine_stamps if changed else None, key, existing)
         txn = self.txn
         if txn is not None and txn.wal is not None:
             txn.wal.record_routine(routine.definition.to_sql())
@@ -377,7 +387,8 @@ class Catalog:
         if routine is None:
             raise CatalogError(f"no such routine: {name}")
         self._claim_schema()
-        self._guard("catalog.drop_routine", name, "cat_routine", key, routine)
+        self._guard("catalog.drop_routine", name, self._routines,
+                    self._routine_stamps, key, routine)
         txn = self.txn
         if txn is not None and txn.wal is not None:
             txn.wal.record_drop_routine(name)

@@ -86,68 +86,59 @@ class EngineStats:
 
 
 class PlanCache:
-    """Statement-plan cache keyed by AST identity.
+    """A bounded LRU of what was compiled from a statement against the
+    catalog: the engine's plans, and the temporal stratum's
+    transformations and prepared statements.
 
-    An entry holds a strong reference to the statement node, so a
-    recycled ``id()`` can never alias a different statement, and records
-    the catalog schema version the plan was bound against.  An entry of
-    the current version is served after that one comparison; one of an
-    older version is served, re-stamped, if nothing the statement reaches
-    changed since (:meth:`Catalog.unchanged_since`), else dropped.  At
-    capacity, storing evicts the least recently fetched or stored plan.
+    An entry records the catalog schema version it was stored at.  One
+    of the current version is served after that one comparison; one of
+    an older version is served, re-stamped, if nothing the statement it
+    was compiled from reaches changed since
+    (:meth:`Catalog.unchanged_since`), else dropped.  No version counter
+    ever repeats a value — a rollback moves them forward too — so a
+    stamp names one catalog state and nothing is ever evicted for being
+    too new.  At capacity, storing evicts the least recently fetched or
+    stored entry.
     """
 
-    __slots__ = ("_entries", "_revalidated")
+    __slots__ = ("_entries", "capacity", "_revalidated")
 
-    CAPACITY = 512
-
-    def __init__(self, revalidated: Counter) -> None:
-        self._entries: dict[int, tuple] = {}
+    def __init__(self, capacity: int, revalidated: Counter) -> None:
+        self._entries: dict[Any, tuple] = {}
+        self.capacity = capacity
         self._revalidated = revalidated
 
-    def fetch(self, stmt: ast.Statement, catalog: Catalog) -> tuple[bool, Any]:
-        entry = self._entries.pop(id(stmt), None)
-        if entry is None or entry[0] is not stmt:
-            return False, None
-        if entry[1] != catalog.schema_version:
-            if not catalog.unchanged_since(entry[1], stmt):
-                return False, None
-            entry = (stmt, catalog.schema_version, entry[2])
+    def fetch(self, key: Any, stmt: ast.Statement, catalog: Catalog) -> Any:
+        """The value under ``key``, compiled from ``stmt``, while nothing
+        ``stmt`` reaches changed since it was stored; else None."""
+        entry = self._entries.pop(key, None)
+        if entry is None:
+            return None
+        if entry[0] != catalog.schema_version:
+            if not catalog.unchanged_since(entry[0], stmt):
+                return None
+            entry = (catalog.schema_version, entry[1])
             self._revalidated.inc()
         # LRU refresh: re-insert at the end of the (insertion-ordered) dict
-        self._entries[id(stmt)] = entry
-        return True, entry[2]
+        self._entries[key] = entry
+        return entry[1]
 
-    def store(self, stmt: ast.Statement, schema_version: int, plan: Any) -> None:
-        if len(self._entries) >= self.CAPACITY and id(stmt) not in self._entries:
-            del self._entries[next(iter(self._entries))]  # least recently used
-        self._entries[id(stmt)] = (stmt, schema_version, plan)
+    def peek(self, key: Any) -> Any:
+        """The value under ``key``, however stale, leaving its recency."""
+        entry = self._entries.get(key)
+        return None if entry is None else entry[1]
 
-    def drop(self, stmt: ast.Statement) -> None:
-        self._entries.pop(id(stmt), None)
+    def store(self, key: Any, schema_version: int, value: Any) -> None:
+        entries = self._entries
+        if len(entries) >= self.capacity and key not in entries:
+            del entries[next(iter(entries))]  # least recently used
+        entries[key] = (schema_version, value)
 
-    def evict_newer(self, schema_version: int) -> None:
-        """Drop entries bound after ``schema_version``.
+    def drop(self, key: Any) -> None:
+        self._entries.pop(key, None)
 
-        Called after a rollback restores the catalog's version counter:
-        an entry stored during the rolled-back window would otherwise
-        falsely revalidate once later DDL pushes the counter back up to
-        the version it was bound at.
-        """
-        stale = [
-            key for key, (_, version, _) in self._entries.items()
-            if version > schema_version
-        ]
-        for key in stale:
-            del self._entries[key]
-
-    def pipeline_plans(self) -> list[tuple]:
-        """``(statement, plan)`` of every cached SELECT, UPDATE and
-        DELETE plan (EXPLAIN ANALYZE reads their per-level row counts)."""
-        return [
-            (stmt, plan) for stmt, _, plan in self._entries.values()
-            if hasattr(plan, "pipeline")
-        ]
+    def values(self) -> list:
+        return [value for _, value in self._entries.values()]
 
     def clear(self) -> None:
         self._entries.clear()
@@ -186,8 +177,9 @@ class Database:
         self.table_function_cache: dict = {}
         self.read_window: Optional[list] = None
         # bind/plan layer: compiled statement plans, revalidated after a
-        # catalog schema change, and expression closures
-        self.plan_cache = PlanCache(self.obs.counter("engine.plan_cache.revalidated"))
+        # catalog schema change (values ``(statement, plan)`` under the
+        # statement's id, see Executor.plan), and expression closures
+        self.plan_cache = PlanCache(512, self.obs.counter("engine.plan_cache.revalidated"))
         self.expr_cache: dict = {}
         # `cp_cache` memoizes the last constant-period materialization
         # per cp table (source table versions + context), letting the
@@ -233,10 +225,6 @@ class Database:
             self, name=name or f"session-{len(self._session_txns) + 1}"
         )
         txn.wal = self.root_txn.wal
-        # the undo log is per-session, but rollback cache eviction is
-        # global: share the hook list so a stratum's transform purge
-        # runs no matter which session rolled back
-        txn.rollback_hooks = self.root_txn.rollback_hooks
         self.mvcc.register_session()
         self._session_txns.append(txn)
         return txn

@@ -252,14 +252,35 @@ class Executor:
         close / split / re-insert them themselves."""
         return self._run_planned(stmt, env, step="match")
 
+    def plan(self, stmt: ast.Statement, env: Optional[Env]) -> Any:
+        """The plan of a SELECT arm or DML statement: the cached one
+        while it holds (:class:`~repro.sqlengine.engine.PlanCache`),
+        else one built now and stored; a plan-time error propagates as
+        itself and caches nothing.  The cache holds the statement beside
+        its plan, so a recycled ``id()`` can never alias another one."""
+        db = self.db
+        cached = db.plan_cache.fetch(id(stmt), stmt, db.catalog)
+        if cached is not None and cached[0] is stmt:
+            db.stats.plan_hits.value += 1
+            return cached[1]
+        build = (
+            planner.build_select_plan
+            if isinstance(stmt, ast.Select)
+            else planner.build_dml_plan
+        )
+        plan = build(self, stmt, env)
+        db.stats.compiled.value += 1
+        db.plan_cache.store(id(stmt), db.catalog.schema_version, (stmt, plan))
+        return plan
+
     def _run_planned(
         self, stmt: ast.Statement, env: Optional[Env], *run_args, step: str = "run"
     ) -> Any:
         """Run one SELECT arm or DML statement through its plan.
 
-        The bind/plan phase happens once per statement, and again only
-        after a change to something it reaches; a plan-time error
-        propagates as itself and caches nothing.  A plan validates its sources before it produces or
+        The bind/plan phase (:meth:`plan`) happens once per statement,
+        and again only after a change to something it reaches.  A plan
+        validates its sources before it produces or
         consumes a row: on :class:`PlanInvalidated` the entry is dropped
         and the statement is re-planned and re-run, once.
         """
@@ -272,22 +293,11 @@ class Executor:
                 started = time.perf_counter_ns()
         try:
             for replanned in (False, True):
-                hit, plan = db.plan_cache.fetch(stmt, db.catalog)
-                if hit:
-                    db.stats.plan_hits.value += 1
-                else:
-                    build = (
-                        planner.build_select_plan
-                        if isinstance(stmt, ast.Select)
-                        else planner.build_dml_plan
-                    )
-                    plan = build(self, stmt, env)
-                    db.stats.compiled.value += 1
-                    db.plan_cache.store(stmt, db.catalog.schema_version, plan)
+                plan = self.plan(stmt, env)
                 try:
                     return getattr(plan, step)(self, env, *run_args)
                 except PlanInvalidated as stale:
-                    db.plan_cache.drop(stmt)
+                    db.plan_cache.drop(id(stmt))
                     if replanned:
                         raise ExecutionError(
                             f"plan invalidated twice in one execution: {stale}"

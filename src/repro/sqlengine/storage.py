@@ -192,8 +192,10 @@ class Table:
     are the only row writers: statements and crash recovery both call
     them (see :mod:`repro.sqlengine.recovery`).  Readers are never disturbed: a
     hash bucket is replaced, never grown or shrunk in place, and index
-    searches return fresh lists.  Rollback evicts by tag
-    (:func:`repro.sqlengine.txn._restore_table_version`).
+    searches return fresh lists.  ``version`` only ever grows — undoing
+    a mutation bumps it too (:mod:`repro.sqlengine.txn`) — so a tag
+    names one state of the rows, and an entry tagged at an earlier
+    version is never valid again.
     """
 
     # default for tables never registered in a catalog
@@ -212,7 +214,8 @@ class Table:
         # replaced whenever the columns change: a plan bound against
         # this stamp still fits the table (``planner._Scan.validate``)
         self.schema_stamp = object()
-        # bumped by every mutation; tags the derived structures
+        # bumped by every mutation and every undo of one; tags the
+        # derived structures
         self.version = 0
         # key -> (version, row count, structure), keys ("hash", column),
         # ("interval", begin, end), ("change_points", begin, end),
@@ -317,7 +320,7 @@ class Table:
             if txn.fault_plan is not None:
                 txn.fault_plan.hit("table.insert", self.name)
             if txn.logging:
-                txn.log.append(("ins", self, self.version))
+                txn.log.append(("ins", self))
             if txn.wal is not None and not self.temporary:
                 txn.wal.record_insert(self.name, row)
         rows = self.rows
@@ -349,7 +352,7 @@ class Table:
         if txn is not None:
             if txn.logging:
                 # the displaced list object is the inverse
-                txn.log.append(("rows", self, self.version, old_rows))
+                txn.log.append(("rows", self, old_rows))
             if txn.wal is not None and not self.temporary:
                 txn.wal.record_delete(self.name, doomed)
         self.rows = without(old_rows, doomed)
@@ -381,10 +384,9 @@ class Table:
         touched = [] if self._derived or wal is not None else None
         for row, new in zip(rows, cells):
             if log is not None:
-                log.append((
-                    "upd", self, self.version, row,
-                    [(index, row[index]) for index, _ in new],
-                ))
+                log.append(
+                    ("upd", self, row, [(index, row[index]) for index, _ in new])
+                )
             if touched is not None:
                 position = self._row_position(row)
                 if wal is not None:
@@ -409,7 +411,7 @@ class Table:
             if txn.fault_plan is not None:
                 txn.fault_plan.hit("table.replace_rows", self.name)
             if txn.logging:
-                txn.log.append(("rows", self, self.version, self.rows))
+                txn.log.append(("rows", self, self.rows))
             if txn.wal is not None and not self.temporary:
                 txn.wal.record_set_rows(self.name, new_rows)
         self.rows = new_rows
@@ -434,7 +436,7 @@ class Table:
             if txn.fault_plan is not None:
                 txn.fault_plan.hit("table.add_column", self.name)
             if txn.logging:
-                txn.log.append(("addcol", self, self.version, len(self.columns)))
+                txn.log.append(("addcol", self, len(self.columns)))
             if txn.wal is not None and not self.temporary:
                 txn.wal.record_add_column(self.name, column, default)
         self.columns.append(column)
@@ -478,20 +480,21 @@ class Table:
         """Bring every structure that was valid just before the mutation
         (``count_before`` rows at ``version - 1``) forward by ``delta``.
 
-        Runs after the rows changed and ``version`` moved.  A structure
-        leaves ``_derived`` while its delta runs and returns re-tagged,
-        so one that raised midway or that the delta refused is simply
-        gone; entries describing older states are left alone — rollback
-        to their version revalidates them, anything else rebuilds.
+        Runs after the rows changed and ``version`` moved.  Only what is
+        carried stays: a structure leaves ``_derived`` while its delta
+        runs and returns re-tagged, so one that raised midway or that
+        the delta refused is simply gone, and so is every entry that
+        describes an older state (it can never become current again).
         """
         derived = self._derived
         version = self.version
         count = len(self.rows)
         carried = 0
-        for key, (tag, rows, structure) in list(derived.items()):
+        entries = list(derived.items())
+        derived.clear()
+        for key, (tag, rows, structure) in entries:
             if tag != version - 1 or rows != count_before:
                 continue
-            del derived[key]
             structure = delta(key, structure, *change)
             if structure is not None:
                 derived[key] = (version, count, structure)

@@ -5,8 +5,8 @@ every layer: each mutating primitive in :class:`~repro.sqlengine.storage.Table`,
 :class:`~repro.sqlengine.catalog.Catalog` and the stratum's temporal
 registries appends an inverse operation while logging is active.  A
 *mark* is an index into that log; rolling back to a mark applies the
-entries above it in reverse and restores the version counters the
-bind/plan caches key on.
+entries above it in reverse and moves the version counters the
+bind/plan caches key on forward.
 
 Marks nest freely on one stack:
 
@@ -24,12 +24,12 @@ append per mutation and nothing is retained.
 
 Undo application manipulates the raw storage structures directly —
 never the logging primitives — so rollback cannot re-log or re-trigger
-an injected fault.  Version counters are *restored* (not bumped) so
-plan/transform/hash-index caches built before the rolled-back window
-keep hitting; cache entries created during the window are evicted
-explicitly (see :meth:`TransactionManager._after_rollback`) because a
-restored counter could otherwise climb back to the same value over a
-different schema and alias them.
+an injected fault.  It moves version counters *forward*, as any other
+change does: a table's version is bumped, and the catalog stamps each
+name it restores (``Catalog._stamp``).  A counter therefore never
+repeats a value, so no cache keyed on one needs evicting: a plan,
+transform or derived structure built inside the rolled-back window
+describes a state that can never become current again.
 """
 
 from __future__ import annotations
@@ -55,41 +55,46 @@ class _Mark:
         self.redo_index = redo_index
 
 
-def _restore_table_version(table, version: int) -> None:
-    """Reset a table's version, evicting derived structures tagged later.
-
-    A restored counter can climb back to the same value over different
-    rows, so any hash index, interval index, change-point set, column
-    store or row-position map built *or carried forward by a delta*
-    during the rolled-back window must go: a tag above the restored
-    version says exactly that (see :class:`~repro.sqlengine.storage.Table`).
-    """
-    table.version = version
-    derived = table._derived
-    for key in [key for key, entry in derived.items() if entry[0] > version]:
-        del derived[key]
-
-
 def _apply_undo(entry: tuple) -> None:
     """Apply one inverse operation (raw structures, never primitives)."""
     tag = entry[0]
+    if tag == "cat":
+        # a stamp on the name the entry restores, unless the change was
+        # exempt from one (a temporary table, an identical routine)
+        _, catalog, objects, stamps, key, old_value = entry
+        if old_value is None:
+            objects.pop(key, None)
+        else:
+            objects[key] = old_value
+        if stamps is not None:
+            catalog._stamp(stamps, key)
+        return
+    if tag == "cat_stamp":
+        _, catalog, key = entry
+        catalog._stamp(catalog._relation_stamps, key)
+        return
+    if tag == "reg":
+        # temporal registry add/remove
+        _, registry, key, old_info = entry
+        if old_info is None:
+            registry._tables.pop(key, None)
+        else:
+            registry._tables[key] = old_info
+        registry.version += 1
+        return
+    table = entry[1]
     if tag == "ins":
-        _, table, version = entry
         table.rows.pop()
-        _restore_table_version(table, version)
     elif tag == "upd":
-        _, table, version, row, old_cells = entry
+        _, _, row, old_cells = entry
         for index, value in old_cells:
             row[index] = value
-        _restore_table_version(table, version)
     elif tag == "rows":
         # delete_rows / replace_rows reassign the row list, so the
         # inverse is simply the displaced list object
-        _, table, version, old_rows = entry
-        table.rows = old_rows
-        _restore_table_version(table, version)
+        table.rows = entry[2]
     elif tag == "addcol":
-        _, table, version, ncols = entry
+        ncols = entry[2]
         for column in table.columns[ncols:]:
             table._index.pop(column.name.lower(), None)
         del table.columns[ncols:]
@@ -101,46 +106,11 @@ def _apply_undo(entry: tuple) -> None:
             if all(column in table._index for column in pair)
         ]
         table.schema_stamp = object()
-        _restore_table_version(table, version)
-    elif tag == "cat_table":
-        # the version is restored, the catalog's per-name stamps are not
-        # lowered (``Catalog.unchanged_since``)
-        _, catalog, key, old_value, old_version = entry
-        if old_value is None:
-            catalog._tables.pop(key, None)
-        else:
-            catalog._tables[key] = old_value
-        catalog.schema_version = old_version
-    elif tag == "cat_view":
-        _, catalog, key, old_value, old_version = entry
-        if old_value is None:
-            catalog._views.pop(key, None)
-        else:
-            catalog._views[key] = old_value
-        catalog.schema_version = old_version
-    elif tag == "cat_routine":
-        _, catalog, key, old_value, old_version = entry
-        if old_value is None:
-            catalog._routines.pop(key, None)
-        else:
-            catalog._routines[key] = old_value
-        catalog.schema_version = old_version
-    elif tag == "cat_schema":
-        _, catalog, old_version = entry
-        catalog.schema_version = old_version
-    elif tag == "reg":
-        # temporal registry add/remove.  The registry version is bumped,
-        # not restored: its transform-cache keys have no per-entry
-        # version gate, so a restored counter could alias an entry built
-        # over a different registration set.
-        _, registry, key, old_info = entry
-        if old_info is None:
-            registry._tables.pop(key, None)
-        else:
-            registry._tables[key] = old_info
-        registry.version += 1
     else:  # pragma: no cover - exhaustive over logged tags
         raise AssertionError(f"unknown undo entry {tag!r}")
+    # the rows are as they were, but under a new version: structures
+    # tagged at any earlier one are rebuilt on their next use
+    table.version += 1
 
 
 class TransactionManager:
@@ -180,10 +150,6 @@ class TransactionManager:
         # uncommitted redo (their claimed table sets are disjoint).
         self.wal = None
         self.redo: list = []
-        # callbacks run after any rollback that applied undo entries;
-        # the stratum registers one to purge transform-cache entries
-        # stored during the rolled-back window
-        self.rollback_hooks: list[Callable[[], None]] = []
         # high-water mark of undo-log depth, mirrored into the metrics
         # registry only when it moves (the int compare keeps mark() hot)
         self._undo_high_water = 0
@@ -254,25 +220,7 @@ class TransactionManager:
         log = self.log
         while len(log) > index:
             _apply_undo(log.pop())
-        self._after_rollback()
-
-    def _after_rollback(self) -> None:
-        """Evict cache entries created during the rolled-back window.
-
-        The plan cache keys on the catalog schema version, which rollback
-        just restored — entries bound at a higher version would falsely
-        revalidate once DDL pushes the counter back up.
-        """
-        db = self.db
-        db.obs.inc("engine.rollbacks")
-        db.plan_cache.evict_newer(db.catalog.schema_version)
-        # the constant-period materialization cache keys on table version
-        # counters that rollback just restored; entries recorded during
-        # the rolled-back window would falsely revalidate once the
-        # counters climb back up over different rows
-        db.cp_cache.clear()
-        for hook in self.rollback_hooks:
-            hook()
+        self.db.obs.inc("engine.rollbacks")
 
     # -- explicit transactions ------------------------------------------
 

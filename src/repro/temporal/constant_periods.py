@@ -132,9 +132,8 @@ def materialize_constant_periods(
     The whole rebuild is skipped when nothing it depends on changed
     since the last materialization into ``cp_name``: same source tables
     at the same versions, same context, and the cp table itself
-    untouched (``db.cp_cache``, cleared on rollback and recovery because
-    restored version counters can climb back to cached values over
-    different rows).
+    untouched (``db.cp_cache``; version counters never repeat a value, a
+    rollback's included, so a signature names one state of the rows).
     """
     sources = _cp_sources(db, table_names, registry)
     signature = (

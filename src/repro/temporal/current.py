@@ -16,32 +16,21 @@ routines they call) the same ``cur⟦·⟧`` a current query gets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.catalog import Catalog
 from repro.temporal import analysis
 from repro.temporal.pointwise import add_point_conditions, transform_statement_at_point
 from repro.temporal.schema import TemporalRegistry
-from repro.temporal.transform_util import call, clone, rename_routine_calls
+from repro.temporal.transform_util import (
+    TransformResult,
+    call,
+    clone,
+    rename_routine_calls,
+)
 
 CURRENT_PREFIX = "curr_"
-
-
-@dataclass
-class CurrentTransformResult:
-    """The transformed statement plus the routine clones it requires."""
-
-    statement: ast.Statement
-    routines: list[Union[ast.CreateFunction, ast.CreateProcedure]] = field(
-        default_factory=list
-    )
-
-    def to_sql(self) -> str:
-        parts = [r.to_sql() + ";" for r in self.routines]
-        parts.append(self.statement.to_sql() + ";")
-        return "\n\n".join(parts)
 
 
 def transform_current(
@@ -50,7 +39,7 @@ def transform_current(
     registry: TemporalRegistry,
     prefix: str = CURRENT_PREFIX,
     point: Optional[ast.Expression] = None,
-) -> CurrentTransformResult:
+) -> TransformResult:
     """Apply ``cur⟦·⟧`` to a statement and its reachable routines.
 
     ``point`` defaults to CURRENT_DATE; the stratum passes a literal
@@ -77,4 +66,4 @@ def transform_current(
     # stratum carries it out): only what it reads is read at the point
     add_point_conditions(new_stmt, at, registry)
     rename_routine_calls(new_stmt, rename_map)
-    return CurrentTransformResult(statement=new_stmt, routines=routines)
+    return TransformResult(new_stmt, routines)

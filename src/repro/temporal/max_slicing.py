@@ -19,7 +19,6 @@ the performance study measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Union
 
 from repro.sqlengine import ast_nodes as ast
@@ -30,6 +29,7 @@ from repro.temporal.errors import FeatureNotSupportedError
 from repro.temporal.schema import TemporalRegistry
 from repro.temporal.pointwise import transform_statement_at_point
 from repro.temporal.transform_util import (
+    TransformResult,
     clone,
     from_table_aliases,
     name,
@@ -49,23 +49,6 @@ def statement_key(stmt: ast.Statement) -> str:
     catalog versions.
     """
     return stmt.to_sql()
-
-
-@dataclass
-class MaxTransformResult:
-    """Transformed statement + required routine clones + cp metadata."""
-
-    statement: ast.Statement
-    routines: list[Union[ast.CreateFunction, ast.CreateProcedure]] = field(
-        default_factory=list
-    )
-    cp_alias: str = "cp"
-    temporal_tables: list[str] = field(default_factory=list)
-
-    def to_sql(self) -> str:
-        parts = [r.to_sql() + ";" for r in self.routines]
-        parts.append(self.statement.to_sql() + ";")
-        return "\n\n".join(parts)
 
 
 def transform_routine_max(
@@ -99,7 +82,7 @@ def transform_query_max(
     catalog: Catalog,
     registry: TemporalRegistry,
     cp_table: str,
-) -> MaxTransformResult:
+) -> TransformResult:
     """Transform a sequenced statement under maximal slicing (Figure 9).
 
     The caller is responsible for materializing ``cp_table`` (see
@@ -123,7 +106,6 @@ def transform_query_max(
             new_stmt, point, registry, rename_map,
             extra_args=lambda: [name(cp_alias, "begin_time")],
         )
-        result_alias = cp_alias
     elif isinstance(new_stmt, ast.CallStatement):
         # the stratum drives the per-constant-period loop natively for
         # CALL: the procedure clone takes the point parameter, so the
@@ -131,18 +113,12 @@ def transform_query_max(
         target = rename_map.get(new_stmt.name.lower())
         if target is not None:
             new_stmt.name = target
-        result_alias = "cp"
     else:
         raise FeatureNotSupportedError(
             f"sequenced {type(stmt).__name__} is not supported by maximal"
             " slicing (SELECT and CALL are)"
         )
-    return MaxTransformResult(
-        statement=new_stmt,
-        routines=routines,
-        cp_alias=result_alias,
-        temporal_tables=temporal_tables,
-    )
+    return TransformResult(new_stmt, routines, {cp_table: temporal_tables})
 
 
 def _attach_cp(select: ast.Select, cp_table: str) -> str:

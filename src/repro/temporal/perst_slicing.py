@@ -52,6 +52,7 @@ from repro.temporal.period import Period
 from repro.temporal.pointwise import add_point_conditions, forbid_temporal_dml
 from repro.temporal.schema import TemporalRegistry
 from repro.temporal.transform_util import (
+    TransformResult,
     add_condition,
     and_all,
     clone,
@@ -87,27 +88,6 @@ _POINT_SAFE = (
 DATE_TYPE = SqlType("DATE")
 
 
-@dataclass
-class PerstTransformResult:
-    """Transformed statement, routine clones, and cp-table requirements.
-
-    ``cp_requirements`` maps each constant-period helper table name to
-    the temporal tables whose change points it must contain; the stratum
-    materializes them (for the full query context) before execution.
-    """
-
-    statement: ast.Statement
-    routines: list[Union[ast.CreateFunction, ast.CreateProcedure]] = dataclass_field(
-        default_factory=list
-    )
-    cp_requirements: dict[str, list[str]] = dataclass_field(default_factory=dict)
-
-    def to_sql(self) -> str:
-        parts = [r.to_sql() + ";" for r in self.routines]
-        parts.append(self.statement.to_sql() + ";")
-        return "\n\n".join(parts)
-
-
 class PerstTransformer:
     """Transforms one statement and its reachable routines."""
 
@@ -120,7 +100,7 @@ class PerstTransformer:
     # entry point
     # ------------------------------------------------------------------
 
-    def transform(self, stmt: ast.Statement) -> PerstTransformResult:
+    def transform(self, stmt: ast.Statement) -> TransformResult:
         analysis.check_perst_applicable(stmt, self.catalog, self.registry)
         rename_map = {
             routine: PS_PREFIX + routine
@@ -131,7 +111,7 @@ class PerstTransformer:
             for original in rename_map
         ]
         new_stmt = self.transform_top_statement(stmt, rename_map)
-        return PerstTransformResult(
+        return TransformResult(
             statement=new_stmt,
             routines=routines,
             cp_requirements=dict(self.cp_requirements),

@@ -43,7 +43,7 @@ from typing import Any, Optional, Union
 
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.catalog import Catalog, Routine, body_facts
-from repro.sqlengine.engine import Database
+from repro.sqlengine.engine import Database, PlanCache
 from repro.sqlengine.executor import Env
 from repro.sqlengine.parser import parse_script, parse_statement
 from repro.sqlengine.storage import Column
@@ -303,15 +303,17 @@ class TemporalStratum:
         self.tt_registry = TemporalRegistry()  # transaction time
         self._nonseq_only_routines: set[str] = set()
         self._inner_cp_requirements: dict[str, list[str]] = {}
-        # candidate cache: :meth:`candidate`'s key → (catalog schema
-        # version at store, Candidate).  An entry is served while nothing
-        # the submitted statement reaches changed since that version
-        # (:meth:`_transform_fetch`), so DDL and routine redefinition can
-        # never expose a stale transformation or verdict; registry
-        # versions are part of the key.  Statement-cache entries,
-        # ("statement", strategy, text) → PreparedStatement, too.
-        self._transform_cache: dict = {}
-        self._revalidated = self.db.obs.counter("stratum.transform_cache.revalidated")
+        # candidate cache: :meth:`candidate`'s key → Candidate.  An entry
+        # is served while nothing the submitted statement reaches changed
+        # since it was stored (:class:`PlanCache`), so DDL and routine
+        # redefinition can never expose a stale transformation or
+        # verdict; the statement's own clones are not among those names,
+        # so installing them leaves its entries valid.  Registry
+        # versions are part of the key.  Statement-cache
+        # entries, ("statement", strategy, text) → PreparedStatement, too.
+        self._transform_cache = PlanCache(
+            256, self.db.obs.counter("stratum.transform_cache.revalidated")
+        )
         self._served: tuple = (None, None)  # :meth:`parse`'s last
         self.last_strategy: Optional[SlicingStrategy] = None
         # why the most recent SEQ-SET attempt fell back to MAX (None
@@ -321,15 +323,11 @@ class TemporalStratum:
         # time-travel ("as of") reads of transaction-time tables
         self.transaction_clock: Optional[Date] = None
         # undo-log integration: registry changes are logged like catalog
-        # changes, and a rollback that restores the catalog's schema
-        # version must also drop transformations cached during the
-        # rolled-back window (they would falsely revalidate once later
-        # DDL pushes the version back up)
+        # changes
         self.registry.txn = self.db.txn
         self.tt_registry.txn = self.db.txn
         # session switches (Database.activate_txn) must repoint these too
         self.db.txn_followers.extend([self.registry, self.tt_registry])
-        self.db.txn.rollback_hooks.append(self._evict_stale_transforms)
 
     # ------------------------------------------------------------------
     # durability
@@ -401,8 +399,6 @@ class TemporalStratum:
     # candidates: the one cached place a transformation is built
     # ------------------------------------------------------------------
 
-    TRANSFORM_CACHE_CAPACITY = 256
-
     def candidate(
         self, flavor: str, stmt: ast.Statement, registry: TemporalRegistry,
         baked: Any = None,
@@ -436,7 +432,8 @@ class TemporalStratum:
             self.tt_registry.version,
             baked if flavor == "perst" else None,
         )
-        found = self._transform_fetch(key, stmt)
+        catalog = self.db.catalog
+        found = self._transform_cache.fetch(key, stmt, catalog)
         if found is not None and found.clock in (None, self.clock):
             self.db.stats.transform_hits.value += 1
             return found
@@ -445,7 +442,7 @@ class TemporalStratum:
             found = self._build_candidate(flavor, stmt, registry, baked)
         except TemporalError as exc:
             found = Candidate(reason=str(exc), error=type(exc))
-        self._transform_store(key, found)
+        self._transform_cache.store(key, catalog.schema_version, found)
         return found
 
     def _build_candidate(
@@ -476,7 +473,7 @@ class TemporalStratum:
                 result.routines,
                 declare_point=catalog.write_free(*catalog.reach(stmt).routines),
             )
-            found.cp_requirements = {MAX_CP_TABLE: found.temporal_tables}
+            found.cp_requirements = result.cp_requirements
         elif flavor == "perst":
             result = PerstTransformer(catalog, registry).transform(stmt)
             found.statement = clone(result.statement)
@@ -534,43 +531,6 @@ class TemporalStratum:
         found.statement = result.statement
         found.clones = found.clones + _as_clones(result.routines)
 
-    def _transform_fetch(self, key: tuple, stmt: ast.Statement) -> Any:
-        """The entry under ``key``, built from the submitted ``stmt``,
-        while nothing ``stmt`` reaches changed since it was stored.  The
-        statement's own clones are not among those names, so installing
-        them leaves its entries valid."""
-        entry = self._transform_cache.pop(key, None)
-        if entry is None:
-            return None
-        catalog = self.db.catalog
-        if entry[0] != catalog.schema_version:
-            if not catalog.unchanged_since(entry[0], stmt):
-                return None
-            entry = (catalog.schema_version, entry[1])
-            self._revalidated.inc()
-        # LRU refresh: re-insert at the end of the (insertion-ordered)
-        # dict so hot entries survive capacity pressure
-        self._transform_cache[key] = entry
-        return entry[1]
-
-    def _evict_stale_transforms(self) -> None:
-        current = self.db.catalog.schema_version
-        stale = [
-            key for key, (version, _) in self._transform_cache.items()
-            if version > current
-        ]
-        for key in stale:
-            del self._transform_cache[key]
-
-    def _transform_store(self, key: tuple, payload: Any) -> None:
-        """Record an entry against the *current* schema version."""
-        cache = self._transform_cache
-        if key not in cache and len(cache) >= self.TRANSFORM_CACHE_CAPACITY:
-            # evict the least recently used entry (dict order: oldest
-            # first, fetches re-insert at the end)
-            del cache[next(iter(cache))]
-        cache[key] = (self.db.catalog.schema_version, payload)
-
     def _install(self, clones: list[Routine]) -> None:
         """Install the routine clones a statement's transformation calls."""
         catalog = self.db.catalog
@@ -612,13 +572,13 @@ class TemporalStratum:
         that still holds (DESIGN.md §3.10)."""
         key = ("statement", strategy, sql)
         # a stale entry still serves its AST: parsing reads no catalog
-        entry = self._transform_cache.get(key)
-        if entry is None:
+        prepared = self._transform_cache.peek(key)
+        if prepared is None:
             self.db.obs.inc("stratum.statement_cache.misses")
             stmt = parse_statement(sql)
         else:
             self.db.obs.inc("stratum.statement_cache.hits")
-            stmt = entry[1].statement
+            stmt = prepared.statement
         self._served = (key, stmt)
         return stmt
 
@@ -871,7 +831,8 @@ class TemporalStratum:
             return self.prepare(stmt, strategy)
         registries = (self.registry.version, self.tt_registry.version)
         stamp = registries + (self.transaction_clock, self.db.now)
-        last = self._transform_fetch(key, stmt)
+        catalog = self.db.catalog
+        last = self._transform_cache.fetch(key, stmt, catalog)
         if last is not None and last.stamp == stamp:
             self.db.stats.transform_hits.value += 1
             with self.db.tracer.span("stratum.prepare", cached=True):
@@ -879,7 +840,7 @@ class TemporalStratum:
         prepared = self.prepare(stmt, strategy)
         if _reusable(prepared, strategy):
             prepared.stamp = stamp
-        self._transform_store(key, prepared)
+        self._transform_cache.store(key, catalog.schema_version, prepared)
         return prepared
 
     def _transformed(
@@ -1153,7 +1114,7 @@ class TemporalStratum:
                 )
             result = transform_query_max(inner, self.db.catalog, self.registry, cp_table)
             self._install(_as_clones(result.routines))
-            self._inner_cp_requirements[cp_table] = result.temporal_tables
+            self._inner_cp_requirements.update(result.cp_requirements)
             return result.statement
 
         new_def.body = rewrite(new_def.body)

@@ -8,9 +8,30 @@ touched.
 from __future__ import annotations
 
 import copy
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from repro.sqlengine import ast_nodes as ast
+
+
+@dataclass
+class TransformResult:
+    """What a transformation returns: the transformed statement, the
+    routine clones it calls, and the constant-period tables it reads —
+    each cp table's name mapped to the temporal tables whose change
+    points it must contain (the stratum materializes them for the
+    statement's context before it runs)."""
+
+    statement: ast.Statement
+    routines: list[Union[ast.CreateFunction, ast.CreateProcedure]] = field(
+        default_factory=list
+    )
+    cp_requirements: dict[str, list[str]] = field(default_factory=dict)
+
+    def to_sql(self) -> str:
+        parts = [r.to_sql() + ";" for r in self.routines]
+        parts.append(self.statement.to_sql() + ";")
+        return "\n\n".join(parts)
 
 
 def clone(node: ast.Node) -> ast.Node:

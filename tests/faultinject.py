@@ -12,9 +12,11 @@ holds what gets armed there.
   seed: fault plans over the mutation and durability sites plus an
   optional watchdog ``cancel_at_check`` trigger.
 * ``snapshot_db`` captures everything rollback promises to restore —
-  row data, version counters, catalog contents, schema version,
-  registry entries — so a test can assert that a statement crashed
-  mid-flight left the database byte-identical to never having run it.
+  row data, catalog contents, registry entries — and the version
+  counters, so a test can assert that a statement crashed mid-flight
+  left the database as if it had never run, with no counter lower than
+  before and every derived structure current at its table's version
+  equal to a fresh build.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from typing import Any, Callable, Optional
 
 from repro.sqlengine.engine import Database
 from repro.sqlengine.errors import FaultInjected
+from repro.sqlengine.storage import Table
 
 
 class FaultPlan:
@@ -251,8 +254,9 @@ def snapshot_registry(registry) -> dict[str, Any]:
 
 
 def assert_snapshot_equal(db: Database, expected: dict[str, Any]) -> None:
+    """The state is ``expected``'s; no version counter went backwards."""
     actual = snapshot_db(db)
-    assert actual["schema_version"] == expected["schema_version"]
+    assert actual["schema_version"] >= expected["schema_version"]
     assert actual["views"] == expected["views"]
     assert actual["routines"] == expected["routines"]
     assert sorted(actual["tables"]) == sorted(expected["tables"])
@@ -260,11 +264,56 @@ def assert_snapshot_equal(db: Database, expected: dict[str, Any]) -> None:
         got = actual["tables"][name]
         assert got["columns"] == want["columns"], f"{name}: column layout"
         assert got["rows"] == want["rows"], f"{name}: row data"
-        assert got["version"] == want["version"], f"{name}: version counter"
-    # derived structures must never describe data newer than the version says
-    for name, table in db.catalog._tables.items():
-        for key, entry in table._derived.items():
-            assert entry[0] <= table.version, f"{name}: stale {key} survived"
+        assert got["version"] >= want["version"], f"{name}: version counter"
+    for table in db.catalog._tables.values():
+        assert_derived_fresh(table)
+
+
+def _derived_image(key: tuple, structure: Any) -> Any:
+    """What a reader sees of one derived structure (rows by identity)."""
+    kind = key[0]
+    if kind == "hash":
+        return {bucket: list(map(id, rows)) for bucket, rows in structure.items()}
+    if kind == "interval":
+        return (
+            structure.entry_count, structure.total_rows, structure._begins,
+            structure._positions, structure._ends, list(map(id, structure._rows)),
+        )
+    if kind == "change_points":
+        return structure.points
+    if kind == "stab":
+        return {
+            bucket: (stab.points, stab.live and [list(map(id, s)) for s in stab.live])
+            for bucket, stab in structure.items()
+        }
+    return structure  # positions
+
+
+def assert_derived_fresh(table: Table) -> None:
+    """Every derived structure tagged at the table's current version
+    equals one built fresh from its rows."""
+    fresh = Table("fresh", table.columns)
+    fresh.rows = table.rows  # the same row objects: compare by identity
+    for key, (version, _, structure) in list(table._derived.items()):
+        if version != table.version:
+            continue
+        kind = key[0]
+        if kind == "hash":
+            built = fresh.hash_index(key[1])
+        elif kind == "interval":
+            built = fresh.interval_index(key[1], key[2])
+        elif kind == "change_points":
+            built = fresh._change_points(key[1], key[2])
+        elif kind == "stab":
+            built = {
+                bucket: fresh.bucket_stab(key[1], bucket, key[2], key[3], key[4:])
+                for bucket in structure
+            }
+        else:
+            built = fresh.row_positions()
+        assert _derived_image(key, structure) == _derived_image(key, built), (
+            f"{table.name}: {key} differs from a fresh build"
+        )
 
 
 def install_fault(

@@ -266,8 +266,9 @@ class TestExecutorProbe:
         assert db.obs.value("engine.interval_rows_pruned") == 80
 
     def test_probe_survives_rollback_antialiasing(self, db):
-        """A rolled-back mutation restores the version counter; indexes
-        built inside the window must not revalidate against it."""
+        """A rolled-back mutation moves the version counter forward;
+        indexes built inside the window describe its rows and must not be
+        probed after it."""
         table = db.catalog.get_table("history")
         point = Date(733150).to_iso()
         db.execute("BEGIN")

@@ -413,7 +413,7 @@ def test_the_shapes_reorder_and_demote():
     assert db.obs.value("engine.join.reordered") >= len(REORDERED)
     assert db.obs.value("engine.join.level_rejects") > 0
     # `a.s < kk` with an INTEGER kk ran as a partial conjunct
-    plans = [entry[2] for entry in db.plan_cache._entries.values()]
+    plans = [plan for _, plan in db.plan_cache.values()]
     assert any(getattr(plan, "variants", None) for plan in plans)
     for query, order in zip(SUFFIX, SUFFIX_ORDERS):
         text = db.execute("EXPLAIN " + sql_of(*query, False)).text()
@@ -488,8 +488,8 @@ def test_the_period_shapes_take_their_paths():
     assert db.obs.value("engine.period_probe.rows_pruned") > 0
     assert db.obs.value("engine.interval_index_hits") > 0
     probes = [
-        level for entry in db.plan_cache._entries.values()
-        for level in entry[2].pipeline.levels if level.period is not None
+        level for _, plan in db.plan_cache.values()
+        for level in plan.pipeline.levels if level.period is not None
     ]
     assert any(level.key is not None for level in probes)
     # a begin range without a key: MAX's constant-period level

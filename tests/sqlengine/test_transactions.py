@@ -10,7 +10,7 @@ from repro.sqlengine.parser import parse_statement
 from repro.sqlengine.storage import Column, Table
 from repro.sqlengine.types import SqlType
 
-from tests.faultinject import assert_snapshot_equal, snapshot_db
+from tests.faultinject import assert_derived_fresh, assert_snapshot_equal, snapshot_db
 
 
 @pytest.fixture
@@ -241,7 +241,7 @@ def test_rollback_restores_plan_cache_validity(db_t: Database):
     db_t.execute("BEGIN")
     db_t.execute("UPDATE t SET b = 'changed' WHERE a = 1")
     db_t.execute("ROLLBACK")
-    # table.version was restored, so the compiled plan still hits
+    # DML moves no schema version, so the compiled plan still hits
     db_t.execute_ast(stmt)
     assert db_t.obs.value("engine.plan_cache.hits") == hits0 + 2
     assert db_t.query("SELECT b FROM t WHERE a = 1").rows == [["one"]]
@@ -254,11 +254,40 @@ def test_rollback_evicts_plans_bound_during_the_window(db_t: Database):
     stmt = parse_statement("SELECT x FROM w")
     db_t.execute_ast(stmt)  # plan bound at the in-transaction schema version
     db_t.execute("ROLLBACK")
-    # later DDL pushes the schema version back up to the same number;
-    # the stale plan must not revalidate against the recreated table
+    # undoing the CREATE stamped ``w``: the plan bound inside the window
+    # must not revalidate against the recreated table
     db_t.execute("CREATE TABLE w (x CHAR(5))")
     db_t.execute("INSERT INTO w VALUES ('abc')")
     assert db_t.execute_ast(stmt).rows == [["abc"]]
+
+
+def test_a_dml_rollback_keeps_plans_and_rebuilds_derived_structures(db_t: Database):
+    """A rolled-back write moves the table's version forward: the plan
+    of a keyed read still hits, and the hash index it probes — carried
+    through the window's writes, so describing their rows — is rebuilt
+    over the restored rows on the next read."""
+    table = db_t.table("t")
+    stmt = parse_statement("SELECT b FROM t WHERE a = 1")
+    assert db_t.execute_ast(stmt).rows == [["one"]]
+    key = ("hash", table.column_index("a"))
+    assert table._derived[key][0] == table.version
+    value = db_t.obs.value
+    builds = value("engine.derived.builds.hash")
+    db_t.execute("BEGIN")
+    db_t.execute("INSERT INTO t VALUES (1, 'ghost')")
+    db_t.execute("UPDATE t SET b = 'changed' WHERE a = 2")
+    assert sorted(db_t.execute_ast(stmt).rows) == [["ghost"], ["one"]]
+    assert value("engine.derived.builds.hash") == builds  # carried
+    version = table.version
+    db_t.execute("ROLLBACK")
+    assert table.version > version
+    compiled, hits = value("engine.plans_compiled"), value("engine.plan_cache.hits")
+    assert db_t.execute_ast(stmt).rows == [["one"]]
+    assert value("engine.plans_compiled") == compiled
+    assert value("engine.plan_cache.hits") == hits + 1
+    assert value("engine.derived.builds.hash") == builds + 1
+    assert table._derived[key][0] == table.version
+    assert_derived_fresh(table)
 
 
 def test_rollback_restores_hash_index_consistency(db_t: Database):

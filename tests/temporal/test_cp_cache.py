@@ -88,8 +88,8 @@ class TestSkipRebuild:
         assert db.obs.value("stratum.cp.cache_hits") == 2
 
     def test_rollback_clears_the_cache(self, stratum):
-        """Version counters restored by rollback can climb back to cached
-        values over different rows — the cache cannot trust them."""
+        """A rollback moves the version of every table it touched forward,
+        so the materialization cached before it is rebuilt."""
         db = stratum.db
         materialize(stratum)
         db.execute("BEGIN")
@@ -98,7 +98,7 @@ class TestSkipRebuild:
             " ('i9', 'Ghost', 1.0, DATE '2010-04-18', DATE '2010-05-15')"
         )
         db.execute("ROLLBACK")
-        # same versions as when cached, but the cache was dropped: rebuild
+        # item's version moved on: rebuild
         count = materialize(stratum)
         assert db.obs.value("stratum.cp.cache_hits") == 0
         assert count == len(cp_rows(stratum))

@@ -9,8 +9,8 @@ this change the heuristic transformed privately on every execution:
 10–11 ``compile_seqset`` / ``PerstTransformer.transform`` calls per 10
 executions), and ``stratum.transforms`` is flat from the second execution
 on.  The verdicts live under the transform cache's invalidation rules:
-a routine redefinition flips them, a rollback evicts the ones stored
-inside its window — and asking installs nothing.
+a routine redefinition flips them, the ones stored inside a rolled-back
+window revalidate like any other — and asking installs nothing.
 """
 
 import pytest
@@ -193,28 +193,26 @@ def test_redefinition_flips_the_verdict(dataset):
     assert stratum.last_strategy is SlicingStrategy.MAX
 
 
-def test_rollback_evicts_verdicts_of_its_window(dataset):
-    """Verdicts stored under a schema version a rollback takes back must
-    not revalidate when later DDL pushes the version up again."""
+def test_rollback_revalidates_verdicts_of_its_window(dataset):
+    """A rollback moves the schema version forward, past every version
+    its window stored a verdict at: such a verdict is served after it
+    only through revalidation (nothing its statement reaches changed)."""
     stratum = dataset.stratum
     db = stratum.db
+    value = db.obs.value
     sql, _ = statements(dataset)["aggregate"]
     stratum.execute("BEGIN")
     db.execute("CREATE TABLE scratch (x INTEGER)")
     stratum.execute(sql)
     window = db.catalog.schema_version
     assert any(
-        version == window and not found.applicable
-        for version, found in stratum._transform_cache.values()
+        not getattr(found, "applicable", True)
+        for found in stratum._transform_cache.values()
     )
     stratum.execute("ROLLBACK")
-    assert db.catalog.schema_version < window
-    assert all(
-        version <= db.catalog.schema_version
-        for version, _ in stratum._transform_cache.values()
-    )
-    db.execute("CREATE TABLE other (x INTEGER)")
-    assert db.catalog.schema_version == window
-    before = db.obs.value("stratum.transforms")
+    assert db.catalog.schema_version > window
+    transforms = value("stratum.transforms")
+    revalidated = value("stratum.transform_cache.revalidated")
     stratum.execute(sql)
-    assert db.obs.value("stratum.transforms") > before
+    assert value("stratum.transforms") == transforms
+    assert value("stratum.transform_cache.revalidated") > revalidated

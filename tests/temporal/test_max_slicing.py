@@ -79,12 +79,16 @@ class TestTransformText:
     def test_cp_alias_avoids_collision(self, stratum):
         stmt = parse_statement("VALIDTIME SELECT 1 FROM item cp")
         result = transform_query_max(stmt, stratum.db.catalog, stratum.registry, "taupsm_cp")
-        assert result.cp_alias != "cp"
+        sql = result.statement.to_sql()
+        # the cp table gets an alias of its own, and the point is read
+        # from it, not from the user's ``cp``
+        assert "FROM taupsm_cp cp2, item cp " in sql
+        assert "cp.begin_time <= cp2.begin_time AND cp2.begin_time < cp.end_time" in sql
 
     def test_temporal_tables_collected(self, stratum):
         stmt = parse_statement(SEQ_Q2)
         result = transform_query_max(stmt, stratum.db.catalog, stratum.registry, "cp")
-        assert result.temporal_tables == ["author", "item", "item_author"]
+        assert result.cp_requirements == {"cp": ["author", "item", "item_author"]}
 
 
 class TestExecution:

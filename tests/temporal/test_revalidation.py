@@ -17,8 +17,9 @@ skipping a name that resolves to nothing (a dropped routine whose clone
 is still installed), makes this test fail.  The two rules the engine
 also enforces at run time — a view's body (each view is planned as its
 own cache entry, and ``_Query`` re-checks the view and its columns) and
-stamps that a rollback never lowers (every entry newer than the restored
-version is evicted) — are checked on the helper itself below.
+the stamp a rollback puts on every name it restores (version counters
+only ever grow) — are checked on the helper itself below, and the
+rollback case also end to end.
 """
 
 from hypothesis import example, given, settings, strategies as st
@@ -189,7 +190,7 @@ def test_a_view_body_is_walked():
 
 def test_rollback_lowers_no_stamp():
     """A name changed inside a rolled-back window stays changed for every
-    stamp taken before the window, though the version goes back."""
+    stamp taken before the window, and the version moves forward."""
     stratum = build()
     catalog = stratum.db.catalog
     stmt = parse_statement("SELECT id FROM shelf")
@@ -197,7 +198,26 @@ def test_rollback_lowers_no_stamp():
     stratum.execute("BEGIN")
     for sql in ["DROP TABLE shelf", *SHELVES["swapped"]]:
         stratum.execute(sql)
+    window = catalog.schema_version
     stratum.execute("ROLLBACK")
-    assert catalog.schema_version == stamp
+    assert catalog.schema_version > window
     stratum.execute("CREATE TABLE unrelated (x INTEGER)")
     assert not catalog.unchanged_since(stamp, stmt)
+    assert not catalog.unchanged_since(window, stmt)
+
+
+def test_a_rolled_back_routine_stops_shadowing_the_built_in():
+    """A routine created under a built-in's name inside a window that is
+    rolled back: the statement cached inside the window answers with the
+    built-in when it runs again, because undoing the CREATE stamps the
+    name (a routine under it shadowed the built-in, :meth:`unchanged_since`)."""
+    stratum = build()
+    sql, strategy = QUERIES[6]  # abs(price) under MAX
+    expected = outcome(stratum, sql, strategy)
+    stratum.execute("BEGIN")
+    stratum.execute(ROUTINES["abs"]["temporal"])
+    shadowed = outcome(stratum, sql, strategy)
+    assert outcome(stratum, sql, strategy) == shadowed  # served from the cache
+    assert shadowed[0] == "ok" and shadowed != expected
+    stratum.execute("ROLLBACK")
+    assert outcome(stratum, sql, strategy) == expected

@@ -144,9 +144,10 @@ def test_every_statement_equals_a_fresh_parse(strategy):
     assert stratum.parse(texts[0], strategy) is stratum.parse(texts[0], strategy)
 
 
-def test_rollback_evicts_entries_of_its_window(dataset):
-    """The ABA case: an entry stored at a schema version a rollback takes
-    back is not served once later DDL pushes the version up again."""
+def test_rollback_revalidates_entries_of_its_window(dataset):
+    """An entry stored inside a rolled-back window is served afterwards
+    only through revalidation: the rollback moved the schema version
+    past it, and nothing the statement reaches changed."""
     stratum = dataset.stratum
     db = stratum.db
     sql = sequenced(dataset, "SELECT COUNT(*), AVG(i.price) FROM item i")
@@ -156,11 +157,13 @@ def test_rollback_evicts_entries_of_its_window(dataset):
     window = db.catalog.schema_version
     stratum.execute("ROLLBACK")
     db.execute("CREATE TABLE other (x INTEGER)")
-    assert db.catalog.schema_version == window
-    transforms, (_, misses) = db.obs.value("stratum.transforms"), statement_cache(stratum)
+    assert db.catalog.schema_version > window + 1
+    transforms, (hits, _) = db.obs.value("stratum.transforms"), statement_cache(stratum)
+    revalidated = db.obs.value("stratum.transform_cache.revalidated")
     assert cached(stratum, sql) == fresh(stratum, sql)
-    assert statement_cache(stratum)[1] == misses + 1
-    assert db.obs.value("stratum.transforms") > transforms
+    assert statement_cache(stratum)[0] == hits + 1
+    assert db.obs.value("stratum.transform_cache.revalidated") > revalidated
+    assert db.obs.value("stratum.transforms") == transforms
 
 
 def test_auto_redecides_when_writes_cross_the_row_threshold(dataset):

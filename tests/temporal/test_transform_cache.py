@@ -291,13 +291,13 @@ class TestLruEviction:
         )
 
     def test_hot_key_survives_capacity_pressure(self, stratum):
-        stratum.TRANSFORM_CACHE_CAPACITY = 4
+        stratum._transform_cache.capacity = 4
         fresh(stratum, SEQ_Q, SlicingStrategy.MAX)
         for i in range(8):
             fresh(stratum, self.filler(i), SlicingStrategy.MAX)
             # touching the hot key between fillers refreshes its recency
             fresh(stratum, SEQ_Q, SlicingStrategy.MAX)
-        assert len(stratum._transform_cache) <= 4
+        assert len(stratum._transform_cache.values()) <= 4
         transforms_before, hits_before = counters(stratum)
         fresh(stratum, SEQ_Q, SlicingStrategy.MAX)
         transforms_after, hits_after = counters(stratum)
@@ -305,7 +305,7 @@ class TestLruEviction:
         assert hits_after == hits_before + 1
 
     def test_evicts_oldest_untouched_entry(self, stratum):
-        stratum.TRANSFORM_CACHE_CAPACITY = 4
+        stratum._transform_cache.capacity = 4
         statements = [self.filler(i) for i in range(4)]
         for statement in statements:
             fresh(stratum, statement, SlicingStrategy.MAX)

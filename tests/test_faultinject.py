@@ -2,9 +2,10 @@
 
 Each test arms a single-shot :class:`~tests.faultinject.FaultPlan`,
 runs a temporal statement that the fault aborts partway through, and
-asserts the database is byte-identical to never having run it — row
-data, version counters, catalog contents, schema version, temporal
-registries, hash-index validity.  Because faults are single-shot, the
+asserts the database is as if it had never run — row data, catalog
+contents, temporal registries byte-identical, no version counter lower
+than before, every derived structure current at its table's version
+equal to a fresh build.  Because faults are single-shot, the
 same statement then succeeds on re-run.
 """
 
