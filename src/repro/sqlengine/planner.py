@@ -5,9 +5,10 @@
 project → order) whose predicates and projections are pre-compiled
 closures from :mod:`repro.sqlengine.exprcompile`.  Everything about the
 FROM/WHERE evaluation is decided at plan time, the levels included: each
-is a closure that binds its candidates and calls the next level's, the
-leaf hands a passing combination to the plan's consumer (projection,
-grouping, a match's rows).
+is a step that binds its candidates and calls the next level's — a
+scan's is a loop generated per level shape with its typed tests inlined
+(:func:`_level_loop`) — and the leaf hands a passing combination to the
+plan's consumer (projection, grouping, a match's rows).
 ``SelectPlan.run`` walks no AST and makes no generator frame.
 
 *Total and partial conjuncts.*  A top-level WHERE conjunct is **total**
@@ -17,7 +18,8 @@ character / date, by declared type), literals and outer names (routine
 variables, parent-query bindings) whose value, read once per execution,
 is NULL or of the column's class: ``compare`` cannot raise on it.
 Everything else is **partial**.  A total conjunct runs at the first join
-level where all its columns are bound, compiled to its value class;
+level where all its columns are bound, inlined in the level's loop by its
+value class;
 partial conjuncts form the leaf residual, in their original order and
 with the AND chain's short circuit.  An outer operand of the wrong class
 (or one that cannot be read) makes its conjunct partial for that
@@ -55,7 +57,6 @@ statement once (``engine.plan_invalidated``).
 from __future__ import annotations
 
 import functools
-import operator
 from typing import Any, Callable, Iterator, Optional
 
 from repro.sqlengine import ast_nodes as ast
@@ -183,7 +184,7 @@ def _bucket_versions(
     narrow = window is not None and bool(columns)
     if narrow:
         lo, hi, point = window
-        free, pos = level.free, level.pos
+        free = level.free
     elif period is None:
         return rows
     test_begin = test_end = False
@@ -222,11 +223,8 @@ def _bucket_versions(
                     elif ordinal < row_hi:
                         row_hi = ordinal
             if row_lo != lo or row_hi != hi:
-                vector[pos] = row
-                for check in free:
-                    if not check(vector):
-                        stats.waived.value += 1
-                        break
+                if free is not None and not free(vector, (row,)):
+                    stats.waived.value += 1
                 else:
                     lo, hi = row_lo, row_hi
         if test_begin:
@@ -406,11 +404,11 @@ def _leaves(node: Any) -> list:
 
 # ``sort_key`` value classes (see the module docstring), the Python
 # types an outer operand of each must have, and the comparison operators
+# as Python spells them
 _CLASS_OF_KIND = {"int": "numeric", "float": "numeric", "str": "character",
                   "date": "date"}
 _CLASS_TYPES = {"numeric": (int, float), "character": str, "date": Date}
-_COMPARISONS = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
-                "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_COMPARISONS = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 _UNREADABLE = object()  # an outer operand whose lookup raised
 _NONE_DEMOTED: frozenset = frozenset()
 
@@ -446,51 +444,122 @@ class _Conjunct:
              self.operands[0]),
         )
 
-    def test(self) -> Callable[[list], bool]:
-        """The conjunct as a :func:`_typed_filter` test."""
-        return _typed_filter(self.value_class, self.op, *self.at)
+    def typed(self) -> tuple:
+        """The conjunct as a typed test ``(value_class, op, at)``."""
+        return self.value_class, self.op, self.at
 
 
-@functools.lru_cache(maxsize=4096)
-def _typed_filter(value_class: str, op: str, *at: tuple) -> Callable[[list], bool]:
-    """The total conjunct ``left op right`` — or ``value BETWEEN low AND
-    high``, which is ``value >= low AND value <= high`` — its operands at
-    the row-vector addresses ``at``, as a test over the run-time row
-    vector, compiled to its value class: True exactly where
-    :func:`compare` makes the conjunct true
-    (``tests/sqlengine/test_typed_filters.py`` holds them to that), so
-    NULL rejects the row.  A test depends on nothing but its arguments,
-    so plans of one shape share it."""
-    if op == "BETWEEN":
-        value_at, low_at, high_at = at
-        above = _typed_filter(value_class, ">=", value_at, low_at)
-        below = _typed_filter(value_class, "<=", value_at, high_at)
-        return lambda vector: above(vector) and below(vector)
-    test = _COMPARISONS[op]
-    (la, lb), (ra, rb) = at
-    if value_class == "date":
-        def check(vector: list) -> bool:
-            left, right = vector[la][lb], vector[ra][rb]
-            return left is not Null and right is not Null and test(
-                left.ordinal, right.ordinal
+# what a generated test compares for a value of each class: its day
+# ordinal, its right-stripped string — or, for a number, compared as it
+# is, whether it is NaN
+_CLASS_FORMS = {"date": "{}.ordinal", "character": "{}.rstrip()", "numeric": "{} != {}"}
+
+
+def _indented(lines: list) -> list:
+    return ["    " + line for line in lines]
+
+
+@functools.lru_cache(maxsize=1024)
+def _level_loop(pos: int, tests: tuple, mode: str) -> Callable:
+    """The loop of one level shape, generated from source text and
+    compiled once: ``pos`` the level's FROM position, ``tests`` its typed
+    tests ``(value_class, op, at)`` and ``mode`` what a candidate that
+    passes them is for.  ``"sieve"`` gives ``sieve(vector, rows)``, the
+    rows that pass in order; ``"scan"`` and ``"leaf"`` give a factory
+    ``(level, after, key, colmap) -> step`` whose step takes the level's
+    candidates, re-points one ``Binding`` at each row that passes and
+    calls ``after`` (at the leaf: ``emit``), then counts the level's rows
+    in and out and ``engine.join.level_rejects``.
+
+    Each test is inlined by class — day ordinals for dates, ``rstrip()``ped
+    strings for characters, native comparison for numbers (bool is an
+    int) but where a NaN takes its ``sort_key`` place — and a ``BETWEEN``
+    is its ``>=`` and ``<=`` halves.  A test holds exactly where
+    :func:`compare` makes it TRUE (``tests/sqlengine/test_typed_filters.py``),
+    so NULL rejects.  The operands bound before the level (outer slots,
+    earlier levels' columns) are read once per loop: a NULL among them
+    passes no row.  The code depends on the shape alone, so plans of one
+    shape share it; its file name names the level (``<scan level 1>``)."""
+    reads: list = []  # the operands bound before the level
+    guard: list = []  # none of them is NULL
+    forms: list = []  # their compared forms
+    once: list = []  # the tests over them alone
+    each: list = []  # the tests per row, own NULL checks first
+    seen: set = set()
+
+    def operand(at: tuple, value_class: str, checks: list) -> tuple:
+        """``(value, is it NaN)`` as source; the first read of a name
+        adds its NULL check."""
+        own = at[0] == pos
+        name = f"c{at[1]}" if own else f"h{at[0]}_{at[1]}"
+        if name not in seen:
+            seen.add(name)
+            if own:
+                checks.append(f"({name} := row[{at[1]}]) is not Null")
+            else:
+                reads.append(f"{name} = vector[{at[0]}][{at[1]}]")
+                guard.append(f"{name} is not Null")
+        form = _CLASS_FORMS[value_class].format(name, name)
+        if not own:
+            if name + value_class not in seen:
+                seen.add(name + value_class)
+                forms.append(f"{name}{value_class[0]} = {form}")
+            form = name + value_class[0]
+        return (name, form) if value_class == "numeric" else (form, None)
+
+    for value_class, op, at in tests:
+        halves = (
+            ((">=", at[:2]), ("<=", at[::2])) if op == "BETWEEN" else ((op, at),)
+        )
+        for op, (left_at, right_at) in halves:
+            checks = each if pos in (left_at[0], right_at[0]) else once
+            (left, left_nan), (right, right_nan) = (
+                operand(left_at, value_class, checks),
+                operand(right_at, value_class, checks),
             )
-    elif value_class == "character":
-        def check(vector: list) -> bool:
-            left, right = vector[la][lb], vector[ra][rb]
-            return left is not Null and right is not Null and test(
-                left.rstrip(), right.rstrip()
+            op = _COMPARISONS[op]
+            checks.append(
+                f"{left} {op} {right}" if left_nan is None else
+                f"(sort_key({left}) {op} sort_key({right}) if {left_nan} or"
+                f" {right_nan} else {left} {op} {right})"
             )
+    # the loop, inside the checks of what it reads once
+    keep = ["kept.append(row)"] if mode == "sieve" else [
+        "passed += 1",
+        f"binding.row = vector[{pos}] = row",
+        "emit(env)" if mode == "leaf" else "after(executor, env, vector, tables, emit)",
+    ]
+    if each:
+        keep = [f"if {' and '.join(each)}:"] + _indented(keep)
+    block = ["for row in rows:"] + _indented(keep)
+    if mode != "sieve":
+        block = ["binding = env.bindings[key] = Binding(colmap, None)"] + block + [
+            "del env.bindings[key]"
+        ]
+    if once:
+        block = [f"if {' and '.join(once)}:"] + _indented(block)
+    if guard:
+        block = [f"if {' and '.join(guard)}:"] + _indented(forms + block)
+    block = reads + block
+    if mode == "sieve":
+        lines = ["def sieve(vector, rows):", "    kept = []", *_indented(block), "    return kept"]
     else:
-        # native comparison orders bool as int; NaN takes its sort_key
-        # place (equal to itself, above every other number)
-        def check(vector: list) -> bool:
-            left, right = vector[la][lb], vector[ra][rb]
-            if left is Null or right is Null:
-                return False
-            if left != left or right != right:
-                return test(sort_key(left), sort_key(right))
-            return test(left, right)
-    return check
+        lines = [
+            "def make(level, after, key, colmap):",
+            "    def scan(executor, env, vector, tables, emit):",
+            f"        rows = level.candidates(executor, tables[{pos}], vector)",
+            "        passed = 0",
+            *_indented(_indented(block)),
+            "        level.rows_in += len(rows)",
+            "        level.rows_out += passed",
+            "        if passed < len(rows):",
+            "            executor.db.stats.rejects.value += len(rows) - passed",
+            "    return scan",
+        ]
+    namespace = {"Null": Null, "sort_key": sort_key, "Binding": Binding}
+    filename = f"<{'sieve' if mode == 'sieve' else 'scan'} level {pos}>"
+    exec(compile("\n".join(lines), filename, "exec"), namespace)
+    return namespace["sieve" if mode == "sieve" else "make"]
 
 
 # the sides a period bound can take: the begin column from below or
@@ -535,9 +604,10 @@ class _Level:
     """One join level: a source plus, for a scan, its access path (hash
     ``key``, ``period`` bounds, both, or a full scan) and the total
     conjuncts that become checkable here and that the access path does
-    not decide (``filters``; ``free``: those whose operands are columns
-    of this or earlier levels or literals).  ``rows_in``/``rows_out``
-    accumulate over executions for EXPLAIN ANALYZE."""
+    not decide (``filters``, typed tests; ``free``: behind a hash key,
+    the sieve of those whose operands are columns of this or earlier
+    levels or literals, if any).  ``rows_in``/``rows_out`` accumulate over executions for
+    EXPLAIN ANALYZE."""
 
     __slots__ = ("node", "pos", "key", "period", "filters", "free", "access",
                  "rows_in", "rows_out")
@@ -547,8 +617,8 @@ class _Level:
         self.pos = pos
         self.key: Optional[tuple] = None  # (column, a, b)
         self.period: Optional[_PeriodProbe] = None
-        self.filters: list = []  # _typed_filter tests
-        self.free: list = []  # the point-free ones among them
+        self.filters: list = []  # (value_class, op, at) tests
+        self.free: Optional[Callable] = None
         self.access = ("Scan", "")  # EXPLAIN: (operator, the key's SQL)
         self.rows_in = self.rows_out = 0
 
@@ -610,8 +680,9 @@ class _Pipeline:
 
 # A *step* ``step(executor, env, vector, tables, emit)`` binds its level's
 # candidates one at a time (``env.bindings`` for closures, ``vector`` for
-# typed filters and later probes; ``tables`` by FROM position) and hands
-# each that passes to the next step, at the leaf to ``emit(env)``.
+# typed tests and later probes; ``tables`` by FROM position) and hands
+# each that passes to the next step, at the leaf to ``emit(env)``.  A
+# scan's step is a generated loop (:func:`_level_loop`).
 
 
 def _chain(levels: list, residual: list) -> Callable:
@@ -623,38 +694,13 @@ def _chain(levels: list, residual: list) -> Callable:
             if _all_true(residual, env):
                 emit(env)
     for level in reversed(levels):
-        after = (_scan_step if isinstance(level.node, _Scan) else _opaque_step)(level, after)
+        node = level.node
+        if isinstance(node, _Scan):
+            make = _level_loop(level.pos, tuple(level.filters), "leaf" if after is None else "scan")
+            after = make(level, after, node.key, node.colmap)
+        else:
+            after = _opaque_step(level, after)
     return after or (lambda executor, env, vector, tables, emit: emit(env))
-
-
-def _scan_step(level: "_Level", after: Optional[Callable]) -> Callable:
-    pos, key, colmap, filters = level.pos, level.node.key, level.node.colmap, level.filters
-
-    def scan(executor, env, vector, tables, emit) -> None:
-        rows = level.candidates(executor, tables[pos], vector)
-        # one binding, re-pointed at each row that passes (grouping
-        # freezes a copy)
-        binding = env.bindings[key] = Binding(colmap, None)
-        passed = 0
-        for row in rows:
-            vector[pos] = row
-            for check in filters:
-                if not check(vector):
-                    break
-            else:
-                passed += 1
-                binding.row = row
-                if after is None:
-                    emit(env)
-                else:
-                    after(executor, env, vector, tables, emit)
-        del env.bindings[key]
-        level.rows_in += len(rows)
-        level.rows_out += passed
-        if passed < len(rows):
-            executor.db.stats.rejects.value += len(rows) - passed
-
-    return scan
 
 
 def _opaque_step(level: "_Level", after: Optional[Callable]) -> Callable:
@@ -774,14 +820,18 @@ def _build_pipeline(sources: list, conjuncts: list, demoted: frozenset) -> _Pipe
         decided |= settled
         if level.period is not None and level.key is None:
             level.access = ("IntervalIndexScan", "")
+    free: dict = {}  # hash-probed level -> its point-free tests
     for i, c in enumerate(conjuncts):
         if total[i] and i not in decided:
             level = levels[max(depth_of[at[0]] for at in c.at)]
-            test = c.test()
-            level.filters.append(test)
-            if all(at[0] != outer or isinstance(expr, ast.Literal)
-                   for at, expr in zip(c.at, c.operands)):
-                level.free.append(test)
+            level.filters.append(c.typed())
+            if level.key is not None and all(
+                at[0] != outer or isinstance(expr, ast.Literal)
+                for at, expr in zip(c.at, c.operands)
+            ):
+                free.setdefault(level, []).append(c.typed())
+    for level, tests in free.items():
+        level.free = _level_loop(level.pos, tuple(tests), "sieve")
     residual = [c.closure for i, c in enumerate(conjuncts) if not total[i]]
     return _Pipeline(levels, split, residual)
 

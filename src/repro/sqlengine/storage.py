@@ -186,9 +186,10 @@ class Table:
     before: ``append_row``, ``update_rows`` and ``delete_rows`` apply
     their row delta and re-tag last; what a delta cannot express (a
     changed hash key or begin bound, a non-Date bound) drops that structure — or, for the stab buckets,
-    the buckets of the rows it touched — and ``replace_rows``,
-    ``add_column`` and any edit of ``rows`` behind the primitives' back
-    (tests) carry nothing, so the next accessor rebuilds.  These five
+    the buckets of the rows it touched — ``replace_rows``,
+    ``add_column`` and an undo drop every structure, and any edit of
+    ``rows`` behind the primitives' back (tests) carries nothing, so the
+    next accessor rebuilds.  These five
     are the only row writers: statements and crash recovery both call
     them (see :mod:`repro.sqlengine.recovery`).  Readers are never disturbed: a
     hash bucket is replaced, never grown or shrunk in place, and index
@@ -415,7 +416,7 @@ class Table:
             if txn.wal is not None and not self.temporary:
                 txn.wal.record_set_rows(self.name, new_rows)
         self.rows = new_rows
-        self.version += 1
+        self._renewed()
 
     def add_column(self, column: Column, default: Any = Null) -> None:
         """Append a column, back-filling existing rows with ``default``.
@@ -444,9 +445,15 @@ class Table:
         self.schema_stamp = object()
         for row in self.rows:
             row.append(default)
-        self.version += 1
+        self._renewed()
 
     # -- derived structures ---------------------------------------------------
+
+    def _renewed(self) -> None:
+        """The rows changed in a way no delta describes: a new version,
+        and no derived structure is kept (none can be current again)."""
+        self.version += 1
+        self._derived.clear()
 
     def _row_position(self, row: list[Any]) -> int:
         """The position of a live row (identity, not equality) — rows can

@@ -109,8 +109,8 @@ def _apply_undo(entry: tuple) -> None:
     else:  # pragma: no cover - exhaustive over logged tags
         raise AssertionError(f"unknown undo entry {tag!r}")
     # the rows are as they were, but under a new version: structures
-    # tagged at any earlier one are rebuilt on their next use
-    table.version += 1
+    # tagged at any earlier one are dropped and rebuilt on their next use
+    table._renewed()
 
 
 class TransactionManager:

@@ -28,12 +28,13 @@ plan over the same constant-period grid:
 
 The WHERE conjuncts are placed by the planner's rule (DESIGN.md §3.1,
 *Total and partial conjuncts*; ``planner._analyze_conjuncts``): a total
-conjunct on one source is a ``planner._typed_filter`` test on its
-candidates, a total equality between two sources a key, any other total
-conjunct a test on every matched combination, and the partial ones the
-residual, in WHERE order, evaluated with the projection once per
-matched combination that passes the tests — per period only when they
-read the ``cp`` binding (a point-transformed nested subquery).  An
+conjunct on one source is a typed test in the ``planner._level_loop``
+sieve over its candidates, a total equality between two sources a key,
+any other total conjunct a test on every matched combination, and the
+partial ones the residual, in WHERE order, evaluated with the
+projection once per matched combination that passes the tests — per
+period only when they read the ``cp`` binding (a point-transformed
+nested subquery).  An
 outer operand (a literal) of the wrong class makes its conjunct partial
 for that execution, as it does in an engine plan.  So a statement
 raises iff a partial conjunct raises on a combination alive in some
@@ -73,6 +74,7 @@ from repro.sqlengine.planner import (
     _Scan,
     _all_true,
     _analyze_conjuncts,
+    _level_loop,
     _outer_checks,
     _read_outer,
 )
@@ -169,18 +171,19 @@ class _AlignedSource:
 
 class _Placement:
     """Where one execution evaluates the WHERE conjuncts that are not
-    keys, given the ones its outer operands make partial: per source
-    the typed tests run once per aligned candidate (``filters``), the
-    typed tests over several sources run on every matched combination
-    (``leaf``) and then the partial conjuncts' closures, in WHERE order
-    (``residual``)."""
+    keys, given the ones its outer operands make partial: per source a
+    sieve of the typed tests over it alone, run once over its aligned
+    candidates (``sieves``), a sieve of the typed tests over several
+    sources run on every matched combination (``leaf``, reading the last
+    source's row) and then the partial conjuncts' closures, in WHERE
+    order (``residual``).  ``counts``: the typed tests per source, then
+    the leaf's (EXPLAIN)."""
 
-    __slots__ = ("filters", "leaf", "residual")
+    __slots__ = ("sieves", "leaf", "counts", "residual")
 
     def __init__(self, plan: "SeqSetPlan", demoted: frozenset) -> None:
         count = len(plan.sources)
-        self.filters: list[list] = [[] for _ in range(count)]
-        self.leaf: list = []
+        tests: list[list] = [[] for _ in range(count + 1)]
         self.residual: list = []
         for i, conjunct in enumerate(plan.conjuncts):
             if i in plan.keyed:
@@ -189,10 +192,14 @@ class _Placement:
                 self.residual.append(conjunct.closure)
                 continue
             sources = {at[0] for at in conjunct.at} - {count}
-            if len(sources) == 1:
-                self.filters[sources.pop()].append(conjunct.test())
-            else:
-                self.leaf.append(conjunct.test())
+            tests[sources.pop() if len(sources) == 1 else count].append(conjunct.typed())
+        self.counts = [len(t) for t in tests]
+        # the leaf's sieve takes the last source's row as its row
+        self.sieves = [
+            _level_loop(min(pos, count - 1), tuple(t), "sieve") if t else None
+            for pos, t in enumerate(tests)
+        ]
+        self.leaf = self.sieves.pop()
 
 
 class SeqSetPlan:
@@ -404,13 +411,13 @@ def compile_seqset(
                     if source.temporal
                     else None
                 ),
-                filters=len(placement.filters[i]),
+                filters=placement.counts[i],
                 temporal=source.temporal,
             )
             for i, source in enumerate(plan.sources)
         ],
         keys=[source.key_sql for source in plan.sources[1:]],
-        filters=len(placement.leaf),
+        filters=placement.counts[-1],
         residual_conjuncts=len(placement.residual),
         distinct=plan.distinct,
     )
@@ -456,29 +463,20 @@ def execute_seqset(
             pruned = len(rows) - len(positions)
             if pruned:
                 obs.inc("engine.interval_rows_pruned", pruned)
-        else:
-            positions = range(len(rows))
-        tests = placement.filters[pos]
-        if tests:
-            kept = []
-            for position in positions:
-                vector[pos] = rows[position]
-                for check in tests:
-                    if not check(vector):
-                        break
-                else:
-                    kept.append(position)
-            dropped = len(positions) - len(kept)
+            rows = [rows[position] for position in positions]
+        sieve = placement.sieves[pos]
+        if sieve is not None:
+            kept = sieve(vector, rows)
+            dropped = len(rows) - len(kept)
             if dropped:
                 obs.inc("stratum.seqset.filter.rows_dropped", dropped)
-            positions = kept
-        obs.inc("engine.rows_scanned", len(positions))
+            rows = kept
+        obs.inc("engine.rows_scanned", len(rows))
         # one (row, lo, hi) run per candidate, positions ascending: the
         # row is alive in periods [lo, hi)
         if source.temporal:
             runs = []
-            for position in positions:
-                row = rows[position]
+            for row in rows:
                 lo = bisect_left(period_begins, row[begin_index].ordinal)
                 hi = bisect_left(period_begins, row[end_index].ordinal)
                 if lo < hi:
@@ -486,7 +484,7 @@ def execute_seqset(
         else:
             # a non-temporal table is alive in every period (MAX cross
             # joins it with the cp table unconditioned)
-            runs = [(rows[position], 0, period_count) for position in positions]
+            runs = [(row, 0, period_count) for row in rows]
         binding = Binding(source.colmap, ())
         env.bindings[source.alias] = binding
         run_lists.append(runs)
@@ -545,9 +543,8 @@ def execute_seqset(
                     binding.row = vector[level] = row
                     join(level + 1, run_lo, run_hi)
             return
-        for check in leaf:
-            if not check(vector):
-                return
+        if leaf is not None and not leaf(vector, (vector[depth - 1],)):
+            return
         # residual and projection are evaluated once for the whole run
         # unless they read the cp binding
         values = key = None

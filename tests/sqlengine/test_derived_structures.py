@@ -443,6 +443,27 @@ def _self_feeding_table() -> Database:
     return db
 
 
+def test_a_change_no_delta_describes_keeps_no_structure():
+    """``replace_rows``, ``add_column`` and the undo of any primitive
+    drop every derived structure: none tagged at an older version can
+    be current again, so none stays referenced."""
+    db = Database()
+    db.execute("CREATE TABLE t (k INTEGER, x INTEGER)")
+    db.execute("INSERT INTO t VALUES (1, 10), (2, 20)")
+    table = db.table("t")
+    for change in (
+        lambda: table.replace_rows([[1, 11]]),
+        lambda: table.add_column(Column("y", SqlType("INTEGER"))),
+        lambda: (db.execute("BEGIN"), db.execute("INSERT INTO t (k) VALUES (3)"),
+                 db.execute("ROLLBACK")),
+    ):
+        assert [list(row)[:2] for row in db.execute("SELECT k, x FROM t WHERE k = 1").rows]
+        assert table._derived
+        change()
+        assert table._derived == {}
+        assert_from_scratch(table)
+
+
 def test_a_hash_probe_never_sees_rows_appended_under_it():
     """``f`` inserts a ``k = 1`` row per call: the probe's bucket was
     fetched before the first call and is replaced, not grown."""

@@ -1,18 +1,41 @@
-"""A join level's total conjuncts are compiled to their value class
-(``planner._typed_filter``): date ordinals, right-stripped characters,
-native numbers.  ``values.compare`` stays the specification — for every
-operator and every pair of operands of one class the closure must say
-True exactly where the comparison evaluates to TRUE, so NULL rejects,
-bool is an integer, CHAR padding is ignored and NaN equals NaN above
-every other number.  A non-negated ``value BETWEEN low AND high`` is one
-such test, held to the engine's own evaluation of the predicate."""
+"""A join level's total conjuncts run inside one loop generated per level
+shape (``planner._level_loop``): date ordinals, right-stripped
+characters, native numbers, each test inlined in the loop over the
+level's candidates, with the operands bound before the level read once.
+``values.compare`` stays the specification — for every operator and
+every pair of operands of one class a test must hold exactly where the
+comparison evaluates to TRUE, so NULL rejects (a NULL operand bound
+before the level passes no row), bool is an integer, CHAR padding is
+ignored and NaN equals NaN above every other number.  A non-negated
+``value BETWEEN low AND high`` is one such test, held to the engine's own
+evaluation of the predicate.
 
-from hypothesis import given, settings, strategies as st
+The same generated code serves MAX's plan levels (``"scan"`` /
+``"leaf"``: bind, count, hand on), SEQ-SET's per-source filter and the
+point-free check of a hash probe's read window (``"sieve"``).  Row by
+row, both forms must keep exactly the candidates ``compare`` keeps; on
+whole plans, the counters a level keeps — ``rows_in`` / ``rows_out``,
+``engine.join.level_rejects``, ``engine.read_window.versions_waived``,
+``stratum.seqset.filter.rows_dropped`` — must equal those of a closure
+path that stores each row in the vector and calls one ``compare`` per
+test, as the levels did before the loops were generated."""
 
-from repro.sqlengine import Database, ast_nodes as ast
-from repro.sqlengine.executor import Env, _apply_binary
-from repro.sqlengine.planner import _COMPARISONS, _typed_filter
+import traceback
+from contextlib import contextmanager
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.sqlengine import Database, ast_nodes as ast, planner
+from repro.sqlengine.errors import SqlError
+from repro.sqlengine.executor import Binding, Env, _apply_binary
+from repro.sqlengine.parser import parse_statement
+from repro.sqlengine.planner import _COMPARISONS, _level_loop, build_select_plan
 from repro.sqlengine.values import Date, Null
+from repro.temporal import SlicingStrategy, TemporalStratum, seqset
+
+from tests.reference_executor import installed
 
 NAN = float("nan")
 INF = float("inf")
@@ -35,24 +58,112 @@ DATES = st.one_of(
 )
 CLASSES = {"numeric": NUMBERS, "character": CHARACTERS, "date": DATES}
 
+DB = Database()
+EVALUATE = DB.executor.evaluate
 
-def closure(value_class: str, op: str):
-    # the two operands in different row-vector slots, as a join has them
-    return _typed_filter(value_class, op, (0, 1), (1, 0))
+# The row vector of a level at FROM position 1: an earlier level's row,
+# the level's own candidate, then the outer slots.  An operand is one of
+# the candidate's two columns, a column of the earlier level or a slot.
+POS = 1
+ADDRESSES = [(POS, 0), (POS, 1), (0, 0), (0, 1), (2, 0), (2, 1)]
+
+
+def holds(value_class: str, op: str, at: tuple, vector: list) -> bool:
+    """``compare``'s verdict on one typed test over ``vector``."""
+    values = [vector[a][b] for a, b in at]
+    if op == "BETWEEN":
+        value, low, high = (ast.Literal(value=v) for v in values)
+        predicate = ast.BetweenPredicate(expr=value, low=low, high=high, negated=False)
+        return EVALUATE(predicate, Env()) is True
+    return _apply_binary(op, *values) is True
+
+
+def scan(tests: tuple, rows: list, vector: list, leaf: bool) -> tuple:
+    """Run the generated level step over ``rows``: the rows it hands on
+    (each checked to be bound and in the vector), its rows in / out and
+    the ``engine.join.level_rejects`` it counted."""
+    rejects = DB.obs.value("engine.join.level_rejects")
+    handed: list = []
+
+    class Level:
+        rows_in = rows_out = 0
+
+        def candidates(self, executor, table, vector):
+            return rows
+
+    def after(executor, env, vector, tables, emit):
+        emit(env)
+
+    def emit(env):
+        row = env.bindings["t"].row
+        assert vector[POS] is row
+        handed.append(row)
+
+    level = Level()
+    make = _level_loop(POS, tests, "leaf" if leaf else "scan")
+    step = make(level, None if leaf else after, "t", {"x": 0, "y": 1})
+    env = Env()
+    step(DB.executor, env, vector, [None, None], emit)
+    assert "t" not in env.bindings
+    rejects = DB.obs.value("engine.join.level_rejects") - rejects
+    return handed, (level.rows_in, level.rows_out), rejects
+
+
+def check_shape(tests: tuple, rows: list, vector: list) -> None:
+    """The sieve, the inner step and the leaf step all keep exactly the
+    rows ``compare`` makes every test TRUE on, in order."""
+    expected = []
+    for row in rows:
+        vector[POS] = row
+        if all(holds(value_class, op, at, vector) for value_class, op, at in tests):
+            expected.append(row)
+    vector[POS] = None
+    kept = _level_loop(POS, tests, "sieve")(vector, rows)
+    assert [id(row) for row in kept] == [id(row) for row in expected], (tests, rows, vector)
+    for leaf in (True, False):
+        handed, counts, rejects = scan(tests, rows, vector, leaf)
+        assert [id(row) for row in handed] == [id(row) for row in expected]
+        assert counts == (len(rows), len(expected))
+        assert rejects == len(rows) - len(expected)
+
+
+def typed_tests(value_class: str):
+    comparison = st.tuples(
+        st.just(value_class), st.sampled_from(sorted(_COMPARISONS)),
+        st.tuples(st.sampled_from(ADDRESSES), st.sampled_from(ADDRESSES)),
+    )
+    between = st.tuples(
+        st.just(value_class), st.just("BETWEEN"),
+        st.tuples(*[st.sampled_from(ADDRESSES)] * 3),
+    )
+    return st.lists(st.one_of(comparison, between), min_size=1, max_size=3).map(tuple)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), value_class=st.sampled_from(sorted(CLASSES)))
+def test_generated_loops_agree_with_compare(data, value_class):
+    """Random shapes over one class: operands on the candidate, on an
+    earlier level and in outer slots, several tests sharing columns."""
+    values = CLASSES[value_class]
+    pair = st.lists(values, min_size=2, max_size=2)
+    tests = data.draw(typed_tests(value_class), label="tests")
+    rows = data.draw(st.lists(pair, max_size=6), label="rows")
+    vector = [data.draw(pair, label="earlier"), None, data.draw(pair, label="slots")]
+    check_shape(tests, rows, vector)
 
 
 @settings(max_examples=600, deadline=None)
 @given(data=st.data(), op=st.sampled_from(sorted(_COMPARISONS)),
-       value_class=st.sampled_from(sorted(CLASSES)))
-def test_typed_filter_agrees_with_compare(data, op, value_class):
+       value_class=st.sampled_from(sorted(CLASSES)),
+       right=st.sampled_from([(POS, 1), (0, 1), (2, 0)]))
+def test_each_operator_agrees_with_compare(data, op, value_class, right):
+    """Every operator and class, the candidate's column against another
+    column of it, an earlier level's column or an outer slot."""
     left = data.draw(CLASSES[value_class], label="left")
-    right = data.draw(CLASSES[value_class], label="right")
-    vector = [["pad", left], [right, "pad"]]
-    expected = _apply_binary(op, left, right) is True
-    assert closure(value_class, op)(vector) is expected, (left, op, right)
-
-
-EVALUATE = Database().executor.evaluate
+    other = data.draw(CLASSES[value_class], label="right")
+    row = [left, other]
+    vector = [["pad", other], None, [other]]
+    check_shape(((value_class, op, ((POS, 0), right)),), [row], vector)
 
 
 @settings(max_examples=600, deadline=None)
@@ -62,29 +173,260 @@ def test_between_agrees_with_the_engine(data, value_class):
         data.draw(CLASSES[value_class], label=label)
         for label in ("value", "low", "high")
     )
-    # the three operands in different row-vector slots
-    test = _typed_filter(value_class, "BETWEEN", (0, 1), (1, 0), (2, 0))
-    predicate = ast.BetweenPredicate(
-        expr=ast.Literal(value=value), low=ast.Literal(value=low),
-        high=ast.Literal(value=high), negated=False,
-    )
-    expected = EVALUATE(predicate, Env()) is True
-    assert test([["pad", value], [low, "pad"], [high]]) is expected, (value, low, high)
+    # the bounds bound before the level, the value the candidate's
+    vector = [[low, "pad"], None, [high]]
+    check_shape(((value_class, "BETWEEN", ((POS, 0), (0, 0), (2, 0))),), [[value, "pad"]], vector)
 
 
 def test_the_edges_by_hand():
-    """The cases the property must cover, written out."""
-    def holds(value_class, left, op, right):
-        return closure(value_class, op)([["pad", left], [right, "pad"]])
+    """The cases the properties must cover, written out."""
+    def passes(value_class, left, op, right, hoisted=True):
+        at = ((POS, 0), (2, 0) if hoisted else (POS, 1))
+        vector = [None, None, [right]]
+        return bool(_level_loop(POS, ((value_class, op, at),), "sieve")(vector, [[left, right]]))
 
-    assert holds("numeric", True, "=", 1) and holds("numeric", False, "<", 1)
-    assert holds("numeric", 1, "=", 1.0) and holds("numeric", 0.0, "=", -0.0)
-    assert holds("numeric", NAN, "=", NAN) and not holds("numeric", NAN, "<>", NAN)
-    assert holds("numeric", NAN, ">", INF) and holds("numeric", -INF, "<", NAN)
-    assert not holds("numeric", NAN, "=", 1.0) and holds("numeric", NAN, "<>", 1.0)
-    assert holds("character", "a  ", "=", "a") and holds("character", " a", "<>", "a")
-    assert holds("date", Date.MIN, "<", Date.MAX)
-    for value_class, value in (("numeric", 1), ("character", "a"), ("date", Date.MIN)):
-        for op in _COMPARISONS:
-            assert not holds(value_class, Null, op, value)
-            assert not holds(value_class, value, op, Null)
+    for hoisted in (True, False):
+        assert passes("numeric", True, "=", 1, hoisted) and passes("numeric", False, "<", 1, hoisted)
+        assert passes("numeric", 1, "=", 1.0, hoisted) and passes("numeric", 0.0, "=", -0.0, hoisted)
+        assert passes("numeric", NAN, "=", NAN, hoisted) and not passes("numeric", NAN, "<>", NAN, hoisted)
+        assert passes("numeric", NAN, ">", INF, hoisted) and passes("numeric", -INF, "<", NAN, hoisted)
+        assert not passes("numeric", NAN, "=", 1.0, hoisted) and passes("numeric", NAN, "<>", 1.0, hoisted)
+        assert passes("numeric", INF, ">", 2 ** 70, hoisted) and passes("numeric", -INF, "<", -(2 ** 70), hoisted)
+        assert passes("character", "a  ", "=", "a", hoisted) and passes("character", " a", "<>", "a", hoisted)
+        assert passes("date", Date.MIN, "<", Date.MAX, hoisted)
+        for value_class, value in (("numeric", 1), ("character", "a"), ("date", Date.MIN)):
+            for op in _COMPARISONS:
+                assert not passes(value_class, Null, op, value, hoisted)
+                assert not passes(value_class, value, op, Null, hoisted)
+
+
+def test_a_null_bound_before_the_level_passes_no_row():
+    """A NULL outer operand is read once: no candidate passes, and the
+    level still counts every candidate in and rejected."""
+    rows = [[1, 1], [2, 2], [NAN, 3]]
+    tests = (("numeric", "BETWEEN", ((POS, 0), (2, 0), (2, 1))),)
+    for leaf in (True, False):
+        handed, counts, rejects = scan(tests, rows, [None, None, [0, Null]], leaf)
+        assert handed == [] and counts == (3, 0) and rejects == 3
+    assert _level_loop(POS, tests, "sieve")([None, None, [Null, 9]], rows) == []
+    handed, counts, rejects = scan(tests, rows, [None, None, [0, 9]], True)
+    assert handed == rows[:2] and counts == (3, 2) and rejects == 1
+
+
+def test_generated_code_is_shared_by_shape_and_named_after_the_level():
+    tests = (("numeric", ">", ((POS, 0), (2, 0))),)
+    assert _level_loop(POS, tests, "leaf") is _level_loop(POS, tests, "leaf")
+    assert _level_loop(POS, tests, "leaf") is not _level_loop(POS, tests, "scan")
+    make = _level_loop(POS, tests, "leaf")
+    step = make(None, None, "t", {})
+    assert step.__code__.co_filename == "<scan level 1>"
+    assert _level_loop(POS, tests, "sieve").__code__.co_filename == "<sieve level 1>"
+    # a candidate of the wrong class raises inside the generated loop
+    with pytest.raises(TypeError) as caught:
+        _level_loop(POS, tests, "sieve")([None, None, [1]], [["x"]])
+    frames = traceback.extract_tb(caught.value.__traceback__)
+    assert frames[-1].filename == "<sieve level 1>"
+
+
+def test_a_wrong_class_literal_is_demoted_to_the_residual():
+    """An outer operand of another class than its column makes the
+    conjunct partial for that execution: it leaves the level's tests for
+    the residual, which raises where ``compare`` raises."""
+    db = Database()
+    db.execute("CREATE TABLE t (n FLOAT, c CHAR(4))")
+    db.execute("INSERT INTO t VALUES (1.0, 'a'), (NULL, 'b'), (3.0, NULL)")
+    executor = db.executor
+    plan = build_select_plan(executor, parse_statement("SELECT c FROM t WHERE n > 'x'"))
+    assert len(plan.pipeline.levels[0].filters) == 1
+    with pytest.raises(SqlError):
+        plan.run(executor, None, True)
+    ((demoted, variant),) = plan.variants.items()
+    assert demoted == {0} and variant.levels[0].filters == [] and len(variant.residual) == 1
+    # a total conjunct that rejects every row leaves the residual unread
+    assert db.execute("SELECT c FROM t WHERE n > 'x' AND c = 'z'").rows == []
+    for reference in (False, True):
+        with pytest.raises(SqlError):
+            if reference:
+                with installed(db):
+                    db.execute("SELECT c FROM t WHERE c = 1")
+            else:
+                db.execute("SELECT c FROM t WHERE c = 1")
+
+
+# ---------------------------------------------------------------------------
+# whole plans: the counters equal the closure path's
+# ---------------------------------------------------------------------------
+
+
+def closure_loop(pos: int, tests: tuple, mode: str):
+    """The closure path the generated loops replace: each candidate is
+    stored in the row vector and every test is a call, here one
+    ``compare`` each.  A drop-in for :func:`planner._level_loop`."""
+    def passes(vector: list) -> bool:
+        return all(holds(value_class, op, at, vector) for value_class, op, at in tests)
+
+    if mode == "sieve":
+        def sieve(vector: list, rows) -> list:
+            vector = list(vector)
+            kept = []
+            for row in rows:
+                vector[pos] = row
+                if passes(vector):
+                    kept.append(row)
+            return kept
+        return sieve
+
+    def make(level, after, key, colmap):
+        def step(executor, env, vector, tables, emit) -> None:
+            rows = level.candidates(executor, tables[pos], vector)
+            binding = env.bindings[key] = Binding(colmap, None)
+            passed = 0
+            for row in rows:
+                vector[pos] = row
+                if passes(vector):
+                    passed += 1
+                    binding.row = row
+                    if after is None:
+                        emit(env)
+                    else:
+                        after(executor, env, vector, tables, emit)
+            del env.bindings[key]
+            level.rows_in += len(rows)
+            level.rows_out += passed
+            if passed < len(rows):
+                executor.db.stats.rejects.value += len(rows) - passed
+        return step
+    return make
+
+
+@contextmanager
+def closure_path():
+    with mock.patch.object(planner, "_level_loop", closure_loop), \
+            mock.patch.object(seqset, "_level_loop", closure_loop):
+        yield
+
+
+BASE = Date.from_iso("2010-01-01").ordinal
+COUNTERS = [
+    "engine.rows_scanned", "engine.join.level_rejects",
+    "engine.read_window.versions_waived", "engine.period_probe.rows_pruned",
+    "stratum.seqset.filter.rows_dropped",
+]
+DAYS = st.sampled_from([Null, 0, 1, 2, 3, 5, 9])
+rows_h = st.lists(
+    st.tuples(
+        st.sampled_from([Null, 0, 1, 2]),
+        st.sampled_from([Null, -1.5, 0, 1, 2.5, NAN, INF, -INF]),
+        st.sampled_from([Null, "", "a", "a  ", "b"]),
+        DAYS, DAYS, DAYS,
+    ),
+    max_size=8,
+)
+# MAX-planned statements: leaf and inner levels, tests on earlier levels'
+# columns, BETWEEN, a NULL literal, a routine variable
+ENGINE = [
+    "SELECT k, v FROM h WHERE v > 0",
+    "SELECT k FROM h WHERE v BETWEEN -1 AND 2 AND c <> 'a'",
+    "SELECT k FROM h WHERE c = 'a' AND d < DATE '2010-01-04'",
+    "SELECT a.k, b.k FROM h a, h b WHERE a.k = b.k AND a.v < b.v",
+    "SELECT a.k, b.c FROM h a, h b WHERE a.c = b.c AND b.v >= a.v AND b.d >= a.d",
+    "SELECT a.k FROM h a, h b WHERE b.v BETWEEN a.v AND 3 AND b.k = 1",
+    "SELECT k FROM h WHERE v > NULL",
+    "SELECT k FROM h WHERE k = 1 AND v <> 0",
+]
+# a hash probe with a period stab under an open read window: a point-free
+# filter waives the versions it rejects
+WINDOWED = [
+    "SELECT v FROM h WHERE k = {k} AND vb <= {p} AND {p} < ve AND v > 0",
+    "SELECT v FROM h WHERE k = {k} AND vb <= {p} AND {p} < ve AND c = 'a'",
+    "SELECT v FROM h WHERE k = {k} AND vb <= {p} AND {p} < ve",
+]
+SEQUENCED = [
+    "SELECT k, v FROM s WHERE v > 0",
+    "SELECT k FROM s WHERE v BETWEEN -1 AND 2 AND c <> 'a'",
+    "SELECT a.k, b.k FROM s a, s b WHERE a.k = b.k AND a.v < b.v",
+    "SELECT a.k FROM s a, s b, s c WHERE a.k = c.k AND a.v <= b.v",
+    "SELECT k FROM s WHERE c = 'a  ' AND v > NULL",
+]
+
+
+def day(offset):
+    return offset if offset is Null else Date(BASE + offset)
+
+
+def build(rows) -> TemporalStratum:
+    stratum = TemporalStratum()
+    db = stratum.db
+    db.execute("CREATE TABLE h (k INTEGER, v FLOAT, c CHAR(3), d DATE, vb DATE, ve DATE)")
+    db.catalog.get_table("h").declare_interval("vb", "ve")
+    stratum.create_temporal_table(
+        "CREATE TABLE s (k INTEGER, v FLOAT, c CHAR(3), begin_time DATE, end_time DATE)"
+    )
+    db.insert_rows("h", [list(row[:3]) + [day(x) for x in row[3:]] for row in rows])
+    db.insert_rows("s", [
+        list(row[:3]) + [day(row[3]), day(9 if row[4] is Null else row[4] + 1)]
+        for row in rows if row[3] is not Null
+    ])
+    return stratum
+
+
+def run_all(stratum) -> list:
+    """Every statement's rows (or error), the narrowed window, the
+    counter deltas and each engine level's rows in / out."""
+    db = stratum.db
+    seen = []
+    for sql in ENGINE:
+        before = [db.obs.value(name) for name in COUNTERS]
+        plan = build_select_plan(db.executor, parse_statement(sql))
+        try:
+            rows = plan.run(db.executor, None, True).rows
+        except SqlError as exc:
+            rows = type(exc)
+        levels = [
+            (level.rows_in, level.rows_out)
+            for pipeline in (plan.pipeline, *plan.variants.values())
+            for level in pipeline.levels
+        ]
+        seen.append((sql, rows, levels, [db.obs.value(n) - b for n, b in zip(COUNTERS, before)]))
+    for template in WINDOWED:
+        for k in (0, 1):
+            for p in (1, 3):
+                sql = template.format(k=k, p=f"DATE '{Date(BASE + p).to_iso()}'")
+                before = [db.obs.value(name) for name in COUNTERS]
+                db.read_window = [BASE - 5, BASE + 20, BASE + p]
+                try:
+                    rows = db.execute(sql).rows
+                    window = db.read_window
+                finally:
+                    db.read_window = None
+                seen.append((sql, rows, window, [db.obs.value(n) - b for n, b in zip(COUNTERS, before)]))
+    for sql in SEQUENCED:
+        before = [db.obs.value(name) for name in COUNTERS]
+        result = stratum.execute(
+            "VALIDTIME [DATE '2010-01-01', DATE '2010-01-12'] " + sql, SlicingStrategy.SEQSET
+        )
+        seen.append((sql, result.rows, [db.obs.value(n) - b for n, b in zip(COUNTERS, before)]))
+    return seen
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(rows=rows_h)
+def test_plans_count_what_the_closure_path_counts(rows):
+    generated = run_all(build(rows))
+    with closure_path():
+        closures = run_all(build(rows))
+    for mine, theirs in zip(generated, closures):
+        assert mine == theirs, mine[0]
+
+
+def test_the_counters_are_exercised():
+    """On one fixed history every counter the comparison holds moves."""
+    rows = [
+        (1, 2.5, "a", 0, 0, 9), (1, -1.5, "b", 1, 1, 3), (1, NAN, "a  ", 2, 3, 5),
+        (0, 1, Null, 3, 0, 2), (2, INF, "a", Null, 2, 9), (1, 0, "a", 5, 2, 4),
+    ]
+    seen = run_all(build(rows))
+    totals = [sum(entry[-1][i] for entry in seen) for i in range(len(COUNTERS))]
+    assert all(totals), dict(zip(COUNTERS, totals))
+    with closure_path():
+        assert run_all(build(rows)) == seen
