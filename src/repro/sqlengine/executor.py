@@ -227,23 +227,15 @@ class Executor:
 
     def execute_select(self, select: ast.Select, env: Optional[Env] = None) -> ResultSet:
         if select.set_op:
-            result = self._run_arm(select, env, None)
+            result = self._run_planned(select, env, False)
             result = self._apply_set_ops(select, result, env)
             if select.order_by:
                 result = self._apply_order_on_output(select, result, env)
         else:
-            result = self._run_arm(select, env, select.order_by)
+            result = self._run_planned(select, env, bool(select.order_by))
         if select.limit is not None:
             result.rows = result.rows[: select.limit]
         return result
-
-    def _run_arm(
-        self,
-        select: ast.Select,
-        env: Optional[Env],
-        order_by: Optional[list[ast.OrderItem]],
-    ) -> ResultSet:
-        return self._run_planned(select, env, bool(order_by))
 
     def match(self, stmt: ast.Statement, env: Optional[Env] = None) -> tuple:
         """What an UPDATE or DELETE would touch, claimed and not yet
@@ -317,7 +309,7 @@ class Executor:
         result = left
         while node.set_op:
             rhs_node = node.set_rhs
-            right = self._run_arm(rhs_node, env, None)
+            right = self._run_planned(rhs_node, env, False)
             if len(right.columns) != len(result.columns):
                 raise ExecutionError("set operands differ in column count")
             op = node.set_op
@@ -421,9 +413,10 @@ class Executor:
     ) -> list[int]:
         """Candidate *positions* (ascending) for an interval probe with
         ``limits = [begin_min, begin_max, end_min]`` (None: no row can
-        match), counted as ``engine.interval_index_hits`` /
-        ``engine.interval_rows_pruned``, and a stab as
-        ``engine.stab.served`` or ``engine.stab.full_pass.too_wide``."""
+        match) — a plan level's, or SEQ-SET's alignment — counted as
+        ``engine.interval_index_hits`` / ``engine.interval_rows_pruned``,
+        and a stab as ``engine.stab.served`` or
+        ``engine.stab.full_pass.too_wide``."""
         obs = self.db.obs
         if limits is None:
             positions: list[int] = []

@@ -1,4 +1,4 @@
-"""Endpoint-sorted interval index for temporal scan pruning.
+"""Interval index for temporal scan pruning.
 
 The temporal transforms (§V) emit predicates of two shapes against a
 table's ``(begin, end)`` period columns::
@@ -7,42 +7,35 @@ table's ``(begin, end)`` period columns::
     t.begin < E AND B < t.end           -- overlap with period [B, E)
 
 Both reduce to *"begin at most X and end at least Y"* over the day
-ordinals.  This index stores the rows whose period bounds are both
-DATE values sorted by begin ordinal, with a segment tree of maximum
-end ordinals on top, so ``search(begin_max, end_min)`` reports the
-matching rows in O(log n + k) instead of scanning the heap.  MAX's
-outer join with its constant-period table bounds the *begin* column
-from both sides instead (``X <= cp.begin AND cp.begin < Y``):
-``search_positions`` also takes a ``begin_min``, a second bisect, and
-either bound on a side may be absent.
-
-Rows whose begin or end is not a :class:`Date` (NULL bounds) are left
-out of the entries: a comparison against NULL is never true, so such
-rows can never satisfy the bound conjuncts and excluding them is safe.
-The one exception is a probe with no end bound, which a row with a
-Date begin and a NULL end can satisfy: those rows are kept aside
-(``_open_*``, in table order) and reported by such probes only.
-Results equal a linear scan's filter over the same bounds, and
-candidates are returned in table position order to keep row order
-byte-for-byte identical too.
+ordinals; MAX's outer join with its constant-period table bounds the
+*begin* column from both sides instead (``X <= cp.begin AND cp.begin <
+Y``).  The index is the pair's day ordinals in table order, two lists,
+with NaN for a bound that is not a :class:`Date`: a comparison with NaN
+is never true, just as one with NULL never is, so a NULL-bounded row
+fails exactly the bounds it is tested against and no row needs a rule
+of its own.  ``search_positions(begin_max, end_min, begin_min)`` — any
+bound may be absent — is one pass over the lists, and its positions
+are ascending, so the pruned scan is row-for-row identical to the
+linear one.
 
 A stab costs its output: :class:`ChangePoints` keeps, next to the
 ascending change points of some rows, each elementary segment's live
 rows for one ``(begin, end)`` pair, so the rows alive at ``p`` are one
-bisect and one list copy.  The index answers a stab probe from one built
-over its entries; the planner answers a hash bucket's stab from one
-built over the bucket (``Table.bucket_stab``).
+bisect and one list copy.  The index keeps its pair's change points
+(``changes``, what constant periods and read windows use) and answers a
+stab probe from them once filled; the planner answers a hash bucket's
+stab from one built over the bucket (``Table.bucket_stab``).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from typing import Any, Iterable, Optional
 
 from repro.sqlengine.values import Date
 
-_NEG_INF = -1  # below any valid day ordinal (Date.MIN_ORDINAL is 1)
 _INF = float("inf")
+_NAN = float("nan")  # a NULL bound: every comparison with it is False
 
 # A stab structure is built only while its segments hold at most this
 # many rows per row it covers (DESIGN §3.5): its memory stays within a
@@ -61,6 +54,11 @@ def without(sequence, doomed: list[int]):
         start = index + 1
     kept += sequence[start:]
     return kept
+
+
+def _ordinal(value: Any) -> float:
+    """A bound's day ordinal, or :data:`_NAN` where it is not a Date."""
+    return value.ordinal if isinstance(value, Date) else _NAN
 
 
 def stab_point(limits: Optional[list]) -> Optional[int]:
@@ -174,230 +172,116 @@ class ChangePoints:
 
 
 class IntervalIndex:
-    """Index over one ``(begin, end)`` column pair of a table.
+    """Index over one ``(begin, end)`` column pair of a table: ``begins[i]``
+    and ``ends[i]`` are the day ordinals of row ``i``'s bounds, in table
+    order, NaN where a bound is not a :class:`Date`.
 
     Built from the table's current row list and kept valid at
     ``table.version`` by the table's mutation primitives (see
     :meth:`Table.interval_index`): :meth:`add` follows an appended row,
-    :meth:`set_end` a changed end bound, :meth:`remove` deleted
-    positions.  Every delta only edits the begin-sorted entry lists; the
-    max-end tree over them is rebuilt by the next search, the stab
-    structure by the next stab.  Searches return fresh lists, so a caller
-    holding hits never sees them change.
+    :meth:`update` a row whose bounds were overwritten, :meth:`remove`
+    deleted positions.  ``changes`` and the stab structure over them are
+    built on first need; a delta resets both (an append extends the
+    points instead).  Searches return fresh lists, so a caller holding
+    hits never sees them change.
     """
 
-    __slots__ = (
-        "begin_index", "end_index", "entry_count", "total_rows",
-        "_begins", "_positions", "_rows", "_ends", "_tree",
-        "_open_begins", "_open_positions", "_stab",
-    )
+    __slots__ = ("begin_index", "end_index", "begins", "ends", "_changes", "_stab")
 
     def __init__(self, rows: list[list[Any]], begin_index: int, end_index: int) -> None:
-        entries = []
-        self._open_begins: list[int] = []
-        self._open_positions: list[int] = []
-        for position, row in enumerate(rows):
-            begin = row[begin_index]
-            end = row[end_index]
-            if isinstance(begin, Date):
-                if isinstance(end, Date):
-                    entries.append((begin.ordinal, position, end.ordinal, row))
-                else:
-                    self._open_begins.append(begin.ordinal)
-                    self._open_positions.append(position)
-        entries.sort(key=lambda entry: (entry[0], entry[1]))
         self.begin_index = begin_index
         self.end_index = end_index
-        self.entry_count = len(entries)
-        self.total_rows = len(rows)
-        self._begins = [entry[0] for entry in entries]
-        self._positions = [entry[1] for entry in entries]
-        self._ends = [entry[2] for entry in entries]
-        self._rows = [entry[3] for entry in entries]
-        self._tree: Optional[list[int]] = None
+        self.begins = [_ordinal(row[begin_index]) for row in rows]
+        self.ends = [_ordinal(row[end_index]) for row in rows]
+        self._changes: Optional[ChangePoints] = None
         self._stab: Optional[ChangePoints] = None
 
-    def _max_end_tree(self) -> list[int]:
-        """The segment tree over the begin-sorted entries (heap layout,
-        root at 1); each node holds the maximum end ordinal of its range
-        so whole subtrees with every end below the threshold are skipped
-        during reporting.  Built level by level on first use after a
-        build or a delta."""
-        tree = self._tree
-        if tree is None:
-            size = 1
-            while size < max(self.entry_count, 1):
-                size *= 2
-            level = self._ends + [_NEG_INF] * (size - self.entry_count)
-            levels = [level]
-            while len(level) > 1:
-                level = list(map(max, level[0::2], level[1::2]))
-                levels.append(level)
-            tree = [_NEG_INF]
-            for level in reversed(levels):
-                tree += level
-            self._tree = tree
-        return tree
+    @property
+    def changes(self) -> ChangePoints:
+        """The pair's change points: every Date bound, one whose opposite
+        bound is NULL too (matching
+        :func:`repro.temporal.period.collect_change_points`)."""
+        changes = self._changes
+        if changes is None:
+            points = set(self.begins)
+            points.update(self.ends)
+            points.discard(_NAN)  # every NULL bound is this one object
+            changes = self._changes = ChangePoints(frozenset(points))
+        return changes
 
     # -- deltas (applied by the Table primitives after the rows changed) -----
 
     def add(self, row: list[Any]) -> None:
         """``row`` was appended to the table."""
-        position = self.total_rows
-        self.total_rows += 1
-        begin = row[self.begin_index]
-        end = row[self.end_index]
-        if not isinstance(begin, Date):
-            return
-        if isinstance(end, Date):
-            # the new position is the largest: after every equal begin
-            at = bisect_right(self._begins, begin.ordinal)
-            self._begins.insert(at, begin.ordinal)
-            self._positions.insert(at, position)
-            self._ends.insert(at, end.ordinal)
-            self._rows.insert(at, row)
-            self.entry_count += 1
-            self._tree = self._stab = None
-        else:
-            self._open_begins.append(begin.ordinal)
-            self._open_positions.append(position)
+        begin = _ordinal(row[self.begin_index])
+        end = _ordinal(row[self.end_index])
+        self.begins.append(begin)
+        self.ends.append(end)
+        changes = self._changes
+        if changes is not None:
+            points = {point for point in (begin, end) if point is not _NAN}
+            # a filled structure is never edited: a new one, points kept
+            if self._stab is not None or not points <= changes.points:
+                self._changes = ChangePoints(changes.points | points)
+        self._stab = None
 
-    def set_end(self, position: int, begin: int, end: int) -> bool:
-        """The row at table ``position`` (begin ordinal ``begin``, both
-        bounds dates before and after) now ends at ordinal ``end``;
-        False when the index holds no such entry."""
-        lo = bisect_left(self._begins, begin)
-        hi = bisect_right(self._begins, begin)
-        at = bisect_left(self._positions, position, lo, hi)
-        if at == hi or self._positions[at] != position:
-            return False
-        self._ends[at] = end
-        self._tree = self._stab = None
-        return True
+    def update(self, position: int, row: list[Any]) -> None:
+        """A bound of ``row``, at table ``position``, was overwritten."""
+        begin = _ordinal(row[self.begin_index])
+        end = _ordinal(row[self.end_index])
+        if begin != self.begins[position] or end != self.ends[position]:
+            self.begins[position] = begin
+            self.ends[position] = end
+            self._changes = self._stab = None
 
     def remove(self, doomed: list[int]) -> None:
         """The rows at the ascending table positions ``doomed`` were
-        deleted: their entries go, later positions shift down."""
-        doomed_set = set(doomed)
-        gone = [
-            at for at, position in enumerate(self._positions)
-            if position in doomed_set
-        ]
-        if gone:
-            self._begins = without(self._begins, gone)
-            self._positions = without(self._positions, gone)
-            self._ends = without(self._ends, gone)
-            self._rows = without(self._rows, gone)
-            self.entry_count -= len(gone)
-        self._positions = [
-            position - bisect_left(doomed, position) for position in self._positions
-        ]
-        if self._open_positions:
-            kept = [
-                (begin, position)
-                for begin, position in zip(self._open_begins, self._open_positions)
-                if position not in doomed_set
-            ]
-            self._open_begins = [begin for begin, _ in kept]
-            self._open_positions = [
-                position - bisect_left(doomed, position) for _, position in kept
-            ]
-        self.total_rows -= len(doomed)
-        self._tree = self._stab = None
+        deleted."""
+        self.begins = without(self.begins, doomed)
+        self.ends = without(self.ends, doomed)
+        self._changes = self._stab = None
 
     # -- queries ------------------------------------------------------------
-
-    def _search_hits(
-        self, begin_max: Optional[int], end_min: Optional[int],
-        begin_min: Optional[int] = None,
-    ) -> list[int]:
-        """Entry indexes with ``begin_min <= begin <= begin_max AND end
-        >= end_min`` (a bound given as None is absent), sorted by table
-        position."""
-        start = 0 if begin_min is None else bisect_left(self._begins, begin_min)
-        stop = (
-            self.entry_count if begin_max is None
-            else bisect_right(self._begins, begin_max)
-        )
-        if start >= stop:
-            return []
-        if end_min is None:
-            hits = list(range(start, stop))
-            hits.sort(key=self._positions.__getitem__)
-            return hits
-        threshold = end_min - 1  # report entries with end > threshold
-        tree = self._max_end_tree()
-        size = len(tree) // 2
-        hits = []
-        # iterative DFS over the tree, pruning subtrees outside the begin
-        # range or whose max end is at most the threshold
-        stack = [(1, 0, size)]
-        while stack:
-            node, lo, hi = stack.pop()
-            if lo >= stop or hi <= start or tree[node] <= threshold:
-                continue
-            if hi - lo == 1:
-                hits.append(lo)
-                continue
-            mid = (lo + hi) // 2
-            # push right first so the left child is processed first; the
-            # ordering of `hits` does not matter (re-sorted by position)
-            stack.append((2 * node + 1, mid, hi))
-            stack.append((2 * node, lo, mid))
-        hits.sort(key=self._positions.__getitem__)
-        return hits
-
-    def search(self, begin_max: int, end_min: int) -> list[list[Any]]:
-        """Rows with ``begin <= begin_max AND end >= end_min`` (ordinals),
-        in table position order."""
-        rows = self._rows
-        return [rows[i] for i in self._search_hits(begin_max, end_min)]
 
     def search_positions(
         self, begin_max: Optional[int], end_min: Optional[int],
         begin_min: Optional[int] = None,
     ) -> list[int]:
         """Table positions (ascending) of the rows with ``begin_min <=
-        begin <= begin_max AND end >= end_min``, any bound None meaning
-        absent — the planner's probe.  Without ``end_min`` a row whose
-        end is NULL qualifies on its begin alone.  A stab is answered
-        by the stab structure when it is within its size guard."""
+        begin <= begin_max AND end >= end_min`` — the planner's probe.  A
+        bound given as None tests nothing; a NULL row bound fails every
+        test it is in.  A stab is answered by the stab structure when it
+        is within its size guard, any other probe by one pass in table
+        order."""
         point = stab_point([begin_min, begin_max, end_min])
         if point is not None and self.serves_stabs():
             return self._stab.alive(point)
-        positions = self._positions
-        found = [
-            positions[i] for i in self._search_hits(begin_max, end_min, begin_min)
-        ]
-        if end_min is None and self._open_positions:
-            lo = -_INF if begin_min is None else begin_min
-            hi = _INF if begin_max is None else begin_max
-            found += [
-                position
-                for begin, position in zip(self._open_begins, self._open_positions)
-                if lo <= begin <= hi
-            ]
-            found.sort()
-        return found
+        begins, ends = self.begins, self.ends
+        every = range(len(begins))
+        if begin_min is None:
+            if begin_max is None:
+                return list(every) if end_min is None else [
+                    i for i in every if ends[i] >= end_min
+                ]
+            if end_min is None:
+                return [i for i in every if begins[i] <= begin_max]
+            return [i for i in every if begins[i] <= begin_max and ends[i] >= end_min]
+        hi = _INF if begin_max is None else begin_max
+        if end_min is None:
+            return [i for i in every if begin_min <= begins[i] <= hi]
+        return [i for i in every if begin_min <= begins[i] <= hi and ends[i] >= end_min]
 
     def serves_stabs(self) -> bool:
-        """Does the stab structure over the entries (positions, built on
+        """Does the stab structure over ``changes`` (positions, filled on
         first need) fit :data:`SPAN_LIMIT`?"""
         stab = self._stab
         if stab is None:
-            begins, ends = self._begins, self._ends
-            by_position = sorted(zip(self._positions, begins, ends))
-            stab = self._stab = ChangePoints(frozenset(begins) | frozenset(ends)).fill(
-                ((begin, end, position) for position, begin, end in by_position),
-                self.total_rows,
+            begins, ends = self.begins, self.ends
+            stab = self._stab = self.changes.fill(
+                (
+                    (begins[i], ends[i], i) for i in range(len(begins))
+                    if begins[i] < ends[i]  # False for a NULL bound
+                ),
+                len(begins),
             )
         return stab.live is not None
-
-    def stab(self, point: int) -> list[list[Any]]:
-        """Rows alive at ``point``: ``begin <= point AND point < end``."""
-        return self.search(point, point + 1)
-
-    def overlaps(self, begin: int, end: int) -> list[list[Any]]:
-        """Rows whose period overlaps ``[begin, end)``:
-        ``begin < row.end AND row.begin < end``."""
-        return self.search(end - 1, begin + 1)

@@ -4,10 +4,10 @@ Rows are plain Python lists (one slot per column) so inserts, updates,
 the undo log and WAL redo stay cheap and identity-based;
 :class:`~repro.sqlengine.values.Row` objects are only materialised at
 result boundaries.  The rows are a table's only in-memory form: hash
-and interval indexes, change points and stab structures are *derived*
-from them (see :class:`Table` for the one validity rule), and the
-planner's typed filters read them through each column's declared kind
-(:func:`_column_kind`).
+indexes, interval indexes (each with its pair's change points) and stab
+structures are *derived* from them (see :class:`Table` for the one
+validity rule), and the planner's typed filters read them through each
+column's declared kind (:func:`_column_kind`).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 from repro.sqlengine.errors import CatalogError, ExecutionError
 from repro.sqlengine.interval_index import ChangePoints, IntervalIndex, without
 from repro.sqlengine.types import SqlType, coerce
-from repro.sqlengine.values import Date, Null, sort_key
+from repro.sqlengine.values import Null, sort_key
 
 
 class Column:
@@ -92,13 +92,6 @@ def _append_delta(key: tuple, structure: Any, row: list[Any], position: int) -> 
             structure[bucket] = structure.get(bucket, []) + [row]
     elif kind == "interval":
         structure.add(row)
-    elif kind == "change_points":
-        points = {
-            value.ordinal for value in (row[key[1]], row[key[2]])
-            if isinstance(value, Date)
-        }
-        if not points <= structure.points:
-            structure = ChangePoints(structure.points | points)
     elif kind == "stab":
         _drop_buckets(key, structure, [row[key[1]]])
     else:
@@ -125,16 +118,8 @@ def _update_delta(key: tuple, structure: Any, touched: list) -> Any:
                 _drop_buckets(
                     key, structure, [row[key[1]], old if column == key[1] else Null]
                 )
-            elif not (isinstance(old, Date) and isinstance(new, Date)):
-                return None  # a non-Date bound: the row enters or leaves
-            elif old.ordinal != new.ordinal:
-                if kind == "change_points" or column == key[1]:
-                    return None  # a point may vanish / the entry moves
-                begin = row[key[1]]  # no entry to follow under a NULL begin
-                if isinstance(begin, Date) and not structure.set_end(
-                    position, begin.ordinal, new.ordinal
-                ):
-                    return None
+            else:
+                structure.update(position, row)
     return structure
 
 
@@ -159,7 +144,7 @@ def _delete_delta(key: tuple, structure: Any, doomed: list[int], rows: list) -> 
     elif kind == "stab":
         _drop_buckets(key, structure, [row[key[1]] for row in rows])
     else:
-        return None  # change points, positions: cheap to rebuild
+        return None  # positions: cheap to rebuild
     return structure
 
 
@@ -174,9 +159,9 @@ class Table:
     (routine variable tables, result scratch) carry ``txn = None`` and
     pay nothing.
 
-    **Derived structures** — hash indexes, interval indexes,
-    change-point sets, per-bucket stab structures and the row-position
-    map — are built lazily from ``rows`` by the
+    **Derived structures** — hash indexes, interval indexes (a pair's
+    change points included), per-bucket stab structures and the
+    row-position map — are built lazily from ``rows`` by the
     accessor methods below (the only build code) and held in
     ``_derived`` as ``key -> (version, row count, structure)``.  One
     rule decides validity: *a structure is valid at* ``table.version``
@@ -184,9 +169,11 @@ class Table:
     applied to it as a delta*.  Each primitive changes the rows, bumps
     ``version`` and then carries the structures that were valid just
     before: ``append_row``, ``update_rows`` and ``delete_rows`` apply
-    their row delta and re-tag last; what a delta cannot express (a
-    changed hash key or begin bound, a non-Date bound) drops that structure — or, for the stab buckets,
-    the buckets of the rows it touched — ``replace_rows``,
+    their row delta and re-tag last; what a delta does not express —
+    a changed hash key, a delete for the row-position map — drops that
+    structure (the stab buckets drop the buckets of the rows a delta
+    touched; an interval index resets its change points on any delta
+    but an append); ``replace_rows``,
     ``add_column`` and an undo drop every structure, and any edit of
     ``rows`` behind the primitives' back (tests) carries nothing, so the
     next accessor rebuilds.  These five
@@ -219,8 +206,8 @@ class Table:
         # derived structures
         self.version = 0
         # key -> (version, row count, structure), keys ("hash", column),
-        # ("interval", begin, end), ("change_points", begin, end),
-        # ("stab", column, begin, end, *period columns), ("positions",) —
+        # ("interval", begin, end), ("stab", column, begin, end, *period
+        # columns), ("positions",) —
         # see the class docstring
         self._derived: dict[tuple, tuple[int, int, Any]] = {}
         # declared (begin, end) period column pairs, eligible for
@@ -560,28 +547,16 @@ class Table:
             index = self._built(key, IntervalIndex(self.rows, begin_index, end_index))
         return index
 
-    def _change_points(self, begin_index: int, end_index: int) -> ChangePoints:
-        key = ("change_points", begin_index, end_index)
-        structure = self._current(key)
-        if structure is None:
-            structure = self._built(
-                key, ChangePoints.of(self.rows, (begin_index, end_index))
-            )
-        return structure
-
     def change_points(self, begin_index: int, end_index: int) -> frozenset[int]:
         """Every begin/end day ordinal appearing in the column pair, so
         sequenced statements merge per-table sets instead of rescanning
-        unchanged tables.  A Date bound counts even when the opposite
-        bound is NULL, matching
-        :func:`repro.temporal.period.collect_change_points`.
-        """
-        return self._change_points(begin_index, end_index).points
+        unchanged tables (the interval index's ``changes``)."""
+        return self.interval_index(begin_index, end_index).changes.points
 
     def change_window(self, begin_index: int, end_index: int, point: int) -> tuple:
         """The ``[lo, hi)`` around ``point`` in which no row of the pair
         begins or ends (see :meth:`ChangePoints.window`)."""
-        return self._change_points(begin_index, end_index).window(point)
+        return self.interval_index(begin_index, end_index).changes.window(point)
 
     def bucket_stab(
         self, column: int, bucket: tuple, begin_index: int, end_index: int,

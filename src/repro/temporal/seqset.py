@@ -11,10 +11,10 @@ plan over the same constant-period grid:
   whose begin point ``pb`` satisfies ``b <= pb < e`` (MAX's stab
   predicate), which over the sorted period begins is the contiguous
   index range ``[bisect_left(begins, b), bisect_left(begins, e))``.
-  Candidate rows come from the table's :class:`IntervalIndex` overlap
-  probe against the temporal context (NULL-bounded rows drop out by the
-  index's documented contract, exactly as a NULL comparison drops them
-  under MAX), and the table's own total conjuncts are tested **once**
+  Candidate rows come from the planner's interval probe
+  (``Executor._interval_candidate_positions``), an overlap with the
+  temporal context (a NULL bound fails it, exactly as a NULL comparison
+  does under MAX), and the table's own total conjuncts are tested **once**
   per candidate instead of once per period.
 * **IntervalJoin** — an interval hash join over the aligned runs.  Each
   candidate stays **one** ``(row, lo, hi)`` run on the period grid;
@@ -457,12 +457,9 @@ def execute_seqset(
         rows = table.rows
         if source.temporal:
             begin_index, end_index = source.begin_index, source.end_index
-            index = table.interval_index(begin_index, end_index)
-            positions = index.search_positions(context.end - 1, context.begin + 1)
-            obs.inc("engine.interval_index_hits")
-            pruned = len(rows) - len(positions)
-            if pruned:
-                obs.inc("engine.interval_rows_pruned", pruned)
+            positions = db.executor._interval_candidate_positions(
+                table, begin_index, end_index, [None, context.end - 1, context.begin + 1]
+            )
             rows = [rows[position] for position in positions]
         sieve = placement.sieves[pos]
         if sieve is not None:

@@ -275,12 +275,7 @@ def _derived_image(key: tuple, structure: Any) -> Any:
     if kind == "hash":
         return {bucket: list(map(id, rows)) for bucket, rows in structure.items()}
     if kind == "interval":
-        return (
-            structure.entry_count, structure.total_rows, structure._begins,
-            structure._positions, structure._ends, list(map(id, structure._rows)),
-        )
-    if kind == "change_points":
-        return structure.points
+        return structure.begins, structure.ends, structure.changes.points
     if kind == "stab":
         return {
             bucket: (stab.points, stab.live and [list(map(id, s)) for s in stab.live])
@@ -302,8 +297,6 @@ def assert_derived_fresh(table: Table) -> None:
             built = fresh.hash_index(key[1])
         elif kind == "interval":
             built = fresh.interval_index(key[1], key[2])
-        elif kind == "change_points":
-            built = fresh._change_points(key[1], key[2])
         elif kind == "stab":
             built = {
                 bucket: fresh.bucket_stab(key[1], bucket, key[2], key[3], key[4:])

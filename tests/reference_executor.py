@@ -98,7 +98,16 @@ class ReferenceExecutor(Executor):
 
     # -- SELECT -------------------------------------------------------------
 
-    def _run_arm(
+    def _run_planned(
+        self, stmt: ast.Statement, env: Optional[Env], *run_args, step: str = "run"
+    ) -> Any:
+        """A SELECT arm runs as :meth:`_nested_loop`, ordered when the
+        engine would order it; DML keeps the engine's plan."""
+        if isinstance(stmt, ast.Select):
+            return self._nested_loop(stmt, env, stmt.order_by if run_args[0] else None)
+        return super()._run_planned(stmt, env, *run_args, step=step)
+
+    def _nested_loop(
         self,
         select: ast.Select,
         env: Optional[Env],
@@ -163,7 +172,7 @@ class ReferenceExecutor(Executor):
         node, rows, columns = select, left.rows, left.columns
         while node.set_op:
             node, op = node.set_rhs, node.set_op
-            right = self._run_arm(node, env, None)
+            right = self._nested_loop(node, env, None)
             if len(right.columns) != len(columns):
                 raise ExecutionError("set operands differ in column count")
             if op.startswith("UNION"):

@@ -1,15 +1,18 @@
 """Derived structures follow row deltas: carried ≡ built from scratch.
 
-``Table`` keeps its hash indexes, interval indexes, change-point sets,
-stab structures and row-position map valid across mutations by
+``Table`` keeps its hash indexes, interval indexes (with their pair's
+change points), stab structures and row-position map valid across
+mutations by
 applying each primitive's row delta to them (one rule, in the ``Table``
 docstring).  The property here: after *any* sequence of primitives —
 interleaved with savepoints, rollbacks and a second MVCC session — every
 structure a reader can obtain equals a from-scratch build over the same
 rows, and a bucket or hit list a reader fetched *before* a step is
-unchanged after it.  Three mutants (a skipped position shift, an
-in-place bucket append, a bucket's stab structure validated by the
-bucket list's identity only) must each fail the property.
+unchanged after it.  Four mutants (a delete that cuts the begin ordinals
+but not the end ones, an update that keeps stale change points and stab
+structure, an in-place bucket append, a bucket's stab structure
+validated by the bucket list's identity only) must each fail the
+property.
 """
 
 from __future__ import annotations
@@ -121,19 +124,16 @@ def image(table: Table) -> dict:
         begin, end = map(table.column_index, table.interval_pairs[0])
         index = table.interval_index(begin, end)
         out["interval"] = (
-            index.entry_count, index.total_rows, index._begins, index._positions,
-            index._ends, ids(index._rows),
-            [ids(index.search(*probe)) for probe in PROBES],
+            index.begins, index.ends,  # NaN is one object: lists compare equal
             [index.search_positions(*probe) for probe in PROBES],
             # begin ranges without an end bound: NULL-ended rows qualify
             [
                 index.search_positions(begin_max, None, begin_min)
                 for begin_min, begin_max in ((100, 104), (None, 103), (105, None))
             ],
-            [ids(index.stab(point)) for point in (100, 103, 107)],
-            [ids(index.overlaps(lo, hi)) for lo, hi in ((100, 104), (105, 200))],
             index.serves_stabs(),
             [index.search_positions(point, point + 1) for point in STABS],
+            [index.changes.window(point) for point in STABS],
         )
         out["change_points"] = table.change_points(begin, end)
         out["stab"] = {
@@ -162,8 +162,7 @@ def held_by_a_reader(table: Table) -> list[tuple[list, list[int]]]:
     held = [bucket for bucket in table.hash_index(K).values()]
     held += [bucket for bucket in table.hash_index(C).values()]
     index = table.interval_index(B, E)
-    held += [index.search(*PROBES[2]), index.stab(103), index.search_positions(*PROBES[2])]
-    held += [index.search_positions(103, 104)]
+    held += [index.search_positions(*PROBES[2]), index.search_positions(103, 104)]
     for structure in bucket_stabs(table).values():
         if structure.live is not None:
             held += structure.live + [structure.alive(103)]
@@ -344,14 +343,14 @@ def test_the_written_out_case():
 # -- the property must notice a broken delta ----------------------------------
 
 
-def _no_position_shift(self, doomed):
-    gone = set(doomed)
-    keep = [at for at, p in enumerate(self._positions) if p not in gone]
-    for name in ("_begins", "_positions", "_ends", "_rows"):
-        setattr(self, name, [getattr(self, name)[at] for at in keep])
-    self.entry_count = len(keep)
-    self.total_rows -= len(doomed)
-    self._tree = None
+def _ends_left_uncut(self, doomed):
+    self.begins = interval_index.without(self.begins, doomed)
+    self._changes = self._stab = None
+
+
+def _stale_changes_kept(self, position, row):
+    self.begins[position] = interval_index._ordinal(row[self.begin_index])
+    self.ends[position] = interval_index._ordinal(row[self.end_index])
 
 
 _real_append_delta = storage._append_delta
@@ -380,7 +379,8 @@ def _stab_validated_by_bucket_identity(self, column, bucket, begin, end, columns
 
 
 @pytest.mark.parametrize("target,name,mutant", [
-    (interval_index.IntervalIndex, "remove", _no_position_shift),
+    (interval_index.IntervalIndex, "remove", _ends_left_uncut),
+    (interval_index.IntervalIndex, "update", _stale_changes_kept),
     (storage, "_append_delta", _bucket_grown_in_place),
     (Table, "bucket_stab", _stab_validated_by_bucket_identity),
 ])

@@ -5,6 +5,7 @@ probed query equals ``tests/reference_executor.py``'s full nested loop)."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sqlengine import Database
 from repro.sqlengine.errors import CatalogError
@@ -16,7 +17,7 @@ from tests.reference_executor import installed
 
 
 def make_rows(rng, count, span=400, base=730000):
-    """Random half-open [begin, end) rows plus a few NULL-bound ones."""
+    """Random half-open [begin, end) rows plus a few NULL-bounded ones."""
     rows = []
     for _ in range(count):
         begin = base + rng.randrange(span)
@@ -29,15 +30,29 @@ def make_rows(rng, count, span=400, base=730000):
     return rows
 
 
-def brute_search(rows, begin_max, end_min):
+def brute_positions(rows, begin_max, end_min, begin_min=None):
+    """The probe as SQL reads it: an absent bound tests nothing, and a
+    NULL row bound fails every test it is in."""
+    def holds(value, test):
+        return isinstance(value, Date) and test(value.ordinal)
+
     return [
-        row
-        for row in rows
-        if isinstance(row[0], Date)
-        and isinstance(row[1], Date)
-        and row[0].ordinal <= begin_max
-        and row[1].ordinal >= end_min
+        position
+        for position, (begin, end) in enumerate(rows)
+        if (begin_min is None or holds(begin, lambda b: b >= begin_min))
+        and (begin_max is None or holds(begin, lambda b: b <= begin_max))
+        and (end_min is None or holds(end, lambda e: e >= end_min))
     ]
+
+
+BOUND = st.one_of(st.none(), st.integers(95, 115))
+
+
+@st.composite
+def bounded_rows(draw):
+    """Rows with NULL begins, NULL ends, empty and inverted periods."""
+    bound = st.one_of(st.just(Null), st.integers(98, 112).map(Date))
+    return draw(st.lists(st.lists(bound, min_size=2, max_size=2), max_size=25))
 
 
 class TestIntervalIndex:
@@ -48,17 +63,33 @@ class TestIntervalIndex:
         for _ in range(300):
             begin_max = 730000 + rng.randrange(500) - 50
             end_min = 730000 + rng.randrange(500) - 50
-            assert index.search(begin_max, end_min) == brute_search(
+            assert index.search_positions(begin_max, end_min) == brute_positions(
                 rows, begin_max, end_min
+            )
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=bounded_rows(), begin_min=BOUND, begin_max=BOUND, end_min=BOUND)
+    def test_every_bound_combination_matches_brute_force(
+        self, rows, begin_min, begin_max, end_min
+    ):
+        """Each of ``begin_min`` / ``begin_max`` / ``end_min`` present or
+        absent, stabs (served by the stab structure) included."""
+        index = IntervalIndex(rows, 0, 1)
+        assert index.search_positions(begin_max, end_min, begin_min) == brute_positions(
+            rows, begin_max, end_min, begin_min
+        )
+        if begin_max is not None:
+            assert index.search_positions(begin_max, begin_max + 1) == brute_positions(
+                rows, begin_max, begin_max + 1
             )
 
     def test_results_in_table_position_order(self):
         rng = random.Random(11)
         rows = make_rows(rng, 120)
         index = IntervalIndex(rows, 0, 1)
-        hits = index.search(730000 + 300, 730000 + 100)
-        positions = [next(i for i, r in enumerate(rows) if r is hit) for hit in hits]
-        assert positions == sorted(positions)
+        for probe in ((730300, 730100, None), (730300, None, 730100), (None, 730200, None)):
+            positions = index.search_positions(*probe)
+            assert positions and positions == sorted(positions)
 
     def test_stab(self):
         rows = [
@@ -69,15 +100,15 @@ class TestIntervalIndex:
         ]
         index = IntervalIndex(rows, 0, 1)
         # half-open semantics: alive at p iff begin <= p < end
-        assert index.stab(150) == [rows[0], rows[1]]
-        assert index.stab(160) == [rows[0]]
-        assert index.stab(199) == [rows[0]]
-        assert index.stab(200) == [rows[2]]
-        assert index.stab(99) == []
+        assert index.search_positions(150, 151) == [0, 1]
+        assert index.search_positions(160, 161) == [0]
+        assert index.search_positions(199, 200) == [0]
+        assert index.search_positions(200, 201) == [2]
+        assert index.search_positions(99, 100) == []
 
     def test_stab_positions_from_the_stab_structure(self):
         """A stab probe is answered from the per-segment lists — rows
-        alive at every point, in table order, as the tree walk finds
+        alive at every point, in table order, as the full pass finds
         them — while the segments stay within the size guard."""
         rng = random.Random(13)
         rows = make_rows(rng, 200)
@@ -92,10 +123,11 @@ class TestIntervalIndex:
             ]
             assert index.search_positions(point, point + 1) == alive
 
-    def test_a_wide_history_keeps_the_tree_walk(self):
+    def test_a_wide_history_keeps_the_full_pass(self):
         """Row ``i`` over ``[i, forever)``: row ``i`` lives in ``n - i``
         segments, n²/2 in all, past the size guard — the structure is not
-        built and a stab walks the tree, with the same answer."""
+        built and a stab is one pass over the ordinals, with the same
+        answer."""
         n = 100
         rows = [[Date(1000 + i), Date(3652059)] for i in range(n)]
         index = IntervalIndex(rows, 0, 1)
@@ -103,31 +135,42 @@ class TestIntervalIndex:
         assert index.search_positions(1000 + 49, 1000 + 50) == list(range(50))
 
     def test_overlaps(self):
+        """``[b, e)`` overlaps a row iff ``row.begin <= e - 1 AND
+        row.end >= b + 1``."""
         rows = [
             [Date(100), Date(200)],
             [Date(200), Date(300)],
             [Date(300), Date(400)],
         ]
         index = IntervalIndex(rows, 0, 1)
-        assert index.overlaps(150, 250) == [rows[0], rows[1]]
-        assert index.overlaps(200, 300) == [rows[1]]
-        assert index.overlaps(400, 500) == []
-        assert index.overlaps(1, 1000) == rows
+
+        def overlaps(begin, end):
+            return index.search_positions(end - 1, begin + 1)
+
+        assert overlaps(150, 250) == [0, 1]
+        assert overlaps(200, 300) == [1]
+        assert overlaps(400, 500) == []
+        assert overlaps(1, 1000) == [0, 1, 2]
 
     def test_empty_table(self):
         index = IntervalIndex([], 0, 1)
-        assert index.search(10**6, 0) == []
+        assert index.search_positions(10**6, 0) == []
+        assert index.search_positions(10**6, None, 0) == []
+        assert index.search_positions(5, 6) == []
+        assert index.changes.points == frozenset()
 
     def test_all_null_bounds(self):
         index = IntervalIndex([[Null, Null], [Null, Date(5)]], 0, 1)
-        assert index.entry_count == 0
-        assert index.search(10**6, 0) == []
+        assert index.search_positions(10**6, 0) == []
+        assert index.search_positions(10**6, None, 0) == []
+        assert index.changes.points == {5}
 
-    def test_null_bounded_rows_never_indexed(self):
-        """The documented contract: a row with *any* non-Date bound is
-        excluded from the index — an all-covering probe returns only the
-        fully Date-bounded rows (SEQ-SET's alignment and the executor's
-        probe both rely on this matching NULL-comparison semantics)."""
+    def test_null_bounded_rows_fail_their_bounds(self):
+        """A NULL bound is NaN in the ordinal lists: it fails every
+        comparison, as SQL's NULL does — an all-covering overlap probe
+        returns only the fully Date-bounded rows, and a begin range with
+        no end bound keeps a row whose end is NULL (SEQ-SET's alignment
+        and the executor's probe both rely on this)."""
         rows = [
             [Date(100), Date(200)],
             [Null, Date(150)],
@@ -136,10 +179,11 @@ class TestIntervalIndex:
             [Date(300), Date(400)],
         ]
         index = IntervalIndex(rows, 0, 1)
-        assert index.entry_count == 2
-        assert index.total_rows == 5
-        assert index.search(10**6, 0) == [rows[0], rows[4]]
+        assert len(index.begins) == len(index.ends) == 5
         assert index.search_positions(10**6, 0) == [0, 4]
+        assert index.search_positions(10**6, None, 0) == [0, 2, 4]
+        assert index.search_positions(None, 0) == [0, 1, 4]
+        assert index.changes.points == {100, 120, 150, 200, 300, 400}
 
 
 def interval_table(name="t"):
@@ -171,14 +215,14 @@ class TestTableIntegration:
         table.insert([1, Date(100), Date(200)])
         first = table.interval_index(1, 2)
         assert table.interval_index(1, 2) is first
-        hits = first.stab(160)
+        hits = first.search_positions(160, 161)
         table.insert([2, Date(150), Date(250)])
         # the index follows the insert; hits a reader already holds do not
         current = table.interval_index(1, 2)
-        assert current.stab(160) == [table.rows[0], table.rows[1]]
+        assert current is first
         assert current.search_positions(160, 161) == [0, 1]
-        assert (current.entry_count, current.total_rows) == (2, 2)
-        assert hits == [table.rows[0]]
+        assert (current.begins, current.ends) == ([100, 150], [200, 250])
+        assert hits == [0]
 
     def test_change_points_cached_and_one_sided(self):
         table = interval_table()
