@@ -126,53 +126,59 @@ def check_perst_applicable(
     across periods, so the last row of one snapshot is not the last row
     of the pass (q8's ``short_book_title``).
     """
-
-    def check(node: ast.Statement, outer_cursors: frozenset) -> None:
-        if isinstance(node, ast.Compound):
-            outer_cursors = outer_cursors | {
-                decl.name.lower() for decl in node.declarations
-                if isinstance(decl, ast.DeclareCursor)
-            }
-            children = node.statements
-        else:
-            children = ast.iter_children(node)
-        if (
-            isinstance(node, ast.ForStatement)
-            and node.select.order_by
-            and reads_temporal(node.select, catalog, registry)
-        ):
-            outer = _assigned(node.body) - _declared(node.body)
-            if outer:
-                raise PerStatementInapplicableError(
-                    "per-statement slicing cannot transform a FOR over an"
-                    " ordered time-varying SELECT whose body assigns outer"
-                    f" variable(s) {', '.join(sorted(outer))} (the last row"
-                    " of each snapshot wins, cf. q8)"
-                )
-        if isinstance(node, (ast.WhileStatement, ast.RepeatStatement, ast.LoopStatement)):
-            # a FETCH of an outer cursor after a time-varying result (a
-            # statement reaching temporal data) at the loop body's level
-            produced = False
-            for inner in node.body:
-                if (
-                    produced
-                    and isinstance(inner, ast.FetchCursor)
-                    and inner.name.lower() in outer_cursors
-                ):
-                    raise PerStatementInapplicableError(
-                        "per-statement slicing cannot transform a FETCH of outer"
-                        f" cursor {inner.name!r} placed after a time-varying"
-                        " result in the same loop body (non-nested FETCH, cf."
-                        " q17b)"
-                    )
-                produced = produced or reads_temporal(inner, catalog, registry)
-        for child in children:
-            if isinstance(child, ast.PsmStatement):
-                check(child, outer_cursors)
-
-    check(stmt, frozenset())
+    _check_perst(stmt, frozenset(), catalog, registry)
     for name in temporal_routines(stmt, catalog, registry):
-        check(catalog.get_routine(name).definition.body, frozenset())
+        body = catalog.get_routine(name).definition.body
+        _check_perst(body, frozenset(), catalog, registry)
+
+
+def _check_perst(
+    node: ast.Statement, outer_cursors: frozenset, catalog: Catalog,
+    registry: TemporalRegistry,
+) -> None:
+    """:func:`check_perst_applicable` under one statement, the cursors
+    declared around it in ``outer_cursors``."""
+    if isinstance(node, ast.Compound):
+        outer_cursors = outer_cursors | {
+            decl.name.lower() for decl in node.declarations
+            if isinstance(decl, ast.DeclareCursor)
+        }
+        children = node.statements
+    else:
+        children = ast.iter_children(node)
+    if (
+        isinstance(node, ast.ForStatement)
+        and node.select.order_by
+        and reads_temporal(node.select, catalog, registry)
+    ):
+        outer = _assigned(node.body) - _declared(node.body)
+        if outer:
+            raise PerStatementInapplicableError(
+                "per-statement slicing cannot transform a FOR over an"
+                " ordered time-varying SELECT whose body assigns outer"
+                f" variable(s) {', '.join(sorted(outer))} (the last row"
+                " of each snapshot wins, cf. q8)"
+            )
+    if isinstance(node, (ast.WhileStatement, ast.RepeatStatement, ast.LoopStatement)):
+        # a FETCH of an outer cursor after a time-varying result (a
+        # statement reaching temporal data) at the loop body's level
+        produced = False
+        for inner in node.body:
+            if (
+                produced
+                and isinstance(inner, ast.FetchCursor)
+                and inner.name.lower() in outer_cursors
+            ):
+                raise PerStatementInapplicableError(
+                    "per-statement slicing cannot transform a FETCH of outer"
+                    f" cursor {inner.name!r} placed after a time-varying"
+                    " result in the same loop body (non-nested FETCH, cf."
+                    " q17b)"
+                )
+            produced = produced or reads_temporal(inner, catalog, registry)
+    for child in children:
+        if isinstance(child, ast.PsmStatement):
+            _check_perst(child, outer_cursors, catalog, registry)
 
 
 def _assigned(body: list) -> set[str]:

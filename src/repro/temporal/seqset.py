@@ -24,7 +24,10 @@ plan over the same constant-period grid:
   ``sort_key`` normalisation ``Table.hash_index`` uses (NULL keys
   excluded).  Outer runs are walked in ascending position, probed, and
   the period ranges intersected as ``[max(lo), min(hi))``; a source with
-  no equi-key is the same code under the single key ``()``.
+  no equi-key loops over all its runs.  The join is one flat loop nest
+  generated per plan shape (:func:`_join_nest`) that holds no closure of
+  its own, so a statement's result rows are freed by reference counting
+  and no cycle keeps them alive until a full garbage collection.
 
 The WHERE conjuncts are placed by the planner's rule (DESIGN.md §3.1,
 *Total and partial conjuncts*; ``planner._analyze_conjuncts``): a total
@@ -47,9 +50,9 @@ Matched combinations are appended to per-period output lists that are
 concatenated period-major at the end, so rows come out in MAX's
 nested-loop order (period-major, FROM order, positions ascending) and
 results are row-identical to MAX, including DISTINCT (first occurrence
-per period) and column naming.  Work is O(candidates + matched
-combinations × periods each is alive) — the output size — where MAX
-pays one engine round-trip per period.
+per period, one set per period) and column naming.  Work is
+O(candidates + matched combinations × periods each is alive) — the
+output size — where MAX pays one engine round-trip per period.
 
 Coverage is deliberately conservative: any statement shape outside the
 proven-identical fragment raises :class:`SeqSetUnsupportedError` at
@@ -58,8 +61,10 @@ compile time, and the stratum runs the statement under MAX instead.
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left
-from typing import Any, Optional
+from itertools import chain
+from typing import Any, Callable, Optional
 
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.engine import Database
@@ -74,6 +79,7 @@ from repro.sqlengine.planner import (
     _Scan,
     _all_true,
     _analyze_conjuncts,
+    _indented,
     _level_loop,
     _outer_checks,
     _read_outer,
@@ -117,8 +123,8 @@ class IntervalJoin:
     """SEQ-SET plan node: interval hash join of aligned inputs.  Each
     input after the first is hashed once on its equi-join key
     (``keys[i]`` lists the ``a.col = b.col`` conjuncts binding input
-    ``i + 1`` to earlier inputs; empty = nested, every run under one
-    key), outer runs probe in ascending position and period ranges
+    ``i + 1`` to earlier inputs; empty = nested, every run a match
+    candidate), outer runs probe in ascending position and period ranges
     intersect; output is period-major in FROM order — MAX's emission
     order — with ``filters`` typed tests and then the residual's
     conjuncts per matched combination."""
@@ -424,6 +430,113 @@ def compile_seqset(
     return plan
 
 
+@functools.lru_cache(maxsize=256)
+def _join_nest(
+    keys: tuple, projections: tuple, distinct: bool, reads_cp: bool,
+    leaf: bool, residual: bool,
+) -> Callable:
+    """The interval join of one plan shape, generated from source text
+    and compiled once: ``keys`` holds per source after the first its key
+    parts ``(own column, earlier source, its column)`` (``()``: keyless),
+    ``projections`` ``("slot", source, column)`` or ``("closure",)`` per
+    select item, and the flags say what each matched combination runs.
+
+    The code is one flat ``for`` loop per source: the inner sources are
+    hashed on their keys (a single column by its ``sort_key``, NULL keys
+    excluded), outer runs are walked in ascending position, each level
+    probes and intersects the period ranges as ``[max(lo), min(hi))``,
+    and a combination that passes the leaf sieve and (once, or per period
+    when it reads ``cp``) the residual is appended to each of its periods'
+    ``targets`` — ``(append, [seen,] begin, end)``, DISTINCT's ``seen``
+    one set per period.  Each outermost run is a cancellation point.  It
+    holds no closure, so a statement's result leaves no reference cycle
+    behind.  Returns ``(probes, matches)``; its file name names the
+    source count (``<seqset join 2>``)."""
+    def hashed(names: list) -> str:
+        """The hash key of the values ``names``: one ``sort_key``, or a tuple."""
+        parts = ", ".join(f"sort_key({name})" for name in names)
+        return parts if len(names) == 1 else f"({parts})"
+
+    depth = len(keys) + 1
+    bind = residual or any(p[0] != "slot" for p in projections)
+    lines = ["runs0 = runs[0]"]
+    closures = [j for j, p in enumerate(projections) if p[0] != "slot"]
+    lines += [f"f{j} = closures[{n}]" for n, j in enumerate(closures)]
+    if bind:
+        lines += [f"binding{i} = bindings[{i}]" for i in range(depth)]
+    for i, parts in enumerate(keys, 1):  # the build sides
+        if not parts:
+            lines.append(f"runs{i} = runs[{i}]")
+            continue
+        names = [f"x{n}" for n in range(len(parts))]
+        lines += [f"index{i} = {{}}", f"for run in runs[{i}]:"] + _indented(
+            [f"{name} = run[0][{own}]" for name, (own, _, _) in zip(names, parts)] + [
+                "if " + " and ".join(f"{name} is not Null" for name in names) + ":",
+                f"    key = {hashed(names)}",
+                f"    bucket = index{i}.get(key)",
+                "    if bucket is None:",
+                f"        index{i}[key] = [run]",
+                "    else:",
+                "        bucket.append(run)",
+            ]
+        )
+    lines.append("probes = matches = 0")
+
+    def bound(i: int) -> list:
+        """Binding level ``i``'s row: what reads it, and its projected cells."""
+        return ([f"vector[{i}] = row{i}"] if leaf else []) + (
+            [f"binding{i}.row = row{i}"] if bind else []
+        ) + [f"v{j} = row{i}[{p[2]}]" for j, p in enumerate(projections) if p[1:2] == (i,)]
+
+    # full depth: the combination alive in periods [lo, hi)
+    last = depth - 1
+    evaluated = [f"v{j} = f{j}(env)" for j in closures]
+    values = ", ".join(f"v{j}" for j in range(len(projections)))
+    emit = [f"append([{values}, begin, end])"]
+    if distinct:
+        evaluated.append(f"key = {hashed([f'v{j}' for j in range(len(projections))])}")
+        emit = ["if key not in seen:", "    seen.add(key)"] + _indented(emit)
+    period = f"for {'append, seen' if distinct else 'append'}, begin, end in targets[lo{last}:hi{last}]:"
+    if reads_cp:
+        test = ["if not _all_true(residual, env):", "    continue"] if residual else []
+        block = [period] + _indented(
+            ["cp_row[0] = begin", "cp_row[1] = end"] + test + evaluated + emit
+        )
+    else:
+        block = evaluated + [period] + _indented(emit)
+        if residual:
+            block = ["if _all_true(residual, env):"] + _indented(block)
+    if leaf:
+        block = [f"if leaf(vector, (row{last},)):"] + _indented(block)
+    if not keys:  # a non-temporal source's run is empty when there is no period
+        block = ["if lo0 < hi0:"] + _indented(block)
+    for i in range(last, 0, -1):  # wrap the levels, innermost first
+        parts = keys[i - 1]
+        block = [
+            f"if lo{i} < lo{i - 1}:", f"    lo{i} = lo{i - 1}",
+            f"if hi{i} > hi{i - 1}:", f"    hi{i} = hi{i - 1}",
+            f"if lo{i} < hi{i}:",
+        ] + _indented(["matches += 1"] + bound(i) + block)
+        names = [f"p{i}_{n}" for n in range(len(parts))]
+        source = f"index{i}.get({hashed(names)}, ())" if parts else f"runs{i}"
+        block = ["probes += 1", f"for row{i}, lo{i}, hi{i} in {source}:"] + _indented(block)
+        if parts:
+            block = [
+                f"{name} = row{outer}[{column}]" for name, (_, outer, column) in zip(names, parts)
+            ] + ["if " + " and ".join(f"{name} is not Null" for name in names) + ":"] + _indented(block)
+    lines += ["for row0, lo0, hi0 in runs0:"] + _indented(
+        ["if resilience.armed:", "    resilience.check()"] + bound(0) + block
+    )
+    lines.append("return probes, matches")
+    source = "\n".join(
+        ["def nest(runs, targets, vector, bindings, closures, leaf, residual, env,"
+         " cp_row, resilience):"] + _indented(lines)
+    )
+    namespace = {"Null": Null, "sort_key": sort_key, "_all_true": _all_true}
+    exec(compile(source, f"<seqset join {depth}>", "exec"), namespace)
+    return namespace["nest"]
+
+
 def execute_seqset(
     db: Database,
     plan: SeqSetPlan,
@@ -487,91 +600,30 @@ def execute_seqset(
         run_lists.append(runs)
         bindings.append(binding)
 
-    projections = plan.projections
-    leaf, residual = placement.leaf, placement.residual
-    depth = len(plan.sources)
-    # build side: one dict per inner source and execution, keyed like
-    # Table.hash_index (sort_key normalisation, NULL keys excluded); a
-    # source without an equi-key hashes every run under the key ()
-    hashed: list[Optional[dict]] = [None]
-    for source, runs in zip(plan.sources[1:], run_lists[1:]):
-        own_columns = [column for column, _, _ in source.keys]
-        index: dict = {}
-        for run in runs:
-            values = [run[0][column] for column in own_columns]
-            if Null not in values:
-                index.setdefault(
-                    tuple([sort_key(v) for v in values]), []
-                ).append(run)
-        hashed.append(index)
-    probe_sides = [
-        [(bindings[outer], column) for _, outer, column in source.keys]
-        for source in plan.sources
-    ]
-    reads_cp = plan.reads_cp
     # DISTINCT dedupes within a period only: under MAX the appended
     # period columns make rows from different periods distinct
-    seen: Optional[set] = set() if plan.distinct else None
     per_period: list[list] = [[] for _ in range(period_count)]
-    probes = matches = 0
-
-    def join(level: int, lo: int, hi: int) -> None:
-        """Extend the combination bound at levels < ``level``, alive in
-        periods [lo, hi), by every matching run of ``level``; emit it
-        at full depth."""
-        nonlocal probes, matches
-        if level < depth:
-            values = [
-                binding.row[column] for binding, column in probe_sides[level]
-            ]
-            if Null in values:
-                return
-            probes += 1
-            binding = bindings[level]
-            for row, run_lo, run_hi in hashed[level].get(
-                tuple([sort_key(v) for v in values]), ()
-            ):
-                if run_lo < lo:
-                    run_lo = lo
-                if run_hi > hi:
-                    run_hi = hi
-                if run_lo < run_hi:
-                    matches += 1
-                    binding.row = vector[level] = row
-                    join(level + 1, run_lo, run_hi)
-            return
-        if leaf is not None and not leaf(vector, (vector[depth - 1],)):
-            return
-        # residual and projection are evaluated once for the whole run
-        # unless they read the cp binding
-        values = key = None
-        for k in range(lo, hi):
-            if reads_cp or values is None:
-                if reads_cp:
-                    cp_row[:] = periods[k]
-                if residual and not _all_true(residual, env):
-                    if reads_cp:
-                        continue
-                    return
-                values = [
-                    bindings[a].row[b] if kind == "slot" else a(env)
-                    for kind, a, b in projections
-                ]
-                if seen is not None:
-                    key = tuple([sort_key(v) for v in values])
-            if seen is not None:
-                if (k, key) in seen:
-                    continue
-                seen.add((k, key))
-            per_period[k].append(values + periods[k])
-
-    outer = bindings[0]
-    for row, lo, hi in run_lists[0]:
-        # watchdog: every outermost run is a cancellation point
-        if resilience.armed:
-            resilience.check()
-        outer.row = vector[0] = row
-        join(1, lo, hi)
+    targets = [
+        (out.append, set(), *cells) if plan.distinct else (out.append, *cells)
+        for out, cells in zip(per_period, periods)
+    ]
+    leaf, residual = placement.leaf, placement.residual
+    join = _join_nest(
+        tuple(tuple(source.keys) for source in plan.sources[1:]),
+        tuple(
+            (kind, a, b) if kind == "slot" else (kind,)
+            for kind, a, b in plan.projections
+        ),
+        plan.distinct,
+        plan.reads_cp,
+        leaf is not None,
+        bool(residual),
+    )
+    probes, matches = join(
+        run_lists, targets, vector, bindings,
+        [a for kind, a, _ in plan.projections if kind != "slot"],
+        leaf, residual, env, cp_row, resilience,
+    )
     obs.inc("stratum.seqset.join.probes", probes)
     obs.inc("stratum.seqset.join.matches", matches)
     obs.inc(
@@ -579,4 +631,4 @@ def execute_seqset(
         sum(not source.keys for source in plan.sources[1:]),
     )
     columns = plan.columns + ["begin_time", "end_time"]
-    return columns, [row for rows in per_period for row in rows]
+    return columns, list(chain.from_iterable(per_period))

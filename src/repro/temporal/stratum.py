@@ -1097,28 +1097,30 @@ class TemporalStratum:
         """Rewrite explicit inner VALIDTIME statements (nonsequenced-only
         routines) into conventional SQL via maximal slicing."""
         new_def = clone(definition)
-        cp_table = _inner_cp_table(definition.name)
-
-        def rewrite(inner: ast.Statement) -> ast.Statement:
-            modifier = getattr(inner, "modifier", None)
-            if modifier is None:
-                mapped = map_bodies(inner, lambda body: [rewrite(s) for s in body])
-                return inner if mapped is None else mapped
-            if modifier.flavor is not ast.TemporalFlavor.SEQUENCED:
-                plain = clone(inner)
-                plain.modifier = None
-                return plain
-            if not isinstance(inner, ast.Select):
-                raise TemporalError(
-                    "inner VALIDTIME is supported on SELECT statements only"
-                )
-            result = transform_query_max(inner, self.db.catalog, self.registry, cp_table)
-            self._install(_as_clones(result.routines))
-            self._inner_cp_requirements.update(result.cp_requirements)
-            return result.statement
-
-        new_def.body = rewrite(new_def.body)
+        new_def.body = self._slice_inner(new_def.body, _inner_cp_table(definition.name))
         return new_def
+
+    def _slice_inner(self, inner: ast.Statement, cp_table: str) -> ast.Statement:
+        """``inner`` with its explicit VALIDTIME statements rewritten
+        (:meth:`_prepare_inner_modifiers`), reading ``cp_table``."""
+        modifier = getattr(inner, "modifier", None)
+        if modifier is None:
+            mapped = map_bodies(
+                inner, lambda body: [self._slice_inner(s, cp_table) for s in body]
+            )
+            return inner if mapped is None else mapped
+        if modifier.flavor is not ast.TemporalFlavor.SEQUENCED:
+            plain = clone(inner)
+            plain.modifier = None
+            return plain
+        if not isinstance(inner, ast.Select):
+            raise TemporalError(
+                "inner VALIDTIME is supported on SELECT statements only"
+            )
+        result = transform_query_max(inner, self.db.catalog, self.registry, cp_table)
+        self._install(_as_clones(result.routines))
+        self._inner_cp_requirements.update(result.cp_requirements)
+        return result.statement
 
     def _refresh_inner_cp_tables(self, stmt: ast.Statement) -> None:
         """Materialize cp tables needed by nonsequenced-only routines."""

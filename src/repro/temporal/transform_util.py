@@ -8,7 +8,7 @@ touched.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from repro.sqlengine import ast_nodes as ast
@@ -150,39 +150,43 @@ def rewrite_expressions(
     replacement.  With ``into_selects`` false the rewrite does not
     descend into a nested Select (a subquery keeps its expressions).
     """
-    import dataclasses
-
-    def visit(value):
-        if isinstance(value, ast.Node):
-            if not into_selects and isinstance(value, ast.Select):
-                return None
-            for field in dataclasses.fields(value):
-                current = getattr(value, field.name)
-                replacement = visit(current)
-                if replacement is not None:
-                    setattr(value, field.name, replacement)
-            if isinstance(value, ast.Expression):
-                return rewriter(value)
-            return None
-        if isinstance(value, list):
-            for index, item in enumerate(value):
-                replacement = visit(item)
-                if replacement is not None:
-                    value[index] = replacement
-            return None
-        if isinstance(value, tuple):
-            items = list(value)
-            changed = False
-            for index, item in enumerate(items):
-                replacement = visit(item)
-                if replacement is not None:
-                    items[index] = replacement
-                    changed = True
-            return tuple(items) if changed else None
-        return None
-
-    replaced = visit(node)
+    replaced = _rewrite(node, rewriter, into_selects)
     return node if replaced is None else replaced
+
+
+def _rewrite(
+    value: object,
+    rewriter: Callable[[ast.Expression], Optional[ast.Expression]],
+    into_selects: bool,
+) -> object:
+    """:func:`rewrite_expressions` under one value: the replacement of
+    ``value`` (a node or a tuple), or None to keep it."""
+    if isinstance(value, ast.Node):
+        if not into_selects and isinstance(value, ast.Select):
+            return None
+        for f in fields(value):
+            replacement = _rewrite(getattr(value, f.name), rewriter, into_selects)
+            if replacement is not None:
+                setattr(value, f.name, replacement)
+        if isinstance(value, ast.Expression):
+            return rewriter(value)
+        return None
+    if isinstance(value, list):
+        for index, item in enumerate(value):
+            replacement = _rewrite(item, rewriter, into_selects)
+            if replacement is not None:
+                value[index] = replacement
+        return None
+    if isinstance(value, tuple):
+        items = list(value)
+        changed = False
+        for index, item in enumerate(items):
+            replacement = _rewrite(item, rewriter, into_selects)
+            if replacement is not None:
+                items[index] = replacement
+                changed = True
+        return tuple(items) if changed else None
+    return None
 
 
 def map_bodies(
@@ -265,17 +269,19 @@ def selects_in(node: ast.Node) -> Iterable[ast.Select]:
 def from_table_aliases(select: ast.Select) -> list[tuple[str, str]]:
     """(table_name_lower, binding_alias) for plain table refs in FROM."""
     pairs: list[tuple[str, str]] = []
-
-    def visit(item: ast.FromItem) -> None:
-        if isinstance(item, ast.TableRef):
-            pairs.append((item.name.lower(), item.binding))
-        elif isinstance(item, ast.Join):
-            visit(item.left)
-            visit(item.right)
-
     for item in select.from_items:
-        visit(item)
+        pairs += _tables_of(item)
     return pairs
+
+
+def _tables_of(item: ast.FromItem) -> list[tuple[str, str]]:
+    """(table_name_lower, binding_alias) of the plain table refs under
+    ``item``, left to right."""
+    if isinstance(item, ast.TableRef):
+        return [(item.name.lower(), item.binding)]
+    if isinstance(item, ast.Join):
+        return _tables_of(item.left) + _tables_of(item.right)
+    return []
 
 
 def classify_from_sources(
@@ -291,32 +297,26 @@ def classify_from_sources(
     """
     where_pairs: list[tuple[str, str]] = []
     join_pairs: list[tuple[ast.Join, list[tuple[str, str]]]] = []
-
-    def tables_of(item: ast.FromItem) -> list[tuple[str, str]]:
-        if isinstance(item, ast.TableRef):
-            return [(item.name.lower(), item.binding)]
-        if isinstance(item, ast.Join):
-            return tables_of(item.left) + tables_of(item.right)
-        return []
-
-    def visit(item: ast.FromItem) -> None:
-        if isinstance(item, ast.Join):
-            if item.kind == "LEFT":
-                visit(item.left)
-                join_pairs.append((item, tables_of(item.right)))
-            elif item.kind == "RIGHT":
-                # the LEFT operand is the null-extended side
-                join_pairs.append((item, tables_of(item.left)))
-                visit(item.right)
-            else:
-                visit(item.left)
-                visit(item.right)
-        elif isinstance(item, ast.TableRef):
-            where_pairs.append((item.name.lower(), item.binding))
-
     for item in select.from_items:
-        visit(item)
+        _classify(item, where_pairs, join_pairs)
     return where_pairs, join_pairs
+
+
+def _classify(item: ast.FromItem, where_pairs: list, join_pairs: list) -> None:
+    """:func:`classify_from_sources` under one FROM item."""
+    if isinstance(item, ast.Join):
+        if item.kind == "LEFT":
+            _classify(item.left, where_pairs, join_pairs)
+            join_pairs.append((item, _tables_of(item.right)))
+        elif item.kind == "RIGHT":
+            # the LEFT operand is the null-extended side
+            join_pairs.append((item, _tables_of(item.left)))
+            _classify(item.right, where_pairs, join_pairs)
+        else:
+            _classify(item.left, where_pairs, join_pairs)
+            _classify(item.right, where_pairs, join_pairs)
+    elif isinstance(item, ast.TableRef):
+        where_pairs.append((item.name.lower(), item.binding))
 
 
 def add_join_condition(join: ast.Join, condition: ast.Expression) -> None:

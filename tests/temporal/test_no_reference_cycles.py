@@ -1,0 +1,124 @@
+"""A statement leaves no reference cycle behind.
+
+Garbage that only the cycle collector can free lives until a collection
+of its generation runs; a statement's result caught in a cycle (every
+output row of a SEQ-SET statement, while its interval join was a closure
+that referred to itself) stays alive until a full collection.  Each case
+runs one statement with the collector off and then asks it what it
+finds: nothing, on a cold run (the statement's transformation and plans
+built afresh) and on a warm one.
+"""
+
+import asyncio
+import gc
+
+import pytest
+
+from benchmarks.e2e.workloads import ROUTINE_FREE_SQL
+from repro.server import ReproClient, ReproServer
+from repro.taubench import ALL_QUERIES, build_dataset
+from repro.temporal import SlicingStrategy, TemporalStratum
+
+from tests.temporal.test_seqset_join import CONTEXT, SHAPES
+
+BEGIN, END = "2010-02-01", "2010-06-01"
+MAX, PERST, AUTO = SlicingStrategy.MAX, SlicingStrategy.PERST, SlicingStrategy.AUTO
+
+
+def cyclic_garbage(run) -> int:
+    """What the cycle collector frees after ``run()`` ran with it off."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+    finally:
+        found = gc.collect()
+        if enabled:
+            gc.enable()
+    return found
+
+
+@pytest.fixture(scope="module")
+def dataset():
+    """DS1-SMALL of this module's own, so a first run is a first execution."""
+    return build_dataset("DS1", "SMALL")
+
+
+def cold_then_warm(stratum, sql, strategy) -> tuple:
+    """The garbage of a run with the stratum's and the engine's caches
+    emptied, then of a second run served by them."""
+    stratum._transform_cache.clear()
+    stratum.db.plan_cache.clear()
+    return tuple(
+        cyclic_garbage(lambda: stratum.execute(sql, strategy=strategy))
+        for _ in range(2)
+    )
+
+
+@pytest.mark.parametrize(
+    "query, strategy",
+    [
+        (query, strategy)
+        for query in ALL_QUERIES
+        for strategy in (MAX, PERST, AUTO)
+        if strategy is not PERST or query.perst_applicable
+    ],
+    ids=lambda value: getattr(value, "name", None),
+)
+def test_taupsm_statement_leaves_no_cycle(dataset, query, strategy):
+    query.install(dataset)
+    sql = query.sequenced_sql(dataset, BEGIN, END)
+    assert cold_then_warm(dataset.stratum, sql, strategy) == (0, 0)
+
+
+@pytest.mark.parametrize("name", sorted(ROUTINE_FREE_SQL))
+def test_routine_free_template_leaves_no_cycle(dataset, name):
+    sql = (
+        f"VALIDTIME [DATE '{BEGIN}', DATE '{END}'] "
+        + ROUTINE_FREE_SQL[name].format(p=50.0, q=200)
+    )
+    assert cold_then_warm(dataset.stratum, sql, AUTO) == (0, 0)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_seqset_join_shape_leaves_no_cycle(dataset, shape):
+    stratum = dataset.stratum
+    sql = CONTEXT + SHAPES[shape][0]
+    assert cold_then_warm(stratum, sql, SlicingStrategy.SEQSET) == (0, 0)
+    assert stratum.last_strategy is SlicingStrategy.SEQSET
+
+
+def test_sequenced_read_over_the_wire_leaves_no_cycle():
+    stratum = TemporalStratum()
+    stratum.execute("CREATE TABLE t (id INTEGER, v INTEGER)")
+    stratum.execute("ALTER TABLE t ADD VALIDTIME")
+    stratum.db.execute("INSERT INTO t (id, v, begin_time, end_time) VALUES " + ", ".join(
+        f"({i}, {i % 7}, DATE '2010-01-{1 + i % 28:02d}', DATE '2010-03-{1 + i % 28:02d}')"
+        for i in range(200)
+    ))
+    sql = "VALIDTIME [DATE '2010-01-01', DATE '2010-04-01'] SELECT id, v FROM t WHERE v > 2"
+
+    async def scenario():
+        server = ReproServer(stratum)
+        host, port = await server.start()
+        client = await ReproClient.connect(host, port)
+        try:
+            await client.execute(sql)  # the first run builds the plan
+            found = []
+            for _ in range(3):
+                gc.collect()
+                gc.disable()
+                try:
+                    result = await client.execute(sql)
+                finally:
+                    found.append(gc.collect())
+                    gc.enable()
+            return found, result
+        finally:
+            await client.close()
+            await server.shutdown()
+
+    found, result = asyncio.run(scenario())
+    assert len(result.rows) > 0
+    assert found == [0, 0, 0]
