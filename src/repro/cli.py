@@ -15,8 +15,8 @@ Meta-commands (a leading dot):
 ``.routines``      list stored routines
 ``.now [DATE]``    show or set CURRENT_DATE
 ``.clock [DATE]``  show or set the transaction clock (``.clock none`` resets)
-``.strategy S``    sequenced strategy: ``max`` / ``perst`` / ``seqset`` /
-                   ``auto`` (``SET STRATEGY S`` works as SQL too)
+``.strategy S``    sequenced strategy: ``max`` / ``perst`` / ``auto``
+                   (``SET STRATEGY S`` works as SQL too)
 ``.transform SQL`` show the conventional SQL a statement transforms into
 ``.load DS SIZE``  load a τPSM dataset (e.g. ``.load DS1 SMALL``)
 ``.metrics``       every counter and gauge of the metrics registry
@@ -271,7 +271,7 @@ class Shell:
             try:
                 self.strategy = SlicingStrategy(argument.lower())
             except ValueError:
-                return "strategy must be one of: max, perst, seqset, auto"
+                return "strategy must be one of: max, perst, auto"
         return f"sequenced strategy = {self.strategy.value}"
 
     def _transform(self, argument: str) -> str:
@@ -444,7 +444,7 @@ def run_subcommand(argv: list[str]) -> int:
         )
         p.add_argument(
             "--strategy", default="auto",
-            choices=["auto", "max", "perst", "seqset"],
+            choices=["auto", "max", "perst"],
         )
         if name == "explain":
             p.add_argument("--analyze", action="store_true")

@@ -68,7 +68,6 @@ def describe_plan(plan: Any, depth: int = 0, since: Optional[dict] = None) -> li
     With ``since`` (a :func:`_level_counts` snapshot) each join level
     also shows the rows it took in and passed on from then to now."""
     from repro.sqlengine import planner
-    from repro.temporal import seqset
 
     pad = "  " * depth
     if isinstance(plan, planner.SelectPlan):
@@ -90,28 +89,6 @@ def describe_plan(plan: Any, depth: int = 0, since: Optional[dict] = None) -> li
         return [pad + f"Insert {plan.table} ({len(plan.value_rows or [])} rows)"
                 if plan.select is None
                 else pad + f"Insert {plan.table} (from query)"]
-    if isinstance(plan, seqset.IntervalJoin):
-        levels = "".join(
-            f" [hash: {' AND '.join(key)}]" if key else " [nested: no equi-key]"
-            for key in plan.keys
-        )
-        filters = f" filters: {plan.filters}" if plan.filters else ""
-        lines = [
-            pad + f"IntervalJoin ({len(plan.inputs)} inputs){levels}{filters}"
-            f" residual: {plan.residual_conjuncts}"
-            + (" [distinct per period]" if plan.distinct else "")
-        ]
-        for aligned in plan.inputs:
-            lines.extend(describe_plan(aligned, depth + 1))
-        return lines
-    if isinstance(plan, seqset.TemporalAlign):
-        alias = f" AS {plan.alias}" if plan.alias != plan.name.lower() else ""
-        if plan.temporal:
-            begin_column, end_column = plan.pair
-            head = f"TemporalAlign {plan.name}{alias} ({begin_column}/{end_column})"
-        else:
-            head = f"TemporalAlign {plan.name}{alias} (non-temporal: every period)"
-        return [pad + head + (f" filters: {plan.filters}" if plan.filters else "")]
     return [pad + type(plan).__name__]
 
 
@@ -132,6 +109,8 @@ def _describe_pipeline(plan: Any, depth: int, since: Optional[dict]) -> list[str
         # the residual runs on the combinations the last level completes
         residual = bool(pipeline.residual) and level is pipeline.levels[-1]
         lines.extend(_describe_level(level, depth + 1, residual, since))
+    if pipeline.alignment is not None and pipeline.alignment.leaf_tests:
+        lines.append(pad + f"  per combination: filters: {pipeline.alignment.leaf_tests}")
     if plan.conjuncts:
         lines.append(pad + f"  residual: {len(pipeline.residual)}")
     return lines
@@ -160,7 +139,7 @@ def _describe_level(
         line += (
             f" ({period.begin_name}/{period.end_name}): {_period_terms(period)}"
         )
-    if kind != "HashProbe" and (level.filters or residual):
+    if kind in ("Scan", "IntervalIndexScan") and (level.filters or residual):
         line += " (row-at-a-time filter)"
     if level.filters:
         line += f" filters: {len(level.filters)}"
@@ -331,7 +310,7 @@ def explain_statement(
     return ExplainResult(lines, result=result)
 
 
-def _transformed_lines(db: "Database", found: Any, plan: bool = True) -> list[str]:
+def _transformed_lines(db: "Database", found: Any) -> list[str]:
     """A candidate as the engine receives it: the routine clones it
     installs, its SQL, the plan the engine binds for it."""
     lines = []
@@ -341,9 +320,7 @@ def _transformed_lines(db: "Database", found: Any, plan: bool = True) -> list[st
         )
     lines.append("transformed SQL:")
     lines.extend("  " + line for line in found.statement.to_sql().splitlines())
-    if plan:
-        lines.extend(_engine_plan_lines(db, found.statement))
-    return lines
+    return lines + _engine_plan_lines(db, found.statement)
 
 
 def _match_lines(db: "Database", prepared: Any) -> list[str]:
@@ -439,8 +416,6 @@ def _render_sequenced(stratum: "TemporalStratum", prepared: Any) -> list[str]:
     ]
     if indexed:
         lines.append(f"interval index: {', '.join(indexed)}")
-    if prepared.fallback is not None:
-        lines.append(f"seqset: fallback to max ({prepared.fallback})")
     slices = len(compute_constant_periods(db, tables, registry, context))
     if prepared.strategy is SlicingStrategy.PERST:
         if found.cp_requirements:
@@ -464,15 +439,11 @@ def _render_sequenced(stratum: "TemporalStratum", prepared: Any) -> list[str]:
             )
         return lines + _transformed_lines(db, found)
     (cp_table,) = found.cp_requirements
-    how = (
-        "one evaluation per period" if found.plan is None
-        else "aligned in one set-oriented pass"
-    )
-    lines.append(f"constant periods: {slices} into {cp_table} ({how})")
-    if found.plan is not None:
-        lines.append("seqset plan:")
-        lines.extend("  " + line for line in describe_plan(found.plan.root))
-    return lines + _transformed_lines(db, found, plan=found.plan is None)
+    # a statement with routine clones calls them per period: its plan
+    # never aligns (the engine plan shows whether the others' does)
+    how = " (one evaluation per period)" if found.clones else ""
+    lines.append(f"constant periods: {slices} into {cp_table}{how}")
+    return lines + _transformed_lines(db, found)
 
 
 def _loop_periods(split: ast.PeriodSplit) -> str:
@@ -497,6 +468,7 @@ _ANALYZE_COUNTERS = (
     ("rows scanned", "engine.rows_scanned"),
     ("rows written", "engine.rows_written."),
     ("groups formed", "engine.group.groups"),
+    ("aligned joins", "engine.join.aligned"),
 )
 # faults the run absorbed (a handler, a retry) must be visible, not silent
 _ANALYZE_EVENTS = (

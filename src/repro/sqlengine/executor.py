@@ -413,7 +413,7 @@ class Executor:
     ) -> list[int]:
         """Candidate *positions* (ascending) for an interval probe with
         ``limits = [begin_min, begin_max, end_min]`` (None: no row can
-        match) — a plan level's, or SEQ-SET's alignment — counted as
+        match) — a plan level's, or an aligned level's — counted as
         ``engine.interval_index_hits`` / ``engine.interval_rows_pruned``,
         and a stab as ``engine.stab.served`` or
         ``engine.stab.full_pass.too_wide``."""
@@ -434,37 +434,6 @@ class Executor:
         if pruned:
             obs.inc("engine.interval_rows_pruned", pruned)
         return positions
-
-    def _column_of(
-        self,
-        expr: ast.Expression,
-        table: Table,
-        alias: str,
-        from_items: Optional[list[ast.FromItem]],
-    ) -> Optional[int]:
-        """The column index if ``expr`` names a column of this binding."""
-        if not isinstance(expr, ast.Name) or not table.has_column(expr.name):
-            return None
-        if expr.qualifier is not None:
-            if expr.qualifier.lower() != alias.lower():
-                return None
-            return table.column_index(expr.name)
-        # bare name: only safe if no *other* source could supply it
-        if from_items is None:
-            return None
-        for item in _flatten_from(from_items):
-            if isinstance(item, ast.TableRef) and item.binding.lower() != alias.lower():
-                if self.db.catalog.has_view(item.name):
-                    return None
-                try:
-                    other = self._resolve_table(item.name, None)
-                except SqlError:
-                    return None
-                if other.has_column(expr.name):
-                    return None
-            elif not isinstance(item, ast.TableRef):
-                return None
-        return table.column_index(expr.name)
 
     def _apply_order_on_output(
         self, select: ast.Select, result: ResultSet, env: Optional[Env]
@@ -821,8 +790,8 @@ def _infer_column_type(rows: list[list[Any]], index: int) -> SqlType:
 
     Inferring from the first value alone would declare too narrow a type
     when later rows widen (int → float, longer strings) — and the
-    declared type is trusted: the planner's typed filters (SEQ-SET's
-    too) compare a column by its declared value class, and
+    declared type is trusted: the planner's typed filters compare a
+    column by its declared value class, and
     ``planner._Scan.validate`` keeps a plan while the declared types
     stay the same.  Numeric kinds unify upward
     (bool → int → float); anything heterogeneous beyond that keeps the

@@ -24,8 +24,13 @@ partial conjuncts form the leaf residual, in their original order and
 with the AND chain's short circuit.  An outer operand of the wrong class
 (or one that cannot be read) makes its conjunct partial for that
 execution.  Hence: a statement raises iff a partial conjunct raises on a
-combination that satisfies every total conjunct.  SEQ-SET places the
-same analysis over its aligned sources (:mod:`repro.temporal.seqset`).
+combination that satisfies every total conjunct.
+
+*The aligned access* (DESIGN.md §3.9).  A SELECT that calls no routine,
+over base tables whose later levels the WHERE stabs at one column of the
+first (``t.b <= o.c AND o.c < t.e``: MAX's constant-period join), runs
+as one pass that emits the nested loop's rows in its order
+(:class:`_Alignment`).
 
 *Access paths decide what they can.*  A level is keyed by its first
 total ``col = <bound operand>`` conjunct in WHERE order; total bounds on
@@ -57,6 +62,8 @@ statement once (``engine.plan_invalidated``).
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
+from itertools import chain
 from typing import Any, Callable, Iterator, Optional
 
 from repro.sqlengine import ast_nodes as ast
@@ -414,7 +421,7 @@ _NONE_DEMOTED: frozenset = frozenset()
 
 
 class _Conjunct:
-    """One top-level WHERE conjunct.  ``at`` holds the operand addresses
+    """One top-level WHERE conjunct (``expr``).  ``at`` holds the operand addresses
     into the run-time row vector — FROM position and column index, or
     ``(len(sources), slot)`` for a literal or outer name — when the
     conjunct is a comparison (``left, right``) or a ``BETWEEN`` (``value,
@@ -423,10 +430,11 @@ class _Conjunct:
     set when the operands share one value class: what an outer operand
     must be checked against per execution."""
 
-    __slots__ = ("sql", "closure", "op", "at", "operands", "value_class", "slots")
+    __slots__ = ("expr", "sql", "closure", "op", "at", "operands", "value_class", "slots")
 
-    def __init__(self, sql: str, closure: Callable) -> None:
-        self.sql = sql
+    def __init__(self, expr: ast.Expression, closure: Callable) -> None:
+        self.expr = expr
+        self.sql = expr.to_sql()
         self.closure = closure
         self.op: Optional[str] = None
         self.at = self.operands = self.value_class = None
@@ -661,16 +669,24 @@ class _Pipeline:
     conjuncts demoted at run time (none, in the plan's default); the
     first ``split`` levels are the FROM's leading scans.  ``run`` chains
     them all; a reordered pipeline runs the scan ``prefix`` (no residual),
-    sorts its combinations into FROM order and runs ``rest`` under each."""
+    sorts its combinations into FROM order and runs ``rest`` under each.
+    An aligned pipeline (``alignment``) runs its levels in FROM order as
+    one pass (:class:`_Alignment`)."""
 
     __slots__ = ("levels", "split", "reordered", "residual", "run", "prefix",
-                 "rest")
+                 "rest", "alignment")
 
-    def __init__(self, levels: list, split: int, residual: list) -> None:
+    def __init__(
+        self, levels: list, split: int, residual: list,
+        alignment: "Optional[_Alignment]" = None,
+    ) -> None:
         self.levels = levels
         self.split = split
         self.reordered = any(level.pos != pos for pos, level in enumerate(levels))
         self.residual = residual
+        self.alignment = alignment
+        if alignment is not None:
+            return
         if self.reordered:
             self.prefix = _chain(levels[:split], [])
             self.rest = _chain(levels[split:], residual)
@@ -776,14 +792,25 @@ def _period_probe(
     return None, set()
 
 
-def _build_pipeline(sources: list, conjuncts: list, demoted: frozenset) -> _Pipeline:
+def _build_pipeline(
+    sources: list, conjuncts: list, demoted: frozenset,
+    aligns: bool = False, projections: Optional[tuple] = None,
+) -> _Pipeline:
     """Place ``conjuncts`` over ``sources``; ``demoted`` holds the
-    indexes of the conjuncts that are partial for this execution."""
+    indexes of the conjuncts that are partial for this execution.  A
+    plan that ``aligns`` (it calls no routine) takes the aligned access
+    where its shape allows (:func:`_aligned_pipeline`); ``projections``
+    are its select items as the aligned join can emit them, and whether
+    the select is DISTINCT."""
     outer = len(sources)
     total = [
         c.value_class is not None and i not in demoted
         for i, c in enumerate(conjuncts)
     ]
+    if aligns:
+        pipeline = _aligned_pipeline(sources, conjuncts, total, projections)
+        if pipeline is not None:
+            return pipeline
     # total equalities steer the join order, and at its level the first
     # bound one in WHERE order keys the probe
     keys = [
@@ -834,6 +861,334 @@ def _build_pipeline(sources: list, conjuncts: list, demoted: frozenset) -> _Pipe
         level.free = _level_loop(level.pos, tuple(tests), "sieve")
     residual = [c.closure for i, c in enumerate(conjuncts) if not total[i]]
     return _Pipeline(levels, split, residual)
+
+
+# ---------------------------------------------------------------------------
+# the aligned access (DESIGN.md §3.9)
+# ---------------------------------------------------------------------------
+
+def _reads(expr: ast.Expression, node: _Scan) -> bool:
+    """Whether ``expr`` may read ``node``'s binding: a name qualified by
+    its alias or an unqualified one of its columns, nested subqueries
+    included."""
+    return any(
+        isinstance(name, ast.Name) and (
+            name.name.lower() in node.colmap if name.qualifier is None
+            else name.qualifier.lower() == node.key
+        )
+        for name in ast.walk(expr)
+    )
+
+
+def _aligned_pipeline(
+    sources: list, conjuncts: list, total: list, projections: Optional[tuple]
+) -> Optional[_Pipeline]:
+    """The levels in FROM order as one aligned pass when every source is
+    a base table, some level after the first is stabbed at a column of
+    the first (``t.b <= o.c AND o.c < t.e`` on a declared date pair) —
+    the same column for all — and no other total conjunct
+    relates the first level to a later one; else None.  The other total
+    conjuncts: an equality between columns of two later levels is a key
+    part of the later one, a test over one level runs once over its
+    candidates, any other test on each matched combination (the leaf
+    sieve, reading the last level's row)."""
+    count = len(sources)
+    if count < 2 or not all(isinstance(node, _Scan) for node in sources):
+        return None
+    stabs = {}  # position -> (its stab, the conjuncts it decides)
+    for pos in range(1, count):
+        probe, decided = _period_probe(sources[pos], [
+            (i, own[1], other, op, operand)
+            for i, c in enumerate(conjuncts) if total[i]
+            for own, other, op, operand in c.sides() if own[0] == pos and other[0] == 0
+        ], False)
+        if probe is not None and sorted((b[0], b[2], b[3]) for b in probe.bounds) == [
+            (_BEGIN_UPTO, probe.bounds[0][2], 0), (_END_FROM, probe.bounds[0][2], 1)
+        ]:  # exactly t.b <= o.c AND o.c < t.e
+            stabs[pos] = probe, decided
+    columns = {probe.bounds[0][2] for probe, _ in stabs.values()}
+    if len(columns) != 1:
+        return None
+    decided = {i for _, settled in stabs.values() for i in settled}
+    tests: list = [[] for _ in range(count + 1)]  # per position, then the leaf's
+    keys: list = [[] for _ in range(count)]  # (column, earlier, its column, sql)
+    for i, c in enumerate(conjuncts):
+        if not total[i] or i in decided:
+            continue
+        positions = {at[0] for at in c.at} - {count}
+        if 0 in positions and len(positions) > 1:
+            return None
+        if c.op == "=" and not c.slots and len(positions) == 2:
+            (earlier, earlier_column), (pos, column) = sorted(c.at)
+            keys[pos].append((column, earlier, earlier_column, c.sql))
+        else:
+            tests[positions.pop() if len(positions) == 1 else count].append(c.typed())
+    levels = []
+    for pos, node in enumerate(sources):
+        level = _Level(node, pos)
+        level.filters = tests[pos]
+        level.access = ("Align", " AND ".join(part[3] for part in keys[pos]))
+        level.period = stabs.get(pos, (None,))[0]
+        levels.append(level)
+    # EXPLAIN: the first level is sorted on the stabbed column
+    levels[0].access = ("Sort", next(iter(stabs.values()))[0].bounds[0][4].to_sql())
+    residual = [c for i, c in enumerate(conjuncts) if not total[i]]
+    alignment = _Alignment(levels, columns.pop(), keys, tests, residual, projections)
+    return _Pipeline(levels, count, [c.closure for c in residual], alignment)
+
+
+class _Alignment:
+    """A pipeline's levels in FROM order as one pass (DESIGN.md §3.9):
+    the first level's rows sorted on ``column``; each later level's
+    candidates that pass its ``sieves`` as runs ``(row, lo, hi)``, alive
+    at the sorted values ``[lo, hi)`` (a level without a stab at every
+    value); the runs joined by :func:`_aligned_nest` on ``keys``, the
+    ``leaf`` sieve and the ``residual`` (``mode`` 2: per value, 1: once
+    per combination), into the plan's projection (``shape``) or its
+    ``emit``, in the FROM-order nested loop's order."""
+
+    __slots__ = ("levels", "column", "keys", "keyless", "sieves", "leaf",
+                 "leaf_tests", "residual", "mode", "shape", "closures", "distinct")
+
+    def __init__(
+        self, levels: list, column: int, keys: list, tests: list, residual: list,
+        projections: Optional[tuple],
+    ) -> None:
+        count = len(levels)
+        self.levels = levels
+        self.column = column
+        self.keys = tuple(tuple(part[:3] for part in parts) for parts in keys[2:])
+        self.keyless = sum(not parts for parts in self.keys)
+        self.sieves = [
+            _level_loop(pos, tuple(t), "sieve") if t else None
+            for pos, t in enumerate(tests[:count])
+        ]
+        self.leaf_tests = len(tests[count])
+        self.leaf = _level_loop(count - 1, tuple(tests[count]), "sieve") if tests[count] else None
+        first = levels[0].node
+        self.residual = [c.closure for c in residual]
+        self.mode = 2 if any(_reads(c.expr, first) for c in residual) else int(bool(residual))
+        self.shape = self.closures = None
+        self.distinct = False
+        if projections is not None:
+            items, self.distinct = projections
+            # an item runs per value when it may read the first level, or
+            # when the residual does
+            self.shape = tuple(
+                p if p[0] == "slot" else ("closure", self.mode == 2 or p[2])
+                for p in items
+            )
+            self.closures = [p[1] for p in items if p[0] == "closure"]
+
+    def _passed(self, level: "_Level", rows: list, vector: list, stats) -> list:
+        """``rows`` a level takes in that pass its own tests, counted as
+        scanned, taken in and (the rest) rejected."""
+        stats.scanned.value += len(rows)
+        level.rows_in += len(rows)
+        sieve = self.sieves[level.pos]
+        if sieve is None:
+            return rows
+        kept = sieve(vector, rows)
+        stats.rejects.value += len(rows) - len(kept)
+        return kept
+
+    def run(
+        self, executor: Executor, env: Env, vector: list, tables: list,
+        emit: Callable, into: Optional[list] = None,
+    ) -> bool:
+        """Join the levels; ``into`` takes the projected rows — DISTINCT
+        already applied — when given and the plan has a projection shape
+        (returns True), else each combination goes to ``emit``."""
+        db = executor.db
+        stats, obs, resilience = db.stats, db.obs, db.resilience
+        if resilience.armed:
+            resilience.check()
+        levels = self.levels
+        window = db.read_window
+        if window is not None:  # any row may be examined
+            for level, table in zip(levels, tables):
+                if level.node.pairs:
+                    _narrow_by_table(window, level.node.pairs, table)
+        obs.inc("engine.join.aligned")
+        column = self.column
+        outer = [
+            row for row in self._passed(levels[0], tables[0].rows, vector, stats)
+            if row[column] is not Null
+        ]
+        levels[0].rows_out += len(outer)
+        order = sorted(range(len(outer)), key=lambda i: outer[i][column].ordinal)
+        values = [outer[i][column].ordinal for i in order]
+        count = len(values)
+        outputs: list = [[] for _ in range(count)]
+        shape = self.shape if into is not None else None
+        distinct = shape is not None and self.distinct
+        # DISTINCT: a set per first-level row, keyed on the other items
+        targets = [
+            (outputs[i].append, outer[i], set()) if distinct else (outputs[i].append, outer[i])
+            for i in order
+        ]
+        runs: list = [None]
+        for level in levels[1:] if count else ():
+            table = tables[level.pos]
+            period = level.period
+            if period is None:
+                rows = self._passed(level, table.rows, vector, stats)
+                found = [(row, 0, count) for row in rows]
+            else:
+                begin, end = period.begin_index, period.end_index
+                positions = executor._interval_candidate_positions(
+                    table, begin, end, [None, values[-1], values[0] + 1]
+                )
+                table_rows = table.rows
+                rows = self._passed(level, [table_rows[p] for p in positions], vector, stats)
+                found = []
+                for row in rows:
+                    lo = bisect_left(values, row[begin].ordinal)
+                    hi = bisect_left(values, row[end].ordinal)
+                    if lo < hi:
+                        found.append((row, lo, hi))
+            level.rows_out += len(found)
+            runs.append(found)
+        obs.inc("engine.join.keyless_levels", self.keyless)
+        if not count:
+            return shape is not None
+        bindings = [Binding(level.node.colmap, None) for level in levels]
+        for level, binding in zip(levels, bindings):
+            env.bindings[level.node.key] = binding
+        nest = _aligned_nest(self.keys, shape, distinct, self.leaf is not None, self.mode)
+        probes, matches = nest(
+            runs, targets, vector, bindings, self.closures if shape else (),
+            self.leaf, self.residual, env, resilience, outer, outputs, emit,
+        )
+        obs.inc("engine.join.probes", probes)
+        obs.inc("engine.join.matches", matches)
+        if shape is not None:
+            rows = list(chain.from_iterable(outputs))
+            columns = [p[2] for p in shape if p[:2] == ("slot", 0)]
+            if distinct and len({
+                tuple(sort_key(row[c]) for c in columns) for row in outer
+            }) < count:  # first-level rows whose items agree share duplicates
+                rows = _distinct_rows(rows)
+            into.extend(rows)
+            return True
+        return False
+
+
+@functools.lru_cache(maxsize=256)
+def _aligned_nest(
+    keys: tuple, shape: Optional[tuple], distinct: bool, leaf: bool, mode: int
+) -> Callable:
+    """The aligned join of one shape, generated from source text and
+    compiled once: ``keys`` per level after the second (``(own column,
+    earlier position, its column)`` parts, ``()``: keyless), ``shape``
+    per select item ``("slot", position, column)`` or ``("closure", per
+    value)`` (None: hand the combinations to ``emit``), ``distinct`` (a
+    set per first-level row, keyed on the items but that level's
+    columns), ``leaf`` and the residual's ``mode``.  One flat ``for``
+    per level: later levels hashed on ``sort_key`` (NULL keys
+    excluded), the second level's runs walked in table order, the runs
+    intersected as ``[max(lo), min(hi))``, each passing combination
+    appended to its values' ``targets``; each run of the second level
+    and each first-level row emitted is a cancellation point.  It holds
+    no closure, so a result leaves no reference cycle; returns
+    ``(probes, matches)``; its file name names the level count
+    (``<aligned join 3>``)."""
+    def hashed(names: list) -> str:
+        """The hash key of the values ``names``: one ``sort_key``, or a tuple."""
+        parts = ", ".join(f"sort_key({name})" for name in names)
+        return parts if len(names) == 1 else f"({parts})"
+
+    depth = len(keys) + 2
+    last = depth - 1
+    items = list(enumerate(shape or ()))
+    closures = [j for j, p in items if p[0] == "closure"]
+    each = [j for j in closures if shape[j][1]]  # per value
+    bind = mode or closures
+    lines = ["runs1 = runs[1]"] + [f"f{j} = closures[{n}]" for n, j in enumerate(closures)]
+    if bind:
+        lines += [f"binding{i} = bindings[{i}]" for i in range(depth)]
+    for i, parts in enumerate(keys, 2):  # the build sides
+        if not parts:
+            lines.append(f"runs{i} = runs[{i}]")
+            continue
+        names = [f"x{n}" for n in range(len(parts))]
+        lines += [f"index{i} = {{}}", f"for run in runs[{i}]:"] + _indented(
+            [f"{name} = run[0][{own}]" for name, (own, _, _) in zip(names, parts)] + [
+                "if " + " and ".join(f"{name} is not Null" for name in names) + ":",
+                f"    index{i}.setdefault({hashed(names)}, []).append(run)",
+            ]
+        )
+    lines.append("probes = matches = 0")
+
+    def bound(i: int) -> list:
+        """Binding level ``i``'s row: what reads it, and its projected cells."""
+        return ([f"vector[{i}] = row{i}"] if leaf else []) + (
+            [f"binding{i}.row = row{i}"] if bind else []
+        ) + [f"v{j} = row{i}[{p[2]}]" for j, p in items if p[:2] == ("slot", i)]
+
+    # full depth: the combination is alive at the values [lo, hi)
+    per_value = ["binding0.row = row0"] if mode == 2 or each else []
+    if mode == 2:
+        per_value += ["if not _all_true(residual, env):", "    continue"]
+    per_value += [f"v{j} = f{j}(env)" for j in each]
+    rows = ", ".join(f"row{i}" for i in range(1, depth))
+    if shape is None:
+        before = [] if depth == 2 else [f"combination = ({rows})"]
+        per_value.append("append(row1)" if depth == 2 else "append(combination)")
+    else:
+        before = [f"v{j} = f{j}(env)" for j in closures if j not in each]
+        values = ", ".join(
+            f"row0[{p[2]}]" if p[:2] == ("slot", 0) else f"v{j}" for j, p in items
+        )
+        emit = [f"append([{values}])"]
+        if distinct:
+            key = f"key = {hashed([f'v{j}' for j, p in items if p[:2] != ('slot', 0)])}"
+            (per_value if each else before).append(key)
+            emit = ["if key not in seen:", "    seen.add(key)"] + _indented(emit)
+        per_value += emit
+    target = "append, row0, seen" if distinct else "append, row0"
+    block = before + [f"for {target} in targets[lo{last}:hi{last}]:"] + _indented(per_value)
+    if mode == 1:
+        block = ["if _all_true(residual, env):"] + _indented(block)
+    if leaf:
+        block = [f"if leaf(vector, (row{last},)):"] + _indented(block)
+    for i in range(last, 1, -1):  # wrap the levels, innermost first
+        parts = keys[i - 2]
+        block = [
+            f"if lo{i} < lo{i - 1}:", f"    lo{i} = lo{i - 1}",
+            f"if hi{i} > hi{i - 1}:", f"    hi{i} = hi{i - 1}",
+            f"if lo{i} < hi{i}:",
+        ] + _indented(["matches += 1"] + bound(i) + block)
+        names = [f"p{i}_{n}" for n in range(len(parts))]
+        source = f"index{i}.get({hashed(names)}, ())" if parts else f"runs{i}"
+        block = ["probes += 1", f"for row{i}, lo{i}, hi{i} in {source}:"] + _indented(block)
+        if parts:
+            block = [
+                f"{name} = row{earlier}[{column}]"
+                for name, (_, earlier, column) in zip(names, parts)
+            ] + ["if " + " and ".join(f"{name} is not Null" for name in names) + ":"] + _indented(block)
+    lines += ["for row1, lo1, hi1 in runs1:"] + _indented(
+        ["if resilience.armed:", "    resilience.check()"] + bound(1) + block
+    )
+    if shape is None:  # hand the combinations on, first-level rows in order
+        lines += [f"binding{i} = bindings[{i}]" for i in range(depth)] if not bind else []
+        lines += ["for row0, combinations in zip(outer, outputs):"] + _indented([
+            "if combinations:",
+            "    if resilience.armed:",
+            "        resilience.check()",
+            "    binding0.row = row0",
+            f"    for {rows} in combinations:",
+        ] + _indented(_indented(_indented(
+            [f"binding{i}.row = row{i}" for i in range(1, depth)] + ["emit(env)"]
+        ))))
+    lines.append("return probes, matches")
+    source = "\n".join(
+        ["def nest(runs, targets, vector, bindings, closures, leaf, residual, env,"
+         " resilience, outer, outputs, emit):"] + _indented(lines)
+    )
+    namespace = {"Null": Null, "sort_key": sort_key, "_all_true": _all_true}
+    exec(compile(source, f"<aligned join {depth}>", "exec"), namespace)
+    return namespace["nest"]
 
 
 # ---------------------------------------------------------------------------
@@ -914,6 +1269,40 @@ def _build_sources(
     return sources, layout, _split_conjuncts(select.where)
 
 
+def _operand(expr: ast.Expression, layout: dict, scans: dict) -> Any:
+    """A scan column as ``(position, column)``; a literal or outer name
+    as the expression itself; None for anything else.  ``scans`` maps a
+    scan's key to its FROM position and node."""
+    while isinstance(expr, ast.Parenthesized):
+        expr = expr.expr
+    if isinstance(expr, ast.Literal):
+        return expr
+    if not isinstance(expr, ast.Name):
+        return None
+    key = expr.name.lower()
+    if expr.qualifier is None:
+        owners = [a for a, colmap in layout.items() if key in colmap]
+        if not owners:
+            return expr  # routine variable or parent-query column
+    else:
+        owners = [expr.qualifier.lower()]
+        if owners[0] not in layout:
+            return expr  # parent-query alias or FOR-loop record
+        if key not in layout[owners[0]]:
+            return None
+    if len(owners) != 1 or owners[0] not in scans:
+        return None  # ambiguous, or an opaque source's column
+    pos, node = scans[owners[0]]
+    return pos, node.colmap[key]
+
+
+def _scans(sources: list) -> dict:
+    return {
+        node.key: (pos, node)
+        for pos, node in enumerate(sources) if isinstance(node, _Scan)
+    }
+
+
 def _analyze_conjuncts(
     executor: Executor, where: list, sources: list, layout: dict
 ) -> tuple[list, list]:
@@ -922,41 +1311,13 @@ def _analyze_conjuncts(
     the :class:`_Conjunct` list and the closures reading the outer
     operands (literals included: ``Literal.value`` is mutable), one per
     slot."""
-    scans = {
-        node.key: (pos, node)
-        for pos, node in enumerate(sources) if isinstance(node, _Scan)
-    }
-
-    def operand(expr: ast.Expression) -> Any:
-        """A scan column as ``(position, column)``; a literal or outer
-        name as the expression itself; None for anything else."""
-        while isinstance(expr, ast.Parenthesized):
-            expr = expr.expr
-        if isinstance(expr, ast.Literal):
-            return expr
-        if not isinstance(expr, ast.Name):
-            return None
-        key = expr.name.lower()
-        if expr.qualifier is None:
-            owners = [a for a, colmap in layout.items() if key in colmap]
-            if not owners:
-                return expr  # routine variable or parent-query column
-        else:
-            owners = [expr.qualifier.lower()]
-            if owners[0] not in layout:
-                return expr  # parent-query alias or FOR-loop record
-            if key not in layout[owners[0]]:
-                return None
-        if len(owners) != 1 or owners[0] not in scans:
-            return None  # ambiguous, or an opaque source's column
-        pos, node = scans[owners[0]]
-        return pos, node.colmap[key]
+    scans = _scans(sources)
 
     conjuncts: list = []
     outer_cs: list = []
     slots: dict = {}
     for expr in where:
-        conjunct = _Conjunct(expr.to_sql(), compile_expression(executor, expr, layout))
+        conjunct = _Conjunct(expr, compile_expression(executor, expr, layout))
         conjuncts.append(conjunct)
         while isinstance(expr, ast.Parenthesized):
             expr = expr.expr
@@ -966,7 +1327,7 @@ def _analyze_conjuncts(
             op, operands = "BETWEEN", (expr.expr, expr.low, expr.high)
         else:
             continue
-        sides = [operand(e) for e in operands]
+        sides = [_operand(e, layout, scans) for e in operands]
         columns = [side for side in sides if isinstance(side, tuple)]
         if None in sides or not columns:
             continue
@@ -1064,6 +1425,21 @@ def build_select_plan(
             else ("expr", compile_expression(executor, item.expr, layout))
             for item in select.items
         ]
+    # only base tables align, and a statement that calls a routine keeps
+    # the nested loop: its calls are made per combination and first-level row
+    aligns = (
+        len(sources) > 1 and all(isinstance(node, _Scan) for node in sources)
+        and not executor.db.catalog.reach(select).routines
+    )
+    projections = None
+    if aligns and not grouped and not any(item.is_star for item in select.items):
+        scans = _scans(sources)
+        projections = tuple(
+            ("slot",) + address
+            if isinstance(address := _operand(item.expr, layout, scans), tuple)
+            else ("closure", closure, _reads(item.expr, sources[0]))
+            for item, (_, closure) in zip(select.items, item_plans)
+        ), bool(select.distinct)
     return SelectPlan(
         sources=sources,
         conjuncts=conjuncts,
@@ -1075,6 +1451,8 @@ def build_select_plan(
         item_plans=item_plans,
         order_entries=order_entries,
         distinct=select.distinct,
+        aligns=aligns,
+        projections=projections,
     )
 
 
@@ -1130,18 +1508,25 @@ class _FromWhere:
     """What every plan that reads rows holds: the sources, the analyzed
     WHERE conjuncts and the join pipelines placed over them."""
 
-    __slots__ = ("sources", "conjuncts", "outer_cs", "checks", "pipeline",
-                 "variants")
+    __slots__ = ("sources", "conjuncts", "outer_cs", "checks", "aligns",
+                 "projections", "pipeline", "variants")
 
-    def __init__(self, sources: list, conjuncts: list, outer_cs: list) -> None:
+    def __init__(
+        self, sources: list, conjuncts: list, outer_cs: list,
+        aligns: bool = False, projections: Optional[tuple] = None,
+    ) -> None:
         self.sources = sources
         self.conjuncts = conjuncts
         self.outer_cs = outer_cs
         self.checks = _outer_checks(conjuncts)
+        self.aligns = aligns
+        self.projections = projections
         # the pipeline when every outer operand is readable and of its
         # column's class; executions that demote conjuncts get variants,
         # built on first need and kept by the demotion set
-        self.pipeline = _build_pipeline(sources, conjuncts, _NONE_DEMOTED)
+        self.pipeline = _build_pipeline(
+            sources, conjuncts, _NONE_DEMOTED, aligns, projections
+        )
         self.variants: dict = {}
 
     def _pipeline_for(self, env: Env) -> tuple[_Pipeline, list]:
@@ -1154,25 +1539,32 @@ class _FromWhere:
         pipeline = self.variants.get(demoted)
         if pipeline is None:
             pipeline = self.variants[demoted] = _build_pipeline(
-                self.sources, self.conjuncts, demoted
+                self.sources, self.conjuncts, demoted, self.aligns, self.projections
             )
         return pipeline, slots
 
-    def _each(self, executor: Executor, base_env: Env, emit: Callable) -> None:
+    def _each(
+        self, executor: Executor, base_env: Env, emit: Callable,
+        into: Optional[list] = None,
+    ) -> bool:
         """Validate every source before producing (or consuming) any rows
         — an invalidation found mid-run would re-execute side effects on
         the re-planned run — then ``emit`` the row environment of each
         combination that satisfies the WHERE clause, in the FROM-order
-        nested loop's emission order."""
+        nested loop's emission order.  An aligned pipeline appends the
+        projected rows, DISTINCT applied, to ``into`` instead when it is
+        given, and says so."""
         tables = [node.validate(executor, base_env) for node in self.sources]
         # the outer operands read from the base environment: the child
         # binds nothing yet
         pipeline, slots = self._pipeline_for(base_env)
         env = base_env.child()
         vector: list = [None] * len(self.sources) + [slots]
+        if pipeline.alignment is not None:
+            return pipeline.alignment.run(executor, env, vector, tables, emit, into)
         if not pipeline.reordered:
             pipeline.run(executor, env, vector, tables, emit)
-            return
+            return False
         # the scan prefix's combinations in FROM order, then the rest under each
         executor.db.obs.inc("engine.join.reordered")
         split = pipeline.split
@@ -1193,6 +1585,7 @@ class _FromWhere:
             vector[:split] = combo
             pipeline.rest(executor, env, vector, tables, emit)
         bindings.clear()
+        return False
 
 
 class SelectPlan(_FromWhere):
@@ -1214,8 +1607,10 @@ class SelectPlan(_FromWhere):
         item_plans: list,
         order_entries: list,
         distinct: bool,
+        aligns: bool = False,
+        projections: Optional[tuple] = None,
     ) -> None:
-        super().__init__(sources, conjuncts, outer_cs)
+        super().__init__(sources, conjuncts, outer_cs, aligns, projections)
         self.columns = columns
         self.grouped = aggregates is not None
         self.aggregates = aggregates
@@ -1231,6 +1626,7 @@ class SelectPlan(_FromWhere):
         rows: list = []
         keys: list = []
         project = self._project
+        distinct = self.distinct
         if self.grouped:
             self._run_grouped(executor, base_env, order, rows, keys)
         elif order and not all(entry[0] == "slot" for entry in order):
@@ -1243,7 +1639,10 @@ class SelectPlan(_FromWhere):
 
             self._each(executor, base_env, emit)
         else:
-            self._each(executor, base_env, lambda row_env: rows.append(project(row_env)))
+            if self._each(
+                executor, base_env, lambda row_env: rows.append(project(row_env)), rows
+            ):
+                distinct = False  # the aligned join applied it
             if order:  # on output columns only: sorted once the join is done
                 one = order[0][1] if len(order) == 1 and not order[0][2] else None
                 rows.sort(key=(lambda row: sort_key(row[one])) if one is not None
@@ -1251,7 +1650,7 @@ class SelectPlan(_FromWhere):
                 order = []
         if order:  # a stable sort: ties keep emission order
             rows = [rows[i] for i in sorted(range(len(rows)), key=keys.__getitem__)]
-        if self.distinct:
+        if distinct:
             rows = _distinct_rows(rows)
         return ResultSet(self.columns, rows)
 

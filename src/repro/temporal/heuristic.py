@@ -7,11 +7,12 @@
      (c) the query is on a small database *and* has a short temporal
          context."
 
-The heuristic transforms nothing itself.  Whether PERST applies and
-whether SEQ-SET covers the statement are questions it puts to
-:meth:`TemporalStratum.candidate`, the stratum's one cached
-transformation function — so deciding costs a transformation at most
-once per statement text, and what it built is what then runs.
+The heuristic transforms nothing itself.  Whether PERST applies is a
+question it puts to :meth:`TemporalStratum.candidate`, the stratum's one
+cached transformation function — so deciding costs a transformation at
+most once per statement text, and what it built is what then runs.
+Rule (s) reads the statement's shape alone
+(:func:`~repro.temporal.seqset.compile_seqset`).
 
 The thresholds below are calibration constants for this engine; the
 paper leaves a cost model to future work (§VIII), and this engine has
@@ -28,6 +29,7 @@ from repro.sqlengine.engine import Database
 from repro.temporal import analysis
 from repro.temporal.period import Period
 from repro.temporal.schema import TemporalRegistry
+from repro.temporal.seqset import compile_seqset
 
 # Calibration constants (rows of temporal data / days of context).
 # Calibrated against this engine's Figure-12/13 sweeps: the MAX/PERST
@@ -69,19 +71,20 @@ def choose_strategy(
     context: Period,
     data_rows: Optional[int] = None,
 ) -> StrategyChoice:
-    """Apply the §VII-F heuristic (extended with the SEQ-SET rule) to a
+    """Apply the §VII-F heuristic (extended with rule (s)) to a
     sequenced query along ``registry``'s dimension."""
     from repro.temporal.stratum import SlicingStrategy
 
     db = stratum.db
-    # Rule (s), ahead of the paper's rules: a routine-free shape the
-    # set-oriented plan covers never needs the per-period loop at all.
-    # One pass beats both MAX and PERST — on a key-less join too, which
-    # is a cross product under every strategy.
-    if stratum.candidate("seqset", stmt, registry).applicable:
+    # Rule (s), ahead of the paper's rules: MAX's plan of a routine-free
+    # SELECT over base tables aligns its constant-period join in one
+    # pass, which beats PERST — on a key-less join too, a cross product
+    # under every strategy.
+    other = stratum.registry if registry is stratum.tt_registry else stratum.tt_registry
+    if compile_seqset(db, registry, stmt, other) is None:
         return StrategyChoice(
-            SlicingStrategy.SEQSET, "s",
-            "routine-free statement covered by the set-oriented plan",
+            SlicingStrategy.MAX, "s",
+            "routine-free statement: its constant-period join is aligned in one pass",
         )
     # Rule (a): can PERST transform this statement at all?
     perst = stratum.candidate("perst", stmt, registry, context)

@@ -38,7 +38,6 @@ def add_point_conditions(
     node: ast.Node,
     point: ast.Expression,
     registry: TemporalRegistry,
-    skip: tuple = (),
     period_tables: Collection[str] = (),
 ) -> None:
     """Add overlap-at-point predicates to every SELECT under ``node``.
@@ -49,9 +48,6 @@ def add_point_conditions(
     on the right side of a LEFT join take their condition in the ON
     clause so null-extension survives.
 
-    ``skip`` names Select nodes (by identity) to leave untouched —
-    SEQ-SET replaces the root select's overlap predicates with its
-    alignment operator but still point-transforms nested subqueries.
     ``period_tables`` names (lower-cased) further tables valid over
     ``[begin_time, end_time)``: PERST's variable tables.
     """
@@ -65,8 +61,6 @@ def add_point_conditions(
         return None
 
     for select in selects_in(node):
-        if any(select is skipped for skipped in skip):
-            continue
         where_pairs, join_pairs = classify_from_sources(select)
         conditions = [condition(*pair) for pair in where_pairs]
         add_condition(select, and_all([c for c in conditions if c is not None]))

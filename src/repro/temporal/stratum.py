@@ -69,10 +69,7 @@ from repro.temporal.period import Period, coalesce
 from repro.temporal.perst_slicing import PerstTransformer, substitute_context
 from repro.obs.tracing import _NOOP as _NO_SPAN
 from repro.temporal.schema import TemporalRegistry, TemporalTableInfo
-from repro.temporal.seqset import (
-    compile_seqset,
-    execute_seqset,
-)
+from repro.temporal.seqset import execute_seqset
 from repro.temporal.transaction import add_transactiontime
 from repro.temporal.transform_util import clone, map_bodies
 
@@ -82,19 +79,17 @@ MAX_CP_TABLE = "taupsm_cp"
 class SlicingStrategy(enum.Enum):
     """How to evaluate a sequenced statement.
 
-    ``AUTO`` applies the paper's §VII-F rule heuristic (extended with a
-    SEQ-SET rule).  ``SEQSET`` compiles routine-free queries into one
-    set-oriented pass (interval alignment + interval join,
-    :mod:`repro.temporal.seqset`) and transparently falls back to MAX
-    whenever a routine is invoked or the shape is not covered.
-    ``COST`` is only another name for ``AUTO``: there is no cost model,
-    and the name ``cost`` is not accepted where a strategy is named.
+    ``AUTO`` applies the paper's §VII-F rule heuristic (extended with
+    rule (s): a routine-free SELECT runs under MAX, whose constant-period
+    join the planner aligns in one pass).  ``SEQSET`` is only another
+    name for ``MAX`` and ``COST`` for ``AUTO``: neither is accepted where
+    a strategy is named, and there is no cost model.
     """
 
     MAX = "max"
     PERST = "perst"
     AUTO = "auto"
-    SEQSET = "seqset"
+    SEQSET = "max"
     COST = "auto"
 
 
@@ -166,8 +161,7 @@ class Candidate:
 
     # the conventional statement the engine receives, every dimension the
     # modifier did not name already restricted to its current state (for
-    # SEQ-SET the select its plan evaluates, for "match" the statement
-    # that finds a modification's versions)
+    # "match" the statement that finds a modification's versions)
     statement: Optional[ast.Statement] = None
     # routine clones the statement calls, in installation order
     clones: list[Routine] = field(default_factory=list)
@@ -175,7 +169,6 @@ class Candidate:
     # holds; materialized over the context before the statement runs
     cp_requirements: dict[str, list[str]] = field(default_factory=dict)
     temporal_tables: list[str] = field(default_factory=list)
-    plan: Any = None  # the SeqSetPlan, under SEQ-SET
     # the transaction clock the transaction-currency pass wrote into the
     # statement or its clones as a literal (None: it wrote none)
     clock: Optional[Date] = None
@@ -215,12 +208,10 @@ class PreparedStatement:
     # the registry sliced along, or whose periods a modification maintains
     registry: Optional[TemporalRegistry] = None
     context: Optional[Period] = None  # sequenced statements only
-    # sequenced queries: the decision (requested or a §VII-F rule), the
-    # strategy that runs — MAX where SEQ-SET was chosen and
-    # declined — and why it declined
+    # sequenced queries: the decision (requested or a §VII-F rule) and
+    # the strategy that runs
     choice: Optional[StrategyChoice] = None
     strategy: Optional[SlicingStrategy] = None
-    fallback: Optional[str] = None
     # registry versions, clock and ``now`` when preparing read no data: the
     # statement cache reuses the record while they hold (None: never)
     stamp: Optional[tuple] = None
@@ -316,9 +307,6 @@ class TemporalStratum:
         )
         self._served: tuple = (None, None)  # :meth:`parse`'s last
         self.last_strategy: Optional[SlicingStrategy] = None
-        # why the most recent SEQ-SET attempt fell back to MAX (None
-        # when the last sequenced statement ran without a fallback)
-        self.last_fallback: Optional[str] = None
         # transaction clock: None tracks db.now; set a past date for
         # time-travel ("as of") reads of transaction-time tables
         self.transaction_clock: Optional[Date] = None
@@ -407,7 +395,7 @@ class TemporalStratum:
         dimension, or the verdict that ``flavor`` does not apply.
 
         ``flavor`` is ``"current"``, ``"nonsequenced"``, ``"max"``,
-        ``"perst"``, ``"seqset"`` or ``"match"`` (a modification of a
+        ``"perst"`` or ``"match"`` (a modification of a
         table temporal along ``registry``, whose modifier, if any, has no
         bounds).  ``baked`` is what PERST writes into its output besides
         the statement, hence part of its key: the context
@@ -454,12 +442,6 @@ class TemporalStratum:
             temporal_tables=analysis.reachable_temporal_tables(stmt, catalog, registry)
         )
         modifier = getattr(stmt, "modifier", None)
-        if flavor == "seqset":
-            other = self.registry if registry is self.tt_registry else self.tt_registry
-            found.plan = compile_seqset(self.db, registry, stmt, other_registry=other)
-            found.statement = found.plan.select
-            found.cp_requirements = {MAX_CP_TABLE: found.temporal_tables}
-            return found
         if flavor == "match":
             found.statement = self._match_statement(stmt, modifier, registry)
         elif flavor == "max":
@@ -808,15 +790,11 @@ class TemporalStratum:
             choice = choose_strategy(stmt, self, registry, context)
         else:
             choice = StrategyChoice(strategy, "", "requested")
-        prepared = PreparedStatement(
-            stmt, "sequenced",
-            self._transformed(choice.strategy.value, stmt, registry, context),
+        found = self._transformed(choice.strategy.value, stmt, registry, context)
+        return PreparedStatement(
+            stmt, "sequenced", found.require(),
             dimensions, registry, context, choice, choice.strategy,
         )
-        if choice.strategy is SlicingStrategy.SEQSET and not prepared.candidate.applicable:
-            return self._fall_back(prepared, prepared.candidate.reason)
-        prepared.candidate.require()
-        return prepared
 
     def _prepare_served(
         self, stmt: ast.Statement, strategy: SlicingStrategy
@@ -855,22 +833,8 @@ class TemporalStratum:
             transformed = self.db.stats.transformed
             built = transformed.value
             found = self.candidate(flavor, stmt, registry, context)
-            fresh = transformed.value != built
-            span.set(cached=not fresh)
-            if fresh and flavor == "seqset" and not found.applicable:
-                span.set(fallback=found.reason)
+            span.set(cached=transformed.value == built)
         return found
-
-    def _fall_back(self, prepared: PreparedStatement, reason: str) -> PreparedStatement:
-        """SEQ-SET declined ``prepared``'s shape: the same statement under
-        MAX, which reproduces results — and errors — for everything
-        SEQ-SET declines."""
-        found = self._transformed(
-            "max", prepared.statement, prepared.registry
-        ).require()
-        return replace(
-            prepared, candidate=found, strategy=SlicingStrategy.MAX, fallback=reason
-        )
 
     def _prepare_modification(
         self,
@@ -995,7 +959,6 @@ class TemporalStratum:
             prepared.strategy, prepared.registry, prepared.context
         )
         self.last_strategy = strategy
-        self.last_fallback = prepared.fallback
         tracer = db.tracer
         slices = 0
         for cp_table, tables in found.cp_requirements.items():
@@ -1007,13 +970,13 @@ class TemporalStratum:
         statement = found.statement
         if strategy is SlicingStrategy.MAX and isinstance(statement, ast.CallStatement):
             return self._drive_max_call(statement, context, slices)
-        if strategy is SlicingStrategy.SEQSET:
-            with tracer.span("stratum.seqset.execute", slices=slices):
-                columns, rows = execute_seqset(db, found.plan, context, MAX_CP_TABLE)
-            return TemporalResult(columns, rows)
         if strategy is SlicingStrategy.MAX:
             with tracer.span("stratum.max.execute", slices=slices):
-                outcome = db.execute_ast(statement)
+                # without routine clones the planner may align the join
+                outcome = (
+                    db.execute_ast(statement) if found.clones
+                    else execute_seqset(db, statement)
+                )
             return TemporalResult(outcome.columns, outcome.rows)
         # PERST: one pass over the temporal data
         data_rows = sum(

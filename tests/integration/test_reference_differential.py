@@ -38,7 +38,6 @@ from tests.oracle.test_corpus import build_stratum, sequenced, versions
 from tests.reference_executor import installed
 
 MAX, PERST, AUTO = SlicingStrategy.MAX, SlicingStrategy.PERST, SlicingStrategy.AUTO
-SEQSET = SlicingStrategy.SEQSET
 MONTH = ("2010-02-01", "2010-03-01")
 WEEK = ("2010-02-01", "2010-02-08")
 # shorter MAX contexts for the two queries the reference is slowest on
@@ -119,22 +118,23 @@ def test_taupsm_perst(name, small_dataset):
 
 COUNTERS = (
     "engine.interval_index_hits",
-    "stratum.seqset.filter.rows_dropped",
+    "engine.join.aligned",
+    "engine.join.level_rejects",
     "engine.routine.reuses.",  # the per-routine family's total
 )
 
 
 def test_engine_takes_the_fast_paths_and_the_reference_does_not(small_dataset):
-    """SEQ-SET over ``price > 50``: an interval probe on the context
-    bounds, then a typed filter on the price, which the index cannot
-    decide, dropping candidates once each; its reference is MAX.  q2 under MAX: a routine served by the
-    memo."""
+    """MAX over ``price > 50``: the constant-period join aligned in one
+    pass — an interval probe on the periods' range, then a typed filter
+    on the price, which the index cannot decide, rejecting candidates
+    once each.  q2 under MAX: a routine served by the memo."""
     stratum, db = small_dataset.stratum, small_dataset.stratum.db
     q2 = get_query("q2")
     q2.install(small_dataset)
     statements = [
         (f"VALIDTIME [DATE '{MONTH[0]}', DATE '{MONTH[1]}']"
-         " SELECT i.id, i.title FROM item i WHERE i.price > 50", SEQSET, MAX),
+         " SELECT i.id, i.title FROM item i WHERE i.price > 50", MAX, MAX),
         (q2.sequenced_sql(small_dataset, *MONTH), MAX, MAX),
     ]
 

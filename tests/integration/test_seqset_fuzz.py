@@ -1,167 +1,130 @@
-"""Differential fuzzing of SEQ-SET against MAX.
+"""Differential fuzzing of MAX's aligned constant-period join.
 
-SEQ-SET's contract is stronger than snapshot equivalence: on every
-covered statement it must reproduce MAX's *raw* rows — order,
-duplicates, fragmentation, column names — and on every uncovered
-statement it must fall back to MAX transparently (recording why).
-Three generators drive this:
+A routine-free sequenced SELECT runs as MAX's transformed statement, and
+the planner aligns its constant-period join in one pass.  On every shape
+the aligned rows must be the reference executor's *raw* rows — its
+nested loop per period, without index or alignment: order, duplicates,
+fragmentation, column names.  Two generators drive this, each query its
+own test so that a failure shrinks over one statement:
 
 * Hypothesis version histories × the routine-free query family
-  (selection, join, self-join, DISTINCT) — raw-row identity;
-* the routine-bearing query — transparent fallback with identical
-  results;
-* the full 16-query τPSM suite — every query invokes a routine, so all
-  of them must take the fallback and still match MAX exactly.
+  (selection, join, self-join, DISTINCT), under MAX and AUTO;
+* the same histories × fourteen join shapes (keys of every kind, a
+  keyless level, a non-temporal level, a residual and a projection that
+  read the constant period).
 
-Golden EXPLAIN snapshots pin the plan shape (``TemporalAlign`` /
-``IntervalJoin`` nodes) and the fallback decision line.
+Each test first runs the one history that holds every period shape the
+generator draws (``test_fuzz_sequenced.EVERY_SHAPE_FACT``), so a broken
+join reports at once, without a search to shrink.
+
+Golden EXPLAIN snapshots pin how the aligned levels render.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings
 
-from repro.taubench import ALL_QUERIES
 from repro.temporal import SlicingStrategy
 
 from tests.conftest import GET_AUTHOR_NAME, make_bookstore
-from tests.integration.test_fuzz_sequenced import FN_QUERY, QUERIES
+from tests.integration.test_fuzz_sequenced import (
+    EVERY_SHAPE_DIM,
+    EVERY_SHAPE_FACT,
+    NAMES,
+    QUERIES,
+)
 from tests.oracle.test_corpus import build_stratum, sequenced, versions
 from tests.obs.test_explain import check_golden
 from tests.reference_executor import installed
 
-BEGIN, END = "2010-02-01", "2010-03-01"
+MAX = SlicingStrategy.MAX
 
 
 def raw(result):
     """Rows exactly as delivered: order and duplicates preserved."""
-    if isinstance(result, list):  # CALL loops yield one result per slice
-        return [raw(r) for r in result]
     return (list(result.columns), [list(row) for row in result.rows])
 
 
-@settings(
-    max_examples=25,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(fact=versions, dim=versions, query_index=st.integers(0, len(QUERIES) - 1))
-def test_random_histories_seqset_equals_max_raw(fact, dim, query_index):
-    """Covered shapes: the set-oriented pass is row-identical to MAX."""
-    stratum = build_stratum(fact, dim)
-    sql = sequenced(QUERIES[query_index])
-    reference = raw(stratum.execute(sql, strategy=SlicingStrategy.MAX))
-    result = raw(stratum.execute(sql, strategy=SlicingStrategy.SEQSET))
-    assert stratum.last_strategy is SlicingStrategy.SEQSET
-    assert stratum.last_fallback is None
-    assert result == reference, QUERIES[query_index]
-    # AUTO routes the same routine-free statements through rule (s)
-    auto = raw(stratum.execute(sql, strategy=SlicingStrategy.AUTO))
-    assert stratum.last_strategy is SlicingStrategy.SEQSET
-    assert auto == reference
-
-
-# (query, every join level hash-keyed?)
-JOIN_QUERIES = [
-    # NULL keys on either side, duplicates, CHAR(4) = blank-padded CHAR(8)
-    ("SELECT f.entity, f.val, d.tag FROM fact f, dim d"
-     " WHERE f.entity = d.entity", True),
-    # flipped orientation
-    ("SELECT f.entity, d.tag FROM fact f, dim d WHERE d.entity = f.entity", True),
-    # INTEGER = FLOAT
-    ("SELECT f.entity, d.entity FROM fact f, dim d WHERE f.val = d.weight", True),
-    # composite key, one part per orientation
-    ("SELECT f.val, d.tag FROM fact f, dim d"
-     " WHERE f.entity = d.entity AND d.weight = f.val", True),
-    # 3-way chain
-    ("SELECT f.entity, d.tag, g.val FROM fact f, dim d, fact g"
-     " WHERE f.entity = d.entity AND d.weight = g.val", True),
-    # temporal ⋈ non-temporal, either FROM order
-    ("SELECT f.entity, l.name FROM fact f, label l WHERE f.val = l.val", True),
-    ("SELECT l.name, f.entity FROM label l, fact f WHERE l.val = f.val", True),
-    # self-join under two aliases, key plus residual
-    ("SELECT a.entity, b.val FROM fact a, fact b"
-     " WHERE a.entity = b.entity AND a.val < b.val", True),
-    # DISTINCT over a join (per period)
-    ("SELECT DISTINCT f.entity, d.tag FROM fact f, dim d"
-     " WHERE f.entity = d.entity", True),
-    # residual reading a cp-dependent nested subquery: per-period evaluation
-    ("SELECT f.entity, d.tag FROM fact f, dim d WHERE f.entity = d.entity"
-     " AND f.val >= (SELECT MAX(g.val) FROM fact g WHERE g.entity = f.entity)",
-     True),
-    # a cp-dependent projection
-    ("SELECT f.entity, (SELECT COUNT(*) FROM dim g WHERE g.entity = f.entity) AS n"
-     " FROM fact f, dim d WHERE f.entity = d.entity", True),
-    # equalities sort_key must not take: expression side, value-class mismatch
-    ("SELECT f.entity, d.tag FROM fact f, dim d WHERE f.val + 0 = d.weight", False),
-    ("SELECT f.entity, d.tag FROM fact f, dim d"
-     " WHERE f.entity = d.entity AND f.entity <> d.tag", True),
-    # no equi-key at all: the same join code under the single key ()
-    ("SELECT f.entity, d.tag FROM fact f, dim d WHERE f.val < d.weight", False),
-]
-
-
-@settings(
-    max_examples=20,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(fact=versions, dim=versions)
-def test_random_histories_join_family_equals_max_raw(fact, dim):
-    """The interval hash join is row-identical to MAX's per-period
-    nested loop on every key shape — the engine's, and the reference's
-    full scans without an interval index."""
-    stratum = build_stratum(fact, dim)
+def aligned_equals_reference(stratum, query: str) -> list:
+    """MAX's rows of ``query`` taken by the aligned join, checked against
+    the reference executor's; returns the keyless levels it joined."""
     db = stratum.db
-    for query, keyed in JOIN_QUERIES:
-        sql = sequenced(query)
-        reference = raw(stratum.execute(sql, strategy=SlicingStrategy.MAX))
-        keyless_before = db.obs.value("stratum.seqset.join.keyless_levels")
-        result = raw(stratum.execute(sql, strategy=SlicingStrategy.SEQSET))
-        assert stratum.last_strategy is SlicingStrategy.SEQSET, query
-        assert stratum.last_fallback is None, query
-        assert result == reference, query
-        keyless = db.obs.value("stratum.seqset.join.keyless_levels") - keyless_before
-        assert (keyless == 0) is keyed, query
-        with installed(db):
-            assert raw(stratum.execute(sql, strategy=SlicingStrategy.MAX)) == result, query
+    sql = sequenced(query)
+    aligned = db.obs.value("engine.join.aligned")
+    keyless = db.obs.value("engine.join.keyless_levels")
+    result = raw(stratum.execute(sql, strategy=MAX))
+    assert db.obs.value("engine.join.aligned") == aligned + 1, query
+    with installed(db):
+        assert raw(stratum.execute(sql, strategy=MAX)) == result, query
+    return db.obs.value("engine.join.keyless_levels") - keyless
 
 
-@settings(
-    max_examples=15,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@pytest.mark.parametrize("query", QUERIES, ids=NAMES)
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example(fact=EVERY_SHAPE_FACT, dim=EVERY_SHAPE_DIM)
 @given(fact=versions, dim=versions)
-def test_random_histories_routine_query_falls_back(fact, dim):
-    """Uncovered shapes: requesting SEQ-SET transparently re-runs under
-    MAX, records the reason, and the rows are exactly MAX's."""
+def test_random_histories_family_is_aligned_as_the_reference(query, fact, dim):
+    """Covered shapes: the aligned pass is row-identical to the nested
+    loop, and AUTO takes it through rule (s)."""
     stratum = build_stratum(fact, dim)
-    sql = sequenced(FN_QUERY)
-    reference = raw(stratum.execute(sql, strategy=SlicingStrategy.MAX))
-    result = raw(stratum.execute(sql, strategy=SlicingStrategy.SEQSET))
-    assert result == reference
-    assert stratum.last_strategy is SlicingStrategy.MAX
-    assert stratum.last_fallback is not None
-    assert "value_of" in stratum.last_fallback
+    aligned_equals_reference(stratum, query)
+    sql = sequenced(query)
+    assert raw(stratum.execute(sql)) == raw(stratum.execute(sql, strategy=MAX))
+    assert stratum.last_strategy is MAX
 
 
-@pytest.mark.parametrize("query", ALL_QUERIES, ids=lambda q: q.name)
-def test_taubench_seqset_equals_max(query, small_dataset):
-    """Every τPSM query invokes a routine, so under SEQ-SET all sixteen
-    must take the MAX fallback — and stay row-identical to MAX."""
-    query.install(small_dataset)
-    sql = query.sequenced_sql(small_dataset, BEGIN, END)
-    stratum = small_dataset.stratum
-    reference = raw(stratum.execute(sql, strategy=SlicingStrategy.MAX))
-    result = raw(stratum.execute(sql, strategy=SlicingStrategy.SEQSET))
-    assert result == reference, query.name
-    assert stratum.last_strategy is SlicingStrategy.MAX
-    assert stratum.last_fallback is not None
+# (query, every level after the first hash-keyed?)
+JOIN_QUERIES = {
+    # NULL keys on either side, duplicates, CHAR(4) = blank-padded CHAR(8)
+    "keyed": ("SELECT f.entity, f.val, d.tag FROM fact f, dim d"
+              " WHERE f.entity = d.entity", True),
+    "flipped": ("SELECT f.entity, d.tag FROM fact f, dim d WHERE d.entity = f.entity", True),
+    "int_float_key": ("SELECT f.entity, d.entity FROM fact f, dim d WHERE f.val = d.weight", True),
+    # composite key, one part per orientation
+    "composite_key": ("SELECT f.val, d.tag FROM fact f, dim d"
+                      " WHERE f.entity = d.entity AND d.weight = f.val", True),
+    "chain3": ("SELECT f.entity, d.tag, g.val FROM fact f, dim d, fact g"
+               " WHERE f.entity = d.entity AND d.weight = g.val", True),
+    # temporal ⋈ non-temporal, either FROM order
+    "non_temporal_inner": ("SELECT f.entity, l.name FROM fact f, label l WHERE f.val = l.val", True),
+    "non_temporal_first": ("SELECT l.name, f.entity FROM label l, fact f WHERE l.val = f.val", True),
+    # self-join under two aliases, key plus a test per combination
+    "self_join": ("SELECT a.entity, b.val FROM fact a, fact b"
+                  " WHERE a.entity = b.entity AND a.val < b.val", True),
+    # DISTINCT over a join (per period)
+    "distinct": ("SELECT DISTINCT f.entity, d.tag FROM fact f, dim d"
+                 " WHERE f.entity = d.entity", True),
+    # a residual reading a cp-dependent nested subquery: per period
+    "residual_reads_cp": ("SELECT f.entity, d.tag FROM fact f, dim d WHERE f.entity = d.entity"
+                          " AND f.val >= (SELECT MAX(g.val) FROM fact g WHERE g.entity = f.entity)",
+                          True),
+    # a cp-dependent projection
+    "projection_reads_cp": ("SELECT f.entity, (SELECT COUNT(*) FROM dim g WHERE g.entity = f.entity)"
+                            " AS n FROM fact f, dim d WHERE f.entity = d.entity", True),
+    # equalities sort_key must not take: an expression side, classes apart
+    "expression_side": ("SELECT f.entity, d.tag FROM fact f, dim d WHERE f.val + 0 = d.weight", False),
+    "class_mismatch": ("SELECT f.entity, d.tag FROM fact f, dim d"
+                       " WHERE f.entity = d.entity AND f.entity <> d.tag", True),
+    # no equi-key at all: the same join code under no key
+    "keyless": ("SELECT f.entity, d.tag FROM fact f, dim d WHERE f.val < d.weight", False),
+}
+
+
+@pytest.mark.parametrize("name", list(JOIN_QUERIES))
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example(fact=EVERY_SHAPE_FACT, dim=EVERY_SHAPE_DIM)
+@given(fact=versions, dim=versions)
+def test_random_histories_join_equals_the_reference_raw(name, fact, dim):
+    """The aligned interval hash join is row-identical to the nested loop
+    per period on every key shape."""
+    query, keyed = JOIN_QUERIES[name]
+    keyless = aligned_equals_reference(build_stratum(fact, dim), query)
+    assert (keyless == 0) is keyed, query
 
 
 class TestGoldenSeqSetExplain:
-    """Pin the EXPLAIN renderings: the set-oriented plan tree and the
-    compile-time fallback decision."""
+    """Pin the EXPLAIN renderings: the aligned levels of MAX's plan, and
+    a routine-bearing statement's per-period plan.  Each statement runs
+    once first, so that its constant-period table exists to bind."""
 
     @pytest.fixture
     def stratum(self):
@@ -169,47 +132,56 @@ class TestGoldenSeqSetExplain:
         s.register_routine(GET_AUTHOR_NAME)
         return s
 
+    @staticmethod
+    def explain(stratum, sql, strategy=SlicingStrategy.AUTO):
+        stratum.execute(sql, strategy=strategy)
+        return stratum.execute("EXPLAIN " + sql, strategy=strategy).text()
+
     def test_plan_tree(self, stratum):
-        result = stratum.execute(
-            "EXPLAIN VALIDTIME [DATE '2010-02-01', DATE '2010-03-01']"
+        text = self.explain(
+            stratum,
+            "VALIDTIME [DATE '2010-02-01', DATE '2010-03-01']"
             " SELECT i.title, ia.author_id FROM item i, item_author ia"
             " WHERE i.id = ia.item_id AND i.price > 10.0",
-            strategy=SlicingStrategy.SEQSET,
+            MAX,
         )
-        text = result.text()
-        assert "IntervalJoin (2 inputs) [hash: i.id = ia.item_id] residual: 0" in text
-        assert "TemporalAlign" in text
+        assert "Sort taupsm_cp AS cp on cp.begin_time" in text
+        assert (
+            "Align item_author AS ia on i.id = ia.item_id (begin_time/end_time):"
+            " alive at cp.begin_time" in text
+        )
         check_golden("seqset_join_plan", text)
 
     def test_keyless_level_renders_nested(self, stratum):
-        # a total comparison across two sources is no key: it is tested
-        # on every matched combination (``filters``), ahead of the residual
-        result = stratum.execute(
-            "EXPLAIN VALIDTIME [DATE '2010-02-01', DATE '2010-03-01']"
+        # a total comparison across two levels is no key: it is tested
+        # on every matched combination, ahead of the residual
+        text = self.explain(
+            stratum,
+            "VALIDTIME [DATE '2010-02-01', DATE '2010-03-01']"
             " SELECT a.first_name, i.title FROM author a, item i"
             " WHERE a.first_name < i.title",
-            strategy=SlicingStrategy.SEQSET,
+            MAX,
         )
-        assert (
-            "IntervalJoin (2 inputs) [nested: no equi-key] filters: 1 residual: 0"
-            in result.text()
-        )
+        assert "Align item AS i (begin_time/end_time): alive at cp.begin_time\n" in text
+        assert "per combination: filters: 1" in text
 
     def test_auto_rule_s(self, stratum):
-        result = stratum.execute(
-            "EXPLAIN VALIDTIME [DATE '2010-02-01', DATE '2010-03-01']"
-            " SELECT first_name FROM author WHERE author_id = 'a1'"
+        text = self.explain(
+            stratum,
+            "VALIDTIME [DATE '2010-02-01', DATE '2010-03-01']"
+            " SELECT first_name FROM author WHERE author_id = 'a1'",
         )
-        text = result.text()
         assert "rule s" in text
         check_golden("seqset_auto_rule_s", text)
 
     def test_fallback_decision(self, stratum):
-        result = stratum.execute(
-            "EXPLAIN VALIDTIME [DATE '2010-02-01', DATE '2010-03-01']"
+        """A statement that calls a routine keeps the per-period loop."""
+        text = self.explain(
+            stratum,
+            "VALIDTIME [DATE '2010-02-01', DATE '2010-03-01']"
             " SELECT get_author_name('a1') AS name FROM author",
-            strategy=SlicingStrategy.SEQSET,
+            MAX,
         )
-        text = result.text()
-        assert "seqset: fallback to max" in text
+        assert "(one evaluation per period)" in text
+        assert "Align" not in text
         check_golden("seqset_fallback", text)

@@ -269,7 +269,7 @@ class TestExplainSemantics:
         def choices():
             return {
                 name: obs.value(f"heuristic.choice.{name}")
-                for name in ("max", "perst", "seqset")
+                for name in ("max", "perst")
             }
 
         before = choices()

@@ -5,9 +5,9 @@ transformed; ``execute_ast`` runs its record, ``EXPLAIN`` prints it.
 These tests pin the consequences: the ``transformed SQL:`` block *is*
 the statement the engine receives (bitemporal currency included — the
 hand-written second dispatcher EXPLAIN used to carry never applied it),
-the ``strategy:`` / ``seqset: fallback`` / ``routine clones:`` lines
-name what the run then does, and a statement execution refuses is
-refused by EXPLAIN with the same error.
+the ``strategy:`` / ``routine clones:`` lines name what the run then
+does, and a statement execution refuses is refused by EXPLAIN with the
+same error.
 """
 
 import pytest
@@ -16,8 +16,6 @@ from repro.sqlengine.errors import SqlError
 from repro.sqlengine.values import Date
 from repro.taubench import ALL_QUERIES, build_dataset
 from repro.temporal import SlicingStrategy, TemporalStratum
-from repro.temporal import seqset as seqset_module
-from repro.temporal import stratum as stratum_module
 from repro.temporal.errors import PerStatementInapplicableError
 
 CONTEXT = "[DATE '2010-01-01', DATE '2011-01-01'] "
@@ -60,8 +58,7 @@ def transformed_block(text: str) -> str:
 
 def received(stratum, monkeypatch, sql, strategy):
     """The statements the engine is handed at top level while ``sql``
-    executes (for SEQ-SET, which hands it a plan, the plan's select),
-    and the result."""
+    executes, and the result."""
     db = stratum.db
     seen, depth = [], [0]
     engine_execute = db.execute_ast
@@ -75,15 +72,7 @@ def received(stratum, monkeypatch, sql, strategy):
         finally:
             depth[0] -= 1
 
-    run_plan = seqset_module.execute_seqset
-
-    def plan_spy(db_, plan, *args):
-        seen.append(plan.select.to_sql())
-        return run_plan(db_, plan, *args)
-
     monkeypatch.setattr(db, "execute_ast", spy)
-    for module in (seqset_module, stratum_module):  # wherever it is looked up
-        monkeypatch.setattr(module, "execute_seqset", plan_spy, raising=False)
     try:
         return seen, stratum.execute(sql, strategy)
     finally:
@@ -117,7 +106,6 @@ def test_transformed_sql_is_the_statement_the_engine_receives(
     seen, result = received(stratum, monkeypatch, sql, strategy)
     assert len(result.rows) > 0
     assert seen[-1] == transformed_block(cold)
-    # a SEQ-SET attempt that fell back shows up as MAX's statement only
     assert len(seen) == 1
     # and again with everything cached and installed
     assert transformed_block(stratum.execute("EXPLAIN " + sql, strategy).text()) == (
@@ -154,8 +142,7 @@ class TestTaubench:
 
     @pytest.mark.parametrize(
         "strategy",
-        [SlicingStrategy.MAX, SlicingStrategy.PERST, SlicingStrategy.AUTO,
-         SlicingStrategy.SEQSET],  # every τPSM query invokes a routine: fallback
+        [SlicingStrategy.MAX, SlicingStrategy.PERST, SlicingStrategy.AUTO],
         ids=lambda s: s.value,
     )
     @pytest.mark.parametrize("query", ALL_QUERIES, ids=lambda q: q.name)
@@ -181,13 +168,7 @@ class TestTaubench:
         stratum.execute(sql, strategy)
 
         announced = next(l for l in lines if l.startswith("strategy: "))
-        fallback = [l for l in lines if l.startswith("seqset: fallback to max (")]
-        if fallback:
-            assert stratum.last_strategy is SlicingStrategy.MAX
-            assert fallback[0] == f"seqset: fallback to max ({stratum.last_fallback})"
-        else:
-            assert announced.split()[1] == stratum.last_strategy.value
-            assert stratum.last_fallback is None
+        assert announced.split()[1] == stratum.last_strategy.value
         listed = [l for l in lines if l.startswith("routine clones: ")]
         named = set(listed[0][len("routine clones: "):].split(", ")) if listed else set()
         assert named == self.clones(catalog)

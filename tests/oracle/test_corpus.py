@@ -37,7 +37,10 @@ from tests.oracle import check
 
 MAX, PERST = SlicingStrategy.MAX, SlicingStrategy.PERST
 SEQSET, AUTO = SlicingStrategy.SEQSET, SlicingStrategy.AUTO
-EVERY = (MAX, PERST, SEQSET, AUTO)
+EVERY = (MAX, PERST, AUTO)
+# the cells of a family the oracle catches wrong, by strategy name:
+# SEQSET is another name for MAX, and its cells keep their ids
+NAMED = {"max": MAX, "perst": PERST, "seqset": SEQSET, "auto": AUTO}
 
 BASE = Date.from_ymd(2010, 1, 1).ordinal
 SPAN = 60  # days of history
@@ -441,13 +444,13 @@ def _cases():
             if family not in KNOWN_WRONG:
                 yield pytest.param(family, EVERY, cell, id=f"{family}-{cell}")
                 continue
-            for strategy in EVERY:
+            for name, strategy in NAMED.items():
                 marks = () if strategy is PERST else pytest.mark.xfail(
                     strict=True, raises=AssertionError, reason=KNOWN_WRONG_REASON
                 )
                 yield pytest.param(
                     family, (strategy,), cell,
-                    id=f"{family}-{strategy.value}-{cell}", marks=marks,
+                    id=f"{family}-{name}-{cell}", marks=marks,
                 )
 
 
@@ -477,7 +480,7 @@ def test_perst_distinct_of_overlapping_versions():
     assert fact == [("2010-01-09", "2010-02-26"), ("2010-01-26", "2010-03-02")]
     sql = sequenced(FAMILIES["distinct"])
     assert check(stratum, sql, EVERY) == {
-        MAX: "agrees", PERST: "refused", SEQSET: "agrees", AUTO: "agrees",
+        MAX: "agrees", PERST: "refused", AUTO: "agrees",
     }
 
 

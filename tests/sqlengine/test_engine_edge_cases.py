@@ -9,6 +9,8 @@ from repro.sqlengine.errors import CatalogError, RoutineError, SqlError
 from repro.sqlengine.values import Date, Null
 from repro.temporal import SlicingStrategy
 from tests.counters import routine_calls
+from tests.reference_executor import installed
+from tests.temporal.test_seqset_join import per_period, raw
 
 
 @pytest.fixture
@@ -261,10 +263,11 @@ class TestNaN:
     ])
     def test_every_path_agrees(self, wide, alone, predicate, ids):
         """The predicate ``alone`` may take a hash probe; a partial
-        conjunct beside it forces the row-at-a-time filters.  Under
-        SEQSET the planner's placement decides it once per candidate (a
-        typed filter) or in the residual (a ``CAST`` constant, IN, IS
-        NULL, NOT BETWEEN) and must equal MAX."""
+        conjunct beside it forces the row-at-a-time filters.  In MAX's
+        aligned constant-period join (``"seqset"``) the planner's
+        placement decides it once per candidate (a typed filter) or in
+        the residual (a ``CAST`` constant, IN, IS NULL, NOT BETWEEN) and
+        must equal the reference executor's nested loop."""
         db = wide.db
         if alone != "seqset":
             sql = f"SELECT id FROM f WHERE {predicate}"
@@ -276,9 +279,11 @@ class TestNaN:
             "VALIDTIME [DATE '2010-01-01', DATE '2011-01-01']"
             f" SELECT id FROM f WHERE {predicate}"
         )
-        rows = wide.execute(sql, strategy=SlicingStrategy.SEQSET).rows
-        assert wide.last_strategy is SlicingStrategy.SEQSET, wide.last_fallback
-        assert rows == wide.execute(sql, strategy=SlicingStrategy.MAX).rows
+        aligned = db.obs.value("engine.join.aligned")
+        rows = wide.execute(sql, strategy=SlicingStrategy.MAX).rows
+        assert db.obs.value("engine.join.aligned") == aligned + 1
+        with installed(db):
+            assert rows == wide.execute(sql, strategy=SlicingStrategy.MAX).rows
         assert [row[0] for row in rows] == ids
 
     @pytest.mark.parametrize("predicate", [
@@ -293,24 +298,25 @@ class TestNaN:
     ])
     def test_wrong_class_literal_stays_on_seqset(self, wide, predicate):
         """A literal of another class than its column's makes its conjunct
-        partial for the execution: SEQ-SET evaluates it in the residual,
-        on the candidates the total conjuncts keep, and answers what MAX
-        answers — its rows or its error class — without falling back."""
+        partial for the execution: the aligned join evaluates it in the
+        residual, on the candidates the total conjuncts keep, and answers
+        what MAX's statement answers one period at a time on the nested
+        loop, which places the conjuncts by the same rule — its rows or
+        its error class."""
         sql = (
             "VALIDTIME [DATE '2010-01-01', DATE '2011-01-01']"
             f" SELECT id FROM f WHERE {predicate}"
         )
 
-        def answer(strategy):
+        def answer(run):
             try:
-                return wide.execute(sql, strategy=strategy).rows
+                return run(wide, sql)[1]
             except SqlError as exc:
                 return type(exc)
 
-        expected = answer(SlicingStrategy.MAX)
-        assert answer(SlicingStrategy.SEQSET) == expected
-        assert wide.last_strategy is SlicingStrategy.SEQSET
-        assert wide.last_fallback is None
+        aligned = wide.db.obs.value("engine.join.aligned")
+        assert answer(raw) == answer(per_period)
+        assert wide.db.obs.value("engine.join.aligned") == aligned + 1
 
     def test_comparison_values(self, fdb):
         assert fdb.query("SELECT id, x = 1.0, x > 1.0 FROM f").rows == [

@@ -6,6 +6,8 @@ from repro.sqlengine import Database
 from repro.sqlengine.errors import CatalogError, DivisionByZeroError, TypeError_
 from repro.sqlengine.values import Date, Null, Unknown
 
+from tests.reference_executor import installed
+
 
 @pytest.fixture
 def db():
@@ -100,8 +102,9 @@ class TestBetweenNullBound:
     decides even when a NULL bound leaves the other half Unknown
     (PostgreSQL agrees), so ``5 BETWEEN NULL AND 3`` is FALSE and its
     negation TRUE — in the SELECT list and in WHERE, on a plain scan
-    and under SEQSET, which tests the non-negated form once per
-    candidate (a typed filter) and the negated one in its residual."""
+    and in MAX's aligned constant-period join, which tests the
+    non-negated form once per candidate (a typed filter) and the negated
+    one in its residual, as the reference executor's nested loop does."""
 
     ROWS = [1, 5, 9, Null]
     # bounds -> (x BETWEEN bounds, x NOT BETWEEN bounds) for each of ROWS
@@ -142,11 +145,12 @@ class TestBetweenNullBound:
             if not sequenced:
                 return db.query(sql).rows
             sql = "VALIDTIME [DATE '2010-01-01', DATE '2011-01-01'] " + sql
-            rows = stratum.execute(sql, strategy=SlicingStrategy.SEQSET).rows
-            # SEQ-SET ran: no fallback to MAX
-            assert stratum.last_strategy is SlicingStrategy.SEQSET
-            assert stratum.last_fallback is None
-            assert rows == stratum.execute(sql, strategy=SlicingStrategy.MAX).rows
+            aligned = db.obs.value("engine.join.aligned")
+            rows = stratum.execute(sql, strategy=SlicingStrategy.MAX).rows
+            # the constant-period join was aligned, and the nested loop agrees
+            assert db.obs.value("engine.join.aligned") == aligned + 1
+            with installed(db):
+                assert rows == stratum.execute(sql, strategy=SlicingStrategy.MAX).rows
             return [row[:-2] for row in rows]  # the period columns
 
         inside, outside = self.CASES[bounds]

@@ -298,12 +298,20 @@ class TestExecutorProbe:
         assert db.obs.value("engine.interval_index_hits") == 0
 
     def test_null_bound_yields_empty_scan(self, db):
-        """A bound evaluating to NULL can match no row: empty candidates."""
+        """A bound evaluating to NULL can match no row: empty candidates.
+        A stab at an earlier table's column is aligned, and a NULL there
+        is aligned at nothing: no search at all."""
         db.execute("CREATE TABLE params (p DATE)")
         db.execute("INSERT INTO params VALUES (NULL)")
         result = db.query(
             "SELECT h.id FROM params x, history h"
             " WHERE h.begin_time <= x.p AND x.p < h.end_time"
+        )
+        assert result.rows == []
+        assert db.obs.value("engine.join.aligned") == 1
+        assert db.obs.value("engine.interval_index_hits") == 0
+        result = db.query(
+            "SELECT h.id FROM history h WHERE h.begin_time <= NULL AND NULL < h.end_time"
         )
         assert result.rows == []
         assert db.obs.value("engine.interval_index_hits") == 1

@@ -498,16 +498,25 @@ def test_the_period_shapes_take_their_paths():
         and any(bound[0] == _BEGIN_FROM for bound in level.period.bounds)
         for level in probes
     )
+    aligned = 0
     for head, totals, partials, tail in PERIOD:
         sql = sql_of(head, totals, partials, tail, False)
-        levels = build_select_plan(db._executor, parse_statement(sql)).pipeline.levels
-        # each total conjunct is applied once: as a hash key, as a
-        # period bound, or — only when neither decides it — as a filter
+        pipeline = build_select_plan(db._executor, parse_statement(sql)).pipeline
+        # each total conjunct is applied once: as a hash key (an aligned
+        # join's key parts), as a period bound, or — only when neither
+        # decides it — as a filter (an aligned join's per combination)
+        alignment = pipeline.alignment
+        aligned += alignment is not None
         assert sum(
             len(level.filters) + (level.key is not None)
             + (0 if level.period is None else len(level.period.bounds))
-            for level in levels
+            for level in pipeline.levels
+        ) + (
+            0 if alignment is None
+            else sum(map(len, alignment.keys)) + alignment.leaf_tests
         ) == len(totals), sql
+    # the stabs at cp.begin_time without a key are aligned
+    assert aligned > 0
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -10,15 +10,16 @@ ignored and NaN equals NaN above every other number.  A non-negated
 ``value BETWEEN low AND high`` is one such test, held to the engine's own
 evaluation of the predicate.
 
-The same generated code serves MAX's plan levels (``"scan"`` /
-``"leaf"``: bind, count, hand on), SEQ-SET's per-source filter and the
-point-free check of a hash probe's read window (``"sieve"``).  Row by
-row, both forms must keep exactly the candidates ``compare`` keeps; on
-whole plans, the counters a level keeps — ``rows_in`` / ``rows_out``,
-``engine.join.level_rejects``, ``engine.read_window.versions_waived``,
-``stratum.seqset.filter.rows_dropped`` — must equal those of a closure
-path that stores each row in the vector and calls one ``compare`` per
-test, as the levels did before the loops were generated."""
+The same generated code serves the plan levels of a nested loop
+(``"scan"`` / ``"leaf"``: bind, count, hand on), an aligned level's own
+tests and an aligned join's tests per combination, and the point-free
+check of a hash probe's read window (``"sieve"``).  Row by row, both
+forms must keep exactly the candidates ``compare`` keeps; on whole
+plans, the counters a level keeps — ``rows_in`` / ``rows_out``,
+``engine.join.level_rejects``, ``engine.read_window.versions_waived`` —
+must equal those of a closure path that stores each row in the vector
+and calls one ``compare`` per test, as the levels did before the loops
+were generated."""
 
 import traceback
 from contextlib import contextmanager
@@ -33,7 +34,7 @@ from repro.sqlengine.executor import Binding, Env, _apply_binary
 from repro.sqlengine.parser import parse_statement
 from repro.sqlengine.planner import _COMPARISONS, _level_loop, build_select_plan
 from repro.sqlengine.values import Date, Null
-from repro.temporal import SlicingStrategy, TemporalStratum, seqset
+from repro.temporal import SlicingStrategy, TemporalStratum
 
 from tests.reference_executor import installed
 
@@ -301,8 +302,7 @@ def closure_loop(pos: int, tests: tuple, mode: str):
 
 @contextmanager
 def closure_path():
-    with mock.patch.object(planner, "_level_loop", closure_loop), \
-            mock.patch.object(seqset, "_level_loop", closure_loop):
+    with mock.patch.object(planner, "_level_loop", closure_loop):
         yield
 
 
@@ -310,7 +310,7 @@ BASE = Date.from_iso("2010-01-01").ordinal
 COUNTERS = [
     "engine.rows_scanned", "engine.join.level_rejects",
     "engine.read_window.versions_waived", "engine.period_probe.rows_pruned",
-    "stratum.seqset.filter.rows_dropped",
+    "engine.join.aligned",
 ]
 DAYS = st.sampled_from([Null, 0, 1, 2, 3, 5, 9])
 rows_h = st.lists(
@@ -403,7 +403,7 @@ def run_all(stratum) -> list:
     for sql in SEQUENCED:
         before = [db.obs.value(name) for name in COUNTERS]
         result = stratum.execute(
-            "VALIDTIME [DATE '2010-01-01', DATE '2010-01-12'] " + sql, SlicingStrategy.SEQSET
+            "VALIDTIME [DATE '2010-01-01', DATE '2010-01-12'] " + sql, SlicingStrategy.MAX
         )
         seen.append((sql, result.rows, [db.obs.value(n) - b for n, b in zip(COUNTERS, before)]))
     return seen

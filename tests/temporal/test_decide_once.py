@@ -1,14 +1,14 @@
 """Work bound: a statement is decided and transformed once.
 
-DS1-SMALL.  The §VII-F heuristic puts its questions — does PERST
-apply, does SEQ-SET cover this — to the stratum's cached candidate
-function, and what it built is what runs.  So while one statement text
-executes 10× under AUTO, each of the four transformation functions runs
-**at most once** (at the parent of
-this change the heuristic transformed privately on every execution:
-10–11 ``compile_seqset`` / ``PerstTransformer.transform`` calls per 10
-executions), and ``stratum.transforms`` is flat from the second execution
-on.  The verdicts live under the transform cache's invalidation rules:
+DS1-SMALL.  The §VII-F heuristic puts its question — does PERST
+apply — to the stratum's cached candidate function, and what it built
+is what runs (rule (s) transforms nothing: it reads the statement's
+shape, ``compile_seqset``, on every decision).  So while one statement
+text executes 10× under AUTO, each of the three transformation
+functions runs **at most once** (when the heuristic transformed
+privately on every execution: 10–11 ``PerstTransformer.transform``
+calls per 10 executions), and ``stratum.transforms`` is flat from the
+second execution on.  The verdicts live under the transform cache's invalidation rules:
 a routine redefinition flips them, the ones stored inside a rolled-back
 window revalidate like any other — and asking installs nothing.
 """
@@ -21,9 +21,7 @@ from repro.temporal import SlicingStrategy
 from repro.temporal import stratum as stratum_module
 from repro.temporal.perst_slicing import PerstTransformer
 
-FUNCTIONS = (
-    "compile_seqset", "transform_query_max", "transform_current", "perst_transform"
-)
+FUNCTIONS = ("transform_query_max", "transform_current", "perst_transform")
 
 
 @pytest.fixture
@@ -48,7 +46,7 @@ def calls(monkeypatch):
             return function(*args, **kwargs)
         return counted
 
-    for name in FUNCTIONS[:3]:
+    for name in FUNCTIONS[:2]:
         monkeypatch.setattr(
             stratum_module, name, counting(name, getattr(stratum_module, name))
         )
@@ -68,12 +66,12 @@ def statements(dataset) -> dict:
     q2 = get_query("q2")
     q2.install(dataset)
     return {
-        # (a) SEQ-SET-covered selection: rule s
+        # (a) a routine-free selection: rule s
         "seqset": (
             sequenced(dataset, "SELECT i.id, i.price FROM item i WHERE i.price > 50"),
-            SlicingStrategy.SEQSET,
+            SlicingStrategy.MAX,
         ),
-        # (b) uncovered by SEQ-SET, outside PERST's fragment: rule a
+        # (b) not routine-free for rule s, outside PERST's fragment: rule a
         "aggregate": (
             sequenced(dataset, "SELECT COUNT(*), AVG(i.price) FROM item i"),
             SlicingStrategy.MAX,

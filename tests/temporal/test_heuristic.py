@@ -5,7 +5,7 @@ import pytest
 
 from repro.sqlengine.parser import parse_statement
 from repro.taubench import ALL_QUERIES, build_dataset, get_query
-from repro.temporal import SlicingStrategy
+from repro.temporal import SlicingStrategy, TemporalError, parse_set_strategy
 from repro.temporal.analysis import uses_per_period_cursors
 from repro.temporal.heuristic import (
     SHORT_CONTEXT_DAYS,
@@ -148,8 +148,8 @@ class TestHelpers:
 
 
 class TestSeqSetJoinShape:
-    """Rule (s) claims every routine-free join SEQ-SET covers, keyed or
-    key-less."""
+    """Rule (s) claims every routine-free join over base tables, keyed or
+    key-less: MAX, whose plan aligns it."""
 
     CONTEXT = Period.from_iso("2010-01-01", "2011-01-01")
     JOIN = "VALIDTIME SELECT i.title FROM item i, item_author ia WHERE "
@@ -158,28 +158,38 @@ class TestSeqSetJoinShape:
 
     def test_keyed_join_is_seqset_by_rule_s(self, stratum):
         result = choice(stratum, self.KEYED, self.CONTEXT)
-        assert result.strategy is SlicingStrategy.SEQSET
+        assert result.strategy is SlicingStrategy.MAX
         assert result.rule == "s"
 
     def test_keyless_join_takes_rule_s(self, stratum):
         """A key-less level is a cross product under every strategy; the
-        set-oriented pass is still the one that needs no per-period loop."""
+        aligned pass is still the one that needs no per-period loop."""
         result = choice(stratum, self.KEYLESS, self.CONTEXT)
-        assert result.strategy is SlicingStrategy.SEQSET
+        assert result.strategy is SlicingStrategy.MAX
         assert result.rule == "s"
         assert result.reason == (
-            "routine-free statement covered by the set-oriented plan"
+            "routine-free statement: its constant-period join is aligned in one pass"
         )
 
 
 class TestOneChooser:
     """The §VII-F rules are the only chooser: ``COST`` survives as a
-    second name for ``AUTO`` and nowhere as a strategy name (the shell,
-    ``SET STRATEGY`` and ``--strategy`` refusals: ``tests/test_cli.py``)."""
+    second name for ``AUTO``, ``SEQSET`` for ``MAX``, and neither as a
+    strategy name (the shell, ``SET STRATEGY`` and ``--strategy``
+    refusals: ``tests/test_cli.py``)."""
 
     def test_cost_is_auto(self):
         assert SlicingStrategy.COST is SlicingStrategy.AUTO
-        assert [s.value for s in SlicingStrategy] == ["max", "perst", "auto", "seqset"]
+        assert SlicingStrategy.SEQSET is SlicingStrategy.MAX
+        assert [s.value for s in SlicingStrategy] == ["max", "perst", "auto"]
+
+    @pytest.mark.parametrize("name", ["seqset", "cost"])
+    def test_set_strategy_refuses_an_alias(self, name):
+        with pytest.raises(TemporalError) as refused:
+            parse_set_strategy(f"SET STRATEGY {name}")
+        assert str(refused.value) == (
+            f"unknown strategy {name!r}; expected one of: max, perst, auto"
+        )
 
 
 CONTEXT_DAYS = 90
@@ -290,11 +300,11 @@ TAUPSM_DECISIONS = {
     query.name: (SHORT, SHORT, LONG, LONG) for query in ALL_QUERIES
 }
 TAUPSM_DECISIONS.update(q8=(REFUSED,) * 4, q17b=(REFUSED,) * 4)
+ALIGNED = ("max", "s")
 ROUTINE_FREE_DECISIONS = {
-    "sel_30d": ("seqset", "s"), "sel_365d": ("seqset", "s"),
-    "range_365d": ("seqset", "s"), "distinct_365d": ("seqset", "s"),
-    "pubsel_365d": ("seqset", "s"), "join2_30d": ("seqset", "s"),
-    "join2_365d": ("seqset", "s"), "agg_365d": REFUSED, "grp_365d": REFUSED,
+    "sel_30d": ALIGNED, "sel_365d": ALIGNED, "range_365d": ALIGNED,
+    "distinct_365d": ALIGNED, "pubsel_365d": ALIGNED, "join2_30d": ALIGNED,
+    "join2_365d": ALIGNED, "agg_365d": REFUSED, "grp_365d": REFUSED,
 }
 
 

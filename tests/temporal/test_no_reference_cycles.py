@@ -2,8 +2,8 @@
 
 Garbage that only the cycle collector can free lives until a collection
 of its generation runs; a statement's result caught in a cycle (every
-output row of a SEQ-SET statement, while its interval join was a closure
-that referred to itself) stays alive until a full collection.  Each case
+output row of an aligned constant-period join, while that join was a
+closure that referred to itself) stays alive until a full collection.  Each case
 runs one statement with the collector off and then asks it what it
 finds: nothing, on a cold run (the statement's transformation and plans
 built afresh) and on a warm one.
@@ -85,8 +85,9 @@ def test_routine_free_template_leaves_no_cycle(dataset, name):
 def test_seqset_join_shape_leaves_no_cycle(dataset, shape):
     stratum = dataset.stratum
     sql = CONTEXT + SHAPES[shape][0]
-    assert cold_then_warm(stratum, sql, SlicingStrategy.SEQSET) == (0, 0)
-    assert stratum.last_strategy is SlicingStrategy.SEQSET
+    aligned = stratum.db.obs.value("engine.join.aligned")
+    assert cold_then_warm(stratum, sql, MAX) == (0, 0)
+    assert stratum.db.obs.value("engine.join.aligned") > aligned
 
 
 def test_sequenced_read_over_the_wire_leaves_no_cycle():

@@ -94,11 +94,11 @@ class TestProbeAccounting:
             stratum.execute(query, strategy=strategy)
             after = counters(stratum)
             deltas.append((after[0] - transforms, after[1] - hits, len(asked)))
-        # SEQ-SET (declined: a routine), PERST, then the one that runs
-        assert {"seqset", "perst"} <= set(asked) and len(asked) >= 3
+        # PERST (rule (s) declined: a routine), then the one that runs
+        assert "perst" in asked and len(asked) >= 2
         for built, served, probes in deltas:
             assert built + served == probes
-        assert deltas[0][0] >= 2  # the verdicts are built once...
+        assert deltas[0][0] >= 1  # the verdict is built once...
         assert [built for built, _, _ in deltas[1:]] == [0, 0]  # ...and kept
 
 

@@ -89,13 +89,14 @@ class TestMetaCommands:
     def test_strategy(self, shell):
         assert "perst" in shell.meta(".strategy perst")
         assert "must be one of" in shell.meta(".strategy bogus")
-        assert shell.meta(".strategy cost") == (
-            "strategy must be one of: max, perst, seqset, auto"
-        )
-        assert run(shell, "SET STRATEGY cost;") == (
-            "error: unknown strategy 'cost'; expected one of:"
-            " max, perst, auto, seqset"
-        )
+        for alias in ("cost", "seqset"):  # other names of auto and max
+            assert shell.meta(f".strategy {alias}") == (
+                "strategy must be one of: max, perst, auto"
+            )
+            assert run(shell, f"SET STRATEGY {alias};") == (
+                f"error: unknown strategy '{alias}'; expected one of:"
+                " max, perst, auto"
+            )
 
     def test_transform(self, shell):
         run(shell, "CREATE TABLE t (a INTEGER);")
@@ -226,7 +227,18 @@ class TestSubcommands:
         with pytest.raises(SystemExit):
             main(["explain", "--strategy", "cost", self.SQL])
         assert (
-            "invalid choice: 'cost' (choose from 'auto', 'max', 'perst', 'seqset')"
+            "invalid choice: 'cost' (choose from 'auto', 'max', 'perst')"
+            in capsys.readouterr().err
+        )
+
+    def test_strategy_seqset_is_refused(self, capsys):
+        """SEQ-SET is MAX's aligned plan, not a strategy of its own."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit):
+            main(["explain", "--strategy", "seqset", self.SQL])
+        assert (
+            "invalid choice: 'seqset' (choose from 'auto', 'max', 'perst')"
             in capsys.readouterr().err
         )
 
