@@ -4,9 +4,12 @@ This is the engine's one expression evaluator.  Names are resolved once
 per statement instead of per row: given a *slot layout* — the mapping
 from FROM-clause alias to its column→index map — a column reference
 compiles to an integer row-index fetch, and every other node compiles to
-a closure over its children's closures.  ``Executor.evaluate`` (PSM
-statements, the stratum's row passes) is the same compiler with an empty
-layout, memoized by AST identity.
+a closure over its children's closures.  ``Executor.evaluate`` (CALL
+arguments, the stratum's row passes) is the same compiler with an empty
+layout, memoized by AST identity.  A function call is one generated
+function per name and argument count (:func:`call_lines`, which routine
+bodies inline too, with :func:`psm_expression` for their PSM-level
+expressions).
 
 Compiled closures implement SQL's three-valued logic and NULL
 propagation, raise per call exactly where the value-level operators
@@ -25,6 +28,8 @@ parser accepts) is an ``ExecutionError`` at compile time.
 
 from __future__ import annotations
 
+import functools
+import re
 from typing import Any, Callable
 
 from repro.sqlengine import ast_nodes as ast
@@ -43,12 +48,14 @@ from repro.sqlengine.executor import (
 )
 from repro.sqlengine.types import coerce
 from repro.sqlengine.values import (
+    Date,
     Null,
     Unknown,
     compare,
     logic_and,
     logic_not,
     logic_or,
+    sort_key,
     truth,
 )
 
@@ -61,19 +68,6 @@ CompiledGrouped = Callable[[list, Env], Any]
 # be the very objects later placed into Binding.columns — slot closures
 # guard on their identity.
 Layout = dict
-
-
-class FrameLayout(dict):
-    """The layout of a PSM-level expression (an IF condition, a SET
-    value, a call argument): no FROM source binds a name, so every name
-    is a routine variable, and ``scope`` — the routine compiler's
-    ``_Scope`` at the statement — resolves it to a frame slot once."""
-
-    __slots__ = ("scope",)
-
-    def __init__(self, scope: Any) -> None:
-        super().__init__()
-        self.scope = scope
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +138,6 @@ def _compile_name(expr: ast.Name, layout: Layout) -> Compiled:
     qualifier, name = expr.qualifier, expr.name
     qual = qualifier.lower() if qualifier is not None else None
     key = name.lower()
-    if isinstance(layout, FrameLayout):
-        return layout.scope.reader(qual, key, qualifier, name)
     if qual is not None:
         colmap = layout.get(qual)
         if colmap is not None:
@@ -209,48 +201,95 @@ def _compile_binary(
     return lambda env: _apply_binary(op, left_c(env), right_c(env))
 
 
-def _compile_call(
-    executor: Executor, expr: ast.FunctionCall, layout: Layout
-) -> Compiled:
+def _indented(lines: list) -> list:
+    return ["    " + line for line in lines]
+
+
+def call_lines(name: str, args: list, before: list, out: str) -> list:
+    """Source of one call site, ``out = name(*args)``: ``find_routine``
+    once per call (a swapped routine object is met at once), ``before``
+    (the argument atoms ``args``; run for a routine or a scalar
+    built-in), then the call.  A memoised function's kept results (its
+    point last: ``RoutineInterpreter._reused``) are probed in line,
+    newest first: a hit counts a reuse and narrows the caller's read
+    window; anything else goes to ``interp.invoke_function``."""
+    upper, routine, body = name.upper(), f"r_{out}", f"b_{out}"
+    listed = ", ".join(args)
+    call = [f"{out} = interp.invoke_function({name!r}, [{listed}], {routine})"]
+    if args:
+        point, entries, window = args[-1], f"e_{out}", f"w_{out}"
+        key = [f"{body}.key"] + [
+            f"((3, ({a}).rstrip()) if type({a}) is str else sort_key({a}))" for a in args[:-1]
+        ]
+        call = [
+            f"{body} = {routine}.compiled",
+            f"if {body} is not None and {body}.memo_at == {len(args) - 1} and"
+            f" type({point}) is Date and {body}.executor is executor and"
+            f" ({entries} := cache.get(({', '.join(key)}{',' * (len(key) == 1)}))):",
+            f"    for lo, hi, {out} in reversed({entries}):",
+            f"        if lo <= ({point}).ordinal < hi:",
+            f"            {body}.reuses.value += 1",
+            f"            if ({window} := db.read_window) is not None:",  # _narrow_caller
+            f"                if {window}[2] != ({point}).ordinal:",
+            f"                    lo, hi = {window}[2], {window}[2] + 1",
+            f"                if lo > {window}[0]:",
+            f"                    {window}[0] = lo",
+            f"                if hi < {window}[1]:",
+            f"                    {window}[1] = hi",
+            "            break",
+            "    else:",
+            *_indented(_indented(call)),
+            "else:",
+            *_indented(call),
+        ]
+    lines = [f"{routine} = find_routine({name.lower()!r})"]
+    if fn.is_scalar_builtin(upper) and upper != "CURRENT_DATE":
+        return lines + before + [
+            f"if {routine} is None:",
+            f"    {out} = call_scalar_builtin({upper!r}, [{listed}])",
+            "else:",
+        ] + _indented(call)
+    if upper == "CURRENT_DATE":
+        builtin = f"{out} = db.now"
+    elif fn.is_aggregate(upper):
+        builtin = f"raise ExecutionError({f'aggregate {name} used outside of a grouped query'!r})"
+    else:
+        builtin = f"raise CatalogError({f'no such function: {name}'!r})"
+    return lines + [f"if {routine} is None:", "    " + builtin, "else:"] + _indented(before + call)
+
+
+# what the source of a call site reads besides its make() arguments
+CALL_NAMES = {
+    "Date": Date, "sort_key": sort_key,
+    "call_scalar_builtin": fn.call_scalar_builtin,
+    "ExecutionError": ExecutionError, "CatalogError": CatalogError,
+}
+
+
+@functools.lru_cache(maxsize=256)
+def _call_site(name: str, count: int) -> Callable:
+    """The call closure of ``name`` over ``count`` arguments, generated
+    from :func:`call_lines` and compiled once per shape."""
+    cells = ", ".join(f"c{i}" for i in range(count))
+    lines = ["def make(arg_cs, find_routine, interp, cache, db, executor):"] + _indented(
+        [f"[{cells}] = arg_cs", "def call_closure(env):"]
+        + _indented(call_lines(name, [f"a{i}" for i in range(count)],
+                               [f"a{i} = c{i}(env)" for i in range(count)], "v") + ["return v"])
+        + ["return call_closure"]
+    )
+    namespace = dict(CALL_NAMES)
+    exec(compile("\n".join(lines), f"<call {name}>", "exec"), namespace)
+    return namespace.pop("make")  # held by the cache, not by its globals
+
+
+def _compile_call(executor: Executor, expr: ast.FunctionCall, layout: Layout) -> Compiled:
     from repro.sqlengine.routines import RoutineInterpreter
 
-    name = expr.name
-    key = name.lower()
-    upper = name.upper()
-    arg_cs = [compile_expression(executor, a, layout) for a in expr.args]
     db = executor.db
-    find_routine = db.catalog.find_routine
-    interpreter = RoutineInterpreter(executor)
-
-    # what the name means while no routine claims it is fixed here; the
-    # routine, if any, is read per call — one probe, and the callee's
-    # compiled body and memo-key shape hang off the object it returns
-    if upper == "CURRENT_DATE":
-        def builtin(env: Env) -> Any:
-            return db.now
-    elif fn.is_aggregate(upper):
-        def builtin(env: Env) -> Any:
-            raise ExecutionError(
-                f"aggregate {name} used outside of a grouped query"
-            )
-    elif fn.is_scalar_builtin(upper):
-        def builtin(env: Env) -> Any:
-            return fn.call_scalar_builtin(upper, [c(env) for c in arg_cs])
-    else:
-        def builtin(env: Env) -> Any:
-            raise CatalogError(f"no such function: {name}")
-
-    def call_closure(env: Env) -> Any:
-        routine = find_routine(key)
-        if routine is None:
-            return builtin(env)
-        return interpreter.invoke_function(
-            name, [c(env) for c in arg_cs] if len(arg_cs) != 2
-            else [arg_cs[0](env), arg_cs[1](env)],  # a MAX clone's (argument, point)
-            routine,
-        )
-
-    return call_closure
+    return _call_site(expr.name, len(expr.args))(
+        [compile_expression(executor, a, layout) for a in expr.args], db.catalog.find_routine,
+        RoutineInterpreter(executor), db.table_function_cache, db, executor,
+    )
 
 
 def _compile_case(
@@ -443,3 +482,72 @@ def _compile_g_aggregate(
         return fn.evaluate_aggregate(name, values, distinct=distinct)
 
     return aggregate_closure
+
+
+# ---------------------------------------------------------------------------
+# PSM-level expressions as source
+# ---------------------------------------------------------------------------
+
+_ATOM = re.compile(r"-?\d+|t\d+|s\[\d+\]|'[^'\\]*'|True|False|Null")
+_PY_OPS = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
+
+
+def _atom(value: str, lines: list, ctx: Any) -> str:
+    """``value`` if a literal, slot or temporary, else a new temporary."""
+    if _ATOM.fullmatch(value):
+        return value
+    temp = ctx.temp()
+    lines.append(f"{temp} = {value}")
+    return temp
+
+
+def psm_expression(expr: ast.Expression, lines: list, ctx: Any) -> str:
+    """A PSM-level expression as source for a generated routine body:
+    the returned expression, after ``lines``.  Operands run left to
+    right, AND / OR short-circuit, a comparison is ``compare``'s verdict
+    with ``eq_closure``'s int/int fast path, a call is :func:`call_lines`;
+    ``ctx`` (the routine generator) writes literals, names and
+    temporaries, and leaves other nodes to their closure (``fallback``)."""
+    if isinstance(expr, ast.Parenthesized):
+        return psm_expression(expr.expr, lines, ctx)
+    if isinstance(expr, ast.Literal):
+        return ctx.literal(expr.value)
+    if isinstance(expr, ast.Name):
+        return ctx.name(expr)
+    if isinstance(expr, ast.IsNullPredicate):
+        operand = psm_expression(expr.expr, lines, ctx)
+        return f"({operand} is {'not ' if expr.negated else ''}Null)"
+    if isinstance(expr, ast.UnaryOp):
+        operand = psm_expression(expr.operand, lines, ctx)
+        return f"{'logic_not' if expr.op == 'NOT' else '_negate'}({operand})"
+    if isinstance(expr, ast.FunctionCall):
+        before: list = []
+        args = [_atom(psm_expression(a, before, ctx), before, ctx) for a in expr.args]
+        out = ctx.temp()
+        lines.extend(call_lines(expr.name, args, before, out))
+        return out
+    if not isinstance(expr, ast.BinaryOp):
+        return ctx.fallback(expr, lines)
+    op = expr.op
+    left = _atom(psm_expression(expr.left, lines, ctx), lines, ctx)
+    if op in ("AND", "OR"):
+        stop, verdict = ("False", "True") if op == "AND" else ("True", "False")
+        right_lines: list = []
+        right = _atom(psm_expression(expr.right, right_lines, ctx), right_lines, ctx)
+        if not left.startswith("t"):
+            left = _atom(f"({left})", lines, ctx)
+        unknown = " or ".join(f"{x} is {y}" for x in (left, right) for y in ("Unknown", "Null"))
+        lines.extend([f"if {left} is not {stop}:"] + _indented(right_lines + [
+            f"{left} = {stop} if {right} is {stop} else Unknown if {unknown} else {verdict}"
+        ]))
+        return left
+    right = _atom(psm_expression(expr.right, lines, ctx), lines, ctx)
+    ints = " and ".join(f"type({x}) is int" for x in (left, right) if not x.lstrip("-").isdigit())
+    if ints and (op in _PY_OPS or op in "+-*"):
+        return (f"({left} {_PY_OPS.get(op, op)} {right} if {ints}"
+                f" else _apply_binary({op!r}, {left}, {right}))")
+    return f"_apply_binary({op!r}, {left}, {right})"
+
+
+PSM_NAMES = dict(CALL_NAMES, Null=Null, Unknown=Unknown, coerce=coerce,
+                 logic_not=logic_not, _negate=_negate, _apply_binary=_apply_binary)

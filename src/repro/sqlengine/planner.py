@@ -86,7 +86,7 @@ from repro.sqlengine.executor import (
     _Reversed,
     _split_conjuncts,
 )
-from repro.sqlengine.exprcompile import compile_expression, compile_grouped
+from repro.sqlengine.exprcompile import _indented, compile_expression, compile_grouped
 from repro.sqlengine.interval_index import stab_point
 from repro.sqlengine.storage import _column_kind
 from repro.sqlengine.values import Date, Null, sort_key, truth
@@ -461,10 +461,6 @@ class _Conjunct:
 # ordinal, its right-stripped string — or, for a number, compared as it
 # is, whether it is NaN
 _CLASS_FORMS = {"date": "{}.ordinal", "character": "{}.rstrip()", "numeric": "{} != {}"}
-
-
-def _indented(lines: list) -> list:
-    return ["    " + line for line in lines]
 
 
 @functools.lru_cache(maxsize=1024)

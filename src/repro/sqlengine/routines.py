@@ -1,30 +1,33 @@
-"""Stored functions and procedures: routine bodies compiled to closures.
+"""Stored functions and procedures: one generated function per routine.
 
 A routine body is compiled **once per** :class:`~repro.sqlengine.catalog.Routine`
-object, on its first invocation, into one closure tree over a flat
-frame (``_Compiler``).  What the SQL/PSM text fixes is resolved then:
-every DECLAREd scalar, parameter, row-array variable, FOR record and
-cursor is a slot index under lexical scoping (an inner ``DECLARE x``
-gets its own slot), every LEAVE / ITERATE names its enclosing loop,
-every PSM-level expression is a closure from
-:mod:`repro.sqlengine.exprcompile` whose variable names read slots, and
-every embedded SELECT / DML resolves names through one name → slot
-``_Scope`` fixed for its statement.  What the catalog decides — the plan
-of an embedded statement, the callee of a call site — is looked up when
-the statement runs, through the plan cache and ``Catalog.find_routine``:
-a compiled body never goes stale.
+object, on its first invocation, into the source of one Python function
+(``_Generator``; file name ``<routine NAME>``, code shared by clones of
+identical text).  What the SQL/PSM text fixes is resolved then: every
+DECLAREd scalar, parameter, row-array variable, FOR record and cursor is
+an index into the invocation's slot list under lexical scoping, every
+LEAVE / ITERATE names its enclosing loop, every PSM-level expression is
+inline Python (``exprcompile.psm_expression``; a call probes the
+routine-result memo in place), and every embedded SELECT / DML resolves
+names through one name → slot ``_Scope`` fixed for its statement.  What
+the catalog decides — the plan of an embedded statement, the callee of a
+call site — is looked up when the statement runs, through the plan cache
+and ``Catalog.find_routine``: a compiled body never goes stale.
 
-Every PSM statement runs inside its own guard (``_Compiler.block``):
+Every PSM statement runs inside its own guard, written out in line:
 statement count, undo-log depth, watchdog check — and on an error, undo
-to that depth and handler dispatch; no savepoint.  Control flow is a returned
-signal, not an exception: nothing but an error leaves a routine.  Every
-routine invocation increments the engine's per-routine call counter —
-the machine-independent cost metric the paper's MAX-vs-PERST comparison
-turns on.
+to that depth and handler dispatch (``_handle``); no savepoint.  RETURN
+is ``return``; LEAVE, ITERATE and a handler's signal leave through
+``break`` with a ``_Signal`` in ``pending``.  Every body run
+increments the per-routine call counter — the machine-independent cost
+metric the paper's MAX-vs-PERST comparison turns on.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import sys
 from typing import Any, Callable, Optional
 
 from repro.sqlengine import ast_nodes as ast
@@ -33,13 +36,17 @@ from repro.sqlengine.errors import (
     CardinalityError,
     CatalogError,
     CursorError,
-    ExecutionError,
     RoutineError,
     SignalError,
     SqlError,
 )
 from repro.sqlengine.executor import Env, Executor, ResultSet
-from repro.sqlengine.exprcompile import FrameLayout, compile_expression
+from repro.sqlengine.exprcompile import (
+    PSM_NAMES,
+    _indented,
+    compile_expression,
+    psm_expression,
+)
 from repro.sqlengine.interval_index import _INF
 from repro.sqlengine.storage import Column, Table
 from repro.sqlengine.types import coerce
@@ -48,7 +55,7 @@ from repro.sqlengine.values import Date, Null, compare, sort_key
 
 def _narrow_caller(caller: list, lo: Any, hi: Any, point: int) -> None:
     """Intersect the read window ``caller`` with a callee's ``[lo, hi)``
-    around ``point`` (see ``RoutineInterpreter._reused``)."""
+    around ``point`` (``_reused``; a call site's probe does so in line)."""
     if point != caller[2]:
         lo, hi = caller[2], caller[2] + 1
     if lo > caller[0]:
@@ -71,48 +78,47 @@ def _periods(executor: Executor, env: Env, split: ast.PeriodSplit, rows: list) -
     return rows
 
 
-def _coercion(type_: Any) -> Callable[[Any], Any]:
-    """``coerce(value, type_)`` as a closure that settles the usual
-    assignment — NULL, or a value already of the declared class — before
-    the generic ladder."""
+def _coerced(type_: Any, value: str, const: Callable[[Any], str]) -> str:
+    """Source of ``coerce(value, type_)`` that settles NULL and a value of
+    the declared class without the call; ``const`` names ``type_``."""
     if type_.is_character:
-        limit = type_.length
-
-        def to_text(value: Any) -> Any:
-            if value is Null or (
-                type(value) is str and (limit is None or len(value) <= limit)
-            ):
-                return value
-            return coerce(value, type_)
-
-        return to_text
-    if type_.is_integer:
-        exact: Any = int
+        exact = f"type({value}) is str"
+        if type_.length is not None:
+            exact += f" and len({value}) <= {type_.length}"
+    elif type_.is_integer:
+        exact = f"type({value}) is int"
     elif type_.is_date:
-        exact = Date
+        exact = f"type({value}) is Date"
     else:
-        return lambda value: coerce(value, type_)
+        return f"coerce({value}, {const(type_)})"
+    return f"{value} if {value} is Null or {exact} else coerce({value}, {const(type_)})"
 
-    def to_exact(value: Any) -> Any:
-        if value is Null or type(value) is exact:
-            return value
-        return coerce(value, type_)
 
-    return to_exact
+@functools.lru_cache(maxsize=256)
+def _coercion(type_: Any) -> Callable[[Any], Any]:
+    """:func:`_coerced` as a function (parameters, a function's result)."""
+    namespace = {"Null": Null, "Date": Date, "coerce": coerce, "T": type_}
+    return eval("lambda v: " + _coerced(type_, "v", lambda _: "T"), namespace)
+
+
+def _field(slots: list, records: tuple, key: str, message: str) -> Any:
+    """Field ``key`` of the innermost FOR record that has one: the rules
+    and errors of ``Env.lookup_keyed`` with no bindings."""
+    for slot in records:
+        index = slots[slot].get(key)
+        if index is not None:
+            return slots[slot + 1][index]
+    raise CatalogError(message)
 
 
 class _Signal:
-    """What a statement returns instead of ``None`` to leave the normal
-    flow: RETURN, a loop's LEAVE or ITERATE, a compound's EXIT handler.
-    Each loop and compound owns its signals, so identity is the target."""
+    """RETURN, a loop's LEAVE or ITERATE, a compound's EXIT, as ``pending``
+    or a handler action carries it: identity is the target."""
 
     __slots__ = ("what",)
 
     def __init__(self, what: str) -> None:
         self.what = what
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<{self.what}>"
 
 
 _RETURN = _Signal("RETURN")
@@ -148,41 +154,6 @@ class _Scope:
         cursors[name.lower()] = slot
         return _Scope(self.names, self.records, cursors)
 
-    def reader(
-        self, qual: Optional[str], key: str, qualifier: Optional[str], name: str
-    ) -> Callable[[Env], Any]:
-        """The closure reading a name of a PSM-level expression — one
-        evaluated in the invocation's own ``Env``, which binds no FROM
-        source, so the frame is all there is to resolve against (the
-        rules and errors of ``Env.lookup_keyed`` with no bindings)."""
-        entry = self.names.get(key if qual is None else qual)
-        if qual is not None:
-            unknown = f"unknown table alias {qualifier!r}"
-            if entry is None or entry[0] != _RECORD:
-                def no_record(env: Env) -> Any:
-                    raise CatalogError(unknown)
-                return no_record
-            slot = entry[1]
-            def record_field(env: Env) -> Any:
-                slots = env.frame.slots
-                index = slots[slot].get(key)
-                if index is None:
-                    raise CatalogError(unknown)
-                return slots[slot + 1][index]
-            return record_field
-        if entry is not None and entry[0] != _RECORD:
-            slot = entry[1]
-            return lambda env: env.frame.slots[slot]
-        records = self.records
-        def any_record_field(env: Env) -> Any:
-            slots = env.frame.slots
-            for slot in records:
-                index = slots[slot].get(key)
-                if index is not None:
-                    return slots[slot + 1][index]
-            raise CatalogError(f"unknown column or variable {name!r}")
-        return any_record_field
-
 
 class _CursorState:
     __slots__ = ("select", "rows", "position", "is_open")
@@ -199,14 +170,46 @@ class _Handler:
 
     __slots__ = ("kind", "condition", "action", "exit", "active")
 
-    def __init__(
-        self, kind: str, condition: str, action: Callable, exit_: _Signal
-    ) -> None:
+    def __init__(self, kind: str, condition: str, action: Callable, exit_: Any) -> None:
         self.kind = kind
         self.condition = condition
-        self.action = action  # the action statement as a guarded block
+        self.action = action  # the action statement, guarded, as a function
         self.exit = exit_  # leaves the declaring compound (EXIT handlers)
         self.active = False  # True while the handler's action runs
+
+
+def _handle(env: Env, depth: int, redo: int) -> Any:
+    """In a guard's ``except``: revert the failed statement to the undo
+    ``depth``, redo length and the invocation's mark count, then dispatch
+    the exception to a handler of its frame, a SQLSTATE one before
+    SQLEXCEPTION, innermost first (none: it goes on to the enclosing
+    guard).  CONTINUE resumes after the statement, EXIT leaves its compound."""
+    frame = env.frame
+    frame.txn.undo_to(depth, redo, frame.marks)
+    exc = sys.exc_info()[1]
+    handler = None
+    if isinstance(exc, SignalError):
+        handler = frame.find_handler(f"SQLSTATE {exc.sqlstate}")
+    del exc  # the traceback holds this frame: no cycle through it
+    if handler is None:
+        handler = frame.find_handler("SQLEXCEPTION")
+    if handler is None:
+        raise
+    handler.active = True
+    try:
+        signal = handler.action(env)
+    finally:
+        handler.active = False
+    if signal is None and handler.kind == "EXIT":
+        return handler.exit
+    return signal
+
+
+def _not_found(env: Env) -> Optional[_Signal]:
+    """SQLSTATE 02000 is a completion condition, not an error: a NOT
+    FOUND handler's action runs, the statement has succeeded."""
+    handler = env.frame.find_handler("NOT FOUND")
+    return None if handler is None else handler.action(env)
 
 
 class Frame:
@@ -216,9 +219,10 @@ class Frame:
     variables of plans and subqueries through it."""
 
     __slots__ = ("routine_name", "plan_runs", "slots", "types", "scope",
-                 "handlers", "result_sets", "result")
+                 "handlers", "result_sets", "result", "txn", "marks")
 
-    def __init__(self, body: "_Body", args: list[Any]) -> None:
+    def __init__(self, body: "_Body", args: list[Any], txn: Any) -> None:
+        self.txn, self.marks = txn, len(txn.marks)  # the guards undo inside these
         self.routine_name = body.name
         self.plan_runs = body.plan_runs
         self.types = body.types
@@ -285,13 +289,12 @@ class _Body:
     """A compiled routine body, and what every invocation reads off the
     routine without walking its definition again."""
 
-    __slots__ = ("executor", "routine", "name", "key", "run", "types", "scope",
-                 "params", "is_table", "to_result", "window", "memo_key",
-                 "calls", "reuses", "plan_runs")
+    __slots__ = ("executor", "columns", "name", "key", "run", "types", "scope",
+                 "params", "is_table", "to_result", "window", "memo_at",
+                 "others", "calls", "reuses", "plan_runs")
 
     def __init__(self, executor: Executor, routine: Routine) -> None:
         self.executor = executor
-        self.routine = routine
         self.name = routine.name
         self.key = routine.name.lower()
         # this routine's counters of the per-routine families
@@ -302,19 +305,16 @@ class _Body:
         self.plan_runs = counter(stats.ROUTINE_PLAN_RUNS + self.key)
         self.params = [_coercion(param.type) for param in routine.params]
         self.is_table = routine.is_table_function
+        self.columns = routine.definition.returns.column_names if self.is_table else None
         # a scalar function's result is coerced to its declared type
         returns = None if self.is_table else routine.returns
         self.to_result = None if returns is None else _coercion(returns)
-        # the shape of the routine's result-memo key: the point
-        # parameter, and the arguments a kept result is looked up under
+        # the routine-result memo: the point parameter, the arguments a
+        # kept result is looked up under, and where a call site probes a
+        # scalar function's memo
         self.window = routine.window_param
-        others = [i for i in range(len(routine.params)) if i != routine.window_param]
-        key = self.key
-        if len(others) == 1:
-            first = others[0]
-            self.memo_key = lambda args: (key, sort_key(args[first]))
-        else:
-            self.memo_key = lambda args: (key, *[sort_key(args[i]) for i in others])
+        self.others = [i for i in range(len(routine.params)) if i != self.window]
+        self.memo_at = None if self.is_table or routine.kind != "FUNCTION" else self.window
         self.types: list = []  # per slot: a scalar's SqlType, else None
         self.scope = _Scope({}, (), {})
         self.run: Callable[[Env], Any] = None
@@ -342,9 +342,7 @@ class RoutineInterpreter:
             routine = self.db.catalog.get_routine(name)
         if routine.kind != "FUNCTION":
             raise RoutineError(f"{name} is a procedure; use CALL")
-        body = routine.compiled
-        if body is None or body.executor is not self.executor:
-            body = self._body(routine)
+        body = self._body(routine)
         if body.window is None or body.is_table:
             return self._scalar_result(body, args)
         return self._reused(body, args, self._scalar_result)
@@ -372,7 +370,7 @@ class RoutineInterpreter:
         self, body: "_Body", args: list[Any]
     ) -> tuple[list[str], list[list[Any]]]:
         value = self._invoke(body, args).result
-        columns = list(body.routine.definition.returns.column_names)
+        columns = list(body.columns)
         if value is Null or value is None:
             return columns, []
         if isinstance(value, Table):
@@ -384,25 +382,14 @@ class RoutineInterpreter:
 
     def _reused(self, body: "_Body", args: list[Any], run) -> Any:
         """``run(body, args)``, or the result an earlier call in this
-        statement left in ``Database.table_function_cache`` — the
-        routine-result memo: ``(routine, arguments by sort_key) ->
-        [(lo, hi, result), ...]``.
-
-        A function without ``window_param`` is looked up under all its
-        arguments and its results hold everywhere.  One with it is
-        looked up under the *other* arguments and runs under a read
-        window ``[lo, hi)`` around its point (see the planner's
-        ``_narrow_by_table`` and ``_bucket_versions``): inside it every
-        row the run examined keeps its valid-at-point verdict — but a
-        hash-bucket version that a point-free level filter rejects,
-        which is emitted at no point — so every embedded plan sees the
-        same rows in the same order and the function returns the same
-        result.  A nested windowed call narrows its caller's window by
-        its own, run or reused alike — the caller's result rests on the
-        callee's — and one evaluated at another point leaves the caller
-        only ``[p, p + 1)``.  A call that raises keeps nothing.  A hit is
-        one probe and a window test per kept result, newest first.
-        """
+        statement left in the routine-result memo ``table_function_cache``
+        (DESIGN.md §3.1), of which this is the one writer: kept under all
+        the arguments for everywhere, or, with ``window_param``, under the
+        others for the read window ``[lo, hi)`` its run left around its
+        point.  A nested windowed call narrows its caller's window, run
+        or reused; one at another point leaves it ``[p, p + 1)``.  A call
+        that raises keeps nothing.  A scalar call site probes in line
+        (``exprcompile.call_lines``) and comes here on a miss."""
         db = self.db
         index = body.window
         point = 0
@@ -411,7 +398,7 @@ class RoutineInterpreter:
             if not isinstance(value, Date):
                 return run(body, args)  # NULL point: nothing to slide along
             point = value.ordinal
-        key = body.memo_key(args)
+        key = (body.key, *[sort_key(args[i]) for i in body.others])
         caller = db.read_window if index is not None else None
         cache = db.table_function_cache
         entries = cache.get(key)
@@ -439,13 +426,8 @@ class RoutineInterpreter:
         return result
 
     def call_procedure(
-        self,
-        stmt: ast.CallStatement,
-        caller_env: Optional[Env],
-        arg_cs: Optional[list] = None,
+        self, stmt: ast.CallStatement, caller_env: Optional[Env]
     ) -> list[ResultSet]:
-        """``arg_cs`` are the argument closures a compiled CALL holds; a
-        CALL from outside a routine evaluates its arguments itself."""
         routine = self.db.catalog.get_routine(stmt.name)
         if routine.kind != "PROCEDURE":
             raise RoutineError(f"{stmt.name} is a function; invoke it in a query")
@@ -469,10 +451,7 @@ class RoutineInterpreter:
                 if param.mode == "OUT":
                     arg_values.append(Null)
                     continue
-            if arg_cs is not None:
-                arg_values.append(arg_cs[index](eval_env))
-            else:
-                arg_values.append(self.executor.evaluate(arg, eval_env))
+            arg_values.append(self.executor.evaluate(arg, eval_env))
         frame = self._invoke(self._body(routine), arg_values)
         if caller_frame is not None:
             # copy OUT / INOUT parameters back to the caller
@@ -497,7 +476,7 @@ class RoutineInterpreter:
         stats = db.stats
         if stats.call_depth >= self.MAX_DEPTH:
             raise RoutineError("routine call depth exceeded")
-        frame = Frame(body, args)
+        frame = Frame(body, args, db.txn)
         body.calls.value += 1
         env = Env(frame=frame)
         stats.call_depth += 1
@@ -520,68 +499,78 @@ class RoutineInterpreter:
         or a rolled-back ``add_routine`` meets another object."""
         body = routine.compiled
         if body is None or body.executor is not self.executor:
-            body = _Compiler(self, routine).compile()
+            body = _Generator(self.executor, routine).compile()
             routine.compiled = body
             self.db.obs.inc("engine.psm.compiles")
         return body
 
-    # ------------------------------------------------------------------
-    # conditions
-    # ------------------------------------------------------------------
 
-    def _handle(self, exc: SqlError, env: Env) -> Optional[_Signal]:
-        """Dispatch a failed (and already rolled back) statement's
-        exception to a handler of its frame: a SQLSTATE handler before
-        SQLEXCEPTION, innermost first.  A CONTINUE handler resumes after
-        the failed statement, an EXIT handler leaves its compound; with
-        none declared the exception goes to the enclosing statement."""
-        frame = env.frame
-        handler = None
-        if isinstance(exc, SignalError):
-            handler = frame.find_handler(f"SQLSTATE {exc.sqlstate}")
-        if handler is None:
-            handler = frame.find_handler("SQLEXCEPTION")
-        if handler is None:
-            raise exc
-        handler.active = True
-        try:
-            signal = handler.action(env)
-        finally:
-            handler.active = False
-        if signal is None and handler.kind == "EXIT":
-            return handler.exit
-        return signal
+# ---------------------------------------------------------------------------
+# the generator
+# ---------------------------------------------------------------------------
 
-    @staticmethod
-    def _not_found(env: Env) -> Optional[_Signal]:
-        """SQLSTATE 02000 is a completion condition, not an error: a
-        NOT FOUND handler's action runs, the statement has succeeded."""
-        handler = env.frame.find_handler("NOT FOUND")
-        if handler is None:
-            return None
-        return handler.action(env)
+# what a generated body reads besides its make() arguments
+_NAMESPACE = dict(
+    PSM_NAMES, compare=compare, SqlError=SqlError, CursorError=CursorError,
+    CardinalityError=CardinalityError, RoutineError=RoutineError,
+    SignalError=SignalError, _Handler=_Handler, _CursorState=_CursorState,
+    _Signal=_Signal, RETURN=_RETURN, _field=_field, _periods=_periods, handle=_handle,
+    not_found=_not_found,
+    # a row-array variable's table; a FOR record's column map (not in line:
+    # a comprehension compiles to a code object of its own)
+    _table=lambda name, columns: Table(name, [Column(n, t) for n, t in columns], temporary=True),
+    _columns=lambda result: {n.lower(): i for i, n in enumerate(result.columns)},
+)
+# what every generated function reads first
+_PROLOGUE = ["frame = env.frame", "s = frame.slots", "txn = frame.txn", "log = txn.log",
+             "pending = None"]
+# Python blocks (loops, try) a generated function may nest before a
+# statement moves into a function of its own: CPython allows 20
+_MAX_BLOCKS = 12
 
 
-class _Compiler:
-    """Compiles one routine body.  A *statement* compiles to a closure
-    ``body(env)`` returning ``None`` or a :class:`_Signal`; a *block* is
-    a statement list run under the per-statement guard."""
+@functools.lru_cache(maxsize=256)
+def _maker(source: str, filename: str) -> Callable:
+    """The ``make`` function of one body's source, compiled once per text."""
+    namespace = dict(_NAMESPACE)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace.pop("make")  # held by the cache, not by its globals
 
-    def __init__(self, interpreter: RoutineInterpreter, routine: Routine) -> None:
-        self.interpreter = interpreter
-        self.executor = interpreter.executor
-        self.db = interpreter.db
-        self.routine = routine
-        self.body = _Body(self.executor, routine)
-        self.loops: list[tuple[str, _Signal, _Signal]] = []  # enclosing, labelled
-        self.exit = _Signal("EXIT")  # of the compound being compiled
+
+class _Generator:
+    """Writes one routine body as the source of one Python function: ``s``
+    the slot list, ``u<n>`` / ``w<n>`` the undo depth and redo length at
+    nesting ``n``, ``t<n>`` temporaries, ``k<n>`` constants, ``S<n>``
+    signals; a handler action, or a statement nested deeper than
+    ``_MAX_BLOCKS``, is a function of its own that returns its signal."""
+
+    def __init__(self, executor: Executor, routine: Routine) -> None:
+        self.executor, self.routine, self.body = executor, routine, _Body(executor, routine)
+        self.consts, self.signals, self.functions = [], [], []  # make()'s parts
+        self.scopes: dict = {}  # id(scope) -> its constant
+        self.temps = 0
+        self.loops: list = []  # enclosing PSM loops: (label, leave, iterate, function)
+        self.exit: Optional[str] = None  # of the compound being written
+        self.scope: Optional[_Scope] = None  # of the expression being written
+        # the function being written: its name ("" for ``run``), inside a
+        # Python loop of its own?, statement nesting, Python blocks open
+        self.fid, self.in_loop, self.level, self.blocks = "", False, 0, 0
 
     def compile(self) -> _Body:
         body, scope = self.body, self.body.scope
         for param in self.routine.params:
             scope = scope.declaring(param.name, _SCALAR, self._slot(param.type))
         body.scope = scope
-        body.run = self.block([self.routine.definition.body], scope)
+        run = self.block([self.routine.definition.body], scope)
+        source = ["def make(executor, interp, k, db, find_routine, cache, executed, resilience):"]
+        source += _indented([f"[{', '.join(f'k{i}' for i in range(len(self.consts)))}] = k"]
+                            + self.signals + self.functions
+                            + ["def run(env):"] + _indented(_PROLOGUE + run) + ["return run"])
+        make = _maker("\n".join(source), f"<routine {self.routine.name}>")
+        db = self.executor.db
+        body.run = make(self.executor, RoutineInterpreter(self.executor), tuple(self.consts), db,
+                        db.catalog.find_routine, db.table_function_cache, db.stats.executed,
+                        db.resilience)
         return body
 
     def _slot(self, type_: Any = None) -> int:
@@ -592,115 +581,167 @@ class _Compiler:
         """A compile-time rejection names routine and statement."""
         return RoutineError(f"{message} in {self.routine.name}: {stmt.to_sql()}")
 
-    # ------------------------------------------------------------------
-    # the statement guard
-    # ------------------------------------------------------------------
+    def const(self, value: Any) -> str:
+        self.consts.append(value)
+        return f"k{len(self.consts) - 1}"
 
-    def block(
-        self,
-        statements: list,
-        scope: _Scope,
-        exit_: Optional[_Signal] = None,
-    ) -> Callable[[Env], Optional[_Signal]]:
-        """``statements`` in order, each inside its own guard.  With
-        ``exit_`` the block is a compound's: that signal — an EXIT
-        handler of its own fired — ends it normally, and at its END the
-        handlers it declared are dropped."""
-        bodies = []
+    def temp(self) -> str:
+        self.temps += 1
+        return f"t{self.temps}"
+
+    def literal(self, value: Any) -> str:
+        if type(value) in (int, str, bool) or (type(value) is float and math.isfinite(value)):
+            return repr(value)
+        return "Null" if value is Null else self.const(value)
+
+    def name(self, expr: ast.Name) -> str:
+        """A variable's slot, or the FOR-record field lookup."""
+        key, qualifier = expr.name.lower(), expr.qualifier
+        entry = self.scope.names.get(key if qualifier is None else qualifier.lower())
+        kind = entry[0] if entry is not None else None
+        if qualifier is None:
+            if kind not in (None, _RECORD):
+                return f"s[{entry[1]}]"
+            records, message = self.scope.records, f"unknown column or variable {expr.name!r}"
+        else:
+            records = (entry[1],) if kind == _RECORD else ()
+            message = f"unknown table alias {qualifier!r}"
+        return f"_field(s, {records!r}, {key!r}, {message!r})"
+
+    def fallback(self, expr: ast.Expression, lines: list) -> str:
+        """A node left to its compiled closure, names resolved through
+        the frame's scope — set just before."""
+        closure, value = self.const(compile_expression(self.executor, expr, {})), self.temp()
+        lines.extend(self._embedded(self.scope, f"{value} = {closure}(env)"))
+        return value
+
+    def _embedded(self, scope: _Scope, call: str) -> list:
+        """``call``, embedded SQL, run with names resolved in ``scope``."""
+        name = self.scopes.get(id(scope))
+        if name is None:
+            name = self.scopes[id(scope)] = self.const(scope)
+        return [f"frame.scope = {name}", call]
+
+    def expression(self, expr: ast.Expression, scope: _Scope, lines: list) -> str:
+        self.scope = scope
+        return psm_expression(expr, lines, self)
+
+    def signal(self, what: str) -> str:
+        name = f"S{len(self.signals)}"
+        self.signals.append(f"{name} = _Signal({what!r})")
+        return name
+
+    def assign(self, targets: list, values: list) -> list:
+        lines = []
+        for (slot, type_), value in zip(targets, values):
+            lines += [f"v = {value}", f"s[{slot}] = {_coerced(type_, 'v', self.const)}"]
+        return lines
+
+    def value(self, expr: Optional[ast.Expression], type_: Any) -> Optional[str]:
+        """A literal (or no value: NULL) coerced to ``type_`` now, as source;
+        None for anything else, or a literal whose coercion raises."""
+        if expr is not None and not isinstance(expr, ast.Literal):
+            return None
+        try:
+            return self.literal(coerce(Null if expr is None else expr.value, type_))
+        except SqlError:
+            return None
+
+    def _row_into(self, targets: list, error: str, what: str) -> list:
+        """``row`` assigned to ``targets``; one of another width fails."""
+        return [f"if len(row) != {len(targets)}:", f"    raise {error}("
+                f"{f'{what}: {len(targets)} targets but '!r} + str(len(row)) + ' columns')"
+                ] + self.assign(targets, [f"row[{i}]" for i in range(len(targets))])
+
+    def function(self, build: Callable[[], tuple]) -> tuple[str, Any]:
+        """``build()``'s lines as a nested function: ``(name, the rest)``."""
+        name = "f" + self.temp()[1:]
+        saved = self.fid, self.in_loop, self.level, self.blocks
+        self.fid, self.in_loop, self.level, self.blocks = name, False, 0, 0
+        try:
+            lines, result = build()
+        finally:
+            self.fid, self.in_loop, self.level, self.blocks = saved
+        self.functions += [f"def {name}(env):"] + _indented(_PROLOGUE + lines)
+        return name, result
+
+    # -- control flow: a signal is left in ``pending`` and leaves through
+    # ``break``s, each loop it crosses handing it on, or a ``return``
+
+    def escape(self) -> str:
+        return "break" if self.in_loop else "return pending" if self.fid else "return"
+
+    def dispatch(self, call: str) -> list:
+        """``call``, which returns a signal (truthy) or None, and the escape of one."""
+        return [f"if pending := {call}: {self.escape()}"]
+
+    def python_loop(self, head: list, build: Callable[[], list]) -> list:
+        """``head`` over the lines ``build()`` writes inside it."""
+        saved, self.in_loop = self.in_loop, True
+        self.blocks += 1
+        try:
+            return head + _indented(build())
+        finally:
+            self.in_loop = saved
+            self.blocks -= 1
+
+    # -- the statement guard -------------------------------------------------
+
+    def block(self, statements: list, scope: _Scope) -> list:
+        """``statements`` in order, each inside its own guard; a
+        declaration extends the scope of the statements that follow it."""
+        lines: list = []
         for stmt in statements:
-            body, scope = self.statement(stmt, scope)
-            bodies.append(body)
-        bodies = tuple(bodies)
-        db = self.db
-        executed = db.stats.executed
-        resilience = db.resilience
-        handle = self.interpreter._handle
+            if self.blocks >= _MAX_BLOCKS:
+                name, scope = self.function(lambda: self._guarded(stmt, scope))
+                lines += self.dispatch(f"{name}(env)")
+            else:
+                body, scope = self._guarded(stmt, scope)
+                lines += body
+        return lines or ["pass"]
 
-        def run(env: Env) -> Optional[_Signal]:
-            if exit_ is not None:
-                handlers = env.frame.handlers
-                declared = len(handlers)
-            # no savepoint: an open mark (``_invoke``) keeps the undo log
-            # on, whose depth is a statement's start; a statement that
-            # returns has released every mark it opened
-            txn = db.txn
-            marks = len(txn.marks)
-            try:
-                for body in bodies:
-                    executed.value += 1
-                    depth, redo = len(txn.log), len(txn.redo)
-                    try:
-                        # watchdog checkpoint at every PSM statement
-                        # boundary — inside this statement's guard, so a
-                        # cancellation takes the same rollback +
-                        # handler-dispatch path as a SIGNAL raised by
-                        # the statement itself (SQLSTATE '57014'
-                        # handlers fire; unhandled, it cascades to full
-                        # routine atomicity)
-                        if resilience.armed:
-                            resilience.check()
-                        signal = body(env)
-                    except SqlError as exc:
-                        # revert this statement's partial effects, then
-                        # look for a declared handler; an unhandled
-                        # condition cascades up one statement guard at a
-                        # time, so the whole routine unwinds
-                        txn.undo_to(depth, redo, marks)
-                        signal = handle(exc, env)
-                    if signal is not None:
-                        return None if signal is exit_ else signal
-                return None
-            finally:
-                if exit_ is not None:
-                    del handlers[declared:]
+    def _guarded(self, stmt: ast.Statement, scope: _Scope) -> tuple[list, _Scope]:
+        """No savepoint: the undo-log depth at a statement's start, kept
+        on by ``_invoke``'s open mark.  A watchdog cancellation takes the
+        rollback + handler path of a SIGNAL; an unhandled condition climbs
+        one guard at a time, so the whole routine unwinds."""
+        level = self.level
+        self.level += 1
+        self.blocks += 1
+        try:
+            body, after = self.statement(stmt, scope)
+        finally:
+            self.level -= 1
+            self.blocks -= 1
+        return [
+            f"executed.value += 1; u{level} = len(log); w{level} = len(txn.redo)",
+            "try:", "    if resilience.armed: resilience.check()", *_indented(body),
+            "except SqlError:",
+            *_indented(self.dispatch(f"handle(env, u{level}, w{level})")),
+        ], after
 
-        return run
-
-    # ------------------------------------------------------------------
-    # statements
-    # ------------------------------------------------------------------
-
-    def statement(self, stmt: ast.Statement, scope: _Scope) -> tuple[Callable, _Scope]:
-        """``(body, scope after it)``: a declaration extends the scope
-        of the statements that follow it."""
+    def statement(self, stmt: ast.Statement, scope: _Scope) -> tuple[list, _Scope]:
+        """``(lines, scope after it)``; a statement refused here fails
+        when (and only if) it is reached."""
+        write, call = _STATEMENTS.get(type(stmt)), _EMBEDDED.get(type(stmt))
         if getattr(stmt, "modifier", None) is not None:
-            return self._raising(
-                ExecutionError,
-                "temporal statement modifiers require the temporal stratum",
-            ), scope
-        compile_ = _COMPILERS.get(type(stmt))
-        if compile_ is None:
-            return self._raising(
-                RoutineError,
-                f"unsupported statement in routine body: {type(stmt).__name__}",
-            ), scope
-        compiled = compile_(self, stmt, scope)
-        if isinstance(compiled, tuple):
-            return compiled
-        return compiled, scope
-
-    @staticmethod
-    def _raising(error: type, message: str) -> Callable:
-        """A statement that fails when (and only if) it is reached."""
-        def run(env: Env) -> None:
-            raise error(message)
-        return run
-
-    def _expression(self, expr: ast.Expression, scope: _Scope) -> Callable[[Env], Any]:
-        """A PSM-level expression: variable names read slots; a subquery
-        in it runs a plan, which resolves them through the frame."""
-        compiled = compile_expression(self.executor, expr, FrameLayout(scope))
-        if not any(isinstance(node, ast.Select) for node in ast.walk(expr)):
-            return compiled
-
-        def with_scope(env: Env) -> Any:
-            env.frame.scope = scope
-            return compiled(env)
-
-        return with_scope
+            error, message = "ExecutionError", (
+                "temporal statement modifiers require the temporal stratum")
+        elif isinstance(stmt, ast.TransactionStatement):
+            error, message = "RoutineError", (
+                "transaction control statements are not allowed inside routines")
+        elif call is not None:
+            return self._embedded(scope, call.format(self.const(stmt))), scope
+        elif write is None:
+            error = "RoutineError"
+            message = f"unsupported statement in routine body: {type(stmt).__name__}"
+        else:
+            written = write(self, stmt, scope)
+            return written if isinstance(written, tuple) else (written, scope)
+        return [f"raise {error}({message!r})"], scope
 
     def _targets(self, names: list[str], scope: _Scope, stmt: ast.Statement) -> list:
-        """``(slot, coercion to its type)`` per assignment target."""
+        """``(slot, its type)`` per assignment target."""
         targets = []
         for name in names:
             entry = scope.names.get(name.lower())
@@ -708,413 +749,263 @@ class _Compiler:
                 raise self._error(f"unknown variable {name!r}", stmt)
             if entry[0] != _SCALAR:
                 raise self._error(f"cannot SET non-scalar variable {name!r}", stmt)
-            targets.append((entry[1], _coercion(self.body.types[entry[1]])))
+            targets.append((entry[1], self.body.types[entry[1]]))
         return targets
 
     # -- compound and declarations -----------------------------------------
 
-    def _compound(self, stmt: ast.Compound, scope: _Scope) -> Callable:
-        enclosing, self.exit = self.exit, _Signal("EXIT")
+    def _compound(self, stmt: ast.Compound, scope: _Scope) -> list:
+        """Its block; one with an EXIT handler is a one-pass loop its
+        signal breaks, and at END the handlers it declared are dropped."""
+        statements = stmt.declarations + stmt.statements
+        handlers = [s for s in statements if isinstance(s, ast.DeclareHandler)]
+        enclosing, self.exit = self.exit, None
+        self.blocks += bool(handlers)
         try:
-            return self.block(stmt.declarations + stmt.statements, scope, self.exit)
+            if any(handler.kind == "EXIT" for handler in handlers):
+                self.exit = self.signal("EXIT")
+                lines = self.python_loop(
+                    ["while True:"], lambda: self.block(statements, scope) + ["break"]
+                ) + [f"if pending is {self.exit}:", "    pending = None",
+                     "if pending is not None:", "    " + self.escape()]
+            else:
+                lines = self.block(statements, scope)
         finally:
             self.exit = enclosing
+            self.blocks -= bool(handlers)
+        if not handlers:
+            return lines
+        declared = f"h{self.level}"
+        return [f"{declared} = len(frame.handlers)", "try:"] + _indented(lines) + [
+            "finally:", f"    del frame.handlers[{declared}:]"
+        ]
 
     def _declare_variable(self, stmt: ast.DeclareVariable, scope: _Scope) -> tuple:
         if stmt.array_type is not None:
-            columns = [(f.name, f.type) for f in stmt.array_type.fields]
-            tables = []
+            columns = self.const([(f.name, f.type) for f in stmt.array_type.fields])
+            lines = []
             for name in stmt.names:
                 slot = self._slot()
-                tables.append((slot, name))
+                lines.append(f"s[{slot}] = _table({name!r}, {columns})")
                 scope = scope.declaring(name, _TABLE, slot)
-
-            def declare_tables(env: Env) -> None:
-                slots = env.frame.slots
-                for slot, name in tables:
-                    slots[slot] = Table(
-                        name, [Column(n, t) for n, t in columns], temporary=True
-                    )
-
-            return declare_tables, scope
+            return lines, scope
         # the DEFAULT sees the scope before these names
-        default_c = (
-            self._expression(stmt.default, scope) if stmt.default is not None else None
-        )
-        to_type = _coercion(stmt.type)
-        declared = []
+        lines: list = []
+        value = self.value(stmt.default, stmt.type)
+        if value is None:
+            value = self.expression(stmt.default, scope, lines)
+            lines += [f"v = {value}", f"v = {_coerced(stmt.type, 'v', self.const)}"]
+        else:
+            lines.append(f"v = {value}")
+        slots = []
         for name in stmt.names:
-            slot = self._slot(stmt.type)
-            declared.append(slot)
-            scope = scope.declaring(name, _SCALAR, slot)
-
-        def declare(env: Env) -> None:
-            value = to_type(default_c(env)) if default_c is not None else Null
-            slots = env.frame.slots
-            for slot in declared:
-                slots[slot] = value
-
-        return declare, scope
+            slots.append(self._slot(stmt.type))
+            scope = scope.declaring(name, _SCALAR, slots[-1])
+        return lines + [" = ".join(f"s[{slot}]" for slot in slots) + " = v"], scope
 
     def _declare_cursor(self, stmt: ast.DeclareCursor, scope: _Scope) -> tuple:
-        slot = self._slot()
-        select = stmt.select
+        slot, select = self._slot(), self.const(stmt.select)
+        return [f"s[{slot}] = _CursorState({select})"], scope.with_cursor(stmt.name, slot)
 
-        def declare(env: Env) -> None:
-            env.frame.slots[slot] = _CursorState(select)
+    def _declare_handler(self, stmt: ast.DeclareHandler, scope: _Scope) -> list:
+        action, _ = self.function(lambda: (self.block([stmt.action], scope), None))
+        exit_ = self.exit if stmt.kind == "EXIT" else None
+        return [f"frame.handlers.append(_Handler({stmt.kind!r}, {stmt.condition!r}, {action},"
+                f" {exit_}))"]
 
-        return declare, scope.with_cursor(stmt.name, slot)
-
-    def _declare_handler(self, stmt: ast.DeclareHandler, scope: _Scope) -> Callable:
-        kind, condition, exit_ = stmt.kind, stmt.condition, self.exit
-        action = self.block([stmt.action], scope)
-
-        def declare(env: Env) -> None:
-            env.frame.handlers.append(_Handler(kind, condition, action, exit_))
-
-        return declare
-
-    # -- assignment ---------------------------------------------------------
-
-    def _set(self, stmt: ast.SetStatement, scope: _Scope) -> Callable:
+    def _set(self, stmt: ast.SetStatement, scope: _Scope) -> list:
         targets = self._targets(stmt.targets, scope, stmt)
         if len(targets) == 1:
-            value_c = self._expression(stmt.value, scope)
-            (slot, to_type), = targets
-
-            def assign(env: Env) -> None:
-                env.frame.slots[slot] = to_type(value_c(env))
-
-            return assign
+            (slot, type_), = targets
+            lines: list = []
+            if (value := self.value(stmt.value, type_)) is not None:
+                return [f"s[{slot}] = {value}"]
+            return lines + self.assign(targets, [self.expression(stmt.value, scope, lines)])
         # row form: SET (a, b) = (SELECT x, y ...)
         value_expr = stmt.value
         if isinstance(value_expr, ast.Parenthesized):
             value_expr = value_expr.expr
         if not isinstance(value_expr, ast.ScalarSubquery):
-            return self._raising(RoutineError, "row SET requires a row subquery")
+            return ["raise RoutineError('row SET requires a row subquery')"]
         return self._assign_row(value_expr.select, targets, scope, "row SET")
 
-    def _select_into(self, stmt: ast.SelectInto, scope: _Scope) -> Callable:
+    def _select_into(self, stmt: ast.SelectInto, scope: _Scope) -> list:
         targets = self._targets(stmt.targets, scope, stmt)
         return self._assign_row(stmt.select, targets, scope, "SELECT INTO")
 
-    def _assign_row(
-        self, select: ast.Select, targets: list, scope: _Scope, what: str
-    ) -> Callable:
-        executor = self.executor
-        not_found = self.interpreter._not_found
-        many = "row SET: query" if what == "row SET" else what
-
-        def assign_row(env: Env) -> Optional[_Signal]:
-            frame = env.frame
-            frame.scope = scope
-            result = executor.execute_select(select, env)
-            if len(result.rows) > 1:
-                raise CardinalityError(f"{many} returned more than one row")
-            if not result.rows:
-                return not_found(env)
-            row = result.rows[0]
-            if len(row) != len(targets):
-                raise RoutineError(
-                    f"{what}: {len(targets)} targets but {len(row)} columns"
-                )
-            slots = frame.slots
-            for (slot, to_type), value in zip(targets, row):
-                slots[slot] = to_type(value)
-            return None
-
-        return assign_row
+    def _assign_row(self, select: ast.Select, targets: list, scope: _Scope, what: str) -> list:
+        rows, many = self.temp(), "row SET: query" if what == "row SET" else what
+        return self._embedded(
+            scope, f"{rows} = executor.execute_select({self.const(select)}, env).rows"
+        ) + [
+            f"if len({rows}) > 1:",
+            f"    raise CardinalityError({f'{many} returned more than one row'!r})",
+            f"if not {rows}:",
+            *_indented(self.dispatch("not_found(env)")),
+            "else:",
+            f"    row = {rows}[0]",
+            *_indented(self._row_into(targets, "RoutineError", what)),
+        ]
 
     # -- control flow ---------------------------------------------------
 
-    def _branches(self, pairs: list, else_branch: Optional[list], scope: _Scope):
-        """``[(condition closure, block)]`` and the ELSE block."""
-        branches = [
-            (self._expression(condition, scope), self.block(body, scope))
-            for condition, body in pairs
-        ]
-        otherwise = (
-            self.block(else_branch, scope) if else_branch is not None else None
-        )
-        return branches, otherwise
+    def _branches(self, pairs: list, otherwise: Optional[list], scope: _Scope, test) -> list:
+        """The first arm whose ``test`` of its condition's source holds,
+        else ``otherwise``; each condition evaluated only if reached."""
+        arms = []
+        for condition, body in pairs:
+            lines: list = []
+            value = test(self.expression(condition, scope, lines))
+            arms.append((lines, value, self.block(body, scope)))
+        lines = self.block(otherwise, scope) if otherwise is not None else []
+        for before, value, body in reversed(arms):
+            lines = before + [f"if {value}:"] + _indented(body) + (
+                ["else:"] + _indented(lines) if lines else []
+            )
+        return lines
 
-    def _if(self, stmt: ast.IfStatement, scope: _Scope) -> Callable:
-        branches, otherwise = self._branches(stmt.branches, stmt.else_branch, scope)
-
-        def run(env: Env) -> Optional[_Signal]:
-            for condition, block in branches:
-                if condition(env) is True:
-                    return block(env)
-            if otherwise is not None:
-                return otherwise(env)
-            return None
-
-        return run
-
-    def _case(self, stmt: ast.CaseStatement, scope: _Scope) -> Callable:
-        branches, otherwise = self._branches(stmt.whens, stmt.else_branch, scope)
-        operand_c = (
-            self._expression(stmt.operand, scope) if stmt.operand is not None else None
+    def _if(self, stmt: Any, scope: _Scope) -> list:
+        """IF, and CASE: a simple CASE compares its operand to each WHEN."""
+        pairs = stmt.branches if isinstance(stmt, ast.IfStatement) else stmt.whens
+        if getattr(stmt, "operand", None) is None:
+            return self._branches(pairs, stmt.else_branch, scope, lambda c: f"{c} is True")
+        lines: list = []
+        operand = self.temp()
+        lines.append(f"{operand} = {self.expression(stmt.operand, scope, lines)}")
+        return lines + self._branches(
+            pairs, stmt.else_branch, scope, lambda c: f"compare({operand}, {c}) == 0"
         )
 
-        def run(env: Env) -> Optional[_Signal]:
-            if operand_c is not None:
-                operand = operand_c(env)
-                for when, block in branches:
-                    if compare(operand, when(env)) == 0:
-                        return block(env)
-            else:
-                for when, block in branches:
-                    if when(env) is True:
-                        return block(env)
-            if otherwise is not None:
-                return otherwise(env)
-            return None
-
-        return run
-
-    def _loop_body(self, stmt: Any, scope: _Scope) -> tuple:
-        """``(block, leave, iterate)`` of a loop statement: LEAVE and
-        ITERATE inside the body resolve to the signals made here."""
-        leave, iterate = _Signal("LEAVE"), _Signal("ITERATE")
-        self.loops.append(((stmt.label or "").lower(), leave, iterate))
+    def _loop_body(self, stmt: Any, scope: _Scope, head: list, first: list,
+                   until: Optional[ast.Expression] = None) -> list:
+        """A PSM loop: ``head`` over ``first`` and a one-pass loop round
+        the body, whose signal the loop's own LEAVE ends, its ITERATE
+        goes on with (to the UNTIL of a REPEAT), and any other hands on."""
+        leave, iterate = self.signal("LEAVE"), self.signal("ITERATE")
+        self.loops.append(((stmt.label or "").lower(), leave, iterate, self.fid))
         try:
-            return self.block(stmt.body, scope), leave, iterate
+            body = self.python_loop(
+                ["while True:"], lambda: self.block(stmt.body, scope) + ["break"]
+            )
         finally:
             self.loops.pop()
+        body += [
+            "if pending is not None:", f"    if pending is {leave}:", "        pending = None",
+            f"    if pending is not {iterate}:", "        break", "    pending = None",
+        ] + (self._condition(until, scope, "") if until is not None else ["    continue"])
+        return self.python_loop(head, lambda: first + body) + [
+            "if pending is not None:", "    " + self.escape()
+        ]
 
-    def _while(self, stmt: ast.WhileStatement, scope: _Scope) -> Callable:
-        condition = self._expression(stmt.condition, scope)
-        block, leave, iterate = self._loop_body(stmt, scope)
+    def _condition(self, expr: ast.Expression, scope: _Scope, stop: str) -> list:
+        lines: list = []
+        value = self.expression(expr, scope, lines)
+        return lines + [f"if {value} is {stop}True:", "    break"]
 
-        def run(env: Env) -> Optional[_Signal]:
-            while condition(env) is True:
-                signal = block(env)
-                if signal is not None and signal is not iterate:
-                    return None if signal is leave else signal
-            return None
+    def _while(self, stmt: ast.WhileStatement, scope: _Scope) -> list:
+        return self._loop_body(stmt, scope, ["while True:"],
+                               self._condition(stmt.condition, scope, "not "))
 
-        return run
+    def _repeat(self, stmt: ast.RepeatStatement, scope: _Scope) -> list:
+        return self._loop_body(stmt, scope, ["while True:"], [], stmt.until)
 
-    def _repeat(self, stmt: ast.RepeatStatement, scope: _Scope) -> Callable:
-        until = self._expression(stmt.until, scope)
-        block, leave, iterate = self._loop_body(stmt, scope)
+    def _loop(self, stmt: ast.LoopStatement, scope: _Scope) -> list:
+        count = self.temp()
+        return [f"{count} = 0"] + self._loop_body(stmt, scope, ["while True:"], [
+            f"{count} += 1", f"if {count} > 10_000_000:",
+            "    raise RoutineError('LOOP exceeded iteration guard')",
+        ])
 
-        def run(env: Env) -> Optional[_Signal]:
-            while True:
-                signal = block(env)
-                if signal is not None and signal is not iterate:
-                    return None if signal is leave else signal
-                if until(env) is True:
-                    return None
-
-        return run
-
-    def _loop(self, stmt: ast.LoopStatement, scope: _Scope) -> Callable:
-        block, leave, iterate = self._loop_body(stmt, scope)
-
-        def run(env: Env) -> Optional[_Signal]:
-            iterations = 0
-            while True:
-                iterations += 1
-                if iterations > 10_000_000:  # pragma: no cover - runaway guard
-                    raise RoutineError("LOOP exceeded iteration guard")
-                signal = block(env)
-                if signal is not None and signal is not iterate:
-                    return None if signal is leave else signal
-
-        return run
-
-    def _for(self, stmt: ast.ForStatement, scope: _Scope) -> Callable:
-        executor, select = self.executor, stmt.select
+    def _for(self, stmt: ast.ForStatement, scope: _Scope) -> list:
         record = self._slot()  # the column map; the row follows it
         self._slot()
-        block, leave, iterate = self._loop_body(
-            stmt, scope.declaring(stmt.loop_var, _RECORD, record)
+        result, rows, row = self.temp(), self.temp(), self.temp()
+        lines = self._embedded(
+            scope, f"{result} = executor.execute_select({self.const(stmt.select)}, env)"
+        ) + [f"{rows} = {result}.rows"]
+        if stmt.split is not None:
+            lines.append(f"{rows} = _periods(executor, env, {self.const(stmt.split)}, {rows})")
+        lines.append(f"s[{record}] = _columns({result})")
+        inner = scope.declaring(stmt.loop_var, _RECORD, record)
+        return lines + self._loop_body(
+            stmt, inner, [f"for {row} in {rows}:"], [f"s[{record + 1}] = list({row})"]
         )
 
-        def run(env: Env) -> Optional[_Signal]:
-            frame = env.frame
-            frame.scope = scope
-            result = executor.execute_select(select, env)
-            rows = result.rows
-            if stmt.split is not None:
-                rows = _periods(executor, env, stmt.split, rows)
-            slots = frame.slots
-            slots[record] = {name.lower(): i for i, name in enumerate(result.columns)}
-            for row in rows:
-                slots[record + 1] = list(row)
-                signal = block(env)
-                if signal is not None and signal is not iterate:
-                    return None if signal is leave else signal
-            return None
-
-        return run
-
-    def _jump(self, stmt: Any, scope: _Scope) -> Callable:
-        """LEAVE / ITERATE: the signal of the enclosing loop so labelled."""
+    def _jump(self, stmt: Any, scope: _Scope) -> list:
+        """LEAVE / ITERATE: to the enclosing loop so labelled."""
         label = stmt.label.lower()
-        for name, leave, iterate in reversed(self.loops):
+        for name, leave, iterate, function in reversed(self.loops):
             if name == label:
                 signal = leave if isinstance(stmt, ast.LeaveStatement) else iterate
-                return lambda env: signal
+                if function != self.fid:  # a loop round this nested function
+                    return [f"return {signal}"]
+                return [f"pending = {signal}", "break"]
         raise self._error(f"no enclosing loop labelled {stmt.label!r}", stmt)
 
-    def _return(self, stmt: ast.ReturnStatement, scope: _Scope) -> Callable:
-        if stmt.value is None:
-            return lambda env: _RETURN  # Frame.result is Null already
-        value_c = self._expression(stmt.value, scope)
+    def _return(self, stmt: ast.ReturnStatement, scope: _Scope) -> list:
+        lines: list = []
+        if stmt.value is not None:  # else Frame.result is Null already
+            lines.append(f"frame.result = {self.expression(stmt.value, scope, lines)}")
+        return lines + ["return RETURN" if self.fid else "return"]
 
-        def run(env: Env) -> _Signal:
-            env.frame.result = value_c(env)
-            return _RETURN
-
-        return run
-
-    def _call(self, stmt: ast.CallStatement, scope: _Scope) -> Callable:
-        interpreter = self.interpreter
-        layout = FrameLayout(scope)
-        arg_cs = [compile_expression(self.executor, a, layout) for a in stmt.args]
-
-        def run(env: Env) -> None:
-            frame = env.frame
-            frame.scope = scope  # subqueries among the arguments, OUT targets
-            frame.result_sets.extend(interpreter.call_procedure(stmt, env, arg_cs))
-
-        return run
-
-    def _query(self, stmt: ast.Select, scope: _Scope) -> Callable:
-        executor = self.executor
-
-        def run(env: Env) -> None:
-            frame = env.frame
-            frame.scope = scope
-            frame.result_sets.append(executor.execute_select(stmt, env))
-
-        return run
-
-    def _engine_statement(self, stmt: ast.Statement, scope: _Scope) -> Callable:
-        executor = self.executor
-
-        def run(env: Env) -> None:
-            env.frame.scope = scope
-            executor.execute(stmt, env)
-
-        return run
-
-    def _signal(self, stmt: ast.SignalStatement, scope: _Scope) -> Callable:
-        sqlstate, message = stmt.sqlstate, stmt.message
-
-        def run(env: Env) -> None:
-            raise SignalError(sqlstate, message)
-
-        return run
-
-    def _refuse_transaction(self, stmt: ast.Statement, scope: _Scope) -> Callable:
-        return self._raising(
-            RoutineError,
-            "transaction control statements are not allowed inside routines",
-        )
+    def _signal(self, stmt: ast.SignalStatement, scope: _Scope) -> list:
+        return [f"raise SignalError({stmt.sqlstate!r}, {stmt.message!r})"]
 
     # -- cursors ------------------------------------------------------------
 
-    def _cursor(self, name: str, scope: _Scope) -> Callable[[Env], _CursorState]:
-        """The closure fetching the state of the cursor ``name`` denotes
-        here; a cursor not (yet) declared fails when the statement runs."""
+    def _cursor(self, name: str, scope: _Scope, check: str, message: str) -> list:
+        """``c``, the state of the cursor ``name`` denotes here, failing
+        with ``message`` where ``check`` holds; a cursor not (yet)
+        declared fails when the statement runs."""
         slot = scope.cursors.get(name.lower())
+        missing = repr(f"no such cursor: {name}")
+        if slot is None:
+            return [f"raise CursorError({missing})"]
+        return [f"c = s[{slot}]", "if c is Null:", f"    raise CursorError({missing})",
+                f"if {check}:", f"    raise CursorError({f'cursor {name} {message}'!r})"]
 
-        def cursor(env: Env) -> _CursorState:
-            state = Null if slot is None else env.frame.slots[slot]
-            if state is Null:
-                raise CursorError(f"no such cursor: {name}")
-            return state
+    def _open(self, stmt: ast.OpenCursor, scope: _Scope) -> list:
+        return self._cursor(stmt.name, scope, "c.is_open", "is already open") + self._embedded(
+            scope, "c.rows = executor.execute_select(c.select, env).rows"
+        ) + ["c.position = 0", "c.is_open = True"]
 
-        return cursor
-
-    def _open(self, stmt: ast.OpenCursor, scope: _Scope) -> Callable:
-        executor, name = self.executor, stmt.name
-        cursor_of = self._cursor(name, scope)
-
-        def run(env: Env) -> None:
-            cursor = cursor_of(env)
-            if cursor.is_open:
-                raise CursorError(f"cursor {name} is already open")
-            env.frame.scope = scope
-            cursor.rows = executor.execute_select(cursor.select, env).rows
-            cursor.position = 0
-            cursor.is_open = True
-
-        return run
-
-    def _fetch(self, stmt: ast.FetchCursor, scope: _Scope) -> Callable:
-        name = stmt.name
-        cursor_of = self._cursor(name, scope)
+    def _fetch(self, stmt: ast.FetchCursor, scope: _Scope) -> list:
         targets = self._targets(stmt.targets, scope, stmt)
-        not_found = self.interpreter._not_found
+        return self._cursor(stmt.name, scope, "not c.is_open", "is not open") + [
+            "if c.position >= len(c.rows):",
+            *_indented(self.dispatch("not_found(env)")),
+            "else:",
+            "    row = c.rows[c.position]",
+            "    c.position += 1",
+            *_indented(self._row_into(targets, "CursorError", f"FETCH {stmt.name}")),
+        ]
 
-        def run(env: Env) -> Optional[_Signal]:
-            cursor = cursor_of(env)
-            if not cursor.is_open:
-                raise CursorError(f"cursor {name} is not open")
-            if cursor.position >= len(cursor.rows):
-                return not_found(env)
-            row = cursor.rows[cursor.position]
-            cursor.position += 1
-            if len(row) != len(targets):
-                raise CursorError(
-                    f"FETCH {name}: {len(targets)} targets but"
-                    f" {len(row)} columns"
-                )
-            slots = env.frame.slots
-            for (slot, to_type), value in zip(targets, row):
-                slots[slot] = to_type(value)
-            return None
-
-        return run
-
-    def _close(self, stmt: ast.CloseCursor, scope: _Scope) -> Callable:
-        name = stmt.name
-        cursor_of = self._cursor(name, scope)
-
-        def run(env: Env) -> None:
-            cursor = cursor_of(env)
-            if not cursor.is_open:
-                raise CursorError(f"cursor {name} is not open")
-            cursor.is_open = False
-            cursor.rows = []
-            cursor.position = 0
-
-        return run
+    def _close(self, stmt: ast.CloseCursor, scope: _Scope) -> list:
+        return self._cursor(stmt.name, scope, "not c.is_open", "is not open") + [
+            "c.is_open = False", "c.rows = []", "c.position = 0"
+        ]
 
 
-# statement class -> _Compiler method taking (stmt, scope) and returning
-# the statement's closure, with the scope after it for a declaration
-_COMPILERS = {
-    ast.Compound: _Compiler._compound,
-    ast.DeclareVariable: _Compiler._declare_variable,
-    ast.DeclareCursor: _Compiler._declare_cursor,
-    ast.DeclareHandler: _Compiler._declare_handler,
-    ast.SetStatement: _Compiler._set,
-    ast.SelectInto: _Compiler._select_into,
-    ast.IfStatement: _Compiler._if,
-    ast.CaseStatement: _Compiler._case,
-    ast.WhileStatement: _Compiler._while,
-    ast.RepeatStatement: _Compiler._repeat,
-    ast.ForStatement: _Compiler._for,
-    ast.LoopStatement: _Compiler._loop,
-    ast.LeaveStatement: _Compiler._jump,
-    ast.IterateStatement: _Compiler._jump,
-    ast.ReturnStatement: _Compiler._return,
-    ast.CallStatement: _Compiler._call,
-    ast.OpenCursor: _Compiler._open,
-    ast.FetchCursor: _Compiler._fetch,
-    ast.CloseCursor: _Compiler._close,
-    ast.Select: _Compiler._query,
-    ast.Insert: _Compiler._engine_statement,
-    ast.Update: _Compiler._engine_statement,
-    ast.Delete: _Compiler._engine_statement,
-    ast.CreateTable: _Compiler._engine_statement,
-    ast.DropTable: _Compiler._engine_statement,
-    ast.SignalStatement: _Compiler._signal,
-    ast.TransactionStatement: _Compiler._refuse_transaction,
+# statement class -> _Generator method taking (stmt, scope) and returning
+# the statement's lines, with the scope after it for a declaration
+_STATEMENTS = {
+    ast.Compound: _Generator._compound, ast.DeclareVariable: _Generator._declare_variable,
+    ast.DeclareCursor: _Generator._declare_cursor,
+    ast.DeclareHandler: _Generator._declare_handler,
+    ast.SetStatement: _Generator._set, ast.SelectInto: _Generator._select_into,
+    ast.IfStatement: _Generator._if, ast.CaseStatement: _Generator._if,
+    ast.WhileStatement: _Generator._while, ast.RepeatStatement: _Generator._repeat,
+    ast.ForStatement: _Generator._for, ast.LoopStatement: _Generator._loop,
+    ast.LeaveStatement: _Generator._jump, ast.IterateStatement: _Generator._jump,
+    ast.ReturnStatement: _Generator._return, ast.SignalStatement: _Generator._signal,
+    ast.OpenCursor: _Generator._open, ast.FetchCursor: _Generator._fetch,
+    ast.CloseCursor: _Generator._close,
 }
+# statement class -> the call running it, embedded SQL whose names
+# resolve in the statement's scope (a CALL's arguments and OUT targets too)
+_EMBEDDED = dict.fromkeys(
+    (ast.Insert, ast.Update, ast.Delete, ast.CreateTable, ast.DropTable),
+    "executor.execute({}, env)",
+)
+_EMBEDDED[ast.Select] = "frame.result_sets.append(executor.execute_select({}, env))"
+_EMBEDDED[ast.CallStatement] = "frame.result_sets.extend(interp.call_procedure({}, env))"

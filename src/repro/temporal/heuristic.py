@@ -12,7 +12,8 @@ question it puts to :meth:`TemporalStratum.candidate`, the stratum's one
 cached transformation function — so deciding costs a transformation at
 most once per statement text, and what it built is what then runs.
 Rule (s) reads the statement's shape alone
-(:func:`~repro.temporal.seqset.compile_seqset`).
+(:func:`~repro.temporal.seqset.compile_seqset`), a verdict the same
+function caches under the same key scheme.
 
 The thresholds below are calibration constants for this engine; the
 paper leaves a cost model to future work (§VIII), and this engine has
@@ -29,7 +30,6 @@ from repro.sqlengine.engine import Database
 from repro.temporal import analysis
 from repro.temporal.period import Period
 from repro.temporal.schema import TemporalRegistry
-from repro.temporal.seqset import compile_seqset
 
 # Calibration constants (rows of temporal data / days of context).
 # Calibrated against this engine's Figure-12/13 sweeps: the MAX/PERST
@@ -80,8 +80,7 @@ def choose_strategy(
     # SELECT over base tables aligns its constant-period join in one
     # pass, which beats PERST — on a key-less join too, a cross product
     # under every strategy.
-    other = stratum.registry if registry is stratum.tt_registry else stratum.tt_registry
-    if compile_seqset(db, registry, stmt, other) is None:
+    if stratum.candidate("seqset", stmt, registry).applicable:
         return StrategyChoice(
             SlicingStrategy.MAX, "s",
             "routine-free statement: its constant-period join is aligned in one pass",

@@ -69,7 +69,7 @@ from repro.temporal.period import Period, coalesce
 from repro.temporal.perst_slicing import PerstTransformer, substitute_context
 from repro.obs.tracing import _NOOP as _NO_SPAN
 from repro.temporal.schema import TemporalRegistry, TemporalTableInfo
-from repro.temporal.seqset import execute_seqset
+from repro.temporal.seqset import compile_seqset, execute_seqset
 from repro.temporal.transaction import add_transactiontime
 from repro.temporal.transform_util import clone, map_bodies
 
@@ -395,9 +395,11 @@ class TemporalStratum:
         dimension, or the verdict that ``flavor`` does not apply.
 
         ``flavor`` is ``"current"``, ``"nonsequenced"``, ``"max"``,
-        ``"perst"`` or ``"match"`` (a modification of a
+        ``"perst"``, ``"match"`` (a modification of a
         table temporal along ``registry``, whose modifier, if any, has no
-        bounds).  ``baked`` is what PERST writes into its output besides
+        bounds) or ``"seqset"``: rule (s)'s verdict, applicable when the
+        statement is routine-free (:func:`compile_seqset`), which
+        transforms nothing.  ``baked`` is what PERST writes into its output besides
         the statement, hence part of its key: the context
         (:func:`substitute_context`; every other strategy's context only
         drives the cp materialization, redone per execution over the live
@@ -438,6 +440,10 @@ class TemporalStratum:
         baked: Any,
     ) -> Candidate:
         catalog = self.db.catalog
+        if flavor == "seqset":
+            other = self.registry if registry is self.tt_registry else self.tt_registry
+            refusal = compile_seqset(self.db, registry, stmt, other)
+            return Candidate(statement=stmt if refusal is None else None, reason=refusal or "")
         found = Candidate(
             temporal_tables=analysis.reachable_temporal_tables(stmt, catalog, registry)
         )

@@ -1,8 +1,8 @@
 """Differential: compiled routine bodies ≡ the walking PSM interpreter.
 
 ``src/repro/sqlengine/routines.py`` compiles a routine body once into
-closures over a flat frame; ``tests/reference_psm.py`` is the tree
-walker it replaced, and together with ``tests/reference_executor.py``
+one generated Python function over a flat slot list;
+``tests/reference_psm.py`` is the tree walker it replaced, and together with ``tests/reference_executor.py``
 (tree-walking expressions, whose function calls and CALLs go to the
 walker) it runs a statement without touching a compiled body.  A
 hypothesis generator writes a function and a procedure over nested
@@ -40,13 +40,18 @@ so a block that shadowed one got its own copy assigned
 actions here touch only ``hc``, which nothing shadows.
 
 Mutants tried by hand against this file (each made the differential
-fail under ``--hypothesis-seed=0`` and was reverted): dropping ``txn.rollback_to`` before
-handler dispatch in ``_Compiler.block``; ``_Scope.declaring`` keeping
-the outer slot of a shadowed name; FETCH storing the raw value without
-its coercion; ``_handle`` returning the EXIT signal before a handler
-action's own RETURN; ITERATE mapped to the loop's LEAVE signal; the
-compound not dropping its handlers at END; ``_not_found`` skipped on an
-empty SELECT INTO.
+fail under ``--hypothesis-seed=0`` and was reverted): dropping the
+``txn.undo_to`` before handler dispatch in the guard
+``_Generator._guarded`` writes; a handler action's embedded SQL left in
+the failing statement's scope instead of its declaring one (also
+``test_handler_action_sql_is_scoped_where_it_is_declared``); the guard
+not counting ``engine.statements`` for one statement kind (each kind
+the generator writes); ``_Scope.declaring`` keeping the outer slot of
+a shadowed name; FETCH storing the raw value without its coercion;
+``_handle`` returning the EXIT signal before a handler action's own
+RETURN; ITERATE mapped to the loop's LEAVE signal; the compound not
+dropping its handlers at END; ``_not_found`` skipped on an empty
+SELECT INTO.
 """
 
 from __future__ import annotations
@@ -493,6 +498,102 @@ def test_handler_action_is_scoped_where_it_is_declared():
         """
     )
     assert db.query("SELECT f()").scalar() == 101
+
+
+def test_handler_action_sql_is_scoped_where_it_is_declared():
+    """The same for the action's embedded SQL, which resolves names
+    through the frame's scope: the failing statement left it at the
+    inner block's, the action must set its own."""
+    db = Database()
+    for sql in SCHEMA:
+        db.execute(sql)
+    db.execute(
+        """
+        CREATE FUNCTION f () RETURNS INTEGER LANGUAGE SQL
+        BEGIN
+          DECLARE y INTEGER DEFAULT 1;
+          DECLARE r INTEGER DEFAULT 0;
+          DECLARE CONTINUE HANDLER FOR SQLEXCEPTION SET r = (SELECT y + 100 FROM one);
+          BEGIN
+            DECLARE y INTEGER DEFAULT 2;
+            SET y = (SELECT y / 0 FROM one);
+          END;
+          RETURN r;
+        END
+        """
+    )
+    assert db.query("SELECT f()").scalar() == 101
+
+
+def test_ddl_and_refused_statements_count_like_the_walker():
+    """The statements the generator hands to the engine whole (CREATE /
+    DROP TABLE) or refuses when reached (a transaction statement) are
+    one PSM statement each, guarded, as on the walker; the generated
+    differential writes none of them."""
+    procedure = """
+        CREATE PROCEDURE ddl () LANGUAGE SQL
+        BEGIN
+          DECLARE hc INTEGER DEFAULT 0;
+          DECLARE CONTINUE HANDLER FOR SQLEXCEPTION SET hc = hc + 1;
+          CREATE TEMPORARY TABLE tmp (k INTEGER);
+          INSERT INTO tmp VALUES (1);
+          DROP TABLE tmp;
+          COMMIT;
+          SELECT hc FROM one;
+        END"""
+
+    def run(reference: bool) -> tuple:
+        db = Database()
+        if reference:
+            db._executor = ReferenceExecutor(db)
+        for sql in SCHEMA + [procedure]:
+            db.execute(sql)
+        db.stats.reset()
+        return observe(db, "CALL ddl()")
+
+    compiled = run(False)
+    assert compiled == run(True)
+    assert compiled[0] == ("ok", [(["hc"], [[1]])])
+
+
+def test_deep_nesting_moves_into_nested_functions():
+    """Past ``_MAX_BLOCKS`` nested Python blocks a statement becomes a
+    function of its own (CPython refuses more than 20): LEAVE, ITERATE,
+    RETURN and a handled SIGNAL cross its boundary as the walker's do."""
+    nested = 10
+    function = f"""
+        CREATE FUNCTION deep (n INTEGER) RETURNS INTEGER LANGUAGE SQL
+        BEGIN
+          DECLARE hc INTEGER DEFAULT 0;
+          DECLARE CONTINUE HANDLER FOR SQLSTATE '45000' SET hc = hc + 100;
+          l1: WHILE hc < 1000 DO
+            {"BEGIN " * nested}
+              l2: LOOP
+                SET hc = hc + 1;
+                IF hc = 3 THEN SIGNAL SQLSTATE '45000'; END IF;
+                IF hc > 107 + n THEN RETURN -hc; END IF;
+                IF hc > 106 THEN LEAVE l1; END IF;
+                IF hc = 105 THEN ITERATE l2; END IF;
+                IF hc > 104 THEN LEAVE l2; END IF;
+              END LOOP l2;
+            {"END; " * nested}
+            INSERT INTO log VALUES (hc);
+          END WHILE l1;
+          RETURN hc;
+        END"""
+
+    def run(reference: bool) -> tuple:
+        db = Database()
+        if reference:
+            db._executor = ReferenceExecutor(db)
+        for sql in SCHEMA + [function]:
+            db.execute(sql)
+        db.stats.reset()
+        return observe(db, "SELECT deep(0) AS a, deep(-1) AS b FROM one")
+
+    compiled = run(False)
+    assert compiled == run(True)
+    assert compiled[0] == ("ok", [(["a", "b"], [[107, -107]])])
 
 
 def test_a_body_is_compiled_once_per_routine_object():

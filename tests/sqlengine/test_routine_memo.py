@@ -1,8 +1,10 @@
 """Differential: the routine-result memo ≡ running every routine call.
 
 Two strata are built from the same history; one runs with the memo
-bypassed (``every_invocation_runs``), so no result is kept and no read
-window is opened — every invocation runs its body.  Under MAX, through a
+bypassed (``every_invocation_runs``: ``_reused``, the memo's one writer,
+keeps nothing, so the probe every scalar call site makes in line misses
+too), so no result is kept and no read window is opened — every
+invocation runs its body.  Under MAX, through a
 sequenced SELECT and a sequenced CALL, both must return the same rows in
 the same order, or raise the same error class.  On the hand-built
 histories a third stratum runs on the reference evaluators
@@ -31,7 +33,10 @@ Mutation-checked on ``HISTORY`` below (each fails
 ``test_fixed_history``): dropping ``_narrow_by_table`` in
 ``_Level.candidates`` or in ``_Scan.bind``, dropping the bucket
 narrowing in ``_bucket_versions`` after a hash probe, dropping the
-callee → caller narrowing after a run, and dropping it after a reuse.
+callee → caller narrowing after a run, and dropping it after a reuse —
+in ``_reused`` and in the call site's in-line probe
+(``exprcompile.call_lines``), where taking every kept entry as a hit
+whatever its ``[lo, hi)`` fails too.
 Narrowing by the versions a hash probe's
 stab keeps, instead of its whole bucket, fails
 ``test_a_rejected_version_narrows_the_window``.  Waiving the narrowing
@@ -296,6 +301,28 @@ def test_fixed_history():
 @given(emp=emp_rows, dept=dept_rows, price=price_rows, acct=acct_rows)
 def test_random_histories(emp, dept, price, acct):
     check({"emp": emp, "dept": dept, "price": price, "acct": acct})
+
+
+def test_a_hit_is_served_at_the_call_site(monkeypatch):
+    """A scalar call the memo serves is answered where it is made: the
+    interpreter's ``invoke_function`` sees only the calls that run a
+    body, and every reuse is counted without it."""
+    entered = []
+    invoke = RoutineInterpreter.invoke_function
+
+    def counted(self, name, args, routine=None):
+        entered.append(name)
+        return invoke(self, name, args, routine)
+
+    monkeypatch.setattr(RoutineInterpreter, "invoke_function", counted)
+    stratum = build(HISTORY)
+    for sql in STATEMENTS:
+        outcome(stratum, sql)
+    runs, reuses = routine_calls(stratum.db), routine_reuses(stratum.db)
+    scalar = set(entered)
+    assert sum(reuses.get(name, 0) for name in scalar) > 0
+    for name in scalar:
+        assert entered.count(name) == runs.get(name, 0), name
 
 
 def test_a_rejected_version_narrows_the_window():

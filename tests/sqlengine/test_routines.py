@@ -484,12 +484,11 @@ class TestCallDepth:
     counted nested statements instead, so ``fact`` gave out at 33 and
     ``fact2`` — the same recursion three blocks deep — at 15.
 
-    One PSM call costs 8 Python frames where the call sits directly in
-    the body (``fact``: call site, ``invoke_function``, ``_scalar_result``,
-    ``_invoke``, the body's guard, the compound's guard, RETURN, ``*``)
-    and 2 more per enclosing IF or loop, 1 per enclosing BEGIN: 13 for
-    ``fact2``, 832 at depth 64 — under CPython's default limit of 1000
-    with pytest's own frames on top, so the typed error comes first."""
+    One PSM call costs 4 Python frames wherever the call sits in the
+    body (``invoke_function``, ``_scalar_result``, ``_invoke``, the
+    generated body, in which statements and call sites are in line):
+    256 at depth 64 — under CPython's default limit of 1000 with
+    pytest's own frames on top, so the typed error comes first."""
 
     FACT = """
     CREATE FUNCTION fact (n INTEGER) RETURNS FLOAT LANGUAGE SQL

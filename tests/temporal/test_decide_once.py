@@ -1,13 +1,14 @@
 """Work bound: a statement is decided and transformed once.
 
-DS1-SMALL.  The §VII-F heuristic puts its question — does PERST
-apply — to the stratum's cached candidate function, and what it built
-is what runs (rule (s) transforms nothing: it reads the statement's
-shape, ``compile_seqset``, on every decision).  So while one statement
-text executes 10× under AUTO, each of the three transformation
-functions runs **at most once** (when the heuristic transformed
-privately on every execution: 10–11 ``PerstTransformer.transform``
-calls per 10 executions), and ``stratum.transforms`` is flat from the
+DS1-SMALL.  The §VII-F heuristic puts its questions — is the statement
+routine-free (rule (s), ``compile_seqset``), does PERST apply — to the
+stratum's cached candidate function, and what it built is what runs.
+So while one statement text executes 10× under AUTO, each of the three
+transformation functions and rule (s)'s ``compile_seqset`` runs **at
+most once** (when the heuristic transformed privately on every
+execution: 10–11 ``PerstTransformer.transform`` calls per 10
+executions; when rule (s) was read afresh on every decision, 10
+``compile_seqset`` calls), and ``stratum.transforms`` is flat from the
 second execution on.  The verdicts live under the transform cache's invalidation rules:
 a routine redefinition flips them, the ones stored inside a rolled-back
 window revalidate like any other — and asking installs nothing.
@@ -21,7 +22,8 @@ from repro.temporal import SlicingStrategy
 from repro.temporal import stratum as stratum_module
 from repro.temporal.perst_slicing import PerstTransformer
 
-FUNCTIONS = ("transform_query_max", "transform_current", "perst_transform")
+FUNCTIONS = ("transform_query_max", "transform_current", "compile_seqset",
+             "perst_transform")
 
 
 @pytest.fixture
@@ -46,7 +48,7 @@ def calls(monkeypatch):
             return function(*args, **kwargs)
         return counted
 
-    for name in FUNCTIONS[:2]:
+    for name in FUNCTIONS[:3]:
         monkeypatch.setattr(
             stratum_module, name, counting(name, getattr(stratum_module, name))
         )
@@ -189,6 +191,30 @@ def test_redefinition_flips_the_verdict(dataset):
     )
     stratum.execute(sql)
     assert stratum.last_strategy is SlicingStrategy.MAX
+
+
+def test_redefinition_flips_rule_s(dataset, calls):
+    """Rule (s)'s cached verdict stands while nothing the statement
+    reaches changes: a function created under the name of the built-in
+    it calls makes it routine-bearing, and dropping it again routine-free."""
+    stratum = dataset.stratum
+    sql = sequenced(dataset, "SELECT i.id, ABS(i.price) AS p FROM item i WHERE i.price > 50")
+
+    def rule() -> str:
+        return stratum.execute("EXPLAIN " + sql).lines[3]
+
+    assert rule().startswith("strategy: max (rule s")
+    for _ in range(10):
+        stratum.execute(sql)
+    assert calls["compile_seqset"] == 1
+    stratum.register_routine(
+        "CREATE FUNCTION abs (x FLOAT) RETURNS FLOAT LANGUAGE SQL BEGIN RETURN x; END"
+    )
+    assert not rule().startswith("strategy: max (rule s")
+    assert calls["compile_seqset"] == 2
+    stratum.db.catalog.drop_routine("abs")
+    assert rule().startswith("strategy: max (rule s")
+    assert calls["compile_seqset"] == 3
 
 
 def test_rollback_revalidates_verdicts_of_its_window(dataset):

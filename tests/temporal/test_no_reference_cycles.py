@@ -6,7 +6,7 @@ output row of an aligned constant-period join, while that join was a
 closure that referred to itself) stays alive until a full collection.  Each case
 runs one statement with the collector off and then asks it what it
 finds: nothing, on a cold run (the statement's transformation and plans
-built afresh) and on a warm one.
+built afresh, a routine body generated and compiled) and on a warm one.
 """
 
 import asyncio
@@ -16,7 +16,8 @@ import pytest
 
 from benchmarks.e2e.workloads import ROUTINE_FREE_SQL
 from repro.server import ReproClient, ReproServer
-from repro.taubench import ALL_QUERIES, build_dataset
+from repro.sqlengine import Database
+from repro.taubench import ALL_QUERIES, build_dataset, get_query
 from repro.temporal import SlicingStrategy, TemporalStratum
 
 from tests.temporal.test_seqset_join import CONTEXT, SHAPES
@@ -88,6 +89,86 @@ def test_seqset_join_shape_leaves_no_cycle(dataset, shape):
     aligned = stratum.db.obs.value("engine.join.aligned")
     assert cold_then_warm(stratum, sql, MAX) == (0, 0)
     assert stratum.db.obs.value("engine.join.aligned") > aligned
+
+
+FACT = """CREATE FUNCTION fact (n INTEGER) RETURNS FLOAT LANGUAGE SQL
+BEGIN
+  IF n <= 1 THEN RETURN 1; END IF;
+  RETURN n * fact(n - 1);
+END"""
+# a CONTINUE handler fires twice, an EXIT handler leaves its compound
+HANDLED = """CREATE FUNCTION handled (x INTEGER) RETURNS INTEGER LANGUAGE SQL
+BEGIN
+  DECLARE hits INTEGER DEFAULT 0;
+  DECLARE CONTINUE HANDLER FOR SQLSTATE '45000' SET hits = hits + 1;
+  SIGNAL SQLSTATE '45000';
+  w: WHILE hits < 2 DO
+    SIGNAL SQLSTATE '45000';
+  END WHILE w;
+  BEGIN
+    DECLARE EXIT HANDLER FOR SQLEXCEPTION SET hits = hits + 10;
+    SET hits = hits + x / 0;
+    SET hits = -1;
+  END;
+  RETURN hits;
+END"""
+
+
+@pytest.mark.parametrize("definition, sql, expected", [
+    (FACT, "SELECT fact(10) AS r", 3628800.0),
+    (HANDLED, "SELECT handled(1) AS r", 12),
+])
+def test_generated_body_leaves_no_cycle(definition, sql, expected):
+    """Cold: the statement's first call generates and compiles the body."""
+    db = Database()
+    db.execute(definition)
+    results = []
+    found = tuple(
+        cyclic_garbage(lambda: results.append(db.query(sql).scalar())) for _ in range(2)
+    )
+    assert results == [expected, expected]
+    assert db.obs.value("engine.psm.compiles") == 1
+    assert found == (0, 0)
+
+
+def test_cursor_loop_leaves_no_cycle(dataset):
+    """q17b's cursor loop, its helpers called once per item: a current
+    read, whose clones compile on the first run."""
+    get_query("q17b").install(dataset)
+    stratum = dataset.stratum
+    results = []
+    found = tuple(
+        cyclic_garbage(lambda: results.append(
+            stratum.execute("SELECT canadian_small_books() AS n").rows
+        ))
+        for _ in range(2)
+    )
+    assert results[0] == results[1]
+    assert found == (0, 0)
+
+
+def test_generated_body_is_named_and_compiled_once():
+    """MAX's three q17b clones compile once each, on the first run, into
+    code whose file name names the routine; an identical re-install
+    keeps them, bodies included."""
+    dataset = build_dataset("DS1", "SMALL")
+    query = get_query("q17b")
+    query.install(dataset)
+    stratum, value = dataset.stratum, dataset.stratum.db.obs.value
+    sql = query.sequenced_sql(dataset, BEGIN, END)
+    before = value("engine.psm.compiles")
+    compiles = []
+    for _ in range(3):
+        stratum.execute(sql, strategy=MAX)
+        compiles.append(value("engine.psm.compiles"))
+    assert compiles == [before + 3] * 3
+    clones = [r for r in stratum.db.catalog.routines() if r.name.startswith("max_")]
+    assert len(clones) == 3
+    for routine in clones:
+        assert routine.compiled.run.__code__.co_filename == f"<routine {routine.name}>"
+    query.install(dataset)
+    stratum.execute(sql, strategy=MAX)
+    assert value("engine.psm.compiles") == before + 3
 
 
 def test_sequenced_read_over_the_wire_leaves_no_cycle():
