@@ -40,6 +40,7 @@ from repro.sqlengine.values import (
     logic_and,
     logic_or,
     sort_key,
+    sorted_rows,
 )
 
 # the comparison flip used when a column sits on the right-hand side
@@ -441,28 +442,26 @@ class Executor:
         """ORDER BY over a set-operation result: output columns only."""
         colmap = {name.lower(): i for i, name in enumerate(result.columns)}
 
-        def order_key(row: list[Any]) -> tuple:
-            parts = []
-            for item in select.order_by:
-                expr = item.expr
-                if isinstance(expr, ast.Name) and expr.qualifier is None:
-                    index = colmap.get(expr.name.lower())
-                    if index is None:
-                        raise ExecutionError(
-                            f"ORDER BY column {expr.name!r} not in output"
-                        )
-                    value = row[index]
-                elif isinstance(expr, ast.Literal) and isinstance(expr.value, int):
-                    value = row[expr.value - 1]
-                else:
-                    bound = Env(parent=env)
-                    bound.bindings["__row__"] = Binding(colmap, row)
-                    value = self.evaluate(expr, bound)
-                key = sort_key(value)
-                parts.append(_Reversed(key) if item.descending else key)
-            return tuple(parts)
+        def value_of(item: ast.OrderItem, row: list[Any]) -> Any:
+            expr = item.expr
+            if isinstance(expr, ast.Name) and expr.qualifier is None:
+                index = colmap.get(expr.name.lower())
+                if index is None:
+                    raise ExecutionError(
+                        f"ORDER BY column {expr.name!r} not in output"
+                    )
+                return row[index]
+            if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
+                return row[expr.value - 1]
+            bound = Env(parent=env)
+            bound.bindings["__row__"] = Binding(colmap, row)
+            return self.evaluate(expr, bound)
 
-        result.rows.sort(key=order_key)
+        values = [[value_of(item, row) for item in select.order_by] for row in result.rows]
+        result.rows = sorted_rows(result.rows, [
+            ([keys[j] for keys in values], item.descending)
+            for j, item in enumerate(select.order_by)
+        ])
         return result
 
     # ------------------------------------------------------------------
@@ -604,21 +603,6 @@ class Executor:
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-
-class _Reversed:
-    """Inverts comparison for DESC sort keys."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: Any) -> None:
-        self.key = key
-
-    def __lt__(self, other: "_Reversed") -> bool:
-        return other.key < self.key
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Reversed) and self.key == other.key
 
 
 def _negate(value: Any) -> Any:

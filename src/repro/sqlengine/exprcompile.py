@@ -418,7 +418,8 @@ def compile_grouped(
     executor: Executor, expr: ast.Expression, layout: Layout, aggregates: list
 ) -> CompiledGrouped:
     """Compile an expression that may contain aggregate calls, appending
-    each call's argument closure to ``aggregates``."""
+    each call's argument expression to ``aggregates`` (the plan reads a
+    column argument in line, compiles any other)."""
     if isinstance(expr, ast.FunctionCall) and fn.is_aggregate(expr.name):
         return _compile_g_aggregate(executor, expr, layout, aggregates)
     if isinstance(expr, ast.BinaryOp):
@@ -467,7 +468,7 @@ def _compile_g_aggregate(
         raise ExecutionError(f"aggregate {name} requires an argument")
     if not star:
         slot = 2 + len(aggregates)
-        aggregates.append(compile_expression(executor, expr.args[0], layout))
+        aggregates.append(expr.args[0])
     # a user routine shadowing the aggregate name is resolved per call
     row_c = compile_expression(executor, expr, layout)
 

@@ -4,11 +4,10 @@
 **join pipeline** (access path → level filters → residual → group →
 project → order) whose predicates and projections are pre-compiled
 closures from :mod:`repro.sqlengine.exprcompile`.  Everything about the
-FROM/WHERE evaluation is decided at plan time, the levels included: each
-is a step that binds its candidates and calls the next level's — a
-scan's is a loop generated per level shape with its typed tests inlined
-(:func:`_level_loop`) — and the leaf hands a passing combination to the
-plan's consumer (projection, grouping, a match's rows).
+FROM/WHERE evaluation is decided at plan time, and a pipeline runs as one
+Python function generated per plan shape (:func:`_nest`): a ``for`` per
+level with its key probe and typed tests in line, the residual and the
+plan's consumer (select list, grouped fold, a match's rows) at the leaf.
 ``SelectPlan.run`` walks no AST and makes no generator frame.
 
 *Total and partial conjuncts.*  A top-level WHERE conjunct is **total**
@@ -18,8 +17,7 @@ character / date, by declared type), literals and outer names (routine
 variables, parent-query bindings) whose value, read once per execution,
 is NULL or of the column's class: ``compare`` cannot raise on it.
 Everything else is **partial**.  A total conjunct runs at the first join
-level where all its columns are bound, inlined in the level's loop by its
-value class;
+level where all its columns are bound, inlined by its value class;
 partial conjuncts form the leaf residual, in their original order and
 with the AND chain's short circuit.  An outer operand of the wrong class
 (or one that cannot be read) makes its conjunct partial for that
@@ -64,7 +62,8 @@ from __future__ import annotations
 import functools
 from bisect import bisect_left
 from itertools import chain
-from typing import Any, Callable, Iterator, Optional
+from types import CodeType, FunctionType
+from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.errors import (
@@ -83,13 +82,11 @@ from repro.sqlengine.executor import (
     _distinct_rows,
     _freeze_env,
     _FLIPPED_COMPARISON,
-    _Reversed,
     _split_conjuncts,
 )
 from repro.sqlengine.exprcompile import _indented, compile_expression, compile_grouped
-from repro.sqlengine.interval_index import stab_point
 from repro.sqlengine.storage import _column_kind
-from repro.sqlengine.values import Date, Null, sort_key, truth
+from repro.sqlengine.values import Date, Null, sort_key, sorted_rows, truth
 
 _INF = float("inf")
 
@@ -164,7 +161,8 @@ class _Scan:
 # declared period pair narrows the innermost open one so that each row
 # the bind examines keeps its ``begin <= p < end`` verdict for every
 # ``p`` of ``[lo, hi)`` — but a bucket version a point-free level filter
-# rejects.  Narrowing by more than the rows examined is always sound.
+# rejects (:func:`_bucket_lines`).  Narrowing by more than the rows
+# examined is always sound.
 
 
 def _narrow_by_table(window: list, pairs: list, table) -> None:
@@ -173,79 +171,6 @@ def _narrow_by_table(window: list, pairs: list, table) -> None:
     for begin_index, end_index, _, _ in pairs:
         lo, hi = table.change_window(begin_index, end_index, window[2])
         window[0], window[1] = max(window[0], lo), min(window[1], hi)
-
-
-def _bucket_versions(
-    table, bucket, rows: list, level: "_Level", vector: list, window: Optional[list], stats
-) -> list:
-    """The versions of a hash probe's ``bucket`` (``rows``, table order)
-    whose bounds are Dates inside the ``level``'s period limits (all
-    without a period, none under a NULL limit).  A stab takes them from
-    ``Table.bucket_stab`` unless a read window is open at another point,
-    a point-free filter could waive or the structure is too wide; else
-    one pass narrows an open ``window`` to the bounds of every version
-    around its point, but for a version that would tighten it and that a
-    point-free filter of the ``level`` rejects: the level emits it at no
-    point (``engine.read_window.versions_waived``)."""
-    period, columns = level.period, level.node.period_columns
-    narrow = window is not None and bool(columns)
-    if narrow:
-        lo, hi, point = window
-        free = level.free
-    elif period is None:
-        return rows
-    test_begin = test_end = False
-    if period is not None:
-        begin_index, end_index = period.begin_index, period.end_index
-        limits = period.limits(vector)
-        at = stab_point(limits)
-        if at is not None and rows:
-            reason = "window_point" if narrow and at != point else "point_free_filter"
-            if not (narrow and (at != point or free)):
-                stab = table.bucket_stab(level.key[0], bucket, begin_index, end_index, columns)
-                if stab.live is not None:
-                    stats.stab_served.value += 1
-                    return stab.alive(at, window if narrow else None)
-                reason = "too_wide"
-            stats.obs.inc("engine.stab.full_pass." + reason)
-        if limits is None:
-            test_begin, begin_min, begin_max = True, _INF, -_INF
-        else:
-            begin_min, begin_max, end_min = limits
-            test_begin = begin_min is not None or begin_max is not None
-            test_end = end_min is not None
-            begin_min = -_INF if begin_min is None else begin_min
-            begin_max = _INF if begin_max is None else begin_max
-    kept = []
-    for row in rows:
-        if narrow:
-            row_lo, row_hi = lo, hi
-            for index in columns:
-                value = row[index]
-                if isinstance(value, Date):
-                    ordinal = value.ordinal
-                    if ordinal <= point:
-                        if ordinal > row_lo:
-                            row_lo = ordinal
-                    elif ordinal < row_hi:
-                        row_hi = ordinal
-            if row_lo != lo or row_hi != hi:
-                if free is not None and not free(vector, (row,)):
-                    stats.waived.value += 1
-                else:
-                    lo, hi = row_lo, row_hi
-        if test_begin:
-            begin = row[begin_index]
-            if not (isinstance(begin, Date) and begin_min <= begin.ordinal <= begin_max):
-                continue
-        if test_end:
-            end = row[end_index]
-            if not (isinstance(end, Date) and end.ordinal >= end_min):
-                continue
-        kept.append(row)
-    if narrow:
-        window[0], window[1] = lo, hi
-    return kept
 
 
 class _RowSource:
@@ -356,25 +281,19 @@ class _JoinNode:
                     yield env3
 
 
-class _LeftJoinNode:
+class _LeftJoinNode(_JoinNode):
     """LEFT OUTER join.  The right side — a leaf or itself a join — is
     bound once per execution, before the left side, and kept as one
     ``{alias: Binding}`` per combination."""
 
-    __slots__ = ("left", "right", "condition_c", "nulls")
+    __slots__ = ("nulls",)
 
     def __init__(self, left: Any, right: Any, condition_c: Optional[Callable]) -> None:
-        self.left = left
-        self.right = right
-        self.condition_c = condition_c
+        super().__init__(left, right, condition_c)
         self.nulls = {
             leaf.key: Binding(leaf.colmap, [Null] * len(leaf.colmap))
             for leaf in _leaves(right)
         }
-
-    def validate(self, executor: Executor, env: Env) -> None:
-        self.left.validate(executor, env)
-        self.right.validate(executor, env)
 
     def bind(self, executor: Executor, env: Env) -> Iterator[Env]:
         nulls = self.nulls
@@ -400,7 +319,7 @@ class _LeftJoinNode:
 
 def _leaves(node: Any) -> list:
     """The leaf sources under ``node`` in binding order."""
-    if isinstance(node, (_JoinNode, _LeftJoinNode)):
+    if isinstance(node, _JoinNode):
         return _leaves(node.left) + _leaves(node.right)
     return [node]
 
@@ -463,45 +382,38 @@ class _Conjunct:
 _CLASS_FORMS = {"date": "{}.ordinal", "character": "{}.rstrip()", "numeric": "{} != {}"}
 
 
-@functools.lru_cache(maxsize=1024)
-def _level_loop(pos: int, tests: tuple, mode: str) -> Callable:
-    """The loop of one level shape, generated from source text and
-    compiled once: ``pos`` the level's FROM position, ``tests`` its typed
-    tests ``(value_class, op, at)`` and ``mode`` what a candidate that
-    passes them is for.  ``"sieve"`` gives ``sieve(vector, rows)``, the
-    rows that pass in order; ``"scan"`` and ``"leaf"`` give a factory
-    ``(level, after, key, colmap) -> step`` whose step takes the level's
-    candidates, re-points one ``Binding`` at each row that passes and
-    calls ``after`` (at the leaf: ``emit``), then counts the level's rows
-    in and out and ``engine.join.level_rejects``.
+def _checks(pos: int, tests: tuple, read: Callable) -> tuple:
+    """The typed tests ``(value_class, op, at)`` of the level at FROM
+    position ``pos`` as source: ``reads`` (the operands bound before the
+    level), ``guard`` (none of them is NULL), ``forms`` (their compared
+    forms), ``once`` (the tests over them alone) and ``each`` (per
+    candidate, its own NULL checks first); ``read(at)`` gives an
+    operand's variable and the source reading it.
 
     Each test is inlined by class — day ordinals for dates, ``rstrip()``ped
     strings for characters, native comparison for numbers (bool is an
     int) but where a NaN takes its ``sort_key`` place — and a ``BETWEEN``
     is its ``>=`` and ``<=`` halves.  A test holds exactly where
     :func:`compare` makes it TRUE (``tests/sqlengine/test_typed_filters.py``),
-    so NULL rejects.  The operands bound before the level (outer slots,
-    earlier levels' columns) are read once per loop: a NULL among them
-    passes no row.  The code depends on the shape alone, so plans of one
-    shape share it; its file name names the level (``<scan level 1>``)."""
-    reads: list = []  # the operands bound before the level
-    guard: list = []  # none of them is NULL
-    forms: list = []  # their compared forms
-    once: list = []  # the tests over them alone
-    each: list = []  # the tests per row, own NULL checks first
+    so NULL rejects, and a NULL bound before the level passes no row."""
+    reads: list = []
+    guard: list = []
+    forms: list = []
+    once: list = []
+    each: list = []
     seen: set = set()
 
     def operand(at: tuple, value_class: str, checks: list) -> tuple:
         """``(value, is it NaN)`` as source; the first read of a name
         adds its NULL check."""
         own = at[0] == pos
-        name = f"c{at[1]}" if own else f"h{at[0]}_{at[1]}"
+        name, source = read(at)
         if name not in seen:
             seen.add(name)
             if own:
-                checks.append(f"({name} := row[{at[1]}]) is not Null")
+                checks.append(f"({name} := {source}) is not Null")
             else:
-                reads.append(f"{name} = vector[{at[0]}][{at[1]}]")
+                reads.append(f"{name} = {source}")
                 guard.append(f"{name} is not Null")
         form = _CLASS_FORMS[value_class].format(name, name)
         if not own:
@@ -527,43 +439,38 @@ def _level_loop(pos: int, tests: tuple, mode: str) -> Callable:
                 f"(sort_key({left}) {op} sort_key({right}) if {left_nan} or"
                 f" {right_nan} else {left} {op} {right})"
             )
-    # the loop, inside the checks of what it reads once
-    keep = ["kept.append(row)"] if mode == "sieve" else [
-        "passed += 1",
-        f"binding.row = vector[{pos}] = row",
-        "emit(env)" if mode == "leaf" else "after(executor, env, vector, tables, emit)",
-    ]
-    if each:
-        keep = [f"if {' and '.join(each)}:"] + _indented(keep)
-    block = ["for row in rows:"] + _indented(keep)
-    if mode != "sieve":
-        block = ["binding = env.bindings[key] = Binding(colmap, None)"] + block + [
-            "del env.bindings[key]"
-        ]
+    return reads, guard, forms, once, each
+
+
+def _guarded(guard: list, forms: list, once: list, block: list) -> list:
+    """``block`` inside the tests of what a level reads once."""
     if once:
         block = [f"if {' and '.join(once)}:"] + _indented(block)
     if guard:
         block = [f"if {' and '.join(guard)}:"] + _indented(forms + block)
-    block = reads + block
-    if mode == "sieve":
-        lines = ["def sieve(vector, rows):", "    kept = []", *_indented(block), "    return kept"]
-    else:
-        lines = [
-            "def make(level, after, key, colmap):",
-            "    def scan(executor, env, vector, tables, emit):",
-            f"        rows = level.candidates(executor, tables[{pos}], vector)",
-            "        passed = 0",
-            *_indented(_indented(block)),
-            "        level.rows_in += len(rows)",
-            "        level.rows_out += passed",
-            "        if passed < len(rows):",
-            "            executor.db.stats.rejects.value += len(rows) - passed",
-            "    return scan",
-        ]
-    namespace = {"Null": Null, "sort_key": sort_key, "Binding": Binding}
-    filename = f"<{'sieve' if mode == 'sieve' else 'scan'} level {pos}>"
-    exec(compile("\n".join(lines), filename, "exec"), namespace)
-    return namespace["sieve" if mode == "sieve" else "make"]
+    return block
+
+
+@functools.lru_cache(maxsize=1024)
+def _level_loop(pos: int, tests: tuple) -> Callable:
+    """``sieve(vector, rows)``: the ``rows`` of the level at FROM
+    position ``pos`` that pass its typed ``tests`` (:func:`_checks`), in
+    order, the operands bound before it read from ``vector`` once;
+    compiled once per shape, file ``<sieve level N>``."""
+    def read(at: tuple) -> tuple:
+        if at[0] == pos:
+            return f"c{at[1]}", f"row[{at[1]}]"
+        return f"h{at[0]}_{at[1]}", f"vector[{at[0]}][{at[1]}]"
+
+    reads, guard, forms, once, each = _checks(pos, tests, read)
+    keep = ["kept.append(row)"]
+    if each:
+        keep = [f"if {' and '.join(each)}:"] + _indented(keep)
+    block = reads + _guarded(guard, forms, once, ["for row in rows:"] + _indented(keep))
+    lines = ["def sieve(vector, rows):", "    kept = []", *_indented(block), "    return kept"]
+    namespace = {"Null": Null, "sort_key": sort_key}
+    exec(compile("\n".join(lines), f"<sieve level {pos}>", "exec"), namespace)
+    return namespace["sieve"]
 
 
 # the sides a period bound can take: the begin column from below or
@@ -585,32 +492,14 @@ class _PeriodProbe:
         self.begin_index, self.end_index, self.begin_name, self.end_name = pair
         self.bounds = bounds
 
-    def limits(self, vector: list) -> Optional[list]:
-        """``[begin_min, begin_max, end_min]`` in day ordinals from the
-        tightest bounds (None for a side without one), or None under a
-        NULL bound: no row satisfies it.  A total conjunct's operand is
-        a Date or NULL."""
-        limits: list = [None, None, None]
-        for side, a, b, offset, _ in self.bounds:
-            value = vector[a][b]
-            if value is Null:
-                return None
-            bound = value.ordinal + offset
-            limit = limits[side]
-            if limit is None or (
-                bound < limit if side == _BEGIN_UPTO else bound > limit
-            ):
-                limits[side] = bound
-        return limits
-
 
 class _Level:
     """One join level: a source plus, for a scan, its access path (hash
     ``key``, ``period`` bounds, both, or a full scan) and the total
     conjuncts that become checkable here and that the access path does
     not decide (``filters``, typed tests; ``free``: behind a hash key,
-    the sieve of those whose operands are columns of this or earlier
-    levels or literals, if any).  ``rows_in``/``rows_out`` accumulate over executions for
+    those whose operands are columns of this or earlier levels or
+    literals).  ``rows_in``/``rows_out`` accumulate over executions for
     EXPLAIN ANALYZE."""
 
     __slots__ = ("node", "pos", "key", "period", "filters", "free", "access",
@@ -622,55 +511,19 @@ class _Level:
         self.key: Optional[tuple] = None  # (column, a, b)
         self.period: Optional[_PeriodProbe] = None
         self.filters: list = []  # (value_class, op, at) tests
-        self.free: Optional[Callable] = None
+        self.free: list = []
         self.access = ("Scan", "")  # EXPLAIN: (operator, the key's SQL)
         self.rows_in = self.rows_out = 0
-
-    def candidates(self, executor: Executor, table, vector: list) -> list:
-        """Candidate rows.  The access path always applies the level's
-        period bounds exactly — behind a hash key or as an
-        interval-index search.  ``engine.rows_scanned`` counts the rows
-        the access path returns."""
-        db = executor.db
-        if db.resilience.armed:
-            # watchdog checkpoint: every level bind
-            db.resilience.check()
-        window = db.read_window
-        period = self.period
-        if self.key is not None:
-            column, a, b = self.key
-            value = vector[a][b]
-            bucket = None if value is Null else sort_key(value)
-            rows = [] if bucket is None else table.hash_index(column).get(bucket, [])
-            stats = db.stats
-            versions = _bucket_versions(table, bucket, rows, self, vector, window, stats)
-            stats.pruned.value += len(rows) - len(versions)
-            stats.scanned.value += len(versions)
-            return versions
-        if window is not None and self.node.pairs:
-            _narrow_by_table(window, self.node.pairs, table)
-        table_rows = table.rows
-        if period is None:
-            db.stats.scanned.value += len(table_rows)
-            return table_rows
-        positions = executor._interval_candidate_positions(
-            table, period.begin_index, period.end_index, period.limits(vector)
-        )
-        db.stats.scanned.value += len(positions)
-        return [table_rows[p] for p in positions]
 
 
 class _Pipeline:
     """Levels in join order plus the leaf residual, for one set of
     conjuncts demoted at run time (none, in the plan's default); the
-    first ``split`` levels are the FROM's leading scans.  ``run`` chains
-    them all; a reordered pipeline runs the scan ``prefix`` (no residual),
-    sorts its combinations into FROM order and runs ``rest`` under each.
-    An aligned pipeline (``alignment``) runs its levels in FROM order as
-    one pass (:class:`_Alignment`)."""
+    first ``split`` levels are the FROM's leading scans, ``reordered``
+    when not in FROM order.  It runs as one generated ``function``
+    (:func:`_nest`) or, aligned, as one pass (``alignment``)."""
 
-    __slots__ = ("levels", "split", "reordered", "residual", "run", "prefix",
-                 "rest", "alignment")
+    __slots__ = ("levels", "split", "reordered", "residual", "alignment", "function")
 
     def __init__(
         self, levels: list, split: int, residual: list,
@@ -681,53 +534,7 @@ class _Pipeline:
         self.reordered = any(level.pos != pos for pos, level in enumerate(levels))
         self.residual = residual
         self.alignment = alignment
-        if alignment is not None:
-            return
-        if self.reordered:
-            self.prefix = _chain(levels[:split], [])
-            self.rest = _chain(levels[split:], residual)
-        else:
-            self.run = _chain(levels, residual)
-
-
-# A *step* ``step(executor, env, vector, tables, emit)`` binds its level's
-# candidates one at a time (``env.bindings`` for closures, ``vector`` for
-# typed tests and later probes; ``tables`` by FROM position) and hands
-# each that passes to the next step, at the leaf to ``emit(env)``.  A
-# scan's step is a generated loop (:func:`_level_loop`).
-
-
-def _chain(levels: list, residual: list) -> Callable:
-    """``levels`` as nested steps; the leaf checks the ``residual`` (the
-    partial conjuncts) before it emits."""
-    after: Optional[Callable] = None
-    if residual:
-        def after(executor, env, vector, tables, emit) -> None:
-            if _all_true(residual, env):
-                emit(env)
-    for level in reversed(levels):
-        node = level.node
-        if isinstance(node, _Scan):
-            make = _level_loop(level.pos, tuple(level.filters), "leaf" if after is None else "scan")
-            after = make(level, after, node.key, node.colmap)
-        else:
-            after = _opaque_step(level, after)
-    return after or (lambda executor, env, vector, tables, emit: emit(env))
-
-
-def _opaque_step(level: "_Level", after: Optional[Callable]) -> Callable:
-    def opaque(executor, env, vector, tables, emit) -> None:
-        bound = 0
-        for _ in level.node.bind(executor, env):
-            bound += 1
-            if after is None:
-                emit(env)
-            else:
-                after(executor, env, vector, tables, emit)
-        level.rows_in += bound
-        level.rows_out += bound
-
-    return opaque
+        self.function: Optional[Callable] = None
 
 
 def _join_order(prefix: int, count: int, keys: list) -> list:
@@ -788,23 +595,23 @@ def _period_probe(
     return None, set()
 
 
-def _build_pipeline(
-    sources: list, conjuncts: list, demoted: frozenset,
-    aligns: bool = False, projections: Optional[tuple] = None,
-) -> _Pipeline:
-    """Place ``conjuncts`` over ``sources``; ``demoted`` holds the
-    indexes of the conjuncts that are partial for this execution.  A
-    plan that ``aligns`` (it calls no routine) takes the aligned access
-    where its shape allows (:func:`_aligned_pipeline`); ``projections``
-    are its select items as the aligned join can emit them, and whether
-    the select is DISTINCT."""
+def _build_pipeline(owner: "_FromWhere", demoted: frozenset) -> _Pipeline:
+    """Place the ``owner`` plan's conjuncts over its sources; ``demoted``
+    holds the indexes of the conjuncts that are partial for this
+    execution (none: the plan's default pipeline).  A plan that
+    ``aligns`` (it calls no routine) takes the aligned access where its
+    shape allows (:func:`_aligned_pipeline`); any other pipeline runs as
+    one generated function (:func:`_nest`)."""
+    sources, conjuncts = owner.sources, owner.conjuncts
     outer = len(sources)
     total = [
         c.value_class is not None and i not in demoted
         for i, c in enumerate(conjuncts)
     ]
-    if aligns:
-        pipeline = _aligned_pipeline(sources, conjuncts, total, projections)
+    if owner.aligns:
+        pipeline = _aligned_pipeline(
+            sources, conjuncts, total, owner.projections, owner.consumer
+        )
         if pipeline is not None:
             return pipeline
     # total equalities steer the join order, and at its level the first
@@ -843,7 +650,6 @@ def _build_pipeline(
         decided |= settled
         if level.period is not None and level.key is None:
             level.access = ("IntervalIndexScan", "")
-    free: dict = {}  # hash-probed level -> its point-free tests
     for i, c in enumerate(conjuncts):
         if total[i] and i not in decided:
             level = levels[max(depth_of[at[0]] for at in c.at)]
@@ -852,11 +658,422 @@ def _build_pipeline(
                 at[0] != outer or isinstance(expr, ast.Literal)
                 for at, expr in zip(c.at, c.operands)
             ):
-                free.setdefault(level, []).append(c.typed())
-    for level, tests in free.items():
-        level.free = _level_loop(level.pos, tuple(tests), "sieve")
+                level.free.append(c.typed())  # point-free
     residual = [c.closure for i, c in enumerate(conjuncts) if not total[i]]
-    return _Pipeline(levels, split, residual)
+    pipeline = _Pipeline(levels, split, residual)
+    pipeline.function = _nest(pipeline, owner)
+    return pipeline
+
+
+# ---------------------------------------------------------------------------
+# the generated plan function
+# ---------------------------------------------------------------------------
+
+
+class _Source:
+    """The parameters ``k0``, ``k1``, … of one generated function: its
+    column indexes, keys, closures and other constants, so that its text
+    depends on the plan's shape alone (:func:`_code`)."""
+
+    __slots__ = ("values", "names")
+
+    def __init__(self) -> None:
+        self.values: list = []
+        self.names: dict = {}
+
+    def __call__(self, value: Any, key: Any = None) -> str:
+        """The parameter holding ``value``: one per ``key`` when given."""
+        name = self.names.get(key) if key is not None else None
+        if name is None:
+            name = self.names[key] = f"k{len(self.values)}"  # None: a fresh one each time
+            self.values.append(value)
+        return name
+
+
+def _star_cells(bindings: dict, qualifier: Optional[str]) -> list:
+    """``*`` (``qualifier.*``) in a select list: the cells of every
+    binding (of that alias), in binding order."""
+    cells: list = []
+    for alias, binding in bindings.items():
+        if qualifier is None or alias == qualifier:
+            cells.extend(binding.row)
+    return cells
+
+
+def _position_value(literal: ast.Literal, fallback: Callable, row: list, *scope: Any) -> Any:
+    """An ORDER BY literal: the output column it numbers (re-read per
+    run: ``Literal.value`` is mutable), else its value."""
+    position = literal.value - 1 if isinstance(literal.value, int) else -1
+    return row[position] if 0 <= position < len(row) else fallback(*scope)
+
+
+class _Consumer(NamedTuple):
+    """What a plan does with each combination that passes its WHERE
+    (:func:`_consume` writes it).  ``"rows"`` projects the select
+    ``items`` — ``("col", position, column)`` of a scan level,
+    ``("closure", c)`` or ``("star", qualifier)`` — and, given ``order``
+    (ORDER BY entries), keeps each row's sort values; ``"group"`` folds
+    it by ``keys`` (items alike; None: one group) with the aggregate
+    ``args``; ``"match"`` keeps the target's row."""
+
+    kind: str
+    items: tuple = ()
+    order: Optional[list] = None
+    keys: Optional[tuple] = None
+    args: tuple = ()
+
+
+def _consume(src: _Source, consumer: _Consumer) -> tuple:
+    """``(setup, leaf, after, result)`` source: what prepares the
+    ``consumer``'s output, takes one combination (rows in ``row<position>``,
+    bindings current in ``env``), finishes and is returned.  A grouped
+    fold holds a key's error until the join is done (a later WHERE error
+    wins) and an argument's until its group folds that aggregate (a group
+    HAVING drops raises nothing); ``INTERRUPTS`` are never held."""
+    def cell(item: tuple) -> str:
+        if item[0] == "col":
+            return f"row{item[1]}[{src(item[2], ('column', item[1:]))}]"
+        if item[0] == "closure":
+            return f"{src(item[1])}(env)"
+        return f"*_star_cells(env.bindings, {src(item[1])})"
+
+    def held(target: str, value: str, handler: str) -> list:
+        return ["try:", f"    {target}{value}", "except INTERRUPTS:", "    raise",
+                "except SqlError as exc:", f"    {handler} = exc"]
+
+    if consumer.kind == "match":
+        return ["out = []"], ["out.append(row0)"], [], "out"
+    if consumer.kind == "rows":
+        cells = ", ".join(cell(item) for item in consumer.items)
+        if consumer.order is None:
+            return ["out = []"], [f"out.append([{cells}])"], [], "out, None, False"
+        values = ", ".join(
+            f"cells[{src(entry[1])}]" if entry[0] == "slot" else
+            f"_position_value({src(entry[1])}, {src(entry[2])}, cells, env)"
+            if entry[0] == "lit" else f"{src(entry[1])}(env)"
+            for entry in consumer.order
+        )
+        return (["out = []", "okeys = []"],
+                [f"cells = [{cells}]", "out.append(cells)", f"okeys.append(({values},))"],
+                [], "out, okeys, False")
+    fresh = "[None, 0" + ", []" * len(consumer.args) + "]"
+    fold = ["if not group[1]:", "    group[0] = _freeze_env(env)", "group[1] += 1"]
+    for slot, arg in enumerate(consumer.args, 2):
+        fold += [f"gvalues = group[{slot}]", "if gvalues.__class__ is list:"] + _indented(
+            [f"gvalues.append({cell(arg)})"] if arg[0] == "col"
+            else held("gvalues.append", f"({cell(arg)})", f"group[{slot}]")
+        )
+    if consumer.keys is None:
+        return [f"group = {fresh}", "groups = {(): group}"], fold, [], "groups"
+    parts = [f"sort_key({cell(key)})" for key in consumer.keys]
+    key = parts[0] if len(parts) == 1 else f"({', '.join(parts)})"
+    fold = ["group = groups.get(gkey)", "if group is None:",
+            f"    group = groups[gkey] = {fresh}"] + fold
+    if all(key[0] == "col" for key in consumer.keys):  # nothing to hold
+        return ["groups = {}"], [f"gkey = {key}"] + fold, [], "groups"
+    leaf = ["if held is None:"] + _indented(
+        held("gkey = ", key, "held") + ["else:"] + _indented(fold)
+    )
+    return ["groups = {}", "held = None"], leaf, ["if held is not None:", "    raise held"], "groups"
+
+
+def _residual(src: _Source, residual: list, leaf: list) -> list:
+    """``leaf`` behind the partial conjuncts' AND chain: it stops at the
+    first False and evaluates past an Unknown, as the compiled AND does."""
+    if not residual:
+        return leaf
+    names = [src(closure) for closure in residual]
+    block = [f"if {' and '.join(f'r{j} is True' for j in range(len(names)))}:"] + _indented(leaf)
+    for j in reversed(range(len(names))):
+        if j < len(names) - 1:
+            block = [f"if r{j} is not False:"] + _indented(block)
+        block = [f"r{j} = {names[j]}(env)"] + block
+    return block
+
+
+def _bucket_versions(
+    level: "_Level", table, bucket: tuple, rows: list, window: Optional[list],
+    limits: Optional[list], at: Optional[int], free: Optional[Callable],
+    vector: Optional[list], stats,
+) -> list:
+    """The versions of a hash-probed ``level``'s bucket ``rows`` (table
+    order) whose bounds are Dates inside its period ``limits`` ``[begin_min,
+    begin_max, end_min]`` (all without a period; none for ``limits`` None,
+    a NULL bound).  A stab (at ``at``) takes them from ``Table.bucket_stab``
+    unless a read ``window`` is open at another point, the point-free
+    filter ``free`` (a sieve over ``vector``) could waive or the structure
+    is too wide; else one pass narrows an open window to the bounds of
+    every version around its point, but for a version that would tighten
+    it and that ``free`` rejects: the level emits it at no point
+    (``engine.read_window.versions_waived``)."""
+    period, columns = level.period, level.node.period_columns
+    if at is not None and rows:
+        if window is not None and (at != window[2] or free is not None):
+            reason = "window_point" if at != window[2] else "point_free_filter"
+        else:
+            stab = table.bucket_stab(level.key[0], bucket, period.begin_index, period.end_index, columns)
+            if stab.live is not None:
+                stats.stab_served.value += 1
+                return stab.alive(at, window)
+            reason = "too_wide"
+        stats.obs.inc("engine.stab.full_pass." + reason)
+    narrow = window is not None
+    if narrow:
+        lo, hi, point = window
+    test_begin = test_end = False
+    if period is not None:
+        begin_index, end_index = period.begin_index, period.end_index
+        if limits is None:
+            test_begin, begin_min, begin_max = True, _INF, -_INF
+        else:
+            begin_min, begin_max, end_min = limits
+            test_begin = begin_min is not None or begin_max is not None
+            test_end = end_min is not None
+            begin_min = -_INF if begin_min is None else begin_min
+            begin_max = _INF if begin_max is None else begin_max
+    kept = []
+    for row in rows:
+        if narrow:
+            row_lo, row_hi = lo, hi
+            for index in columns:
+                value = row[index]
+                if isinstance(value, Date):
+                    ordinal = value.ordinal
+                    if ordinal <= point:
+                        if ordinal > row_lo:
+                            row_lo = ordinal
+                    elif ordinal < row_hi:
+                        row_hi = ordinal
+            if row_lo != lo or row_hi != hi:
+                if free is not None and not free(vector, (row,)):
+                    stats.waived.value += 1
+                else:
+                    lo, hi = row_lo, row_hi
+        if test_begin:
+            begin = row[begin_index]
+            if not (isinstance(begin, Date) and begin_min <= begin.ordinal <= begin_max):
+                continue
+        if test_end:
+            end = row[end_index]
+            if not (isinstance(end, Date) and end.ordinal >= end_min):
+                continue
+        kept.append(row)
+    if narrow:
+        window[0], window[1] = lo, hi
+    return kept
+
+
+# what a generated plan function reads besides its parameters
+_GENERATED = {
+    "Null": Null, "Date": Date, "sort_key": sort_key, "Binding": Binding, "Env": Env,
+    "SqlError": SqlError, "INTERRUPTS": INTERRUPTS, "_UNREADABLE": _UNREADABLE,
+    "_INF": _INF, "_freeze_env": _freeze_env, "_narrow_by_table": _narrow_by_table,
+    "_star_cells": _star_cells, "_position_value": _position_value,
+    "_bucket_versions": _bucket_versions,
+}
+
+
+@functools.lru_cache(maxsize=512)
+def _code(text: str, filename: str) -> CodeType:
+    """``text``'s function ``run``, compiled once per distinct text."""
+    namespace: dict = {}
+    exec(compile(text, filename, "exec"), _GENERATED, namespace)
+    return namespace["run"].__code__
+
+
+# the sides of a stab-shaped probe (``begin <= x AND x < end``): a stab
+# when its limits meet
+_STAB = {_BEGIN_UPTO, _END_FROM}
+
+
+def _limits(period: _PeriodProbe, p: int, value: Callable, stab: bool) -> list:
+    """``lim<p>``: the period limits ``[begin_min, begin_max, end_min]``
+    of the level at FROM position ``p`` in day ordinals (None for a side
+    without a bound; None under a NULL bound) and, with ``stab`` on a
+    stab shape, ``at<p>``: the point when ``end_min`` is ``begin_max +
+    1``.  A total conjunct's operand is a Date or NULL."""
+    names = [f"y{p}_{n}" for n in range(len(period.bounds))]
+    terms: dict = {}
+    for name, (side, _, _, offset, _) in zip(names, period.bounds):
+        terms.setdefault(side, []).append(
+            f"{name}.ordinal" + (f" + {offset}" if offset > 0 else f" - {-offset}" if offset else "")
+        )
+    sides = [  # the tightest bound of each side: begin from below, from above, end from below
+        None if side not in terms else terms[side][0] if len(terms[side]) == 1
+        else f"{('max', 'min', 'max')[side]}({', '.join(terms[side])})"
+        for side in range(3)
+    ]
+    stab = stab and set(terms) == _STAB
+    known = [f"lim{p} = [{', '.join(str(side) for side in sides)}]"]
+    if stab:
+        known += [f"at{p} = lim{p}[1] if lim{p}[2] == lim{p}[1] + 1 else None"]
+    return [f"{name} = {value(bound[1:3])}" for name, bound in zip(names, period.bounds)] + [
+        f"if {' or '.join(f'{name} is Null' for name in names)}:",
+        f"    lim{p} = {f'at{p} = ' if stab else ''}None", "else:",
+    ] + _indented(known)
+
+
+def _bucket_lines(level: _Level, src: _Source, col: Callable, value: Callable, vector: str) -> list:
+    """A hash-probed level's candidates ``cand<p>``: what
+    :func:`_bucket_versions` keeps of the bound value's bucket ``found<p>``
+    (``vector``: the source of the row vector its point-free sieve reads)."""
+    node, period, p = level.node, level.period, level.pos
+    column, a, b = level.key
+    probe = [f"bucket{p} = sort_key(x{p})",
+             f"found{p} = t{p}.hash_index({col(p, column)}).get(bucket{p}, [])"]
+    versions = (
+        f"_bucket_versions({src(level)}, t{p}, bucket{p}, found{p}, window,"
+        f" {'None' if period is None else f'lim{p}'},"
+        f" {f'at{p}' if period and {bound[0] for bound in period.bounds} == _STAB else 'None'},"
+        f" {src(_level_loop(p, tuple(level.free))) if level.free else 'None'},"
+        f" {vector if level.free else 'None'}, stats)"
+    )
+    if period is not None:
+        probe += _limits(period, p, value, True) + [f"cand{p} = {versions}"]
+    elif node.period_columns:
+        probe.append(f"cand{p} = found{p} if window is None else {versions}")
+    else:
+        probe.append(f"cand{p} = found{p}")
+    return [f"x{p} = {value((a, b))}", f"if x{p} is Null:", f"    found{p} = cand{p} = []",
+            "else:"] + _indented(probe) + [f"scanned += len(cand{p})",
+                                           f"pruned += len(found{p}) - len(cand{p})"]
+
+
+def _level_lines(level: _Level, inner: list, src: _Source, count: int, vector: str) -> list:
+    """One level of the nest around ``inner``: its candidates, then a
+    ``for`` re-pointing its binding at each that passes its typed tests
+    (an opaque level: its ``bind``), counting rows in and out."""
+    node, p = level.node, level.pos
+    if not isinstance(node, _Scan):
+        return [f"bound{p} = 0", f"for _ in {src(node.bind)}(executor, env):"] + _indented(
+            [f"bound{p} += 1"] + inner
+        ) + [f"in{p} += bound{p}"]
+
+    def col(pos: int, column: int) -> str:
+        return src(column, ("column", (pos, column)))
+
+    def value(at: tuple) -> str:
+        """An operand bound before the level, as source."""
+        return f"s{at[1]}" if at[0] == count else f"row{at[0]}[{col(*at)}]"
+
+    def read(at: tuple) -> tuple:
+        """A typed test's operand: its variable, the source reading it."""
+        if at[0] == count:
+            return f"h{p}_s{at[1]}", f"s{at[1]}"
+        name = col(*at)
+        return (f"c{p}_{name}" if at[0] == p else f"h{p}_{name}"), f"row{at[0]}[{name}]"
+
+    lines = ["if resilience.armed:", "    resilience.check()"]
+    period = level.period
+    if level.key is not None:
+        lines += _bucket_lines(level, src, col, value, vector)
+    else:
+        if node.pairs:  # any row may be examined
+            lines += ["if window is not None:",
+                      f"    _narrow_by_table(window, {src(node.pairs)}, t{p})"]
+        if period is None:
+            lines.append(f"cand{p} = t{p}.rows")
+        else:
+            lines += _limits(period, p, value, False) + [
+                f"at{p} = executor._interval_candidate_positions(t{p},"
+                f" {col(p, period.begin_index)}, {col(p, period.end_index)}, lim{p})",
+                f"cand{p} = list(map(t{p}.rows.__getitem__, at{p}))",
+            ]
+        lines.append(f"scanned += len(cand{p})")
+    reads, guard, forms, once, each = _checks(p, tuple(level.filters), read)
+    key = src(node.key, ("key", p))
+    body = [f"binding{p}.row = row{p}"] + inner
+    block = [f"bindings[{key}] = binding{p}", f"for row{p} in cand{p}:"]
+    if each:
+        block = [f"passed{p} = 0"] + block + _indented(
+            [f"if {' and '.join(each)}:"] + _indented([f"passed{p} += 1"] + body)
+        ) + [f"del bindings[{key}]", f"out{p} += passed{p}"]
+    else:
+        block += _indented(body) + [f"del bindings[{key}]", f"out{p} += len(cand{p})"]
+    return lines + reads + _guarded(guard, forms, once, block) + [f"in{p} += len(cand{p})"]
+
+
+def _nest(pipeline: _Pipeline, owner: "_FromWhere") -> Callable:
+    """``pipeline`` as one generated function ``run(executor, base_env,
+    tables, slots)`` returning what the ``owner`` plan's consumer collects
+    (:func:`_consume`) over the validated ``tables`` and the outer operands
+    ``slots``: a ``for`` per level in join order, each re-pointing one
+    ``Binding`` and a watchdog checkpoint, the residual at the leaf; a
+    reordered scan prefix collects its combinations, sorts them into FROM
+    order (``Table.row_positions``) and joins the rest under each.
+    Constants are parameters (:class:`_Source`), so plans of one shape
+    share the code; it holds no closure, so a result leaves no cycle.
+    Counters are locals added in a ``finally``; file ``<plan N levels>``."""
+    src = _Source()
+    sources, levels = owner.sources, pipeline.levels
+    count = len(sources)
+    slots = ", ".join(f"s{slot}" for slot in range(len(owner.outer_cs)))
+    lines = ["db = executor.db"]
+    for names, given in ((", ".join(f"t{p}" for p in range(count)), "tables"), (slots, "slots")):
+        if names:  # one name unpacks as ``t0, = tables``
+            lines.append(f"{names}{',' if ',' not in names else ''} = {given}")
+    scans = [level for level in levels if isinstance(level.node, _Scan)]
+    hashed = [level for level in scans if level.key is not None]
+    lines += ["env = Env(base_env)", "bindings = env.bindings"]
+    if scans:
+        lines += ["stats = db.stats", "resilience = db.resilience", "window = db.read_window",
+                  "scanned = 0"]
+        lines += [f"binding{level.pos} = Binding({src(level.node.colmap)}, None)" for level in scans]
+    if hashed:
+        lines.append("pruned = 0")
+    lines += [f"in{level.pos} = out{level.pos} = 0" for level in levels]
+    setup, leaf, after, result = _consume(src, owner.consumer)
+    leaf = _residual(src, pipeline.residual, leaf)
+
+    def wrap(chosen: list, block: list, before: tuple = ()) -> list:
+        """``block`` inside the ``chosen`` levels, ``before`` bound already."""
+        for i in reversed(range(len(chosen))):
+            bound = set(before) | {level.pos for level in chosen[:i]}
+            vector = "[" + "".join(
+                f"row{q}, " if q in bound else "None, " for q in range(count)
+            ) + f"[{slots}]]"
+            block = _level_lines(chosen[i], block, src, count, vector)
+        return block
+
+    if not pipeline.reordered:
+        body = wrap(levels, leaf)
+    else:  # the scan prefix's combinations in FROM order, then the rest under each
+        split = pipeline.split
+        combo = ", ".join(f"row{p}" for p in range(split))
+        keys = {level.pos: src(level.node.key, ("key", level.pos)) for level in levels[:split]}
+        body = ['db.obs.inc("engine.join.reordered")', "combos = []"] + wrap(
+            levels[:split], [f"combos.append(({combo}))"]
+        ) + ["if len(combos) > 1:"] + _indented(
+            [f"p{p} = t{p}.row_positions()" for p in range(split)] + [
+                "keys = []", f"for {combo} in combos:",
+                f"    keys.append(({', '.join(f'p{p}[id(row{p})]' for p in range(split))}))",
+                "combos = list(map(combos.__getitem__,"
+                " sorted(range(len(combos)), key=keys.__getitem__)))",
+            ]
+        ) + [f"bindings[{keys[p]}] = binding{p}" for p in range(split)] + [
+            f"for {combo} in combos:"
+        ] + _indented([f"binding{p}.row = row{p}" for p in range(split)] + wrap(
+            levels[split:], leaf, tuple(range(split))
+        )) + ["bindings.clear()"]
+    finish = []
+    for level in levels:
+        p = level.pos
+        out = f"out{p}" if isinstance(level.node, _Scan) else f"in{p}"
+        name = src(level)
+        finish += [f"{name}.rows_in += in{p}", f"{name}.rows_out += {out}"]
+    if scans:
+        finish += ["stats.scanned.value += scanned", "stats.rejects.value += " + " + ".join(
+            f"in{level.pos} - out{level.pos}" for level in scans
+        )]
+    if hashed:
+        finish.append("stats.pruned.value += pruned")
+    if finish:
+        body = ["try:"] + _indented(body) + ["finally:"] + _indented(finish)
+    lines += setup + body + after + [f"return {result}"]
+    params = ", ".join(["executor, base_env, tables, slots"] + [f"k{n}" for n in range(len(src.values))])
+    text = "\n".join([f"def run({params}):"] + _indented(lines))
+    code = _code(text, f"<plan {len(levels)} levels>")
+    return FunctionType(code, _GENERATED, "run", tuple(src.values))
 
 
 # ---------------------------------------------------------------------------
@@ -877,13 +1094,17 @@ def _reads(expr: ast.Expression, node: _Scan) -> bool:
 
 
 def _aligned_pipeline(
-    sources: list, conjuncts: list, total: list, projections: Optional[tuple]
+    sources: list, conjuncts: list, total: list, projections: Optional[tuple],
+    consumer: _Consumer,
 ) -> Optional[_Pipeline]:
     """The levels in FROM order as one aligned pass when every source is
     a base table, some level after the first is stabbed at a column of
     the first (``t.b <= o.c AND o.c < t.e`` on a declared date pair) —
-    the same column for all — and no other total conjunct
-    relates the first level to a later one; else None.  The other total
+    the same column for all — no other total conjunct relates the first
+    level to a later one, and no later level but the first stabbed one
+    has a total equality with a literal of its class, which a hash probe
+    of the nested loop serves better than a pass over the level; else
+    None.  The other total
     conjuncts: an equality between columns of two later levels is a key
     part of the later one, a test over one level runs once over its
     candidates, any other test on each matched combination (the leaf
@@ -904,6 +1125,14 @@ def _aligned_pipeline(
             stabs[pos] = probe, decided
     columns = {probe.bounds[0][2] for probe, _ in stabs.values()}
     if len(columns) != 1:
+        return None
+    if any(
+        own[0] not in (0, min(stabs)) and other[0] == count
+        and isinstance(operand, ast.Literal)
+        and isinstance(operand.value, _CLASS_TYPES[c.value_class])
+        for i, c in enumerate(conjuncts) if total[i] and c.op == "="
+        for own, other, _, operand in c.sides()
+    ):
         return None
     decided = {i for _, settled in stabs.values() for i in settled}
     tests: list = [[] for _ in range(count + 1)]  # per position, then the leaf's
@@ -929,7 +1158,7 @@ def _aligned_pipeline(
     # EXPLAIN: the first level is sorted on the stabbed column
     levels[0].access = ("Sort", next(iter(stabs.values()))[0].bounds[0][4].to_sql())
     residual = [c for i, c in enumerate(conjuncts) if not total[i]]
-    alignment = _Alignment(levels, columns.pop(), keys, tests, residual, projections)
+    alignment = _Alignment(levels, columns.pop(), keys, tests, residual, projections, consumer)
     return _Pipeline(levels, count, [c.closure for c in residual], alignment)
 
 
@@ -940,15 +1169,16 @@ class _Alignment:
     at the sorted values ``[lo, hi)`` (a level without a stab at every
     value); the runs joined by :func:`_aligned_nest` on ``keys``, the
     ``leaf`` sieve and the ``residual`` (``mode`` 2: per value, 1: once
-    per combination), into the plan's projection (``shape``) or its
-    ``emit``, in the FROM-order nested loop's order."""
+    per combination), into the plan's projection (``shape``) or, in
+    the nested loop's order, its consumer (``consume``, ``params``)."""
 
     __slots__ = ("levels", "column", "keys", "keyless", "sieves", "leaf",
-                 "leaf_tests", "residual", "mode", "shape", "closures", "distinct")
+                 "leaf_tests", "residual", "mode", "shape", "closures", "distinct",
+                 "consume", "params")
 
     def __init__(
         self, levels: list, column: int, keys: list, tests: list, residual: list,
-        projections: Optional[tuple],
+        projections: Optional[tuple], consumer: _Consumer,
     ) -> None:
         count = len(levels)
         self.levels = levels
@@ -956,17 +1186,18 @@ class _Alignment:
         self.keys = tuple(tuple(part[:3] for part in parts) for parts in keys[2:])
         self.keyless = sum(not parts for parts in self.keys)
         self.sieves = [
-            _level_loop(pos, tuple(t), "sieve") if t else None
+            _level_loop(pos, tuple(t)) if t else None
             for pos, t in enumerate(tests[:count])
         ]
         self.leaf_tests = len(tests[count])
-        self.leaf = _level_loop(count - 1, tuple(tests[count]), "sieve") if tests[count] else None
+        self.leaf = _level_loop(count - 1, tuple(tests[count])) if tests[count] else None
         first = levels[0].node
         self.residual = [c.closure for c in residual]
         self.mode = 2 if any(_reads(c.expr, first) for c in residual) else int(bool(residual))
-        self.shape = self.closures = None
+        self.shape = self.closures = self.consume = None
         self.distinct = False
-        if projections is not None:
+        self.params = ()
+        if projections is not None and consumer.order is None:
             items, self.distinct = projections
             # an item runs per value when it may read the first level, or
             # when the residual does
@@ -975,6 +1206,11 @@ class _Alignment:
                 for p in items
             )
             self.closures = [p[1] for p in items if p[0] == "closure"]
+        else:
+            src = _Source()
+            setup, leaf, after, result = _consume(src, consumer)
+            self.consume = tuple(setup), tuple(leaf), tuple(after), result, len(src.values)
+            self.params = tuple(src.values)
 
     def _passed(self, level: "_Level", rows: list, vector: list, stats) -> list:
         """``rows`` a level takes in that pass its own tests, counted as
@@ -988,13 +1224,9 @@ class _Alignment:
         stats.rejects.value += len(rows) - len(kept)
         return kept
 
-    def run(
-        self, executor: Executor, env: Env, vector: list, tables: list,
-        emit: Callable, into: Optional[list] = None,
-    ) -> bool:
-        """Join the levels; ``into`` takes the projected rows — DISTINCT
-        already applied — when given and the plan has a projection shape
-        (returns True), else each combination goes to ``emit``."""
+    def run(self, executor: Executor, env: Env, vector: list, tables: list) -> Any:
+        """Join the levels; returns what the consumer collects — with a
+        projection shape, the projected rows, DISTINCT already applied."""
         db = executor.db
         stats, obs, resilience = db.stats, db.obs, db.resilience
         if resilience.armed:
@@ -1016,8 +1248,8 @@ class _Alignment:
         values = [outer[i][column].ordinal for i in order]
         count = len(values)
         outputs: list = [[] for _ in range(count)]
-        shape = self.shape if into is not None else None
-        distinct = shape is not None and self.distinct
+        shape = self.shape
+        distinct = self.distinct
         # DISTINCT: a set per first-level row, keyed on the other items
         targets = [
             (outputs[i].append, outer[i], set()) if distinct else (outputs[i].append, outer[i])
@@ -1046,49 +1278,50 @@ class _Alignment:
             level.rows_out += len(found)
             runs.append(found)
         obs.inc("engine.join.keyless_levels", self.keyless)
-        if not count:
-            return shape is not None
+        if not count:  # nothing to join: what the consumer holds without rows
+            runs += [[] for _ in levels[1:]]
         bindings = [Binding(level.node.colmap, None) for level in levels]
         for level, binding in zip(levels, bindings):
             env.bindings[level.node.key] = binding
-        nest = _aligned_nest(self.keys, shape, distinct, self.leaf is not None, self.mode)
-        probes, matches = nest(
-            runs, targets, vector, bindings, self.closures if shape else (),
-            self.leaf, self.residual, env, resilience, outer, outputs, emit,
+        nest = _aligned_nest(
+            self.keys, shape, distinct, self.leaf is not None, self.mode, self.consume
         )
-        obs.inc("engine.join.probes", probes)
-        obs.inc("engine.join.matches", matches)
-        if shape is not None:
-            rows = list(chain.from_iterable(outputs))
-            columns = [p[2] for p in shape if p[:2] == ("slot", 0)]
-            if distinct and len({
-                tuple(sort_key(row[c]) for c in columns) for row in outer
-            }) < count:  # first-level rows whose items agree share duplicates
-                rows = _distinct_rows(rows)
-            into.extend(rows)
-            return True
-        return False
+        probes, matches, result = nest(
+            runs, targets, vector, bindings, self.closures or (),
+            self.leaf, self.residual, env, resilience, outer, outputs, self.params,
+        )
+        if count:
+            obs.inc("engine.join.probes", probes)
+            obs.inc("engine.join.matches", matches)
+        if shape is None:
+            return result
+        rows = list(chain.from_iterable(outputs))
+        columns = [p[2] for p in shape if p[:2] == ("slot", 0)]
+        if distinct and len({
+            tuple(sort_key(row[c]) for c in columns) for row in outer
+        }) < count:  # first-level rows whose items agree share duplicates
+            rows = _distinct_rows(rows)
+        return rows, None, True
 
 
 @functools.lru_cache(maxsize=256)
 def _aligned_nest(
-    keys: tuple, shape: Optional[tuple], distinct: bool, leaf: bool, mode: int
+    keys: tuple, shape: Optional[tuple], distinct: bool, leaf: bool, mode: int,
+    consume: Optional[tuple],
 ) -> Callable:
-    """The aligned join of one shape, generated from source text and
-    compiled once: ``keys`` per level after the second (``(own column,
-    earlier position, its column)`` parts, ``()``: keyless), ``shape``
-    per select item ``("slot", position, column)`` or ``("closure", per
-    value)`` (None: hand the combinations to ``emit``), ``distinct`` (a
-    set per first-level row, keyed on the items but that level's
-    columns), ``leaf`` and the residual's ``mode``.  One flat ``for``
-    per level: later levels hashed on ``sort_key`` (NULL keys
-    excluded), the second level's runs walked in table order, the runs
+    """The aligned join of one shape, generated and compiled once:
+    ``keys`` per level after the second (``(own column, earlier position,
+    its column)`` parts, ``()``: keyless), ``shape`` per select item
+    ``("slot", position, column)`` or ``("closure", per value)`` (None:
+    the :func:`_consume` source ``consume`` takes the combinations, its
+    parameters from ``params``), ``distinct`` (a set per first-level row),
+    ``leaf`` and the residual's ``mode``.  One flat ``for`` per level:
+    later levels hashed on ``sort_key`` (NULL keys excluded), the runs
     intersected as ``[max(lo), min(hi))``, each passing combination
-    appended to its values' ``targets``; each run of the second level
-    and each first-level row emitted is a cancellation point.  It holds
-    no closure, so a result leaves no reference cycle; returns
-    ``(probes, matches)``; its file name names the level count
-    (``<aligned join 3>``)."""
+    appended to its values' ``targets``; each second-level run and
+    first-level row emitted is a cancellation point.  It holds no
+    closure; returns ``(probes, matches, what the consumer collects)``;
+    file ``<aligned join N>``."""
     def hashed(names: list) -> str:
         """The hash key of the values ``names``: one ``sort_key``, or a tuple."""
         parts = ", ".join(f"sort_key({name})" for name in names)
@@ -1166,23 +1399,27 @@ def _aligned_nest(
     lines += ["for row1, lo1, hi1 in runs1:"] + _indented(
         ["if resilience.armed:", "    resilience.check()"] + bound(1) + block
     )
-    if shape is None:  # hand the combinations on, first-level rows in order
+    result = "None"
+    if shape is None:  # the consumer takes the combinations, first-level rows in order
+        setup, consumer, after, result, count = consume
         lines += [f"binding{i} = bindings[{i}]" for i in range(depth)] if not bind else []
-        lines += ["for row0, combinations in zip(outer, outputs):"] + _indented([
+        if count:
+            lines.append("".join(f"k{n}, " for n in range(count)) + "= params")
+        lines += list(setup) + ["for row0, combinations in zip(outer, outputs):"] + _indented([
             "if combinations:",
             "    if resilience.armed:",
             "        resilience.check()",
             "    binding0.row = row0",
             f"    for {rows} in combinations:",
         ] + _indented(_indented(_indented(
-            [f"binding{i}.row = row{i}" for i in range(1, depth)] + ["emit(env)"]
-        ))))
-    lines.append("return probes, matches")
+            [f"binding{i}.row = row{i}" for i in range(1, depth)] + list(consumer)
+        )))) + list(after)
+    lines.append(f"return probes, matches, ({result})")
     source = "\n".join(
         ["def nest(runs, targets, vector, bindings, closures, leaf, residual, env,"
-         " resilience, outer, outputs, emit):"] + _indented(lines)
+         " resilience, outer, outputs, params):"] + _indented(lines)
     )
-    namespace = {"Null": Null, "sort_key": sort_key, "_all_true": _all_true}
+    namespace = dict(_GENERATED, _all_true=_all_true)
     exec(compile(source, f"<aligned join {depth}>", "exec"), namespace)
     return namespace["nest"]
 
@@ -1375,6 +1612,16 @@ def _build_order(
     return entries
 
 
+def _item(executor: Executor, expr: ast.Expression, layout: dict, scans: dict) -> tuple:
+    """A select item, group key or aggregate argument as a consumer reads
+    it: ``("col", position, column)`` for a scan level's column, else
+    ``("closure", its compiled closure)``."""
+    address = _operand(expr, layout, scans)
+    if isinstance(address, tuple):
+        return ("col",) + address
+    return ("closure", compile_expression(executor, expr, layout))
+
+
 def build_select_plan(
     executor: Executor, select: ast.Select, env: Optional[Env] = None
 ) -> "SelectPlan":
@@ -1384,6 +1631,7 @@ def build_select_plan(
         for item in select.items
     ) or (select.having is not None)
     sources, layout, where = _build_sources(executor, select, env)
+    scans = _scans(sources)
     conjuncts, outer_cs = _analyze_conjuncts(executor, where, sources, layout)
     columns = executor._output_columns(select, env if env is not None else Env())
     colmap = {name.lower(): i for i, name in enumerate(columns)}
@@ -1393,27 +1641,20 @@ def build_select_plan(
         functools.partial(compile_grouped, aggregates=aggregates)
         if grouped else compile_expression,
     )
-    group_key = having_c = None
+    having_c = None
     if grouped:
-        for item in select.items:
-            if item.is_star:
-                raise ExecutionError(
-                    "SELECT * is not allowed in a grouped or aggregate select"
-                )
-        group_cs = [
-            compile_expression(executor, g, layout) for g in select.group_by
-        ]
-        if len(group_cs) == 1:  # one key needs no tuple
-            only = group_cs[0]
-            group_key = lambda env: sort_key(only(env))
-        elif group_cs:
-            group_key = lambda env: tuple([sort_key(g(env)) for g in group_cs])
+        if any(item.is_star for item in select.items):
+            raise ExecutionError("SELECT * is not allowed in a grouped or aggregate select")
+        keys = tuple(_item(executor, g, layout, scans) for g in select.group_by)
         if select.having is not None:
             having_c = compile_grouped(executor, select.having, layout, aggregates)
         item_plans = [
             compile_grouped(executor, item.expr, layout, aggregates)
             for item in select.items
         ]
+        consumer = _Consumer("group", keys=keys or None, args=tuple(
+            _item(executor, arg, layout, scans) for arg in aggregates
+        ))
     else:
         item_plans = [
             ("star", item.star_qualifier.lower() if item.star_qualifier else None)
@@ -1421,6 +1662,18 @@ def build_select_plan(
             else ("expr", compile_expression(executor, item.expr, layout))
             for item in select.items
         ]
+        items = tuple(
+            plan if plan[0] == "star"
+            else ("col",) + address
+            if isinstance(address := _operand(item.expr, layout, scans), tuple)
+            else ("closure", plan[1])
+            for item, plan in zip(select.items, item_plans)
+        )
+        # an ORDER BY on anything but output columns keeps each row's
+        # values as the join emits it (a set operation's order is applied
+        # on its output)
+        ordered = not select.set_op and any(entry[0] != "slot" for entry in order_entries)
+        consumer = _Consumer("rows", items, order_entries if ordered else None)
     # only base tables align, and a statement that calls a routine keeps
     # the nested loop: its calls are made per combination and first-level row
     aligns = (
@@ -1429,20 +1682,17 @@ def build_select_plan(
     )
     projections = None
     if aligns and not grouped and not any(item.is_star for item in select.items):
-        scans = _scans(sources)
         projections = tuple(
-            ("slot",) + address
-            if isinstance(address := _operand(item.expr, layout, scans), tuple)
-            else ("closure", closure, _reads(item.expr, sources[0]))
-            for item, (_, closure) in zip(select.items, item_plans)
+            ("slot",) + item[1:] if item[0] == "col"
+            else ("closure", item[1], _reads(expr.expr, sources[0]))
+            for expr, item in zip(select.items, consumer.items)
         ), bool(select.distinct)
     return SelectPlan(
         sources=sources,
         conjuncts=conjuncts,
         outer_cs=outer_cs,
+        consumer=consumer,
         columns=columns,
-        aggregates=aggregates,
-        group_key=group_key,
         having_c=having_c,
         item_plans=item_plans,
         order_entries=order_entries,
@@ -1459,32 +1709,24 @@ def build_select_plan(
 
 def _outer_checks(conjuncts: list) -> list:
     """``(conjunct index, slot, admissible types | None)`` per outer
-    operand of a conjunct: what :func:`_read_outer` checks per execution."""
+    operand of a conjunct: what :func:`_demoted` checks per execution."""
     return [
         (i, slot, _CLASS_TYPES.get(c.value_class))
         for i, c in enumerate(conjuncts) for slot in c.slots
     ]
 
 
-def _read_outer(outer_cs: list, checks: list, env: Env) -> tuple[list, frozenset]:
-    """Read the outer operands once: their values by slot, and the
-    indexes of the conjuncts an unreadable operand, or one of the wrong
-    class, makes partial for this execution."""
-    slots: list = []
-    for closure in outer_cs:
-        try:
-            slots.append(closure(env))
-        except SqlError:
-            slots.append(_UNREADABLE)
-    demoted: Any = ()
-    for index, slot, types in checks:
-        value = slots[slot]
-        if value is _UNREADABLE or (
-            types is not None and value is not Null
-            and not isinstance(value, types)
-        ):
-            demoted += (index,)
-    return slots, frozenset(demoted) if demoted else _NONE_DEMOTED
+def _demoted(checks: list, slots: list) -> frozenset:
+    """The indexes of the conjuncts an unreadable outer operand, or one
+    of the wrong class, makes partial for this execution."""
+    demoted = [
+        index for index, slot, types in checks
+        if slots[slot] is _UNREADABLE or (
+            types is not None and slots[slot] is not Null
+            and not isinstance(slots[slot], types)
+        )
+    ]
+    return frozenset(demoted) if demoted else _NONE_DEMOTED
 
 
 def _all_true(residual: list, env: Env) -> bool:
@@ -1502,13 +1744,14 @@ def _all_true(residual: list, env: Env) -> bool:
 
 class _FromWhere:
     """What every plan that reads rows holds: the sources, the analyzed
-    WHERE conjuncts and the join pipelines placed over them."""
+    WHERE conjuncts, what it does with a combination that passes them
+    (``consumer``) and the join pipelines placed over them."""
 
     __slots__ = ("sources", "conjuncts", "outer_cs", "checks", "aligns",
-                 "projections", "pipeline", "variants")
+                 "projections", "consumer", "pipeline", "variants")
 
     def __init__(
-        self, sources: list, conjuncts: list, outer_cs: list,
+        self, sources: list, conjuncts: list, outer_cs: list, consumer: _Consumer,
         aligns: bool = False, projections: Optional[tuple] = None,
     ) -> None:
         self.sources = sources
@@ -1517,88 +1760,49 @@ class _FromWhere:
         self.checks = _outer_checks(conjuncts)
         self.aligns = aligns
         self.projections = projections
+        self.consumer = consumer
         # the pipeline when every outer operand is readable and of its
         # column's class; executions that demote conjuncts get variants,
         # built on first need and kept by the demotion set
-        self.pipeline = _build_pipeline(
-            sources, conjuncts, _NONE_DEMOTED, aligns, projections
-        )
+        self.pipeline = _build_pipeline(self, _NONE_DEMOTED)
         self.variants: dict = {}
 
-    def _pipeline_for(self, env: Env) -> tuple[_Pipeline, list]:
-        """Read the outer operands once and pick this execution's
-        pipeline: the plan's own unless an operand is unreadable or of
-        the wrong class, which makes its conjunct partial this time."""
-        slots, demoted = _read_outer(self.outer_cs, self.checks, env)
-        if not demoted:
-            return self.pipeline, slots
-        pipeline = self.variants.get(demoted)
-        if pipeline is None:
-            pipeline = self.variants[demoted] = _build_pipeline(
-                self.sources, self.conjuncts, demoted, self.aligns, self.projections
-            )
-        return pipeline, slots
-
-    def _each(
-        self, executor: Executor, base_env: Env, emit: Callable,
-        into: Optional[list] = None,
-    ) -> bool:
-        """Validate every source before producing (or consuming) any rows
-        — an invalidation found mid-run would re-execute side effects on
-        the re-planned run — then ``emit`` the row environment of each
-        combination that satisfies the WHERE clause, in the FROM-order
-        nested loop's emission order.  An aligned pipeline appends the
-        projected rows, DISTINCT applied, to ``into`` instead when it is
-        given, and says so."""
+    def _collect(self, executor: Executor, base_env: Env) -> Any:
+        """What the consumer collects of the combinations that satisfy
+        the WHERE clause, in the FROM-order nested loop's order.  Every
+        source is validated before any row is read: an invalidation found
+        mid-run would re-execute side effects on the re-planned run."""
         tables = [node.validate(executor, base_env) for node in self.sources]
-        # the outer operands read from the base environment: the child
-        # binds nothing yet
-        pipeline, slots = self._pipeline_for(base_env)
-        env = base_env.child()
+        slots: list = []  # the outer operands, read once
+        for closure in self.outer_cs:
+            try:
+                slots.append(closure(base_env))
+            except SqlError:
+                slots.append(_UNREADABLE)
+        # an operand unreadable or of the wrong class: this execution's variant
+        demoted = _demoted(self.checks, slots) if self.checks else _NONE_DEMOTED
+        pipeline = self.pipeline if not demoted else self.variants.get(demoted)
+        if pipeline is None:
+            pipeline = self.variants[demoted] = _build_pipeline(self, demoted)
+        if pipeline.function is not None:
+            return pipeline.function(executor, base_env, tables, slots)
         vector: list = [None] * len(self.sources) + [slots]
-        if pipeline.alignment is not None:
-            return pipeline.alignment.run(executor, env, vector, tables, emit, into)
-        if not pipeline.reordered:
-            pipeline.run(executor, env, vector, tables, emit)
-            return False
-        # the scan prefix's combinations in FROM order, then the rest under each
-        executor.db.obs.inc("engine.join.reordered")
-        split = pipeline.split
-        combos: list = []
-        pipeline.prefix(
-            executor, env, vector, tables,
-            lambda _: combos.append(tuple(vector[:split])),
-        )
-        if len(combos) > 1:
-            positions = [table.row_positions() for table in tables[:split]]
-            combos.sort(key=lambda combo: [
-                index[id(row)] for index, row in zip(positions, combo)
-            ])
-        bindings = env.bindings
-        for combo in combos:
-            for node, row in zip(self.sources, combo):
-                bindings[node.key] = Binding(node.colmap, row)
-            vector[:split] = combo
-            pipeline.rest(executor, env, vector, tables, emit)
-        bindings.clear()
-        return False
+        return pipeline.alignment.run(executor, base_env.child(), vector, tables)
 
 
 class SelectPlan(_FromWhere):
-    """``aggregates``: a grouped select's aggregate argument closures, in
-    the order its groups keep their values (``None`` when ungrouped)."""
+    """A SELECT arm: its pipeline's consumer projects or folds, then
+    ``run`` applies HAVING, ORDER BY and DISTINCT."""
 
-    __slots__ = ("columns", "grouped", "aggregates", "group_key", "having_c",
-                 "item_plans", "order_entries", "distinct")
+    __slots__ = ("columns", "grouped", "having_c", "item_plans", "order_entries", "distinct")
 
     def __init__(
         self,
         sources: list,
         conjuncts: list,
         outer_cs: list,
+        consumer: _Consumer,
         columns: list,
-        aggregates: Optional[list],
-        group_key: Optional[Callable],
         having_c: Optional[Callable],
         item_plans: list,
         order_entries: list,
@@ -1606,11 +1810,9 @@ class SelectPlan(_FromWhere):
         aligns: bool = False,
         projections: Optional[tuple] = None,
     ) -> None:
-        super().__init__(sources, conjuncts, outer_cs, aligns, projections)
+        super().__init__(sources, conjuncts, outer_cs, consumer, aligns, projections)
         self.columns = columns
-        self.grouped = aggregates is not None
-        self.aggregates = aggregates
-        self.group_key = group_key
+        self.grouped = consumer.kind == "group"
         self.having_c = having_c
         self.item_plans = item_plans
         self.order_entries = order_entries
@@ -1619,128 +1821,35 @@ class SelectPlan(_FromWhere):
     def run(self, executor: Executor, env: Optional[Env], apply_order: bool) -> ResultSet:
         base_env = env if env is not None else Env()
         order = self.order_entries if apply_order else []
-        rows: list = []
-        keys: list = []
-        project = self._project
         distinct = self.distinct
         if self.grouped:
-            self._run_grouped(executor, base_env, order, rows, keys)
-        elif order and not all(entry[0] == "slot" for entry in order):
-            order_key = self._order_key
-
-            def emit(row_env: Env) -> None:
-                row = project(row_env)
-                rows.append(row)
-                keys.append(order_key(order, row, row_env))
-
-            self._each(executor, base_env, emit)
+            groups = self._collect(executor, base_env)
+            executor.db.obs.inc("engine.group.groups", len(groups))
+            rows: list = []
+            values: Optional[list] = [] if order else None
+            for group in groups.values():
+                if self.having_c is not None and not truth(self.having_c(group, base_env)):
+                    continue
+                rows.append(row := [item_c(group, base_env) for item_c in self.item_plans])
+                if order:
+                    values.append([
+                        row[entry[1]] if entry[0] == "slot" else
+                        _position_value(entry[1], entry[2], row, group, base_env)
+                        if entry[0] == "lit" else entry[1](group, base_env)
+                        for entry in order
+                    ])
         else:
-            if self._each(
-                executor, base_env, lambda row_env: rows.append(project(row_env)), rows
-            ):
-                distinct = False  # the aligned join applied it
-            if order:  # on output columns only: sorted once the join is done
-                one = order[0][1] if len(order) == 1 and not order[0][2] else None
-                rows.sort(key=(lambda row: sort_key(row[one])) if one is not None
-                          else (lambda row: self._order_key(order, row)))
-                order = []
+            rows, values, deduped = self._collect(executor, base_env)
+            distinct = distinct and not deduped
         if order:  # a stable sort: ties keep emission order
-            rows = [rows[i] for i in sorted(range(len(rows)), key=keys.__getitem__)]
+            rows = sorted_rows(rows, [
+                ([row[entry[1]] for row in rows] if values is None
+                 else [keys[j] for keys in values], entry[-1])
+                for j, entry in enumerate(order)
+            ])
         if distinct:
             rows = _distinct_rows(rows)
         return ResultSet(self.columns, rows)
-
-    def _project(self, env: Env) -> list:
-        values: list = []
-        for kind, plan in self.item_plans:
-            if kind == "star":
-                for binding_alias, binding in env.bindings.items():
-                    if plan and binding_alias != plan:
-                        continue
-                    values.extend(binding.row)
-            else:
-                values.append(plan(env))
-        return values
-
-    def _order_key(self, order: list, row: list, *scope: Any) -> tuple:
-        """``scope`` is what the entry closures take: the row env, or
-        (group, base env) in a grouped select."""
-        parts = []
-        for entry in order:
-            kind = entry[0]
-            if kind == "slot":
-                value = row[entry[1]]
-                desc = entry[2]
-            elif kind == "lit":
-                literal, fallback, desc = entry[1], entry[2], entry[3]
-                position = literal.value - 1 if isinstance(literal.value, int) else -1
-                if 0 <= position < len(row):
-                    value = row[position]
-                else:
-                    value = fallback(*scope)
-            else:
-                value = entry[1](*scope)
-                desc = entry[2]
-            key = sort_key(value)
-            parts.append(_Reversed(key) if desc else key)
-        return tuple(parts)
-
-    def _run_grouped(
-        self, executor: Executor, base_env: Env, order: list, rows: list, keys: list
-    ) -> None:
-        """Fold each row into its group as the join emits it: a group
-        freezes its first row's environment (what the non-aggregate parts
-        read), counts its rows and collects each aggregate argument's
-        values.  A key's error is held until the join is done (a later
-        WHERE error wins); an argument's until its group folds that
-        aggregate (a group HAVING drops raises nothing).  ``INTERRUPTS``
-        (a cancellation, a fault, …) are never held."""
-        aggregates = list(enumerate(self.aggregates, 2))
-        group_key = self.group_key
-        held: Optional[SqlError] = None
-
-        def fold(group: list, row_env: Env) -> None:
-            if not group[1]:
-                group[0] = _freeze_env(row_env)
-            group[1] += 1
-            for slot, arg_c in aggregates:
-                values = group[slot]
-                if values.__class__ is list:
-                    try:
-                        values.append(arg_c(row_env))
-                    except INTERRUPTS:
-                        raise
-                    except SqlError as exc:
-                        group[slot] = exc
-
-        def emit(row_env: Env) -> None:
-            nonlocal held
-            if held is None:
-                try:
-                    key = group_key(row_env)
-                except INTERRUPTS:
-                    raise
-                except SqlError as exc:
-                    held = exc
-                    return
-                group = groups.get(key)
-                if group is None:
-                    group = groups[key] = [None, 0] + [[] for _ in aggregates]
-                fold(group, row_env)
-
-        groups: dict = {} if group_key else {(): [None, 0] + [[] for _ in aggregates]}
-        if group_key is None:  # ungrouped: the one group is there before the join
-            emit = functools.partial(fold, groups[()])
-        self._each(executor, base_env, emit)
-        if held is not None:
-            raise held
-        executor.db.obs.inc("engine.group.groups", len(groups))
-        for group in groups.values():
-            if self.having_c is not None and not truth(self.having_c(group, base_env)):
-                continue
-            rows.append([item_c(group, base_env) for item_c in self.item_plans])
-            if order:
-                keys.append(self._order_key(order, rows[-1], group, base_env))
 
 
 # ---------------------------------------------------------------------------
@@ -1805,7 +1914,7 @@ class MatchPlan(_FromWhere):
         self, scan: _Scan, conjuncts: list, outer_cs: list,
         assign_indexes: list, assign_cs: list,
     ) -> None:
-        super().__init__([scan], conjuncts, outer_cs)
+        super().__init__([scan], conjuncts, outer_cs, _Consumer("match"))
         self.assign_indexes = assign_indexes
         self.assign_cs = assign_cs
 
@@ -1820,8 +1929,7 @@ class MatchPlan(_FromWhere):
             table.txn.claim_write(table)
         base_env = env if env is not None else Env()
         key, colmap = scan.key, scan.colmap
-        rows: list = []
-        self._each(executor, base_env, lambda row_env: rows.append(row_env.bindings[key].row))
+        rows = self._collect(executor, base_env)
         indexes, assign_cs = self.assign_indexes, self.assign_cs
         if not assign_cs:
             return table, rows, [()] * len(rows)

@@ -524,6 +524,9 @@ _NAMESPACE = dict(
 # what every generated function reads first
 _PROLOGUE = ["frame = env.frame", "s = frame.slots", "txn = frame.txn", "log = txn.log",
              "pending = None"]
+# the expressions that run no SQL and call no routine
+_WRITE_FREE = (ast.Literal, ast.Name, ast.BinaryOp, ast.UnaryOp, ast.Parenthesized, ast.Cast,
+               ast.IsNullPredicate)
 # Python blocks (loops, try) a generated function may nest before a
 # statement moves into a function of its own: CPython allows 20
 _MAX_BLOCKS = 12
@@ -702,9 +705,10 @@ class _Generator:
 
     def _guarded(self, stmt: ast.Statement, scope: _Scope) -> tuple[list, _Scope]:
         """No savepoint: the undo-log depth at a statement's start, kept
-        on by ``_invoke``'s open mark.  A watchdog cancellation takes the
-        rollback + handler path of a SIGNAL; an unhandled condition climbs
-        one guard at a time, so the whole routine unwinds."""
+        on by ``_invoke``'s open mark — read only where the statement's
+        statement may log a write (:func:`_logs_nothing`).  A watchdog cancellation
+        takes the rollback + handler path of a SIGNAL; an unhandled
+        condition climbs one guard at a time, so the whole routine unwinds."""
         level = self.level
         self.level += 1
         self.blocks += 1
@@ -713,11 +717,15 @@ class _Generator:
         finally:
             self.level -= 1
             self.blocks -= 1
+        if not _logs_nothing(stmt):
+            marks, depth = f"; u{level} = len(log); w{level} = len(txn.redo)", f"u{level}, w{level}"
+        else:  # the undo to the lengths at the error is the same no-op
+            marks, depth = "", "len(log), len(txn.redo)"
         return [
-            f"executed.value += 1; u{level} = len(log); w{level} = len(txn.redo)",
+            f"executed.value += 1{marks}",
             "try:", "    if resilience.armed: resilience.check()", *_indented(body),
             "except SqlError:",
-            *_indented(self.dispatch(f"handle(env, u{level}, w{level})")),
+            *_indented(self.dispatch(f"handle(env, {depth})")),
         ], after
 
     def statement(self, stmt: ast.Statement, scope: _Scope) -> tuple[list, _Scope]:
@@ -984,6 +992,24 @@ class _Generator:
         return self._cursor(stmt.name, scope, "not c.is_open", "is not open") + [
             "c.is_open = False", "c.rows = []", "c.position = 0"
         ]
+
+
+def _logs_nothing(stmt: ast.Statement) -> bool:
+    """Whether ``stmt`` can log no write, so its guard takes no undo
+    marks: a SET or scalar DECLARE of a literal or variable-only
+    expression, CLOSE, LEAVE / ITERATE, a RETURN of such an expression
+    (FETCH cannot: its NOT FOUND handler's action may write)."""
+    if isinstance(stmt, (ast.CloseCursor, ast.LeaveStatement, ast.IterateStatement)):
+        return True
+    if isinstance(stmt, ast.SetStatement) and len(stmt.targets) == 1:
+        value = stmt.value
+    elif isinstance(stmt, ast.DeclareVariable) and stmt.array_type is None:
+        value = stmt.default
+    elif isinstance(stmt, ast.ReturnStatement):
+        value = stmt.value
+    else:
+        return False
+    return value is None or all(isinstance(node, _WRITE_FREE) for node in ast.walk(value))
 
 
 # statement class -> _Generator method taking (stmt, scope) and returning

@@ -274,3 +274,32 @@ def sort_key(value: Any) -> tuple:
     if isinstance(value, str):
         return (3, value.rstrip())
     return (4, repr(value))
+
+
+def column_keys(values: list) -> list:
+    """Sort keys for one ORDER BY column that order and tie exactly as
+    :func:`sort_key` does: the right-stripped strings when every value is
+    a ``str``, the values when every one is an ``int`` (``bool``
+    excluded), the day ordinals when every one is a :class:`Date` —
+    else ``sort_key`` itself."""
+    kinds = set(map(type, values))
+    if len(kinds) == 1:
+        kind = kinds.pop()
+        if kind is str:
+            return [value.rstrip() for value in values]
+        if kind is int:
+            return values
+        if kind is Date:
+            return [value.ordinal for value in values]
+    return list(map(sort_key, values))
+
+
+def sorted_rows(rows: list, columns: list) -> list:
+    """``rows`` in ORDER BY order: ``columns`` holds per sort key, most
+    significant first, ``(values, descending)`` — one value per row.
+    One stable pass per key, from the last to the first, so ties keep
+    the rows' order."""
+    order = range(len(rows))
+    for values, descending in reversed(columns):
+        order = sorted(order, key=column_keys(values).__getitem__, reverse=descending)
+    return [rows[i] for i in order]

@@ -34,7 +34,6 @@ from repro.sqlengine.executor import (
     Env,
     Executor,
     ResultSet,
-    _Reversed,
     _apply_binary,
     _contains_aggregate,
     _distinct_rows,
@@ -411,6 +410,21 @@ class ReferenceExecutor(Executor):
             elif verdict == 0:
                 return not expr.negated
         return Unknown if saw_unknown else expr.negated
+
+
+class _Reversed:
+    """Inverts comparison for DESC sort keys."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: Any) -> None:
+        self.key = key
+
+    def __lt__(self, other: "_Reversed") -> bool:
+        return other.key < self.key
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Reversed) and self.key == other.key
 
 
 def _order_key(

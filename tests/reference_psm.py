@@ -313,10 +313,6 @@ class ReferenceInterpreter:
     # ------------------------------------------------------------------
 
     def execute_statement(self, stmt: ast.Statement, frame: Frame) -> None:
-        if getattr(stmt, "modifier", None) is not None:
-            raise ExecutionError(
-                "temporal statement modifiers require the temporal stratum"
-            )
         self.db.stats.executed.value += 1
         self.db.stats.call_depth += 1
         txn = self.db.txn
@@ -364,6 +360,11 @@ class ReferenceInterpreter:
             raise _HandlerExit(handler.depth)
 
     def _dispatch(self, stmt: ast.Statement, frame: Frame) -> None:
+        # a refused statement fails when reached, inside its own guard
+        if getattr(stmt, "modifier", None) is not None:
+            raise ExecutionError(
+                "temporal statement modifiers require the temporal stratum"
+            )
         handler = _STATEMENT_HANDLERS.get(type(stmt))
         if handler is None:
             raise RoutineError(

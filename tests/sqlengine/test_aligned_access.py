@@ -121,3 +121,26 @@ def test_shapes_that_keep_the_nested_loop():
         rows = db.query(sql).rows
         with installed(db):
             assert db.query(sql).rows == rows
+
+
+def test_a_literal_key_keeps_the_nested_loop():
+    """A later level but the first stabbed one with a total equality to a
+    literal of its class is better served by a hash probe: the nested
+    loop starts at it (its bucket, then the rest by key) instead of
+    aligning every version of the stabbed level.  A literal of another
+    class is demoted at every execution, so the plan stays aligned."""
+    db = build(OUTER, T, U)
+    sql = f"SELECT t.id, u.w FROM o, t, u WHERE {STAB_T} AND {STAB_U} AND t.id = u.id AND u.w = 2"
+    plan = build_select_plan(db.executor, parse_statement(sql))
+    assert plan.pipeline.alignment is None
+    assert [(level.node.key, level.access[0]) for level in plan.pipeline.levels] == [
+        ("u", "HashProbe"), ("t", "HashProbe"), ("o", "Scan"),
+    ]
+    rows = db.query(sql).rows
+    assert rows
+    with installed(db):
+        assert db.query(sql).rows == rows
+    # the first stabbed level's literal and a wrong-class literal align
+    agree(db, f"SELECT t.id, u.w FROM o, t, u WHERE {STAB_T} AND {STAB_U} AND t.id = u.id AND t.v = 1")
+    wrong_class = f"SELECT t.id FROM o, t, u WHERE {STAB_T} AND {STAB_U} AND t.id = u.id AND u.w = 'x'"
+    assert build_select_plan(db.executor, parse_statement(wrong_class)).pipeline.alignment

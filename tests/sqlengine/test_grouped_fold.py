@@ -1,5 +1,5 @@
 """Grouped aggregation folds each row as the join emits it
-(``planner.SelectPlan._run_grouped``); what it returns and raises equals
+(the generated plan function's fold, ``planner._consume``); what it returns and raises equals
 the reference's grouping, which freezes every row and evaluates keys and
 aggregates after the join (``tests/reference_executor.py``):
 
@@ -262,7 +262,10 @@ def test_one_frozen_environment_per_group(monkeypatch):
     )
     frozen = []
     freeze = planner._freeze_env
-    monkeypatch.setattr(planner, "_freeze_env", lambda env: frozen.append(1) or freeze(env))
+    # the generated fold reads it from the plan functions' namespace
+    monkeypatch.setitem(
+        planner._GENERATED, "_freeze_env", lambda env: frozen.append(1) or freeze(env)
+    )
     groups = db.obs.value("engine.group.groups")
     kind, rows = both(db, sql)
     assert kind == "rows"

@@ -308,7 +308,7 @@ def compound(draw, ctx: Ctx) -> str:
 @st.composite
 def statement(draw, ctx: Ctx) -> str:
     deep = ctx.depth >= 4
-    kind = draw(st.integers(0, 22 if not deep else 13))
+    kind = draw(st.integers(0, 23 if not deep else 13))
     var = draw(VARS)
     if kind <= 2:
         return f"SET {var} = {draw(expression(ctx))}"
@@ -380,6 +380,10 @@ def statement(draw, ctx: Ctx) -> str:
         return draw(loop(ctx))
     if kind == 20:
         return draw(write_then_raise(ctx))
+    if kind == 23:  # refused when reached, inside its own guard: handlers see it
+        return draw(st.sampled_from([
+            "VALIDTIME SELECT a, b FROM t", "NONSEQUENCED VALIDTIME DELETE FROM t", "COMMIT",
+        ]))
     return draw(compound(ctx))
 
 
@@ -718,3 +722,44 @@ def test_routines_run_under_an_open_mark():
     assert db.executor.execute(call).rows == [[0]]  # outside Database.execute_ast
     assert db.table("log").rows == [] and db.table("scratch").rows == []
     assert not db.txn.marks and not db.txn.log
+
+
+def test_only_a_statement_that_cannot_write_skips_its_undo_marks():
+    """A statement's guard skips the undo-log and redo-buffer lengths only
+    for a kind that cannot log a write (DESIGN §3.1): a SET, DECLARE or
+    RETURN of a literal or variable-only expression, CLOSE, LEAVE and
+    ITERATE.  A subquery, a routine call, a cursor OPEN or FETCH (its NOT
+    FOUND handler may write), embedded SQL and a compound keep them."""
+    from repro.sqlengine import ast_nodes as ast
+    from repro.sqlengine.routines import _logs_nothing
+
+    body = parse_statement("""CREATE FUNCTION f (n INTEGER) RETURNS INTEGER LANGUAGE SQL
+    BEGIN
+      DECLARE a INTEGER DEFAULT CAST(n AS INTEGER) + 1;
+      DECLARE b INTEGER;
+      DECLARE d INTEGER DEFAULT (SELECT COUNT(*) FROM t);
+      DECLARE c CURSOR FOR SELECT k FROM t;
+      SET a = -(a * 2);
+      SET b = a IS NULL;
+      SET a = g(a);
+      SET a = (SELECT 1);
+      OPEN c;
+      FETCH c INTO b;
+      CLOSE c;
+      l: LOOP
+        IF a > 1 THEN LEAVE l; END IF;
+        ITERATE l;
+      END LOOP l;
+      INSERT INTO t VALUES (a);
+      RETURN a + b;
+      RETURN g(a);
+    END""").body
+    skipped = [
+        stmt.to_sql().split("\n")[0] for stmt in ast.walk(body)
+        if isinstance(stmt, ast.Statement) and _logs_nothing(stmt)
+    ]
+    assert skipped == [
+        "DECLARE a INTEGER DEFAULT CAST(n AS INTEGER) + 1;", "DECLARE b INTEGER;",
+        "SET a = -(a * 2)", "SET b = a IS NULL", "CLOSE c", "LEAVE l", "ITERATE l",
+        "RETURN a + b",
+    ]

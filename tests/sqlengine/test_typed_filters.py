@@ -1,5 +1,5 @@
-"""A join level's total conjuncts run inside one loop generated per level
-shape (``planner._level_loop``): date ordinals, right-stripped
+"""A join level's total conjuncts run as typed tests written into
+generated code (``planner._checks``): date ordinals, right-stripped
 characters, native numbers, each test inlined in the loop over the
 level's candidates, with the operands bound before the level read once.
 ``values.compare`` stays the specification — for every operator and
@@ -10,16 +10,16 @@ ignored and NaN equals NaN above every other number.  A non-negated
 ``value BETWEEN low AND high`` is one such test, held to the engine's own
 evaluation of the predicate.
 
-The same generated code serves the plan levels of a nested loop
-(``"scan"`` / ``"leaf"``: bind, count, hand on), an aligned level's own
-tests and an aligned join's tests per combination, and the point-free
-check of a hash probe's read window (``"sieve"``).  Row by row, both
-forms must keep exactly the candidates ``compare`` keeps; on whole
-plans, the counters a level keeps — ``rows_in`` / ``rows_out``,
-``engine.join.level_rejects``, ``engine.read_window.versions_waived`` —
-must equal those of a closure path that stores each row in the vector
-and calls one ``compare`` per test, as the levels did before the loops
-were generated."""
+The same writer serves a level of a generated plan function
+(``planner._nest``: bind, count, hand on — inner or leaf), an aligned
+level's own tests and an aligned join's tests per combination
+(``planner._level_loop``'s sieves) and the point-free check of a hash
+probe's read window.  Row by row, both forms must keep exactly the
+candidates ``compare`` keeps; on whole plans, the counters a level keeps
+— ``rows_in`` / ``rows_out``, ``engine.join.level_rejects``,
+``engine.read_window.versions_waived`` — must equal those of a closure
+path that calls one ``compare`` per test and reads nothing once, as the
+levels did before the tests were generated."""
 
 import traceback
 from contextlib import contextmanager
@@ -30,7 +30,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.sqlengine import Database, ast_nodes as ast, planner
 from repro.sqlengine.errors import SqlError
-from repro.sqlengine.executor import Binding, Env, _apply_binary
+from repro.sqlengine.executor import Env, _apply_binary
 from repro.sqlengine.parser import parse_statement
 from repro.sqlengine.planner import _COMPARISONS, _level_loop, build_select_plan
 from repro.sqlengine.values import Date, Null
@@ -79,47 +79,57 @@ def holds(value_class: str, op: str, at: tuple, vector: list) -> bool:
     return _apply_binary(op, *values) is True
 
 
+class FixedScan(planner._Scan):
+    """A scan level over given rows, bound without a catalog."""
+
+    def __init__(self, key: str, rows: list) -> None:
+        self.name = self.alias = self.key = key
+        self.colmap = {"x": 0, "y": 1}
+        self.pairs = []
+        self.period_columns = ()
+        self.table = mock.Mock(rows=rows)
+
+    def validate(self, executor, env):
+        return self.table
+
+
 def scan(tests: tuple, rows: list, vector: list, leaf: bool) -> tuple:
-    """Run the generated level step over ``rows``: the rows it hands on
-    (each checked to be bound and in the vector), its rows in / out and
-    the ``engine.join.level_rejects`` it counted."""
+    """Run a generated plan over ``vector``'s earlier row, the level of
+    ``rows`` under ``tests`` and — unless it is the ``leaf`` — one more
+    level after it: the level's rows it hands on (each checked to be
+    bound), its rows in / out and the ``engine.join.level_rejects`` it
+    counted."""
     rejects = DB.obs.value("engine.join.level_rejects")
-    handed: list = []
-
-    class Level:
-        rows_in = rows_out = 0
-
-        def candidates(self, executor, table, vector):
-            return rows
-
-    def after(executor, env, vector, tables, emit):
-        emit(env)
-
-    def emit(env):
-        row = env.bindings["t"].row
-        assert vector[POS] is row
-        handed.append(row)
-
-    level = Level()
-    make = _level_loop(POS, tests, "leaf" if leaf else "scan")
-    step = make(level, None if leaf else after, "t", {"x": 0, "y": 1})
-    env = Env()
-    step(DB.executor, env, vector, [None, None], emit)
-    assert "t" not in env.bindings
+    sources = [FixedScan("e", [vector[0]]), FixedScan("t", rows)]
+    if not leaf:  # the outer slots follow every source
+        sources.append(FixedScan("z", [["pad", "pad"]]))
+        tests = tuple(
+            (value_class, op, tuple((3 if a == 2 else a, b) for a, b in at))
+            for value_class, op, at in tests
+        )
+    levels = [planner._Level(node, pos) for pos, node in enumerate(sources)]
+    levels[POS].filters = list(tests)
+    owner = mock.Mock(
+        sources=sources, outer_cs=vector[2],
+        consumer=planner._Consumer("rows", (("closure", lambda env: env.bindings["t"].row),)),
+    )
+    run = planner._nest(planner._Pipeline(levels, len(levels), []), owner)
+    tables = [node.validate(DB.executor, Env()) for node in sources]
+    out, _, _ = run(DB.executor, Env(), tables, vector[2])
     rejects = DB.obs.value("engine.join.level_rejects") - rejects
-    return handed, (level.rows_in, level.rows_out), rejects
+    return [row for (row,) in out], (levels[POS].rows_in, levels[POS].rows_out), rejects
 
 
 def check_shape(tests: tuple, rows: list, vector: list) -> None:
-    """The sieve, the inner step and the leaf step all keep exactly the
-    rows ``compare`` makes every test TRUE on, in order."""
+    """The sieve and a generated plan's level, inner or leaf, all keep
+    exactly the rows ``compare`` makes every test TRUE on, in order."""
     expected = []
     for row in rows:
         vector[POS] = row
         if all(holds(value_class, op, at, vector) for value_class, op, at in tests):
             expected.append(row)
     vector[POS] = None
-    kept = _level_loop(POS, tests, "sieve")(vector, rows)
+    kept = _level_loop(POS, tests)(vector, rows)
     assert [id(row) for row in kept] == [id(row) for row in expected], (tests, rows, vector)
     for leaf in (True, False):
         handed, counts, rejects = scan(tests, rows, vector, leaf)
@@ -184,7 +194,7 @@ def test_the_edges_by_hand():
     def passes(value_class, left, op, right, hoisted=True):
         at = ((POS, 0), (2, 0) if hoisted else (POS, 1))
         vector = [None, None, [right]]
-        return bool(_level_loop(POS, ((value_class, op, at),), "sieve")(vector, [[left, right]]))
+        return bool(_level_loop(POS, ((value_class, op, at),))(vector, [[left, right]]))
 
     for hoisted in (True, False):
         assert passes("numeric", True, "=", 1, hoisted) and passes("numeric", False, "<", 1, hoisted)
@@ -209,24 +219,33 @@ def test_a_null_bound_before_the_level_passes_no_row():
     for leaf in (True, False):
         handed, counts, rejects = scan(tests, rows, [None, None, [0, Null]], leaf)
         assert handed == [] and counts == (3, 0) and rejects == 3
-    assert _level_loop(POS, tests, "sieve")([None, None, [Null, 9]], rows) == []
+    assert _level_loop(POS, tests)([None, None, [Null, 9]], rows) == []
     handed, counts, rejects = scan(tests, rows, [None, None, [0, 9]], True)
     assert handed == rows[:2] and counts == (3, 2) and rejects == 1
 
 
 def test_generated_code_is_shared_by_shape_and_named_after_the_level():
     tests = (("numeric", ">", ((POS, 0), (2, 0))),)
-    assert _level_loop(POS, tests, "leaf") is _level_loop(POS, tests, "leaf")
-    assert _level_loop(POS, tests, "leaf") is not _level_loop(POS, tests, "scan")
-    make = _level_loop(POS, tests, "leaf")
-    step = make(None, None, "t", {})
-    assert step.__code__.co_filename == "<scan level 1>"
-    assert _level_loop(POS, tests, "sieve").__code__.co_filename == "<sieve level 1>"
-    # a candidate of the wrong class raises inside the generated loop
+    assert _level_loop(POS, tests) is _level_loop(POS, tests)
+    assert _level_loop(POS, tests).__code__.co_filename == "<sieve level 1>"
+    # a candidate of the wrong class raises inside the generated code
     with pytest.raises(TypeError) as caught:
-        _level_loop(POS, tests, "sieve")([None, None, [1]], [["x"]])
+        _level_loop(POS, tests)([None, None, [1]], [["x"]])
     frames = traceback.extract_tb(caught.value.__traceback__)
     assert frames[-1].filename == "<sieve level 1>"
+    with pytest.raises(TypeError) as caught:
+        scan(tests, [["x", "y"]], [["e", "e"], None, [1]], True)
+    frames = traceback.extract_tb(caught.value.__traceback__)
+    assert frames[-1].filename == "<plan 2 levels>"
+    # plans that differ in columns and constants only share one code object
+    db = Database()
+    db.execute("CREATE TABLE t (n FLOAT, m FLOAT, c CHAR(4))")
+    first, second = (
+        build_select_plan(db.executor, parse_statement(sql)).pipeline.function
+        for sql in ("SELECT c FROM t WHERE n > 1", "SELECT n FROM t WHERE m > 2")
+    )
+    assert first is not second and first.__code__ is second.__code__
+    assert first.__code__.co_filename == "<plan 1 levels>"
 
 
 def test_a_wrong_class_literal_is_demoted_to_the_residual():
@@ -259,50 +278,37 @@ def test_a_wrong_class_literal_is_demoted_to_the_residual():
 # ---------------------------------------------------------------------------
 
 
-def closure_loop(pos: int, tests: tuple, mode: str):
-    """The closure path the generated loops replace: each candidate is
-    stored in the row vector and every test is a call, here one
-    ``compare`` each.  A drop-in for :func:`planner._level_loop`."""
-    def passes(vector: list) -> bool:
-        return all(holds(value_class, op, at, vector) for value_class, op, at in tests)
+def compare_checks(pos: int, tests: tuple, read) -> tuple:
+    """The closure path the generated tests replace: nothing read once,
+    every test a ``compare`` (through ``_apply_binary``) per candidate —
+    a ``BETWEEN`` its two halves.  A drop-in for :func:`planner._checks`."""
+    each = []
+    for _, op, at in tests:
+        halves = ((">=", at[:2]), ("<=", at[::2])) if op == "BETWEEN" else ((op, at),)
+        for half, (left, right) in halves:
+            each.append(f"_apply_binary({half!r}, {read(left)[1]}, {read(right)[1]}) is True")
+    return [], [], [], [], each
 
-    if mode == "sieve":
-        def sieve(vector: list, rows) -> list:
-            vector = list(vector)
-            kept = []
-            for row in rows:
-                vector[pos] = row
-                if passes(vector):
-                    kept.append(row)
-            return kept
-        return sieve
 
-    def make(level, after, key, colmap):
-        def step(executor, env, vector, tables, emit) -> None:
-            rows = level.candidates(executor, tables[pos], vector)
-            binding = env.bindings[key] = Binding(colmap, None)
-            passed = 0
-            for row in rows:
-                vector[pos] = row
-                if passes(vector):
-                    passed += 1
-                    binding.row = row
-                    if after is None:
-                        emit(env)
-                    else:
-                        after(executor, env, vector, tables, emit)
-            del env.bindings[key]
-            level.rows_in += len(rows)
-            level.rows_out += passed
-            if passed < len(rows):
-                executor.db.stats.rejects.value += len(rows) - passed
-        return step
-    return make
+def closure_sieve(pos: int, tests: tuple):
+    """The closure path's sieve: each candidate stored in the row vector
+    and every test one ``compare``.  A drop-in for :func:`planner._level_loop`."""
+    def sieve(vector: list, rows) -> list:
+        vector = list(vector)
+        kept = []
+        for row in rows:
+            vector[pos] = row
+            if all(holds(value_class, op, at, vector) for value_class, op, at in tests):
+                kept.append(row)
+        return kept
+    return sieve
 
 
 @contextmanager
 def closure_path():
-    with mock.patch.object(planner, "_level_loop", closure_loop):
+    with mock.patch.object(planner, "_checks", compare_checks), \
+            mock.patch.object(planner, "_level_loop", closure_sieve), \
+            mock.patch.dict(planner._GENERATED, {"_apply_binary": _apply_binary}):
         yield
 
 
@@ -419,8 +425,44 @@ def test_plans_count_what_the_closure_path_counts(rows):
         assert mine == theirs, mine[0]
 
 
+# what ``run_all`` counts on the fixed history below, per statement: an
+# engine statement's levels' (rows in, out) or a windowed one's window left
+# (days from BASE), then the COUNTERS' deltas.  The values were counted by
+# the pipeline of per-level closure steps the generated plan function
+# replaced: a reference that does not share the generated counting code,
+# as the closure path above does.
+PINNED = [
+    ([(6, 4)], [6, 2, 0, 0, 0]),
+    ([(6, 1)], [6, 5, 0, 0, 0]),
+    ([(4, 2)], [4, 2, 0, 0, 0]),
+    ([(6, 6), (18, 6)], [24, 12, 0, 0, 0]),
+    ([(6, 6), (17, 5)], [23, 12, 0, 0, 0]),
+    ([(4, 4), (24, 7)], [28, 17, 0, 0, 0]),
+    ([(6, 0)], [6, 6, 0, 0, 0]),
+    ([(4, 3)], [4, 1, 0, 0, 0]),
+    ([0, 2, 1], [1, 0, 0, 0, 0]),
+    ([2, 20, 3], [0, 0, 0, 1, 0]),
+    ([0, 3, 1], [2, 1, 2, 2, 0]),
+    ([3, 5, 3], [3, 1, 2, 1, 0]),
+    ([-5, 20, 1], [1, 1, 1, 0, 0]),
+    ([-5, 20, 3], [0, 0, 1, 1, 0]),
+    ([0, 2, 1], [2, 1, 1, 2, 0]),
+    ([3, 4, 3], [3, 0, 1, 1, 0]),
+    ([0, 2, 1], [1, 0, 0, 0, 0]),
+    ([2, 20, 3], [0, 0, 0, 1, 0]),
+    ([1, 2, 1], [2, 0, 0, 2, 0]),
+    ([3, 4, 3], [3, 0, 0, 1, 0]),
+    (None, [11, 2, 0, 0, 1]),
+    (None, [11, 4, 0, 0, 1]),
+    (None, [16, 0, 0, 0, 1]),
+    (None, [21, 0, 0, 0, 1]),
+    (None, [11, 5, 0, 0, 1]),
+]
+
+
 def test_the_counters_are_exercised():
-    """On one fixed history every counter the comparison holds moves."""
+    """On one fixed history every counter the comparison holds moves, and
+    each statement counts what the pinned reference counted."""
     rows = [
         (1, 2.5, "a", 0, 0, 9), (1, -1.5, "b", 1, 1, 3), (1, NAN, "a  ", 2, 3, 5),
         (0, 1, Null, 3, 0, 2), (2, INF, "a", Null, 2, 9), (1, 0, "a", 5, 2, 4),
@@ -428,5 +470,12 @@ def test_the_counters_are_exercised():
     seen = run_all(build(rows))
     totals = [sum(entry[-1][i] for entry in seen) for i in range(len(COUNTERS))]
     assert all(totals), dict(zip(COUNTERS, totals))
+    counted = [
+        (None if len(entry) == 3 else entry[2] if isinstance(entry[2][0], tuple)
+         else [end - BASE for end in entry[2]], entry[-1])
+        for entry in seen
+    ]
+    for (sql, *_), mine, pinned in zip(seen, counted, PINNED, strict=True):
+        assert mine == pinned, sql
     with closure_path():
         assert run_all(build(rows)) == seen

@@ -1,7 +1,7 @@
 """Value model tests: NULL, three-valued logic, dates, ordering."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.sqlengine.errors import TypeError_
 from repro.sqlengine.values import (
@@ -9,6 +9,7 @@ from repro.sqlengine.values import (
     Null,
     Row,
     Unknown,
+    column_keys,
     compare,
     equals,
     is_null,
@@ -16,8 +17,11 @@ from repro.sqlengine.values import (
     logic_not,
     logic_or,
     sort_key,
+    sorted_rows,
     truth,
 )
+
+from tests.reference_executor import _Reversed
 
 
 class TestNull:
@@ -189,3 +193,44 @@ class TestSortKey:
     @given(st.lists(st.one_of(st.integers(), st.floats(allow_nan=False))))
     def test_numeric_sort_matches_python(self, xs):
         assert sorted(xs, key=sort_key) == sorted(xs)
+
+
+# -- ORDER BY on typed keys ---------------------------------------------------
+
+SORT_VALUES = st.one_of(
+    st.sampled_from([Null, float("nan"), float("inf"), -float("inf"), True, False,
+                     "a", "a  ", "", " a", "b", Date.MIN, Date.MAX, 0, 1, -1, 1.0, 0.5]),
+    st.integers(-3, 3), st.text(alphabet="ab ", max_size=3),
+    st.builds(Date, st.integers(Date.MIN_ORDINAL, Date.MIN_ORDINAL + 3)),
+)
+# one class per column (the fast paths) or any mix
+SORT_COLUMN = st.one_of(
+    st.lists(st.integers(-3, 3)), st.lists(st.text(alphabet="ab ", max_size=3)),
+    st.lists(st.builds(Date, st.integers(0, 5))), st.lists(SORT_VALUES),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=SORT_COLUMN)
+def test_column_keys_order_and_tie_as_sort_key(values):
+    keys = column_keys(values)
+    for i, left in enumerate(values):
+        for j, right in enumerate(values):
+            assert (keys[i] < keys[j]) == (sort_key(left) < sort_key(right)), (left, right)
+            assert (keys[i] == keys[j]) == (sort_key(left) == sort_key(right)), (left, right)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), width=st.integers(1, 3))
+def test_sorted_rows_equal_one_sort_on_reversed_keys(data, width):
+    """One stable pass per key, last to first, DESC reversed, is the one
+    sort on the tuple of ``sort_key``s (DESC wrapped) it replaces."""
+    columns = [data.draw(SORT_COLUMN, label=f"column {j}") for j in range(width)]
+    count = min(len(column) for column in columns)
+    rows = [[column[i] for column in columns] + [i] for i in range(count)]
+    descending = data.draw(st.lists(st.booleans(), min_size=width, max_size=width))
+    expected = sorted(rows, key=lambda row: tuple(
+        _Reversed(sort_key(row[j])) if descending[j] else sort_key(row[j]) for j in range(width)
+    ))
+    got = sorted_rows(rows, [([row[j] for row in rows], descending[j]) for j in range(width)])
+    assert [row[-1] for row in got] == [row[-1] for row in expected]

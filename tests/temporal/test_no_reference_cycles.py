@@ -17,6 +17,7 @@ import pytest
 from benchmarks.e2e.workloads import ROUTINE_FREE_SQL
 from repro.server import ReproClient, ReproServer
 from repro.sqlengine import Database
+from repro.sqlengine.values import Null
 from repro.taubench import ALL_QUERIES, build_dataset, get_query
 from repro.temporal import SlicingStrategy, TemporalStratum
 
@@ -89,6 +90,30 @@ def test_seqset_join_shape_leaves_no_cycle(dataset, shape):
     aligned = stratum.db.obs.value("engine.join.aligned")
     assert cold_then_warm(stratum, sql, MAX) == (0, 0)
     assert stratum.db.obs.value("engine.join.aligned") > aligned
+
+
+# planned statements of the shapes the generated plan function writes
+# apart: a grouped fold, a reordered scan prefix, an UPDATE's match
+PLANNED = {
+    "grouped": "SELECT c, COUNT(*), SUM(v) FROM a GROUP BY c HAVING COUNT(*) > 0",
+    "reordered": "SELECT a.k, b.w FROM a, b WHERE a.k = b.k AND b.c = 'x'",
+    "update": "UPDATE a SET v = v + 1 WHERE k = 1 AND c = 'x'",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANNED))
+def test_planned_statement_leaves_no_cycle(name):
+    """Cold: the statement's plan and its generated function are built."""
+    db = Database()
+    db.execute("CREATE TABLE a (k INTEGER, c CHAR(3), v FLOAT)")
+    db.execute("CREATE TABLE b (k INTEGER, c CHAR(3), w FLOAT)")
+    rows = [[1, "x", 1.0], [2, "y", 2.0], [1, "y", 3.0], [Null, "x", 4.0]]
+    db.insert_rows("a", rows)
+    db.insert_rows("b", rows)
+    found = tuple(cyclic_garbage(lambda: db.execute(PLANNED[name])) for _ in range(2))
+    assert found == (0, 0)
+    if name == "reordered":
+        assert db.obs.value("engine.join.reordered") == 2
 
 
 FACT = """CREATE FUNCTION fact (n INTEGER) RETURNS FLOAT LANGUAGE SQL
